@@ -150,23 +150,18 @@ func BenchmarkFockParallel(b *testing.B) {
 	cfg := fock.Config{Threads: 2}
 	algs := []struct {
 		name  string
-		build func(dx *ddi.Context) (*linalg.Matrix, fock.Stats)
+		build func(*ddi.Context, *integrals.Engine, *integrals.Schwarz,
+			[]fock.Channel, fock.Config) ([]*linalg.Matrix, fock.Stats)
 	}{
-		{"mpi-only", func(dx *ddi.Context) (*linalg.Matrix, fock.Stats) {
-			return fock.MPIOnlyBuild(dx, f.eng, f.sch, f.d, cfg)
-		}},
-		{"private-fock", func(dx *ddi.Context) (*linalg.Matrix, fock.Stats) {
-			return fock.PrivateFockBuild(dx, f.eng, f.sch, f.d, cfg)
-		}},
-		{"shared-fock", func(dx *ddi.Context) (*linalg.Matrix, fock.Stats) {
-			return fock.SharedFockBuild(dx, f.eng, f.sch, f.d, cfg)
-		}},
+		{"mpi-only", fock.MPIOnlyBuild},
+		{"private-fock", fock.PrivateFockBuild},
+		{"shared-fock", fock.SharedFockBuild},
 	}
 	for _, a := range algs {
 		b.Run(a.name, func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				err := mpi.Run(2, func(c *mpi.Comm) {
-					a.build(ddi.New(c))
+					a.build(ddi.New(c), f.eng, f.sch, fock.RHF(f.d.At), cfg)
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -239,7 +234,7 @@ func BenchmarkVerifiedFockBuild(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				_, err := mpi.RunWithOptions(2, mpi.RunOptions{Unverified: mode.unverified}, func(c *mpi.Comm) {
-					fock.MPIOnlyBuild(ddi.New(c), f.eng, f.sch, f.d, cfg)
+					fock.MPIOnlyBuild(ddi.New(c), f.eng, f.sch, fock.RHF(f.d.At), cfg)
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -354,7 +349,7 @@ func BenchmarkAblationSchedule(b *testing.B) {
 		b.Run(sched.name, func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				err := mpi.Run(1, func(c *mpi.Comm) {
-					fock.SharedFockBuild(ddi.New(c), f.eng, f.sch, f.d, sched.cfg)
+					fock.SharedFockBuild(ddi.New(c), f.eng, f.sch, fock.RHF(f.d.At), sched.cfg)
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -405,7 +400,7 @@ func BenchmarkPairCacheVsDirect(b *testing.B) {
 	b.Run("paircache", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
 			err := mpi.Run(1, func(c *mpi.Comm) {
-				fock.MPIOnlyBuild(ddi.New(c), f.eng, f.sch, f.d,
+				fock.MPIOnlyBuild(ddi.New(c), f.eng, f.sch, fock.RHF(f.d.At),
 					fock.Config{Quartets: pc})
 			})
 			if err != nil {

@@ -3,6 +3,12 @@
 #
 # Tier 1 (required green before any merge):
 #   go vet ./... && go build ./... && go test ./...
+# plus the nested bench/ module (the repository benchmark compiles against
+# internal/fock, internal/scf and internal/ddi but is invisible to the
+# root ./... patterns), and the Fock structure gate: non-test
+# internal/fock has exactly one .ShellQuartet( call site, Schwarz
+# screening (sch.Screened/sch.Bound) in one function only, and no
+# hand-synced copies (no "KEEP IN SYNC").
 #
 # Tier 2 (concurrency soundness): the race detector over the packages
 # with real parallelism and fault injection. The full ./internal/scf
@@ -11,7 +17,8 @@
 # Tier 3 (observability gate): run a tiny SCF with -trace and check the
 # emitted Chrome trace is valid JSON with properly nested spans covering
 # the full span taxonomy (scf.iter, fock.build, fock.task, mpi.op,
-# dlb.draw).
+# dlb.draw); then the same for a parallel UHF run (fock.build, fock.task,
+# mpi.op, dlb.draw).
 #
 # Tier 4 (chaos gate): `scaling -exp sdc` — the silent-data-corruption
 # sweep plus the live detection gate: one corruption driven through each
@@ -141,6 +148,18 @@ tier_1() {
 	go vet ./...
 	go build ./...
 	go test $short ./...
+	go vet -C bench ./...
+	go test -C bench ./...
+
+	fock_src=$(ls internal/fock/*.go | grep -v _test.go)
+	calls=$(cat $fock_src | grep -c '\.ShellQuartet(' || true)
+	[ "$calls" -eq 1 ] || { echo "structure gate: $calls .ShellQuartet( call sites in internal/fock, want exactly 1 (the walker)"; exit 1; }
+	screens=$(awk '/^func /{fn=FILENAME": "$0} /sch\.(Screened|Bound)\(/{print fn}' $fock_src | sort -u)
+	[ "$(echo "$screens" | grep -c .)" -eq 1 ] || { echo "structure gate: Schwarz screening must live in exactly one function, found:"; echo "$screens"; exit 1; }
+	if grep -l 'KEEP IN SYNC' $fock_src; then
+		echo "structure gate: a hand-synced copy is back in internal/fock"
+		exit 1
+	fi
 }
 
 tier_2() {
@@ -154,6 +173,12 @@ tier_3() {
 		-trace "$tracedir/ci_trace.json" -metrics "$tracedir/ci_metrics.json" >/dev/null
 	go run ./cmd/tracecheck -q \
 		-require scf.iter,fock.build,fock.task,mpi.op,dlb.draw "$tracedir/ci_trace.json"
+	# UHF rides the same walker: a parallel open-shell run must emit the
+	# same Fock span taxonomy (the UHF loop has no scf.iter span).
+	go run ./cmd/hfrun -mol water -basis sto-3g -uhf 3 -maxiter 200 -alg shared-fock -ranks 2 -threads 2 \
+		-trace "$tracedir/ci_trace_uhf.json" >/dev/null
+	go run ./cmd/tracecheck -q \
+		-require fock.build,fock.task,mpi.op,dlb.draw "$tracedir/ci_trace_uhf.json"
 }
 
 tier_4() {

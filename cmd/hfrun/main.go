@@ -8,6 +8,7 @@
 //	hfrun -mol water -basis sto-3g
 //	hfrun -mol methane -basis "6-31g(d)" -alg shared-fock -ranks 4 -threads 4
 //	hfrun -flake 6 -basis sto-3g -alg private-fock
+//	hfrun -mol water -uhf 3 -alg shared-fock -ranks 2 -threads 2
 //	hfrun -xyz geometry.xyz -basis 6-31g
 package main
 
@@ -90,8 +91,21 @@ func main() {
 		return
 	}
 	if *mult > 0 {
-		fmt.Printf("mode:     UHF, multiplicity %d (serial)\n", *mult)
-		ures, err := repro.RunUHF(mol, *basis, *mult, opt)
+		var ures *repro.UHFResult
+		switch repro.Algorithm(*alg) {
+		case "":
+			fmt.Printf("mode:     UHF, multiplicity %d (serial)\n", *mult)
+			ures, err = repro.RunUHF(mol, *basis, *mult, opt)
+		case repro.MPIOnly, repro.PrivateFock, repro.SharedFock:
+			fmt.Printf("mode:     UHF, multiplicity %d, %s, %d ranks x %d threads\n", *mult, *alg, *ranks, *threads)
+			ures, err = repro.RunParallelUHF(mol, *basis, *mult, repro.ParallelConfig{
+				Algorithm: repro.Algorithm(*alg), Ranks: *ranks, Threads: *threads,
+				Deadline: *deadline, Grace: *grace,
+			}, opt)
+		default:
+			fmt.Fprintf(os.Stderr, "hfrun: -uhf runs serially or with -alg mpi-only, private-fock or shared-fock, not %q\n", *alg)
+			os.Exit(2)
+		}
 		if err != nil {
 			fatal(err)
 		}

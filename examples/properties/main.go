@@ -2,7 +2,7 @@
 // moment of water from a converged RHF density, then an open-shell UHF
 // calculation on triplet O2 (the paper's conclusion notes UHF inherits
 // the hybrid Fock-build structure directly; this repository implements it
-// on the split J/K kernel).
+// as extra J/K channels on the one quartet digest).
 package main
 
 import (

@@ -1,7 +1,8 @@
 // Package ddi reimplements the slice of the GAMESS Distributed Data
 // Interface that the paper's Hartree-Fock algorithms use: the dynamic
-// load balancer (ddi_dlbnext), the global matrix sum (ddi_gsumf), and
-// distributed arrays with one-sided get/put/accumulate.
+// load balancer (ddi_dlbnext) and the global matrix sum (ddi_gsumf).
+// (Distributed matrices live in internal/distmat, on the same one-sided
+// windows.)
 //
 // The paper notes that the classic DDI spawns a data-server process per
 // compute rank (doubling rank counts and memory), while the MPI-3 version
@@ -13,9 +14,6 @@
 package ddi
 
 import (
-	"fmt"
-	"sync/atomic"
-
 	"repro/internal/loadbalance"
 	"repro/internal/mpi"
 )
@@ -88,118 +86,4 @@ func (d *Context) GSumI(v int64) int64 {
 	buf := []float64{float64(v)}
 	d.Comm.AllreduceSumInPlace(buf)
 	return int64(buf[0])
-}
-
-// --- Distributed arrays ---
-
-// arraySeq provides process-wide unique distributed array ids.
-var arraySeq atomic.Int64
-
-// DArray is a dense (rows x cols) matrix distributed by contiguous row
-// blocks across ranks, accessed with one-sided Get/Put/Acc like DDI's
-// distributed arrays (the substrate of distributed-data SCF).
-type DArray struct {
-	ctx        *Context
-	id         int64
-	Rows, Cols int
-	rowsOfRank []int // first row owned by each rank; len = size+1
-}
-
-// CreateDArray collectively creates a rows x cols distributed array. All
-// ranks must call it in the same order with the same shape.
-func (d *Context) CreateDArray(rows, cols int) *DArray {
-	size := d.Comm.Size()
-	a := &DArray{ctx: d, Rows: rows, Cols: cols, rowsOfRank: make([]int, size+1)}
-	// Deterministic id: derive collectively from a shared counter so all
-	// ranks agree (each rank's first create sees the same sequence).
-	if d.Comm.Rank() == 0 {
-		id := arraySeq.Add(1)
-		d.Comm.CounterStore("ddi.darr.id", 0, id)
-	}
-	d.Comm.Barrier()
-	a.id = d.Comm.CounterLoad("ddi.darr.id", 0)
-	base := rows / size
-	extra := rows % size
-	for r := 0; r < size; r++ {
-		n := base
-		if r < extra {
-			n++
-		}
-		a.rowsOfRank[r+1] = a.rowsOfRank[r] + n
-	}
-	for r := 0; r < size; r++ {
-		n := a.rowsOfRank[r+1] - a.rowsOfRank[r]
-		if n > 0 {
-			d.Comm.WinCreate(a.winName(r), n*cols)
-		}
-	}
-	d.Comm.Barrier()
-	return a
-}
-
-func (a *DArray) winName(rank int) string {
-	return fmt.Sprintf("ddi.darr.%d.%d", a.id, rank)
-}
-
-// OwnerOf returns the rank owning the given global row.
-func (a *DArray) OwnerOf(row int) int {
-	for r := 0; r < len(a.rowsOfRank)-1; r++ {
-		if row < a.rowsOfRank[r+1] {
-			return r
-		}
-	}
-	panic(fmt.Sprintf("ddi: row %d out of range %d", row, a.Rows))
-}
-
-// LocalRange returns the [lo, hi) global row range owned by this rank.
-func (a *DArray) LocalRange() (lo, hi int) {
-	r := a.ctx.Comm.Rank()
-	return a.rowsOfRank[r], a.rowsOfRank[r+1]
-}
-
-// rowSpans walks the per-owner contiguous spans of [row, row+n).
-func (a *DArray) rowSpans(row, n int, visit func(rank, globalRow, count int)) {
-	if row < 0 || row+n > a.Rows {
-		panic(fmt.Sprintf("ddi: rows [%d,%d) out of range %d", row, row+n, a.Rows))
-	}
-	for n > 0 {
-		r := a.OwnerOf(row)
-		count := a.rowsOfRank[r+1] - row
-		if count > n {
-			count = n
-		}
-		visit(r, row, count)
-		row += count
-		n -= count
-	}
-}
-
-// GetRows fetches rows [row, row+n) into out (n*Cols floats).
-func (a *DArray) GetRows(row, n int, out []float64) {
-	pos := 0
-	a.rowSpans(row, n, func(rank, globalRow, count int) {
-		local := globalRow - a.rowsOfRank[rank]
-		a.ctx.Comm.WinGet(a.winName(rank), local*a.Cols, out[pos:pos+count*a.Cols])
-		pos += count * a.Cols
-	})
-}
-
-// PutRows stores rows [row, row+n) from data.
-func (a *DArray) PutRows(row, n int, data []float64) {
-	pos := 0
-	a.rowSpans(row, n, func(rank, globalRow, count int) {
-		local := globalRow - a.rowsOfRank[rank]
-		a.ctx.Comm.WinPut(a.winName(rank), local*a.Cols, data[pos:pos+count*a.Cols])
-		pos += count * a.Cols
-	})
-}
-
-// AccRows accumulates (sums) rows [row, row+n) from data.
-func (a *DArray) AccRows(row, n int, data []float64) {
-	pos := 0
-	a.rowSpans(row, n, func(rank, globalRow, count int) {
-		local := globalRow - a.rowsOfRank[rank]
-		a.ctx.Comm.WinAcc(a.winName(rank), local*a.Cols, data[pos:pos+count*a.Cols])
-		pos += count * a.Cols
-	})
 }

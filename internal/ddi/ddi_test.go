@@ -93,137 +93,3 @@ func TestGSumI(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDArrayRowDistribution(t *testing.T) {
-	err := mpi.Run(3, func(c *mpi.Comm) {
-		d := New(c)
-		a := d.CreateDArray(10, 4)
-		lo, hi := a.LocalRange()
-		// 10 rows over 3 ranks: 4, 3, 3.
-		want := [][2]int{{0, 4}, {4, 7}, {7, 10}}
-		if lo != want[c.Rank()][0] || hi != want[c.Rank()][1] {
-			t.Errorf("rank %d range = [%d,%d)", c.Rank(), lo, hi)
-		}
-		if a.OwnerOf(0) != 0 || a.OwnerOf(5) != 1 || a.OwnerOf(9) != 2 {
-			t.Error("OwnerOf wrong")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDArrayPutGet(t *testing.T) {
-	err := mpi.Run(4, func(c *mpi.Comm) {
-		d := New(c)
-		a := d.CreateDArray(9, 2)
-		if c.Rank() == 0 {
-			data := make([]float64, 9*2)
-			for i := range data {
-				data[i] = float64(i)
-			}
-			a.PutRows(0, 9, data)
-		}
-		c.Barrier()
-		// Every rank reads a cross-owner span.
-		out := make([]float64, 4*2)
-		a.GetRows(3, 4, out)
-		for i := range out {
-			if out[i] != float64(3*2+i) {
-				t.Errorf("rank %d: out=%v", c.Rank(), out)
-				return
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDArrayAccumulate(t *testing.T) {
-	err := mpi.Run(4, func(c *mpi.Comm) {
-		d := New(c)
-		a := d.CreateDArray(5, 3)
-		ones := make([]float64, 5*3)
-		for i := range ones {
-			ones[i] = 1
-		}
-		a.AccRows(0, 5, ones)
-		c.Barrier()
-		out := make([]float64, 5*3)
-		a.GetRows(0, 5, out)
-		for i, v := range out {
-			if v != 4 {
-				t.Errorf("acc[%d] = %v want 4", i, v)
-				return
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDArrayTwoArraysIndependent(t *testing.T) {
-	err := mpi.Run(2, func(c *mpi.Comm) {
-		d := New(c)
-		a := d.CreateDArray(4, 1)
-		b := d.CreateDArray(4, 1)
-		if c.Rank() == 0 {
-			a.PutRows(0, 4, []float64{1, 1, 1, 1})
-			b.PutRows(0, 4, []float64{2, 2, 2, 2})
-		}
-		c.Barrier()
-		out := make([]float64, 4)
-		a.GetRows(0, 4, out)
-		if out[0] != 1 {
-			t.Errorf("a = %v", out)
-		}
-		b.GetRows(0, 4, out)
-		if out[0] != 2 {
-			t.Errorf("b = %v", out)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDArrayOutOfRangePanics(t *testing.T) {
-	err := mpi.Run(1, func(c *mpi.Comm) {
-		d := New(c)
-		a := d.CreateDArray(3, 1)
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic for out-of-range rows")
-			}
-		}()
-		a.GetRows(2, 5, make([]float64, 5))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDArrayMoreRanksThanRows(t *testing.T) {
-	err := mpi.Run(5, func(c *mpi.Comm) {
-		d := New(c)
-		a := d.CreateDArray(3, 2)
-		lo, hi := a.LocalRange()
-		if c.Rank() >= 3 && lo != hi {
-			t.Errorf("rank %d should own nothing, got [%d,%d)", c.Rank(), lo, hi)
-		}
-		if c.Rank() == 4 {
-			a.PutRows(0, 3, []float64{1, 2, 3, 4, 5, 6})
-		}
-		c.Barrier()
-		out := make([]float64, 6)
-		a.GetRows(0, 3, out)
-		if out[5] != 6 {
-			t.Errorf("rank %d: %v", c.Rank(), out)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

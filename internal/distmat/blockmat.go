@@ -11,9 +11,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// matSeq provides process-wide unique distributed matrix ids (same
-// scheme as ddi.CreateDArray: rank 0 draws, shares through a counter
-// window, so every rank in a world agrees on the id).
+// matSeq provides process-wide unique distributed matrix ids: rank 0
+// draws and shares through a counter window, so every rank in a world
+// agrees on the id.
 var matSeq atomic.Int64
 
 // BlockMat is an n x n matrix distributed in bs x bs tiles over the

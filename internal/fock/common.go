@@ -1,14 +1,18 @@
 // Package fock implements the paper's core contribution: construction of
-// the two-electron Fock matrix from ERIs under Cauchy-Schwarz screening,
-// in four variants sharing one quartet-distribution kernel:
+// the two-electron Fock matrix from ERIs under Cauchy-Schwarz screening.
+// One quartet walker (walker.go) and one n-channel digest (digest.go) do
+// the work; the builds are presets that choose a task space, a scheduler
+// and a sink around them:
 //
-//   - Serial reference
+//   - Serial reference — every ij task in order on one thread
 //   - Algorithm 1: MPI-only (stock GAMESS) — everything replicated per rank
 //   - Algorithm 2: hybrid, shared density / thread-private Fock
 //   - Algorithm 3: hybrid, shared density / shared Fock with per-thread
 //     FI/FJ column buffers and chunked flush reductions
+//   - Resilient (lease DLB, one-sided commits), Tiled (distributed D and
+//     F) and the in-core ERI store
 //
-// All variants accumulate contributions into the LOWER triangle only
+// All presets accumulate contributions into the LOWER triangle only
 // (each symmetry-unique contribution is written exactly once at its
 // canonical (max, min) location, mirroring GAMESS's triangular storage);
 // Finalize unfolds the triangle into the symmetric dense matrix.
@@ -18,7 +22,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/basis"
 	"repro/internal/integrals"
 	"repro/internal/linalg"
 	"repro/internal/omp"
@@ -44,14 +47,11 @@ type Config struct {
 	// direct evaluation through the engine.
 	Quartets integrals.QuartetSource
 
-	// Straggler mitigation (resilient build only). Hedging is ON by
-	// default: when the straggler detector flags a rank, its outstanding
-	// leases are speculatively recomputed by fast ranks during the drain,
-	// first writer wins. NoHedge disables it.
-	NoHedge bool
-	// HedgeK is the straggler threshold multiple over the median task
-	// latency; 0 means 2.
-	HedgeK float64
+	// Straggler mitigation (resilient build only): when the straggler
+	// detector flags a rank — slower than hedgeK times the median task
+	// latency — its outstanding leases are speculatively recomputed by
+	// fast ranks during the drain, first writer wins.
+	//
 	// HedgeMinSamples is the minimum task count per rank before it can be
 	// flagged (or contribute to the median); 0 means 3.
 	HedgeMinSamples int
@@ -82,12 +82,9 @@ func (c Config) source(eng *integrals.Engine) integrals.QuartetSource {
 	return eng
 }
 
-func (c Config) hedgeK() float64 {
-	if c.HedgeK <= 0 {
-		return 2
-	}
-	return c.HedgeK
-}
+// hedgeK is the straggler threshold: a rank is flagged when its task
+// latency exceeds this multiple of the median.
+const hedgeK = 2
 
 func (c Config) hedgeMinSamples() int64 {
 	if c.HedgeMinSamples <= 0 {
@@ -156,115 +153,6 @@ func PairDecode(ij int) (i, j int) {
 // NumPairs returns the number of canonical shell pairs for n shells.
 func NumPairs(n int) int { return n * (n + 1) / 2 }
 
-// Update roles: which of the paper's six Fock updates (eqs. 2a-2f) a
-// contribution implements. The shared-Fock algorithm routes by role.
-const (
-	roleAB = iota // F_ij += (ij|kl) D_kl
-	roleCD        // F_kl += (ij|kl) D_ij
-	roleAC        // F_ik -= (ij|kl) D_jl / 2 (exchange)
-	roleBD        // F_jl -= ...
-	roleAD        // F_il -= ...
-	roleBC        // F_jk -= ...
-)
-
-// applyQuartet distributes one symmetry-unique shell quartet's ERI block
-// into Fock contributions, ignoring roles; used by the replicated-Fock
-// variants. update must add v at the unordered index pair {x, y}.
-func applyQuartet(d *linalg.Matrix, blk []float64, shells []basis.Shell,
-	i, j, k, l int, update func(x, y int, v float64)) {
-	applyQuartet6(d, blk, shells, i, j, k, l,
-		func(_ int, x, y int, v float64) { update(x, y, v) })
-}
-
-// applyQuartet6 distributes one symmetry-unique shell quartet's ERI block
-// into Fock contributions. blk is the (i j | k l) block from
-// Engine.ShellQuartet. For every canonical basis-function quartet it emits
-// the paper's six updates (eqs. 2a-2f) through update(role, x, y, v),
-// where v already includes the density factor and symmetry weight.
-// For roles AB/AC/AD, x is the basis function in shell i; for roles
-// BD/BC, x is the basis function in shell j; for role CD, x is in shell k
-// and x >= y always holds. For the other roles y may exceed x when shells
-// coincide across the bra/ket boundary; sinks must canonicalize.
-func applyQuartet6(d *linalg.Matrix, blk []float64, shells []basis.Shell,
-	i, j, k, l int, update func(role, x, y int, v float64)) {
-	si, sj, sk, sl := &shells[i], &shells[j], &shells[k], &shells[l]
-	ni, nj := si.NumFuncs(), sj.NumFuncs()
-	nk, nl := sk.NumFuncs(), sl.NumFuncs()
-	oi, oj, ok, ol := si.BFOffset, sj.BFOffset, sk.BFOffset, sl.BFOffset
-	idx := 0
-	for fa := 0; fa < ni; fa++ {
-		a := oi + fa
-		for fb := 0; fb < nj; fb++ {
-			b := oj + fb
-			for fc := 0; fc < nk; fc++ {
-				c := ok + fc
-				for fd := 0; fd < nl; fd++ {
-					dd := ol + fd
-					val := blk[idx]
-					idx++
-					// Deduplicate only the symmetry images that fall INSIDE
-					// this block, i.e. when shells coincide. (A global
-					// canonical-BF filter would drop quartets whose BF pair
-					// ordering disagrees with the shell pair ordering, e.g.
-					// (aa|ca) blocks with c > a on shared centers.)
-					if i == j && b > a {
-						continue
-					}
-					if k == l && dd > c {
-						continue
-					}
-					pab, pcd := PairIndex(a, b), PairIndex(c, dd)
-					if i == k && j == l && pcd > pab {
-						continue
-					}
-					if val == 0 {
-						continue
-					}
-					s := 1.0
-					if a == b {
-						s *= 0.5
-					}
-					if c == dd {
-						s *= 0.5
-					}
-					if pab == pcd {
-						s *= 0.5
-					}
-					// With s = 1/|stabilizer|, summing the true
-					// contributions of all eight symmetry images of the
-					// quartet gives, per target SLOT: Coulomb 2 s I D and
-					// exchange -s I D / 2 for off-diagonal slots; a
-					// diagonal slot (x == y) absorbs both mirror images
-					// and receives twice that.
-					v := s * val
-					diag := func(x, y int, w float64) float64 {
-						if x == y {
-							return 2 * w
-						}
-						return w
-					}
-					// Coulomb (eqs. 2a, 2b)
-					update(roleAB, a, b, diag(a, b, 2*v*d.At(c, dd)))
-					update(roleCD, c, dd, diag(c, dd, 2*v*d.At(a, b)))
-					// Exchange (eqs. 2c-2f)
-					update(roleAC, a, c, diag(a, c, -0.5*v*d.At(b, dd)))
-					update(roleBD, b, dd, diag(b, dd, -0.5*v*d.At(a, c)))
-					update(roleAD, a, dd, diag(a, dd, -0.5*v*d.At(b, c)))
-					update(roleBC, b, c, diag(b, c, -0.5*v*d.At(a, dd)))
-				}
-			}
-		}
-	}
-}
-
-// addLower writes v at the canonical lower-triangle location of {x, y}.
-func addLower(m *linalg.Matrix, x, y int, v float64) {
-	if x < y {
-		x, y = y, x
-	}
-	m.Add(x, y, v)
-}
-
 // Finalize unfolds a lower-triangle accumulator into a full symmetric
 // matrix, in place.
 func Finalize(acc *linalg.Matrix) {
@@ -285,7 +173,3 @@ func quartetLoopBounds(i, j, k int) int {
 	}
 	return k
 }
-
-// FullUpdateCount returns how many basis-function update operations a
-// build performs, for documentation and simulator calibration.
-func FullUpdateCount(s Stats) int64 { return s.QuartetsComputed * 6 }

@@ -1,7 +1,6 @@
 package fock
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -18,6 +17,12 @@ import (
 // from the core Hamiltonian guess so the Fock builders are exercised with
 // realistic magnitudes (not just random noise).
 func testDensity(eng *integrals.Engine, nocc int) *linalg.Matrix {
+	return orbitalDensity(eng, 0, nocc, 2)
+}
+
+// orbitalDensity fills core-guess orbitals [lo, hi) with occ electrons
+// each.
+func orbitalDensity(eng *integrals.Engine, lo, hi int, occ float64) *linalg.Matrix {
 	h := eng.CoreHamiltonian()
 	s := eng.Overlap()
 	x, err := linalg.LowdinOrthogonalizer(s, 1e-10)
@@ -32,10 +37,10 @@ func testDensity(eng *integrals.Engine, nocc int) *linalg.Matrix {
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			sum := 0.0
-			for o := 0; o < nocc; o++ {
+			for o := lo; o < hi; o++ {
 				sum += c.At(a, o) * c.At(b, o)
 			}
-			d.Set(a, b, 2*sum)
+			d.Set(a, b, occ*sum)
 		}
 	}
 	return d
@@ -144,68 +149,6 @@ func TestQuartetEnumerationCanonical(t *testing.T) {
 	}
 }
 
-func buildersAgreeOn(t *testing.T, mol *molecule.Molecule, set string, ranks, threads int) {
-	t.Helper()
-	eng, sch, d := setup(t, mol, set)
-	want, _ := SerialBuild(eng, sch, d, DefaultTau)
-
-	run := func(name string, build func(dx *ddi.Context) *linalg.Matrix) {
-		results := make([]*linalg.Matrix, ranks)
-		err := mpi.Run(ranks, func(c *mpi.Comm) {
-			dx := ddi.New(c)
-			results[c.Rank()] = build(dx)
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for r := 0; r < ranks; r++ {
-			if diff := results[r].MaxAbsDiff(want); diff > 1e-10 {
-				t.Fatalf("%s rank %d: diff vs serial = %v", name, r, diff)
-			}
-		}
-	}
-
-	cfg := Config{Threads: threads}
-	run("mpi-only", func(dx *ddi.Context) *linalg.Matrix {
-		f, _ := MPIOnlyBuild(dx, eng, sch, d, cfg)
-		return f
-	})
-	run("private-fock", func(dx *ddi.Context) *linalg.Matrix {
-		f, _ := PrivateFockBuild(dx, eng, sch, d, cfg)
-		return f
-	})
-	run("shared-fock", func(dx *ddi.Context) *linalg.Matrix {
-		f, _ := SharedFockBuild(dx, eng, sch, d, cfg)
-		return f
-	})
-}
-
-func TestAllBuildersAgreeWater(t *testing.T) {
-	buildersAgreeOn(t, molecule.Water(), "sto-3g", 3, 2)
-}
-
-func TestAllBuildersAgreeWater631G(t *testing.T) {
-	buildersAgreeOn(t, molecule.Water(), "6-31g", 2, 3)
-}
-
-func TestAllBuildersAgreeMethanePolarized(t *testing.T) {
-	buildersAgreeOn(t, molecule.Methane(), "6-31g(d)", 2, 2)
-}
-
-func TestAllBuildersAgreeGrapheneFlake(t *testing.T) {
-	// A small all-carbon flake: the actual workload type of the paper.
-	buildersAgreeOn(t, molecule.GrapheneFlake(4), "sto-3g", 4, 3)
-}
-
-func TestBuildersSingleRankSingleThread(t *testing.T) {
-	buildersAgreeOn(t, molecule.H2(), "sto-3g", 1, 1)
-}
-
-func TestBuildersManyRanksFewShells(t *testing.T) {
-	// More ranks than DLB tasks: some ranks do nothing; result must hold.
-	buildersAgreeOn(t, molecule.H2(), "sto-3g", 6, 2)
-}
-
 func TestSharedFockSchedules(t *testing.T) {
 	// The paper observed no significant difference between OpenMP
 	// schedules; all must at least be correct.
@@ -216,9 +159,9 @@ func TestSharedFockSchedules(t *testing.T) {
 		{Kind: omp.Dynamic, Chunk: 4}, {Kind: omp.Guided},
 	} {
 		err := mpi.Run(2, func(c *mpi.Comm) {
-			f, _ := SharedFockBuild(ddi.New(c), eng, sch, d,
+			f, _ := SharedFockBuild(ddi.New(c), eng, sch, RHF(d.At),
 				Config{Threads: 3, Schedule: sched})
-			if diff := f.MaxAbsDiff(want); diff > 1e-10 {
+			if diff := f[0].MaxAbsDiff(want); diff > 1e-10 {
 				t.Errorf("schedule %v: diff %v", sched, diff)
 			}
 		})
@@ -231,7 +174,7 @@ func TestSharedFockSchedules(t *testing.T) {
 func TestSharedFockFlushCounting(t *testing.T) {
 	eng, sch, d := setup(t, molecule.Water(), "sto-3g")
 	err := mpi.Run(1, func(c *mpi.Comm) {
-		_, stats := SharedFockBuild(ddi.New(c), eng, sch, d, Config{Threads: 2})
+		_, stats := SharedFockBuild(ddi.New(c), eng, sch, RHF(d.At), Config{Threads: 2})
 		if stats.Flushes == 0 {
 			t.Error("shared-Fock build reported no flushes")
 		}
@@ -241,31 +184,6 @@ func TestSharedFockFlushCounting(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStatsPartitionAcrossRanks(t *testing.T) {
-	// Summed over ranks, computed+screened quartets must equal the serial
-	// totals (each quartet belongs to exactly one rank).
-	eng, sch, d := setup(t, molecule.Water(), "sto-3g")
-	_, serialStats := SerialBuild(eng, sch, d, DefaultTau)
-	perRank := make([]Stats, 3)
-	err := mpi.Run(3, func(c *mpi.Comm) {
-		_, st := MPIOnlyBuild(ddi.New(c), eng, sch, d, Config{})
-		perRank[c.Rank()] = st
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total Stats
-	for _, st := range perRank {
-		total.Add(st)
-	}
-	if total.QuartetsComputed != serialStats.QuartetsComputed {
-		t.Fatalf("computed quartets %d != serial %d", total.QuartetsComputed, serialStats.QuartetsComputed)
-	}
-	if total.QuartetsScreened != serialStats.QuartetsScreened {
-		t.Fatalf("screened quartets %d != serial %d", total.QuartetsScreened, serialStats.QuartetsScreened)
 	}
 }
 
@@ -306,186 +224,6 @@ func TestMemoryFootprints(t *testing.T) {
 func TestBufferBytes(t *testing.T) {
 	if got := BufferBytes(100, 6, 4); got != 2*4*6*100*8 {
 		t.Fatalf("BufferBytes = %d", got)
-	}
-}
-
-func TestFullUpdateCount(t *testing.T) {
-	if FullUpdateCount(Stats{QuartetsComputed: 7}) != 42 {
-		t.Fatal("FullUpdateCount wrong")
-	}
-}
-
-func TestSerialBuildJKConsistentWithCombined(t *testing.T) {
-	// G = J(D) - K(D)/2 must reproduce the combined kernel exactly.
-	eng, sch, d := setup(t, molecule.Water(), "sto-3g")
-	g, _ := SerialBuild(eng, sch, d, 1e-14)
-	j, k, _ := SerialBuildJK(eng, sch, d, d, 1e-14)
-	combo := j.Clone()
-	combo.AxpyFrom(-0.5, k)
-	if diff := combo.MaxAbsDiff(g); diff > 1e-10 {
-		t.Fatalf("J - K/2 vs combined kernel: diff %v", diff)
-	}
-	if !j.IsSymmetric(1e-10) || !k.IsSymmetric(1e-10) {
-		t.Fatal("J or K not symmetric")
-	}
-}
-
-func TestSerialBuildJKSeparateDensities(t *testing.T) {
-	// J must depend only on dj and K only on dk.
-	eng, sch, d := setup(t, molecule.H2(), "sto-3g")
-	zero := linalg.NewSquare(d.Rows)
-	j1, k1, _ := SerialBuildJK(eng, sch, d, zero, 1e-14)
-	j2, k2, _ := SerialBuildJK(eng, sch, zero, d, 1e-14)
-	if k1.FrobeniusNorm() > 1e-12 {
-		t.Fatal("K nonzero for zero exchange density")
-	}
-	if j2.FrobeniusNorm() > 1e-12 {
-		t.Fatal("J nonzero for zero Coulomb density")
-	}
-	if j1.FrobeniusNorm() == 0 || k2.FrobeniusNorm() == 0 {
-		t.Fatal("J/K vanished for nonzero densities")
-	}
-}
-
-func TestJKAgainstDenseReference(t *testing.T) {
-	// Full dense J and K from the raw tensor on a tiny system.
-	eng, sch, d := setup(t, molecule.H2(), "sto-3g")
-	j, k, _ := SerialBuildJK(eng, sch, d, d, 1e-14)
-	n := eng.Basis.NumBF
-	var buf []float64
-	shells := eng.Basis.Shells
-	tensor := make([]float64, n*n*n*n)
-	for i := range shells {
-		for jj := range shells {
-			for kk := range shells {
-				for l := range shells {
-					buf = eng.ShellQuartet(i, jj, kk, l, buf)
-					si, sj, sk, sl := &shells[i], &shells[jj], &shells[kk], &shells[l]
-					idx := 0
-					for fa := 0; fa < si.NumFuncs(); fa++ {
-						for fb := 0; fb < sj.NumFuncs(); fb++ {
-							for fc := 0; fc < sk.NumFuncs(); fc++ {
-								for fd := 0; fd < sl.NumFuncs(); fd++ {
-									a, b := si.BFOffset+fa, sj.BFOffset+fb
-									c, dd := sk.BFOffset+fc, sl.BFOffset+fd
-									tensor[((a*n+b)*n+c)*n+dd] = buf[idx]
-									idx++
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			var wantJ, wantK float64
-			for c := 0; c < n; c++ {
-				for dd := 0; dd < n; dd++ {
-					wantJ += d.At(c, dd) * tensor[((a*n+b)*n+c)*n+dd]
-					wantK += d.At(c, dd) * tensor[((a*n+c)*n+b)*n+dd]
-				}
-			}
-			if math.Abs(j.At(a, b)-wantJ) > 1e-10 {
-				t.Fatalf("J[%d,%d] = %v want %v", a, b, j.At(a, b), wantJ)
-			}
-			if math.Abs(k.At(a, b)-wantK) > 1e-10 {
-				t.Fatalf("K[%d,%d] = %v want %v", a, b, k.At(a, b), wantK)
-			}
-		}
-	}
-}
-
-func TestDistributedFockMatchesSerial(t *testing.T) {
-	// The distributed-data variant (related-work baseline) must agree
-	// with the serial reference across rank counts.
-	eng, sch, d := setup(t, molecule.Water(), "sto-3g")
-	want, serialStats := SerialBuild(eng, sch, d, DefaultTau)
-	for _, ranks := range []int{1, 2, 5} {
-		results := make([]*linalg.Matrix, ranks)
-		perRank := make([]Stats, ranks)
-		err := mpi.Run(ranks, func(c *mpi.Comm) {
-			f, st := DistributedFockBuild(ddi.New(c), eng, sch, d, Config{})
-			results[c.Rank()] = f
-			perRank[c.Rank()] = st
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var total Stats
-		for r := 0; r < ranks; r++ {
-			if diff := results[r].MaxAbsDiff(want); diff > 1e-10 {
-				t.Fatalf("ranks=%d rank %d: diff %v", ranks, r, diff)
-			}
-			total.Add(perRank[r])
-		}
-		if total.QuartetsComputed != serialStats.QuartetsComputed {
-			t.Fatalf("ranks=%d: quartets %d != serial %d", ranks,
-				total.QuartetsComputed, serialStats.QuartetsComputed)
-		}
-	}
-}
-
-func TestParallelJKBuildersMatchSerial(t *testing.T) {
-	// The J/K-split parallel builders (the UHF path) must reproduce the
-	// serial split kernel for asymmetric dj/dka/dkb densities.
-	eng, sch, d := setup(t, molecule.Water(), "sto-3g")
-	// Asymmetric test densities: scaled/shifted copies of d.
-	dka := d.Clone()
-	dka.Scale(0.5)
-	dkb := d.Clone()
-	dkb.Scale(0.25)
-	wantJ, wantKA, _ := SerialBuildJK(eng, sch, d, dka, DefaultTau)
-	_, wantKB, _ := SerialBuildJK(eng, sch, d, dkb, DefaultTau)
-
-	builders := map[string]func(dx *ddi.Context) JKResult{
-		"mpi-only": func(dx *ddi.Context) JKResult {
-			return MPIOnlyBuildJK(dx, eng, sch, d, dka, dkb, Config{Threads: 2})
-		},
-		"private-fock": func(dx *ddi.Context) JKResult {
-			return PrivateFockBuildJK(dx, eng, sch, d, dka, dkb, Config{Threads: 2})
-		},
-		"shared-fock": func(dx *ddi.Context) JKResult {
-			return SharedFockBuildJK(dx, eng, sch, d, dka, dkb, Config{Threads: 2})
-		},
-	}
-	for name, build := range builders {
-		results := make([]JKResult, 3)
-		err := mpi.Run(3, func(c *mpi.Comm) {
-			results[c.Rank()] = build(ddi.New(c))
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for r, res := range results {
-			if diff := res.J.MaxAbsDiff(wantJ); diff > 1e-10 {
-				t.Fatalf("%s rank %d: J diff %v", name, r, diff)
-			}
-			if diff := res.KA.MaxAbsDiff(wantKA); diff > 1e-10 {
-				t.Fatalf("%s rank %d: KA diff %v", name, r, diff)
-			}
-			if diff := res.KB.MaxAbsDiff(wantKB); diff > 1e-10 {
-				t.Fatalf("%s rank %d: KB diff %v", name, r, diff)
-			}
-		}
-	}
-}
-
-func TestParallelJKNilSecondExchange(t *testing.T) {
-	eng, sch, d := setup(t, molecule.H2(), "sto-3g")
-	err := mpi.Run(2, func(c *mpi.Comm) {
-		res := SharedFockBuildJK(ddi.New(c), eng, sch, d, d, nil, Config{Threads: 2})
-		if res.KB != nil {
-			t.Error("KB should be nil when dkb is nil")
-		}
-		wantJ, wantK, _ := SerialBuildJK(eng, sch, d, d, DefaultTau)
-		if res.J.MaxAbsDiff(wantJ) > 1e-10 || res.KA.MaxAbsDiff(wantK) > 1e-10 {
-			t.Error("nil-KB build mismatch")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -552,9 +290,9 @@ func TestPairCacheBuilders(t *testing.T) {
 			name string
 			f    func() *linalg.Matrix
 		}{
-			{"mpi-only", func() *linalg.Matrix { m, _ := MPIOnlyBuild(dx, eng, sch, d, cfg); return m }},
-			{"private", func() *linalg.Matrix { m, _ := PrivateFockBuild(dx, eng, sch, d, cfg); return m }},
-			{"shared", func() *linalg.Matrix { m, _ := SharedFockBuild(dx, eng, sch, d, cfg); return m }},
+			{"mpi-only", func() *linalg.Matrix { m, _ := MPIOnlyBuild(dx, eng, sch, RHF(d.At), cfg); return m[0] }},
+			{"private", func() *linalg.Matrix { m, _ := PrivateFockBuild(dx, eng, sch, RHF(d.At), cfg); return m[0] }},
+			{"shared", func() *linalg.Matrix { m, _ := SharedFockBuild(dx, eng, sch, RHF(d.At), cfg); return m[0] }},
 		}
 		for _, b := range builders {
 			if diff := b.f().MaxAbsDiff(want); diff > 1e-10 {

@@ -21,45 +21,10 @@ import (
 // quartet can touch (the max over its six shell-block pairs).
 func DensityScreenedBuild(eng *integrals.Engine, sch *integrals.Schwarz,
 	d *linalg.Matrix, tau float64) (*linalg.Matrix, Stats) {
-	n := eng.Basis.NumBF
-	shells := eng.Basis.Shells
-	ns := len(shells)
-	acc := linalg.NewSquare(n)
-	var stats Stats
-
-	dmax := shellPairDmax(eng, d)
-	pairMax := func(a, b int) float64 {
-		if a < b {
-			a, b = b, a
-		}
-		return dmax[a*(a+1)/2+b]
-	}
-
-	var buf []float64
-	for i := 0; i < ns; i++ {
-		for j := 0; j <= i; j++ {
-			for k := 0; k <= i; k++ {
-				lmax := quartetLoopBounds(i, j, k)
-				for l := 0; l <= lmax; l++ {
-					// Largest density element among the six blocks the
-					// quartet's updates read.
-					dm := math.Max(pairMax(k, l), pairMax(i, j))
-					dm = math.Max(dm, math.Max(pairMax(j, l), pairMax(i, k)))
-					dm = math.Max(dm, math.Max(pairMax(j, k), pairMax(i, l)))
-					if sch.Bound(i, j, k, l)*dm < tau {
-						stats.QuartetsScreened++
-						continue
-					}
-					stats.QuartetsComputed++
-					buf = eng.ShellQuartet(i, j, k, l, buf)
-					applyQuartet(d, buf, shells, i, j, k, l,
-						func(x, y int, v float64) { addLower(acc, x, y, v) })
-				}
-			}
-		}
-	}
-	Finalize(acc)
-	return acc, stats
+	w := serialWalker(eng, eng, sch, tau)
+	w.dmax = shellPairDmax(eng, d)
+	g, stats := serial(w, RHF(d.At))
+	return g[0], stats
 }
 
 // shellPairDmax returns max |D_ab| over each shell block pair (packed

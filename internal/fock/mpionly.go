@@ -4,7 +4,6 @@ import (
 	"repro/internal/ddi"
 	"repro/internal/integrals"
 	"repro/internal/linalg"
-	"repro/internal/mpi"
 )
 
 // MPIOnlyBuild is the paper's Algorithm 1, the stock GAMESS SCF
@@ -13,70 +12,27 @@ import (
 // shell-pair indices; each rank runs the full (k, l) loops for its pairs;
 // a global sum reduces the Fock matrix at the end.
 //
-// Call from inside mpi.Run on every rank. d is the (replicated) density;
-// the returned matrix is the complete two-electron Fock, identical on all
-// ranks.
+// Call from inside mpi.Run on every rank. The channel densities are
+// replicated; the returned matrices (one per channel) are the complete
+// two-electron Fock, identical on all ranks.
 func MPIOnlyBuild(dx *ddi.Context, eng *integrals.Engine,
-	sch *integrals.Schwarz, d *linalg.Matrix, cfg Config) (*linalg.Matrix, Stats) {
-	n := eng.Basis.NumBF
-	shells := eng.Basis.Shells
-	ns := len(shells)
-	tau := cfg.tau()
-	src := cfg.source(eng)
-	acc := linalg.NewSquare(n)
-	var stats Stats
-	tel := dx.Comm.Telemetry()
-	rank := dx.Comm.Rank()
+	sch *integrals.Schwarz, chans []Channel, cfg Config) ([]*linalg.Matrix, Stats) {
+	w := newWalker(dx, eng, sch, cfg)
+	var accs []*linalg.Matrix
+	accs, w.chans = replicated(w.n, chans)
+	// The private accumulator always rides the closing gsumf, so a
+	// NaN-poison or bit-flip landed there reaches every rank's Fock.
+	w.dlbPairs(&accs[0].Data)
+	reduce(dx, accs)
+	return accs, w.st
+}
 
-	dx.DLBReset()
-	next := dx.DLBNext() // first pair index this rank owns
-	stats.DLBGrabs++
-	var buf []float64
-	ij := int64(0)
-	for i := 0; i < ns; i++ {
-		for j := 0; j <= i; j++ {
-			// SDC hook: one corruption opportunity per scanned shell pair.
-			// Every rank scans all pairs in the same order regardless of
-			// which rank the DLB hands each one to, so scheduled injections
-			// are deterministic per rank; and the private accumulator always
-			// rides the closing gsumf, so a landed NaN-poison or bit-flip
-			// reaches every rank's Fock. Transport checksums cannot catch it
-			// (the payload is "validly" wrong at send time) — the SCF-side
-			// matrix validators must.
-			dx.Comm.InjectSDC(mpi.SiteFock, acc.Data)
-			// MPI DLB over the combined ij index (Algorithm 1 line 3).
-			if ij != next {
-				ij++
-				continue
-			}
-			ij++
-			next = dx.DLBNext()
-			stats.DLBGrabs++
-			var endTask func()
-			if tel != nil {
-				endTask = tel.Span("fock.task", "pair", rank, 0,
-					map[string]any{"i": i, "j": j})
-			}
-			for k := 0; k <= i; k++ {
-				lmax := quartetLoopBounds(i, j, k)
-				for l := 0; l <= lmax; l++ {
-					if sch.Screened(i, j, k, l, tau) {
-						stats.QuartetsScreened++
-						continue
-					}
-					stats.QuartetsComputed++
-					buf = src.ShellQuartet(i, j, k, l, buf)
-					applyQuartet(d, buf, shells, i, j, k, l,
-						func(x, y int, v float64) { addLower(acc, x, y, v) })
-				}
-			}
-			if endTask != nil {
-				endTask()
-			}
-		}
+// reduce closes a replicated build: the 2e-Fock matrix reduction over MPI
+// ranks (Algorithm 1 line 16, Algorithm 2 line 23, Algorithm 3 line 38)
+// and the unfold of the lower triangle.
+func reduce(dx *ddi.Context, accs []*linalg.Matrix) {
+	for _, acc := range accs {
+		dx.GSumF(acc.Data)
+		Finalize(acc)
 	}
-	// 2e-Fock matrix reduction over MPI ranks (Algorithm 1 line 16).
-	dx.GSumF(acc.Data)
-	Finalize(acc)
-	return acc, stats
 }

@@ -4,7 +4,6 @@ import (
 	"repro/internal/ddi"
 	"repro/internal/integrals"
 	"repro/internal/linalg"
-	"repro/internal/mpi"
 	"repro/internal/omp"
 )
 
@@ -15,96 +14,66 @@ import (
 // loops with schedule(dynamic,1); the per-thread Fock copies are reduced
 // over threads and then over ranks.
 //
-// Call from inside mpi.Run on every rank. The returned Fock is complete
-// and identical on all ranks.
+// Call from inside mpi.Run on every rank. The returned Fock matrices (one
+// per channel) are complete and identical on all ranks.
 func PrivateFockBuild(dx *ddi.Context, eng *integrals.Engine,
-	sch *integrals.Schwarz, d *linalg.Matrix, cfg Config) (*linalg.Matrix, Stats) {
+	sch *integrals.Schwarz, chans []Channel, cfg Config) ([]*linalg.Matrix, Stats) {
 	n := eng.Basis.NumBF
-	shells := eng.Basis.Shells
-	ns := len(shells)
-	tau := cfg.tau()
+	ns := len(eng.Basis.Shells)
 	nthreads := cfg.threads()
 	sched := cfg.schedule()
-	src := cfg.source(eng)
 
 	// Thread-private Fock replicas (the algorithm's defining memory cost:
 	// (2 + Nthreads) N^2 per rank, eq. 3b).
-	priv := make([]*linalg.Matrix, nthreads)
-	for t := range priv {
-		priv[t] = linalg.NewSquare(n)
+	priv := make([][]*linalg.Matrix, nthreads) // [thread][channel]
+	lanes := make([]walker, nthreads)
+	for t := range lanes {
+		lanes[t] = newWalker(dx, eng, sch, cfg)
+		priv[t], lanes[t].chans = replicated(n, chans)
 	}
-	threadStats := make([]Stats, nthreads)
-	tel := dx.Comm.Telemetry()
-	rank := dx.Comm.Rank()
 
 	dx.DLBReset()
 	team := omp.NewTeam(nthreads)
 	var iShared int64 // written by master, read by all between barriers
 	team.Parallel(func(tc *omp.Context) {
 		me := tc.ThreadID()
-		acc := priv[me]
-		st := &threadStats[me]
-		var buf []float64
+		w := &lanes[me]
 		for {
-			// Master fetches the next i index (Algorithm 2 lines 3-6). The
-			// SDC hook fires here — one corruption opportunity per claimed
-			// task, into the master thread's private replica — because the
-			// whole team is fenced at the barrier below, so no thread races
-			// the injected write.
-			tc.Master(func() {
-				iShared = dx.DLBNext()
-				st.DLBGrabs++
-				dx.Comm.InjectSDC(mpi.SiteFock, acc.Data)
-			})
-			tc.Barrier()
-			i := int(iShared)
-			tc.Barrier()
+			// Master fetches the next i index (Algorithm 2 lines 3-6); a
+			// scheduled corruption lands in its private replica.
+			i := w.teamFetch(tc, &iShared, priv[me][0].Data)
 			if i >= ns {
 				break
 			}
 			// OpenMP over collapsed (j, k), j <= i, k <= i (line 7). Each
 			// thread's span covers its share of the collapsed loops, so the
 			// trace shows intra-team imbalance per i-task.
-			var endTask func()
-			if tel != nil {
-				endTask = tel.Span("fock.task", "i-task", rank, me+1,
-					map[string]any{"i": i})
-			}
-			tc.Collapse2(i+1, i+1, sched, func(j, k int) {
-				lmax := quartetLoopBounds(i, j, k)
-				for l := 0; l <= lmax; l++ {
-					if sch.Screened(i, j, k, l, tau) {
-						st.QuartetsScreened++
-						continue
-					}
-					st.QuartetsComputed++
-					buf = src.ShellQuartet(i, j, k, l, buf)
-					applyQuartet(d, buf, shells, i, j, k, l,
-						func(x, y int, v float64) { addLower(acc, x, y, v) })
-				}
-			})
-			if endTask != nil {
-				endTask()
-			}
+			end := w.span("i-task", me+1, i, -1)
+			tc.Collapse2(i+1, i+1, sched, func(j, k int) { w.row(i, j, k) })
+			end()
 		}
 		// reduction(+:Fock) over threads: chunked reduction of the private
 		// replicas into thread 0's copy (paper Figure 1(B) access pattern).
 		if nthreads > 1 {
-			others := make([][]float64, 0, nthreads-1)
-			for t := 1; t < nthreads; t++ {
-				others = append(others, priv[t].Data)
+			for c := range chans {
+				others := make([][]float64, 0, nthreads-1)
+				for t := 1; t < nthreads; t++ {
+					others = append(others, priv[t][c].Data)
+				}
+				tc.ReduceChunked(priv[0][c].Data, others)
+				tc.Barrier()
 			}
-			tc.ReduceChunked(priv[0].Data, others)
-			tc.Barrier()
 		}
 	})
-	total := priv[0]
+	reduce(dx, priv[0])
+	return priv[0], teamStats(lanes)
+}
+
+// teamStats sums the per-thread counters of a hybrid build.
+func teamStats(lanes []walker) Stats {
 	var stats Stats
-	for t := range threadStats {
-		stats.Add(threadStats[t])
+	for t := range lanes {
+		stats.Add(lanes[t].st)
 	}
-	// 2e-Fock matrix reduction over MPI ranks (Algorithm 2 line 23).
-	dx.GSumF(total.Data)
-	Finalize(total)
-	return total, stats
+	return stats
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/ddi"
 	"repro/internal/integrals"
 	"repro/internal/linalg"
-	"repro/internal/mpi"
 )
 
 // ResilientBuild is the fault-aware Fock construction: Algorithm 1's
@@ -32,74 +31,49 @@ import (
 //     only waits are bounded polls on the lease table.
 //
 // Call from inside mpi.Run on every rank, like the other builders. The
-// returned matrix is identical on all surviving ranks.
+// returned matrices (one per channel) are identical on all surviving
+// ranks.
 func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
-	sch *integrals.Schwarz, d *linalg.Matrix, cfg Config) (*linalg.Matrix, Stats) {
+	sch *integrals.Schwarz, chans []Channel, cfg Config) ([]*linalg.Matrix, Stats) {
 	n := eng.Basis.NumBF
-	shells := eng.Basis.Shells
-	ns := len(shells)
-	tau := cfg.tau()
-	src := cfg.source(eng)
-	var stats Stats
+	w := newWalker(dx, eng, sch, cfg)
+	stats := &w.st
 	tel := dx.Comm.Telemetry()
 	rank := dx.Comm.Rank()
 
-	lease := dx.NewLeaseDLB(NumPairs(ns))
+	lease := dx.NewLeaseDLB(NumPairs(len(w.shells)))
 	win := fmt.Sprintf("fock.resilient.%d", lease.Cycle())
-	dx.Comm.WinCreate(win, n*n)
+	dx.Comm.WinCreate(win, len(chans)*n*n)
 
 	// Contributions are buffered PER TASK so the flush can commit each
 	// task independently: under speculation two ranks may hold results
 	// for the same ij, and only the Reserve winner's copy may reach the
-	// shared window.
-	type pendingTask struct {
-		ij, owner int // owner = world rank whose lease this result commits
-		quartets  int64
-		pos       []int // canonical lower-triangle flat positions
-		val       []float64
-	}
+	// shared window. Channel c owns window slots [c*n*n, (c+1)*n*n).
 	var pending []pendingTask
-	var buf []float64
+	sinks := make([]*pendingSink, len(chans))
+	for c := range sinks {
+		sinks[c] = &pendingSink{base: c * n * n, n: n}
+	}
+	w.chans = bind(chans, func(c int) sink { return sinks[c] })
 
 	computePair := func(ij, owner int) {
 		i, j := PairDecode(ij)
-		if tel != nil {
-			defer tel.Span("fock.task", "pair", rank, 0,
-				map[string]any{"i": i, "j": j})()
-		}
+		defer w.span("pair", 0, i, j)()
 		task := pendingTask{ij: ij, owner: owner}
-		t0 := time.Now()
-		for k := 0; k <= i; k++ {
-			lmax := quartetLoopBounds(i, j, k)
-			for l := 0; l <= lmax; l++ {
-				if sch.Screened(i, j, k, l, tau) {
-					stats.QuartetsScreened++
-					continue
-				}
-				stats.QuartetsComputed++
-				task.quartets++
-				buf = src.ShellQuartet(i, j, k, l, buf)
-				applyQuartet(d, buf, shells, i, j, k, l,
-					func(x, y int, v float64) {
-						if x < y {
-							x, y = y, x
-						}
-						task.pos = append(task.pos, x*n+y)
-						task.val = append(task.val, v)
-					})
-			}
+		for _, s := range sinks {
+			s.task = &task
 		}
-		elapsed := time.Since(t0)
-		// Chaos hook: a sustained Slowdown scheduled for this rank stalls
-		// it here, making it a genuine straggler the detector must catch.
-		elapsed += dx.Comm.TaskStall(mpi.SiteFock, elapsed)
-		dx.ObserveTaskLatency(elapsed)
+		t0 := time.Now()
+		before := stats.QuartetsComputed
+		w.pair(i, j)
+		task.quartets = stats.QuartetsComputed - before
+		w.observe(t0)
 		// SDC hook: one corruption opportunity per completed task, applied
 		// to the still-local values — outside the Reserve→push→Finish
 		// critical section, so the exactly-once guarantee is untouched.
 		// The poison reaches the shared window on the next flush and must
 		// be caught by the SCF-side validators after WinGet.
-		dx.Comm.InjectSDC(mpi.SiteFock, task.val)
+		w.injectSDC(task.val)
 		pending = append(pending, task)
 	}
 
@@ -108,7 +82,7 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 	// results), push the winners' contributions in one accumulate, then
 	// mark the reserved leases done. Nothing in between blocks or
 	// contains a fault-injection site.
-	batch := linalg.NewSquare(n)
+	batch := make([]float64, len(chans)*n*n)
 	flush := func() {
 		if len(pending) == 0 {
 			return
@@ -123,16 +97,14 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 			reserved = append(reserved, task.ij)
 			stats.QuartetsCommitted += task.quartets
 			for i, p := range task.pos {
-				batch.Data[p] += task.val[i]
+				batch[p] += task.val[i]
 			}
 			dirty = true
 		}
 		pending = pending[:0]
 		if dirty {
-			dx.Comm.WinAcc(win, 0, batch.Data)
-			for i := range batch.Data {
-				batch.Data[i] = 0
-			}
+			dx.Comm.WinAcc(win, 0, batch)
+			clear(batch)
 		}
 		for _, ij := range reserved {
 			lease.Finish(ij)
@@ -177,15 +149,13 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 			start = time.Now()
 			continue
 		}
-		if !cfg.NoHedge {
-			if slow := dx.Stragglers(cfg.hedgeK(), cfg.hedgeMinSamples()); len(slow) > 0 {
-				if ij, owner, ok := lease.Hedge(slow); ok {
-					stats.TasksHedged++
-					computePair(ij, owner)
-					flush()
-					start = time.Now()
-					continue
-				}
+		if slow := dx.Stragglers(hedgeK, cfg.hedgeMinSamples()); len(slow) > 0 {
+			if ij, owner, ok := lease.Hedge(slow); ok {
+				stats.TasksHedged++
+				computePair(ij, owner)
+				flush()
+				start = time.Now()
+				continue
 			}
 		}
 		if ij, ok := lease.Expired(cfg.LeaseTTL); ok {
@@ -200,9 +170,36 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 	}
 
 	// All tasks pushed; the window now holds the complete lower-triangle
-	// accumulation and is safe to read one-sidedly.
-	acc := linalg.NewSquare(n)
-	dx.Comm.WinGet(win, 0, acc.Data)
-	Finalize(acc)
-	return acc, stats
+	// accumulation of every channel and is safe to read one-sidedly.
+	accs := make([]*linalg.Matrix, len(chans))
+	for c := range accs {
+		accs[c] = linalg.NewSquare(n)
+		dx.Comm.WinGet(win, c*n*n, accs[c].Data)
+		Finalize(accs[c])
+	}
+	return accs, *stats
+}
+
+// pendingTask is one computed-but-uncommitted ij task of a resilient
+// build.
+type pendingTask struct {
+	ij, owner int // owner = world rank whose lease this result commits
+	quartets  int64
+	pos       []int // window slots: channel base + canonical lower-triangle position
+	val       []float64
+}
+
+// pendingSink is the resilient sink of one channel: it appends to the
+// task being computed instead of touching any shared memory.
+type pendingSink struct {
+	task    *pendingTask
+	base, n int
+}
+
+func (p *pendingSink) add(_, x, y int, v float64) {
+	if x < y {
+		x, y = y, x
+	}
+	p.task.pos = append(p.task.pos, p.base+x*p.n+y)
+	p.task.val = append(p.task.val, v)
 }

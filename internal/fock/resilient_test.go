@@ -24,7 +24,9 @@ func TestResilientMatchesSerial(t *testing.T) {
 	stats := make([]Stats, ranks)
 	err := mpi.Run(ranks, func(c *mpi.Comm) {
 		dx := ddi.New(c)
-		got[c.Rank()], stats[c.Rank()] = ResilientBuild(dx, eng, sch, d, Config{})
+		var g []*linalg.Matrix
+		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(d.At), Config{})
+		got[c.Rank()] = g[0]
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +70,9 @@ func TestResilientSurvivesRankDeath(t *testing.T) {
 			}
 		}
 		dx := ddi.New(c)
-		got[c.Rank()], stats[c.Rank()] = ResilientBuild(dx, eng, sch, d, Config{})
+		var g []*linalg.Matrix
+		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(d.At), Config{})
+		got[c.Rank()] = g[0]
 	})
 	if !errors.Is(err, mpi.ErrRankFailed) {
 		t.Fatalf("want ErrRankFailed, got %v", err)
@@ -134,8 +138,9 @@ func TestResilientHedgesStraggler(t *testing.T) {
 				{Rank: slow, Factor: 12, Sites: []mpi.FaultSite{mpi.SiteFock}}}},
 		}, func(c *mpi.Comm) {
 			dx := ddi.New(c)
-			got[c.Rank()], stats[c.Rank()] = ResilientBuild(dx, eng, sch, d,
-				Config{HedgeMinSamples: 2})
+			var g []*linalg.Matrix
+			g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(d.At), Config{HedgeMinSamples: 2})
+			got[c.Rank()] = g[0]
 		})
 		if err != nil {
 			t.Fatal(err)

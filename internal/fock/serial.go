@@ -5,58 +5,71 @@ import (
 	"repro/internal/linalg"
 )
 
-// SerialBuild constructs the two-electron Fock matrix on one thread using
-// the canonical symmetry-unique quartet loops with Schwarz screening. It
-// is the correctness reference for all parallel variants and the
-// single-core baseline of the benchmarks.
+// SerialBuild constructs the restricted two-electron Fock matrix on one
+// thread using the canonical symmetry-unique quartet loops with Schwarz
+// screening. It is the correctness reference for all parallel variants
+// and the single-core baseline of the benchmarks.
 func SerialBuild(eng *integrals.Engine, sch *integrals.Schwarz,
 	d *linalg.Matrix, tau float64) (*linalg.Matrix, Stats) {
-	n := eng.Basis.NumBF
-	shells := eng.Basis.Shells
-	ns := len(shells)
-	acc := linalg.NewSquare(n)
-	var stats Stats
-	var buf []float64
-	for i := 0; i < ns; i++ {
-		for j := 0; j <= i; j++ {
-			for k := 0; k <= i; k++ {
-				lmax := quartetLoopBounds(i, j, k)
-				for l := 0; l <= lmax; l++ {
-					if sch.Screened(i, j, k, l, tau) {
-						stats.QuartetsScreened++
-						continue
-					}
-					stats.QuartetsComputed++
-					buf = eng.ShellQuartet(i, j, k, l, buf)
-					applyQuartet(d, buf, shells, i, j, k, l,
-						func(x, y int, v float64) { addLower(acc, x, y, v) })
-				}
-			}
-		}
-	}
-	Finalize(acc)
-	return acc, stats
+	g, stats := SerialBuildN(eng, sch, RHF(d.At), tau)
+	return g[0], stats
 }
 
-// ReferenceFock2e builds the two-electron Fock matrix with no symmetry
-// tricks at all: the full ERI tensor contracted directly with the density
-// by the textbook formula G_ab = sum_cd D_cd [(ab|cd) - (ac|bd)/2].
-// Exponential in memory (N^4) — for validation on small molecules only.
-func ReferenceFock2e(eng *integrals.Engine, d *linalg.Matrix) *linalg.Matrix {
+// SerialBuildN is SerialBuild for any channel list: one sweep, one Fock
+// matrix per channel.
+func SerialBuildN(eng *integrals.Engine, sch *integrals.Schwarz,
+	chans []Channel, tau float64) ([]*linalg.Matrix, Stats) {
+	return serial(serialWalker(eng, eng, sch, tau), chans)
+}
+
+// serialWalker is a walker with no runtime under it: the static sweep on
+// the calling thread, ERI blocks from src.
+func serialWalker(eng *integrals.Engine, src integrals.QuartetSource,
+	sch *integrals.Schwarz, tau float64) *walker {
+	return &walker{shells: eng.Basis.Shells, n: eng.Basis.NumBF, src: src, sch: sch, tau: tau}
+}
+
+// serial runs w's static sweep into fresh replicated accumulators.
+func serial(w *walker, chans []Channel) ([]*linalg.Matrix, Stats) {
+	var accs []*linalg.Matrix
+	accs, w.chans = replicated(w.n, chans)
+	w.sweep()
+	for _, acc := range accs {
+		Finalize(acc)
+	}
+	return accs, w.st
+}
+
+// ReferenceJK builds the Coulomb and exchange matrices with no symmetry
+// tricks at all: the full ERI tensor contracted directly with the
+// densities by the textbook formulas J_ab = sum_cd dj_cd (ab|cd) and
+// K_ab = sum_cd dk_cd (ac|bd). N^4 in memory — the oracle the
+// conformance tests compare every preset against, on small molecules
+// only.
+func ReferenceJK(eng *integrals.Engine, dj, dk *linalg.Matrix) (j, k *linalg.Matrix) {
 	n := eng.Basis.NumBF
 	tensor := eng.FullERITensor()
-	g := linalg.NewSquare(n)
+	j, k = linalg.NewSquare(n), linalg.NewSquare(n)
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
-			sum := 0.0
+			var sumJ, sumK float64
 			for c := 0; c < n; c++ {
 				for dd := 0; dd < n; dd++ {
-					sum += d.At(c, dd) * (tensor[((a*n+b)*n+c)*n+dd] -
-						0.5*tensor[((a*n+c)*n+b)*n+dd])
+					sumJ += dj.At(c, dd) * tensor[((a*n+b)*n+c)*n+dd]
+					sumK += dk.At(c, dd) * tensor[((a*n+c)*n+b)*n+dd]
 				}
 			}
-			g.Set(a, b, sum)
+			j.Set(a, b, sumJ)
+			k.Set(a, b, sumK)
 		}
 	}
+	return j, k
+}
+
+// ReferenceFock2e is the dense restricted oracle
+// G_ab = sum_cd D_cd [(ab|cd) - (ac|bd)/2].
+func ReferenceFock2e(eng *integrals.Engine, d *linalg.Matrix) *linalg.Matrix {
+	g, k := ReferenceJK(eng, d, d)
+	g.AxpyFrom(-0.5, k)
 	return g
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/ddi"
 	"repro/internal/integrals"
 	"repro/internal/linalg"
-	"repro/internal/mpi"
 	"repro/internal/omp"
 )
 
@@ -23,99 +22,100 @@ import (
 // chunked reductions partitioned over the column index, barrier-isolated
 // from quartet work (paper Figure 1).
 //
-// Call from inside mpi.Run on every rank; the returned Fock is complete
-// and identical on all ranks.
+// Call from inside mpi.Run on every rank; the returned Fock matrices (one
+// per channel, each with its own FI/FJ buffer set) are complete and
+// identical on all ranks.
 func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
-	sch *integrals.Schwarz, d *linalg.Matrix, cfg Config) (*linalg.Matrix, Stats) {
+	sch *integrals.Schwarz, chans []Channel, cfg Config) ([]*linalg.Matrix, Stats) {
 	n := eng.Basis.NumBF
 	shells := eng.Basis.Shells
-	ns := len(shells)
-	npairs := NumPairs(ns)
+	npairs := NumPairs(len(shells))
 	tau := cfg.tau()
 	nthreads := cfg.threads()
 	sched := cfg.schedule()
 	maxQ := sch.MaxQ()
 	maxSz := eng.Basis.ShellSizeMax()
-	src := cfg.source(eng)
 
-	acc := linalg.NewSquare(n) // shared lower-triangle accumulator
-	// FI/FJ: one [shell function x NBF] block per thread (Algorithm 3
-	// line 3). Separate slices per thread keep them on distinct cache
-	// lines (the role of the paper's padding bytes).
-	fi := make([][]float64, nthreads)
-	fj := make([][]float64, nthreads)
-	for t := 0; t < nthreads; t++ {
-		fi[t] = make([]float64, maxSz*n)
-		fj[t] = make([]float64, maxSz*n)
+	// Shared lower-triangle accumulators, and FI/FJ: one [shell function x
+	// NBF] block per thread (Algorithm 3 line 3). Separate slices per
+	// thread keep them on distinct cache lines (the role of the paper's
+	// padding bytes).
+	accs := make([]*linalg.Matrix, len(chans))
+	fi := make([][][]float64, len(chans)) // [channel][thread]
+	fj := make([][][]float64, len(chans))
+	for c := range accs {
+		accs[c] = linalg.NewSquare(n)
+		fi[c] = make([][]float64, nthreads)
+		fj[c] = make([][]float64, nthreads)
+		for t := 0; t < nthreads; t++ {
+			fi[c][t] = make([]float64, maxSz*n)
+			fj[c][t] = make([]float64, maxSz*n)
+		}
 	}
-	threadStats := make([]Stats, nthreads)
-	tel := dx.Comm.Telemetry()
-	rank := dx.Comm.Rank()
-
-	dx.DLBReset()
-	team := omp.NewTeam(nthreads)
-	var ijShared int64
-	var taskT0 time.Time // set by the master at each draw; master-only access
+	routes := make([][]*routedSink, nthreads) // [thread][channel]
+	lanes := make([]walker, nthreads)
+	for t := range lanes {
+		routes[t] = make([]*routedSink, len(chans))
+		for c := range chans {
+			routes[t][c] = &routedSink{n: n, acc: accs[c].Data, fi: fi[c][t], fj: fj[c][t]}
+		}
+		lanes[t] = newWalker(dx, eng, sch, cfg)
+		lanes[t].chans = bind(chans, func(c int) sink { return routes[t][c] })
+	}
 
 	// flush adds the per-thread buffers for shell sh into the shared
-	// accumulator and zeroes them. Contributions live at slot
+	// accumulators and zeroes them. Contributions live at slot
 	// [local*n + y]; the write target is the canonical lower-triangle
 	// element of {shellOffset+local, y}. Work is partitioned over y, which
-	// is race-free (see buffer-slot normalization in the update routing).
+	// is race-free (see the buffer-slot normalization in routedSink).
 	// Callers wrap it in barriers.
-	flush := func(tc *omp.Context, bufs [][]float64, sh int) {
+	flush := func(tc *omp.Context, bufs [][][]float64, sh int) {
 		s := &shells[sh]
 		off, cnt := s.BFOffset, s.NumFuncs()
 		lo, hi := tc.StaticRange(n)
-		for local := 0; local < cnt; local++ {
-			row := off + local
-			for y := lo; y < hi; y++ {
-				sum := 0.0
-				for t := 0; t < nthreads; t++ {
-					sum += bufs[t][local*n+y]
-					bufs[t][local*n+y] = 0
-				}
-				if sum == 0 {
-					continue
-				}
-				if row >= y {
-					acc.Add(row, y, sum)
-				} else {
-					acc.Add(y, row, sum)
+		for c, acc := range accs {
+			for local := 0; local < cnt; local++ {
+				row := off + local
+				for y := lo; y < hi; y++ {
+					sum := 0.0
+					for _, buf := range bufs[c] {
+						sum += buf[local*n+y]
+						buf[local*n+y] = 0
+					}
+					if sum == 0 {
+						continue
+					}
+					if row >= y {
+						acc.Add(row, y, sum)
+					} else {
+						acc.Add(y, row, sum)
+					}
 				}
 			}
 		}
 	}
 
+	dx.DLBReset()
+	team := omp.NewTeam(nthreads)
+	var ijShared int64
 	team.Parallel(func(tc *omp.Context) {
 		me := tc.ThreadID()
-		fiBuf, fjBuf := fi[me], fj[me]
-		st := &threadStats[me]
-		var buf []float64
+		w := &lanes[me]
 		iold := -1
 		for {
-			// The SDC hook fires inside the master section — one corruption
-			// opportunity per claimed task, into the shared accumulator —
-			// because the team is fenced at the barrier below, so the
-			// injected write races nothing.
-			tc.Master(func() {
-				ijShared = dx.DLBNext()
-				st.DLBGrabs++
-				taskT0 = time.Now()
-				dx.Comm.InjectSDC(mpi.SiteFock, acc.Data)
-			})
-			tc.Barrier()
-			ij := int(ijShared)
-			tc.Barrier()
+			// Master draws the next ij; a scheduled corruption lands in the
+			// shared accumulator.
+			ij := w.teamFetch(tc, &ijShared, accs[0].Data)
 			if ij >= npairs {
 				break
 			}
+			taskT0 := time.Now()
 			i, j := PairDecode(ij)
 			// I and J prescreening (Algorithm 3 line 13): the whole top
 			// iteration is skipped when no kl can survive.
 			if sch.PairQ(i, j)*maxQ < tau {
 				if me == 0 {
-					st.PairsSkipped++
+					w.st.PairsSkipped++
 				}
 				continue
 			}
@@ -124,45 +124,28 @@ func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 			if i != iold && iold >= 0 {
 				tc.Barrier()
 				flush(tc, fi, iold)
-				st.Flushes++
+				w.st.Flushes++
 				tc.Barrier()
 			}
-			si, sj := &shells[i], &shells[j]
-			oi, oj := si.BFOffset, sj.BFOffset
+			for _, r := range routes[me] {
+				r.aim(&shells[i], &shells[j])
+			}
 			// Inner kl loop, kl = 0..ij (Algorithm 3 lines 19-30).
 			// tc.For carries the `omp end do` implicit barrier. Per-thread
 			// spans expose intra-team imbalance per ij-task in the trace.
-			var endTask func()
-			if tel != nil {
-				endTask = tel.Span("fock.task", "ij-task", rank, me+1,
-					map[string]any{"i": i, "j": j})
-			}
+			end := w.span("ij-task", me+1, i, j)
 			tc.For(ij+1, sched, func(kl int) {
 				k, l := PairDecode(kl)
-				if sch.Screened(i, j, k, l, tau) {
-					st.QuartetsScreened++
-					return
-				}
-				st.QuartetsComputed++
-				buf = src.ShellQuartet(i, j, k, l, buf)
-				applyQuartetRouted(d, buf, shells, i, j, k, l,
-					oi, oj, n, fiBuf, fjBuf, acc)
+				w.quartet(i, j, k, l)
 			})
-			if endTask != nil {
-				endTask()
-			}
+			end()
 			// Flush FJ after every kl loop (Algorithm 3 line 31).
 			flush(tc, fj, j)
-			st.Flushes++
-			// Chaos hook: a sustained Slowdown stalls the master here —
-			// the team blocks on the next barrier behind it, so the whole
-			// rank slows by the scheduled factor — and every rank's task
-			// latency feeds the straggler detector's shared window.
-			tc.Master(func() {
-				elapsed := time.Since(taskT0)
-				elapsed += dx.Comm.TaskStall(mpi.SiteFock, elapsed)
-				dx.ObserveTaskLatency(elapsed)
-			})
+			w.st.Flushes++
+			// The master's task latency stands for the rank: the team
+			// blocks on the next barrier behind a stalled master, so the
+			// whole rank slows by a scheduled chaos factor.
+			tc.Master(func() { w.observe(taskT0) })
 			tc.Barrier()
 			iold = i
 		}
@@ -174,53 +157,45 @@ func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 			tc.Barrier()
 		}
 	})
-
-	var stats Stats
-	for t := range threadStats {
-		stats.Add(threadStats[t])
-	}
-	// 2e-Fock matrix reduction over MPI ranks (Algorithm 3 line 38).
-	dx.GSumF(acc.Data)
-	Finalize(acc)
-	return acc, stats
+	reduce(dx, accs)
+	return accs, teamStats(lanes)
 }
 
-// applyQuartetRouted distributes one quartet's contributions with the
-// shared-Fock routing: updates touching the i shell go to this thread's
-// FI buffer, updates touching the j shell go to FJ, and the kl element
-// updates the shared accumulator directly (Algorithm 3 lines 25-27).
+// routedSink is the shared-Fock sink of one thread and channel: updates
+// touching the i shell go to this thread's FI buffer, updates touching
+// the j shell go to FJ, and the kl element updates the shared accumulator
+// directly (Algorithm 3 lines 25-27).
 //
 // Buffer slots are [local*n + other]. When both indices of a pair fall in
 // the buffer's own shell block, the slot is normalized to
 // (maxLocal, minGlobal) so that the flush's partition-by-column is
 // race-free.
-func applyQuartetRouted(d *linalg.Matrix, blk []float64, shells []basis.Shell,
-	i, j, k, l int, oi, oj, n int, fiBuf, fjBuf []float64, acc *linalg.Matrix) {
-	toFI := func(a, y int, v float64) {
-		if y >= oi && y-oi < shells[i].NumFuncs() && y > a {
-			// Both in the i block and out of order: normalize so the
-			// flush's partition-by-column stays race-free.
-			a, y = y, a
+type routedSink struct {
+	n              int
+	fi, fj         []float64
+	acc            []float64 // the shared row-major N x N accumulator
+	oi, ni, oj, nj int       // offset and width of the task's i and j shells
+}
+
+// aim points the sink at the shells of the next ij task.
+func (r *routedSink) aim(si, sj *basis.Shell) {
+	r.oi, r.ni = si.BFOffset, si.NumFuncs()
+	r.oj, r.nj = sj.BFOffset, sj.NumFuncs()
+}
+
+func (r *routedSink) add(role, x, y int, v float64) {
+	switch role {
+	case roleAB, roleAC, roleAD:
+		if y >= r.oi && y-r.oi < r.ni && y > x {
+			x, y = y, x
 		}
-		fiBuf[(a-oi)*n+y] += v
-	}
-	toFJ := func(b, y int, v float64) {
-		if y >= oj && y-oj < shells[j].NumFuncs() && y > b {
-			// Both in the j block and out of order: normalize.
-			b, y = y, b
+		r.fi[(x-r.oi)*r.n+y] += v
+	case roleBD, roleBC:
+		if y >= r.oj && y-r.oj < r.nj && y > x {
+			x, y = y, x
 		}
-		fjBuf[(b-oj)*n+y] += v
+		r.fj[(x-r.oj)*r.n+y] += v
+	default: // roleCD: c >= d within the canonical enumeration.
+		r.acc[x*r.n+y] += v
 	}
-	applyQuartet6(d, blk, shells, i, j, k, l,
-		func(role int, x, y int, v float64) {
-			switch role {
-			case roleAB, roleAC, roleAD:
-				toFI(x, y, v)
-			case roleBD, roleBC:
-				toFJ(x, y, v)
-			default: // roleCD
-				// c >= d within the canonical enumeration.
-				acc.Add(x, y, v)
-			}
-		})
 }

@@ -3,6 +3,7 @@ package fock
 import (
 	"fmt"
 
+	"repro/internal/basis"
 	"repro/internal/integrals"
 	"repro/internal/linalg"
 )
@@ -16,17 +17,13 @@ import (
 // direct SCF is the only option at 30,240 basis functions (the stored
 // tensor would need petabytes).
 
-// storedQuartet is one surviving shell quartet and its block location.
-type storedQuartet struct {
-	i, j, k, l int32
-	offset     int32
-}
-
-// ERIStore holds the screened symmetry-unique ERI blocks of a basis.
+// ERIStore holds the screened symmetry-unique ERI blocks of a basis, laid
+// out in the order the serial sweep visits them.
 type ERIStore struct {
-	eng      *integrals.Engine
-	quartets []storedQuartet
-	values   []float64
+	eng    *integrals.Engine
+	sch    *integrals.Schwarz
+	tau    float64
+	values []float64
 	// BuildStats records the one-time evaluation cost.
 	BuildStats Stats
 }
@@ -34,26 +31,41 @@ type ERIStore struct {
 // MaxStoreBytes caps the in-core tensor; BuildStore refuses beyond it.
 const MaxStoreBytes = 1 << 31 // 2 GiB
 
+// The store is the serial sweep run three ways, so what is sized, stored
+// and replayed is by construction exactly what the walker screens in:
+// the sizer source prices a block without evaluating it, the recording
+// sweep keeps every block the engine evaluates, and the replay source
+// hands the kept blocks back in order.
+
+type sizer struct {
+	shells []basis.Shell
+	bytes  int64
+}
+
+func (s *sizer) ShellQuartet(i, j, k, l int, out []float64) []float64 {
+	s.bytes += int64(integrals.QuartetSize(&s.shells[i], &s.shells[j], &s.shells[k], &s.shells[l])) * 8
+	return out
+}
+
+type replay struct {
+	st  *ERIStore
+	pos int
+}
+
+func (r *replay) ShellQuartet(i, j, k, l int, _ []float64) []float64 {
+	shells := r.st.eng.Basis.Shells
+	size := integrals.QuartetSize(&shells[i], &shells[j], &shells[k], &shells[l])
+	blk := r.st.values[r.pos : r.pos+size]
+	r.pos += size
+	return blk
+}
+
 // EstimateStoreBytes predicts the value storage for the screened quartet
 // list without computing any integrals.
 func EstimateStoreBytes(eng *integrals.Engine, sch *integrals.Schwarz, tau float64) int64 {
-	shells := eng.Basis.Shells
-	ns := len(shells)
-	var total int64
-	for i := 0; i < ns; i++ {
-		for j := 0; j <= i; j++ {
-			for k := 0; k <= i; k++ {
-				lmax := quartetLoopBounds(i, j, k)
-				for l := 0; l <= lmax; l++ {
-					if sch.Screened(i, j, k, l, tau) {
-						continue
-					}
-					total += int64(integrals.QuartetSize(&shells[i], &shells[j], &shells[k], &shells[l])) * 8
-				}
-			}
-		}
-	}
-	return total
+	size := &sizer{shells: eng.Basis.Shells}
+	serialWalker(eng, size, sch, tau).sweep()
+	return size.bytes
 }
 
 // BuildStore evaluates and stores every screened symmetry-unique shell
@@ -66,35 +78,16 @@ func BuildStore(eng *integrals.Engine, sch *integrals.Schwarz, tau float64) (*ER
 		return nil, fmt.Errorf("fock: in-core store would need %.1f GiB (cap %.1f); use direct SCF",
 			float64(est)/(1<<30), float64(MaxStoreBytes)/(1<<30))
 	}
-	st := &ERIStore{eng: eng}
-	shells := eng.Basis.Shells
-	ns := len(shells)
-	var buf []float64
-	for i := 0; i < ns; i++ {
-		for j := 0; j <= i; j++ {
-			for k := 0; k <= i; k++ {
-				lmax := quartetLoopBounds(i, j, k)
-				for l := 0; l <= lmax; l++ {
-					if sch.Screened(i, j, k, l, tau) {
-						st.BuildStats.QuartetsScreened++
-						continue
-					}
-					st.BuildStats.QuartetsComputed++
-					buf = eng.ShellQuartet(i, j, k, l, buf)
-					st.quartets = append(st.quartets, storedQuartet{
-						i: int32(i), j: int32(j), k: int32(k), l: int32(l),
-						offset: int32(len(st.values)),
-					})
-					st.values = append(st.values, buf...)
-				}
-			}
-		}
-	}
+	st := &ERIStore{eng: eng, sch: sch, tau: tau}
+	w := serialWalker(eng, eng, sch, tau)
+	w.keep = &st.values
+	w.sweep()
+	st.BuildStats = w.st
 	return st, nil
 }
 
 // NumQuartets returns how many blocks are stored.
-func (st *ERIStore) NumQuartets() int { return len(st.quartets) }
+func (st *ERIStore) NumQuartets() int { return int(st.BuildStats.QuartetsComputed) }
 
 // Bytes returns the value storage size.
 func (st *ERIStore) Bytes() int64 { return int64(len(st.values)) * 8 }
@@ -102,16 +95,6 @@ func (st *ERIStore) Bytes() int64 { return int64(len(st.values)) * 8 }
 // BuildFock replays the stored integrals against a density, producing the
 // two-electron Fock matrix without recomputing a single ERI.
 func (st *ERIStore) BuildFock(d *linalg.Matrix) (*linalg.Matrix, Stats) {
-	n := st.eng.Basis.NumBF
-	shells := st.eng.Basis.Shells
-	acc := linalg.NewSquare(n)
-	for _, q := range st.quartets {
-		i, j, k, l := int(q.i), int(q.j), int(q.k), int(q.l)
-		size := integrals.QuartetSize(&shells[i], &shells[j], &shells[k], &shells[l])
-		blk := st.values[q.offset : int(q.offset)+size]
-		applyQuartet(d, blk, shells, i, j, k, l,
-			func(x, y int, v float64) { addLower(acc, x, y, v) })
-	}
-	Finalize(acc)
-	return acc, Stats{QuartetsComputed: int64(len(st.quartets))}
+	g, stats := serial(serialWalker(st.eng, &replay{st: st}, st.sch, st.tau), RHF(d.At))
+	return g[0], stats
 }

@@ -1,150 +1,45 @@
 package fock
 
 import (
-	"repro/internal/basis"
 	"repro/internal/ddi"
 	"repro/internal/distmat"
 	"repro/internal/integrals"
-	"repro/internal/mpi"
 )
 
 // TiledBuild is the distributed-data Fock build: Algorithm 1's dynamic
-// ij-pair distribution, but with NO replicated matrices. The density is
-// read through a bounded TileReader over a distributed D and
-// contributions are write-combined into a distributed F through a
-// TileAccum; the per-rank working set is O(cache capacity) tiles instead
-// of O(N^2), which is what lets systems past the MCDRAM wall run at all.
+// ij-pair distribution, but with NO replicated matrices. The channel
+// densities are read through bounded TileReaders over distributed D
+// matrices and channel c's contributions are write-combined into a
+// distributed F through out[c]; the per-rank working set is O(cache
+// capacity) tiles instead of O(N^2), which is what lets systems past the
+// MCDRAM wall run at all.
 //
-// The caller must Zero the matrix under f before the build and run
-// distmat.UnfoldLower on it afterwards (contributions land in the lower
-// triangle only, like every builder in this package). The closing
-// barrier orders the final accumulator flush of every rank before any
-// rank's unfold reads the tiles.
+// The caller must Zero the matrix under each accumulator before the
+// build and run distmat.UnfoldLower on it afterwards (contributions land
+// in the lower triangle only, like every builder in this package). The
+// closing barrier orders the final accumulator flush of every rank
+// before any rank's unfold reads the tiles.
 //
 // The build distributes over MPI ranks only (no OpenMP team): the
 // hybrid threading of Algorithms 2-3 assumes a node-shared density and
 // Fock, which is exactly the replication this path removes.
 func TiledBuild(dx *ddi.Context, eng *integrals.Engine, sch *integrals.Schwarz,
-	d *distmat.TileReader, f *distmat.TileAccum, cfg Config) Stats {
-	shells := eng.Basis.Shells
-	ns := len(shells)
-	tau := cfg.tau()
-	src := cfg.source(eng)
-	var stats Stats
-	tel := dx.Comm.Telemetry()
-	rank := dx.Comm.Rank()
-
-	dx.DLBReset()
-	next := dx.DLBNext()
-	stats.DLBGrabs++
-	var buf []float64
-	ij := int64(0)
-	for i := 0; i < ns; i++ {
-		for j := 0; j <= i; j++ {
-			// Same SDC hook placement as MPIOnlyBuild: one opportunity per
-			// scanned shell pair (no replicated accumulator exists here, so
-			// the hook covers the staged tile path through its inputs).
-			dx.Comm.InjectSDC(mpi.SiteFock, buf)
-			if ij != next {
-				ij++
-				continue
-			}
-			ij++
-			next = dx.DLBNext()
-			stats.DLBGrabs++
-			var endTask func()
-			if tel != nil {
-				endTask = tel.Span("fock.task", "pair", rank, 0,
-					map[string]any{"i": i, "j": j})
-			}
-			for k := 0; k <= i; k++ {
-				lmax := quartetLoopBounds(i, j, k)
-				for l := 0; l <= lmax; l++ {
-					if sch.Screened(i, j, k, l, tau) {
-						stats.QuartetsScreened++
-						continue
-					}
-					stats.QuartetsComputed++
-					buf = src.ShellQuartet(i, j, k, l, buf)
-					applyQuartetDist(d.At, buf, shells, i, j, k, l, f.AddLower)
-				}
-			}
-			if endTask != nil {
-				endTask()
-			}
-		}
+	chans []Channel, out []*distmat.TileAccum, cfg Config) Stats {
+	w := newWalker(dx, eng, sch, cfg)
+	w.chans = bind(chans, func(c int) sink { return tileSink{out[c]} })
+	// No replicated accumulator exists here, so a scheduled corruption
+	// lands in the ERI scratch: the hook covers the staged tile path
+	// through its inputs.
+	w.dlbPairs(&w.buf)
+	for _, f := range out {
+		f.Flush()
 	}
-	f.Flush()
 	dx.Comm.Barrier()
-	return stats
+	return w.st
 }
 
-// applyQuartetDist distributes one symmetry-unique shell quartet's ERI
-// block into Fock contributions read through an element accessor instead
-// of a replicated density matrix.
-//
-// KEEP IN SYNC with applyQuartet6 in common.go: the symmetry dedup, the
-// 1/|stabilizer| weights, the diagonal doubling and the six update slots
-// must match exactly (TestTiledBuildMatchesSerial pins the equivalence).
-// It is duplicated rather than parameterized so the replicated builders'
-// hot path keeps its direct d.At calls.
-func applyQuartetDist(at func(x, y int) float64, blk []float64, shells []basis.Shell,
-	i, j, k, l int, add func(x, y int, v float64)) {
-	si, sj, sk, sl := &shells[i], &shells[j], &shells[k], &shells[l]
-	ni, nj := si.NumFuncs(), sj.NumFuncs()
-	nk, nl := sk.NumFuncs(), sl.NumFuncs()
-	oi, oj, ok, ol := si.BFOffset, sj.BFOffset, sk.BFOffset, sl.BFOffset
-	idx := 0
-	for fa := 0; fa < ni; fa++ {
-		a := oi + fa
-		for fb := 0; fb < nj; fb++ {
-			b := oj + fb
-			for fc := 0; fc < nk; fc++ {
-				c := ok + fc
-				for fd := 0; fd < nl; fd++ {
-					dd := ol + fd
-					val := blk[idx]
-					idx++
-					if i == j && b > a {
-						continue
-					}
-					if k == l && dd > c {
-						continue
-					}
-					pab, pcd := PairIndex(a, b), PairIndex(c, dd)
-					if i == k && j == l && pcd > pab {
-						continue
-					}
-					if val == 0 {
-						continue
-					}
-					s := 1.0
-					if a == b {
-						s *= 0.5
-					}
-					if c == dd {
-						s *= 0.5
-					}
-					if pab == pcd {
-						s *= 0.5
-					}
-					v := s * val
-					diag := func(x, y int, w float64) float64 {
-						if x == y {
-							return 2 * w
-						}
-						return w
-					}
-					// Coulomb (eqs. 2a, 2b)
-					add(a, b, diag(a, b, 2*v*at(c, dd)))
-					add(c, dd, diag(c, dd, 2*v*at(a, b)))
-					// Exchange (eqs. 2c-2f)
-					add(a, c, diag(a, c, -0.5*v*at(b, dd)))
-					add(b, dd, diag(b, dd, -0.5*v*at(a, c)))
-					add(a, dd, diag(a, dd, -0.5*v*at(b, c)))
-					add(b, c, diag(b, c, -0.5*v*at(a, dd)))
-				}
-			}
-		}
-	}
-}
+// tileSink lands a channel's updates in a distributed F through its
+// write-combining accumulator.
+type tileSink struct{ f *distmat.TileAccum }
+
+func (s tileSink) add(_, x, y int, v float64) { s.f.AddLower(x, y, v) }

@@ -35,10 +35,10 @@ func tiledSetup(t *testing.T) (*integrals.Engine, *integrals.Schwarz, *linalg.Ma
 	return eng, sch, d
 }
 
-// TestTiledBuildMatchesSerial pins applyQuartetDist to applyQuartet6:
-// the distributed build over tiles must reproduce the serial replicated
-// Fock to summation-order roundoff, for several rank counts and tile
-// edges (including tiles that straddle shell boundaries).
+// TestTiledBuildMatchesSerial: the distributed build over tiles must
+// reproduce the serial replicated Fock to summation-order roundoff, for
+// several rank counts and tile edges (including tiles that straddle
+// shell boundaries).
 func TestTiledBuildMatchesSerial(t *testing.T) {
 	eng, sch, d := tiledSetup(t)
 	want, serialStats := SerialBuild(eng, sch, d, DefaultTau)
@@ -57,7 +57,7 @@ func TestTiledBuildMatchesSerial(t *testing.T) {
 			df.Zero()
 			reader := distmat.NewTileReader(dd, 6)
 			accum := distmat.NewTileAccum(df, 6)
-			stats := TiledBuild(dx, eng, sch, reader, accum, Config{})
+			stats := TiledBuild(dx, eng, sch, RHF(reader.At), []*distmat.TileAccum{accum}, Config{})
 			distmat.UnfoldLower(df)
 			computed := dx.GSumI(stats.QuartetsComputed)
 			// Sum cache misses globally: the dynamic balancer may hand one
@@ -106,7 +106,7 @@ func TestTiledBuildBoundedWorkingSet(t *testing.T) {
 		df.Zero()
 		reader := distmat.NewTileReader(dd, capTiles)
 		accum := distmat.NewTileAccum(df, capTiles)
-		TiledBuild(dx, eng, sch, reader, accum, Config{})
+		TiledBuild(dx, eng, sch, RHF(reader.At), []*distmat.TileAccum{accum}, Config{})
 		distmat.UnfoldLower(df)
 		budget := int64(capTiles * 2 * 2 * 8)
 		if reader.PeakBytes() > budget {

@@ -48,21 +48,51 @@ var Algorithms = []Algorithm{AlgMPIOnly, AlgPrivateFock, AlgSharedFock}
 // imbalance report.
 func ParallelBuilder(alg Algorithm, dx *ddi.Context, eng *integrals.Engine,
 	sch *integrals.Schwarz, cfg fock.Config) Builder {
-	b := func(d *linalg.Matrix) (*linalg.Matrix, fock.Stats) {
-		switch alg {
-		case AlgMPIOnly:
-			return fock.MPIOnlyBuild(dx, eng, sch, d, cfg)
-		case AlgPrivateFock:
-			return fock.PrivateFockBuild(dx, eng, sch, d, cfg)
-		case AlgSharedFock:
-			return fock.SharedFockBuild(dx, eng, sch, d, cfg)
-		case AlgResilientFock:
-			return fock.ResilientBuild(dx, eng, sch, d, cfg)
-		default:
-			panic("scf: unknown algorithm " + string(alg))
-		}
+	build := parallelChannels(alg, dx, eng, sch, cfg)
+	return func(d *linalg.Matrix) (*linalg.Matrix, fock.Stats) {
+		g, stats := build(fock.RHF(d.At))
+		return g[0], stats
 	}
-	return InstrumentedBuilder(b, dx.Comm.Telemetry(), string(alg), dx.Comm.Rank())
+}
+
+// ParallelJKBuilder is ParallelBuilder for the J/K channels of an
+// unrestricted calculation: the same preset, the same sweep, three
+// matrices riding it.
+func ParallelJKBuilder(alg Algorithm, dx *ddi.Context, eng *integrals.Engine,
+	sch *integrals.Schwarz, cfg fock.Config) JKBuilder {
+	build := parallelChannels(alg, dx, eng, sch, cfg)
+	return func(dj, dka, dkb *linalg.Matrix) (*linalg.Matrix, *linalg.Matrix, *linalg.Matrix, fock.Stats) {
+		g, stats := build(fock.UHF(dj.At, dka.At, dkb.At))
+		return g[0], g[1], g[2], stats
+	}
+}
+
+// parallelChannels resolves an algorithm name to its fock preset and
+// returns the instrumented build over any channel list.
+func parallelChannels(alg Algorithm, dx *ddi.Context, eng *integrals.Engine,
+	sch *integrals.Schwarz, cfg fock.Config) func([]fock.Channel) ([]*linalg.Matrix, fock.Stats) {
+	var preset func(*ddi.Context, *integrals.Engine, *integrals.Schwarz,
+		[]fock.Channel, fock.Config) ([]*linalg.Matrix, fock.Stats)
+	switch alg {
+	case AlgMPIOnly:
+		preset = fock.MPIOnlyBuild
+	case AlgPrivateFock:
+		preset = fock.PrivateFockBuild
+	case AlgSharedFock:
+		preset = fock.SharedFockBuild
+	case AlgResilientFock:
+		preset = fock.ResilientBuild
+	default:
+		panic("scf: unknown algorithm " + string(alg))
+	}
+	tel, rank := dx.Comm.Telemetry(), dx.Comm.Rank()
+	return func(chans []fock.Channel) (g []*linalg.Matrix, stats fock.Stats) {
+		instrumented(tel, string(alg), rank, func() fock.Stats {
+			g, stats = preset(dx, eng, sch, chans, cfg)
+			return stats
+		})
+		return g, stats
+	}
 }
 
 // InstrumentedBuilder wraps a Builder so every Fock build emits a
@@ -74,19 +104,32 @@ func InstrumentedBuilder(b Builder, tel *telemetry.Session, variant string, rank
 	if tel == nil {
 		return b
 	}
-	return func(d *linalg.Matrix) (*linalg.Matrix, fock.Stats) {
-		end := tel.Span("fock.build", variant, rank, 0, nil)
-		t0 := time.Now()
-		g, stats := b(d)
-		wall := time.Since(t0)
-		end()
-		tel.RecordLoad(variant, rank, telemetry.RankLoad{
-			Tasks:    stats.DLBGrabs,
-			Quartets: stats.QuartetsComputed,
-			Wall:     wall,
+	return func(d *linalg.Matrix) (g *linalg.Matrix, stats fock.Stats) {
+		instrumented(tel, variant, rank, func() fock.Stats {
+			g, stats = b(d)
+			return stats
 		})
 		return g, stats
 	}
+}
+
+// instrumented runs one Fock build under its fock.build span and records
+// the load it reports.
+func instrumented(tel *telemetry.Session, variant string, rank int, build func() fock.Stats) {
+	if tel == nil {
+		build()
+		return
+	}
+	end := tel.Span("fock.build", variant, rank, 0, nil)
+	t0 := time.Now()
+	stats := build()
+	wall := time.Since(t0)
+	end()
+	tel.RecordLoad(variant, rank, telemetry.RankLoad{
+		Tasks:    stats.DLBGrabs,
+		Quartets: stats.QuartetsComputed,
+		Wall:     wall,
+	})
 }
 
 // InCoreBuilder returns a Builder that evaluates the screened ERIs once

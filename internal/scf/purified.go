@@ -239,7 +239,7 @@ func purifiedRank(c *mpi.Comm, eng *integrals.Engine, sch *integrals.Schwarz,
 		var stats fock.Stats
 		if iter > 1 || warmStart {
 			reader.Reset()
-			stats = fock.TiledBuild(dx, eng, sch, reader, accum, opt.Fock)
+			stats = fock.TiledBuild(dx, eng, sch, fock.RHF(reader.At), []*distmat.TileAccum{accum}, opt.Fock)
 			distmat.UnfoldLower(dF)
 		}
 		res.TotalFockStats.Add(stats)

@@ -400,7 +400,7 @@ func purifiedResilientRank(c *mpi.Comm, eng *integrals.Engine, sch *integrals.Sc
 		var stats fock.Stats
 		if iter > 1 || warmStart {
 			reader.Reset()
-			stats = fock.TiledBuild(dx, eng, sch, reader, accum, opt.Fock)
+			stats = fock.TiledBuild(dx, eng, sch, fock.RHF(reader.At), []*distmat.TileAccum{accum}, opt.Fock)
 			distmat.UnfoldLower(dF)
 		}
 		res.TotalFockStats.Add(stats)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/ddi"
 	"repro/internal/fock"
 	"repro/internal/integrals"
 	"repro/internal/linalg"
@@ -13,7 +12,7 @@ import (
 // Unrestricted Hartree-Fock. The paper's conclusion singles out UHF (with
 // GVB, DFT, and CPHF) as a method whose Fock-assembly structure is
 // identical to RHF's and therefore inherits the hybrid parallelization
-// directly; this driver demonstrates that on the split J/K builder.
+// directly; this driver demonstrates that on the same Fock presets.
 
 // UHFResult is a converged (or exhausted) unrestricted SCF calculation.
 type UHFResult struct {
@@ -34,47 +33,24 @@ type UHFResult struct {
 }
 
 // JKBuilder produces the Coulomb matrix J(dj) and the two exchange
-// matrices K(dka), K(dkb) for one UHF iteration. Serial and parallel
-// implementations live in internal/fock (SerialBuildJK and the
-// *BuildJK variants of Algorithms 1-3).
+// matrices K(dka), K(dkb) for one UHF iteration from ONE sweep over the
+// ERIs (fock.UHF: three channels on the same quartet walker the
+// restricted builders use).
 type JKBuilder func(dj, dka, dkb *linalg.Matrix) (j, ka, kb *linalg.Matrix, stats fock.Stats)
 
-// SerialJKBuilder wraps the serial split kernel as a JKBuilder.
+// SerialJKBuilder wraps the serial sweep as a JKBuilder.
 func SerialJKBuilder(eng *integrals.Engine, sch *integrals.Schwarz, tau float64) JKBuilder {
 	if tau == 0 {
 		tau = fock.DefaultTau
 	}
 	return func(dj, dka, dkb *linalg.Matrix) (*linalg.Matrix, *linalg.Matrix, *linalg.Matrix, fock.Stats) {
-		j, ka, st1 := fock.SerialBuildJK(eng, sch, dj, dka, tau)
-		_, kb, st2 := fock.SerialBuildJK(eng, sch, dj, dkb, tau)
-		st1.Add(st2)
-		return j, ka, kb, st1
-	}
-}
-
-// ParallelJKBuilder wraps one of the paper's three algorithms,
-// generalized to the J/K split, as a JKBuilder. Must run inside mpi.Run.
-func ParallelJKBuilder(alg Algorithm, dx *ddi.Context, eng *integrals.Engine,
-	sch *integrals.Schwarz, cfg fock.Config) JKBuilder {
-	return func(dj, dka, dkb *linalg.Matrix) (*linalg.Matrix, *linalg.Matrix, *linalg.Matrix, fock.Stats) {
-		var r fock.JKResult
-		switch alg {
-		case AlgMPIOnly:
-			r = fock.MPIOnlyBuildJK(dx, eng, sch, dj, dka, dkb, cfg)
-		case AlgPrivateFock:
-			r = fock.PrivateFockBuildJK(dx, eng, sch, dj, dka, dkb, cfg)
-		case AlgSharedFock:
-			r = fock.SharedFockBuildJK(dx, eng, sch, dj, dka, dkb, cfg)
-		default:
-			panic("scf: unknown algorithm " + string(alg))
-		}
-		return r.J, r.KA, r.KB, r.Stats
+		g, stats := fock.SerialBuildN(eng, sch, fock.UHF(dj.At, dka.At, dkb.At), tau)
+		return g[0], g[1], g[2], stats
 	}
 }
 
 // RunUHF performs an unrestricted Hartree-Fock calculation with the given
-// spin multiplicity (2S+1), building serially through the split J/K
-// kernel:
+// spin multiplicity (2S+1), building serially through the J/K channels:
 //
 //	F_alpha = H + J(D_alpha + D_beta) - K(D_alpha)
 //	F_beta  = H + J(D_alpha + D_beta) - K(D_beta)

@@ -1,6 +1,7 @@
 package scf
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/integrals"
 	"repro/internal/molecule"
 	"repro/internal/mpi"
+	"repro/internal/telemetry"
 )
 
 func uhfSetup(t *testing.T, mol *molecule.Molecule, set string) *integrals.Engine {
@@ -71,11 +73,7 @@ func TestUHFSingletMatchesRHF(t *testing.T) {
 }
 
 func TestUHFTripletOxygen(t *testing.T) {
-	// O2 is the canonical UHF triplet.
-	m := &molecule.Molecule{Name: "O2"}
-	m.AddAtomAngstrom("O", 0, 0, 0)
-	m.AddAtomAngstrom("O", 0, 0, 1.2075)
-	eng := uhfSetup(t, m, "sto-3g")
+	eng := o2Triplet(t)
 	res, err := RunUHF(eng, 3, Options{MaxIter: 200})
 	if err != nil {
 		t.Fatal(err)
@@ -119,17 +117,42 @@ func TestUHFValidation(t *testing.T) {
 	}
 }
 
-func TestParallelUHFMatchesSerial(t *testing.T) {
-	// EXP-V1 for the UHF extension: every parallel J/K algorithm drives
-	// a full UHF to the same energy as the serial path.
+// o2Triplet is the canonical UHF triplet of these tests.
+func o2Triplet(t *testing.T) *integrals.Engine {
+	t.Helper()
 	m := &molecule.Molecule{Name: "O2"}
 	m.AddAtomAngstrom("O", 0, 0, 0)
 	m.AddAtomAngstrom("O", 0, 0, 1.2075)
-	eng := uhfSetup(t, m, "sto-3g")
-	serial, err := RunUHF(eng, 3, Options{MaxIter: 200})
-	if err != nil || !serial.Converged {
+	return uhfSetup(t, m, "sto-3g")
+}
+
+// o2TripletEnergy is the serial UHF/STO-3G energy of o2Triplet as computed
+// by the J/K-twin builders this package had before the n-channel digest.
+const o2TripletEnergy = -147.378559084267
+
+func TestSerialUHFOneSweepPerIteration(t *testing.T) {
+	// One UHF iteration is ONE pass over the ERIs carrying both spin
+	// exchange channels — not one pass per spin.
+	eng := o2Triplet(t)
+	sch := integrals.ComputeSchwarz(eng)
+	res, err := RunUHF(eng, 3, Options{MaxIter: 200})
+	if err != nil || !res.Converged {
 		t.Fatalf("serial UHF failed: %v", err)
 	}
+	if math.Abs(res.Energy-o2TripletEnergy) > 1e-10 {
+		t.Fatalf("O2 triplet E = %.12f, want %.12f", res.Energy, o2TripletEnergy)
+	}
+	_, rhf := fock.SerialBuild(eng, sch, res.DAlpha, fock.DefaultTau)
+	if want := int64(res.Iterations) * rhf.QuartetsComputed; res.TotalStats.QuartetsComputed != want {
+		t.Fatalf("UHF evaluated %d quartets in %d iterations, want %d (one %d-quartet sweep each)",
+			res.TotalStats.QuartetsComputed, res.Iterations, want, rhf.QuartetsComputed)
+	}
+}
+
+func TestParallelUHFMatchesSerial(t *testing.T) {
+	// EXP-V1 for the UHF extension: every parallel preset drives a full
+	// UHF to the same energy as the serial path.
+	eng := o2Triplet(t)
 	sch := integrals.ComputeSchwarz(eng)
 	for _, alg := range Algorithms {
 		energies := make([]float64, 2)
@@ -146,9 +169,80 @@ func TestParallelUHFMatchesSerial(t *testing.T) {
 			t.Fatalf("%s: %v", alg, err)
 		}
 		for r, e := range energies {
-			if math.Abs(e-serial.Energy) > 1e-8 {
-				t.Fatalf("%s rank %d: UHF energy %v vs serial %v", alg, r, e, serial.Energy)
+			if math.Abs(e-o2TripletEnergy) > 1e-10 {
+				t.Fatalf("%s rank %d: UHF energy %.12f, want %.12f", alg, r, e, o2TripletEnergy)
 			}
 		}
+	}
+}
+
+// TestParallelUHFHooks: UHF runs on the same walker as RHF, so it gets
+// the per-task hooks without a line of its own — the fock.build and
+// fock.task spans of a traced run, and the SiteFock corruption site.
+func TestParallelUHFHooks(t *testing.T) {
+	eng := o2Triplet(t)
+	sch := integrals.ComputeSchwarz(eng)
+	tel := telemetry.NewSession()
+	var energy float64
+	_, err := mpi.RunWithOptions(2, mpi.RunOptions{Telemetry: tel}, func(c *mpi.Comm) {
+		builder := ParallelJKBuilder(AlgSharedFock, ddi.New(c), eng, sch, fock.Config{Threads: 2})
+		res, err := RunUHFWithBuilder(eng, 3, builder, Options{MaxIter: 200})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if c.Rank() == 0 {
+			energy = res.Energy
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(energy-o2TripletEnergy) > 1e-10 {
+		t.Fatalf("traced UHF energy %.12f, want %.12f", energy, o2TripletEnergy)
+	}
+	var buf bytes.Buffer
+	if err := tel.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := telemetry.ValidateTrace(buf.Bytes()) // rejects badly nested spans
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cat := range []string{"fock.build", "fock.task", "dlb.draw", "mpi.op"} {
+		if stats.Categories[cat] == 0 {
+			t.Errorf("no %s spans in the UHF trace", cat)
+		}
+	}
+
+	// One UHF build with a NaN scheduled into rank 1's second Fock task.
+	// (Only the injection is asserted: the UHF loop does not yet quarantine
+	// a poisoned build the way RunRHF does.)
+	tel = telemetry.NewSession()
+	res, err := RunUHF(eng, 3, Options{MaxIter: 1}) // spin densities to build from
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned := make([]bool, 2)
+	_, err = mpi.RunWithOptions(2, mpi.RunOptions{
+		Telemetry: tel,
+		Fault: &mpi.FaultPlan{Corrupts: []mpi.Corrupt{
+			{Rank: 1, Site: mpi.SiteFock, After: 2, Kind: mpi.CorruptNaN, Index: 0}}},
+	}, func(c *mpi.Comm) {
+		builder := ParallelJKBuilder(AlgMPIOnly, ddi.New(c), eng, sch, fock.Config{})
+		dt := res.DAlpha.Clone()
+		dt.AxpyFrom(1, res.DBeta)
+		j, _, _, _ := builder(dt, res.DAlpha, res.DBeta)
+		poisoned[c.Rank()] = math.IsNaN(j.At(0, 0))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tel.Registry.Snapshot().Counters["sdc.injected.fock"]; got != 1 {
+		t.Fatalf("sdc.injected.fock = %d, want 1: the SiteFock hook never fired in a UHF build", got)
+	}
+	// The poison rode the closing gsumf into every rank's J.
+	if !poisoned[0] || !poisoned[1] {
+		t.Fatalf("NaN reached ranks %v, want both", poisoned)
 	}
 }

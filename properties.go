@@ -63,7 +63,7 @@ func RunMP2(mol *Molecule, basisName string, res *Result) (*MP2Result, error) {
 }
 
 // RunParallelUHF runs an unrestricted Hartree-Fock calculation with one
-// of the paper's three algorithms generalized to the J/K split (see
+// of the paper's three algorithms carrying the J/K channels (see
 // DESIGN.md section 6: the paper's UHF claim made concrete). All ranks
 // compute the identical result; rank 0's is returned.
 func RunParallelUHF(mol *Molecule, basisName string, multiplicity int,
@@ -87,13 +87,15 @@ func RunParallelUHF(mol *Molecule, basisName string, multiplicity int,
 
 	results := make([]*UHFResult, cfg.Ranks)
 	errs := make([]error, cfg.Ranks)
-	runErr := mpi.Run(cfg.Ranks, func(c *mpi.Comm) {
-		builder := scf.ParallelJKBuilder(cfg.Algorithm, ddi.New(c), eng, sch,
-			fock.Config{Threads: cfg.Threads, Quartets: cache})
-		res, err := scf.RunUHFWithBuilder(eng, multiplicity, builder, opt)
-		results[c.Rank()] = res
-		errs[c.Rank()] = err
-	})
+	_, runErr := mpi.RunWithOptions(cfg.Ranks,
+		mpi.RunOptions{Deadline: cfg.Deadline, Grace: cfg.Grace, Telemetry: opt.Telemetry},
+		func(c *mpi.Comm) {
+			builder := scf.ParallelJKBuilder(cfg.Algorithm, ddi.New(c), eng, sch,
+				fock.Config{Threads: cfg.Threads, Quartets: cache})
+			res, err := scf.RunUHFWithBuilder(eng, multiplicity, builder, opt)
+			results[c.Rank()] = res
+			errs[c.Rank()] = err
+		})
 	if runErr != nil {
 		return nil, runErr
 	}
