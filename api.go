@@ -2,7 +2,7 @@
 // MPI/OpenMP parallelization of the Hartree-Fock method for the second
 // generation of Intel Xeon Phi processor" (Mironov et al., SC17).
 //
-// It contains a complete restricted Hartree-Fock program (Gaussian basis
+// It contains a complete Hartree-Fock program (Gaussian basis
 // sets, McMurchie-Davidson integrals, Schwarz screening, SCF with DIIS),
 // the paper's three Fock-build parallelizations (MPI-only, private-Fock
 // hybrid, shared-Fock hybrid) running on in-process MPI/OpenMP runtimes,
@@ -18,15 +18,11 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/basis"
 	"repro/internal/cluster"
-	"repro/internal/ddi"
-	"repro/internal/fock"
 	"repro/internal/integrals"
 	"repro/internal/molecule"
-	"repro/internal/mpi"
 	"repro/internal/scf"
 	"repro/internal/telemetry"
 )
@@ -35,20 +31,106 @@ import (
 // molecule.ParseXYZ).
 type Molecule = molecule.Molecule
 
-// Result is a converged SCF calculation.
+// Result is an SCF calculation: energies, density, convergence history,
+// and — where the plan has them — the spin-resolved quantities (Spin),
+// the tiled-storage accounting (Tiles) and the recovery report (Recovery).
 type Result = scf.Result
 
-// Algorithm selects one of the paper's three Fock-build parallelizations.
+// Plan describes one SCF run as a point on orthogonal axes: spin
+// channels (Multiplicity), Fock preset and storage (Algorithm), recovery
+// policy (Recovery), plus the knobs of each. Start from a named preset —
+// Serial, MPIOnly, PrivateFock, SharedFock, ResilientFock, Resilient,
+// Elastic, Purified, PurifiedABFT — and set what differs:
+//
+//	p := repro.SharedFock
+//	p.Ranks, p.Threads = 4, 4
+//	res, err := repro.Run(ctx, mol, "6-31g(d)", p)
+type Plan = scf.Plan
+
+// Algorithm names a Fock preset (Plan.Algorithm); the presets below
+// carry theirs.
 type Algorithm = scf.Algorithm
 
-// The three SCF implementations benchmarked by the paper, plus the
-// fault-aware variant (lease-based DLB with task re-issue).
-const (
-	MPIOnly       = scf.AlgMPIOnly
-	PrivateFock   = scf.AlgPrivateFock
-	SharedFock    = scf.AlgSharedFock
-	ResilientFock = scf.AlgResilientFock
+// SCFOptions configures the SCF loop of a Plan (Plan.SCF); the zero
+// value uses defaults (DIIS on, RMS-density convergence 1e-8, at most
+// 100 iterations).
+type SCFOptions = scf.Options
+
+// The presets. Algorithms 1-3 are the paper's three Fock-build
+// parallelizations on the in-process MPI/OpenMP runtimes.
+var (
+	Serial      = Plan{}
+	MPIOnly     = Plan{Algorithm: scf.AlgMPIOnly}     // Algorithm 1, stock GAMESS
+	PrivateFock = Plan{Algorithm: scf.AlgPrivateFock} // Algorithm 2
+	SharedFock  = Plan{Algorithm: scf.AlgSharedFock}  // Algorithm 3
+	// ResilientFock is Algorithm 1's distribution on the lease-based DLB:
+	// a Fock build absorbs rank death in flight by re-issuing the dead
+	// rank's task leases.
+	ResilientFock = Plan{Algorithm: scf.AlgResilientFock}
+	// Resilient adds shrink-and-restart from the per-iteration checkpoint
+	// for failures the build cannot absorb.
+	Resilient = Plan{Algorithm: scf.AlgResilientFock, Recovery: scf.CheckpointShrink}
+	// Elastic runs under a rank pool (Plan.Membership): ranks join at
+	// iteration boundaries via the checkpoint handshake (grow-restart),
+	// straggler-flagged ranks are re-hosted (migrate), and rank death
+	// shrinks the pool — every transition restarting from the last
+	// CRC-verified checkpoint, the converged energy invariant under all
+	// of it.
+	Elastic = Plan{Algorithm: scf.AlgResilientFock, Recovery: scf.ElasticEpoch}
+	// Purified keeps every iteration matrix as 2D block-cyclic tiles over
+	// the rank grid and replaces the replicated eigensolve by SP2
+	// purification: no rank ever holds an N x N iteration matrix, which
+	// is what lets systems whose replicated working set exceeds a node's
+	// MCDRAM run at all. Result.C and OrbitalEnergies stay nil.
+	Purified = Plan{Algorithm: scf.AlgPurified}
+	// PurifiedABFT is Purified over checksum-redundant tiles: rank death
+	// mid-iteration is survived by reconstructing the lost tiles from
+	// parity and resuming the interrupted iteration on the shrunken
+	// world, and resident bit flips are caught and repaired by the
+	// per-sweep checksum audit.
+	PurifiedABFT = Plan{Algorithm: scf.AlgPurifiedABFT, Recovery: scf.ParitySalvage}
 )
+
+// plans is the one name→Plan table: hfrun -alg and the job spec's
+// mode/algorithm both resolve through it.
+var plans = []struct {
+	name string
+	plan Plan
+}{
+	{"serial", Serial},
+	{"mpi-only", MPIOnly},
+	{"private-fock", PrivateFock},
+	{"shared-fock", SharedFock},
+	{"resilient-fock", ResilientFock},
+	{"parallel", SharedFock},
+	{"resilient", Resilient},
+	{"elastic", Elastic},
+	{"purified", Purified},
+	{"purified-abft", PurifiedABFT},
+}
+
+// PlanNames lists the names PlanByName accepts.
+func PlanNames() []string {
+	names := make([]string, len(plans))
+	for i, p := range plans {
+		names[i] = p.name
+	}
+	return names
+}
+
+// PlanByName returns the preset with the given name; the empty name is
+// the zero Plan, a serial RHF.
+func PlanByName(name string) (Plan, error) {
+	if name == "" {
+		return Serial, nil
+	}
+	for i := range plans {
+		if plans[i].name == name {
+			return plans[i].plan, nil
+		}
+	}
+	return Plan{}, fmt.Errorf("repro: unknown plan %q (available: %s)", name, strings.Join(PlanNames(), ", "))
+}
 
 // builtinMolecules maps every accepted name (canonical first, formula
 // aliases after) to its constructor. BuiltinMoleculeNames and the
@@ -108,302 +190,34 @@ func PaperSystemNames() []string { return molecule.PaperSystemNames() }
 // ParseXYZ parses a molecule in XYZ format (angstrom).
 func ParseXYZ(text string) (*Molecule, error) { return molecule.ParseXYZ(text) }
 
-// SCFOptions configures an SCF run; the zero value uses defaults
-// (DIIS on, RMS-density convergence 1e-8, at most 100 iterations).
-type SCFOptions = scf.Options
-
 // Telemetry is a unified observability session: a metrics registry, a
 // per-rank/per-thread Chrome trace-event recorder, and a load-imbalance
-// collector. Create one with NewTelemetry, pass it via SCFOptions
-// (or ResilientConfig), then write out its trace and metrics or print
-// its Summary. A nil session disables all instrumentation.
+// collector. Create one with NewTelemetry, pass it via Plan.SCF.Telemetry,
+// then write out its trace and metrics or print its Summary. A nil
+// session disables all instrumentation.
 type Telemetry = telemetry.Session
 
 // NewTelemetry returns a fresh telemetry session.
 func NewTelemetry() *Telemetry { return telemetry.NewSession() }
 
-// ErrCanceled is reported (via errors.Is) when a Run*Ctx calculation is
-// stopped by context cancellation or deadline expiry. The returned error
-// also unwraps to the context cause, so errors.Is(err,
+// ErrCanceled is reported (via errors.Is) when a run is stopped by
+// context cancellation or deadline expiry. The returned error also
+// unwraps to the context cause, so errors.Is(err,
 // context.DeadlineExceeded) distinguishes a timeout from a cancel.
 var ErrCanceled = scf.ErrCanceled
 
-// RunRHF runs a serial restricted Hartree-Fock calculation on mol with
-// the named basis set ("sto-3g", "6-31g", or the paper's "6-31g(d)").
-func RunRHF(mol *Molecule, basisName string, opt SCFOptions) (*Result, error) {
-	return RunRHFCtx(context.Background(), mol, basisName, opt)
-}
+// ErrUnsupported is reported (via errors.Is) for a Plan whose axes name
+// a combination that is out of scope, e.g. unrestricted SCF with SP2
+// purification.
+var ErrUnsupported = scf.ErrUnsupported
 
-// RunRHFCtx is RunRHF under a context: cancellation or deadline expiry
-// stops the SCF loop at the next iteration boundary with ErrCanceled
-// (alongside the partial Result accumulated so far). A background/TODO
-// context disables the per-iteration poll entirely.
-func RunRHFCtx(ctx context.Context, mol *Molecule, basisName string, opt SCFOptions) (*Result, error) {
-	b, err := basis.Build(mol, basisName)
-	if err != nil {
-		return nil, err
-	}
-	if ctx != nil && ctx.Done() != nil {
-		opt.Context = ctx
-	}
-	eng := integrals.NewEngine(b)
-	sch := integrals.ComputeSchwarz(eng)
-	builder := scf.InstrumentedBuilder(scf.SerialBuilder(eng, sch, 0), opt.Telemetry, "serial", 0)
-	return scf.RunRHF(eng, builder, opt)
-}
-
-// ParallelConfig shapes a parallel RHF run on the in-process runtimes.
-type ParallelConfig struct {
-	Algorithm Algorithm // defaults to SharedFock
-	Ranks     int       // MPI ranks (goroutines); defaults to 2
-	Threads   int       // OpenMP threads per rank; defaults to 2
-	// Deadline bounds every blocking runtime operation; 0 disables the
-	// runtime watchdog (see mpi.RunOptions.Deadline).
-	Deadline time.Duration
-	// Grace is the unwind window granted to surviving ranks past the
-	// deadline before stragglers are abandoned; 0 takes the runtime
-	// default (see mpi.RunOptions.Grace).
-	Grace time.Duration
-}
-
-// RunParallelRHF runs a restricted Hartree-Fock calculation with one of
-// the paper's three parallel Fock builders on the in-process MPI/OpenMP
-// runtimes. All ranks compute the identical result; the returned Result
-// is rank 0's.
-func RunParallelRHF(mol *Molecule, basisName string, cfg ParallelConfig, opt SCFOptions) (*Result, error) {
-	return RunParallelRHFCtx(context.Background(), mol, basisName, cfg, opt)
-}
-
-// RunParallelRHFCtx is RunParallelRHF under a context. Cancellation is
-// decided collectively — every rank folds its local context observation
-// into a one-element allreduce each iteration — so all ranks stop at the
-// identical iteration boundary and no rank is left blocked in a
-// collective. A background/TODO context disables the check.
-func RunParallelRHFCtx(ctx context.Context, mol *Molecule, basisName string, cfg ParallelConfig, opt SCFOptions) (*Result, error) {
-	if cfg.Algorithm == "" {
-		cfg.Algorithm = SharedFock
-	}
-	if cfg.Ranks <= 0 {
-		cfg.Ranks = 2
-	}
-	if cfg.Threads <= 0 {
-		cfg.Threads = 2
-	}
-	b, err := basis.Build(mol, basisName)
-	if err != nil {
-		return nil, err
-	}
-	eng := integrals.NewEngine(b)
-	sch := integrals.ComputeSchwarz(eng)
-	// Shell-pair precomputation speeds every quartet evaluation (~2x).
-	cache := integrals.NewPairCache(eng, 0)
-
-	results := make([]*Result, cfg.Ranks)
-	errs := make([]error, cfg.Ranks)
-	_, runErr := mpi.RunWithOptions(cfg.Ranks,
-		mpi.RunOptions{Deadline: cfg.Deadline, Grace: cfg.Grace, Telemetry: opt.Telemetry},
-		func(c *mpi.Comm) {
-			dx := ddi.New(c)
-			builder := scf.ParallelBuilder(cfg.Algorithm, dx, eng, sch,
-				fock.Config{Threads: cfg.Threads, Quartets: cache})
-			o := opt
-			o.TelemetryRank = c.Rank()
-			if ctx != nil && ctx.Done() != nil {
-				o.Context = ctx
-				o.CancelAgree = scf.CollectiveCancel(c)
-			}
-			res, err := scf.RunRHF(eng, builder, o)
-			results[c.Rank()] = res
-			errs[c.Rank()] = err
-		})
-	if runErr != nil {
-		return nil, runErr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results[0], nil
-}
-
-// ResilientConfig shapes a fault-tolerant parallel RHF run.
-type ResilientConfig struct {
-	Ranks       int            // MPI ranks; defaults to 2
-	Threads     int            // OpenMP threads per rank; defaults per fock.Config
-	Algorithm   Algorithm      // defaults to ResilientFock
-	Deadline    time.Duration  // per-blocking-op bound; defaults to 30s
-	Grace       time.Duration  // unwind window past the deadline; 0 = runtime default
-	MaxRestarts int            // shrink-and-restart budget; defaults to 3
-	Fault       *mpi.FaultPlan // optional failure injection (first attempt only)
-	Checkpoint  []byte         // optional prior checkpoint to warm-start from
-	Telemetry   *Telemetry     // optional observability session
-}
-
-// RecoveryInfo reports how a resilient run survived rank failures.
-type RecoveryInfo = scf.Recovery
-
-// RunResilientRHF runs a restricted Hartree-Fock calculation that
-// survives rank death: with the (default) resilient Fock builder a
-// failure is absorbed in-flight by re-issuing the dead rank's DLB task
-// leases; otherwise the driver shrinks to the survivors and restarts the
-// current iteration from the last per-iteration checkpoint.
-func RunResilientRHF(mol *Molecule, basisName string, cfg ResilientConfig, opt SCFOptions) (*Result, *RecoveryInfo, error) {
-	return RunResilientRHFCtx(context.Background(), mol, basisName, cfg, opt)
-}
-
-// RunResilientRHFCtx is RunResilientRHF under a context: a canceled or
-// expired context stops the SCF collectively at the next iteration
-// boundary and stops the driver from spending restart budget, returning
-// ErrCanceled. A background/TODO context disables the check.
-func RunResilientRHFCtx(ctx context.Context, mol *Molecule, basisName string, cfg ResilientConfig, opt SCFOptions) (*Result, *RecoveryInfo, error) {
-	b, err := basis.Build(mol, basisName)
-	if err != nil {
-		return nil, nil, err
-	}
-	if ctx != nil && ctx.Done() != nil {
-		opt.Context = ctx
-	}
-	eng := integrals.NewEngine(b)
-	sch := integrals.ComputeSchwarz(eng)
-	cache := integrals.NewPairCache(eng, 0)
-	return scf.RunRHFResilient(eng, sch, scf.ResilientOptions{
-		Ranks:       cfg.Ranks,
-		Algorithm:   cfg.Algorithm,
-		Fock:        fock.Config{Threads: cfg.Threads, Quartets: cache},
-		SCF:         opt,
-		Deadline:    cfg.Deadline,
-		Grace:       cfg.Grace,
-		MaxRestarts: cfg.MaxRestarts,
-		Fault:       cfg.Fault,
-		Checkpoint:  cfg.Checkpoint,
-		Telemetry:   cfg.Telemetry,
-	})
-}
-
-// PurifiedConfig shapes a distributed-data RHF run: every iteration
-// matrix lives as 2D block-cyclic tiles over the rank grid
-// (internal/distmat) and the density update is SP2 purification instead
-// of a replicated eigensolve.
-type PurifiedConfig struct {
-	Ranks     int // MPI ranks (the Pr x Pc grid covers them); defaults to 4
-	BlockSize int // tile edge; 0 picks a grid-appropriate default
-	// CacheTiles / AccTiles bound the Fock build's per-rank density cache
-	// and Fock write combiner (in tiles); 0 = twice the block dimension.
-	CacheTiles int
-	AccTiles   int
-	DIISSize   int           // orthonormal-basis DIIS depth; defaults to 4
-	PurifyTol  float64       // purification idempotency threshold; defaults to 1e-12
-	MaxSweeps  int           // sweep cap per SCF iteration; defaults to 100
-	Deadline   time.Duration // per-blocking-op bound; defaults to 30s
-	Grace      time.Duration // unwind window past the deadline; 0 = runtime default
-	Telemetry  *Telemetry    // optional observability session
-}
-
-// PurifyInfo reports a purified run's grid layout, purification sweeps,
-// per-rank peak working set and one-sided traffic.
-type PurifyInfo = scf.PurifyInfo
-
-// RunPurifiedRHF runs a restricted Hartree-Fock calculation on fully
-// distributed matrices: no rank ever holds a replicated N x N iteration
-// matrix, which is what lets systems whose replicated working set
-// exceeds a node's MCDRAM run at all. Result.C and
-// Result.OrbitalEnergies are nil — purification never forms orbitals.
-func RunPurifiedRHF(mol *Molecule, basisName string, cfg PurifiedConfig, opt SCFOptions) (*Result, *PurifyInfo, error) {
-	return RunPurifiedRHFCtx(context.Background(), mol, basisName, cfg, opt)
-}
-
-// RunPurifiedRHFCtx is RunPurifiedRHF under a context: cancellation is
-// agreed collectively at iteration boundaries, returning ErrCanceled. A
-// background/TODO context disables the check.
-func RunPurifiedRHFCtx(ctx context.Context, mol *Molecule, basisName string, cfg PurifiedConfig, opt SCFOptions) (*Result, *PurifyInfo, error) {
-	b, err := basis.Build(mol, basisName)
-	if err != nil {
-		return nil, nil, err
-	}
-	if ctx != nil && ctx.Done() != nil {
-		opt.Context = ctx
-	}
-	eng := integrals.NewEngine(b)
-	sch := integrals.ComputeSchwarz(eng)
-	cache := integrals.NewPairCache(eng, 0)
-	return scf.RunRHFPurified(eng, sch, scf.PurifiedOptions{
-		Ranks:      cfg.Ranks,
-		BlockSize:  cfg.BlockSize,
-		CacheTiles: cfg.CacheTiles,
-		AccTiles:   cfg.AccTiles,
-		DIISSize:   cfg.DIISSize,
-		PurifyTol:  cfg.PurifyTol,
-		MaxSweeps:  cfg.MaxSweeps,
-		Fock:       fock.Config{Quartets: cache},
-		SCF:        opt,
-		Deadline:   cfg.Deadline,
-		Grace:      cfg.Grace,
-		Telemetry:  cfg.Telemetry,
-	})
-}
-
-// ResilientPurifiedConfig shapes a distributed-data RHF run whose
-// matrices carry ABFT checksum tiles: rank death mid-iteration is
-// survived by reconstructing the lost tiles from parity and resuming
-// the interrupted iteration on the shrunken world, and resident bit
-// flips are caught and repaired by the per-sweep checksum audit.
-type ResilientPurifiedConfig struct {
-	Ranks      int           // MPI ranks (the Pr x Pc grid covers them); defaults to 4
-	BlockSize  int           // tile edge; 0 picks a grid-appropriate default
-	CacheTiles int           // Fock-build density cache bound (tiles); 0 = 2x block dim
-	AccTiles   int           // Fock write-combiner bound (tiles); 0 = 2x block dim
-	DIISSize   int           // orthonormal-basis DIIS depth; defaults to 4
-	PurifyTol  float64       // purification idempotency threshold; defaults to 1e-12
-	MaxSweeps  int           // sweep cap per SCF iteration; defaults to 100
-	Deadline   time.Duration // per-blocking-op bound; defaults to 30s
-	Grace      time.Duration // unwind window past the deadline; 0 = runtime default
-	// MaxRecoveries caps reconstruct-and-resume transitions; defaults to 3.
-	MaxRecoveries int
-	Fault         *mpi.FaultPlan // optional failure injection (first attempt only)
-	Telemetry     *Telemetry     // optional observability session
-}
-
-// PurifiedRecoveryInfo reports how a resilient purified run survived:
-// attempts, tiles reconstructed from parity, the iteration resumed at,
-// and the checksum audit's detection/repair tallies.
-type PurifiedRecoveryInfo = scf.PurifiedRecovery
-
-// RunResilientPurifiedRHF runs the distributed purified RHF of
-// RunPurifiedRHF over ABFT matrices: no restart and no replicated
-// fallback on rank death — survivors rebuild every lost tile from
-// checksum parity and the SCF resumes the iteration the failure hit.
-func RunResilientPurifiedRHF(mol *Molecule, basisName string, cfg ResilientPurifiedConfig, opt SCFOptions) (*Result, *PurifyInfo, *PurifiedRecoveryInfo, error) {
-	b, err := basis.Build(mol, basisName)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	eng := integrals.NewEngine(b)
-	sch := integrals.ComputeSchwarz(eng)
-	cache := integrals.NewPairCache(eng, 0)
-	return scf.RunRHFPurifiedResilient(eng, sch, scf.PurifiedResilientOptions{
-		PurifiedOptions: scf.PurifiedOptions{
-			Ranks:      cfg.Ranks,
-			BlockSize:  cfg.BlockSize,
-			CacheTiles: cfg.CacheTiles,
-			AccTiles:   cfg.AccTiles,
-			DIISSize:   cfg.DIISSize,
-			PurifyTol:  cfg.PurifyTol,
-			MaxSweeps:  cfg.MaxSweeps,
-			Fock:       fock.Config{Quartets: cache},
-			SCF:        opt,
-			Deadline:   cfg.Deadline,
-			Grace:      cfg.Grace,
-			Telemetry:  cfg.Telemetry,
-		},
-		MaxRecoveries: cfg.MaxRecoveries,
-		Fault:         cfg.Fault,
-	})
-}
+// ErrRebalance is the cancellation cause of an SCF epoch stopped for a
+// membership transition (grow or migrate) rather than by the caller.
+var ErrRebalance = scf.ErrRebalance
 
 // Membership is an elastic rank pool: candidates announce joins on its
-// bus, the elastic SCF driver admits them at iteration boundaries, and
-// rank death or straggler migration advances its epoch.
+// bus, the Elastic plan admits them at iteration boundaries, and rank
+// death or straggler migration advances its epoch.
 type Membership = cluster.Membership
 
 // NewMembership creates a rank pool of the given initial size. tel
@@ -412,79 +226,37 @@ func NewMembership(size int, tel *Telemetry) *Membership {
 	return cluster.NewMembership(size, tel)
 }
 
-// ElasticConfig shapes an elastically-scheduled parallel RHF run.
-type ElasticConfig struct {
-	Ranks         int           // initial ranks when Membership is nil; defaults to 2
-	MaxRanks      int           // join admission cap; defaults to 4× initial
-	Threads       int           // OpenMP threads per rank; defaults per fock.Config
-	Algorithm     Algorithm     // defaults to ResilientFock
-	Deadline      time.Duration // per-blocking-op bound; defaults to 30s
-	Grace         time.Duration // unwind window past the deadline
-	MaxRebalances int           // membership-transition budget; defaults to 6
-	// Membership shares a rank pool with the caller (e.g. an autoscaler);
-	// nil constructs a fresh pool of Ranks.
-	Membership *Membership
-	// FaultFor supplies the fault plan per membership epoch (nil = clean).
-	FaultFor func(epoch int64) *mpi.FaultPlan
-	// MigrateK enables straggler migration at k× the median task-latency
-	// EWMA; 0 disables it.
-	MigrateK          float64
-	MigrateMinSamples int64
-	// OnIteration runs on rank 0 after each iteration's checkpoint — the
-	// hook experiments use to announce joins mid-run.
-	OnIteration func(epoch int64, iter int)
-	Checkpoint  []byte     // optional prior checkpoint to warm-start from
-	Telemetry   *Telemetry // optional observability session
+// Run performs the Hartree-Fock calculation p describes on mol with the
+// named basis set ("sto-3g", "6-31g", the paper's "6-31g(d)", or one
+// installed by RegisterBasis). In a parallel plan all ranks compute the
+// identical result and one is returned.
+//
+// Cancellation or deadline expiry of ctx stops the SCF loop at the next
+// iteration boundary with ErrCanceled; parallel plans decide it
+// collectively — every rank folds its local observation into a
+// one-element allreduce each iteration — so no rank is left blocked in a
+// collective. A nil or background context disables the check entirely.
+func Run(ctx context.Context, mol *Molecule, basisName string, p Plan) (*Result, error) {
+	eng, err := engineFor(mol, basisName)
+	if err != nil {
+		return nil, err
+	}
+	sch := integrals.ComputeSchwarz(eng)
+	var src integrals.QuartetSource
+	if p.Algorithm != scf.AlgSerial {
+		// Shell-pair precomputation speeds every quartet evaluation (~2x).
+		src = integrals.NewPairCache(eng, 0)
+	}
+	return scf.Run(ctx, eng, sch, src, p)
 }
 
-// ElasticTrace reports how an elastic run's membership evolved.
-type ElasticTrace = scf.ElasticTrace
-
-// ErrRebalance is the cancellation cause of an SCF epoch stopped for a
-// membership transition (grow or migrate) rather than by the caller.
-var ErrRebalance = scf.ErrRebalance
-
-// RunElasticRHF runs a restricted Hartree-Fock calculation under an
-// elastic rank pool: ranks join at SCF iteration boundaries via the
-// membership's checkpoint handshake (grow-restart), straggler-flagged
-// ranks are re-hosted (migrate), and rank death shrinks the pool — every
-// transition restarting from the last CRC-verified checkpoint, with the
-// converged energy invariant under all of it.
-func RunElasticRHF(mol *Molecule, basisName string, cfg ElasticConfig, opt SCFOptions) (*Result, *ElasticTrace, error) {
-	return RunElasticRHFCtx(context.Background(), mol, basisName, cfg, opt)
-}
-
-// RunElasticRHFCtx is RunElasticRHF under a context: caller cancellation
-// stops the run collectively at the next iteration boundary with
-// ErrCanceled, distinct from the driver's own rebalance stops.
-func RunElasticRHFCtx(ctx context.Context, mol *Molecule, basisName string, cfg ElasticConfig, opt SCFOptions) (*Result, *ElasticTrace, error) {
+// engineFor builds the named basis over mol and its integral engine.
+func engineFor(mol *Molecule, basisName string) (*integrals.Engine, error) {
 	b, err := basis.Build(mol, basisName)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if ctx != nil && ctx.Done() != nil {
-		opt.Context = ctx
-	}
-	eng := integrals.NewEngine(b)
-	sch := integrals.ComputeSchwarz(eng)
-	cache := integrals.NewPairCache(eng, 0)
-	return scf.RunRHFElastic(eng, sch, scf.ElasticOptions{
-		Ranks:             cfg.Ranks,
-		MaxRanks:          cfg.MaxRanks,
-		Algorithm:         cfg.Algorithm,
-		Fock:              fock.Config{Threads: cfg.Threads, Quartets: cache},
-		SCF:               opt,
-		Deadline:          cfg.Deadline,
-		Grace:             cfg.Grace,
-		MaxRebalances:     cfg.MaxRebalances,
-		Membership:        cfg.Membership,
-		FaultFor:          cfg.FaultFor,
-		MigrateK:          cfg.MigrateK,
-		MigrateMinSamples: cfg.MigrateMinSamples,
-		OnIteration:       cfg.OnIteration,
-		Checkpoint:        cfg.Checkpoint,
-		Telemetry:         cfg.Telemetry,
-	})
+	return integrals.NewEngine(b), nil
 }
 
 // BasisInfo summarizes a basis over a molecule: shell and basis function
@@ -507,7 +279,7 @@ func DescribeBasis(mol *Molecule, basisName string) (BasisInfo, error) {
 
 // RegisterBasis installs a custom basis set in Gaussian94 (.gbs) format —
 // the format served by the EMSL Basis Set Exchange — under the given
-// name, usable with every Run* function. Built-in names are protected.
+// name, usable with Run. Built-in names are protected.
 func RegisterBasis(name, gbsText string) error {
 	return basis.RegisterGBS(name, gbsText)
 }

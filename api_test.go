@@ -24,9 +24,18 @@ func TestBuiltinMolecules(t *testing.T) {
 	}
 }
 
+// bg is the never-canceled context of tests that do not test cancellation.
+var bg = context.Background()
+
+// with returns preset p shaped for a test run.
+func with(p Plan, ranks, threads int, opt SCFOptions) Plan {
+	p.Ranks, p.Threads, p.SCF = ranks, threads, opt
+	return p
+}
+
 func TestRunRHFWater(t *testing.T) {
 	mol, _ := BuiltinMolecule("water")
-	res, err := RunRHF(mol, "sto-3g", SCFOptions{})
+	res, err := Run(bg, mol, "sto-3g", Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,32 +47,51 @@ func TestRunRHFWater(t *testing.T) {
 	}
 }
 
-func TestRunParallelRHFAllAlgorithms(t *testing.T) {
+// TestPlanTable: every name of the one name→Plan table resolves, runs
+// water to the serial energy, and reports how it got there.
+func TestPlanTable(t *testing.T) {
 	mol, _ := BuiltinMolecule("water")
-	serial, err := RunRHF(mol, "sto-3g", SCFOptions{})
+	serial, err := Run(bg, mol, "sto-3g", Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range []Algorithm{MPIOnly, PrivateFock, SharedFock} {
-		res, err := RunParallelRHF(mol, "sto-3g",
-			ParallelConfig{Algorithm: alg, Ranks: 2, Threads: 2}, SCFOptions{})
+	for _, name := range PlanNames() {
+		p, err := PlanByName(name)
 		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if math.Abs(res.Energy-serial.Energy) > 1e-9 {
-			t.Fatalf("%s: energy %v vs serial %v", alg, res.Energy, serial.Energy)
+		res, err := Run(bg, mol, "sto-3g", p) // default shape: 2 ranks x 1 thread
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		if !res.Converged || math.Abs(res.Energy-serial.Energy) > 1e-8 {
+			t.Errorf("%s: energy %v (converged=%v) vs serial %v", name, res.Energy, res.Converged, serial.Energy)
+		}
+		if want := map[bool]int{true: 0, false: 1}[name == "serial"]; res.Recovery == nil || res.Recovery.Attempts != want {
+			t.Errorf("%s: recovery report %+v, want %d quiet attempt(s)", name, res.Recovery, want)
+		}
+	}
+	if p, err := PlanByName(""); err != nil || p.Algorithm != Serial.Algorithm {
+		t.Errorf("the empty name is the zero plan, got %+v, %v", p, err)
+	}
+	_, err = PlanByName("quantum")
+	if err == nil || !strings.Contains(err.Error(), "purified-abft") {
+		t.Errorf("unknown-plan error %v should list the table", err)
 	}
 }
 
-func TestRunParallelRHFDefaults(t *testing.T) {
-	mol, _ := BuiltinMolecule("h2")
-	res, err := RunParallelRHF(mol, "sto-3g", ParallelConfig{}, SCFOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("did not converge with default parallel config")
+// TestRunRejectsOutOfScopePlans: axis combinations that are out of scope
+// fail with the typed error, before any work.
+func TestRunRejectsOutOfScopePlans(t *testing.T) {
+	mol, _ := BuiltinMolecule("water")
+	uhfSP2 := Purified
+	uhfSP2.Multiplicity = 1
+	serialRestart := Serial
+	serialRestart.Recovery = Resilient.Recovery
+	for name, p := range map[string]Plan{"uhf x sp2": uhfSP2, "serial x checkpoint-shrink": serialRestart} {
+		if _, err := Run(bg, mol, "sto-3g", p); !errors.Is(err, ErrUnsupported) {
+			t.Errorf("%s: err = %v, want ErrUnsupported", name, err)
+		}
 	}
 }
 
@@ -93,7 +121,7 @@ func TestParseXYZFacade(t *testing.T) {
 
 func TestRunRHFBadBasis(t *testing.T) {
 	mol, _ := BuiltinMolecule("h2")
-	if _, err := RunRHF(mol, "nope", SCFOptions{}); err == nil {
+	if _, err := Run(bg, mol, "nope", Serial); err == nil {
 		t.Fatal("expected unknown-basis error")
 	}
 }
@@ -106,7 +134,7 @@ func TestGrapheneFlakeFacade(t *testing.T) {
 
 func TestFacadeUHFAndProperties(t *testing.T) {
 	water, _ := BuiltinMolecule("water")
-	res, err := RunRHF(water, "sto-3g", SCFOptions{})
+	res, err := Run(bg, water, "sto-3g", Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,18 +145,23 @@ func TestFacadeUHFAndProperties(t *testing.T) {
 	if len(props.MullikenCharges) != 3 || props.DipoleDebye <= 0 {
 		t.Fatalf("properties wrong: %+v", props)
 	}
-	uhf, err := RunUHF(water, "sto-3g", 1, SCFOptions{})
+	singlet := Serial
+	singlet.Multiplicity = 1
+	uhf, err := Run(bg, water, "sto-3g", singlet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(uhf.Energy-res.Energy) > 1e-7 {
-		t.Fatalf("UHF singlet %v vs RHF %v", uhf.Energy, res.Energy)
+	if math.Abs(uhf.Energy-res.Energy) > 1e-7 || uhf.Spin == nil {
+		t.Fatalf("UHF singlet %v (spin %+v) vs RHF %v", uhf.Energy, uhf.Spin, res.Energy)
+	}
+	if _, err := RunMP2(water, "sto-3g", uhf); err == nil {
+		t.Fatal("MP2 on an unrestricted result (no restricted orbitals) should be rejected")
 	}
 }
 
 func TestFacadeMP2(t *testing.T) {
 	water, _ := BuiltinMolecule("water")
-	res, err := RunRHF(water, "sto-3g", SCFOptions{})
+	res, err := Run(bg, water, "sto-3g", Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +180,11 @@ func TestFacadeRegisterBasis(t *testing.T) {
 		t.Fatal(err)
 	}
 	mol, _ := BuiltinMolecule("h2")
-	res, err := RunRHF(mol, "h-only", SCFOptions{})
+	res, err := Run(bg, mol, "h-only", Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := RunRHF(mol, "sto-3g", SCFOptions{})
+	ref, _ := Run(bg, mol, "sto-3g", Serial)
 	if math.Abs(res.Energy-ref.Energy) > 1e-10 {
 		t.Fatalf("custom basis energy %v vs builtin %v", res.Energy, ref.Energy)
 	}
@@ -162,12 +195,14 @@ func TestFacadeParallelUHF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := RunUHF(o2, "sto-3g", 3, SCFOptions{MaxIter: 200})
+	triplet := with(Serial, 0, 0, SCFOptions{MaxIter: 200})
+	triplet.Multiplicity = 3
+	serial, err := Run(bg, o2, "sto-3g", triplet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunParallelUHF(o2, "sto-3g", 3,
-		ParallelConfig{Algorithm: SharedFock, Ranks: 2, Threads: 2}, SCFOptions{MaxIter: 200})
+	triplet.Algorithm, triplet.Ranks, triplet.Threads = SharedFock.Algorithm, 2, 2
+	par, err := Run(bg, o2, "sto-3g", triplet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +273,7 @@ func TestPaperSystemErrorListsNames(t *testing.T) {
 
 func TestRunRHFInvalidGuess(t *testing.T) {
 	mol, _ := BuiltinMolecule("h2")
-	_, err := RunRHF(mol, "sto-3g", SCFOptions{Guess: "psychic"})
+	_, err := Run(bg, mol, "sto-3g", with(Serial, 0, 0, SCFOptions{Guess: "psychic"}))
 	if err == nil {
 		t.Fatal("expected unknown-guess error")
 	}
@@ -247,11 +282,11 @@ func TestRunRHFInvalidGuess(t *testing.T) {
 	}
 }
 
-func TestRunRHFCtxCanceled(t *testing.T) {
+func TestRunCanceledSerial(t *testing.T) {
 	mol, _ := BuiltinMolecule("water")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunRHFCtx(ctx, mol, "sto-3g", SCFOptions{})
+	res, err := Run(ctx, mol, "sto-3g", Serial)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -269,42 +304,41 @@ func TestRunRHFCtxCanceled(t *testing.T) {
 	}
 }
 
-func TestRunRHFCtxDeadline(t *testing.T) {
+func TestRunDeadlineSerial(t *testing.T) {
 	mol, _ := BuiltinMolecule("water")
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := RunRHFCtx(ctx, mol, "sto-3g", SCFOptions{})
+	_, err := Run(ctx, mol, "sto-3g", Serial)
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want ErrCanceled + DeadlineExceeded, got %v", err)
 	}
 }
 
-func TestRunParallelRHFCtxCanceled(t *testing.T) {
+func TestRunCanceledParallel(t *testing.T) {
 	mol, _ := BuiltinMolecule("water")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunParallelRHFCtx(ctx, mol, "sto-3g",
-		ParallelConfig{Algorithm: SharedFock, Ranks: 2, Threads: 2}, SCFOptions{})
+	_, err := Run(ctx, mol, "sto-3g", with(SharedFock, 2, 2, SCFOptions{}))
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
 }
 
-func TestRunResilientRHFCtxCanceled(t *testing.T) {
+func TestRunCanceledResilient(t *testing.T) {
 	mol, _ := BuiltinMolecule("water")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := RunResilientRHFCtx(ctx, mol, "sto-3g", ResilientConfig{Ranks: 2}, SCFOptions{})
+	_, err := Run(ctx, mol, "sto-3g", Resilient)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
 }
 
-func TestRunRHFCtxBackgroundUnaffected(t *testing.T) {
+func TestRunBackgroundUnaffected(t *testing.T) {
 	// A background context must not perturb a normal run (the poll is
 	// disabled entirely, not just never firing).
 	mol, _ := BuiltinMolecule("h2")
-	res, err := RunRHFCtx(context.Background(), mol, "sto-3g", SCFOptions{})
+	res, err := Run(bg, mol, "sto-3g", Serial)
 	if err != nil || !res.Converged {
 		t.Fatalf("background-ctx run failed: %v", err)
 	}
@@ -312,7 +346,7 @@ func TestRunRHFCtxBackgroundUnaffected(t *testing.T) {
 
 func TestFacadeSimSession(t *testing.T) {
 	sess := NewSimSession()
-	pt, err := sess.Simulate("0.5nm", MachineTheta, SharedFock, 4, 4, 64)
+	pt, err := sess.Simulate("0.5nm", MachineTheta, SharedFock.Algorithm, 4, 4, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +354,7 @@ func TestFacadeSimSession(t *testing.T) {
 		t.Fatalf("sim point: %+v", pt)
 	}
 	// MPI-only threads forced to 1 and memory-capped where applicable.
-	mp, err := sess.Simulate("1.0nm", MachineJLSE, MPIOnly, 1, 256, 64)
+	mp, err := sess.Simulate("1.0nm", MachineJLSE, MPIOnly.Algorithm, 1, 256, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,11 +362,11 @@ func TestFacadeSimSession(t *testing.T) {
 		t.Fatalf("MPI-only config not normalized: %+v", mp)
 	}
 	// Modes sweep entry point.
-	md, err := sess.SimulateModes("0.5nm", PrivateFock, "quadrant", "cache")
+	md, err := sess.SimulateModes("0.5nm", PrivateFock.Algorithm, "quadrant", "cache")
 	if err != nil || !md.Feasible {
 		t.Fatalf("modes: %+v %v", md, err)
 	}
-	if _, err := sess.Simulate("9.9nm", MachineTheta, SharedFock, 4, 4, 64); err == nil {
+	if _, err := sess.Simulate("9.9nm", MachineTheta, SharedFock.Algorithm, 4, 4, 64); err == nil {
 		t.Fatal("unknown system should error")
 	}
 }

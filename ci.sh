@@ -5,10 +5,15 @@
 #   go vet ./... && go build ./... && go test ./...
 # plus the nested bench/ module (the repository benchmark compiles against
 # internal/fock, internal/scf and internal/ddi but is invisible to the
-# root ./... patterns), and the Fock structure gate: non-test
+# root ./... patterns), and the structure gate. Fock layer: non-test
 # internal/fock has exactly one .ShellQuartet( call site, Schwarz
 # screening (sch.Screened/sch.Bound) in one function only, and no
-# hand-synced copies (no "KEEP IN SYNC").
+# hand-synced copies (no "KEEP IN SYNC"). SCF layer: exactly one
+# `for iter :=` loop in non-test internal/scf, exactly one
+# mpi.RunWithOptions( world-launch site in non-test internal/scf plus
+# the root package, basis.Build( in api.go/properties.go only in the one
+# engine constructor and DescribeBasis, and no exported root function
+# named Run*Ctx (one entry point, repro.Run, takes the context).
 #
 # Tier 2 (concurrency soundness): the race detector over the packages
 # with real parallelism and fault injection. The full ./internal/scf
@@ -17,8 +22,8 @@
 # Tier 3 (observability gate): run a tiny SCF with -trace and check the
 # emitted Chrome trace is valid JSON with properly nested spans covering
 # the full span taxonomy (scf.iter, fock.build, fock.task, mpi.op,
-# dlb.draw); then the same for a parallel UHF run (fock.build, fock.task,
-# mpi.op, dlb.draw).
+# dlb.draw); then the same for a parallel UHF run, which rides the same
+# loop.
 #
 # Tier 4 (chaos gate): `scaling -exp sdc` — the silent-data-corruption
 # sweep plus the live detection gate: one corruption driven through each
@@ -41,9 +46,11 @@
 # a deliberately tiny cluster budget (1 worker, queue cap 1), and drive
 # the serving contract over real HTTP: submit a job and poll it to
 # completion, verify an identical resubmission is served from the result
-# cache instantly (HTTP 200 + cached:true, no queue round-trip), force a
-# 429 + Retry-After backpressure rejection by filling the worker and the
-# queue, cancel the backlog via DELETE, and drain cleanly on SIGTERM.
+# cache instantly (HTTP 200 + cached:true, no queue round-trip), serve a
+# mode:"purified" job (every preset of the plan table is servable) to
+# done, force a 429 + Retry-After backpressure rejection by filling the
+# worker and the queue, cancel the backlog via DELETE, and drain cleanly
+# on SIGTERM.
 #
 # Tier 7 (fleet gate): `scaling -exp fleet` — three WAL-backed hfserve
 # replicas with consistent-hash cache sharding serve a >= 1000-job
@@ -60,12 +67,7 @@
 # cache fetch, engineered failure with a flight-recorder dump) and the
 # merged fleet trace must pass tracecheck -continuity: every svc.job
 # span carries a trace ID that reaches scf.iter/fock.build/mpi.op/
-# dlb.draw with no orphan spans. Then the benchrun comparator is
-# negative-tested: a 20%-degraded copy of a bench point MUST fail
-# `benchrun -compare` (threshold 10%), and the same point compared
-# against itself must pass. CI never compares live hardware against a
-# committed bench file — machines differ; the committed BENCH_*.json
-# trajectory is for humans and for same-machine comparisons.
+# dlb.draw with no orphan spans.
 #
 # Tier 9 (elastic gate): `scaling -exp elastic` — the elastic rank
 # runtime end to end: a live SCF doubles its rank pool mid-run through
@@ -100,6 +102,10 @@
 # corruptions) with the energy still at the clean reference. The ABFT
 # and resilient-purified suites rerun under -race.
 #
+# Every -run pattern of the race reruns (tiers 6, 7, 9-11) is checked
+# with `go test -list` first: each alternative must still select at
+# least one test, so a renamed test cannot silently drop out of a gate.
+#
 # Usage: ./ci.sh [-short] [tier]
 #   -short skips the slow simulator sweeps; a bare tier number (1-11)
 #   runs only that tier. Anything else exits 2.
@@ -127,8 +133,8 @@ for arg in "$@"; do
 	esac
 done
 
-# Scratch shared across tiers: tier 3 writes the trace that tier 8's
-# bench files sit beside, and tier 5 parks the server binary + logs.
+# Scratch shared across tiers: tiers 3 and 8 write traces here, and
+# tier 5 parks the server binary + logs.
 tracedir=$(mktemp -d)
 servedir=""
 servepid=""
@@ -160,6 +166,32 @@ tier_1() {
 		echo "structure gate: a hand-synced copy is back in internal/fock"
 		exit 1
 	fi
+
+	scf_src=$(ls internal/scf/*.go | grep -v _test.go)
+	root_src=$(ls *.go | grep -v _test.go)
+	loops=$(cat $scf_src | grep -c 'for iter :=' || true)
+	[ "$loops" -eq 1 ] || { echo "structure gate: $loops 'for iter :=' loops in internal/scf, want exactly 1 (iterate)"; exit 1; }
+	launches=$(cat $scf_src $root_src | grep -c 'mpi\.RunWithOptions(' || true)
+	[ "$launches" -eq 1 ] || { echo "structure gate: $launches mpi.RunWithOptions( sites in internal/scf + root, want exactly 1 (supervise)"; exit 1; }
+	builds=$(cat api.go properties.go | grep -c 'basis\.Build(' || true)
+	[ "$builds" -eq 2 ] || { echo "structure gate: $builds basis.Build( sites in api.go/properties.go, want exactly 2 (engineFor, DescribeBasis)"; exit 1; }
+	if grep -n '^func Run.*Ctx' $root_src; then
+		echo "structure gate: a Run*Ctx twin is back in the facade; repro.Run takes the context"
+		exit 1
+	fi
+}
+
+# race_rerun PATTERN [FLAG...] PKG... reruns the tests PATTERN selects
+# under -race, after checking that every |-alternative still names at
+# least one test.
+race_rerun() {
+	pattern=$1
+	shift
+	listed=$(go test -list "$pattern" "$@")
+	for alt in $(echo "$pattern" | tr '|' ' '); do
+		echo "$listed" | grep -q "^$alt" || { echo "ci: -run alternative '$alt' selects no test in $*"; exit 1; }
+	done
+	go test -race -run "$pattern" "$@"
 }
 
 tier_2() {
@@ -173,12 +205,12 @@ tier_3() {
 		-trace "$tracedir/ci_trace.json" -metrics "$tracedir/ci_metrics.json" >/dev/null
 	go run ./cmd/tracecheck -q \
 		-require scf.iter,fock.build,fock.task,mpi.op,dlb.draw "$tracedir/ci_trace.json"
-	# UHF rides the same walker: a parallel open-shell run must emit the
-	# same Fock span taxonomy (the UHF loop has no scf.iter span).
+	# UHF rides the same loop and the same walker: a parallel open-shell
+	# run must emit the same span taxonomy.
 	go run ./cmd/hfrun -mol water -basis sto-3g -uhf 3 -maxiter 200 -alg shared-fock -ranks 2 -threads 2 \
 		-trace "$tracedir/ci_trace_uhf.json" >/dev/null
 	go run ./cmd/tracecheck -q \
-		-require fock.build,fock.task,mpi.op,dlb.draw "$tracedir/ci_trace_uhf.json"
+		-require scf.iter,fock.build,fock.task,mpi.op,dlb.draw "$tracedir/ci_trace_uhf.json"
 }
 
 tier_4() {
@@ -224,6 +256,20 @@ tier_5() {
 	[ "$(echo "$resub" | jq -r .state)" = "done" ] || { echo "serve gate: cached resubmission not instantly done: $resub"; exit 1; }
 	echo "serve gate: cached resubmission served instantly"
 
+	# Every preset of the plan table is servable: a distributed-tiles SP2
+	# job runs to done like any other mode.
+	pid=$(curl -sf -X POST "$base/v1/jobs" -d '{"molecule":"water","mode":"purified"}' | jq -r .id)
+	state=queued
+	i=0
+	while [ "$state" != "done" ]; do
+		i=$((i + 1))
+		[ "$i" -gt 300 ] && { echo "serve gate: purified job $pid stuck in $state"; exit 1; }
+		state=$(curl -sf "$base/v1/jobs/$pid" | jq -r .state)
+		[ "$state" = "failed" ] || [ "$state" = "canceled" ] && { echo "serve gate: purified job $pid ended $state"; exit 1; }
+		sleep 0.1
+	done
+	echo "serve gate: purified job $pid done"
+
 	# Backpressure: benzene occupies the only worker for ~20s; a distinct
 	# quick job fills the queue (cap 1); the next distinct submission must
 	# bounce with 429 + Retry-After.
@@ -262,36 +308,29 @@ tier_5() {
 tier_6() {
 	echo "== tier 6: performance-fault gate (scaling -exp chaos + -race property tests) =="
 	go run ./cmd/scaling -exp chaos
-	go test -race -run 'TestChaos|TestLeaseHedge|TestLeaseExpired|TestStraggler|TestResilientHedges|TestRetryBackoffJitter' \
+	race_rerun 'TestChaos|TestLeaseHedge|TestLeaseExpired|TestStraggler|TestResilientHedges|TestRetryBackoffJitter' \
 		./internal/mpi/ ./internal/ddi/ ./internal/fock/ ./internal/simulate/
 }
 
 tier_7() {
 	echo "== tier 7: fleet gate (scaling -exp fleet + -race WAL fuzz) =="
 	go run ./cmd/scaling -exp fleet
-	go test -race -run 'TestWALCrashPoint|TestWALReplay|TestWALSegment|TestWALDisable|TestCrashReplay|TestFleet' \
+	race_rerun 'TestWALCrashPoint|TestWALReplay|TestWALSegment|TestWALDisable|TestCrashReplay|TestFleet' \
 		./internal/jobs/ ./internal/service/
 }
 
 tier_8() {
-	echo "== tier 8: observability gate (scaling -exp obs + tracecheck -continuity + benchrun comparator) =="
+	echo "== tier 8: observability gate (scaling -exp obs + tracecheck -continuity) =="
 	go run ./cmd/scaling -exp obs -obs-trace "$tracedir/obs_trace.json"
 	go run ./cmd/tracecheck -q -continuity \
 		-require svc.job,job.run,scf.iter,fock.build,mpi.op,dlb.draw "$tracedir/obs_trace.json"
-	go run ./cmd/benchrun -quick -o "$tracedir/bench_ci.json" >/dev/null
-	go run ./cmd/benchrun -compare "$tracedir/bench_ci.json" -in "$tracedir/bench_ci.json" >/dev/null \
-		|| { echo "obs gate: self-comparison regressed"; exit 1; }
-	if go run ./cmd/benchrun -compare "$tracedir/bench_ci.json" -in "$tracedir/bench_ci.json" -degrade 20 >/dev/null 2>&1; then
-		echo "obs gate: comparator failed to flag a 20% regression"
-		exit 1
-	fi
-	echo "obs gate: waterfall + continuity + benchrun comparator all held"
+	echo "obs gate: waterfall + continuity held"
 }
 
 tier_9() {
 	echo "== tier 9: elastic gate (scaling -exp elastic + -race membership tests) =="
 	go run ./cmd/scaling -exp elastic
-	go test -race -run 'TestJoinBus|TestJoinBackoff|TestMembership|TestElastic|TestCheckpointGrow|TestAutoscaler|TestResize|TestFleetFetch|TestFetchBackoff|TestReadyzRebalancing' \
+	race_rerun 'TestJoinBus|TestJoinBackoff|TestMembership|TestElastic|TestCheckpointGrow|TestAutoscaler|TestResize|TestFleetFetch|TestFetchBackoff|TestReadyzRebalancing' \
 		./internal/mpi/ ./internal/cluster/ ./internal/scf/ ./internal/service/
 }
 
@@ -299,14 +338,14 @@ tier_10() {
 	echo "== tier 10: distmat gate (scaling -exp distmat + -race tile/purification tests) =="
 	go run ./cmd/scaling -exp distmat
 	go test -race ./internal/distmat/
-	go test -race -run 'TestTiledBuild|TestRunRHFPurified' ./internal/fock/ ./internal/scf/
+	race_rerun 'TestTiledBuild|TestRunRHFPurified' ./internal/fock/ ./internal/scf/
 }
 
 tier_11() {
 	echo "== tier 11: ABFT gate (scaling -exp abft + -race checksum/resilient tests) =="
 	go run ./cmd/scaling -exp abft
-	go test -short -race -run 'TestABFT|TestSalvage|TestPurifyChaos|TestPurifiedResilient|TestTileReader|TestTileAccum' \
-		./internal/distmat/ ./internal/scf/
+	race_rerun 'TestABFT|TestSalvage|TestPurifyChaos|TestPurifiedResilient|TestTileReader|TestTileAccum' \
+		-short ./internal/distmat/ ./internal/scf/
 }
 
 if [ -n "$tier" ]; then

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -12,10 +13,17 @@ import (
 
 	"repro"
 	"repro/internal/simulate"
-	"repro/internal/trace"
 )
 
-var timer = trace.NewTimer()
+// sections collects the wall time of the suite's parts, in run order.
+var sections []string
+
+// timed runs fn and records its wall time under name.
+func timed(name string, fn func()) {
+	t0 := time.Now()
+	fn()
+	sections = append(sections, fmt.Sprintf("  %-28s %v\n", name, time.Since(t0).Round(time.Millisecond)))
+}
 
 func main() {
 	start := time.Now()
@@ -24,19 +32,17 @@ func main() {
 	fmt.Println("=================================================================")
 
 	fmt.Println("\n--- Part 1: real-execution validation (in-process MPI/OpenMP) ---")
-	timer.Time("validation", validate)
+	timed("validation", validate)
 
 	fmt.Println("\n--- Part 2: simulated paper artifacts ---")
 	pc := simulate.NewProfileCache()
 
 	fmt.Println("\nTable 2 (memory footprints):")
-	stop := timer.Start("table2")
-	fmt.Print(simulate.FormatTable2(simulate.RunTable2()))
-	stop()
+	timed("table2", func() { fmt.Print(simulate.FormatTable2(simulate.RunTable2())) })
 
-	stopT3 := timer.Start("table3/fig6")
-	rows3, err := simulate.RunTable3(pc)
-	stopT3()
+	var rows3 []simulate.ScalingRow
+	var err error
+	timed("table3/fig6", func() { rows3, err = simulate.RunTable3(pc) })
 	check(err)
 	fmt.Println("\nTable 3 / Figure 6 (2.0 nm, Theta, 4-512 nodes):")
 	fmt.Print(simulate.FormatScaling(rows3))
@@ -56,15 +62,16 @@ func main() {
 	fmt.Println("\nFigure 5 (cluster x memory modes):")
 	fmt.Print(simulate.FormatFig5(rows5))
 
-	stopF7 := timer.Start("fig7 (incl. 5nm profile)")
-	rows7, err := simulate.RunFig7(pc)
-	stopF7()
+	var rows7 []simulate.Fig7Row
+	timed("fig7 (incl. 5nm profile)", func() { rows7, err = simulate.RunFig7(pc) })
 	check(err)
 	fmt.Println("\nFigure 7 (5.0 nm, shared-Fock, up to 3,000 nodes):")
 	fmt.Print(simulate.FormatFig7(rows7))
 
 	fmt.Println("\nSection timings (wall clock, as the paper's appendix insists):")
-	fmt.Print(timer.Report())
+	for _, line := range sections {
+		fmt.Print(line)
+	}
 	fmt.Printf("\nSuite completed in %v\n", time.Since(start).Round(time.Second))
 }
 
@@ -73,13 +80,13 @@ func main() {
 func validate() {
 	mol, err := repro.BuiltinMolecule("water")
 	check(err)
-	serial, err := repro.RunRHF(mol, "sto-3g", repro.SCFOptions{})
+	serial, err := repro.Run(context.Background(), mol, "sto-3g", repro.Serial)
 	check(err)
 	fmt.Printf("serial RHF water/STO-3G:  E = %.10f hartree (%d iterations)\n",
 		serial.Energy, serial.Iterations)
-	for _, alg := range []repro.Algorithm{repro.MPIOnly, repro.PrivateFock, repro.SharedFock} {
-		res, err := repro.RunParallelRHF(mol, "sto-3g",
-			repro.ParallelConfig{Algorithm: alg, Ranks: 3, Threads: 2}, repro.SCFOptions{})
+	for _, plan := range []repro.Plan{repro.MPIOnly, repro.PrivateFock, repro.SharedFock} {
+		plan.Ranks, plan.Threads = 3, 2
+		res, err := repro.Run(context.Background(), mol, "sto-3g", plan)
 		check(err)
 		diff := math.Abs(res.Energy - serial.Energy)
 		status := "OK"
@@ -87,7 +94,7 @@ func validate() {
 			status = "MISMATCH"
 		}
 		fmt.Printf("%-13s (3 ranks x 2 threads): E = %.10f  |dE| = %.1e  %s\n",
-			alg, res.Energy, diff, status)
+			plan.Algorithm, res.Energy, diff, status)
 	}
 }
 

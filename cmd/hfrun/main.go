@@ -1,7 +1,8 @@
-// Command hfrun runs a restricted Hartree-Fock calculation on a builtin
-// molecule, a graphene flake, or an XYZ file, serially or with one of the
-// paper's three parallel Fock-build algorithms on the in-process
-// MPI/OpenMP runtimes.
+// Command hfrun runs a Hartree-Fock calculation on a builtin molecule, a
+// graphene flake, or an XYZ file, under any preset of the facade's plan
+// table: serially, with one of the paper's three parallel Fock-build
+// algorithms on the in-process MPI/OpenMP runtimes, or on distributed
+// tiles.
 //
 // Examples:
 //
@@ -13,6 +14,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -90,69 +93,41 @@ func main() {
 		fmt.Printf("wall time:         %v\n", time.Since(start).Round(time.Millisecond))
 		return
 	}
-	if *mult > 0 {
-		var ures *repro.UHFResult
-		switch repro.Algorithm(*alg) {
-		case "":
-			fmt.Printf("mode:     UHF, multiplicity %d (serial)\n", *mult)
-			ures, err = repro.RunUHF(mol, *basis, *mult, opt)
-		case repro.MPIOnly, repro.PrivateFock, repro.SharedFock:
-			fmt.Printf("mode:     UHF, multiplicity %d, %s, %d ranks x %d threads\n", *mult, *alg, *ranks, *threads)
-			ures, err = repro.RunParallelUHF(mol, *basis, *mult, repro.ParallelConfig{
-				Algorithm: repro.Algorithm(*alg), Ranks: *ranks, Threads: *threads,
-				Deadline: *deadline, Grace: *grace,
-			}, opt)
-		default:
-			fmt.Fprintf(os.Stderr, "hfrun: -uhf runs serially or with -alg mpi-only, private-fock or shared-fock, not %q\n", *alg)
-			os.Exit(2)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		status := "CONVERGED"
-		if !ures.Converged {
-			status = "NOT CONVERGED"
-		}
-		fmt.Printf("status:            %s in %d iterations\n", status, ures.Iterations)
-		fmt.Printf("total energy:      %16.10f hartree\n", ures.Energy)
-		fmt.Printf("<S^2>:             %10.4f (exact %.2f)\n", ures.SSquared,
-			float64(ures.NumAlpha-ures.NumBeta)/2*(float64(ures.NumAlpha-ures.NumBeta)/2+1))
-		fmt.Printf("occupations:       %d alpha, %d beta\n", ures.NumAlpha, ures.NumBeta)
-		fmt.Printf("wall time:         %v\n", time.Since(start).Round(time.Millisecond))
-		return
+	plan, err := repro.PlanByName(*alg)
+	if err != nil {
+		fatal(err)
 	}
-	var res *repro.Result
-	var pinfo *repro.PurifyInfo
-	switch *alg {
-	case "":
-		fmt.Println("mode:     serial")
-		res, err = repro.RunRHF(mol, *basis, opt)
-	case "purified":
-		fmt.Printf("mode:     purified (distributed tiles), %d ranks\n", *ranks)
-		res, pinfo, err = repro.RunPurifiedRHF(mol, *basis, repro.PurifiedConfig{
-			Ranks: *ranks, Deadline: *deadline, Grace: *grace, Telemetry: tel,
-		}, opt)
-	case "purified-abft":
-		fmt.Printf("mode:     purified + ABFT checksum tiles, %d ranks\n", *ranks)
-		var rec *repro.PurifiedRecoveryInfo
-		res, pinfo, rec, err = repro.RunResilientPurifiedRHF(mol, *basis, repro.ResilientPurifiedConfig{
-			Ranks: *ranks, Deadline: *deadline, Grace: *grace, Telemetry: tel,
-		}, opt)
-		if err == nil && rec != nil {
-			fmt.Printf("abft:     %d attempt(s), %d recoveries, %d tiles reconstructed, %d audit repairs\n",
-				rec.Attempts, rec.Recoveries, rec.ReconstructedTiles, rec.RepairedTiles)
-		}
-	default:
-		fmt.Printf("mode:     %s, %d ranks x %d threads\n", *alg, *ranks, *threads)
-		res, err = repro.RunParallelRHF(mol, *basis, repro.ParallelConfig{
-			Algorithm: repro.Algorithm(*alg), Ranks: *ranks, Threads: *threads,
-			Deadline: *deadline, Grace: *grace,
-		}, opt)
+	plan.Multiplicity = *mult
+	plan.Ranks, plan.Threads = *ranks, *threads
+	plan.Deadline, plan.Grace = *deadline, *grace
+	plan.SCF = opt
+	fmt.Println(modeLine(plan, *alg))
+	res, err := repro.Run(context.Background(), mol, *basis, plan)
+	if errors.Is(err, repro.ErrUnsupported) {
+		fmt.Fprintln(os.Stderr, "hfrun:", err)
+		os.Exit(2)
 	}
 	if err != nil {
 		fatal(err)
 	}
-	if pinfo != nil {
+	if sp := res.Spin; sp != nil {
+		status := "CONVERGED"
+		if !res.Converged {
+			status = "NOT CONVERGED"
+		}
+		sz := float64(sp.NumAlpha-sp.NumBeta) / 2
+		fmt.Printf("status:            %s in %d iterations\n", status, res.Iterations)
+		fmt.Printf("total energy:      %16.10f hartree\n", res.Energy)
+		fmt.Printf("<S^2>:             %10.4f (exact %.2f)\n", sp.SSquared, sz*(sz+1))
+		fmt.Printf("occupations:       %d alpha, %d beta\n", sp.NumAlpha, sp.NumBeta)
+		fmt.Printf("wall time:         %v\n", time.Since(start).Round(time.Millisecond))
+		return
+	}
+	if rec := res.Recovery; plan.Recovery == repro.PurifiedABFT.Recovery {
+		fmt.Printf("abft:     %d attempt(s), %d recoveries, %d tiles reconstructed, %d audit repairs\n",
+			rec.Attempts, rec.Restarts, rec.ReconstructedTiles, rec.RepairedTiles)
+	}
+	if pinfo := res.Tiles; pinfo != nil {
 		fmt.Printf("distmat:  %dx%d grid, block %d, %d sweeps, peak %d bytes/rank (replicated %d)\n",
 			pinfo.GridPr, pinfo.GridPc, pinfo.BlockSize, pinfo.TotalSweeps,
 			pinfo.PeakRankBytes, pinfo.ReplicatedBytes)
@@ -185,6 +160,28 @@ func main() {
 		fmt.Printf("MP2 correlation:   %16.10f hartree\n", corr.CorrelationEnergy)
 		fmt.Printf("MP2 total energy:  %16.10f hartree\n", corr.TotalEnergy)
 	}
+}
+
+// modeLine describes the run the plan names, axis by axis.
+func modeLine(p repro.Plan, name string) string {
+	var shape string
+	switch p.Algorithm {
+	case repro.Serial.Algorithm:
+		shape = "serial"
+	case repro.Purified.Algorithm:
+		shape = fmt.Sprintf("purified (distributed tiles), %d ranks", p.Ranks)
+	case repro.PurifiedABFT.Algorithm:
+		shape = fmt.Sprintf("purified + ABFT checksum tiles, %d ranks", p.Ranks)
+	default:
+		shape = fmt.Sprintf("%s, %d ranks x %d threads", name, p.Ranks, p.Threads)
+	}
+	switch {
+	case p.Multiplicity == 0:
+		return "mode:     " + shape
+	case p.Algorithm == repro.Serial.Algorithm:
+		return fmt.Sprintf("mode:     UHF, multiplicity %d (%s)", p.Multiplicity, shape)
+	}
+	return fmt.Sprintf("mode:     UHF, multiplicity %d, %s", p.Multiplicity, shape)
 }
 
 func loadMolecule(name string, flakeN int, xyzPath string) (*repro.Molecule, error) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -28,17 +29,25 @@ import (
 // must land on the clean energy.
 func liveABFT(writeCSV func(id, content string)) bool {
 	ok := true
+	ctx := context.Background()
 	tight := repro.SCFOptions{ConvDens: 1e-10, ConvEnergy: 1e-12}
 	benzene, err := repro.BuiltinMolecule("benzene")
 	check(err)
-	ref, err := repro.RunRHF(benzene, "sto-3g", tight)
+	serial := repro.Serial
+	serial.SCF = tight
+	ref, err := repro.Run(ctx, benzene, "sto-3g", serial)
 	check(err)
-	base := repro.ResilientPurifiedConfig{
-		Ranks:      16,
-		BlockSize:  6,
-		CacheTiles: 8,
-		AccTiles:   8,
-		Deadline:   120 * time.Second,
+	// act runs the ABFT preset under a fresh telemetry session.
+	act := func(fault *mpi.FaultPlan) (*repro.Result, *repro.Telemetry) {
+		tel := repro.NewTelemetry()
+		p := repro.PurifiedABFT
+		p.Ranks, p.Deadline = 16, 120*time.Second
+		p.BlockSize, p.CacheTiles, p.AccTiles = 6, 8, 8
+		p.Fault, p.SCF = fault, tight
+		p.SCF.Telemetry = tel
+		res, err := repro.Run(ctx, benzene, "sto-3g", p)
+		check(err)
+		return res, tel
 	}
 
 	type actRow struct {
@@ -54,18 +63,16 @@ func liveABFT(writeCSV func(id, content string)) bool {
 	var rows []actRow
 
 	fmt.Println("-- act 1: clean ABFT run (benzene/STO-3G, 16 ranks, checksum tiles on) --")
-	cfg := base
-	cfg.Telemetry = repro.NewTelemetry()
-	clean, cinfo, crec, err := repro.RunResilientPurifiedRHF(benzene, "sto-3g", cfg, tight)
-	check(err)
+	clean, ctel := act(nil)
+	cinfo, crec := clean.Tiles, clean.Recovery
 	cdE := math.Abs(clean.Energy - ref.Energy)
 	fmt.Printf("  eigensolve  E = %.12f hartree\n", ref.Energy)
 	fmt.Printf("  ABFT        E = %.12f hartree (%d iterations, %d sweeps, %d audits)\n",
 		clean.Energy, clean.Iterations, cinfo.TotalSweeps,
-		cfg.Telemetry.Registry.Snapshot().Counters["distmat.abft.audits"])
-	if !clean.Converged || cdE > 1e-10 || crec.Attempts != 1 || crec.Recoveries != 0 {
+		ctel.Registry.Snapshot().Counters["distmat.abft.audits"])
+	if !clean.Converged || cdE > 1e-10 || crec.Attempts != 1 || crec.Restarts != 0 {
 		fmt.Printf("  FAIL: converged=%v |dE| = %.2e (want <= 1e-10), attempts %d, recoveries %d\n",
-			clean.Converged, cdE, crec.Attempts, crec.Recoveries)
+			clean.Converged, cdE, crec.Attempts, crec.Restarts)
 		ok = false
 	} else {
 		fmt.Printf("  PASS: |dE| = %.2e in one quiet attempt\n", cdE)
@@ -73,55 +80,49 @@ func liveABFT(writeCSV func(id, content string)) bool {
 	rows = append(rows, actRow{name: "clean", dE: cdE, sweeps: cinfo.TotalSweeps})
 
 	fmt.Println("-- act 2: rank 5 killed mid-purification; reconstruct and resume --")
-	cfg = base
-	cfg.Telemetry = repro.NewTelemetry()
-	cfg.Fault = &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 5, Site: mpi.SitePurify, After: 25}}}
-	kres, kinfo, krec, err := repro.RunResilientPurifiedRHF(benzene, "sto-3g", cfg, tight)
-	check(err)
+	kres, ktel := act(&mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 5, Site: mpi.SitePurify, After: 25}}})
+	kinfo, krec := kres.Tiles, kres.Recovery
 	kdE := math.Abs(kres.Energy - ref.Energy)
-	ksnap := cfg.Telemetry.Registry.Snapshot()
+	ksnap := ktel.Registry.Snapshot()
 	krecon := ksnap.Counters["distmat.abft.reconstructed_tiles"]
 	fmt.Printf("  survived    E = %.12f hartree (%d iterations, %d sweeps)\n",
 		kres.Energy, kres.Iterations, kinfo.TotalSweeps)
 	fmt.Printf("  recovery    ranks %v, failed %v, resumed at iteration %d, %d tiles from parity\n",
 		krec.RanksPerAttempt, krec.FailedRanks, krec.ResumedIter, krec.ReconstructedTiles)
-	if !kres.Converged || kdE > 1e-10 || krec.Recoveries < 1 || krec.ReconstructedTiles == 0 || krecon == 0 {
+	if !kres.Converged || kdE > 1e-10 || krec.Restarts < 1 || krec.ReconstructedTiles == 0 || krecon == 0 {
 		fmt.Printf("  FAIL: converged=%v |dE| = %.2e (want <= 1e-10), recoveries %d, reconstructed %d (counter %d)\n",
-			kres.Converged, kdE, krec.Recoveries, krec.ReconstructedTiles, krecon)
+			kres.Converged, kdE, krec.Restarts, krec.ReconstructedTiles, krecon)
 		ok = false
 	} else {
 		fmt.Printf("  PASS: |dE| = %.2e after losing rank 5; %d tiles rebuilt from checksums\n",
 			kdE, krec.ReconstructedTiles)
 	}
 	rows = append(rows, actRow{
-		name: "kill-rank-5", dE: kdE, recoveries: krec.Recoveries,
+		name: "kill-rank-5", dE: kdE, recoveries: krec.Restarts,
 		reconstructed: krec.ReconstructedTiles, sweeps: kinfo.TotalSweeps,
 	})
 
 	fmt.Println("-- act 3: resident bit flip between sweeps; audit detects and repairs --")
-	cfg = base
-	cfg.Telemetry = repro.NewTelemetry()
 	// Bit 51 changes any normal float by ~25% of itself, far beyond the
 	// audit's 1e-8 relative tolerance; index 8 lands on a symmetry-nonzero
 	// element of rank 3's first owned tile of the working density.
-	cfg.Fault = &mpi.FaultPlan{Corrupts: []mpi.Corrupt{{
+	fres, ftel := act(&mpi.FaultPlan{Corrupts: []mpi.Corrupt{{
 		Rank: 3, Site: mpi.SitePurify, After: 10,
 		Kind: mpi.CorruptBitFlip, Index: 8, Bit: 51,
-	}}}
-	fres, finfo, frec, err := repro.RunResilientPurifiedRHF(benzene, "sto-3g", cfg, tight)
-	check(err)
+	}}})
+	finfo, frec := fres.Tiles, fres.Recovery
 	fdE := math.Abs(fres.Energy - ref.Energy)
-	fsnap := cfg.Telemetry.Registry.Snapshot()
+	fsnap := ftel.Registry.Snapshot()
 	injected := fsnap.Counters["sdc.injected"]
 	detected := fsnap.Counters["sdc.detected"]
 	fmt.Printf("  repaired    E = %.12f hartree (%d iterations, %d sweeps)\n",
 		fres.Energy, fres.Iterations, finfo.TotalSweeps)
 	fmt.Printf("  audit       injected %d, detected %d, mismatches %d, repaired tiles %d\n",
 		injected, detected, frec.AuditMismatches, frec.RepairedTiles)
-	if !fres.Converged || fdE > 1e-10 || frec.Recoveries != 0 ||
+	if !fres.Converged || fdE > 1e-10 || frec.Restarts != 0 ||
 		injected == 0 || detected == 0 || frec.AuditMismatches == 0 || frec.RepairedTiles == 0 {
 		fmt.Printf("  FAIL: converged=%v |dE| = %.2e (want <= 1e-10), recoveries %d, injected %d, detected %d, repaired %d\n",
-			fres.Converged, fdE, frec.Recoveries, injected, detected, frec.RepairedTiles)
+			fres.Converged, fdE, frec.Restarts, injected, detected, frec.RepairedTiles)
 		ok = false
 	} else {
 		fmt.Printf("  PASS: |dE| = %.2e with the flip caught in place — zero silent corruptions\n", fdE)

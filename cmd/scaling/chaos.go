@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -46,7 +47,7 @@ func liveChaos(grace time.Duration, writeCSV func(id, content string)) bool {
 	fmt.Println("== Live chaos gate 1: water/6-31G under message chaos + 4x straggler ==")
 	mol, err := repro.BuiltinMolecule("water")
 	check(err)
-	clean, err := repro.RunRHF(mol, "6-31g", repro.SCFOptions{})
+	clean, err := repro.Run(context.Background(), mol, "6-31g", repro.Serial)
 	check(err)
 
 	// The full menu: rank 1 is a sustained 4x straggler, its sends are
@@ -55,19 +56,16 @@ func liveChaos(grace time.Duration, writeCSV func(id, content string)) bool {
 	// before the deadline). None of it may change a single bit of the
 	// converged energy.
 	tel := repro.NewTelemetry()
-	res, _, err := repro.RunResilientRHF(mol, "6-31g", repro.ResilientConfig{
-		Ranks:     3,
-		Algorithm: repro.SharedFock,
-		Deadline:  30 * time.Second,
-		Grace:     grace,
-		Telemetry: tel,
-		Fault: &mpi.FaultPlan{
-			Slowdowns:  []mpi.Slowdown{{Rank: 1, Factor: 4, Sites: []mpi.FaultSite{mpi.SiteFock}}},
-			Duplicates: []mpi.Duplicate{{Rank: 1, After: 2, Copies: 1}, {Rank: 0, After: 4, Copies: 2}},
-			Reorders:   []mpi.Reorder{{Rank: 2, After: 3, Behind: 1}},
-			Partitions: []mpi.Partition{{Ranks: []int{1}, Duration: 30 * time.Millisecond}},
-		},
-	}, repro.SCFOptions{})
+	plan := repro.Resilient
+	plan.Ranks, plan.Deadline, plan.Grace = 3, 30*time.Second, grace
+	plan.Algorithm, plan.SCF.Telemetry = repro.SharedFock.Algorithm, tel
+	plan.Fault = &mpi.FaultPlan{
+		Slowdowns:  []mpi.Slowdown{{Rank: 1, Factor: 4, Sites: []mpi.FaultSite{mpi.SiteFock}}},
+		Duplicates: []mpi.Duplicate{{Rank: 1, After: 2, Copies: 1}, {Rank: 0, After: 4, Copies: 2}},
+		Reorders:   []mpi.Reorder{{Rank: 2, After: 3, Behind: 1}},
+		Partitions: []mpi.Partition{{Ranks: []int{1}, Duration: 30 * time.Millisecond}},
+	}
+	res, err := repro.Run(context.Background(), mol, "6-31g", plan)
 	if err != nil {
 		fmt.Printf("  shared-Fock chaos run failed: %v\n", err)
 		ok = false
@@ -84,15 +82,13 @@ func liveChaos(grace time.Duration, writeCSV func(id, content string)) bool {
 	}
 
 	tel = repro.NewTelemetry()
-	res, rec, err := repro.RunResilientRHF(mol, "6-31g", repro.ResilientConfig{
-		Ranks:     3,
-		Deadline:  30 * time.Second,
-		Grace:     grace,
-		Telemetry: tel,
-		Fault: &mpi.FaultPlan{
-			Slowdowns: []mpi.Slowdown{{Rank: 1, Factor: 4, Sites: []mpi.FaultSite{mpi.SiteFock}}},
-		},
-	}, repro.SCFOptions{})
+	plan = repro.Resilient
+	plan.Ranks, plan.Deadline, plan.Grace = 3, 30*time.Second, grace
+	plan.SCF.Telemetry = tel
+	plan.Fault = &mpi.FaultPlan{
+		Slowdowns: []mpi.Slowdown{{Rank: 1, Factor: 4, Sites: []mpi.FaultSite{mpi.SiteFock}}},
+	}
+	res, err = repro.Run(context.Background(), mol, "6-31g", plan)
 	if err != nil {
 		fmt.Printf("  resilient-Fock straggler run failed: %v\n", err)
 		ok = false
@@ -100,6 +96,7 @@ func liveChaos(grace time.Duration, writeCSV func(id, content string)) bool {
 		dE := math.Abs(res.Energy - clean.Energy)
 		gate("resilient-Fock energy with straggler", dE <= 1e-10,
 			fmt.Sprintf("|dE| = %.1e Ha (tol 1e-10)", dE))
+		rec := res.Recovery
 		fmt.Printf("  (hedged %d, reissued %d, duplicates dropped %d)\n",
 			rec.HedgedTasks, rec.ReissuedTasks, rec.DedupedTasks)
 	}

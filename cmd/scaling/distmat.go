@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -24,16 +25,18 @@ func liveDistmat(writeCSV func(id, content string)) bool {
 	ok := true
 
 	fmt.Println("-- act 1: eigensolve vs purification equivalence (water/STO-3G, 4 ranks) --")
-	tight := repro.SCFOptions{ConvDens: 1e-10, ConvEnergy: 1e-12}
+	ctx := context.Background()
+	serial, purified := repro.Serial, repro.Purified
+	serial.SCF = repro.SCFOptions{ConvDens: 1e-10, ConvEnergy: 1e-12}
+	purified.SCF = serial.SCF
 	water, err := repro.BuiltinMolecule("water")
 	check(err)
-	eig, err := repro.RunRHF(water, "sto-3g", tight)
+	eig, err := repro.Run(ctx, water, "sto-3g", serial)
 	check(err)
-	pur, info, err := repro.RunPurifiedRHF(water, "sto-3g", repro.PurifiedConfig{
-		Ranks:    4,
-		Deadline: 60 * time.Second,
-	}, tight)
+	purified.Ranks, purified.Deadline = 4, 60*time.Second
+	pur, err := repro.Run(ctx, water, "sto-3g", purified)
 	check(err)
+	info := pur.Tiles
 	dE := math.Abs(pur.Energy - eig.Energy)
 	dD := pur.D.MaxAbsDiff(eig.D)
 	fmt.Printf("  eigensolve  E = %.12f hartree (%d iterations)\n", eig.Energy, eig.Iterations)
@@ -51,16 +54,13 @@ func liveDistmat(writeCSV func(id, content string)) bool {
 	const budget = int64(36 << 10)
 	benzene, err := repro.BuiltinMolecule("benzene")
 	check(err)
-	ref, err := repro.RunRHF(benzene, "sto-3g", tight)
+	ref, err := repro.Run(ctx, benzene, "sto-3g", serial)
 	check(err)
-	res, winfo, err := repro.RunPurifiedRHF(benzene, "sto-3g", repro.PurifiedConfig{
-		Ranks:      16,
-		BlockSize:  6,
-		CacheTiles: 8,
-		AccTiles:   8,
-		Deadline:   120 * time.Second,
-	}, tight)
+	purified.Ranks, purified.Deadline = 16, 120*time.Second
+	purified.BlockSize, purified.CacheTiles, purified.AccTiles = 6, 8, 8
+	res, err := repro.Run(ctx, benzene, "sto-3g", purified)
 	check(err)
+	winfo := res.Tiles
 	wdE := math.Abs(res.Energy - ref.Energy)
 	fmt.Printf("  replicated working set  %6d bytes/rank (5 N^2 matrices, N = %d)\n",
 		winfo.ReplicatedBytes, ref.D.Rows)

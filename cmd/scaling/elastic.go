@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -59,33 +60,32 @@ func liveElastic(grace time.Duration, writeCSV func(id, content string)) bool {
 	fmt.Println("== Elastic gate 1: water/6-31G, 2 ranks doubled mid-SCF via join handshake ==")
 	mol, err := repro.BuiltinMolecule("water")
 	check(err)
-	clean, err := repro.RunRHF(mol, "6-31g", repro.SCFOptions{})
+	ctx := context.Background()
+	clean, err := repro.Run(ctx, mol, "6-31g", repro.Serial)
 	check(err)
 
 	tel := repro.NewTelemetry()
 	m := repro.NewMembership(2, tel)
 	var announced atomic.Bool
 	var tickets []*cluster.JoinTicket
-	res, trace, err := repro.RunElasticRHF(mol, "6-31g", repro.ElasticConfig{
-		Ranks:      2,
-		MaxRanks:   4,
-		Membership: m,
-		Deadline:   30 * time.Second,
-		Grace:      grace,
-		Telemetry:  tel,
-		OnIteration: func(epoch int64, iter int) {
-			// Two single-rank candidates announce at iteration 2 of the
-			// first epoch — mid-SCF, exactly when a batch scheduler would
-			// hand the job freed-up nodes.
-			if epoch == 0 && iter >= 2 && !announced.Swap(true) {
-				tickets = append(tickets, m.Announce(1, "joiner-a"), m.Announce(1, "joiner-b"))
-			}
-		},
-	}, repro.SCFOptions{})
+	plan := repro.Elastic
+	plan.Ranks, plan.MaxRanks, plan.Membership = 2, 4, m
+	plan.Deadline, plan.Grace = 30*time.Second, grace
+	plan.SCF.Telemetry = tel
+	plan.SCF.OnIteration = func(iter int, _ *repro.Result) {
+		// Two single-rank candidates announce at iteration 2 of the
+		// first epoch — mid-SCF, exactly when a batch scheduler would
+		// hand the job freed-up nodes.
+		if m.Epoch() == 0 && iter >= 2 && !announced.Swap(true) {
+			tickets = append(tickets, m.Announce(1, "joiner-a"), m.Announce(1, "joiner-b"))
+		}
+	}
+	res, err := repro.Run(ctx, mol, "6-31g", plan)
 	if err != nil {
 		fmt.Printf("  elastic grow run failed: %v\n", err)
 		ok = false
 	} else {
+		trace := res.Recovery
 		dE := math.Abs(res.Energy - clean.Energy)
 		gate("energy invariant across grow", res.Converged && dE <= 1e-10,
 			fmt.Sprintf("|dE| = %.1e Ha (tol 1e-10)", dE))
@@ -99,9 +99,9 @@ func liveElastic(grace time.Duration, writeCSV func(id, content string)) bool {
 		}
 		gate("checkpoint handed to joiners", handed,
 			fmt.Sprintf("%d tickets committed with checkpoint", len(tickets)))
-		epochs := make([]string, 0, len(trace.Epochs))
-		for _, e := range trace.Epochs {
-			epochs = append(epochs, fmt.Sprintf("%d ranks/%s", e.Ranks, e.Outcome))
+		epochs := make([]string, 0, trace.Attempts)
+		for i, outcome := range trace.Outcomes {
+			epochs = append(epochs, fmt.Sprintf("%d ranks/%s", trace.RanksPerAttempt[i], outcome))
 		}
 		fmt.Printf("  epochs: %v\n", epochs)
 	}
@@ -115,35 +115,28 @@ func liveElastic(grace time.Duration, writeCSV func(id, content string)) bool {
 	fmt.Println("== Elastic gate 2: benzene/STO-3G, 4 ranks, 6x straggler migrated off ==")
 	benzene, err := repro.BuiltinMolecule("benzene")
 	check(err)
-	clean2, err := repro.RunRHF(benzene, "sto-3g", repro.SCFOptions{})
+	clean2, err := repro.Run(ctx, benzene, "sto-3g", repro.Serial)
 	check(err)
-	tel2 := repro.NewTelemetry()
-	res2, trace2, err := repro.RunElasticRHF(benzene, "sto-3g", repro.ElasticConfig{
-		Ranks:             4,
-		MaxRanks:          4,
-		Deadline:          30 * time.Second,
-		Grace:             grace,
-		Telemetry:         tel2,
-		MigrateK:          2,
-		MigrateMinSamples: 2,
-		FaultFor: func(epoch int64) *mpi.FaultPlan {
-			if epoch > 0 {
-				return nil // the re-hosted rank left the sick node behind
-			}
-			return &mpi.FaultPlan{Slowdowns: []mpi.Slowdown{{
-				Rank: 1, Factor: 6, Sites: []mpi.FaultSite{mpi.SiteFock},
-			}}}
-		},
-	}, repro.SCFOptions{})
+	plan = repro.Elastic
+	plan.Ranks, plan.MaxRanks = 4, 4
+	plan.Deadline, plan.Grace = 30*time.Second, grace
+	plan.SCF.Telemetry = repro.NewTelemetry()
+	plan.MigrateK, plan.MigrateMinSamples = 2, 2
+	// First attempt only: the re-hosted rank leaves the sick node behind.
+	plan.Fault = &mpi.FaultPlan{Slowdowns: []mpi.Slowdown{{
+		Rank: 1, Factor: 6, Sites: []mpi.FaultSite{mpi.SiteFock},
+	}}}
+	res2, err := repro.Run(ctx, benzene, "sto-3g", plan)
 	if err != nil {
 		fmt.Printf("  elastic migration run failed: %v\n", err)
 		ok = false
 	} else {
+		trace2 := res2.Recovery
 		dE := math.Abs(res2.Energy - clean2.Energy)
 		gate("energy invariant across migration", res2.Converged && dE <= 1e-10,
 			fmt.Sprintf("|dE| = %.1e Ha (tol 1e-10)", dE))
 		gate("straggler migrated", trace2.Migrations >= 1,
-			fmt.Sprintf("migrations = %d, restarts = %d", trace2.Migrations, trace2.MigrateRestart))
+			fmt.Sprintf("migrations = %d, restarts = %d", trace2.Migrations, trace2.MigrateRestarts))
 	}
 	fmt.Println()
 

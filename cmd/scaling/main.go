@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -209,13 +210,12 @@ func liveResilience(grace time.Duration) {
 	fmt.Println("== Live fault injection: water/STO-3G, 4 ranks, rank 1 killed at DLB draw #3 ==")
 	mol, err := repro.BuiltinMolecule("water")
 	check(err)
-	res, rec, err := repro.RunResilientRHF(mol, "sto-3g", repro.ResilientConfig{
-		Ranks:    4,
-		Deadline: 10 * time.Second,
-		Grace:    grace,
-		Fault:    &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 1, Site: mpi.SiteDLB, After: 3}}},
-	}, repro.SCFOptions{})
+	plan := repro.Resilient
+	plan.Ranks, plan.Deadline, plan.Grace = 4, 10*time.Second, grace
+	plan.Fault = &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 1, Site: mpi.SiteDLB, After: 3}}}
+	res, err := repro.Run(context.Background(), mol, "sto-3g", plan)
 	check(err)
+	rec := res.Recovery
 	mode := "shrink-and-restart"
 	if rec.InBuildRecovery {
 		mode = "in-build lease re-issue"
@@ -248,7 +248,7 @@ func liveSDC(grace time.Duration) bool {
 	fmt.Println("== Live SDC gate: water/STO-3G, one corruption per integrity site ==")
 	mol, err := repro.BuiltinMolecule("water")
 	check(err)
-	clean, err := repro.RunRHF(mol, "sto-3g", repro.SCFOptions{})
+	clean, err := repro.Run(context.Background(), mol, "sto-3g", repro.Serial)
 	check(err)
 
 	cases := []struct {
@@ -275,14 +275,11 @@ func liveSDC(grace time.Duration) bool {
 		"case", "injected", "detected", "recovered", "|dE| Ha", "verdict")
 	for _, tc := range cases {
 		tel := repro.NewTelemetry()
-		res, _, err := repro.RunResilientRHF(mol, "sto-3g", repro.ResilientConfig{
-			Ranks:     tc.ranks,
-			Algorithm: repro.MPIOnly,
-			Deadline:  20 * time.Second,
-			Grace:     grace,
-			Fault:     &tc.plan,
-			Telemetry: tel,
-		}, repro.SCFOptions{})
+		plan := repro.Resilient
+		plan.Algorithm = repro.MPIOnly.Algorithm
+		plan.Ranks, plan.Deadline, plan.Grace = tc.ranks, 20*time.Second, grace
+		plan.Fault, plan.SCF.Telemetry = &tc.plan, tel
+		res, err := repro.Run(context.Background(), mol, "sto-3g", plan)
 		snap := tel.Registry.Snapshot()
 		injected := snap.Counters["sdc.injected"]
 		detected := snap.Counters["sdc.detected"]

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -33,7 +34,10 @@ func main() {
 	fmt.Printf("basis:  %d shells, %d basis functions\n\n", info.NumShells, info.NumBF)
 
 	serialStart := time.Now()
-	serial, err := repro.RunRHF(flake, "sto-3g", repro.SCFOptions{MaxIter: 200})
+	ctx := context.Background()
+	plan := repro.Serial
+	plan.SCF.MaxIter = 200
+	serial, err := repro.Run(ctx, flake, "sto-3g", plan)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,16 +45,15 @@ func main() {
 		"serial", serial.Energy, serial.Iterations,
 		serial.TotalFockStats.QuartetsComputed, time.Since(serialStart).Round(time.Millisecond))
 
-	for _, alg := range []repro.Algorithm{repro.MPIOnly, repro.PrivateFock, repro.SharedFock} {
+	for _, plan := range []repro.Plan{repro.MPIOnly, repro.PrivateFock, repro.SharedFock} {
 		start := time.Now()
-		res, err := repro.RunParallelRHF(flake, "sto-3g", repro.ParallelConfig{
-			Algorithm: alg, Ranks: 2, Threads: 2,
-		}, repro.SCFOptions{MaxIter: 200})
+		plan.Ranks, plan.Threads, plan.SCF.MaxIter = 2, 2, 200
+		res, err := repro.Run(ctx, flake, "sto-3g", plan)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-14s E = %.8f hartree, %2d iterations, %6d quartets, %v  (|dE|=%.1e)\n",
-			alg, res.Energy, res.Iterations, res.TotalFockStats.QuartetsComputed,
+			plan.Algorithm, res.Energy, res.Iterations, res.TotalFockStats.QuartetsComputed,
 			time.Since(start).Round(time.Millisecond), abs(res.Energy-serial.Energy))
 	}
 

@@ -15,7 +15,7 @@ import (
 
 func main() {
 	sess := repro.NewSimSession()
-	algs := []repro.Algorithm{repro.MPIOnly, repro.PrivateFock, repro.SharedFock}
+	algs := []repro.Algorithm{repro.MPIOnly.Algorithm, repro.PrivateFock.Algorithm, repro.SharedFock.Algorithm}
 
 	for _, system := range []string{"0.5nm", "2.0nm"} {
 		fmt.Printf("=== %s bilayer graphene, single Xeon Phi node ===\n", system)

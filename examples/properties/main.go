@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,7 +19,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := repro.RunRHF(water, "sto-3g", repro.SCFOptions{})
+	ctx := context.Background()
+	res, err := repro.Run(ctx, water, "sto-3g", repro.Serial)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,16 +40,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	triplet, err := repro.RunUHF(o2, "sto-3g", 3, repro.SCFOptions{MaxIter: 200})
+	uhf := repro.Serial
+	uhf.SCF.MaxIter = 200
+	uhf.Multiplicity = 3
+	triplet, err := repro.Run(ctx, o2, "sto-3g", uhf)
 	if err != nil {
 		log.Fatal(err)
 	}
-	singlet, err := repro.RunUHF(o2, "sto-3g", 1, repro.SCFOptions{MaxIter: 200})
+	uhf.Multiplicity = 1
+	singlet, err := repro.Run(ctx, o2, "sto-3g", uhf)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("O2 UHF/STO-3G triplet: E = %.6f hartree, <S^2> = %.3f (exact 2.0)\n",
-		triplet.Energy, triplet.SSquared)
+		triplet.Energy, triplet.Spin.SSquared)
 	fmt.Printf("O2 UHF/STO-3G singlet: E = %.6f hartree\n", singlet.Energy)
 	fmt.Printf("Hund's rule at the UHF level: triplet below singlet by %.4f hartree\n",
 		singlet.Energy-triplet.Energy)

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,7 +18,8 @@ func main() {
 	}
 
 	// Serial reference.
-	serial, err := repro.RunRHF(water, "sto-3g", repro.SCFOptions{})
+	ctx := context.Background()
+	serial, err := repro.Run(ctx, water, "sto-3g", repro.Serial)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -26,11 +28,9 @@ func main() {
 
 	// The paper's shared-Fock hybrid: 4 MPI ranks (goroutines), 2 OpenMP
 	// threads each, density and Fock matrices shared within each rank.
-	parallel, err := repro.RunParallelRHF(water, "sto-3g", repro.ParallelConfig{
-		Algorithm: repro.SharedFock,
-		Ranks:     4,
-		Threads:   2,
-	}, repro.SCFOptions{})
+	plan := repro.SharedFock
+	plan.Ranks, plan.Threads = 4, 2
+	parallel, err := repro.Run(ctx, water, "sto-3g", plan)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 
 func main() {
 	sess := repro.NewSimSession()
-	algs := []repro.Algorithm{repro.MPIOnly, repro.PrivateFock, repro.SharedFock}
+	algs := []repro.Algorithm{repro.MPIOnly.Algorithm, repro.PrivateFock.Algorithm, repro.SharedFock.Algorithm}
 
 	fmt.Println("2.0 nm bilayer graphene on Theta (simulated, one Fock build)")
 	fmt.Printf("%6s  %12s %12s %12s\n", "nodes", "mpi-only", "private-fock", "shared-fock")
@@ -22,7 +22,7 @@ func main() {
 		fmt.Printf("%6d ", nodes)
 		for _, alg := range algs {
 			rpn, threads := 4, 64
-			if alg == repro.MPIOnly {
+			if alg == repro.MPIOnly.Algorithm {
 				rpn, threads = 256, 1 // the simulator applies the memory cap
 			}
 			pt, err := sess.Simulate("2.0nm", repro.MachineTheta, alg, nodes, rpn, threads)
@@ -38,7 +38,7 @@ func main() {
 	fmt.Printf("%6s %9s %12s %12s\n", "nodes", "cores", "time", "GB/node")
 	var base float64
 	for _, nodes := range []int{512, 1024, 2048, 3000} {
-		pt, err := sess.Simulate("5.0nm", repro.MachineTheta, repro.SharedFock, nodes, 4, 64)
+		pt, err := sess.Simulate("5.0nm", repro.MachineTheta, repro.SharedFock.Algorithm, nodes, 4, 64)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,18 +28,17 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// 2. Serial SCF, then the paper's three parallel algorithms.
-	serial, err := RunRHF(mol, "6-31g", SCFOptions{})
+	serial, err := Run(bg, mol, "6-31g", Serial)
 	if err != nil || !serial.Converged {
 		t.Fatalf("serial SCF: %v", err)
 	}
-	for _, alg := range []Algorithm{MPIOnly, PrivateFock, SharedFock} {
-		par, err := RunParallelRHF(mol, "6-31g",
-			ParallelConfig{Algorithm: alg, Ranks: 2, Threads: 2}, SCFOptions{})
+	for _, p := range []Plan{MPIOnly, PrivateFock, SharedFock} {
+		par, err := Run(bg, mol, "6-31g", with(p, 2, 2, SCFOptions{}))
 		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
+			t.Fatalf("%s: %v", p.Algorithm, err)
 		}
 		if math.Abs(par.Energy-serial.Energy) > 1e-9 {
-			t.Fatalf("%s energy mismatch", alg)
+			t.Fatalf("%s energy mismatch", p.Algorithm)
 		}
 	}
 
@@ -58,11 +57,11 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// 4. The paper-scale simulation path on the same code base.
 	sess := NewSimSession()
-	small, err := sess.Simulate("0.5nm", MachineTheta, SharedFock, 4, 4, 64)
+	small, err := sess.Simulate("0.5nm", MachineTheta, SharedFock.Algorithm, 4, 4, 64)
 	if err != nil || !small.Feasible {
 		t.Fatalf("simulation: %+v %v", small, err)
 	}
-	big, err := sess.Simulate("0.5nm", MachineTheta, SharedFock, 16, 4, 64)
+	big, err := sess.Simulate("0.5nm", MachineTheta, SharedFock.Algorithm, 16, 4, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,9 @@ func TestEndToEndOpenShell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunUHF(oh, "sto-3g", 2, SCFOptions{MaxIter: 150})
+	doublet := with(Serial, 0, 0, SCFOptions{MaxIter: 150})
+	doublet.Multiplicity = 2
+	res, err := Run(bg, oh, "sto-3g", doublet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +91,8 @@ func TestEndToEndOpenShell(t *testing.T) {
 	if res.Energy < -74.8 || res.Energy > -73.9 {
 		t.Fatalf("OH energy = %v", res.Energy)
 	}
-	if math.Abs(res.SSquared-0.75) > 0.05 {
-		t.Fatalf("<S^2> = %v", res.SSquared)
+	if math.Abs(res.Spin.SSquared-0.75) > 0.05 {
+		t.Fatalf("<S^2> = %v", res.Spin.SSquared)
 	}
 }
 

@@ -98,7 +98,7 @@ func PerRankTileBytes(n, ranks, bs int) int64 {
 // (S^-1/2, H, F, D and one multiply scratch) — the apples-to-apples
 // comparison against the five replicated matrices charged per process by
 // the eq. (3a) accounting. DIIS history and tile caches add a
-// configurable constant on top; see scf.PurifiedOptions.
+// configurable constant on top; see scf.Plan (CacheTiles, AccTiles).
 func FootprintPerRank(nbf, ranks int) int64 {
 	return 5 * PerRankTileBytes(nbf, ranks, 0)
 }

@@ -29,25 +29,6 @@ func (m *BlockMat) forOwned(visit func(bi, bj int)) {
 	}
 }
 
-// tileMulAdd adds a*b into c (bs x bs row-major tiles), skipping zero
-// a-elements (padded tiles make these common).
-func tileMulAdd(c, a, b []float64, bs int) {
-	for i := 0; i < bs; i++ {
-		arow := a[i*bs : (i+1)*bs]
-		crow := c[i*bs : (i+1)*bs]
-		for k := 0; k < bs; k++ {
-			v := arow[k]
-			if v == 0 {
-				continue
-			}
-			brow := b[k*bs : (k+1)*bs]
-			for j := 0; j < bs; j++ {
-				crow[j] += v * brow[j]
-			}
-		}
-	}
-}
-
 // MatMul computes c = a * b. c must not alias a or b. Each rank computes
 // only its owned tiles of c, streaming the needed row of a-tiles and
 // column of b-tiles through one-sided gets — the SUMMA-style inner
@@ -335,4 +316,27 @@ func Gershgorin(m *BlockMat) (lo, hi float64) {
 		}
 	}
 	return lo, hi
+}
+
+// tileMulAdd adds a*b into c (bs x bs row-major tiles), skipping zero
+// a-elements (padded tiles make these common). It is declared last in
+// this file on purpose: its 28-byte inner loop runs ~25% slower when it
+// straddles a 64-byte line, which is decided by the function's address
+// mod 64 in the linked binary — and that by what precedes it (DESIGN.md
+// §3.1 layout note). Check `go tool nm` before moving it.
+func tileMulAdd(c, a, b []float64, bs int) {
+	for i := 0; i < bs; i++ {
+		arow := a[i*bs : (i+1)*bs]
+		crow := c[i*bs : (i+1)*bs]
+		for k := 0; k < bs; k++ {
+			v := arow[k]
+			if v == 0 {
+				continue
+			}
+			brow := b[k*bs : (k+1)*bs]
+			for j := 0; j < bs; j++ {
+				crow[j] += v * brow[j]
+			}
+		}
+	}
 }

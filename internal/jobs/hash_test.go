@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 // waterXYZLines is a water geometry as individual atom lines, permuted
@@ -126,13 +128,14 @@ func TestSpecValidate(t *testing.T) {
 		t.Fatalf("default spec should validate: %v", err)
 	}
 	bad := []Spec{
-		{},                                    // no molecule
-		{Molecule: "unobtainium"},             // unknown molecule
-		{Molecule: "water", Basis: "nope"},    // unknown basis
-		{Molecule: "water", Mode: "quantum"},  // unknown mode
-		{Molecule: "water", Guess: "psychic"}, // unknown guess
-		{Molecule: "water", TimeoutMS: -1},    // negative timeout
-		{XYZ: "1\nbroken\nXx 0 0 0\n"},        // unknown element
+		{},                                     // no molecule
+		{Molecule: "unobtainium"},              // unknown molecule
+		{Molecule: "water", Basis: "nope"},     // unknown basis
+		{Molecule: "water", Mode: "quantum"},   // unknown mode
+		{Molecule: "water", Algorithm: "fast"}, // unknown Fock preset
+		{Molecule: "water", Guess: "psychic"},  // unknown guess
+		{Molecule: "water", TimeoutMS: -1},     // negative timeout
+		{XYZ: "1\nbroken\nXx 0 0 0\n"},         // unknown element
 	}
 	for i, s := range bad {
 		if _, err := s.Validate(); err == nil {
@@ -144,6 +147,40 @@ func TestSpecValidate(t *testing.T) {
 	for _, want := range []string{"water", "benzene", "0.5nm", "5.0nm"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("unknown-molecule error should list %q, got: %v", want, err)
+		}
+	}
+}
+
+// TestSpecPlan: mode and algorithm resolve through the facade's one plan
+// table, so every preset hfrun -alg runs is a servable mode, and the
+// three historical modes keep the algorithms they defaulted to.
+func TestSpecPlan(t *testing.T) {
+	for _, tc := range []struct {
+		spec      Spec
+		algorithm string
+		recovery  repro.Plan
+	}{
+		{Spec{}, "resilient-fock", repro.Resilient},
+		{Spec{Mode: ModeResilient, Algorithm: "shared-fock"}, "shared-fock", repro.Resilient},
+		{Spec{Mode: ModeParallel}, "shared-fock", repro.SharedFock},
+		{Spec{Mode: ModeParallel, Algorithm: "mpi-only"}, "mpi-only", repro.MPIOnly},
+		{Spec{Mode: ModeSerial, Algorithm: "shared-fock"}, "", repro.Serial}, // serial ignores the preset
+		{Spec{Mode: "purified"}, "purified", repro.Purified},
+		{Spec{Mode: "purified-abft"}, "purified-abft", repro.PurifiedABFT},
+		{Spec{Mode: "elastic"}, "resilient-fock", repro.Elastic},
+	} {
+		tc.spec.Molecule = "water"
+		n := tc.spec.Normalized()
+		p, err := n.Plan()
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.spec, err)
+		}
+		if string(p.Algorithm) != tc.algorithm || p.Recovery != tc.recovery.Recovery {
+			t.Errorf("%+v resolved to algorithm %q, recovery %v; want %q, %v",
+				tc.spec, p.Algorithm, p.Recovery, tc.algorithm, tc.recovery.Recovery)
+		}
+		if p.Ranks != n.Ranks || p.Threads != n.Threads || p.SCF.MaxIter != n.MaxIter || p.SCF.Guess != n.Guess {
+			t.Errorf("%+v: run shape or SCF options not carried into the plan: %+v", tc.spec, p)
 		}
 	}
 }

@@ -17,8 +17,8 @@ var ErrUnconverged = errors.New("scf did not converge")
 
 // Runner executes one attempt of a job spec through the facade. Retry
 // policy lives in the service's worker loop (it owns the FSM and the
-// queue); the runner just maps a spec to the right Run* entry point and
-// packages the outcome.
+// queue); the runner just resolves a spec to its repro.Plan and packages
+// the outcome.
 type Runner struct {
 	// Telemetry, when set, instruments every run the runner executes —
 	// including the runtime's chaos.* and dlb.* mitigation counters — on
@@ -41,32 +41,16 @@ func (r Runner) RunOnce(ctx context.Context, spec Spec) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	plan, err := n.Plan()
+	if err != nil {
+		return nil, err
+	}
 	tc, _ := telemetry.TraceFromContext(ctx)
 	tel := r.Telemetry.WithTrace(tc.TraceID)
-	opt := repro.SCFOptions{
-		MaxIter:    n.MaxIter,
-		ConvDens:   n.ConvDens,
-		ConvEnergy: n.ConvEnergy,
-		Guess:      n.Guess,
-		Telemetry:  tel,
-	}
+	plan.SCF.Telemetry = tel
 	start := time.Now()
 	endRun := tel.SpanArgsAtEnd("job.run", n.Mode, telemetry.DriverPid, tc.Tid)
-	var res *repro.Result
-	var rec *repro.RecoveryInfo
-	switch n.Mode {
-	case ModeSerial:
-		res, err = repro.RunRHFCtx(ctx, mol, n.Basis, opt)
-	case ModeParallel:
-		res, err = repro.RunParallelRHFCtx(ctx, mol, n.Basis, repro.ParallelConfig{
-			Algorithm: repro.Algorithm(n.Algorithm), Ranks: n.Ranks, Threads: n.Threads,
-		}, opt)
-	default: // ModeResilient — the service default: absorbs rank death
-		res, rec, err = repro.RunResilientRHFCtx(ctx, mol, n.Basis, repro.ResilientConfig{
-			Algorithm: repro.Algorithm(n.Algorithm), Ranks: n.Ranks,
-			Threads: n.Threads, Telemetry: tel,
-		}, opt)
-	}
+	res, err := repro.Run(ctx, mol, n.Basis, plan)
 	endRun(map[string]any{"molecule": n.Molecule, "basis": n.Basis, "ok": err == nil})
 	if err != nil {
 		return nil, err
@@ -78,9 +62,7 @@ func (r Runner) RunOnce(ctx context.Context, spec Spec) (*Outcome, error) {
 		NumBF:      res.D.Rows,
 		WallMS:     float64(time.Since(start)) / float64(time.Millisecond),
 		Mode:       n.Mode,
-	}
-	if rec != nil {
-		out.Restarts = rec.Restarts
+		Restarts:   res.Recovery.Restarts,
 	}
 	if !res.Converged {
 		// Exhausting MaxIter is a run failure, not a result: only converged
@@ -96,6 +78,7 @@ func (r Runner) RunOnce(ctx context.Context, spec Spec) (*Outcome, error) {
 // health) and spec-level errors that are deterministic.
 func Permanent(err error) bool {
 	return errors.Is(err, repro.ErrCanceled) ||
+		errors.Is(err, repro.ErrUnsupported) ||
 		errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded)
 }

@@ -24,11 +24,12 @@ import (
 	"repro"
 )
 
-// Run modes accepted by Spec.Mode.
+// Spec.Mode names a preset of the facade's plan table
+// (repro.PlanByName); these are the three the service itself submits.
 const (
-	ModeSerial    = "serial"    // single-process RunRHFCtx
-	ModeParallel  = "parallel"  // RunParallelRHFCtx on the in-process runtimes
-	ModeResilient = "resilient" // RunResilientRHFCtx (default): survives rank death
+	ModeSerial    = "serial"    // repro.Serial: single process
+	ModeParallel  = "parallel"  // repro.SharedFock on the in-process runtimes
+	ModeResilient = "resilient" // repro.Resilient (default): survives rank death
 )
 
 // Spec declares one Hartree-Fock job. Exactly one of Molecule (a builtin
@@ -40,8 +41,8 @@ type Spec struct {
 	Charge   int    `json:"charge,omitempty"`   // total charge applied to an XYZ geometry
 	Basis    string `json:"basis,omitempty"`    // basis set name; default sto-3g
 
-	Mode      string `json:"mode,omitempty"`      // serial | parallel | resilient (default resilient)
-	Algorithm string `json:"algorithm,omitempty"` // Fock algorithm for parallel/resilient modes
+	Mode      string `json:"mode,omitempty"`      // a repro.PlanNames preset (default resilient)
+	Algorithm string `json:"algorithm,omitempty"` // Fock preset overriding the mode's own
 	Ranks     int    `json:"ranks,omitempty"`     // MPI ranks; default 2
 	Threads   int    `json:"threads,omitempty"`   // OpenMP threads per rank; default 2
 
@@ -74,11 +75,9 @@ func (s Spec) Normalized() Spec {
 			s.Threads = 2
 		}
 		if s.Algorithm == "" {
-			if s.Mode == ModeResilient {
-				s.Algorithm = string(repro.ResilientFock)
-			} else {
-				s.Algorithm = string(repro.SharedFock)
-			}
+			// An unknown mode keeps the zero plan; Validate rejects it.
+			plan, _ := repro.PlanByName(s.Mode)
+			s.Algorithm = string(plan.Algorithm)
 		}
 	}
 	if s.MaxIter == 0 {
@@ -122,17 +121,35 @@ func (s Spec) ResolveMolecule() (*repro.Molecule, error) {
 		strings.Join(repro.PaperSystemNames(), ", "))
 }
 
+// Plan resolves the normalized spec's mode and algorithm through the
+// facade's plan table and fills in the run shape and SCF options.
+func (s Spec) Plan() (repro.Plan, error) {
+	plan, err := repro.PlanByName(s.Mode)
+	if err != nil {
+		return repro.Plan{}, fmt.Errorf("jobs: mode: %w", err)
+	}
+	if s.Mode != ModeSerial { // a serial run has no Fock preset to override
+		alg, err := repro.PlanByName(s.Algorithm)
+		if err != nil {
+			return repro.Plan{}, fmt.Errorf("jobs: algorithm: %w", err)
+		}
+		plan.Algorithm = alg.Algorithm
+	}
+	plan.Ranks, plan.Threads = s.Ranks, s.Threads
+	plan.SCF = repro.SCFOptions{
+		MaxIter: s.MaxIter, ConvDens: s.ConvDens, ConvEnergy: s.ConvEnergy, Guess: s.Guess,
+	}
+	return plan, nil
+}
+
 // Validate checks the normalized spec end to end: the molecule resolves,
 // the basis builds over it, and the mode/guess names are known. It
 // returns the basis dimensions so admission can report system size
 // without re-building.
 func (s Spec) Validate() (repro.BasisInfo, error) {
 	n := s.Normalized()
-	switch n.Mode {
-	case ModeSerial, ModeParallel, ModeResilient:
-	default:
-		return repro.BasisInfo{}, fmt.Errorf("jobs: unknown mode %q (want %s, %s, or %s)",
-			n.Mode, ModeSerial, ModeParallel, ModeResilient)
+	if _, err := n.Plan(); err != nil {
+		return repro.BasisInfo{}, err
 	}
 	switch n.Guess {
 	case "core", "gwh":

@@ -22,8 +22,7 @@ import (
 // CRC-32 of the body. The header length makes truncation detectable
 // before parsing; the CRC catches any bit-flip in the body (a checkpoint
 // sits on disk through exactly the window a node is most likely to fail
-// in, so it is the SDC target with the longest exposure). Version-0
-// files — bare JSON, as the seed wrote — are still read.
+// in, so it is the SDC target with the longest exposure).
 
 // Checkpoint is the serialized SCF state.
 type Checkpoint struct {
@@ -34,7 +33,10 @@ type Checkpoint struct {
 	Converged       bool      `json:"converged"`
 	Iterations      int       `json:"iterations"`
 	OrbitalEnergies []float64 `json:"orbital_energies"`
-	Density         []float64 `json:"density"` // row-major NumBF x NumBF
+	Density         []float64 `json:"density"` // total density, row-major NumBF x NumBF
+	// AlphaDensity is the alpha-spin density of an unrestricted run (beta
+	// is Density - AlphaDensity); absent for a restricted one.
+	AlphaDensity []float64 `json:"alpha_density,omitempty"`
 }
 
 // checkpointMagic opens every framed (version >= 1) checkpoint.
@@ -56,6 +58,9 @@ func EncodeCheckpoint(molName, basisName string, res *Result) ([]byte, error) {
 		Iterations:      res.Iterations,
 		OrbitalEnergies: res.OrbitalEnergies,
 		Density:         res.D.Data,
+	}
+	if res.Spin != nil {
+		cp.AlphaDensity = res.Spin.DAlpha.Data
 	}
 	body, err := json.Marshal(&cp)
 	if err != nil {
@@ -86,20 +91,15 @@ const maxCheckpointBF = 1 << 17
 // LoadCheckpoint reads and validates a checkpoint written by
 // SaveCheckpoint. A truncated, bit-flipped, or inconsistent file yields
 // a descriptive error — never a panic — so drivers can fall back to a
-// standard initial guess. Both the framed version-1 format and bare
-// version-0 JSON (seed files) are accepted; only version 1 carries the
-// CRC that makes single-bit corruption detectable.
+// standard initial guess.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("scf: reading checkpoint: %w", err)
 	}
-	body := raw
-	if bytes.HasPrefix(raw, []byte(checkpointMagic)) {
-		body, err = verifyCheckpointFrame(raw)
-		if err != nil {
-			return nil, err
-		}
+	body, err := verifyCheckpointFrame(raw)
+	if err != nil {
+		return nil, err
 	}
 	var cp Checkpoint
 	if err := json.Unmarshal(body, &cp); err != nil {
@@ -113,9 +113,15 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("scf: checkpoint density has %d elements for %d basis functions (want %d)",
 			len(cp.Density), cp.NumBF, cp.NumBF*cp.NumBF)
 	}
-	for i, v := range cp.Density {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("scf: checkpoint density element %d is not finite", i)
+	if len(cp.AlphaDensity) != 0 && len(cp.AlphaDensity) != len(cp.Density) {
+		return nil, fmt.Errorf("scf: checkpoint alpha density has %d elements for %d basis functions (want %d)",
+			len(cp.AlphaDensity), cp.NumBF, len(cp.Density))
+	}
+	for _, dens := range [][]float64{cp.Density, cp.AlphaDensity} {
+		for i, v := range dens {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("scf: checkpoint density element %d is not finite", i)
+			}
 		}
 	}
 	return &cp, nil
@@ -128,15 +134,15 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 func verifyCheckpointFrame(raw []byte) ([]byte, error) {
 	nl := bytes.IndexByte(raw, '\n')
 	if nl < 0 {
-		return nil, fmt.Errorf("scf: checkpoint header truncated")
+		return nil, fmt.Errorf("scf: checkpoint truncated or corrupted: no header line")
 	}
 	header := string(raw[:nl])
 	var version, bodyLen int
 	if _, err := fmt.Sscanf(header, checkpointMagic+" v%d len=%d", &version, &bodyLen); err != nil {
-		return nil, fmt.Errorf("scf: malformed checkpoint header %q", header)
+		return nil, fmt.Errorf("scf: checkpoint truncated or corrupted: malformed header %q", header)
 	}
 	if version != 1 {
-		return nil, fmt.Errorf("scf: unsupported checkpoint version %d (this build reads v0 and v1)", version)
+		return nil, fmt.Errorf("scf: unsupported checkpoint version %d (this build reads v1)", version)
 	}
 	rest := raw[nl+1:]
 	if bodyLen < 0 || bodyLen > len(rest) {
@@ -158,9 +164,22 @@ func verifyCheckpointFrame(raw []byte) ([]byte, error) {
 	return body, nil
 }
 
-// DensityMatrix reconstructs the checkpointed density.
+// DensityMatrix reconstructs the checkpointed total density.
 func (cp *Checkpoint) DensityMatrix() *linalg.Matrix {
 	m := linalg.NewSquare(cp.NumBF)
 	copy(m.Data, cp.Density)
 	return m
+}
+
+// Densities reconstructs the restart state: the total density of a
+// restricted run, or the alpha and beta densities of an unrestricted one.
+func (cp *Checkpoint) Densities() []*linalg.Matrix {
+	d := cp.DensityMatrix()
+	if len(cp.AlphaDensity) == 0 {
+		return []*linalg.Matrix{d}
+	}
+	a := linalg.NewSquare(cp.NumBF)
+	copy(a.Data, cp.AlphaDensity)
+	d.AxpyFrom(-1, a)
+	return []*linalg.Matrix{a, d}
 }

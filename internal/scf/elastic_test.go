@@ -2,6 +2,7 @@ package scf
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -23,9 +24,7 @@ import (
 func TestCheckpointGrowCompat(t *testing.T) {
 	const ranks = 2
 	eng, sch, _ := resilientSetup(t)
-	cold, _, err := RunRHFResilient(eng, sch, ResilientOptions{
-		Ranks: ranks, Deadline: 20 * time.Second,
-	})
+	cold, err := run(eng, sch, resilient(ranks))
 	if err != nil || !cold.Converged {
 		t.Fatalf("cold %d-rank SCF failed: %v", ranks, err)
 	}
@@ -67,11 +66,9 @@ func TestCheckpointGrowCompat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		warm, _, err := RunRHFResilient(eng, sch, ResilientOptions{
-			Ranks:    tc.ranks,
-			Deadline: 20 * time.Second,
-			SCF:      Options{InitialDensity: cp.DensityMatrix()},
-		})
+		p := resilient(tc.ranks)
+		p.SCF.InitialDensity = cp.DensityMatrix()
+		warm, err := run(eng, sch, p)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -102,21 +99,19 @@ func TestElasticGrowMidSCF(t *testing.T) {
 	tel := telemetry.NewSession()
 	m := cluster.NewMembership(2, tel)
 	var announced atomic.Bool
-	res, tr, err := RunRHFElastic(eng, sch, ElasticOptions{
-		Ranks:      2,
-		MaxRanks:   3,
-		Membership: m,
-		Deadline:   20 * time.Second,
-		Telemetry:  tel,
-		OnIteration: func(epoch int64, iter int) {
-			if epoch == 0 && iter >= 1 && !announced.Swap(true) {
+	res, err := run(eng, sch, Plan{
+		Algorithm: AlgResilientFock, Recovery: ElasticEpoch,
+		Ranks: 2, MaxRanks: 3, Membership: m, Deadline: 20 * time.Second,
+		SCF: Options{Telemetry: tel, OnIteration: func(iter int, _ *Result) {
+			if m.Epoch() == 0 && iter >= 1 && !announced.Swap(true) {
 				m.Announce(1, "test-joiner")
 			}
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := res.Recovery
 	if !res.Converged {
 		t.Fatal("elastic run did not converge")
 	}
@@ -130,8 +125,11 @@ func TestElasticGrowMidSCF(t *testing.T) {
 		t.Fatalf("final ranks = %d, pool = %d, epoch = %d, want 3/3/1",
 			tr.FinalRanks, m.Size(), m.Epoch())
 	}
-	if got := len(tr.Epochs); got != 2 {
-		t.Fatalf("epochs recorded = %d, want 2", got)
+	if len(tr.Outcomes) != 2 || tr.Outcomes[0] != "join-rebalance" || tr.Outcomes[1] != "converged" {
+		t.Fatalf("attempt outcomes = %v, want [join-rebalance converged]", tr.Outcomes)
+	}
+	if tr.CheckpointRestarts != 1 {
+		t.Fatalf("the grown epoch did not warm-start from the checkpoint: %+v", tr)
 	}
 }
 
@@ -143,26 +141,24 @@ func TestElasticRebalanceBudget(t *testing.T) {
 	sch := integrals.ComputeSchwarz(eng)
 	m := cluster.NewMembership(2, nil)
 	var announced atomic.Bool
-	res, tr, err := RunRHFElastic(eng, sch, ElasticOptions{
-		Ranks:         2,
-		MaxRanks:      4,
-		Membership:    m,
-		Deadline:      20 * time.Second,
-		MaxRebalances: -1, // no transitions allowed
-		OnIteration: func(epoch int64, iter int) {
+	res, err := supervise(context.Background(), eng, sch, nil, Plan{
+		Algorithm: AlgResilientFock, Recovery: ElasticEpoch,
+		Ranks: 2, MaxRanks: 4, Membership: m, Deadline: 20 * time.Second,
+		SCF: Options{OnIteration: func(int, *Result) {
 			if !announced.Swap(true) {
 				m.Announce(1, "never-admitted")
 			}
-		},
-	})
+		}},
+	}, 0) // no transitions allowed
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := res.Recovery
 	if !res.Converged || math.Abs(res.Energy-ref.Energy) > 1e-10 {
 		t.Fatalf("budget-0 run: conv=%v E=%v vs %v", res.Converged, res.Energy, ref.Energy)
 	}
-	if tr.GrowRestarts != 0 || len(tr.Epochs) != 1 {
-		t.Fatalf("budget-0 run rebalanced: restarts=%d epochs=%d", tr.GrowRestarts, len(tr.Epochs))
+	if tr.GrowRestarts != 0 || tr.Attempts != 1 {
+		t.Fatalf("budget-0 run rebalanced: restarts=%d attempts=%d", tr.GrowRestarts, tr.Attempts)
 	}
 	if m.Size() != 2 {
 		t.Fatalf("pool grew to %d under a zero budget", m.Size())

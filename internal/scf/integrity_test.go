@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/fock"
 	"repro/internal/integrals"
@@ -39,25 +38,9 @@ func TestCheckpointV1AnySingleBitFlipRejected(t *testing.T) {
 	}
 }
 
-// TestCheckpointV0LegacyStillReads: bare-JSON files written before the
-// framing (the seed format) must keep loading.
-func TestCheckpointV0LegacyStillReads(t *testing.T) {
-	ref, _ := serialSCF(t, molecule.Water(), "sto-3g", Options{})
-	full, err := EncodeCheckpoint("water", "sto-3g", ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Extract the body = the v0 file: strip header line and CRC trailer.
-	nl := bytes.IndexByte(full, '\n')
-	body := full[nl+1 : bytes.LastIndex(full, []byte("\ncrc32="))]
-	cp, err := LoadCheckpoint(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("legacy v0 checkpoint rejected: %v", err)
-	}
-	if cp.NumBF != ref.D.Rows || cp.Energy != ref.Energy {
-		t.Fatalf("v0 round-trip mismatch: %+v", cp)
-	}
-	// And a future version must be refused, not misparsed.
+// TestCheckpointFutureVersionRefused: a future format version must be
+// refused, not misparsed.
+func TestCheckpointFutureVersionRefused(t *testing.T) {
 	future := []byte("HFCKPT v9 len=2\n{}\ncrc32=00000000\n")
 	if _, err := LoadCheckpoint(bytes.NewReader(future)); err == nil {
 		t.Fatal("future checkpoint version accepted")
@@ -211,16 +194,13 @@ func TestFockSDCInjectionParallel(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(string(tc.alg), func(t *testing.T) {
 			tel := telemetry.NewSession()
-			res, _, err := RunRHFResilient(eng, sch, ResilientOptions{
-				Ranks:     tc.ranks,
-				Algorithm: tc.alg,
-				Deadline:  20 * time.Second,
-				Telemetry: tel,
-				Fault: &mpi.FaultPlan{
-					Corrupts: []mpi.Corrupt{{Rank: tc.rank, Site: mpi.SiteFock, After: 2,
-						Kind: mpi.CorruptNaN, Index: 0}},
-				},
-			})
+			p := resilient(tc.ranks)
+			p.Algorithm, p.SCF.Telemetry = tc.alg, tel
+			p.Fault = &mpi.FaultPlan{
+				Corrupts: []mpi.Corrupt{{Rank: tc.rank, Site: mpi.SiteFock, After: 2,
+					Kind: mpi.CorruptNaN, Index: 0}},
+			}
+			res, err := run(eng, sch, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,22 +236,20 @@ func TestFockSDCInjectionParallel(t *testing.T) {
 func TestCheckpointCorruptionDetectedOnRestart(t *testing.T) {
 	eng, sch, ref := resilientSetup(t)
 	tel := telemetry.NewSession()
-	res, rec, err := RunRHFResilient(eng, sch, ResilientOptions{
-		Ranks:     3,
-		Algorithm: AlgMPIOnly,
-		Deadline:  20 * time.Second,
-		Telemetry: tel,
-		Fault: &mpi.FaultPlan{
-			// DLBReset barriers twice per Fock build: the fifth barrier is
-			// the start of iteration 3, so the corrupted iteration-2
-			// checkpoint is the latest one when the restart loads it.
-			Kills:    []mpi.Kill{{Rank: 1, Site: mpi.SiteBarrier, After: 5}},
-			Corrupts: []mpi.Corrupt{{Rank: 0, Site: mpi.SiteCheckpoint, After: 2, Kind: mpi.CorruptBitFlip, Index: 120, Bit: 4}},
-		},
-	})
+	p := resilient(3)
+	p.Algorithm, p.SCF.Telemetry = AlgMPIOnly, tel
+	p.Fault = &mpi.FaultPlan{
+		// DLBReset barriers twice per Fock build: the fifth barrier is
+		// the start of iteration 3, so the corrupted iteration-2
+		// checkpoint is the latest one when the restart loads it.
+		Kills:    []mpi.Kill{{Rank: 1, Site: mpi.SiteBarrier, After: 5}},
+		Corrupts: []mpi.Corrupt{{Rank: 0, Site: mpi.SiteCheckpoint, After: 2, Kind: mpi.CorruptBitFlip, Index: 120, Bit: 4}},
+	}
+	res, err := run(eng, sch, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := res.Recovery
 	if !res.Converged || math.Abs(res.Energy-ref.Energy) > 1e-8 {
 		t.Fatalf("E = %.12f, want %.12f", res.Energy, ref.Energy)
 	}

@@ -26,8 +26,8 @@ type MP2Result struct {
 // transformation in four O(N^5) quarter steps — feasible for the small
 // systems real execution targets (N up to roughly a hundred).
 func RunMP2(eng *integrals.Engine, ref *Result) (*MP2Result, error) {
-	if !ref.Converged {
-		return nil, fmt.Errorf("scf: MP2 needs a converged RHF reference")
+	if !ref.Converged || ref.C == nil {
+		return nil, fmt.Errorf("scf: MP2 needs a converged RHF reference with orbitals")
 	}
 	n := eng.Basis.NumBF
 	nocc := eng.Basis.Mol.NumElectrons() / 2

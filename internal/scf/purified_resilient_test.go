@@ -1,6 +1,7 @@
 package scf
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,34 +10,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestPurifiedResilientCleanMatchesEigensolve: with no fault injected
-// the resilient driver is the purified SCF over ABFT matrices — same
-// fixed point, one attempt, nothing reconstructed.
-func TestPurifiedResilientCleanMatchesEigensolve(t *testing.T) {
-	want, _ := serialSCF(t, molecule.Water(), "sto-3g",
-		Options{ConvDens: 1e-10, ConvEnergy: 1e-12})
-	eng, sch := purifiedSetup(t)
-	res, info, rec, err := RunRHFPurifiedResilient(eng, sch, PurifiedResilientOptions{
-		PurifiedOptions: PurifiedOptions{
-			Ranks:     4,
-			BlockSize: 3,
-			SCF:       Options{ConvDens: 1e-10, ConvEnergy: 1e-12},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("did not converge in %d iterations", res.Iterations)
-	}
-	if dE := math.Abs(res.Energy - want.Energy); dE > 1e-10 {
-		t.Errorf("clean resilient energy off by %g", dE)
-	}
-	if rec.Attempts != 1 || rec.Recoveries != 0 || rec.ReconstructedTiles != 0 {
-		t.Errorf("clean run recovery trace = %+v, want one quiet attempt", rec)
-	}
-	if info.TotalSweeps == 0 {
-		t.Errorf("no purification sweeps recorded")
+// abftPlan is the facade's PurifiedABFT preset on 3x3 tiles.
+func abftPlan(ranks int) Plan {
+	return Plan{
+		Algorithm: AlgPurifiedABFT, Recovery: ParitySalvage, Ranks: ranks, BlockSize: 3,
+		SCF: Options{ConvDens: 1e-10, ConvEnergy: 1e-12},
 	}
 }
 
@@ -50,28 +28,24 @@ func TestPurifiedResilientSurvivesKill(t *testing.T) {
 		Options{ConvDens: 1e-10, ConvEnergy: 1e-12})
 	eng, sch := purifiedSetup(t)
 	tel := telemetry.NewSession()
-	res, _, rec, err := RunRHFPurifiedResilient(eng, sch, PurifiedResilientOptions{
-		PurifiedOptions: PurifiedOptions{
-			Ranks:     4,
-			BlockSize: 3,
-			SCF:       Options{ConvDens: 1e-10, ConvEnergy: 1e-12},
-			Telemetry: tel,
-		},
-		// After 8 purification sweeps on rank 1 the kill fires inside a
-		// sweep — past the first iteration, mid-purification.
-		Fault: &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 1, Site: mpi.SitePurify, After: 8}}},
-	})
+	p := abftPlan(4)
+	p.SCF.Telemetry = tel
+	// After 8 purification sweeps on rank 1 the kill fires inside a
+	// sweep — past the first iteration, mid-purification.
+	p.Fault = &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 1, Site: mpi.SitePurify, After: 8}}}
+	res, err := run(eng, sch, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := res.Recovery
 	if !res.Converged {
 		t.Fatalf("did not converge after recovery (%d iterations)", res.Iterations)
 	}
 	if dE := math.Abs(res.Energy - want.Energy); dE > 1e-8 {
 		t.Errorf("post-recovery energy off by %g", dE)
 	}
-	if rec.Recoveries != 1 || rec.Attempts != 2 {
-		t.Errorf("Recoveries=%d Attempts=%d, want 1 recovery over 2 attempts", rec.Recoveries, rec.Attempts)
+	if rec.Restarts != 1 || rec.Attempts != 2 {
+		t.Errorf("Restarts=%d Attempts=%d, want 1 resume over 2 attempts", rec.Restarts, rec.Attempts)
 	}
 	if len(rec.FailedRanks) != 1 || rec.FailedRanks[0] != 1 {
 		t.Errorf("FailedRanks = %v, want [1]", rec.FailedRanks)
@@ -99,13 +73,9 @@ func TestPurifiedResilientRepairsBitFlip(t *testing.T) {
 		Options{ConvDens: 1e-10, ConvEnergy: 1e-12})
 	eng, sch := purifiedSetup(t)
 	tel := telemetry.NewSession()
-	res, _, rec, err := RunRHFPurifiedResilient(eng, sch, PurifiedResilientOptions{
-		PurifiedOptions: PurifiedOptions{
-			Ranks:     4,
-			BlockSize: 3,
-			SCF:       Options{ConvDens: 1e-10, ConvEnergy: 1e-12},
-			Telemetry: tel,
-		},
+	p := abftPlan(4)
+	p.SCF.Telemetry = tel
+	p.Fault = &mpi.FaultPlan{Corrupts: []mpi.Corrupt{{
 		// Flip a high mantissa bit in rank 2's first owned tile at the
 		// 6th sweep: large enough to clear the audit tolerance, resident
 		// (parity deliberately not updated by the injector). Index 4 —
@@ -113,22 +83,22 @@ func TestPurifiedResilientRepairsBitFlip(t *testing.T) {
 		// by symmetry; index 0 would hit the out-of-plane 2py row, which
 		// is exactly zero, and a bit flip on 0.0 only reaches denormal
 		// territory no tolerance can see.
-		Fault: &mpi.FaultPlan{Corrupts: []mpi.Corrupt{{
-			Rank: 2, Site: mpi.SitePurify, After: 6,
-			Kind: mpi.CorruptBitFlip, Index: 4, Bit: 51,
-		}}},
-	})
+		Rank: 2, Site: mpi.SitePurify, After: 6,
+		Kind: mpi.CorruptBitFlip, Index: 4, Bit: 51,
+	}}}
+	res, err := run(eng, sch, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := res.Recovery
 	if !res.Converged {
 		t.Fatalf("did not converge (%d iterations)", res.Iterations)
 	}
 	if dE := math.Abs(res.Energy - want.Energy); dE > 1e-10 {
 		t.Errorf("post-repair energy off by %g", dE)
 	}
-	if rec.Recoveries != 0 {
-		t.Errorf("Recoveries = %d, want 0 (a bit flip is repaired in place)", rec.Recoveries)
+	if rec.Restarts != 0 {
+		t.Errorf("Restarts = %d, want 0 (a bit flip is repaired in place)", rec.Restarts)
 	}
 	if tel.Counter("sdc.injected").Value() == 0 {
 		t.Fatalf("fault plan never injected — the test is vacuous")
@@ -142,24 +112,51 @@ func TestPurifiedResilientRepairsBitFlip(t *testing.T) {
 	}
 }
 
-// TestPurifiedResilientExhaustsBudget: more kills than MaxRecoveries
+// TestPurifiedResilientExhaustsBudget: more kills than the budget allows
 // must surface as a budget-exhausted error, not a hang or a wrong
 // answer.
 func TestPurifiedResilientExhaustsBudget(t *testing.T) {
 	eng, sch := purifiedSetup(t)
-	_, _, rec, err := RunRHFPurifiedResilient(eng, sch, PurifiedResilientOptions{
-		PurifiedOptions: PurifiedOptions{
-			Ranks:     2,
-			BlockSize: 3,
-			SCF:       Options{ConvDens: 1e-10, ConvEnergy: 1e-12},
-		},
-		MaxRecoveries: -1, // no budget at all (0 means default)
-		Fault:         &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 1, Site: mpi.SitePurify, After: 3}}},
-	})
+	p := abftPlan(2)
+	p.Fault = &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 1, Site: mpi.SitePurify, After: 3}}}
+	res, err := supervise(context.Background(), eng, sch, nil, p, 0) // no budget at all
 	if err == nil {
 		t.Fatal("expected a budget-exhausted error")
 	}
-	if rec.Recoveries != 0 {
-		t.Errorf("Recoveries = %d with a zero budget", rec.Recoveries)
+	if rec := res.Recovery; rec.Restarts != 0 || rec.Outcomes[0] != "error" {
+		t.Errorf("a zero budget still resumed: %+v", rec)
+	}
+}
+
+// TestReportTalliesAreDeltas: hfserve shares one telemetry registry
+// across jobs, so a run's counter-backed tallies must be what THIS run
+// added — the second, clean run on a session must not report the first
+// run's audit repairs.
+func TestReportTalliesAreDeltas(t *testing.T) {
+	eng, sch := purifiedSetup(t)
+	tel := telemetry.NewSession()
+	p := abftPlan(4)
+	p.SCF.Telemetry = tel
+	p.Fault = &mpi.FaultPlan{Corrupts: []mpi.Corrupt{{
+		Rank: 2, Site: mpi.SitePurify, After: 6, Kind: mpi.CorruptBitFlip, Index: 4, Bit: 51,
+	}}}
+	first, err := run(eng, sch, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Recovery.AuditMismatches == 0 || first.Recovery.RepairedTiles == 0 {
+		t.Fatalf("the flip was not tallied: %+v", first.Recovery)
+	}
+	p.Fault = nil
+	second, err := run(eng, sch, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := second.Recovery; rec.AuditMismatches != 0 || rec.RepairedTiles != 0 {
+		t.Errorf("the clean second run reports the first run's tallies: %d mismatches, %d repaired tiles",
+			rec.AuditMismatches, rec.RepairedTiles)
+	}
+	if got := tel.Counter("distmat.abft.repaired_tiles").Value(); got != first.Recovery.RepairedTiles {
+		t.Errorf("session counter %d != first run's tally %d", got, first.Recovery.RepairedTiles)
 	}
 }

@@ -29,14 +29,14 @@ func TestRunRHFPurifiedMatchesEigensolve(t *testing.T) {
 	eng, sch := purifiedSetup(t)
 	var peak1 int64
 	for _, tc := range []struct{ ranks, bs int }{{1, 3}, {4, 3}, {6, 3}} {
-		res, info, err := RunRHFPurified(eng, sch, PurifiedOptions{
-			Ranks:     tc.ranks,
-			BlockSize: tc.bs,
-			SCF:       Options{ConvDens: 1e-10, ConvEnergy: 1e-12},
+		res, err := run(eng, sch, Plan{
+			Algorithm: AlgPurified, Ranks: tc.ranks, BlockSize: tc.bs,
+			SCF: Options{ConvDens: 1e-10, ConvEnergy: 1e-12},
 		})
 		if err != nil {
 			t.Fatalf("ranks=%d: %v", tc.ranks, err)
 		}
+		info := res.Tiles
 		if !res.Converged {
 			t.Fatalf("ranks=%d: did not converge in %d iterations", tc.ranks, res.Iterations)
 		}
@@ -54,9 +54,12 @@ func TestRunRHFPurifiedMatchesEigensolve(t *testing.T) {
 			t.Errorf("ranks=%d: grid %dx%d does not cover the world",
 				tc.ranks, info.GridPr, info.GridPc)
 		}
-		if info.TotalSweeps == 0 || len(info.SweepsPerIter) != res.Iterations {
-			t.Errorf("ranks=%d: sweep accounting %d/%v inconsistent with %d iterations",
-				tc.ranks, info.TotalSweeps, info.SweepsPerIter, res.Iterations)
+		sweeps := 0
+		for _, it := range res.History {
+			sweeps += it.Sweeps
+		}
+		if info.TotalSweeps == 0 || info.TotalSweeps != sweeps {
+			t.Errorf("ranks=%d: %d total sweeps, history sums to %d", tc.ranks, info.TotalSweeps, sweeps)
 		}
 		// Distribution must shrink the per-rank footprint: multi-rank
 		// worlds hold a strict subset of the single-rank tile set (the
@@ -83,10 +86,7 @@ func TestRunRHFPurifiedWarmStart(t *testing.T) {
 	want, _ := serialSCF(t, molecule.Water(), "sto-3g",
 		Options{ConvDens: 1e-10, ConvEnergy: 1e-12})
 	eng, sch := purifiedSetup(t)
-	res, _, err := RunRHFPurified(eng, sch, PurifiedOptions{
-		Ranks: 4,
-		SCF:   Options{InitialDensity: want.D},
-	})
+	res, err := run(eng, sch, Plan{Algorithm: AlgPurified, Ranks: 4, SCF: Options{InitialDensity: want.D}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRunRHFPurifiedRejectsOddElectrons(t *testing.T) {
 	}
 	eng := integrals.NewEngine(hb)
 	sch := integrals.ComputeSchwarz(eng)
-	if _, _, err := RunRHFPurified(eng, sch, PurifiedOptions{Ranks: 2}); err == nil {
+	if _, err := run(eng, sch, Plan{Algorithm: AlgPurified}); err == nil {
 		t.Error("odd electron count must be rejected")
 	}
 }

@@ -2,6 +2,9 @@ package scf
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
@@ -11,6 +14,17 @@ import (
 	"repro/internal/molecule"
 	"repro/internal/mpi"
 )
+
+// run is Run on the direct engine under a background context.
+func run(eng *integrals.Engine, sch *integrals.Schwarz, p Plan) (*Result, error) {
+	return Run(context.Background(), eng, sch, nil, p)
+}
+
+// resilient is the facade's Resilient preset: the lease-based build under
+// shrink-and-restart from the per-iteration checkpoint.
+func resilient(ranks int) Plan {
+	return Plan{Algorithm: AlgResilientFock, Recovery: CheckpointShrink, Ranks: ranks, Deadline: 20 * time.Second}
+}
 
 func resilientSetup(t *testing.T) (*integrals.Engine, *integrals.Schwarz, *Result) {
 	t.Helper()
@@ -22,22 +36,6 @@ func resilientSetup(t *testing.T) (*integrals.Engine, *integrals.Schwarz, *Resul
 	return eng, sch, ref
 }
 
-// TestResilientCleanRun: without faults the resilient driver is just a
-// parallel SCF — one attempt, no restarts, reference energy.
-func TestResilientCleanRun(t *testing.T) {
-	eng, sch, ref := resilientSetup(t)
-	res, rec, err := RunRHFResilient(eng, sch, ResilientOptions{Ranks: 3, Deadline: 20 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged || math.Abs(res.Energy-ref.Energy) > 1e-8 {
-		t.Fatalf("E = %.12f, want %.12f", res.Energy, ref.Energy)
-	}
-	if rec.Attempts != 1 || rec.Restarts != 0 || rec.InBuildRecovery {
-		t.Fatalf("unexpected recovery trace: %+v", rec)
-	}
-}
-
 // TestInBuildRecoveryMidFockBuild is the tentpole's mid-SCF/mid-build
 // acceptance test for the resilient builder: a rank dies at a DLB draw
 // partway through the run; the survivors re-issue its leases and finish
@@ -45,16 +43,15 @@ func TestResilientCleanRun(t *testing.T) {
 // energy to 1e-8 hartree.
 func TestInBuildRecoveryMidFockBuild(t *testing.T) {
 	eng, sch, ref := resilientSetup(t)
-	res, rec, err := RunRHFResilient(eng, sch, ResilientOptions{
-		Ranks:    3,
-		Deadline: 20 * time.Second,
-		// Rank 2's eighth cursor draw kills it — inside a Fock build a few
-		// iterations into the SCF.
-		Fault: &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 2, Site: mpi.SiteDLB, After: 8}}},
-	})
+	p := resilient(3)
+	// Rank 2's eighth cursor draw kills it — inside a Fock build a few
+	// iterations into the SCF.
+	p.Fault = &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 2, Site: mpi.SiteDLB, After: 8}}}
+	res, err := run(eng, sch, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := res.Recovery
 	if !res.Converged || math.Abs(res.Energy-ref.Energy) > 1e-8 {
 		t.Fatalf("E = %.12f, want %.12f", res.Energy, ref.Energy)
 	}
@@ -79,17 +76,16 @@ func TestInBuildRecoveryMidFockBuild(t *testing.T) {
 // converging to the failure-free energy.
 func TestRestartFromCheckpointMidSCF(t *testing.T) {
 	eng, sch, ref := resilientSetup(t)
-	res, rec, err := RunRHFResilient(eng, sch, ResilientOptions{
-		Ranks:     3,
-		Algorithm: AlgMPIOnly,
-		Deadline:  20 * time.Second,
-		// DLBReset barriers twice per Fock build, so the fifth barrier is
-		// the start of iteration 3 — iterations 1 and 2 are checkpointed.
-		Fault: &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 1, Site: mpi.SiteBarrier, After: 5}}},
-	})
+	p := resilient(3)
+	p.Algorithm = AlgMPIOnly
+	// DLBReset barriers twice per Fock build, so the fifth barrier is
+	// the start of iteration 3 — iterations 1 and 2 are checkpointed.
+	p.Fault = &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 1, Site: mpi.SiteBarrier, After: 5}}}
+	res, err := run(eng, sch, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := res.Recovery
 	if !res.Converged || math.Abs(res.Energy-ref.Energy) > 1e-8 {
 		t.Fatalf("E = %.12f, want %.12f (failure-free reference)", res.Energy, ref.Energy)
 	}
@@ -118,16 +114,15 @@ func TestRestartFromCheckpointMidSCF(t *testing.T) {
 // the standard initial guess and still converge.
 func TestRestartBeforeFirstCheckpointFallsBackToGuess(t *testing.T) {
 	eng, sch, ref := resilientSetup(t)
-	res, rec, err := RunRHFResilient(eng, sch, ResilientOptions{
-		Ranks:     3,
-		Algorithm: AlgMPIOnly,
-		Deadline:  20 * time.Second,
-		// First barrier = iteration 1's DLBReset: nothing checkpointed yet.
-		Fault: &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 1, Site: mpi.SiteBarrier, After: 1}}},
-	})
+	p := resilient(3)
+	p.Algorithm = AlgMPIOnly
+	// First barrier = iteration 1's DLBReset: nothing checkpointed yet.
+	p.Fault = &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 1, Site: mpi.SiteBarrier, After: 1}}}
+	res, err := run(eng, sch, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := res.Recovery
 	if !res.Converged || math.Abs(res.Energy-ref.Energy) > 1e-8 {
 		t.Fatalf("E = %.12f, want %.12f", res.Energy, ref.Energy)
 	}
@@ -148,14 +143,13 @@ func TestCorruptSeedCheckpointFallsBack(t *testing.T) {
 	}
 	truncated := buf.Bytes()[:buf.Len()/2]
 
-	res, rec, err := RunRHFResilient(eng, sch, ResilientOptions{
-		Ranks:      2,
-		Deadline:   20 * time.Second,
-		Checkpoint: truncated,
-	})
+	p := resilient(2)
+	p.Checkpoint = truncated
+	res, err := run(eng, sch, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := res.Recovery
 	if rec.CorruptCheckpoints == 0 {
 		t.Fatalf("truncated checkpoint not diagnosed: %+v", rec)
 	}
@@ -167,6 +161,13 @@ func TestCorruptSeedCheckpointFallsBack(t *testing.T) {
 // TestCheckpointTruncatedAndCorrupted is the satellite-2 unit test:
 // LoadCheckpoint must return descriptive errors — never panic — on
 // truncated or corrupted files.
+// framed wraps a JSON body in a valid v1 frame, so the test reaches the
+// checks behind the CRC.
+func framed(body string) []byte {
+	return []byte(fmt.Sprintf("%s v1 len=%d\n%s\ncrc32=%08x\n", checkpointMagic, len(body), body,
+		crc32.ChecksumIEEE([]byte(body))))
+}
+
 func TestCheckpointTruncatedAndCorrupted(t *testing.T) {
 	ref, _ := serialSCF(t, molecule.Water(), "sto-3g", Options{})
 	var buf bytes.Buffer
@@ -183,9 +184,11 @@ func TestCheckpointTruncatedAndCorrupted(t *testing.T) {
 		{"empty", nil, "truncated or corrupted"},
 		{"truncated", full[:len(full)/3], "truncated or corrupted"},
 		{"binary garbage", []byte{0x1f, 0x8b, 0x08, 0x00, 0xff}, "truncated or corrupted"},
-		{"absurd basis size", []byte(`{"num_bf":1000000,"density":[]}`), "basis functions"},
-		{"negative basis size", []byte(`{"num_bf":-4,"density":[]}`), "basis functions"},
-		{"length mismatch", []byte(`{"num_bf":3,"density":[1,2,3,4]}`), "want 9"},
+		{"bare json", []byte(`{"num_bf":1,"density":[1]}`), "truncated or corrupted"},
+		{"absurd basis size", framed(`{"num_bf":1000000,"density":[]}`), "basis functions"},
+		{"negative basis size", framed(`{"num_bf":-4,"density":[]}`), "basis functions"},
+		{"length mismatch", framed(`{"num_bf":3,"density":[1,2,3,4]}`), "want 9"},
+		{"alpha length mismatch", framed(`{"num_bf":1,"density":[1],"alpha_density":[1,2]}`), "alpha density"},
 	}
 	for _, tc := range cases {
 		_, err := LoadCheckpoint(bytes.NewReader(tc.data))

@@ -1,10 +1,12 @@
-// Package scf drives the restricted Hartree-Fock self-consistent field
-// procedure: core-Hamiltonian initial guess, Fock diagonalization in the
-// Löwdin-orthogonalized basis, density updates, DIIS convergence
-// acceleration, and the RMS-density convergence criterion described in
-// the paper's Section 3. The two-electron Fock builder is pluggable, so
-// the same driver runs on the serial reference or on any of the three
-// parallel algorithms.
+// Package scf drives the Hartree-Fock self-consistent field procedure
+// as one loop over orthogonal axes (DESIGN.md "SCF as axes"): spin
+// channels (restricted n=1 | unrestricted n=2), storage and its density
+// step (replicated matrices with a Löwdin-basis eigensolve | distributed
+// tiles with SP2 purification, optionally checksum-redundant), the Fock
+// preset that feeds it (serial, the paper's Algorithms 1-3, the
+// lease-based resilient build, the tiled build), and the recovery policy
+// of the supervisor that launches the world. Run is the entry point;
+// RunRHF is the dense loop for callers that bring their own builder.
 package scf
 
 import (
@@ -14,25 +16,26 @@ import (
 
 	"repro/internal/fock"
 	"repro/internal/integrals"
-	"repro/internal/integrity"
 	"repro/internal/linalg"
 	"repro/internal/telemetry"
 )
 
-// Integrity validation tolerances. Fock and density matrices are
-// symmetric by construction; parallel summation order perturbs them at
-// roundoff (~1e-14 relative), so 1e-8 catches real one-sided corruption
-// with a six-decade margin. The electron-count trace is exact to
-// diagonalization roundoff; 1e-6 absolute keeps false positives at zero
-// for any basis this code handles.
-const (
-	fockSymTol   = 1e-8
-	densSymTol   = 1e-8
-	densTraceTol = 1e-6
-)
-
 // Builder computes the two-electron Fock matrix for a density.
 type Builder func(d *linalg.Matrix) (*linalg.Matrix, fock.Stats)
+
+// DIIS history depths. The dense step extrapolates on the max-abs
+// element of X^T (FDS - SDF) X; the tiled step on the commutator
+// [F', D'] in the orthonormal basis, whose Frobenius norm (a
+// deterministic global sum, where a distributed max is not) is what it
+// reports as IterInfo.DIISErr.
+const (
+	denseDIISSize = 8
+	tiledDIISSize = 4
+)
+
+// linDepTol is the overlap eigenvalue cutoff of the Löwdin
+// orthogonalizer.
+const linDepTol = 1e-8
 
 // Options configures the SCF loop. The zero value gives sensible defaults.
 type Options struct {
@@ -40,19 +43,18 @@ type Options struct {
 	ConvDens   float64 // RMS density change threshold, default 1e-8
 	ConvEnergy float64 // energy change threshold, default 1e-9
 	DisableDI  bool    // turn off DIIS extrapolation
-	DIISSize   int     // DIIS subspace size, default 8
-	LinDepTol  float64 // overlap eigenvalue cutoff, default 1e-8
 	// Guess selects the initial Fock: "core" (bare core Hamiltonian,
 	// default) or "gwh" (generalized Wolfsberg-Helmholz, which weights
 	// off-diagonal elements by overlaps and usually starts closer).
 	Guess string
-	// InitialDensity warm-starts the SCF from a previous density (e.g. a
-	// loaded Checkpoint), overriding Guess. Dimensions must match.
+	// InitialDensity warm-starts the SCF from a previous total density
+	// (e.g. a loaded Checkpoint), overriding Guess. Dimensions must match.
+	// An unrestricted run splits it between the spins by electron share.
 	InitialDensity *linalg.Matrix
 	// OnIteration, when set, is invoked after every completed iteration
 	// with the up-to-date Result (History, Energy, D reflect iteration
-	// iter). The recovery driver uses it to checkpoint each iteration so
-	// a rank failure restarts from the latest density, not from scratch.
+	// iter). Under Run it fires on rank 0 only, after the supervisor's
+	// checkpoint write.
 	OnIteration func(iter int, res *Result)
 	// Telemetry, when set, receives one scf.iter span per iteration
 	// (args: energy, dE, rmsD) plus energy/convergence gauges; nil
@@ -80,11 +82,11 @@ type Options struct {
 	// diverging or oscillating one is walked down the degradation ladder
 	// instead of burning MaxIter iterations or returning NaN.
 	DisableWatchdog bool
-	// DisableValidation turns off the per-iteration matrix integrity
-	// checks (finite entries, symmetry, electron count) and the
-	// quarantine-and-recompute of a corrupted Fock build. Enabled by
-	// default; the O(n^2) checks are free next to the O(n^4) build.
-	DisableValidation bool
+
+	// warm is a restart state handed down by the supervisor: one density
+	// per spin channel, from a verified checkpoint. It wins over
+	// InitialDensity.
+	warm []*linalg.Matrix
 }
 
 func (o Options) withDefaults() Options {
@@ -97,13 +99,17 @@ func (o Options) withDefaults() Options {
 	if o.ConvEnergy == 0 {
 		o.ConvEnergy = 1e-9
 	}
-	if o.DIISSize == 0 {
-		o.DIISSize = 8
-	}
-	if o.LinDepTol == 0 {
-		o.LinDepTol = 1e-8
-	}
 	return o
+}
+
+// rank0 returns the session on rank 0 and nil (the no-op session)
+// elsewhere: counters, gauges and instants of a collective run are
+// emitted once, not once per rank.
+func (o Options) rank0() *telemetry.Session {
+	if o.TelemetryRank != 0 {
+		return nil
+	}
+	return o.Telemetry
 }
 
 // IterInfo records one SCF iteration for convergence reporting.
@@ -113,6 +119,9 @@ type IterInfo struct {
 	RMSDens  float64
 	DIISErr  float64
 	FockStat fock.Stats
+	// Sweeps is the number of SP2 purification sweeps the tiled density
+	// step took; 0 under the eigensolve.
+	Sweeps int
 	// Degrade names the watchdog rung escalated to during this iteration
 	// ("damping", "level-shift", "diis-reset", "roothaan"); empty for a
 	// healthy iteration.
@@ -129,15 +138,31 @@ type Result struct {
 	Energy           float64 // total = electronic + nuclear repulsion
 	Electronic       float64
 	NuclearRepulsion float64
-	OrbitalEnergies  []float64
-	C                *linalg.Matrix // MO coefficients (columns)
-	D                *linalg.Matrix // final density
-	History          []IterInfo
-	TotalFockStats   fock.Stats
+	// OrbitalEnergies and C are the restricted eigensolve's orbitals: nil
+	// after an unrestricted run (see Spin) and after SP2 purification,
+	// which never forms orbitals.
+	OrbitalEnergies []float64
+	C               *linalg.Matrix // MO coefficients (columns)
+	D               *linalg.Matrix // final total density
+	History         []IterInfo
+	TotalFockStats  fock.Stats
+
+	Spin     *Spin       // unrestricted runs only
+	Tiles    *PurifyInfo // tiled storage only
+	Recovery *Report     // set by Run: how the supervisor got here
 }
 
-// DensityFromC assembles the closed-shell density D = 2 C_occ C_occ^T.
-func DensityFromC(c *linalg.Matrix, nocc int) *linalg.Matrix {
+// Spin holds the spin-resolved quantities of an unrestricted run.
+type Spin struct {
+	NumAlpha, NumBeta int
+	EpsAlpha, EpsBeta []float64
+	DAlpha, DBeta     *linalg.Matrix
+	SSquared          float64 // <S^2> expectation value (spin contamination probe)
+}
+
+// densityFromC assembles D = occ C_occ C_occ^T: occ = 2 is the
+// closed-shell density, occ = 1 a single-spin density.
+func densityFromC(c *linalg.Matrix, nocc int, occ float64) *linalg.Matrix {
 	n := c.Rows
 	d := linalg.NewSquare(n)
 	for a := 0; a < n; a++ {
@@ -146,212 +171,87 @@ func DensityFromC(c *linalg.Matrix, nocc int) *linalg.Matrix {
 			for o := 0; o < nocc; o++ {
 				sum += c.At(a, o) * c.At(b, o)
 			}
-			d.Set(a, b, 2*sum)
-			d.Set(b, a, 2*sum)
+			d.Set(a, b, occ*sum)
+			d.Set(b, a, occ*sum)
 		}
 	}
 	return d
 }
 
-// RunRHF performs a restricted Hartree-Fock calculation over the engine's
-// basis, using builder for the two-electron Fock matrices.
-func RunRHF(eng *integrals.Engine, builder Builder, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	mol := eng.Basis.Mol
-	nelec := mol.NumElectrons()
-	if nelec%2 != 0 {
-		return nil, fmt.Errorf("scf: RHF needs an even electron count, molecule %q has %d", mol.Name, nelec)
-	}
-	nocc := nelec / 2
-	n := eng.Basis.NumBF
-	if nocc > n {
-		return nil, fmt.Errorf("scf: %d occupied orbitals exceed basis size %d", nocc, n)
-	}
+// step is the storage-specific body of one SCF iteration: build the
+// Fock matrix from the current density, take the density step, and
+// publish the new state (energy, density, orbitals) on res. It returns
+// the iteration's record; History and Iterations are the loop's.
+type step interface {
+	run(iter int, ePrev float64, res *Result) (IterInfo, error)
+}
 
-	s := eng.Overlap()
-	h := eng.CoreHamiltonian()
-	x, err := linalg.LowdinOrthogonalizer(s, opt.LinDepTol)
-	if err != nil {
-		return nil, fmt.Errorf("scf: %w", err)
-	}
-
-	// Initial guess: a warm-start density, or diagonalize the guess Fock
-	// in the orthogonal basis.
-	var eps []float64
-	var c, d *linalg.Matrix
-	if opt.InitialDensity != nil {
-		if opt.InitialDensity.Rows != n || opt.InitialDensity.Cols != n {
-			return nil, fmt.Errorf("scf: initial density is %dx%d for a %d-function basis",
-				opt.InitialDensity.Rows, opt.InitialDensity.Cols, n)
-		}
-		d = opt.InitialDensity.Clone()
-	} else {
-		g0, err := guessFock(opt.Guess, h, s)
-		if err != nil {
-			return nil, err
-		}
-		eps, c = diagonalizeFock(g0, x)
-		d = DensityFromC(c, nocc)
-	}
-
-	res := &Result{NuclearRepulsion: mol.NuclearRepulsion()}
-	diis := newDIIS(opt.DIISSize)
-	ePrev := math.Inf(1)
-	var wd *watchdogState
-	if !opt.DisableWatchdog {
-		wd = &watchdogState{}
-	}
-
-	for iter := 1; iter <= opt.MaxIter; iter++ {
+// iterate is the SCF loop — the only one. Every preset, storage and
+// spin case runs this frame: cancel gate, scf.iter span, step, history,
+// gauges and OnIteration, convergence test. It starts at iteration
+// start with ePrev the energy of iteration start-1 (a resumed run
+// continues its trajectory; a fresh one passes 1 and +Inf).
+func iterate(opt Options, st step, res *Result, start int, ePrev float64) error {
+	tel, rank, tel0 := opt.Telemetry, opt.TelemetryRank, opt.rank0()
+	for iter := start; iter <= opt.MaxIter; iter++ {
 		// Cancellation gate. Parallel runs agree collectively (every rank
 		// must reach this point the same number of times); serial runs
 		// trust the local poll. Checked before any work so a canceled job
 		// never starts another O(n^4) Fock build.
 		if opt.CancelAgree != nil || (opt.Context != nil && opt.Context.Done() != nil) {
-			local := opt.Context != nil && opt.Context.Err() != nil
-			stop := local
+			stop := opt.Context != nil && opt.Context.Err() != nil
 			if opt.CancelAgree != nil {
-				stop = opt.CancelAgree(local)
+				stop = opt.CancelAgree(stop)
 			}
 			if stop {
 				var cause error
 				if opt.Context != nil {
 					cause = context.Cause(opt.Context)
 				}
-				if opt.Telemetry != nil && opt.TelemetryRank == 0 {
-					opt.Telemetry.Counter("scf.canceled").Add(1)
-					opt.Telemetry.Instant("scf.cancel", "canceled", opt.TelemetryRank, 0,
-						map[string]any{"iter": iter})
-				}
-				return res, &CanceledError{Iter: iter, Cause: cause}
+				tel0.Counter("scf.canceled").Add(1)
+				tel0.Instant("scf.cancel", "canceled", rank, 0, map[string]any{"iter": iter})
+				return &CanceledError{Iter: iter, Cause: cause}
 			}
 		}
-		endIter := opt.Telemetry.SpanArgsAtEnd("scf.iter", "iteration", opt.TelemetryRank, 0)
-		g, stats := builder(d)
-		res.TotalFockStats.Add(stats)
-
-		// Integrity gate: a Fock replica that fails validation is
-		// quarantined and rebuilt once. Every rank sees the identical
-		// (allreduced) matrix, so the recompute decision is collective
-		// without communication; telemetry counts it once, from rank 0.
-		recomputed := false
-		if !opt.DisableValidation {
-			if verr := integrity.CheckFock(g, fockSymTol); verr != nil {
-				recomputed = true
-				if opt.Telemetry != nil && opt.TelemetryRank == 0 {
-					opt.Telemetry.Counter("sdc.detected").Add(1)
-					opt.Telemetry.Counter("sdc.detected.fock").Add(1)
-					opt.Telemetry.Counter("integrity.fock.recomputed").Add(1)
-					opt.Telemetry.Instant("integrity", "fock-quarantine", opt.TelemetryRank, 0,
-						map[string]any{"iter": iter, "cause": verr.Error()})
-				}
-				g2, stats2 := builder(d)
-				res.TotalFockStats.Add(stats2)
-				if verr2 := integrity.CheckFock(g2, fockSymTol); verr2 != nil {
-					return nil, fmt.Errorf("scf: Fock build failed validation twice in iteration %d (persistent corruption): %w", iter, verr2)
-				}
-				g = g2
-			}
+		endIter := tel.SpanArgsAtEnd("scf.iter", "iteration", rank, 0)
+		info, err := st.run(iter, ePrev, res)
+		if err != nil {
+			return err
 		}
-
-		f := h.Clone()
-		f.AxpyFrom(1, g)
-
-		// Electronic energy from the CURRENT density and Fock.
-		eElec := 0.5 * linalg.Dot(d, sumMatrices(h, f))
-		eTot := eElec + res.NuclearRepulsion
-
-		diisErr := 0.0
-		if !opt.DisableDI && (wd == nil || !wd.diisOff()) {
-			var errNorm float64
-			f, errNorm = diis.extrapolate(f, d, s, x)
-			diisErr = errNorm
-		}
-		if wd != nil {
-			if gamma := wd.shift(); gamma > 0 {
-				applyLevelShift(f, s, d, gamma)
-			}
-		}
-
-		eps, c = diagonalizeFock(f, x)
-		dNew := DensityFromC(c, nocc)
-		if wd != nil {
-			if a := wd.damping(); a > 0 {
-				for i := range dNew.Data {
-					dNew.Data[i] = (1-a)*dNew.Data[i] + a*d.Data[i]
-				}
-			}
-		}
-		rms := dNew.RMSDiff(d)
-		dE := eTot - ePrev
-
-		degrade := ""
-		if wd != nil {
-			degrade = wd.observe(dE, rms)
-		}
-		if !opt.DisableValidation {
-			if verr := integrity.CheckDensity(dNew, s, nelec, densSymTol, densTraceTol); verr != nil {
-				// A bad density past a verified Fock: no cheap recompute
-				// exists, so force the ladder a rung instead.
-				if opt.Telemetry != nil && opt.TelemetryRank == 0 {
-					opt.Telemetry.Counter("sdc.detected").Add(1)
-					opt.Telemetry.Counter("sdc.detected.density").Add(1)
-					opt.Telemetry.Instant("integrity", "density-invalid", opt.TelemetryRank, 0,
-						map[string]any{"iter": iter, "cause": verr.Error()})
-				}
-				if wd != nil && degrade == "" {
-					degrade = wd.escalate()
-				}
-			}
-		}
-		if degrade != "" {
-			if degrade == wdLevelNames[wdDIISReset] {
-				diis.reset()
-			}
-			if opt.Telemetry != nil && opt.TelemetryRank == 0 {
-				opt.Telemetry.Counter("integrity.watchdog.escalations").Add(1)
-				opt.Telemetry.Instant("integrity", "watchdog-"+degrade, opt.TelemetryRank, 0,
-					map[string]any{"iter": iter, "dE": dE, "rmsD": rms})
-				// A watchdog escalation is a postmortem moment: snapshot the
-				// flight ring so the spans leading up to it survive the run.
-				opt.Telemetry.Logf("integrity", "watchdog escalated to %s at iter %d (dE=%g rmsD=%g)",
-					degrade, iter, dE, rms)
-				opt.Telemetry.DumpFlight("watchdog-" + degrade)
-			}
-		}
-
-		res.History = append(res.History, IterInfo{
-			Energy: eTot, DeltaE: dE, RMSDens: rms, DIISErr: diisErr, FockStat: stats,
-			Degrade: degrade, Recomputed: recomputed,
-		})
+		res.TotalFockStats.Add(info.FockStat)
+		res.History = append(res.History, info)
 		res.Iterations = iter
-		res.Energy = eTot
-		res.Electronic = eElec
-		res.D = dNew
-		res.C = c
-		res.OrbitalEnergies = eps
-
 		if opt.OnIteration != nil {
 			opt.OnIteration(iter, res)
 		}
 
-		endIter(map[string]any{"iter": iter, "energy": eTot, "dE": dE, "rmsD": rms})
-		if opt.Telemetry != nil && opt.TelemetryRank == 0 {
-			opt.Telemetry.Counter("scf.iterations").Add(1)
-			opt.Telemetry.Gauge("scf.energy").Set(eTot)
-			opt.Telemetry.Gauge("scf.delta_e").Set(dE)
-			opt.Telemetry.Gauge("scf.rms_dens").Set(rms)
+		args := map[string]any{"iter": iter, "energy": info.Energy, "dE": info.DeltaE, "rmsD": info.RMSDens}
+		if info.Sweeps > 0 {
+			args["sweeps"] = info.Sweeps
 		}
+		endIter(args)
+		tel0.Counter("scf.iterations").Add(1)
+		tel0.Gauge("scf.energy").Set(info.Energy)
+		tel0.Gauge("scf.delta_e").Set(info.DeltaE)
+		tel0.Gauge("scf.rms_dens").Set(info.RMSDens)
 
-		if rms < opt.ConvDens && math.Abs(dE) < opt.ConvEnergy {
+		if info.RMSDens < opt.ConvDens && math.Abs(info.DeltaE) < opt.ConvEnergy {
 			res.Converged = true
-			d = dNew
-			break
+			return nil
 		}
-		d = dNew
-		ePrev = eTot
+		ePrev = info.Energy
 	}
-	return res, nil
+	return nil
+}
+
+// RunRHF performs a restricted Hartree-Fock calculation over the engine's
+// basis on replicated matrices, using builder for the two-electron Fock
+// matrices. Inside an MPI world every rank calls it collectively.
+func RunRHF(eng *integrals.Engine, builder Builder, opt Options) (*Result, error) {
+	return runDense(eng, 0, func(ds []*linalg.Matrix) ([]*linalg.Matrix, fock.Stats) {
+		g, stats := builder(ds[0])
+		return []*linalg.Matrix{g}, stats
+	}, opt)
 }
 
 // guessFock returns the initial Fock matrix for the named guess.
@@ -394,15 +294,15 @@ func sumMatrices(a, b *linalg.Matrix) *linalg.Matrix {
 	return out
 }
 
-// applyLevelShift adds gamma * (S - S D S / 2) to f in place. In the
+// applyLevelShift adds gamma * (S - S D S / occ) to f in place. In the
 // orthonormal basis this is gamma times the virtual-space projector
-// (S D S / 2 maps to the occupied projector), so every virtual orbital
+// (S D S / occ maps to the occupied projector), so every virtual orbital
 // energy rises by gamma while occupied ones stay put — widening the
 // effective gap that drives SCF oscillation.
-func applyLevelShift(f, s, d *linalg.Matrix, gamma float64) {
+func applyLevelShift(f, s, d *linalg.Matrix, gamma, occ float64) {
 	sds := linalg.Mul(s, linalg.Mul(d, s))
 	f.AxpyFrom(gamma, s)
-	f.AxpyFrom(-gamma/2, sds)
+	f.AxpyFrom(-gamma/occ, sds)
 }
 
 // --- DIIS (Pulay convergence acceleration) ---
@@ -413,7 +313,7 @@ type diisState struct {
 	errors []*linalg.Matrix
 }
 
-func newDIIS(size int) *diisState { return &diisState{size: size} }
+func newDIIS() *diisState { return &diisState{size: denseDIISSize} }
 
 // reset drops the extrapolation history — the watchdog's "diis-reset"
 // rung, discarding Fock/error pairs poisoned by a corrupted or

@@ -6,12 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/basis"
-	"repro/internal/ddi"
 	"repro/internal/fock"
 	"repro/internal/integrals"
 	"repro/internal/linalg"
 	"repro/internal/molecule"
-	"repro/internal/mpi"
 )
 
 func serialSCF(t testing.TB, mol *molecule.Molecule, set string, opt Options) (*Result, *integrals.Engine) {
@@ -177,35 +175,6 @@ func TestEnergyMonotoneWindowHistory(t *testing.T) {
 	}
 }
 
-func TestParallelSCFMatchesSerial(t *testing.T) {
-	// Full SCF through each parallel algorithm must land on the serial
-	// energy to machine precision (EXP-V1).
-	mol := molecule.Water()
-	serial, eng := serialSCF(t, mol, "sto-3g", Options{})
-	sch := integrals.ComputeSchwarz(eng)
-	for _, alg := range Algorithms {
-		energies := make([]float64, 2)
-		err := mpi.Run(2, func(c *mpi.Comm) {
-			dx := ddi.New(c)
-			builder := ParallelBuilder(alg, dx, eng, sch, fock.Config{Threads: 2})
-			res, err := RunRHF(eng, builder, Options{})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			energies[c.Rank()] = res.Energy
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
-		for r, e := range energies {
-			if math.Abs(e-serial.Energy) > 1e-9 {
-				t.Fatalf("%s rank %d: energy %v vs serial %v", alg, r, e, serial.Energy)
-			}
-		}
-	}
-}
-
 func TestGrapheneFlakeSCF(t *testing.T) {
 	// An all-carbon flake with the paper's basis family; checks the code
 	// path used by the benchmark systems end to end (small enough to run).
@@ -225,9 +194,9 @@ func TestGrapheneFlakeSCF(t *testing.T) {
 
 func TestDensityFromC(t *testing.T) {
 	c := linalg.FromRows([][]float64{{1, 0}, {0, 1}})
-	d := DensityFromC(c, 1)
+	d := densityFromC(c, 1, 2)
 	if d.At(0, 0) != 2 || d.At(1, 1) != 0 || d.At(0, 1) != 0 {
-		t.Fatalf("DensityFromC = %v", d)
+		t.Fatalf("densityFromC = %v", d)
 	}
 }
 

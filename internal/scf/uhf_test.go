@@ -2,11 +2,12 @@ package scf
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/basis"
-	"repro/internal/ddi"
 	"repro/internal/fock"
 	"repro/internal/integrals"
 	"repro/internal/molecule"
@@ -23,11 +24,16 @@ func uhfSetup(t *testing.T, mol *molecule.Molecule, set string) *integrals.Engin
 	return integrals.NewEngine(b)
 }
 
+// serialUHF runs a serial unrestricted SCF of the given multiplicity.
+func serialUHF(eng *integrals.Engine, multiplicity int, opt Options) (*Result, error) {
+	return run(eng, integrals.ComputeSchwarz(eng), Plan{Multiplicity: multiplicity, SCF: opt})
+}
+
 func TestUHFHydrogenAtom(t *testing.T) {
 	m := &molecule.Molecule{Name: "H"}
 	m.AddAtomAngstrom("H", 0, 0, 0)
 	eng := uhfSetup(t, m, "sto-3g")
-	res, err := RunUHF(eng, 2, Options{})
+	res, err := serialUHF(eng, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +45,11 @@ func TestUHFHydrogenAtom(t *testing.T) {
 		t.Fatalf("H atom UHF = %v", res.Energy)
 	}
 	// A doublet with one electron has no spin contamination: <S^2> = 0.75.
-	if math.Abs(res.SSquared-0.75) > 1e-8 {
-		t.Fatalf("<S^2> = %v want 0.75", res.SSquared)
+	if math.Abs(res.Spin.SSquared-0.75) > 1e-8 {
+		t.Fatalf("<S^2> = %v want 0.75", res.Spin.SSquared)
 	}
-	if res.NumAlpha != 1 || res.NumBeta != 0 {
-		t.Fatalf("occupations %d/%d", res.NumAlpha, res.NumBeta)
+	if res.Spin.NumAlpha != 1 || res.Spin.NumBeta != 0 {
+		t.Fatalf("occupations %d/%d", res.Spin.NumAlpha, res.Spin.NumBeta)
 	}
 }
 
@@ -56,7 +62,7 @@ func TestUHFSingletMatchesRHF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uhf, err := RunUHF(eng, 1, Options{})
+	uhf, err := serialUHF(eng, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +73,14 @@ func TestUHFSingletMatchesRHF(t *testing.T) {
 		t.Fatalf("UHF %v vs RHF %v", uhf.Energy, rhf.Energy)
 	}
 	// Closed-shell singlet: <S^2> = 0.
-	if math.Abs(uhf.SSquared) > 1e-6 {
-		t.Fatalf("<S^2> = %v want 0", uhf.SSquared)
+	if math.Abs(uhf.Spin.SSquared) > 1e-6 {
+		t.Fatalf("<S^2> = %v want 0", uhf.Spin.SSquared)
 	}
 }
 
 func TestUHFTripletOxygen(t *testing.T) {
 	eng := o2Triplet(t)
-	res, err := RunUHF(eng, 3, Options{MaxIter: 200})
+	res, err := serialUHF(eng, 3, Options{MaxIter: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,16 +91,16 @@ func TestUHFTripletOxygen(t *testing.T) {
 	if res.Energy < -148.2 || res.Energy > -147.0 {
 		t.Fatalf("O2 UHF energy = %v", res.Energy)
 	}
-	if res.NumAlpha != 9 || res.NumBeta != 7 {
-		t.Fatalf("occupations %d/%d", res.NumAlpha, res.NumBeta)
+	if res.Spin.NumAlpha != 9 || res.Spin.NumBeta != 7 {
+		t.Fatalf("occupations %d/%d", res.Spin.NumAlpha, res.Spin.NumBeta)
 	}
 	// <S^2> for a triplet is >= 2 (2.0 exact; contamination raises it).
-	if res.SSquared < 1.9 || res.SSquared > 2.3 {
-		t.Fatalf("<S^2> = %v", res.SSquared)
+	if res.Spin.SSquared < 1.9 || res.Spin.SSquared > 2.3 {
+		t.Fatalf("<S^2> = %v", res.Spin.SSquared)
 	}
 	// The triplet must lie below the closed-shell singlet at this geometry
 	// (Hund's rule at the UHF level).
-	singlet, err := RunUHF(eng, 1, Options{MaxIter: 200})
+	singlet, err := serialUHF(eng, 1, Options{MaxIter: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +112,13 @@ func TestUHFTripletOxygen(t *testing.T) {
 func TestUHFValidation(t *testing.T) {
 	mol := molecule.Water()
 	eng := uhfSetup(t, mol, "sto-3g")
-	if _, err := RunUHF(eng, 0, Options{}); err == nil {
-		t.Fatal("multiplicity 0 should be rejected")
+	if _, err := serialUHF(eng, -1, Options{}); err == nil {
+		t.Fatal("a negative multiplicity should be rejected")
 	}
-	if _, err := RunUHF(eng, 2, Options{}); err == nil {
+	if _, err := serialUHF(eng, 2, Options{}); err == nil {
 		t.Fatal("doublet with 10 electrons should be rejected")
 	}
-	if _, err := RunUHF(eng, 100, Options{}); err == nil {
+	if _, err := serialUHF(eng, 100, Options{}); err == nil {
 		t.Fatal("impossible multiplicity should be rejected")
 	}
 }
@@ -120,10 +126,7 @@ func TestUHFValidation(t *testing.T) {
 // o2Triplet is the canonical UHF triplet of these tests.
 func o2Triplet(t *testing.T) *integrals.Engine {
 	t.Helper()
-	m := &molecule.Molecule{Name: "O2"}
-	m.AddAtomAngstrom("O", 0, 0, 0)
-	m.AddAtomAngstrom("O", 0, 0, 1.2075)
-	return uhfSetup(t, m, "sto-3g")
+	return uhfSetup(t, o2Molecule(), "sto-3g")
 }
 
 // o2TripletEnergy is the serial UHF/STO-3G energy of o2Triplet as computed
@@ -135,71 +138,63 @@ func TestSerialUHFOneSweepPerIteration(t *testing.T) {
 	// exchange channels — not one pass per spin.
 	eng := o2Triplet(t)
 	sch := integrals.ComputeSchwarz(eng)
-	res, err := RunUHF(eng, 3, Options{MaxIter: 200})
+	res, err := serialUHF(eng, 3, Options{MaxIter: 200})
 	if err != nil || !res.Converged {
 		t.Fatalf("serial UHF failed: %v", err)
 	}
 	if math.Abs(res.Energy-o2TripletEnergy) > 1e-10 {
 		t.Fatalf("O2 triplet E = %.12f, want %.12f", res.Energy, o2TripletEnergy)
 	}
-	_, rhf := fock.SerialBuild(eng, sch, res.DAlpha, fock.DefaultTau)
-	if want := int64(res.Iterations) * rhf.QuartetsComputed; res.TotalStats.QuartetsComputed != want {
+	_, rhf := fock.SerialBuild(eng, sch, res.Spin.DAlpha, fock.DefaultTau)
+	if want := int64(res.Iterations) * rhf.QuartetsComputed; res.TotalFockStats.QuartetsComputed != want {
 		t.Fatalf("UHF evaluated %d quartets in %d iterations, want %d (one %d-quartet sweep each)",
-			res.TotalStats.QuartetsComputed, res.Iterations, want, rhf.QuartetsComputed)
+			res.TotalFockStats.QuartetsComputed, res.Iterations, want, rhf.QuartetsComputed)
 	}
 }
 
 func TestParallelUHFMatchesSerial(t *testing.T) {
 	// EXP-V1 for the UHF extension: every parallel preset drives a full
-	// UHF to the same energy as the serial path.
+	// UHF to the same energy as the serial path. Both sides converge past
+	// the asserted tolerance (see tight): thread and rank summation order
+	// vary run to run, and with them the iterate a looser run stops at.
 	eng := o2Triplet(t)
 	sch := integrals.ComputeSchwarz(eng)
+	serial, err := run(eng, sch, Plan{Multiplicity: 3, SCF: tight})
+	if err != nil || !serial.Converged {
+		t.Fatalf("serial UHF failed: %v", err)
+	}
+	if d := math.Abs(serial.Energy - o2TripletEnergy); d > 1e-8 {
+		t.Fatalf("serial O2 triplet %.12f is %.1e off the pinned %.12f", serial.Energy, d, o2TripletEnergy)
+	}
 	for _, alg := range Algorithms {
-		energies := make([]float64, 2)
-		err := mpi.Run(2, func(c *mpi.Comm) {
-			builder := ParallelJKBuilder(alg, ddi.New(c), eng, sch, fock.Config{Threads: 2})
-			res, err := RunUHFWithBuilder(eng, 3, builder, Options{MaxIter: 200})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			energies[c.Rank()] = res.Energy
-		})
+		res, err := run(eng, sch, Plan{Multiplicity: 3, Algorithm: alg, Ranks: 2, Threads: 2, SCF: tight})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		for r, e := range energies {
-			if math.Abs(e-o2TripletEnergy) > 1e-10 {
-				t.Fatalf("%s rank %d: UHF energy %.12f, want %.12f", alg, r, e, o2TripletEnergy)
-			}
+		if d := math.Abs(res.Energy - serial.Energy); !res.Converged || d > 1e-10 {
+			t.Fatalf("%s: UHF energy %.12f (converged=%v), serial %.12f, |dE| = %.1e",
+				alg, res.Energy, res.Converged, serial.Energy, d)
 		}
 	}
 }
 
-// TestParallelUHFHooks: UHF runs on the same walker as RHF, so it gets
-// the per-task hooks without a line of its own — the fock.build and
-// fock.task spans of a traced run, and the SiteFock corruption site.
+// TestParallelUHFHooks: UHF rides the one loop on the one walker, so it
+// gets the hooks without a line of its own — the scf.iter, fock.build and
+// fock.task spans of a traced run, the SiteFock corruption site with the
+// loop's quarantine-and-rebuild behind it, and the collective cancel gate.
 func TestParallelUHFHooks(t *testing.T) {
 	eng := o2Triplet(t)
 	sch := integrals.ComputeSchwarz(eng)
 	tel := telemetry.NewSession()
-	var energy float64
-	_, err := mpi.RunWithOptions(2, mpi.RunOptions{Telemetry: tel}, func(c *mpi.Comm) {
-		builder := ParallelJKBuilder(AlgSharedFock, ddi.New(c), eng, sch, fock.Config{Threads: 2})
-		res, err := RunUHFWithBuilder(eng, 3, builder, Options{MaxIter: 200})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if c.Rank() == 0 {
-			energy = res.Energy
-		}
+	res, err := run(eng, sch, Plan{
+		Multiplicity: 3, Algorithm: AlgSharedFock, Ranks: 2, Threads: 2,
+		SCF: Options{MaxIter: 200, Telemetry: tel},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(energy-o2TripletEnergy) > 1e-10 {
-		t.Fatalf("traced UHF energy %.12f, want %.12f", energy, o2TripletEnergy)
+	if math.Abs(res.Energy-o2TripletEnergy) > 1e-8 {
+		t.Fatalf("traced UHF energy %.12f, want %.12f", res.Energy, o2TripletEnergy)
 	}
 	var buf bytes.Buffer
 	if err := tel.WriteTrace(&buf); err != nil {
@@ -209,40 +204,85 @@ func TestParallelUHFHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cat := range []string{"fock.build", "fock.task", "dlb.draw", "mpi.op"} {
+	for _, cat := range []string{"scf.iter", "fock.build", "fock.task", "dlb.draw", "mpi.op"} {
 		if stats.Categories[cat] == 0 {
 			t.Errorf("no %s spans in the UHF trace", cat)
 		}
 	}
-
-	// One UHF build with a NaN scheduled into rank 1's second Fock task.
-	// (Only the injection is asserted: the UHF loop does not yet quarantine
-	// a poisoned build the way RunRHF does.)
-	tel = telemetry.NewSession()
-	res, err := RunUHF(eng, 3, Options{MaxIter: 1}) // spin densities to build from
-	if err != nil {
-		t.Fatal(err)
+	if got := tel.Counter("scf.iterations").Value(); got != int64(res.Iterations) {
+		t.Errorf("scf.iterations counter = %d, result says %d", got, res.Iterations)
 	}
-	poisoned := make([]bool, 2)
-	_, err = mpi.RunWithOptions(2, mpi.RunOptions{
-		Telemetry: tel,
+
+	// A NaN scheduled into rank 1's second Fock task rides the closing
+	// gsumf into every rank's J: the loop must quarantine the build,
+	// rebuild it clean and converge to the reference.
+	tel = telemetry.NewSession()
+	res, err = run(eng, sch, Plan{
+		Multiplicity: 3, Algorithm: AlgMPIOnly, Ranks: 2,
+		SCF: Options{MaxIter: 200, Telemetry: tel},
 		Fault: &mpi.FaultPlan{Corrupts: []mpi.Corrupt{
 			{Rank: 1, Site: mpi.SiteFock, After: 2, Kind: mpi.CorruptNaN, Index: 0}}},
-	}, func(c *mpi.Comm) {
-		builder := ParallelJKBuilder(AlgMPIOnly, ddi.New(c), eng, sch, fock.Config{})
-		dt := res.DAlpha.Clone()
-		dt.AxpyFrom(1, res.DBeta)
-		j, _, _, _ := builder(dt, res.DAlpha, res.DBeta)
-		poisoned[c.Rank()] = math.IsNaN(j.At(0, 0))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tel.Registry.Snapshot().Counters["sdc.injected.fock"]; got != 1 {
-		t.Fatalf("sdc.injected.fock = %d, want 1: the SiteFock hook never fired in a UHF build", got)
+	snap := tel.Registry.Snapshot()
+	if snap.Counters["sdc.injected.fock"] != 1 {
+		t.Fatalf("sdc.injected.fock = %d, want 1: the SiteFock hook never fired in a UHF build",
+			snap.Counters["sdc.injected.fock"])
 	}
-	// The poison rode the closing gsumf into every rank's J.
-	if !poisoned[0] || !poisoned[1] {
-		t.Fatalf("NaN reached ranks %v, want both", poisoned)
+	if snap.Counters["sdc.detected.fock"] != 1 || snap.Counters["integrity.fock.recomputed"] != 1 {
+		t.Fatalf("the poisoned UHF build was not quarantined and rebuilt: %+v", snap.Counters)
+	}
+	if !res.History[0].Recomputed {
+		t.Errorf("iteration 1 not flagged Recomputed: %+v", res.History[0])
+	}
+	if !res.Converged || math.Abs(res.Energy-o2TripletEnergy) > 1e-8 {
+		t.Fatalf("UHF after quarantine: E = %.12f (converged=%v), want %.12f", res.Energy, res.Converged, o2TripletEnergy)
+	}
+}
+
+// TestCancelAtIterationBoundary: the loop's collective cancel gate stops
+// a parallel UHF run and an ABFT-purified run — which had no context path
+// before the one loop — at an iteration boundary with ErrCanceled.
+func TestCancelAtIterationBoundary(t *testing.T) {
+	eng := o2Triplet(t)
+	sch := integrals.ComputeSchwarz(eng)
+	weng, wsch := purifiedSetup(t)
+	for _, tc := range []struct {
+		name string
+		eng  *integrals.Engine
+		sch  *integrals.Schwarz
+		plan Plan
+	}{
+		{"uhf", eng, sch, Plan{Multiplicity: 3, Algorithm: AlgSharedFock, Ranks: 2, Threads: 2}},
+		{"purified-abft", weng, wsch, abftPlan(3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			tel := telemetry.NewSession()
+			p := tc.plan
+			p.SCF.Telemetry = tel
+			p.SCF.OnIteration = func(iter int, _ *Result) {
+				if iter == 2 {
+					cancel()
+				}
+			}
+			res, err := Run(ctx, tc.eng, tc.sch, nil, p)
+			if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
+			}
+			var ce *CanceledError
+			if !errors.As(err, &ce) || ce.Iter != 3 {
+				t.Fatalf("canceled at %+v, want the iteration-3 boundary", ce)
+			}
+			if got := tel.Counter("scf.iterations").Value(); got != 2 {
+				t.Errorf("%d iterations ran, want exactly 2 before the gate", got)
+			}
+			if rep := res.Recovery; rep.Attempts != 1 || rep.Outcomes[0] != "canceled" {
+				t.Errorf("a cancel spent recovery budget: %+v", rep)
+			}
+		})
 	}
 }

@@ -40,11 +40,16 @@ var wdLevelNames = [...]string{"", "damping", "level-shift", "diis-reset", "root
 // Watchdog tuning. The thresholds are loose on purpose: a healthy SCF
 // must never trip them (energy rises above microhartree scale and
 // non-decaying sign-alternating dE simply do not happen on a converging
-// run), while a genuinely sick run trips within a few iterations.
+// run), while a genuinely sick run trips within a few iterations. The
+// oscillation floor is set by the open shells that ride the same loop:
+// per-spin DIIS on a converging UHF (O2 triplet, OH doublet) alternates
+// dE at up to ~1e-5 Ha for a dozen iterations without being sick, and
+// the ladder's last rung — DIIS off — is a descent step that walks such
+// a run off the saddle-point solution DIIS was converging to.
 const (
 	wdPatience   = 2    // consecutive bad iterations before escalating
 	wdRiseTol    = 1e-4 // dE above this counts as divergence (Ha)
-	wdOscTol     = 1e-7 // oscillation amplitude below this is ignored
+	wdOscTol     = 1e-5 // oscillation amplitude below this is ignored
 	wdOscWindow  = 4    // iterations of alternating sign to call oscillation
 	wdDampFactor = 0.5  // a in D <- (1-a) D_new + a D_old
 	wdShiftGamma = 0.5  // virtual-orbital level shift (Ha)

@@ -16,19 +16,19 @@ func TestResilientFacadeSurvivesRankDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := RunRHF(mol, "sto-3g", SCFOptions{})
+	ref, err := Run(bg, mol, "sto-3g", Serial)
 	if err != nil || !ref.Converged {
 		t.Fatalf("reference run failed: %v", err)
 	}
 
-	res, rec, err := RunResilientRHF(mol, "sto-3g", ResilientConfig{
-		Ranks:    3,
-		Deadline: 20 * time.Second,
-		Fault:    &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 1, Site: mpi.SiteDLB, After: 2}}},
-	}, SCFOptions{})
+	p := Resilient
+	p.Ranks, p.Deadline = 3, 20*time.Second
+	p.Fault = &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 1, Site: mpi.SiteDLB, After: 2}}}
+	res, err := Run(bg, mol, "sto-3g", p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := res.Recovery
 	if !res.Converged || math.Abs(res.Energy-ref.Energy) > 1e-8 {
 		t.Fatalf("resilient E = %.12f, want %.12f", res.Energy, ref.Energy)
 	}

@@ -61,7 +61,7 @@ func (s *SimSession) Simulate(system string, machine SimMachine, alg Algorithm,
 	}
 	job := cluster.Job{Nodes: nodes, RanksPerNode: ranksPerNode,
 		ThreadsPerRank: threads, Affinity: knl.Compact}
-	if alg == MPIOnly {
+	if alg == MPIOnly.Algorithm {
 		job.ThreadsPerRank = 1
 	}
 	r := simulate.Simulate(p, simulate.Config{
@@ -85,7 +85,7 @@ func (s *SimSession) SimulateModes(system string, alg Algorithm,
 	}
 	m := cluster.JLSE().WithModes(knl.ClusterMode(clusterMode), knl.MemoryMode(memoryMode))
 	job := cluster.Job{Nodes: 1, RanksPerNode: 4, ThreadsPerRank: 64, Affinity: knl.Compact}
-	if alg == MPIOnly {
+	if alg == MPIOnly.Algorithm {
 		job = cluster.Job{Nodes: 1, RanksPerNode: 256, ThreadsPerRank: 1}
 	}
 	r := simulate.Simulate(p, simulate.Config{Machine: m, Job: job, Algorithm: string(alg)})
