@@ -242,12 +242,8 @@ func Run(ctx context.Context, mol *Molecule, basisName string, p Plan) (*Result,
 		return nil, err
 	}
 	sch := integrals.ComputeSchwarz(eng)
-	var src integrals.QuartetSource
-	if p.Algorithm != scf.AlgSerial {
-		// Shell-pair precomputation speeds every quartet evaluation (~2x).
-		src = integrals.NewPairCache(eng, 0)
-	}
-	return scf.Run(ctx, eng, sch, src, p)
+	// Shell-pair precomputation speeds every quartet evaluation (~2x).
+	return scf.Run(ctx, eng, sch, integrals.NewPairCache(eng, 0), p)
 }
 
 // engineFor builds the named basis over mol and its integral engine.

@@ -14,6 +14,10 @@
 # the root package, basis.Build( in api.go/properties.go only in the one
 # engine constructor and DescribeBasis, and no exported root function
 # named Run*Ctx (one entry point, repro.Run, takes the context).
+# Experiment code stays out of production packages: no non-test file of
+# internal/service imports math/rand or defines a func Run*, internal/
+# simulate imports neither internal/mpi nor internal/ddi nor net/http
+# (it is a model, not a runtime client), and hfserve has no loadgen flag.
 #
 # Tier 2 (concurrency soundness): the race detector over the packages
 # with real parallelism and fault injection. The full ./internal/scf
@@ -39,8 +43,7 @@
 # must hold a 4x straggler to <= 1.6x clean wall time with every task
 # pushed exactly once. The chaos property tests (duplicate/reorder
 # invariance, hedge-never-double-fires) rerun under -race, plus the
-# simulate workload smoke test (the full simulate suite is too heavy for
-# the tier-2 race sweep, so only the chaos test runs race-instrumented).
+# synthetic lease workload's exactly-once test in cmd/scaling.
 #
 # Tier 5 (serve gate): build hfserve, start it on an ephemeral port with
 # a deliberately tiny cluster budget (1 worker, queue cap 1), and drive
@@ -50,7 +53,9 @@
 # mode:"purified" job (every preset of the plan table is servable) to
 # done, force a 429 + Retry-After backpressure rejection by filling the
 # worker and the queue, cancel the backlog via DELETE, and drain cleanly
-# on SIGTERM.
+# on SIGTERM. Then `scaling -exp serve`: the in-process load test (>= 50
+# jobs, duplicate-stream cache-hit rate >= 40%, >= 1 absorbed 429, zero
+# lost, stuck or failed jobs).
 #
 # Tier 7 (fleet gate): `scaling -exp fleet` — three WAL-backed hfserve
 # replicas with consistent-hash cache sharding serve a >= 1000-job
@@ -179,6 +184,20 @@ tier_1() {
 		echo "structure gate: a Run*Ctx twin is back in the facade; repro.Run takes the context"
 		exit 1
 	fi
+
+	svc_src=$(ls internal/service/*.go | grep -v _test.go)
+	if grep -n '"math/rand"\|^func Run[A-Z]' $svc_src; then
+		echo "structure gate: an experiment harness is back in internal/service (it belongs in cmd/scaling)"
+		exit 1
+	fi
+	if go list -f '{{join .Imports "\n"}}' ./internal/simulate | grep -x 'repro/internal/mpi\|repro/internal/ddi\|net/http'; then
+		echo "structure gate: internal/simulate is a model; live workloads belong in cmd/scaling"
+		exit 1
+	fi
+	if go run ./cmd/hfserve -h 2>&1 | grep -i loadgen; then
+		echo "structure gate: hfserve serves; the load test is scaling -exp serve"
+		exit 1
+	fi
 }
 
 # race_rerun PATTERN [FLAG...] PKG... reruns the tests PATTERN selects
@@ -303,20 +322,22 @@ tier_5() {
 	servepid=""
 	grep -q "drained cleanly" "$servedir/serve.log" || { echo "serve gate: no clean-drain confirmation"; cat "$servedir/serve.log"; exit 1; }
 	echo "serve gate: drained cleanly"
+
+	go run ./cmd/scaling -exp serve
 }
 
 tier_6() {
 	echo "== tier 6: performance-fault gate (scaling -exp chaos + -race property tests) =="
 	go run ./cmd/scaling -exp chaos
 	race_rerun 'TestChaos|TestLeaseHedge|TestLeaseExpired|TestStraggler|TestResilientHedges|TestRetryBackoffJitter' \
-		./internal/mpi/ ./internal/ddi/ ./internal/fock/ ./internal/simulate/
+		./internal/mpi/ ./internal/ddi/ ./internal/fock/ ./cmd/scaling/
 }
 
 tier_7() {
 	echo "== tier 7: fleet gate (scaling -exp fleet + -race WAL fuzz) =="
 	go run ./cmd/scaling -exp fleet
 	race_rerun 'TestWALCrashPoint|TestWALReplay|TestWALSegment|TestWALDisable|TestCrashReplay|TestFleet' \
-		./internal/jobs/ ./internal/service/
+		./internal/jobs/ ./internal/service/ ./cmd/scaling/
 }
 
 tier_8() {

@@ -7,13 +7,8 @@
 //
 //	hfserve -addr :8080
 //	hfserve -addr 127.0.0.1:0 -portfile /tmp/hfserve.port -workers 2 -queue-cap 4
-//	hfserve -loadgen -jobs 60
 //
-// With -loadgen no external server is contacted: the process starts its
-// own server on an ephemeral loopback port, drives a mixed workload of
-// duplicate and distinct jobs through it over real HTTP, drains it, and
-// reports throughput, cache-hit rate, queue-depth percentiles, and tail
-// latency, exiting non-zero if the EXP-SERVE gates fail.
+// The serving load test (EXP-SERVE) is `scaling -exp serve`.
 package main
 
 import (
@@ -39,11 +34,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 5*time.Minute, "default per-job deadline (specs may override)")
 		retries  = flag.Int("retries", 1, "default retry budget for failed runs (specs may override)")
 		drainT   = flag.Duration("drain-timeout", 2*time.Minute, "bound on graceful drain before in-flight jobs are canceled")
-		loadgen  = flag.Bool("loadgen", false, "run the built-in load generator instead of serving")
-		lgJobs   = flag.Int("jobs", 60, "loadgen: total jobs (duplicate + distinct streams)")
-		lgCli    = flag.Int("clients", 8, "loadgen: concurrent submitting clients")
-		lgSeed   = flag.Int64("seed", 1, "loadgen: workload shuffle seed")
-
 		walDir   = flag.String("wal", "", "write-ahead log directory (crash-replay durability); empty disables")
 		replica  = flag.String("replica", "", "fleet: this replica's name (requires -peers)")
 		peers    = flag.String("peers", "", "fleet: comma-separated name=host:port members, self included")
@@ -52,24 +42,6 @@ func main() {
 		ageBoost = flag.Int("age-boost", 1, "priority aging: effective-priority boost per interval waited")
 	)
 	flag.Parse()
-
-	if *loadgen {
-		// The serve-mode defaults (4 workers, queue cap 64) would swallow
-		// the burst without ever rejecting; the loadgen's own defaults (2
-		// workers, cap 4) are sized so backpressure is observable. Forward
-		// -workers/-queue-cap only when the user explicitly set them.
-		lgWorkers, lgQueueCap := 0, 0
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "workers":
-				lgWorkers = *workers
-			case "queue-cap":
-				lgQueueCap = *queueCap
-			}
-		})
-		runLoadgen(*lgJobs, *lgCli, lgWorkers, lgQueueCap, *timeout, *lgSeed)
-		return
-	}
 
 	srv, err := service.New(service.Config{
 		Workers:        *workers,
@@ -141,30 +113,4 @@ func parsePeers(s string) (map[string]string, error) {
 		members[name] = addr
 	}
 	return members, nil
-}
-
-func runLoadgen(jobs, clients, workers, queueCap int, timeout time.Duration, seed int64) {
-	rep, err := service.RunLoadgen(service.LoadgenOptions{
-		Jobs:     jobs,
-		Clients:  clients,
-		Workers:  workers,
-		QueueCap: queueCap,
-		Timeout:  timeout,
-		Seed:     seed,
-		Out:      os.Stdout,
-	})
-	if rep != nil {
-		fmt.Println()
-		fmt.Print(rep.Format())
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hfserve: loadgen:", err)
-		os.Exit(1)
-	}
-	if err := rep.Gates(); err != nil {
-		fmt.Fprintln(os.Stderr, "hfserve: loadgen gate FAILED:", err)
-		os.Exit(1)
-	}
-	fmt.Println(strings.Repeat("-", 40))
-	fmt.Println("loadgen gates: all passed (≥50 jobs, ≥40% dup cache-hit, ≥1 backpressure 429, 0 lost/stuck)")
 }

@@ -27,8 +27,7 @@ import (
 // message error). The per-sweep checksum audit must detect and repair
 // it in place — zero recoveries, zero silent corruptions — and the run
 // must land on the clean energy.
-func liveABFT(writeCSV func(id, content string)) bool {
-	ok := true
+func liveABFT(e *env) {
 	ctx := context.Background()
 	tight := repro.SCFOptions{ConvDens: 1e-10, ConvEnergy: 1e-12}
 	benzene, err := repro.BuiltinMolecule("benzene")
@@ -50,17 +49,8 @@ func liveABFT(writeCSV func(id, content string)) bool {
 		return res, tel
 	}
 
-	type actRow struct {
-		name          string
-		dE            float64
-		recoveries    int
-		reconstructed int64
-		injected      int64
-		mismatches    int64
-		repaired      int64
-		sweeps        int
-	}
-	var rows []actRow
+	t := newTable("act", "abs_de_ha", "recoveries", "reconstructed_tiles", "sdc_injected",
+		"audit_mismatches", "repaired_tiles", "sweeps")
 
 	fmt.Println("-- act 1: clean ABFT run (benzene/STO-3G, 16 ranks, checksum tiles on) --")
 	clean, ctel := act(nil)
@@ -70,14 +60,10 @@ func liveABFT(writeCSV func(id, content string)) bool {
 	fmt.Printf("  ABFT        E = %.12f hartree (%d iterations, %d sweeps, %d audits)\n",
 		clean.Energy, clean.Iterations, cinfo.TotalSweeps,
 		ctel.Registry.Snapshot().Counters["distmat.abft.audits"])
-	if !clean.Converged || cdE > 1e-10 || crec.Attempts != 1 || crec.Restarts != 0 {
-		fmt.Printf("  FAIL: converged=%v |dE| = %.2e (want <= 1e-10), attempts %d, recoveries %d\n",
-			clean.Converged, cdE, crec.Attempts, crec.Restarts)
-		ok = false
-	} else {
-		fmt.Printf("  PASS: |dE| = %.2e in one quiet attempt\n", cdE)
-	}
-	rows = append(rows, actRow{name: "clean", dE: cdE, sweeps: cinfo.TotalSweeps})
+	e.check("clean ABFT run, one quiet attempt",
+		clean.Converged && cdE <= 1e-10 && crec.Attempts == 1 && crec.Restarts == 0,
+		fmt.Sprintf("conv=%v |dE| %.1e attempts %d recoveries %d", clean.Converged, cdE, crec.Attempts, crec.Restarts))
+	t.row("clean", e3(cdE), 0, 0, 0, 0, 0, cinfo.TotalSweeps)
 
 	fmt.Println("-- act 2: rank 5 killed mid-purification; reconstruct and resume --")
 	kres, ktel := act(&mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 5, Site: mpi.SitePurify, After: 25}}})
@@ -89,18 +75,11 @@ func liveABFT(writeCSV func(id, content string)) bool {
 		kres.Energy, kres.Iterations, kinfo.TotalSweeps)
 	fmt.Printf("  recovery    ranks %v, failed %v, resumed at iteration %d, %d tiles from parity\n",
 		krec.RanksPerAttempt, krec.FailedRanks, krec.ResumedIter, krec.ReconstructedTiles)
-	if !kres.Converged || kdE > 1e-10 || krec.Restarts < 1 || krec.ReconstructedTiles == 0 || krecon == 0 {
-		fmt.Printf("  FAIL: converged=%v |dE| = %.2e (want <= 1e-10), recoveries %d, reconstructed %d (counter %d)\n",
-			kres.Converged, kdE, krec.Restarts, krec.ReconstructedTiles, krecon)
-		ok = false
-	} else {
-		fmt.Printf("  PASS: |dE| = %.2e after losing rank 5; %d tiles rebuilt from checksums\n",
-			kdE, krec.ReconstructedTiles)
-	}
-	rows = append(rows, actRow{
-		name: "kill-rank-5", dE: kdE, recoveries: krec.Restarts,
-		reconstructed: krec.ReconstructedTiles, sweeps: kinfo.TotalSweeps,
-	})
+	e.check("rank 5 lost, tiles rebuilt from parity",
+		kres.Converged && kdE <= 1e-10 && krec.Restarts >= 1 && krec.ReconstructedTiles > 0 && krecon > 0,
+		fmt.Sprintf("conv=%v |dE| %.1e recov %d rebuilt %d (ctr %d)",
+			kres.Converged, kdE, krec.Restarts, krec.ReconstructedTiles, krecon))
+	t.row("kill-rank-5", e3(kdE), krec.Restarts, krec.ReconstructedTiles, 0, 0, 0, kinfo.TotalSweeps)
 
 	fmt.Println("-- act 3: resident bit flip between sweeps; audit detects and repairs --")
 	// Bit 51 changes any normal float by ~25% of itself, far beyond the
@@ -119,24 +98,11 @@ func liveABFT(writeCSV func(id, content string)) bool {
 		fres.Energy, fres.Iterations, finfo.TotalSweeps)
 	fmt.Printf("  audit       injected %d, detected %d, mismatches %d, repaired tiles %d\n",
 		injected, detected, frec.AuditMismatches, frec.RepairedTiles)
-	if !fres.Converged || fdE > 1e-10 || frec.Restarts != 0 ||
-		injected == 0 || detected == 0 || frec.AuditMismatches == 0 || frec.RepairedTiles == 0 {
-		fmt.Printf("  FAIL: converged=%v |dE| = %.2e (want <= 1e-10), recoveries %d, injected %d, detected %d, repaired %d\n",
-			fres.Converged, fdE, frec.Restarts, injected, detected, frec.RepairedTiles)
-		ok = false
-	} else {
-		fmt.Printf("  PASS: |dE| = %.2e with the flip caught in place — zero silent corruptions\n", fdE)
-	}
-	rows = append(rows, actRow{
-		name: "bit-flip", dE: fdE, injected: injected,
-		mismatches: frec.AuditMismatches, repaired: frec.RepairedTiles, sweeps: finfo.TotalSweeps,
-	})
-
-	csv := "act,abs_de_ha,recoveries,reconstructed_tiles,sdc_injected,audit_mismatches,repaired_tiles,sweeps\n"
-	for _, r := range rows {
-		csv += fmt.Sprintf("%s,%.3e,%d,%d,%d,%d,%d,%d\n",
-			r.name, r.dE, r.recoveries, r.reconstructed, r.injected, r.mismatches, r.repaired, r.sweeps)
-	}
-	writeCSV("abft", csv)
-	return ok
+	e.check("bit flip caught and repaired in place",
+		fres.Converged && fdE <= 1e-10 && frec.Restarts == 0 &&
+			injected > 0 && detected > 0 && frec.AuditMismatches > 0 && frec.RepairedTiles > 0,
+		fmt.Sprintf("conv=%v |dE| %.1e recov %d inj %d det %d rep %d",
+			fres.Converged, fdE, frec.Restarts, injected, detected, frec.RepairedTiles))
+	t.row("bit-flip", e3(fdE), 0, 0, injected, frec.AuditMismatches, frec.RepairedTiles, finfo.TotalSweeps)
+	e.writeCSV(t.csv())
 }

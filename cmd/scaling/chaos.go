@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"time"
 
 	"repro"
 	"repro/internal/mpi"
-	"repro/internal/simulate"
 )
 
 // liveChaos is the straggler- and partition-tolerance gate: live runs on
@@ -28,19 +26,7 @@ import (
 // job within 1.6× of the clean wall time (the unmitigated run, reported
 // alongside, pays ~4×), with every task pushed exactly once and
 // dlb.reissued > 0.
-//
-// Returns false if any gate fails.
-func liveChaos(grace time.Duration, writeCSV func(id, content string)) bool {
-	ok := true
-	gate := func(name string, pass bool, detail string) {
-		verdict := "PASS"
-		if !pass {
-			verdict = "FAIL"
-			ok = false
-		}
-		fmt.Printf("  %-38s %-42s %s\n", name, detail, verdict)
-	}
-
+func liveChaos(e *env) {
 	// 6-31G rather than STO-3G: the larger pair space is what keeps the
 	// straggler rank drawing tasks at all (STO-3G water is so small that
 	// rank 0 drains the whole DLB cursor before its peers finish setup).
@@ -57,7 +43,7 @@ func liveChaos(grace time.Duration, writeCSV func(id, content string)) bool {
 	// converged energy.
 	tel := repro.NewTelemetry()
 	plan := repro.Resilient
-	plan.Ranks, plan.Deadline, plan.Grace = 3, 30*time.Second, grace
+	plan.Ranks, plan.Deadline, plan.Grace = 3, 30*time.Second, e.grace
 	plan.Algorithm, plan.SCF.Telemetry = repro.SharedFock.Algorithm, tel
 	plan.Fault = &mpi.FaultPlan{
 		Slowdowns:  []mpi.Slowdown{{Rank: 1, Factor: 4, Sites: []mpi.FaultSite{mpi.SiteFock}}},
@@ -66,15 +52,12 @@ func liveChaos(grace time.Duration, writeCSV func(id, content string)) bool {
 		Partitions: []mpi.Partition{{Ranks: []int{1}, Duration: 30 * time.Millisecond}},
 	}
 	res, err := repro.Run(context.Background(), mol, "6-31g", plan)
-	if err != nil {
-		fmt.Printf("  shared-Fock chaos run failed: %v\n", err)
-		ok = false
-	} else {
+	if e.check("shared-Fock chaos run completes", err == nil, errDetail(err)) {
 		snap := tel.Registry.Snapshot()
 		dE := math.Abs(res.Energy - clean.Energy)
-		gate("shared-Fock energy under chaos", dE <= 1e-10,
+		e.check("shared-Fock energy under chaos", dE <= 1e-10,
 			fmt.Sprintf("|dE| = %.1e Ha (tol 1e-10)", dE))
-		gate("duplicate deliveries dropped", snap.Counters["chaos.dups_dropped"] >= 1,
+		e.check("duplicate deliveries dropped", snap.Counters["chaos.dups_dropped"] >= 1,
 			fmt.Sprintf("chaos.dups_dropped = %d", snap.Counters["chaos.dups_dropped"]))
 		fmt.Printf("  (chaos.dups %d, chaos.reorders %d, chaos.partition_held %d, slowdown stalls %d)\n",
 			snap.Counters["chaos.dups"], snap.Counters["chaos.reorders"],
@@ -83,18 +66,15 @@ func liveChaos(grace time.Duration, writeCSV func(id, content string)) bool {
 
 	tel = repro.NewTelemetry()
 	plan = repro.Resilient
-	plan.Ranks, plan.Deadline, plan.Grace = 3, 30*time.Second, grace
+	plan.Ranks, plan.Deadline, plan.Grace = 3, 30*time.Second, e.grace
 	plan.SCF.Telemetry = tel
 	plan.Fault = &mpi.FaultPlan{
 		Slowdowns: []mpi.Slowdown{{Rank: 1, Factor: 4, Sites: []mpi.FaultSite{mpi.SiteFock}}},
 	}
 	res, err = repro.Run(context.Background(), mol, "6-31g", plan)
-	if err != nil {
-		fmt.Printf("  resilient-Fock straggler run failed: %v\n", err)
-		ok = false
-	} else {
+	if e.check("resilient-Fock straggler run completes", err == nil, errDetail(err)) {
 		dE := math.Abs(res.Energy - clean.Energy)
-		gate("resilient-Fock energy with straggler", dE <= 1e-10,
+		e.check("resilient-Fock energy with straggler", dE <= 1e-10,
 			fmt.Sprintf("|dE| = %.1e Ha (tol 1e-10)", dE))
 		rec := res.Recovery
 		fmt.Printf("  (hedged %d, reissued %d, duplicates dropped %d)\n",
@@ -103,27 +83,15 @@ func liveChaos(grace time.Duration, writeCSV func(id, content string)) bool {
 	fmt.Println()
 
 	fmt.Println("== Live chaos gate 2: synthetic lease workload, 4 ranks, rank 1 4x slow ==")
-	r, err := simulate.RunChaosWorkload()
+	r, err := runChaosWorkload()
 	check(err)
-	fmt.Print(simulate.FormatChaos(r))
-	if writeCSV != nil {
-		writeCSV("chaos", simulate.CSVChaos(r))
-	}
-	exactlyOnce := r.CleanPushes == int64(r.Tasks) &&
-		r.UnmitigatedPushes == int64(r.Tasks) && r.MitigatedPushes == int64(r.Tasks)
-	gate("every task pushed exactly once", exactlyOnce,
+	e.emit(r.table())
+	e.check("every task pushed exactly once",
+		r.clean.pushes == chaosTasks && r.unmitigated.pushes == chaosTasks && r.mitigated.pushes == chaosTasks,
 		fmt.Sprintf("%d/%d/%d pushes of %d tasks",
-			r.CleanPushes, r.UnmitigatedPushes, r.MitigatedPushes, r.Tasks))
-	gate("mitigated wall <= 1.6x clean", r.MitigatedRatio <= 1.6,
-		fmt.Sprintf("%.2fx clean (unmitigated %.2fx)", r.MitigatedRatio, r.UnmitigatedRatio))
-	gate("leases speculatively re-issued", r.Reissued > 0,
-		fmt.Sprintf("dlb.reissued = %d (hedged %d)", r.Reissued, r.Hedged))
-
-	if ok {
-		fmt.Println("  straggler mitigated, chaos absorbed: gate PASS")
-	} else {
-		fmt.Fprintln(os.Stderr, "scaling: live chaos gate FAILED")
-	}
-	fmt.Println()
-	return ok
+			r.clean.pushes, r.unmitigated.pushes, r.mitigated.pushes, chaosTasks))
+	e.check("mitigated wall <= 1.6x clean", r.mitigated.over(r.clean) <= 1.6,
+		fmt.Sprintf("%.2fx clean (unmitigated %.2fx)", r.mitigated.over(r.clean), r.unmitigated.over(r.clean)))
+	e.check("leases speculatively re-issued", r.reissued > 0,
+		fmt.Sprintf("dlb.reissued = %d (hedged %d)", r.reissued, r.hedged))
 }

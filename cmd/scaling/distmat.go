@@ -21,9 +21,7 @@ import (
 // purified run on a 4x4 grid must stay inside the budget, measured by
 // the distmat.peak_rank_bytes gauge (steady-state tiles + bounded Fock
 // staging), while still matching the replicated-path energy to 1e-10.
-func liveDistmat(writeCSV func(id, content string)) bool {
-	ok := true
-
+func liveDistmat(e *env) {
 	fmt.Println("-- act 1: eigensolve vs purification equivalence (water/STO-3G, 4 ranks) --")
 	ctx := context.Background()
 	serial, purified := repro.Serial, repro.Purified
@@ -42,13 +40,8 @@ func liveDistmat(writeCSV func(id, content string)) bool {
 	fmt.Printf("  eigensolve  E = %.12f hartree (%d iterations)\n", eig.Energy, eig.Iterations)
 	fmt.Printf("  purified    E = %.12f hartree (%d iterations, %d sweeps, %dx%d grid, bs %d)\n",
 		pur.Energy, pur.Iterations, info.TotalSweeps, info.GridPr, info.GridPc, info.BlockSize)
-	if !pur.Converged || dE > 1e-10 || dD > 1e-8 {
-		fmt.Printf("  FAIL: converged=%v |dE| = %.2e (want <= 1e-10), max|dD| = %.2e (want <= 1e-8)\n",
-			pur.Converged, dE, dD)
-		ok = false
-	} else {
-		fmt.Printf("  PASS: |dE| = %.2e, max|dD| = %.2e\n", dE, dD)
-	}
+	e.check("purified matches eigensolve", pur.Converged && dE <= 1e-10 && dD <= 1e-8,
+		fmt.Sprintf("conv=%v |dE| %.1e max|dD| %.1e", pur.Converged, dE, dD))
 
 	fmt.Println("-- act 2: past the MCDRAM wall (benzene/STO-3G, 16 ranks, 36 KiB/rank budget) --")
 	const budget = int64(36 << 10)
@@ -69,28 +62,19 @@ func liveDistmat(writeCSV func(id, content string)) bool {
 	fmt.Printf("  one-sided traffic       get %d  put %d  acc %d bytes (%d sweeps over %d iterations)\n",
 		winfo.GetBytes, winfo.PutBytes, winfo.AccBytes, winfo.TotalSweeps, res.Iterations)
 	fmt.Printf("  energies                replicated %.12f  distributed %.12f\n", ref.Energy, res.Energy)
-	switch {
-	case winfo.ReplicatedBytes <= budget:
-		fmt.Printf("  FAIL: replicated set %d fits the %d budget — no wall to cross\n",
-			winfo.ReplicatedBytes, budget)
-		ok = false
-	case winfo.PeakRankBytes > budget:
-		fmt.Printf("  FAIL: distributed peak %d bytes exceeds the %d budget\n",
-			winfo.PeakRankBytes, budget)
-		ok = false
-	case !res.Converged || wdE > 1e-10:
-		fmt.Printf("  FAIL: converged=%v |dE| = %.2e (want <= 1e-10)\n", res.Converged, wdE)
-		ok = false
-	default:
-		fmt.Printf("  PASS: peak %d <= budget %d < replicated %d, |dE| = %.2e\n",
-			winfo.PeakRankBytes, budget, winfo.ReplicatedBytes, wdE)
-	}
+	e.check("replicated set exceeds the budget", winfo.ReplicatedBytes > budget,
+		fmt.Sprintf("replicated %d > budget %d", winfo.ReplicatedBytes, budget))
+	e.check("distributed peak fits the budget", winfo.PeakRankBytes <= budget,
+		fmt.Sprintf("peak %d <= budget %d", winfo.PeakRankBytes, budget))
+	e.check("distributed energy matches replicated", res.Converged && wdE <= 1e-10,
+		fmt.Sprintf("conv=%v |dE| %.1e (tol 1e-10)", res.Converged, wdE))
 
-	writeCSV("distmat", fmt.Sprintf(
-		"system,ranks,grid,block,peak_rank_bytes,budget_bytes,replicated_bytes,sweeps,iters,abs_de_ha\n"+
-			"water,4,%dx%d,%d,%d,,,%d,%d,%.3e\nbenzene,16,%dx%d,%d,%d,%d,%d,%d,%d,%.3e\n",
-		info.GridPr, info.GridPc, info.BlockSize, info.PeakRankBytes, info.TotalSweeps, pur.Iterations, dE,
-		winfo.GridPr, winfo.GridPc, winfo.BlockSize, winfo.PeakRankBytes, budget, winfo.ReplicatedBytes,
-		winfo.TotalSweeps, res.Iterations, wdE))
-	return ok
+	t := newTable("system", "ranks", "grid", "block", "peak_rank_bytes", "budget_bytes", "replicated_bytes",
+		"sweeps", "iters", "abs_de_ha")
+	grid := func(pr, pc int) string { return fmt.Sprintf("%dx%d", pr, pc) }
+	t.row("water", 4, grid(info.GridPr, info.GridPc), info.BlockSize, info.PeakRankBytes, "", "",
+		info.TotalSweeps, pur.Iterations, e3(dE))
+	t.row("benzene", 16, grid(winfo.GridPr, winfo.GridPc), winfo.BlockSize, winfo.PeakRankBytes, budget, winfo.ReplicatedBytes,
+		winfo.TotalSweeps, res.Iterations, e3(wdE))
+	e.writeCSV(t.csv())
 }

@@ -9,9 +9,10 @@ import (
 
 	"repro"
 	"repro/internal/cluster"
+	"repro/internal/jobs"
 	"repro/internal/mpi"
 	"repro/internal/service"
-	"repro/internal/simulate"
+	"repro/internal/telemetry"
 )
 
 // liveElastic is the elastic-runtime gate: grow-and-shrink membership,
@@ -41,19 +42,7 @@ import (
 // 40-job burst: the pool must grow through the join protocol, no job
 // may be lost across the resizes, and hysteresis must return the pool
 // to its floor once the burst drains.
-//
-// Returns false if any gate fails.
-func liveElastic(grace time.Duration, writeCSV func(id, content string)) bool {
-	ok := true
-	gate := func(name string, pass bool, detail string) {
-		verdict := "PASS"
-		if !pass {
-			verdict = "FAIL"
-			ok = false
-		}
-		fmt.Printf("  %-38s %-42s %s\n", name, detail, verdict)
-	}
-
+func liveElastic(e *env) {
 	// 6-31G rather than STO-3G for the same reason as the chaos gate: the
 	// larger pair space keeps every rank drawing DLB tasks, which is what
 	// the straggler detector needs to see latencies from all ranks.
@@ -70,7 +59,7 @@ func liveElastic(grace time.Duration, writeCSV func(id, content string)) bool {
 	var tickets []*cluster.JoinTicket
 	plan := repro.Elastic
 	plan.Ranks, plan.MaxRanks, plan.Membership = 2, 4, m
-	plan.Deadline, plan.Grace = 30*time.Second, grace
+	plan.Deadline, plan.Grace = 30*time.Second, e.grace
 	plan.SCF.Telemetry = tel
 	plan.SCF.OnIteration = func(iter int, _ *repro.Result) {
 		// Two single-rank candidates announce at iteration 2 of the
@@ -81,23 +70,20 @@ func liveElastic(grace time.Duration, writeCSV func(id, content string)) bool {
 		}
 	}
 	res, err := repro.Run(ctx, mol, "6-31g", plan)
-	if err != nil {
-		fmt.Printf("  elastic grow run failed: %v\n", err)
-		ok = false
-	} else {
+	if e.check("elastic grow run completes", err == nil, errDetail(err)) {
 		trace := res.Recovery
 		dE := math.Abs(res.Energy - clean.Energy)
-		gate("energy invariant across grow", res.Converged && dE <= 1e-10,
+		e.check("energy invariant across grow", res.Converged && dE <= 1e-10,
 			fmt.Sprintf("|dE| = %.1e Ha (tol 1e-10)", dE))
-		gate("grow-restart fired once", trace.GrowRestarts == 1,
+		e.check("grow-restart fired once", trace.GrowRestarts == 1,
 			fmt.Sprintf("grow restarts = %d", trace.GrowRestarts))
-		gate("both joiners admitted", trace.JoinsCommitted == 2 && trace.FinalRanks == 4,
+		e.check("both joiners admitted", trace.JoinsCommitted == 2 && trace.FinalRanks == 4,
 			fmt.Sprintf("joined = %d, final ranks = %d", trace.JoinsCommitted, trace.FinalRanks))
 		handed := len(tickets) == 2
 		for _, t := range tickets {
 			handed = handed && t.State() == cluster.JoinCommitted && len(t.Checkpoint()) > 0
 		}
-		gate("checkpoint handed to joiners", handed,
+		e.check("checkpoint handed to joiners", handed,
 			fmt.Sprintf("%d tickets committed with checkpoint", len(tickets)))
 		epochs := make([]string, 0, trace.Attempts)
 		for i, outcome := range trace.Outcomes {
@@ -119,7 +105,7 @@ func liveElastic(grace time.Duration, writeCSV func(id, content string)) bool {
 	check(err)
 	plan = repro.Elastic
 	plan.Ranks, plan.MaxRanks = 4, 4
-	plan.Deadline, plan.Grace = 30*time.Second, grace
+	plan.Deadline, plan.Grace = 30*time.Second, e.grace
 	plan.SCF.Telemetry = repro.NewTelemetry()
 	plan.MigrateK, plan.MigrateMinSamples = 2, 2
 	// First attempt only: the re-hosted rank leaves the sick node behind.
@@ -127,73 +113,134 @@ func liveElastic(grace time.Duration, writeCSV func(id, content string)) bool {
 		Rank: 1, Factor: 6, Sites: []mpi.FaultSite{mpi.SiteFock},
 	}}}
 	res2, err := repro.Run(ctx, benzene, "sto-3g", plan)
-	if err != nil {
-		fmt.Printf("  elastic migration run failed: %v\n", err)
-		ok = false
-	} else {
+	if e.check("elastic migration run completes", err == nil, errDetail(err)) {
 		trace2 := res2.Recovery
 		dE := math.Abs(res2.Energy - clean2.Energy)
-		gate("energy invariant across migration", res2.Converged && dE <= 1e-10,
+		e.check("energy invariant across migration", res2.Converged && dE <= 1e-10,
 			fmt.Sprintf("|dE| = %.1e Ha (tol 1e-10)", dE))
-		gate("straggler migrated", trace2.Migrations >= 1,
+		e.check("straggler migrated", trace2.Migrations >= 1,
 			fmt.Sprintf("migrations = %d, restarts = %d", trace2.Migrations, trace2.MigrateRestarts))
 	}
 	fmt.Println()
 
 	fmt.Println("== Elastic gate 3: synthetic lease workload, grow timing + migration tail ==")
-	ew, err := simulate.RunElasticWorkload()
+	ew, err := runElasticWorkload()
 	check(err)
-	fmt.Print(simulate.FormatElastic(ew))
-	gate("mid-run doubling cuts wall", ew.GrowRatio <= 0.85,
-		fmt.Sprintf("elastic/fixed = %.2fx (gate <= 0.85x)", ew.GrowRatio))
-	gate("grow leg exactly-once", ew.FixedPushes == int64(ew.GrowTasks) && ew.ElasticPushes == int64(ew.GrowTasks),
-		fmt.Sprintf("pushes %d/%d of %d", ew.FixedPushes, ew.ElasticPushes, ew.GrowTasks))
-	gate("unmigrated pays the straggler", ew.UnmigratedRatio >= 2.5,
-		fmt.Sprintf("unmigrated = %.2fx clean (sanity >= 2.5x)", ew.UnmigratedRatio))
-	gate("migration bounds the tail", ew.MigrateDetected && ew.MigratedRatio <= 1.6,
-		fmt.Sprintf("migrated = %.2fx clean (gate <= 1.6x)", ew.MigratedRatio))
-	gate("migrate leg exactly-once",
-		ew.MigCleanPushes == int64(ew.MigrateTasks) &&
-			ew.UnmigratedPushes == int64(ew.MigrateTasks) &&
-			ew.MigratedPushes == int64(ew.MigrateTasks),
-		fmt.Sprintf("pushes %d/%d/%d of %d", ew.MigCleanPushes, ew.UnmigratedPushes,
-			ew.MigratedPushes, ew.MigrateTasks))
-	writeCSV("elastic", csvElastic(ew))
+	e.emit(ew.table())
+	fmt.Printf("  straggler detected: %v\n", ew.detected)
+	growTotal, migTotal := int64(growRounds*growTasks), int64(migrateRounds*migrateTasks)
+	e.check("mid-run doubling cuts wall", ew.elastic.over(ew.fixed) <= 0.85,
+		fmt.Sprintf("elastic/fixed = %.2fx (gate <= 0.85x)", ew.elastic.over(ew.fixed)))
+	e.check("grow leg exactly-once", ew.fixed.pushes == growTotal && ew.elastic.pushes == growTotal,
+		fmt.Sprintf("pushes %d/%d of %d", ew.fixed.pushes, ew.elastic.pushes, growTotal))
+	e.check("unmigrated pays the straggler", ew.unmigrated.over(ew.migClean) >= 2.5,
+		fmt.Sprintf("unmigrated = %.2fx clean (sanity >= 2.5x)", ew.unmigrated.over(ew.migClean)))
+	e.check("migration bounds the tail", ew.detected && ew.migrated.over(ew.migClean) <= 1.6,
+		fmt.Sprintf("migrated = %.2fx clean (gate <= 1.6x)", ew.migrated.over(ew.migClean)))
+	e.check("migrate leg exactly-once",
+		ew.migClean.pushes == migTotal && ew.unmigrated.pushes == migTotal && ew.migrated.pushes == migTotal,
+		fmt.Sprintf("pushes %d/%d/%d of %d", ew.migClean.pushes, ew.unmigrated.pushes, ew.migrated.pushes, migTotal))
 	fmt.Println()
 
 	fmt.Println("== Elastic gate 4: hfserve autoscaler, 40-job burst through the join protocol ==")
-	sv, err := service.RunElasticServe(service.ElasticServeOptions{})
+	sv, err := runElasticServe()
 	check(err)
-	fmt.Printf("  pool 1 -> peak %d -> final %d; %d scale-ups, %d scale-downs; %d/%d done\n",
-		sv.PeakPool, sv.FinalPool, sv.ScaleUps, sv.ScaleDowns, sv.Done, sv.Submitted)
-	gate("zero jobs lost across grow", sv.Lost == 0 && sv.Done == sv.Submitted,
-		fmt.Sprintf("%d submitted, %d done, %d lost", sv.Submitted, sv.Done, sv.Lost))
-	gate("autoscaler grew the pool", sv.ScaleUps >= 1 && sv.PeakPool > 1,
-		fmt.Sprintf("scale-ups = %d, peak = %d", sv.ScaleUps, sv.PeakPool))
-	gate("scale-up rode the join protocol", sv.JoinsAnnounced >= 1 && sv.JoinsCommitted >= 1,
-		fmt.Sprintf("joins announced = %d, committed = %d", sv.JoinsAnnounced, sv.JoinsCommitted))
-	gate("hysteresis returned the pool", sv.ScaleDowns >= 1 && sv.FinalPool == 1,
-		fmt.Sprintf("scale-downs = %d, final = %d", sv.ScaleDowns, sv.FinalPool))
-	fmt.Println()
-
-	if ok {
-		fmt.Println("  elastic runtime gates: all PASS")
-	}
-	return ok
+	fmt.Printf("  pool 1 -> peak %d -> final %d; %d scale-ups, %d scale-downs; %d/%d done in %v\n",
+		sv.peakPool, sv.finalPool, sv.scaleUps, sv.scaleDowns, sv.done, burstJobs, sv.wall.Round(time.Millisecond))
+	e.check("zero jobs lost across grow", sv.done == burstJobs,
+		fmt.Sprintf("%d submitted, %d done, %d lost", burstJobs, sv.done, burstJobs-sv.done))
+	e.check("autoscaler grew the pool", sv.scaleUps >= 1 && sv.peakPool > 1,
+		fmt.Sprintf("scale-ups = %d, peak = %d", sv.scaleUps, sv.peakPool))
+	e.check("scale-up rode the join protocol", sv.joinsAnnounced >= 1 && sv.joinsCommitted >= 1,
+		fmt.Sprintf("joins announced = %d, committed = %d", sv.joinsAnnounced, sv.joinsCommitted))
+	e.check("hysteresis returned the pool", sv.scaleDowns >= 1 && sv.finalPool == 1,
+		fmt.Sprintf("scale-downs = %d, final = %d", sv.scaleDowns, sv.finalPool))
 }
 
-// csvElastic renders the synthetic-leg comparison as CSV.
-func csvElastic(r *simulate.ElasticResult) string {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	return fmt.Sprintf("leg,mode,wall_ms,ratio,pushes,tasks\n"+
-		"grow,fixed,%.2f,1.00,%d,%d\n"+
-		"grow,elastic,%.2f,%.2f,%d,%d\n"+
-		"migrate,clean,%.2f,1.00,%d,%d\n"+
-		"migrate,unmigrated,%.2f,%.2f,%d,%d\n"+
-		"migrate,migrated,%.2f,%.2f,%d,%d\n",
-		ms(r.FixedWall), r.FixedPushes, r.GrowTasks,
-		ms(r.ElasticWall), r.GrowRatio, r.ElasticPushes, r.GrowTasks,
-		ms(r.MigCleanWall), r.MigCleanPushes, r.MigrateTasks,
-		ms(r.UnmigratedWall), r.UnmigratedRatio, r.UnmigratedPushes, r.MigrateTasks,
-		ms(r.MigratedWall), r.MigratedRatio, r.MigratedPushes, r.MigrateTasks)
+// The elastic serving burst: size (distinct specs) and autoscaler ceiling.
+const (
+	burstJobs    = 40
+	burstMaxPool = 8
+)
+
+// elasticServeResult is the outcome of the elastic serving run.
+type elasticServeResult struct {
+	done           int // burst jobs that reached Done
+	peakPool       int
+	finalPool      int
+	scaleUps       int64
+	scaleDowns     int64
+	joinsAnnounced int64
+	joinsCommitted int64
+	wall           time.Duration
+}
+
+// runElasticServe boots one hfserve replica with a single worker, an
+// attached membership and the telemetry-driven autoscaler, then sends it
+// a burst of distinct submissions over real HTTP and watches the pool:
+// it must grow through the join protocol while the burst is queued, lose
+// no job across the resizes, and shrink back to its floor once the burst
+// drains. It returns an error only on harness failures (bind, HTTP
+// transport); the gates belong to the caller.
+func runElasticServe() (*elasticServeResult, error) {
+	tel := telemetry.NewSession()
+	s, err := service.New(service.Config{
+		Workers:        1,
+		QueueCap:       2 * burstJobs,
+		DefaultTimeout: time.Minute,
+		Telemetry:      tel,
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.AttachMembership(cluster.NewMembership(1, tel))
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	s.StartAutoscaler(service.AutoscalerConfig{
+		Min: 1, Max: burstMaxPool,
+		Interval:       10 * time.Millisecond,
+		DownAfterTicks: 5,
+	})
+	api := newAPIClient(addr)
+	defer func() {
+		api.hangUp()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		_ = s.Drain(ctx) // teardown: a drain that times out has canceled its jobs
+		cancel()
+	}()
+	res := &elasticServeResult{}
+	start := time.Now()
+
+	// The burst: distinct specs (MaxIter varies) so every job pays for a
+	// real SCF run — no cache hits to hide lost work behind. Water rather
+	// than H2 so one worker cannot drain the burst as fast as it arrives;
+	// the queue must actually back up for the autoscaler to see it.
+	for i := 0; i < burstJobs; i++ {
+		spec := jobs.Spec{Molecule: "water", Basis: "sto-3g", Mode: jobs.ModeSerial, MaxIter: 20 + i}
+		if _, _, err := api.submit(spec); err != nil {
+			return nil, fmt.Errorf("submit %d: %w", i, err)
+		}
+	}
+
+	// Track the pool peak while the burst drains; a job that never
+	// reaches Done is lost, which the caller gates on.
+	_ = poll(2*time.Minute, "burst done", func() bool {
+		res.peakPool = max(res.peakPool, s.WorkerCount())
+		res.done, err = api.count(jobs.StateDone)
+		return err != nil || res.done == burstJobs
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Let hysteresis return the pool to the floor; finalPool says whether it did.
+	_ = poll(5*time.Second, "pool at floor", func() bool { return s.WorkerCount() == 1 })
+	res.finalPool = s.WorkerCount()
+	res.scaleUps = tel.Counter("elastic.scale_up").Value()
+	res.scaleDowns = tel.Counter("elastic.scale_down").Value()
+	res.joinsAnnounced = tel.Counter("elastic.joins.announced").Value()
+	res.joinsCommitted = tel.Counter("elastic.joins.committed").Value()
+	res.wall = time.Since(start)
+	return res, nil
 }

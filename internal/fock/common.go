@@ -42,9 +42,10 @@ type Config struct {
 	// Schedule is the inner OpenMP loop schedule; the zero value means the
 	// paper's schedule(dynamic,1).
 	Schedule omp.Schedule
-	// Quartets optionally overrides the ERI source (e.g. an
-	// integrals.PairCache with precomputed shell-pair data); nil means
-	// direct evaluation through the engine.
+	// Quartets is the ERI source. Every production run sets it to an
+	// integrals.PairCache (precomputed shell-pair data); nil means direct
+	// evaluation through the engine, which tests keep as the independent
+	// oracle.
 	Quartets integrals.QuartetSource
 
 	// Straggler mitigation (resilient build only): when the straggler

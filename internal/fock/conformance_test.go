@@ -131,7 +131,7 @@ func TestConformance(t *testing.T) {
 			var serialStats Stats
 			t.Run(name+"/serial", func(t *testing.T) {
 				var got []*linalg.Matrix
-				got, serialStats = SerialBuildN(eng, sch, channelsOf(cl.dens), DefaultTau)
+				got, serialStats = SerialBuildN(eng, eng, sch, channelsOf(cl.dens), DefaultTau)
 				check(t, "serial", got)
 				if serialStats.QuartetsComputed == 0 {
 					t.Fatal("no quartets computed")

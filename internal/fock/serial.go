@@ -11,15 +11,15 @@ import (
 // and the single-core baseline of the benchmarks.
 func SerialBuild(eng *integrals.Engine, sch *integrals.Schwarz,
 	d *linalg.Matrix, tau float64) (*linalg.Matrix, Stats) {
-	g, stats := SerialBuildN(eng, sch, RHF(d.At), tau)
+	g, stats := SerialBuildN(eng, eng, sch, RHF(d.At), tau)
 	return g[0], stats
 }
 
-// SerialBuildN is SerialBuild for any channel list: one sweep, one Fock
-// matrix per channel.
-func SerialBuildN(eng *integrals.Engine, sch *integrals.Schwarz,
+// SerialBuildN is SerialBuild for any channel list and ERI source (eng
+// itself for direct evaluation): one sweep, one Fock matrix per channel.
+func SerialBuildN(eng *integrals.Engine, src integrals.QuartetSource, sch *integrals.Schwarz,
 	chans []Channel, tau float64) ([]*linalg.Matrix, Stats) {
-	return serial(serialWalker(eng, eng, sch, tau), chans)
+	return serial(serialWalker(eng, src, sch, tau), chans)
 }
 
 // serialWalker is a walker with no runtime under it: the static sweep on

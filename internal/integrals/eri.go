@@ -146,9 +146,10 @@ func (e *Engine) ERIValue(si, sj, sk, sl int) float64 {
 	return blk[0]
 }
 
-// QuartetSource produces ERI shell-quartet blocks; both the direct Engine
-// and the precomputed PairCache implement it, so the Fock builders can
-// switch between direct evaluation and pair-data reuse.
+// QuartetSource produces ERI shell-quartet blocks. The precomputed
+// PairCache is the one production source; the direct Engine implements
+// it too and stays as the independent oracle the tests, the dense ERI
+// tensor and cmd/calibrate evaluate through.
 type QuartetSource interface {
 	ShellQuartet(i, j, k, l int, out []float64) []float64
 }

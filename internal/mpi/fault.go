@@ -704,7 +704,12 @@ func (w *World) poisonWorld(f *RankFailure) {
 	w.poisonF.CompareAndSwap(nil, f)
 	w.barrier.poison()
 	for _, b := range w.boxes {
+		// Under the mailbox lock: a receiver that has checked poisonF and
+		// not yet parked in cond.Wait would otherwise miss this wakeup and,
+		// with no deadline to re-wake it, block forever.
+		b.mu.Lock()
 		b.cond.Broadcast()
+		b.mu.Unlock()
 	}
 	w.subWorlds.Range(func(_, v any) bool {
 		v.(*World).poisonWorld(f)

@@ -65,46 +65,22 @@ func TestRecvUnwindsOnPeerDeath(t *testing.T) {
 	}
 }
 
-// TestRequestWaitUnwindsOnPeerDeath: a nonblocking receive whose peer dies
-// must re-raise the failure from Wait on the owning rank (satellite 1,
-// Irecv half).
-func TestRequestWaitUnwindsOnPeerDeath(t *testing.T) {
-	doneCh := make(chan error, 1)
-	go func() {
-		doneCh <- Run(2, func(c *Comm) {
-			if c.Rank() == 1 {
-				panic("peer death")
-			}
-			r := c.Irecv(1, 3)
-			r.Wait()
-		})
-	}()
-	select {
-	case err := <-doneCh:
-		if !errors.Is(err, ErrRankFailed) {
-			t.Fatalf("want ErrRankFailed, got %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Request.Wait did not unwind after peer death")
-	}
-}
-
-// TestWaitErrReturnsTypedError: WaitErr converts the unwinding into a
-// typed error for callers that handle peer death locally.
-func TestWaitErrReturnsTypedError(t *testing.T) {
-	var mu sync.Mutex
-	var seen error
-	_ = Run(2, func(c *Comm) {
+// TestPeerDeathReturnsTypedError: a receiver unwound by peer death surfaces
+// from Run as a typed *RankFailure naming the dead rank, for callers that
+// handle the loss themselves (shrink, restart) instead of just failing.
+func TestPeerDeathReturnsTypedError(t *testing.T) {
+	err := Run(2, func(c *Comm) {
 		if c.Rank() == 1 {
 			panic("peer death")
 		}
-		_, _, _, err := c.Irecv(1, 3).WaitErr()
-		mu.Lock()
-		seen = err
-		mu.Unlock()
+		c.Recv(1, 3)
 	})
-	if !errors.Is(seen, ErrRankFailed) {
-		t.Fatalf("WaitErr = %v, want ErrRankFailed", seen)
+	var rf *RankFailure
+	if !errors.As(err, &rf) || !errors.Is(err, ErrRankFailed) {
+		t.Fatalf("Run = %v, want a *RankFailure matching ErrRankFailed", err)
+	}
+	if rf.Rank != 1 {
+		t.Fatalf("failure names rank %d, want the dead rank 1", rf.Rank)
 	}
 }
 

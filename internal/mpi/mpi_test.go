@@ -390,97 +390,6 @@ func TestAllreduceLargeBuffer(t *testing.T) {
 	}
 }
 
-func TestIsendIrecv(t *testing.T) {
-	err := Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			req := c.Isend(1, 9, []float64{1, 2})
-			req.Wait()
-		} else {
-			req := c.Irecv(0, 9)
-			data, src, tag := req.Wait()
-			if src != 0 || tag != 9 || len(data) != 2 || data[1] != 2 {
-				t.Errorf("irecv got %v src=%d tag=%d", data, src, tag)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIsendBufferReuse(t *testing.T) {
-	err := Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			buf := []float64{42}
-			req := c.Isend(1, 0, buf)
-			buf[0] = -1 // must not affect the in-flight copy
-			req.Wait()
-		} else {
-			data, _, _ := c.Recv(0, 0)
-			if data[0] != 42 {
-				t.Errorf("buffer reuse corrupted payload: %v", data)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIrecvTestPolling(t *testing.T) {
-	err := Run(2, func(c *Comm) {
-		if c.Rank() == 1 {
-			req := c.Irecv(0, 5)
-			if req.Test() {
-				// May legitimately be true if the send won the race, but
-				// before the barrier the send hasn't been posted yet.
-				t.Error("Test true before send was posted")
-			}
-			c.Barrier()
-			data, _, _ := req.Wait()
-			if data[0] != 7 {
-				t.Errorf("polled recv got %v", data)
-			}
-			if !req.Test() {
-				t.Error("Test false after Wait")
-			}
-		} else {
-			c.Barrier()
-			c.Send(1, 5, []float64{7})
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitAllOverlap(t *testing.T) {
-	// Post several receives, then sends arrive out of order; WaitAll must
-	// complete them all with correct tag matching.
-	err := Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			r1 := c.Irecv(1, 1)
-			r2 := c.Irecv(1, 2)
-			r3 := c.Irecv(1, 3)
-			WaitAll(r1, r2, r3, nil)
-			for i, r := range []*Request{r1, r2, r3} {
-				data, _, tag := r.Wait()
-				if tag != i+1 || data[0] != float64(10*(i+1)) {
-					t.Errorf("req %d: data=%v tag=%d", i, data, tag)
-				}
-			}
-		} else {
-			// Reverse order sends.
-			c.Send(0, 3, []float64{30})
-			c.Send(0, 2, []float64{20})
-			c.Send(0, 1, []float64{10})
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSplitByColor(t *testing.T) {
 	// 8 ranks on 2 "nodes" of 4 (the paper's layout): split by node id.
 	err := Run(8, func(c *Comm) {

@@ -181,20 +181,21 @@ func TestUnverifiedTransportLetsCorruptionThrough(t *testing.T) {
 	}
 }
 
-// TestIsendCorruptionVerifiedAtWait: the nonblocking path shares the
-// framing — a corrupted Isend payload is repaired before Wait returns.
-func TestIsendCorruptionVerifiedAtWait(t *testing.T) {
+// TestSendCorruptionVerifiedAtRecv: the plain point-to-point path carries
+// the same framing as the collectives — a corrupted Send payload is
+// repaired by retransmission before Recv returns.
+func TestSendCorruptionVerifiedAtRecv(t *testing.T) {
 	tel := telemetry.NewSession()
 	plan := &FaultPlan{Corrupts: []Corrupt{
 		{Rank: 0, Site: SiteSend, After: 1, Kind: CorruptBitFlip, Index: 1, Bit: 3},
 	}}
 	_, err := RunWithOptions(2, RunOptions{Fault: plan, Telemetry: tel}, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Isend(1, 2, []float64{7, 8, 9}).Wait()
+			c.Send(1, 2, []float64{7, 8, 9})
 		} else {
-			data, _, _ := c.Irecv(0, 2).Wait()
+			data, _, _ := c.Recv(0, 2)
 			if data[1] != 8 {
-				t.Errorf("Irecv returned corrupted payload: %v", data)
+				t.Errorf("Recv returned corrupted payload: %v", data)
 			}
 		}
 	})
@@ -202,7 +203,7 @@ func TestIsendCorruptionVerifiedAtWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	if snap := tel.Registry.Snapshot(); snap.Counters["sdc.recovered"] != 1 {
-		t.Fatalf("nonblocking corruption not recovered: %+v", snap.Counters)
+		t.Fatalf("point-to-point corruption not recovered: %+v", snap.Counters)
 	}
 }
 

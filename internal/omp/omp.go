@@ -71,7 +71,6 @@ type region struct {
 	barrier  *barrier
 	mu       sync.Mutex
 	loops    map[int]*loopDesc
-	singles  map[int]*int32
 	critical sync.Map // name -> *sync.Mutex
 }
 
@@ -135,7 +134,6 @@ func (t *Team) Parallel(body func(tc *Context)) {
 		n:       t.n,
 		barrier: newBarrier(t.n),
 		loops:   map[int]*loopDesc{},
-		singles: map[int]*int32{},
 	}
 	var wg sync.WaitGroup
 	wg.Add(t.n)
@@ -171,24 +169,6 @@ func (c *Context) Master(f func()) {
 	}
 }
 
-// Single runs f on exactly one thread (whichever arrives first) and then
-// barriers the team, like an OpenMP single section.
-func (c *Context) Single(f func()) {
-	c.seq++
-	key := c.seq
-	c.region.mu.Lock()
-	flag, ok := c.region.singles[key]
-	if !ok {
-		flag = new(int32)
-		c.region.singles[key] = flag
-	}
-	c.region.mu.Unlock()
-	if atomic.CompareAndSwapInt32(flag, 0, 1) {
-		f()
-	}
-	c.Barrier()
-}
-
 // Critical runs f under the named region-wide mutex.
 func (c *Context) Critical(name string, f func()) {
 	muAny, _ := c.region.critical.LoadOrStore(name, &sync.Mutex{})
@@ -204,11 +184,6 @@ func (c *Context) Critical(name string, f func()) {
 func (c *Context) For(n int, sched Schedule, body func(i int)) {
 	c.forLoop(n, sched, body)
 	c.Barrier()
-}
-
-// ForNoWait is For without the trailing barrier (`omp do nowait`).
-func (c *Context) ForNoWait(n int, sched Schedule, body func(i int)) {
-	c.forLoop(n, sched, body)
 }
 
 func (c *Context) forLoop(n int, sched Schedule, body func(i int)) {
@@ -331,20 +306,4 @@ func (c *Context) ReduceChunked(target []float64, buffers [][]float64) {
 			buf[i] = 0
 		}
 	}
-}
-
-// Sections runs each function on some thread of the team, work-shared
-// (like `omp sections`), with an implicit barrier at the end. Extra
-// threads idle; extra sections queue.
-func (c *Context) Sections(funcs ...func()) {
-	c.For(len(funcs), Schedule{Kind: Dynamic, Chunk: 1}, func(i int) {
-		funcs[i]()
-	})
-}
-
-// Atomic serializes a tiny read-modify-write against a region-wide lock
-// (like `omp atomic` on a non-hardware-atomic update). For hot paths
-// prefer per-thread accumulators and ReduceChunked.
-func (c *Context) Atomic(f func()) {
-	c.Critical("omp.atomic", f)
 }

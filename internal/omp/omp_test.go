@@ -56,19 +56,6 @@ func TestMasterOnlyThreadZero(t *testing.T) {
 	}
 }
 
-func TestSingleRunsExactlyOnce(t *testing.T) {
-	team := NewTeam(8)
-	var count atomic.Int64
-	team.Parallel(func(tc *Context) {
-		for rep := 0; rep < 5; rep++ {
-			tc.Single(func() { count.Add(1) })
-		}
-	})
-	if count.Load() != 5 {
-		t.Fatalf("single ran %d times, want 5", count.Load())
-	}
-}
-
 func TestCriticalMutualExclusion(t *testing.T) {
 	team := NewTeam(8)
 	counter := 0 // deliberately unprotected; Critical must serialize
@@ -262,38 +249,5 @@ func TestDynamicLoadBalanceSkew(t *testing.T) {
 	})
 	if total.Load() != 40 {
 		t.Fatalf("total = %d", total.Load())
-	}
-}
-
-func TestSections(t *testing.T) {
-	team := NewTeam(3)
-	var ran [5]atomic.Bool
-	team.Parallel(func(tc *Context) {
-		tc.Sections(
-			func() { ran[0].Store(true) },
-			func() { ran[1].Store(true) },
-			func() { ran[2].Store(true) },
-			func() { ran[3].Store(true) },
-			func() { ran[4].Store(true) },
-		)
-		// Implicit barrier: all sections done before any thread proceeds.
-		for i := range ran {
-			if !ran[i].Load() {
-				t.Errorf("section %d not finished at barrier", i)
-			}
-		}
-	})
-}
-
-func TestAtomic(t *testing.T) {
-	team := NewTeam(6)
-	sum := 0
-	team.Parallel(func(tc *Context) {
-		for i := 0; i < 100; i++ {
-			tc.Atomic(func() { sum++ })
-		}
-	})
-	if sum != 600 {
-		t.Fatalf("sum = %d", sum)
 	}
 }

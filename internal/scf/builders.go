@@ -108,17 +108,3 @@ func instrument(b channelBuilder, tel *telemetry.Session, variant string, rank i
 		return g, stats
 	}
 }
-
-// InCoreBuilder returns a Builder that evaluates the screened ERIs once
-// and replays them every SCF iteration — GAMESS's "conventional" mode,
-// practical only at the small sizes real execution targets (the error
-// from BuildStore explains why the paper's systems require direct SCF).
-func InCoreBuilder(eng *integrals.Engine, sch *integrals.Schwarz, tau float64) (Builder, error) {
-	store, err := fock.BuildStore(eng, sch, tau)
-	if err != nil {
-		return nil, err
-	}
-	return func(d *linalg.Matrix) (*linalg.Matrix, fock.Stats) {
-		return store.BuildFock(d)
-	}, nil
-}

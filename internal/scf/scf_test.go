@@ -321,11 +321,11 @@ func TestInCoreSCFMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inCore, err := InCoreBuilder(eng, sch, 0)
+	store, err := fock.BuildStore(eng, sch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv, err := RunRHF(eng, inCore, Options{})
+	conv, err := RunRHF(eng, store.BuildFock, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

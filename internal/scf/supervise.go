@@ -267,8 +267,8 @@ func (r *RebalanceSignal) Error() string {
 func (r *RebalanceSignal) Is(target error) bool { return target == ErrRebalance }
 
 // Run performs the SCF calculation p describes over the engine's basis.
-// src optionally overrides the ERI source of the parallel presets (e.g.
-// an integrals.PairCache); nil evaluates through the engine. A nil or
+// src is the ERI source of every preset (production passes an
+// integrals.PairCache); nil evaluates directly through the engine. A nil or
 // background ctx disables cancellation; otherwise a canceled or expired
 // ctx stops the loop — collectively, in a world — at the next iteration
 // boundary with an error matching ErrCanceled, and stops the supervisor
@@ -289,8 +289,11 @@ func Run(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwarz,
 		if ctx.Done() != nil {
 			opt.Context = ctx
 		}
+		if src == nil {
+			src = eng
+		}
 		build := func(ds []*linalg.Matrix) ([]*linalg.Matrix, fock.Stats) {
-			return fock.SerialBuildN(eng, sch, channels(ds), fock.DefaultTau)
+			return fock.SerialBuildN(eng, src, sch, channels(ds), fock.DefaultTau)
 		}
 		res, err := runDense(eng, p.Multiplicity, instrument(build, opt.Telemetry, "serial", 0), opt)
 		if res != nil {

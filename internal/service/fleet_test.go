@@ -81,7 +81,7 @@ func startTestFleet(t *testing.T, n int, cfg Config) ([]*Server, map[string]stri
 }
 
 // fleetPost submits spec to the replica at addr and decodes the response.
-func fleetPost(t *testing.T, addr string, spec jobs.Spec) (submitResponse, int) {
+func fleetPost(t *testing.T, addr string, spec jobs.Spec) (SubmitResponse, int) {
 	t.Helper()
 	body, _ := json.Marshal(spec)
 	resp, err := http.Post("http://"+addr+"/v1/jobs", "application/json", bytes.NewReader(body))
@@ -89,7 +89,7 @@ func fleetPost(t *testing.T, addr string, spec jobs.Spec) (submitResponse, int) 
 		t.Fatalf("POST to %s: %v", addr, err)
 	}
 	defer resp.Body.Close()
-	var out submitResponse
+	var out SubmitResponse
 	if resp.StatusCode < 400 {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatalf("decode: %v", err)
@@ -301,7 +301,7 @@ func TestCrashReplayRecoversBacklogExactlyOnce(t *testing.T) {
 }
 
 // postToHandler drives a submit through the handler without a listener.
-func postToHandler(t *testing.T, s *Server, spec jobs.Spec) submitResponse {
+func postToHandler(t *testing.T, s *Server, spec jobs.Spec) SubmitResponse {
 	t.Helper()
 	body, _ := json.Marshal(spec)
 	req := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
@@ -311,7 +311,7 @@ func postToHandler(t *testing.T, s *Server, spec jobs.Spec) submitResponse {
 	if rec.Code >= 400 {
 		t.Fatalf("submit status %d: %s", rec.Code, rec.Body.String())
 	}
-	var out submitResponse
+	var out SubmitResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatalf("decode: %v", err)
 	}

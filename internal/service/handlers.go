@@ -57,8 +57,8 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// submitResponse is the POST /v1/jobs body.
-type submitResponse struct {
+// SubmitResponse is the POST /v1/jobs body.
+type SubmitResponse struct {
 	ID        string        `json:"id"`
 	Hash      string        `json:"hash"`
 	State     jobs.State    `json:"state"`
@@ -70,7 +70,8 @@ type submitResponse struct {
 	TraceID   string        `json:"trace_id,omitempty"` // request trace (also in X-HF-Trace)
 }
 
-type errorResponse struct {
+// ErrorResponse is the body of every 4xx/5xx answer.
+type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
@@ -87,7 +88,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is draining"})
+		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "server is draining"})
 		return
 	}
 	// Trace ingress: inherit a propagated trace ID (fleet forward, client
@@ -107,18 +108,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad job spec: " + err.Error()})
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad job spec: " + err.Error()})
 		return
 	}
 	info, err := spec.Validate()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
 	spec = spec.Normalized()
 	hash, err := spec.CanonicalHash()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
 
@@ -136,7 +137,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.register(j, false)
 		ttel.Instant("svc.submit", "cache-hit", telemetry.DriverPid, 0,
 			map[string]any{"job": j.ID, "hash": hash})
-		writeJSON(w, http.StatusOK, submitResponse{
+		writeJSON(w, http.StatusOK, SubmitResponse{
 			ID: j.ID, Hash: hash, State: jobs.StateDone, Cached: true,
 			Result: out, NumBF: info.NumBF, Replica: self, TraceID: trace,
 		})
@@ -159,7 +160,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				s.register(j, false)
 				ttel.Instant("svc.submit", "peer-hit", telemetry.DriverPid, 0,
 					map[string]any{"job": j.ID, "hash": hash, "owner": owner})
-				writeJSON(w, http.StatusOK, submitResponse{
+				writeJSON(w, http.StatusOK, SubmitResponse{
 					ID: j.ID, Hash: hash, State: jobs.StateDone, Cached: true,
 					Result: res.outcome, NumBF: info.NumBF, Replica: self, TraceID: trace,
 				})
@@ -180,7 +181,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// trace its spans will actually carry.
 		ttel.Instant("svc.submit", "coalesced", telemetry.DriverPid, 0,
 			map[string]any{"job": prior.ID, "hash": hash})
-		writeJSON(w, http.StatusAccepted, submitResponse{
+		writeJSON(w, http.StatusAccepted, SubmitResponse{
 			ID: prior.ID, Hash: hash, State: prior.State(), Coalesced: true,
 			NumBF: info.NumBF, Replica: self, TraceID: prior.Trace,
 		})
@@ -193,7 +194,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.tel.Counter("svc.jobs.quota_rejected").Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		writeJSON(w, http.StatusTooManyRequests,
-			errorResponse{Error: "tenant quota exceeded, retry later"})
+			ErrorResponse{Error: "tenant quota exceeded, retry later"})
 		return
 	}
 
@@ -209,7 +210,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusServiceUnavailable
 			msg = "server is draining"
 		}
-		writeJSON(w, status, errorResponse{Error: msg})
+		writeJSON(w, status, ErrorResponse{Error: msg})
 		return
 	}
 	// Persist, then serve: the accept record must be durable before the
@@ -217,7 +218,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if walErr := s.wal.AppendAccept(j, time.Now()); walErr != nil {
 		s.queue.Remove(j.ID)
 		writeJSON(w, http.StatusServiceUnavailable,
-			errorResponse{Error: "write-ahead log unavailable: " + walErr.Error()})
+			ErrorResponse{Error: "write-ahead log unavailable: " + walErr.Error()})
 		return
 	}
 	s.register(j, true)
@@ -228,7 +229,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.observeDepth()
 	ttel.Instant("svc.submit", "accepted", telemetry.DriverPid, 0,
 		map[string]any{"job": j.ID, "hash": hash})
-	writeJSON(w, http.StatusAccepted, submitResponse{
+	writeJSON(w, http.StatusAccepted, SubmitResponse{
 		ID: j.ID, Hash: hash, State: jobs.StateQueued, NumBF: info.NumBF,
 		Replica: self, TraceID: trace,
 	})
@@ -254,7 +255,7 @@ func sanitizeLabelValue(v string) string {
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job id"})
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown job id"})
 		return
 	}
 	writeJSON(w, http.StatusOK, j.Snapshot())
@@ -284,7 +285,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	switch jobs.State(filter) {
 	case "", jobs.StateQueued, jobs.StateRunning, jobs.StateDone, jobs.StateFailed, jobs.StateCanceled:
 	default:
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf(
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf(
 			"unknown status %q (want queued, running, done, failed, or canceled)", filter)})
 		return
 	}
@@ -292,7 +293,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "limit must be a positive integer"})
+			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "limit must be a positive integer"})
 			return
 		}
 		limit = n
@@ -343,13 +344,13 @@ func (s *Server) handleCacheProbe(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, map[string]string{"state": string(prior.State())})
 		return
 	}
-	writeJSON(w, http.StatusNotFound, errorResponse{Error: "not cached"})
+	writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "not cached"})
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job id"})
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown job id"})
 		return
 	}
 	switch j.State() {
@@ -484,8 +485,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.tel.Registry.WritePrometheus(w, labels)
 }
 
-// waterfallSpan is one stitched span in a job's waterfall.
-type waterfallSpan struct {
+// WaterfallSpan is one stitched span in a job's waterfall.
+type WaterfallSpan struct {
 	Cat     string         `json:"cat"`
 	Name    string         `json:"name"`
 	Pid     int            `json:"pid"`
@@ -496,18 +497,18 @@ type waterfallSpan struct {
 	Args    map[string]any `json:"args,omitempty"`
 }
 
-// waterfallResponse is the GET /v1/jobs/{id}/trace body: everything this
+// WaterfallResponse is the GET /v1/jobs/{id}/trace body: everything this
 // replica recorded under the job's trace ID, in start order, plus the
 // job-level timings (queue wait synthesized from the status record —
 // waiting in a queue emits no span).
-type waterfallResponse struct {
+type WaterfallResponse struct {
 	Job         string          `json:"job"`
 	TraceID     string          `json:"trace_id"`
 	State       jobs.State      `json:"state"`
 	Cached      bool            `json:"cached,omitempty"`
 	QueueWaitMS float64         `json:"queue_wait_ms,omitempty"`
 	TotalMS     float64         `json:"total_ms,omitempty"`
-	Spans       []waterfallSpan `json:"spans"`
+	Spans       []WaterfallSpan `json:"spans"`
 	Categories  map[string]int  `json:"categories"` // span count per category
 }
 
@@ -519,14 +520,14 @@ type waterfallResponse struct {
 func (s *Server) handleWaterfall(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job id"})
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown job id"})
 		return
 	}
 	st := j.Snapshot()
-	resp := waterfallResponse{
+	resp := WaterfallResponse{
 		Job: j.ID, TraceID: j.Trace, State: st.State, Cached: st.Cached,
 		QueueWaitMS: st.QueueWaitMS, TotalMS: st.TotalMS,
-		Spans: []waterfallSpan{}, Categories: map[string]int{},
+		Spans: []WaterfallSpan{}, Categories: map[string]int{},
 	}
 	if j.Trace != "" {
 		for _, e := range s.tel.Recorder.Events() {
@@ -537,7 +538,7 @@ func (s *Server) handleWaterfall(w http.ResponseWriter, r *http.Request) {
 			if e.Ph == telemetry.PhaseInstant {
 				phase = "instant"
 			}
-			resp.Spans = append(resp.Spans, waterfallSpan{
+			resp.Spans = append(resp.Spans, WaterfallSpan{
 				Cat: e.Cat, Name: e.Name, Pid: e.Pid, Tid: e.Tid,
 				StartUS: e.Ts, DurUS: e.Dur, Phase: phase, Args: e.Args,
 			})
@@ -559,7 +560,7 @@ func (s *Server) handleWaterfall(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	d := s.tel.Flight.LastDump()
 	if d == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no flight dump recorded"})
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "no flight dump recorded"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -39,7 +38,7 @@ func testServer(t *testing.T, cfg Config, start bool) (*Server, *httptest.Server
 	return s, ts
 }
 
-func postJob(t *testing.T, ts *httptest.Server, spec jobs.Spec) (submitResponse, *http.Response) {
+func postJob(t *testing.T, ts *httptest.Server, spec jobs.Spec) (SubmitResponse, *http.Response) {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -50,7 +49,7 @@ func postJob(t *testing.T, ts *httptest.Server, spec jobs.Spec) (submitResponse,
 		t.Fatalf("POST /v1/jobs: %v", err)
 	}
 	defer resp.Body.Close()
-	var out submitResponse
+	var out SubmitResponse
 	if resp.StatusCode < 400 {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatalf("decode submit response: %v", err)
@@ -264,7 +263,7 @@ func TestServeBadRequests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		var e errorResponse
+		var e ErrorResponse
 		_ = json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
@@ -278,7 +277,7 @@ func TestServeBadRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e errorResponse
+	var e ErrorResponse
 	_ = json.NewDecoder(resp.Body).Decode(&e)
 	resp.Body.Close()
 	for _, want := range []string{"water", "benzene", "kryptonite"} {
@@ -431,19 +430,3 @@ func TestServeRetryOnFailure(t *testing.T) {
 		t.Errorf("attempts = %d, want 3 (1 + 2 retries)", st.Attempts)
 	}
 }
-
-func TestLoadgenSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loadgen is a multi-second soak; run without -short")
-	}
-	rep, err := RunLoadgen(LoadgenOptions{Jobs: 50, Clients: 8, Workers: 2, QueueCap: 3, Seed: 7})
-	if err != nil {
-		t.Fatalf("loadgen: %v\n%s", err, rep.Format())
-	}
-	if err := rep.Gates(); err != nil {
-		t.Fatalf("gates: %v\n%s", err, rep.Format())
-	}
-	t.Logf("\n%s", rep.Format())
-}
-
-var _ = fmt.Sprintf // keep fmt imported for debug edits

@@ -14,7 +14,7 @@ import (
 
 // postJobTraced submits spec with an explicit X-HF-Trace header and
 // returns the decoded response plus the trace header echoed back.
-func postJobTraced(t *testing.T, url string, spec jobs.Spec, trace string) (submitResponse, *http.Response) {
+func postJobTraced(t *testing.T, url string, spec jobs.Spec, trace string) (SubmitResponse, *http.Response) {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -33,7 +33,7 @@ func postJobTraced(t *testing.T, url string, spec jobs.Spec, trace string) (subm
 		t.Fatalf("POST: %v", err)
 	}
 	defer resp.Body.Close()
-	var out submitResponse
+	var out SubmitResponse
 	if resp.StatusCode < 400 {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatalf("decode: %v", err)
@@ -108,7 +108,7 @@ func TestWaterfallEndpoint(t *testing.T) {
 	if wresp.StatusCode != http.StatusOK {
 		t.Fatalf("waterfall: HTTP %d", wresp.StatusCode)
 	}
-	var wf waterfallResponse
+	var wf WaterfallResponse
 	if err := json.NewDecoder(wresp.Body).Decode(&wf); err != nil {
 		t.Fatalf("decode waterfall: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestTraceSurvivesFleetForwarding(t *testing.T) {
 	if wresp.StatusCode != http.StatusOK {
 		t.Fatalf("owner waterfall: HTTP %d", wresp.StatusCode)
 	}
-	var wf waterfallResponse
+	var wf WaterfallResponse
 	if err := json.NewDecoder(wresp.Body).Decode(&wf); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package simulate
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/cluster"
@@ -461,17 +460,6 @@ func RunGranularityAblation(pc *ProfileCache) ([]AblationRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// SortedAlgorithms returns the algorithms sorted by a row's time
-// (fastest first); convenience for reporting winners.
-func SortedAlgorithms(times map[string]float64) []string {
-	algs := make([]string, 0, len(times))
-	for a := range times {
-		algs = append(algs, a)
-	}
-	sort.Slice(algs, func(i, j int) bool { return times[algs[i]] < times[algs[j]] })
-	return algs
 }
 
 // BreakdownRow is one algorithm's simulated component decomposition.

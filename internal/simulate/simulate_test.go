@@ -380,13 +380,6 @@ func TestSimulateInvalidJob(t *testing.T) {
 	}
 }
 
-func TestSortedAlgorithms(t *testing.T) {
-	algs := SortedAlgorithms(map[string]float64{"a": 3, "b": 1, "c": 2})
-	if algs[0] != "b" || algs[2] != "a" {
-		t.Fatalf("SortedAlgorithms = %v", algs)
-	}
-}
-
 func TestEstimateSCF(t *testing.T) {
 	p := testProfile(t, "0.5nm")
 	est := EstimateSCF(p, Config{Machine: cluster.Theta(),
