@@ -242,7 +242,10 @@ func Run(ctx context.Context, mol *Molecule, basisName string, p Plan) (*Result,
 		return nil, err
 	}
 	sch := integrals.ComputeSchwarz(eng)
-	// Shell-pair precomputation speeds every quartet evaluation (~2x).
+	// The one production ERI source: Hermite pair densities precomputed per
+	// shell pair and a two-stage, allocation-free kernel over them, shared
+	// by every rank and thread of the plan (8-24x the seed kernel per
+	// quartet by shell class; EXPERIMENTS.md, "ERI kernel").
 	return scf.Run(ctx, eng, sch, integrals.NewPairCache(eng, 0), p)
 }
 

@@ -8,7 +8,11 @@
 # root ./... patterns), and the structure gate. Fock layer: non-test
 # internal/fock has exactly one .ShellQuartet( call site, Schwarz
 # screening (sch.Screened/sch.Bound) in one function only, and no
-# hand-synced copies (no "KEEP IN SYNC"). SCF layer: exactly one
+# hand-synced copies (no "KEEP IN SYNC"). Integrals layer: exactly two
+# ShellQuartet methods in non-test internal/integrals (the production
+# *PairCache and the direct *Engine oracle), and the production kernel
+# file paircache.go stays flat and allocation-free by construction: no
+# math.Pow( and no [][][]float64 in it. SCF layer: exactly one
 # `for iter :=` loop in non-test internal/scf, exactly one
 # mpi.RunWithOptions( world-launch site in non-test internal/scf plus
 # the root package, basis.Build( in api.go/properties.go only in the one
@@ -20,8 +24,10 @@
 # (it is a model, not a runtime client), and hfserve has no loadgen flag.
 #
 # Tier 2 (concurrency soundness): the race detector over the packages
-# with real parallelism and fault injection. The full ./internal/scf
-# suite under -race takes ~5 minutes; everything else is seconds.
+# with real parallelism and fault injection, and over the one PairCache
+# every rank and thread shares (8 goroutines, blocks bit-identical to a
+# serial pass). The full ./internal/scf suite under -race takes ~5
+# minutes; everything else is seconds.
 #
 # Tier 3 (observability gate): run a tiny SCF with -trace and check the
 # emitted Chrome trace is valid JSON with properly nested spans covering
@@ -172,6 +178,16 @@ tier_1() {
 		exit 1
 	fi
 
+	int_src=$(ls internal/integrals/*.go | grep -v _test.go)
+	kernels=$(cat $int_src | grep -c '^func (.*) ShellQuartet(' || true)
+	[ "$kernels" -eq 2 ] || { echo "structure gate: $kernels ShellQuartet methods in internal/integrals, want exactly 2 (*PairCache in production, *Engine as the oracle)"; exit 1; }
+	grep -q '^func ([a-z]* \*PairCache) ShellQuartet(' $int_src && grep -q '^func ([a-z]* \*Engine) ShellQuartet(' $int_src ||
+		{ echo "structure gate: the two ShellQuartet methods must be (*PairCache) and (*Engine)"; exit 1; }
+	if grep -n 'math\.Pow(\|\[\]\[\]\[\]float64' internal/integrals/paircache.go; then
+		echo "structure gate: the production kernel file uses math.Pow or nested [][][]float64 tables again"
+		exit 1
+	fi
+
 	scf_src=$(ls internal/scf/*.go | grep -v _test.go)
 	root_src=$(ls *.go | grep -v _test.go)
 	loops=$(cat $scf_src | grep -c 'for iter :=' || true)
@@ -216,6 +232,7 @@ race_rerun() {
 tier_2() {
 	echo "== tier 2: race detector (mpi, ddi, fock, scf, integrity, telemetry, jobs, service, distmat) =="
 	go test $short -race ./internal/mpi/ ./internal/ddi/ ./internal/fock/ ./internal/scf/ ./internal/integrity/ ./internal/telemetry/ ./internal/jobs/ ./internal/service/ ./internal/distmat/
+	race_rerun 'TestKernelConcurrentBitIdentical' -count=10 ./internal/integrals/
 }
 
 tier_3() {
@@ -289,10 +306,11 @@ tier_5() {
 	done
 	echo "serve gate: purified job $pid done"
 
-	# Backpressure: benzene occupies the only worker for ~20s; a distinct
-	# quick job fills the queue (cap 1); the next distinct submission must
-	# bounce with 429 + Retry-After.
-	slow=$(curl -sf -X POST "$base/v1/jobs" -d '{"molecule":"benzene","basis":"sto-3g","mode":"serial"}' | jq -r .id)
+	# Backpressure: benzene/6-31G(d) occupies the only worker for ~13s
+	# (STO-3G is ~1s since the pair-contracted kernel); a distinct quick
+	# job fills the queue (cap 1); the next distinct submission must bounce
+	# with 429 + Retry-After.
+	slow=$(curl -sf -X POST "$base/v1/jobs" -d '{"molecule":"benzene","basis":"6-31g(d)","mode":"serial"}' | jq -r .id)
 	# Fill the queue slot once the worker has claimed benzene (retry the
 	# harmless 429 window between submit and claim).
 	q1=""

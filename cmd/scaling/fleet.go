@@ -290,9 +290,12 @@ func (h *fleet) storm(n, clients int, run *fleetRun) error {
 // victimSpecs crafts jobs the ring assigns to the kill target, so the
 // restarted replica provably replays and completes them. MaxIter varies
 // the canonical hash without changing the physics budget materially.
+// They are ~150 ms jobs (methane/6-31G(d)): an H2 job finishes inside the
+// few milliseconds between its submission and the kill about one run in
+// three, and then nothing is left to re-enqueue.
 func (h *fleet) victimSpecs(n int) (specs []jobs.Spec, hashes []string, err error) {
 	for iter := 301; len(specs) < n; iter++ {
-		spec := jobs.Spec{Molecule: "h2", Basis: "sto-3g", Mode: jobs.ModeSerial, MaxIter: iter}
+		spec := jobs.Spec{Molecule: "methane", Basis: "6-31g(d)", Mode: jobs.ModeSerial, MaxIter: iter}
 		hash, err := spec.CanonicalHash()
 		if err != nil {
 			return nil, nil, err
@@ -400,9 +403,9 @@ func runFleetPass(load fleetLoad, kill string) (run fleetRun, err error) {
 		allHashes = append(allHashes, hashes...)
 		for _, spec := range specs {
 			// Accepted (202 + WAL accept) on the victim; with the storm
-			// paused and tiny specs, some may finish before the kill — the
-			// gate needs at least one still pending, which 3-4 victims
-			// against an immediate kill reliably leave.
+			// paused the first two start at once and outlast the immediate
+			// kill, the rest wait behind them — the gate needs at least one
+			// still pending.
 			if err := h.submit(kill, spec, nil); err != nil {
 				return run, fmt.Errorf("victim submit: %w", err)
 			}

@@ -14,7 +14,9 @@ import (
 
 // The conformance table: every preset x channel list x (ranks, threads)
 // x system must reproduce the dense N^4 oracle, and the ranks together
-// must evaluate each symmetry-unique quartet exactly once.
+// must evaluate each symmetry-unique quartet exactly once. The presets
+// evaluate through the production pair cache; the direct engine is the
+// reference side (ReferenceJK, ReferenceFock2e) only.
 
 // parallelPreset runs one preset on one rank. dens is [D] for the RHF
 // channel list and [Dtotal, Dalpha, Dbeta] for UHF.
@@ -98,6 +100,7 @@ func TestConformance(t *testing.T) {
 
 	for _, sys := range systems {
 		eng, sch, d := setup(t, sys.mol, sys.set)
+		pc := integrals.NewPairCache(eng, 0)
 		nocc := sys.mol.NumElectrons() / 2
 		// Two different spin densities: alpha fills one orbital more than
 		// the closed shell, beta drops the lowest one.
@@ -131,7 +134,7 @@ func TestConformance(t *testing.T) {
 			var serialStats Stats
 			t.Run(name+"/serial", func(t *testing.T) {
 				var got []*linalg.Matrix
-				got, serialStats = SerialBuildN(eng, eng, sch, channelsOf(cl.dens), DefaultTau)
+				got, serialStats = SerialBuildN(eng, pc, sch, channelsOf(cl.dens), DefaultTau)
 				check(t, "serial", got)
 				if serialStats.QuartetsComputed == 0 {
 					t.Fatal("no quartets computed")
@@ -146,7 +149,7 @@ func TestConformance(t *testing.T) {
 						err := mpi.Run(sh.ranks, func(c *mpi.Comm) {
 							r := c.Rank()
 							got[r], stats[r], errs[r] = p.build(ddi.New(c), eng, sch, cl.dens,
-								Config{Threads: sh.threads})
+								Config{Threads: sh.threads, Quartets: pc})
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -204,9 +207,10 @@ func TestSharedFockScreeningCounts(t *testing.T) {
 			continue
 		}
 		eng, sch, d := setup(t, tc.mol, "sto-3g")
+		cfg := Config{Threads: tc.threads, Quartets: integrals.NewPairCache(eng, 0)}
 		stats := make([]Stats, tc.ranks)
 		err := mpi.Run(tc.ranks, func(c *mpi.Comm) {
-			_, stats[c.Rank()] = SharedFockBuild(ddi.New(c), eng, sch, RHF(d.At), Config{Threads: tc.threads})
+			_, stats[c.Rank()] = SharedFockBuild(ddi.New(c), eng, sch, RHF(d.At), cfg)
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -13,25 +13,26 @@ type Schwarz struct {
 }
 
 // ComputeSchwarz evaluates the (ij|ij) diagonal quartets for every shell
-// pair. This is the exact screening matrix; the large-system simulator has
-// a calibrated analytic surrogate in internal/simulate.
+// pair, each from that pair's own Hermite density built with no
+// primitive pruning, through the production kernel. This is the exact
+// screening matrix; the large-system simulator has a calibrated analytic
+// surrogate in internal/simulate.
 func ComputeSchwarz(e *Engine) *Schwarz {
 	n := len(e.Basis.Shells)
 	s := &Schwarz{NShells: n, Q: make([]float64, n*(n+1)/2)}
-	var buf []float64
+	pb := newPairBuilder(e.Basis)
+	scratch := pb.index.newScratch(pb.funcs)
+	buf := make([]float64, pb.funcs*pb.funcs*pb.funcs*pb.funcs)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
-			buf = e.ShellQuartet(i, j, i, j, buf)
-			na := e.Basis.Shells[i].NumFuncs()
-			nb := e.Basis.Shells[j].NumFuncs()
+			pd := pb.build(i, j, 0)
+			blk := buf[:pd.nab*pd.nab]
+			pb.index.quartet(&pd, &pd, scratch, blk)
 			maxv := 0.0
-			for fa := 0; fa < na; fa++ {
-				for fb := 0; fb < nb; fb++ {
-					// diagonal element (ab|ab)
-					idx := ((fa*nb+fb)*na+fa)*nb + fb
-					if v := math.Abs(buf[idx]); v > maxv {
-						maxv = v
-					}
+			for ab := 0; ab < pd.nab; ab++ {
+				// diagonal element (ab|ab)
+				if v := math.Abs(blk[ab*pd.nab+ab]); v > maxv {
+					maxv = v
 				}
 			}
 			s.Q[i*(i+1)/2+j] = math.Sqrt(maxv)

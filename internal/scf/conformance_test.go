@@ -28,7 +28,11 @@ type system struct {
 	eng          *integrals.Engine
 	sch          *integrals.Schwarz
 	multiplicity int
-	ref          float64 // serial dense energy, tightly converged
+	ref          float64 // serial dense energy on the direct engine, tightly converged
+	// src is what the cells evaluate ERIs through: the production pair
+	// cache, except for the O2 triplet, whose per-spin DIIS trajectory is
+	// sensitive to the last bit of the Fock matrix and stays on the engine.
+	src integrals.QuartetSource
 }
 
 func newSystem(t *testing.T, name string, mol *molecule.Molecule, multiplicity int) system {
@@ -44,6 +48,9 @@ func newSystem(t *testing.T, name string, mol *molecule.Molecule, multiplicity i
 		t.Fatalf("%s: serial reference failed: %v", name, err)
 	}
 	s.ref = res.Energy
+	if multiplicity != 3 {
+		s.src = integrals.NewPairCache(s.eng, 0)
+	}
 	return s
 }
 
@@ -138,7 +145,7 @@ func conformanceCell(t *testing.T, sys system, policy Policy, alg Algorithm, ran
 		}
 	}
 
-	res, err := Run(context.Background(), sys.eng, sys.sch, nil, p)
+	res, err := Run(context.Background(), sys.eng, sys.sch, sys.src, p)
 	if !inScope {
 		if !errors.Is(err, ErrUnsupported) {
 			t.Fatalf("out-of-scope cell returned %v, want ErrUnsupported", err)

@@ -15,9 +15,9 @@ import (
 	"repro/internal/mpi"
 )
 
-// run is Run on the direct engine under a background context.
+// run is Run on the production ERI source under a background context.
 func run(eng *integrals.Engine, sch *integrals.Schwarz, p Plan) (*Result, error) {
-	return Run(context.Background(), eng, sch, nil, p)
+	return Run(context.Background(), eng, sch, integrals.NewPairCache(eng, 0), p)
 }
 
 // resilient is the facade's Resilient preset: the lease-based build under

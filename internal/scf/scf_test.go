@@ -20,7 +20,13 @@ func serialSCF(t testing.TB, mol *molecule.Molecule, set string, opt Options) (*
 	}
 	eng := integrals.NewEngine(b)
 	sch := integrals.ComputeSchwarz(eng)
-	res, err := RunRHF(eng, SerialBuilder(eng, sch, 0), opt)
+	// The production ERI source, as repro.Run hands it to every plan; the
+	// direct engine stays the oracle of the conformance tables.
+	pc := integrals.NewPairCache(eng, 0)
+	res, err := RunRHF(eng, func(d *linalg.Matrix) (*linalg.Matrix, fock.Stats) {
+		g, st := fock.SerialBuildN(eng, pc, sch, fock.RHF(d.At), fock.DefaultTau)
+		return g[0], st
+	}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,10 +225,11 @@ func TestServeCancelQueued(t *testing.T) {
 func TestServeDeadline(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1, QueueCap: 4}, true)
 
-	// A 1 ms deadline expires before the first SCF iteration completes;
-	// the cancellation gate must stop the run and record it as canceled,
-	// not failed (no retry burn).
-	out, resp := postJob(t, ts, jobs.Spec{Molecule: "water", Mode: jobs.ModeSerial, TimeoutMS: 1})
+	// A 1 ms deadline expires before the first SCF iteration completes
+	// (benzene: its set-up alone is several ms; water/STO-3G now finishes
+	// whole inside 1 ms half the time); the cancellation gate must stop
+	// the run and record it as canceled, not failed (no retry burn).
+	out, resp := postJob(t, ts, jobs.Spec{Molecule: "benzene", Mode: jobs.ModeSerial, TimeoutMS: 1})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", resp.StatusCode)
 	}

@@ -106,13 +106,20 @@ func DefaultCostModel() CostModel {
 			"shared-fock":  0.30,
 		},
 	}
-	// Single-thread quartet times MEASURED on this repository's
-	// McMurchie-Davidson kernels for carbon 6-31G(d) shell classes
-	// (cmd/calibrate; also BenchmarkERIKernels), bra/ket symmetrized and
-	// scaled by 1/5 for the clock/IPC and kernel-efficiency gap between this container's CPU
+	// Single-thread quartet times MEASURED on this repository's direct
+	// McMurchie-Davidson engine (Engine.ShellQuartet, unpruned primitive
+	// loops — what cmd/calibrate timed until PR 20) for carbon 6-31G(d)
+	// shell classes, bra/ket symmetrized and scaled by 1/5 for the
+	// clock/IPC and kernel-efficiency gap between this container's CPU
 	// and a 1.3 GHz KNL core running GAMESS's Fortran kernels. The
 	// heavily contracted S (6 primitives) and L (3 primitives) shells
-	// dominate, exactly as in GAMESS. Rows/cols: SS, LS, LL, DS, DL, DD.
+	// dominate, exactly as in GAMESS. cmd/calibrate now prints the
+	// production PairCache kernel's matrix beside this one: its S classes
+	// are ~10x cheaper relative to L and D (pruned pair lists, scalar
+	// all-s path). Those ratios keep every shape gate green too but move
+	// the absolute times 27% further from the paper's (EXPERIMENTS.md,
+	// "ERI kernel"), so the numbers below stay. Rows/cols: SS, LS, LL,
+	// DS, DL, DD.
 	scale := 1.0 / 5 * 1e-6
 	base := [NumPairClasses][NumPairClasses]float64{
 		// ket:  SS   LS    LL   DS   DL   DD
