@@ -18,6 +18,10 @@
 # the root package, basis.Build( in api.go/properties.go only in the one
 # engine constructor and DescribeBasis, and no exported root function
 # named Run*Ctx (one entry point, repro.Run, takes the context).
+# Team runtime (internal/omp): exactly one sync.NewCond (the barrier's
+# park fallback; everything before it is atomics) and exactly one
+# tc.Barrier() inside walker.teamFetch; the barrier/loop-counter tests and
+# the per-build barrier counts of Algorithms 2-3 rerun under -race -count=3.
 # Experiment code stays out of production packages: no non-test file of
 # internal/service imports math/rand or defines a func Run*, internal/
 # simulate imports neither internal/mpi nor internal/ddi nor net/http
@@ -188,6 +192,13 @@ tier_1() {
 		exit 1
 	fi
 
+	conds=$(cat $(ls internal/omp/*.go | grep -v _test.go) | grep -c 'sync\.NewCond(' || true)
+	[ "$conds" -eq 1 ] || { echo "structure gate: $conds sync.NewCond( in internal/omp, want exactly 1 (the barrier's park fallback)"; exit 1; }
+	fetch_barriers=$(awk '/^func \(w \*walker\) teamFetch\(/{in_fn=1} in_fn&&/tc\.Barrier\(\)/{n++} in_fn&&/^}/{in_fn=0} END{print n+0}' internal/fock/walker.go)
+	[ "$fetch_barriers" -eq 1 ] || { echo "structure gate: $fetch_barriers tc.Barrier() calls in walker.teamFetch, want exactly 1"; exit 1; }
+	race_rerun 'TestBarrier|TestFor' -count=3 ./internal/omp/
+	race_rerun 'TestTeamBarrierCounts' -count=3 ./internal/fock/
+
 	scf_src=$(ls internal/scf/*.go | grep -v _test.go)
 	root_src=$(ls *.go | grep -v _test.go)
 	loops=$(cat $scf_src | grep -c 'for iter :=' || true)
@@ -243,7 +254,7 @@ tier_3() {
 		-require scf.iter,fock.build,fock.task,mpi.op,dlb.draw "$tracedir/ci_trace.json"
 	# UHF rides the same loop and the same walker: a parallel open-shell
 	# run must emit the same span taxonomy.
-	go run ./cmd/hfrun -mol water -basis sto-3g -uhf 3 -maxiter 200 -alg shared-fock -ranks 2 -threads 2 \
+	go run ./cmd/hfrun -mol water -basis sto-3g -uhf 3 -maxiter 40 -alg shared-fock -ranks 2 -threads 2 \
 		-trace "$tracedir/ci_trace_uhf.json" >/dev/null
 	go run ./cmd/tracecheck -q \
 		-require scf.iter,fock.build,fock.task,mpi.op,dlb.draw "$tracedir/ci_trace_uhf.json"

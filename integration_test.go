@@ -78,7 +78,7 @@ func TestEndToEndOpenShell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doublet := with(Serial, 0, 0, SCFOptions{MaxIter: 150})
+	doublet := with(Serial, 0, 0, SCFOptions{MaxIter: 40})
 	doublet.Multiplicity = 2
 	res, err := Run(bg, oh, "sto-3g", doublet)
 	if err != nil {

@@ -16,6 +16,7 @@ package ddi
 import (
 	"repro/internal/loadbalance"
 	"repro/internal/mpi"
+	"repro/internal/telemetry"
 )
 
 // Context is one rank's handle to the DDI services.
@@ -29,10 +30,18 @@ type Context struct {
 	// world size changes, and a resized world must never read the stale
 	// EWMA vector a differently-sized predecessor published.
 	memberEpoch int64
+	// DLBNext's telemetry handles, resolved once: a hybrid team waits at a
+	// barrier behind every draw.
+	draws    *telemetry.Counter
+	drawHist *telemetry.Histogram
 }
 
 // New wraps an MPI communicator with DDI services.
-func New(c *mpi.Comm) *Context { return &Context{Comm: c} }
+func New(c *mpi.Comm) *Context {
+	tel := c.Telemetry()
+	return &Context{Comm: c, draws: tel.Counter("ddi.dlb.draws"),
+		drawHist: tel.Histogram(telemetry.TimedOpHistogram("dlb.draw", "dlbnext"))}
+}
 
 // NewShrunk wraps a communicator of a world rebuilt after rank failure.
 // epoch keys the membership-scoped shared windows (the straggler EWMA
@@ -54,9 +63,8 @@ const dlbWindow = "ddi.dlb"
 // ranks — ddi_dlbnext. Every call hands out a unique index; work sharing
 // follows from ranks skipping indices they did not draw.
 func (d *Context) DLBNext() int64 {
-	tel := d.Comm.Telemetry()
-	tel.Counter("ddi.dlb.draws").Add(1)
-	end := tel.TimedOp("dlb.draw", "dlbnext", d.Comm.Rank(), 0)
+	d.draws.Add(1)
+	end := d.Comm.Telemetry().TimedOpInto(d.drawHist, "dlb.draw", "dlbnext", d.Comm.Rank(), 0)
 	v := d.Comm.FetchAdd(dlbWindow, int(d.epoch%32), 1)
 	end()
 	return v

@@ -20,11 +20,16 @@ import (
 // rank 0 through its own leases, the others through hedged speculative
 // recomputes. However the CAS races interleave, every task must be
 // committed exactly once, and the duplicate-drop count must equal the
-// hedge count (each hedged task produced exactly one loser).
+// hedge count (each hedged task produced exactly one loser). Every rank
+// holds its commits until each hedger owns the hedge rights of one task,
+// so the race the test is about always happens: without that, rank 0 can
+// finish all 64 commits before a hedger is first scheduled.
 func TestLeaseHedgeNeverDoubleFires(t *testing.T) {
 	const ranks, total = 4, 64
 	rec := newLeaseRecorder()
 	tel := telemetry.NewSession()
+	var firstHedge sync.WaitGroup
+	firstHedge.Add(ranks - 1)
 	_, err := mpi.RunWithOptions(ranks, mpi.RunOptions{
 		Deadline:  10 * time.Second,
 		Telemetry: tel,
@@ -39,6 +44,7 @@ func TestLeaseHedgeNeverDoubleFires(t *testing.T) {
 		}
 		c.Barrier() // hedgers start only once every task is leased by rank 0
 		if c.Rank() == 0 {
+			firstHedge.Wait()
 			for _, idx := range mine {
 				if l.Reserve(idx, 0) {
 					rec.record(0, idx) // "push"
@@ -46,8 +52,15 @@ func TestLeaseHedgeNeverDoubleFires(t *testing.T) {
 				}
 			}
 		} else {
-			for {
+			for n := 0; ; n++ {
 				idx, owner, ok := l.Hedge([]int{0})
+				if n == 0 {
+					if !ok {
+						t.Errorf("rank %d: nothing to hedge while rank 0 holds all %d leases", c.Rank(), total)
+					}
+					firstHedge.Done()
+					firstHedge.Wait() // or the first hedger scheduled takes all 64
+				}
 				if !ok {
 					break
 				}

@@ -109,6 +109,7 @@ type Stats struct {
 	PairsSkipped     int64 // whole ij iterations skipped by prescreening
 	DLBGrabs         int64 // dynamic load balancer fetches
 	Flushes          int64 // FI/FJ buffer flushes (shared-Fock only)
+	Barriers         int64 // team barriers thread 0 passed (hybrid presets only)
 	TasksReissued    int64 // DLB leases stolen from failed ranks (resilient-fock only)
 
 	// Speculative re-issue accounting (resilient-fock only). Under
@@ -128,6 +129,7 @@ func (s *Stats) Add(other Stats) {
 	s.PairsSkipped += other.PairsSkipped
 	s.DLBGrabs += other.DLBGrabs
 	s.Flushes += other.Flushes
+	s.Barriers += other.Barriers
 	s.TasksReissued += other.TasksReissued
 	s.QuartetsCommitted += other.QuartetsCommitted
 	s.TasksHedged += other.TasksHedged

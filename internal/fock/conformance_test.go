@@ -227,3 +227,34 @@ func TestSharedFockScreeningCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestTeamBarrierCounts pins the synchronisation cost of the hybrid
+// presets on benzene/STO-3G at 1x2 — a machine-independent count of the
+// barriers thread 0 passes in one build. Shared-Fock: one per surviving ij
+// draw plus the terminating one (162+1 of 171+1 draws: the 9 prescreened
+// pairs cost none), the kl loop's and the FJ flush's per task (2x162),
+// and two around each of the 18 FI flushes. Private-Fock: one per i draw
+// (18+1), one per collapsed loop (18), one closing the thread reduction.
+// A barrier added to either task loop moves these.
+func TestTeamBarrierCounts(t *testing.T) {
+	eng, sch, d := setup(t, molecule.Benzene(), "sto-3g")
+	cfg := Config{Threads: 2, Quartets: integrals.NewPairCache(eng, 0)}
+	for _, tc := range []struct {
+		name  string
+		build func(*ddi.Context, *integrals.Engine, *integrals.Schwarz, []Channel, Config) ([]*linalg.Matrix, Stats)
+		want  int64
+	}{
+		{"shared-fock", SharedFockBuild, 163 + 2*162 + 2*18},
+		{"private-fock", PrivateFockBuild, 19 + 18 + 1},
+	} {
+		err := mpi.Run(1, func(c *mpi.Comm) {
+			_, stats := tc.build(ddi.New(c), eng, sch, RHF(d.At), cfg)
+			if stats.Barriers != tc.want {
+				t.Errorf("%s: %d barriers per build per thread, want %d", tc.name, stats.Barriers, tc.want)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

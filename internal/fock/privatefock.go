@@ -33,15 +33,12 @@ func PrivateFockBuild(dx *ddi.Context, eng *integrals.Engine,
 	}
 
 	dx.DLBReset()
-	team := omp.NewTeam(nthreads)
-	var iShared int64 // written by master, read by all between barriers
-	team.Parallel(func(tc *omp.Context) {
-		me := tc.ThreadID()
-		w := &lanes[me]
+	var iShared int64 // written by master, read by all behind teamFetch's barrier
+	stats := runTeam(lanes, func(tc *omp.Context, me int, w *walker) {
 		for {
 			// Master fetches the next i index (Algorithm 2 lines 3-6); a
 			// scheduled corruption lands in its private replica.
-			i := w.teamFetch(tc, &iShared, priv[me][0].Data)
+			i := w.teamFetch(tc, &iShared, priv[me][0].Data, nil)
 			if i >= ns {
 				break
 			}
@@ -54,23 +51,27 @@ func PrivateFockBuild(dx *ddi.Context, eng *integrals.Engine,
 		}
 		// reduction(+:Fock) over threads: chunked reduction of the private
 		// replicas into thread 0's copy (paper Figure 1(B) access pattern).
-		if nthreads > 1 {
-			for c := range chans {
-				others := make([][]float64, 0, nthreads-1)
-				for t := 1; t < nthreads; t++ {
-					others = append(others, priv[t][c].Data)
-				}
-				tc.ReduceChunked(priv[0][c].Data, others)
-				tc.Barrier()
+		for c := range chans {
+			others := make([][]float64, 0, nthreads-1)
+			for t := 1; t < nthreads; t++ {
+				others = append(others, priv[t][c].Data)
 			}
+			tc.ReduceChunked(priv[0][c].Data, others)
+			tc.Barrier()
 		}
 	})
 	reduce(dx, priv[0])
-	return priv[0], teamStats(lanes)
+	return priv[0], stats
 }
 
-// teamStats sums the per-thread counters of a hybrid build.
-func teamStats(lanes []walker) Stats {
+// runTeam runs body on an OpenMP team of one walker per thread and returns
+// the team's summed counters, Barriers being thread 0's.
+func runTeam(lanes []walker, body func(tc *omp.Context, me int, w *walker)) Stats {
+	omp.NewTeam(len(lanes)).Parallel(func(tc *omp.Context) {
+		w := &lanes[tc.ThreadID()]
+		body(tc, tc.ThreadID(), w)
+		tc.Master(func() { w.st.Barriers = int64(tc.Barriers()) })
+	})
 	var stats Stats
 	for t := range lanes {
 		stats.Add(lanes[t].st)

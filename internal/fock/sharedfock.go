@@ -30,7 +30,6 @@ func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 	n := eng.Basis.NumBF
 	shells := eng.Basis.Shells
 	npairs := NumPairs(len(shells))
-	tau := cfg.tau()
 	nthreads := cfg.threads()
 	sched := cfg.schedule()
 	maxQ := sch.MaxQ()
@@ -95,30 +94,24 @@ func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 		}
 	}
 
+	// I and J prescreening (Algorithm 3 line 13): the whole top iteration
+	// is skipped, inside the master's draw, when no kl can survive.
+	skip := func(ij int) bool {
+		i, j := PairDecode(ij)
+		return ij < npairs && sch.PairQ(i, j)*maxQ < cfg.tau()
+	}
 	dx.DLBReset()
-	team := omp.NewTeam(nthreads)
 	var ijShared int64
-	team.Parallel(func(tc *omp.Context) {
-		me := tc.ThreadID()
-		w := &lanes[me]
+	stats := runTeam(lanes, func(tc *omp.Context, me int, w *walker) {
 		iold := -1
 		for {
-			// Master draws the next ij; a scheduled corruption lands in the
-			// shared accumulator.
-			ij := w.teamFetch(tc, &ijShared, accs[0].Data)
+			// Master draws the next surviving ij (a scheduled SDC hits accs[0]).
+			ij := w.teamFetch(tc, &ijShared, accs[0].Data, skip)
 			if ij >= npairs {
 				break
 			}
 			taskT0 := time.Now()
 			i, j := PairDecode(ij)
-			// I and J prescreening (Algorithm 3 line 13): the whole top
-			// iteration is skipped when no kl can survive.
-			if sch.PairQ(i, j)*maxQ < tau {
-				if me == 0 {
-					w.st.PairsSkipped++
-				}
-				continue
-			}
 			// Flush FI if i changed since the last processed pair
 			// (Algorithm 3 lines 15-18).
 			if i != iold && iold >= 0 {
@@ -158,7 +151,7 @@ func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 		}
 	})
 	reduce(dx, accs)
-	return accs, teamStats(lanes)
+	return accs, stats
 }
 
 // routedSink is the shared-Fock sink of one thread and channel: updates

@@ -130,21 +130,27 @@ func (w *walker) dlbPairs(sdcTarget *[]float64) {
 }
 
 // teamFetch is the hybrid presets' task draw (Algorithm 2 lines 3-6, and
-// the head of Algorithm 3's loop): the master thread draws the next DLB index
-// into *shared and the whole team reads it between two barriers. The SDC
-// hook fires inside the master section — one corruption opportunity per
-// claimed task, into sdcTarget — because the team is fenced at the
-// barrier below, so the injected write races nothing.
-func (w *walker) teamFetch(tc *omp.Context, shared *int64, sdcTarget []float64) int {
+// the head of Algorithm 3's loop): the master draws DLB indices into
+// *shared until one survives skip (Algorithm 3's ij prescreen; nil keeps
+// every draw) and the team reads it behind ONE barrier. The SDC hook fires
+// in the master section — one opportunity per draw, into sdcTarget — where
+// the team is fenced at the barrier below, so the write races nothing. The
+// read is fenced from the master's NEXT write by the closing barrier of the
+// tc.For that every returned task runs.
+func (w *walker) teamFetch(tc *omp.Context, shared *int64, sdcTarget []float64, skip func(task int) bool) int {
 	tc.Master(func() {
-		*shared = w.dx.DLBNext()
-		w.st.DLBGrabs++
-		w.injectSDC(sdcTarget)
+		for {
+			*shared = w.dx.DLBNext()
+			w.st.DLBGrabs++
+			w.injectSDC(sdcTarget)
+			if skip == nil || !skip(int(*shared)) {
+				return
+			}
+			w.st.PairsSkipped++
+		}
 	})
 	tc.Barrier()
-	task := int(*shared)
-	tc.Barrier()
-	return task
+	return int(*shared)
 }
 
 // span opens the fock.task span of one task on thread lane tid (0 = the

@@ -1,20 +1,22 @@
 // Package omp provides an OpenMP-like threading runtime: fork-join
 // parallel regions executed by a fixed team of goroutines, work-shared
 // loops with static, dynamic, and guided schedules (including the
-// collapse(2) dynamic schedule of the paper's Algorithm 2), master/single
-// sections, barriers, critical sections, and the chunked tree reduction
-// used to flush per-thread Fock buffers (paper Figure 1).
+// collapse(2) dynamic schedule of the paper's Algorithm 2), master
+// sections, barriers, and the chunked tree reduction used to flush
+// per-thread Fock buffers (paper Figure 1).
 //
 // Semantics mirror the OpenMP constructs the paper's pragmas use: every
 // thread of a region must reach the same work-sharing constructs in the
-// same order (SPMD), For has an implicit end barrier unless the NoWait
-// variant is used, and Master has no implied barrier.
+// same order (SPMD), For has an implicit end barrier, and Master has no
+// implied barrier.
 package omp
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // ScheduleKind selects a loop schedule.
@@ -67,56 +69,108 @@ func (t *Team) NumThreads() int { return t.n }
 
 // region is the shared state of one parallel region.
 type region struct {
-	n        int
-	barrier  *barrier
-	mu       sync.Mutex
-	loops    map[int]*loopDesc
-	critical sync.Map // name -> *sync.Mutex
+	n       int
+	barrier *barrier
+	// loops are the shared next-iteration counters of the dynamic and
+	// guided constructs, alternating by construct parity. Two are enough:
+	// the thread that takes the last chunk of one construct zeroes the
+	// OTHER counter, which the construct before last used and every thread
+	// left before the barrier that closed it, and which the next construct
+	// cannot touch before this thread reaches the barrier closing this one.
+	loops [2]atomic.Int64
 }
 
-type loopDesc struct {
-	next     atomic.Int64
-	total    int
-	chunk    int
-	finished atomic.Int64
-}
+// A barrier waiter spins spinLoads loads, then yields its P for up to
+// yieldBudget, then parks. Measured on the 2-vCPU host (EXPERIMENTS.md
+// EXP-P1) on benzene/STO-3G shared-fock 1x2, medians of 7 SCFs: park only
+// 594 ms wall, 230 ms of summed barrier wait, 5,230 parks; yield 100 µs
+// 462 ms, 19-22 ms, 4-6 parks, user CPU unchanged at 0.88 s. A 20 µs
+// budget still parks 159 times (BenchmarkBarrierAfterWork 67 µs/op
+// against 47) and 1 ms gains nothing over 100 µs. The yield carries the
+// whole gain: the spin is below this host's resolution (462 ms with 0,
+// 200 or 2,000 loads; 12.3 µs/op at 12 µs of work either way), so it
+// stays at the ~0.1 µs that cannot hurt an oversubscribed team.
+const (
+	spinLoads   = 200
+	yieldBudget = 100 * time.Microsecond
+)
 
-// barrier is a reusable counting barrier.
+// barrier is a reusable sense-reversing team barrier on atomics: the last
+// arriver of an episode flips gen, which is what every waiter watches.
+// Waiting has three phases, each for one regime. Spin: a teammate running
+// on its own core that arrives within ~0.1 µs is met without a trip
+// through the scheduler (skipped when GOMAXPROCS is 1 — nobody can arrive
+// while we hold the only P). Yield: runtime.Gosched keeps polling, so an
+// otherwise idle P never reaches the runtime's futex sleep, whose wake-up
+// costs ~19 µs, yet hands the P to any runnable goroutine, which on an
+// oversubscribed team is the teammate being waited for. Park:
+// past the budget the wait is a real stall (a DLB draw behind a slow
+// rank, a chaos delay), so sleep on the cond; the releaser pays for a
+// broadcast only if someone is parked.
 type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	size  int
-	count int
-	gen   int
+	size    int32
+	spin    int
+	arrived atomic.Int32
+	gen     atomic.Uint32
+	parked  atomic.Int32
+	mu      sync.Mutex
+	cond    *sync.Cond
 }
 
 func newBarrier(n int) *barrier {
-	b := &barrier{size: n}
+	b := &barrier{size: int32(n)}
+	if runtime.GOMAXPROCS(0) > 1 {
+		b.spin = spinLoads
+	}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
 func (b *barrier) await() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	gen := b.gen
-	b.count++
-	if b.count == b.size {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
+	if b.size == 1 {
 		return
 	}
-	for gen == b.gen {
+	// gen cannot move before this thread arrives, so the load is the
+	// episode's own number.
+	gen := b.gen.Load()
+	if b.arrived.Add(1) == b.size {
+		b.arrived.Store(0)
+		b.gen.Add(1)
+		// A waiter raises parked BEFORE it re-checks gen, so either it sees
+		// the new gen or this load sees it parked: no lost wake-up.
+		if b.parked.Load() > 0 {
+			b.mu.Lock()
+			b.cond.Broadcast()
+			b.mu.Unlock()
+		}
+		return
+	}
+	for i := 0; i < b.spin; i++ {
+		if b.gen.Load() != gen {
+			return
+		}
+	}
+	for t0 := time.Now(); time.Since(t0) < yieldBudget; {
+		runtime.Gosched()
+		if b.gen.Load() != gen {
+			return
+		}
+	}
+	b.mu.Lock()
+	b.parked.Add(1)
+	for b.gen.Load() == gen {
 		b.cond.Wait()
 	}
+	b.parked.Add(-1)
+	b.mu.Unlock()
 }
 
 // Context is a thread's view of the enclosing parallel region.
 type Context struct {
-	id     int
-	region *region
-	seq    int // per-thread work-sharing construct sequence number
+	id       int
+	region   *region
+	seq      int // dynamic/guided constructs this thread has entered
+	barriers int // barriers this thread has passed
 }
 
 // ThreadID returns this thread's id in [0, NumThreads).
@@ -130,11 +184,7 @@ func (c *Context) NumThreads() int { return c.region.n }
 // drains (other threads may deadlock on barriers if the panicking thread
 // held them; regions are expected to be panic-free in production paths).
 func (t *Team) Parallel(body func(tc *Context)) {
-	r := &region{
-		n:       t.n,
-		barrier: newBarrier(t.n),
-		loops:   map[int]*loopDesc{},
-	}
+	r := &region{n: t.n, barrier: newBarrier(t.n)}
 	var wg sync.WaitGroup
 	wg.Add(t.n)
 	panics := make(chan any, t.n)
@@ -158,7 +208,15 @@ func (t *Team) Parallel(body func(tc *Context)) {
 }
 
 // Barrier blocks until every thread of the region reaches it.
-func (c *Context) Barrier() { c.region.barrier.await() }
+func (c *Context) Barrier() {
+	c.barriers++
+	c.region.barrier.await()
+}
+
+// Barriers returns how many barriers (explicit, or closing a For) this
+// thread has passed in the region — the machine-independent cost of a
+// preset's synchronisation.
+func (c *Context) Barriers() int { return c.barriers }
 
 // Master runs f on thread 0 only, with no implied synchronization — the
 // caller must pair it with Barrier, exactly as the paper's Algorithms 2-3
@@ -167,15 +225,6 @@ func (c *Context) Master(f func()) {
 	if c.id == 0 {
 		f()
 	}
-}
-
-// Critical runs f under the named region-wide mutex.
-func (c *Context) Critical(name string, f func()) {
-	muAny, _ := c.region.critical.LoadOrStore(name, &sync.Mutex{})
-	mu := muAny.(*sync.Mutex)
-	mu.Lock()
-	defer mu.Unlock()
-	f()
 }
 
 // For work-shares iterations [0, n) across the team with the given
@@ -188,7 +237,6 @@ func (c *Context) For(n int, sched Schedule, body func(i int)) {
 
 func (c *Context) forLoop(n int, sched Schedule, body func(i int)) {
 	if n <= 0 {
-		c.seq++
 		return
 	}
 	switch sched.Kind {
@@ -207,10 +255,9 @@ func (c *Context) forLoop(n int, sched Schedule, body func(i int)) {
 				body(i)
 			}
 		}
-		c.seq++
 	case Dynamic, Guided:
 		c.seq++
-		desc := c.loopDescriptor(c.seq, n, sched)
+		next, other := &c.region.loops[c.seq&1], &c.region.loops[(c.seq+1)&1]
 		minChunk := sched.Chunk
 		if minChunk <= 0 {
 			minChunk = 1
@@ -218,12 +265,12 @@ func (c *Context) forLoop(n int, sched Schedule, body func(i int)) {
 		for {
 			var lo, hi int
 			if sched.Kind == Dynamic {
-				lo = int(desc.next.Add(int64(minChunk))) - minChunk
+				lo = int(next.Add(int64(minChunk))) - minChunk
 				hi = lo + minChunk
 			} else {
 				// Guided: take max(remaining/(2T), minChunk).
 				for {
-					cur := desc.next.Load()
+					cur := next.Load()
 					remaining := int64(n) - cur
 					if remaining <= 0 {
 						lo, hi = n, n
@@ -233,7 +280,7 @@ func (c *Context) forLoop(n int, sched Schedule, body func(i int)) {
 					if take < int64(minChunk) {
 						take = int64(minChunk)
 					}
-					if desc.next.CompareAndSwap(cur, cur+take) {
+					if next.CompareAndSwap(cur, cur+take) {
 						lo, hi = int(cur), int(cur+take)
 						break
 					}
@@ -242,8 +289,10 @@ func (c *Context) forLoop(n int, sched Schedule, body func(i int)) {
 			if lo >= n {
 				break
 			}
-			if hi > n {
+			if hi >= n {
+				// Last chunk: ready the other counter for the next construct.
 				hi = n
+				other.Store(0)
 			}
 			for i := lo; i < hi; i++ {
 				body(i)
@@ -252,20 +301,6 @@ func (c *Context) forLoop(n int, sched Schedule, body func(i int)) {
 	default:
 		panic(fmt.Sprintf("omp: unknown schedule %v", sched.Kind))
 	}
-}
-
-// loopDescriptor finds or creates the shared descriptor for work-sharing
-// construct number key.
-func (c *Context) loopDescriptor(key, n int, sched Schedule) *loopDesc {
-	r := c.region
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d, ok := r.loops[key]
-	if !ok {
-		d = &loopDesc{total: n, chunk: sched.Chunk}
-		r.loops[key] = d
-	}
-	return d
 }
 
 // StaticRange partitions [0, n) into NumThreads contiguous blocks and

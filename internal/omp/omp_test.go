@@ -1,8 +1,12 @@
 package omp
 
 import (
+	"math"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestNewTeamValidation(t *testing.T) {
@@ -53,31 +57,6 @@ func TestMasterOnlyThreadZero(t *testing.T) {
 	})
 	if who.Load() != 0 {
 		t.Fatalf("master ran on thread %d", who.Load())
-	}
-}
-
-func TestCriticalMutualExclusion(t *testing.T) {
-	team := NewTeam(8)
-	counter := 0 // deliberately unprotected; Critical must serialize
-	team.Parallel(func(tc *Context) {
-		for i := 0; i < 200; i++ {
-			tc.Critical("ctr", func() { counter++ })
-		}
-	})
-	if counter != 8*200 {
-		t.Fatalf("counter = %d want %d", counter, 8*200)
-	}
-}
-
-func TestCriticalDistinctNamesIndependent(t *testing.T) {
-	team := NewTeam(4)
-	var a, b int
-	team.Parallel(func(tc *Context) {
-		tc.Critical("a", func() { a++ })
-		tc.Critical("b", func() { b++ })
-	})
-	if a != 4 || b != 4 {
-		t.Fatalf("a=%d b=%d", a, b)
 	}
 }
 
@@ -250,4 +229,122 @@ func TestDynamicLoadBalanceSkew(t *testing.T) {
 	if total.Load() != 40 {
 		t.Fatalf("total = %d", total.Load())
 	}
+}
+
+// TestBarrierAndLoopsOversubscribed drives the whole runtime the way a
+// 4x4 hybrid run on 2 vCPUs does: 8 threads on 2 Ps, 10,000 barriers
+// interleaved with dynamic, guided and static loops of varying length
+// (0 and 1 included) in ONE region. Every index of every loop is visited
+// exactly once — the two alternating loop counters never leak a chunk
+// across constructs — and no thread passes a barrier early.
+func TestBarrierAndLoopsOversubscribed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const threads, rounds = 8, 2500 // 4 barriers per round
+	scheds := []Schedule{{Kind: Dynamic, Chunk: 1}, {Kind: Guided}, {Kind: Static, Chunk: 2}, {Kind: Dynamic, Chunk: 3}}
+	lens := []int{0, 1, 2, 7, 8, 33}
+	// visits[r] counts the visits to each index of round r's loop; arrived
+	// counts the threads past each round's explicit barrier.
+	visits := make([][]atomic.Int32, rounds)
+	for r := range visits {
+		visits[r] = make([]atomic.Int32, lens[r%len(lens)])
+	}
+	var arrived atomic.Int64
+	start := time.Now()
+	NewTeam(threads).Parallel(func(tc *Context) {
+		for r := 0; r < rounds; r++ {
+			n := lens[r%len(lens)]
+			tc.For(n, scheds[r%len(scheds)], func(i int) { visits[r][i].Add(1) })
+			for i := range visits[r] {
+				if v := visits[r][i].Load(); v != 1 {
+					t.Errorf("round %d (%v, n=%d): index %d visited %d times after the loop's barrier",
+						r, scheds[r%len(scheds)], n, i, v)
+				}
+			}
+			arrived.Add(1)
+			tc.Barrier()
+			if got := arrived.Load(); got < int64(threads*(r+1)) {
+				t.Errorf("round %d: barrier released with %d of %d arrivals", r, got, threads*(r+1))
+			}
+			tc.Barrier()
+			tc.Barrier()
+		}
+		if tc.Barriers() != 4*rounds {
+			t.Errorf("thread %d counted %d barriers, want %d", tc.ThreadID(), tc.Barriers(), 4*rounds)
+		}
+	})
+	if el := time.Since(start); el > 30*time.Second {
+		t.Fatalf("10,000 barriers took %v", el)
+	}
+}
+
+// TestBarrierParkPath makes every waiter exhaust its spin and yield budget:
+// one thread sleeps 2 ms before each of 500 barriers, so the others park
+// on the cond and must be woken by it. The generation counter starts just
+// below its wrap, so the episode numbers cross 2^32 on the way.
+func TestBarrierParkPath(t *testing.T) {
+	const threads, episodes = 4, 500
+	b := newBarrier(threads)
+	b.gen.Store(math.MaxUint32 - episodes/2)
+	var arrived, sawParked atomic.Int64
+	var wg sync.WaitGroup
+	for id := 0; id < threads; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for e := 0; e < episodes; e++ {
+				if id == e%threads {
+					time.Sleep(2 * time.Millisecond)
+					sawParked.Add(int64(b.parked.Load()))
+				}
+				arrived.Add(1)
+				b.await()
+				if got := arrived.Load(); got < int64(threads*(e+1)) {
+					t.Errorf("episode %d: released with %d of %d arrivals", e, got, threads*(e+1))
+				}
+			}
+		}(id)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("lost wake-up: a waiter never left the barrier")
+	}
+	if g := b.gen.Load(); g != episodes-episodes/2-1 {
+		t.Fatalf("generation = %d after the wrap, want %d", g, episodes-episodes/2-1)
+	}
+	if p := b.parked.Load(); p != 0 {
+		t.Fatalf("%d waiters still counted as parked", p)
+	}
+	if sawParked.Load() == 0 {
+		t.Fatal("no waiter ever parked: the test did not reach the cond")
+	}
+}
+
+// BenchmarkBarrier is the back-to-back cost of one team barrier.
+func BenchmarkBarrier(b *testing.B) {
+	NewTeam(2).Parallel(func(tc *Context) {
+		for i := 0; i < b.N; i++ {
+			tc.Barrier()
+		}
+	})
+}
+
+// BenchmarkBarrierAfterWork is the regime of a Fock task: ~50 µs of work,
+// uneven across the team (thread 1 does 20% more), then a barrier. The
+// reported time minus the slower thread's work is the barrier's cost.
+func BenchmarkBarrierAfterWork(b *testing.B) {
+	var sink atomic.Int64
+	NewTeam(2).Parallel(func(tc *Context) {
+		iters := 125_000 + 25_000*tc.ThreadID()
+		for i := 0; i < b.N; i++ {
+			s := 0
+			for k := 0; k < iters; k++ {
+				s += k ^ i
+			}
+			sink.Add(int64(s))
+			tc.Barrier()
+		}
+	})
 }

@@ -11,10 +11,10 @@ import (
 )
 
 // The dense step: replicated N x N matrices, Fock diagonalization in the
-// Löwdin-orthogonalized basis, per-spin DIIS, Fock validation with
-// quarantine-and-rebuild, and the convergence watchdog. Restricted
-// Hartree-Fock is one spin channel holding two electrons per orbital;
-// unrestricted is two channels holding one, with
+// Löwdin-orthogonalized basis, DIIS with one coefficient vector for every
+// spin, Fock validation with quarantine-and-rebuild, and the convergence
+// watchdog. Restricted Hartree-Fock is one spin channel holding two
+// electrons per orbital; unrestricted is two channels holding one, with
 //
 //	F_alpha = H + J(D_alpha + D_beta) - K(D_alpha)
 //	F_beta  = H + J(D_alpha + D_beta) - K(D_beta)
@@ -84,7 +84,6 @@ func occupations(eng *integrals.Engine, multiplicity int) ([]int, error) {
 type spinChannel struct {
 	nocc int
 	d    *linalg.Matrix
-	diis *diisState
 	eps  []float64
 	c    *linalg.Matrix
 }
@@ -95,6 +94,7 @@ type denseStep struct {
 	h, s, x *linalg.Matrix
 	occ     float64 // electrons per occupied orbital: 2 restricted, 1 unrestricted
 	spins   []spinChannel
+	diis    []*diisState // one history per spin, extrapolated jointly
 	wd      *watchdogState
 }
 
@@ -151,7 +151,8 @@ func runDense(eng *integrals.Engine, multiplicity int, build channelBuilder, opt
 		_, c0 = diagonalizeFock(g0, x)
 	}
 	for i, nocc := range noccs {
-		sp := spinChannel{nocc: nocc, diis: newDIIS()}
+		sp := spinChannel{nocc: nocc}
+		st.diis = append(st.diis, newDIIS())
 		if warm != nil {
 			if warm[i].Rows != n || warm[i].Cols != n {
 				return nil, fmt.Errorf("scf: initial density is %dx%d for a %d-function basis",
@@ -241,16 +242,22 @@ func (st *denseStep) run(iter int, ePrev float64, res *Result) (IterInfo, error)
 	}
 	eTot := eElec + res.NuclearRepulsion
 
-	// Density step, spin by spin: DIIS, level shift, eigensolve, damping.
+	// Density step: DIIS over all spins, then level shift, eigensolve and
+	// damping spin by spin.
 	rms, diisErr := 0.0, 0.0
+	if !opt.DisableDI && (wd == nil || !wd.diisOff()) {
+		for i, hist := range st.diis {
+			diisErr = math.Max(diisErr, hist.record(fs[i], st.spins[i].d, s, st.x))
+		}
+		if coef := diisCoefficients(st.diis); coef != nil {
+			for i, hist := range st.diis {
+				fs[i] = hist.combine(coef)
+			}
+		}
+	}
 	dNew := make([]*linalg.Matrix, len(st.spins))
 	for i := range st.spins {
 		sp, f := &st.spins[i], fs[i]
-		if !opt.DisableDI && (wd == nil || !wd.diisOff()) {
-			var errNorm float64
-			f, errNorm = sp.diis.extrapolate(f, sp.d, s, st.x)
-			diisErr = math.Max(diisErr, errNorm)
-		}
 		if wd != nil {
 			if gamma := wd.shift(); gamma > 0 {
 				applyLevelShift(f, s, sp.d, gamma, st.occ)
@@ -290,8 +297,8 @@ func (st *denseStep) run(iter int, ePrev float64, res *Result) (IterInfo, error)
 	}
 	if degrade != "" {
 		if degrade == wdLevelNames[wdDIISReset] {
-			for _, sp := range st.spins {
-				sp.diis.reset()
+			for _, hist := range st.diis {
+				hist.reset()
 			}
 		}
 		tel0.Counter("integrity.watchdog.escalations").Add(1)

@@ -179,23 +179,28 @@ func TestWatchdogSilentOnHealthyRun(t *testing.T) {
 func TestFockSDCInjectionParallel(t *testing.T) {
 	eng, sch, ref := resilientSetup(t)
 	cases := []struct {
-		alg   Algorithm
-		ranks int
-		rank  int // rank the corruption is scheduled on
+		alg            Algorithm
+		ranks, threads int
+		rank           int // rank the corruption is scheduled on
 	}{
 		// mpi-only: the SiteFock clock ticks once per scanned pair, the
 		// same on every rank, so scheduling on rank 1 of 2 is
 		// deterministic — and the poison must cross the gsumf to rank 0.
-		{AlgMPIOnly, 2, 1},
+		{AlgMPIOnly, 2, 0, 1},
 		// resilient-fock: the clock ticks per claimed lease, which is racy
 		// across ranks; one rank claims every lease deterministically.
-		{AlgResilientFock, 1, 0},
+		{AlgResilientFock, 1, 0, 0},
+		// shared-fock 1x2: the clock ticks per master draw, and the write
+		// lands in the shared accumulator while the rest of the team waits
+		// at teamFetch's one barrier — under -race this is the proof that
+		// the window is still fenced.
+		{AlgSharedFock, 1, 2, 0},
 	}
 	for _, tc := range cases {
 		t.Run(string(tc.alg), func(t *testing.T) {
 			tel := telemetry.NewSession()
 			p := resilient(tc.ranks)
-			p.Algorithm, p.SCF.Telemetry = tc.alg, tel
+			p.Algorithm, p.Threads, p.SCF.Telemetry = tc.alg, tc.threads, tel
 			p.Fault = &mpi.FaultPlan{
 				Corrupts: []mpi.Corrupt{{Rank: tc.rank, Site: mpi.SiteFock, After: 2,
 					Kind: mpi.CorruptNaN, Index: 0}},

@@ -286,3 +286,53 @@ func TestCancelAtIterationBoundary(t *testing.T) {
 		})
 	}
 }
+
+// perturbedSource scales every ERI of the wrapped source by 1 + eps with
+// |eps| <= 1e-14, eps a seeded hash of the quartet and the element — a
+// rounding-equivalent rewrite of the kernel, which is what used to decide
+// whether the OH doublet took 127, 137, 220 or > 400 iterations.
+type perturbedSource struct {
+	src  integrals.QuartetSource
+	seed uint64
+}
+
+func (p perturbedSource) ShellQuartet(i, j, k, l int, out []float64) []float64 {
+	out = p.src.ShellQuartet(i, j, k, l, out)
+	h := p.seed ^ uint64(i)<<48 ^ uint64(j)<<32 ^ uint64(k)<<16 ^ uint64(l)
+	for n := range out {
+		h = (h + uint64(n) + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
+		h ^= h >> 29
+		out[n] *= 1 + 1e-14*(float64(h>>11)/(1<<52)-1) // eps in [-1e-14, 1e-14)
+	}
+	return out
+}
+
+// TestOpenShellConvergenceIsNotALottery holds ROADMAP trap ii shut: under
+// the joint DIIS the OH/STO-3G doublet converges in a handful of iterations
+// to the same energy whatever the last bits of the integrals are.
+func TestOpenShellConvergenceIsNotALottery(t *testing.T) {
+	m := &molecule.Molecule{Name: "OH"}
+	m.AddAtomAngstrom("O", 0, 0, 0)
+	m.AddAtomAngstrom("H", 0, 0, 0.97)
+	eng := uhfSetup(t, m, "sto-3g")
+	sch := integrals.ComputeSchwarz(eng)
+	pc := integrals.NewPairCache(eng, 0)
+	plan := Plan{Multiplicity: 2, SCF: Options{MaxIter: 40}}
+	ref, err := Run(context.Background(), eng, sch, pc, plan)
+	if err != nil || !ref.Converged || ref.Iterations > 20 {
+		t.Fatalf("unperturbed OH doublet: err=%v converged=%v iterations=%d", err, ref.Converged, ref.Iterations)
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		res, err := Run(context.Background(), eng, sch, perturbedSource{pc, seed}, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged || res.Iterations > 20 {
+			t.Errorf("seed %d: converged=%v in %d iterations, want <= 20", seed, res.Converged, res.Iterations)
+		}
+		if dE := math.Abs(res.Energy - ref.Energy); dE > 1e-9 {
+			t.Errorf("seed %d: energy %.12f differs from the unperturbed %.12f by %g", seed, res.Energy, ref.Energy, dE)
+		}
+		t.Logf("seed %d: %d iterations, E = %.12f", seed, res.Iterations, res.Energy)
+	}
+}

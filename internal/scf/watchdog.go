@@ -41,11 +41,11 @@ var wdLevelNames = [...]string{"", "damping", "level-shift", "diis-reset", "root
 // must never trip them (energy rises above microhartree scale and
 // non-decaying sign-alternating dE simply do not happen on a converging
 // run), while a genuinely sick run trips within a few iterations. The
-// oscillation floor is set by the open shells that ride the same loop:
-// per-spin DIIS on a converging UHF (O2 triplet, OH doublet) alternates
-// dE at up to ~1e-5 Ha for a dozen iterations without being sick, and
-// the ladder's last rung — DIIS off — is a descent step that walks such
-// a run off the saddle-point solution DIIS was converging to.
+// oscillation floor leaves room for the open shells that ride the same
+// loop: a converging UHF may alternate dE at up to ~1e-5 Ha for a few
+// iterations without being sick. (Under the joint DIIS solve the O2
+// triplet and the OH doublet converge in 9 iterations and never trip the
+// ladder.)
 const (
 	wdPatience   = 2    // consecutive bad iterations before escalating
 	wdRiseTol    = 1e-4 // dE above this counts as divergence (Ha)

@@ -219,7 +219,18 @@ func (s *Session) TimedOp(cat, name string, pid, tid int) func() {
 	if s == nil || s.Recorder == nil {
 		return noop
 	}
-	hist := s.Histogram(cat + "." + name + "_ns")
+	return s.TimedOpInto(s.Histogram(TimedOpHistogram(cat, name)), cat, name, pid, tid)
+}
+
+// TimedOpHistogram names the histogram TimedOp(cat, name) feeds.
+func TimedOpHistogram(cat, name string) string { return cat + "." + name + "_ns" }
+
+// TimedOpInto is TimedOp for hot call sites that resolved their histogram
+// (s.Histogram(TimedOpHistogram(cat, name))) once, at construction.
+func (s *Session) TimedOpInto(hist *Histogram, cat, name string, pid, tid int) func() {
+	if s == nil || s.Recorder == nil {
+		return noop
+	}
 	start := s.Recorder.Now()
 	return func() {
 		end := s.Recorder.Now()
