@@ -2,14 +2,15 @@ package repro
 
 // Go benchmarks for what the repository benchmark (bench/, BENCHMARK.json)
 // has no metric for: the Boys function, the price of verified transport
-// on a real Fock build, and three ablations (OpenMP schedule, load
-// balancer, DLB contention model). Everything else — ERI kernels,
-// eigensolve, Fock builds, allreduce, job queue, served cache hits — is
-// measured there, and `scaling -exp <id>` times each paper artifact.
+// on a real Fock build, and the DLB contention-model ablation. Everything
+// else — ERI kernels, eigensolve, Fock builds, allreduce, job queue,
+// served cache hits — is measured there, and `scaling -exp <id>` times
+// each paper artifact.
 //
 //	go test -run '^$' -bench . -benchmem
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -18,10 +19,8 @@ import (
 	"repro/internal/fock"
 	"repro/internal/integrals"
 	"repro/internal/linalg"
-	"repro/internal/loadbalance"
 	"repro/internal/molecule"
 	"repro/internal/mpi"
-	"repro/internal/omp"
 	"repro/internal/scf"
 	"repro/internal/simulate"
 )
@@ -47,7 +46,8 @@ func benzeneFixture(b *testing.B) *fockFixture {
 		eng := integrals.NewEngine(bas)
 		sch := integrals.ComputeSchwarz(eng)
 		// A converged-ish density via one serial SCF iteration chain.
-		res, err := scf.RunRHF(eng, scf.SerialBuilder(eng, sch, 0), scf.Options{MaxIter: 3})
+		res, err := scf.Run(context.Background(), eng, sch, integrals.NewPairCache(eng, 0),
+			scf.Plan{SCF: scf.Options{MaxIter: 3}})
 		if err != nil {
 			panic(err)
 		}
@@ -93,7 +93,7 @@ func BenchmarkVerifiedFockBuild(b *testing.B) {
 	}
 }
 
-// --- ablations (EXP-V2) ---
+// --- ablation (EXP-V2) ---
 
 // BenchmarkAblationDLBContention sweeps the DLB contention model.
 func BenchmarkAblationDLBContention(b *testing.B) {
@@ -104,59 +104,4 @@ func BenchmarkAblationDLBContention(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAblationSchedule measures the real shared-Fock build under
-// different OpenMP schedules (the paper reports no significant schedule
-// sensitivity; compare ns/op across sub-benchmarks).
-func BenchmarkAblationSchedule(b *testing.B) {
-	f := benzeneFixture(b)
-	for _, sched := range []struct {
-		name string
-		cfg  fock.Config
-	}{
-		{"dynamic1", fock.Config{Threads: 2}},
-		{"dynamic8", fock.Config{Threads: 2, Schedule: omp.Schedule{Kind: omp.Dynamic, Chunk: 8}}},
-		{"static", fock.Config{Threads: 2, Schedule: omp.Schedule{Kind: omp.Static, Chunk: 4}}},
-		{"guided", fock.Config{Threads: 2, Schedule: omp.Schedule{Kind: omp.Guided, Chunk: 1}}},
-	} {
-		b.Run(sched.name, func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				err := mpi.Run(1, func(c *mpi.Comm) {
-					fock.SharedFockBuild(ddi.New(c), f.eng, f.sch, fock.RHF(f.d.At), sched.cfg)
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationLoadBalancers compares the balancing strategies on a
-// heavy-tailed synthetic task distribution (related-work comparison:
-// static vs DDI counter vs work stealing).
-func BenchmarkAblationLoadBalancers(b *testing.B) {
-	const tasks, workers = 4000, 16
-	costs := make([]float64, tasks)
-	for i := range costs {
-		costs[i] = 1 + float64(i%97)/10
-	}
-	costs[0] = 500
-	b.Run("static", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			loadbalance.Makespan(loadbalance.NewStatic(tasks, workers), costs, workers)
-		}
-	})
-	b.Run("counter", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			loadbalance.Makespan(loadbalance.NewCounter(tasks, 1), costs, workers)
-		}
-	})
-	b.Run("stealing", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			st, _ := loadbalance.NewStealing(tasks, workers, 7)
-			loadbalance.Makespan(st, costs, workers)
-		}
-	})
 }

@@ -22,6 +22,12 @@
 # park fallback; everything before it is atomics) and exactly one
 # tc.Barrier() inside walker.teamFetch; the barrier/loop-counter tests and
 # the per-build barrier counts of Algorithms 2-3 rerun under -race -count=3.
+# Nothing unreached stays: every internal/ package is a dependency of a
+# cmd/ main, the root facade or bench/; internal/linalg does not import
+# internal/omp (one eigensolver); non-test internal/mpi has no .root hop
+# and no subWorlds (one world); walker.go has no dmax/keep branch; and no
+# non-test file of internal/scf, cmd/ or the root calls SerialBuilder( or
+# fock.SerialBuild( (the direct engine is the tests' oracle only).
 # Experiment code stays out of production packages: no non-test file of
 # internal/service imports math/rand or defines a func Run*, internal/
 # simulate imports neither internal/mpi nor internal/ddi nor net/http
@@ -209,6 +215,30 @@ tier_1() {
 	[ "$builds" -eq 2 ] || { echo "structure gate: $builds basis.Build( sites in api.go/properties.go, want exactly 2 (engineFor, DescribeBasis)"; exit 1; }
 	if grep -n '^func Run.*Ctx' $root_src; then
 		echo "structure gate: a Run*Ctx twin is back in the facade; repro.Run takes the context"
+		exit 1
+	fi
+
+	# Every extension earns its place: what no command, the facade or the
+	# benchmark reaches is not kept.
+	reached=$( (go list -deps ./cmd/... . && go list -C bench -deps ./...) | sort -u)
+	for dir in internal/*/; do
+		echo "$reached" | grep -qx "repro/${dir%/}" ||
+			{ echo "structure gate: ${dir%/} is reached by no cmd/ main, the root facade or bench/"; exit 1; }
+	done
+	if go list -f '{{join .Imports "\n"}}' ./internal/linalg | grep -x 'repro/internal/omp'; then
+		echo "structure gate: internal/linalg imports internal/omp again (one eigensolver: tred2/tqli)"
+		exit 1
+	fi
+	if grep -n '\.root\b\|subWorlds' $(ls internal/mpi/*.go | grep -v _test.go); then
+		echo "structure gate: internal/mpi has one world; sub-communicators are gone"
+		exit 1
+	fi
+	if grep -n 'dmax\|keep' internal/fock/walker.go; then
+		echo "structure gate: walker.quartet is bound -> count -> ShellQuartet -> digest, with no extension branch"
+		exit 1
+	fi
+	if grep -n 'SerialBuilder(\|fock\.SerialBuild(' $scf_src $root_src $(ls cmd/*/*.go | grep -v _test.go); then
+		echo "structure gate: production reaches the direct engine only through FullERITensor/ReferenceJK"
 		exit 1
 	fi
 

@@ -5,9 +5,12 @@ package repro
 // simulation), exercising the facade exactly as the examples do.
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/molecule"
 )
 
 func TestEndToEndPipeline(t *testing.T) {
@@ -105,5 +108,34 @@ func TestXYZRoundTripThroughFacade(t *testing.T) {
 	back, err := ParseXYZ(text)
 	if err != nil || back.NumAtoms() != 5 {
 		t.Fatalf("round trip failed: %v", err)
+	}
+}
+
+// TestScaledMethaneConverges: the two scaled methanes the served workload
+// found failing with "overlap eigenvalue ... below linear-dependence
+// tolerance" (tqli dropped the closing update of a completed QL sweep
+// ending on r == 0) run to a converged RHF.
+func TestScaledMethaneConverges(t *testing.T) {
+	mol, _ := BuiltinMolecule("methane")
+	for _, factor := range []float64{0.915069434, 0.985749597} {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%d\n%s x %.9f\n", mol.NumAtoms(), mol.Name, factor)
+		for _, a := range mol.Atoms {
+			fmt.Fprintf(&b, "%-2s %.9f %.9f %.9f\n", a.Symbol,
+				factor*a.Pos[0]/molecule.BohrPerAngstrom,
+				factor*a.Pos[1]/molecule.BohrPerAngstrom,
+				factor*a.Pos[2]/molecule.BohrPerAngstrom)
+		}
+		scaled, err := ParseXYZ(b.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(bg, scaled, "sto-3g", Serial)
+		if err != nil {
+			t.Fatalf("methane x %.9f: %v", factor, err)
+		}
+		if !res.Converged || math.IsNaN(res.Energy) || res.Energy > -39 {
+			t.Fatalf("methane x %.9f: converged=%v E=%v", factor, res.Converged, res.Energy)
+		}
 	}
 }

@@ -14,7 +14,6 @@
 package ddi
 
 import (
-	"repro/internal/loadbalance"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
 )
@@ -23,8 +22,8 @@ import (
 type Context struct {
 	Comm       *mpi.Comm
 	epoch      int64
-	leaseCycle int64            // lease-based DLB cycle sequence (see lease.go)
-	ewma       loadbalance.EWMA // this rank's task-latency average (see straggler.go)
+	leaseCycle int64 // lease-based DLB cycle sequence (see lease.go)
+	ewma       EWMA  // this rank's task-latency average (see straggler.go)
 	// memberEpoch keys the shared straggler window by membership epoch
 	// (see straggler.go): after an elastic grow/shrink/migration the
 	// world size changes, and a resized world must never read the stale

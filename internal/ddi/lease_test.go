@@ -106,7 +106,7 @@ func TestLeaseExactlyOnceUnderRankDeath(t *testing.T) {
 		}
 		// Survivors wait for the death so the victim is guaranteed to
 		// hold leases when the cursor race starts.
-		for c.Healthy() {
+		for len(c.FailedRanks()) == 0 {
 			time.Sleep(time.Millisecond)
 		}
 		leaseWorkLoop(t, c, l, rec)
@@ -142,7 +142,7 @@ func TestLeaseStealsUnclaimedDraw(t *testing.T) {
 			c.FetchAdd(l.curW, 0, 1)
 			panic("died between draw and claim")
 		}
-		for c.Healthy() {
+		for len(c.FailedRanks()) == 0 {
 			time.Sleep(time.Millisecond)
 		}
 		leaseWorkLoop(t, c, l, rec)

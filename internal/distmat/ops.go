@@ -279,31 +279,6 @@ func RMSDiff(a, b *BlockMat) float64 {
 	return math.Sqrt(FrobSqDiff(a, b) / float64(a.N*a.N))
 }
 
-// tileMulAdd adds a*b into c (bs x bs row-major tiles), skipping zero
-// a-elements (padded tiles make these common). Its place in this file
-// (just above Gershgorin) is on purpose: its 28-byte inner loop runs ~25%
-// slower when it straddles a 64-byte line, which is decided by the
-// function's address mod 64 in the linked binary — and that by what
-// precedes it (DESIGN.md §3.1 layout note). After any change that adds
-// or removes code in omp, mpi, ddi, linalg or this file, check that
-// `go tool nm` of the bench binary still puts it at 0 mod 64.
-func tileMulAdd(c, a, b []float64, bs int) {
-	for i := 0; i < bs; i++ {
-		arow := a[i*bs : (i+1)*bs]
-		crow := c[i*bs : (i+1)*bs]
-		for k := 0; k < bs; k++ {
-			v := arow[k]
-			if v == 0 {
-				continue
-			}
-			brow := b[k*bs : (k+1)*bs]
-			for j := 0; j < bs; j++ {
-				crow[j] += v * brow[j]
-			}
-		}
-	}
-}
-
 // Gershgorin returns spectral bounds [lo, hi] of the symmetric matrix m
 // from Gershgorin discs: every eigenvalue lies within radius
 // sum_{j!=i} |m_ij| of some diagonal element. Each rank accumulates
@@ -341,4 +316,29 @@ func Gershgorin(m *BlockMat) (lo, hi float64) {
 		}
 	}
 	return lo, hi
+}
+
+// tileMulAdd adds a*b into c (bs x bs row-major tiles), skipping zero
+// a-elements (padded tiles make these common). Its place in this file
+// (last, below Gershgorin) is on purpose: its 28-byte inner loop runs ~25%
+// slower when it straddles a 64-byte line, which is decided by the
+// function's address mod 64 in the linked binary — and that by what
+// precedes it (DESIGN.md §3.1 layout note). After any change that adds
+// or removes code in omp, mpi, ddi, linalg or this file, check that
+// `go tool nm` of the bench binary still puts it at 0 mod 64.
+func tileMulAdd(c, a, b []float64, bs int) {
+	for i := 0; i < bs; i++ {
+		arow := a[i*bs : (i+1)*bs]
+		crow := c[i*bs : (i+1)*bs]
+		for k := 0; k < bs; k++ {
+			v := arow[k]
+			if v == 0 {
+				continue
+			}
+			brow := b[k*bs : (k+1)*bs]
+			for j := 0; j < bs; j++ {
+				crow[j] += v * brow[j]
+			}
+		}
+	}
 }

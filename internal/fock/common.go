@@ -9,8 +9,8 @@
 //   - Algorithm 2: hybrid, shared density / thread-private Fock
 //   - Algorithm 3: hybrid, shared density / shared Fock with per-thread
 //     FI/FJ column buffers and chunked flush reductions
-//   - Resilient (lease DLB, one-sided commits), Tiled (distributed D and
-//     F) and the in-core ERI store
+//   - Resilient (lease DLB, one-sided commits) and Tiled (distributed D
+//     and F)
 //
 // All presets accumulate contributions into the LOWER triangle only
 // (each symmetry-unique contribution is written exactly once at its
@@ -39,9 +39,6 @@ type Config struct {
 	// Threads is the OpenMP team width per MPI rank (hybrid builds);
 	// 0 means 1.
 	Threads int
-	// Schedule is the inner OpenMP loop schedule; the zero value means the
-	// paper's schedule(dynamic,1).
-	Schedule omp.Schedule
 	// Quartets is the ERI source. Every production run sets it to an
 	// integrals.PairCache (precomputed shell-pair data); nil means direct
 	// evaluation through the engine, which tests keep as the independent
@@ -94,12 +91,9 @@ func (c Config) hedgeMinSamples() int64 {
 	return int64(c.HedgeMinSamples)
 }
 
-func (c Config) schedule() omp.Schedule {
-	if c.Schedule == (omp.Schedule{}) {
-		return omp.Schedule{Kind: omp.Dynamic, Chunk: 1}
-	}
-	return c.Schedule
-}
+// dynamic1 is the paper's schedule(dynamic,1), the schedule of every
+// work-shared loop in Algorithms 2 and 3.
+var dynamic1 = omp.Schedule{Kind: omp.Dynamic, Chunk: 1}
 
 // Stats counts what a build did; the discrete-event simulator is
 // calibrated against these counters.

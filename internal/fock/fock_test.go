@@ -10,7 +10,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/molecule"
 	"repro/internal/mpi"
-	"repro/internal/omp"
 )
 
 // testDensity builds a plausible symmetric positive density-like matrix
@@ -149,28 +148,6 @@ func TestQuartetEnumerationCanonical(t *testing.T) {
 	}
 }
 
-func TestSharedFockSchedules(t *testing.T) {
-	// The paper observed no significant difference between OpenMP
-	// schedules; all must at least be correct.
-	eng, sch, d := setup(t, molecule.Water(), "sto-3g")
-	want, _ := SerialBuild(eng, sch, d, DefaultTau)
-	for _, sched := range []omp.Schedule{
-		{Kind: omp.Static}, {Kind: omp.Dynamic, Chunk: 1},
-		{Kind: omp.Dynamic, Chunk: 4}, {Kind: omp.Guided},
-	} {
-		err := mpi.Run(2, func(c *mpi.Comm) {
-			f, _ := SharedFockBuild(ddi.New(c), eng, sch, RHF(d.At),
-				Config{Threads: 3, Schedule: sched})
-			if diff := f[0].MaxAbsDiff(want); diff > 1e-10 {
-				t.Errorf("schedule %v: diff %v", sched, diff)
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestSharedFockFlushCounting(t *testing.T) {
 	eng, sch, d := setup(t, molecule.Water(), "sto-3g")
 	err := mpi.Run(1, func(c *mpi.Comm) {
@@ -227,54 +204,6 @@ func TestBufferBytes(t *testing.T) {
 	}
 }
 
-func TestERIStoreMatchesDirect(t *testing.T) {
-	eng, sch, d := setup(t, molecule.Water(), "sto-3g")
-	want, directStats := SerialBuild(eng, sch, d, DefaultTau)
-	store, err := BuildStore(eng, sch, DefaultTau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := store.BuildFock(d)
-	if diff := got.MaxAbsDiff(want); diff > 1e-12 {
-		t.Fatalf("in-core vs direct diff = %v", diff)
-	}
-	if int64(store.NumQuartets()) != directStats.QuartetsComputed {
-		t.Fatalf("stored %d quartets, direct computed %d", store.NumQuartets(), directStats.QuartetsComputed)
-	}
-	if store.Bytes() <= 0 {
-		t.Fatal("empty store")
-	}
-	// Replaying with a different density must also match direct.
-	d2 := d.Clone()
-	d2.Scale(0.37)
-	want2, _ := SerialBuild(eng, sch, d2, DefaultTau)
-	got2, _ := store.BuildFock(d2)
-	if diff := got2.MaxAbsDiff(want2); diff > 1e-12 {
-		t.Fatalf("replay with new density diff = %v", diff)
-	}
-}
-
-func TestERIStoreCapRefusesHugeSystems(t *testing.T) {
-	// A modest graphene flake at 6-31G(d) already exceeds the 2 GiB cap —
-	// the paper's systems (from 0.5 nm up) are far beyond it, which is
-	// exactly why only direct SCF works there.
-	mol := molecule.GrapheneFlake(20)
-	b, err := basis.Build(mol, "6-31g(d)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := integrals.NewEngine(b)
-	// A fake always-pass Schwarz via tau=0 on a tiny synthetic Schwarz
-	// would be slow; estimate with the real one.
-	sch := integrals.ComputeSchwarz(eng)
-	if est := EstimateStoreBytes(eng, sch, DefaultTau); est <= MaxStoreBytes {
-		t.Fatalf("estimate %d unexpectedly fits", est)
-	}
-	if _, err := BuildStore(eng, sch, DefaultTau); err == nil {
-		t.Fatal("expected cap refusal")
-	}
-}
-
 func TestPairCacheBuilders(t *testing.T) {
 	// All builders with a PairCache source must match the direct path.
 	eng, sch, d := setup(t, molecule.Water(), "6-31g")
@@ -302,48 +231,5 @@ func TestPairCacheBuilders(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDensityScreenedBuildMatches(t *testing.T) {
-	// With a realistic density the density-weighted screen must stay
-	// within the screening tolerance of the plain build.
-	eng, sch, d := setup(t, molecule.GrapheneFlake(4), "sto-3g")
-	plain, plainStats := SerialBuild(eng, sch, d, 1e-10)
-	screened, scrStats := DensityScreenedBuild(eng, sch, d, 1e-10)
-	if diff := plain.MaxAbsDiff(screened); diff > 1e-7 {
-		t.Fatalf("density screening drifted: %v", diff)
-	}
-	if scrStats.QuartetsComputed > plainStats.QuartetsComputed {
-		t.Fatal("density screening computed MORE quartets")
-	}
-}
-
-func TestIncrementalBuilderSCFWork(t *testing.T) {
-	// Incremental builds must shrink per-iteration work as dD -> 0 while
-	// reproducing the direct result.
-	eng, sch, d := setup(t, molecule.Water(), "sto-3g")
-	ib := NewIncrementalBuilder(eng, sch, 1e-10)
-	want, _ := SerialBuild(eng, sch, d, 1e-12)
-	g1, s1 := ib.Build(d)
-	if diff := g1.MaxAbsDiff(want); diff > 1e-7 {
-		t.Fatalf("first incremental build diff %v", diff)
-	}
-	// Tiny density change: the delta build must do (much) less work.
-	d2 := d.Clone()
-	d2.Add(0, 0, 1e-9)
-	g2, s2 := ib.Build(d2)
-	want2, _ := SerialBuild(eng, sch, d2, 1e-12)
-	if diff := g2.MaxAbsDiff(want2); diff > 1e-6 {
-		t.Fatalf("incremental drifted: %v", diff)
-	}
-	if s2.QuartetsComputed >= s1.QuartetsComputed {
-		t.Fatalf("delta build did not shrink: %d vs %d", s2.QuartetsComputed, s1.QuartetsComputed)
-	}
-	// Reset forces a full rebuild.
-	ib.Reset()
-	_, s3 := ib.Build(d2)
-	if s3.QuartetsComputed < s1.QuartetsComputed/2 {
-		t.Fatalf("post-reset build suspiciously small: %d", s3.QuartetsComputed)
 	}
 }

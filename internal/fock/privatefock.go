@@ -21,7 +21,6 @@ func PrivateFockBuild(dx *ddi.Context, eng *integrals.Engine,
 	n := eng.Basis.NumBF
 	ns := len(eng.Basis.Shells)
 	nthreads := cfg.threads()
-	sched := cfg.schedule()
 
 	// Thread-private Fock replicas (the algorithm's defining memory cost:
 	// (2 + Nthreads) N^2 per rank, eq. 3b).
@@ -46,7 +45,7 @@ func PrivateFockBuild(dx *ddi.Context, eng *integrals.Engine,
 			// thread's span covers its share of the collapsed loops, so the
 			// trace shows intra-team imbalance per i-task.
 			end := w.span("i-task", me+1, i, -1)
-			tc.Collapse2(i+1, i+1, sched, func(j, k int) { w.row(i, j, k) })
+			tc.Collapse2(i+1, i+1, dynamic1, func(j, k int) { w.row(i, j, k) })
 			end()
 		}
 		// reduction(+:Fock) over threads: chunked reduction of the private

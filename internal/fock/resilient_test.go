@@ -65,7 +65,7 @@ func TestResilientSurvivesRankDeath(t *testing.T) {
 		if c.Rank() != victim {
 			// Hold survivors back so the victim is guaranteed to be
 			// holding a lease when it dies (keeps the test deterministic).
-			for c.Healthy() {
+			for len(c.FailedRanks()) == 0 {
 				time.Sleep(time.Millisecond)
 			}
 		}

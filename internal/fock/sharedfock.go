@@ -31,7 +31,6 @@ func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 	shells := eng.Basis.Shells
 	npairs := NumPairs(len(shells))
 	nthreads := cfg.threads()
-	sched := cfg.schedule()
 	maxQ := sch.MaxQ()
 	maxSz := eng.Basis.ShellSizeMax()
 
@@ -127,7 +126,7 @@ func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 			// tc.For carries the `omp end do` implicit barrier. Per-thread
 			// spans expose intra-team imbalance per ij-task in the trace.
 			end := w.span("ij-task", me+1, i, j)
-			tc.For(ij+1, sched, func(kl int) {
+			tc.For(ij+1, dynamic1, func(kl int) {
 				k, l := PairDecode(kl)
 				w.quartet(i, j, k, l)
 			})

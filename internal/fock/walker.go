@@ -22,19 +22,12 @@ type walker struct {
 	src    integrals.QuartetSource
 	sch    *integrals.Schwarz
 	tau    float64
-	// dmax, when set, tightens the Schwarz test to Q_ij Q_kl max|D| < tau
-	// with max|D| over the six density blocks the quartet reads (packed
-	// triangular over shell pairs; see shellPairDmax).
-	dmax []float64
 	// dx is nil in serial sweeps, which have no runtime to hook into.
 	dx *ddi.Context
 
 	chans []Channel
 	st    Stats
 	buf   []float64
-	// keep, when set, collects every evaluated block in visit order (the
-	// in-core store's recording sweep).
-	keep *[]float64
 }
 
 // newWalker is the walker of a parallel preset on dx.
@@ -46,30 +39,13 @@ func newWalker(dx *ddi.Context, eng *integrals.Engine, sch *integrals.Schwarz, c
 // quartet is the screen -> count -> evaluate -> digest step every build
 // performs per symmetry-unique shell quartet.
 func (w *walker) quartet(i, j, k, l int) {
-	bound := w.sch.Bound(i, j, k, l)
-	if w.dmax != nil {
-		// Largest density element among the six blocks the quartet's
-		// updates read.
-		bound *= max(w.pairDmax(k, l), w.pairDmax(i, j), w.pairDmax(j, l),
-			w.pairDmax(i, k), w.pairDmax(j, k), w.pairDmax(i, l))
-	}
-	if bound < w.tau {
+	if w.sch.Bound(i, j, k, l) < w.tau {
 		w.st.QuartetsScreened++
 		return
 	}
 	w.st.QuartetsComputed++
 	w.buf = w.src.ShellQuartet(i, j, k, l, w.buf)
-	if w.keep != nil {
-		*w.keep = append(*w.keep, w.buf...)
-	}
 	digest(w.buf, w.shells, i, j, k, l, w.chans)
-}
-
-func (w *walker) pairDmax(a, b int) float64 {
-	if a < b {
-		a, b = b, a
-	}
-	return w.dmax[PairIndex(a, b)]
 }
 
 // row runs the l loop of the canonical enumeration at (i, j, k)
@@ -131,7 +107,7 @@ func (w *walker) dlbPairs(sdcTarget *[]float64) {
 
 // teamFetch is the hybrid presets' task draw (Algorithm 2 lines 3-6, and
 // the head of Algorithm 3's loop): the master draws DLB indices into
-// *shared until one survives skip (Algorithm 3's ij prescreen; nil keeps
+// *shared until one survives skip (Algorithm 3's ij prescreen; nil takes
 // every draw) and the team reads it behind ONE barrier. The SDC hook fires
 // in the master section — one opportunity per draw, into sdcTarget — where
 // the team is fenced at the barrier below, so the write races nothing. The

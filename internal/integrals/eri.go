@@ -1,15 +1,6 @@
 package integrals
 
-import (
-	"math"
-
-	"repro/internal/basis"
-)
-
-// QuartetSize returns the number of ERI values a shell quartet produces.
-func QuartetSize(sa, sb, sc, sd *basis.Shell) int {
-	return sa.NumFuncs() * sb.NumFuncs() * sc.NumFuncs() * sd.NumFuncs()
-}
+import "math"
 
 // ShellQuartet computes the full block of two-electron repulsion integrals
 // (ab|cd) in chemists' notation for shells with indices (si, sj, sk, sl),

@@ -143,6 +143,7 @@ func tqli(d, e []float64, z *Matrix) error {
 			g = d[m] - d[l] + e[l]/(g+math.Copysign(r, g))
 			s, c := 1.0, 1.0
 			p := 0.0
+			underflow := false
 			for i := m - 1; i >= l; i-- {
 				f := s * e[i]
 				b := c * e[i]
@@ -151,6 +152,7 @@ func tqli(d, e []float64, z *Matrix) error {
 				if r == 0 {
 					d[i+1] -= p
 					e[m] = 0.0
+					underflow = true
 					break
 				}
 				s = f / r
@@ -166,7 +168,9 @@ func tqli(d, e []float64, z *Matrix) error {
 					z.Set(k, i, c*z.At(k, i)-s*f)
 				}
 			}
-			if r == 0 && m-1 >= l {
+			// Only the early exit skips the closing update: a sweep that runs
+			// to completion may end on r == 0 too (degenerate spectra).
+			if underflow {
 				continue
 			}
 			d[l] -= p

@@ -1,7 +1,7 @@
 package mpi
 
 // Collectives are implemented over the point-to-point layer with binomial
-// trees (Bcast, Reduce, Gather) and reduce+broadcast (Allreduce), the same
+// trees (Bcast, Reduce) and reduce+broadcast (Allreduce), the same
 // structure real MPI libraries use at these scales. Each collective call
 // consumes a per-rank sequence number folded into an internal tag so that
 // back-to-back collectives cannot cross-match; all ranks must call
@@ -48,7 +48,7 @@ func (c *Comm) nextCollTag() int {
 // payload size; the returned func closes the span. Point-to-point spans
 // emitted by the collective's internal sends/recvs nest inside it.
 func (c *Comm) collOp(name string, floats int) func() {
-	tel := c.world.root.telemetry
+	tel := c.world.telemetry
 	if tel != nil {
 		tel.Histogram("mpi." + name + ".bytes").Observe(int64(8 * floats))
 	}
@@ -78,7 +78,7 @@ func (c *Comm) Bcast(root int, buf []float64) {
 		if rel&(bit-1) == 0 && rel&bit == 0 {
 			child := rel | bit
 			if child < c.size {
-				c.send(absRank(child, root, c.size), tag, buf, nil)
+				c.send(absRank(child, root, c.size), tag, buf)
 			}
 		} else {
 			break
@@ -99,8 +99,7 @@ func (c *Comm) Reduce(root int, op Op, buf []float64, out []float64) {
 		if rel&bit != 0 {
 			// Send accumulated value to parent and stop.
 			parent := absRank(rel&^bit, root, c.size)
-			c.send(parent, tag, acc, nil)
-			c.world.stats.Reduces.Add(1)
+			c.send(parent, tag, acc)
 			return
 		}
 		child := rel | bit
@@ -111,7 +110,6 @@ func (c *Comm) Reduce(root int, op Op, buf []float64, out []float64) {
 	}
 	// Only the root reaches here.
 	copy(out, acc)
-	c.world.stats.Reduces.Add(1)
 }
 
 // Allreduce combines buf across all ranks with op; every rank receives the
@@ -127,69 +125,4 @@ func (c *Comm) Allreduce(op Op, buf []float64, out []float64) {
 // AllreduceSumInPlace is the gsumf shape: sums buf across ranks in place.
 func (c *Comm) AllreduceSumInPlace(buf []float64) {
 	c.Allreduce(Sum, buf, buf)
-}
-
-// Gather collects each rank's buf (equal lengths) on root into out, which
-// must have len == size*len(buf) on root (ignored elsewhere).
-func (c *Comm) Gather(root int, buf []float64, out []float64) {
-	c.checkPeer(root)
-	defer c.collOp("gather", len(buf))()
-	tag := c.nextCollTag()
-	if c.rank == root {
-		copy(out[root*len(buf):(root+1)*len(buf)], buf)
-		for i := 0; i < c.size-1; i++ {
-			data, src, _ := c.Recv(AnySource, tag)
-			copy(out[src*len(data):], data)
-		}
-	} else {
-		c.send(root, tag, buf, nil)
-	}
-}
-
-// Allgather collects each rank's buf on every rank.
-func (c *Comm) Allgather(buf []float64, out []float64) {
-	c.Gather(0, buf, out)
-	c.Bcast(0, out)
-}
-
-// Scatter distributes equal-length chunks of in (on root) so every rank
-// receives its chunk in out; len(in) == size*len(out) on root.
-func (c *Comm) Scatter(root int, in []float64, out []float64) {
-	c.checkPeer(root)
-	defer c.collOp("scatter", len(out))()
-	tag := c.nextCollTag()
-	if c.rank == root {
-		for r := 0; r < c.size; r++ {
-			if r == root {
-				copy(out, in[r*len(out):(r+1)*len(out)])
-				continue
-			}
-			c.send(r, tag, in[r*len(out):(r+1)*len(out)], nil)
-		}
-	} else {
-		data, _, _ := c.Recv(root, tag)
-		copy(out, data)
-	}
-}
-
-// BcastInts broadcasts an int payload from root.
-func (c *Comm) BcastInts(root int, buf []int) {
-	c.checkPeer(root)
-	tag := c.nextCollTag()
-	rel := relRank(c.rank, root, c.size)
-	if rel != 0 {
-		parent := absRank(rel&(rel-1), root, c.size)
-		data, _, _ := c.RecvInts(parent, tag)
-		copy(buf, data)
-	}
-	for bit := 1; bit < c.size; bit <<= 1 {
-		if rel&(bit-1) == 0 && rel&bit == 0 {
-			child := rel | bit
-			if child < c.size {
-				c.send(absRank(child, root, c.size), tag, nil, buf)
-			}
-		} else {
-			break
-		}
-	}
 }

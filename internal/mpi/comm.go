@@ -13,7 +13,6 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,16 +34,15 @@ const internalTagBase = 1 << 24
 // message is one point-to-point payload in flight. Every message is
 // framed with a Fletcher-64 checksum of its clean payload (sum); the
 // receiver verifies it after matching and, on mismatch, "retransmits"
-// from the sender-side retransmit buffer (origin/originInts — retained
-// only when an injected corruption actually fired, since that is the
-// only way a payload can differ from its checksum in-process). corrupt/
+// from the sender-side retransmit buffer (origin — retained only when an
+// injected corruption actually fired, since that is the only way a
+// payload can differ from its checksum in-process). corrupt/
 // corruptLeft let a Corrupt{Repeat: n} schedule re-corrupt n
 // retransmissions, driving the bounded retry to exhaustion.
 type message struct {
 	source int
 	tag    int
 	data   []float64
-	ints   []int
 
 	// seq is the per-(source, dest, tag) channel sequence number, assigned
 	// only when the run's fault plan includes message chaos (duplication,
@@ -56,9 +54,8 @@ type message struct {
 
 	sum         uint64    // checksum of the clean payload (verified transport)
 	origin      []float64 // clean retransmit copy, set only when corruption fired
-	originInts  []int
-	corrupt     *Corrupt // schedule entry to re-apply on retransmission
-	corruptLeft int      // retransmissions still to corrupt
+	corrupt     *Corrupt  // schedule entry to re-apply on retransmission
+	corruptLeft int       // retransmissions still to corrupt
 }
 
 // chanKey identifies one ordered p2p channel. MPI guarantees FIFO per
@@ -99,7 +96,7 @@ func (m *mailbox) deliver(msg message) {
 // failure; only an empty wait observes poison (unwinding the receiver)
 // or the run deadline (converting a silent hang into ErrTimeout).
 func (m *mailbox) take(c *Comm, source, tag int) message {
-	deadline := c.world.root.deadline
+	deadline := c.world.deadline
 	var start time.Time
 	if deadline > 0 {
 		start = time.Now()
@@ -119,7 +116,7 @@ func (m *mailbox) take(c *Comm, source, tag int) message {
 				if msg.seq <= m.delivered[ch] {
 					m.queue = append(m.queue[:i], m.queue[i+1:]...)
 					i--
-					if tel := c.world.root.telemetry; tel != nil {
+					if tel := c.world.telemetry; tel != nil {
 						tel.Counter("chaos.dups_dropped").Add(1)
 					}
 					continue
@@ -168,29 +165,22 @@ type window struct {
 }
 
 // World owns the shared state of one run: mailboxes, barrier, windows,
-// and — on the top-level world — the failure bookkeeping shared by every
-// communicator split from it.
+// the fault schedule and the failure bookkeeping, all keyed by rank.
 type World struct {
-	size      int
-	boxes     []*mailbox
-	windows   sync.Map // name -> *window
-	subWorlds sync.Map // split key -> *World
-	barrier   *cyclicBarrier
-	collSeq   []atomic.Int64 // per-rank collective sequence numbers
-	stats     Stats
+	size    int
+	boxes   []*mailbox
+	windows sync.Map // name -> *window
+	barrier *cyclicBarrier
+	collSeq []atomic.Int64 // per-rank collective sequence numbers
 
-	// root points to the top-level world (self for the world communicator);
-	// fault injection, fencing, and failure records live only there, keyed
-	// by world rank ids.
-	root      *World
 	deadline  time.Duration      // per-blocking-op bound; 0 = wait forever
-	grace     time.Duration      // unwind window past deadline before abandoning (root only)
-	watchTick time.Duration      // watchdog wakeup override; 0 = derived from deadline (root only)
-	noVerify  bool               // disables payload checksum verification (root only)
+	grace     time.Duration      // unwind window past deadline before abandoning
+	watchTick time.Duration      // watchdog wakeup override; 0 = derived from deadline
+	noVerify  bool               // disables payload checksum verification
 	fault     *faultState        // injection schedule; nil = none
-	telemetry *telemetry.Session // nil = telemetry disabled (root only)
+	telemetry *telemetry.Session // nil = telemetry disabled
 
-	// Chaos-mode transport state (root only, see FaultPlan.messageChaos):
+	// Chaos-mode transport state (see FaultPlan.messageChaos):
 	// per-channel send sequence counters and reorder-held messages.
 	chaosOn  bool
 	seqMu    sync.Mutex
@@ -199,45 +189,28 @@ type World struct {
 	held     []*heldMsg
 
 	poisonF   atomic.Pointer[RankFailure] // first observed failure
-	fenced    []atomic.Bool               // abandoned ranks barred from windows (root only)
+	fenced    []atomic.Bool               // abandoned ranks barred from windows
 	failMu    sync.Mutex
-	failures  []RankFailure   // primary failures in detection order (root only)
-	outcomes  []int8          // per-rank outcome states (root only)
-	rankWall  []time.Duration // per-rank goroutine wall time (root only)
-	runStart  time.Time       // when the rank goroutines launched (root only)
+	failures  []RankFailure   // primary failures in detection order
+	outcomes  []int8          // per-rank outcome states
+	rankWall  []time.Duration // per-rank goroutine wall time
+	runStart  time.Time       // when the rank goroutines launched
 	watchStop chan struct{}   // stops the deadline watchdog
 }
 
-// newWorld builds the shared state of a communicator: the top-level world
-// when root is nil, otherwise a sub-world inheriting root's deadline and
-// failure state.
-func newWorld(size int, root *World) *World {
+// newWorld builds the shared state of a run of size ranks.
+func newWorld(size int) *World {
 	w := &World{
 		size:    size,
 		boxes:   make([]*mailbox, size),
 		barrier: newCyclicBarrier(size),
 		collSeq: make([]atomic.Int64, size),
-	}
-	if root == nil {
-		w.root = w
-		w.fenced = make([]atomic.Bool, size)
-	} else {
-		w.root = root
-		w.deadline = root.deadline
+		fenced:  make([]atomic.Bool, size),
 	}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
 	}
 	return w
-}
-
-// Stats aggregates communication volume over a run; the large-system
-// simulator's network cost model is sanity-checked against it.
-type Stats struct {
-	Messages atomic.Int64
-	Floats   atomic.Int64
-	Barriers atomic.Int64
-	Reduces  atomic.Int64
 }
 
 // Comm is one rank's communicator handle.
@@ -253,44 +226,27 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return c.size }
 
-// WorldStats returns a snapshot of the run's communication statistics.
-func (c *Comm) WorldStats() (messages, floats, barriers, reduces int64) {
-	s := &c.world.stats
-	return s.Messages.Load(), s.Floats.Load(), s.Barriers.Load(), s.Reduces.Load()
-}
-
-// Telemetry returns the run's telemetry session (nil when disabled).
-// Split communicators share the top-level world's session; all layers
-// above the runtime (ddi, fock, scf) reach telemetry through this.
-func (c *Comm) Telemetry() *telemetry.Session { return c.world.root.telemetry }
+// Telemetry returns the run's telemetry session (nil when disabled); all
+// layers above the runtime (ddi, fock, scf) reach telemetry through this.
+func (c *Comm) Telemetry() *telemetry.Session { return c.world.telemetry }
 
 // Send delivers a copy of data to rank dest with the given tag. Tags must
 // be in [0, 1<<24).
 func (c *Comm) Send(dest, tag int, data []float64) {
 	c.checkPeer(dest)
 	c.checkTag(tag)
-	c.send(dest, tag, data, nil)
+	c.send(dest, tag, data)
 }
 
-// SendInts delivers an integer payload.
-func (c *Comm) SendInts(dest, tag int, data []int) {
-	c.checkPeer(dest)
-	c.checkTag(tag)
-	c.send(dest, tag, nil, data)
-}
-
-func (c *Comm) send(dest, tag int, data []float64, ints []int) {
+func (c *Comm) send(dest, tag int, data []float64) {
 	n, cr := c.faultHookSend()
-	if tel := c.world.root.telemetry; tel != nil {
+	if tel := c.world.telemetry; tel != nil {
 		tel.Counter("mpi.send.msgs").Add(1)
-		tel.Histogram("mpi.send.bytes").Observe(int64(8 * (len(data) + len(ints))))
+		tel.Histogram("mpi.send.bytes").Observe(int64(8 * len(data)))
 	}
 	msg := message{source: c.rank, tag: tag}
 	if data != nil {
 		msg.data = append([]float64(nil), data...)
-	}
-	if ints != nil {
-		msg.ints = append([]int(nil), ints...)
 	}
 	c.frameAndDeliver(dest, msg, cr, n)
 }
@@ -299,43 +255,39 @@ func (c *Comm) send(dest, tag int, data []float64, ints []int) {
 // event ordinal alongside any corruption — the ordinal is what the chaos
 // routing matches Duplicate/Reorder schedules against.
 func (c *Comm) faultHookSend() (n int64, cr *Corrupt) {
-	w := c.world
-	if w != w.root || w.root.fault == nil {
+	if c.world.fault == nil {
 		return 0, nil
 	}
-	return w.root.fault.hitN(c.rank, SiteSend)
+	return c.world.fault.hitN(c.rank, SiteSend)
 }
 
 // frameAndDeliver checksums the (clean) payload, applies any scheduled
 // corruption to the in-flight copy, and delivers. Because every
 // collective is built on this point-to-point path, Bcast/Reduce/
-// Allreduce/Gather/Scatter all inherit verified framing — and, in chaos
-// runs, sequenced delivery — for free. n is the send event ordinal from
-// faultHookSend (0 outside the root world or without a fault plan).
+// Allreduce all inherit verified framing — and, in chaos runs, sequenced
+// delivery — for free. n is the send event ordinal from faultHookSend (0
+// without a fault plan).
 func (c *Comm) frameAndDeliver(dest int, msg message, cr *Corrupt, n int64) {
-	w := c.world.root
+	w := c.world
 	if !w.noVerify {
-		msg.sum = integrity.ChecksumPayload(msg.data, msg.ints)
+		msg.sum = integrity.ChecksumPayload(msg.data, nil)
 	}
 	if cr != nil {
 		// Keep a clean copy for retransmission, then corrupt what flies.
 		msg.origin = append([]float64(nil), msg.data...)
-		msg.originInts = append([]int(nil), msg.ints...)
 		msg.corrupt = cr
 		msg.corruptLeft = cr.Repeat
-		applyCorruptPayload(cr, msg.data, msg.ints)
+		applyCorruptPayload(cr, msg.data)
 		if tel := w.telemetry; tel != nil {
 			tel.Counter("sdc.injected").Add(1)
 			tel.Counter("sdc.injected." + string(cr.Site)).Add(1)
 		}
 	}
-	c.world.stats.Messages.Add(1)
-	c.world.stats.Floats.Add(int64(len(msg.data)))
-	if c.world == w && w.chaosOn {
+	if w.chaosOn {
 		w.chaosRoute(c.rank, dest, msg, n)
 		return
 	}
-	c.world.boxes[dest].deliver(msg)
+	w.boxes[dest].deliver(msg)
 }
 
 // --- chaos-mode message routing ---
@@ -439,22 +391,12 @@ func (w *World) releaseHeld(sender int, n int64) {
 }
 
 // applyCorruptPayload mutates a payload per the corruption schedule:
-// NaN-poison or bit-flip for float payloads, bit-flip for int payloads.
-func applyCorruptPayload(cr *Corrupt, floats []float64, ints []int) {
-	switch {
-	case len(floats) > 0 && cr.Kind == CorruptNaN:
+// NaN-poison or bit-flip (an empty payload has nothing to corrupt).
+func applyCorruptPayload(cr *Corrupt, floats []float64) {
+	if cr.Kind == CorruptNaN {
 		integrity.PoisonNaN(floats, cr.Index)
-	case len(floats) > 0:
+	} else {
 		integrity.FlipFloatBit(floats, cr.Index, cr.Bit)
-	case len(ints) > 0:
-		i := cr.Index
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(ints) {
-			i = len(ints) - 1
-		}
-		ints[i] ^= 1 << uint(cr.Bit&63)
 	}
 }
 
@@ -494,13 +436,13 @@ func retryBackoff(rank, source, tag, attempt int) time.Duration {
 // the receiving rank, so exactly one rank observes each corruption —
 // which is what keeps the sdc.detected counter equal to sdc.injected.
 func (c *Comm) verifyMsg(msg message) message {
-	w := c.world.root
+	w := c.world
 	if w.noVerify {
 		return msg
 	}
 	tel := w.telemetry
 	for attempt := 0; ; attempt++ {
-		if integrity.ChecksumPayload(msg.data, msg.ints) == msg.sum {
+		if integrity.ChecksumPayload(msg.data, nil) == msg.sum {
 			if attempt > 0 && tel != nil {
 				tel.Counter("sdc.recovered").Add(1)
 			}
@@ -516,8 +458,8 @@ func (c *Comm) verifyMsg(msg message) message {
 				tel.Counter("sdc.escalated").Add(1)
 			}
 			panic(corruptionPanic{rank: c.rank, site: "recv",
-				err: fmt.Errorf("payload from rank %d (tag %d, %d floats, %d ints) failed checksum verification %d times",
-					msg.source, msg.tag, len(msg.data), len(msg.ints), attempt+1)})
+				err: fmt.Errorf("payload from rank %d (tag %d, %d floats) failed checksum verification %d times",
+					msg.source, msg.tag, len(msg.data), attempt+1)})
 		}
 		if tel != nil {
 			tel.Counter("sdc.retries").Add(1)
@@ -533,14 +475,13 @@ func (c *Comm) verifyMsg(msg message) message {
 // the defensive path is kept) the same bytes are retried and the ladder
 // runs to escalation.
 func (msg *message) retransmit() {
-	if msg.origin == nil && msg.originInts == nil {
+	if msg.origin == nil {
 		return
 	}
 	msg.data = append([]float64(nil), msg.origin...)
-	msg.ints = append([]int(nil), msg.originInts...)
 	if msg.corruptLeft > 0 {
 		msg.corruptLeft--
-		applyCorruptPayload(msg.corrupt, msg.data, msg.ints)
+		applyCorruptPayload(msg.corrupt, msg.data)
 	}
 }
 
@@ -552,21 +493,11 @@ func (c *Comm) Recv(source, tag int) (data []float64, actualSource, actualTag in
 		c.checkPeer(source)
 	}
 	c.faultHook(SiteRecv)
-	end := c.world.root.telemetry.TimedOp("mpi.op", "recv", c.rank, 0)
+	end := c.world.telemetry.TimedOp("mpi.op", "recv", c.rank, 0)
 	msg := c.world.boxes[c.rank].take(c, source, tag)
 	end()
 	msg = c.verifyMsg(msg)
 	return msg.data, msg.source, msg.tag
-}
-
-// RecvInts receives an integer payload.
-func (c *Comm) RecvInts(source, tag int) (data []int, actualSource, actualTag int) {
-	c.faultHook(SiteRecv)
-	end := c.world.root.telemetry.TimedOp("mpi.op", "recv", c.rank, 0)
-	msg := c.world.boxes[c.rank].take(c, source, tag)
-	end()
-	msg = c.verifyMsg(msg)
-	return msg.ints, msg.source, msg.tag
 }
 
 // InjectSDC fires the fault hook for a corruption-only site (SiteFock)
@@ -579,8 +510,8 @@ func (c *Comm) InjectSDC(site FaultSite, floats []float64) bool {
 	if cr == nil {
 		return false
 	}
-	applyCorruptPayload(cr, floats, nil)
-	if tel := c.world.root.telemetry; tel != nil {
+	applyCorruptPayload(cr, floats)
+	if tel := c.world.telemetry; tel != nil {
 		tel.Counter("sdc.injected").Add(1)
 		tel.Counter("sdc.injected." + string(site)).Add(1)
 	}
@@ -595,7 +526,7 @@ func (c *Comm) InjectSDCBytes(site FaultSite, data []byte) bool {
 		return false
 	}
 	integrity.FlipByteBit(data, cr.Index, cr.Bit)
-	if tel := c.world.root.telemetry; tel != nil {
+	if tel := c.world.telemetry; tel != nil {
 		tel.Counter("sdc.injected").Add(1)
 		tel.Counter("sdc.injected." + string(site)).Add(1)
 	}
@@ -637,12 +568,12 @@ func newCyclicBarrier(size int) *cyclicBarrier {
 }
 
 func (b *cyclicBarrier) await(c *Comm) {
-	deadline := c.world.root.deadline
+	deadline := c.world.deadline
 	var start time.Time
 	if deadline > 0 {
 		start = time.Now()
 	}
-	tel := c.world.root.telemetry
+	tel := c.world.telemetry
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.poisoned {
@@ -698,8 +629,7 @@ func (b *cyclicBarrier) poison() {
 // Barrier blocks until every rank has entered it.
 func (c *Comm) Barrier() {
 	c.faultHook(SiteBarrier)
-	c.world.stats.Barriers.Add(1)
-	end := c.world.root.telemetry.TimedOp("mpi.op", "barrier", c.rank, 0)
+	end := c.world.telemetry.TimedOp("mpi.op", "barrier", c.rank, 0)
 	c.world.barrier.await(c)
 	end()
 }
@@ -818,52 +748,4 @@ func (c *Comm) WinAcc(name string, offset int, data []float64) {
 	for i, v := range data {
 		w.data[offset+i] += v
 	}
-}
-
-// Split partitions the communicator by color (like MPI_Comm_split): ranks
-// with equal color form a new communicator whose ranks are ordered by
-// (key, old rank). A negative color opts out and receives nil. This is
-// how node-local communicators are carved out of the world (the paper's
-// jobs run 4 ranks per node; node-level collectives use such a split).
-// Collective: every rank must call it at the same point.
-func (c *Comm) Split(color, key int) *Comm {
-	// Gather (color, key) from every rank through a window, then compute
-	// membership deterministically on each rank.
-	name := fmt.Sprintf("mpi.split.%d", c.world.collSeq[c.rank].Add(1))
-	c.getWindow(name, 2*c.size)
-	cw, _ := c.world.windows.Load(name)
-	w := cw.(*window)
-	w.ctr[2*c.rank].Store(int64(color))
-	w.ctr[2*c.rank+1].Store(int64(key))
-	c.Barrier()
-	if color < 0 {
-		c.Barrier()
-		return nil
-	}
-	type member struct{ rank, key int }
-	var members []member
-	for r := 0; r < c.size; r++ {
-		if int(w.ctr[2*r].Load()) == color {
-			members = append(members, member{rank: r, key: int(w.ctr[2*r+1].Load())})
-		}
-	}
-	sort.Slice(members, func(a, b int) bool {
-		if members[a].key != members[b].key {
-			return members[a].key < members[b].key
-		}
-		return members[a].rank < members[b].rank
-	})
-	myNew := -1
-	for i, m := range members {
-		if m.rank == c.rank {
-			myNew = i
-		}
-	}
-	// Build the sub-world: a fresh set of mailboxes and barrier shared
-	// through another window-backed registry.
-	subKey := fmt.Sprintf("%s.world.%d", name, color)
-	v, _ := c.world.subWorlds.LoadOrStore(subKey, newWorld(len(members), c.world.root))
-	sub := v.(*World)
-	c.Barrier()
-	return &Comm{rank: myNew, size: len(members), world: sub}
 }

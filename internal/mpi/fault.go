@@ -270,7 +270,7 @@ type Reorder struct {
 // deadline or blocked receivers time out — which is exactly the
 // distinction the deadline machinery exists to make.
 type Partition struct {
-	Ranks    []int // one side of the cut (world ranks)
+	Ranks    []int // one side of the cut
 	Start    time.Duration
 	Duration time.Duration
 }
@@ -569,7 +569,7 @@ func RunWithOptions(size int, opt RunOptions, f func(c *Comm)) (*RunReport, erro
 	if size <= 0 {
 		return nil, fmt.Errorf("mpi: size must be positive, got %d", size)
 	}
-	w := newWorld(size, nil)
+	w := newWorld(size)
 	w.deadline = opt.Deadline
 	w.grace = opt.Grace
 	if w.grace <= 0 {
@@ -696,10 +696,9 @@ func (w *World) recordFailure(f RankFailure) {
 	w.poisonWorld(&fc)
 }
 
-// poisonWorld marks this world and every sub-world failed and wakes all
-// blocked waiters: barrier waiters AND mailbox receivers (the seed's
-// poison only woke the barrier — a receiver blocked on a dead peer hung
-// forever).
+// poisonWorld marks the world failed and wakes all blocked waiters:
+// barrier waiters AND mailbox receivers (the seed's poison only woke the
+// barrier — a receiver blocked on a dead peer hung forever).
 func (w *World) poisonWorld(f *RankFailure) {
 	w.poisonF.CompareAndSwap(nil, f)
 	w.barrier.poison()
@@ -711,10 +710,6 @@ func (w *World) poisonWorld(f *RankFailure) {
 		b.cond.Broadcast()
 		b.mu.Unlock()
 	}
-	w.subWorlds.Range(func(_, v any) bool {
-		v.(*World).poisonWorld(f)
-		return true
-	})
 }
 
 // buildReport snapshots per-rank outcomes into a RunReport.
@@ -776,31 +771,25 @@ func (w *World) startWatchdog() {
 	}()
 }
 
-// broadcastAll wakes every blocked waiter (recursively through split
-// communicators) so it can re-check poison and deadline state.
+// broadcastAll wakes every blocked waiter so it can re-check poison and
+// deadline state.
 func (w *World) broadcastAll() {
 	for _, b := range w.boxes {
 		b.cond.Broadcast()
 	}
 	w.barrier.cond.Broadcast()
-	w.subWorlds.Range(func(_, v any) bool {
-		v.(*World).broadcastAll()
-		return true
-	})
 }
 
 // --- per-comm fault hooks and queries ---
 
 // faultHook records one runtime event for fault injection and returns
 // the corruption scheduled for it, if any, so the caller can apply it to
-// the payload in flight. Injection targets world ranks, so events on
-// split communicators are not counted.
+// the payload in flight.
 func (c *Comm) faultHook(site FaultSite) *Corrupt {
-	w := c.world
-	if w != w.root || w.root.fault == nil {
+	if c.world.fault == nil {
 		return nil
 	}
-	return w.root.fault.hit(c.rank, site)
+	return c.world.fault.hit(c.rank, site)
 }
 
 // TaskStall applies any sustained chaos Slowdown scheduled for this rank
@@ -809,19 +798,18 @@ func (c *Comm) faultHook(site FaultSite) *Corrupt {
 // becomes Factor× the true latency — a genuine straggler rather than a
 // one-shot hiccup. Task loops (Fock builders, DLB workloads) call it
 // after each task. Returns the stall applied (0 when no slowdown is
-// scheduled, which is the fast path for clean runs). Like fault
-// injection, slowdowns target world ranks only.
+// scheduled, which is the fast path for clean runs).
 func (c *Comm) TaskStall(site FaultSite, elapsed time.Duration) time.Duration {
 	w := c.world
-	if w != w.root || w.root.fault == nil || elapsed <= 0 {
+	if w.fault == nil || elapsed <= 0 {
 		return 0
 	}
-	f := w.root.fault.slowdownFor(c.rank, site)
+	f := w.fault.slowdownFor(c.rank, site)
 	if f <= 1 {
 		return 0
 	}
 	stall := time.Duration(float64(elapsed) * (f - 1))
-	if tel := w.root.telemetry; tel != nil {
+	if tel := w.telemetry; tel != nil {
 		tel.Counter("chaos.slowdown.events").Add(1)
 		tel.Counter("chaos.slowdown_ns").Add(stall.Nanoseconds())
 	}
@@ -833,9 +821,6 @@ func (c *Comm) TaskStall(site FaultSite, elapsed time.Duration) time.Duration {
 // panic unwinds it like any other failure observation.
 func (c *Comm) checkFenced() {
 	w := c.world
-	if w != w.root {
-		return
-	}
 	if w.fenced[c.rank].Load() {
 		f := w.poisonF.Load()
 		if f == nil {
@@ -845,23 +830,15 @@ func (c *Comm) checkFenced() {
 	}
 }
 
-// checkPoison unwinds the caller if the world has been poisoned by a
-// peer's failure. Blocking primitives call it whenever they would wait.
-func (c *Comm) checkPoison() {
-	if f := c.world.poisonF.Load(); f != nil {
-		panic(failurePanic{f: f})
-	}
-}
-
 // Deadline returns the per-blocking-operation deadline of this run (0 =
 // none).
-func (c *Comm) Deadline() time.Duration { return c.world.root.deadline }
+func (c *Comm) Deadline() time.Duration { return c.world.deadline }
 
 // CheckDeadline panics with a timeout failure when the elapsed time since
 // start exceeds the run's deadline. Resilient algorithms call it in their
 // polling loops so a wedged lease-holder cannot stall the build forever.
 func (c *Comm) CheckDeadline(site string, start time.Time) {
-	d := c.world.root.deadline
+	d := c.world.deadline
 	if d <= 0 {
 		return
 	}
@@ -870,12 +847,11 @@ func (c *Comm) CheckDeadline(site string, start time.Time) {
 	}
 }
 
-// FailedRanks returns the world ranks currently known dead (killed,
-// panicked) or fenced after abandonment, ascending. Timed-out waiters are
-// not included — they are healthy ranks that gave up on a stuck peer. On
-// a split communicator the returned ids are still WORLD ranks.
+// FailedRanks returns the ranks currently known dead (killed, panicked)
+// or fenced after abandonment, ascending. Timed-out waiters are not
+// included — they are healthy ranks that gave up on a stuck peer.
 func (c *Comm) FailedRanks() []int {
-	w := c.world.root
+	w := c.world
 	set := map[int]bool{}
 	w.failMu.Lock()
 	for _, f := range w.failures {
@@ -896,6 +872,3 @@ func (c *Comm) FailedRanks() []int {
 	sort.Ints(out)
 	return out
 }
-
-// Healthy reports whether no failure has been observed in this run.
-func (c *Comm) Healthy() bool { return c.world.root.poisonF.Load() == nil }

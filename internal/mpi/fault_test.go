@@ -209,7 +209,7 @@ func TestKillAtDLBDrawFiresBeforeTheAdd(t *testing.T) {
 			return
 		}
 		// Rank 0 waits for the failure, then drains the counter.
-		for c.Healthy() {
+		for len(c.FailedRanks()) == 0 {
 			time.Sleep(time.Millisecond)
 		}
 		for i := 0; i < 10; i++ {
@@ -293,7 +293,7 @@ func TestFailedRanksQueryDuringRun(t *testing.T) {
 		}
 		// Survivors poll until the failure is visible.
 		deadline := time.Now().Add(2 * time.Second)
-		for c.Healthy() && time.Now().Before(deadline) {
+		for len(c.FailedRanks()) == 0 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 		mu.Lock()

@@ -115,22 +115,6 @@ func TestRecvTagSelectivity(t *testing.T) {
 	}
 }
 
-func TestSendInts(t *testing.T) {
-	err := Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.SendInts(1, 3, []int{42, -7})
-		} else {
-			d, src, tag := c.RecvInts(0, 3)
-			if src != 0 || tag != 3 || d[0] != 42 || d[1] != -7 {
-				t.Errorf("ints: %v", d)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBarrierOrdering(t *testing.T) {
 	var phase atomic.Int64
 	err := Run(8, func(c *Comm) {
@@ -241,67 +225,6 @@ func TestAllreduceRepeatedNoCrossTalk(t *testing.T) {
 	}
 }
 
-func TestGatherScatter(t *testing.T) {
-	err := Run(4, func(c *Comm) {
-		// Gather
-		out := make([]float64, 4)
-		c.Gather(1, []float64{float64(c.Rank() * c.Rank())}, out)
-		if c.Rank() == 1 {
-			for r := 0; r < 4; r++ {
-				if out[r] != float64(r*r) {
-					t.Errorf("gather: %v", out)
-				}
-			}
-		}
-		c.Barrier()
-		// Scatter
-		var in []float64
-		if c.Rank() == 1 {
-			in = []float64{10, 11, 12, 13}
-		}
-		chunk := make([]float64, 1)
-		c.Scatter(1, in, chunk)
-		if chunk[0] != float64(10+c.Rank()) {
-			t.Errorf("scatter rank %d: %v", c.Rank(), chunk)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllgather(t *testing.T) {
-	err := Run(5, func(c *Comm) {
-		out := make([]float64, 5)
-		c.Allgather([]float64{float64(c.Rank() + 1)}, out)
-		for r := 0; r < 5; r++ {
-			if out[r] != float64(r+1) {
-				t.Errorf("allgather rank %d: %v", c.Rank(), out)
-				return
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBcastInts(t *testing.T) {
-	err := Run(6, func(c *Comm) {
-		buf := make([]int, 2)
-		if c.Rank() == 3 {
-			buf[0], buf[1] = 17, -4
-		}
-		c.BcastInts(3, buf)
-		if buf[0] != 17 || buf[1] != -4 {
-			t.Errorf("rank %d: %v", c.Rank(), buf)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFetchAddSharedCounter(t *testing.T) {
 	const size, grabs = 8, 100
 	counts := make([]atomic.Int64, size*grabs)
@@ -350,24 +273,6 @@ func TestPanicPropagation(t *testing.T) {
 	}
 }
 
-func TestStatsAccounting(t *testing.T) {
-	err := Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 0, []float64{1, 2, 3, 4})
-		} else {
-			c.Recv(0, 0)
-		}
-		c.Barrier()
-		msgs, floats, barriers, _ := c.WorldStats()
-		if msgs < 1 || floats < 4 || barriers < 1 {
-			t.Errorf("stats: msgs=%d floats=%d barriers=%d", msgs, floats, barriers)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllreduceLargeBuffer(t *testing.T) {
 	// Fock-matrix sized reduction (packed triangular of N=60 -> 1830).
 	n := 1830
@@ -381,92 +286,6 @@ func TestAllreduceLargeBuffer(t *testing.T) {
 			want := 10.0 * float64(i) // (1+2+3+4) * i
 			if math.Abs(buf[i]-want) > 1e-12 {
 				t.Errorf("buf[%d] = %v want %v", i, buf[i], want)
-				return
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitByColor(t *testing.T) {
-	// 8 ranks on 2 "nodes" of 4 (the paper's layout): split by node id.
-	err := Run(8, func(c *Comm) {
-		node := c.Rank() / 4
-		sub := c.Split(node, c.Rank())
-		if sub == nil {
-			t.Errorf("rank %d got nil subcomm", c.Rank())
-			return
-		}
-		if sub.Size() != 4 {
-			t.Errorf("rank %d: sub size %d", c.Rank(), sub.Size())
-		}
-		if sub.Rank() != c.Rank()%4 {
-			t.Errorf("rank %d: sub rank %d", c.Rank(), sub.Rank())
-		}
-		// Node-local allreduce: sums within each node only.
-		buf := []float64{float64(c.Rank())}
-		sub.AllreduceSumInPlace(buf)
-		want := float64(0 + 1 + 2 + 3)
-		if node == 1 {
-			want = 4 + 5 + 6 + 7
-		}
-		if buf[0] != want {
-			t.Errorf("rank %d: node sum %v want %v", c.Rank(), buf[0], want)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitKeyOrdering(t *testing.T) {
-	// Reversed keys must reverse the sub-ranks.
-	err := Run(4, func(c *Comm) {
-		sub := c.Split(0, -c.Rank())
-		if sub.Rank() != 3-c.Rank() {
-			t.Errorf("rank %d: sub rank %d want %d", c.Rank(), sub.Rank(), 3-c.Rank())
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitOptOut(t *testing.T) {
-	err := Run(4, func(c *Comm) {
-		color := 0
-		if c.Rank() == 3 {
-			color = -1
-		}
-		sub := c.Split(color, 0)
-		if c.Rank() == 3 {
-			if sub != nil {
-				t.Error("opted-out rank got a communicator")
-			}
-			return
-		}
-		if sub == nil || sub.Size() != 3 {
-			t.Errorf("rank %d: bad subcomm", c.Rank())
-		}
-		// The sub-communicator must be fully functional.
-		sub.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitRepeated(t *testing.T) {
-	// Successive splits must not interfere.
-	err := Run(6, func(c *Comm) {
-		for iter := 0; iter < 5; iter++ {
-			sub := c.Split(c.Rank()%2, c.Rank())
-			buf := []float64{1}
-			sub.AllreduceSumInPlace(buf)
-			if buf[0] != 3 {
-				t.Errorf("iter %d rank %d: %v", iter, c.Rank(), buf[0])
 				return
 			}
 		}

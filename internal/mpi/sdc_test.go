@@ -54,8 +54,8 @@ func TestEverySingleBitFlipDetectedInCollective(t *testing.T) {
 }
 
 // TestCorruptionDetectedOnReduceAndGather verifies the framing holds on
-// the reduction-tree and gather paths too (receive sites deeper in the
-// trees), and that NaN poison in flight is equally caught.
+// the reduction-tree path too (receive sites deeper in the tree), and
+// that NaN poison in flight is equally caught.
 func TestCorruptionDetectedOnReduceAndGather(t *testing.T) {
 	for _, kind := range []CorruptionKind{CorruptBitFlip, CorruptNaN} {
 		tel := telemetry.NewSession()

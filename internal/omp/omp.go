@@ -1,9 +1,8 @@
 // Package omp provides an OpenMP-like threading runtime: fork-join
 // parallel regions executed by a fixed team of goroutines, work-shared
-// loops with static, dynamic, and guided schedules (including the
-// collapse(2) dynamic schedule of the paper's Algorithm 2), master
-// sections, barriers, and the chunked tree reduction used to flush
-// per-thread Fock buffers (paper Figure 1).
+// loops under the dynamic schedule (including the collapse(2) form of
+// the paper's Algorithm 2), master sections, barriers, and the chunked
+// tree reduction used to flush per-thread Fock buffers (paper Figure 1).
 //
 // Semantics mirror the OpenMP constructs the paper's pragmas use: every
 // thread of a region must reach the same work-sharing constructs in the
@@ -12,40 +11,20 @@
 package omp
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// ScheduleKind selects a loop schedule.
+// ScheduleKind names a loop schedule. Dynamic — threads grab chunks from
+// a shared counter — is the paper's schedule(dynamic,1), the schedule of
+// every work-shared loop in Algorithms 2 and 3 and the only one here.
 type ScheduleKind int
 
-// Loop schedules. Static hands each thread contiguous chunks round-robin;
-// Dynamic lets threads grab chunks from a shared counter (the paper's
-// schedule(dynamic,1)); Guided shrinks chunk sizes as work drains.
-const (
-	Static ScheduleKind = iota
-	Dynamic
-	Guided
-)
+const Dynamic ScheduleKind = iota
 
-func (k ScheduleKind) String() string {
-	switch k {
-	case Static:
-		return "static"
-	case Dynamic:
-		return "dynamic"
-	case Guided:
-		return "guided"
-	default:
-		return fmt.Sprintf("ScheduleKind(%d)", int(k))
-	}
-}
-
-// Schedule is a loop schedule with a chunk size (0 means the schedule's
-// natural default).
+// Schedule is a loop schedule with a chunk size (0 means 1).
 type Schedule struct {
 	Kind  ScheduleKind
 	Chunk int
@@ -71,12 +50,12 @@ func (t *Team) NumThreads() int { return t.n }
 type region struct {
 	n       int
 	barrier *barrier
-	// loops are the shared next-iteration counters of the dynamic and
-	// guided constructs, alternating by construct parity. Two are enough:
-	// the thread that takes the last chunk of one construct zeroes the
-	// OTHER counter, which the construct before last used and every thread
-	// left before the barrier that closed it, and which the next construct
-	// cannot touch before this thread reaches the barrier closing this one.
+	// loops are the shared next-iteration counters of the work-shared
+	// loops, alternating by construct parity. Two are enough: the thread
+	// that takes the last chunk of one construct zeroes the OTHER counter,
+	// which the construct before last used and every thread left before the
+	// barrier that closed it, and which the next construct cannot touch
+	// before this thread reaches the barrier closing this one.
 	loops [2]atomic.Int64
 }
 
@@ -169,7 +148,7 @@ func (b *barrier) await() {
 type Context struct {
 	id       int
 	region   *region
-	seq      int // dynamic/guided constructs this thread has entered
+	seq      int // work-shared loops this thread has entered
 	barriers int // barriers this thread has passed
 }
 
@@ -239,67 +218,26 @@ func (c *Context) forLoop(n int, sched Schedule, body func(i int)) {
 	if n <= 0 {
 		return
 	}
-	switch sched.Kind {
-	case Static:
-		chunk := sched.Chunk
-		if chunk <= 0 {
-			// Default static: one contiguous block per thread.
-			chunk = (n + c.region.n - 1) / c.region.n
+	c.seq++
+	next, other := &c.region.loops[c.seq&1], &c.region.loops[(c.seq+1)&1]
+	chunk := sched.Chunk
+	if chunk <= 0 {
+		chunk = 1
+	}
+	for {
+		lo := int(next.Add(int64(chunk))) - chunk
+		if lo >= n {
+			break
 		}
-		for start := c.id * chunk; start < n; start += c.region.n * chunk {
-			end := start + chunk
-			if end > n {
-				end = n
-			}
-			for i := start; i < end; i++ {
-				body(i)
-			}
+		hi := lo + chunk
+		if hi >= n {
+			// Last chunk: ready the other counter for the next construct.
+			hi = n
+			other.Store(0)
 		}
-	case Dynamic, Guided:
-		c.seq++
-		next, other := &c.region.loops[c.seq&1], &c.region.loops[(c.seq+1)&1]
-		minChunk := sched.Chunk
-		if minChunk <= 0 {
-			minChunk = 1
+		for i := lo; i < hi; i++ {
+			body(i)
 		}
-		for {
-			var lo, hi int
-			if sched.Kind == Dynamic {
-				lo = int(next.Add(int64(minChunk))) - minChunk
-				hi = lo + minChunk
-			} else {
-				// Guided: take max(remaining/(2T), minChunk).
-				for {
-					cur := next.Load()
-					remaining := int64(n) - cur
-					if remaining <= 0 {
-						lo, hi = n, n
-						break
-					}
-					take := remaining / int64(2*c.region.n)
-					if take < int64(minChunk) {
-						take = int64(minChunk)
-					}
-					if next.CompareAndSwap(cur, cur+take) {
-						lo, hi = int(cur), int(cur+take)
-						break
-					}
-				}
-			}
-			if lo >= n {
-				break
-			}
-			if hi >= n {
-				// Last chunk: ready the other counter for the next construct.
-				hi = n
-				other.Store(0)
-			}
-			for i := lo; i < hi; i++ {
-				body(i)
-			}
-		}
-	default:
-		panic(fmt.Sprintf("omp: unknown schedule %v", sched.Kind))
 	}
 }
 

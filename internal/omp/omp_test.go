@@ -71,9 +71,7 @@ func coverageCheck(t *testing.T, n int, counts []atomic.Int64) {
 
 func TestForSchedulesCoverEachIterationOnce(t *testing.T) {
 	for _, sched := range []Schedule{
-		{Kind: Static}, {Kind: Static, Chunk: 3},
-		{Kind: Dynamic}, {Kind: Dynamic, Chunk: 4},
-		{Kind: Guided}, {Kind: Guided, Chunk: 2},
+		{Kind: Dynamic}, {Kind: Dynamic, Chunk: 1}, {Kind: Dynamic, Chunk: 4},
 	} {
 		for _, n := range []int{0, 1, 7, 64, 1001} {
 			counts := make([]atomic.Int64, n)
@@ -200,12 +198,6 @@ func TestParallelPanicPropagates(t *testing.T) {
 	})
 }
 
-func TestScheduleString(t *testing.T) {
-	if Static.String() != "static" || Dynamic.String() != "dynamic" || Guided.String() != "guided" {
-		t.Fatal("schedule names wrong")
-	}
-}
-
 func TestDynamicLoadBalanceSkew(t *testing.T) {
 	// With dynamic,1 and a skewed workload a 2-thread team must finish
 	// iterations without any thread claiming two copies of the same index;
@@ -233,14 +225,14 @@ func TestDynamicLoadBalanceSkew(t *testing.T) {
 
 // TestBarrierAndLoopsOversubscribed drives the whole runtime the way a
 // 4x4 hybrid run on 2 vCPUs does: 8 threads on 2 Ps, 10,000 barriers
-// interleaved with dynamic, guided and static loops of varying length
+// interleaved with dynamic loops of varying chunk and length
 // (0 and 1 included) in ONE region. Every index of every loop is visited
 // exactly once — the two alternating loop counters never leak a chunk
 // across constructs — and no thread passes a barrier early.
 func TestBarrierAndLoopsOversubscribed(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const threads, rounds = 8, 2500 // 4 barriers per round
-	scheds := []Schedule{{Kind: Dynamic, Chunk: 1}, {Kind: Guided}, {Kind: Static, Chunk: 2}, {Kind: Dynamic, Chunk: 3}}
+	scheds := []Schedule{{Kind: Dynamic, Chunk: 1}, {Kind: Dynamic}, {Kind: Dynamic, Chunk: 2}, {Kind: Dynamic, Chunk: 3}}
 	lens := []int{0, 1, 2, 7, 8, 33}
 	// visits[r] counts the visits to each index of round r's loop; arrived
 	// counts the threads past each round's explicit barrier.

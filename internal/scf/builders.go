@@ -10,17 +10,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// SerialBuilder returns a Builder running the single-threaded reference
-// Fock construction.
-func SerialBuilder(eng *integrals.Engine, sch *integrals.Schwarz, tau float64) Builder {
-	if tau == 0 {
-		tau = fock.DefaultTau
-	}
-	return func(d *linalg.Matrix) (*linalg.Matrix, fock.Stats) {
-		return fock.SerialBuild(eng, sch, d, tau)
-	}
-}
-
 // Algorithm names a Fock preset — and with it the storage the SCF
 // iterates on: replicated matrices for the serial build, the paper's
 // three parallelizations and the resilient build; distributed tiles for

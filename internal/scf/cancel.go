@@ -8,7 +8,7 @@ package scf
 // Parallel runs cannot decide locally: the shared Context flips from
 // "live" to "canceled" at one instant, and two ranks reading it a
 // microsecond apart would disagree, leaving the late rank blocked in the
-// next collective. Options.CancelAgree closes that race: each rank feeds
+// next collective. Options.cancelAgree closes that race: each rank feeds
 // its local observation into a tiny max-allreduce, so either every rank
 // stops at iteration k or none does.
 
@@ -46,7 +46,7 @@ func (e *CanceledError) Is(target error) bool { return target == ErrCanceled }
 // context.DeadlineExceeded) to errors.Is.
 func (e *CanceledError) Unwrap() error { return e.Cause }
 
-// CollectiveCancel returns a CancelAgree implementation for a parallel
+// CollectiveCancel returns a cancelAgree implementation for a parallel
 // run on comm c: each rank contributes its local observation to a
 // one-element max-allreduce, so all ranks reach the identical decision at
 // the identical iteration. The allreduce is three floats of traffic per

@@ -198,7 +198,7 @@ func (st *denseStep) buildValidated(iter int, ds []*linalg.Matrix, res *Result) 
 	tel0.Counter("sdc.detected").Add(1)
 	tel0.Counter("sdc.detected.fock").Add(1)
 	tel0.Counter("integrity.fock.recomputed").Add(1)
-	tel0.Instant("integrity", "fock-quarantine", st.opt.TelemetryRank, 0,
+	tel0.Instant("integrity", "fock-quarantine", st.opt.rank, 0,
 		map[string]any{"iter": iter, "cause": verr.Error()})
 	g, stats2 := st.build(ds)
 	res.TotalFockStats.Add(stats2)
@@ -289,7 +289,7 @@ func (st *denseStep) run(iter int, ePrev float64, res *Result) (IterInfo, error)
 		// force the ladder a rung instead.
 		tel0.Counter("sdc.detected").Add(1)
 		tel0.Counter("sdc.detected.density").Add(1)
-		tel0.Instant("integrity", "density-invalid", opt.TelemetryRank, 0,
+		tel0.Instant("integrity", "density-invalid", opt.rank, 0,
 			map[string]any{"iter": iter, "cause": verr.Error()})
 		if wd != nil && degrade == "" {
 			degrade = wd.escalate()
@@ -302,7 +302,7 @@ func (st *denseStep) run(iter int, ePrev float64, res *Result) (IterInfo, error)
 			}
 		}
 		tel0.Counter("integrity.watchdog.escalations").Add(1)
-		tel0.Instant("integrity", "watchdog-"+degrade, opt.TelemetryRank, 0,
+		tel0.Instant("integrity", "watchdog-"+degrade, opt.rank, 0,
 			map[string]any{"iter": iter, "dE": dE, "rmsD": rms})
 		// A watchdog escalation is a postmortem moment: snapshot the
 		// flight ring so the spans leading up to it survive the run.

@@ -1,6 +1,7 @@
 package scf
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -15,7 +16,8 @@ import (
 // derivative integrals needed) and steepest descent with backtracking —
 // adequate for the small systems real execution targets. Every gradient
 // component costs two SCF calculations, all funneled through the same
-// Fock machinery the paper parallelizes.
+// Run every other caller uses, on the production ERI source, and
+// warm-started from the density of the last accepted geometry.
 
 // OptimizeOptions controls the geometry search.
 type OptimizeOptions struct {
@@ -56,22 +58,23 @@ type OptimizeResult struct {
 	EnergyTrace []float64
 }
 
-// energyAt runs a serial RHF on a geometry and returns the total energy.
-func energyAt(mol *molecule.Molecule, basisName string, opt Options) (float64, error) {
+// energyAt runs a serial RHF on a geometry and returns the converged
+// result.
+func energyAt(mol *molecule.Molecule, basisName string, opt Options) (*Result, error) {
 	b, err := basis.Build(mol, basisName)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	eng := integrals.NewEngine(b)
-	sch := integrals.ComputeSchwarz(eng)
-	res, err := RunRHF(eng, SerialBuilder(eng, sch, 0), opt)
+	res, err := Run(context.Background(), eng, integrals.ComputeSchwarz(eng),
+		integrals.NewPairCache(eng, 0), Plan{SCF: opt})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if !res.Converged {
-		return 0, fmt.Errorf("scf: SCF did not converge during optimization")
+		return nil, fmt.Errorf("scf: SCF did not converge during optimization")
 	}
-	return res.Energy, nil
+	return res, nil
 }
 
 // NumericalGradient returns dE/dR (hartree/bohr) for every atomic
@@ -82,17 +85,17 @@ func NumericalGradient(mol *molecule.Molecule, basisName string, opt Options, h 
 		for ax := 0; ax < 3; ax++ {
 			plus := cloneMol(mol)
 			plus.Atoms[a].Pos[ax] += h
-			ep, err := energyAt(plus, basisName, opt)
+			rp, err := energyAt(plus, basisName, opt)
 			if err != nil {
 				return nil, err
 			}
 			minus := cloneMol(mol)
 			minus.Atoms[a].Pos[ax] -= h
-			em, err := energyAt(minus, basisName, opt)
+			rm, err := energyAt(minus, basisName, opt)
 			if err != nil {
 				return nil, err
 			}
-			grad[a][ax] = (ep - em) / (2 * h)
+			grad[a][ax] = (rp.Energy - rm.Energy) / (2 * h)
 		}
 	}
 	return grad, nil
@@ -109,10 +112,14 @@ func Optimize(mol *molecule.Molecule, o OptimizeOptions) (*OptimizeResult, error
 	o = o.withDefaults()
 	cur := cloneMol(mol)
 	res := &OptimizeResult{Molecule: cur}
-	e, err := energyAt(cur, o.BasisName, o.SCF)
+	first, err := energyAt(cur, o.BasisName, o.SCF)
 	if err != nil {
 		return nil, err
 	}
+	// Every SCF from here on starts from the density of the last accepted
+	// geometry: displaced and trial geometries are a few millibohr away.
+	e := first.Energy
+	o.SCF.InitialDensity = first.D
 	res.Energy = e
 	res.EnergyTrace = append(res.EnergyTrace, e)
 
@@ -145,9 +152,10 @@ func Optimize(mol *molecule.Molecule, o OptimizeOptions) (*OptimizeResult, error
 					trial.Atoms[a].Pos[ax] -= alpha * grad[a][ax]
 				}
 			}
-			et, err := energyAt(trial, o.BasisName, o.SCF)
-			if err == nil && et < e {
-				cur, e = trial, et
+			rt, err := energyAt(trial, o.BasisName, o.SCF)
+			if err == nil && rt.Energy < e {
+				cur, e = trial, rt.Energy
+				o.SCF.InitialDensity = rt.D
 				res.Molecule = cur
 				res.Energy = e
 				res.EnergyTrace = append(res.EnergyTrace, e)

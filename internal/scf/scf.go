@@ -58,35 +58,36 @@ type Options struct {
 	OnIteration func(iter int, res *Result)
 	// Telemetry, when set, receives one scf.iter span per iteration
 	// (args: energy, dE, rmsD) plus energy/convergence gauges; nil
-	// disables instrumentation. TelemetryRank is the trace lane (pid) of
-	// this SCF instance — the MPI rank for parallel runs, 0 for serial;
-	// gauges and the iteration counter are emitted from rank 0 only so a
-	// collective run does not multiply-count them.
-	Telemetry     *telemetry.Session
-	TelemetryRank int
-	// Context, when non-nil with a non-nil Done channel, is polled once
-	// per iteration; a canceled or expired context stops the loop at the
-	// next iteration boundary with a *CanceledError (errors.Is
-	// ErrCanceled). The partial Result accumulated so far is returned
-	// alongside the error.
-	Context context.Context
-	// CancelAgree, when set, replaces the local Context poll with a
-	// collective agreement (see the cancel.go package comment): it is
-	// called once per iteration on every rank with the rank's local
-	// cancellation observation and must return the agreed decision. All
-	// ranks must call it the same number of times — implementations are
-	// collectives.
-	CancelAgree func(local bool) bool
+	// disables instrumentation.
+	Telemetry *telemetry.Session
 	// DisableWatchdog turns off the convergence watchdog (watchdog.go).
 	// Enabled by default: a converging run never trips it, while a
 	// diverging or oscillating one is walked down the degradation ladder
 	// instead of burning MaxIter iterations or returning NaN.
 	DisableWatchdog bool
 
-	// warm is a restart state handed down by the supervisor: one density
-	// per spin channel, from a verified checkpoint. It wins over
-	// InitialDensity.
+	// What follows is set by Run and its supervisor only.
+
+	// warm is a restart state: one density per spin channel, from a
+	// verified checkpoint. It wins over InitialDensity.
 	warm []*linalg.Matrix
+	// rank is the trace lane (pid) of this SCF instance — the MPI rank for
+	// parallel runs, 0 for serial; gauges and the iteration counter are
+	// emitted from rank 0 only so a collective run does not multiply-count
+	// them.
+	rank int
+	// ctx, when non-nil with a non-nil Done channel, is polled once per
+	// iteration; a canceled or expired context stops the loop at the next
+	// iteration boundary with a *CanceledError (errors.Is ErrCanceled).
+	// The partial Result accumulated so far is returned alongside the
+	// error.
+	ctx context.Context
+	// cancelAgree, when set, replaces the local ctx poll with a collective
+	// agreement (see the cancel.go package comment): it is called once per
+	// iteration on every rank with the rank's local cancellation
+	// observation and must return the agreed decision. All ranks must call
+	// it the same number of times — implementations are collectives.
+	cancelAgree func(local bool) bool
 }
 
 func (o Options) withDefaults() Options {
@@ -106,7 +107,7 @@ func (o Options) withDefaults() Options {
 // elsewhere: counters, gauges and instants of a collective run are
 // emitted once, not once per rank.
 func (o Options) rank0() *telemetry.Session {
-	if o.TelemetryRank != 0 {
+	if o.rank != 0 {
 		return nil
 	}
 	return o.Telemetry
@@ -192,21 +193,21 @@ type step interface {
 // start with ePrev the energy of iteration start-1 (a resumed run
 // continues its trajectory; a fresh one passes 1 and +Inf).
 func iterate(opt Options, st step, res *Result, start int, ePrev float64) error {
-	tel, rank, tel0 := opt.Telemetry, opt.TelemetryRank, opt.rank0()
+	tel, rank, tel0 := opt.Telemetry, opt.rank, opt.rank0()
 	for iter := start; iter <= opt.MaxIter; iter++ {
 		// Cancellation gate. Parallel runs agree collectively (every rank
 		// must reach this point the same number of times); serial runs
 		// trust the local poll. Checked before any work so a canceled job
 		// never starts another O(n^4) Fock build.
-		if opt.CancelAgree != nil || (opt.Context != nil && opt.Context.Done() != nil) {
-			stop := opt.Context != nil && opt.Context.Err() != nil
-			if opt.CancelAgree != nil {
-				stop = opt.CancelAgree(stop)
+		if opt.cancelAgree != nil || (opt.ctx != nil && opt.ctx.Done() != nil) {
+			stop := opt.ctx != nil && opt.ctx.Err() != nil
+			if opt.cancelAgree != nil {
+				stop = opt.cancelAgree(stop)
 			}
 			if stop {
 				var cause error
-				if opt.Context != nil {
-					cause = context.Cause(opt.Context)
+				if opt.ctx != nil {
+					cause = context.Cause(opt.ctx)
 				}
 				tel0.Counter("scf.canceled").Add(1)
 				tel0.Instant("scf.cancel", "canceled", rank, 0, map[string]any{"iter": iter})

@@ -12,6 +12,17 @@ import (
 	"repro/internal/molecule"
 )
 
+// SerialBuilder is the tests' oracle builder: the single-threaded
+// reference Fock construction on the direct engine.
+func SerialBuilder(eng *integrals.Engine, sch *integrals.Schwarz, tau float64) Builder {
+	if tau == 0 {
+		tau = fock.DefaultTau
+	}
+	return func(d *linalg.Matrix) (*linalg.Matrix, fock.Stats) {
+		return fock.SerialBuild(eng, sch, d, tau)
+	}
+}
+
 func serialSCF(t testing.TB, mol *molecule.Molecule, set string, opt Options) (*Result, *integrals.Engine) {
 	t.Helper()
 	b, err := basis.Build(mol, set)
@@ -316,33 +327,6 @@ func TestMP2RequiresConvergence(t *testing.T) {
 	}
 }
 
-func TestInCoreSCFMatchesDirect(t *testing.T) {
-	b, err := basis.Build(molecule.Water(), "sto-3g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := integrals.NewEngine(b)
-	sch := integrals.ComputeSchwarz(eng)
-	direct, err := RunRHF(eng, SerialBuilder(eng, sch, 0), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := fock.BuildStore(eng, sch, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conv, err := RunRHF(eng, store.BuildFock, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(conv.Energy-direct.Energy) > 1e-11 {
-		t.Fatalf("in-core %v vs direct %v", conv.Energy, direct.Energy)
-	}
-	if conv.Iterations != direct.Iterations {
-		t.Fatalf("iteration counts differ: %d vs %d", conv.Iterations, direct.Iterations)
-	}
-}
-
 func TestGWHGuess(t *testing.T) {
 	core, _ := serialSCF(t, molecule.Water(), "sto-3g", Options{})
 	gwh, _ := serialSCF(t, molecule.Water(), "sto-3g", Options{Guess: "gwh"})
@@ -364,36 +348,6 @@ func TestUnknownGuessRejected(t *testing.T) {
 	sch := integrals.ComputeSchwarz(eng)
 	if _, err := RunRHF(eng, SerialBuilder(eng, sch, 0), Options{Guess: "bogus"}); err == nil {
 		t.Fatal("expected unknown-guess error")
-	}
-}
-
-func TestIncrementalSCFConverges(t *testing.T) {
-	// Full SCF on the incremental builder: same energy, and the final
-	// iterations must evaluate fewer quartets than the first.
-	b, _ := basis.Build(molecule.Water(), "sto-3g")
-	eng := integrals.NewEngine(b)
-	sch := integrals.ComputeSchwarz(eng)
-	direct, err := RunRHF(eng, SerialBuilder(eng, sch, 0), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ib := fock.NewIncrementalBuilder(eng, sch, 0)
-	// Converge one decade deeper so the final density increments fall
-	// into the regime the density-weighted screen can discard.
-	res, err := RunRHF(eng, ib.Build, Options{ConvDens: 1e-10, ConvEnergy: 1e-11, MaxIter: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("incremental SCF did not converge")
-	}
-	if math.Abs(res.Energy-direct.Energy) > 1e-7 {
-		t.Fatalf("incremental %v vs direct %v", res.Energy, direct.Energy)
-	}
-	first := res.History[0].FockStat.QuartetsComputed
-	last := res.History[len(res.History)-1].FockStat.QuartetsComputed
-	if last >= first {
-		t.Fatalf("late-iteration work did not shrink: first %d last %d", first, last)
 	}
 }
 

@@ -287,7 +287,7 @@ func Run(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwarz,
 	if p.Algorithm == AlgSerial {
 		opt := p.SCF
 		if ctx.Done() != nil {
-			opt.Context = ctx
+			opt.ctx = ctx
 		}
 		if src == nil {
 			src = eng
@@ -432,10 +432,10 @@ func supervise(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwar
 			func(c *mpi.Comm) {
 				rank := c.Rank()
 				o := opt
-				o.TelemetryRank = rank
+				o.rank = rank
 				if runCtx.Done() != nil {
-					o.Context = runCtx
-					o.CancelAgree = CollectiveCancel(c)
+					o.ctx = runCtx
+					o.cancelAgree = CollectiveCancel(c)
 				}
 				if rank != 0 {
 					o.OnIteration = nil

@@ -176,7 +176,7 @@ type tiledStep struct {
 
 // runTiled is one rank's loop over distributed state; opt carries the
 // rank's trace lane and, under a cancelable context, the collective
-// CancelAgree (ranks are goroutines over one context: a local poll could
+// cancelAgree (ranks are goroutines over one context: a local poll could
 // split the world at an iteration boundary). The one-time setup
 // (overlap, core Hamiltonian, Löwdin orthogonalizer) is computed densely
 // on every rank and scattered, then released — or, with a resume,
@@ -324,7 +324,7 @@ func runTiled(c *mpi.Comm, eng *integrals.Engine, sch *integrals.Schwarz, cfg fo
 
 func (st *tiledStep) run(iter int, ePrev float64, res *Result) (IterInfo, error) {
 	if st.store != nil {
-		st.store.register(st.opt.TelemetryRank, tiledSnapshot{
+		st.store.register(st.opt.rank, tiledSnapshot{
 			iter: iter, ePrev: ePrev,
 			hist: append([]IterInfo(nil), res.History...),
 			dX:   st.dX, dH: st.dH, dD: st.dD,

@@ -74,9 +74,13 @@ func expectedTime(t0, lambda, cost float64) float64 {
 // RunResilience sweeps the Figure 7 configuration (5.0 nm, shared-Fock,
 // 4 ranks x 64 threads, 512-3,000 Theta nodes) under the MTBF failure
 // model, reporting expected time-to-solution for both recovery
-// strategies. The per-iteration build time comes from the same simulator
-// run as Figure 7, so the two artifacts stay consistent.
+// strategies. The per-iteration build time is Figure 7's own simulator
+// run (ProfileCache.fig7Sweep), so the two artifacts stay consistent.
 func RunResilience(pc *ProfileCache) ([]ResilienceRow, error) {
+	sweep, err := pc.fig7Sweep()
+	if err != nil {
+		return nil, err
+	}
 	p, err := pc.Get("5.0nm")
 	if err != nil {
 		return nil, err
@@ -86,11 +90,9 @@ func RunResilience(pc *ProfileCache) ([]ResilienceRow, error) {
 	nbf := float64(p.W.NBF)
 	ckptWriteSec := 8 * nbf * nbf / resilienceFSBandwidth
 
-	nodeCounts := []int{512, 1024, 1536, 2048, 2500, 3000}
-	rows := make([]ResilienceRow, 0, len(nodeCounts))
-	for _, nodes := range nodeCounts {
-		r := Simulate(p, Config{Machine: theta, Job: hybridJob(nodes), Algorithm: AlgSharedFock})
-		iterSec := r.FockSec
+	rows := make([]ResilienceRow, 0, len(fig7Nodes))
+	for i, nodes := range fig7Nodes {
+		iterSec := sweep[i].FockSec
 		base := resilienceIters * iterSec
 		lambda := 1 / theta.SystemMTBFSec(nodes)
 

@@ -9,7 +9,7 @@ func TestRunResilience(t *testing.T) {
 	if testing.Short() {
 		t.Skip("5.0nm profile derivation")
 	}
-	pc := NewProfileCache()
+	pc := testCache
 	rows, err := RunResilience(pc)
 	if err != nil {
 		t.Fatal(err)

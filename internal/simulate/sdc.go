@@ -27,8 +27,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"repro/internal/cluster"
 )
 
 // SDC model constants.
@@ -75,19 +73,16 @@ type SDCRow struct {
 // RunSDC sweeps the Figure 7 configuration (5.0 nm, shared-Fock, 512 to
 // 3,000 Theta nodes) under the SDC model, pricing the silent-failure
 // probability without the integrity layer against the run-time overhead
-// with it. The per-iteration build time comes from the same simulator
-// profile as Figure 7, so the artifacts stay consistent.
+// with it. The per-iteration build time is Figure 7's own simulator run
+// (ProfileCache.fig7Sweep), so the artifacts stay consistent.
 func RunSDC(pc *ProfileCache) ([]SDCRow, error) {
-	p, err := pc.Get("5.0nm")
+	sweep, err := pc.fig7Sweep()
 	if err != nil {
 		return nil, err
 	}
-	theta := cluster.Theta()
-	nodeCounts := []int{512, 1024, 1536, 2048, 2500, 3000}
-	rows := make([]SDCRow, 0, len(nodeCounts))
-	for _, nodes := range nodeCounts {
-		r := Simulate(p, Config{Machine: theta, Job: hybridJob(nodes), Algorithm: AlgSharedFock})
-		iterSec := r.FockSec
+	rows := make([]SDCRow, 0, len(fig7Nodes))
+	for i, nodes := range fig7Nodes {
+		iterSec := sweep[i].FockSec
 		base := resilienceIters * iterSec
 
 		// Critical-strike rate: FIT -> events/s/node, times the machine,

@@ -11,7 +11,7 @@ import (
 // always-on checksum floor, and the machine-wide strike rate must grow
 // with the node count.
 func TestSDCModel(t *testing.T) {
-	pc := NewProfileCache()
+	pc := testCache
 	rows, err := RunSDC(pc)
 	if err != nil {
 		t.Fatal(err)

@@ -272,7 +272,7 @@ func simulatePairTasks(p *Profile, res *Result, job cluster.Job,
 
 	cheap := dlbLat + cm.TPairCheck
 	for ij := 0; ij < nPairs; ij++ {
-		r := heap.Pop(&h).(rankState)
+		r := &h[0] // the rank that frees up first
 		grab := math.Max(r.ready, counterFree)
 		counterFree = grab + dlbService
 		bd.DLBSec += (grab - r.ready) + dlbLat
@@ -302,7 +302,7 @@ func simulatePairTasks(p *Profile, res *Result, job cluster.Job,
 			}
 		}
 		r.ready = grab + dt
-		heap.Push(&h, r)
+		heap.Fix(&h, 0)
 	}
 	finish := 0.0
 	for _, r := range h {
@@ -334,7 +334,7 @@ func simulatePrivate(p *Profile, res *Result, job cluster.Job,
 	const tChunkGrab = 60e-9 // dynamic-schedule chunk fetch
 
 	for i := 0; i < ns; i++ {
-		r := heap.Pop(&h).(rankState)
+		r := &h[0] // the rank that frees up first
 		grab := math.Max(r.ready, counterFree)
 		counterFree = grab + dlbService
 		bd.DLBSec += (grab - r.ready) + dlbLat
@@ -350,7 +350,7 @@ func simulatePrivate(p *Profile, res *Result, job cluster.Job,
 		bd.SyncSec += sync + chunkOv
 
 		r.ready = grab + dt
-		heap.Push(&h, r)
+		heap.Fix(&h, 0)
 	}
 	finish := 0.0
 	for _, r := range h {

@@ -13,14 +13,18 @@ import (
 	"repro/internal/molecule"
 )
 
+// testCache is the one ProfileCache of the package's tests: profiles and
+// the Figure 7 sweep are derived once per test binary, as they are once
+// per `scaling` process. Nothing mutates its cost model.
+var testCache = NewProfileCache()
+
 func testProfile(t testing.TB, system string) *Profile {
 	t.Helper()
-	w, err := PaperWorkload(system)
+	p, err := testCache.Get(system)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := DefaultCostModel()
-	return NewProfile(w, DefaultTauPaper, &cm)
+	return p
 }
 
 func TestShellClassOf(t *testing.T) {
@@ -235,7 +239,7 @@ func TestTable3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-config simulation")
 	}
-	pc := NewProfileCache()
+	pc := testCache
 	rows, err := RunTable3(pc)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +275,7 @@ func TestFig4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-config simulation")
 	}
-	pc := NewProfileCache()
+	pc := testCache
 	rows, err := RunFig4(pc)
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +302,7 @@ func TestFig5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-config simulation")
 	}
-	pc := NewProfileCache()
+	pc := testCache
 	rows, err := RunFig5(pc)
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +335,7 @@ func TestFig3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-config simulation")
 	}
-	pc := NewProfileCache()
+	pc := testCache
 	rows, err := RunFig3(pc)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +362,7 @@ func TestDLBContentionAblationMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-config simulation")
 	}
-	pc := NewProfileCache()
+	pc := testCache
 	rows, err := RunDLBContentionAblation(pc)
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +403,7 @@ func TestSystemSweepScreeningShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-system profiles")
 	}
-	pc := NewProfileCache()
+	pc := testCache
 	rows, err := RunSystemSweep(pc, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +436,7 @@ func TestFormattersAndCSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-config simulation")
 	}
-	pc := NewProfileCache()
+	pc := testCache
 	t2 := RunTable2()
 	if s := FormatTable2(t2); len(s) == 0 || !containsAll(s, "0.5nm", "5.0nm") {
 		t.Fatal("FormatTable2 output wrong")
@@ -500,7 +504,7 @@ func TestRunBreakdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-config simulation")
 	}
-	pc := NewProfileCache()
+	pc := testCache
 	rows, err := RunBreakdown(pc, "2.0nm", 512)
 	if err != nil {
 		t.Fatal(err)

@@ -1,91 +1,8 @@
-// Package stats provides the small statistical helpers used by the
-// benchmark harness and the simulator reports: running mean/variance
-// (Welford), series summaries, and parallel-efficiency arithmetic.
+// Package stats holds the parallel-efficiency arithmetic the benchmark
+// harness (bench/) reports.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
-// Welford accumulates a running mean and variance without storing samples.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds one sample into the accumulator.
-func (w *Welford) Add(x float64) {
-	if w.n == 0 {
-		w.min, w.max = x, x
-	}
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-	if x < w.min {
-		w.min = x
-	}
-	if x > w.max {
-		w.max = x
-	}
-}
-
-// N returns the sample count.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 for no samples).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased sample variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the smallest sample.
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest sample.
-func (w *Welford) Max() float64 { return w.max }
-
-// String summarizes the accumulator.
-func (w *Welford) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.3g min=%.4g max=%.4g",
-		w.n, w.Mean(), w.StdDev(), w.min, w.max)
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the samples by linear
-// interpolation; the input is not modified.
-func Quantile(samples []float64, q float64) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
+import "math"
 
 // ParallelEfficiency returns the efficiency (0..1] of time t on p units
 // relative to baseline time tBase on pBase units.
@@ -94,28 +11,4 @@ func ParallelEfficiency(tBase float64, pBase int, t float64, p int) float64 {
 		return math.NaN()
 	}
 	return tBase * float64(pBase) / (t * float64(p))
-}
-
-// Speedup returns tBase / t.
-func Speedup(tBase, t float64) float64 {
-	if t <= 0 {
-		return math.NaN()
-	}
-	return tBase / t
-}
-
-// ImbalanceRatio returns max/mean of a set of per-worker busy times — the
-// standard load-imbalance metric; 1.0 is perfect.
-func ImbalanceRatio(busy []float64) float64 {
-	if len(busy) == 0 {
-		return math.NaN()
-	}
-	var w Welford
-	for _, b := range busy {
-		w.Add(b)
-	}
-	if w.Mean() == 0 {
-		return math.NaN()
-	}
-	return w.Max() / w.Mean()
 }

@@ -3,74 +3,7 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestWelfordKnown(t *testing.T) {
-	var w Welford
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if w.N() != 8 || w.Mean() != 5 {
-		t.Fatalf("n=%d mean=%v", w.N(), w.Mean())
-	}
-	// Population variance is 4; sample variance is 32/7.
-	if math.Abs(w.Variance()-32.0/7) > 1e-12 {
-		t.Fatalf("variance = %v", w.Variance())
-	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", w.Min(), w.Max())
-	}
-}
-
-func TestWelfordEmptyAndSingle(t *testing.T) {
-	var w Welford
-	if w.Variance() != 0 || w.Mean() != 0 {
-		t.Fatal("empty accumulator not zero")
-	}
-	w.Add(3)
-	if w.Variance() != 0 || w.Mean() != 3 {
-		t.Fatal("single sample stats wrong")
-	}
-}
-
-func TestWelfordQuickMeanBounds(t *testing.T) {
-	f := func(xs []float64) bool {
-		var w Welford
-		finite := 0
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e100 {
-				continue
-			}
-			w.Add(x)
-			finite++
-		}
-		if finite == 0 {
-			return true
-		}
-		return w.Mean() >= w.Min()-1e-9 && w.Mean() <= w.Max()+1e-9 && w.Variance() >= -1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	s := []float64{5, 1, 3, 2, 4}
-	if Quantile(s, 0) != 1 || Quantile(s, 1) != 5 {
-		t.Fatal("extremes wrong")
-	}
-	if Quantile(s, 0.5) != 3 {
-		t.Fatalf("median = %v", Quantile(s, 0.5))
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Fatal("empty quantile should be NaN")
-	}
-	// Input must not be modified.
-	if s[0] != 5 {
-		t.Fatal("Quantile sorted the input")
-	}
-}
 
 func TestParallelEfficiency(t *testing.T) {
 	// Perfect scaling: 100s on 4 -> 25s on 16.
@@ -82,53 +15,5 @@ func TestParallelEfficiency(t *testing.T) {
 	}
 	if !math.IsNaN(ParallelEfficiency(100, 4, 0, 16)) {
 		t.Fatal("zero time should be NaN")
-	}
-}
-
-func TestSpeedupAndImbalance(t *testing.T) {
-	if Speedup(100, 25) != 4 {
-		t.Fatal("speedup wrong")
-	}
-	r := ImbalanceRatio([]float64{1, 1, 1, 5})
-	if math.Abs(r-2.5) > 1e-12 {
-		t.Fatalf("imbalance = %v", r)
-	}
-	if !math.IsNaN(ImbalanceRatio(nil)) {
-		t.Fatal("empty imbalance should be NaN")
-	}
-}
-
-func TestStdDevAndString(t *testing.T) {
-	var w Welford
-	for _, x := range []float64{1, 2, 3} {
-		w.Add(x)
-	}
-	if math.Abs(w.StdDev()-1) > 1e-12 {
-		t.Fatalf("stddev = %v", w.StdDev())
-	}
-	if len(w.String()) == 0 {
-		t.Fatal("empty String")
-	}
-}
-
-func TestSpeedupZeroTime(t *testing.T) {
-	if !math.IsNaN(Speedup(1, 0)) {
-		t.Fatal("zero time should be NaN")
-	}
-}
-
-func TestImbalanceZeroMean(t *testing.T) {
-	if !math.IsNaN(ImbalanceRatio([]float64{0, 0})) {
-		t.Fatal("zero mean should be NaN")
-	}
-}
-
-func TestQuantileEdges(t *testing.T) {
-	s := []float64{2}
-	if Quantile(s, 0.7) != 2 {
-		t.Fatal("single sample quantile")
-	}
-	if Quantile([]float64{1, 2}, 1.5) != 2 || Quantile([]float64{1, 2}, -1) != 1 {
-		t.Fatal("clamping wrong")
 	}
 }
