@@ -32,6 +32,13 @@
 # internal/service imports math/rand or defines a func Run*, internal/
 # simulate imports neither internal/mpi nor internal/ddi nor net/http
 # (it is a model, not a runtime client), and hfserve has no loadgen flag.
+# Every option earns its place: TestOptionBudget pins the exported-field
+# count of the eight configuration structs; the knobs PR 24 made constant
+# or derived (LeaseTTL, HedgeMinSamples, WatchTick, MaxRetryAfter,
+# WALSegment, WALKeepDone, HighDepthPerWorker, SharedThreadContentionLog,
+# SCFModel, MigrateMinSamples) are named by no non-test file outside
+# bench/; and internal/simulate returns rows only — no func Format*, no
+# func CSV* (cmd/scaling builds the one table of each artifact).
 #
 # Tier 2 (concurrency soundness): the race detector over the packages
 # with real parallelism and fault injection, and over the one PairCache
@@ -58,8 +65,9 @@
 # seq-number dedup provably exercised, and the synthetic lease workload
 # must hold a 4x straggler to <= 1.6x clean wall time with every task
 # pushed exactly once. The chaos property tests (duplicate/reorder
-# invariance, hedge-never-double-fires) rerun under -race, plus the
-# synthetic lease workload's exactly-once test in cmd/scaling.
+# invariance, hedge-never-double-fires, a silent rank's lease reclaimed
+# at half the deadline) rerun under -race, plus the synthetic lease
+# workload's exactly-once test in cmd/scaling.
 #
 # Tier 5 (serve gate): build hfserve, start it on an ephemeral port with
 # a deliberately tiny cluster budget (1 worker, queue cap 1), and drive
@@ -255,6 +263,19 @@ tier_1() {
 		echo "structure gate: hfserve serves; the load test is scaling -exp serve"
 		exit 1
 	fi
+
+	# Every option earns its place (DESIGN.md §6).
+	go test -count=1 -run '^TestOptionBudget$' -v . | grep -q '^--- PASS: TestOptionBudget' ||
+		{ echo "structure gate: TestOptionBudget did not run and pass"; exit 1; }
+	nontest=$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*')
+	if grep -n 'LeaseTTL\|HedgeMinSamples\|WatchTick\|MaxRetryAfter\|WALSegment\b\|WALKeepDone\|HighDepthPerWorker\|SharedThreadContentionLog\|SCFModel\|MigrateMinSamples' $nontest; then
+		echo "structure gate: an option PR 24 made a constant (or derived) is back; see TestOptionBudget for the rule"
+		exit 1
+	fi
+	if grep -n '^func Format\|^func CSV' $(ls internal/simulate/*.go | grep -v _test.go); then
+		echo "structure gate: internal/simulate returns rows; cmd/scaling renders each artifact's one table"
+		exit 1
+	fi
 }
 
 # race_rerun PATTERN [FLAG...] PKG... reruns the tests PATTERN selects
@@ -388,7 +409,7 @@ tier_5() {
 tier_6() {
 	echo "== tier 6: performance-fault gate (scaling -exp chaos + -race property tests) =="
 	go run ./cmd/scaling -exp chaos
-	race_rerun 'TestChaos|TestLeaseHedge|TestLeaseExpired|TestStraggler|TestResilientHedges|TestRetryBackoffJitter' \
+	race_rerun 'TestChaos|TestLeaseHedge|TestLeaseExpired|TestStraggler|TestResilientHedges|TestResilientReclaimsExpiredLease|TestRetryBackoffJitter' \
 		./internal/mpi/ ./internal/ddi/ ./internal/fock/ ./cmd/scaling/
 }
 

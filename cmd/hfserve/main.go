@@ -8,6 +8,11 @@
 //	hfserve -addr :8080
 //	hfserve -addr 127.0.0.1:0 -portfile /tmp/hfserve.port -workers 2 -queue-cap 4
 //
+// The flags are the server's whole configuration surface
+// (service.Config). The 429 Retry-After clamp (1-60 s), the WAL segment
+// size (1 MiB), its compaction retention (512 terminal jobs) and the
+// fleet ring's 64 virtual nodes per replica are constants.
+//
 // The serving load test (EXP-SERVE) is `scaling -exp serve`.
 package main
 
@@ -68,7 +73,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hfserve: -replica %q is not among -peers members\n", *replica)
 			os.Exit(1)
 		}
-		srv.ConfigureFleet(*replica, members, 0)
+		srv.ConfigureFleet(*replica, members)
 	}
 	bound, err := srv.Start(*addr)
 	if err != nil {

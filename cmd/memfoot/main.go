@@ -1,7 +1,7 @@
-// Command memfoot prints the memory-footprint model for the paper's
-// benchmark systems (Table 2) and, optionally, for a custom basis size.
+// Command memfoot prints the memory-footprint model (eqs. 3a-3c) for a
+// custom basis size. The paper's own systems are Table 2:
+// `scaling -exp table2`.
 //
-//	memfoot
 //	memfoot -nbf 10000 -ranks 64 -threads 16
 package main
 
@@ -12,29 +12,21 @@ import (
 
 	"repro/internal/distmat"
 	"repro/internal/fock"
-	"repro/internal/simulate"
 )
 
 func main() {
 	var (
-		nbf     = flag.Int("nbf", 0, "custom basis-function count (0 = print the paper's Table 2)")
+		nbf     = flag.Int("nbf", 0, "basis-function count (required; the paper's systems are 'scaling -exp table2')")
 		ranks   = flag.Int("ranks", 256, "MPI-only ranks per node for the custom row")
 		threads = flag.Int("threads", 64, "threads per rank for the hybrid rows")
 	)
 	flag.Parse()
 
-	if *nbf < 0 || *ranks < 1 {
-		fmt.Fprintf(os.Stderr, "memfoot: -nbf must be >= 0 and -ranks >= 1 (got -nbf %d -ranks %d)\n",
-			*nbf, *ranks)
+	if *nbf < 1 || *ranks < 1 {
+		fmt.Fprintf(os.Stderr, "memfoot: -nbf and -ranks must be >= 1 (got -nbf %d -ranks %d); "+
+			"Table 2 of the paper is `scaling -exp table2`\n", *nbf, *ranks)
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if *nbf == 0 {
-		fmt.Println("Memory footprints of the three SCF codes (eqs. 3a-3c; see EXPERIMENTS.md)")
-		fmt.Println()
-		fmt.Print(simulate.FormatTable2(simulate.RunTable2()))
-		return
 	}
 	const gb = float64(1 << 30)
 	mpi := fock.MPIOnlyFootprint(*nbf, *ranks, 0)

@@ -107,7 +107,7 @@ func liveElastic(e *env) {
 	plan.Ranks, plan.MaxRanks = 4, 4
 	plan.Deadline, plan.Grace = 30*time.Second, e.grace
 	plan.SCF.Telemetry = repro.NewTelemetry()
-	plan.MigrateK, plan.MigrateMinSamples = 2, 2
+	plan.MigrateK = 2
 	// First attempt only: the re-hosted rank leaves the sick node behind.
 	plan.Fault = &mpi.FaultPlan{Slowdowns: []mpi.Slowdown{{
 		Rank: 1, Factor: 6, Sites: []mpi.FaultSite{mpi.SiteFock},

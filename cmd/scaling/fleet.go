@@ -178,7 +178,7 @@ func bootFleet(distinct int) (*fleet, error) {
 		h.api[name] = newAPIClient(h.addrs[name])
 	}
 	for _, name := range h.names {
-		h.servers[name].ConfigureFleet(name, h.addrs, 0)
+		h.servers[name].ConfigureFleet(name, h.addrs)
 	}
 	for i := 0; i < distinct; i++ {
 		spec := jobs.Spec{Molecule: "h2", Basis: "sto-3g", Mode: jobs.ModeSerial, MaxIter: 101 + i}
@@ -314,7 +314,7 @@ func (h *fleet) restart(name string) (*service.Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("restart %s: %w", name, err)
 	}
-	s.ConfigureFleet(name, h.addrs, 0)
+	s.ConfigureFleet(name, h.addrs)
 	// The killed listener releases its port asynchronously; retry the bind.
 	err = poll(10*time.Second, "rebinding "+name+" on "+h.addrs[name], func() bool {
 		_, err := s.Start(h.addrs[name])

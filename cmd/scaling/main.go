@@ -36,22 +36,20 @@ type experiment struct {
 func experiments() []experiment {
 	return []experiment{
 		{"table2", "Table 2: per-node memory footprints (model, eqs. 3a-3c)",
-			model(func(*simulate.ProfileCache) ([]simulate.Table2Row, error) { return simulate.RunTable2(), nil },
-				simulate.FormatTable2, simulate.CSVTable2)},
+			model(func(*simulate.ProfileCache) ([]simulate.Table2Row, error) { return simulate.RunTable2(), nil }, table2Table)},
 		{"table3", "Table 3 / Figure 6: 2.0 nm on Theta, 4-512 nodes",
-			model(simulate.RunTable3, simulate.FormatScaling, simulate.CSVScaling)},
+			model(simulate.RunTable3, scalingTable)},
 		{"fig3", "Figure 3: thread affinity, shared-Fock, 1.0 nm, 1 node",
-			model(simulate.RunFig3, simulate.FormatFig3, simulate.CSVFig3)},
+			model(simulate.RunFig3, fig3Table)},
 		{"fig4", "Figure 4: single-node hardware-thread scaling, 1.0 nm",
-			model(simulate.RunFig4, simulate.FormatFig4, simulate.CSVFig4)},
+			model(simulate.RunFig4, fig4Table)},
 		{"fig5", "Figure 5: cluster x memory modes, 0.5 nm and 2.0 nm",
-			model(simulate.RunFig5, simulate.FormatFig5, simulate.CSVFig5)},
+			model(simulate.RunFig5, fig5Table)},
 		{"fig7", "Figure 7: shared-Fock, 5.0 nm, 512-3,000 Theta nodes",
-			model(simulate.RunFig7, simulate.FormatFig7, simulate.CSVFig7)},
+			model(simulate.RunFig7, fig7Table)},
 		{"sweep", "Extension: system sweep at 64 nodes (screening-driven scaling)",
-			model(func(pc *simulate.ProfileCache) ([]simulate.SweepRow, error) { return simulate.RunSystemSweep(pc, 64) },
-				simulate.FormatSweep, nil)},
-		{"breakdown", "Extension: component breakdown, 2.0 nm at 64 and 512 nodes", breakdown},
+			model(func(pc *simulate.ProfileCache) ([]simulate.SweepRow, error) { return simulate.RunSystemSweep(pc, 64) }, sweepTable)},
+		{"breakdown", "Extension: component breakdown, 2.0 nm at 64 and 512 nodes", model(breakdown, breakdownTable)},
 		{"ablation", "Ablation: DLB contention coefficient and task granularity (512 nodes)", ablation},
 		{"resilience", "Failure model: 5.0 nm at scale, checkpoint restart vs. lease re-issue", resilience},
 		{"sdc", "SDC model: silent-corruption risk vs. verified-run overhead (5.0 nm, Figure 7 config)", sdc},

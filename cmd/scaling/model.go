@@ -8,29 +8,155 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/knl"
 	"repro/internal/mpi"
 	"repro/internal/simulate"
 )
 
-// model adapts one simulated artifact — run it, print its table, write
-// its CSV (csv may be nil) — to an experiment.
-func model[R any](run func(*simulate.ProfileCache) ([]R, error), text, csv func([]R) string) func(*env) {
+// model adapts one simulated artifact — run it, build its one table,
+// print it and write it as CSV — to an experiment.
+func model[R any](run func(*simulate.ProfileCache) ([]R, error), render func([]R) *table) func(*env) {
 	return func(e *env) {
 		rows, err := run(e.pc)
 		check(err)
-		fmt.Println(text(rows))
-		if csv != nil {
-			e.writeCSV(csv(rows))
-		}
+		e.emit(render(rows))
+		fmt.Println()
 	}
 }
 
-func breakdown(e *env) {
-	for _, nodes := range []int{64, 512} {
-		rows, err := simulate.RunBreakdown(e.pc, "2.0nm", nodes)
-		check(err)
-		fmt.Println(simulate.FormatBreakdown(rows))
+// The tables of the simulated artifacts. internal/simulate returns rows;
+// these are their only rendering, so a column is named and formatted in
+// one place. An empty cell is a configuration that does not fit in
+// memory.
+
+func table2Table(rows []simulate.Table2Row) *table {
+	t := newTable("system", "atoms", "basis_functions", "mpi_gb", "private_fock_gb", "shared_fock_gb",
+		"distributed_gb_per_rank", "abft_overhead_pct", "ratio_private", "ratio_shared", "ratio_distributed")
+	for _, r := range rows {
+		t.row(r.System, r.Atoms, r.BasisF, fx(4, r.MPIGB), fx(4, r.PrFGB), fx(4, r.ShFGB),
+			fx(6, r.DistGB), f2(r.ABFTPct), fx(1, r.RatioPr), fx(1, r.RatioSh), fx(1, r.RatioDist))
 	}
+	return t
+}
+
+// perAlgorithm is one f2 cell per code, in the paper's order; a missing
+// entry (infeasible) is an empty cell.
+func perAlgorithm(m map[string]float64) []any {
+	cells := make([]any, len(simulate.AlgorithmsOrder))
+	for i, alg := range simulate.AlgorithmsOrder {
+		cells[i] = ""
+		if v, ok := m[alg]; ok {
+			cells[i] = f2(v)
+		}
+	}
+	return cells
+}
+
+func scalingTable(rows []simulate.ScalingRow) *table {
+	t := newTable("nodes", "mpi_s", "private_fock_s", "shared_fock_s", "mpi_eff_pct", "private_eff_pct", "shared_eff_pct")
+	for _, r := range rows {
+		cells := append([]any{r.Nodes}, perAlgorithm(r.TimeSec)...)
+		for _, alg := range simulate.AlgorithmsOrder {
+			cells = append(cells, fx(1, r.EffPct[alg]))
+		}
+		t.row(cells...)
+	}
+	return t
+}
+
+func fig3Table(rows []simulate.Fig3Row) *table {
+	cols := []string{"threads_per_rank"}
+	for _, aff := range knl.Affinities {
+		cols = append(cols, fmt.Sprintf("%s_s", aff))
+	}
+	t := newTable(cols...)
+	for _, r := range rows {
+		cells := []any{r.ThreadsPerRank}
+		for _, aff := range knl.Affinities {
+			cells = append(cells, f2(r.TimeSec[aff]))
+		}
+		t.row(cells...)
+	}
+	return t
+}
+
+func fig4Table(rows []simulate.Fig4Row) *table {
+	t := newTable("hw_threads", "mpi_s", "private_fock_s", "shared_fock_s")
+	for _, r := range rows {
+		t.row(append([]any{r.HWThreads}, perAlgorithm(r.TimeSec)...)...)
+	}
+	return t
+}
+
+func fig5Table(rows []simulate.Fig5Row) *table {
+	t := newTable("system", "cluster_mode", "memory_mode", "mpi_s", "private_fock_s", "shared_fock_s")
+	for _, r := range rows {
+		t.row(append([]any{r.System, r.ClusterMode, r.MemoryMode}, perAlgorithm(r.TimeSec)...)...)
+	}
+	return t
+}
+
+func fig7Table(rows []simulate.Fig7Row) *table {
+	t := newTable("nodes", "cores", "time_s", "efficiency_pct", "gb_per_node")
+	for _, r := range rows {
+		t.row(r.Nodes, r.Cores, f2(r.TimeSec), fx(1, r.EffPct), fx(1, r.MemGB))
+	}
+	return t
+}
+
+func sweepTable(rows []simulate.SweepRow) *table {
+	t := newTable("system", "basis_functions", "sig_pairs", "total_pairs", "quartets", "quartet_growth", "fock_s", "diag_s")
+	for _, r := range rows {
+		growth := ""
+		if r.QuartetGrowth > 0 {
+			growth = fx(1, r.QuartetGrowth)
+		}
+		t.row(r.System, r.NBF, r.SigPairs, r.TotalPairs, r.Quartets, growth, fx(1, r.FockSec), fx(1, r.DiagSecEach))
+	}
+	return t
+}
+
+func breakdownTable(rows []simulate.BreakdownRow) *table {
+	t := newTable("algorithm", "nodes", "time_s", "compute_pct", "screen_pct", "dlb_pct", "sync_pct", "reduce_pct")
+	for _, r := range rows {
+		t.row(r.Algorithm, r.Nodes, fx(1, r.FockSec), fx(1, r.ComputePct), fx(1, r.ScreenPct),
+			fx(1, r.DLBPct), fx(1, r.SyncPct), fx(1, r.ReducePct))
+	}
+	return t
+}
+
+func resilienceTable(rows []simulate.ResilienceRow) *table {
+	t := newTable("nodes", "system_mtbf_h", "iter_s", "base_s", "expected_failures",
+		"restart_s", "restart_overhead_pct", "reissue_s", "reissue_overhead_pct")
+	for _, r := range rows {
+		t.row(r.Nodes, f2(r.SysMTBFH), f2(r.IterSec), f2(r.BaseSec), fx(3, r.ExpFailures),
+			f2(r.RestartSec), f2(r.RestartOv*100), f2(r.ReissueSec), f2(r.ReissueOv*100))
+	}
+	return t
+}
+
+func sdcTable(rows []simulate.SDCRow) *table {
+	t := newTable("nodes", "critical_strikes_per_hour", "expected_strikes", "p_wrong_bare", "p_wrong_verified",
+		"base_s", "recompute_s", "verified_s", "verified_overhead_pct")
+	e6 := func(x float64) string { return fmt.Sprintf("%.6e", x) }
+	for _, r := range rows {
+		t.row(r.Nodes, fx(6, r.EventsPerHour), fx(6, r.ExpEvents), e6(r.PWrongBare), e6(r.PWrongVerif),
+			f2(r.BaseSec), fx(3, r.RecomputeSec), f2(r.VerifiedSec), fx(3, r.VerifiedOv*100))
+	}
+	return t
+}
+
+// breakdown is the 2.0 nm component decomposition at 64 and 512 nodes.
+func breakdown(pc *simulate.ProfileCache) ([]simulate.BreakdownRow, error) {
+	var rows []simulate.BreakdownRow
+	for _, nodes := range []int{64, 512} {
+		r, err := simulate.RunBreakdown(pc, "2.0nm", nodes)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, r...)
+	}
+	return rows, nil
 }
 
 func ablation(e *env) {
@@ -56,7 +182,7 @@ func ablation(e *env) {
 // mpi.RunReport — the measured counterpart of the model's restart
 // overhead columns.
 func resilience(e *env) {
-	model(simulate.RunResilience, simulate.FormatResilience, simulate.CSVResilience)(e)
+	model(simulate.RunResilience, resilienceTable)(e)
 
 	fmt.Println("== Live fault injection: water/STO-3G, 4 ranks, rank 1 killed at DLB draw #3 ==")
 	mol, err := repro.BuiltinMolecule("water")
@@ -96,7 +222,7 @@ func resilience(e *env) {
 // with at least one injection landed), graceful recovery, and a
 // converged energy within 1e-8 hartree of the clean reference.
 func sdc(e *env) {
-	model(simulate.RunSDC, simulate.FormatSDC, simulate.CSVSDC)(e)
+	model(simulate.RunSDC, sdcTable)(e)
 
 	fmt.Println("== Live SDC gate: water/STO-3G, one corruption per integrity site ==")
 	mol, err := repro.BuiltinMolecule("water")

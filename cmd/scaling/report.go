@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -103,8 +104,10 @@ func errDetail(err error) string {
 	return err.Error()
 }
 
-func f2(x float64) string { return fmt.Sprintf("%.2f", x) }
-func e3(x float64) string { return fmt.Sprintf("%.3e", x) }
+// fx renders x with prec decimals.
+func fx(prec int, x float64) string { return strconv.FormatFloat(x, 'f', prec, 64) }
+func f2(x float64) string           { return fx(2, x) }
+func e3(x float64) string           { return fmt.Sprintf("%.3e", x) }
 
 // ms renders a duration as milliseconds with two decimals.
 func ms(d time.Duration) string { return f2(float64(d) / float64(time.Millisecond)) }

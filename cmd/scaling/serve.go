@@ -145,7 +145,6 @@ func runLoadgen(load serveLoad) (*serveReport, error) {
 		Workers:        load.workers,
 		QueueCap:       load.queueCap,
 		DefaultTimeout: serveTimeout,
-		RetryAfter:     time.Second,
 	})
 	if err != nil {
 		return nil, err

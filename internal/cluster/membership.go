@@ -166,13 +166,6 @@ func NewMembership(size int, tel *telemetry.Session) *Membership {
 	return m
 }
 
-// SetJoinTTL overrides the announce TTL (tests and fast experiments).
-func (m *Membership) SetJoinTTL(d time.Duration) {
-	m.mu.Lock()
-	m.joinTTL = d
-	m.mu.Unlock()
-}
-
 // Bus exposes the join bus (chaos experiments arm its fault knobs).
 func (m *Membership) Bus() *mpi.JoinBus { return m.bus }
 

@@ -64,7 +64,7 @@ func TestMembershipJoinLifecycle(t *testing.T) {
 func TestMembershipTTLExpiryAndReAnnounce(t *testing.T) {
 	tel := telemetry.NewSession()
 	m := NewMembership(2, tel)
-	m.SetJoinTTL(time.Millisecond)
+	m.joinTTL = time.Millisecond
 
 	ticket := m.Announce(1, "slowpoke")
 	time.Sleep(5 * time.Millisecond)
@@ -82,7 +82,7 @@ func TestMembershipTTLExpiryAndReAnnounce(t *testing.T) {
 		t.Fatal("BeginRebalance admitted an expired candidate")
 	}
 
-	m.SetJoinTTL(time.Minute)
+	m.joinTTL = time.Minute
 	retry, backoff := m.ReAnnounce(ticket)
 	if retry.Attempt != 1 {
 		t.Fatalf("re-announce attempt = %d, want 1", retry.Attempt)

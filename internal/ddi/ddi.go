@@ -9,8 +9,7 @@
 // used for its benchmarks relies on native one-sided communication and
 // needs no data servers. This implementation corresponds to the MPI-3
 // flavor: the DLB counter is a one-sided fetch-and-add on a shared
-// window, and no server ranks exist. The DataServerFactor knob in
-// internal/memmodel accounts for the legacy mode's memory cost.
+// window, and no server ranks exist.
 package ddi
 
 import (

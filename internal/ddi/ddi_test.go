@@ -37,11 +37,12 @@ func TestDLBResetStartsNewCycle(t *testing.T) {
 		}
 		d.DLBReset()
 		// Collect each rank's first index of cycle 2; the minimum across
-		// ranks must be 0 (counter restarted).
-		mine := []float64{float64(d.DLBNext())}
-		c.Allreduce(mpi.Min, mine, mine)
+		// ranks (the max of the negated indices) must be 0: counter
+		// restarted.
+		mine := []float64{-float64(d.DLBNext())}
+		c.Allreduce(mpi.Max, mine, mine)
 		if mine[0] != 0 {
-			t.Errorf("cycle 2 min index = %v, want 0", mine[0])
+			t.Errorf("cycle 2 min index = %v, want 0", -mine[0])
 		}
 	})
 	if err != nil {
@@ -55,10 +56,10 @@ func TestDLBManyEpochs(t *testing.T) {
 		d := New(c)
 		for e := 0; e < 40; e++ {
 			d.DLBReset()
-			mine := []float64{float64(d.DLBNext())}
-			c.Allreduce(mpi.Min, mine, mine)
+			mine := []float64{-float64(d.DLBNext())}
+			c.Allreduce(mpi.Max, mine, mine)
 			if mine[0] != 0 {
-				t.Errorf("epoch %d: min first index = %v", e, mine[0])
+				t.Errorf("epoch %d: min first index = %v", e, -mine[0])
 				return
 			}
 		}

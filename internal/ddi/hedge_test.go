@@ -119,7 +119,7 @@ func TestLeaseExpiredReclaim(t *testing.T) {
 			}
 			c.Barrier()
 			time.Sleep(200 * time.Millisecond) // unresponsive, not dead
-			if l.Complete(idx) {
+			if commitOwn(l, idx) {
 				t.Error("stale owner's late commit won despite TTL expiry")
 			}
 			return
@@ -130,14 +130,14 @@ func TestLeaseExpiredReclaim(t *testing.T) {
 			if !ok {
 				break
 			}
-			if l.Complete(idx) {
+			if commitOwn(l, idx) {
 				rec.record(0, idx)
 			}
 		}
 		start := time.Now()
 		for !l.AllComplete() {
 			if idx, ok := l.Expired(30 * time.Millisecond); ok {
-				if l.Complete(idx) {
+				if commitOwn(l, idx) {
 					rec.record(0, idx)
 				} else {
 					t.Error("reclaimed lease lost its own commit with no contender")
@@ -161,7 +161,7 @@ func TestLeaseExpiredReclaim(t *testing.T) {
 	if got := tel.Counter("dlb.reissued").Value(); got < 1 {
 		t.Fatalf("dlb.reissued = %d, want >= 1", got)
 	}
-	// The sleeper's failed Complete is a dropped duplicate.
+	// The sleeper's failed commit is a dropped duplicate.
 	if got := tel.Counter("dlb.dedup_dropped").Value(); got < 1 {
 		t.Fatalf("dlb.dedup_dropped = %d, want >= 1", got)
 	}
@@ -175,7 +175,7 @@ func TestLeaseExpiredDisabled(t *testing.T) {
 			idx, _ := l.Next()
 			c.Barrier()
 			c.Barrier()
-			if !l.Complete(idx) {
+			if !commitOwn(l, idx) {
 				t.Error("own commit failed with expiry disabled")
 			}
 			return

@@ -91,9 +91,6 @@ func leaseWindowName(cycle int64, part string) string {
 	return fmt.Sprintf("ddi.lease.%s.%d", part, cycle)
 }
 
-// Total returns the number of task indices in the cycle.
-func (l *LeaseDLB) Total() int { return l.total }
-
 // Cycle returns the cycle sequence number, usable to key per-cycle
 // companion windows (e.g. a shared Fock accumulation buffer).
 func (l *LeaseDLB) Cycle() int64 { return l.cycle }
@@ -179,24 +176,6 @@ func (l *LeaseDLB) Finish(idx int) {
 	if !l.ctx.Comm.CounterCAS(l.stateW, idx, l.committing(), leaseDone) {
 		panic(fmt.Sprintf("ddi: lease %d finish without reserve (rank %d)", idx, l.ctx.Comm.Rank()))
 	}
-}
-
-// Complete is the one-shot Reserve+Finish for callers that pushed their
-// contribution before committing (safe only when nothing hedges the
-// task concurrently — the resilient Fock builder uses the explicit
-// Reserve → push → Finish sequence instead). Reports whether this rank
-// won the commit.
-func (l *LeaseDLB) Complete(idx int) bool {
-	if !l.Reserve(idx, l.ctx.Comm.Rank()) {
-		return false
-	}
-	l.Finish(idx)
-	return true
-}
-
-// Done reports whether the task's contribution is already committed.
-func (l *LeaseDLB) Done(idx int) bool {
-	return l.ctx.Comm.CounterLoad(l.stateW, idx) == leaseDone
 }
 
 // Mine reports whether the task's lease is still held by this rank. A
@@ -345,16 +324,4 @@ func (l *LeaseDLB) AllComplete() bool {
 		}
 	}
 	return true
-}
-
-// Outstanding counts tasks not yet done — leased, committing, or
-// unclaimed — for progress reporting and tests.
-func (l *LeaseDLB) Outstanding() int {
-	n := 0
-	for i := 0; i < l.total; i++ {
-		if l.ctx.Comm.CounterLoad(l.stateW, i) != leaseDone {
-			n++
-		}
-	}
-	return n
 }

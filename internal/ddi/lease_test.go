@@ -40,6 +40,17 @@ func (r *leaseRecorder) assertExactlyOnce(t *testing.T, total int) {
 	}
 }
 
+// commitOwn commits a task this rank drew itself, the way the resilient
+// Fock builder does: Reserve, (push), Finish. False means another rank
+// won the commit and the result must be dropped.
+func commitOwn(l *LeaseDLB, idx int) bool {
+	if !l.Reserve(idx, l.ctx.Comm.Rank()) {
+		return false
+	}
+	l.Finish(idx)
+	return true
+}
+
 // leaseWorkLoop is the canonical fault-aware consumption pattern: drain
 // the fresh cursor, then steal from the dead until every task is done.
 func leaseWorkLoop(t *testing.T, c *mpi.Comm, l *LeaseDLB, rec *leaseRecorder) {
@@ -48,14 +59,14 @@ func leaseWorkLoop(t *testing.T, c *mpi.Comm, l *LeaseDLB, rec *leaseRecorder) {
 		if !ok {
 			break
 		}
-		if l.Complete(idx) {
+		if commitOwn(l, idx) {
 			rec.record(c.Rank(), idx) // "push the contribution"
 		}
 	}
 	start := time.Now()
 	for !l.AllComplete() {
 		if idx, ok := l.Steal(); ok {
-			if l.Complete(idx) {
+			if commitOwn(l, idx) {
 				rec.record(c.Rank(), idx)
 			}
 			continue

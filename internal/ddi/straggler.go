@@ -25,9 +25,6 @@ const stragglerWindowBase = "ddi.straggler"
 // fixed-membership runs (epoch 0) keep the unsuffixed window name.
 func (d *Context) SetMembershipEpoch(e int64) { d.memberEpoch = e }
 
-// MembershipEpoch returns the epoch set by SetMembershipEpoch.
-func (d *Context) MembershipEpoch() int64 { return d.memberEpoch }
-
 // stragglerWindow returns the epoch-keyed shared window name.
 func (d *Context) stragglerWindow() string {
 	if d.memberEpoch == 0 {

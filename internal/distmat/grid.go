@@ -97,8 +97,9 @@ func PerRankTileBytes(n, ranks, bs int) int64 {
 // the five distributed matrix roles a purification SCF keeps live
 // (S^-1/2, H, F, D and one multiply scratch) — the apples-to-apples
 // comparison against the five replicated matrices charged per process by
-// the eq. (3a) accounting. DIIS history and tile caches add a
-// configurable constant on top; see scf.Plan (CacheTiles, AccTiles).
+// the eq. (3a) accounting. On top come the SCF's DIIS history (a fixed
+// four error/Fock pairs) and the Fock build's bounded tile staging
+// (scf.Plan.CacheTiles and AccTiles; 0 = twice the block dimension each).
 func FootprintPerRank(nbf, ranks int) int64 {
 	return 5 * PerRankTileBytes(nbf, ranks, 0)
 }

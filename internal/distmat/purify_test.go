@@ -34,6 +34,15 @@ func gappedSym(n, nocc int, seed int64) *linalg.Matrix {
 
 // densityFromEig is the eigensolver's density build for an orthonormal
 // Fock: D' = 2 C_occ C_occ^T.
+// identity returns the n x n identity matrix.
+func identity(n int) *linalg.Matrix {
+	m := linalg.NewSquare(n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
 func densityFromEig(fp *linalg.Matrix, nocc int) *linalg.Matrix {
 	_, c := linalg.EigenSym(fp.Clone())
 	n := fp.Rows
@@ -111,7 +120,7 @@ func TestPurifyInvariantsAndFailure(t *testing.T) {
 	// SP2's pathological case; with a tiny sweep budget it must report
 	// non-convergence rather than hand back a bogus density.
 	n := 8
-	fp := linalg.Identity(n) // every eigenvalue 1, "occupy" half
+	fp := identity(n) // every eigenvalue 1, "occupy" half
 	onWorld(t, 2, func(g *Grid, dx *ddi.Context) {
 		dfp := New(g, dx, n, 3)
 		dst := New(g, dx, n, 3)

@@ -20,22 +20,19 @@ package fock
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/integrals"
 	"repro/internal/linalg"
 	"repro/internal/omp"
 )
 
-// DefaultTau is the Schwarz screening threshold used by the paper-scale
-// workloads (GAMESS's default integral cutoff is 1e-9; a tighter value
-// keeps the small-molecule validation exact).
+// DefaultTau is the Schwarz screening threshold of every parallel build
+// and of the paper-scale workloads (GAMESS's default integral cutoff is
+// 1e-9; a tighter value keeps the small-molecule validation exact).
 const DefaultTau = 1e-10
 
 // Config controls a parallel Fock build.
 type Config struct {
-	// Tau is the Schwarz screening threshold; 0 means DefaultTau.
-	Tau float64
 	// Threads is the OpenMP team width per MPI rank (hybrid builds);
 	// 0 means 1.
 	Threads int
@@ -44,26 +41,6 @@ type Config struct {
 	// evaluation through the engine, which tests keep as the independent
 	// oracle.
 	Quartets integrals.QuartetSource
-
-	// Straggler mitigation (resilient build only): when the straggler
-	// detector flags a rank — slower than hedgeK times the median task
-	// latency — its outstanding leases are speculatively recomputed by
-	// fast ranks during the drain, first writer wins.
-	//
-	// HedgeMinSamples is the minimum task count per rank before it can be
-	// flagged (or contribute to the median); 0 means 3.
-	HedgeMinSamples int
-	// LeaseTTL, when positive, lets drain-phase ranks forcibly reclaim
-	// leases older than this — deadline-based early expiry for peers that
-	// are unresponsive but not provably dead. 0 disables expiry.
-	LeaseTTL time.Duration
-}
-
-func (c Config) tau() float64 {
-	if c.Tau == 0 {
-		return DefaultTau
-	}
-	return c.Tau
 }
 
 func (c Config) threads() int {
@@ -80,16 +57,15 @@ func (c Config) source(eng *integrals.Engine) integrals.QuartetSource {
 	return eng
 }
 
-// hedgeK is the straggler threshold: a rank is flagged when its task
-// latency exceeds this multiple of the median.
-const hedgeK = 2
-
-func (c Config) hedgeMinSamples() int64 {
-	if c.HedgeMinSamples <= 0 {
-		return 3
-	}
-	return int64(c.HedgeMinSamples)
-}
+// Straggler mitigation (resilient build only): when the straggler
+// detector flags a rank — task latency above hedgeK times the median,
+// over ranks with at least hedgeMinSamples tasks each — its outstanding
+// leases are speculatively recomputed by fast ranks during the drain,
+// first writer wins.
+const (
+	hedgeK          = 2
+	hedgeMinSamples = 3
+)
 
 // dynamic1 is the paper's schedule(dynamic,1), the schedule of every
 // work-shared loop in Algorithms 2 and 3.

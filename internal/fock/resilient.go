@@ -134,6 +134,12 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 	// recompute) leases still held by flagged stragglers, and reclaim
 	// leases older than the TTL. Progress anywhere resets the local wait
 	// clock; a wedged run still times out via the deadline.
+	//
+	// The TTL is half the run's blocking deadline: a peer silent that
+	// long is reclaimed while the drain still has the other half to
+	// recompute its task before anyone times out. No deadline (0) means
+	// no expiry.
+	leaseTTL := dx.Comm.Deadline() / 2
 	start := time.Now()
 	for !lease.AllComplete() {
 		if ij, ok := lease.Steal(); ok {
@@ -149,7 +155,7 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 			start = time.Now()
 			continue
 		}
-		if slow := dx.Stragglers(hedgeK, cfg.hedgeMinSamples()); len(slow) > 0 {
+		if slow := dx.Stragglers(hedgeK, hedgeMinSamples); len(slow) > 0 {
 			if ij, owner, ok := lease.Hedge(slow); ok {
 				stats.TasksHedged++
 				computePair(ij, owner)
@@ -158,7 +164,7 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 				continue
 			}
 		}
-		if ij, ok := lease.Expired(cfg.LeaseTTL); ok {
+		if ij, ok := lease.Expired(leaseTTL); ok {
 			stats.TasksReissued++
 			computePair(ij, rank)
 			flush()

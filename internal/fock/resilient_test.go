@@ -9,6 +9,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/molecule"
 	"repro/internal/mpi"
+	"repro/internal/telemetry"
 )
 
 // TestResilientMatchesSerial: with nobody dying, the lease-based build is
@@ -124,7 +125,7 @@ func TestResilientHedgesStraggler(t *testing.T) {
 	const ranks, slow = 3, 1
 	// Whether a hedge fires at all is scheduler-dependent: on a loaded CI
 	// box the fast ranks can drain the cursor before the straggler has
-	// the two latency samples the detector needs, leaving nothing to
+	// the three latency samples the detector needs, leaving nothing to
 	// hedge. Retry a few builds for the liveness half; the correctness
 	// invariants (serial-identical Fock, exactly-once commits) are
 	// asserted unconditionally on every attempt.
@@ -139,7 +140,7 @@ func TestResilientHedgesStraggler(t *testing.T) {
 		}, func(c *mpi.Comm) {
 			dx := ddi.New(c)
 			var g []*linalg.Matrix
-			g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(d.At), Config{HedgeMinSamples: 2})
+			g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(d.At), Config{})
 			got[c.Rank()] = g[0]
 		})
 		if err != nil {
@@ -167,5 +168,62 @@ func TestResilientHedgesStraggler(t *testing.T) {
 	// the loser (hedger or straggler) must have been deduplicated.
 	if deduped == 0 {
 		t.Fatal("hedges fired but no duplicate result was ever dropped")
+	}
+}
+
+// TestResilientReclaimsExpiredLease: a rank that goes silent while holding
+// a lease — alive, not flagged as a straggler, just unresponsive for
+// longer than half the run's deadline — has the lease reclaimed by a peer
+// in the drain, so the build finishes without it. When the sleeper wakes
+// its late commit loses the Reserve race and is dropped: every quartet is
+// still committed exactly once.
+func TestResilientReclaimsExpiredLease(t *testing.T) {
+	eng, sch, d := setup(t, molecule.Water(), "6-31g")
+	want, wantStats := SerialBuild(eng, sch, d, DefaultTau)
+
+	// The sleeper stalls on its FIRST task: one latency sample is too few
+	// for the straggler detector, so hedging cannot take the lease first
+	// and expiry is the only way the build can finish before it wakes.
+	const (
+		ranks, sleeper = 3, 1
+		deadline       = 800 * time.Millisecond // lease TTL = 400ms
+		stall          = 650 * time.Millisecond
+	)
+	got := make([]*linalg.Matrix, ranks)
+	stats := make([]Stats, ranks)
+	tel := telemetry.NewSession()
+	_, err := mpi.RunWithOptions(ranks, mpi.RunOptions{
+		Deadline:  deadline,
+		Telemetry: tel,
+		Fault: &mpi.FaultPlan{Delays: []mpi.Delay{
+			{Rank: sleeper, Site: mpi.SiteFock, After: 1, Sleep: stall}}},
+	}, func(c *mpi.Comm) {
+		dx := ddi.New(c)
+		var g []*linalg.Matrix
+		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(d.At), Config{})
+		got[c.Rank()] = g[0]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total Stats
+	for r := 0; r < ranks; r++ {
+		if diff := got[r].MaxAbsDiff(want); diff > 1e-10 {
+			t.Fatalf("rank %d: resilient vs serial diff = %v", r, diff)
+		}
+		total.Add(stats[r])
+	}
+	if total.QuartetsCommitted != wantStats.QuartetsComputed {
+		t.Fatalf("ranks committed %d quartets, serial computed %d (not exactly once)",
+			total.QuartetsCommitted, wantStats.QuartetsComputed)
+	}
+	if total.TasksReissued == 0 {
+		t.Fatal("the sleeper's lease was never re-issued")
+	}
+	if stats[sleeper].TasksDeduped == 0 {
+		t.Fatal("the woken rank's late commit was not dropped as a duplicate")
+	}
+	if got := tel.Counter("ddi.lease.expired").Value(); got == 0 {
+		t.Fatal("ddi.lease.expired = 0: the lease was not reclaimed through the TTL path")
 	}
 }

@@ -97,7 +97,7 @@ func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 	// is skipped, inside the master's draw, when no kl can survive.
 	skip := func(ij int) bool {
 		i, j := PairDecode(ij)
-		return ij < npairs && sch.PairQ(i, j)*maxQ < cfg.tau()
+		return ij < npairs && sch.PairQ(i, j)*maxQ < DefaultTau
 	}
 	dx.DLBReset()
 	var ijShared int64

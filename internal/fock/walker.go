@@ -33,7 +33,7 @@ type walker struct {
 // newWalker is the walker of a parallel preset on dx.
 func newWalker(dx *ddi.Context, eng *integrals.Engine, sch *integrals.Schwarz, cfg Config) walker {
 	return walker{shells: eng.Basis.Shells, n: eng.Basis.NumBF,
-		src: cfg.source(eng), sch: sch, tau: cfg.tau(), dx: dx}
+		src: cfg.source(eng), sch: sch, tau: DefaultTau, dx: dx}
 }
 
 // quartet is the screen -> count -> evaluate -> digest step every build

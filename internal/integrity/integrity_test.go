@@ -154,9 +154,18 @@ func TestCheckSymmetric(t *testing.T) {
 	}
 }
 
+// identity returns the n x n identity matrix.
+func identity(n int) *linalg.Matrix {
+	m := linalg.NewSquare(n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
 func TestCheckElectronCount(t *testing.T) {
 	// Orthonormal basis (S = I), D = diag(2, 2, 0): 4 electrons.
-	s := linalg.Identity(3)
+	s := identity(3)
 	d := linalg.NewSquare(3)
 	d.Set(0, 0, 2)
 	d.Set(1, 1, 2)
@@ -173,7 +182,7 @@ func TestCheckElectronCount(t *testing.T) {
 }
 
 func TestCheckFockAndDensityComposites(t *testing.T) {
-	s := linalg.Identity(2)
+	s := identity(2)
 	d := linalg.NewSquare(2)
 	d.Set(0, 0, 2)
 	if err := CheckDensity(d, s, 2, 1e-8, 1e-6); err != nil {

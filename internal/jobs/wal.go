@@ -61,21 +61,25 @@ type walRecord struct {
 	Trace   string   `json:"trace,omitempty"` // accept only: request trace ID
 }
 
-// WALOptions shapes a WAL. Zero values take the documented defaults.
+// WALOptions shapes a WAL.
 type WALOptions struct {
-	Dir          string // segment directory (created if absent); required
-	SegmentBytes int64  // rotate past this many bytes; default 1 MiB
-	NoSync       bool   // skip the per-append fsync (tests, benchmarks)
-	KeepDone     int    // terminal jobs Compact retains; default 512
-	Tel          *telemetry.Session
+	Dir    string // segment directory (created if absent); required
+	NoSync bool   // skip the per-append fsync (tests, benchmarks)
+	Tel    *telemetry.Session
+
+	// A segment rotates past segmentBytes (1 MiB) and Compact retains the
+	// keepDone (512) most recent terminal jobs; the package's tests shrink
+	// both to reach rotation and compaction with a handful of records.
+	segmentBytes int64
+	keepDone     int
 }
 
 func (o WALOptions) withDefaults() WALOptions {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 1 << 20
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = 1 << 20
 	}
-	if o.KeepDone <= 0 {
-		o.KeepDone = 512
+	if o.keepDone <= 0 {
+		o.keepDone = 512
 	}
 	return o
 }
@@ -177,7 +181,7 @@ func (w *WAL) append(rec walRecord) error {
 	if w.f == nil {
 		return fmt.Errorf("jobs: wal: closed")
 	}
-	if w.size > w.opt.SegmentBytes {
+	if w.size > w.opt.segmentBytes {
 		if err := w.rotateLocked(); err != nil {
 			return err
 		}
@@ -275,7 +279,7 @@ func (w *WAL) Close() error {
 
 // Compact rewrites the log to a single fresh segment holding the given
 // authoritative job table — non-terminal jobs in full, plus the most
-// recent KeepDone terminal jobs (so replay still dedups recent
+// recent keepDone terminal jobs (so replay still dedups recent
 // resubmissions against their recorded results) — then deletes every
 // older segment. Write-new-then-delete-old ordering means a crash during
 // compaction leaves a superset of the needed records, never a subset.
@@ -297,8 +301,8 @@ func (w *WAL) Compact(table []*ReplayJob) error {
 			live = append(live, rj)
 		}
 	}
-	if len(done) > w.opt.KeepDone {
-		done = done[len(done)-w.opt.KeepDone:]
+	if len(done) > w.opt.keepDone {
+		done = done[len(done)-w.opt.keepDone:]
 	}
 	oldest := w.firstSegLocked()
 	if err := w.rotateLocked(); err != nil {

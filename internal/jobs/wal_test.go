@@ -223,7 +223,7 @@ func TestWALCrashPointBitFlip(t *testing.T) {
 func TestWALSegmentRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segment bound forces rotation nearly every record.
-	w, _, err := OpenWAL(WALOptions{Dir: dir, SegmentBytes: 256, NoSync: true, KeepDone: 2})
+	w, _, err := OpenWAL(WALOptions{Dir: dir, segmentBytes: 256, NoSync: true, keepDone: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestWALSegmentRotationAndCompaction(t *testing.T) {
 	if len(rep.Jobs) != 8 {
 		t.Fatalf("replayed %d jobs, want 8", len(rep.Jobs))
 	}
-	// Compact: KeepDone=2 keeps only the most recent two terminal jobs.
+	// Compact: keepDone=2 keeps only the most recent two terminal jobs.
 	if err := w.Compact(rep.Jobs); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}

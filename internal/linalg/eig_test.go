@@ -63,6 +63,15 @@ func jacobiEigenvalues(a *linalg.Matrix) []float64 {
 
 // checkAgainstJacobi fails unless EigenSym(a) matches the oracle's
 // eigenvalues to 1e-10 and satisfies max|AV - V diag(vals)| <= 1e-10.
+// identity returns the n x n identity matrix.
+func identity(n int) *linalg.Matrix {
+	m := linalg.NewSquare(n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
 func checkAgainstJacobi(t *testing.T, label string, a *linalg.Matrix) {
 	t.Helper()
 	vals, vecs := linalg.EigenSym(a)
@@ -100,7 +109,7 @@ func TestEigenSymDegenerateSPD(t *testing.T) {
 				v[i] = rng.NormFloat64()
 				vv += v[i] * v[i]
 			}
-			q := linalg.Identity(n) // Q = I - 2 v v^T / (v^T v)
+			q := identity(n) // Q = I - 2 v v^T / (v^T v)
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					q.Add(i, j, -2*v[i]*v[j]/vv)

@@ -32,15 +32,6 @@ func New(rows, cols int) *Matrix {
 // NewSquare returns a zeroed n x n matrix.
 func NewSquare(n int) *Matrix { return New(n, n) }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewSquare(n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // FromRows builds a matrix from row slices; all rows must share a length.
 func FromRows(rows [][]float64) *Matrix {
 	if len(rows) == 0 {

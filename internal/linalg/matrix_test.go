@@ -33,21 +33,6 @@ func TestNewPanicsOnNegative(t *testing.T) {
 	New(-1, 2)
 }
 
-func TestIdentity(t *testing.T) {
-	m := Identity(4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			want := 0.0
-			if i == j {
-				want = 1.0
-			}
-			if m.At(i, j) != want {
-				t.Fatalf("I[%d,%d] = %v", i, j, m.At(i, j))
-			}
-		}
-	}
-}
-
 func TestFromRowsAndClone(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}})
 	c := m.Clone()
@@ -82,10 +67,10 @@ func TestMulKnown(t *testing.T) {
 func TestMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randMatrix(rng, 7, 7)
-	if Mul(a, Identity(7)).MaxAbsDiff(a) > 1e-13 {
+	if Mul(a, identity(7)).MaxAbsDiff(a) > 1e-13 {
 		t.Fatal("a*I != a")
 	}
-	if Mul(Identity(7), a).MaxAbsDiff(a) > 1e-13 {
+	if Mul(identity(7), a).MaxAbsDiff(a) > 1e-13 {
 		t.Fatal("I*a != a")
 	}
 }
@@ -148,10 +133,19 @@ func TestTripleProduct(t *testing.T) {
 	// X^T S X with X = S^{-1/2} should be I; checked in eig tests, here a
 	// small hand example: a=I => returns b.
 	b := FromRows([][]float64{{2, 1}, {1, 2}})
-	got := TripleProduct(Identity(2), b)
+	got := TripleProduct(identity(2), b)
 	if got.MaxAbsDiff(b) != 0 {
 		t.Fatal("TripleProduct with identity changed b")
 	}
+}
+
+// identity returns the n x n identity matrix.
+func identity(n int) *Matrix {
+	m := NewSquare(n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
 }
 
 func randMatrix(rng *rand.Rand, r, c int) *Matrix {
@@ -206,8 +200,8 @@ func checkEigenResidual(t *testing.T, a *Matrix, vals []float64, vecs *Matrix, t
 	n := a.Rows
 	// orthonormality
 	vtv := Mul(vecs.Transpose(), vecs)
-	if vtv.MaxAbsDiff(Identity(n)) > tol*10 {
-		t.Fatalf("eigenvectors not orthonormal, err=%v", vtv.MaxAbsDiff(Identity(n)))
+	if vtv.MaxAbsDiff(identity(n)) > tol*10 {
+		t.Fatalf("eigenvectors not orthonormal, err=%v", vtv.MaxAbsDiff(identity(n)))
 	}
 	// A v = lambda v
 	av := Mul(a, vecs)
@@ -274,8 +268,8 @@ func TestLowdinOrthogonalizer(t *testing.T) {
 	}
 	// X^T S X = I
 	got := TripleProduct(x, s)
-	if got.MaxAbsDiff(Identity(6)) > 1e-10 {
-		t.Fatalf("X^T S X != I, err=%v", got.MaxAbsDiff(Identity(6)))
+	if got.MaxAbsDiff(identity(6)) > 1e-10 {
+		t.Fatalf("X^T S X != I, err=%v", got.MaxAbsDiff(identity(6)))
 	}
 	// X symmetric
 	if !x.IsSymmetric(1e-12) {

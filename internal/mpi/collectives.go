@@ -14,7 +14,6 @@ type Op int
 const (
 	Sum Op = iota
 	Max
-	Min
 )
 
 func (o Op) apply(dst, src []float64) {
@@ -26,12 +25,6 @@ func (o Op) apply(dst, src []float64) {
 	case Max:
 		for i, v := range src {
 			if v > dst[i] {
-				dst[i] = v
-			}
-		}
-	case Min:
-		for i, v := range src {
-			if v < dst[i] {
 				dst[i] = v
 			}
 		}

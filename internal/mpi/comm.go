@@ -175,7 +175,6 @@ type World struct {
 
 	deadline  time.Duration      // per-blocking-op bound; 0 = wait forever
 	grace     time.Duration      // unwind window past deadline before abandoning
-	watchTick time.Duration      // watchdog wakeup override; 0 = derived from deadline
 	noVerify  bool               // disables payload checksum verification
 	fault     *faultState        // injection schedule; nil = none
 	telemetry *telemetry.Session // nil = telemetry disabled

@@ -444,10 +444,6 @@ type RunOptions struct {
 	// unwind before the run abandons (and fences) whatever is left.
 	// 0 means the default 500ms; it only matters when Deadline > 0.
 	Grace time.Duration
-	// WatchTick overrides the watchdog wakeup period that lets blocked
-	// waiters re-check poison and deadline state. 0 derives it from the
-	// deadline (deadline/8, clamped to [1ms, 20ms]).
-	WatchTick time.Duration
 	// Unverified disables checksum verification of message payloads —
 	// the pre-integrity transport, kept for measuring checksum overhead
 	// (bench_test.go) and for experiments that want corruption to land.
@@ -575,7 +571,6 @@ func RunWithOptions(size int, opt RunOptions, f func(c *Comm)) (*RunReport, erro
 	if w.grace <= 0 {
 		w.grace = 500 * time.Millisecond
 	}
-	w.watchTick = opt.WatchTick
 	w.noVerify = opt.Unverified
 	w.telemetry = opt.Telemetry
 	if opt.Fault != nil {
@@ -747,16 +742,9 @@ func (w *World) buildReport() *RunReport {
 
 func (w *World) startWatchdog() {
 	w.watchStop = make(chan struct{})
-	tick := w.watchTick
-	if tick <= 0 {
-		tick = w.deadline / 8
-		if tick < time.Millisecond {
-			tick = time.Millisecond
-		}
-		if tick > 20*time.Millisecond {
-			tick = 20 * time.Millisecond
-		}
-	}
+	// Blocked waiters re-check poison and deadline state every
+	// deadline/8, clamped to [1ms, 20ms].
+	tick := min(max(w.deadline/8, time.Millisecond), 20*time.Millisecond)
 	go func() {
 		t := time.NewTicker(tick)
 		defer t.Stop()

@@ -73,23 +73,12 @@ func EncodeCheckpoint(molName, basisName string, res *Result) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// SaveCheckpoint writes the result's restartable state in the framed
-// version-1 format (see the file comment).
-func SaveCheckpoint(w io.Writer, molName, basisName string, res *Result) error {
-	data, err := EncodeCheckpoint(molName, basisName, res)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
 // maxCheckpointBF bounds the basis size a checkpoint may claim; beyond it
 // the file is certainly corrupt (the density alone would exceed 100 GB).
 const maxCheckpointBF = 1 << 17
 
 // LoadCheckpoint reads and validates a checkpoint written by
-// SaveCheckpoint. A truncated, bit-flipped, or inconsistent file yields
+// EncodeCheckpoint. A truncated, bit-flipped, or inconsistent file yields
 // a descriptive error — never a panic — so drivers can fall back to a
 // standard initial guess.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {

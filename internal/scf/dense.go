@@ -116,7 +116,7 @@ func runDense(eng *integrals.Engine, multiplicity int, build channelBuilder, opt
 	if multiplicity != 0 {
 		st.occ = 1
 	}
-	if !opt.DisableWatchdog {
+	if !opt.disableWatchdog {
 		st.wd = &watchdogState{}
 	}
 
@@ -245,7 +245,7 @@ func (st *denseStep) run(iter int, ePrev float64, res *Result) (IterInfo, error)
 	// Density step: DIIS over all spins, then level shift, eigensolve and
 	// damping spin by spin.
 	rms, diisErr := 0.0, 0.0
-	if !opt.DisableDI && (wd == nil || !wd.diisOff()) {
+	if !opt.disableDI && (wd == nil || !wd.diisOff()) {
 		for i, hist := range st.diis {
 			diisErr = math.Max(diisErr, hist.record(fs[i], st.spins[i].d, s, st.x))
 		}

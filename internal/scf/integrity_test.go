@@ -125,7 +125,7 @@ func TestWatchdogConvergesOscillatingSCF(t *testing.T) {
 	// Without the watchdog (and without DIIS, which the ladder manages)
 	// the case must genuinely fail to converge — otherwise this test
 	// proves nothing.
-	bare, err := RunRHF(eng, osc(), Options{DisableDI: true, DisableWatchdog: true, MaxIter: 60})
+	bare, err := RunRHF(eng, osc(), Options{disableDI: true, disableWatchdog: true, MaxIter: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestWatchdogConvergesOscillatingSCF(t *testing.T) {
 	}
 
 	tel := telemetry.NewSession()
-	res, err := RunRHF(eng, osc(), Options{DisableDI: true, MaxIter: 200, Telemetry: tel})
+	res, err := RunRHF(eng, osc(), Options{disableDI: true, MaxIter: 200, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}

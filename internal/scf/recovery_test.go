@@ -137,14 +137,14 @@ func TestRestartBeforeFirstCheckpointFallsBackToGuess(t *testing.T) {
 func TestCorruptSeedCheckpointFallsBack(t *testing.T) {
 	eng, sch, ref := resilientSetup(t)
 	// A real checkpoint, truncated mid-stream.
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, "water", "sto-3g", ref); err != nil {
+	full, err := EncodeCheckpoint("water", "sto-3g", ref)
+	if err != nil {
 		t.Fatal(err)
 	}
-	truncated := buf.Bytes()[:buf.Len()/2]
+	truncated := full[:len(full)/2]
 
 	p := resilient(2)
-	p.Checkpoint = truncated
+	p.checkpoint = truncated
 	res, err := run(eng, sch, p)
 	if err != nil {
 		t.Fatal(err)
@@ -170,11 +170,10 @@ func framed(body string) []byte {
 
 func TestCheckpointTruncatedAndCorrupted(t *testing.T) {
 	ref, _ := serialSCF(t, molecule.Water(), "sto-3g", Options{})
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, "water", "sto-3g", ref); err != nil {
+	full, err := EncodeCheckpoint("water", "sto-3g", ref)
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
 
 	cases := []struct {
 		name string

@@ -42,7 +42,6 @@ type Options struct {
 	MaxIter    int     // default 100
 	ConvDens   float64 // RMS density change threshold, default 1e-8
 	ConvEnergy float64 // energy change threshold, default 1e-9
-	DisableDI  bool    // turn off DIIS extrapolation
 	// Guess selects the initial Fock: "core" (bare core Hamiltonian,
 	// default) or "gwh" (generalized Wolfsberg-Helmholz, which weights
 	// off-diagonal elements by overlaps and usually starts closer).
@@ -60,11 +59,15 @@ type Options struct {
 	// (args: energy, dE, rmsD) plus energy/convergence gauges; nil
 	// disables instrumentation.
 	Telemetry *telemetry.Session
-	// DisableWatchdog turns off the convergence watchdog (watchdog.go).
-	// Enabled by default: a converging run never trips it, while a
-	// diverging or oscillating one is walked down the degradation ladder
-	// instead of burning MaxIter iterations or returning NaN.
-	DisableWatchdog bool
+
+	// disableDI and disableWatchdog switch off DIIS extrapolation and the
+	// convergence watchdog (watchdog.go). Both always run in production —
+	// a converging run never trips the watchdog, while a diverging or
+	// oscillating one is walked down the degradation ladder instead of
+	// burning MaxIter iterations or returning NaN; the package's tests
+	// turn them off to show what each one buys.
+	disableDI       bool
+	disableWatchdog bool
 
 	// What follows is set by Run and its supervisor only.
 

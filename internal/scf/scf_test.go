@@ -137,18 +137,27 @@ func TestOrbitalEnergiesOrderedAndFilled(t *testing.T) {
 	}
 }
 
+// identity returns the n x n identity matrix.
+func identity(n int) *linalg.Matrix {
+	m := linalg.NewSquare(n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
 func TestMOOrthonormality(t *testing.T) {
 	res, eng := serialSCF(t, molecule.Water(), "6-31g", Options{})
 	s := eng.Overlap()
 	ctsc := linalg.TripleProduct(res.C, s)
-	if diff := ctsc.MaxAbsDiff(linalg.Identity(s.Rows)); diff > 1e-8 {
+	if diff := ctsc.MaxAbsDiff(identity(s.Rows)); diff > 1e-8 {
 		t.Fatalf("C^T S C != I, diff %v", diff)
 	}
 }
 
 func TestDIISAndPlainAgree(t *testing.T) {
 	withDIIS, _ := serialSCF(t, molecule.Water(), "sto-3g", Options{})
-	plain, _ := serialSCF(t, molecule.Water(), "sto-3g", Options{DisableDI: true, MaxIter: 200})
+	plain, _ := serialSCF(t, molecule.Water(), "sto-3g", Options{disableDI: true, MaxIter: 200})
 	if !withDIIS.Converged || !plain.Converged {
 		t.Fatal("one of the runs did not converge")
 	}
@@ -439,11 +448,11 @@ func TestCheckpointRoundTripAndWarmStart(t *testing.T) {
 	if err != nil || !cold.Converged {
 		t.Fatal("cold SCF failed")
 	}
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, "water", "sto-3g", cold); err != nil {
+	data, err := EncodeCheckpoint("water", "sto-3g", cold)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()))
+	cp, err := LoadCheckpoint(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +483,7 @@ func TestCheckpointValidation(t *testing.T) {
 	if _, err := LoadCheckpoint(bytes.NewReader([]byte(`{"num_bf":3,"density":[1,2]}`))); err == nil {
 		t.Fatal("inconsistent density accepted")
 	}
-	if err := SaveCheckpoint(&bytes.Buffer{}, "m", "b", &Result{}); err == nil {
+	if _, err := EncodeCheckpoint("m", "b", &Result{}); err == nil {
 		t.Fatal("empty result accepted")
 	}
 	// Dimension mismatch on warm start.

@@ -92,9 +92,10 @@ func (p Policy) checkpoints() bool { return p == CheckpointShrink || p == Elasti
 // recovering policy: it is how a wedged rank is noticed at all.
 const defaultDeadline = 30 * time.Second
 
-// migrateMinSamples is the per-rank observation floor of the straggler
-// detector when the plan leaves MigrateMinSamples zero.
-const migrateMinSamples = 3
+// migrateMinSamples is the per-rank observation floor of the migration
+// straggler detector: a rank is compared with the median once it has
+// published two task latencies.
+const migrateMinSamples = 2
 
 // Plan describes one SCF run as a point on orthogonal axes: spin
 // channels (Multiplicity), the Fock preset with the storage and density
@@ -124,11 +125,6 @@ type Plan struct {
 	// Fault injects failures into the FIRST attempt only — later attempts
 	// run clean, as a failed or re-hosted node stays out of the job.
 	Fault *mpi.FaultPlan
-	// Checkpoint optionally seeds a checkpointing policy with a
-	// previously saved checkpoint (the restart-from-PUNCH-file case).
-	// Corrupted or truncated contents are diagnosed and ignored.
-	Checkpoint []byte
-
 	// Tiled storage: tile edge (0 = distmat.DefaultBlockSize for the
 	// grid) and the Fock build's per-rank staging bounds in tiles —
 	// density read cache and Fock write combiner; 0 = twice the block
@@ -142,17 +138,23 @@ type Plan struct {
 	// announce joins from outside the run) and MaxRanks caps join
 	// admission (default 4x the initial pool). MigrateK enables straggler
 	// migration: a rank whose task-latency EWMA exceeds MigrateK x the
-	// rank median (with at least MigrateMinSamples observations per rank,
-	// default 3) is re-hosted at the next iteration boundary; 0 disables.
-	Membership        *cluster.Membership
-	MaxRanks          int
-	MigrateK          float64
-	MigrateMinSamples int64
+	// rank median (over ranks with at least migrateMinSamples
+	// observations) is re-hosted at the next iteration boundary; 0
+	// disables.
+	Membership *cluster.Membership
+	MaxRanks   int
+	MigrateK   float64
 
 	// SCF configures the loop. Its Telemetry also instruments the runtime
 	// (MPI ops, Fock builds) and receives the recovery events on the
 	// driver lane (pid telemetry.DriverPid).
 	SCF Options
+
+	// checkpoint seeds a checkpointing policy's first attempt with saved
+	// bytes, as every later attempt is seeded by the run itself. No
+	// caller restarts from a file, so only the package's tests set it (a
+	// truncated seed must be diagnosed and ignored).
+	checkpoint []byte
 }
 
 // ErrUnsupported is the sentinel (via errors.Is) of a Plan whose axes
@@ -357,9 +359,6 @@ func supervise(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwar
 		if p.MaxRanks <= 0 {
 			p.MaxRanks = 4 * m.Size()
 		}
-		if p.MigrateMinSamples == 0 {
-			p.MigrateMinSamples = migrateMinSamples
-		}
 	}
 	nocc := 0
 	if p.Algorithm.tiled() {
@@ -386,7 +385,7 @@ func supervise(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwar
 	// The latest checkpoint bytes: rank 0's OnIteration hook stores them
 	// from inside the run, the supervisor loads them after.
 	var store atomic.Pointer[[]byte]
-	store.Store(&p.Checkpoint)
+	store.Store(&p.checkpoint)
 	molName, basisName := eng.Basis.Mol.Name, eng.Basis.Name
 	ranks, epoch := p.Ranks, int64(0) // epoch moves under ElasticEpoch only
 	var resume *tiledResume
@@ -625,7 +624,7 @@ func rebalanceDue(m *cluster.Membership, dx *ddi.Context, p Plan, ranks, iter in
 		return &RebalanceSignal{Kind: "join", Iter: iter}
 	}
 	if p.MigrateK > 0 {
-		if slow := dx.Stragglers(p.MigrateK, p.MigrateMinSamples); len(slow) > 0 {
+		if slow := dx.Stragglers(p.MigrateK, migrateMinSamples); len(slow) > 0 {
 			return &RebalanceSignal{Kind: "migrate", Stragglers: slow, Iter: iter}
 		}
 	}

@@ -355,7 +355,7 @@ func (st *tiledStep) run(iter int, ePrev float64, res *Result) (IterInfo, error)
 	// system is assembled from deterministic distributed dots, so every
 	// rank solves the identical replicated (m+1) x (m+1) system.
 	diisErr := 0.0
-	if !st.opt.DisableDI && iter >= st.diisStart {
+	if !st.opt.disableDI && iter >= st.diisStart {
 		slot := (iter - st.diisStart) % tiledDIISSize
 		distmat.MatMul(dT, dFp, dDp)
 		distmat.AntiSymmetrize(dE, dT)

@@ -113,8 +113,8 @@ func TestTenantQuota(t *testing.T) {
 }
 
 func TestDynamicRetryAfter(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1, QueueCap: 1, RetryAfter: 2 * time.Second}, false)
-	// Before any job has run, the fallback applies.
+	s, ts := testServer(t, Config{Workers: 1, QueueCap: 1}, false)
+	// Before any job has run, the constant floor applies.
 	if _, resp := postJob(t, ts, h2Spec(60)); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("fill submit: %d", resp.StatusCode)
 	}
@@ -122,8 +122,8 @@ func TestDynamicRetryAfter(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit: %d, want 429", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "2" {
-		t.Fatalf("fallback Retry-After %q, want \"2\"", got)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("floor Retry-After %q, want \"1\"", got)
 	}
 	// With an observed p50 of ~3s and depth 1 on 1 worker, the estimate
 	// is p50 × (depth+1) / workers = 6s.
@@ -134,6 +134,14 @@ func TestDynamicRetryAfter(t *testing.T) {
 	}
 	if got := resp.Header.Get("Retry-After"); got != "6" {
 		t.Fatalf("drain-rate Retry-After %q, want \"6\"", got)
+	}
+	// Slow outliers cannot push the hint past the constant ceiling.
+	for i := 0; i < 2; i++ {
+		s.Telemetry().Histogram("svc.job.run_ns").Observe(time.Hour.Nanoseconds())
+	}
+	_, resp = postJob(t, ts, h2Spec(61))
+	if got := resp.Header.Get("Retry-After"); got != "60" {
+		t.Fatalf("clamped Retry-After %q, want \"60\"", got)
 	}
 }
 

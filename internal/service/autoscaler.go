@@ -5,15 +5,16 @@ package service
 // in-flight run count, and the pool gauges — instead of a side channel.
 // Policy, deliberately asymmetric:
 //
-//   - Scale UP eagerly: when queued depth exceeds HighDepthPerWorker ×
-//     workers, double the pool (capped at Max). A burst is cheapest to
+//   - Scale UP eagerly: when queued depth exceeds scaleUpDepthPerWorker
+//     × workers, double the pool (capped at Max). A burst is cheapest to
 //     absorb immediately; the join handshake makes admission safe.
 //   - Scale DOWN cautiously (hysteresis): only after DownAfterTicks
 //     consecutive idle observations (empty queue AND zero running jobs),
 //     halve the pool (floored at Min). One busy tick resets the streak,
 //     so oscillating load cannot flap the pool.
-//   - Cooldown between any two scaling events bounds the rate of epoch
-//     churn regardless of how noisy the signals get.
+//   - A cooldown of two observation periods between any two scaling
+//     events bounds the rate of epoch churn regardless of how noisy the
+//     signals get.
 //
 // Retired workers finish their current job before exiting (see
 // Server.Resize), so a scale-down can never lose work.
@@ -27,16 +28,14 @@ type AutoscalerConfig struct {
 	Min      int           // pool floor; default 1
 	Max      int           // pool ceiling; default 8
 	Interval time.Duration // observation period; default 20ms
-	// HighDepthPerWorker is the queued-jobs-per-worker threshold that
-	// triggers a scale-up; default 2.
-	HighDepthPerWorker float64
 	// DownAfterTicks is how many consecutive idle observations precede a
 	// scale-down; default 8.
 	DownAfterTicks int
-	// Cooldown is the minimum gap between scaling events; default
-	// 2×Interval.
-	Cooldown time.Duration
 }
+
+// scaleUpDepthPerWorker is the queued-jobs-per-worker threshold that
+// triggers a scale-up.
+const scaleUpDepthPerWorker = 2
 
 func (c AutoscalerConfig) withDefaults() AutoscalerConfig {
 	if c.Min <= 0 {
@@ -51,14 +50,8 @@ func (c AutoscalerConfig) withDefaults() AutoscalerConfig {
 	if c.Interval <= 0 {
 		c.Interval = 20 * time.Millisecond
 	}
-	if c.HighDepthPerWorker <= 0 {
-		c.HighDepthPerWorker = 2
-	}
 	if c.DownAfterTicks <= 0 {
 		c.DownAfterTicks = 8
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * c.Interval
 	}
 	return c
 }
@@ -93,11 +86,11 @@ func (s *Server) autoscaleLoop(cfg AutoscalerConfig) {
 			} else {
 				idleTicks = 0
 			}
-			if now.Sub(lastEvent) < cfg.Cooldown {
+			if now.Sub(lastEvent) < 2*cfg.Interval {
 				continue
 			}
 			switch {
-			case float64(depth) > cfg.HighDepthPerWorker*float64(workers) && workers < cfg.Max:
+			case depth > scaleUpDepthPerWorker*workers && workers < cfg.Max:
 				target := workers * 2
 				if target > cfg.Max {
 					target = cfg.Max

@@ -170,7 +170,7 @@ func TestFleetFetchRetryTransient(t *testing.T) {
 	s.ConfigureFleet("r0", map[string]string{
 		"r0": "127.0.0.1:1",
 		"p":  strings.TrimPrefix(peer.URL, "http://"),
-	}, 16)
+	})
 
 	res := s.currentFleet().fetchPeerCache("p", "deadbeef")
 	if res.status != http.StatusOK || res.outcome == nil {
@@ -195,7 +195,7 @@ func TestFleetFetchRetryBounded(t *testing.T) {
 		"r0":   "127.0.0.1:1",
 		"down": strings.TrimPrefix(down.URL, "http://"),
 		"miss": strings.TrimPrefix(miss.URL, "http://"),
-	}, 16)
+	})
 	f := s.currentFleet()
 
 	if res := f.fetchPeerCache("down", "deadbeef"); res.status != 0 {

@@ -38,8 +38,8 @@ type fleet struct {
 
 // ConfigureFleet joins the server to a replica group. self names this
 // replica; addrs maps every member name (including self) to its
-// host:port. Call before Start. vnodes <= 0 takes DefaultVNodes.
-func (s *Server) ConfigureFleet(self string, addrs map[string]string, vnodes int) {
+// host:port. Call before Start.
+func (s *Server) ConfigureFleet(self string, addrs map[string]string) {
 	names := make([]string, 0, len(addrs))
 	for n := range addrs {
 		names = append(names, n)
@@ -52,7 +52,7 @@ func (s *Server) ConfigureFleet(self string, addrs map[string]string, vnodes int
 	s.fleet = &fleet{
 		self:  self,
 		addrs: cp,
-		ring:  NewRing(names, vnodes),
+		ring:  NewRing(names),
 		hc:    &http.Client{Timeout: 5 * time.Second},
 		tel:   s.tel,
 	}

@@ -16,12 +16,12 @@ import (
 
 func TestRingDeterministicAndBalanced(t *testing.T) {
 	members := []string{"r0", "r1", "r2"}
-	a := NewRing(members, 0)
-	b := NewRing([]string{"r2", "r0", "r1"}, 0) // order must not matter
+	a := NewRing(members)
+	b := NewRing([]string{"r2", "r0", "r1"}) // order must not matter
 
 	counts := map[string]int{}
 	moved := 0
-	small := NewRing([]string{"r0", "r1"}, 0)
+	small := NewRing([]string{"r0", "r1"})
 	for i := 0; i < 1000; i++ {
 		h := fmt.Sprintf("hash-%04d", i)
 		own := a.Owner(h)
@@ -66,7 +66,7 @@ func startTestFleet(t *testing.T, n int, cfg Config) ([]*Server, map[string]stri
 		members[fmt.Sprintf("r%d", i)] = addr
 	}
 	for i, s := range servers {
-		s.ConfigureFleet(fmt.Sprintf("r%d", i), members, 0)
+		s.ConfigureFleet(fmt.Sprintf("r%d", i), members)
 	}
 	t.Cleanup(func() {
 		for _, s := range servers {
@@ -197,7 +197,7 @@ func TestFleetHandoffWhenOwnerDown(t *testing.T) {
 	}
 	deadAddr := ln.Addr().String()
 	ln.Close()
-	s.ConfigureFleet("live", map[string]string{"live": addr, "dead": deadAddr}, 0)
+	s.ConfigureFleet("live", map[string]string{"live": addr, "dead": deadAddr})
 
 	// Find a spec the dead replica owns (vary the hash via MaxIter).
 	ring, _ := s.Fleet()

@@ -22,19 +22,16 @@ type ringPoint struct {
 	name string
 }
 
-// DefaultVNodes is the virtual-node count per replica when the caller
-// passes vnodes <= 0. 64 points per member keeps the expected ownership
-// imbalance under a few percent for single-digit fleets.
-const DefaultVNodes = 64
+// vnodes is the virtual-node count per replica: 64 points per member
+// keeps the expected ownership imbalance under a few percent for
+// single-digit fleets.
+const vnodes = 64
 
 // NewRing builds a ring over the given replica names. Duplicate names
 // collapse; order does not matter — two replicas constructing rings from
 // the same member set agree on every ownership decision, which is what
 // lets routing work without a coordinator.
-func NewRing(names []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+func NewRing(names []string) *Ring {
 	seen := map[string]bool{}
 	r := &Ring{}
 	for _, n := range names {

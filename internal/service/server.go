@@ -88,20 +88,19 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Config shapes a Server. Zero values take the documented defaults.
+// Config shapes a Server: the deployment settings behind hfserve's flags.
+// Zero values take the documented defaults. The 429 Retry-After clamp
+// (retryAfterFloor, retryAfterCeil) and the WAL's segment size and
+// compaction retention (internal/jobs) are constants.
 type Config struct {
 	Workers        int           // concurrent job runners; default 4 — the "cluster" budget
 	QueueCap       int           // queued-job bound before 429s; default 64
 	CacheSize      int           // LRU result-cache entries; default 256
 	DefaultTimeout time.Duration // per-job deadline when the spec sets none; default 5m
 	MaxRetries     int           // default retry budget when the spec sets none; default 1
-	RetryAfter     time.Duration // Retry-After floor/fallback on 429s; default 1s
-	MaxRetryAfter  time.Duration // Retry-After ceiling; default 60s
 
 	WALDir      string        // write-ahead log directory; "" disables durability
 	WALNoSync   bool          // skip per-append fsync (tests)
-	WALSegment  int64         // WAL segment rotation size; default 1 MiB
-	WALKeepDone int           // terminal jobs retained by compaction; default 512
 	TenantQuota int           // max active (queued+running) jobs per tenant; 0 = unlimited
 	AgeAfter    time.Duration // priority-aging interval; 0 disables aging
 	AgeBoost    int           // effective-priority boost per AgeAfter waited
@@ -123,12 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxRetryAfter <= 0 {
-		c.MaxRetryAfter = 60 * time.Second
 	}
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.NewSession()
@@ -237,8 +230,7 @@ func New(cfg Config) (*Server, error) {
 
 	if cfg.WALDir != "" {
 		wal, rep, err := jobs.OpenWAL(jobs.WALOptions{
-			Dir: cfg.WALDir, SegmentBytes: cfg.WALSegment, NoSync: cfg.WALNoSync,
-			KeepDone: cfg.WALKeepDone, Tel: cfg.Telemetry,
+			Dir: cfg.WALDir, NoSync: cfg.WALNoSync, Tel: cfg.Telemetry,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("service: opening wal: %w", err)
@@ -691,31 +683,27 @@ func (s *Server) observeDepth() {
 	s.tel.Histogram("svc.queue.depth").Observe(d)
 }
 
+// The 429 Retry-After hint, in seconds, is clamped to
+// [retryAfterFloor, retryAfterCeil] so one slow outlier cannot tell
+// clients to go away for an hour.
+const (
+	retryAfterFloor = 1
+	retryAfterCeil  = 60
+)
+
 // retryAfterSeconds derives the 429 Retry-After hint from the observed
 // drain rate: p50 job wall time × queue depth / workers estimates when a
 // queue slot will free. Before any job has finished (empty histogram)
-// the configured fallback applies; the result is clamped to
-// [RetryAfter, MaxRetryAfter] so one slow outlier cannot tell clients
-// to go away for an hour.
+// the floor applies.
 func (s *Server) retryAfterSeconds() int {
-	floor := int(s.cfg.RetryAfter / time.Second)
-	if floor < 1 {
-		floor = 1
-	}
 	h := s.tel.Histogram("svc.job.run_ns")
 	if h.Count() == 0 {
-		return floor
+		return retryAfterFloor
 	}
 	p50 := time.Duration(h.Percentile(0.5))
 	est := p50 * time.Duration(s.queue.Len()+1) / time.Duration(s.cfg.Workers)
 	secs := int((est + time.Second - 1) / time.Second)
-	if secs < floor {
-		secs = floor
-	}
-	if ceil := int(s.cfg.MaxRetryAfter / time.Second); secs > ceil {
-		secs = ceil
-	}
-	return secs
+	return min(max(secs, retryAfterFloor), retryAfterCeil)
 }
 
 // jobTimeout resolves the per-job deadline.

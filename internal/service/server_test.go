@@ -152,7 +152,7 @@ func TestServeCachedResubmit(t *testing.T) {
 
 func TestServeBackpressure429(t *testing.T) {
 	// No workers: the queue fills deterministically.
-	s, ts := testServer(t, Config{Workers: 1, QueueCap: 1, RetryAfter: 3 * time.Second}, false)
+	s, ts := testServer(t, Config{Workers: 1, QueueCap: 1}, false)
 
 	if _, resp := postJob(t, ts, jobs.Spec{Molecule: "h2", Mode: jobs.ModeSerial}); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first submit: HTTP %d", resp.StatusCode)
@@ -161,8 +161,8 @@ func TestServeBackpressure429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-capacity submit: HTTP %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Errorf("Retry-After = %q, want \"3\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want the floor \"1\"", ra)
 	}
 	if got := s.tel.Counter("svc.jobs.rejected").Value(); got != 1 {
 		t.Errorf("svc.jobs.rejected = %d, want 1", got)

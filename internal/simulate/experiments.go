@@ -2,7 +2,6 @@ package simulate
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/distmat"
@@ -11,9 +10,9 @@ import (
 )
 
 // This file regenerates the paper's evaluation artifacts (Tables 2-3,
-// Figures 3-7). Each Run* function returns structured rows; String
-// helpers render them in a paper-like layout. The experiment index lives
-// in DESIGN.md; paper-vs-measured comparisons live in EXPERIMENTS.md.
+// Figures 3-7). Each Run* function returns structured rows; cmd/scaling
+// renders them, once, as terminal text and CSV. The experiment index
+// lives in DESIGN.md; paper-vs-measured comparisons in EXPERIMENTS.md.
 
 // AlgorithmsOrder lists the three codes in the paper's presentation order.
 var AlgorithmsOrder = []string{AlgMPIOnly, AlgPrivateFock, AlgSharedFock}
@@ -130,19 +129,6 @@ func RunTable2() []Table2Row {
 	return rows
 }
 
-// FormatTable2 renders Table 2 rows.
-func FormatTable2(rows []Table2Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-7s %7s %8s | %10s %10s %10s %10s %7s | %8s %8s %8s\n",
-		"system", "atoms", "BFs", "MPI GB", "Pr.F. GB", "Sh.F. GB", "Dist GB/r", "ABFT %", "MPI/PrF", "MPI/ShF", "MPI/Dist")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-7s %7d %8d | %10.2f %10.2f %10.2f %10.4f %6.1f%% | %7.0fx %7.0fx %7.0fx\n",
-			r.System, r.Atoms, r.BasisF, r.MPIGB, r.PrFGB, r.ShFGB, r.DistGB, r.ABFTPct,
-			r.RatioPr, r.RatioSh, r.RatioDist)
-	}
-	return b.String()
-}
-
 // --- Table 3 / Figure 6: multi-node scaling, 2.0 nm ---
 
 // ScalingRow is one node count of the multi-node experiment.
@@ -180,19 +166,6 @@ func RunTable3(pc *ProfileCache) ([]ScalingRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// FormatScaling renders multi-node scaling rows.
-func FormatScaling(rows []ScalingRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%6s | %9s %9s %9s | %7s %7s %7s\n",
-		"nodes", "MPI s", "Pr.F. s", "Sh.F. s", "MPI %", "PrF %", "ShF %")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%6d | %9.0f %9.0f %9.0f | %6.0f%% %6.0f%% %6.0f%%\n",
-			r.Nodes, r.TimeSec[AlgMPIOnly], r.TimeSec[AlgPrivateFock], r.TimeSec[AlgSharedFock],
-			r.EffPct[AlgMPIOnly], r.EffPct[AlgPrivateFock], r.EffPct[AlgSharedFock])
-	}
-	return b.String()
 }
 
 // --- Figure 4: single-node hardware-thread scaling, 1.0 nm ---
@@ -239,25 +212,6 @@ func RunFig4(pc *ProfileCache) ([]Fig4Row, error) {
 	return rows, nil
 }
 
-// FormatFig4 renders Figure 4 rows.
-func FormatFig4(rows []Fig4Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%10s | %9s %9s %9s\n", "hw threads", "MPI s", "Pr.F. s", "Sh.F. s")
-	cell := func(v float64, ok bool) string {
-		if !ok {
-			return "      oom"
-		}
-		return fmt.Sprintf("%9.0f", v)
-	}
-	for _, r := range rows {
-		m, okM := r.TimeSec[AlgMPIOnly]
-		p, okP := r.TimeSec[AlgPrivateFock]
-		s, okS := r.TimeSec[AlgSharedFock]
-		fmt.Fprintf(&b, "%10d | %s %s %s\n", r.HWThreads, cell(m, okM), cell(p, okP), cell(s, okS))
-	}
-	return b.String()
-}
-
 // --- Figure 3: thread affinity, shared-Fock, 1.0 nm ---
 
 // Fig3Row is one thread count across affinity policies.
@@ -287,24 +241,6 @@ func RunFig3(pc *ProfileCache) ([]Fig3Row, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// FormatFig3 renders Figure 3 rows.
-func FormatFig3(rows []Fig3Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%11s |", "threads/rnk")
-	for _, aff := range knl.Affinities {
-		fmt.Fprintf(&b, " %9s", aff)
-	}
-	b.WriteString("\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%11d |", r.ThreadsPerRank)
-		for _, aff := range knl.Affinities {
-			fmt.Fprintf(&b, " %8.0fs", r.TimeSec[aff])
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
 }
 
 // --- Figure 5: cluster x memory modes ---
@@ -344,25 +280,6 @@ func RunFig5(pc *ProfileCache) ([]Fig5Row, error) {
 		}
 	}
 	return rows, nil
-}
-
-// FormatFig5 renders Figure 5 rows.
-func FormatFig5(rows []Fig5Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-7s %-11s %-12s | %9s %9s %9s\n",
-		"system", "cluster", "memory", "MPI s", "Pr.F. s", "Sh.F. s")
-	cell := func(m map[string]float64, alg string) string {
-		if v, ok := m[alg]; ok {
-			return fmt.Sprintf("%9.0f", v)
-		}
-		return "      oom"
-	}
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-7s %-11s %-12s | %s %s %s\n",
-			r.System, r.ClusterMode, r.MemoryMode,
-			cell(r.TimeSec, AlgMPIOnly), cell(r.TimeSec, AlgPrivateFock), cell(r.TimeSec, AlgSharedFock))
-	}
-	return b.String()
 }
 
 // --- Figure 7: shared-Fock at scale, 5.0 nm ---
@@ -418,16 +335,6 @@ func RunFig7(pc *ProfileCache) ([]Fig7Row, error) {
 		})
 	}
 	return rows, nil
-}
-
-// FormatFig7 renders Figure 7 rows.
-func FormatFig7(rows []Fig7Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%6s %8s | %9s %6s %9s\n", "nodes", "cores", "time s", "eff", "GB/node")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%6d %8d | %9.0f %5.0f%% %9.1f\n", r.Nodes, r.Cores, r.TimeSec, r.EffPct, r.MemGB)
-	}
-	return b.String()
 }
 
 // --- Ablations (EXP-V2): design-choice sweeps the paper motivates ---
@@ -519,17 +426,4 @@ func RunBreakdown(pc *ProfileCache, system string, nodes int) ([]BreakdownRow, e
 		})
 	}
 	return rows, nil
-}
-
-// FormatBreakdown renders breakdown rows.
-func FormatBreakdown(rows []BreakdownRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-13s %6s %9s | %8s %8s %7s %7s %8s\n",
-		"algorithm", "nodes", "time s", "compute", "screen", "dlb", "sync", "reduce")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-13s %6d %9.1f | %7.1f%% %7.1f%% %6.1f%% %6.1f%% %7.1f%%\n",
-			r.Algorithm, r.Nodes, r.FockSec,
-			r.ComputePct, r.ScreenPct, r.DLBPct, r.SyncPct, r.ReducePct)
-	}
-	return b.String()
 }

@@ -24,9 +24,7 @@ package simulate
 // diverges (never finishes in expectation) when lambda*C >= 1.
 
 import (
-	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/cluster"
 )
@@ -120,35 +118,4 @@ func RunResilience(pc *ProfileCache) ([]ResilienceRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// FormatResilience renders the failure-model rows.
-func FormatResilience(rows []ResilienceRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%6s %9s %8s | %9s %7s | %10s %7s | %10s %7s\n",
-		"nodes", "MTBF h", "iter s", "base s", "E[fail]", "restart s", "ovhd", "reissue s", "ovhd")
-	cell := func(v float64) string {
-		if math.IsInf(v, 1) {
-			return strings.Repeat(" ", 7) + "inf"
-		}
-		return fmt.Sprintf("%10.0f", v)
-	}
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%6d %9.1f %8.0f | %9.0f %7.2f | %s %6.1f%% | %s %6.1f%%\n",
-			r.Nodes, r.SysMTBFH, r.IterSec, r.BaseSec, r.ExpFailures,
-			cell(r.RestartSec), r.RestartOv*100, cell(r.ReissueSec), r.ReissueOv*100)
-	}
-	return b.String()
-}
-
-// CSVResilience renders the failure-model rows as CSV.
-func CSVResilience(rows []ResilienceRow) string {
-	var b strings.Builder
-	b.WriteString("nodes,system_mtbf_h,iter_s,base_s,expected_failures,restart_s,restart_overhead_pct,reissue_s,reissue_overhead_pct\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%d,%.2f,%.2f,%.2f,%.3f,%.2f,%.2f,%.2f,%.2f\n",
-			r.Nodes, r.SysMTBFH, r.IterSec, r.BaseSec, r.ExpFailures,
-			r.RestartSec, r.RestartOv*100, r.ReissueSec, r.ReissueOv*100)
-	}
-	return b.String()
 }

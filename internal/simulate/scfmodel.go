@@ -1,9 +1,7 @@
 package simulate
 
 import (
-	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/cluster"
 )
@@ -16,20 +14,15 @@ import (
 // estimate, exposing the diagonalization wall the paper's related work
 // (Chow et al.) identifies as the next bottleneck after Fock assembly.
 
-// SCFModel parameterizes the non-Fock parts of an iteration.
-type SCFModel struct {
-	// Iterations to convergence; graphene-sheet HF typically needs ~15-25
-	// with DIIS.
-	Iterations int
-	// DiagFlopsPerCore is the effective eigensolver throughput of one KNL
+// The non-Fock parts of an iteration.
+const (
+	// scfIterations to convergence; graphene-sheet HF typically needs
+	// ~15-25 with DIIS.
+	scfIterations = 20
+	// diagFlopsPerCore is the effective eigensolver throughput of one KNL
 	// core (scalar-heavy tridiagonalization; far below peak).
-	DiagFlopsPerCore float64
-}
-
-// DefaultSCFModel returns the documented defaults.
-func DefaultSCFModel() SCFModel {
-	return SCFModel{Iterations: 20, DiagFlopsPerCore: 1.5e9}
-}
+	diagFlopsPerCore = 1.5e9
+)
 
 // SCFEstimate breaks down a simulated full SCF run.
 type SCFEstimate struct {
@@ -43,7 +36,7 @@ type SCFEstimate struct {
 // EstimateSCF extends one simulated Fock build into a full-SCF estimate.
 // The diagonalization runs threaded within a rank but replicated across
 // ranks (GAMESS semantics), so it stops scaling beyond one node.
-func EstimateSCF(p *Profile, cfg Config, m SCFModel) SCFEstimate {
+func EstimateSCF(p *Profile, cfg Config) SCFEstimate {
 	r := Simulate(p, cfg)
 	n := float64(p.W.NBF)
 	// Householder + QL: ~ (4/3 + 6) N^3 flops with the eigenvector
@@ -52,15 +45,15 @@ func EstimateSCF(p *Profile, cfg Config, m SCFModel) SCFEstimate {
 	// Per rank: the node's cores are shared by the node's ranks; assume
 	// the diagonalization threads across the rank's share.
 	coresPerRank := float64(cfg.Machine.Node.Cores) / float64(maxInt(r.RanksPerNodeUsed, 1))
-	diag := flops / (m.DiagFlopsPerCore * math.Max(coresPerRank, 1))
+	diag := flops / (diagFlopsPerCore * math.Max(coresPerRank, 1))
 	est := SCFEstimate{
-		Iterations:  m.Iterations,
+		Iterations:  scfIterations,
 		FockSecEach: r.FockSec,
 		DiagSecEach: diag,
-		TotalSec:    float64(m.Iterations) * (r.FockSec + diag),
+		TotalSec:    scfIterations * (r.FockSec + diag),
 	}
 	if est.TotalSec > 0 {
-		est.DiagFraction = float64(m.Iterations) * diag / est.TotalSec
+		est.DiagFraction = scfIterations * diag / est.TotalSec
 	}
 	return est
 }
@@ -92,7 +85,6 @@ type SweepRow struct {
 // paper's Section 4.3 leverages with ij-prescreening.
 func RunSystemSweep(pc *ProfileCache, nodes int) ([]SweepRow, error) {
 	theta := cluster.Theta()
-	m := DefaultSCFModel()
 	var rows []SweepRow
 	var prev int64
 	for _, system := range []string{"0.5nm", "1.0nm", "1.5nm", "2.0nm"} {
@@ -101,7 +93,7 @@ func RunSystemSweep(pc *ProfileCache, nodes int) ([]SweepRow, error) {
 			return nil, err
 		}
 		cfg := Config{Machine: theta, Job: hybridJob(nodes), Algorithm: AlgSharedFock}
-		est := EstimateSCF(p, cfg, m)
+		est := EstimateSCF(p, cfg)
 		row := SweepRow{
 			System: system, NBF: p.W.NBF,
 			SigPairs: len(p.Sig), TotalPairs: p.W.NumPairs(),
@@ -115,21 +107,4 @@ func RunSystemSweep(pc *ProfileCache, nodes int) ([]SweepRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// FormatSweep renders the system sweep.
-func FormatSweep(rows []SweepRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-7s %7s %10s %12s %12s | %9s %9s\n",
-		"system", "BFs", "sig pairs", "total pairs", "quartets", "fock s", "diag s")
-	for _, r := range rows {
-		growth := ""
-		if r.QuartetGrowth > 0 {
-			growth = fmt.Sprintf("  (x%.1f)", r.QuartetGrowth)
-		}
-		fmt.Fprintf(&b, "%-7s %7d %10d %12d %12.3g | %9.1f %9.1f%s\n",
-			r.System, r.NBF, r.SigPairs, r.TotalPairs, float64(r.Quartets),
-			r.FockSec, r.DiagSecEach, growth)
-	}
-	return b.String()
 }

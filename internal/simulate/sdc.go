@@ -23,11 +23,7 @@ package simulate
 // silicon generation. The default sits at the aggressive end so the
 // sweep exercises the regime the protection layer exists for.
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+import "math"
 
 // SDC model constants.
 const (
@@ -114,29 +110,4 @@ func RunSDC(pc *ProfileCache) ([]SDCRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// FormatSDC renders the SDC-model rows.
-func FormatSDC(rows []SDCRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%6s %9s %8s | %11s %11s | %9s %9s %7s\n",
-		"nodes", "strike/h", "E[hit]", "P(bad)bare", "P(bad)verif", "base s", "verif s", "ovhd")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%6d %9.4f %8.4f | %11.2e %11.2e | %9.0f %9.0f %6.1f%%\n",
-			r.Nodes, r.EventsPerHour, r.ExpEvents, r.PWrongBare, r.PWrongVerif,
-			r.BaseSec, r.VerifiedSec, r.VerifiedOv*100)
-	}
-	return b.String()
-}
-
-// CSVSDC renders the SDC-model rows as CSV.
-func CSVSDC(rows []SDCRow) string {
-	var b strings.Builder
-	b.WriteString("nodes,critical_strikes_per_hour,expected_strikes,p_wrong_bare,p_wrong_verified,base_s,recompute_s,verified_s,verified_overhead_pct\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%d,%.6f,%.6f,%.6e,%.6e,%.2f,%.3f,%.2f,%.3f\n",
-			r.Nodes, r.EventsPerHour, r.ExpEvents, r.PWrongBare, r.PWrongVerif,
-			r.BaseSec, r.RecomputeSec, r.VerifiedSec, r.VerifiedOv*100)
-	}
-	return b.String()
 }

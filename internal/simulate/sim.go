@@ -24,30 +24,21 @@ const (
 // (Section 6.1). See DESIGN.md.
 const DefaultFixedPerRankBytes = int64(730) << 20
 
+// sharedThreadContentionLog models the shared-Fock code's intra-node
+// coherence cost: quartet time is scaled by
+// (1 + sharedThreadContentionLog * log2(threads)).
+const sharedThreadContentionLog = 0.05
+
 // Config selects what to simulate.
 type Config struct {
 	Machine   cluster.Machine
 	Job       cluster.Job
 	Algorithm string
-	// FixedPerRankBytes defaults to DefaultFixedPerRankBytes when 0.
-	FixedPerRankBytes int64
 	// DLBContention adds rank-count-dependent service degradation to the
 	// shared counter (models one-sided progress contention in DDI); the
 	// effective per-grab service is TDLBService * (1 + ranks * DLBContention).
-	// Default 1e-3 when negative is not given; set explicitly to 0 to
-	// disable in ablations.
+	// 0 selects the default 1e-4; the ablation's "off" row passes 1e-12.
 	DLBContention float64
-	// SharedThreadContentionLog models the shared-Fock code's intra-node
-	// coherence cost: quartet time is scaled by
-	// (1 + SharedThreadContentionLog * log2(threads)). Default 0.03.
-	SharedThreadContentionLog float64
-}
-
-func (c Config) fixed() int64 {
-	if c.FixedPerRankBytes == 0 {
-		return DefaultFixedPerRankBytes
-	}
-	return c.FixedPerRankBytes
 }
 
 // Breakdown decomposes the simulated Fock-build time into components
@@ -91,7 +82,8 @@ func (h *rankHeap) Pop() any          { old := *h; n := len(old); x := old[n-1];
 
 // MemoryPerNode returns the per-node footprint of an algorithm at a job
 // shape, using the fock package's eq. (3a)-(3c) accounting.
-func MemoryPerNode(alg string, nbf, ranksPerNode, threads int, fixed int64) int64 {
+func MemoryPerNode(alg string, nbf, ranksPerNode, threads int) int64 {
+	const fixed = DefaultFixedPerRankBytes
 	switch alg {
 	case AlgMPIOnly:
 		return fock.MPIOnlyFootprint(nbf, ranksPerNode, fixed).PerNodeBytes()
@@ -107,15 +99,15 @@ func MemoryPerNode(alg string, nbf, ranksPerNode, threads int, fixed int64) int6
 // capRanks reduces ranks-per-node (halving, floor 1) until the node
 // footprint fits DDR capacity — the paper's central constraint on the
 // MPI-only code. Returns the admissible ranks per node and the footprint.
-func capRanks(alg string, nbf, rpn, threads int, node knl.Node, fixed int64) (int, int64) {
+func capRanks(alg string, nbf, rpn, threads int, node knl.Node) (int, int64) {
 	for rpn > 1 {
-		mem := MemoryPerNode(alg, nbf, rpn, threads, fixed)
+		mem := MemoryPerNode(alg, nbf, rpn, threads)
 		if node.Fits(mem) {
 			return rpn, mem
 		}
 		rpn /= 2
 	}
-	return rpn, MemoryPerNode(alg, nbf, rpn, threads, fixed)
+	return rpn, MemoryPerNode(alg, nbf, rpn, threads)
 }
 
 // Simulate runs one Fock build of the profile under the configuration.
@@ -131,7 +123,7 @@ func Simulate(p *Profile, cfg Config) Result {
 	}
 
 	// Memory admission, with the MPI-only rank cap.
-	rpn, mem := capRanks(cfg.Algorithm, p.W.NBF, job.RanksPerNode, job.ThreadsPerRank, node, cfg.fixed())
+	rpn, mem := capRanks(cfg.Algorithm, p.W.NBF, job.RanksPerNode, job.ThreadsPerRank, node)
 	if !node.Fits(mem) {
 		res.Reason = fmt.Sprintf("per-node footprint %.1f GB exceeds capacity", float64(mem)/(1<<30))
 		res.MemPerNodeBytes = mem
@@ -183,11 +175,7 @@ func Simulate(p *Profile, cfg Config) Result {
 	}
 	quartetFactor := compPen * memPen * (1 + sharedFrac*(sharedPen-1))
 	if cfg.Algorithm == AlgSharedFock && threads > 1 {
-		scl := cfg.SharedThreadContentionLog
-		if scl == 0 {
-			scl = 0.05
-		}
-		quartetFactor *= 1 + scl*math.Log2(float64(threads))
+		quartetFactor *= 1 + sharedThreadContentionLog*math.Log2(float64(threads))
 	}
 
 	// DLB timings.

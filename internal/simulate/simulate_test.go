@@ -2,7 +2,6 @@ package simulate
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/basis"
@@ -205,11 +204,11 @@ func TestSimulateMoreNodesFaster(t *testing.T) {
 func TestMemoryCapReproducesPaperFacts(t *testing.T) {
 	// Section 6.1: 256 MPI-only ranks fit at 0.5 nm; only 128 at 1.0 nm.
 	node := knl.Phi7210()
-	rpn05, _ := capRanks(AlgMPIOnly, 660, 256, 1, node, DefaultFixedPerRankBytes)
+	rpn05, _ := capRanks(AlgMPIOnly, 660, 256, 1, node)
 	if rpn05 != 256 {
 		t.Fatalf("0.5nm capped to %d ranks, want 256", rpn05)
 	}
-	rpn10, _ := capRanks(AlgMPIOnly, 1800, 256, 1, node, DefaultFixedPerRankBytes)
+	rpn10, _ := capRanks(AlgMPIOnly, 1800, 256, 1, node)
 	if rpn10 != 128 {
 		t.Fatalf("1.0nm capped to %d ranks, want 128", rpn10)
 	}
@@ -387,7 +386,7 @@ func TestSimulateInvalidJob(t *testing.T) {
 func TestEstimateSCF(t *testing.T) {
 	p := testProfile(t, "0.5nm")
 	est := EstimateSCF(p, Config{Machine: cluster.Theta(),
-		Job: jobFor(AlgSharedFock, 4), Algorithm: AlgSharedFock}, DefaultSCFModel())
+		Job: jobFor(AlgSharedFock, 4), Algorithm: AlgSharedFock})
 	if est.TotalSec <= 0 || est.Iterations != 20 {
 		t.Fatalf("estimate: %+v", est)
 	}
@@ -432,56 +431,14 @@ func TestSystemSweepScreeningShape(t *testing.T) {
 	}
 }
 
-func TestFormattersAndCSV(t *testing.T) {
+// TestGranularityAblation: one row per code, and the profile summary
+// renders. (The tables of the artifacts are cmd/scaling's, and tested
+// there.)
+func TestGranularityAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-config simulation")
 	}
 	pc := testCache
-	t2 := RunTable2()
-	if s := FormatTable2(t2); len(s) == 0 || !containsAll(s, "0.5nm", "5.0nm") {
-		t.Fatal("FormatTable2 output wrong")
-	}
-	if s := CSVTable2(t2); !containsAll(s, "system,atoms", "0.5nm,44,660") {
-		t.Fatalf("CSVTable2 output wrong: %q", s[:60])
-	}
-	t3, err := RunTable3(pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := FormatScaling(t3); !containsAll(s, "nodes", "512") {
-		t.Fatal("FormatScaling output wrong")
-	}
-	if s := CSVScaling(t3); !containsAll(s, "nodes,mpi_s", "512,") {
-		t.Fatal("CSVScaling output wrong")
-	}
-	f3, _ := RunFig3(pc)
-	if s := CSVFig3(f3); !containsAll(s, "threads_per_rank", "compact_s") {
-		t.Fatal("CSVFig3 output wrong")
-	}
-	if s := FormatFig3(f3); !containsAll(s, "compact", "64") {
-		t.Fatal("FormatFig3 output wrong")
-	}
-	f4, _ := RunFig4(pc)
-	if s := CSVFig4(f4); !containsAll(s, "hw_threads", "256,,") {
-		t.Fatalf("CSVFig4 must show the MPI oom cell as empty")
-	}
-	if s := FormatFig4(f4); !containsAll(s, "oom") {
-		t.Fatal("FormatFig4 must render the oom cell")
-	}
-	f5, _ := RunFig5(pc)
-	if s := CSVFig5(f5); !containsAll(s, "cluster_mode", "quadrant") {
-		t.Fatal("CSVFig5 output wrong")
-	}
-	if s := FormatFig5(f5); !containsAll(s, "all-to-all", "flat-mcdram") {
-		t.Fatal("FormatFig5 output wrong")
-	}
-	sweep, err := RunSystemSweep(pc, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := FormatSweep(sweep); !containsAll(s, "sig pairs", "2.0nm") {
-		t.Fatal("FormatSweep output wrong")
-	}
 	gr, err := RunGranularityAblation(pc)
 	if err != nil || len(gr) != 3 {
 		t.Fatalf("granularity ablation: %v %v", gr, err)
@@ -489,15 +446,6 @@ func TestFormattersAndCSV(t *testing.T) {
 	if s := (&Profile{W: &Workload{Name: "x"}, CM: pc.CostModel()}).String(); len(s) == 0 {
 		t.Fatal("Profile.String empty")
 	}
-}
-
-func containsAll(s string, subs ...string) bool {
-	for _, sub := range subs {
-		if !strings.Contains(s, sub) {
-			return false
-		}
-	}
-	return true
 }
 
 func TestRunBreakdown(t *testing.T) {
@@ -521,8 +469,5 @@ func TestRunBreakdown(t *testing.T) {
 		if r.ComputePct < 50 {
 			t.Fatalf("%s: compute share only %v%%", r.Algorithm, r.ComputePct)
 		}
-	}
-	if s := FormatBreakdown(rows); !containsAll(s, "mpi-only", "shared-fock", "%") {
-		t.Fatal("FormatBreakdown output wrong")
 	}
 }

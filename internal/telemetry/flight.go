@@ -45,9 +45,9 @@ type FlightDump struct {
 	Truncated bool          `json:"truncated"`      // ring overwrote older entries
 }
 
-// DefaultFlightEntries is the default ring capacity — enough for the
-// last few jobs' worth of spans without holding a long run's history.
-const DefaultFlightEntries = 512
+// flightEntries is the ring capacity — enough for the last few jobs'
+// worth of spans without holding a long run's history.
+const flightEntries = 512
 
 // FlightRecorder is the bounded ring. All methods are nil-safe and
 // concurrency-safe.
@@ -61,13 +61,10 @@ type FlightRecorder struct {
 	last   *FlightDump
 }
 
-// NewFlightRecorder returns a ring holding the last n entries
-// (DefaultFlightEntries when n <= 0).
-func NewFlightRecorder(n int) *FlightRecorder {
-	if n <= 0 {
-		n = DefaultFlightEntries
-	}
-	return &FlightRecorder{buf: make([]FlightEntry, n)}
+// NewFlightRecorder returns a ring holding the last flightEntries
+// entries.
+func NewFlightRecorder() *FlightRecorder {
+	return &FlightRecorder{buf: make([]FlightEntry, flightEntries)}
 }
 
 // Note records one entry, overwriting the oldest past capacity.

@@ -133,7 +133,7 @@ func TestTraceIDMintAndSanitize(t *testing.T) {
 // --- Flight recorder ------------------------------------------------------
 
 func TestFlightRecorderRing(t *testing.T) {
-	f := NewFlightRecorder(4)
+	f := &FlightRecorder{buf: make([]FlightEntry, 4)} // a 4-entry ring wraps within the test
 	var dumped *FlightDump
 	f.SetOnDump(func(d *FlightDump) { dumped = d })
 	for i := 0; i < 6; i++ {

@@ -143,7 +143,7 @@ type Session struct {
 // NewSession returns a session recording wall-clock events.
 func NewSession() *Session {
 	return &Session{Registry: NewRegistry(), Recorder: NewRecorder(),
-		Loads: NewLoadCollector(), Flight: NewFlightRecorder(0)}
+		Loads: NewLoadCollector(), Flight: NewFlightRecorder()}
 }
 
 // WithTrace returns a session that records into the same collectors but
