@@ -20,9 +20,9 @@ import (
 	"strings"
 
 	"repro/internal/basis"
-	"repro/internal/cluster"
 	"repro/internal/integrals"
 	"repro/internal/molecule"
+	"repro/internal/mpi"
 	"repro/internal/scf"
 	"repro/internal/telemetry"
 )
@@ -218,12 +218,12 @@ var ErrRebalance = scf.ErrRebalance
 // Membership is an elastic rank pool: candidates announce joins on its
 // bus, the Elastic plan admits them at iteration boundaries, and rank
 // death or straggler migration advances its epoch.
-type Membership = cluster.Membership
+type Membership = mpi.Membership
 
 // NewMembership creates a rank pool of the given initial size. tel
 // (optional) receives the elastic.* counters and gauges.
 func NewMembership(size int, tel *Telemetry) *Membership {
-	return cluster.NewMembership(size, tel)
+	return mpi.NewMembership(size, tel)
 }
 
 // Run performs the Hartree-Fock calculation p describes on mol with the

@@ -29,21 +29,24 @@
 # non-test file of internal/scf, cmd/ or the root calls SerialBuilder( or
 # fock.SerialBuild( (the direct engine is the tests' oracle only).
 # Experiment code stays out of production packages: no non-test file of
-# internal/service imports math/rand or defines a func Run*, internal/
-# simulate imports neither internal/mpi nor internal/ddi nor net/http
-# (it is a model, not a runtime client), and hfserve has no loadgen flag.
+# internal/service imports math/rand or defines a func Run*, and hfserve
+# has no loadgen flag. The model is a leaf: `go list -deps
+# ./internal/simulate` names no repo package outside basis, molecule,
+# integrals, linalg and knl (it is a model, not a runtime client).
 # Every option earns its place: TestOptionBudget pins the exported-field
-# count of the eight configuration structs; the knobs PR 24 made constant
-# or derived (LeaseTTL, HedgeMinSamples, WatchTick, MaxRetryAfter,
+# count of the eight configuration structs; the knobs made constant or
+# derived (LeaseTTL, HedgeMinSamples, WatchTick, MaxRetryAfter,
 # WALSegment, WALKeepDone, HighDepthPerWorker, SharedThreadContentionLog,
-# SCFModel, MigrateMinSamples) are named by no non-test file outside
-# bench/; and internal/simulate returns rows only — no func Format*, no
-# func CSV* (cmd/scaling builds the one table of each artifact).
+# SCFModel, MigrateMinSamples, CostModel, NodeMTBFHours) are named by no
+# non-test file outside bench/; and internal/simulate returns rows only —
+# no func Format*, no func CSV* (cmd/scaling builds the one table of each
+# artifact).
 #
 # Tier 2 (concurrency soundness): the race detector over the packages
-# with real parallelism and fault injection, and over the one PairCache
-# every rank and thread shares (8 goroutines, blocks bit-identical to a
-# serial pass). The full ./internal/scf suite under -race takes ~5
+# with real parallelism and fault injection (internal/mpi includes the
+# elastic-membership join protocol and its tests), and over the one
+# PairCache every rank and thread shares (8 goroutines, blocks
+# bit-identical to a serial pass). The full ./internal/scf suite under -race takes ~5
 # minutes; everything else is seconds.
 #
 # Tier 3 (observability gate): run a tiny SCF with -trace and check the
@@ -255,8 +258,9 @@ tier_1() {
 		echo "structure gate: an experiment harness is back in internal/service (it belongs in cmd/scaling)"
 		exit 1
 	fi
-	if go list -f '{{join .Imports "\n"}}' ./internal/simulate | grep -x 'repro/internal/mpi\|repro/internal/ddi\|net/http'; then
-		echo "structure gate: internal/simulate is a model; live workloads belong in cmd/scaling"
+	if go list -deps ./internal/simulate | grep '^repro/' |
+		grep -vx 'repro/internal/\(basis\|molecule\|integrals\|linalg\|knl\|simulate\)'; then
+		echo "structure gate: internal/simulate is a model and links no runtime; live workloads belong in cmd/scaling"
 		exit 1
 	fi
 	if go run ./cmd/hfserve -h 2>&1 | grep -i loadgen; then
@@ -268,8 +272,8 @@ tier_1() {
 	go test -count=1 -run '^TestOptionBudget$' -v . | grep -q '^--- PASS: TestOptionBudget' ||
 		{ echo "structure gate: TestOptionBudget did not run and pass"; exit 1; }
 	nontest=$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*')
-	if grep -n 'LeaseTTL\|HedgeMinSamples\|WatchTick\|MaxRetryAfter\|WALSegment\b\|WALKeepDone\|HighDepthPerWorker\|SharedThreadContentionLog\|SCFModel\|MigrateMinSamples' $nontest; then
-		echo "structure gate: an option PR 24 made a constant (or derived) is back; see TestOptionBudget for the rule"
+	if grep -n 'LeaseTTL\|HedgeMinSamples\|WatchTick\|MaxRetryAfter\|WALSegment\b\|WALKeepDone\|HighDepthPerWorker\|SharedThreadContentionLog\|SCFModel\|MigrateMinSamples\|CostModel\|NodeMTBFHours' $nontest; then
+		echo "structure gate: an option made a constant (or derived) is back; see TestOptionBudget for the rule"
 		exit 1
 	fi
 	if grep -n '^func Format\|^func CSV' $(ls internal/simulate/*.go | grep -v _test.go); then
@@ -432,7 +436,7 @@ tier_9() {
 	echo "== tier 9: elastic gate (scaling -exp elastic + -race membership tests) =="
 	go run ./cmd/scaling -exp elastic
 	race_rerun 'TestJoinBus|TestJoinBackoff|TestMembership|TestElastic|TestCheckpointGrow|TestAutoscaler|TestResize|TestFleetFetch|TestFetchBackoff|TestReadyzRebalancing' \
-		./internal/mpi/ ./internal/cluster/ ./internal/scf/ ./internal/service/
+		./internal/mpi/ ./internal/scf/ ./internal/service/
 }
 
 tier_10() {

@@ -11,7 +11,7 @@ import (
 	"os"
 
 	"repro/internal/distmat"
-	"repro/internal/fock"
+	"repro/internal/simulate"
 )
 
 func main() {
@@ -29,15 +29,15 @@ func main() {
 		os.Exit(2)
 	}
 	const gb = float64(1 << 30)
-	mpi := fock.MPIOnlyFootprint(*nbf, *ranks, 0)
-	pr := fock.PrivateFockFootprint(*nbf, *threads, 4, 0)
-	sh := fock.SharedFockFootprint(*nbf, 4, 0)
+	mpi := int64(*ranks) * simulate.RankBytes(simulate.AlgMPIOnly, *nbf, 1)
+	pr := 4 * simulate.RankBytes(simulate.AlgPrivateFock, *nbf, *threads)
+	sh := 4 * simulate.RankBytes(simulate.AlgSharedFock, *nbf, *threads)
 	fmt.Printf("N = %d basis functions\n", *nbf)
-	fmt.Printf("  mpi-only     (%3d ranks/node):          %10.2f GB/node\n", *ranks, float64(mpi.PerNodeBytes())/gb)
-	fmt.Printf("  private-fock (4 ranks x %2d threads):    %10.2f GB/node\n", *threads, float64(pr.PerNodeBytes())/gb)
-	fmt.Printf("  shared-fock  (4 ranks):                 %10.2f GB/node\n", float64(sh.PerNodeBytes())/gb)
+	fmt.Printf("  mpi-only     (%3d ranks/node):          %10.2f GB/node\n", *ranks, float64(mpi)/gb)
+	fmt.Printf("  private-fock (4 ranks x %2d threads):    %10.2f GB/node\n", *threads, float64(pr)/gb)
+	fmt.Printf("  shared-fock  (4 ranks):                 %10.2f GB/node\n", float64(sh)/gb)
 	fmt.Printf("  shared-fock FI/FJ buffers:              %10.2f GB/node\n",
-		4*float64(fock.BufferBytes(*nbf, 6, *threads))/gb)
+		4*float64(simulate.BufferBytes(*nbf, 6, *threads))/gb)
 	pr2, pc := distmat.Factor2D(*ranks)
 	fmt.Printf("  distributed  (%dx%d tile grid):          %10.4f GB/rank\n",
 		pr2, pc, float64(distmat.FootprintPerRank(*nbf, *ranks))/gb)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/cluster"
 	"repro/internal/jobs"
 	"repro/internal/mpi"
 	"repro/internal/service"
@@ -56,7 +55,7 @@ func liveElastic(e *env) {
 	tel := repro.NewTelemetry()
 	m := repro.NewMembership(2, tel)
 	var announced atomic.Bool
-	var tickets []*cluster.JoinTicket
+	var tickets []*mpi.JoinTicket
 	plan := repro.Elastic
 	plan.Ranks, plan.MaxRanks, plan.Membership = 2, 4, m
 	plan.Deadline, plan.Grace = 30*time.Second, e.grace
@@ -81,7 +80,7 @@ func liveElastic(e *env) {
 			fmt.Sprintf("joined = %d, final ranks = %d", trace.JoinsCommitted, trace.FinalRanks))
 		handed := len(tickets) == 2
 		for _, t := range tickets {
-			handed = handed && t.State() == cluster.JoinCommitted && len(t.Checkpoint()) > 0
+			handed = handed && t.State() == mpi.JoinCommitted && len(t.Checkpoint()) > 0
 		}
 		e.check("checkpoint handed to joiners", handed,
 			fmt.Sprintf("%d tickets committed with checkpoint", len(tickets)))
@@ -193,7 +192,7 @@ func runElasticServe() (*elasticServeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.AttachMembership(cluster.NewMembership(1, tel))
+	s.AttachMembership(mpi.NewMembership(1, tel))
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/distmat"
 	"repro/internal/knl"
 	"repro/internal/mpi"
 	"repro/internal/simulate"
@@ -29,12 +30,21 @@ func model[R any](run func(*simulate.ProfileCache) ([]R, error), render func([]R
 // one place. An empty cell is a configuration that does not fit in
 // memory.
 
+// table2Table adds two extension columns to the paper's Table 2, which
+// depend on distmat's tile and parity placement rather than on the model:
+// the per-RANK footprint when the five iteration matrices live as 2D
+// block-cyclic tiles over the stock code's compute ranks instead of being
+// replicated, and the ABFT checksum tiles as a percentage of those data
+// tiles (the price of surviving a rank death without restarting).
 func table2Table(rows []simulate.Table2Row) *table {
 	t := newTable("system", "atoms", "basis_functions", "mpi_gb", "private_fock_gb", "shared_fock_gb",
 		"distributed_gb_per_rank", "abft_overhead_pct", "ratio_private", "ratio_shared", "ratio_distributed")
 	for _, r := range rows {
+		distGB := float64(distmat.FootprintPerRank(r.BasisF, simulate.Table2Ranks)) / (1 << 30)
+		parity, data := distmat.ABFTBytesPerRank(r.BasisF, simulate.Table2Ranks, 0)
 		t.row(r.System, r.Atoms, r.BasisF, fx(4, r.MPIGB), fx(4, r.PrFGB), fx(4, r.ShFGB),
-			fx(6, r.DistGB), f2(r.ABFTPct), fx(1, r.RatioPr), fx(1, r.RatioSh), fx(1, r.RatioDist))
+			fx(6, distGB), f2(100*float64(parity)/float64(data)), fx(1, r.RatioPr), fx(1, r.RatioSh),
+			fx(1, r.MPIGB/distGB))
 	}
 	return t
 }

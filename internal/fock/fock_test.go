@@ -178,32 +178,6 @@ func TestFinalizeSymmetry(t *testing.T) {
 	}
 }
 
-func TestMemoryFootprints(t *testing.T) {
-	// Table 2 shape: at N=5340 (2.0 nm), MPI-only with 256 ranks is about
-	// 50x the private-Fock and 200x the shared-Fock node footprints.
-	nbf := 5340
-	mpiF := MPIOnlyFootprint(nbf, 256, 0)
-	prF := PrivateFockFootprint(nbf, 64, 4, 0)
-	shF := SharedFockFootprint(nbf, 4, 0)
-	if mpiF.PerNodeBytes() <= prF.PerNodeBytes() || prF.PerNodeBytes() <= shF.PerNodeBytes() {
-		t.Fatal("footprint ordering wrong")
-	}
-	ratioPr := float64(mpiF.PerNodeBytes()) / float64(prF.PerNodeBytes())
-	ratioSh := float64(mpiF.PerNodeBytes()) / float64(shF.PerNodeBytes())
-	if ratioPr < 2 || ratioPr > 3 {
-		t.Fatalf("MPI/private ratio = %v (want ~2.4: 256*2.5 / (4*66))", ratioPr)
-	}
-	if ratioSh < 40 || ratioSh > 50 {
-		t.Fatalf("MPI/shared ratio = %v (want ~45.7: 256*2.5 / (4*3.5))", ratioSh)
-	}
-}
-
-func TestBufferBytes(t *testing.T) {
-	if got := BufferBytes(100, 6, 4); got != 2*4*6*100*8 {
-		t.Fatalf("BufferBytes = %d", got)
-	}
-}
-
 func TestPairCacheBuilders(t *testing.T) {
 	// All builders with a PairCache source must match the direct path.
 	eng, sch, d := setup(t, molecule.Water(), "6-31g")

@@ -1,8 +1,11 @@
-// Package knl models the second-generation Intel Xeon Phi (Knights
-// Landing) processor for the discrete-event simulator: cores, tiles,
-// hyperthreads, the MCDRAM/DDR4 two-level memory, the cluster modes
-// (all-to-all, quadrant, SNC-4), the memory modes (cache, flat), and
-// thread affinity (KMP_AFFINITY compact/scatter/balanced/none).
+// Package knl models the paper's hardware for the discrete-event
+// simulator. The node is the second-generation Intel Xeon Phi (Knights
+// Landing) processor: cores, hyperthreads, the MCDRAM/DDR4 two-level
+// memory, the cluster modes (all-to-all, quadrant, SNC-4), the memory
+// modes (cache, flat), and thread affinity (KMP_AFFINITY
+// compact/scatter/balanced/none). The machines (machine.go) are the two
+// clusters of Table 1 built from it, Theta and JLSE, with their
+// interconnects, job shapes and failure rate.
 //
 // This package is a SUBSTITUTION for hardware this reproduction does not
 // have (see DESIGN.md): the mode and affinity effects are explicit
@@ -49,17 +52,15 @@ const (
 
 // Node describes one Xeon Phi node.
 type Node struct {
-	Model             string
-	Cores             int     // physical cores (64 for 7210/7230)
-	HTPerCore         int     // hardware threads per core (4)
-	FreqGHz           float64 // 1.3
-	MCDRAMBytes       int64   // 16 GB high-bandwidth memory
-	DDRBytes          int64   // 192 GB DDR4
-	MCDRAMBwGBs       float64 // ~400 GB/s
-	DDRBwGBs          float64 // ~100 GB/s
-	ClusterModeUsed   ClusterMode
-	MemoryModeUsed    MemoryMode
-	PeakGFlopsPerCore float64
+	Model           string
+	Cores           int     // physical cores (64 for 7210/7230)
+	HTPerCore       int     // hardware threads per core (4)
+	MCDRAMBytes     int64   // 16 GB high-bandwidth memory
+	DDRBytes        int64   // 192 GB DDR4
+	MCDRAMBwGBs     float64 // ~400 GB/s
+	DDRBwGBs        float64 // ~100 GB/s
+	ClusterModeUsed ClusterMode
+	MemoryModeUsed  MemoryMode
 }
 
 // Phi7210 returns the JLSE node model (Intel Xeon Phi 7210).
@@ -70,17 +71,15 @@ func Phi7230() Node { return phiNode("Xeon Phi 7230") }
 
 func phiNode(model string) Node {
 	return Node{
-		Model:             model,
-		Cores:             64,
-		HTPerCore:         4,
-		FreqGHz:           1.3,
-		MCDRAMBytes:       16 << 30,
-		DDRBytes:          192 << 30,
-		MCDRAMBwGBs:       400,
-		DDRBwGBs:          100,
-		ClusterModeUsed:   Quadrant,
-		MemoryModeUsed:    CacheMode,
-		PeakGFlopsPerCore: 2662.0 / 64, // Table 1: 2,622 GFLOPs per node
+		Model:           model,
+		Cores:           64,
+		HTPerCore:       4,
+		MCDRAMBytes:     16 << 30,
+		DDRBytes:        192 << 30,
+		MCDRAMBwGBs:     400,
+		DDRBwGBs:        100,
+		ClusterModeUsed: Quadrant,
+		MemoryModeUsed:  CacheMode,
 	}
 }
 

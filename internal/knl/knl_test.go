@@ -1,7 +1,6 @@
 package knl
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -167,8 +166,5 @@ func TestWithModesAndString(t *testing.T) {
 	}
 	if n.String() == "" {
 		t.Fatal("empty String()")
-	}
-	if math.IsNaN(n.PeakGFlopsPerCore) || n.PeakGFlopsPerCore <= 0 {
-		t.Fatal("peak flops unset")
 	}
 }

@@ -1,14 +1,13 @@
-// Package cluster models the multi-node machines of the paper's
-// evaluation — the JLSE Xeon Phi cluster (Omni-Path) and the Theta Cray
-// XC40 (Aries dragonfly) — together with interconnect cost models for the
-// collective and one-sided operations the Hartree-Fock algorithms use.
-package cluster
+package knl
+
+// The multi-node machines of the paper's evaluation — the JLSE Xeon Phi
+// cluster (Omni-Path) and the Theta Cray XC40 (Aries dragonfly) — together
+// with interconnect cost models for the collective and one-sided
+// operations the Hartree-Fock algorithms use.
 
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/knl"
 )
 
 // Network is a latency/bandwidth interconnect model.
@@ -58,32 +57,26 @@ func (n Network) AllreduceTime(bytes int64, ranks int) float64 {
 type Machine struct {
 	Name     string
 	MaxNodes int
-	Node     knl.Node
+	Node     Node
 	Net      Network
-	// NodeMTBFHours is the mean time between fail-stop failures of a
-	// single node, in hours. Production HPC nodes sit around one failure
-	// every couple of years; large jobs see failures far more often
-	// because node failure rates add.
-	NodeMTBFHours float64
 }
 
-// DefaultNodeMTBFHours is the per-node mean time between failures used
-// when a machine does not override it: two years, a common planning
-// figure for commodity HPC nodes.
-const DefaultNodeMTBFHours = 2 * 365 * 24 // 17,520 h
+// nodeMTBFHours is the mean time between fail-stop failures of a single
+// node on both machines: two years, a common planning figure for
+// commodity HPC nodes. Large jobs see failures far more often because
+// node failure rates add.
+const nodeMTBFHours = 2 * 365 * 24 // 17,520 h
 
 // Theta returns the ALCF Theta model: 3,624 Intel Xeon Phi 7230 nodes on
 // Aries (Table 1).
 func Theta() Machine {
-	return Machine{Name: "Theta (Cray XC40)", MaxNodes: 3624, Node: knl.Phi7230(), Net: Aries(),
-		NodeMTBFHours: DefaultNodeMTBFHours}
+	return Machine{Name: "Theta (Cray XC40)", MaxNodes: 3624, Node: Phi7230(), Net: Aries()}
 }
 
 // JLSE returns the JLSE evaluation cluster: 10 Xeon Phi 7210 nodes on
 // Omni-Path (Table 1).
 func JLSE() Machine {
-	return Machine{Name: "JLSE Xeon Phi cluster", MaxNodes: 10, Node: knl.Phi7210(), Net: OmniPath(),
-		NodeMTBFHours: DefaultNodeMTBFHours}
+	return Machine{Name: "JLSE Xeon Phi cluster", MaxNodes: 10, Node: Phi7210(), Net: OmniPath()}
 }
 
 // SystemMTBFSec returns the mean time between failures, in seconds, of a
@@ -95,11 +88,7 @@ func (m Machine) SystemMTBFSec(nodes int) float64 {
 	if nodes < 1 {
 		return math.Inf(1)
 	}
-	mtbf := m.NodeMTBFHours
-	if mtbf <= 0 {
-		mtbf = DefaultNodeMTBFHours
-	}
-	return mtbf * 3600 / float64(nodes)
+	return nodeMTBFHours * 3600 / float64(nodes)
 }
 
 // Job is a requested run configuration.
@@ -107,7 +96,7 @@ type Job struct {
 	Nodes          int
 	RanksPerNode   int
 	ThreadsPerRank int
-	Affinity       knl.Affinity
+	Affinity       Affinity
 }
 
 // TotalRanks returns the global MPI rank count.
@@ -119,19 +108,19 @@ func (j Job) HWThreadsPerNode() int { return j.RanksPerNode * j.ThreadsPerRank }
 // Validate checks the job against the machine's limits.
 func (m Machine) Validate(j Job) error {
 	if j.Nodes < 1 || j.Nodes > m.MaxNodes {
-		return fmt.Errorf("cluster: %d nodes outside [1, %d] on %s", j.Nodes, m.MaxNodes, m.Name)
+		return fmt.Errorf("knl: %d nodes outside [1, %d] on %s", j.Nodes, m.MaxNodes, m.Name)
 	}
 	if j.RanksPerNode < 1 || j.ThreadsPerRank < 1 {
-		return fmt.Errorf("cluster: ranks per node and threads per rank must be >= 1")
+		return fmt.Errorf("knl: ranks per node and threads per rank must be >= 1")
 	}
 	if ht := j.HWThreadsPerNode(); ht > m.Node.HWThreads() {
-		return fmt.Errorf("cluster: %d hardware threads exceed the node's %d", ht, m.Node.HWThreads())
+		return fmt.Errorf("knl: %d hardware threads exceed the node's %d", ht, m.Node.HWThreads())
 	}
 	return nil
 }
 
 // WithModes returns a copy of the machine with its nodes reconfigured.
-func (m Machine) WithModes(cm knl.ClusterMode, mm knl.MemoryMode) Machine {
+func (m Machine) WithModes(cm ClusterMode, mm MemoryMode) Machine {
 	m.Node = m.Node.WithModes(cm, mm)
 	return m
 }

@@ -1,11 +1,9 @@
-package cluster
+package knl
 
 import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/knl"
 )
 
 func TestMachineSpecs(t *testing.T) {
@@ -82,12 +80,12 @@ func TestValidate(t *testing.T) {
 }
 
 func TestWithModes(t *testing.T) {
-	m := JLSE().WithModes(knl.AllToAll, knl.FlatDDR)
-	if m.Node.ClusterModeUsed != knl.AllToAll || m.Node.MemoryModeUsed != knl.FlatDDR {
+	m := JLSE().WithModes(AllToAll, FlatDDR)
+	if m.Node.ClusterModeUsed != AllToAll || m.Node.MemoryModeUsed != FlatDDR {
 		t.Fatal("WithModes did not propagate to the node")
 	}
 	// Original untouched (value semantics).
-	if JLSE().Node.ClusterModeUsed != knl.Quadrant {
+	if JLSE().Node.ClusterModeUsed != Quadrant {
 		t.Fatal("WithModes mutated the constructor default")
 	}
 }
@@ -95,20 +93,21 @@ func TestWithModes(t *testing.T) {
 func TestSystemMTBF(t *testing.T) {
 	theta := Theta()
 	// One node: the system MTBF is the node MTBF.
-	if got := theta.SystemMTBFSec(1); got != DefaultNodeMTBFHours*3600 {
+	if got := theta.SystemMTBFSec(1); got != nodeMTBFHours*3600 {
 		t.Fatalf("1-node MTBF = %v s", got)
 	}
 	// Rates add: n nodes fail n times as often.
-	if got, want := theta.SystemMTBFSec(3000), DefaultNodeMTBFHours*3600/3000.0; got != want {
+	if got, want := theta.SystemMTBFSec(3000), nodeMTBFHours*3600/3000.0; got != want {
 		t.Fatalf("3000-node MTBF = %v s, want %v", got, want)
 	}
 	// Full Theta with a 2-year node MTBF fails about every 4.8 hours.
 	if h := theta.SystemMTBFSec(3624) / 3600; h < 4 || h > 6 {
 		t.Fatalf("full-Theta MTBF = %v h, expected ~4.8", h)
 	}
-	// A zero-valued machine falls back to the default node MTBF.
-	if got := (Machine{}).SystemMTBFSec(10); got != DefaultNodeMTBFHours*3600/10.0 {
-		t.Fatalf("default fallback = %v s", got)
+	// Both machines share the one node MTBF: the system MTBF depends only
+	// on the node count.
+	if got, want := JLSE().SystemMTBFSec(10), theta.SystemMTBFSec(10); got != want || got != nodeMTBFHours*3600/10.0 {
+		t.Fatalf("10-node MTBF: JLSE %v s, Theta %v s, want %v", got, want, nodeMTBFHours*3600/10.0)
 	}
 	if !math.IsInf((Machine{}).SystemMTBFSec(0), 1) {
 		t.Fatal("zero nodes must never fail")

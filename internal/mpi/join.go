@@ -11,7 +11,9 @@ package mpi
 // message that could be duplicated, reordered, or silently corrupted
 // would let one flaky fabric event double-admit a rank or commit a
 // half-announced join — so the control plane inherits exactly the
-// guarantees the data plane already earns.
+// guarantees the data plane already earns. membership.go is the other
+// half of the protocol: the rank pool that turns delivered announces into
+// admitted ranks.
 
 import (
 	"fmt"
@@ -104,8 +106,12 @@ type JoinBus struct {
 	clean     map[string]JoinFrame // clean copies pending delivery, keyed sender#seq
 	tel       *telemetry.Session
 
-	// Fault knobs (tests and chaos experiments): each applies to the next
-	// Send only, modeling one fabric event on the control channel.
+	// Fault knobs, set by tests: each applies to the next Send only,
+	// modeling one fabric event on the control channel. corruptNext flips a
+	// bit in the envelope (the receiver must recover the clean copy),
+	// duplicateNext delivers the frame twice (the stale copy must be
+	// dropped), reorderNext swaps it behind the frame queued ahead of it
+	// (per-sender seq order must be restored).
 	corruptNext   bool
 	duplicateNext bool
 	reorderNext   bool
@@ -123,20 +129,6 @@ func NewJoinBus(tel *telemetry.Session) *JoinBus {
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
-
-// CorruptNext flips a bit in the next sent frame's envelope in flight;
-// the receiver must detect the checksum mismatch and recover from the
-// retained clean copy.
-func (b *JoinBus) CorruptNext() { b.mu.Lock(); b.corruptNext = true; b.mu.Unlock() }
-
-// DuplicateNext delivers the next sent frame twice; the receiver must
-// drop the stale copy.
-func (b *JoinBus) DuplicateNext() { b.mu.Lock(); b.duplicateNext = true; b.mu.Unlock() }
-
-// ReorderNext swaps the next sent frame behind the frame already queued
-// ahead of it (no-op on an empty queue); per-sender seq order must be
-// restored at delivery.
-func (b *JoinBus) ReorderNext() { b.mu.Lock(); b.reorderNext = true; b.mu.Unlock() }
 
 func (b *JoinBus) count(name string) {
 	if b.tel != nil {

@@ -38,7 +38,7 @@ func TestJoinBusOrderedDelivery(t *testing.T) {
 func TestJoinBusDuplicateDropped(t *testing.T) {
 	tel := telemetry.NewSession()
 	b := NewJoinBus(tel)
-	b.DuplicateNext()
+	b.duplicateNext = true
 	sendAnnounce(b, "host-a", 2)
 	sendAnnounce(b, "host-a", 3)
 
@@ -61,7 +61,7 @@ func TestJoinBusDuplicateDropped(t *testing.T) {
 func TestJoinBusCorruptRecovered(t *testing.T) {
 	tel := telemetry.NewSession()
 	b := NewJoinBus(tel)
-	b.CorruptNext()
+	b.corruptNext = true
 	sendAnnounce(b, "host-a", 2)
 
 	f, ok := b.Recv(time.Second)
@@ -82,7 +82,7 @@ func TestJoinBusCorruptRecovered(t *testing.T) {
 func TestJoinBusReorderRestored(t *testing.T) {
 	b := NewJoinBus(nil)
 	sendAnnounce(b, "host-a", 1)
-	b.ReorderNext()
+	b.reorderNext = true
 	sendAnnounce(b, "host-a", 2) // held back and delivered behind seq 3
 	sendAnnounce(b, "host-a", 3)
 

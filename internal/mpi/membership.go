@@ -1,4 +1,4 @@
-package cluster
+package mpi
 
 // Elastic membership: the bookkeeping half of the elastic runtime. A
 // Membership tracks the current rank-pool size and its epoch (a counter
@@ -6,7 +6,7 @@ package cluster
 // protocol for candidates that want to enter a running computation:
 //
 //	announce  — the candidate frames a JoinAnnounce through the JoinBus
-//	            (sequence-numbered + checksummed, see mpi/join.go) and
+//	            (sequence-numbered + checksummed, see join.go) and
 //	            waits for admission with a TTL;
 //	handshake — the driver, at an SCF iteration boundary, moves every
 //	            announced candidate into the checkpoint handshake
@@ -30,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/mpi"
 	"repro/internal/telemetry"
 )
 
@@ -114,13 +113,14 @@ func (t *JoinTicket) AwaitAdmission(timeout time.Duration) ([]byte, error) {
 	case <-t.admitted:
 		return t.Checkpoint(), nil
 	case <-time.After(timeout):
-		return nil, fmt.Errorf("cluster: join of %q (%d ranks) not admitted within %v",
+		return nil, fmt.Errorf("mpi: join of %q (%d ranks) not admitted within %v",
 			t.Host, t.Ranks, timeout)
 	}
 }
 
-// Event is one membership transition, for experiment reports and tests.
-type Event struct {
+// MembershipEvent is one membership transition, for experiment reports
+// and tests.
+type MembershipEvent struct {
 	Time   time.Time
 	Kind   string // announce | handshake | commit | expire | abort | grow | shrink | migrate
 	Detail string
@@ -140,10 +140,10 @@ type Membership struct {
 	epoch       int64
 	joinTTL     time.Duration
 	pending     []*JoinTicket
-	bus         *mpi.JoinBus
+	bus         *JoinBus
 	tel         *telemetry.Session
 	rebalancing bool
-	events      []Event
+	events      []MembershipEvent
 	now         func() time.Time // test hook
 }
 
@@ -156,7 +156,7 @@ func NewMembership(size int, tel *telemetry.Session) *Membership {
 	m := &Membership{
 		size:    size,
 		joinTTL: DefaultJoinTTL,
-		bus:     mpi.NewJoinBus(tel),
+		bus:     NewJoinBus(tel),
 		tel:     tel,
 		now:     time.Now,
 	}
@@ -165,9 +165,6 @@ func NewMembership(size int, tel *telemetry.Session) *Membership {
 	m.gauge("elastic.rebalance_inflight", 0)
 	return m
 }
-
-// Bus exposes the join bus (chaos experiments arm its fault knobs).
-func (m *Membership) Bus() *mpi.JoinBus { return m.bus }
 
 func (m *Membership) count(name string, n int64) {
 	if m.tel != nil {
@@ -205,15 +202,15 @@ func (m *Membership) Rebalancing() bool {
 }
 
 // Events returns a copy of the transition log.
-func (m *Membership) Events() []Event {
+func (m *Membership) Events() []MembershipEvent {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]Event(nil), m.events...)
+	return append([]MembershipEvent(nil), m.events...)
 }
 
 // event appends to the transition log; caller holds the lock.
 func (m *Membership) event(kind, detail string) {
-	m.events = append(m.events, Event{
+	m.events = append(m.events, MembershipEvent{
 		Time: m.now(), Kind: kind, Detail: detail, Epoch: m.epoch, Size: m.size,
 	})
 }
@@ -231,15 +228,15 @@ func (m *Membership) Announce(ranks int, host string) *JoinTicket {
 // candidate sleeps it).
 func (m *Membership) ReAnnounce(t *JoinTicket) (*JoinTicket, time.Duration) {
 	attempt := t.Attempt + 1
-	return m.announce(t.Ranks, t.Host, attempt), mpi.JoinBackoff(t.Host, attempt)
+	return m.announce(t.Ranks, t.Host, attempt), JoinBackoff(t.Host, attempt)
 }
 
 func (m *Membership) announce(ranks int, host string, attempt int) *JoinTicket {
 	if ranks < 1 {
 		ranks = 1
 	}
-	seq := m.bus.Send(mpi.JoinFrame{
-		Kind: mpi.JoinAnnounce, Sender: host, Epoch: m.Epoch(), Ranks: ranks,
+	seq := m.bus.Send(JoinFrame{
+		Kind: JoinAnnounce, Sender: host, Epoch: m.Epoch(), Ranks: ranks,
 		Payload: []int{attempt},
 	})
 	m.drainBus()
@@ -268,7 +265,7 @@ func (m *Membership) drainBus() {
 		if !ok {
 			return
 		}
-		if f.Kind != mpi.JoinAnnounce {
+		if f.Kind != JoinAnnounce {
 			continue // grants/commits are driver→candidate; nothing to track here
 		}
 		m.mu.Lock()

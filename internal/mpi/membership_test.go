@@ -1,4 +1,4 @@
-package cluster
+package mpi
 
 import (
 	"bytes"
@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/mpi"
 	"repro/internal/telemetry"
 )
 
@@ -87,7 +86,7 @@ func TestMembershipTTLExpiryAndReAnnounce(t *testing.T) {
 	if retry.Attempt != 1 {
 		t.Fatalf("re-announce attempt = %d, want 1", retry.Attempt)
 	}
-	if want := mpi.JoinBackoff("slowpoke", 1); backoff != want {
+	if want := JoinBackoff("slowpoke", 1); backoff != want {
 		t.Fatalf("backoff = %v, want deterministic %v", backoff, want)
 	}
 	if !m.BeginRebalance() {
@@ -158,9 +157,9 @@ func TestMembershipBusChaosHealedBeforeAdmission(t *testing.T) {
 
 	// One duplicated and one corrupted announce: the bus discipline must
 	// heal both so exactly two candidates (not three) reach the handshake.
-	m.Bus().DuplicateNext()
+	m.bus.duplicateNext = true
 	m.Announce(1, "dup-host")
-	m.Bus().CorruptNext()
+	m.bus.corruptNext = true
 	m.Announce(1, "corrupt-host")
 
 	if n := m.PendingJoins(); n != 2 {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/basis"
-	"repro/internal/cluster"
 	"repro/internal/integrals"
 	"repro/internal/molecule"
 	"repro/internal/mpi"
@@ -136,7 +135,7 @@ func conformanceCell(t *testing.T, sys system, policy Policy, alg Algorithm, ran
 			p.Fault = &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 1, Site: mpi.SitePurify, After: 8}}}
 		}
 	case ElasticEpoch:
-		m := cluster.NewMembership(ranks, nil)
+		m := mpi.NewMembership(ranks, nil)
 		p.Membership, p.MaxRanks = m, ranks+1
 		p.SCF.OnIteration = func(int, *Result) {
 			if !joined.Swap(true) {

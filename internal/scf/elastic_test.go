@@ -8,9 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/integrals"
 	"repro/internal/molecule"
+	"repro/internal/mpi"
 	"repro/internal/telemetry"
 )
 
@@ -97,7 +97,7 @@ func TestElasticGrowMidSCF(t *testing.T) {
 	sch := integrals.ComputeSchwarz(eng)
 
 	tel := telemetry.NewSession()
-	m := cluster.NewMembership(2, tel)
+	m := mpi.NewMembership(2, tel)
 	var announced atomic.Bool
 	res, err := run(eng, sch, Plan{
 		Algorithm: AlgResilientFock, Recovery: ElasticEpoch,
@@ -139,7 +139,7 @@ func TestElasticGrowMidSCF(t *testing.T) {
 func TestElasticRebalanceBudget(t *testing.T) {
 	ref, eng := serialSCF(t, molecule.Water(), "sto-3g", Options{})
 	sch := integrals.ComputeSchwarz(eng)
-	m := cluster.NewMembership(2, nil)
+	m := mpi.NewMembership(2, nil)
 	var announced atomic.Bool
 	res, err := supervise(context.Background(), eng, sch, nil, Plan{
 		Algorithm: AlgResilientFock, Recovery: ElasticEpoch,

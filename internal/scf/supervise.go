@@ -18,7 +18,7 @@ package scf
 //     last CRC-verified checkpoint; a corrupt or missing one is diagnosed
 //     and the restart falls back to the standard guess.
 //
-//   - ElasticEpoch: the world size is governed by a cluster.Membership.
+//   - ElasticEpoch: the world size is governed by an mpi.Membership.
 //     JOIN (grow-restart): candidates announce themselves on the join
 //     bus; at the next iteration boundary rank 0 — the checkpoint writer,
 //     so it holds the freshest verified state — begins the checkpoint
@@ -49,7 +49,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/ddi"
 	"repro/internal/fock"
 	"repro/internal/integrals"
@@ -141,7 +140,7 @@ type Plan struct {
 	// rank median (over ranks with at least migrateMinSamples
 	// observations) is re-hosted at the next iteration boundary; 0
 	// disables.
-	Membership *cluster.Membership
+	Membership *mpi.Membership
 	MaxRanks   int
 	MigrateK   float64
 
@@ -351,10 +350,10 @@ func supervise(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwar
 	if p.Deadline == 0 && policy != None {
 		p.Deadline = defaultDeadline
 	}
-	var m *cluster.Membership
+	var m *mpi.Membership
 	if policy == ElasticEpoch {
 		if m = p.Membership; m == nil {
-			m = cluster.NewMembership(p.Ranks, tel)
+			m = mpi.NewMembership(p.Ranks, tel)
 		}
 		if p.MaxRanks <= 0 {
 			p.MaxRanks = 4 * m.Size()
@@ -619,7 +618,7 @@ func restoreCheckpoint(buf []byte, rep *Report, tel *telemetry.Session) []*linal
 // checkpoint handshake), else a migration when the straggler detector —
 // reading the epoch-keyed window the builders published this epoch's
 // latencies into — flags a rank.
-func rebalanceDue(m *cluster.Membership, dx *ddi.Context, p Plan, ranks, iter int) *RebalanceSignal {
+func rebalanceDue(m *mpi.Membership, dx *ddi.Context, p Plan, ranks, iter int) *RebalanceSignal {
 	if m.PendingJoins() > 0 && ranks+m.PendingRanks() <= p.MaxRanks && m.BeginRebalance() {
 		return &RebalanceSignal{Kind: "join", Iter: iter}
 	}

@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/jobs"
+	"repro/internal/mpi"
 )
 
 // TestResizeZeroJobsLost: shrinking and regrowing the worker pool while
@@ -55,7 +55,7 @@ func TestResizeZeroJobsLost(t *testing.T) {
 // as a membership shrink.
 func TestResizeRidesJoinProtocol(t *testing.T) {
 	s, _ := testServer(t, Config{Workers: 2, QueueCap: 8}, true)
-	m := cluster.NewMembership(2, s.Telemetry())
+	m := mpi.NewMembership(2, s.Telemetry())
 	s.AttachMembership(m)
 
 	s.Resize(4)
@@ -79,7 +79,7 @@ func TestResizeRidesJoinProtocol(t *testing.T) {
 // finishing.
 func TestAutoscalerGrowAndShrink(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 1, QueueCap: 64, DefaultTimeout: time.Minute}, true)
-	s.AttachMembership(cluster.NewMembership(1, s.Telemetry()))
+	s.AttachMembership(mpi.NewMembership(1, s.Telemetry()))
 	s.StartAutoscaler(AutoscalerConfig{
 		Min: 1, Max: 4, Interval: 5 * time.Millisecond, DownAfterTicks: 3,
 	})
@@ -237,7 +237,7 @@ func TestFetchBackoffJitterBounds(t *testing.T) {
 // report the rank-pool size and epoch; after commit it is ready again.
 func TestReadyzRebalancing503(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 2, QueueCap: 8}, true)
-	m := cluster.NewMembership(2, s.Telemetry())
+	m := mpi.NewMembership(2, s.Telemetry())
 	s.AttachMembership(m)
 
 	readyz := func() (readyzResponse, int) {

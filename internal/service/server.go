@@ -83,8 +83,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/jobs"
+	"repro/internal/mpi"
 	"repro/internal/telemetry"
 )
 
@@ -158,12 +158,12 @@ type Server struct {
 	// Elastic worker pool (see Resize/StartAutoscaler): pool holds the
 	// live worker handles, poolEpoch advances on every resize, and
 	// membership (optional) mirrors pool transitions into a
-	// cluster.Membership so scale-ups ride the join handshake.
+	// mpi.Membership so scale-ups ride the join handshake.
 	poolMu     sync.Mutex
 	pool       []*workerHandle
 	nextWorker int
 	poolEpoch  atomic.Int64
-	membership *cluster.Membership
+	membership *mpi.Membership
 	running    atomic.Int64 // jobs currently inside runJob
 
 	draining atomic.Bool
@@ -365,7 +365,7 @@ func (s *Server) spawnWorkerLocked() {
 // the announce → handshake → commit join protocol against it, and
 // scale-downs shrink it, so /readyz and the elastic.* telemetry report
 // the same epochs a compute-layer membership would.
-func (s *Server) AttachMembership(m *cluster.Membership) {
+func (s *Server) AttachMembership(m *mpi.Membership) {
 	s.poolMu.Lock()
 	s.membership = m
 	s.poolMu.Unlock()

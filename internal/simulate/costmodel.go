@@ -53,93 +53,85 @@ func PairClassOf(a, b ShellClass) PairClass {
 // NumPairClasses is the number of unordered shell-class pairs.
 const NumPairClasses = 6
 
-// CostModel holds the calibrated time constants (seconds) of the
-// simulator. The defaults were measured on this repository's own kernels
-// (BenchmarkERIKernels, BenchmarkFlush, etc.) and rescaled to a 1.3 GHz
-// KNL core running scalar-heavy Fortran (the absolute scale is secondary
-// to the reproduced SHAPES; only ratios really matter).
-type CostModel struct {
-	// TQuartet[braClass][ketClass]: one shell-quartet ERI evaluation plus
-	// its Fock updates, single thread.
-	TQuartet [NumPairClasses][NumPairClasses]float64
-	// TScreen: one Schwarz screening check in the inner loops.
-	TScreen float64
-	// TPairCheck: cost of an ij top-loop iteration that is skipped
+// The calibrated time constants (seconds) of the simulator. They were
+// measured on this repository's own kernels (BenchmarkERIKernels,
+// BenchmarkFlush, etc.) and rescaled to a 1.3 GHz KNL core running
+// scalar-heavy Fortran (the absolute scale is secondary to the reproduced
+// SHAPES; only ratios really matter).
+const (
+	// tScreen: one Schwarz screening check in the inner loops.
+	tScreen = 4e-9
+	// tPairCheck: cost of an ij top-loop iteration that is skipped
 	// entirely by prescreening (index decode + one check).
-	TPairCheck float64
-	// TDLBLatency: one-sided fetch-and-add round trip seen by the caller.
-	// (set from the machine's network at simulation time; this is the
-	// intra-node fallback for single-node runs).
-	TDLBLatencyNode float64
-	// TDLBService: serialization time at the counter's home node per grab
+	tPairCheck = 12e-9
+	// tDLBLatencyNode: one-sided fetch-and-add round trip seen by the
+	// caller on a single node (multi-node runs use the machine network's
+	// RMA latency).
+	tDLBLatencyNode = 0.4e-6
+	// tDLBService: serialization time at the counter's home node per grab
 	// (the DLB contention bottleneck at large rank counts).
-	TDLBService float64
-	// TBarrierPerLog: thread-team barrier cost coefficient; a barrier of
-	// T threads costs TBarrierPerLog * ceil(log2 T).
-	TBarrierPerLog float64
-	// TFlushPerElem: per matrix element cost of the chunked buffer
+	tDLBService = 0.15e-6
+	// tBarrierPerLog: thread-team barrier cost coefficient; a barrier of
+	// T threads costs tBarrierPerLog * ceil(log2 T).
+	tBarrierPerLog = 1.5e-6
+	// tFlushPerElem: per matrix element cost of the chunked buffer
 	// reductions (paper Figure 1).
-	TFlushPerElem float64
-	// MemBoundFrac: fraction of quartet time that is memory-bandwidth
+	tFlushPerElem = 1.2e-9
+	// memBoundFrac: fraction of quartet time that is memory-bandwidth
 	// bound (drives the MCDRAM/DDR and footprint-dependent penalties).
-	MemBoundFrac float64
-	// SharedTrafficFrac: fraction of quartet+update time that is
-	// shared-data coherence traffic; scaled by the cluster-mode "shared"
-	// penalty. Largest for the shared-Fock code (it writes a shared
-	// matrix), small for replicated-Fock codes.
-	SharedTrafficFrac map[string]float64
+	memBoundFrac = 0.45
+)
+
+// sharedTrafficFrac is the fraction of an algorithm's quartet+update time
+// that is shared-data coherence traffic; it is scaled by the cluster-mode
+// "shared" penalty. Largest for the shared-Fock code (it writes a shared
+// matrix), small for replicated-Fock codes.
+func sharedTrafficFrac(alg string) float64 {
+	switch alg {
+	case AlgMPIOnly:
+		return 0.05
+	case AlgPrivateFock:
+		return 0.12
+	case AlgSharedFock:
+		return 0.30
+	}
+	return 0
 }
 
-// DefaultCostModel returns the calibrated defaults.
-func DefaultCostModel() CostModel {
-	cm := CostModel{
-		TScreen:         4e-9,
-		TPairCheck:      12e-9,
-		TDLBLatencyNode: 0.4e-6,
-		TDLBService:     0.15e-6,
-		TBarrierPerLog:  1.5e-6,
-		TFlushPerElem:   1.2e-9,
-		MemBoundFrac:    0.45,
-		SharedTrafficFrac: map[string]float64{
-			"mpi-only":     0.05,
-			"private-fock": 0.12,
-			"shared-fock":  0.30,
-		},
-	}
-	// Single-thread quartet times MEASURED on this repository's direct
-	// McMurchie-Davidson engine (Engine.ShellQuartet, unpruned primitive
-	// loops — what cmd/calibrate timed until PR 20) for carbon 6-31G(d)
-	// shell classes, bra/ket symmetrized and scaled by 1/5 for the
-	// clock/IPC and kernel-efficiency gap between this container's CPU
-	// and a 1.3 GHz KNL core running GAMESS's Fortran kernels. The
-	// heavily contracted S (6 primitives) and L (3 primitives) shells
-	// dominate, exactly as in GAMESS. cmd/calibrate now prints the
-	// production PairCache kernel's matrix beside this one: its S classes
-	// are ~10x cheaper relative to L and D (pruned pair lists, scalar
-	// all-s path). Those ratios keep every shape gate green too but move
-	// the absolute times 27% further from the paper's (EXPERIMENTS.md,
-	// "ERI kernel"), so the numbers below stay. Rows/cols: SS, LS, LL,
-	// DS, DL, DD.
-	scale := 1.0 / 5 * 1e-6
-	base := [NumPairClasses][NumPairClasses]float64{
-		// ket:  SS   LS    LL   DS   DL   DD
-		{756, 536, 613, 273, 316, 186},  // SS bra
-		{536, 472, 628, 247, 384, 266},  // LS
-		{613, 628, 1270, 347, 770, 436}, // LL
-		{273, 247, 347, 129, 242, 194},  // DS
-		{316, 384, 770, 242, 505, 309},  // DL
-		{186, 266, 436, 194, 309, 225},  // DD
-	}
-	for i := range base {
-		for j := range base[i] {
-			cm.TQuartet[i][j] = base[i][j] * scale
-		}
-	}
-	return cm
+// QuartetRatios is the single-thread cost of one shell quartet, per
+// (bra, ket) pair class, relative to the others: its ERI evaluation plus
+// the Fock updates. The entries are times MEASURED (in microseconds) on
+// this repository's direct McMurchie-Davidson engine (Engine.ShellQuartet,
+// unpruned primitive loops — what cmd/calibrate timed before the
+// production PairCache kernel existed) for carbon 6-31G(d) shell classes,
+// bra/ket symmetrized. The heavily contracted S (6 primitives) and L (3
+// primitives) shells dominate, exactly as in GAMESS. cmd/calibrate prints
+// the production PairCache kernel's matrix beside this one: its S classes
+// are ~10x cheaper relative to L and D (pruned pair lists, scalar all-s
+// path). Those ratios keep every shape gate green too but move the
+// absolute times 27% further from the paper's (EXPERIMENTS.md, "ERI
+// kernel"), so these stay. Rows/cols: SS, LS, LL, DS, DL, DD. Read-only.
+var QuartetRatios = [NumPairClasses][NumPairClasses]float64{
+	// ket:  SS   LS    LL   DS   DL   DD
+	{756, 536, 613, 273, 316, 186},  // SS bra
+	{536, 472, 628, 247, 384, 266},  // LS
+	{613, 628, 1270, 347, 770, 436}, // LL
+	{273, 247, 347, 129, 242, 194},  // DS
+	{316, 384, 770, 242, 505, 309},  // DL
+	{186, 266, 436, 194, 309, 225},  // DD
 }
 
-// QuartetTime returns the single-thread time of one quartet with the
-// given bra and ket pair classes.
-func (cm *CostModel) QuartetTime(bra, ket PairClass) float64 {
-	return cm.TQuartet[bra][ket]
+// quartetScale turns QuartetRatios into KNL seconds: microseconds, scaled
+// by 1/5 for the clock/IPC and kernel-efficiency gap between the
+// measuring CPU and a 1.3 GHz KNL core running GAMESS's Fortran kernels.
+// It is the machine's half of the cost; the ratios are the integral
+// code's.
+const quartetScale = 1.0 / 5 * 1e-6
+
+// quartetTime returns the single-thread time of one quartet with the
+// given bra and ket pair classes. The product is taken at run time, in
+// float64: a constant-folded one can differ in the last bit, and every
+// paper artifact is pinned byte for byte.
+func quartetTime(bra, ket PairClass) float64 {
+	return QuartetRatios[bra][ket] * quartetScale
 }

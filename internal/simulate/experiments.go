@@ -3,9 +3,6 @@ package simulate
 import (
 	"fmt"
 
-	"repro/internal/cluster"
-	"repro/internal/distmat"
-	"repro/internal/fock"
 	"repro/internal/knl"
 )
 
@@ -23,17 +20,17 @@ const DefaultTauPaper = 1e-9
 
 // hybridJob returns the paper's hybrid configuration: 4 ranks per node,
 // 64 threads per rank (full 256 hardware threads).
-func hybridJob(nodes int) cluster.Job {
-	return cluster.Job{Nodes: nodes, RanksPerNode: 4, ThreadsPerRank: 64, Affinity: knl.Compact}
+func hybridJob(nodes int) knl.Job {
+	return knl.Job{Nodes: nodes, RanksPerNode: 4, ThreadsPerRank: 64, Affinity: knl.Compact}
 }
 
 // mpiJob returns the stock code's configuration: as many single-thread
 // ranks as memory admits, requested at 256 (the simulator caps it).
-func mpiJob(nodes int) cluster.Job {
-	return cluster.Job{Nodes: nodes, RanksPerNode: 256, ThreadsPerRank: 1}
+func mpiJob(nodes int) knl.Job {
+	return knl.Job{Nodes: nodes, RanksPerNode: 256, ThreadsPerRank: 1}
 }
 
-func jobFor(alg string, nodes int) cluster.Job {
+func jobFor(alg string, nodes int) knl.Job {
 	if alg == AlgMPIOnly {
 		return mpiJob(nodes)
 	}
@@ -43,18 +40,14 @@ func jobFor(alg string, nodes int) cluster.Job {
 // ProfileCache avoids re-deriving workload profiles, and re-running the
 // Figure 7 sweep, across experiments.
 type ProfileCache struct {
-	cm       CostModel
 	profiles map[string]*Profile
 	fig7     []Result // one per fig7Nodes entry; see fig7Sweep
 }
 
-// NewProfileCache returns a cache using the default cost model.
+// NewProfileCache returns an empty cache.
 func NewProfileCache() *ProfileCache {
-	return &ProfileCache{cm: DefaultCostModel(), profiles: map[string]*Profile{}}
+	return &ProfileCache{profiles: map[string]*Profile{}}
 }
-
-// CostModel exposes the cache's cost model.
-func (pc *ProfileCache) CostModel() *CostModel { return &pc.cm }
 
 // Get builds (once) the profile of a named paper system.
 func (pc *ProfileCache) Get(system string) (*Profile, error) {
@@ -65,33 +58,26 @@ func (pc *ProfileCache) Get(system string) (*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := NewProfile(w, DefaultTauPaper, &pc.cm)
+	p := NewProfile(w, DefaultTauPaper)
 	pc.profiles[system] = p
 	return p, nil
 }
 
 // --- Table 2: memory footprints ---
 
+// Table2Ranks is the stock MPI code's compute ranks per node in Table 2.
+const Table2Ranks = 256
+
 // Table2Row is one benchmark system's memory footprints (GB).
 type Table2Row struct {
-	System string
-	Atoms  int
-	BasisF int
-	MPIGB  float64 // stock code: 256 compute ranks + 256 DDI data servers
-	PrFGB  float64 // hybrid, 4 ranks x 64 threads
-	ShFGB  float64 // hybrid, 4 ranks
-	// DistGB is the per-RANK footprint when the five iteration matrices
-	// live as 2D block-cyclic tiles over the same 256 compute ranks
-	// (internal/distmat) instead of being replicated — the storage mode
-	// that keeps growing past the replication wall.
-	DistGB float64
-	// ABFTPct is the checksum-tile storage of the ABFT-hardened
-	// distributed layout as a percentage of its data-tile storage — the
-	// price of surviving a rank death without restarting.
-	ABFTPct   float64
-	RatioPr   float64
-	RatioSh   float64
-	RatioDist float64 // MPI per-node vs distributed per-rank
+	System  string
+	Atoms   int
+	BasisF  int
+	MPIGB   float64 // stock code: Table2Ranks compute ranks + as many DDI data servers
+	PrFGB   float64 // hybrid, 4 ranks x 64 threads
+	ShFGB   float64 // hybrid, 4 ranks
+	RatioPr float64
+	RatioSh float64
 }
 
 // RunTable2 reproduces the paper's Table 2 with the eq. (3a)-(3c)
@@ -111,19 +97,17 @@ func RunTable2() []Table2Row {
 	const gb = float64(1 << 30)
 	rows := make([]Table2Row, 0, len(systems))
 	for _, s := range systems {
-		// Stock code: data servers double the process count.
-		mpi := float64(fock.MPIOnlyFootprint(s.basisF, 2*256, 8<<20).PerNodeBytes())
-		pr := float64(fock.PrivateFockFootprint(s.basisF, 64, 4, 0).PerNodeBytes()) +
-			float64(fock.BufferBytes(s.basisF, 6, 64))
-		sh := float64(fock.SharedFockFootprint(s.basisF, 4, 0).PerNodeBytes()) +
-			4*float64(fock.BufferBytes(s.basisF, 6, 64))
-		dist := float64(distmat.FootprintPerRank(s.basisF, 256))
-		parity, data := distmat.ABFTBytesPerRank(s.basisF, 256, 0)
+		// Stock code: data servers double the process count, each with an
+		// 8 MiB runtime overhead.
+		mpi := float64(2 * Table2Ranks * (RankBytes(AlgMPIOnly, s.basisF, 1) + 8<<20))
+		pr := float64(4*RankBytes(AlgPrivateFock, s.basisF, 64)) +
+			float64(BufferBytes(s.basisF, 6, 64))
+		sh := float64(4*RankBytes(AlgSharedFock, s.basisF, 64)) +
+			4*float64(BufferBytes(s.basisF, 6, 64))
 		rows = append(rows, Table2Row{
 			System: s.name, Atoms: s.atoms, BasisF: s.basisF,
-			MPIGB: mpi / gb, PrFGB: pr / gb, ShFGB: sh / gb, DistGB: dist / gb,
-			ABFTPct: 100 * float64(parity) / float64(data),
-			RatioPr: mpi / pr, RatioSh: mpi / sh, RatioDist: mpi / dist,
+			MPIGB: mpi / gb, PrFGB: pr / gb, ShFGB: sh / gb,
+			RatioPr: mpi / pr, RatioSh: mpi / sh,
 		})
 	}
 	return rows
@@ -147,7 +131,7 @@ func RunTable3(pc *ProfileCache) ([]ScalingRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	theta := cluster.Theta()
+	theta := knl.Theta()
 	nodeCounts := []int{4, 16, 64, 128, 256, 512}
 	rows := make([]ScalingRow, 0, len(nodeCounts))
 	base := map[string]float64{}
@@ -186,20 +170,20 @@ func RunFig4(pc *ProfileCache) ([]Fig4Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	jlse := cluster.JLSE()
+	jlse := knl.JLSE()
 	var rows []Fig4Row
 	for _, ht := range []int{4, 8, 16, 32, 64, 128, 256} {
 		row := Fig4Row{HWThreads: ht, TimeSec: map[string]float64{}}
 		// MPI-only: ht ranks x 1 thread; simulator caps by memory.
 		r := Simulate(p, Config{Machine: jlse,
-			Job:       cluster.Job{Nodes: 1, RanksPerNode: ht, ThreadsPerRank: 1},
+			Job:       knl.Job{Nodes: 1, RanksPerNode: ht, ThreadsPerRank: 1},
 			Algorithm: AlgMPIOnly})
 		if r.Feasible && r.RanksPerNodeUsed == ht {
 			row.TimeSec[AlgMPIOnly] = r.FockSec
 		}
 		// Hybrids: 4 ranks x ht/4 threads, balanced affinity (spread).
 		if ht >= 4 {
-			job := cluster.Job{Nodes: 1, RanksPerNode: 4, ThreadsPerRank: ht / 4, Affinity: knl.Balanced}
+			job := knl.Job{Nodes: 1, RanksPerNode: 4, ThreadsPerRank: ht / 4, Affinity: knl.Balanced}
 			for _, alg := range []string{AlgPrivateFock, AlgSharedFock} {
 				r := Simulate(p, Config{Machine: jlse, Job: job, Algorithm: alg})
 				if r.Feasible {
@@ -228,13 +212,13 @@ func RunFig3(pc *ProfileCache) ([]Fig3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	jlse := cluster.JLSE()
+	jlse := knl.JLSE()
 	var rows []Fig3Row
 	for _, t := range []int{1, 2, 4, 8, 16, 32, 64} {
 		row := Fig3Row{ThreadsPerRank: t, TimeSec: map[knl.Affinity]float64{}}
 		for _, aff := range knl.Affinities {
 			r := Simulate(p, Config{Machine: jlse,
-				Job:       cluster.Job{Nodes: 1, RanksPerNode: 4, ThreadsPerRank: t, Affinity: aff},
+				Job:       knl.Job{Nodes: 1, RanksPerNode: 4, ThreadsPerRank: t, Affinity: aff},
 				Algorithm: AlgSharedFock})
 			row.TimeSec[aff] = r.FockSec
 		}
@@ -266,7 +250,7 @@ func RunFig5(pc *ProfileCache) ([]Fig5Row, error) {
 		}
 		for _, cmode := range knl.ClusterModes {
 			for _, mmode := range knl.MemoryModes {
-				machine := cluster.JLSE().WithModes(cmode, mmode)
+				machine := knl.JLSE().WithModes(cmode, mmode)
 				row := Fig5Row{System: system, ClusterMode: cmode, MemoryMode: mmode,
 					TimeSec: map[string]float64{}}
 				for _, alg := range AlgorithmsOrder {
@@ -307,7 +291,7 @@ func (pc *ProfileCache) fig7Sweep() ([]Result, error) {
 		}
 		for _, nodes := range fig7Nodes {
 			pc.fig7 = append(pc.fig7, Simulate(p,
-				Config{Machine: cluster.Theta(), Job: hybridJob(nodes), Algorithm: AlgSharedFock}))
+				Config{Machine: knl.Theta(), Job: hybridJob(nodes), Algorithm: AlgSharedFock}))
 		}
 	}
 	return pc.fig7, nil
@@ -353,7 +337,7 @@ func RunDLBContentionAblation(pc *ProfileCache) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	theta := cluster.Theta()
+	theta := knl.Theta()
 	var rows []AblationRow
 	for _, c := range []float64{-1, 1e-5, 1e-4, 1e-3} {
 		cc := c
@@ -377,7 +361,7 @@ func RunGranularityAblation(pc *ProfileCache) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	theta := cluster.Theta()
+	theta := knl.Theta()
 	var rows []AblationRow
 	for _, alg := range AlgorithmsOrder {
 		r := Simulate(p, Config{Machine: theta, Job: jobFor(alg, 512), Algorithm: alg})
@@ -407,7 +391,7 @@ func RunBreakdown(pc *ProfileCache, system string, nodes int) ([]BreakdownRow, e
 	if err != nil {
 		return nil, err
 	}
-	theta := cluster.Theta()
+	theta := knl.Theta()
 	var rows []BreakdownRow
 	for _, alg := range AlgorithmsOrder {
 		r := Simulate(p, Config{Machine: theta, Job: jobFor(alg, nodes), Algorithm: alg})

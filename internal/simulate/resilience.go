@@ -26,7 +26,7 @@ package simulate
 import (
 	"math"
 
-	"repro/internal/cluster"
+	"repro/internal/knl"
 )
 
 // Recovery-cost constants of the failure model.
@@ -83,7 +83,7 @@ func RunResilience(pc *ProfileCache) ([]ResilienceRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	theta := cluster.Theta()
+	theta := knl.Theta()
 	// Per-iteration checkpoint: the density matrix, written once by rank 0.
 	nbf := float64(p.W.NBF)
 	ckptWriteSec := 8 * nbf * nbf / resilienceFSBandwidth

@@ -3,7 +3,7 @@ package simulate
 import (
 	"math"
 
-	"repro/internal/cluster"
+	"repro/internal/knl"
 )
 
 // Full-SCF time-to-solution model. The paper's benchmark metric is the
@@ -44,7 +44,7 @@ func EstimateSCF(p *Profile, cfg Config) SCFEstimate {
 	flops := 8 * n * n * n
 	// Per rank: the node's cores are shared by the node's ranks; assume
 	// the diagonalization threads across the rank's share.
-	coresPerRank := float64(cfg.Machine.Node.Cores) / float64(maxInt(r.RanksPerNodeUsed, 1))
+	coresPerRank := float64(cfg.Machine.Node.Cores) / float64(max(r.RanksPerNodeUsed, 1))
 	diag := flops / (diagFlopsPerCore * math.Max(coresPerRank, 1))
 	est := SCFEstimate{
 		Iterations:  scfIterations,
@@ -56,13 +56,6 @@ func EstimateSCF(p *Profile, cfg Config) SCFEstimate {
 		est.DiagFraction = scfIterations * diag / est.TotalSec
 	}
 	return est
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- System sweep (weak-scaling-style extension, not in the paper) ---
@@ -84,7 +77,7 @@ type SweepRow struct {
 // quartet growth toward ~O(N^2) for extended systems — the sparsity the
 // paper's Section 4.3 leverages with ij-prescreening.
 func RunSystemSweep(pc *ProfileCache, nodes int) ([]SweepRow, error) {
-	theta := cluster.Theta()
+	theta := knl.Theta()
 	var rows []SweepRow
 	var prev int64
 	for _, system := range []string{"0.5nm", "1.0nm", "1.5nm", "2.0nm"} {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cluster"
-	"repro/internal/fock"
 	"repro/internal/knl"
 )
 
@@ -31,12 +29,12 @@ const sharedThreadContentionLog = 0.05
 
 // Config selects what to simulate.
 type Config struct {
-	Machine   cluster.Machine
-	Job       cluster.Job
+	Machine   knl.Machine
+	Job       knl.Job
 	Algorithm string
 	// DLBContention adds rank-count-dependent service degradation to the
 	// shared counter (models one-sided progress contention in DDI); the
-	// effective per-grab service is TDLBService * (1 + ranks * DLBContention).
+	// effective per-grab service is tDLBService * (1 + ranks * DLBContention).
 	// 0 selects the default 1e-4; the ablation's "off" row passes 1e-12.
 	DLBContention float64
 }
@@ -81,19 +79,41 @@ func (h *rankHeap) Push(x any)        { *h = append(*h, x.(rankState)) }
 func (h *rankHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 // MemoryPerNode returns the per-node footprint of an algorithm at a job
-// shape, using the fock package's eq. (3a)-(3c) accounting.
+// shape: each rank's eq. (3a)-(3c) matrices plus its fixed runtime
+// overhead.
 func MemoryPerNode(alg string, nbf, ranksPerNode, threads int) int64 {
-	const fixed = DefaultFixedPerRankBytes
+	return int64(ranksPerNode) * (RankBytes(alg, nbf, threads) + DefaultFixedPerRankBytes)
+}
+
+// RankBytes returns the paper's memory equations (3a)-(3c): the float64
+// storage one rank of alg holds in the large N x N objects (density,
+// Fock, overlap, one-electron Hamiltonian, MO coefficients). Small O(N)
+// structures are excluded, as in the paper.
+func RankBytes(alg string, nbf, threads int) int64 {
+	n2 := int64(nbf) * int64(nbf) * 8
 	switch alg {
 	case AlgMPIOnly:
-		return fock.MPIOnlyFootprint(nbf, ranksPerNode, fixed).PerNodeBytes()
+		// (3a) 5/2 N^2: every matrix replicated per rank, the symmetric
+		// ones in GAMESS's packed triangular layout.
+		return n2 * 5 / 2
 	case AlgPrivateFock:
-		return fock.PrivateFockFootprint(nbf, threads, ranksPerNode, fixed).PerNodeBytes()
+		// (3b) (2 + threads) N^2: the rank's shared read-only matrices
+		// plus a private Fock replica per thread.
+		return n2 * int64(2+threads)
 	case AlgSharedFock:
-		return fock.SharedFockFootprint(nbf, ranksPerNode, fixed).PerNodeBytes()
+		// (3c) 7/2 N^2: all large matrices shared; the N^2 beyond (3a) is
+		// the full (unpacked) shared Fock plus the FI/FJ buffer block,
+		// which BufferBytes states exactly.
+		return n2 * 7 / 2
 	default:
 		panic("simulate: unknown algorithm " + alg)
 	}
+}
+
+// BufferBytes returns the exact FI+FJ buffer storage of a shared-Fock rank
+// (Algorithm 3 line 3): 2 buffers x threads x shellSize x N doubles.
+func BufferBytes(nbf, shellSize, threads int) int64 {
+	return 2 * int64(threads) * int64(shellSize) * int64(nbf) * 8
 }
 
 // capRanks reduces ranks-per-node (halving, floor 1) until the node
@@ -112,7 +132,6 @@ func capRanks(alg string, nbf, rpn, threads int, node knl.Node) (int, int64) {
 
 // Simulate runs one Fock build of the profile under the configuration.
 func Simulate(p *Profile, cfg Config) Result {
-	cm := p.CM
 	job := cfg.Job
 	node := cfg.Machine.Node
 	res := Result{Algorithm: cfg.Algorithm, QuartetSecTotal: p.TotalQuartetSec}
@@ -162,8 +181,8 @@ func Simulate(p *Profile, cfg Config) Result {
 
 	// Penalty factors.
 	compPen, sharedPen, syncPen := node.ClusterPenalties()
-	memPen := node.MemoryPenalty(mem, cm.MemBoundFrac*memBoundScale(cfg.Algorithm))
-	sharedFrac := cm.SharedTrafficFrac[cfg.Algorithm]
+	memPen := node.MemoryPenalty(mem, memBoundFrac*memBoundScale(cfg.Algorithm))
+	sharedFrac := sharedTrafficFrac(cfg.Algorithm)
 	if cfg.Algorithm == AlgSharedFock {
 		// Coherence traffic on the shared Fock weighs more for small
 		// matrices (more threads colliding in fewer cache lines); this is
@@ -179,7 +198,7 @@ func Simulate(p *Profile, cfg Config) Result {
 	}
 
 	// DLB timings.
-	dlbLat := cm.TDLBLatencyNode
+	dlbLat := tDLBLatencyNode
 	if job.Nodes > 1 {
 		dlbLat = cfg.Machine.Net.RMALatencySec
 	}
@@ -187,15 +206,15 @@ func Simulate(p *Profile, cfg Config) Result {
 	if contention == 0 {
 		contention = 1e-4
 	}
-	dlbService := cm.TDLBService * (1 + float64(totalRanks)*contention)
+	dlbService := tDLBService * (1 + float64(totalRanks)*contention)
 
-	barrier := cm.TBarrierPerLog * math.Ceil(math.Log2(float64(threads)+1)) * syncPen
+	barrier := tBarrierPerLog * math.Ceil(math.Log2(float64(threads)+1)) * syncPen
 
 	switch cfg.Algorithm {
 	case AlgPrivateFock:
-		simulatePrivate(p, &res, job, rankPower, quartetFactor, barrier, dlbLat, dlbService, threads, cm)
+		simulatePrivate(p, &res, job, rankPower, quartetFactor, barrier, dlbLat, dlbService, threads)
 	default:
-		simulatePairTasks(p, &res, job, rankPower, quartetFactor, barrier, dlbLat, dlbService, threads, cm, cfg.Algorithm)
+		simulatePairTasks(p, &res, job, rankPower, quartetFactor, barrier, dlbLat, dlbService, cfg.Algorithm)
 	}
 
 	// Final Fock reduction (gsumf): packed triangular doubles, staged as
@@ -231,9 +250,8 @@ func memBoundScale(alg string) float64 {
 // simulatePairTasks runs the DLB discrete-event simulation for the
 // algorithms whose MPI task space is the combined ij pair index:
 // Algorithm 1 (threads == 1 path) and Algorithm 3.
-func simulatePairTasks(p *Profile, res *Result, job cluster.Job,
-	rankPower, quartetFactor, barrier, dlbLat, dlbService float64,
-	threads int, cm *CostModel, alg string) {
+func simulatePairTasks(p *Profile, res *Result, job knl.Job,
+	rankPower, quartetFactor, barrier, dlbLat, dlbService float64, alg string) {
 	totalRanks := job.TotalRanks()
 	nPairs := p.W.NumPairs()
 	res.TasksTotal = nPairs
@@ -246,7 +264,7 @@ func simulatePairTasks(p *Profile, res *Result, job cluster.Job,
 
 	nbf := float64(p.W.NBF)
 	shSz := float64(p.W.ShellSizeMax)
-	flushTime := nbf * shSz * cm.TFlushPerElem
+	flushTime := nbf * shSz * tFlushPerElem
 	counterFree := 0.0
 	sigPos := 0
 	var bd Breakdown
@@ -258,7 +276,7 @@ func simulatePairTasks(p *Profile, res *Result, job cluster.Job,
 		taskSync = 4 * barrier
 	}
 
-	cheap := dlbLat + cm.TPairCheck
+	cheap := dlbLat + tPairCheck
 	for ij := 0; ij < nPairs; ij++ {
 		r := &h[0] // the rank that frees up first
 		grab := math.Max(r.ready, counterFree)
@@ -268,7 +286,7 @@ func simulatePairTasks(p *Profile, res *Result, job cluster.Job,
 		if sigPos < len(p.Sig) && p.Sig[sigPos].Idx == ij {
 			sp := &p.Sig[sigPos]
 			compute := p.KLCost[sigPos] * quartetFactor / rankPower
-			screen := float64(ChecksForPair(ij)) * cm.TScreen / rankPower
+			screen := float64(ChecksForPair(ij)) * tScreen / rankPower
 			dt = dlbLat + compute + screen
 			bd.ComputeSec += compute
 			bd.ScreenSec += screen
@@ -304,9 +322,8 @@ func simulatePairTasks(p *Profile, res *Result, job cluster.Job,
 
 // simulatePrivate runs Algorithm 2: the MPI task space is the single i
 // shell index; OpenMP work-shares the collapsed (j,k) loops inside.
-func simulatePrivate(p *Profile, res *Result, job cluster.Job,
-	rankPower, quartetFactor, barrier, dlbLat, dlbService float64,
-	threads int, cm *CostModel) {
+func simulatePrivate(p *Profile, res *Result, job knl.Job,
+	rankPower, quartetFactor, barrier, dlbLat, dlbService float64, threads int) {
 	totalRanks := job.TotalRanks()
 	ns := p.W.NShells
 	res.TasksTotal = ns
@@ -328,7 +345,7 @@ func simulatePrivate(p *Profile, res *Result, job cluster.Job,
 		bd.DLBSec += (grab - r.ready) + dlbLat
 
 		compute := p.TaskCostI[i] * quartetFactor / rankPower
-		screen := float64(ChecksForI(i)) * cm.TScreen / rankPower
+		screen := float64(ChecksForI(i)) * tScreen / rankPower
 		chunks := float64(i+1) * float64(i+1)
 		chunkOv := chunks * tChunkGrab / float64(threads)
 		sync := 3 * barrier
@@ -347,16 +364,9 @@ func simulatePrivate(p *Profile, res *Result, job cluster.Job,
 		}
 	}
 	// End-of-build thread reduction of private Fock replicas.
-	reduceThreads := float64(p.W.NBF) * float64(p.W.NBF) * cm.TFlushPerElem
+	reduceThreads := float64(p.W.NBF) * float64(p.W.NBF) * tFlushPerElem
 	finish += reduceThreads
 	bd.SyncSec += reduceThreads
 	res.FockSec = finish
 	res.Breakdown = bd
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

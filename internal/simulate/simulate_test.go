@@ -5,16 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/basis"
-	"repro/internal/cluster"
-	"repro/internal/fock"
 	"repro/internal/integrals"
 	"repro/internal/knl"
+	"repro/internal/linalg"
 	"repro/internal/molecule"
 )
 
 // testCache is the one ProfileCache of the package's tests: profiles and
 // the Figure 7 sweep are derived once per test binary, as they are once
-// per `scaling` process. Nothing mutates its cost model.
+// per `scaling` process.
 var testCache = NewProfileCache()
 
 func testProfile(t testing.TB, system string) *Profile {
@@ -86,7 +85,7 @@ func TestSignificantPairsScreening(t *testing.T) {
 		}
 	}
 	for _, sp := range p.Sig {
-		if sp.J > sp.I || fock.PairIndex(sp.I, sp.J) != sp.Idx {
+		if sp.J > sp.I || linalg.PackedIndex(sp.I, sp.J) != sp.Idx {
 			t.Fatalf("non-canonical sig pair %+v", sp)
 		}
 	}
@@ -97,9 +96,8 @@ func TestSurrogateScreeningTightensWithTau(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := DefaultCostModel()
-	loose := NewProfile(w, 1e-6, &cm)
-	tight := NewProfile(w, 1e-12, &cm)
+	loose := NewProfile(w, 1e-6)
+	tight := NewProfile(w, 1e-12)
 	if len(loose.Sig) >= len(tight.Sig) {
 		t.Fatalf("tau=1e-6 kept %d pairs, tau=1e-12 kept %d", len(loose.Sig), len(tight.Sig))
 	}
@@ -118,13 +116,12 @@ func TestSurrogateAgainstExactSchwarz(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := integrals.NewEngine(b)
-	cm := DefaultCostModel()
-	exact, err := NewExactProfile(eng, 1e-9, &cm)
+	exact, err := NewExactProfile(eng, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w, _ := NewWorkload(mol, "6-31g(d)")
-	sur := NewProfile(w, 1e-9, &cm)
+	sur := NewProfile(w, 1e-9)
 	re := float64(len(exact.Sig))
 	rs := float64(len(sur.Sig))
 	if rs < 0.5*re || rs > 2.0*re {
@@ -137,7 +134,7 @@ func TestChecksClosedForms(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		var want int64
 		for j := 0; j <= i; j++ {
-			want += ChecksForPair(fock.PairIndex(i, j))
+			want += ChecksForPair(linalg.PackedIndex(i, j))
 		}
 		if got := ChecksForI(i); got != want {
 			t.Fatalf("ChecksForI(%d) = %d want %d", i, got, want)
@@ -170,7 +167,7 @@ func TestProfileTaskAggregation(t *testing.T) {
 
 func TestSimulateBasicInvariants(t *testing.T) {
 	p := testProfile(t, "0.5nm")
-	theta := cluster.Theta()
+	theta := knl.Theta()
 	for _, alg := range AlgorithmsOrder {
 		r := Simulate(p, Config{Machine: theta, Job: jobFor(alg, 2), Algorithm: alg})
 		if !r.Feasible {
@@ -191,7 +188,7 @@ func TestSimulateBasicInvariants(t *testing.T) {
 
 func TestSimulateMoreNodesFaster(t *testing.T) {
 	p := testProfile(t, "1.0nm")
-	theta := cluster.Theta()
+	theta := knl.Theta()
 	for _, alg := range []string{AlgMPIOnly, AlgSharedFock} {
 		t4 := Simulate(p, Config{Machine: theta, Job: jobFor(alg, 4), Algorithm: alg}).FockSec
 		t16 := Simulate(p, Config{Machine: theta, Job: jobFor(alg, 16), Algorithm: alg}).FockSec
@@ -211,6 +208,36 @@ func TestMemoryCapReproducesPaperFacts(t *testing.T) {
 	rpn10, _ := capRanks(AlgMPIOnly, 1800, 256, 1, node)
 	if rpn10 != 128 {
 		t.Fatalf("1.0nm capped to %d ranks, want 128", rpn10)
+	}
+}
+
+func TestMemoryFootprints(t *testing.T) {
+	// Table 2 shape: at N=5340 (2.0 nm), MPI-only with 256 ranks is about
+	// 2.4x the private-Fock and 46x the shared-Fock node footprints.
+	nbf := 5340
+	mpiF := 256 * RankBytes(AlgMPIOnly, nbf, 1)
+	prF := 4 * RankBytes(AlgPrivateFock, nbf, 64)
+	shF := 4 * RankBytes(AlgSharedFock, nbf, 64)
+	if mpiF <= prF || prF <= shF {
+		t.Fatal("footprint ordering wrong")
+	}
+	ratioPr := float64(mpiF) / float64(prF)
+	ratioSh := float64(mpiF) / float64(shF)
+	if ratioPr < 2 || ratioPr > 3 {
+		t.Fatalf("MPI/private ratio = %v (want ~2.4: 256*2.5 / (4*66))", ratioPr)
+	}
+	if ratioSh < 40 || ratioSh > 50 {
+		t.Fatalf("MPI/shared ratio = %v (want ~45.7: 256*2.5 / (4*3.5))", ratioSh)
+	}
+	// MemoryPerNode is the same equations plus each rank's fixed overhead.
+	if got, want := MemoryPerNode(AlgSharedFock, nbf, 4, 64), shF+4*DefaultFixedPerRankBytes; got != want {
+		t.Fatalf("MemoryPerNode = %d, want %d", got, want)
+	}
+}
+
+func TestBufferBytes(t *testing.T) {
+	if got := BufferBytes(100, 6, 4); got != 2*4*6*100*8 {
+		t.Fatalf("BufferBytes = %d", got)
 	}
 }
 
@@ -375,8 +402,8 @@ func TestDLBContentionAblationMonotone(t *testing.T) {
 
 func TestSimulateInvalidJob(t *testing.T) {
 	p := testProfile(t, "0.5nm")
-	r := Simulate(p, Config{Machine: cluster.JLSE(),
-		Job:       cluster.Job{Nodes: 99, RanksPerNode: 4, ThreadsPerRank: 64},
+	r := Simulate(p, Config{Machine: knl.JLSE(),
+		Job:       knl.Job{Nodes: 99, RanksPerNode: 4, ThreadsPerRank: 64},
 		Algorithm: AlgSharedFock})
 	if r.Feasible {
 		t.Fatal("99 nodes on 10-node JLSE should be rejected")
@@ -385,7 +412,7 @@ func TestSimulateInvalidJob(t *testing.T) {
 
 func TestEstimateSCF(t *testing.T) {
 	p := testProfile(t, "0.5nm")
-	est := EstimateSCF(p, Config{Machine: cluster.Theta(),
+	est := EstimateSCF(p, Config{Machine: knl.Theta(),
 		Job: jobFor(AlgSharedFock, 4), Algorithm: AlgSharedFock})
 	if est.TotalSec <= 0 || est.Iterations != 20 {
 		t.Fatalf("estimate: %+v", est)
@@ -443,7 +470,7 @@ func TestGranularityAblation(t *testing.T) {
 	if err != nil || len(gr) != 3 {
 		t.Fatalf("granularity ablation: %v %v", gr, err)
 	}
-	if s := (&Profile{W: &Workload{Name: "x"}, CM: pc.CostModel()}).String(); len(s) == 0 {
+	if s := (&Profile{W: &Workload{Name: "x"}}).String(); len(s) == 0 {
 		t.Fatal("Profile.String empty")
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"sort"
 
 	"repro/internal/basis"
-	"repro/internal/fock"
 	"repro/internal/integrals"
+	"repro/internal/linalg"
 	"repro/internal/molecule"
 )
 
@@ -99,21 +99,20 @@ func bucketOf(q float64) int {
 
 // SigPair is one Schwarz-surviving shell pair.
 type SigPair struct {
-	Idx    int // canonical pair index (fock.PairIndex)
+	Idx    int // canonical pair index (linalg.PackedIndex)
 	I, J   int
 	Q      float64
 	Class  PairClass
 	Bucket uint8
 }
 
-// Profile is a workload analyzed at a screening threshold with a cost
+// Profile is a workload analyzed at a screening threshold with the cost
 // model: the sorted significant pairs plus, per pair, the single-thread
 // quartet work of its kl loop (the cost of an Algorithm 1/3 task) and the
 // aggregated per-i-shell work (the cost of an Algorithm 2 task).
 type Profile struct {
 	W   *Workload
 	Tau float64
-	CM  *CostModel
 
 	Sig []SigPair
 	// KLCost[s] is the quartet seconds of sig pair s's kl loop; KLQuartets
@@ -129,11 +128,8 @@ type Profile struct {
 }
 
 // NewProfile analyzes the workload with the surrogate screening model.
-func NewProfile(w *Workload, tau float64, cm *CostModel) *Profile {
-	if tau <= 0 {
-		tau = fock.DefaultTau
-	}
-	p := &Profile{W: w, Tau: tau, CM: cm}
+func NewProfile(w *Workload, tau float64) *Profile {
+	p := &Profile{W: w, Tau: tau}
 	p.Sig = w.significantPairs(tau)
 	p.analyze()
 	return p
@@ -141,7 +137,7 @@ func NewProfile(w *Workload, tau float64, cm *CostModel) *Profile {
 
 // NewExactProfile analyzes using the exact Schwarz matrix from the
 // integral engine — feasible for small systems; validates the surrogate.
-func NewExactProfile(eng *integrals.Engine, tau float64, cm *CostModel) (*Profile, error) {
+func NewExactProfile(eng *integrals.Engine, tau float64) (*Profile, error) {
 	w, err := NewWorkload(eng.Basis.Mol, eng.Basis.Name)
 	if err != nil {
 		return nil, err
@@ -156,13 +152,13 @@ func NewExactProfile(eng *integrals.Engine, tau float64, cm *CostModel) (*Profil
 				continue
 			}
 			sig = append(sig, SigPair{
-				Idx: fock.PairIndex(i, j), I: i, J: j, Q: q,
+				Idx: linalg.PackedIndex(i, j), I: i, J: j, Q: q,
 				Class:  PairClassOf(w.Class[i], w.Class[j]),
 				Bucket: uint8(bucketOf(q / maxQ)),
 			})
 		}
 	}
-	p := &Profile{W: w, Tau: tau, CM: cm, Sig: sig}
+	p := &Profile{W: w, Tau: tau, Sig: sig}
 	p.analyze()
 	return p, nil
 }
@@ -204,7 +200,7 @@ func (w *Workload) significantPairs(tau float64) []SigPair {
 							continue
 						}
 						sig = append(sig, SigPair{
-							Idx: fock.PairIndex(i, j), I: i, J: j, Q: q,
+							Idx: linalg.PackedIndex(i, j), I: i, J: j, Q: q,
 							Class:  PairClassOf(w.Class[i], w.Class[j]),
 							Bucket: uint8(bucketOf(q)),
 						})
@@ -253,7 +249,7 @@ func (p *Profile) analyze() {
 				cc += running[c][b]
 			}
 			count += cc
-			cost += float64(cc) * p.CM.QuartetTime(sp.Class, PairClass(c))
+			cost += float64(cc) * quartetTime(sp.Class, PairClass(c))
 		}
 		p.KLCost[s] = cost
 		p.KLQuartets[s] = count
@@ -271,7 +267,7 @@ func ChecksForPair(ij int) int64 { return int64(ij) + 1 }
 // ChecksForI returns the Schwarz checks of an Algorithm 2 i-task: the sum
 // of ChecksForPair over j = 0..i.
 func ChecksForI(i int) int64 {
-	// sum_{j=0..i} (PairIndex(i,j) + 1) = (i+1)(i(i+1)/2 + 1) + i(i+1)/2
+	// sum_{j=0..i} (PackedIndex(i,j) + 1) = (i+1)(i(i+1)/2 + 1) + i(i+1)/2
 	ii := int64(i)
 	base := ii * (ii + 1) / 2
 	return (ii+1)*(base+1) + base

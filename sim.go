@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"repro/internal/cluster"
 	"repro/internal/knl"
 	"repro/internal/simulate"
 )
@@ -19,11 +18,11 @@ const (
 	MachineJLSE  SimMachine = "jlse"  // 10-node cluster, Xeon Phi 7210
 )
 
-func (m SimMachine) machine() cluster.Machine {
+func (m SimMachine) machine() knl.Machine {
 	if m == MachineJLSE {
-		return cluster.JLSE()
+		return knl.JLSE()
 	}
-	return cluster.Theta()
+	return knl.Theta()
 }
 
 // SimPoint is one simulated Fock-build configuration result.
@@ -59,7 +58,7 @@ func (s *SimSession) Simulate(system string, machine SimMachine, alg Algorithm,
 	if err != nil {
 		return SimPoint{}, err
 	}
-	job := cluster.Job{Nodes: nodes, RanksPerNode: ranksPerNode,
+	job := knl.Job{Nodes: nodes, RanksPerNode: ranksPerNode,
 		ThreadsPerRank: threads, Affinity: knl.Compact}
 	if alg == MPIOnly.Algorithm {
 		job.ThreadsPerRank = 1
@@ -83,10 +82,10 @@ func (s *SimSession) SimulateModes(system string, alg Algorithm,
 	if err != nil {
 		return SimPoint{}, err
 	}
-	m := cluster.JLSE().WithModes(knl.ClusterMode(clusterMode), knl.MemoryMode(memoryMode))
-	job := cluster.Job{Nodes: 1, RanksPerNode: 4, ThreadsPerRank: 64, Affinity: knl.Compact}
+	m := knl.JLSE().WithModes(knl.ClusterMode(clusterMode), knl.MemoryMode(memoryMode))
+	job := knl.Job{Nodes: 1, RanksPerNode: 4, ThreadsPerRank: 64, Affinity: knl.Compact}
 	if alg == MPIOnly.Algorithm {
-		job = cluster.Job{Nodes: 1, RanksPerNode: 256, ThreadsPerRank: 1}
+		job = knl.Job{Nodes: 1, RanksPerNode: 256, ThreadsPerRank: 1}
 	}
 	r := simulate.Simulate(p, simulate.Config{Machine: m, Job: job, Algorithm: string(alg)})
 	return SimPoint{
