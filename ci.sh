@@ -40,7 +40,10 @@
 # SCFModel, MigrateMinSamples, CostModel, NodeMTBFHours) are named by no
 # non-test file outside bench/; and internal/simulate returns rows only —
 # no func Format*, no func CSV* (cmd/scaling builds the one table of each
-# artifact).
+# artifact). The ERI kernel's pure-Go body vets under GOARCH=arm64 (no
+# assembly there), and the layout gate builds hfrun, hfserve and the
+# benchmark and fails unless distmat.tileMulAdd starts at 0 mod 64 in
+# each, printing where the kernel's functions (assembly included) start.
 #
 # Tier 2 (concurrency soundness): the race detector over the packages
 # with real parallelism and fault injection (internal/mpi includes the
@@ -280,6 +283,34 @@ tier_1() {
 		echo "structure gate: internal/simulate returns rows; cmd/scaling renders each artifact's one table"
 		exit 1
 	fi
+
+	# The ERI kernel's pure-Go body is all a CPU without AVX/FMA, or another
+	# architecture, runs: it keeps compiling there.
+	GOARCH=arm64 go vet ./internal/integrals/
+	layout_gate
+}
+
+# layout_gate builds the shipped binaries and the benchmark and fails
+# unless distmat.tileMulAdd starts at 0 mod 64 in each (ROADMAP trap i:
+# at 32 mod 64 the density_n256 control reads 6-32% slower although it
+# runs no changed code). It prints where the ERI kernel's functions start,
+# the assembly ones included, since new text upstream is what moves it.
+layout_gate() {
+	for bin in hfrun hfserve bench; do
+		if [ "$bin" = bench ]; then
+			go build -C bench -o "$tracedir/$bin" .
+		else
+			go build -o "$tracedir/$bin" "./cmd/$bin"
+		fi
+		go tool nm "$tracedir/$bin" >"$tracedir/$bin.nm"
+		grep -E ' repro/internal/(distmat\.tileMulAdd|integrals\.\(\*hermIndex\)\.quartet|integrals\.[a-z0-9]+(FMA|AVX)(\.abi0)?)$' "$tracedir/$bin.nm" |
+			while read -r addr _ sym; do
+				echo "layout: $bin $sym at $((0x$addr % 64)) mod 64"
+			done
+		addr=$(awk '$3 == "repro/internal/distmat.tileMulAdd" { print $1 }' "$tracedir/$bin.nm")
+		[ -n "$addr" ] && [ $((0x$addr % 64)) -eq 0 ] ||
+			{ echo "layout gate: distmat.tileMulAdd in $bin is not at 0 mod 64 (0x$addr); move it across an odd-sized neighbour in distmat/ops.go"; exit 1; }
+	done
 }
 
 # race_rerun PATTERN [FLAG...] PKG... reruns the tests PATTERN selects

@@ -45,11 +45,11 @@ func buildBoysTable() {
 // Boys fills out[0..n] with the Boys functions F_0(t)..F_n(t), where
 // F_m(t) = int_0^1 u^{2m} exp(-t u^2) du.
 //
-// Up to boysTableMax the highest order comes from a Taylor step off the
-// nearest grid node, F_n(t) = sum_k F_{n+k}(t0) (t0-t)^k / k!, and the
-// lower ones from the downward recursion, which is stable for all m.
-// Beyond it the asymptotic complementary form with upward recursion is
-// used, where that is stable.
+// Up to boysTableMax every order comes from its own Taylor step off the
+// nearest grid node, F_m(t) = sum_k F_{m+k}(t0) (t0-t)^k / k!: the powers
+// of (t0-t) are shared, and the orders are independent of each other, so
+// there is no exp and no divide. Beyond it the asymptotic complementary
+// form with upward recursion is used, where that is stable.
 func Boys(n int, t float64, out []float64) {
 	if n > maxBoysOrder {
 		panic("integrals: Boys order too large")
@@ -61,27 +61,32 @@ func Boys(n int, t float64, out []float64) {
 		if n == 0 {
 			return
 		}
-		et := math.Exp(-t)
+		inv := 0.5 / t // 1/(2t)
+		et := math.Exp(-t) * inv
 		for m := 0; m < n; m++ {
-			out[m+1] = (float64(2*m+1)*out[m] - et) / (2 * t)
+			out[m+1] = float64(2*m+1)*inv*out[m] - et
 		}
 		return
 	}
 	boysTableOnce.Do(buildBoysTable)
 	i := int(t*(1/boysStep) + 0.5)
-	f := boysTable[i*boysStride+n:][:boysTaylor]
+	row := boysTable[i*boysStride:][:n+boysTaylor]
 	d := float64(i)*boysStep - t
-	// Estrin's grouping: four independent pairs, not one chain of eight.
 	d2 := d * d
-	out[n] = (f[0] + d*f[1]) + d2*((f[2]*(1.0/2)+d*f[3]*(1.0/6))+
-		d2*((f[4]*(1.0/24)+d*f[5]*(1.0/120))+d2*(f[6]*(1.0/720)+d*f[7]*(1.0/5040))))
-	if n == 0 {
+	if n == 0 { // one order: cheaper to scale the terms than the powers
+		f := row[:boysTaylor]
+		out[0] = (f[0] + d*f[1]) + d2*((f[2]*(1.0/2)+d*f[3]*(1.0/6))+
+			d2*((f[4]*(1.0/24)+d*f[5]*(1.0/120))+d2*(f[6]*(1.0/720)+d*f[7]*(1.0/5040))))
 		return
 	}
-	// Downward recursion: F_m = (2t F_{m+1} + exp(-t)) / (2m+1)
-	et := math.Exp(-t)
-	for m := n - 1; m >= 0; m-- {
-		out[m] = (2*t*out[m+1] + et) / float64(2*m+1)
+	c2, c3 := d2*(1.0/2), d2*d*(1.0/6)
+	d4 := d2 * d2
+	c4, c5, c6, c7 := d4*(1.0/24), d4*d*(1.0/120), d4*d2*(1.0/720), d4*d2*d*(1.0/5040)
+	out = out[:n+1]
+	for m := range out {
+		f := row[m:][:boysTaylor]
+		// Four independent pairs, not one chain of eight.
+		out[m] = ((f[0] + d*f[1]) + (c2*f[2] + c3*f[3])) + ((c4*f[4] + c5*f[5]) + (c6*f[6] + c7*f[7]))
 	}
 }
 
@@ -112,11 +117,4 @@ func boysSeries(n int, t float64, out []float64) {
 	for m := n - 1; m >= 0; m-- {
 		out[m] = (2*t*out[m+1] + et) / float64(2*m+1)
 	}
-}
-
-// BoysSingle returns F_n(t) by itself; convenience for tests.
-func BoysSingle(n int, t float64) float64 {
-	buf := make([]float64, n+1)
-	Boys(n, t, buf)
-	return buf[n]
 }

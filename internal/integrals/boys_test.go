@@ -6,6 +6,13 @@ import (
 	"testing/quick"
 )
 
+// BoysSingle returns F_n(t) by itself.
+func BoysSingle(n int, t float64) float64 {
+	buf := make([]float64, n+1)
+	Boys(n, t, buf)
+	return buf[n]
+}
+
 // referenceBoys computes F_n(t) by adaptive Simpson quadrature of the
 // defining integral; slow but independent of the production code paths.
 func referenceBoys(n int, t float64) float64 {

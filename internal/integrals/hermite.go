@@ -48,6 +48,18 @@ func hermiteE(la, lb int, a, b, xAB float64) [][][]float64 {
 	return e
 }
 
+// pairE is hermiteE of one primitive pair along x, y and z.
+type pairE [3][][][]float64
+
+func newPairE(la, lb int, a, b float64, ab [3]float64) pairE {
+	return pairE{hermiteE(la, lb, a, b, ab[0]), hermiteE(la, lb, a, b, ab[1]), hermiteE(la, lb, a, b, ab[2])}
+}
+
+// product returns E_t E_u E_v of the component pair (ca, cb).
+func (e *pairE) product(ca, cb component, t, u, v int) float64 {
+	return e[0][ca.lx][cb.lx][t] * e[1][ca.ly][cb.ly][u] * e[2][ca.lz][cb.lz][v]
+}
+
 // hermiteR computes the Hermite Coulomb integrals R^0_{tuv} for all
 // t+u+v <= l, for Gaussian exponent alpha and separation (x, y, z):
 //

@@ -2,6 +2,7 @@ package integrals
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -20,38 +21,47 @@ import (
 //	            R_{t+tau,u+nu,v+phi}(alpha, Q-P) / sqrt(p+q) ]
 //
 // where g = c_a c_b N_a N_b E_t E_u E_v * sqrt(2) pi^{5/4} / p is one
-// Hermite term of a primitive pair. The bracket K[cd][tuv] is folded
+// Hermite term of a primitive pair. The bracket K[tuv][cd] is folded
 // over ALL ket primitives before the bra touches it, so the bra
 // contraction runs once per bra primitive, not once per primitive
 // quartet, and both inner loops are AXPYs over flat arrays. Primitive
 // pairs whose Gaussian overlap prefactor exp(-mu R^2) is negligible are
 // dropped entirely (primitive screening), which prunes deeply contracted
 // shells on distant centers.
+//
+// The kernel's vector dimension is the ket's primitive pairs. A pair's
+// primitive pairs are stored lane by lane in batches of 4 (the last one
+// padded with zero-weight lanes), and the R recursion and the fold run
+// 4-wide over a batch into per-lane K accumulators (lanes.go), which are
+// summed once per bra primitive. The pair with more primitive pairs is the
+// ket, using (ab|cd) = (cd|ab) with the block transposed at the end.
 
 // pairScale = sqrt(2) pi^{5/4}: each pair's share of the quartet
 // prefactor 2 pi^{5/2} / (p q sqrt(p+q)).
 const pairScale = 5.9149671727956128778
 
-// hermTerm is one nonzero Hermite term of a primitive pair's density.
-type hermTerm struct {
-	g   float64
-	ab  uint16 // component pair: (index in shell a) * nb + (index in shell b)
-	h   uint16 // (t,u,v) as an index into hermIndex.off
-	off uint16 // hermIndex.off[h]
+// laneTerm is one Hermite term of a batch with its weight g in each lane:
+// 0 in a padding lane, and in a lane where the term underflowed while
+// another lane's did not.
+type laneTerm struct {
+	g          [4]float64
+	ab, h, off uint16 // component pair ia*nb+ib; (t,u,v) as an index into hermIndex.off; hermIndex.off[h]
 }
 
-// primPair is one surviving primitive pair of a shell pair.
-type primPair struct {
-	p       float64 // total exponent a + b
-	x, y, z float64 // product center
-	terms   []hermTerm
+// primBatch is up to four surviving primitive pairs of one shell pair,
+// lane by lane: total exponent a + b, product centre, and the terms.
+type primBatch struct {
+	p, x, y, z [4]float64
+	n          int // lanes in use; the rest are padding
+	terms      []laneTerm
 }
 
 // pairData is the cached data of one (i >= j) shell pair.
 type pairData struct {
-	nab   int // component pairs: na * nb
-	lab   int // Hermite range: t+u+v <= la + lb
-	prims []primPair
+	nab     int // component pairs: na * nb
+	lab     int // Hermite range: t+u+v <= la + lb
+	prims   int // surviving primitive pairs
+	batches []primBatch
 }
 
 // hermIndex enumerates the Hermite indices (t,u,v), t+u+v <= lmax, in
@@ -128,88 +138,105 @@ func (x *hermIndex) find(t, u, v int) uint16 {
 
 // eriScratch is what one ShellQuartet call writes besides its output.
 type eriScratch struct {
-	r0, r1 []float64 // R^n and R^{n+1} cubes
-	k      []float64 // K[cd][tuv]
-	fn     []float64 // (-2 alpha)^n F_n
+	r0, r1 []float64     // R^n and R^{n+1} cubes [entry][lane]
+	k4     []float64     // K[tuv][cd][lane]
+	k      []float64     // K[tuv][cd], the lanes summed
+	blk    []float64     // (cd|ab), when the ket is the bra
+	fn     []float64     // F_n of one lane
+	fn4    []float64     // (-2 alpha)^n F_n [n][lane]
+	d      [4][4]float64 // Q - P [axis][lane]; axis 3 unused
+	pref   [4]float64    // (p+q)^{-1/2} [lane]
 }
 
 // newScratch sizes a scratch for quartets of total order <= lmax over
 // shells of at most funcs functions: pairs reach order lmax/2.
 func (x *hermIndex) newScratch(funcs int) *eriScratch {
 	cube := (x.lmax + 1) * (x.lmax + 1) * (x.lmax + 1)
+	nk := funcs * funcs * x.count[x.lmax/2]
 	return &eriScratch{
-		r0: make([]float64, cube),
-		r1: make([]float64, cube),
-		k:  make([]float64, funcs*funcs*x.count[x.lmax/2]),
-		fn: make([]float64, x.lmax+1),
+		r0:  make([]float64, 4*cube),
+		r1:  make([]float64, 4*cube),
+		k4:  make([]float64, 4*nk),
+		k:   make([]float64, nk),
+		blk: make([]float64, funcs*funcs*funcs*funcs),
+		fn:  make([]float64, x.lmax+1),
+		fn4: make([]float64, 4*(x.lmax+1)),
 	}
 }
 
-// coulomb builds the Hermite Coulomb integrals R^0_{tuv}, t+u+v <= l,
-// for exponent alpha and separation d, into one of the scratch cubes:
+// coulomb builds the Hermite Coulomb integrals R^0_{tuv}, t+u+v <= l, of
+// one bra primitive pair (exponent p, centre c) against each lane of a
+// ket batch, into one of the scratch cubes:
 //
-//	R^n_{000}     = (-2 alpha)^n F_n(alpha |d|^2)
-//	R^n_{t+1,u,v} = t R^{n+1}_{t-1,u,v} + d_x R^{n+1}_{tuv}   (etc. for u, v)
+//	R^n_{000}     = (-2 alpha)^n F_n(alpha |Q-P|^2)
+//	R^n_{t+1,u,v} = t R^{n+1}_{t-1,u,v} + (Q-P)_x R^{n+1}_{tuv}   (etc. for u, v)
 //
-// Level n holds the entries of order <= l-n and reads only entries of
-// order <= l-n-1 of level n+1, all of which that level wrote: the cubes
-// are never cleared.
-//
-// d has a fourth, unused element so that d[axis&3] needs no bounds check.
-func (x *hermIndex) coulomb(s *eriScratch, l int, alpha float64, d *[4]float64) []float64 {
-	fn := s.fn[:l+1]
-	Boys(l, alpha*(d[0]*d[0]+d[1]*d[1]+d[2]*d[2]), fn)
-	pow := 1.0
-	for n := range fn {
-		fn[n] *= pow
-		pow *= -2 * alpha
-	}
-	cur, prev := s.r0, s.r1
-	for n := l; n >= 0; n-- {
-		cur, prev = prev, cur
-		cur[0] = fn[n]
-		for _, st := range x.steps[:x.count[l-n]-1] {
-			cur[st.dst] = d[st.axis&3]*prev[st.a] + st.coef*prev[st.b]
+// Boys runs per lane, the recursion 4-wide (lanes.recur). Level n holds
+// the entries of order <= l-n and reads only entries of order <= l-n-1
+// of level n+1, all of which that level wrote: the cubes are never
+// cleared. Padding lanes get F = 0, so their R is 0. Each lane's
+// (p+q)^{-1/2} is left in s.pref.
+func (x *hermIndex) coulomb(s *eriScratch, l int, p float64, c *[3]float64, kb *primBatch) []float64 {
+	fn, fn4 := s.fn[:l+1], s.fn4[:4*(l+1)]
+	for lane := 0; lane < 4; lane++ {
+		if lane >= kb.n {
+			for n := range fn {
+				fn4[4*n+lane] = 0
+			}
+			s.d[0][lane], s.d[1][lane], s.d[2][lane], s.pref[lane] = 0, 0, 0, 0
+			continue
+		}
+		pq := p + kb.p[lane]
+		alpha := p * kb.p[lane] / pq
+		dx, dy, dz := kb.x[lane]-c[0], kb.y[lane]-c[1], kb.z[lane]-c[2]
+		s.d[0][lane], s.d[1][lane], s.d[2][lane] = dx, dy, dz
+		s.pref[lane] = math.Sqrt(1 / pq)
+		Boys(l, alpha*(dx*dx+dy*dy+dz*dz), fn)
+		pow := 1.0
+		for n, f := range fn {
+			fn4[4*n+lane] = f * pow
+			pow *= -2 * alpha
 		}
 	}
-	return cur
+	lanes.recur(s.r0, s.r1, fn4, x.steps, x.count, l, &s.d)
+	if l&1 == 0 { // the level loop swaps the cubes l+1 times
+		return s.r1
+	}
+	return s.r0
 }
 
 // quartet writes the block (bra|ket) to out, laid out out[ab*ncd+cd].
 func (x *hermIndex) quartet(bra, ket *pairData, s *eriScratch, out []float64) {
-	for i := range out {
-		out[i] = 0
+	blk := out
+	swap := bra.prims > ket.prims
+	if swap {
+		bra, ket = ket, bra
+		blk = s.blk[:len(out)]
 	}
+	clear(blk)
 	l := bra.lab + ket.lab
 	boff := x.off[:x.count[bra.lab]]
 	nh, ncd := len(boff), ket.nab
-	k := s.k[:ncd*nh]
-	for bi := range bra.prims {
-		bp := &bra.prims[bi]
-		for i := range k {
-			k[i] = 0
-		}
-		for ki := range ket.prims {
-			kp := &ket.prims[ki]
-			pq := bp.p + kp.p
-			d := [4]float64{kp.x - bp.x, kp.y - bp.y, kp.z - bp.z}
-			r := x.coulomb(s, l, bp.p*kp.p/pq, &d)
-			pref := math.Sqrt(1 / pq)
-			for _, t := range kp.terms {
-				w := t.g * pref
-				row := k[int(t.ab)*nh:][:nh]
-				rk := r[t.off:]
-				for h, o := range boff {
-					row[h] += w * rk[o]
-				}
+	k, k4 := s.k[:nh*ncd], s.k4[:4*nh*ncd]
+	for bi := range bra.batches {
+		bb := &bra.batches[bi]
+		for bl := 0; bl < bb.n; bl++ {
+			c := [3]float64{bb.x[bl], bb.y[bl], bb.z[bl]}
+			clear(k4)
+			for ki := range ket.batches {
+				kb := &ket.batches[ki]
+				r := x.coulomb(s, l, bb.p[bl], &c, kb)
+				lanes.fold(k4, ncd, r, boff, kb.terms, &s.pref)
 			}
+			lanes.sum(k, k4)
+			lanes.contract(blk, k, ncd, bb.terms, bl, x.sign)
 		}
-		for _, t := range bp.terms {
-			w := t.g * x.sign[t.h]
-			row := out[int(t.ab)*ncd:][:ncd]
-			kh := k[t.h:]
-			for cd := range row {
-				row[cd] += w * kh[cd*nh]
+	}
+	if swap {
+		nab := bra.nab // of the pair that was the ket
+		for ab := 0; ab < nab; ab++ {
+			for cd, v := range blk[ab*ncd:][:ncd] {
+				out[cd*nab+ab] = v
 			}
 		}
 	}
@@ -219,17 +246,23 @@ func (x *hermIndex) quartet(bra, ket *pairData, s *eriScratch, out []float64) {
 func quartetSSSS(bra, ket *pairData) float64 {
 	sum := 0.0
 	var f [1]float64
-	for bi := range bra.prims {
-		bp := &bra.prims[bi]
-		ksum := 0.0
-		for ki := range ket.prims {
-			kp := &ket.prims[ki]
-			pq := bp.p + kp.p
-			dx, dy, dz := bp.x-kp.x, bp.y-kp.y, bp.z-kp.z
-			Boys(0, bp.p*kp.p/pq*(dx*dx+dy*dy+dz*dz), f[:])
-			ksum += kp.terms[0].g * f[0] * math.Sqrt(1/pq)
+	for bi := range bra.batches {
+		bb := &bra.batches[bi]
+		for bl, p := range bb.p[:bb.n] {
+			x, y, z := bb.x[bl], bb.y[bl], bb.z[bl]
+			ksum := 0.0
+			for ki := range ket.batches {
+				kb := &ket.batches[ki]
+				g := &kb.terms[0].g
+				for kl, q := range kb.p[:kb.n] {
+					pq := p + q
+					dx, dy, dz := x-kb.x[kl], y-kb.y[kl], z-kb.z[kl]
+					Boys(0, p*q/pq*(dx*dx+dy*dy+dz*dz), f[:])
+					ksum += g[kl] * f[0] * math.Sqrt(1/pq)
+				}
+			}
+			sum += bb.terms[0].g[bl] * ksum
 		}
-		sum += bp.terms[0].g * ksum
 	}
 	return sum
 }
@@ -267,8 +300,8 @@ func NewPairCache(eng *Engine, primTol float64) *PairCache {
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			pd := pb.build(i, j, primTol)
-			pc.PrimPairsKept += len(pd.prims)
-			pc.PrimPairsDropped += len(shells[i].Exps)*len(shells[j].Exps) - len(pd.prims)
+			pc.PrimPairsKept += pd.prims
+			pc.PrimPairsDropped += len(shells[i].Exps)*len(shells[j].Exps) - pd.prims
 			pc.pairs[i*(i+1)/2+j] = pd
 		}
 	}
@@ -283,6 +316,7 @@ type pairBuilder struct {
 	comps  [][]component
 	index  *hermIndex // to 4 * basis MaxL: the widest quartet
 	funcs  int        // widest shell
+	terms  []laneTerm // what collect lists, reused from call to call
 }
 
 func newPairBuilder(b *basis.Basis) *pairBuilder {
@@ -298,65 +332,91 @@ func newPairBuilder(b *basis.Basis) *pairBuilder {
 	return pb
 }
 
+// primE is one primitive pair (exponents p of shell a, q of shell b) with
+// its Hermite expansion coefficients.
+type primE struct {
+	p, q int
+	e    pairE
+}
+
 // build computes the Hermite pair density of shells (i, j), keeping the
 // primitive pairs whose overlap prefactor reaches primTol.
 func (pb *pairBuilder) build(i, j int, primTol float64) pairData {
 	sa, sb := &pb.shells[i], &pb.shells[j]
-	ca, cb := pb.comps[i], pb.comps[j]
 	la, lb := sa.MaxL(), sb.MaxL()
-	abx := sa.Center[0] - sb.Center[0]
-	aby := sa.Center[1] - sb.Center[1]
-	abz := sa.Center[2] - sb.Center[2]
-	r2 := abx*abx + aby*aby + abz*abz
-	pd := pairData{nab: len(ca) * len(cb), lab: la + lb}
-	var terms []hermTerm // of all primitive pairs, back to back
-	var ends []int
+	var ab [3]float64
+	for x := range ab {
+		ab[x] = sa.Center[x] - sb.Center[x]
+	}
+	r2 := ab[0]*ab[0] + ab[1]*ab[1] + ab[2]*ab[2]
+	pd := pairData{nab: len(pb.comps[i]) * len(pb.comps[j]), lab: la + lb}
+	var live []primE
 	for p, ap := range sa.Exps {
 		for q, bq := range sb.Exps {
-			pp := ap + bq
-			if math.Exp(-ap*bq/pp*r2) < primTol {
+			if math.Exp(-ap*bq/(ap+bq)*r2) < primTol {
 				continue
 			}
-			ex := hermiteE(la, lb, ap, bq, abx)
-			ey := hermiteE(la, lb, ap, bq, aby)
-			ez := hermiteE(la, lb, ap, bq, abz)
-			lo := len(terms)
-			scale := pairScale / pp
-			for ia, a := range ca {
-				for ib, b := range cb {
-					w := sa.Coefs[a.mi][p] * a.norm * sb.Coefs[b.mi][q] * b.norm * scale
-					for t, et := range ex[a.lx][b.lx] {
-						for u, eu := range ey[a.ly][b.ly] {
-							for v, ev := range ez[a.lz][b.lz] {
-								if e := et * eu * ev; e != 0 {
-									h := pb.index.find(t, u, v)
-									terms = append(terms, hermTerm{
-										g: w * e, ab: uint16(ia*len(cb) + ib), h: h, off: pb.index.off[h],
-									})
-								}
+			pe := primE{p: p, q: q, e: newPairE(la, lb, ap, bq, ab)}
+			if len(pb.collect(i, j, []primE{pe}, true)) == 0 {
+				continue // every term underflowed: nothing to contribute
+			}
+			live = append(live, pe)
+		}
+	}
+	pd.prims = len(live)
+	for lo := 0; lo < len(live); lo += 4 {
+		lane := live[lo:min(lo+4, len(live))]
+		b := primBatch{n: len(lane), terms: slices.Clone(pb.collect(i, j, lane, false))}
+		for n, pe := range lane {
+			ap, bq := sa.Exps[pe.p], sb.Exps[pe.q]
+			pp := ap + bq
+			b.p[n] = pp
+			b.x[n] = (ap*sa.Center[0] + bq*sb.Center[0]) / pp
+			b.y[n] = (ap*sa.Center[1] + bq*sb.Center[1]) / pp
+			b.z[n] = (ap*sa.Center[2] + bq*sb.Center[2]) / pp
+		}
+		pd.batches = append(pd.batches, b)
+	}
+	return pd
+}
+
+// collect lists the Hermite terms of shells (i, j) over up to four
+// primitive pairs, one per lane: every (ab, t, u, v) nonzero in some lane.
+// With first set it stops at the first such term. The list is pb.terms,
+// valid until the next call.
+func (pb *pairBuilder) collect(i, j int, lanes []primE, first bool) []laneTerm {
+	sa, sb := &pb.shells[i], &pb.shells[j]
+	cb := pb.comps[j]
+	out := pb.terms[:0]
+	for ia, a := range pb.comps[i] {
+		for ib, b := range cb {
+			for t := 0; t <= a.lx+b.lx; t++ {
+				for u := 0; u <= a.ly+b.ly; u++ {
+					for v := 0; v <= a.lz+b.lz; v++ {
+						lt := laneTerm{ab: uint16(ia*len(cb) + ib)}
+						nonzero := false
+						for n, pe := range lanes {
+							e := pe.e.product(a, b, t, u, v)
+							scale := pairScale / (sa.Exps[pe.p] + sb.Exps[pe.q])
+							lt.g[n] = sa.Coefs[a.mi][pe.p] * a.norm * sb.Coefs[b.mi][pe.q] * b.norm * scale * e
+							nonzero = nonzero || e != 0
+						}
+						if nonzero {
+							lt.h = pb.index.find(t, u, v)
+							lt.off = pb.index.off[lt.h]
+							out = append(out, lt)
+							if first {
+								pb.terms = out
+								return out
 							}
 						}
 					}
 				}
 			}
-			if len(terms) == lo {
-				continue // every term underflowed: nothing to contribute
-			}
-			pd.prims = append(pd.prims, primPair{
-				p: pp,
-				x: (ap*sa.Center[0] + bq*sb.Center[0]) / pp,
-				y: (ap*sa.Center[1] + bq*sb.Center[1]) / pp,
-				z: (ap*sa.Center[2] + bq*sb.Center[2]) / pp,
-			})
-			ends = append(ends, len(terms))
 		}
 	}
-	lo := 0
-	for n, hi := range ends {
-		pd.prims[n].terms = terms[lo:hi:hi]
-		lo = hi
-	}
-	return pd
+	pb.terms = out
+	return out
 }
 
 // pair fetches cached data for shells (i >= j).
@@ -384,13 +444,13 @@ func (pc *PairCache) ShellQuartet(si, sj, sk, sl int, out []float64) []float64 {
 	return out
 }
 
-// Bytes returns the cache's storage: pair records, primitive pairs and
+// Bytes returns the cache's storage: pair records, batches and their
 // Hermite terms.
 func (pc *PairCache) Bytes() int64 {
 	total := int64(len(pc.pairs)) * int64(unsafe.Sizeof(pairData{}))
 	for i := range pc.pairs {
-		for _, pp := range pc.pairs[i].prims {
-			total += int64(unsafe.Sizeof(pp)) + int64(len(pp.terms))*int64(unsafe.Sizeof(hermTerm{}))
+		for _, b := range pc.pairs[i].batches {
+			total += int64(unsafe.Sizeof(b)) + int64(len(b.terms))*int64(unsafe.Sizeof(laneTerm{}))
 		}
 	}
 	return total
