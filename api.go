@@ -215,8 +215,8 @@ var ErrUnsupported = scf.ErrUnsupported
 // membership transition (grow or migrate) rather than by the caller.
 var ErrRebalance = scf.ErrRebalance
 
-// Membership is an elastic rank pool: candidates announce joins on its
-// bus, the Elastic plan admits them at iteration boundaries, and rank
+// Membership is an elastic rank pool: candidates Announce themselves to
+// it, the Elastic plan admits them at iteration boundaries, and rank
 // death or straggler migration advances its epoch.
 type Membership = mpi.Membership
 

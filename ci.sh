@@ -30,16 +30,19 @@
 # fock.SerialBuild( (the direct engine is the tests' oracle only).
 # Experiment code stays out of production packages: no non-test file of
 # internal/service imports math/rand or defines a func Run*, and hfserve
-# has no loadgen flag. The model is a leaf: `go list -deps
+# has no loadgen flag. The serving pool is not a rank pool: internal/service
+# does not import internal/mpi, and the in-process join bus stays deleted
+# (no non-test file outside bench/ names JoinBus, JoinFrame, JoinBackoff,
+# corruptNext or AttachMembership). The model is a leaf: `go list -deps
 # ./internal/simulate` names no repo package outside basis, molecule,
 # integrals, linalg and knl (it is a model, not a runtime client).
 # Every option earns its place: TestOptionBudget pins the exported-field
 # count of the eight configuration structs; the knobs made constant or
 # derived (LeaseTTL, HedgeMinSamples, WatchTick, MaxRetryAfter,
 # WALSegment, WALKeepDone, HighDepthPerWorker, SharedThreadContentionLog,
-# SCFModel, MigrateMinSamples, CostModel, NodeMTBFHours) are named by no
-# non-test file outside bench/; and internal/simulate returns rows only —
-# no func Format*, no func CSV* (cmd/scaling builds the one table of each
+# SCFModel, MigrateMinSamples, CostModel, NodeMTBFHours, the autoscaler's
+# Interval and DownAfterTicks) are named by no non-test file outside
+# bench/; and internal/simulate returns rows only — no func Format*, no func CSV* (cmd/scaling builds the one table of each
 # artifact). The ERI kernel's pure-Go body vets under GOARCH=arm64 (no
 # assembly there), and the layout gate builds hfrun, hfserve and the
 # benchmark and fails unless distmat.tileMulAdd starts at 0 mod 64 in
@@ -47,7 +50,7 @@
 #
 # Tier 2 (concurrency soundness): the race detector over the packages
 # with real parallelism and fault injection (internal/mpi includes the
-# elastic-membership join protocol and its tests), and over the one
+# elastic membership and its tests), and over the one
 # PairCache every rank and thread shares (8 goroutines, blocks
 # bit-identical to a serial pass). The full ./internal/scf suite under -race takes ~5
 # minutes; everything else is seconds.
@@ -112,10 +115,9 @@
 # energy bar; the synthetic lease workload shows mid-run doubling
 # cutting wall time (<= 0.85x) and migration bounding a 4x straggler's
 # tail (<= 1.6x clean) with every task pushed exactly once; and one
-# hfserve replica rides a 40-job burst through the autoscaler (grow via
-# the join protocol, zero jobs lost, hysteresis shrink back to the
-# floor). The membership/join-bus/elastic-driver tests rerun under
-# -race.
+# hfserve replica rides a 40-job burst through the autoscaler (grow,
+# zero jobs lost, hysteresis shrink back to the floor). The membership,
+# elastic-driver and autoscaler tests rerun under -race.
 #
 # Tier 10 (distmat gate): `scaling -exp distmat` — the distributed
 # 2D-blocked matrix runtime end to end: the purification SCF must match
@@ -266,6 +268,10 @@ tier_1() {
 		echo "structure gate: internal/simulate is a model and links no runtime; live workloads belong in cmd/scaling"
 		exit 1
 	fi
+	if go list -f '{{join .Imports "\n"}}' ./internal/service | grep -x 'repro/internal/mpi'; then
+		echo "structure gate: internal/service imports internal/mpi again (the worker pool does not ride the rank join protocol)"
+		exit 1
+	fi
 	if go run ./cmd/hfserve -h 2>&1 | grep -i loadgen; then
 		echo "structure gate: hfserve serves; the load test is scaling -exp serve"
 		exit 1
@@ -275,8 +281,12 @@ tier_1() {
 	go test -count=1 -run '^TestOptionBudget$' -v . | grep -q '^--- PASS: TestOptionBudget' ||
 		{ echo "structure gate: TestOptionBudget did not run and pass"; exit 1; }
 	nontest=$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*')
-	if grep -n 'LeaseTTL\|HedgeMinSamples\|WatchTick\|MaxRetryAfter\|WALSegment\b\|WALKeepDone\|HighDepthPerWorker\|SharedThreadContentionLog\|SCFModel\|MigrateMinSamples\|CostModel\|NodeMTBFHours' $nontest; then
+	if grep -n 'LeaseTTL\|HedgeMinSamples\|WatchTick\|MaxRetryAfter\|WALSegment\b\|WALKeepDone\|HighDepthPerWorker\|SharedThreadContentionLog\|SCFModel\|MigrateMinSamples\|CostModel\|NodeMTBFHours\|\bInterval\b\|DownAfterTicks' $nontest; then
 		echo "structure gate: an option made a constant (or derived) is back; see TestOptionBudget for the rule"
+		exit 1
+	fi
+	if grep -n 'JoinBus\|JoinFrame\|JoinBackoff\|corruptNext\|AttachMembership' $nontest; then
+		echo "structure gate: the in-process join bus is back; Membership.Announce appends under its lock"
 		exit 1
 	fi
 	if grep -n '^func Format\|^func CSV' $(ls internal/simulate/*.go | grep -v _test.go); then
@@ -466,7 +476,7 @@ tier_8() {
 tier_9() {
 	echo "== tier 9: elastic gate (scaling -exp elastic + -race membership tests) =="
 	go run ./cmd/scaling -exp elastic
-	race_rerun 'TestJoinBus|TestJoinBackoff|TestMembership|TestElastic|TestCheckpointGrow|TestAutoscaler|TestResize|TestFleetFetch|TestFetchBackoff|TestReadyzRebalancing' \
+	race_rerun 'TestMembership|TestElastic|TestCheckpointGrow|TestAutoscaler|TestResize|TestFleetFetch|TestFetchBackoff' \
 		./internal/mpi/ ./internal/scf/ ./internal/service/
 }
 

@@ -5,9 +5,8 @@ package mpi
 // that increments on every size or placement change), and runs the join
 // protocol for candidates that want to enter a running computation:
 //
-//	announce  — the candidate frames a JoinAnnounce through the JoinBus
-//	            (sequence-numbered + checksummed, see join.go) and
-//	            waits for admission with a TTL;
+//	announce  — the candidate enters the pending set (Announce) and waits
+//	            for admission with a TTL;
 //	handshake — the driver, at an SCF iteration boundary, moves every
 //	            announced candidate into the checkpoint handshake
 //	            (BeginRebalance) and stops the running epoch;
@@ -15,10 +14,13 @@ package mpi
 //	            admitted candidates (CommitJoins), the pool grows, and
 //	            the epoch increments — the restarted computation includes
 //	            the new ranks from its first iteration;
-//	expire    — a candidate not admitted within the TTL expires and
-//	            re-announces after a full-jitter backoff (JoinBackoff),
-//	            so a wedged driver cannot strand a herd of candidates in
-//	            lockstep retries.
+//	expire    — a candidate not admitted within the TTL expires; one
+//	            whose handshake the driver abandons (AbortRebalance) is
+//	            aborted. Either may Announce again.
+//
+// Candidates and the driver share one process, so an announce is a
+// locked append, not a message: there is no control channel to lose,
+// duplicate or reorder it.
 //
 // Shrink (rank death) and migration (straggler re-host, same size but
 // new placement) also advance the epoch: any layer that caches
@@ -37,20 +39,19 @@ import (
 type JoinState int
 
 const (
-	// JoinAnnounced: framed through the bus, waiting for the driver to
-	// reach an iteration boundary.
+	// JoinAnnounced: pending, waiting for the driver to reach an
+	// iteration boundary.
 	JoinAnnounced JoinState = iota
 	// JoinHandshake: the driver is stopping the running epoch to admit
 	// this candidate (checkpoint handshake in flight).
 	JoinHandshake
 	// JoinCommitted: admitted; the ticket carries the checkpoint.
 	JoinCommitted
-	// JoinExpired: the TTL lapsed before admission; the candidate should
-	// re-announce after JoinBackoff.
+	// JoinExpired: the TTL lapsed before admission; the candidate may
+	// announce again.
 	JoinExpired
 	// JoinAborted: the driver abandoned the handshake (e.g. the epoch
-	// died for a different reason); the ticket reverts to announced-like
-	// retry semantics on the candidate side.
+	// died for a different reason); the candidate may announce again.
 	JoinAborted
 )
 
@@ -72,17 +73,13 @@ func (s JoinState) String() string {
 
 // JoinTicket is one candidate's pending join.
 type JoinTicket struct {
-	Host        string
-	Ranks       int
-	Attempt     int // 0-based announce attempt (for backoff)
-	Seq         int64
-	AnnouncedAt time.Time
-	Deadline    time.Time
+	Host     string
+	Ranks    int
+	Deadline time.Time
 
 	mu         sync.Mutex
 	state      JoinState
 	checkpoint []byte
-	admitted   chan struct{}
 }
 
 // State returns the ticket's current protocol state.
@@ -105,46 +102,19 @@ func (t *JoinTicket) Checkpoint() []byte {
 	return t.checkpoint
 }
 
-// AwaitAdmission blocks until the driver commits this ticket (returning
-// the handshake checkpoint) or the wait times out (the candidate should
-// then re-announce after JoinBackoff(host, attempt+1)).
-func (t *JoinTicket) AwaitAdmission(timeout time.Duration) ([]byte, error) {
-	select {
-	case <-t.admitted:
-		return t.Checkpoint(), nil
-	case <-time.After(timeout):
-		return nil, fmt.Errorf("mpi: join of %q (%d ranks) not admitted within %v",
-			t.Host, t.Ranks, timeout)
-	}
-}
-
-// MembershipEvent is one membership transition, for experiment reports
-// and tests.
-type MembershipEvent struct {
-	Time   time.Time
-	Kind   string // announce | handshake | commit | expire | abort | grow | shrink | migrate
-	Detail string
-	Epoch  int64
-	Size   int
-}
-
 // DefaultJoinTTL bounds how long an announced candidate waits for the
-// driver to reach an iteration boundary before it expires and backs off.
+// driver to reach an iteration boundary before it expires.
 const DefaultJoinTTL = 30 * time.Second
 
-// Membership is the elastic rank pool of one computation (or one serving
-// replica's worker pool). Concurrency-safe.
+// Membership is the elastic rank pool of one computation. Concurrency-safe.
 type Membership struct {
 	mu          sync.Mutex
 	size        int
 	epoch       int64
 	joinTTL     time.Duration
 	pending     []*JoinTicket
-	bus         *JoinBus
 	tel         *telemetry.Session
 	rebalancing bool
-	events      []MembershipEvent
-	now         func() time.Time // test hook
 }
 
 // NewMembership returns a pool of the given initial size (min 1). tel
@@ -153,13 +123,7 @@ func NewMembership(size int, tel *telemetry.Session) *Membership {
 	if size < 1 {
 		size = 1
 	}
-	m := &Membership{
-		size:    size,
-		joinTTL: DefaultJoinTTL,
-		bus:     NewJoinBus(tel),
-		tel:     tel,
-		now:     time.Now,
-	}
+	m := &Membership{size: size, joinTTL: DefaultJoinTTL, tel: tel}
 	m.gauge("elastic.pool_size", float64(size))
 	m.gauge("elastic.pool_epoch", 0)
 	m.gauge("elastic.rebalance_inflight", 0)
@@ -193,110 +157,37 @@ func (m *Membership) Epoch() int64 {
 	return m.epoch
 }
 
-// Rebalancing reports whether a join/rebalance handshake is in flight
-// (readiness probes return 503 during this window).
+// Rebalancing reports whether a join/rebalance handshake is in flight.
 func (m *Membership) Rebalancing() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.rebalancing
 }
 
-// Events returns a copy of the transition log.
-func (m *Membership) Events() []MembershipEvent {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]MembershipEvent(nil), m.events...)
-}
-
-// event appends to the transition log; caller holds the lock.
-func (m *Membership) event(kind, detail string) {
-	m.events = append(m.events, MembershipEvent{
-		Time: m.now(), Kind: kind, Detail: detail, Epoch: m.epoch, Size: m.size,
-	})
-}
-
-// Announce frames a JoinAnnounce for the candidate through the bus and
-// returns its ticket. attempt is 0 for a first announce; an expired
-// candidate re-announces with attempt+1 after JoinBackoff.
+// Announce enters a candidate offering ranks (min 1) into the pending set
+// and returns its ticket, which expires unadmitted after the join TTL. An
+// expired or aborted candidate retries with another Announce.
 func (m *Membership) Announce(ranks int, host string) *JoinTicket {
-	return m.announce(ranks, host, 0)
-}
-
-// ReAnnounce retries an expired/aborted ticket. It returns the new
-// ticket and the full-jitter backoff the candidate should wait before
-// the announce takes effect (tests apply it synthetically; a live
-// candidate sleeps it).
-func (m *Membership) ReAnnounce(t *JoinTicket) (*JoinTicket, time.Duration) {
-	attempt := t.Attempt + 1
-	return m.announce(t.Ranks, t.Host, attempt), JoinBackoff(t.Host, attempt)
-}
-
-func (m *Membership) announce(ranks int, host string, attempt int) *JoinTicket {
 	if ranks < 1 {
 		ranks = 1
 	}
-	seq := m.bus.Send(JoinFrame{
-		Kind: JoinAnnounce, Sender: host, Epoch: m.Epoch(), Ranks: ranks,
-		Payload: []int{attempt},
-	})
-	m.drainBus()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i := len(m.pending) - 1; i >= 0; i-- {
-		if t := m.pending[i]; t.Host == host && t.Seq == seq {
-			return t
-		}
-	}
-	// The frame was dropped as a duplicate (bus chaos); surface an
-	// already-expired ticket so the candidate backs off and retries.
-	t := &JoinTicket{Host: host, Ranks: ranks, Attempt: attempt,
-		AnnouncedAt: m.now(), admitted: make(chan struct{})}
-	t.state = JoinExpired
+	t := &JoinTicket{Host: host, Ranks: ranks, Deadline: time.Now().Add(m.joinTTL)}
+	m.pending = append(m.pending, t)
+	m.count("elastic.joins.announced", 1)
 	return t
-}
-
-// drainBus materializes every deliverable frame into the pending set.
-// Duplicate, reordered, or corrupted announces were already healed by
-// the bus's delivery discipline, so each surviving frame is exactly one
-// protocol action.
-func (m *Membership) drainBus() {
-	for {
-		f, ok := m.bus.Recv(0)
-		if !ok {
-			return
-		}
-		if f.Kind != JoinAnnounce {
-			continue // grants/commits are driver→candidate; nothing to track here
-		}
-		m.mu.Lock()
-		attempt := 0
-		if len(f.Payload) > 0 {
-			attempt = f.Payload[0]
-		}
-		now := m.now()
-		t := &JoinTicket{
-			Host: f.Sender, Ranks: f.Ranks, Attempt: attempt, Seq: f.Seq,
-			AnnouncedAt: now, Deadline: now.Add(m.joinTTL),
-			admitted: make(chan struct{}),
-		}
-		t.state = JoinAnnounced
-		m.pending = append(m.pending, t)
-		m.count("elastic.joins.announced", 1)
-		m.event("announce", fmt.Sprintf("%s offers %d rank(s), attempt %d", f.Sender, f.Ranks, attempt))
-		m.mu.Unlock()
-	}
 }
 
 // expireStale walks announced tickets past their TTL into JoinExpired;
 // caller holds the lock.
 func (m *Membership) expireStale() {
-	now := m.now()
+	now := time.Now()
 	kept := m.pending[:0]
 	for _, t := range m.pending {
 		if t.State() == JoinAnnounced && now.After(t.Deadline) {
 			t.setState(JoinExpired)
 			m.count("elastic.joins.expired", 1)
-			m.event("expire", fmt.Sprintf("%s (%d rank(s)) waited past TTL", t.Host, t.Ranks))
 			continue
 		}
 		kept = append(kept, t)
@@ -307,24 +198,8 @@ func (m *Membership) expireStale() {
 	m.pending = kept
 }
 
-// PendingJoins returns how many candidates are announced and unexpired.
-func (m *Membership) PendingJoins() int {
-	m.drainBus()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.expireStale()
-	n := 0
-	for _, t := range m.pending {
-		if t.State() == JoinAnnounced {
-			n++
-		}
-	}
-	return n
-}
-
 // PendingRanks returns the total ranks offered by announced candidates.
 func (m *Membership) PendingRanks() int {
-	m.drainBus()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.expireStale()
@@ -338,10 +213,9 @@ func (m *Membership) PendingRanks() int {
 }
 
 // BeginRebalance moves every announced candidate into the checkpoint
-// handshake and marks the pool rebalancing (readiness flips to 503). It
-// returns false when no unexpired candidate is pending.
+// handshake and marks the pool rebalancing. It returns false when no
+// unexpired candidate is pending.
 func (m *Membership) BeginRebalance() bool {
-	m.drainBus()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.expireStale()
@@ -355,7 +229,6 @@ func (m *Membership) BeginRebalance() bool {
 	if any {
 		m.rebalancing = true
 		m.gauge("elastic.rebalance_inflight", 1)
-		m.event("handshake", "checkpoint handshake started")
 	}
 	return any
 }
@@ -377,7 +250,6 @@ func (m *Membership) CommitJoins(checkpoint []byte) int {
 		t.mu.Lock()
 		t.state = JoinCommitted
 		t.checkpoint = checkpoint
-		close(t.admitted)
 		t.mu.Unlock()
 		added += t.Ranks
 		m.count("elastic.joins.committed", 1)
@@ -389,8 +261,6 @@ func (m *Membership) CommitJoins(checkpoint []byte) int {
 	if added > 0 {
 		m.size += added
 		m.epoch++
-		m.event("commit", fmt.Sprintf("%d rank(s) admitted", added))
-		m.event("grow", fmt.Sprintf("pool %d -> %d", m.size-added, m.size))
 	}
 	m.rebalancing = false
 	m.gauge("elastic.rebalance_inflight", 0)
@@ -401,15 +271,14 @@ func (m *Membership) CommitJoins(checkpoint []byte) int {
 
 // AbortRebalance abandons an in-flight handshake (the epoch ended for a
 // different reason, e.g. a rank death won the race): handshake tickets
-// become aborted and the candidates re-announce with backoff.
-func (m *Membership) AbortRebalance(reason string) {
+// become aborted and the candidates may announce again.
+func (m *Membership) AbortRebalance() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	kept := m.pending[:0]
 	for _, t := range m.pending {
 		if t.State() == JoinHandshake {
 			t.setState(JoinAborted)
-			m.event("abort", fmt.Sprintf("%s: %s", t.Host, reason))
 			continue
 		}
 		kept = append(kept, t)
@@ -430,13 +299,11 @@ func (m *Membership) Shrink(dead int) int {
 	if dead < 1 {
 		return m.size
 	}
-	from := m.size
 	m.size -= dead
 	if m.size < 1 {
 		m.size = 1
 	}
 	m.epoch++
-	m.event("shrink", fmt.Sprintf("pool %d -> %d (%d dead)", from, m.size, dead))
 	m.gauge("elastic.pool_size", float64(m.size))
 	m.gauge("elastic.pool_epoch", float64(m.epoch))
 	return m.size
@@ -453,6 +320,5 @@ func (m *Membership) RecordMigration(ranks []int) {
 	defer m.mu.Unlock()
 	m.epoch++
 	m.count("elastic.migrations", int64(len(ranks)))
-	m.event("migrate", fmt.Sprintf("re-hosted rank(s) %v", ranks))
 	m.gauge("elastic.pool_epoch", float64(m.epoch))
 }

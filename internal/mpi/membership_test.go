@@ -18,9 +18,6 @@ func TestMembershipJoinLifecycle(t *testing.T) {
 	if ticket.State() != JoinAnnounced {
 		t.Fatalf("after announce: state = %v", ticket.State())
 	}
-	if n := m.PendingJoins(); n != 1 {
-		t.Fatalf("pending joins = %d, want 1", n)
-	}
 	if n := m.PendingRanks(); n != 1 {
 		t.Fatalf("pending ranks = %d, want 1", n)
 	}
@@ -42,11 +39,7 @@ func TestMembershipJoinLifecycle(t *testing.T) {
 	if ticket.State() != JoinCommitted {
 		t.Fatalf("after commit: state = %v", ticket.State())
 	}
-	got, err := ticket.AwaitAdmission(time.Second)
-	if err != nil {
-		t.Fatalf("AwaitAdmission: %v", err)
-	}
-	if !bytes.Equal(got, ckpt) {
+	if got := ticket.Checkpoint(); !bytes.Equal(got, ckpt) {
 		t.Fatalf("checkpoint handed to joiner differs: %q", got)
 	}
 	if m.Size() != 3 || m.Epoch() != 1 {
@@ -67,8 +60,8 @@ func TestMembershipTTLExpiryAndReAnnounce(t *testing.T) {
 
 	ticket := m.Announce(1, "slowpoke")
 	time.Sleep(5 * time.Millisecond)
-	if n := m.PendingJoins(); n != 0 {
-		t.Fatalf("pending joins after TTL = %d, want 0", n)
+	if n := m.PendingRanks(); n != 0 {
+		t.Fatalf("pending ranks after TTL = %d, want 0", n)
 	}
 	if ticket.State() != JoinExpired {
 		t.Fatalf("state after TTL = %v, want expired", ticket.State())
@@ -81,19 +74,70 @@ func TestMembershipTTLExpiryAndReAnnounce(t *testing.T) {
 		t.Fatal("BeginRebalance admitted an expired candidate")
 	}
 
+	// The candidate retries with a plain Announce: a fresh ticket with a
+	// fresh TTL, admitted by the next handshake; the expired one stays
+	// expired and is handed nothing.
 	m.joinTTL = time.Minute
-	retry, backoff := m.ReAnnounce(ticket)
-	if retry.Attempt != 1 {
-		t.Fatalf("re-announce attempt = %d, want 1", retry.Attempt)
-	}
-	if want := JoinBackoff("slowpoke", 1); backoff != want {
-		t.Fatalf("backoff = %v, want deterministic %v", backoff, want)
+	retry := m.Announce(1, "slowpoke")
+	if retry == ticket || retry.State() != JoinAnnounced {
+		t.Fatalf("re-announce: fresh ticket %v in state %v, want a new announced ticket",
+			retry != ticket, retry.State())
 	}
 	if !m.BeginRebalance() {
 		t.Fatal("re-announced candidate not picked up")
 	}
-	if added := m.CommitJoins(nil); added != 1 {
+	if added := m.CommitJoins([]byte("ckpt")); added != 1 {
 		t.Fatalf("re-announced candidate: added = %d, want 1", added)
+	}
+	if retry.State() != JoinCommitted || ticket.State() != JoinExpired || ticket.Checkpoint() != nil {
+		t.Fatalf("after commit: retry %v, expired ticket %v with %d checkpoint bytes",
+			retry.State(), ticket.State(), len(ticket.Checkpoint()))
+	}
+	if n := tel.Counter("elastic.joins.announced").Value(); n != 2 {
+		t.Fatalf("joins.announced = %d, want 2", n)
+	}
+}
+
+// TestMembershipAnnounceDuringHandshake: a candidate that announces after
+// BeginRebalance is not part of that handshake — it stays announced
+// through the CommitJoins and is not handed that checkpoint; the next
+// handshake admits it.
+func TestMembershipAnnounceDuringHandshake(t *testing.T) {
+	m := NewMembership(2, nil)
+	first := m.Announce(1, "early")
+	if !m.BeginRebalance() {
+		t.Fatal("BeginRebalance failed")
+	}
+	late := m.Announce(2, "late")
+	if added := m.CommitJoins([]byte("epoch-0 checkpoint")); added != 1 {
+		t.Fatalf("first commit added %d ranks, want 1 (the late candidate is not in the handshake)", added)
+	}
+	if first.State() != JoinCommitted {
+		t.Fatalf("early candidate after first commit: %v", first.State())
+	}
+	if late.State() != JoinAnnounced || late.Checkpoint() != nil {
+		t.Fatalf("late candidate after first commit: state %v, %d checkpoint bytes; want announced, none",
+			late.State(), len(late.Checkpoint()))
+	}
+	if n := m.PendingRanks(); n != 2 {
+		t.Fatalf("pending ranks = %d, want 2 (the late candidate)", n)
+	}
+	if m.Size() != 3 || m.Epoch() != 1 {
+		t.Fatalf("after first commit: size=%d epoch=%d, want 3/1", m.Size(), m.Epoch())
+	}
+
+	if !m.BeginRebalance() {
+		t.Fatal("second BeginRebalance did not pick up the late candidate")
+	}
+	ckpt := []byte("epoch-1 checkpoint")
+	if added := m.CommitJoins(ckpt); added != 2 {
+		t.Fatalf("second commit added %d ranks, want 2", added)
+	}
+	if late.State() != JoinCommitted || !bytes.Equal(late.Checkpoint(), ckpt) {
+		t.Fatalf("late candidate after second commit: state %v, checkpoint %q", late.State(), late.Checkpoint())
+	}
+	if m.Size() != 5 || m.Epoch() != 2 {
+		t.Fatalf("after second commit: size=%d epoch=%d, want 5/2", m.Size(), m.Epoch())
 	}
 }
 
@@ -103,7 +147,7 @@ func TestMembershipAbortRebalance(t *testing.T) {
 	if !m.BeginRebalance() {
 		t.Fatal("BeginRebalance failed")
 	}
-	m.AbortRebalance("rank death won the race")
+	m.AbortRebalance()
 	if ticket.State() != JoinAborted {
 		t.Fatalf("state after abort = %v", ticket.State())
 	}
@@ -151,34 +195,6 @@ func TestMembershipMigrationAdvancesEpoch(t *testing.T) {
 	}
 }
 
-func TestMembershipBusChaosHealedBeforeAdmission(t *testing.T) {
-	tel := telemetry.NewSession()
-	m := NewMembership(2, tel)
-
-	// One duplicated and one corrupted announce: the bus discipline must
-	// heal both so exactly two candidates (not three) reach the handshake.
-	m.bus.duplicateNext = true
-	m.Announce(1, "dup-host")
-	m.bus.corruptNext = true
-	m.Announce(1, "corrupt-host")
-
-	if n := m.PendingJoins(); n != 2 {
-		t.Fatalf("pending joins = %d, want 2 (chaos not healed)", n)
-	}
-	if !m.BeginRebalance() {
-		t.Fatal("BeginRebalance failed")
-	}
-	if added := m.CommitJoins(nil); added != 2 {
-		t.Fatalf("added = %d ranks, want 2", added)
-	}
-	if n := tel.Counter("elastic.join.dup_dropped").Value(); n != 1 {
-		t.Fatalf("dup_dropped = %d, want 1", n)
-	}
-	if n := tel.Counter("elastic.join.retransmits").Value(); n != 1 {
-		t.Fatalf("retransmits = %d, want 1", n)
-	}
-}
-
 func TestMembershipConcurrentAnnounce(t *testing.T) {
 	m := NewMembership(1, nil)
 	const candidates = 8
@@ -191,8 +207,8 @@ func TestMembershipConcurrentAnnounce(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if n := m.PendingJoins(); n != candidates {
-		t.Fatalf("pending joins = %d, want %d", n, candidates)
+	if n := m.PendingRanks(); n != candidates {
+		t.Fatalf("pending ranks = %d, want %d", n, candidates)
 	}
 	if !m.BeginRebalance() {
 		t.Fatal("BeginRebalance failed")

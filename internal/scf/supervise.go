@@ -541,8 +541,8 @@ func supervise(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwar
 		}
 		if m != nil && m.Rebalancing() {
 			// A handshake that lost the race to a rank death is aborted — the
-			// candidates re-announce with backoff.
-			m.AbortRebalance("epoch failed before commit")
+			// candidates may announce again.
+			m.AbortRebalance()
 		}
 		var err error
 		switch {
@@ -619,7 +619,7 @@ func restoreCheckpoint(buf []byte, rep *Report, tel *telemetry.Session) []*linal
 // reading the epoch-keyed window the builders published this epoch's
 // latencies into — flags a rank.
 func rebalanceDue(m *mpi.Membership, dx *ddi.Context, p Plan, ranks, iter int) *RebalanceSignal {
-	if m.PendingJoins() > 0 && ranks+m.PendingRanks() <= p.MaxRanks && m.BeginRebalance() {
+	if n := m.PendingRanks(); n > 0 && ranks+n <= p.MaxRanks && m.BeginRebalance() {
 		return &RebalanceSignal{Kind: "join", Iter: iter}
 	}
 	if p.MigrateK > 0 {

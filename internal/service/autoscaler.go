@@ -7,8 +7,9 @@ package service
 //
 //   - Scale UP eagerly: when queued depth exceeds scaleUpDepthPerWorker
 //     × workers, double the pool (capped at Max). A burst is cheapest to
-//     absorb immediately; the join handshake makes admission safe.
-//   - Scale DOWN cautiously (hysteresis): only after DownAfterTicks
+//     absorb immediately, and a new worker needs no handover: it starts
+//     by claiming from the queue.
+//   - Scale DOWN cautiously (hysteresis): only after scaleDownIdleTicks
 //     consecutive idle observations (empty queue AND zero running jobs),
 //     halve the pool (floored at Min). One busy tick resets the streak,
 //     so oscillating load cannot flap the pool.
@@ -23,19 +24,23 @@ import (
 	"time"
 )
 
-// AutoscalerConfig shapes StartAutoscaler. Zero values take defaults.
+// AutoscalerConfig shapes StartAutoscaler: the pool bounds, which are
+// deployment settings. Zero values take defaults.
 type AutoscalerConfig struct {
-	Min      int           // pool floor; default 1
-	Max      int           // pool ceiling; default 8
-	Interval time.Duration // observation period; default 20ms
-	// DownAfterTicks is how many consecutive idle observations precede a
-	// scale-down; default 8.
-	DownAfterTicks int
+	Min int // pool floor; default 1
+	Max int // pool ceiling; default 8
 }
 
-// scaleUpDepthPerWorker is the queued-jobs-per-worker threshold that
-// triggers a scale-up.
-const scaleUpDepthPerWorker = 2
+const (
+	// scaleUpDepthPerWorker is the queued-jobs-per-worker threshold that
+	// triggers a scale-up.
+	scaleUpDepthPerWorker = 2
+	// autoscaleInterval is the observation period.
+	autoscaleInterval = 10 * time.Millisecond
+	// scaleDownIdleTicks is how many consecutive idle observations
+	// precede a scale-down.
+	scaleDownIdleTicks = 5
+)
 
 func (c AutoscalerConfig) withDefaults() AutoscalerConfig {
 	if c.Min <= 0 {
@@ -46,12 +51,6 @@ func (c AutoscalerConfig) withDefaults() AutoscalerConfig {
 	}
 	if c.Max < c.Min {
 		c.Max = c.Min
-	}
-	if c.Interval <= 0 {
-		c.Interval = 20 * time.Millisecond
-	}
-	if c.DownAfterTicks <= 0 {
-		c.DownAfterTicks = 8
 	}
 	return c
 }
@@ -65,7 +64,7 @@ func (s *Server) StartAutoscaler(cfg AutoscalerConfig) {
 }
 
 func (s *Server) autoscaleLoop(cfg AutoscalerConfig) {
-	t := time.NewTicker(cfg.Interval)
+	t := time.NewTicker(autoscaleInterval)
 	defer t.Stop()
 	idleTicks := 0
 	var lastEvent time.Time
@@ -86,7 +85,7 @@ func (s *Server) autoscaleLoop(cfg AutoscalerConfig) {
 			} else {
 				idleTicks = 0
 			}
-			if now.Sub(lastEvent) < 2*cfg.Interval {
+			if now.Sub(lastEvent) < 2*autoscaleInterval {
 				continue
 			}
 			switch {
@@ -98,7 +97,7 @@ func (s *Server) autoscaleLoop(cfg AutoscalerConfig) {
 				s.Resize(target)
 				lastEvent = now
 				idleTicks = 0
-			case idleTicks >= cfg.DownAfterTicks && workers > cfg.Min:
+			case idleTicks >= scaleDownIdleTicks && workers > cfg.Min:
 				target := workers / 2
 				if target < cfg.Min {
 					target = cfg.Min

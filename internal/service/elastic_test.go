@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/jobs"
-	"repro/internal/mpi"
 )
 
 // TestResizeZeroJobsLost: shrinking and regrowing the worker pool while
@@ -42,6 +42,17 @@ func TestResizeZeroJobsLost(t *testing.T) {
 	if s.PoolEpoch() != 2 {
 		t.Fatalf("pool epoch = %d after two resizes", s.PoolEpoch())
 	}
+	resp, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rz readyzResponse
+	err = json.NewDecoder(resp.Body).Decode(&rz)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || rz.Status != "ready" || rz.Workers != 4 || rz.PoolEpoch != 2 {
+		t.Fatalf("readyz after resizes: HTTP %d %+v (%v), want 200 ready, 4 workers, pool epoch 2",
+			resp.StatusCode, rz, err)
+	}
 
 	for _, id := range ids {
 		if st := awaitTerminal(t, ts, id); st.State != jobs.StateDone {
@@ -50,27 +61,32 @@ func TestResizeZeroJobsLost(t *testing.T) {
 	}
 }
 
-// TestResizeRidesJoinProtocol: with a membership attached, a pool grow
-// must go announce -> handshake -> commit, and a shrink must be recorded
-// as a membership shrink.
-func TestResizeRidesJoinProtocol(t *testing.T) {
-	s, _ := testServer(t, Config{Workers: 2, QueueCap: 8}, true)
-	m := mpi.NewMembership(2, s.Telemetry())
-	s.AttachMembership(m)
-
-	s.Resize(4)
-	if m.Size() != 4 || m.Epoch() != 1 {
-		t.Fatalf("after grow: membership size=%d epoch=%d, want 4/1", m.Size(), m.Epoch())
+// TestServedElasticJobKeepsPoolGauge: a served "mode":"elastic" job runs
+// its own rank pool on the server's registry, which writes the
+// elastic.pool_size gauge; the worker-pool gauge must be a different name
+// and still read the worker count afterwards.
+func TestServedElasticJobKeepsPoolGauge(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 3, QueueCap: 8, DefaultTimeout: time.Minute}, true)
+	out, resp := postJob(t, ts, jobs.Spec{Molecule: "h2", Mode: "elastic", Ranks: 2})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
 	}
-	if n := s.Telemetry().Counter("elastic.joins.committed").Value(); n != 1 {
-		t.Fatalf("joins.committed = %d, want 1 (grow must ride the protocol)", n)
+	if st := awaitTerminal(t, ts, out.ID); st.State != jobs.StateDone {
+		t.Fatalf("elastic job ended %s (%s), want done", st.State, st.Error)
 	}
-	s.Resize(1)
-	if m.Size() != 1 || m.Epoch() != 2 {
-		t.Fatalf("after shrink: membership size=%d epoch=%d, want 1/2", m.Size(), m.Epoch())
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if w := s.WorkerCount(); w != 1 {
-		t.Fatalf("worker count = %d, want 1", w)
+	body, err := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"hf_svc_pool_size 3", "hf_elastic_pool_size 2"} {
+		if !strings.Contains(string(body), want+"\n") {
+			t.Errorf("/metrics missing %q after a served elastic job:\n%s", want, body)
+		}
 	}
 }
 
@@ -79,10 +95,7 @@ func TestResizeRidesJoinProtocol(t *testing.T) {
 // finishing.
 func TestAutoscalerGrowAndShrink(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 1, QueueCap: 64, DefaultTimeout: time.Minute}, true)
-	s.AttachMembership(mpi.NewMembership(1, s.Telemetry()))
-	s.StartAutoscaler(AutoscalerConfig{
-		Min: 1, Max: 4, Interval: 5 * time.Millisecond, DownAfterTicks: 3,
-	})
+	s.StartAutoscaler(AutoscalerConfig{Min: 1, Max: 4})
 
 	// Submit the burst concurrently: a serial submit loop drains as fast
 	// as one worker runs, so the queue would never back up enough to
@@ -229,56 +242,5 @@ func TestFetchBackoffJitterBounds(t *testing.T) {
 				t.Fatalf("fetchBackoff(%q, %d) not deterministic", peer, attempt)
 			}
 		}
-	}
-}
-
-// TestReadyzRebalancing503: while a join handshake is in flight the
-// replica must fail readiness (load balancers stop routing to it) and
-// report the rank-pool size and epoch; after commit it is ready again.
-func TestReadyzRebalancing503(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 2, QueueCap: 8}, true)
-	m := mpi.NewMembership(2, s.Telemetry())
-	s.AttachMembership(m)
-
-	readyz := func() (readyzResponse, int) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/readyz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var rz readyzResponse
-		if err := json.NewDecoder(resp.Body).Decode(&rz); err != nil {
-			t.Fatal(err)
-		}
-		return rz, resp.StatusCode
-	}
-
-	rz, code := readyz()
-	if code != http.StatusOK || rz.Status != "ready" {
-		t.Fatalf("before handshake: HTTP %d status %q", code, rz.Status)
-	}
-	if rz.Workers != 2 || rz.PoolEpoch != 0 {
-		t.Fatalf("readyz pool report: workers=%d epoch=%d, want 2/0", rz.Workers, rz.PoolEpoch)
-	}
-
-	m.Announce(1, "joiner")
-	if !m.BeginRebalance() {
-		t.Fatal("BeginRebalance failed")
-	}
-	rz, code = readyz()
-	if code != http.StatusServiceUnavailable || rz.Status != "rebalancing" || !rz.Rebalancing {
-		t.Fatalf("during handshake: HTTP %d status %q rebalancing=%v, want 503/rebalancing/true",
-			code, rz.Status, rz.Rebalancing)
-	}
-
-	m.CommitJoins(nil)
-	s.Resize(3) // the committed rank actually enters the pool
-	rz, code = readyz()
-	if code != http.StatusOK || rz.Status != "ready" {
-		t.Fatalf("after commit: HTTP %d status %q", code, rz.Status)
-	}
-	if rz.Workers != 3 || rz.PoolEpoch != 1 {
-		t.Fatalf("after grow: workers=%d epoch=%d, want 3/1", rz.Workers, rz.PoolEpoch)
 	}
 }

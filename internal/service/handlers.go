@@ -417,11 +417,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // readyzResponse is the GET /readyz body.
 type readyzResponse struct {
-	Status           string   `json:"status"` // ready | rebalancing | draining | killed
+	Status           string   `json:"status"` // ready | draining | killed
 	Replica          string   `json:"replica,omitempty"`
 	Workers          int      `json:"workers"` // live (post-resize) worker-pool size
 	PoolEpoch        int64    `json:"pool_epoch"`
-	Rebalancing      bool     `json:"rebalancing,omitempty"`
 	QueueDepth       int      `json:"queue_depth"`
 	QueueCap         int      `json:"queue_cap"`
 	WALSegments      int      `json:"wal_segments,omitempty"`
@@ -430,10 +429,7 @@ type readyzResponse struct {
 }
 
 // handleReadyz is readiness: 200 with the replica's serving state when
-// it can accept work; 503 while draining or killed, and 503 while a
-// membership join/rebalance handshake is in flight — the pool size is
-// about to change, so a balancer should route elsewhere for the moment.
-// Fleet experiments poll this instead of sleeping after boot.
+// it can accept work; 503 while draining or killed. Fleet experiments poll this instead of sleeping after boot.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	workers := s.WorkerCount()
 	if workers == 0 {
@@ -443,7 +439,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		Status:           "ready",
 		Workers:          workers,
 		PoolEpoch:        s.PoolEpoch(),
-		Rebalancing:      s.Rebalancing(),
 		QueueDepth:       s.queue.Len(),
 		QueueCap:         s.queue.Cap(),
 		WALSegments:      s.wal.Segments(),
@@ -460,9 +455,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 	case s.Draining():
 		resp.Status = "draining"
-		status = http.StatusServiceUnavailable
-	case resp.Rebalancing:
-		resp.Status = "rebalancing"
 		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, resp)

@@ -47,6 +47,7 @@
 //	svc.wal.replayed_jobs / replayed_records / corrupt_tail_bytes   boot replay
 //	svc.fleet.peer_hit / forwarded / handoff intra-fleet routing outcomes
 //	svc.queue.depth                          gauge + histogram (percentiles)
+//	svc.pool.size / svc.pool.epoch           worker-pool gauges (see Resize)
 //	svc.queue.wait_ns, svc.job.run_ns        latency histograms
 //	svc.request.post_ns                      POST /v1/jobs handler latency
 //	svc.trace.minted / propagated            trace IDs created vs inherited
@@ -84,7 +85,6 @@ import (
 	"time"
 
 	"repro/internal/jobs"
-	"repro/internal/mpi"
 	"repro/internal/telemetry"
 )
 
@@ -156,14 +156,11 @@ type Server struct {
 	recoveredDone    int // terminal jobs replayed from the WAL at boot
 
 	// Elastic worker pool (see Resize/StartAutoscaler): pool holds the
-	// live worker handles, poolEpoch advances on every resize, and
-	// membership (optional) mirrors pool transitions into a
-	// mpi.Membership so scale-ups ride the join handshake.
+	// live worker handles and poolEpoch advances on every resize.
 	poolMu     sync.Mutex
 	pool       []*workerHandle
 	nextWorker int
 	poolEpoch  atomic.Int64
-	membership *mpi.Membership
 	running    atomic.Int64 // jobs currently inside runJob
 
 	draining atomic.Bool
@@ -213,7 +210,6 @@ func New(cfg Config) (*Server, error) {
 		"svc.fleet.fetch_retries",
 		"obs.flight.records", "obs.flight.dumps",
 		"elastic.joins.announced", "elastic.joins.committed", "elastic.joins.expired",
-		"elastic.join.retransmits", "elastic.join.dup_dropped",
 		"elastic.migrations", "elastic.scale_up", "elastic.scale_down",
 		"distmat.get.bytes", "distmat.put.bytes", "distmat.acc.bytes",
 		"distmat.purify.sweeps",
@@ -361,16 +357,6 @@ func (s *Server) spawnWorkerLocked() {
 	go s.workerLoop(h)
 }
 
-// AttachMembership mirrors pool transitions into m: Resize scale-ups run
-// the announce → handshake → commit join protocol against it, and
-// scale-downs shrink it, so /readyz and the elastic.* telemetry report
-// the same epochs a compute-layer membership would.
-func (s *Server) AttachMembership(m *mpi.Membership) {
-	s.poolMu.Lock()
-	s.membership = m
-	s.poolMu.Unlock()
-}
-
 // WorkerCount returns the live (non-retired) worker-pool size.
 func (s *Server) WorkerCount() int {
 	s.poolMu.Lock()
@@ -381,64 +367,33 @@ func (s *Server) WorkerCount() int {
 // PoolEpoch returns the pool generation: 0 at boot, +1 per Resize.
 func (s *Server) PoolEpoch() int64 { return s.poolEpoch.Load() }
 
-// Rebalancing reports whether an attached membership is mid-handshake.
-func (s *Server) Rebalancing() bool {
-	s.poolMu.Lock()
-	m := s.membership
-	s.poolMu.Unlock()
-	return m != nil && m.Rebalancing()
-}
-
 // Running returns how many jobs are currently executing in workers.
 func (s *Server) Running() int64 { return s.running.Load() }
 
 // Resize grows or shrinks the worker pool to target (clamped to ≥1).
 // Growth spawns workers immediately; shrink retires the newest workers
 // at their next claim boundary — a mid-job worker finishes its job
-// first, so no job is ever lost to a scale-down. With a membership
-// attached, growth runs the join protocol (announce → handshake →
-// commit) and shrink records the departure, advancing the shared epoch.
-// Returns the pool size before and after.
+// first, so no job is ever lost to a scale-down. Either way the pool
+// epoch advances. Returns the pool size before and after.
 func (s *Server) Resize(target int) (from, to int) {
 	if target < 1 {
 		target = 1
 	}
 	s.poolMu.Lock()
 	from = len(s.pool)
-	m := s.membership
 	switch {
 	case target > from:
-		added := target - from
-		if m != nil {
-			// The pool's join rides the same protocol compute ranks use; a
-			// worker pool has no checkpoint to hand over, so the commit
-			// payload is empty.
-			host := "pool"
-			if f := s.currentFleet(); f != nil {
-				host = f.self + "-pool"
-			}
-			t := m.Announce(added, host)
-			if m.BeginRebalance() {
-				m.CommitJoins(nil)
-			} else {
-				_ = t // ticket expired under us; grow the pool regardless
-			}
-		}
-		for i := 0; i < added; i++ {
+		for i := from; i < target; i++ {
 			s.spawnWorkerLocked()
 		}
 		s.tel.Counter("elastic.scale_up").Add(1)
 	case target < from:
 		// Retire from the tail: newest first, preserving the original
 		// workers' indices for stable telemetry lanes.
-		removed := from - target
 		for _, h := range s.pool[target:] {
 			h.retired.Store(true)
 		}
 		s.pool = s.pool[:target]
-		if m != nil {
-			m.Shrink(removed)
-		}
 		s.tel.Counter("elastic.scale_down").Add(1)
 	default:
 		s.poolMu.Unlock()
@@ -453,10 +408,12 @@ func (s *Server) Resize(target int) (from, to int) {
 	return from, target
 }
 
-// observePool exports the pool gauges.
+// observePool exports the pool gauges. They are svc.*, not elastic.*: a
+// served elastic job's rank pool writes elastic.pool_size on the same
+// registry.
 func (s *Server) observePool() {
-	s.tel.Gauge("elastic.pool_size").Set(float64(s.WorkerCount()))
-	s.tel.Gauge("elastic.pool_epoch").Set(float64(s.poolEpoch.Load()))
+	s.tel.Gauge("svc.pool.size").Set(float64(s.WorkerCount()))
+	s.tel.Gauge("svc.pool.epoch").Set(float64(s.poolEpoch.Load()))
 }
 
 // agingLoop periodically applies priority aging so low-priority jobs

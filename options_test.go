@@ -33,7 +33,7 @@ func TestOptionBudget(t *testing.T) {
 		{scf.Options{}, 7},
 		{mpi.RunOptions{}, 5},
 		{service.Config{}, 11},
-		{service.AutoscalerConfig{}, 4},
+		{service.AutoscalerConfig{}, 2},
 		{jobs.WALOptions{}, 3},
 		{simulate.Config{}, 4},
 	} {
