@@ -72,7 +72,7 @@ func BenchmarkBoysFunction(b *testing.B) {
 // acceptance bar applies to (measured ~4%).
 func BenchmarkVerifiedFockBuild(b *testing.B) {
 	f := benzeneFixture(b)
-	cfg := fock.Config{Threads: 1}
+	cfg := fock.Config{Threads: 1, Quartets: integrals.NewPairCache(f.eng, 0)}
 	for _, mode := range []struct {
 		name       string
 		unverified bool

@@ -8,9 +8,10 @@
 # root ./... patterns), and the structure gate. Fock layer: non-test
 # internal/fock has exactly one .ShellQuartet( call site, Schwarz
 # screening (sch.Screened/sch.Bound) in one function only, and no
-# hand-synced copies (no "KEEP IN SYNC"). Integrals layer: exactly two
-# ShellQuartet methods in non-test internal/integrals (the production
-# *PairCache and the direct *Engine oracle), and the production kernel
+# hand-synced copies (no "KEEP IN SYNC"). Integrals layer: exactly one
+# ShellQuartet method in non-test internal/integrals (the production
+# *PairCache; the direct McMurchie-Davidson oracle is the test-only
+# package internal/integrals/oracle), and the production kernel
 # file paircache.go stays flat and allocation-free by construction: no
 # math.Pow( and no [][][]float64 in it. SCF layer: exactly one
 # `for iter :=` loop in non-test internal/scf, exactly one
@@ -25,9 +26,11 @@
 # Nothing unreached stays: every internal/ package is a dependency of a
 # cmd/ main, the root facade or bench/; internal/linalg does not import
 # internal/omp (one eigensolver); non-test internal/mpi has no .root hop
-# and no subWorlds (one world); walker.go has no dmax/keep branch; and no
-# non-test file of internal/scf, cmd/ or the root calls SerialBuilder( or
-# fock.SerialBuild( (the direct engine is the tests' oracle only).
+# and no subWorlds (one world); walker.go has no dmax/keep branch.
+# Production links one ERI implementation: no cmd/ main, the facade or
+# bench/ depends on internal/integrals/oracle, no symbol of it is in the
+# hfrun, hfserve or benchmark binary, and hfrun refuses -mp2 where there is
+# no RHF reference (-uhf, -opt) with exit 2 instead of dropping it.
 # Experiment code stays out of production packages: no non-test file of
 # internal/service imports math/rand or defines a func Run*, and hfserve
 # has no loadgen flag. The serving pool is not a rank pool: internal/service
@@ -206,9 +209,8 @@ tier_1() {
 
 	int_src=$(ls internal/integrals/*.go | grep -v _test.go)
 	kernels=$(cat $int_src | grep -c '^func (.*) ShellQuartet(' || true)
-	[ "$kernels" -eq 2 ] || { echo "structure gate: $kernels ShellQuartet methods in internal/integrals, want exactly 2 (*PairCache in production, *Engine as the oracle)"; exit 1; }
-	grep -q '^func ([a-z]* \*PairCache) ShellQuartet(' $int_src && grep -q '^func ([a-z]* \*Engine) ShellQuartet(' $int_src ||
-		{ echo "structure gate: the two ShellQuartet methods must be (*PairCache) and (*Engine)"; exit 1; }
+	[ "$kernels" -eq 1 ] && grep -q '^func ([a-z]* \*PairCache) ShellQuartet(' $int_src ||
+		{ echo "structure gate: $kernels ShellQuartet methods in internal/integrals, want exactly 1 (*PairCache; the oracle lives in internal/integrals/oracle)"; exit 1; }
 	if grep -n 'math\.Pow(\|\[\]\[\]\[\]float64' internal/integrals/paircache.go; then
 		echo "structure gate: the production kernel file uses math.Pow or nested [][][]float64 tables again"
 		exit 1
@@ -241,6 +243,10 @@ tier_1() {
 		echo "$reached" | grep -qx "repro/${dir%/}" ||
 			{ echo "structure gate: ${dir%/} is reached by no cmd/ main, the root facade or bench/"; exit 1; }
 	done
+	if echo "$reached" | grep -x 'repro/internal/integrals/oracle'; then
+		echo "structure gate: a cmd/ main, the root facade or bench/ links the test oracle; production evaluates ERIs through the PairCache only"
+		exit 1
+	fi
 	if go list -f '{{join .Imports "\n"}}' ./internal/linalg | grep -x 'repro/internal/omp'; then
 		echo "structure gate: internal/linalg imports internal/omp again (one eigensolver: tred2/tqli)"
 		exit 1
@@ -251,10 +257,6 @@ tier_1() {
 	fi
 	if grep -n 'dmax\|keep' internal/fock/walker.go; then
 		echo "structure gate: walker.quartet is bound -> count -> ShellQuartet -> digest, with no extension branch"
-		exit 1
-	fi
-	if grep -n 'SerialBuilder(\|fock\.SerialBuild(' $scf_src $root_src $(ls cmd/*/*.go | grep -v _test.go); then
-		echo "structure gate: production reaches the direct engine only through FullERITensor/ReferenceJK"
 		exit 1
 	fi
 
@@ -298,6 +300,15 @@ tier_1() {
 	# architecture, runs: it keeps compiling there.
 	GOARCH=arm64 go vet ./internal/integrals/
 	layout_gate
+	for bin in hfrun hfserve bench; do
+		if grep ' repro/internal/integrals/oracle\.' "$tracedir/$bin.nm"; then
+			echo "structure gate: $bin links the test oracle"
+			exit 1
+		fi
+	done
+	mp2_exit=0
+	"$tracedir/hfrun" -uhf 3 -mp2 >/dev/null 2>&1 || mp2_exit=$?
+	[ "$mp2_exit" -eq 2 ] || { echo "structure gate: hfrun -uhf 3 -mp2 exited $mp2_exit, want 2 (MP2 needs an RHF reference)"; exit 1; }
 }
 
 # layout_gate builds the shipped binaries and the benchmark and fails

@@ -40,7 +40,7 @@ func main() {
 		maxIter  = flag.Int("maxiter", 100, "maximum SCF iterations")
 		verbose  = flag.Bool("v", false, "print per-iteration convergence history")
 		mult     = flag.Int("uhf", 0, "run UHF with this spin multiplicity (2S+1) instead of RHF")
-		mp2      = flag.Bool("mp2", false, "add the MP2 correlation energy after a serial RHF")
+		mp2      = flag.Bool("mp2", false, "add the MP2 correlation energy after the RHF (not with -uhf or -opt)")
 		guess    = flag.String("guess", "core", "initial guess: core or gwh")
 		doOpt    = flag.Bool("opt", false, "optimize the geometry before reporting (serial RHF)")
 		traceF   = flag.String("trace", "", "write a Chrome trace-event JSON (load in chrome://tracing or Perfetto) to this file")
@@ -48,6 +48,10 @@ func main() {
 		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 	)
 	flag.Parse()
+	if *mp2 && (*mult != 0 || *doOpt) {
+		fmt.Fprintln(os.Stderr, "hfrun: -mp2 needs an RHF reference; it does not combine with -uhf or -opt")
+		os.Exit(2)
+	}
 
 	if *pprofA != "" {
 		go func() {

@@ -36,10 +36,9 @@ type Config struct {
 	// Threads is the OpenMP team width per MPI rank (hybrid builds);
 	// 0 means 1.
 	Threads int
-	// Quartets is the ERI source. Every production run sets it to an
-	// integrals.PairCache (precomputed shell-pair data); nil means direct
-	// evaluation through the engine, which tests keep as the independent
-	// oracle.
+	// Quartets is the ERI source, required. Every production run sets it
+	// to an integrals.PairCache (precomputed shell-pair data); tests may
+	// set the independent oracle instead.
 	Quartets integrals.QuartetSource
 }
 
@@ -48,13 +47,6 @@ func (c Config) threads() int {
 		return 1
 	}
 	return c.Threads
-}
-
-func (c Config) source(eng *integrals.Engine) integrals.QuartetSource {
-	if c.Quartets != nil {
-		return c.Quartets
-	}
-	return eng
 }
 
 // Straggler mitigation (resilient build only): when the straggler

@@ -7,6 +7,7 @@ import (
 	"repro/internal/ddi"
 	"repro/internal/distmat"
 	"repro/internal/integrals"
+	"repro/internal/integrals/oracle"
 	"repro/internal/linalg"
 	"repro/internal/molecule"
 	"repro/internal/mpi"
@@ -15,8 +16,8 @@ import (
 // The conformance table: every preset x channel list x (ranks, threads)
 // x system must reproduce the dense N^4 oracle, and the ranks together
 // must evaluate each symmetry-unique quartet exactly once. The presets
-// evaluate through the production pair cache; the direct engine is the
-// reference side (ReferenceJK, ReferenceFock2e) only.
+// evaluate through the production pair cache; the direct oracle is the
+// reference side only.
 
 // parallelPreset runs one preset on one rank. dens is [D] for the RHF
 // channel list and [Dtotal, Dalpha, Dbeta] for UHF.
@@ -108,15 +109,16 @@ func TestConformance(t *testing.T) {
 		dB := orbitalDensity(eng, 1, nocc, 1)
 		dT := dA.Clone()
 		dT.AxpyFrom(1, dB)
-		jT, kA := ReferenceJK(eng, dT, dA)
-		_, kB := ReferenceJK(eng, dT, dB)
+		ref := oracle.New(eng.Basis)
+		jT, kA := ref.JK(dT, dA)
+		_, kB := ref.JK(dT, dB)
 
 		for _, cl := range []struct {
 			name string
 			dens []*linalg.Matrix
 			want []*linalg.Matrix
 		}{
-			{"rhf", []*linalg.Matrix{d}, []*linalg.Matrix{ReferenceFock2e(eng, d)}},
+			{"rhf", []*linalg.Matrix{d}, []*linalg.Matrix{ref.Fock2e(d)}},
 			{"uhf", []*linalg.Matrix{dT, dA, dB}, []*linalg.Matrix{jT, kA, kB}},
 		} {
 			name := fmt.Sprintf("%s/%s/%s", sys.mol.Name, sys.set, cl.name)

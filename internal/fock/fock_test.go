@@ -7,10 +7,18 @@ import (
 	"repro/internal/basis"
 	"repro/internal/ddi"
 	"repro/internal/integrals"
+	"repro/internal/integrals/oracle"
 	"repro/internal/linalg"
 	"repro/internal/molecule"
 	"repro/internal/mpi"
 )
+
+// serialBuild is the restricted serial build on the direct oracle: the
+// reference every preset is held to.
+func serialBuild(eng *integrals.Engine, sch *integrals.Schwarz, d *linalg.Matrix, tau float64) (*linalg.Matrix, Stats) {
+	g, st := SerialBuildN(eng, oracle.New(eng.Basis), sch, RHF(d.At), tau)
+	return g[0], st
+}
 
 // testDensity builds a plausible symmetric positive density-like matrix
 // from the core Hamiltonian guess so the Fock builders are exercised with
@@ -69,8 +77,8 @@ func TestSerialMatchesDenseReference(t *testing.T) {
 		{molecule.Water(), "6-31g"},
 	} {
 		eng, sch, d := setup(t, tc.mol, tc.set)
-		got, stats := SerialBuild(eng, sch, d, 1e-14)
-		want := ReferenceFock2e(eng, d)
+		got, stats := serialBuild(eng, sch, d, 1e-14)
+		want := oracle.New(eng.Basis).Fock2e(d)
 		if diff := got.MaxAbsDiff(want); diff > 1e-9 {
 			t.Fatalf("%s/%s: serial vs dense reference diff = %v", tc.mol.Name, tc.set, diff)
 		}
@@ -83,8 +91,8 @@ func TestSerialMatchesDenseReference(t *testing.T) {
 func TestSerialWithPolarization(t *testing.T) {
 	// d functions (6-31G(d) on CH4's carbon) exercise the L=2 paths.
 	eng, sch, d := setup(t, molecule.Methane(), "6-31g(d)")
-	got, _ := SerialBuild(eng, sch, d, 1e-14)
-	want := ReferenceFock2e(eng, d)
+	got, _ := serialBuild(eng, sch, d, 1e-14)
+	want := oracle.New(eng.Basis).Fock2e(d)
 	if diff := got.MaxAbsDiff(want); diff > 1e-9 {
 		t.Fatalf("CH4/6-31G(d): diff = %v", diff)
 	}
@@ -94,8 +102,8 @@ func TestSerialScreeningConsistency(t *testing.T) {
 	// A loose threshold must stay close to the tight result and strictly
 	// reduce work.
 	eng, sch, d := setup(t, molecule.GrapheneFlake(4), "sto-3g")
-	tight, st1 := SerialBuild(eng, sch, d, 1e-14)
-	loose, st2 := SerialBuild(eng, sch, d, 1e-6)
+	tight, st1 := serialBuild(eng, sch, d, 1e-14)
+	loose, st2 := serialBuild(eng, sch, d, 1e-6)
 	if st2.QuartetsComputed >= st1.QuartetsComputed {
 		t.Fatalf("screening removed nothing: %d vs %d", st2.QuartetsComputed, st1.QuartetsComputed)
 	}
@@ -151,7 +159,7 @@ func TestQuartetEnumerationCanonical(t *testing.T) {
 func TestSharedFockFlushCounting(t *testing.T) {
 	eng, sch, d := setup(t, molecule.Water(), "sto-3g")
 	err := mpi.Run(1, func(c *mpi.Comm) {
-		_, stats := SharedFockBuild(ddi.New(c), eng, sch, RHF(d.At), Config{Threads: 2})
+		_, stats := SharedFockBuild(ddi.New(c), eng, sch, RHF(d.At), Config{Threads: 2, Quartets: oracle.New(eng.Basis)})
 		if stats.Flushes == 0 {
 			t.Error("shared-Fock build reported no flushes")
 		}
@@ -181,7 +189,7 @@ func TestFinalizeSymmetry(t *testing.T) {
 func TestPairCacheBuilders(t *testing.T) {
 	// All builders with a PairCache source must match the direct path.
 	eng, sch, d := setup(t, molecule.Water(), "6-31g")
-	want, _ := SerialBuild(eng, sch, d, DefaultTau)
+	want, _ := serialBuild(eng, sch, d, DefaultTau)
 	pc := integrals.NewPairCache(eng, 0)
 	cfg := Config{Threads: 2, Quartets: pc}
 	err := mpi.Run(2, func(c *mpi.Comm) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/ddi"
+	"repro/internal/integrals/oracle"
 	"repro/internal/linalg"
 	"repro/internal/molecule"
 	"repro/internal/mpi"
@@ -18,7 +19,7 @@ import (
 // each quartet exactly once.
 func TestResilientMatchesSerial(t *testing.T) {
 	eng, sch, d := setup(t, molecule.Water(), "6-31g")
-	want, wantStats := SerialBuild(eng, sch, d, DefaultTau)
+	want, wantStats := serialBuild(eng, sch, d, DefaultTau)
 
 	const ranks = 3
 	got := make([]*linalg.Matrix, ranks)
@@ -26,7 +27,7 @@ func TestResilientMatchesSerial(t *testing.T) {
 	err := mpi.Run(ranks, func(c *mpi.Comm) {
 		dx := ddi.New(c)
 		var g []*linalg.Matrix
-		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(d.At), Config{})
+		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(d.At), Config{Quartets: oracle.New(eng.Basis)})
 		got[c.Rank()] = g[0]
 	})
 	if err != nil {
@@ -52,7 +53,7 @@ func TestResilientMatchesSerial(t *testing.T) {
 // quartet was lost or duplicated.
 func TestResilientSurvivesRankDeath(t *testing.T) {
 	eng, sch, d := setup(t, molecule.Water(), "6-31g")
-	want, wantStats := SerialBuild(eng, sch, d, DefaultTau)
+	want, wantStats := serialBuild(eng, sch, d, DefaultTau)
 
 	const ranks, victim = 4, 1
 	got := make([]*linalg.Matrix, ranks)
@@ -72,7 +73,7 @@ func TestResilientSurvivesRankDeath(t *testing.T) {
 		}
 		dx := ddi.New(c)
 		var g []*linalg.Matrix
-		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(d.At), Config{})
+		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(d.At), Config{Quartets: oracle.New(eng.Basis)})
 		got[c.Rank()] = g[0]
 	})
 	if !errors.Is(err, mpi.ErrRankFailed) {
@@ -120,7 +121,7 @@ func TestResilientHedgesStraggler(t *testing.T) {
 		mol.AddAtomAngstrom("H", float64(a%4)*1.2, float64(a/4)*1.2, 0)
 	}
 	eng, sch, d := setup(t, mol, "sto-3g")
-	want, wantStats := SerialBuild(eng, sch, d, DefaultTau)
+	want, wantStats := serialBuild(eng, sch, d, DefaultTau)
 
 	const ranks, slow = 3, 1
 	// Whether a hedge fires at all is scheduler-dependent: on a loaded CI
@@ -140,7 +141,7 @@ func TestResilientHedgesStraggler(t *testing.T) {
 		}, func(c *mpi.Comm) {
 			dx := ddi.New(c)
 			var g []*linalg.Matrix
-			g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(d.At), Config{})
+			g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(d.At), Config{Quartets: oracle.New(eng.Basis)})
 			got[c.Rank()] = g[0]
 		})
 		if err != nil {
@@ -179,7 +180,7 @@ func TestResilientHedgesStraggler(t *testing.T) {
 // still committed exactly once.
 func TestResilientReclaimsExpiredLease(t *testing.T) {
 	eng, sch, d := setup(t, molecule.Water(), "6-31g")
-	want, wantStats := SerialBuild(eng, sch, d, DefaultTau)
+	want, wantStats := serialBuild(eng, sch, d, DefaultTau)
 
 	// The sleeper stalls on its FIRST task: one latency sample is too few
 	// for the straggler detector, so hedging cannot take the lease first
@@ -200,7 +201,7 @@ func TestResilientReclaimsExpiredLease(t *testing.T) {
 	}, func(c *mpi.Comm) {
 		dx := ddi.New(c)
 		var g []*linalg.Matrix
-		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(d.At), Config{})
+		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(d.At), Config{Quartets: oracle.New(eng.Basis)})
 		got[c.Rank()] = g[0]
 	})
 	if err != nil {

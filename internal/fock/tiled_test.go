@@ -7,6 +7,7 @@ import (
 	"repro/internal/ddi"
 	"repro/internal/distmat"
 	"repro/internal/integrals"
+	"repro/internal/integrals/oracle"
 	"repro/internal/linalg"
 	"repro/internal/molecule"
 	"repro/internal/mpi"
@@ -41,7 +42,7 @@ func tiledSetup(t *testing.T) (*integrals.Engine, *integrals.Schwarz, *linalg.Ma
 // shell boundaries).
 func TestTiledBuildMatchesSerial(t *testing.T) {
 	eng, sch, d := tiledSetup(t)
-	want, serialStats := SerialBuild(eng, sch, d, DefaultTau)
+	want, serialStats := serialBuild(eng, sch, d, DefaultTau)
 	n := eng.Basis.NumBF
 
 	for _, tc := range []struct{ ranks, bs int }{{1, 3}, {2, 2}, {4, 3}, {4, 1}} {
@@ -57,7 +58,7 @@ func TestTiledBuildMatchesSerial(t *testing.T) {
 			df.Zero()
 			reader := distmat.NewTileReader(dd, 6)
 			accum := distmat.NewTileAccum(df, 6)
-			stats := TiledBuild(dx, eng, sch, RHF(reader.At), []*distmat.TileAccum{accum}, Config{})
+			stats := TiledBuild(dx, eng, sch, RHF(reader.At), []*distmat.TileAccum{accum}, Config{Quartets: oracle.New(eng.Basis)})
 			distmat.UnfoldLower(df)
 			computed := dx.GSumI(stats.QuartetsComputed)
 			// Sum cache misses globally: the dynamic balancer may hand one
@@ -106,7 +107,7 @@ func TestTiledBuildBoundedWorkingSet(t *testing.T) {
 		df.Zero()
 		reader := distmat.NewTileReader(dd, capTiles)
 		accum := distmat.NewTileAccum(df, capTiles)
-		TiledBuild(dx, eng, sch, RHF(reader.At), []*distmat.TileAccum{accum}, Config{})
+		TiledBuild(dx, eng, sch, RHF(reader.At), []*distmat.TileAccum{accum}, Config{Quartets: oracle.New(eng.Basis)})
 		distmat.UnfoldLower(df)
 		budget := int64(capTiles * 2 * 2 * 8)
 		if reader.PeakBytes() > budget {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/basis"
+	"repro/internal/integrals/oracle"
 	"repro/internal/linalg"
 	"repro/internal/molecule"
 )
@@ -122,8 +123,7 @@ func TestERIPrimitiveAnalytic(t *testing.T) {
 	a := 0.8
 	bas := gaussPair(a, a, 0)
 	bas.Shells[1].Center = bas.Shells[0].Center
-	e := NewEngine(bas)
-	got := e.ERIValue(0, 0, 0, 0)
+	got := oracle.New(bas).ShellQuartet(0, 0, 0, 0, nil)[0]
 	n := math.Pow(2*a/math.Pi, 0.75)
 	p := 2 * a
 	want := 2 * math.Pow(math.Pi, 2.5) / (p * p * math.Sqrt(p+p)) * math.Pow(n, 4)
@@ -136,7 +136,7 @@ func TestERIPermutationalSymmetry(t *testing.T) {
 	// Shell-level 8-fold symmetry on distinct shells with mixed angular
 	// momenta (O L-shell is index 1 in water/STO-3G).
 	b := buildBasis(t, molecule.Water(), "sto-3g")
-	e := NewEngine(b)
+	e := oracle.New(b)
 	i, j, k, l := 1, 0, 2, 3
 	nf := func(s int) int { return b.Shells[s].NumFuncs() }
 	base := e.ShellQuartet(i, j, k, l, nil)
@@ -171,33 +171,8 @@ func TestERISymmetryDenseCheck(t *testing.T) {
 	// Full tensor for tiny H2/STO-3G: check (ij|kl)=(ji|kl)=(ij|lk)=(kl|ij)
 	// at the basis-function level.
 	b := buildBasis(t, molecule.H2(), "sto-3g")
-	e := NewEngine(b)
 	n := b.NumBF
-	tensor := make([]float64, n*n*n*n)
-	var buf []float64
-	for i := range b.Shells {
-		for j := range b.Shells {
-			for k := range b.Shells {
-				for l := range b.Shells {
-					buf = e.ShellQuartet(i, j, k, l, buf)
-					si, sj, sk, sl := &b.Shells[i], &b.Shells[j], &b.Shells[k], &b.Shells[l]
-					idx := 0
-					for fa := 0; fa < si.NumFuncs(); fa++ {
-						for fb := 0; fb < sj.NumFuncs(); fb++ {
-							for fc := 0; fc < sk.NumFuncs(); fc++ {
-								for fd := 0; fd < sl.NumFuncs(); fd++ {
-									a, bb := si.BFOffset+fa, sj.BFOffset+fb
-									c, d := sk.BFOffset+fc, sl.BFOffset+fd
-									tensor[((a*n+bb)*n+c)*n+d] = buf[idx]
-									idx++
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
+	tensor := oracle.New(b).Tensor()
 	at := func(a, b, c, d int) float64 { return tensor[((a*n+b)*n+c)*n+d] }
 	for a := 0; a < n; a++ {
 		for b2 := 0; b2 < n; b2++ {
@@ -278,8 +253,8 @@ func TestCoreHamiltonian(t *testing.T) {
 func TestSchwarzBoundsHold(t *testing.T) {
 	// The Schwarz inequality must bound every actual quartet max element.
 	b := buildBasis(t, molecule.Water(), "sto-3g")
-	e := NewEngine(b)
-	sch := ComputeSchwarz(e)
+	sch := ComputeSchwarz(NewEngine(b))
+	e := oracle.New(b)
 	var buf []float64
 	ns := len(b.Shells)
 	for i := 0; i < ns; i++ {
@@ -328,8 +303,8 @@ func TestERIDecaysWithDistance(t *testing.T) {
 	// (ss|ss) between distant pairs must be far smaller than near pairs.
 	far := gaussPair(1.0, 1.0, 20.0)
 	near := gaussPair(1.0, 1.0, 1.0)
-	vFar := NewEngine(far).ERIValue(0, 0, 1, 1)
-	vNear := NewEngine(near).ERIValue(0, 0, 1, 1)
+	vFar := oracle.New(far).ShellQuartet(0, 0, 1, 1, nil)[0]
+	vNear := oracle.New(near).ShellQuartet(0, 0, 1, 1, nil)[0]
 	// (00|11) is a charge-charge interaction ~ 1/R: ratio ~ 1/20.
 	if vFar >= vNear {
 		t.Fatalf("ERI did not decay: %v vs %v", vFar, vNear)

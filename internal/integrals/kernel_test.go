@@ -7,12 +7,13 @@ import (
 	"testing"
 
 	"repro/internal/basis"
+	"repro/internal/integrals/oracle"
 	"repro/internal/molecule"
 )
 
 // The contract of the production ERI kernel (PairCache.ShellQuartet):
 // allocation-free in steady state, a pure function of (i,j,k,l) under
-// concurrent use of one cache, and equal to the direct engine — with
+// concurrent use of one cache, and equal to the direct oracle — with
 // either 4-lane body (withBodies).
 
 // c2Probes are the five probe quartets of bench/probes.go on C2/6-31G(d):
@@ -94,16 +95,16 @@ func displacedWaterDimer(seed int64) *molecule.Molecule {
 	return m
 }
 
-// matchEngine checks the cache against the direct engine on every
-// canonical quartet of b to 1e-11 absolute, and ComputeSchwarz against the
-// direct engine's Q to 1e-12 relative.
+// matchEngine checks the cache against the oracle on every canonical
+// quartet of b to 1e-11 absolute, and ComputeSchwarz against the oracle's
+// Q to 1e-12 relative.
 func matchEngine(t *testing.T, name string, b *basis.Basis) {
 	t.Helper()
-	eng := NewEngine(b)
+	eng, ref := NewEngine(b), oracle.New(b)
 	pc := NewPairCache(eng, 0)
 	var direct, cached []float64
 	forCanonicalQuartets(len(b.Shells), func(i, j, k, l int) {
-		direct = eng.ShellQuartet(i, j, k, l, direct)
+		direct = ref.ShellQuartet(i, j, k, l, direct)
 		cached = pc.ShellQuartet(i, j, k, l, cached)
 		if len(direct) != len(cached) {
 			t.Fatalf("%s (%d%d|%d%d): %d values vs %d", name, i, j, k, l, len(cached), len(direct))
@@ -224,8 +225,8 @@ func TestKernelBatchRemainders(t *testing.T) {
 			{far, 10, 3, 0, true},   // P3 S6
 		} {
 			b := buildBasis(t, tc.mol, "kernel-test-contractions")
-			eng := NewEngine(b)
-			pc := NewPairCache(eng, 0)
+			pc := NewPairCache(NewEngine(b), 0)
+			ref := oracle.New(b)
 			pd := pc.pair(tc.i, tc.j)
 			total := len(b.Shells[tc.i].Exps) * len(b.Shells[tc.j].Exps)
 			switch {
@@ -239,11 +240,11 @@ func TestKernelBatchRemainders(t *testing.T) {
 			var direct, cached []float64
 			for _, kl := range [][2]int{{6, 0}, {10, 4}, {9, 3}, {11, 5}, {tc.i, tc.j}} {
 				for _, q := range [][4]int{{tc.i, tc.j, kl[0], kl[1]}, {kl[0], kl[1], tc.i, tc.j}} {
-					direct = eng.ShellQuartet(q[0], q[1], q[2], q[3], direct)
+					direct = ref.ShellQuartet(q[0], q[1], q[2], q[3], direct)
 					cached = pc.ShellQuartet(q[0], q[1], q[2], q[3], cached)
 					for n := range direct {
 						if d := math.Abs(direct[n] - cached[n]); !(d <= 1e-11) {
-							t.Fatalf("%s %v[%d]: %v, direct engine %v", tc.mol.Name, q, n, cached[n], direct[n])
+							t.Fatalf("%s %v[%d]: %v, oracle %v", tc.mol.Name, q, n, cached[n], direct[n])
 						}
 					}
 				}
@@ -490,22 +491,23 @@ func TestBoysTableMatchesSeries(t *testing.T) {
 	}
 }
 
-// matchSchwarz checks ComputeSchwarz against Q from the direct engine's
+// matchSchwarz checks ComputeSchwarz against Q from the oracle's
 // (ij|ij) blocks to 1e-12 relative.
 func matchSchwarz(t *testing.T, name string, e *Engine) {
 	t.Helper()
 	got := ComputeSchwarz(e)
+	ref := oracle.New(e.Basis)
 	var buf []float64
 	for i := range e.Basis.Shells {
 		for j := 0; j <= i; j++ {
-			buf = e.ShellQuartet(i, j, i, j, buf)
+			buf = ref.ShellQuartet(i, j, i, j, buf)
 			nab := e.Basis.Shells[i].NumFuncs() * e.Basis.Shells[j].NumFuncs()
 			maxv := 0.0
 			for ab := 0; ab < nab; ab++ {
 				maxv = math.Max(maxv, math.Abs(buf[ab*nab+ab]))
 			}
 			if q := math.Sqrt(maxv); !(math.Abs(got.PairQ(i, j)-q) <= 1e-12*q) {
-				t.Fatalf("%s Q(%d,%d) = %v, direct engine %v", name, i, j, got.PairQ(i, j), q)
+				t.Fatalf("%s Q(%d,%d) = %v, oracle %v", name, i, j, got.PairQ(i, j), q)
 			}
 		}
 	}

@@ -424,9 +424,9 @@ func (pc *PairCache) pair(i, j int) *pairData {
 	return &pc.pairs[i*(i+1)/2+j]
 }
 
-// ShellQuartet computes the ERI block (ij|kl) like Engine.ShellQuartet
-// but from the precomputed pair data. Shell indices must be canonical:
-// i >= j and k >= l (which is how every Fock builder calls it).
+// ShellQuartet computes the ERI block (ij|kl) from the precomputed pair
+// data, laid out as QuartetSource documents. Shell indices must be
+// canonical: i >= j and k >= l (which is how every caller enumerates them).
 func (pc *PairCache) ShellQuartet(si, sj, sk, sl int, out []float64) []float64 {
 	bra, ket := pc.pair(si, sj), pc.pair(sk, sl)
 	need := bra.nab * ket.nab

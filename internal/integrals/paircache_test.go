@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/integrals/oracle"
 	"repro/internal/molecule"
 )
 
@@ -16,15 +17,14 @@ func TestPairCacheMatchesDirect(t *testing.T) {
 		{molecule.Methane(), "6-31g(d)"},
 	} {
 		b := buildBasis(t, tc.mol, tc.set)
-		eng := NewEngine(b)
-		pc := NewPairCache(eng, 0)
+		pc, ref := NewPairCache(NewEngine(b), 0), oracle.New(b)
 		ns := len(b.Shells)
 		var direct, cached []float64
 		for i := 0; i < ns; i++ {
 			for j := 0; j <= i; j++ {
 				for k := 0; k <= i; k++ {
 					for l := 0; l <= k; l++ {
-						direct = eng.ShellQuartet(i, j, k, l, direct)
+						direct = ref.ShellQuartet(i, j, k, l, direct)
 						cached = pc.ShellQuartet(i, j, k, l, cached)
 						for n := range direct {
 							if math.Abs(direct[n]-cached[n]) > 1e-11 {
@@ -64,13 +64,12 @@ func TestPairCacheScreenedAccuracy(t *testing.T) {
 	m.AddAtomAngstrom("C", 0, 0, 0)
 	m.AddAtomAngstrom("C", 0, 0, 6)
 	b := buildBasis(t, m, "sto-3g")
-	eng := NewEngine(b)
-	pc := NewPairCache(eng, 1e-10)
+	pc, ref := NewPairCache(NewEngine(b), 1e-10), oracle.New(b)
 	var direct, cached []float64
 	ns := len(b.Shells)
 	for i := 0; i < ns; i++ {
 		for j := 0; j <= i; j++ {
-			direct = eng.ShellQuartet(i, j, i, j, direct)
+			direct = ref.ShellQuartet(i, j, i, j, direct)
 			cached = pc.ShellQuartet(i, j, i, j, cached)
 			for n := range direct {
 				if math.Abs(direct[n]-cached[n]) > 1e-8 {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/basis"
 	"repro/internal/integrals"
+	"repro/internal/integrals/oracle"
 	"repro/internal/molecule"
 	"repro/internal/mpi"
 )
@@ -27,10 +28,10 @@ type system struct {
 	eng          *integrals.Engine
 	sch          *integrals.Schwarz
 	multiplicity int
-	ref          float64 // serial dense energy on the direct engine, tightly converged
+	ref          float64 // serial dense energy on the direct oracle, tightly converged
 	// src is what the cells evaluate ERIs through: the production pair
 	// cache, except for the O2 triplet, whose per-spin DIIS trajectory is
-	// sensitive to the last bit of the Fock matrix and stays on the engine.
+	// sensitive to the last bit of the Fock matrix and stays on the oracle.
 	src integrals.QuartetSource
 }
 
@@ -42,7 +43,8 @@ func newSystem(t *testing.T, name string, mol *molecule.Molecule, multiplicity i
 	}
 	s := system{name: name, eng: integrals.NewEngine(b), multiplicity: multiplicity}
 	s.sch = integrals.ComputeSchwarz(s.eng)
-	res, err := Run(context.Background(), s.eng, s.sch, nil, Plan{Multiplicity: multiplicity, SCF: tight})
+	s.src = oracle.New(b)
+	res, err := Run(context.Background(), s.eng, s.sch, s.src, Plan{Multiplicity: multiplicity, SCF: tight})
 	if err != nil || !res.Converged {
 		t.Fatalf("%s: serial reference failed: %v", name, err)
 	}

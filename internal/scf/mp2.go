@@ -22,9 +22,11 @@ type MP2Result struct {
 }
 
 // RunMP2 computes the closed-shell MP2 energy from a converged RHF
-// result. It builds the full ERI tensor and performs the four-index
-// transformation in four O(N^5) quarter steps — feasible for the small
-// systems real execution targets (N up to roughly a hundred).
+// result. The AO integrals come from the production kernel (a PairCache
+// over the engine's basis) and are never stored whole: halfTransform
+// turns them into (ia|jσ) one ket shell pair at a time, and the last
+// quarter step to (ia|jb) runs one occupied j at a time. Memory is
+// O(o²vN) for o occupied and v virtual orbitals of N basis functions.
 func RunMP2(eng *integrals.Engine, ref *Result) (*MP2Result, error) {
 	if !ref.Converged || ref.C == nil {
 		return nil, fmt.Errorf("scf: MP2 needs a converged RHF reference with orbitals")
@@ -37,28 +39,27 @@ func RunMP2(eng *integrals.Engine, ref *Result) (*MP2Result, error) {
 	}
 	c := ref.C
 	eps := ref.OrbitalEnergies
+	ov := nocc * nvirt
+	h := halfTransform(eng, c, nocc)
 
-	ao := eng.FullERITensor()
-	// Quarter transformations (ab|cd) -> (pb|cd) -> (pq|cd) -> (pq|rd)
-	// -> (pq|rs), each O(N^5).
-	t1 := quarterTransform(ao, c, n, 0)
-	t2 := quarterTransform(t1, c, n, 1)
-	t3 := quarterTransform(t2, c, n, 2)
-	mo := quarterTransform(t3, c, n, 3)
-
-	at := func(p, q, r, s int) float64 { return mo[((p*n+q)*n+r)*n+s] }
 	res := &MP2Result{}
-	for i := 0; i < nocc; i++ {
-		for j := 0; j < nocc; j++ {
-			for a := nocc; a < n; a++ {
-				for b := nocc; b < n; b++ {
-					iajb := at(i, a, j, b)
-					ibja := at(i, b, j, a)
-					denom := eps[i] + eps[j] - eps[a] - eps[b]
-					os := iajb * iajb / denom
-					ss := iajb * (iajb - ibja) / denom
-					res.OppositeSpin += os
-					res.SameSpin += ss
+	g := make([]float64, nvirt*ov) // (ia|jb) at g[b*ov+i*nvirt+a], one j at a time
+	for j := 0; j < nocc; j++ {
+		clear(g)
+		for s := 0; s < n; s++ {
+			row := h[(s*nocc+j)*ov:][:ov]
+			for b := 0; b < nvirt; b++ {
+				axpy(g[b*ov:][:ov], c.At(s, nocc+b), row)
+			}
+		}
+		for i := 0; i < nocc; i++ {
+			for a := 0; a < nvirt; a++ {
+				for b := 0; b < nvirt; b++ {
+					iajb := g[b*ov+i*nvirt+a]
+					ibja := g[a*ov+i*nvirt+b]
+					denom := eps[i] + eps[j] - eps[nocc+a] - eps[nocc+b]
+					res.OppositeSpin += iajb * iajb / denom
+					res.SameSpin += iajb * (iajb - ibja) / denom
 				}
 			}
 		}
@@ -68,32 +69,100 @@ func RunMP2(eng *integrals.Engine, ref *Result) (*MP2Result, error) {
 	return res, nil
 }
 
-// quarterTransform contracts MO coefficients into one index of the
-// four-index tensor: axis selects which of the four positions is
-// transformed (0..3). Layout is row-major over (p, q, r, s).
-func quarterTransform(t []float64, c *linalg.Matrix, n, axis int) []float64 {
-	out := make([]float64, len(t))
-	// Strides of the four indices.
-	strides := [4]int{n * n * n, n * n, n, 1}
-	st := strides[axis]
-	// Iterate over all positions of the other three indices; transform
-	// along `axis`: out[..., p, ...] = sum_mu C[mu][p] t[..., mu, ...].
-	outer := len(t) / n
-	idxBuf := make([]int, 0, outer)
-	// Enumerate base offsets where the transformed index is zero.
-	for base := 0; base < len(t); base++ {
-		if (base/st)%n == 0 {
-			idxBuf = append(idxBuf, base)
+// halfTransform returns (ia|jσ) = sum_μνλ C_μi C_νa C_λj (μν|λσ) for
+// occupied i, j, virtual a and every AO σ, laid out h[(σ*nocc+j)*ov +
+// i*nvirt+a]. For each canonical ket shell pair (K >= L) it evaluates
+// (IJ|KL) over every canonical bra pair (I >= J) through the PairCache —
+// each symmetry-unique quartet twice, once from either side — transforms
+// the bra to (ia| in place, and folds the ket's λ into h. Nothing larger
+// than one ket pair's (ia|λσ) block is held besides h itself.
+func halfTransform(eng *integrals.Engine, c *linalg.Matrix, nocc int) []float64 {
+	shells := eng.Basis.Shells
+	n := eng.Basis.NumBF
+	nvirt := n - nocc
+	ov := nocc * nvirt
+	co := make([]float64, n*nocc)  // C_μi at co[μ*nocc+i]
+	cv := make([]float64, n*nvirt) // C_νa at cv[ν*nvirt+a]
+	for mu := 0; mu < n; mu++ {
+		for i := 0; i < nocc; i++ {
+			co[mu*nocc+i] = c.At(mu, i)
+		}
+		for a := 0; a < nvirt; a++ {
+			cv[mu*nvirt+a] = c.At(mu, nocc+a)
 		}
 	}
-	for _, base := range idxBuf {
-		for p := 0; p < n; p++ {
-			sum := 0.0
-			for mu := 0; mu < n; mu++ {
-				sum += c.At(mu, p) * t[base+mu*st]
+	pc := integrals.NewPairCache(eng, 0)
+	maxKL := eng.Basis.ShellSizeMax() * eng.Basis.ShellSizeMax()
+	t := make([]float64, maxKL*n*nocc) // (iν|λσ) at t[(kl*n+ν)*nocc+i]
+	x := make([]float64, maxKL*ov)     // (ia|λσ) at x[kl*ov+i*nvirt+a]
+	h := make([]float64, n*nocc*ov)
+	var blk []float64
+	for k := range shells {
+		sk := &shells[k]
+		for l := 0; l <= k; l++ {
+			sl := &shells[l]
+			nl := sl.NumFuncs()
+			nkl := sk.NumFuncs() * nl
+			t, x := t[:nkl*n*nocc], x[:nkl*ov]
+			clear(t)
+			// First quarter: (iν|λσ) = sum_μ C_μi (μν|λσ), each bra block
+			// standing for (IJ| and, when I != J, (JI|.
+			for i := range shells {
+				si := &shells[i]
+				for j := 0; j <= i; j++ {
+					sj := &shells[j]
+					nj := sj.NumFuncs()
+					blk = pc.ShellQuartet(i, j, k, l, blk)
+					for fi := 0; fi < si.NumFuncs(); fi++ {
+						mu := si.BFOffset + fi
+						for fj := 0; fj < nj; fj++ {
+							nu := sj.BFOffset + fj
+							for kl, v := range blk[(fi*nj+fj)*nkl:][:nkl] {
+								if v == 0 {
+									continue
+								}
+								tk := t[kl*n*nocc:]
+								axpy(tk[nu*nocc:][:nocc], v, co[mu*nocc:][:nocc])
+								if i != j {
+									axpy(tk[mu*nocc:][:nocc], v, co[nu*nocc:][:nocc])
+								}
+							}
+						}
+					}
+				}
 			}
-			out[base+p*st] = sum
+			// Second quarter: (ia|λσ) = sum_ν (iν|λσ) C_νa.
+			clear(x)
+			for kl := 0; kl < nkl; kl++ {
+				for nu := 0; nu < n; nu++ {
+					cva := cv[nu*nvirt:][:nvirt]
+					for i, v := range t[(kl*n+nu)*nocc:][:nocc] {
+						axpy(x[kl*ov+i*nvirt:][:nvirt], v, cva)
+					}
+				}
+			}
+			// Third quarter: (ia|jσ) += C_λj (ia|λσ), and (ia|jλ) += C_σj
+			// (ia|λσ) for the (LK) half a K != L pair stands for.
+			for kl := 0; kl < nkl; kl++ {
+				lam := sk.BFOffset + kl/nl
+				sig := sl.BFOffset + kl%nl
+				xr := x[kl*ov:][:ov]
+				for j := 0; j < nocc; j++ {
+					axpy(h[(sig*nocc+j)*ov:][:ov], co[lam*nocc+j], xr)
+					if k != l {
+						axpy(h[(lam*nocc+j)*ov:][:ov], co[sig*nocc+j], xr)
+					}
+				}
+			}
 		}
 	}
-	return out
+	return h
+}
+
+// axpy adds a*x to y.
+func axpy(y []float64, a float64, x []float64) {
+	x = x[:len(y)]
+	for i := range y {
+		y[i] += a * x[i]
+	}
 }

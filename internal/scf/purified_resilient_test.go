@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/integrals"
 	"repro/internal/molecule"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
@@ -119,7 +120,7 @@ func TestPurifiedResilientExhaustsBudget(t *testing.T) {
 	eng, sch := purifiedSetup(t)
 	p := abftPlan(2)
 	p.Fault = &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 1, Site: mpi.SitePurify, After: 3}}}
-	res, err := supervise(context.Background(), eng, sch, nil, p, 0) // no budget at all
+	res, err := supervise(context.Background(), eng, sch, integrals.NewPairCache(eng, 0), p, 0) // no budget at all
 	if err == nil {
 		t.Fatal("expected a budget-exhausted error")
 	}

@@ -8,18 +8,21 @@ import (
 	"repro/internal/basis"
 	"repro/internal/fock"
 	"repro/internal/integrals"
+	"repro/internal/integrals/oracle"
 	"repro/internal/linalg"
 	"repro/internal/molecule"
 )
 
 // SerialBuilder is the tests' oracle builder: the single-threaded
-// reference Fock construction on the direct engine.
+// reference Fock construction on the direct oracle.
 func SerialBuilder(eng *integrals.Engine, sch *integrals.Schwarz, tau float64) Builder {
 	if tau == 0 {
 		tau = fock.DefaultTau
 	}
+	ref := oracle.New(eng.Basis)
 	return func(d *linalg.Matrix) (*linalg.Matrix, fock.Stats) {
-		return fock.SerialBuild(eng, sch, d, tau)
+		g, st := fock.SerialBuildN(eng, ref, sch, fock.RHF(d.At), tau)
+		return g[0], st
 	}
 }
 
@@ -32,7 +35,7 @@ func serialSCF(t testing.TB, mol *molecule.Molecule, set string, opt Options) (*
 	eng := integrals.NewEngine(b)
 	sch := integrals.ComputeSchwarz(eng)
 	// The production ERI source, as repro.Run hands it to every plan; the
-	// direct engine stays the oracle of the conformance tables.
+	// direct oracle stays the reference of the conformance tables.
 	pc := integrals.NewPairCache(eng, 0)
 	res, err := RunRHF(eng, func(d *linalg.Matrix) (*linalg.Matrix, fock.Stats) {
 		g, st := fock.SerialBuildN(eng, pc, sch, fock.RHF(d.At), fock.DefaultTau)

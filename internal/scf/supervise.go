@@ -268,8 +268,8 @@ func (r *RebalanceSignal) Error() string {
 func (r *RebalanceSignal) Is(target error) bool { return target == ErrRebalance }
 
 // Run performs the SCF calculation p describes over the engine's basis.
-// src is the ERI source of every preset (production passes an
-// integrals.PairCache); nil evaluates directly through the engine. A nil or
+// src is the ERI source of every preset, required: production passes an
+// integrals.PairCache, and tests may pass the direct oracle. A nil or
 // background ctx disables cancellation; otherwise a canceled or expired
 // ctx stops the loop — collectively, in a world — at the next iteration
 // boundary with an error matching ErrCanceled, and stops the supervisor
@@ -289,9 +289,6 @@ func Run(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwarz,
 		opt := p.SCF
 		if ctx.Done() != nil {
 			opt.ctx = ctx
-		}
-		if src == nil {
-			src = eng
 		}
 		build := func(ds []*linalg.Matrix) ([]*linalg.Matrix, fock.Stats) {
 			return fock.SerialBuildN(eng, src, sch, channels(ds), fock.DefaultTau)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/basis"
 	"repro/internal/fock"
 	"repro/internal/integrals"
+	"repro/internal/integrals/oracle"
 	"repro/internal/molecule"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
@@ -145,7 +146,7 @@ func TestSerialUHFOneSweepPerIteration(t *testing.T) {
 	if math.Abs(res.Energy-o2TripletEnergy) > 1e-10 {
 		t.Fatalf("O2 triplet E = %.12f, want %.12f", res.Energy, o2TripletEnergy)
 	}
-	_, rhf := fock.SerialBuild(eng, sch, res.Spin.DAlpha, fock.DefaultTau)
+	_, rhf := fock.SerialBuildN(eng, oracle.New(eng.Basis), sch, fock.RHF(res.Spin.DAlpha.At), fock.DefaultTau)
 	if want := int64(res.Iterations) * rhf.QuartetsComputed; res.TotalFockStats.QuartetsComputed != want {
 		t.Fatalf("UHF evaluated %d quartets in %d iterations, want %d (one %d-quartet sweep each)",
 			res.TotalFockStats.QuartetsComputed, res.Iterations, want, rhf.QuartetsComputed)
@@ -269,7 +270,7 @@ func TestCancelAtIterationBoundary(t *testing.T) {
 					cancel()
 				}
 			}
-			res, err := Run(ctx, tc.eng, tc.sch, nil, p)
+			res, err := Run(ctx, tc.eng, tc.sch, integrals.NewPairCache(tc.eng, 0), p)
 			if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
 			}

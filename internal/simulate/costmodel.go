@@ -101,10 +101,10 @@ func sharedTrafficFrac(alg string) float64 {
 // QuartetRatios is the single-thread cost of one shell quartet, per
 // (bra, ket) pair class, relative to the others: its ERI evaluation plus
 // the Fock updates. The entries are times MEASURED (in microseconds) on
-// this repository's direct McMurchie-Davidson engine (Engine.ShellQuartet,
-// unpruned primitive loops — what cmd/calibrate timed before the
-// production PairCache kernel existed) for carbon 6-31G(d) shell classes,
-// bra/ket symmetrized. The heavily contracted S (6 primitives) and L (3
+// this repository's direct McMurchie-Davidson engine (now the tests'
+// oracle, internal/integrals/oracle: unpruned primitive loops — what
+// cmd/calibrate timed before the production PairCache kernel existed)
+// for carbon 6-31G(d) shell classes, bra/ket symmetrized. The heavily contracted S (6 primitives) and L (3
 // primitives) shells dominate, exactly as in GAMESS. cmd/calibrate prints
 // the production PairCache kernel's matrix beside this one: its S classes
 // are ~10x cheaper relative to L and D (pruned pair lists, scalar all-s
