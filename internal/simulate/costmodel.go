@@ -104,8 +104,9 @@ func sharedTrafficFrac(alg string) float64 {
 // this repository's direct McMurchie-Davidson engine (now the tests'
 // oracle, internal/integrals/oracle: unpruned primitive loops — what
 // cmd/calibrate timed before the production PairCache kernel existed)
-// for carbon 6-31G(d) shell classes, bra/ket symmetrized. The heavily contracted S (6 primitives) and L (3
-// primitives) shells dominate, exactly as in GAMESS. cmd/calibrate prints
+// for carbon 6-31G(d) shell classes, bra/ket symmetrized. The heavily
+// contracted S (6 primitives) and L (3 primitives) shells dominate,
+// exactly as in GAMESS. cmd/calibrate prints
 // the production PairCache kernel's matrix beside this one: its S classes
 // are ~10x cheaper relative to L and D (pruned pair lists, scalar all-s
 // path). Those ratios keep every shape gate green too but move the
