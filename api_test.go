@@ -188,6 +188,18 @@ func TestFacadeRegisterBasis(t *testing.T) {
 	if math.Abs(res.Energy-ref.Energy) > 1e-10 {
 		t.Fatalf("custom basis energy %v vs builtin %v", res.Energy, ref.Energy)
 	}
+	// A primitive that would make the integrals NaN is refused up front,
+	// naming where it is.
+	for _, prim := range []string{" -0.5 0.44463454", " 0 0.44463454", " NaN 0.44463454", " Inf 0.44463454", " 0.16885540 NaN"} {
+		bad := strings.Replace(gbs, " 0.16885540 0.44463454", prim, 1)
+		err := RegisterBasis("h-bad", bad)
+		if err == nil || !strings.Contains(err.Error(), "element H, shell 1 (S)") {
+			t.Fatalf("primitive %q: RegisterBasis returned %v, want an error naming element H, shell 1", prim, err)
+		}
+	}
+	if _, err := Run(bg, mol, "h-bad", Serial); err == nil {
+		t.Fatal("a refused basis was installed")
+	}
 }
 
 func TestFacadeParallelUHF(t *testing.T) {

@@ -47,7 +47,8 @@
 # Interval and DownAfterTicks) are named by no non-test file outside
 # bench/; and internal/simulate returns rows only — no func Format*, no func CSV* (cmd/scaling builds the one table of each
 # artifact). The ERI kernel's pure-Go body vets under GOARCH=arm64 (no
-# assembly there), and the layout gate builds hfrun, hfserve and the
+# assembly there), the kernel's sweep and probe benchmarks run once
+# (-benchtime 1x), and the layout gate builds hfrun, hfserve and the
 # benchmark and fails unless distmat.tileMulAdd starts at 0 mod 64 in
 # each, printing where the kernel's functions (assembly included) start.
 #
@@ -297,8 +298,11 @@ tier_1() {
 	fi
 
 	# The ERI kernel's pure-Go body is all a CPU without AVX/FMA, or another
-	# architecture, runs: it keeps compiling there.
+	# architecture, runs: it keeps compiling there. The kernel's sweep and
+	# probe benchmarks run once, so they keep compiling and their quartet
+	# counts keep holding.
 	GOARCH=arm64 go vet ./internal/integrals/
+	go test -run '^$' -bench 'KernelSweep|KernelProbe' -benchtime 1x ./internal/integrals/ >/dev/null
 	layout_gate
 	for bin in hfrun hfserve bench; do
 		if grep ' repro/internal/integrals/oracle\.' "$tracedir/$bin.nm"; then

@@ -2,6 +2,7 @@ package basis
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -100,15 +101,24 @@ func ParseGBS(text string) (map[string][]shellSpec, error) {
 					return nil, fmt.Errorf("basis: primitive line %q has %d columns, want %d",
 						ln, len(pf), 1+len(moments))
 				}
+				// An exponent must be a positive finite number and a coefficient
+				// finite: anything else makes every integral over the shell NaN.
+				where := fmt.Sprintf("element %s, shell %d (%s)", element, len(specs)+1, shellType)
 				exp, err := strconv.ParseFloat(pf[0], 64)
 				if err != nil {
-					return nil, fmt.Errorf("basis: bad exponent %q: %v", pf[0], err)
+					return nil, fmt.Errorf("basis: %s: bad exponent %q: %v", where, pf[0], err)
+				}
+				if !(exp > 0) || math.IsInf(exp, 1) {
+					return nil, fmt.Errorf("basis: %s: exponent %q is not a positive finite number", where, pf[0])
 				}
 				spec.exps = append(spec.exps, exp)
 				for m := range moments {
 					c, err := strconv.ParseFloat(pf[1+m], 64)
 					if err != nil {
-						return nil, fmt.Errorf("basis: bad coefficient %q: %v", pf[1+m], err)
+						return nil, fmt.Errorf("basis: %s: bad coefficient %q: %v", where, pf[1+m], err)
+					}
+					if math.IsNaN(c) || math.IsInf(c, 0) {
+						return nil, fmt.Errorf("basis: %s: coefficient %q is not finite", where, pf[1+m])
 					}
 					spec.coefs[m] = append(spec.coefs[m], c)
 				}

@@ -2,6 +2,7 @@ package basis
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/molecule"
@@ -86,6 +87,43 @@ func TestParseGBSErrors(t *testing.T) {
 		if _, err := ParseGBS(c); err == nil {
 			t.Fatalf("case %d: expected parse error", i)
 		}
+	}
+}
+
+// TestParseGBSRejectsNonPhysicalPrimitives: an exponent that is not a
+// positive finite number, or a coefficient that is not finite, is an error
+// naming the element and the shell; accepted, it made every integral over
+// the shell NaN with no error anywhere.
+func TestParseGBSRejectsNonPhysicalPrimitives(t *testing.T) {
+	for _, c := range []struct{ exp, coef, want string }{
+		{"-0.5", "1.0", "exponent"},
+		{"0", "1.0", "exponent"},
+		{"0.0E+00", "1.0", "exponent"},
+		{"NaN", "1.0", "exponent"},
+		{"Inf", "1.0", "exponent"},
+		{"-Inf", "1.0", "exponent"},
+		{"1e400", "1.0", "exponent"},
+		{"1.0", "NaN", "coefficient"},
+		{"1.0", "Inf", "coefficient"},
+		{"1.0", "-Inf", "coefficient"},
+	} {
+		text := "****\nH 0\nS 1 1.00\n 3.0 1.0\nP 1 1.00\n " + c.exp + " " + c.coef + "\n****\n"
+		_, err := ParseGBS(text)
+		if err == nil {
+			t.Fatalf("exponent %s, coefficient %s: accepted", c.exp, c.coef)
+		}
+		for _, part := range []string{"element H", "shell 2 (P)", c.want} {
+			if !strings.Contains(err.Error(), part) {
+				t.Errorf("exponent %s, coefficient %s: error %q does not name %q", c.exp, c.coef, err, part)
+			}
+		}
+		if RegisterGBS("bad-primitive", text) == nil {
+			t.Fatalf("RegisterGBS accepted exponent %s, coefficient %s", c.exp, c.coef)
+		}
+	}
+	// Tiny and negative coefficients are legitimate (contractions mix signs).
+	if _, err := ParseGBS("****\nH 0\nS 2 1.00\n 3.0 -0.2\n 1e-300 1e-300\n****\n"); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -18,14 +18,17 @@ const maxBoysOrder = 24
 // The Boys table: F_m(t0) on the grid t0 = i*boysStep, i*boysStep <=
 // boysTableMax, for every order a Taylor step from the highest callable
 // order can reach. |t - t0| <= boysStep/2, so the first neglected term
-// of the expansion is 0.05^8/8! ~ 1e-15 of the value. It is built by the
-// first call that needs it, not at package init: every process that
-// links this package (hfserve before its first job, every test binary)
-// would otherwise pay its 0.25 ms at start.
+// of the expansion is 0.05^8/8! ~ 1e-15 of the value. The grid ends where
+// the asymptotic form needs no exp for any order: the exp(-t) tail of F_m
+// falls below 1e-14 of it past t ~ 37.4 for m = 2, 52.5 for m = 8 and 83.3
+// for m = 24 (past 35 for m <= 1). It is built by the first PairCache,
+// Schwarz pass or scalar call that needs it, not at package init: every
+// process that links this package (hfserve before its first job, every
+// test binary) would otherwise pay its 0.5 ms at start.
 const (
 	boysStep     = 0.1
-	boysNodes    = 351
-	boysTableMax = (boysNodes - 1) * boysStep // 35: beyond it the asymptotic form is exact to 1e-16
+	boysNodes    = 841
+	boysTableMax = (boysNodes - 1) * boysStep // 84
 	boysTaylor   = 8                          // terms of the Taylor step
 	boysStride   = maxBoysOrder + boysTaylor
 )
@@ -35,42 +38,48 @@ var (
 	boysTableOnce sync.Once
 )
 
-func buildBoysTable() {
-	boysTable = make([]float64, boysNodes*boysStride)
-	for i := 0; i < boysNodes; i++ {
-		boysSeries(boysStride-1, float64(i)*boysStep, boysTable[i*boysStride:])
-	}
+// boysTableReady builds the table on first use and returns it: boysNodes
+// rows of boysStride orders, then exp(-t0) of every node (the vector body
+// takes F_m(t) for m < l downward from F_l and exp(-t)).
+func boysTableReady() []float64 {
+	boysTableOnce.Do(func() {
+		tab := make([]float64, boysNodes*(boysStride+1))
+		for i := 0; i < boysNodes; i++ {
+			t0 := float64(i) * boysStep
+			boysSeries(boysStride-1, t0, tab[i*boysStride:])
+			tab[boysNodes*boysStride+i] = math.Exp(-t0)
+		}
+		boysTable = tab
+	})
+	return boysTable
 }
 
 // Boys fills out[0..n] with the Boys functions F_0(t)..F_n(t), where
 // F_m(t) = int_0^1 u^{2m} exp(-t u^2) du.
-//
-// Up to boysTableMax every order comes from its own Taylor step off the
-// nearest grid node, F_m(t) = sum_k F_{m+k}(t0) (t0-t)^k / k!: the powers
-// of (t0-t) are shared, and the orders are independent of each other, so
-// there is no exp and no divide. Beyond it the asymptotic complementary
-// form with upward recursion is used, where that is stable.
 func Boys(n int, t float64, out []float64) {
 	if n > maxBoysOrder {
 		panic("integrals: Boys order too large")
 	}
+	boysFrom(boysTableReady(), n, t, out)
+}
+
+// boysFrom is Boys over a built table. Up to boysTableMax every order
+// comes from its own Taylor step off the nearest grid node,
+// F_m(t) = sum_k F_{m+k}(t0) (t0-t)^k / k!: the powers of (t0-t) are
+// shared, and the orders are independent of each other, so there is no
+// exp and no divide. Beyond it F_m = (2m-1)!!/(2t)^m * sqrt(pi/t)/2 by
+// upward recursion: the exp(-t) tail is below 1e-14 of every order there.
+func boysFrom(table []float64, n int, t float64, out []float64) {
 	if t > boysTableMax {
-		// F_0 = sqrt(pi/t)/2 minus an exponentially small tail; the tail is
-		// below 1e-16 for t > 35.
 		out[0] = 0.5 * math.Sqrt(math.Pi/t)
-		if n == 0 {
-			return
-		}
 		inv := 0.5 / t // 1/(2t)
-		et := math.Exp(-t) * inv
 		for m := 0; m < n; m++ {
-			out[m+1] = float64(2*m+1)*inv*out[m] - et
+			out[m+1] = float64(2*m+1) * inv * out[m]
 		}
 		return
 	}
-	boysTableOnce.Do(buildBoysTable)
 	i := int(t*(1/boysStep) + 0.5)
-	row := boysTable[i*boysStride:][:n+boysTaylor]
+	row := table[i*boysStride:][:n+boysTaylor]
 	d := float64(i)*boysStep - t
 	d2 := d * d
 	if n == 0 { // one order: cheaper to scale the terms than the powers

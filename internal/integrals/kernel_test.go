@@ -467,15 +467,20 @@ func TestKernelBodiesAgree(t *testing.T) {
 
 func TestBoysTableMatchesSeries(t *testing.T) {
 	// A grid that straddles the table nodes and the midpoints between them
-	// (where the Taylor step is longest), the table edge, and t -> 0. Every
-	// order has its own Taylor step, so every order is checked.
+	// (where the Taylor step is longest), the table edge, and t -> 0; past
+	// the grid, the asymptotic form without exp(-t) out to t = 700 (the
+	// old grid's edge at 35 included). Every order has its own Taylor step,
+	// so every order is checked.
 	var ts []float64
-	for i := 0; i <= 600; i++ {
+	for i := 0; i < boysNodes; i++ {
 		node := float64(i) * boysStep
 		ts = append(ts, node, node+1e-9, node+0.4999*boysStep, node+0.5*boysStep, node+0.5001*boysStep, node+0.077)
 	}
-	ts = append(ts, 0, 1e-300, 1e-14, 1e-13, 1e-9, 1e-4,
-		boysTableMax-1e-12, boysTableMax, boysTableMax+1e-12, boysTableMax+0.01)
+	for tv := boysTableMax + 0.013; tv <= 700; tv *= 1.01 {
+		ts = append(ts, tv)
+	}
+	ts = append(ts, 0, 1e-300, 1e-14, 1e-13, 1e-9, 1e-4, 35+1e-12, 35.01, 37.5, 43.2, 52.6, 61, 83.7,
+		boysTableMax-1e-12, boysTableMax, boysTableMax+1e-12, boysTableMax+0.01, 700)
 	got := make([]float64, maxBoysOrder+1)
 	want := make([]float64, maxBoysOrder+1)
 	for _, tv := range ts {

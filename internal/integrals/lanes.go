@@ -1,17 +1,27 @@
 package integrals
 
-// The vector loops of the ERI kernel: the R recursion and the ket fold
-// over one batch of four ket primitive pairs, the sum over the lanes, and
-// the bra contraction. An R cube entry and a K entry are four consecutive
-// floats, one per lane, so the recursion and the fold are one 4-wide
-// multiply-add per entry with broadcast coefficients; the contraction is
-// an AXPY along a row of K. Two bodies compute them: the pure-Go one
-// below, which runs everywhere and is the oracle, and an AVX/FMA assembly
-// one (lanes_amd64.s) that package init selects where the CPU has it.
+import "math"
+
+// The vector loops of the ERI kernel: the set-up of one bra primitive pair
+// against a batch of four ket primitive pairs (pair geometry, Boys, the
+// (-2 alpha)^n scale), the R recursion and the ket fold over the batch,
+// the sum over the lanes, and the bra contraction. An R cube entry and a
+// K entry are four consecutive floats, one per lane, so the recursion and
+// the fold are one 4-wide multiply-add per entry with broadcast
+// coefficients; the contraction is an AXPY along a row of K. Two bodies
+// compute them: the pure-Go one below, which runs everywhere and is the
+// oracle, and an AVX/FMA assembly one (lanes_amd64.s) that package init
+// selects where the CPU has it.
 
 // laneBody is one implementation of the vector loops.
 type laneBody struct {
 	name string
+	// setup fills, for a bra primitive pair of exponent p and centre c
+	// against every lane of kb (padding lanes too): fn[4n+lane] =
+	// (-2 alpha)^n F_n(alpha |Q-P|^2) for n <= l, d[axis][lane] = Q - P and
+	// pref[lane] = (p+q)^{-1/2}, with alpha = pq/(p+q) and F from the Boys
+	// table past which the asymptotic form holds (boysFrom).
+	setup func(fn []float64, l int, p float64, c *[3]float64, kb *primBatch, d *[4][4]float64, pref *[4]float64, table []float64)
 	// recur fills the R^0 cube of order l into r1 (l even) or r0 (l odd)
 	// from fn[4n+lane] = (-2 alpha)^n F_n and d[axis][lane] = Q - P, level
 	// by level as coulomb describes.
@@ -27,11 +37,29 @@ type laneBody struct {
 	contract func(blk, k []float64, ncd int, terms []laneTerm, lane int, sign []float64)
 }
 
-var goLanes = laneBody{name: "go", recur: recur4Go, fold: fold4Go, sum: sum4Go, contract: contractGo}
+var goLanes = laneBody{name: "go", setup: setup4Go, recur: recur4Go, fold: fold4Go, sum: sum4Go, contract: contractGo}
 
 // lanes is the body the kernel runs. It is set once, at package init; the
 // tests flip it to run both bodies in one binary.
 var lanes = goLanes
+
+func setup4Go(fn []float64, l int, p float64, c *[3]float64, kb *primBatch, d *[4][4]float64, pref *[4]float64, table []float64) {
+	var f [maxBoysOrder + 1]float64
+	for lane := 0; lane < 4; lane++ {
+		q := kb.p[lane]
+		pq := p + q
+		alpha := p * q / pq
+		dx, dy, dz := kb.x[lane]-c[0], kb.y[lane]-c[1], kb.z[lane]-c[2]
+		d[0][lane], d[1][lane], d[2][lane] = dx, dy, dz
+		pref[lane] = math.Sqrt(1 / pq)
+		boysFrom(table, l, alpha*(dx*dx+dy*dy+dz*dz), f[:])
+		pow := 1.0
+		for n, v := range f[:l+1] {
+			fn[4*n+lane] = v * pow
+			pow *= -2 * alpha
+		}
+	}
+}
 
 func recur4Go(r0, r1, fn []float64, steps []rStep, count []int, l int, d *[4][4]float64) {
 	cur, prev := r0, r1

@@ -24,6 +24,280 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
+// Constants of setup4FMA: the Boys grid (boysStep, boysTableMax,
+// boysNodes - 1), 1/k! of the Taylor step, sqrt(pi)/2 of the asymptotic
+// form, and from offset 128 1/(2m+1) of the downward recursion.
+DATA setupk<>+0(SB)/8, $1.0
+DATA setupk<>+8(SB)/8, $0.5
+DATA setupk<>+16(SB)/8, $10.0                  // 1/boysStep
+DATA setupk<>+24(SB)/8, $0.1                   // boysStep
+DATA setupk<>+32(SB)/8, $0.16666666666666666   // 1/3!
+DATA setupk<>+40(SB)/8, $0.041666666666666664  // 1/4!
+DATA setupk<>+48(SB)/8, $0.008333333333333333  // 1/5!
+DATA setupk<>+56(SB)/8, $0.001388888888888889  // 1/6!
+DATA setupk<>+64(SB)/8, $0.0001984126984126984 // 1/7!
+DATA setupk<>+72(SB)/8, $84.0                  // boysTableMax
+DATA setupk<>+80(SB)/8, $0.8862269254527579    // sqrt(pi)/2
+DATA setupk<>+88(SB)/8, $-2.0
+DATA setupk<>+96(SB)/8, $2.0
+DATA setupk<>+104(SB)/8, $840.0                // boysNodes - 1
+DATA setupk<>+112(SB)/8, $6755399441055744.0   // 1.5 * 2^52: adding it rounds to an integer
+DATA setupk<>+120(SB)/8, $0.0
+DATA setupk<>+128(SB)/8, $1.0
+DATA setupk<>+136(SB)/8, $0.3333333333333333
+DATA setupk<>+144(SB)/8, $0.2
+DATA setupk<>+152(SB)/8, $0.14285714285714285
+DATA setupk<>+160(SB)/8, $0.1111111111111111
+DATA setupk<>+168(SB)/8, $0.09090909090909091
+DATA setupk<>+176(SB)/8, $0.07692307692307693
+DATA setupk<>+184(SB)/8, $0.06666666666666667
+DATA setupk<>+192(SB)/8, $0.058823529411764705
+DATA setupk<>+200(SB)/8, $0.05263157894736842
+DATA setupk<>+208(SB)/8, $0.047619047619047616
+DATA setupk<>+216(SB)/8, $0.043478260869565216
+DATA setupk<>+224(SB)/8, $0.04
+DATA setupk<>+232(SB)/8, $0.037037037037037035
+DATA setupk<>+240(SB)/8, $0.034482758620689655
+DATA setupk<>+248(SB)/8, $0.03225806451612903
+DATA setupk<>+256(SB)/8, $0.030303030303030304
+DATA setupk<>+264(SB)/8, $0.02857142857142857
+DATA setupk<>+272(SB)/8, $0.02702702702702703
+DATA setupk<>+280(SB)/8, $0.02564102564102564
+DATA setupk<>+288(SB)/8, $0.024390243902439025
+DATA setupk<>+296(SB)/8, $0.023255813953488372
+DATA setupk<>+304(SB)/8, $0.022222222222222223
+DATA setupk<>+312(SB)/8, $0.02127659574468085
+GLOBL setupk<>(SB), RODATA|NOPTR, $320
+
+// func setup4FMA(fn []float64, l int, p float64, c *[3]float64, kb *primBatch, d *[4][4]float64, pref *[4]float64, table []float64)
+//
+// Four lanes at once: the pair geometry and T = alpha |Q-P|^2; each
+// lane's nearest Boys table row, the index clamped to the table whatever T
+// is; F_l by its Taylor step and exp(-T) = exp(-t0) exp(t0-T) by the same
+// powers of t0-T; past the grid F_l = (2l-1)!!/(2T)^l sqrt(pi/T)/2 and
+// exp(-T) = 0, selected by mask; then F_m = (2T F_{m+1} + exp(-T))/(2m+1)
+// down to m = 0, each times (-2 alpha)^m. The Taylor step is, per lane,
+// row[l:l+4] . (1, d, d^2/2!, d^3/3!) + row[l+4:l+8] . (d^4/4!, ...,
+// d^7/7!): the powers are formed across lanes and transposed once, so it
+// costs two loads and a multiply-add per lane and one horizontal sum. The
+// code is ordered for latency: every lane waits on this before its R
+// recursion can start.
+TEXT ·setup4FMA(SB), NOSPLIT, $0-96
+	MOVQ fn_base+0(FP), DI
+	MOVQ l+24(FP), CX
+	MOVQ c+40(FP), AX
+	MOVQ kb+48(FP), SI
+	MOVQ d+56(FP), R12
+	MOVQ pref+64(FP), R13
+	MOVQ table_base+72(FP), DX
+
+	VBROADCASTSD p+32(FP), Y0
+	VMOVUPD      0(SI), Y1           // q = kb.p
+	VADDPD       Y1, Y0, Y2          // p + q
+	VMULPD       Y1, Y0, Y5          // pq
+	VBROADCASTSD 0(AX), Y6
+	VMOVUPD      32(SI), Y7          // kb.x
+	VSUBPD       Y6, Y7, Y7
+	VMOVUPD      Y7, 0(R12)          // d[0] = Q - P along x
+	VMULPD       Y7, Y7, Y4
+	VBROADCASTSD 8(AX), Y6
+	VMOVUPD      64(SI), Y7          // kb.y
+	VSUBPD       Y6, Y7, Y7
+	VMOVUPD      Y7, 32(R12)
+	VFMADD231PD  Y7, Y7, Y4
+	VBROADCASTSD 16(AX), Y6
+	VMOVUPD      96(SI), Y7          // kb.z
+	VSUBPD       Y6, Y7, Y7
+	VMOVUPD      Y7, 64(R12)
+	VFMADD231PD  Y7, Y7, Y4
+	VBROADCASTSD setupk<>+0(SB), Y3
+	VDIVPD       Y2, Y3, Y3          // 1/(p+q)
+	VMULPD       Y3, Y5, Y5          // alpha
+	VMULPD       Y5, Y4, Y4          // T
+	VSQRTPD      Y3, Y3
+	VMOVUPD      Y3, (R13)           // pref = (p+q)^(-1/2)
+
+	// fn[n] = (-2 alpha)^n for now; the downward pass multiplies F_n in.
+	VBROADCASTSD setupk<>+88(SB), Y10
+	VMULPD       Y10, Y5, Y10
+	VBROADCASTSD setupk<>+0(SB), Y11
+	MOVQ         DI, BX
+	MOVQ         CX, AX
+	INCQ         AX
+
+pow:
+	VMOVUPD Y11, (BX)
+	VMULPD  Y10, Y11, Y11
+	ADDQ    $32, BX
+	DECQ    AX
+	JNZ     pow
+
+	// Row i = 10T rounded, clamped to [0, boysNodes-1] first (a NaN goes
+	// to 0), so no T reads outside the table; dd = i*step - T.
+	VBROADCASTSD setupk<>+16(SB), Y6
+	VMULPD       Y6, Y4, Y6
+	VBROADCASTSD setupk<>+120(SB), Y7
+	VMAXPD       Y7, Y6, Y6
+	VBROADCASTSD setupk<>+104(SB), Y7
+	VMINPD       Y7, Y6, Y6
+	VBROADCASTSD setupk<>+112(SB), Y8
+	VADDPD       Y8, Y6, Y6          // i in the low bits of each lane
+	VSUBPD       Y8, Y6, Y7
+	VBROADCASTSD setupk<>+24(SB), Y8
+	VFMSUB213PD  Y4, Y8, Y7          // dd
+	VMOVQ        X6, R8
+	VPEXTRQ      $1, X6, R9
+	VEXTRACTF128 $1, Y6, X6
+	VMOVQ        X6, R10
+	VPEXTRQ      $1, X6, R11
+	MOVL         R8, R8
+	MOVL         R9, R9
+	MOVL         R10, R10
+	MOVL         R11, R11
+
+	// exp(-t0) of each lane: boysNodes values after the rows.
+	LEAQ        215296(DX), AX       // boysNodes * boysStride * 8
+	VMOVSD      (AX)(R8*8), X14
+	VMOVHPD     (AX)(R9*8), X14, X14
+	VMOVSD      (AX)(R10*8), X0
+	VMOVHPD     (AX)(R11*8), X0, X0
+	VINSERTF128 $1, X0, Y14, Y14
+	SHLQ        $8, R8               // boysStride * 8 bytes per row
+	SHLQ        $8, R9
+	SHLQ        $8, R10
+	SHLQ        $8, R11
+	ADDQ        DX, R8               // row of lane 0
+	ADDQ        DX, R9
+	ADDQ        DX, R10
+	ADDQ        DX, R11
+
+	// Powers dd^k/k! across lanes: Y6 = 1, Y7 = dd, ..., Y13 = dd^7/7!,
+	// three multiplies deep.
+	VMULPD       Y7, Y7, Y8          // dd^2
+	VBROADCASTSD setupk<>+32(SB), Y0
+	VMULPD       Y0, Y7, Y9
+	VBROADCASTSD setupk<>+48(SB), Y0
+	VMULPD       Y0, Y7, Y11
+	VBROADCASTSD setupk<>+64(SB), Y0
+	VMULPD       Y0, Y7, Y13
+	VMULPD       Y8, Y9, Y9          // dd^3/3!
+	VMULPD       Y8, Y13, Y13
+	VMULPD       Y8, Y8, Y10         // dd^4
+	VBROADCASTSD setupk<>+56(SB), Y0
+	VMULPD       Y0, Y8, Y12
+	VMULPD       Y10, Y11, Y11       // dd^5/5!
+	VMULPD       Y10, Y12, Y12       // dd^6/6!
+	VMULPD       Y10, Y13, Y13       // dd^7/7!
+	VBROADCASTSD setupk<>+40(SB), Y0
+	VMULPD       Y0, Y10, Y10        // dd^4/4!
+	VBROADCASTSD setupk<>+8(SB), Y0
+	VMULPD       Y0, Y8, Y8          // dd^2/2!
+	VBROADCASTSD setupk<>+0(SB), Y6
+
+	// exp(-T) = exp(-t0) * sum of the powers.
+	VADDPD Y7, Y6, Y0
+	VADDPD Y9, Y8, Y1
+	VADDPD Y11, Y10, Y2
+	VADDPD Y13, Y12, Y3
+	VADDPD Y1, Y0, Y0
+	VADDPD Y3, Y2, Y2
+	VADDPD Y2, Y0, Y0
+	VMULPD Y0, Y14, Y14
+
+	// Transpose to per-lane coefficients: Y6+j = powers 0-3 of lane j,
+	// Y10+j = powers 4-7.
+	VUNPCKLPD  Y7, Y6, Y0
+	VUNPCKHPD  Y7, Y6, Y1
+	VUNPCKLPD  Y9, Y8, Y2
+	VUNPCKHPD  Y9, Y8, Y3
+	VPERM2F128 $0x20, Y2, Y0, Y6
+	VPERM2F128 $0x20, Y3, Y1, Y7
+	VPERM2F128 $0x31, Y2, Y0, Y8
+	VPERM2F128 $0x31, Y3, Y1, Y9
+	VUNPCKLPD  Y11, Y10, Y0
+	VUNPCKHPD  Y11, Y10, Y1
+	VUNPCKLPD  Y13, Y12, Y2
+	VUNPCKHPD  Y13, Y12, Y3
+	VPERM2F128 $0x20, Y2, Y0, Y10
+	VPERM2F128 $0x20, Y3, Y1, Y11
+	VPERM2F128 $0x31, Y2, Y0, Y12
+	VPERM2F128 $0x31, Y3, Y1, Y13
+
+	// F_l by its Taylor step.
+	VMULPD      (R8)(CX*8), Y6, Y0
+	VFMADD231PD 32(R8)(CX*8), Y10, Y0
+	VMULPD      (R9)(CX*8), Y7, Y1
+	VFMADD231PD 32(R9)(CX*8), Y11, Y1
+	VMULPD      (R10)(CX*8), Y8, Y2
+	VFMADD231PD 32(R10)(CX*8), Y12, Y2
+	VMULPD      (R11)(CX*8), Y9, Y3
+	VFMADD231PD 32(R11)(CX*8), Y13, Y3
+	VHADDPD     Y1, Y0, Y0
+	VHADDPD     Y3, Y2, Y2
+	VPERM2F128  $0x20, Y2, Y0, Y1
+	VPERM2F128  $0x31, Y2, Y0, Y3
+	VADDPD      Y3, Y1, Y1
+
+	// Past the grid, from max(T, boysTableMax) so every lane stays finite;
+	// skipped when no lane is past it.
+	VBROADCASTSD setupk<>+72(SB), Y6
+	VCMPPD       $0x1e, Y6, Y4, Y7   // T > boysTableMax
+	VMOVMSKPD    Y7, AX
+	TESTL        AX, AX
+	JZ           down0
+	VMAXPD       Y6, Y4, Y8
+	VSQRTPD      Y8, Y9
+	VBROADCASTSD setupk<>+0(SB), Y10
+	VDIVPD       Y9, Y10, Y9         // T^(-1/2)
+	VMULPD       Y9, Y9, Y8
+	VBROADCASTSD setupk<>+8(SB), Y11
+	VMULPD       Y11, Y8, Y8         // 1/(2T)
+	VBROADCASTSD setupk<>+80(SB), Y11
+	VMULPD       Y11, Y9, Y9         // F_0
+	VBROADCASTSD setupk<>+96(SB), Y11
+	MOVQ         CX, AX
+	TESTQ        AX, AX
+	JZ           blend
+
+up:
+	VMULPD Y8, Y10, Y0
+	VMULPD Y0, Y9, Y9                // F_{m+1} = (2m+1)/(2T) F_m
+	VADDPD Y11, Y10, Y10
+	DECQ   AX
+	JNZ    up
+
+blend:
+	VBLENDVPD Y7, Y9, Y1, Y1         // F_l
+	VANDNPD   Y14, Y7, Y14           // exp(-T), 0 past the grid
+
+down0:
+	// Downward to F_0: F_m = F_{m+1} 2T/(2m+1) + exp(-T)/(2m+1), each
+	// times the (-2 alpha)^m already in fn[m].
+	VADDPD  Y4, Y4, Y2               // 2T
+	MOVQ    CX, AX
+	SHLQ    $5, AX
+	ADDQ    DI, AX
+	VMULPD  (AX), Y1, Y0
+	VMOVUPD Y0, (AX)
+	TESTQ   CX, CX
+	JZ      done
+	LEAQ    setupk<>+128(SB), BX     // 1/(2m+1)
+
+down:
+	VBROADCASTSD -8(BX)(CX*8), Y3
+	VMULPD       Y3, Y2, Y6
+	VMULPD       Y3, Y14, Y7
+	VFMADD213PD  Y7, Y6, Y1
+	SUBQ         $32, AX
+	VMULPD       (AX), Y1, Y0
+	VMOVUPD      Y0, (AX)
+	DECQ         CX
+	JNZ          down
+
+done:
+	VZEROUPPER
+	RET
+
 // func recur4FMA(r0, r1, fn []float64, steps []rStep, count []int, l int, d *[4][4]float64)
 TEXT ·recur4FMA(SB), NOSPLIT, $0-136
 	MOVQ r0_base+0(FP), DI    // cur

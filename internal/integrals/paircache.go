@@ -74,6 +74,7 @@ type hermIndex struct {
 	off   []uint16  // cube offset (t*stride+u)*stride+v of the h-th index
 	sign  []float64 // (-1)^(t+u+v)
 	steps []rStep   // steps[h-1] produces entry h of an R table
+	boys  []float64 // the Boys table, built before the first quartet
 }
 
 // rStep is one entry of the recursion R^n_{t+1,u,v} = x R^{n+1}_{tuv} +
@@ -86,7 +87,7 @@ type rStep struct {
 }
 
 func newHermIndex(lmax int) *hermIndex {
-	x := &hermIndex{lmax: lmax, count: make([]int, lmax+1)}
+	x := &hermIndex{lmax: lmax, count: make([]int, lmax+1), boys: boysTableReady()}
 	s := lmax + 1
 	at := func(t, u, v int) uint16 { return uint16((t*s+u)*s + v) }
 	for total := 0; total <= lmax; total++ {
@@ -142,10 +143,10 @@ type eriScratch struct {
 	k4     []float64     // K[tuv][cd][lane]
 	k      []float64     // K[tuv][cd], the lanes summed
 	blk    []float64     // (cd|ab), when the ket is the bra
-	fn     []float64     // F_n of one lane
 	fn4    []float64     // (-2 alpha)^n F_n [n][lane]
 	d      [4][4]float64 // Q - P [axis][lane]; axis 3 unused
 	pref   [4]float64    // (p+q)^{-1/2} [lane]
+	c      [3]float64    // the bra primitive pair's centre
 }
 
 // newScratch sizes a scratch for quartets of total order <= lmax over
@@ -159,45 +160,26 @@ func (x *hermIndex) newScratch(funcs int) *eriScratch {
 		k4:  make([]float64, 4*nk),
 		k:   make([]float64, nk),
 		blk: make([]float64, funcs*funcs*funcs*funcs),
-		fn:  make([]float64, x.lmax+1),
 		fn4: make([]float64, 4*(x.lmax+1)),
 	}
 }
 
 // coulomb builds the Hermite Coulomb integrals R^0_{tuv}, t+u+v <= l, of
-// one bra primitive pair (exponent p, centre c) against each lane of a
+// one bra primitive pair (exponent p, centre s.c) against each lane of a
 // ket batch, into one of the scratch cubes:
 //
 //	R^n_{000}     = (-2 alpha)^n F_n(alpha |Q-P|^2)
 //	R^n_{t+1,u,v} = t R^{n+1}_{t-1,u,v} + (Q-P)_x R^{n+1}_{tuv}   (etc. for u, v)
 //
-// Boys runs per lane, the recursion 4-wide (lanes.recur). Level n holds
-// the entries of order <= l-n and reads only entries of order <= l-n-1
-// of level n+1, all of which that level wrote: the cubes are never
-// cleared. Padding lanes get F = 0, so their R is 0. Each lane's
-// (p+q)^{-1/2} is left in s.pref.
-func (x *hermIndex) coulomb(s *eriScratch, l int, p float64, c *[3]float64, kb *primBatch) []float64 {
-	fn, fn4 := s.fn[:l+1], s.fn4[:4*(l+1)]
-	for lane := 0; lane < 4; lane++ {
-		if lane >= kb.n {
-			for n := range fn {
-				fn4[4*n+lane] = 0
-			}
-			s.d[0][lane], s.d[1][lane], s.d[2][lane], s.pref[lane] = 0, 0, 0, 0
-			continue
-		}
-		pq := p + kb.p[lane]
-		alpha := p * kb.p[lane] / pq
-		dx, dy, dz := kb.x[lane]-c[0], kb.y[lane]-c[1], kb.z[lane]-c[2]
-		s.d[0][lane], s.d[1][lane], s.d[2][lane] = dx, dy, dz
-		s.pref[lane] = math.Sqrt(1 / pq)
-		Boys(l, alpha*(dx*dx+dy*dy+dz*dz), fn)
-		pow := 1.0
-		for n, f := range fn {
-			fn4[4*n+lane] = f * pow
-			pow *= -2 * alpha
-		}
-	}
+// Both run 4-wide: lanes.setup forms the lanes' Q - P, (p+q)^{-1/2} (left
+// in s.pref) and R^n_{000}, lanes.recur the recursion. Level n holds the
+// entries of order <= l-n and reads only entries of order <= l-n-1 of
+// level n+1, all of which that level wrote: the cubes are never cleared.
+// Padding lanes are computed like the others from their zero exponent;
+// their values are finite and every term weight there is 0.
+func (x *hermIndex) coulomb(s *eriScratch, l int, p float64, kb *primBatch) []float64 {
+	fn4 := s.fn4[:4*(l+1)]
+	lanes.setup(fn4, l, p, &s.c, kb, &s.d, &s.pref, x.boys)
 	lanes.recur(s.r0, s.r1, fn4, x.steps, x.count, l, &s.d)
 	if l&1 == 0 { // the level loop swaps the cubes l+1 times
 		return s.r1
@@ -221,11 +203,11 @@ func (x *hermIndex) quartet(bra, ket *pairData, s *eriScratch, out []float64) {
 	for bi := range bra.batches {
 		bb := &bra.batches[bi]
 		for bl := 0; bl < bb.n; bl++ {
-			c := [3]float64{bb.x[bl], bb.y[bl], bb.z[bl]}
+			s.c = [3]float64{bb.x[bl], bb.y[bl], bb.z[bl]}
 			clear(k4)
 			for ki := range ket.batches {
 				kb := &ket.batches[ki]
-				r := x.coulomb(s, l, bb.p[bl], &c, kb)
+				r := x.coulomb(s, l, bb.p[bl], kb)
 				lanes.fold(k4, ncd, r, boff, kb.terms, &s.pref)
 			}
 			lanes.sum(k, k4)
@@ -242,24 +224,21 @@ func (x *hermIndex) quartet(bra, ket *pairData, s *eriScratch, out []float64) {
 	}
 }
 
-// quartetSSSS is the all-s class: one term per primitive pair, F_0 only.
-func quartetSSSS(bra, ket *pairData) float64 {
+// quartetSSSS is the all-s class: one term per primitive pair, F_0 only,
+// set up four ket lanes at a time like every other class.
+func (x *hermIndex) quartetSSSS(bra, ket *pairData, s *eriScratch) float64 {
 	sum := 0.0
-	var f [1]float64
+	fn := s.fn4[:4]
 	for bi := range bra.batches {
 		bb := &bra.batches[bi]
-		for bl, p := range bb.p[:bb.n] {
-			x, y, z := bb.x[bl], bb.y[bl], bb.z[bl]
+		for bl := 0; bl < bb.n; bl++ {
+			s.c = [3]float64{bb.x[bl], bb.y[bl], bb.z[bl]}
 			ksum := 0.0
 			for ki := range ket.batches {
 				kb := &ket.batches[ki]
-				g := &kb.terms[0].g
-				for kl, q := range kb.p[:kb.n] {
-					pq := p + q
-					dx, dy, dz := x-kb.x[kl], y-kb.y[kl], z-kb.z[kl]
-					Boys(0, p*q/pq*(dx*dx+dy*dy+dz*dz), f[:])
-					ksum += g[kl] * f[0] * math.Sqrt(1/pq)
-				}
+				lanes.setup(fn, 0, bb.p[bl], &s.c, kb, &s.d, &s.pref, x.boys)
+				g, w := &kb.terms[0].g, &s.pref
+				ksum += (g[0]*fn[0]*w[0] + g[1]*fn[1]*w[1]) + (g[2]*fn[2]*w[2] + g[3]*fn[3]*w[3])
 			}
 			sum += bb.terms[0].g[bl] * ksum
 		}
@@ -434,12 +413,12 @@ func (pc *PairCache) ShellQuartet(si, sj, sk, sl int, out []float64) []float64 {
 		out = make([]float64, need)
 	}
 	out = out[:need]
-	if bra.lab+ket.lab == 0 {
-		out[0] = quartetSSSS(bra, ket)
-		return out
-	}
 	s := pc.scratch.Get().(*eriScratch)
-	pc.index.quartet(bra, ket, s, out)
+	if bra.lab+ket.lab == 0 {
+		out[0] = pc.index.quartetSSSS(bra, ket, s)
+	} else {
+		pc.index.quartet(bra, ket, s, out)
+	}
 	pc.scratch.Put(s)
 	return out
 }
