@@ -83,7 +83,7 @@ func BenchmarkVerifiedFockBuild(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				_, err := mpi.RunWithOptions(2, mpi.RunOptions{Unverified: mode.unverified}, func(c *mpi.Comm) {
-					fock.MPIOnlyBuild(ddi.New(c), f.eng, f.sch, fock.RHF(f.d.At), cfg)
+					fock.MPIOnlyBuild(ddi.New(c), f.eng, f.sch, fock.RHF(fock.Dense(f.d)), cfg)
 				})
 				if err != nil {
 					b.Fatal(err)

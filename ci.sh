@@ -6,9 +6,10 @@
 # plus the nested bench/ module (the repository benchmark compiles against
 # internal/fock, internal/scf and internal/ddi but is invisible to the
 # root ./... patterns), and the structure gate. Fock layer: non-test
-# internal/fock has exactly one .ShellQuartet( call site, Schwarz
-# screening (sch.Screened/sch.Bound) in one function only, and no
-# hand-synced copies (no "KEEP IN SYNC"). Integrals layer: exactly one
+# internal/fock has exactly one .ShellQuartet( call site, exactly one
+# func digest and no per-element sink add (sinks take one addBlock call
+# per block), Schwarz screening (sch.Screened/sch.Bound) in one function
+# only, and no hand-synced copies (no "KEEP IN SYNC"). Integrals layer: exactly one
 # ShellQuartet method in non-test internal/integrals (the production
 # *PairCache; the direct McMurchie-Davidson oracle is the test-only
 # package internal/integrals/oracle), and the production kernel
@@ -47,8 +48,9 @@
 # Interval and DownAfterTicks) are named by no non-test file outside
 # bench/; and internal/simulate returns rows only — no func Format*, no func CSV* (cmd/scaling builds the one table of each
 # artifact). The ERI kernel's pure-Go body vets under GOARCH=arm64 (no
-# assembly there), the kernel's sweep and probe benchmarks run once
-# (-benchtime 1x), and the layout gate builds hfrun, hfserve and the
+# assembly there), the kernel's sweep and probe benchmarks and the
+# digest benchmark run once (-benchtime 1x), hfrun -xyz refuses a NaN
+# coordinate with an error (non-zero exit, no panic), and the layout gate builds hfrun, hfserve and the
 # benchmark and fails unless distmat.tileMulAdd starts at 0 mod 64 in
 # each, printing where the kernel's functions (assembly included) start.
 #
@@ -92,7 +94,9 @@
 # worker and the queue, cancel the backlog via DELETE, and drain cleanly
 # on SIGTERM. Then `scaling -exp serve`: the in-process load test (>= 50
 # jobs, duplicate-stream cache-hit rate >= 40%, >= 1 absorbed 429, zero
-# lost, stuck or failed jobs).
+# lost, stuck or failed jobs). Last, 30 s of native fuzzing each for the
+# XYZ parser (a served job's inline geometry) and the .gbs parser, from
+# the seed corpora under each package's testdata/fuzz/.
 #
 # Tier 7 (fleet gate): `scaling -exp fleet` — three WAL-backed hfserve
 # replicas with consistent-hash cache sharding serve a >= 1000-job
@@ -201,6 +205,12 @@ tier_1() {
 	fock_src=$(ls internal/fock/*.go | grep -v _test.go)
 	calls=$(cat $fock_src | grep -c '\.ShellQuartet(' || true)
 	[ "$calls" -eq 1 ] || { echo "structure gate: $calls .ShellQuartet( call sites in internal/fock, want exactly 1 (the walker)"; exit 1; }
+	digests=$(cat $fock_src | grep -c '^func digest(' || true)
+	[ "$digests" -eq 1 ] || { echo "structure gate: $digests func digest in internal/fock, want exactly 1 (the block-wise digest)"; exit 1; }
+	if grep -nE '^[[:space:]]*add\(role, x, y int, v float64\)|^func \([^)]*\) add\(' $fock_src; then
+		echo "structure gate: a per-element sink add is back in internal/fock; sinks take one addBlock call per block"
+		exit 1
+	fi
 	screens=$(awk '/^func /{fn=FILENAME": "$0} /sch\.(Screened|Bound)\(/{print fn}' $fock_src | sort -u)
 	[ "$(echo "$screens" | grep -c .)" -eq 1 ] || { echo "structure gate: Schwarz screening must live in exactly one function, found:"; echo "$screens"; exit 1; }
 	if grep -l 'KEEP IN SYNC' $fock_src; then
@@ -303,6 +313,7 @@ tier_1() {
 	# counts keep holding.
 	GOARCH=arm64 go vet ./internal/integrals/
 	go test -run '^$' -bench 'KernelSweep|KernelProbe' -benchtime 1x ./internal/integrals/ >/dev/null
+	go test -run '^$' -bench 'Digest' -benchtime 1x ./internal/fock/ >/dev/null
 	layout_gate
 	for bin in hfrun hfserve bench; do
 		if grep ' repro/internal/integrals/oracle\.' "$tracedir/$bin.nm"; then
@@ -313,6 +324,14 @@ tier_1() {
 	mp2_exit=0
 	"$tracedir/hfrun" -uhf 3 -mp2 >/dev/null 2>&1 || mp2_exit=$?
 	[ "$mp2_exit" -eq 2 ] || { echo "structure gate: hfrun -uhf 3 -mp2 exited $mp2_exit, want 2 (MP2 needs an RHF reference)"; exit 1; }
+	printf '2\nnan\nH NaN 0 0\nH 0 0 0.74\n' >"$tracedir/nan.xyz"
+	xyz_exit=0
+	"$tracedir/hfrun" -xyz "$tracedir/nan.xyz" >"$tracedir/nan.out" 2>&1 || xyz_exit=$?
+	if [ "$xyz_exit" -eq 0 ] || grep -q '^panic' "$tracedir/nan.out"; then
+		echo "structure gate: hfrun -xyz on a NaN coordinate exited $xyz_exit; want a parse error, not a run or a panic"
+		cat "$tracedir/nan.out"
+		exit 1
+	fi
 }
 
 # layout_gate builds the shipped binaries and the benchmark and fails
@@ -464,6 +483,11 @@ tier_5() {
 	echo "serve gate: drained cleanly"
 
 	go run ./cmd/scaling -exp serve
+
+	# The parsers behind a served job's inline geometry and a registered
+	# basis: 30 s of native fuzzing each, from the committed seed corpora.
+	go test -run '^$' -fuzz '^FuzzParseXYZ$' -fuzztime 30s ./internal/molecule/
+	go test -run '^$' -fuzz '^FuzzParseGBS$' -fuzztime 30s ./internal/basis/
 }
 
 tier_6() {

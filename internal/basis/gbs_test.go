@@ -181,3 +181,42 @@ func TestRegisterGBSGuards(t *testing.T) {
 		t.Fatal("must propagate parse errors")
 	}
 }
+
+// FuzzParseGBS: every primitive ParseGBS accepts has a positive finite
+// exponent, finite coefficients, one coefficient column per angular
+// momentum and as many coefficients as exponents.
+func FuzzParseGBS(f *testing.F) {
+	f.Add(sto3gHC)
+	f.Add(sto3gWithSP)
+	f.Add("****\nH 0\nS 1 1.0\n 1.0D+00 1.0\n****\n")
+	f.Add("****\nH 0\nS 1 1.0\n NaN 1.0\n****\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		lib, err := ParseGBS(text)
+		if err != nil {
+			return
+		}
+		for el, specs := range lib {
+			for s, spec := range specs {
+				if len(spec.exps) < 1 || len(spec.coefs) != len(spec.moments) {
+					t.Fatalf("%s shell %d: %d exponents, %d coefficient columns for moments %v",
+						el, s, len(spec.exps), len(spec.coefs), spec.moments)
+				}
+				for _, e := range spec.exps {
+					if !(e > 0) || math.IsInf(e, 0) {
+						t.Fatalf("%s shell %d: accepted exponent %v", el, s, e)
+					}
+				}
+				for _, col := range spec.coefs {
+					if len(col) != len(spec.exps) {
+						t.Fatalf("%s shell %d: %d coefficients for %d exponents", el, s, len(col), len(spec.exps))
+					}
+					for _, c := range col {
+						if math.IsNaN(c) || math.IsInf(c, 0) {
+							t.Fatalf("%s shell %d: accepted coefficient %v", el, s, c)
+						}
+					}
+				}
+			}
+		}
+	})
+}

@@ -24,18 +24,18 @@ import (
 type parallelPreset func(dx *ddi.Context, eng *integrals.Engine, sch *integrals.Schwarz,
 	dens []*linalg.Matrix, cfg Config) ([]*linalg.Matrix, Stats, error)
 
-func channelsOf[D interface{ At(x, y int) float64 }](dens []D) []Channel {
+func channelsOf[D any](dens []D, read func(D) Density) []Channel {
 	if len(dens) == 1 {
-		return RHF(dens[0].At)
+		return RHF(read(dens[0]))
 	}
-	return UHF(dens[0].At, dens[1].At, dens[2].At)
+	return UHF(read(dens[0]), read(dens[1]), read(dens[2]))
 }
 
 func replicatedPreset(build func(*ddi.Context, *integrals.Engine, *integrals.Schwarz,
 	[]Channel, Config) ([]*linalg.Matrix, Stats)) parallelPreset {
 	return func(dx *ddi.Context, eng *integrals.Engine, sch *integrals.Schwarz,
 		dens []*linalg.Matrix, cfg Config) ([]*linalg.Matrix, Stats, error) {
-		g, st := build(dx, eng, sch, channelsOf(dens), cfg)
+		g, st := build(dx, eng, sch, channelsOf(dens, Dense), cfg)
 		return g, st, nil
 	}
 }
@@ -54,7 +54,7 @@ func tiledPreset(dx *ddi.Context, eng *integrals.Engine, sch *integrals.Schwarz,
 		}
 		readers[i] = distmat.NewTileReader(dd, 6)
 	}
-	chans := channelsOf(readers)
+	chans := channelsOf(readers, FromTiles)
 	fs := make([]*distmat.BlockMat, len(chans))
 	accums := make([]*distmat.TileAccum, len(chans))
 	for c := range fs {
@@ -136,7 +136,7 @@ func TestConformance(t *testing.T) {
 			var serialStats Stats
 			t.Run(name+"/serial", func(t *testing.T) {
 				var got []*linalg.Matrix
-				got, serialStats = SerialBuildN(eng, pc, sch, channelsOf(cl.dens), DefaultTau)
+				got, serialStats = SerialBuildN(eng, pc, sch, channelsOf(cl.dens, Dense), DefaultTau)
 				check(t, "serial", got)
 				if serialStats.QuartetsComputed == 0 {
 					t.Fatal("no quartets computed")
@@ -212,7 +212,7 @@ func TestSharedFockScreeningCounts(t *testing.T) {
 		cfg := Config{Threads: tc.threads, Quartets: integrals.NewPairCache(eng, 0)}
 		stats := make([]Stats, tc.ranks)
 		err := mpi.Run(tc.ranks, func(c *mpi.Comm) {
-			_, stats[c.Rank()] = SharedFockBuild(ddi.New(c), eng, sch, RHF(d.At), cfg)
+			_, stats[c.Rank()] = SharedFockBuild(ddi.New(c), eng, sch, RHF(Dense(d)), cfg)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +250,7 @@ func TestTeamBarrierCounts(t *testing.T) {
 		{"private-fock", PrivateFockBuild, 19 + 18 + 1},
 	} {
 		err := mpi.Run(1, func(c *mpi.Comm) {
-			_, stats := tc.build(ddi.New(c), eng, sch, RHF(d.At), cfg)
+			_, stats := tc.build(ddi.New(c), eng, sch, RHF(Dense(d)), cfg)
 			if stats.Barriers != tc.want {
 				t.Errorf("%s: %d barriers per build per thread, want %d", tc.name, stats.Barriers, tc.want)
 			}

@@ -16,7 +16,7 @@ import (
 // serialBuild is the restricted serial build on the direct oracle: the
 // reference every preset is held to.
 func serialBuild(eng *integrals.Engine, sch *integrals.Schwarz, d *linalg.Matrix, tau float64) (*linalg.Matrix, Stats) {
-	g, st := SerialBuildN(eng, oracle.New(eng.Basis), sch, RHF(d.At), tau)
+	g, st := SerialBuildN(eng, oracle.New(eng.Basis), sch, RHF(Dense(d)), tau)
 	return g[0], st
 }
 
@@ -159,7 +159,7 @@ func TestQuartetEnumerationCanonical(t *testing.T) {
 func TestSharedFockFlushCounting(t *testing.T) {
 	eng, sch, d := setup(t, molecule.Water(), "sto-3g")
 	err := mpi.Run(1, func(c *mpi.Comm) {
-		_, stats := SharedFockBuild(ddi.New(c), eng, sch, RHF(d.At), Config{Threads: 2, Quartets: oracle.New(eng.Basis)})
+		_, stats := SharedFockBuild(ddi.New(c), eng, sch, RHF(Dense(d)), Config{Threads: 2, Quartets: oracle.New(eng.Basis)})
 		if stats.Flushes == 0 {
 			t.Error("shared-Fock build reported no flushes")
 		}
@@ -201,9 +201,9 @@ func TestPairCacheBuilders(t *testing.T) {
 			name string
 			f    func() *linalg.Matrix
 		}{
-			{"mpi-only", func() *linalg.Matrix { m, _ := MPIOnlyBuild(dx, eng, sch, RHF(d.At), cfg); return m[0] }},
-			{"private", func() *linalg.Matrix { m, _ := PrivateFockBuild(dx, eng, sch, RHF(d.At), cfg); return m[0] }},
-			{"shared", func() *linalg.Matrix { m, _ := SharedFockBuild(dx, eng, sch, RHF(d.At), cfg); return m[0] }},
+			{"mpi-only", func() *linalg.Matrix { m, _ := MPIOnlyBuild(dx, eng, sch, RHF(Dense(d)), cfg); return m[0] }},
+			{"private", func() *linalg.Matrix { m, _ := PrivateFockBuild(dx, eng, sch, RHF(Dense(d)), cfg); return m[0] }},
+			{"shared", func() *linalg.Matrix { m, _ := SharedFockBuild(dx, eng, sch, RHF(Dense(d)), cfg); return m[0] }},
 		}
 		for _, b := range builders {
 			if diff := b.f().MaxAbsDiff(want); diff > 1e-10 {

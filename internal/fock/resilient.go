@@ -202,10 +202,18 @@ type pendingSink struct {
 	base, n int
 }
 
-func (p *pendingSink) add(_, x, y int, v float64) {
-	if x < y {
-		x, y = y, x
+func (p *pendingSink) addBlock(_, x0, nx, y0, ny int, scale float64, blk []float64) {
+	for r := 0; r < nx; r++ {
+		for c, v := range blk[r*ny : r*ny+ny] {
+			if v == 0 {
+				continue
+			}
+			x, y := x0+r, y0+c
+			if x < y {
+				x, y = y, x
+			}
+			p.task.pos = append(p.task.pos, p.base+x*p.n+y)
+			p.task.val = append(p.task.val, scale*v)
+		}
 	}
-	p.task.pos = append(p.task.pos, p.base+x*p.n+y)
-	p.task.val = append(p.task.val, v)
 }

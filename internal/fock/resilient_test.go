@@ -27,7 +27,7 @@ func TestResilientMatchesSerial(t *testing.T) {
 	err := mpi.Run(ranks, func(c *mpi.Comm) {
 		dx := ddi.New(c)
 		var g []*linalg.Matrix
-		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(d.At), Config{Quartets: oracle.New(eng.Basis)})
+		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(Dense(d)), Config{Quartets: oracle.New(eng.Basis)})
 		got[c.Rank()] = g[0]
 	})
 	if err != nil {
@@ -73,7 +73,7 @@ func TestResilientSurvivesRankDeath(t *testing.T) {
 		}
 		dx := ddi.New(c)
 		var g []*linalg.Matrix
-		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(d.At), Config{Quartets: oracle.New(eng.Basis)})
+		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(Dense(d)), Config{Quartets: oracle.New(eng.Basis)})
 		got[c.Rank()] = g[0]
 	})
 	if !errors.Is(err, mpi.ErrRankFailed) {
@@ -141,7 +141,7 @@ func TestResilientHedgesStraggler(t *testing.T) {
 		}, func(c *mpi.Comm) {
 			dx := ddi.New(c)
 			var g []*linalg.Matrix
-			g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(d.At), Config{Quartets: oracle.New(eng.Basis)})
+			g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(Dense(d)), Config{Quartets: oracle.New(eng.Basis)})
 			got[c.Rank()] = g[0]
 		})
 		if err != nil {
@@ -201,7 +201,7 @@ func TestResilientReclaimsExpiredLease(t *testing.T) {
 	}, func(c *mpi.Comm) {
 		dx := ddi.New(c)
 		var g []*linalg.Matrix
-		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(d.At), Config{Quartets: oracle.New(eng.Basis)})
+		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(Dense(d)), Config{Quartets: oracle.New(eng.Basis)})
 		got[c.Rank()] = g[0]
 	})
 	if err != nil {

@@ -175,19 +175,37 @@ func (r *routedSink) aim(si, sj *basis.Shell) {
 	r.oj, r.nj = sj.BFOffset, sj.NumFuncs()
 }
 
-func (r *routedSink) add(role, x, y int, v float64) {
+func (r *routedSink) addBlock(role, x0, nx, y0, ny int, scale float64, blk []float64) {
 	switch role {
 	case roleAB, roleAC, roleAD:
-		if y >= r.oi && y-r.oi < r.ni && y > x {
-			x, y = y, x
-		}
-		r.fi[(x-r.oi)*r.n+y] += v
+		addLocal(r.fi, r.n, x0-r.oi, nx, y0, ny, y0 == r.oi, scale, blk)
 	case roleBD, roleBC:
-		if y >= r.oj && y-r.oj < r.nj && y > x {
-			x, y = y, x
+		addLocal(r.fj, r.n, x0-r.oj, nx, y0, ny, y0 == r.oj, scale, blk)
+	default: // roleCD: shell k's rows, shell l's columns, k >= l.
+		addLower(r.acc, r.n, x0, nx, y0, ny, scale, blk)
+	}
+}
+
+// addLocal adds scale*blk into a shell's column buffer at slots
+// [(lx+row)*n + y]. diag marks the shell's own diagonal block, whose
+// upper half is normalized to (max local, min global).
+func addLocal(buf []float64, n, lx, nx, y0, ny int, diag bool, scale float64, blk []float64) {
+	for r := 0; r < nx; r++ {
+		src := blk[r*ny : r*ny+ny]
+		dst := buf[(lx+r)*n+y0:]
+		dst = dst[:len(src)]
+		if !diag {
+			for c, v := range src {
+				dst[c] += scale * v
+			}
+			continue
 		}
-		r.fj[(x-r.oj)*r.n+y] += v
-	default: // roleCD: c >= d within the canonical enumeration.
-		r.acc[x*r.n+y] += v
+		for c, v := range src {
+			if c > r {
+				buf[(lx+c)*n+y0+r] += scale * v
+			} else {
+				dst[c] += scale * v
+			}
+		}
 	}
 }

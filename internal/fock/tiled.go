@@ -38,8 +38,29 @@ func TiledBuild(dx *ddi.Context, eng *integrals.Engine, sch *integrals.Schwarz,
 	return w.st
 }
 
+// FromTiles is the Density of a distributed matrix read through a
+// bounded tile cache.
+func FromTiles(r *distmat.TileReader) Density {
+	return func(x0, nx, y0, ny int, dst []float64) {
+		for a := 0; a < nx; a++ {
+			row := dst[a*ny : a*ny+ny]
+			for b := range row {
+				row[b] = r.At(x0+a, y0+b)
+			}
+		}
+	}
+}
+
 // tileSink lands a channel's updates in a distributed F through its
-// write-combining accumulator.
+// write-combining accumulator, skipping zeros.
 type tileSink struct{ f *distmat.TileAccum }
 
-func (s tileSink) add(_, x, y int, v float64) { s.f.AddLower(x, y, v) }
+func (s tileSink) addBlock(_, x0, nx, y0, ny int, scale float64, blk []float64) {
+	for r := 0; r < nx; r++ {
+		for c, v := range blk[r*ny : r*ny+ny] {
+			if v != 0 {
+				s.f.AddLower(x0+r, y0+c, scale*v)
+			}
+		}
+	}
+}

@@ -58,7 +58,7 @@ func TestTiledBuildMatchesSerial(t *testing.T) {
 			df.Zero()
 			reader := distmat.NewTileReader(dd, 6)
 			accum := distmat.NewTileAccum(df, 6)
-			stats := TiledBuild(dx, eng, sch, RHF(reader.At), []*distmat.TileAccum{accum}, Config{Quartets: oracle.New(eng.Basis)})
+			stats := TiledBuild(dx, eng, sch, RHF(FromTiles(reader)), []*distmat.TileAccum{accum}, Config{Quartets: oracle.New(eng.Basis)})
 			distmat.UnfoldLower(df)
 			computed := dx.GSumI(stats.QuartetsComputed)
 			// Sum cache misses globally: the dynamic balancer may hand one
@@ -107,7 +107,7 @@ func TestTiledBuildBoundedWorkingSet(t *testing.T) {
 		df.Zero()
 		reader := distmat.NewTileReader(dd, capTiles)
 		accum := distmat.NewTileAccum(df, capTiles)
-		TiledBuild(dx, eng, sch, RHF(reader.At), []*distmat.TileAccum{accum}, Config{Quartets: oracle.New(eng.Basis)})
+		TiledBuild(dx, eng, sch, RHF(FromTiles(reader)), []*distmat.TileAccum{accum}, Config{Quartets: oracle.New(eng.Basis)})
 		distmat.UnfoldLower(df)
 		budget := int64(capTiles * 2 * 2 * 8)
 		if reader.PeakBytes() > budget {

@@ -28,6 +28,7 @@ type walker struct {
 	chans []Channel
 	st    Stats
 	buf   []float64
+	sc    scratch
 }
 
 // newWalker is the walker of a parallel preset on dx.
@@ -45,7 +46,7 @@ func (w *walker) quartet(i, j, k, l int) {
 	}
 	w.st.QuartetsComputed++
 	w.buf = w.src.ShellQuartet(i, j, k, l, w.buf)
-	digest(w.buf, w.shells, i, j, k, l, w.chans)
+	digest(w.buf, w.shells, i, j, k, l, w.chans, &w.sc)
 }
 
 // row runs the l loop of the canonical enumeration at (i, j, k)

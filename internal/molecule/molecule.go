@@ -12,6 +12,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"unicode"
 )
 
 // BohrPerAngstrom converts angstrom lengths into atomic units.
@@ -118,30 +119,44 @@ func (m *Molecule) XYZ() string {
 	return b.String()
 }
 
-// ParseXYZ parses the conventional XYZ format (angstrom coordinates).
+// ParseXYZ parses the conventional XYZ format (angstrom coordinates). It
+// refuses what no SCF can run — an atom count below 1, an unknown element,
+// a coordinate that is not a finite number (or overflows on conversion to
+// bohr) — with an error naming the line.
 func ParseXYZ(text string) (*Molecule, error) {
-	lines := strings.Split(strings.TrimSpace(text), "\n")
+	body := strings.TrimLeftFunc(text, unicode.IsSpace)
+	first := 1 + strings.Count(text[:len(text)-len(body)], "\n") // line number of lines[0]
+	lines := strings.Split(strings.TrimRightFunc(body, unicode.IsSpace), "\n")
 	if len(lines) < 2 {
 		return nil, fmt.Errorf("molecule: XYZ too short")
 	}
 	var n int
 	if _, err := fmt.Sscanf(strings.TrimSpace(lines[0]), "%d", &n); err != nil {
-		return nil, fmt.Errorf("molecule: bad atom count line: %v", err)
+		return nil, fmt.Errorf("molecule: line %d: bad atom count: %v", first, err)
+	}
+	if n < 1 {
+		return nil, fmt.Errorf("molecule: line %d: atom count %d, want at least 1", first, n)
 	}
 	if len(lines) < 2+n {
 		return nil, fmt.Errorf("molecule: XYZ declares %d atoms but has %d lines", n, len(lines))
 	}
 	m := &Molecule{Name: strings.TrimSpace(lines[1])}
 	for i := 0; i < n; i++ {
+		line := first + 2 + i
 		var sym string
 		var x, y, z float64
 		if _, err := fmt.Sscanf(strings.TrimSpace(lines[2+i]), "%s %f %f %f", &sym, &x, &y, &z); err != nil {
-			return nil, fmt.Errorf("molecule: bad atom line %d: %v", i, err)
+			return nil, fmt.Errorf("molecule: line %d: bad atom line: %v", line, err)
 		}
 		if _, err := ZForSymbol(sym); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("molecule: line %d: unknown element %q", line, sym)
 		}
 		m.AddAtomAngstrom(sym, x, y, z)
+		for _, v := range m.Atoms[i].Pos {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("molecule: line %d: %q has a coordinate that is not finite in bohr", line, lines[2+i])
+			}
+		}
 	}
 	return m, nil
 }

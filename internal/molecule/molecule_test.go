@@ -79,6 +79,82 @@ func TestParseXYZErrors(t *testing.T) {
 	}
 }
 
+// TestParseXYZRejectsNonPhysical: a count below 1 and a coordinate that
+// is not a finite number are refused with an error naming the line, not
+// handed to an SCF that runs an empty molecule to zero energy or fails in
+// the eigensolver.
+func TestParseXYZRejectsNonPhysical(t *testing.T) {
+	cases := []struct{ text, line string }{
+		{"0\nempty\n", "line 1:"},
+		{"-1\nnegative\n", "line 1:"},
+		{"\n\n  -3\nnegative after blank lines\n", "line 3:"},
+		{"2\nnan\nH NaN 0 0\nH 0 0 0.74\n", "line 3:"},
+		{"2\ninf\nH 0 0 0\nH 0 +Inf 0.74\n", "line 4:"},
+		{"1\n-inf\nH 0 0 -inf\n", "line 3:"},
+		{"1\noverflows in bohr\nH 1e308 0 0\n", "line 3:"},
+		{"2\nunknown\nH 0 0 0\nXx 0 0 1\n", "line 4:"},
+	}
+	for _, c := range cases {
+		m, err := ParseXYZ(c.text)
+		if err == nil {
+			t.Errorf("%q: parsed %d atoms, want an error", c.text, m.NumAtoms())
+			continue
+		}
+		if !strings.Contains(err.Error(), c.line) {
+			t.Errorf("%q: error %q does not name %s", c.text, err, c.line)
+		}
+	}
+}
+
+// FuzzParseXYZ: whatever ParseXYZ accepts has at least one atom, finite
+// coordinates and known elements, and round-trips through XYZ to the same
+// atoms.
+func FuzzParseXYZ(f *testing.F) {
+	f.Add(Water().XYZ())
+	f.Add("1\nhydrogen atom\nH 0 0 0\n")
+	f.Add("2\nO2\nO 0 0 0\nO 0 0 1.2075\n")
+	f.Add("2\nnan\nH NaN 0 0\nH 0 0 0.74\n")
+	f.Add("-1\nnegative\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		m, err := ParseXYZ(text)
+		if err != nil {
+			return
+		}
+		if m.NumAtoms() < 1 {
+			t.Fatalf("accepted %d atoms", m.NumAtoms())
+		}
+		for i, a := range m.Atoms {
+			if z, err := ZForSymbol(a.Symbol); err != nil || z != a.Z {
+				t.Fatalf("atom %d: symbol %q, Z %d", i, a.Symbol, a.Z)
+			}
+			for _, v := range a.Pos {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("atom %d: non-finite position %v", i, a.Pos)
+				}
+			}
+		}
+		back, err := ParseXYZ(m.XYZ())
+		if err != nil {
+			t.Fatalf("XYZ of an accepted molecule does not parse: %v\n%s", err, m.XYZ())
+		}
+		if back.NumAtoms() != m.NumAtoms() {
+			t.Fatalf("round trip: %d atoms, want %d", back.NumAtoms(), m.NumAtoms())
+		}
+		for i, a := range back.Atoms {
+			want := m.Atoms[i]
+			if a.Symbol != want.Symbol || a.Z != want.Z {
+				t.Fatalf("round trip atom %d: %s, want %s", i, a.Symbol, want.Symbol)
+			}
+			// XYZ prints 8 decimals in angstrom.
+			for k, v := range a.Pos {
+				if d := math.Abs(v - want.Pos[k]); d > 1e-8+1e-14*math.Abs(want.Pos[k]) {
+					t.Fatalf("round trip atom %d coord %d: %v, want %v", i, k, v, want.Pos[k])
+				}
+			}
+		}
+	})
+}
+
 func TestGrapheneFlakeBondLengths(t *testing.T) {
 	m := GrapheneFlake(24)
 	// Every atom must have a nearest neighbor at exactly the C-C bond

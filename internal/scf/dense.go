@@ -45,9 +45,9 @@ type channelBuilder func(ds []*linalg.Matrix) ([]*linalg.Matrix, fock.Stats)
 // quartet sweep.
 func channels(ds []*linalg.Matrix) []fock.Channel {
 	if len(ds) == 1 {
-		return fock.RHF(ds[0].At)
+		return fock.RHF(fock.Dense(ds[0]))
 	}
-	return fock.UHF(ds[0].At, ds[1].At, ds[2].At)
+	return fock.UHF(fock.Dense(ds[0]), fock.Dense(ds[1]), fock.Dense(ds[2]))
 }
 
 // occupations returns the occupied-orbital count of each spin channel:

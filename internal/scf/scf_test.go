@@ -21,7 +21,7 @@ func SerialBuilder(eng *integrals.Engine, sch *integrals.Schwarz, tau float64) B
 	}
 	ref := oracle.New(eng.Basis)
 	return func(d *linalg.Matrix) (*linalg.Matrix, fock.Stats) {
-		g, st := fock.SerialBuildN(eng, ref, sch, fock.RHF(d.At), tau)
+		g, st := fock.SerialBuildN(eng, ref, sch, fock.RHF(fock.Dense(d)), tau)
 		return g[0], st
 	}
 }
@@ -38,7 +38,7 @@ func serialSCF(t testing.TB, mol *molecule.Molecule, set string, opt Options) (*
 	// direct oracle stays the reference of the conformance tables.
 	pc := integrals.NewPairCache(eng, 0)
 	res, err := RunRHF(eng, func(d *linalg.Matrix) (*linalg.Matrix, fock.Stats) {
-		g, st := fock.SerialBuildN(eng, pc, sch, fock.RHF(d.At), fock.DefaultTau)
+		g, st := fock.SerialBuildN(eng, pc, sch, fock.RHF(fock.Dense(d)), fock.DefaultTau)
 		return g[0], st
 	}, opt)
 	if err != nil {

@@ -338,7 +338,7 @@ func (st *tiledStep) run(iter int, ePrev float64, res *Result) (IterInfo, error)
 	var stats fock.Stats
 	if iter > 1 || st.warm {
 		st.reader.Reset()
-		stats = fock.TiledBuild(st.dx, st.eng, st.sch, fock.RHF(st.reader.At), []*distmat.TileAccum{st.accum}, st.cfg)
+		stats = fock.TiledBuild(st.dx, st.eng, st.sch, fock.RHF(fock.FromTiles(st.reader)), []*distmat.TileAccum{st.accum}, st.cfg)
 		distmat.UnfoldLower(dF)
 	}
 	distmat.Axpby(dF, st.dH, 1, 1)

@@ -146,7 +146,7 @@ func TestSerialUHFOneSweepPerIteration(t *testing.T) {
 	if math.Abs(res.Energy-o2TripletEnergy) > 1e-10 {
 		t.Fatalf("O2 triplet E = %.12f, want %.12f", res.Energy, o2TripletEnergy)
 	}
-	_, rhf := fock.SerialBuildN(eng, oracle.New(eng.Basis), sch, fock.RHF(res.Spin.DAlpha.At), fock.DefaultTau)
+	_, rhf := fock.SerialBuildN(eng, oracle.New(eng.Basis), sch, fock.RHF(fock.Dense(res.Spin.DAlpha)), fock.DefaultTau)
 	if want := int64(res.Iterations) * rhf.QuartetsComputed; res.TotalFockStats.QuartetsComputed != want {
 		t.Fatalf("UHF evaluated %d quartets in %d iterations, want %d (one %d-quartet sweep each)",
 			res.TotalFockStats.QuartetsComputed, res.Iterations, want, rhf.QuartetsComputed)
