@@ -302,6 +302,10 @@ tier_1() {
 		echo "structure gate: the in-process join bus is back; Membership.Announce appends under its lock"
 		exit 1
 	fi
+	if grep -n '\.Steal()\|\.Hedge(\|\.Expired(\|\.DrawChunk(' $(echo "$nontest" | grep -v '^\./internal/ddi/'); then
+		echo "structure gate: a lease consumer draws or re-issues tasks itself; ddi.LeaseDLB.Drain is the one drain loop"
+		exit 1
+	fi
 	if grep -n '^func Format\|^func CSV' $(ls internal/simulate/*.go | grep -v _test.go); then
 		echo "structure gate: internal/simulate returns rows; cmd/scaling renders each artifact's one table"
 		exit 1

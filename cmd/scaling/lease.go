@@ -77,14 +77,14 @@ func leaseWorld(ranks int, fault *mpi.FaultPlan, body func(c *mpi.Comm, dx *ddi.
 	return run, tel, err
 }
 
-// leaseRound drains one lease-DLB round of n tasks: one chunked draw per
-// rank, the exactly-once push inside Reserve→Finish, and a steal loop so
-// idle ranks scavenge free tasks at the tail. With hedge set, fast ranks
-// also recompute the outstanding leases of ranks the straggler detector
-// flags; first writer wins.
+// leaseRound runs one lease-DLB round of n tasks through ddi's drain —
+// the loop the resilient Fock build runs — with one chunk of n/ranks
+// tasks per draw and the exactly-once push inside Reserve→Finish. With
+// hedge set, fast ranks also recompute the outstanding leases of ranks
+// the straggler detector flags; first writer wins.
 func leaseRound(c *mpi.Comm, dx *ddi.Context, n int, hedge bool, task func()) {
 	l := dx.NewLeaseDLB(n)
-	work := func(idx, owner int) {
+	l.Drain(max(n/c.Size(), 1), hedge, func(idx, owner int) {
 		t0 := time.Now()
 		task()
 		elapsed := time.Since(t0)
@@ -94,37 +94,7 @@ func leaseRound(c *mpi.Comm, dx *ddi.Context, n int, hedge bool, task func()) {
 			c.FetchAdd(leasePushWin, 0, 1)
 			l.Finish(idx)
 		}
-	}
-	for {
-		drawn := l.DrawChunk(max(n/c.Size(), 1))
-		if len(drawn) == 0 {
-			break
-		}
-		for _, idx := range drawn {
-			// The straggler's escape hatch: skip leases a hedger already
-			// won rather than computing a doomed duplicate.
-			if l.Mine(idx) {
-				work(idx, c.Rank())
-			}
-		}
-	}
-	drainStart := time.Now()
-	for !l.AllComplete() {
-		if idx, ok := l.Steal(); ok {
-			work(idx, c.Rank())
-			continue
-		}
-		if hedge {
-			if slow := dx.Stragglers(2, 2); len(slow) > 0 {
-				if idx, owner, ok := l.Hedge(slow); ok {
-					work(idx, owner)
-					continue
-				}
-			}
-		}
-		c.CheckDeadline("lease-workload drain", drainStart)
-		time.Sleep(200 * time.Microsecond)
-	}
+	}, nil)
 	c.Barrier()
 }
 

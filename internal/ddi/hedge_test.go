@@ -37,7 +37,7 @@ func TestLeaseHedgeNeverDoubleFires(t *testing.T) {
 		l := New(c).NewLeaseDLB(total)
 		var mine []int
 		if c.Rank() == 0 {
-			mine = l.DrawChunk(total)
+			mine, _ = l.DrawChunk(total)
 			if len(mine) != total {
 				t.Errorf("DrawChunk claimed %d of %d", len(mine), total)
 			}
@@ -99,71 +99,51 @@ func TestLeaseHedgeNeverDoubleFires(t *testing.T) {
 }
 
 // TestLeaseExpiredReclaim covers deadline-based early lease expiry: a
-// lease held past the TTL by a slow (but living) rank is reclaimed and
-// committed by a peer, and the original owner's late commit loses the
-// race and is deduplicated.
+// lease held past the TTL (half the run's deadline) by a slow but living
+// rank is reclaimed and committed by a peer's drain, and the original
+// owner's late commit loses the race and is deduplicated.
 func TestLeaseExpiredReclaim(t *testing.T) {
 	const total = 3
 	rec := newLeaseRecorder()
 	tel := telemetry.NewSession()
+	var expired int64
 	_, err := mpi.RunWithOptions(2, mpi.RunOptions{
-		Deadline:  10 * time.Second,
+		Deadline:  time.Second, // lease TTL = 500ms
 		Telemetry: tel,
 	}, func(c *mpi.Comm) {
 		l := New(c).NewLeaseDLB(total)
 		if c.Rank() == 1 {
-			idx, ok := l.Next()
-			if !ok {
+			idxs, _ := l.DrawChunk(1)
+			if len(idxs) != 1 {
 				t.Error("rank 1 drew nothing")
 				return
 			}
 			c.Barrier()
-			time.Sleep(200 * time.Millisecond) // unresponsive, not dead
-			if commitOwn(l, idx) {
+			time.Sleep(1200 * time.Millisecond) // unresponsive, not dead
+			if commitOwn(l, idxs[0]) {
 				t.Error("stale owner's late commit won despite TTL expiry")
 			}
 			return
 		}
 		c.Barrier()
-		for {
-			idx, ok := l.Next()
-			if !ok {
-				break
-			}
-			if commitOwn(l, idx) {
-				rec.record(0, idx)
-			}
-		}
-		start := time.Now()
-		for !l.AllComplete() {
-			if idx, ok := l.Expired(30 * time.Millisecond); ok {
-				if commitOwn(l, idx) {
-					rec.record(0, idx)
-				} else {
-					t.Error("reclaimed lease lost its own commit with no contender")
-				}
-				continue
-			}
-			if time.Since(start) > 5*time.Second {
-				t.Error("TTL expiry never fired")
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
+		expired = drain(l, 1, rec).Expired
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec.assertExactlyOnce(t, total)
-	if got := tel.Counter("ddi.lease.expired").Value(); got < 1 {
-		t.Fatalf("ddi.lease.expired = %d, want >= 1", got)
+	if expired != 1 {
+		t.Fatalf("rank 0 drained %d expired leases, want 1", expired)
 	}
-	if got := tel.Counter("dlb.reissued").Value(); got < 1 {
-		t.Fatalf("dlb.reissued = %d, want >= 1", got)
+	if got := tel.Counter("ddi.lease.expired").Value(); got != 1 {
+		t.Fatalf("ddi.lease.expired = %d, want 1", got)
+	}
+	if got := tel.Counter("dlb.reissued").Value(); got != 1 {
+		t.Fatalf("dlb.reissued = %d, want 1", got)
 	}
 	// The sleeper's failed commit is a dropped duplicate.
-	if got := tel.Counter("dlb.dedup_dropped").Value(); got < 1 {
-		t.Fatalf("dlb.dedup_dropped = %d, want >= 1", got)
+	if got := tel.Counter("dlb.dedup_dropped").Value(); got != 1 {
+		t.Fatalf("dlb.dedup_dropped = %d, want 1", got)
 	}
 }
 
@@ -172,10 +152,10 @@ func TestLeaseExpiredDisabled(t *testing.T) {
 	_, err := mpi.RunWithOptions(2, mpi.RunOptions{Deadline: 5 * time.Second}, func(c *mpi.Comm) {
 		l := New(c).NewLeaseDLB(2)
 		if c.Rank() == 1 {
-			idx, _ := l.Next()
+			idxs, _ := l.DrawChunk(1)
 			c.Barrier()
 			c.Barrier()
-			if !commitOwn(l, idx) {
+			if !commitOwn(l, idxs[0]) {
 				t.Error("own commit failed with expiry disabled")
 			}
 			return

@@ -38,6 +38,9 @@ package ddi
 //   - Hedge: speculatively recompute a lease still held by a rank the
 //     straggler detector flagged as slow, WITHOUT taking the lease away;
 //     whoever finishes first commits, the other is deduplicated.
+//
+// Drain is the one loop that draws and then runs the three paths until
+// the cycle is done; consumers supply only the task and its commit.
 import (
 	"fmt"
 	"time"
@@ -46,6 +49,14 @@ import (
 const (
 	leaseFree int64 = 0
 	leaseDone int64 = -1
+)
+
+// The drain's hedge trigger: a rank is a straggler once its task latency
+// EWMA exceeds hedgeK times the median, over ranks with at least
+// hedgeMinSamples tasks each (FlagStragglers).
+const (
+	hedgeK          = 2
+	hedgeMinSamples = 3
 )
 
 // LeaseDLB is one rank's handle to a lease-based DLB cycle.
@@ -104,53 +115,30 @@ func (l *LeaseDLB) stamp(idx int) {
 	l.ctx.Comm.CounterStore(l.tsW, idx, time.Now().UnixNano())
 }
 
-// Next draws and claims the next fresh task index. ok is false once the
-// cursor is exhausted — switch to Steal/Hedge then. A drawn index whose
-// claim is lost to a concurrent steal is skipped and the draw retried, so
-// a returned index is always exclusively owned by this rank.
-func (l *LeaseDLB) Next() (idx int, ok bool) {
+// DrawChunk draws up to n (at least 1) consecutive fresh indices in ONE
+// cursor fetch-and-add and claims each with a CAS. ok is false once the
+// cursor is exhausted. ok with fewer indices than drawn — none, even —
+// means a concurrent Steal claimed the rest first (a drawn index sits
+// free behind the cursor until its claim lands); the cursor may still
+// hold tasks, so the caller draws again.
+func (l *LeaseDLB) DrawChunk(n int) (idxs []int, ok bool) {
 	tel := l.ctx.Comm.Telemetry()
 	tel.Counter("ddi.lease.draws").Add(1)
-	defer tel.TimedOp("dlb.draw", "lease-next", l.ctx.Comm.Rank(), 0)()
-	for {
-		v := l.ctx.Comm.FetchAdd(l.curW, 0, 1)
-		if v >= int64(l.total) {
-			return -1, false
-		}
-		if l.ctx.Comm.CounterCAS(l.stateW, int(v), leaseFree, l.me()) {
-			l.stamp(int(v))
-			return int(v), true
-		}
-	}
-}
-
-// DrawChunk draws and claims up to n consecutive fresh indices in ONE
-// cursor fetch-and-add — the coarse-grained draw that makes straggler
-// damage visible (a slow rank holding a chunk stalls the whole tail) and
-// hedging therefore worthwhile. Returns the claimed indices; empty once
-// the cursor is exhausted.
-func (l *LeaseDLB) DrawChunk(n int) []int {
-	if n <= 0 {
-		return nil
-	}
-	tel := l.ctx.Comm.Telemetry()
-	tel.Counter("ddi.lease.draws").Add(1)
+	defer tel.TimedOp("dlb.draw", "lease-draw", l.ctx.Comm.Rank(), 0)()
+	n = max(n, 1)
 	v := l.ctx.Comm.FetchAdd(l.curW, 0, int64(n))
 	if v >= int64(l.total) {
-		return nil
+		return nil, false
 	}
-	hi := v + int64(n)
-	if hi > int64(l.total) {
-		hi = int64(l.total)
-	}
-	idxs := make([]int, 0, hi-v)
+	hi := min(v+int64(n), int64(l.total))
+	idxs = make([]int, 0, hi-v)
 	for i := v; i < hi; i++ {
 		if l.ctx.Comm.CounterCAS(l.stateW, int(i), leaseFree, l.me()) {
 			l.stamp(int(i))
 			idxs = append(idxs, int(i))
 		}
 	}
-	return idxs
+	return idxs, true
 }
 
 // Reserve opens the commit critical section for a task: it CASes the
@@ -178,11 +166,11 @@ func (l *LeaseDLB) Finish(idx int) {
 	}
 }
 
-// Mine reports whether the task's lease is still held by this rank. A
+// mine reports whether the task's lease is still held by this rank. A
 // straggler polling it before starting each remaining task of a drawn
 // chunk can skip work a hedger has already committed (or an expiry has
 // reclaimed) instead of computing a result that would only be dropped.
-func (l *LeaseDLB) Mine(idx int) bool {
+func (l *LeaseDLB) mine(idx int) bool {
 	return l.ctx.Comm.CounterLoad(l.stateW, idx) == l.me()
 }
 
@@ -324,4 +312,90 @@ func (l *LeaseDLB) AllComplete() bool {
 		}
 	}
 	return true
+}
+
+// Drained counts how one rank's share of a lease cycle was run.
+type Drained struct {
+	Drawn   int64 // fresh tasks claimed from the cursor
+	Stolen  int64 // leases re-issued off dead ranks
+	Hedged  int64 // leases of flagged stragglers recomputed speculatively
+	Expired int64 // leases reclaimed past the TTL
+}
+
+// Drain runs this rank's share of the cycle to completion; it is the one
+// drain loop of every lease consumer. The draw phase claims chunks of up
+// to chunk fresh tasks and runs each task the rank still holds (a hedger
+// may have committed a slow rank's chunk meanwhile). Then, until
+// AllComplete, it re-issues work: leases of dead ranks (Steal), leases
+// of flagged stragglers when hedge is set (Hedge), and leases older than
+// the TTL (Expired). The TTL is half the run's deadline, so a silent
+// peer is reclaimed while the other half is left to recompute its task;
+// no deadline, no expiry. Progress resets the wait clock; a wedged cycle
+// still times out at the deadline.
+//
+// run(idx, owner) computes one task for the lease owner holds and
+// commits it (Reserve → push → Finish), at once or buffered. commit, if
+// not nil, flushes buffered results: Drain calls it when the draw phase
+// ends and after every re-issued task, so it never waits on a result
+// this rank holds back.
+func (l *LeaseDLB) Drain(chunk int, hedge bool, run func(idx, owner int), commit func()) Drained {
+	var n Drained
+	flush := func() {
+		if commit != nil {
+			commit()
+		}
+	}
+	me := l.ctx.Comm.Rank()
+	for {
+		idxs, ok := l.DrawChunk(chunk)
+		if !ok {
+			break
+		}
+		n.Drawn += int64(len(idxs))
+		for _, idx := range idxs {
+			if l.mine(idx) {
+				run(idx, me)
+			}
+		}
+	}
+	flush()
+
+	ttl := l.ctx.Comm.Deadline() / 2
+	start := time.Now()
+	for !l.AllComplete() {
+		idx, owner, ok := l.reissue(hedge, ttl, &n)
+		if !ok {
+			l.ctx.Comm.CheckDeadline("lease drain", start)
+			time.Sleep(200 * time.Microsecond)
+			continue
+		}
+		run(idx, owner)
+		flush()
+		start = time.Now()
+	}
+	return n
+}
+
+// reissue takes one task to re-run, in the drain's order of preference:
+// steal from the dead, hedge a straggler, reclaim an expired lease. owner
+// is the rank whose lease the result commits.
+func (l *LeaseDLB) reissue(hedge bool, ttl time.Duration, n *Drained) (idx, owner int, ok bool) {
+	me := l.ctx.Comm.Rank()
+	if idx, ok := l.Steal(); ok {
+		n.Stolen++
+		return idx, me, true
+	}
+	if hedge {
+		if slow := l.ctx.Stragglers(hedgeK, hedgeMinSamples); len(slow) > 0 {
+			if idx, owner, ok := l.Hedge(slow); ok {
+				n.Hedged++
+				return idx, owner, true
+			}
+		}
+	}
+	if idx, ok := l.Expired(ttl); ok {
+		n.Expired++
+		return idx, me, true
+	}
+	return -1, -1, false
 }

@@ -3,6 +3,7 @@ package ddi
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,32 +52,15 @@ func commitOwn(l *LeaseDLB, idx int) bool {
 	return true
 }
 
-// leaseWorkLoop is the canonical fault-aware consumption pattern: drain
-// the fresh cursor, then steal from the dead until every task is done.
-func leaseWorkLoop(t *testing.T, c *mpi.Comm, l *LeaseDLB, rec *leaseRecorder) {
-	for {
-		idx, ok := l.Next()
-		if !ok {
-			break
+// drain runs this rank's share of the cycle through Drain without
+// hedging, recording every task whose commit this rank won.
+func drain(l *LeaseDLB, chunk int, rec *leaseRecorder) Drained {
+	return l.Drain(chunk, false, func(idx, owner int) {
+		if l.Reserve(idx, owner) {
+			rec.record(l.ctx.Comm.Rank(), idx) // "push the contribution"
+			l.Finish(idx)
 		}
-		if commitOwn(l, idx) {
-			rec.record(c.Rank(), idx) // "push the contribution"
-		}
-	}
-	start := time.Now()
-	for !l.AllComplete() {
-		if idx, ok := l.Steal(); ok {
-			if commitOwn(l, idx) {
-				rec.record(c.Rank(), idx)
-			}
-			continue
-		}
-		if time.Since(start) > 10*time.Second {
-			t.Errorf("rank %d: lease cycle never completed", c.Rank())
-			return
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
+	}, nil)
 }
 
 // TestLeaseExactlyOnceNoFailure: the lease cycle degenerates to plain
@@ -84,9 +68,8 @@ func leaseWorkLoop(t *testing.T, c *mpi.Comm, l *LeaseDLB, rec *leaseRecorder) {
 func TestLeaseExactlyOnceNoFailure(t *testing.T) {
 	const total = 200
 	rec := newLeaseRecorder()
-	err := mpi.Run(4, func(c *mpi.Comm) {
-		l := New(c).NewLeaseDLB(total)
-		leaseWorkLoop(t, c, l, rec)
+	_, err := mpi.RunWithOptions(4, mpi.RunOptions{Deadline: 10 * time.Second}, func(c *mpi.Comm) {
+		drain(New(c).NewLeaseDLB(total), 1, rec)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +84,7 @@ func TestLeaseExactlyOnceNoFailure(t *testing.T) {
 func TestLeaseExactlyOnceUnderRankDeath(t *testing.T) {
 	const total = 25
 	rec := newLeaseRecorder()
+	var stolen atomic.Int64
 	rep, err := mpi.RunWithOptions(4, mpi.RunOptions{
 		Deadline: 5 * time.Second,
 		// The victim's third cursor draw kills it, leaving its first two
@@ -109,9 +93,9 @@ func TestLeaseExactlyOnceUnderRankDeath(t *testing.T) {
 	}, func(c *mpi.Comm) {
 		l := New(c).NewLeaseDLB(total)
 		if c.Rank() == 1 {
-			l.Next()
-			l.Next()
-			l.Next() // killed here, before the draw lands
+			l.DrawChunk(1)
+			l.DrawChunk(1)
+			l.DrawChunk(1) // killed here, before the draw lands
 			t.Error("victim survived its own kill")
 			return
 		}
@@ -120,7 +104,7 @@ func TestLeaseExactlyOnceUnderRankDeath(t *testing.T) {
 		for len(c.FailedRanks()) == 0 {
 			time.Sleep(time.Millisecond)
 		}
-		leaseWorkLoop(t, c, l, rec)
+		stolen.Add(drain(l, 1, rec).Stolen)
 	})
 	if !errors.Is(err, mpi.ErrRankFailed) {
 		t.Fatalf("want ErrRankFailed, got %v", err)
@@ -129,6 +113,9 @@ func TestLeaseExactlyOnceUnderRankDeath(t *testing.T) {
 		t.Fatalf("DeadRanks = %v, want [1]", got)
 	}
 	rec.assertExactlyOnce(t, total)
+	if got := stolen.Load(); got != 2 {
+		t.Fatalf("survivors stole %d leases, want the victim's 2", got)
+	}
 	// The two orphaned leases must have been completed by survivors.
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
@@ -149,19 +136,43 @@ func TestLeaseStealsUnclaimedDraw(t *testing.T) {
 		l := New(c).NewLeaseDLB(total)
 		if c.Rank() == 1 {
 			// Simulate death in the gap: draw the cursor directly (as
-			// Next would), then die before the claim CAS.
+			// DrawChunk would), then die before the claim CAS.
 			c.FetchAdd(l.curW, 0, 1)
 			panic("died between draw and claim")
 		}
 		for len(c.FailedRanks()) == 0 {
 			time.Sleep(time.Millisecond)
 		}
-		leaseWorkLoop(t, c, l, rec)
+		drain(l, 1, rec)
 	})
 	if !errors.Is(err, mpi.ErrRankFailed) {
 		t.Fatalf("want ErrRankFailed, got %v", err)
 	}
 	rec.assertExactlyOnce(t, total)
+}
+
+// TestLeaseDrawPastLostChunk: a drawn chunk whose every claim went to a
+// concurrent Steal comes back empty while the cursor still holds tasks.
+// That is not exhaustion: the draw phase must go on and draw the rest,
+// not fall through to a re-issue loop with nothing to steal.
+func TestLeaseDrawPastLostChunk(t *testing.T) {
+	const total, chunk = 4, 2
+	rec := newLeaseRecorder()
+	_, err := mpi.RunWithOptions(1, mpi.RunOptions{Deadline: 2 * time.Second}, func(c *mpi.Comm) {
+		l := New(c).NewLeaseDLB(total)
+		// The first chunk's slots were stolen and committed between this
+		// rank's fetch-and-add and its claims.
+		for i := 0; i < chunk; i++ {
+			c.CounterStore(l.stateW, i, leaseDone)
+		}
+		if got := drain(l, chunk, rec); got != (Drained{Drawn: total - chunk}) {
+			t.Errorf("Drain = %+v, want the cursor's last %d tasks drawn and nothing re-issued", got, total-chunk)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.assertExactlyOnce(t, total-chunk)
 }
 
 // TestDLBResetWraparoundExactlyOnce is the satellite-3 stress test: >32

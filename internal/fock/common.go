@@ -49,16 +49,6 @@ func (c Config) threads() int {
 	return c.Threads
 }
 
-// Straggler mitigation (resilient build only): when the straggler
-// detector flags a rank — task latency above hedgeK times the median,
-// over ranks with at least hedgeMinSamples tasks each — its outstanding
-// leases are speculatively recomputed by fast ranks during the drain,
-// first writer wins.
-const (
-	hedgeK          = 2
-	hedgeMinSamples = 3
-)
-
 // dynamic1 is the paper's schedule(dynamic,1), the schedule of every
 // work-shared loop in Algorithms 2 and 3.
 var dynamic1 = omp.Schedule{Kind: omp.Dynamic, Chunk: 1}

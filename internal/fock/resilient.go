@@ -16,7 +16,8 @@ import (
 // death AND mitigates mid-flight rank slowness — survivors re-issue a
 // dead rank's leases (Steal), and fast ranks speculatively recompute a
 // flagged straggler's outstanding leases (Hedge) or forcibly reclaim
-// stale ones (Expired) — and still produce a Fock matrix with every
+// stale ones (Expired), all inside ddi's one lease drain
+// (LeaseDLB.Drain) — and still produce a Fock matrix with every
 // symmetry-unique shell quartet counted exactly once, because:
 //
 //   - Each combined (i, j) shell-pair task is claimed through a lease
@@ -38,8 +39,6 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 	n := eng.Basis.NumBF
 	w := newWalker(dx, eng, sch, cfg)
 	stats := &w.st
-	tel := dx.Comm.Telemetry()
-	rank := dx.Comm.Rank()
 
 	lease := dx.NewLeaseDLB(NumPairs(len(w.shells)))
 	win := fmt.Sprintf("fock.resilient.%d", lease.Cycle())
@@ -114,66 +113,18 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 
 	// flushEvery bounds how much computed work a death can force to be
 	// redone (a dying rank's unflushed tasks are recomputed elsewhere).
+	// The drain also flushes after its draw phase and after each
+	// re-issued task.
 	const flushEvery = 16
-
-	for {
-		ij, ok := lease.Next()
-		if !ok {
-			break
-		}
-		stats.DLBGrabs++
-		computePair(ij, rank)
+	drained := lease.Drain(1, true, func(ij, owner int) {
+		computePair(ij, owner)
 		if len(pending) >= flushEvery {
 			flush()
 		}
-	}
-	flush()
-
-	// Drain phase: until every task is done, re-issue work three ways —
-	// steal leases orphaned by failed ranks, hedge (speculatively
-	// recompute) leases still held by flagged stragglers, and reclaim
-	// leases older than the TTL. Progress anywhere resets the local wait
-	// clock; a wedged run still times out via the deadline.
-	//
-	// The TTL is half the run's blocking deadline: a peer silent that
-	// long is reclaimed while the drain still has the other half to
-	// recompute its task before anyone times out. No deadline (0) means
-	// no expiry.
-	leaseTTL := dx.Comm.Deadline() / 2
-	start := time.Now()
-	for !lease.AllComplete() {
-		if ij, ok := lease.Steal(); ok {
-			stats.TasksReissued++
-			stats.DLBGrabs++
-			if tel != nil {
-				tel.Counter("fock.tasks_reissued").Add(1)
-				tel.Instant("recovery.reissue", "task-reissue", rank, 0,
-					map[string]any{"ij": ij})
-			}
-			computePair(ij, rank)
-			flush()
-			start = time.Now()
-			continue
-		}
-		if slow := dx.Stragglers(hedgeK, hedgeMinSamples); len(slow) > 0 {
-			if ij, owner, ok := lease.Hedge(slow); ok {
-				stats.TasksHedged++
-				computePair(ij, owner)
-				flush()
-				start = time.Now()
-				continue
-			}
-		}
-		if ij, ok := lease.Expired(leaseTTL); ok {
-			stats.TasksReissued++
-			computePair(ij, rank)
-			flush()
-			start = time.Now()
-			continue
-		}
-		dx.Comm.CheckDeadline("resilient-fock drain", start)
-		time.Sleep(200 * time.Microsecond)
-	}
+	}, flush)
+	stats.DLBGrabs += drained.Drawn + drained.Stolen
+	stats.TasksReissued += drained.Stolen + drained.Expired
+	stats.TasksHedged += drained.Hedged
 
 	// All tasks pushed; the window now holds the complete lower-triangle
 	// accumulation of every channel and is safe to read one-sidedly.

@@ -58,8 +58,10 @@ func TestResilientSurvivesRankDeath(t *testing.T) {
 	const ranks, victim = 4, 1
 	got := make([]*linalg.Matrix, ranks)
 	stats := make([]Stats, ranks)
+	tel := telemetry.NewSession()
 	rep, err := mpi.RunWithOptions(ranks, mpi.RunOptions{
-		Deadline: 10 * time.Second,
+		Deadline:  10 * time.Second,
+		Telemetry: tel,
 		// The victim claims its first task, then dies drawing its second —
 		// leaving one computed-but-unpushed lease for survivors to re-issue.
 		Fault: &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: victim, Site: mpi.SiteDLB, After: 2}}},
@@ -85,13 +87,14 @@ func TestResilientSurvivesRankDeath(t *testing.T) {
 	if len(rep.Completed) != ranks-1 {
 		t.Fatalf("Completed = %v, want the %d survivors", rep.Completed, ranks-1)
 	}
-	var total, reissued int64
+	var total, reissued, hedged int64
 	for _, r := range rep.Completed {
 		if diff := got[r].MaxAbsDiff(want); diff > 1e-10 {
 			t.Fatalf("survivor %d: resilient vs serial diff = %v", r, diff)
 		}
 		total += stats[r].QuartetsCommitted
 		reissued += stats[r].TasksReissued
+		hedged += stats[r].TasksHedged
 	}
 	// The victim never pushed anything, so the survivors alone must have
 	// committed exactly the serial quartet count — the dead rank's lease
@@ -102,6 +105,17 @@ func TestResilientSurvivesRankDeath(t *testing.T) {
 	}
 	if reissued == 0 {
 		t.Fatal("no lease was re-issued despite a rank dying while holding one")
+	}
+	// The lease table records each re-issue once, as it happens.
+	var instants int64
+	for _, e := range tel.Recorder.Events() {
+		if e.Cat == "recovery.reissue" {
+			instants++
+		}
+	}
+	if instants != reissued+hedged {
+		t.Fatalf("%d recovery.reissue instants, want one per re-issued or hedged task (%d + %d)",
+			instants, reissued, hedged)
 	}
 }
 

@@ -365,15 +365,31 @@ func diisCoefficients(spins []*diisState) []float64 {
 	if m < 2 {
 		return nil
 	}
+	coef := diisSolve(m, func(i, j int) float64 {
+		v := 0.0
+		for _, st := range spins {
+			v += linalg.Dot(st.errors[i], st.errors[j])
+		}
+		return v
+	})
+	if coef == nil {
+		for _, st := range spins {
+			st.reset()
+		}
+	}
+	return coef
+}
+
+// diisSolve solves the DIIS equations [B 1; 1 0] [c; lambda] = [0; 1]
+// for m history entries, with B_ij = dot(i, j) for j <= i (B is
+// symmetric), and returns c; nil when the system is singular.
+func diisSolve(m int, dot func(i, j int) float64) []float64 {
 	dim := m + 1
 	bmat := linalg.NewSquare(dim)
 	rhs := make([]float64, dim)
 	for i := 0; i < m; i++ {
 		for j := 0; j <= i; j++ {
-			v := 0.0
-			for _, st := range spins {
-				v += linalg.Dot(st.errors[i], st.errors[j])
-			}
+			v := dot(i, j)
 			bmat.Set(i, j, v)
 			bmat.Set(j, i, v)
 		}
@@ -383,9 +399,6 @@ func diisCoefficients(spins []*diisState) []float64 {
 	rhs[m] = 1
 	coef, err := linalg.SolveLinear(bmat, rhs)
 	if err != nil {
-		for _, st := range spins {
-			st.reset()
-		}
 		return nil
 	}
 	return coef[:m]

@@ -19,19 +19,19 @@ package scf
 //     and the restart falls back to the standard guess.
 //
 //   - ElasticEpoch: the world size is governed by an mpi.Membership.
-//     JOIN (grow-restart): candidates announce themselves on the join
-//     bus; at the next iteration boundary rank 0 — the checkpoint writer,
-//     so it holds the freshest verified state — begins the checkpoint
-//     handshake, the running epoch stops collectively (the same
-//     max-allreduce gate a context cancel uses, with an ErrRebalance
-//     cause), the joins commit, and the next epoch restarts at the larger
-//     size from the checkpoint. MIGRATE: when the EWMA straggler detector
-//     flags a rank, the epoch stops at the iteration boundary — the lease
-//     window is fully drained there — the flagged rank is re-hosted (the
-//     fault schedule that modeled the sick node does not follow it), and
-//     the run resumes from the checkpoint at the same size. SHRINK: rank
-//     death is handled as under CheckpointShrink, with the membership
-//     recording the transition.
+//     JOIN (grow-restart): candidates Announce a ticket, which the
+//     membership appends under its lock; at the next iteration boundary
+//     rank 0 — the checkpoint writer, so it holds the freshest verified
+//     state — begins the checkpoint handshake, the running epoch stops
+//     collectively (the same max-allreduce gate a context cancel uses, with
+//     an ErrRebalance cause), the joins commit, and the next epoch restarts
+//     at the larger size from the checkpoint. MIGRATE: when the EWMA
+//     straggler detector flags a rank, the epoch stops at the iteration
+//     boundary — the lease window is fully drained there — the flagged rank
+//     is re-hosted (the fault schedule that modeled the sick node does not
+//     follow it), and the run resumes from the checkpoint at the same size.
+//     SHRINK: rank death is handled as under CheckpointShrink, with the
+//     membership recording the transition.
 //
 //   - ParitySalvage (ABFT tiles): no checkpoint and no restart from
 //     scratch. The survivors' windows stay readable, every tile the dead

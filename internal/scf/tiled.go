@@ -366,7 +366,8 @@ func (st *tiledStep) run(iter int, ePrev float64, res *Result) (IterInfo, error)
 			st.diisLive++
 		}
 		if st.diisLive >= 2 {
-			if coefs := diisSolve(st.histE[:st.diisLive]); coefs != nil {
+			hist := st.histE[:st.diisLive]
+			if coefs := diisSolve(len(hist), func(i, j int) float64 { return distmat.Dot(hist[i], hist[j]) }); coefs != nil {
 				distmat.LinearCombine(dFp, coefs, st.histFp[:st.diisLive])
 			} else {
 				st.diisLive = 0 // singular system: drop history, keep raw F'
@@ -397,30 +398,4 @@ func (st *tiledStep) run(iter int, ePrev float64, res *Result) (IterInfo, error)
 		Energy: eTot, DeltaE: eTot - ePrev, RMSDens: rms, DIISErr: diisErr,
 		FockStat: stats, Sweeps: ps.Sweeps,
 	}, nil
-}
-
-// diisSolve assembles and solves the DIIS system [B 1; 1 0][c;λ] = [0;1]
-// with B_ij = <e_i, e_j> over distributed error matrices. Returns nil on
-// a singular system. Collective (the dots are); the solve itself is a
-// replicated (m+1)-dimensional problem identical on every rank.
-func diisSolve(errsHist []*distmat.BlockMat) []float64 {
-	m := len(errsHist)
-	dim := m + 1
-	bmat := linalg.NewSquare(dim)
-	rhs := make([]float64, dim)
-	for i := 0; i < m; i++ {
-		for j := 0; j <= i; j++ {
-			v := distmat.Dot(errsHist[i], errsHist[j])
-			bmat.Set(i, j, v)
-			bmat.Set(j, i, v)
-		}
-		bmat.Set(i, m, 1)
-		bmat.Set(m, i, 1)
-	}
-	rhs[m] = 1
-	coef, err := linalg.SolveLinear(bmat, rhs)
-	if err != nil {
-		return nil
-	}
-	return coef[:m]
 }

@@ -12,7 +12,7 @@
 //	fock.task         one DLB task's work on one rank/thread
 //	mpi.op            a blocking MPI operation (recv, barrier, bcast, ...)
 //	dlb.draw          one dynamic-load-balancer index draw
-//	recovery.reissue  a task lease stolen from a failed rank
+//	recovery.reissue  a task lease re-issued: stolen, expired or hedged
 //	recovery.restore  a checkpoint restore (or corrupt-checkpoint reject)
 //	recovery.restart  a shrink-and-restart transition
 //	integrity         instant: a data-integrity event (fock-quarantine,
