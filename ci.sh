@@ -14,8 +14,9 @@
 # *PairCache; the direct McMurchie-Davidson oracle is the test-only
 # package internal/integrals/oracle), and the production kernel
 # file paircache.go stays flat and allocation-free by construction: no
-# math.Pow( and no [][][]float64 in it. SCF layer: exactly one
-# `for iter :=` loop in non-test internal/scf, exactly one
+# math.Pow( and no [][][]float64 in it, and it runs a quartet's primitive
+# loops with one lanes.quartet call (no other lanes. body function).
+# SCF layer: exactly one `for iter :=` loop in non-test internal/scf, exactly one
 # mpi.RunWithOptions( world-launch site in non-test internal/scf plus
 # the root package, basis.Build( in api.go/properties.go only in the one
 # engine constructor and DescribeBasis, and no exported root function
@@ -224,6 +225,10 @@ tier_1() {
 		{ echo "structure gate: $kernels ShellQuartet methods in internal/integrals, want exactly 1 (*PairCache; the oracle lives in internal/integrals/oracle)"; exit 1; }
 	if grep -n 'math\.Pow(\|\[\]\[\]\[\]float64' internal/integrals/paircache.go; then
 		echo "structure gate: the production kernel file uses math.Pow or nested [][][]float64 tables again"
+		exit 1
+	fi
+	if sed 's://.*$::' internal/integrals/paircache.go | grep -n '\blanes\.[A-Za-z_]' | grep -v '\blanes\.quartet('; then
+		echo "structure gate: paircache.go reaches into a 4-lane body other than through lanes.quartet (one call per quartet)"
 		exit 1
 	fi
 

@@ -2,54 +2,61 @@ package integrals
 
 import "math"
 
+// hermE is the table of 1D Hermite expansion coefficients E_t^{ij} of a
+// primitive pair along one axis, for 0 <= i <= la, 0 <= j <= lb and
+// 0 <= t <= i+j, in one flat slice: rows of la+lb+1 entries per (i, j).
+type hermE struct {
+	e     []float64
+	lb, w int // w = la+lb+1
+}
+
+// at returns E_t^{ij}.
+func (h hermE) at(i, j, t int) float64 { return h.e[h.index(i, j, t)] }
+
+func (h hermE) index(i, j, t int) int { return (i*(h.lb+1)+j)*h.w + t }
+
 // hermiteE computes the 1D Hermite expansion coefficients E_t^{ij} for a
 // primitive pair with exponents a (on A) and b (on B) along one axis,
-// where xAB = Ax - Bx. The result is indexed e[i][j][t] for 0 <= i <= la,
-// 0 <= j <= lb, 0 <= t <= i+j.
+// where xAB = Ax - Bx, for 0 <= i <= la, 0 <= j <= lb, 0 <= t <= i+j.
 //
 // Recurrences (Helgaker, Jørgensen, Olsen ch. 9):
 //
 //	E_0^{00}    = exp(-mu xAB^2)
 //	E_t^{i+1,j} = E_{t-1}^{ij}/(2p) + xPA E_t^{ij} + (t+1) E_{t+1}^{ij}
 //	E_t^{i,j+1} = E_{t-1}^{ij}/(2p) + xPB E_t^{ij} + (t+1) E_{t+1}^{ij}
-func hermiteE(la, lb int, a, b, xAB float64) [][][]float64 {
+func hermiteE(la, lb int, a, b, xAB float64) hermE {
 	p := a + b
 	mu := a * b / p
 	xPA := -b / p * xAB // Px - Ax with Px = (a Ax + b Bx)/p
 	xPB := a / p * xAB  // Px - Bx
 
-	e := make([][][]float64, la+1)
-	for i := range e {
-		e[i] = make([][]float64, lb+1)
-		for j := range e[i] {
-			e[i][j] = make([]float64, i+j+1)
-		}
-	}
-	e[0][0][0] = math.Exp(-mu * xAB * xAB)
+	h := hermE{lb: lb, w: la + lb + 1}
+	h.e = make([]float64, (la+1)*(lb+1)*h.w)
+	h.e[0] = math.Exp(-mu * xAB * xAB)
 	get := func(i, j, t int) float64 {
 		if t < 0 || t > i+j {
 			return 0
 		}
-		return e[i][j][t]
+		return h.at(i, j, t)
 	}
 	// Build up i with j = 0, then j for each i.
 	for i := 0; i < la; i++ {
 		for t := 0; t <= i+1; t++ {
-			e[i+1][0][t] = get(i, 0, t-1)/(2*p) + xPA*get(i, 0, t) + float64(t+1)*get(i, 0, t+1)
+			h.e[h.index(i+1, 0, t)] = get(i, 0, t-1)/(2*p) + xPA*get(i, 0, t) + float64(t+1)*get(i, 0, t+1)
 		}
 	}
 	for i := 0; i <= la; i++ {
 		for j := 0; j < lb; j++ {
 			for t := 0; t <= i+j+1; t++ {
-				e[i][j+1][t] = get(i, j, t-1)/(2*p) + xPB*get(i, j, t) + float64(t+1)*get(i, j, t+1)
+				h.e[h.index(i, j+1, t)] = get(i, j, t-1)/(2*p) + xPB*get(i, j, t) + float64(t+1)*get(i, j, t+1)
 			}
 		}
 	}
-	return e
+	return h
 }
 
 // pairE is hermiteE of one primitive pair along x, y and z.
-type pairE [3][][][]float64
+type pairE [3]hermE
 
 func newPairE(la, lb int, a, b float64, ab [3]float64) pairE {
 	return pairE{hermiteE(la, lb, a, b, ab[0]), hermiteE(la, lb, a, b, ab[1]), hermiteE(la, lb, a, b, ab[2])}
@@ -57,7 +64,7 @@ func newPairE(la, lb int, a, b float64, ab [3]float64) pairE {
 
 // product returns E_t E_u E_v of the component pair (ca, cb).
 func (e *pairE) product(ca, cb component, t, u, v int) float64 {
-	return e[0][ca.lx][cb.lx][t] * e[1][ca.ly][cb.ly][u] * e[2][ca.lz][cb.lz][v]
+	return e[0].at(ca.lx, cb.lx, t) * e[1].at(ca.ly, cb.ly, u) * e[2].at(ca.lz, cb.lz, v)
 }
 
 // hermiteR computes the Hermite Coulomb integrals R^0_{tuv} for all
@@ -66,17 +73,18 @@ func (e *pairE) product(ca, cb component, t, u, v int) float64 {
 //	R^n_{000}     = (-2 alpha)^n F_n(alpha r^2)
 //	R^n_{t+1,u,v} = t R^{n+1}_{t-1,u,v} + x R^{n+1}_{tuv}   (etc. for u, v)
 //
-// The result is a flat array indexed by rIndex(t, u, v, l).
-func hermiteR(l int, alpha, x, y, z float64) []float64 {
+// The result is a flat array indexed by rIndex(t, u, v, l), in buf, which
+// holds at least rBuf(l) entries.
+func hermiteR(l int, alpha, x, y, z float64, buf []float64) []float64 {
 	r2 := x*x + y*y + z*z
-	fn := make([]float64, l+1)
+	fn := buf[:l+1]
 	Boys(l, alpha*r2, fn)
 
 	// cur[n] tables hold R^n for decreasing n; we iterate n from l down to
 	// 0, extending the (t,u,v) range at each step.
 	size := rSize(l)
-	cur := make([]float64, size)
-	next := make([]float64, size)
+	cur := buf[l+1:][:size]
+	next := buf[l+1+size:][:size]
 	pow := 1.0
 	// n = l: only R^l_{000}.
 	for n := l; n >= 0; n-- {
@@ -121,6 +129,9 @@ func hermiteR(l int, alpha, x, y, z float64) []float64 {
 // rSize returns the flat table size for all t,u,v with t,u,v <= l
 // individually (a cube indexing keeps rIndex trivial and branch-free).
 func rSize(l int) int { return (l + 1) * (l + 1) * (l + 1) }
+
+// rBuf is the scratch hermiteR of order l needs: F_n and two tables.
+func rBuf(l int) int { return l + 1 + 2*rSize(l) }
 
 // rIndex maps (t, u, v) into the flat R table for max order l.
 func rIndex(t, u, v, l int) int { return (t*(l+1)+u)*(l+1) + v }

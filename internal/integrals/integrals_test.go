@@ -313,3 +313,16 @@ func TestERIDecaysWithDistance(t *testing.T) {
 		t.Fatalf("far (00|11) = %v, want ~ 1/R = 0.05", vFar)
 	}
 }
+
+// TestCoreHamiltonianAllocations pins the allocations of water/STO-3G's
+// core Hamiltonian: the Hermite E tables of a primitive pair are one flat
+// slice per axis (they were a jagged table of (la+1)(lb+1)+la+2 slices),
+// and the nuclear block's R tables one buffer per shell pair (they were
+// three slices per primitive pair and nucleus): 3,644 allocations before.
+func TestCoreHamiltonianAllocations(t *testing.T) {
+	e := NewEngine(buildBasis(t, molecule.Water(), "sto-3g"))
+	const want = 684
+	if n := testing.AllocsPerRun(5, func() { e.CoreHamiltonian() }); n != want {
+		t.Errorf("CoreHamiltonian of water/STO-3G: %v allocations, want %d", n, want)
+	}
+}

@@ -413,55 +413,107 @@ func TestKernelConcurrentBitIdentical(t *testing.T) {
 }
 
 // TestKernelBodiesAgree: the assembly body against the pure-Go one, on the
-// probe quartets and the whole benzene walk, to 1e-13 of each block's
+// probe quartets and the whole benzene and dimer walks (d shells; ket
+// tails of one, two and three live lanes), to 1e-13 of each block's
 // largest element (FMA rounds once where Go rounds twice).
 func TestKernelBodiesAgree(t *testing.T) {
 	if lanes.name == goLanes.name {
 		t.Skip("this CPU runs the pure-Go body only")
 	}
-	selected := lanes
-	defer func() { lanes = selected }()
-	var probes, walk [][4]int
+	var probes [][4]int
 	for _, c := range c2Probes {
 		probes = append(probes, [4]int{c.i, c.j, c.k, c.l})
 	}
 	bz := buildBasis(t, molecule.Benzene(), "sto-3g")
-	sch := ComputeSchwarz(NewEngine(bz))
-	forCanonicalQuartets(len(bz.Shells), func(i, j, k, l int) {
-		if !sch.Screened(i, j, k, l, 1e-10) {
-			walk = append(walk, [4]int{i, j, k, l})
-		}
-	})
+	dimer := buildBasis(t, benchDimer(t), "6-31g(d)")
 	for _, set := range []struct {
 		name     string
 		b        *basis.Basis
 		quartets [][4]int
 	}{
 		{"C2/6-31G(d) probes", c2Basis(t), probes},
-		{"benzene/STO-3G walk", bz, walk},
+		{"benzene/STO-3G walk", bz, survivors(bz)},
+		{"dimer/6-31G(d) walk", dimer, survivors(dimer)},
 	} {
-		pc := NewPairCache(NewEngine(set.b), 0)
-		worst := 0.0
-		var ref, got []float64
-		for _, q := range set.quartets {
-			lanes = goLanes
-			ref = pc.ShellQuartet(q[0], q[1], q[2], q[3], ref)
-			lanes = selected
-			got = pc.ShellQuartet(q[0], q[1], q[2], q[3], got)
-			scale := 0.0
-			for _, v := range ref {
-				scale = math.Max(scale, math.Abs(v))
-			}
-			for n := range ref {
-				if d := math.Abs(got[n]-ref[n]) / scale; d > worst {
-					worst = d
-				}
-				if d := math.Abs(got[n] - ref[n]); !(d <= 1e-13*scale) {
-					t.Fatalf("%s %v[%d]: %s %v, go %v (%.1e of the block's largest)", set.name, q, n, selected.name, got[n], ref[n], d/scale)
-				}
+		worst := bodiesAgree(t, set.name, NewPairCache(NewEngine(set.b), 0), set.quartets)
+		t.Logf("%s: %d quartets, largest difference %.1e of the block's largest element", set.name, len(set.quartets), worst)
+	}
+}
+
+// bodiesAgree checks each quartet's block from the selected body against
+// the pure-Go one to 1e-13 of the block's largest element and returns the
+// largest such difference.
+func bodiesAgree(t *testing.T, name string, pc *PairCache, quartets [][4]int) float64 {
+	t.Helper()
+	selected := lanes
+	defer func() { lanes = selected }()
+	worst := 0.0
+	var ref, got []float64
+	for _, q := range quartets {
+		lanes = goLanes
+		ref = pc.ShellQuartet(q[0], q[1], q[2], q[3], ref)
+		lanes = selected
+		got = pc.ShellQuartet(q[0], q[1], q[2], q[3], got)
+		scale := 0.0
+		for _, v := range ref {
+			scale = math.Max(scale, math.Abs(v))
+		}
+		for n := range ref {
+			d := math.Abs(got[n] - ref[n])
+			worst = math.Max(worst, d/scale)
+			if !(d <= 1e-13*scale) {
+				t.Fatalf("%s %v[%d]: %s %v, go %v (%.1e of the block's largest)", name, q, n, selected.name, got[n], ref[n], d/scale)
 			}
 		}
-		t.Logf("%s: %d quartets, largest difference %.1e of the block's largest element", set.name, len(set.quartets), worst)
+	}
+	return worst
+}
+
+// TestKernelPackedTail: kets whose last batch has one live lane (5 and 9
+// primitive pairs), which run that lane against four bra primitive pairs
+// at once, against bras of 1, 2, 3 and 5 primitive pairs (one to four
+// live lanes in the last bra batch), in both shell orders. The Go body
+// matches the oracle to 1e-11 and the bodies agree to 1e-13.
+func TestKernelPackedTail(t *testing.T) {
+	if err := basis.RegisterGBS("kernel-test-contractions", contractionGBS); err != nil {
+		t.Fatal(err)
+	}
+	// Shells per atom: 0 S1, 1 S2, 2 S5, 3 S6, 4 P3, 5 D1; atom 1 is 6..11.
+	m := &molecule.Molecule{Name: "H2 off-axis"}
+	m.AddAtomAngstrom("H", 0, 0, 0)
+	m.AddAtomAngstrom("H", 0.42, -0.61, 0.83)
+	b := buildBasis(t, m, "kernel-test-contractions")
+	pc := NewPairCache(NewEngine(b), 0)
+	ref := oracle.New(b)
+	var quartets [][4]int
+	for _, ket := range []struct{ i, j, prims int }{{8, 0, 5}, {10, 4, 9}} {
+		pd := pc.pair(ket.i, ket.j)
+		if pd.prims != ket.prims || pd.tail == nil || pd.batches[len(pd.batches)-1].n != 1 {
+			t.Fatalf("ket (%d,%d): %d primitive pairs, tail %v; want %d and a packed one-lane tail", ket.i, ket.j, pd.prims, pd.tail != nil, ket.prims)
+		}
+		for _, bra := range []struct{ i, j, prims int }{{6, 0, 1}, {7, 0, 2}, {10, 0, 3}, {8, 0, 5}} {
+			if got := pc.pair(bra.i, bra.j).prims; got != bra.prims {
+				t.Fatalf("bra (%d,%d): %d primitive pairs, want %d", bra.i, bra.j, got, bra.prims)
+			}
+			quartets = append(quartets, [4]int{bra.i, bra.j, ket.i, ket.j}, [4]int{ket.i, ket.j, bra.i, bra.j})
+		}
+	}
+	selected := lanes
+	defer func() { lanes = selected }()
+	lanes = goLanes
+	var direct, cached []float64
+	for _, q := range quartets {
+		direct = ref.ShellQuartet(q[0], q[1], q[2], q[3], direct)
+		cached = pc.ShellQuartet(q[0], q[1], q[2], q[3], cached)
+		for n := range direct {
+			if d := math.Abs(direct[n] - cached[n]); !(d <= 1e-11) {
+				t.Fatalf("%v[%d]: go %v, oracle %v", q, n, cached[n], direct[n])
+			}
+		}
+	}
+	lanes = selected
+	if selected.name != goLanes.name {
+		bodiesAgree(t, "packed tails", pc, quartets)
 	}
 }
 

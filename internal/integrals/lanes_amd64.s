@@ -1,8 +1,10 @@
 #include "textflag.h"
 
 // The 4-lane body of lanes.go in AVX with FMA3: one Y register is one R
-// cube entry or one K entry, four lanes. VZEROUPPER before every return,
-// since the Go code around it is SSE.
+// cube entry or one K entry, four lanes. The set-up is one register-
+// argument subroutine, setup<>, which both Go entries call; everything
+// else of a quartet runs inline in quartet4FMA. VZEROUPPER before every
+// return to Go, since the Go code around it is SSE.
 
 // func hasFMA() bool
 TEXT ·hasFMA(SB), NOSPLIT, $0-1
@@ -69,7 +71,11 @@ DATA setupk<>+304(SB)/8, $0.022222222222222223
 DATA setupk<>+312(SB)/8, $0.02127659574468085
 GLOBL setupk<>(SB), RODATA|NOPTR, $320
 
-// func setup4FMA(fn []float64, l int, p float64, c *[3]float64, kb *primBatch, d *[4][4]float64, pref *[4]float64, table []float64)
+// setup<> is lanes.setup with its arguments in registers, and a bra
+// primitive pair per lane: DI = fn, CX = l, Y0 = the bra exponents and
+// Y8, Y9, Y10 their centres along x, y, z (one pair broadcast, or four),
+// SI = kb, R12 = d, R13 = pref and DX = the Boys table. It keeps DI, DX,
+// SI, R12 and R13 and clobbers AX, BX, CX, R8-R11 and Y0-Y14.
 //
 // Four lanes at once: the pair geometry and T = alpha |Q-P|^2; each
 // lane's nearest Boys table row, the index clamped to the table whatever T
@@ -82,32 +88,20 @@ GLOBL setupk<>(SB), RODATA|NOPTR, $320
 // costs two loads and a multiply-add per lane and one horizontal sum. The
 // code is ordered for latency: every lane waits on this before its R
 // recursion can start.
-TEXT ·setup4FMA(SB), NOSPLIT, $0-96
-	MOVQ fn_base+0(FP), DI
-	MOVQ l+24(FP), CX
-	MOVQ c+40(FP), AX
-	MOVQ kb+48(FP), SI
-	MOVQ d+56(FP), R12
-	MOVQ pref+64(FP), R13
-	MOVQ table_base+72(FP), DX
-
-	VBROADCASTSD p+32(FP), Y0
+TEXT setup<>(SB), NOSPLIT, $0
 	VMOVUPD      0(SI), Y1           // q = kb.p
 	VADDPD       Y1, Y0, Y2          // p + q
 	VMULPD       Y1, Y0, Y5          // pq
-	VBROADCASTSD 0(AX), Y6
 	VMOVUPD      32(SI), Y7          // kb.x
-	VSUBPD       Y6, Y7, Y7
+	VSUBPD       Y8, Y7, Y7
 	VMOVUPD      Y7, 0(R12)          // d[0] = Q - P along x
 	VMULPD       Y7, Y7, Y4
-	VBROADCASTSD 8(AX), Y6
 	VMOVUPD      64(SI), Y7          // kb.y
-	VSUBPD       Y6, Y7, Y7
+	VSUBPD       Y9, Y7, Y7
 	VMOVUPD      Y7, 32(R12)
 	VFMADD231PD  Y7, Y7, Y4
-	VBROADCASTSD 16(AX), Y6
 	VMOVUPD      96(SI), Y7          // kb.z
-	VSUBPD       Y6, Y7, Y7
+	VSUBPD       Y10, Y7, Y7
 	VMOVUPD      Y7, 64(R12)
 	VFMADD231PD  Y7, Y7, Y4
 	VBROADCASTSD setupk<>+0(SB), Y3
@@ -295,18 +289,155 @@ down:
 	JNZ          down
 
 done:
+	RET
+
+// func setup4FMA(fn []float64, l int, p float64, c *[3]float64, kb *primBatch, d *[4][4]float64, pref *[4]float64, table []float64)
+TEXT ·setup4FMA(SB), NOSPLIT, $0-96
+	VBROADCASTSD p+32(FP), Y0
+	MOVQ         c+40(FP), AX
+	VBROADCASTSD 0(AX), Y8
+	VBROADCASTSD 8(AX), Y9
+	VBROADCASTSD 16(AX), Y10
+	MOVQ         fn_base+0(FP), DI
+	MOVQ         l+24(FP), CX
+	MOVQ         kb+48(FP), SI
+	MOVQ         d+56(FP), R12
+	MOVQ         pref+64(FP), R13
+	MOVQ         table_base+72(FP), DX
+	CALL         setup<>(SB)
 	VZEROUPPER
 	RET
 
-// func recur4FMA(r0, r1, fn []float64, steps []rStep, count []int, l int, d *[4][4]float64)
-TEXT ·recur4FMA(SB), NOSPLIT, $0-136
-	MOVQ r0_base+0(FP), DI    // cur
-	MOVQ r1_base+24(FP), SI   // prev
-	MOVQ fn_base+48(FP), R8
-	MOVQ steps_base+72(FP), R9
-	MOVQ count_base+96(FP), R10
-	MOVQ l+120(FP), R11
-	MOVQ d+128(FP), R12
+// func quartet4FMA(blk []float64, bra, ket []primBatch, tail *primBatch, l, lb, ncd int, x *hermIndex, s *eriScratch)
+//
+// The loop of quartet4Go. It reads hermIndex, eriScratch and primBatch at
+// the offsets TestLaneLayout pins. A batch pass (set-up, recursion, fold
+// into the K at 168(SP)) serves the ket batches of each bra lane and, with
+// a tail, the tail against each bra batch; the flag at 176(SP) says which
+// one is running. The frame holds what the loop needs between phases:
+//
+//	0 fn4   8 Boys table   16 &s.d   24 &s.pref   32 r0   40 r1
+//	48 steps   56 count   64 k4   72 k   80 entries of K (nh*ncd)
+//	88 boff   96 nh   104 bytes per row of K4   112 sign
+//	120 bra batch   128 bra batches left   136 lane in the bra batch
+//	144 ket batch   152 ket batches left   160 kt   168 the K folded into
+//	176 1 in the tail pass, else 0
+TEXT ·quartet4FMA(SB), NOSPLIT, $184-120
+	MOVQ  s+112(FP), SI
+	MOVQ  x+104(FP), R8
+	MOVQ  144(SI), AX
+	MOVQ  AX, 0(SP)
+	MOVQ  104(R8), AX
+	MOVQ  AX, 8(SP)
+	LEAQ  168(SI), AX
+	MOVQ  AX, 16(SP)
+	LEAQ  296(SI), AX
+	MOVQ  AX, 24(SP)
+	MOVQ  0(SI), AX
+	MOVQ  AX, 32(SP)
+	MOVQ  24(SI), AX
+	MOVQ  AX, 40(SP)
+	MOVQ  80(R8), AX
+	MOVQ  AX, 48(SP)
+	MOVQ  8(R8), BX
+	MOVQ  BX, 56(SP)
+	MOVQ  48(SI), AX
+	MOVQ  AX, 64(SP)
+	MOVQ  72(SI), AX
+	MOVQ  AX, 160(SP)
+	MOVQ  96(SI), AX
+	MOVQ  AX, 72(SP)
+	MOVQ  32(R8), AX
+	MOVQ  AX, 88(SP)
+	MOVQ  56(R8), AX
+	MOVQ  AX, 112(SP)
+	MOVQ  lb+88(FP), AX
+	MOVQ  (BX)(AX*8), AX      // nh = count[lb]
+	MOVQ  AX, 96(SP)
+	MOVQ  ncd+96(FP), CX
+	IMULQ CX, AX
+	MOVQ  AX, 80(SP)
+	SHLQ  $5, CX
+	MOVQ  CX, 104(SP)
+	MOVQ  bra_base+24(FP), AX
+	MOVQ  AX, 120(SP)
+	MOVQ  bra_len+32(FP), AX
+	MOVQ  AX, 128(SP)
+	TESTQ AX, AX
+	JZ    done
+
+brabatch:
+	MOVQ  $0, 136(SP)
+	MOVQ  tail+72(FP), SI
+	TESTQ SI, SI
+	JZ    bralane
+
+	// The tail against the four lanes of the bra batch, into KT.
+	MOVQ   160(SP), DI
+	MOVQ   DI, 168(SP)
+	MOVQ   80(SP), CX
+	VXORPD Y0, Y0, Y0
+
+zerot:
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     zerot
+	MOVQ    $1, 176(SP)
+	MOVQ    SI, 144(SP)
+	MOVQ    120(SP), AX
+	VMOVUPD 0(AX), Y0
+	VMOVUPD 32(AX), Y8
+	VMOVUPD 64(AX), Y9
+	VMOVUPD 96(AX), Y10
+	JMP     batch
+
+bralane:
+	// K4 = 0.
+	MOVQ   64(SP), DI
+	MOVQ   DI, 168(SP)
+	MOVQ   80(SP), CX
+	VXORPD Y0, Y0, Y0
+
+zero:
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     zero
+	MOVQ    $0, 176(SP)
+	MOVQ    ket_base+48(FP), AX
+	MOVQ    AX, 144(SP)
+	MOVQ    ket_len+56(FP), AX
+	MOVQ    AX, 152(SP)
+	TESTQ   AX, AX
+	JZ      lanesum
+
+ketbatch:
+	MOVQ         120(SP), AX
+	MOVQ         136(SP), BX
+	LEAQ         (AX)(BX*8), AX      // the bra lane: p, x, y, z 32 bytes apart
+	VBROADCASTSD 0(AX), Y0
+	VBROADCASTSD 32(AX), Y8
+	VBROADCASTSD 64(AX), Y9
+	VBROADCASTSD 96(AX), Y10
+
+batch:
+	MOVQ 0(SP), DI
+	MOVQ l+80(FP), CX
+	MOVQ 144(SP), SI
+	MOVQ 16(SP), R12
+	MOVQ 24(SP), R13
+	MOVQ 8(SP), DX
+	CALL setup<>(SB)
+
+	// The R recursion, level n = l down to 0, swapping the cubes: cur
+	// (DI) = fn[n] at entry 0, then one step per entry of order <= l-n.
+	MOVQ 32(SP), DI
+	MOVQ 40(SP), SI
+	MOVQ 0(SP), R8
+	MOVQ 48(SP), R9
+	MOVQ 56(SP), R10
+	MOVQ l+80(FP), R11
 	MOVQ R11, R13             // n = l
 
 level:
@@ -319,7 +450,7 @@ level:
 	SUBQ    R13, AX
 	MOVQ    (R10)(AX*8), CX   // count[l-n]: this level's entries
 	DECQ    CX
-	JZ      next
+	JZ      nextlevel
 	MOVQ    R9, BX
 
 step:
@@ -340,26 +471,24 @@ step:
 	DECQ         CX
 	JNZ          step
 
-next:
+nextlevel:
 	DECQ R13
 	JGE  level
-	VZEROUPPER
-	RET
 
-// func fold4FMA(k []float64, ncd int, r []float64, boff []uint16, terms []laneTerm, pref *[4]float64)
-TEXT ·fold4FMA(SB), NOSPLIT, $0-112
-	MOVQ    k_base+0(FP), DI
-	MOVQ    ncd+24(FP), R13
-	SHLQ    $5, R13           // bytes per row K[h]
-	MOVQ    r_base+32(FP), SI
-	MOVQ    boff_base+56(FP), R8
-	MOVQ    boff_len+64(FP), CX
-	MOVQ    terms_base+80(FP), R9
-	MOVQ    terms_len+88(FP), R10
-	MOVQ    pref+104(FP), AX
+	// The fold of R^0 (DI) into K: for every term of the batch, w =
+	// g * pref, and K[h][ab] += w * R[off + boff[h]] for every h.
+	MOVQ    DI, SI
+	MOVQ    168(SP), DI
+	MOVQ    104(SP), R13
+	MOVQ    88(SP), R8
+	MOVQ    96(SP), CX
+	MOVQ    144(SP), AX
+	MOVQ    136(AX), R9       // kb.terms
+	MOVQ    144(AX), R10
+	MOVQ    24(SP), AX
 	VMOVUPD (AX), Y3
 	TESTQ   R10, R10
-	JZ      done
+	JZ      folded
 
 term:
 	VMULPD  (R9), Y3, Y0      // w = g * pref
@@ -386,15 +515,39 @@ hloop:
 	DECQ        R10
 	JNZ         term
 
-done:
-	VZEROUPPER
-	RET
+folded:
+	CMPQ 176(SP), $0
+	JNE  bralane              // the tail pass is done: on to the bra lanes
+	ADDQ $160, 144(SP)        // next ket batch
+	DECQ 152(SP)
+	JNZ  ketbatch
 
-// func sum4AVX(k, k4 []float64)
-TEXT ·sum4AVX(SB), NOSPLIT, $0-48
-	MOVQ k_base+0(FP), DI
-	MOVQ k_len+8(FP), CX
-	MOVQ k4_base+24(FP), SI
+lanesum:
+	// With a tail, K4 lane bl += KT lane bl.
+	MOVQ  tail+72(FP), AX
+	TESTQ AX, AX
+	JZ    sum
+	MOVQ  136(SP), AX
+	MOVQ  64(SP), DI
+	LEAQ  (DI)(AX*8), DI
+	MOVQ  160(SP), SI
+	LEAQ  (SI)(AX*8), SI
+	MOVQ  80(SP), CX
+
+addt:
+	VMOVSD (DI), X0
+	VADDSD (SI), X0, X0
+	VMOVSD X0, (DI)
+	ADDQ   $32, DI
+	ADDQ   $32, SI
+	DECQ   CX
+	JNZ    addt
+
+sum:
+	// The lane sum: k[i] = (k4[4i] + k4[4i+1]) + (k4[4i+2] + k4[4i+3]).
+	MOVQ 72(SP), DI
+	MOVQ 80(SP), CX
+	MOVQ 64(SP), SI
 
 quad:
 	CMPQ       CX, $4
@@ -416,7 +569,7 @@ quad:
 
 tail:
 	TESTQ   CX, CX
-	JZ      done
+	JZ      summed
 	VMOVUPD (SI), X0
 	VMOVUPD 16(SI), X1
 	VHADDPD X0, X0, X0
@@ -428,25 +581,23 @@ tail:
 	DECQ    CX
 	JMP     tail
 
-done:
-	VZEROUPPER
-	RET
-
-// func contractFMA(blk, k []float64, ncd int, terms []laneTerm, lane int, sign []float64)
-TEXT ·contractFMA(SB), NOSPLIT, $0-112
+summed:
+	// The bra contraction: blk[ab] += g[lane] sign[h] K[h] for every term
+	// of the bra batch, rows of ncd.
 	MOVQ  blk_base+0(FP), DI
-	MOVQ  k_base+24(FP), SI
-	MOVQ  ncd+48(FP), CX
-	MOVQ  terms_base+56(FP), R9
-	MOVQ  terms_len+64(FP), R10
-	MOVQ  lane+80(FP), R11
-	MOVQ  sign_base+88(FP), R12
+	MOVQ  72(SP), SI
+	MOVQ  ncd+96(FP), CX
+	MOVQ  120(SP), AX
+	MOVQ  136(AX), R9         // bb.terms
+	MOVQ  144(AX), R10
+	MOVQ  136(SP), R11
+	MOVQ  112(SP), R12
 	MOVQ  CX, R13
 	SHLQ  $3, R13             // bytes per row
 	TESTQ R10, R10
-	JZ    done
+	JZ    contracted
 
-term:
+cterm:
 	MOVWQZX     34(R9), AX    // h
 	VMOVSD      (R9)(R11*8), X0
 	VMULSD      (R12)(AX*8), X0, X0 // w = g[lane] * sign[h]
@@ -472,7 +623,7 @@ vec:
 
 scalar:
 	TESTQ       DX, DX
-	JZ          next
+	JZ          cnext
 	VMOVSD      (AX), X1
 	VFMADD231SD (BX), X0, X1
 	VMOVSD      X1, (AX)
@@ -481,10 +632,22 @@ scalar:
 	DECQ        DX
 	JMP         scalar
 
-next:
+cnext:
 	ADDQ $40, R9
 	DECQ R10
-	JNZ  term
+	JNZ  cterm
+
+contracted:
+	// Next lane of the bra batch, then the next bra batch.
+	MOVQ 120(SP), AX
+	MOVQ 136(SP), BX
+	INCQ BX
+	MOVQ BX, 136(SP)
+	CMPQ BX, 128(AX)          // bb.n
+	JLT  bralane
+	ADDQ $160, 120(SP)
+	DECQ 128(SP)
+	JNZ  brabatch
 
 done:
 	VZEROUPPER

@@ -22,12 +22,15 @@ func withBodies(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// The assembly body reads rStep, laneTerm and primBatch at fixed offsets,
-// and the Boys table by the grid constants it was written for.
+// The assembly body reads rStep, laneTerm, primBatch, hermIndex and
+// eriScratch at fixed offsets, and the Boys table by the grid constants it
+// was written for.
 func TestLaneLayout(t *testing.T) {
 	var st rStep
 	var lt laneTerm
 	var pb primBatch
+	var x hermIndex
+	var s eriScratch
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
@@ -47,6 +50,22 @@ func TestLaneLayout(t *testing.T) {
 		{"primBatch.x", unsafe.Offsetof(pb.x), 32},
 		{"primBatch.y", unsafe.Offsetof(pb.y), 64},
 		{"primBatch.z", unsafe.Offsetof(pb.z), 96},
+		{"primBatch.n", unsafe.Offsetof(pb.n), 128},
+		{"primBatch.terms", unsafe.Offsetof(pb.terms), 136},
+		{"primBatch size", unsafe.Sizeof(pb), 160},
+		{"hermIndex.count", unsafe.Offsetof(x.count), 8},
+		{"hermIndex.off", unsafe.Offsetof(x.off), 32},
+		{"hermIndex.sign", unsafe.Offsetof(x.sign), 56},
+		{"hermIndex.steps", unsafe.Offsetof(x.steps), 80},
+		{"hermIndex.boys", unsafe.Offsetof(x.boys), 104},
+		{"eriScratch.r0", unsafe.Offsetof(s.r0), 0},
+		{"eriScratch.r1", unsafe.Offsetof(s.r1), 24},
+		{"eriScratch.k4", unsafe.Offsetof(s.k4), 48},
+		{"eriScratch.kt", unsafe.Offsetof(s.kt), 72},
+		{"eriScratch.k", unsafe.Offsetof(s.k), 96},
+		{"eriScratch.fn4", unsafe.Offsetof(s.fn4), 144},
+		{"eriScratch.d", unsafe.Offsetof(s.d), 168},
+		{"eriScratch.pref", unsafe.Offsetof(s.pref), 296},
 		{"boysStride", boysStride, 32},
 		{"boysNodes", boysNodes, 841},
 		{"boysStep * 10", uintptr(boysStep * 10), 1},

@@ -63,18 +63,18 @@ func (e *Engine) dipoleBlock(sa, sb *basis.Shell, origin [3]float64) [3][]float6
 			for ax := 0; ax < 3; ax++ {
 				pc[ax] = (ap*sa.Center[ax]+bq*sb.Center[ax])/pp - origin[ax]
 			}
-			var et [3][][][]float64
+			var et [3]hermE
 			for ax := 0; ax < 3; ax++ {
 				et[ax] = hermiteE(la, lb, ap, bq, ab[ax])
 			}
 			// 1D overlap and first-moment integrals per axis.
-			s1 := func(ax, i, j int) float64 { return et[ax][i][j][0] * sq }
+			s1 := func(ax, i, j int) float64 { return et[ax].at(i, j, 0) * sq }
 			m1 := func(ax, i, j int) float64 {
 				e1 := 0.0
 				if i+j >= 1 {
-					e1 = et[ax][i][j][1]
+					e1 = et[ax].at(i, j, 1)
 				}
-				return (e1 + pc[ax]*et[ax][i][j][0]) * sq
+				return (e1 + pc[ax]*et[ax].at(i, j, 0)) * sq
 			}
 			for ia, a := range ca {
 				caw := sa.Coefs[a.mi][p] * a.norm

@@ -111,7 +111,7 @@ func (e *Engine) overlapBlock(sa, sb *basis.Shell) []float64 {
 				for ib, b := range cb {
 					w := caw * sb.Coefs[b.mi][q] * b.norm
 					out[ia*len(cb)+ib] += w * pref *
-						ex[a.lx][b.lx][0] * ey[a.ly][b.ly][0] * ez[a.lz][b.lz][0]
+						ex.at(a.lx, b.lx, 0) * ey.at(a.ly, b.ly, 0) * ez.at(a.lz, b.lz, 0)
 				}
 			}
 		}
@@ -138,7 +138,7 @@ func (e *Engine) kineticBlock(sa, sb *basis.Shell) []float64 {
 			pp := ap + bq
 			sqp := math.Sqrt(math.Pi / pp)
 			// E tables with +2 headroom on the b side for the j+2 shifts.
-			var et [3][][][]float64
+			var et [3]hermE
 			for ax := 0; ax < 3; ax++ {
 				et[ax] = hermiteE(la, lb+2, ap, bq, ab[ax])
 			}
@@ -146,7 +146,7 @@ func (e *Engine) kineticBlock(sa, sb *basis.Shell) []float64 {
 				if j < 0 {
 					return 0
 				}
-				return et[ax][i][j][0] * sqp
+				return et[ax].at(i, j, 0) * sqp
 			}
 			t1 := func(ax, i, j int) float64 {
 				v := -2 * bq * bq * s1(ax, i, j+2)
@@ -184,6 +184,7 @@ func (e *Engine) nuclearBlock(sa, sb *basis.Shell) []float64 {
 		sa.Center[2] - sb.Center[2],
 	}
 	atoms := e.Basis.Mol.Atoms
+	rbuf := make([]float64, rBuf(ltot))
 	for p, ap := range sa.Exps {
 		for q, bq := range sb.Exps {
 			pp := ap + bq
@@ -195,7 +196,7 @@ func (e *Engine) nuclearBlock(sa, sb *basis.Shell) []float64 {
 			ez := hermiteE(la, lb, ap, bq, ab[2])
 			pref := 2 * math.Pi / pp
 			for _, at := range atoms {
-				r := hermiteR(ltot, pp, px-at.Pos[0], py-at.Pos[1], pz-at.Pos[2])
+				r := hermiteR(ltot, pp, px-at.Pos[0], py-at.Pos[1], pz-at.Pos[2], rbuf)
 				zc := -float64(at.Z) * pref
 				for ia, a := range ca {
 					caw := sa.Coefs[a.mi][p] * a.norm
@@ -203,17 +204,17 @@ func (e *Engine) nuclearBlock(sa, sb *basis.Shell) []float64 {
 						w := caw * sb.Coefs[b.mi][q] * b.norm
 						sum := 0.0
 						for t := 0; t <= a.lx+b.lx; t++ {
-							extv := ex[a.lx][b.lx][t]
+							extv := ex.at(a.lx, b.lx, t)
 							if extv == 0 {
 								continue
 							}
 							for u := 0; u <= a.ly+b.ly; u++ {
-								eyuv := ey[a.ly][b.ly][u]
+								eyuv := ey.at(a.ly, b.ly, u)
 								if eyuv == 0 {
 									continue
 								}
 								for v := 0; v <= a.lz+b.lz; v++ {
-									sum += extv * eyuv * ez[a.lz][b.lz][v] *
+									sum += extv * eyuv * ez.at(a.lz, b.lz, v) *
 										r[rIndex(t, u, v, ltot)]
 								}
 							}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/basis"
@@ -62,6 +63,10 @@ type pairData struct {
 	lab     int // Hermite range: t+u+v <= la + lb
 	prims   int // surviving primitive pairs
 	batches []primBatch
+	// tail is the last batch, when it has one live lane of several
+	// batches, with that lane copied to all four: as a ket it runs against
+	// four bra primitive pairs at once (lanes.quartet). Nil otherwise.
+	tail *primBatch
 }
 
 // hermIndex enumerates the Hermite indices (t,u,v), t+u+v <= lmax, in
@@ -141,12 +146,12 @@ func (x *hermIndex) find(t, u, v int) uint16 {
 type eriScratch struct {
 	r0, r1 []float64     // R^n and R^{n+1} cubes [entry][lane]
 	k4     []float64     // K[tuv][cd][lane]
+	kt     []float64     // K[tuv][cd][bra lane] of a packed tail
 	k      []float64     // K[tuv][cd], the lanes summed
 	blk    []float64     // (cd|ab), when the ket is the bra
 	fn4    []float64     // (-2 alpha)^n F_n [n][lane]
 	d      [4][4]float64 // Q - P [axis][lane]; axis 3 unused
 	pref   [4]float64    // (p+q)^{-1/2} [lane]
-	c      [3]float64    // the bra primitive pair's centre
 }
 
 // newScratch sizes a scratch for quartets of total order <= lmax over
@@ -158,36 +163,15 @@ func (x *hermIndex) newScratch(funcs int) *eriScratch {
 		r0:  make([]float64, 4*cube),
 		r1:  make([]float64, 4*cube),
 		k4:  make([]float64, 4*nk),
+		kt:  make([]float64, 4*nk),
 		k:   make([]float64, nk),
 		blk: make([]float64, funcs*funcs*funcs*funcs),
 		fn4: make([]float64, 4*(x.lmax+1)),
 	}
 }
 
-// coulomb builds the Hermite Coulomb integrals R^0_{tuv}, t+u+v <= l, of
-// one bra primitive pair (exponent p, centre s.c) against each lane of a
-// ket batch, into one of the scratch cubes:
-//
-//	R^n_{000}     = (-2 alpha)^n F_n(alpha |Q-P|^2)
-//	R^n_{t+1,u,v} = t R^{n+1}_{t-1,u,v} + (Q-P)_x R^{n+1}_{tuv}   (etc. for u, v)
-//
-// Both run 4-wide: lanes.setup forms the lanes' Q - P, (p+q)^{-1/2} (left
-// in s.pref) and R^n_{000}, lanes.recur the recursion. Level n holds the
-// entries of order <= l-n and reads only entries of order <= l-n-1 of
-// level n+1, all of which that level wrote: the cubes are never cleared.
-// Padding lanes are computed like the others from their zero exponent;
-// their values are finite and every term weight there is 0.
-func (x *hermIndex) coulomb(s *eriScratch, l int, p float64, kb *primBatch) []float64 {
-	fn4 := s.fn4[:4*(l+1)]
-	lanes.setup(fn4, l, p, &s.c, kb, &s.d, &s.pref, x.boys)
-	lanes.recur(s.r0, s.r1, fn4, x.steps, x.count, l, &s.d)
-	if l&1 == 0 { // the level loop swaps the cubes l+1 times
-		return s.r1
-	}
-	return s.r0
-}
-
-// quartet writes the block (bra|ket) to out, laid out out[ab*ncd+cd].
+// quartet writes the block (bra|ket) to out, laid out out[ab*ncd+cd]. One
+// lanes.quartet call runs every primitive loop.
 func (x *hermIndex) quartet(bra, ket *pairData, s *eriScratch, out []float64) {
 	blk := out
 	swap := bra.prims > ket.prims
@@ -196,54 +180,19 @@ func (x *hermIndex) quartet(bra, ket *pairData, s *eriScratch, out []float64) {
 		blk = s.blk[:len(out)]
 	}
 	clear(blk)
-	l := bra.lab + ket.lab
-	boff := x.off[:x.count[bra.lab]]
-	nh, ncd := len(boff), ket.nab
-	k, k4 := s.k[:nh*ncd], s.k4[:4*nh*ncd]
-	for bi := range bra.batches {
-		bb := &bra.batches[bi]
-		for bl := 0; bl < bb.n; bl++ {
-			s.c = [3]float64{bb.x[bl], bb.y[bl], bb.z[bl]}
-			clear(k4)
-			for ki := range ket.batches {
-				kb := &ket.batches[ki]
-				r := x.coulomb(s, l, bb.p[bl], kb)
-				lanes.fold(k4, ncd, r, boff, kb.terms, &s.pref)
-			}
-			lanes.sum(k, k4)
-			lanes.contract(blk, k, ncd, bb.terms, bl, x.sign)
-		}
+	kb, tail := ket.batches, (*primBatch)(nil)
+	if ket.tail != nil && bra.prims > 1 {
+		kb, tail = kb[:len(kb)-1], ket.tail
 	}
+	lanes.quartet(blk, bra.batches, kb, tail, bra.lab+ket.lab, bra.lab, ket.nab, x, s)
 	if swap {
-		nab := bra.nab // of the pair that was the ket
+		nab, ncd := bra.nab, ket.nab // nab of the pair that was the ket
 		for ab := 0; ab < nab; ab++ {
 			for cd, v := range blk[ab*ncd:][:ncd] {
 				out[cd*nab+ab] = v
 			}
 		}
 	}
-}
-
-// quartetSSSS is the all-s class: one term per primitive pair, F_0 only,
-// set up four ket lanes at a time like every other class.
-func (x *hermIndex) quartetSSSS(bra, ket *pairData, s *eriScratch) float64 {
-	sum := 0.0
-	fn := s.fn4[:4]
-	for bi := range bra.batches {
-		bb := &bra.batches[bi]
-		for bl := 0; bl < bb.n; bl++ {
-			s.c = [3]float64{bb.x[bl], bb.y[bl], bb.z[bl]}
-			ksum := 0.0
-			for ki := range ket.batches {
-				kb := &ket.batches[ki]
-				lanes.setup(fn, 0, bb.p[bl], &s.c, kb, &s.d, &s.pref, x.boys)
-				g, w := &kb.terms[0].g, &s.pref
-				ksum += (g[0]*fn[0]*w[0] + g[1]*fn[1]*w[1]) + (g[2]*fn[2]*w[2] + g[3]*fn[3]*w[3])
-			}
-			sum += bb.terms[0].g[bl] * ksum
-		}
-	}
-	return sum
 }
 
 // PairCache holds precomputed shell-pair data for an engine's basis and
@@ -275,7 +224,10 @@ func NewPairCache(eng *Engine, primTol float64) *PairCache {
 	pb := newPairBuilder(eng.Basis)
 	pc := &PairCache{index: pb.index, pairs: make([]pairData, n*(n+1)/2), PrimTol: primTol}
 	index, funcs := pb.index, pb.funcs // all the pool keeps of the builder
-	pc.scratch.New = func() any { return index.newScratch(funcs) }
+	pc.scratch.New = func() any {
+		scratchMade.Add(1)
+		return index.newScratch(funcs)
+	}
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			pd := pb.build(i, j, primTol)
@@ -286,6 +238,16 @@ func NewPairCache(eng *Engine, primTol float64) *PairCache {
 	}
 	return pc
 }
+
+// scratchMade counts the scratch every PairCache has made (ScratchMade).
+var scratchMade atomic.Int64
+
+// ScratchMade reports how many kernel scratch buffers the PairCaches of
+// the process have made so far. A call's scratch comes from a sync.Pool,
+// which may drop idle ones (the race detector drops them at random), and
+// each refill is a new allocation: whoever accounts for a run's memory
+// subtracts these.
+func ScratchMade() int64 { return scratchMade.Load() }
 
 // pairBuilder makes pair data over one basis; the index tables and the
 // scratch it hands out are sized from the basis' own highest angular
@@ -356,6 +318,18 @@ func (pb *pairBuilder) build(i, j int, primTol float64) pairData {
 		}
 		pd.batches = append(pd.batches, b)
 	}
+	if nb := len(pd.batches); nb > 1 && pd.batches[nb-1].n == 1 {
+		last := &pd.batches[nb-1]
+		t := primBatch{n: 4, terms: slices.Clone(last.terms)}
+		for lane := range t.p {
+			t.p[lane], t.x[lane], t.y[lane], t.z[lane] = last.p[0], last.x[0], last.y[0], last.z[0]
+		}
+		for i := range t.terms {
+			g := t.terms[i].g[0]
+			t.terms[i].g = [4]float64{g, g, g, g}
+		}
+		pd.tail = &t
+	}
 	return pd
 }
 
@@ -414,11 +388,7 @@ func (pc *PairCache) ShellQuartet(si, sj, sk, sl int, out []float64) []float64 {
 	}
 	out = out[:need]
 	s := pc.scratch.Get().(*eriScratch)
-	if bra.lab+ket.lab == 0 {
-		out[0] = pc.index.quartetSSSS(bra, ket, s)
-	} else {
-		pc.index.quartet(bra, ket, s, out)
-	}
+	pc.index.quartet(bra, ket, s, out)
 	pc.scratch.Put(s)
 	return out
 }
@@ -427,9 +397,15 @@ func (pc *PairCache) ShellQuartet(si, sj, sk, sl int, out []float64) []float64 {
 // Hermite terms.
 func (pc *PairCache) Bytes() int64 {
 	total := int64(len(pc.pairs)) * int64(unsafe.Sizeof(pairData{}))
+	size := func(b *primBatch) int64 {
+		return int64(unsafe.Sizeof(*b)) + int64(len(b.terms))*int64(unsafe.Sizeof(laneTerm{}))
+	}
 	for i := range pc.pairs {
-		for _, b := range pc.pairs[i].batches {
-			total += int64(unsafe.Sizeof(b)) + int64(len(b.terms))*int64(unsafe.Sizeof(laneTerm{}))
+		for j := range pc.pairs[i].batches {
+			total += size(&pc.pairs[i].batches[j])
+		}
+		if t := pc.pairs[i].tail; t != nil {
+			total += size(t)
 		}
 	}
 	return total
