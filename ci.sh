@@ -48,12 +48,16 @@
 # SCFModel, MigrateMinSamples, CostModel, NodeMTBFHours, the autoscaler's
 # Interval and DownAfterTicks) are named by no non-test file outside
 # bench/; and internal/simulate returns rows only — no func Format*, no func CSV* (cmd/scaling builds the one table of each
-# artifact). The ERI kernel's pure-Go body vets under GOARCH=arm64 (no
-# assembly there), the kernel's sweep and probe benchmarks and the
-# digest benchmark run once (-benchtime 1x), hfrun -xyz refuses a NaN
-# coordinate with an error (non-zero exit, no panic), and the layout gate builds hfrun, hfserve and the
-# benchmark and fails unless distmat.tileMulAdd starts at 0 mod 64 in
-# each, printing where the kernel's functions (assembly included) start.
+# artifact). One matrix product: the scalar update `crow[j] += ...
+# brow[j]` appears in non-test Go only in linalg's pure-Go MulAdd body.
+# The pure-Go bodies of the ERI kernel and of MulAdd vet under
+# GOARCH=arm64 (no assembly there); the kernel's sweep and probe
+# benchmarks, the digest benchmark, BenchmarkMulAdd/{scalar,kernel} and
+# BenchmarkPurify run once (-benchtime 1x); hfrun -xyz refuses a NaN
+# coordinate with an error (non-zero exit, no panic); and the layout gate
+# builds hfrun, hfserve and the benchmark and fails unless the k loop of
+# linalg.gemm4x8AVX starts at 0 mod 64 in each (go tool objdump),
+# printing where it and the ERI kernel's functions start.
 #
 # Tier 2 (concurrency soundness): the race detector over the packages
 # with real parallelism and fault injection (internal/mpi includes the
@@ -316,13 +320,22 @@ tier_1() {
 		exit 1
 	fi
 
-	# The ERI kernel's pure-Go body is all a CPU without AVX/FMA, or another
-	# architecture, runs: it keeps compiling there. The kernel's sweep and
-	# probe benchmarks run once, so they keep compiling and their quartet
-	# counts keep holding.
-	GOARCH=arm64 go vet ./internal/integrals/
+	# One matrix product: the scalar update of the i-k-j loop lives only in
+	# linalg's pure-Go body of MulAdd; every other product calls MulAdd.
+	updates=$(grep -n 'crow\[j\] +=.*brow\[j\]' $nontest || true)
+	[ "$(echo "$updates" | grep -c .)" -eq 1 ] && echo "$updates" | grep -q '^\./internal/linalg/gemm\.go:' ||
+		{ echo "structure gate: a scalar product loop outside linalg.mulAddGo; call linalg.MulAdd:"; echo "$updates"; exit 1; }
+
+	# The pure-Go bodies of the ERI kernel and of MulAdd are all a CPU
+	# without AVX/FMA, or another architecture, runs: they keep compiling
+	# there. The kernel's sweep and probe benchmarks, the digest benchmark,
+	# the product's scalar-vs-kernel benchmark and one SP2 density step run
+	# once, so they keep compiling and their counts keep holding.
+	GOARCH=arm64 go vet ./internal/integrals/ ./internal/linalg/
 	go test -run '^$' -bench 'KernelSweep|KernelProbe' -benchtime 1x ./internal/integrals/ >/dev/null
 	go test -run '^$' -bench 'Digest' -benchtime 1x ./internal/fock/ >/dev/null
+	go test -run '^$' -bench '^BenchmarkMulAdd$/^(scalar|kernel)$' -benchtime 1x ./internal/linalg/ >/dev/null
+	go test -run '^$' -bench '^BenchmarkPurify$' -benchtime 1x ./internal/distmat/ >/dev/null
 	layout_gate
 	for bin in hfrun hfserve bench; do
 		if grep ' repro/internal/integrals/oracle\.' "$tracedir/$bin.nm"; then
@@ -344,11 +357,13 @@ tier_1() {
 }
 
 # layout_gate builds the shipped binaries and the benchmark and fails
-# unless distmat.tileMulAdd starts at 0 mod 64 in each (ROADMAP trap i:
-# at 32 mod 64 the density_n256 control reads 6-32% slower although it
-# runs no changed code). It prints where the ERI kernel's functions start,
-# the assembly ones included, since new text upstream is what moves it.
+# unless the k loop of the matrix-product kernel (linalg.gemm4x8AVX, the
+# density step's hot loop) starts at 0 mod 64 in each: its PCALIGN $64
+# puts it there whatever text precedes it, and this checks that it still
+# does. It prints where that loop and the ERI kernel's functions start, the
+# assembly ones included, since new text upstream is what moves them.
 layout_gate() {
+	loop=$(awk '/^kloop:/ { print NR + 1; exit }' internal/linalg/gemm_amd64.s)
 	for bin in hfrun hfserve bench; do
 		if [ "$bin" = bench ]; then
 			go build -C bench -o "$tracedir/$bin" .
@@ -356,13 +371,15 @@ layout_gate() {
 			go build -o "$tracedir/$bin" "./cmd/$bin"
 		fi
 		go tool nm "$tracedir/$bin" >"$tracedir/$bin.nm"
-		grep -E ' repro/internal/(distmat\.tileMulAdd|integrals\.\(\*hermIndex\)\.quartet|integrals\.[a-z0-9]+(FMA|AVX)(\.abi0)?)$' "$tracedir/$bin.nm" |
+		grep -E ' repro/internal/integrals\.(\(\*hermIndex\)\.quartet|[a-z0-9]+(FMA|AVX)(\.abi0)?)$' "$tracedir/$bin.nm" |
 			while read -r addr _ sym; do
 				echo "layout: $bin $sym at $((0x$addr % 64)) mod 64"
 			done
-		addr=$(awk '$3 == "repro/internal/distmat.tileMulAdd" { print $1 }' "$tracedir/$bin.nm")
-		[ -n "$addr" ] && [ $((0x$addr % 64)) -eq 0 ] ||
-			{ echo "layout gate: distmat.tileMulAdd in $bin is not at 0 mod 64 (0x$addr); move it across an odd-sized neighbour in distmat/ops.go"; exit 1; }
+		addr=$(go tool objdump -s '^repro/internal/linalg\.gemm4x8AVX' "$tracedir/$bin" |
+			awk -v at="gemm_amd64.s:$loop" '$1 == at && !n++ { print $2 }')
+		echo "layout: $bin linalg.gemm4x8AVX k loop at $((${addr:-0} % 64)) mod 64"
+		[ -n "$addr" ] && [ $((addr % 64)) -eq 0 ] ||
+			{ echo "layout gate: the k loop of linalg.gemm4x8AVX in $bin is not at 0 mod 64 (${addr:-missing}); it needs its PCALIGN \$64"; exit 1; }
 	done
 }
 

@@ -178,6 +178,52 @@ func TestMatMulMatchesDense(t *testing.T) {
 	}
 }
 
+// TestMatMulPaddedTiles: with N not a multiple of the tile edge, the
+// tile products run over live extents only, yet the gathered product is
+// the dense one bit for bit (each element still sums over k in order) and
+// the padding of c stays +0.
+func TestMatMulPaddedTiles(t *testing.T) {
+	const n = 250
+	a := randDense(n, 21)
+	b := randDense(n, 23)
+	want := linalg.Mul(a, b)
+	for _, tc := range []struct{ bs, ranks int }{{0, 2}, {0, 4}, {64, 2}, {64, 4}} {
+		onWorld(t, tc.ranks, func(g *Grid, dx *ddi.Context) {
+			da, db, dc := New(g, dx, n, tc.bs), New(g, dx, n, tc.bs), New(g, dx, n, tc.bs)
+			if err := da.ScatterDense(a); err != nil {
+				t.Fatalf("scatter a: %v", err)
+			}
+			if err := db.ScatterDense(b); err != nil {
+				t.Fatalf("scatter b: %v", err)
+			}
+			MatMul(dc, da, db)
+			got, err := dc.GatherVerified()
+			if err != nil {
+				t.Fatalf("gather: %v", err)
+			}
+			if dx.Comm.Rank() != 0 {
+				return
+			}
+			if n%dc.BS == 0 {
+				t.Errorf("bs=%d: tile edge %d divides %d, no padded tiles", tc.bs, dc.BS, n)
+			}
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("bs=%d ranks=%d: c[%d] = %v, linalg.MulInto %v", tc.bs, tc.ranks, i, got.Data[i], want.Data[i])
+				}
+			}
+			tile := make([]float64, dc.BS*dc.BS)
+			last := dc.NB - 1
+			dc.GetTile(last, last, tile)
+			for i, v := range tile {
+				if r, c := i/dc.BS, i%dc.BS; (last*dc.BS+r >= n || last*dc.BS+c >= n) && math.Float64bits(v) != 0 {
+					t.Fatalf("bs=%d ranks=%d: padded entry (%d,%d) of the last tile is %v, want +0", tc.bs, tc.ranks, r, c, v)
+				}
+			}
+		})
+	}
+}
+
 func TestReductionsMatchDense(t *testing.T) {
 	n := 11
 	a := randSym(n, 17)

@@ -3,6 +3,8 @@ package distmat
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/linalg"
 )
 
 // Distributed BLAS-3-ish primitives. Every function here is collective:
@@ -16,6 +18,10 @@ import (
 // (same N, BS and grid), which guarantees co-location: matching tiles
 // of both operands live on the same rank, so element-wise work is pure
 // local arithmetic.
+
+// live returns the number of rows (or columns) of block b that lie
+// within the logical dimension N.
+func (m *BlockMat) live(b int) int { return min(m.BS, m.N-b*m.BS) }
 
 // forOwned visits every tile the calling rank owns.
 func (m *BlockMat) forOwned(visit func(bi, bj int)) {
@@ -32,7 +38,9 @@ func (m *BlockMat) forOwned(visit func(bi, bj int)) {
 // MatMul computes c = a * b. c must not alias a or b. Each rank computes
 // only its owned tiles of c, streaming the needed row of a-tiles and
 // column of b-tiles through one-sided gets — the SUMMA-style inner
-// product over the block dimension.
+// product over the block dimension. Each tile product runs over the
+// tiles' live extents only, so the padding past N costs no flops and the
+// padded entries of c stay zero.
 func MatMul(c, a, b *BlockMat) {
 	c.sameShape(a)
 	c.sameShape(b)
@@ -51,7 +59,7 @@ func MatMul(c, a, b *BlockMat) {
 		for k := 0; k < c.NB; k++ {
 			a.GetTile(bi, k, abuf)
 			b.GetTile(k, bj, bbuf)
-			tileMulAdd(ctile, abuf, bbuf, bs)
+			linalg.MulAdd(ctile, bs, abuf, bs, bbuf, bs, c.live(bi), c.live(bj), c.live(k))
 		}
 		c.PutTile(bi, bj, ctile)
 	})
@@ -277,31 +285,6 @@ func FrobSqDiff(a, b *BlockMat) float64 {
 // zero in both operands and contributes nothing).
 func RMSDiff(a, b *BlockMat) float64 {
 	return math.Sqrt(FrobSqDiff(a, b) / float64(a.N*a.N))
-}
-
-// tileMulAdd adds a*b into c (bs x bs row-major tiles), skipping zero
-// a-elements (padded tiles make these common). Its place in this file
-// (between RMSDiff and Gershgorin) is on purpose: its 28-byte inner loop
-// runs ~25% slower when it straddles a 64-byte line, which is decided by
-// the function's address mod 64 in the linked binary — and that by what
-// precedes it (DESIGN.md §3.1 layout note). After any change that adds
-// or removes code in omp, mpi, ddi, linalg or this file, check that
-// `go tool nm` of the bench binary still puts it at 0 mod 64.
-func tileMulAdd(c, a, b []float64, bs int) {
-	for i := 0; i < bs; i++ {
-		arow := a[i*bs : (i+1)*bs]
-		crow := c[i*bs : (i+1)*bs]
-		for k := 0; k < bs; k++ {
-			v := arow[k]
-			if v == 0 {
-				continue
-			}
-			brow := b[k*bs : (k+1)*bs]
-			for j := 0; j < bs; j++ {
-				crow[j] += v * brow[j]
-			}
-		}
-	}
 }
 
 // Gershgorin returns spectral bounds [lo, hi] of the symmetric matrix m

@@ -3,10 +3,12 @@ package distmat
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/ddi"
 	"repro/internal/linalg"
+	"repro/internal/mpi"
 )
 
 // gappedSym builds a symmetric n x n matrix with a clean spectral gap
@@ -152,4 +154,59 @@ func TestPurifySweepCounterTelemetry(t *testing.T) {
 			t.Errorf("multi-rank purification moved no off-rank bytes through the iterate")
 		}
 	})
+}
+
+// TestPurifyNaNAgainstZero: a NaN in F' at (k,j) whose mirror (j,k) is
+// zero meets that zero as an a-element in X^2[j][j]. The old tile loop
+// skipped zero a-elements and left that entry finite; the product now
+// propagates the NaN there, and Purify stops on its non-finite trace.
+func TestPurifyNaNAgainstZero(t *testing.T) {
+	const n, nocc, k, j = 12, 4, 7, 2
+	fp := gappedSym(n, nocc, 5)
+	fp.Set(k, j, math.NaN())
+	fp.Set(j, k, 0)
+	onWorld(t, 2, func(g *Grid, dx *ddi.Context) {
+		dfp, dst, xsq := New(g, dx, n, 4), New(g, dx, n, 4), New(g, dx, n, 4)
+		if err := dfp.ScatterDense(fp); err != nil {
+			t.Fatalf("scatter: %v", err)
+		}
+		_, err := Purify(dst, dfp, xsq, nocc, 1e-13, 100)
+		if err == nil || !strings.Contains(err.Error(), "non-finite trace") {
+			t.Errorf("Purify with a NaN in F' returned %v, want the non-finite-trace error", err)
+		}
+		x2, gerr := xsq.GatherVerified()
+		if gerr != nil {
+			t.Fatalf("gather: %v", gerr)
+		}
+		if v := x2.At(j, j); dx.Comm.Rank() == 0 && !math.IsNaN(v) {
+			t.Errorf("X^2[%d][%d] = %v: the NaN at (%d,%d) did not reach it through the zero at (%d,%d)", j, j, v, k, j, j, k)
+		}
+	})
+}
+
+// BenchmarkPurify times one SP2 density step of the density workload's
+// shape: n = 256, nocc = 128, 64-row tiles on 2 ranks.
+func BenchmarkPurify(b *testing.B) {
+	const n, nocc = 256, 128
+	fp := gappedSym(n, nocc, 1)
+	if err := mpi.Run(2, func(c *mpi.Comm) {
+		g, dx := NewGrid(c.Rank(), c.Size()), ddi.New(c)
+		dfp, dst, xsq := New(g, dx, n, 0), New(g, dx, n, 0), New(g, dx, n, 0)
+		if err := dfp.ScatterDense(fp); err != nil {
+			b.Error(err)
+			return
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			if _, err := Purify(dst, dfp, xsq, nocc, 1e-12, 200); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	}); err != nil {
+		b.Fatal(err)
+	}
 }

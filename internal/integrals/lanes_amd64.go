@@ -1,15 +1,14 @@
 package integrals
 
+import "repro/internal/linalg"
+
 var fmaLanes = laneBody{name: "fma", setup: setup4FMA, quartet: quartet4FMA}
 
 func init() {
-	if hasFMA() {
+	if linalg.HasAVXFMA() {
 		lanes = fmaLanes
 	}
 }
-
-// hasFMA reports whether the CPU and the OS support AVX and FMA3.
-func hasFMA() bool
 
 // The assembly reads rStep, laneTerm, primBatch, hermIndex and eriScratch
 // at fixed offsets, and the Boys table by its stride and node count

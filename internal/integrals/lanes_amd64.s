@@ -6,26 +6,6 @@
 // else of a quartet runs inline in quartet4FMA. VZEROUPPER before every
 // return to Go, since the Go code around it is SSE.
 
-// func hasFMA() bool
-TEXT ·hasFMA(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18001000, CX // FMA (bit 12), OSXSAVE (27), AVX (28)
-	CMPL CX, $0x18001000
-	JNE  no
-	XORL CX, CX
-	XGETBV               // XCR0: the OS saves the XMM and YMM state
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  no
-	MOVB $1, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
 // Constants of setup4FMA: the Boys grid (boysStep, boysTableMax,
 // boysNodes - 1), 1/k! of the Taylor step, sqrt(pi)/2 of the asymptotic
 // form, and from offset 128 1/(2m+1) of the downward recursion.

@@ -185,27 +185,22 @@ func Mul(a, b *Matrix) *Matrix {
 	return c
 }
 
-// MulInto computes c = a*b into an existing matrix. c must not alias a or b.
+// MulInto computes c = a*b into an existing matrix. It panics if c
+// aliases a or b: c is cleared before the product is summed into it.
 func MulInto(c, a, b *Matrix) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic("linalg: MulInto dimension mismatch")
 	}
-	c.Zero()
-	// ikj loop order for cache-friendly access of b and c rows.
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := arow[k]
-			if aik == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j := range crow {
-				crow[j] += aik * brow[j]
-			}
-		}
+	if sameData(c, a) || sameData(c, b) {
+		panic("linalg: MulInto output aliases an input")
 	}
+	c.Zero()
+	MulAdd(c.Data, c.Cols, a.Data, a.Cols, b.Data, b.Cols, a.Rows, b.Cols, a.Cols)
+}
+
+// sameData reports whether x and y are one matrix or share storage.
+func sameData(x, y *Matrix) bool {
+	return x == y || len(x.Data) > 0 && len(y.Data) > 0 && &x.Data[0] == &y.Data[0]
 }
 
 // MulVec returns a*x for a vector x.
