@@ -50,10 +50,13 @@
 # bench/; and internal/simulate returns rows only — no func Format*, no func CSV* (cmd/scaling builds the one table of each
 # artifact). One matrix product: the scalar update `crow[j] += ...
 # brow[j]` appears in non-test Go only in linalg's pure-Go MulAdd body.
+# The density step squares symmetric X: internal/distmat's ops.go and
+# purify.go hold no GetTile( (every op reads through readTile, owned
+# tiles in place) and purify.go no MatMul( (SP2 squares with Square).
 # The pure-Go bodies of the ERI kernel and of MulAdd vet under
 # GOARCH=arm64 (no assembly there); the kernel's sweep and probe
-# benchmarks, the digest benchmark, BenchmarkMulAdd/{scalar,kernel} and
-# BenchmarkPurify run once (-benchtime 1x); hfrun -xyz refuses a NaN
+# benchmarks, the digest benchmark, BenchmarkMulAdd/{scalar,kernel},
+# BenchmarkSquare and BenchmarkPurify run once (-benchtime 1x); hfrun -xyz refuses a NaN
 # coordinate with an error (non-zero exit, no panic); and the layout gate
 # builds hfrun, hfserve and the benchmark and fails unless the k loop of
 # linalg.gemm4x8AVX starts at 0 mod 64 in each (go tool objdump),
@@ -100,8 +103,11 @@
 # on SIGTERM. Then `scaling -exp serve`: the in-process load test (>= 50
 # jobs, duplicate-stream cache-hit rate >= 40%, >= 1 absorbed 429, zero
 # lost, stuck or failed jobs). Last, 30 s of native fuzzing each for the
-# XYZ parser (a served job's inline geometry) and the .gbs parser, from
-# the seed corpora under each package's testdata/fuzz/.
+# XYZ parser (a served job's inline geometry), the .gbs parser and the
+# job hash (FuzzSpecCanonicalHash: Normalized is idempotent, a spec and
+# its normalized form hash alike, and an inline XYZ hashes the same under
+# atom reordering and re-spacing), from the seed corpora under each
+# package's testdata/fuzz/.
 #
 # Tier 7 (fleet gate): `scaling -exp fleet` — three WAL-backed hfserve
 # replicas with consistent-hash cache sharding serve a >= 1000-job
@@ -326,6 +332,18 @@ tier_1() {
 	[ "$(echo "$updates" | grep -c .)" -eq 1 ] && echo "$updates" | grep -q '^\./internal/linalg/gemm\.go:' ||
 		{ echo "structure gate: a scalar product loop outside linalg.mulAddGo; call linalg.MulAdd:"; echo "$updates"; exit 1; }
 
+	# The density step: the distmat ops read tiles through readTile (owned
+	# tiles in place, no copy), and SP2 squares X with Square (one product
+	# per mirrored tile pair), not a general MatMul.
+	if grep -n 'GetTile(' internal/distmat/ops.go internal/distmat/purify.go; then
+		echo "structure gate: a distmat op copies tiles with GetTile; read through readTile"
+		exit 1
+	fi
+	if grep -n 'MatMul(' internal/distmat/purify.go; then
+		echo "structure gate: purify.go multiplies with MatMul; SP2 squares symmetric X with Square"
+		exit 1
+	fi
+
 	# The pure-Go bodies of the ERI kernel and of MulAdd are all a CPU
 	# without AVX/FMA, or another architecture, runs: they keep compiling
 	# there. The kernel's sweep and probe benchmarks, the digest benchmark,
@@ -335,7 +353,7 @@ tier_1() {
 	go test -run '^$' -bench 'KernelSweep|KernelProbe' -benchtime 1x ./internal/integrals/ >/dev/null
 	go test -run '^$' -bench 'Digest' -benchtime 1x ./internal/fock/ >/dev/null
 	go test -run '^$' -bench '^BenchmarkMulAdd$/^(scalar|kernel)$' -benchtime 1x ./internal/linalg/ >/dev/null
-	go test -run '^$' -bench '^BenchmarkPurify$' -benchtime 1x ./internal/distmat/ >/dev/null
+	go test -run '^$' -bench '^Benchmark(Square|Purify)$' -benchtime 1x ./internal/distmat/ >/dev/null
 	layout_gate
 	for bin in hfrun hfserve bench; do
 		if grep ' repro/internal/integrals/oracle\.' "$tracedir/$bin.nm"; then
@@ -511,9 +529,11 @@ tier_5() {
 	go run ./cmd/scaling -exp serve
 
 	# The parsers behind a served job's inline geometry and a registered
-	# basis: 30 s of native fuzzing each, from the committed seed corpora.
+	# basis, and the content hash that dedups served jobs: 30 s of native
+	# fuzzing each, from the committed seed corpora.
 	go test -run '^$' -fuzz '^FuzzParseXYZ$' -fuzztime 30s ./internal/molecule/
 	go test -run '^$' -fuzz '^FuzzParseGBS$' -fuzztime 30s ./internal/basis/
+	go test -run '^$' -fuzz '^FuzzSpecCanonicalHash$' -fuzztime 30s ./internal/jobs/
 }
 
 tier_6() {

@@ -34,7 +34,8 @@ type BlockMat struct {
 	offset []int // tile (bi,bj) -> float offset in the owner's window
 
 	ownedTiles int
-	names      []string // per-rank data window names, precomputed
+	names      []string  // per-rank data window names, precomputed
+	local      []float64 // the calling rank's own window, read in place by readTile
 
 	// One-sided traffic accounting (off-rank bytes only), mirrored into
 	// the distmat.* telemetry counters when a session is attached. The
@@ -112,6 +113,9 @@ func newMat(g *Grid, dx *ddi.Context, n, bs int, abft bool) *BlockMat {
 			comm.WinCreate(m.winName(r), c*bs*bs)
 		}
 	}
+	if m.ownedTiles > 0 {
+		m.local = comm.WinShared(m.winName(comm.Rank()))
+	}
 	if abft {
 		m.initABFT()
 	}
@@ -168,6 +172,20 @@ func (m *BlockMat) GetTile(bi, bj int, out []float64) {
 	t := m.tileIndex(bi, bj)
 	m.countTraffic(&m.getBytes, m.getCtr, m.owner[t], len(out))
 	m.Dx.Comm.WinGet(m.winName(m.owner[t]), m.offset[t], out)
+}
+
+// readTile returns tile (bi, bj) for reading: the calling rank's window
+// storage itself when it owns the tile (buf may then be nil), else a
+// GetTile copy in buf. The in-place slice is read-only (writes go through
+// PutTile, which keeps parity); the ops' barriers keep writers off it.
+func (m *BlockMat) readTile(bi, bj int, buf []float64) []float64 {
+	t := m.tileIndex(bi, bj)
+	if m.owner[t] == m.Dx.Comm.Rank() {
+		end := m.offset[t] + m.BS*m.BS
+		return m.local[m.offset[t]:end:end]
+	}
+	m.GetTile(bi, bj, buf)
+	return buf
 }
 
 // PutTile stores tile (bi, bj) from data (BS*BS floats). One-sided; the

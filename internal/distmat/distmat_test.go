@@ -237,8 +237,15 @@ func TestReductionsMatchDense(t *testing.T) {
 		if err := db.ScatterDense(b); err != nil {
 			t.Fatalf("scatter: %v", err)
 		}
-		if got, want := Trace(da), a.Trace(); math.Abs(got-want) > 1e-12 {
-			t.Errorf("Trace = %g, want %g", got, want)
+		ta, tb, dsq := sweepSums(da, db)
+		if want := a.Trace(); math.Abs(ta-want) > 1e-12 {
+			t.Errorf("sweepSums tr a = %g, want %g", ta, want)
+		}
+		if want := b.Trace(); math.Abs(tb-want) > 1e-12 {
+			t.Errorf("sweepSums tr b = %g, want %g", tb, want)
+		}
+		if want := FrobSqDiff(da, db); dsq != want {
+			t.Errorf("sweepSums ||a-b||^2 = %g, want FrobSqDiff's %g bit for bit", dsq, want)
 		}
 		if got, want := Dot(da, db), linalg.Dot(a, b); math.Abs(got-want) > 1e-10 {
 			t.Errorf("Dot = %g, want %g", got, want)

@@ -1,6 +1,6 @@
 // Package distmat implements GA-style 2D block-distributed symmetric
 // matrices over the DDI one-sided machinery, plus the distributed BLAS-3
-// primitives (MatMul, trace, Frobenius norm, Gershgorin bounds) needed
+// primitives (MatMul, Square, Frobenius norm, Gershgorin bounds) needed
 // for purification-based SCF. It is the repository's answer to the
 // memory wall in the paper's eqs. (3a)-(3c): the hybrid algorithms shrink
 // the per-node *replication factor*, but every rank still holds full

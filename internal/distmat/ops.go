@@ -53,27 +53,107 @@ func MatMul(c, a, b *BlockMat) {
 	bbuf := make([]float64, bs*bs)
 	ctile := make([]float64, bs*bs)
 	c.forOwned(func(bi, bj int) {
-		for i := range ctile {
-			ctile[i] = 0
-		}
+		clear(ctile)
 		for k := 0; k < c.NB; k++ {
-			a.GetTile(bi, k, abuf)
-			b.GetTile(k, bj, bbuf)
-			linalg.MulAdd(ctile, bs, abuf, bs, bbuf, bs, c.live(bi), c.live(bj), c.live(k))
+			linalg.MulAdd(ctile, bs, a.readTile(bi, k, abuf), bs, b.readTile(k, bj, bbuf), bs,
+				c.live(bi), c.live(bj), c.live(k))
 		}
 		c.PutTile(bi, bj, ctile)
 	})
 	c.Dx.Comm.Barrier()
 }
 
+// Square computes c = x * x for an exactly symmetric x (x[i][j] and
+// x[j][i] hold the same bits) with one tile product per mirrored pair of
+// c: X^2[j][i] sums the same products in the same k order as X^2[i][j],
+// so a product's transpose is its mirror and c has MatMul's bits. The
+// rank squarePlan names writes the pair's tile it owns, plus the
+// transpose when it owns the mirror too; after a barrier each owner
+// fills its other tiles from their mirrors. c must not alias x.
+func Square(c, x *BlockMat) {
+	c.sameShape(x)
+	if c == x {
+		panic("distmat: Square output aliases its input")
+	}
+	c.Dx.Comm.Barrier()
+	me := c.Dx.Comm.Rank()
+	nb, bs := c.NB, c.BS
+	plan := c.squarePlan()
+	abuf, bbuf := make([]float64, bs*bs), make([]float64, bs*bs)
+	ctile, ttile := make([]float64, bs*bs), make([]float64, bs*bs)
+	for bi := 0; bi < nb; bi++ {
+		for bj := 0; bj <= bi; bj++ {
+			if plan[bi*nb+bj] != me {
+				continue
+			}
+			ti, tj := bi, bj
+			if !c.OwnsTile(ti, tj) {
+				ti, tj = bj, bi
+			}
+			clear(ctile)
+			for k := 0; k < nb; k++ {
+				linalg.MulAdd(ctile, bs, x.readTile(ti, k, abuf), bs, x.readTile(k, tj, bbuf), bs,
+					c.live(ti), c.live(tj), c.live(k))
+			}
+			c.PutTile(ti, tj, ctile)
+			if ti != tj && c.OwnsTile(tj, ti) {
+				transpose(ttile, ctile, bs)
+				c.PutTile(tj, ti, ttile)
+			}
+		}
+	}
+	c.Dx.Comm.Barrier()
+	c.forOwned(func(bi, bj int) {
+		if plan[max(bi, bj)*nb+min(bi, bj)] != me {
+			transpose(ttile, c.readTile(bj, bi, ctile), bs)
+			c.PutTile(bi, bj, ttile)
+		}
+	})
+	c.Dx.Comm.Barrier()
+}
+
+// squarePlan names, per mirrored tile pair keyed by its lower tile (index
+// bi*NB+bj, bi >= bj), the rank that computes its product: a diagonal
+// tile, or a pair with one owner, goes to that owner; each other pair
+// then to whichever of its two owners has fewer products so far (the
+// lower tile's owner on a tie). Every rank computes the same plan.
+func (m *BlockMat) squarePlan() []int {
+	plan := make([]int, m.NB*m.NB)
+	load := make([]int, m.Dx.Comm.Size())
+	for _, shared := range []bool{true, false} {
+		for bi := 0; bi < m.NB; bi++ {
+			for bj := 0; bj <= bi; bj++ {
+				lo, up := m.owner[bi*m.NB+bj], m.owner[bj*m.NB+bi]
+				if (lo == up) != shared {
+					continue
+				}
+				r := lo
+				if load[up] < load[lo] {
+					r = up
+				}
+				plan[bi*m.NB+bj] = r
+				load[r]++
+			}
+		}
+	}
+	return plan
+}
+
+// transpose sets the bs x bs tile dst to src transposed.
+func transpose(dst, src []float64, bs int) {
+	for r := 0; r < bs; r++ {
+		for c := 0; c < bs; c++ {
+			dst[c*bs+r] = src[r*bs+c]
+		}
+	}
+}
+
 // Copy sets dst = src (same shape).
 func Copy(dst, src *BlockMat) {
 	dst.sameShape(src)
 	dst.Dx.Comm.Barrier()
-	buf := make([]float64, dst.BS*dst.BS)
 	dst.forOwned(func(bi, bj int) {
-		src.GetTile(bi, bj, buf)
-		dst.PutTile(bi, bj, buf)
+		dst.PutTile(bi, bj, src.readTile(bi, bj, nil))
 	})
 	dst.Dx.Comm.Barrier()
 }
@@ -83,9 +163,8 @@ func Scale(m *BlockMat, s float64) {
 	m.Dx.Comm.Barrier()
 	buf := make([]float64, m.BS*m.BS)
 	m.forOwned(func(bi, bj int) {
-		m.GetTile(bi, bj, buf)
-		for i := range buf {
-			buf[i] *= s
+		for i, v := range m.readTile(bi, bj, nil) {
+			buf[i] = v * s
 		}
 		m.PutTile(bi, bj, buf)
 	})
@@ -96,15 +175,13 @@ func Scale(m *BlockMat, s float64) {
 func Axpby(y, x *BlockMat, a, b float64) {
 	y.sameShape(x)
 	y.Dx.Comm.Barrier()
-	xbuf := make([]float64, y.BS*y.BS)
-	ybuf := make([]float64, y.BS*y.BS)
+	out := make([]float64, y.BS*y.BS)
 	y.forOwned(func(bi, bj int) {
-		x.GetTile(bi, bj, xbuf)
-		y.GetTile(bi, bj, ybuf)
-		for i := range ybuf {
-			ybuf[i] = a*xbuf[i] + b*ybuf[i]
+		xt, yt := x.readTile(bi, bj, nil), y.readTile(bi, bj, nil)
+		for i := range out {
+			out[i] = a*xt[i] + b*yt[i]
 		}
-		y.PutTile(bi, bj, ybuf)
+		y.PutTile(bi, bj, out)
 	})
 	y.Dx.Comm.Barrier()
 }
@@ -118,7 +195,7 @@ func AddScaledIdentity(m *BlockMat, s float64) {
 		if bi != bj {
 			return
 		}
-		m.GetTile(bi, bj, buf)
+		copy(buf, m.readTile(bi, bj, nil))
 		for r := 0; r < bs && bi*bs+r < m.N; r++ {
 			buf[r*bs+r] += s
 		}
@@ -139,16 +216,12 @@ func LinearCombine(dst *BlockMat, coefs []float64, mats []*BlockMat) {
 		dst.sameShape(m)
 	}
 	dst.Dx.Comm.Barrier()
-	buf := make([]float64, dst.BS*dst.BS)
 	acc := make([]float64, dst.BS*dst.BS)
 	dst.forOwned(func(bi, bj int) {
-		for i := range acc {
-			acc[i] = 0
-		}
+		clear(acc)
 		for t, m := range mats {
-			m.GetTile(bi, bj, buf)
-			for i := range acc {
-				acc[i] += coefs[t] * buf[i]
+			for i, v := range m.readTile(bi, bj, nil) {
+				acc[i] += coefs[t] * v
 			}
 		}
 		dst.PutTile(bi, bj, acc)
@@ -166,15 +239,13 @@ func AntiSymmetrize(e, a *BlockMat) {
 	}
 	e.Dx.Comm.Barrier()
 	bs := e.BS
-	buf := make([]float64, bs*bs)
 	tbuf := make([]float64, bs*bs)
 	out := make([]float64, bs*bs)
 	e.forOwned(func(bi, bj int) {
-		a.GetTile(bi, bj, buf)
-		a.GetTile(bj, bi, tbuf)
+		at, tt := a.readTile(bi, bj, nil), a.readTile(bj, bi, tbuf)
 		for r := 0; r < bs; r++ {
 			for c := 0; c < bs; c++ {
-				out[r*bs+c] = buf[r*bs+c] - tbuf[c*bs+r]
+				out[r*bs+c] = at[r*bs+c] - tt[c*bs+r]
 			}
 		}
 		e.PutTile(bi, bj, out)
@@ -188,67 +259,38 @@ func AntiSymmetrize(e, a *BlockMat) {
 // location and leave the strict upper triangle zero.
 func UnfoldLower(m *BlockMat) {
 	bs := m.BS
-	buf := make([]float64, bs*bs)
 	out := make([]float64, bs*bs)
 	m.Dx.Comm.Barrier() // all accumulates must land before tiles are read
 	m.forOwned(func(bi, bj int) {
 		if bi < bj {
 			return
 		}
-		m.GetTile(bi, bj, buf)
+		t := m.readTile(bi, bj, nil)
 		if bi == bj {
+			copy(out, t)
 			for r := 0; r < bs; r++ {
 				for c := r + 1; c < bs; c++ {
-					buf[r*bs+c] = buf[c*bs+r]
+					out[r*bs+c] = out[c*bs+r]
 				}
 			}
-			m.PutTile(bi, bj, buf)
+			m.PutTile(bi, bj, out)
 			return
 		}
-		for r := 0; r < bs; r++ {
-			for c := 0; c < bs; c++ {
-				out[c*bs+r] = buf[r*bs+c]
-			}
-		}
+		transpose(out, t, bs)
 		m.PutTile(bj, bi, out)
 	})
 	m.Dx.Comm.Barrier()
-}
-
-// Trace returns tr(m), identical on every rank (local partial + global
-// sum; the in-order allreduce makes the value deterministic, which the
-// purification branch decisions rely on).
-func Trace(m *BlockMat) float64 {
-	bs := m.BS
-	buf := make([]float64, bs*bs)
-	sum := 0.0
-	m.forOwned(func(bi, bj int) {
-		if bi != bj {
-			return
-		}
-		m.GetTile(bi, bj, buf)
-		for r := 0; r < bs && bi*bs+r < m.N; r++ {
-			sum += buf[r*bs+r]
-		}
-	})
-	v := []float64{sum}
-	m.Dx.GSumF(v)
-	m.Dx.Comm.Barrier()
-	return v[0]
 }
 
 // Dot returns the element-wise inner product <a, b>, identical on every
 // rank.
 func Dot(a, b *BlockMat) float64 {
 	a.sameShape(b)
-	abuf := make([]float64, a.BS*a.BS)
-	bbuf := make([]float64, a.BS*a.BS)
 	sum := 0.0
 	a.forOwned(func(bi, bj int) {
-		a.GetTile(bi, bj, abuf)
-		b.GetTile(bi, bj, bbuf)
-		for i := range abuf {
-			sum += abuf[i] * bbuf[i]
+		bt := b.readTile(bi, bj, nil)
+		for i, v := range a.readTile(bi, bj, nil) {
+			sum += v * bt[i]
 		}
 	})
 	v := []float64{sum}
@@ -263,14 +305,11 @@ func FrobeniusNorm(m *BlockMat) float64 { return math.Sqrt(Dot(m, m)) }
 // FrobSqDiff returns ||a - b||_F^2, identical on every rank.
 func FrobSqDiff(a, b *BlockMat) float64 {
 	a.sameShape(b)
-	abuf := make([]float64, a.BS*a.BS)
-	bbuf := make([]float64, a.BS*a.BS)
 	sum := 0.0
 	a.forOwned(func(bi, bj int) {
-		a.GetTile(bi, bj, abuf)
-		b.GetTile(bi, bj, bbuf)
-		for i := range abuf {
-			d := abuf[i] - bbuf[i]
+		bt := b.readTile(bi, bj, nil)
+		for i, v := range a.readTile(bi, bj, nil) {
+			d := v - bt[i]
 			sum += d * d
 		}
 	})
@@ -294,11 +333,10 @@ func RMSDiff(a, b *BlockMat) float64 {
 // global sums make the bounds identical everywhere.
 func Gershgorin(m *BlockMat) (lo, hi float64) {
 	bs := m.BS
-	buf := make([]float64, bs*bs)
 	diag := make([]float64, m.N)
 	absRow := make([]float64, m.N)
 	m.forOwned(func(bi, bj int) {
-		m.GetTile(bi, bj, buf)
+		buf := m.readTile(bi, bj, nil)
 		for r := 0; r < bs && bi*bs+r < m.N; r++ {
 			row := bi*bs + r
 			for c := 0; c < bs && bj*bs+c < m.N; c++ {

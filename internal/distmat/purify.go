@@ -46,8 +46,11 @@ const purifyTraceTol = 1e-8
 // Purify runs SP2 on the orthonormal Fock fp, writing the orthonormal
 // closed-shell density D' = 2X into dst. xsq is caller-provided scratch
 // of the same shape (reused across SCF iterations to keep the working
-// set fixed). Collective; the branch decisions depend only on
-// deterministic allreduced traces, so every rank takes the same path.
+// set fixed). Only fp's lower triangle is read: mirrored onto the upper
+// one it makes X exactly symmetric, which Square needs, even when the
+// products that formed F' rounded its two triangles apart. Collective;
+// the branch decisions depend only on deterministic allreduced traces,
+// so every rank takes the same path.
 func Purify(dst, fp, xsq *BlockMat, nocc int, tol float64, maxSweeps int) (PurifyStats, error) {
 	dst.sameShape(fp)
 	dst.sameShape(xsq)
@@ -59,12 +62,12 @@ func Purify(dst, fp, xsq *BlockMat, nocc int, tol float64, maxSweeps int) (Purif
 	}
 	var st PurifyStats
 
-	lo, hi := Gershgorin(fp)
+	copyLower(dst, fp)
+	lo, hi := Gershgorin(dst)
 	if hi-lo < 1e-300 {
 		hi = lo + 1 // degenerate spectrum: any scaling works
 	}
 	// X0 = (hi*I - F') / (hi - lo)
-	Copy(dst, fp)
 	Scale(dst, -1/(hi-lo))
 	AddScaledIdentity(dst, hi/(hi-lo))
 
@@ -83,13 +86,12 @@ func Purify(dst, fp, xsq *BlockMat, nocc int, tol float64, maxSweeps int) (Purif
 				return st, fmt.Errorf("distmat: purification sweep %d: %w", sweep, aerr)
 			}
 		}
-		MatMul(xsq, dst, dst)
-		t := Trace(dst)
-		ts := Trace(xsq)
+		Square(xsq, dst)
+		t, ts, idemSq := sweepSums(dst, xsq)
 		if !isFinite(t) || !isFinite(ts) {
 			return st, fmt.Errorf("distmat: purification sweep %d produced a non-finite trace (tr X = %g, tr X^2 = %g)", sweep, t, ts)
 		}
-		st.IdemErr = math.Sqrt(FrobSqDiff(dst, xsq))
+		st.IdemErr = math.Sqrt(idemSq)
 		st.TraceErr = math.Abs(t - occ)
 		if st.IdemErr <= tol && st.TraceErr <= purifyTraceTol {
 			st.Converged = true
@@ -109,6 +111,58 @@ func Purify(dst, fp, xsq *BlockMat, nocc int, tol float64, maxSweeps int) (Purif
 	}
 	Scale(dst, 2) // D' = 2X (closed shell)
 	return st, nil
+}
+
+// copyLower sets dst to src with src's lower triangle mirrored onto the
+// upper one: exactly symmetric whatever src's upper triangle holds. Each
+// owner reads the lower tile it needs and writes only its own tiles.
+func copyLower(dst, src *BlockMat) {
+	dst.sameShape(src)
+	dst.Dx.Comm.Barrier()
+	bs := dst.BS
+	buf := make([]float64, bs*bs)
+	out := make([]float64, bs*bs)
+	dst.forOwned(func(bi, bj int) {
+		t := src.readTile(max(bi, bj), min(bi, bj), buf)
+		for r := 0; r < bs; r++ {
+			for c := 0; c < bs; c++ {
+				if bi < bj || bi == bj && r < c {
+					out[r*bs+c] = t[c*bs+r]
+				} else {
+					out[r*bs+c] = t[r*bs+c]
+				}
+			}
+		}
+		dst.PutTile(bi, bj, out)
+	})
+	dst.Dx.Comm.Barrier()
+}
+
+// sweepSums returns tr X, tr X^2 and ||X - X^2||_F^2 from one read of the
+// owned tiles and one global sum. Each partial adds its terms in the order
+// a trace or FrobSqDiff pass would (less the padding's zeros): same bits.
+func sweepSums(x, xsq *BlockMat) (t, ts, idemSq float64) {
+	bs := x.BS
+	x.forOwned(func(bi, bj int) {
+		xt, st := x.readTile(bi, bj, nil), xsq.readTile(bi, bj, nil)
+		sq := idemSq
+		for r := 0; r < x.live(bi); r++ {
+			if bi == bj {
+				t += xt[r*bs+r]
+				ts += st[r*bs+r]
+			}
+			row := st[r*bs : r*bs+x.live(bj)]
+			for c, v := range xt[r*bs : r*bs+len(row)] {
+				d := v - row[c]
+				sq += d * d
+			}
+		}
+		idemSq = sq
+	})
+	v := []float64{t, ts, idemSq}
+	x.Dx.GSumF(v)
+	x.Dx.Comm.Barrier()
+	return v[0], v[1], v[2]
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -2,9 +2,11 @@ package jobs
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"unicode"
 
 	"repro"
 )
@@ -183,4 +185,89 @@ func TestSpecPlan(t *testing.T) {
 			t.Errorf("%+v: run shape or SCF options not carried into the plan: %+v", tc.spec, p)
 		}
 	}
+}
+
+// TestNormalizedBlankBasis: a whitespace-only basis is a blank basis. It
+// normalizes to the default, validates, and hashes like the empty one
+// (the default used to be applied before the trim, leaving "").
+func TestNormalizedBlankBasis(t *testing.T) {
+	blank := Spec{Molecule: "water", Basis: "  "}
+	if got := blank.Normalized().Basis; got != "sto-3g" {
+		t.Fatalf("blank basis normalized to %q, want sto-3g", got)
+	}
+	if _, err := blank.Validate(); err != nil {
+		t.Fatalf("blank basis: %v", err)
+	}
+	h, err := blank.CanonicalHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Spec{blank.Normalized(), {Molecule: "water"}} {
+		if hs, err := s.CanonicalHash(); err != nil || hs != h {
+			t.Fatalf("%+v hashes %s (%v), want the blank basis's %s", s, hs, err, h)
+		}
+	}
+}
+
+// FuzzSpecCanonicalHash: Normalized is idempotent; hashing a spec and
+// hashing its normalized form agree whenever both succeed; and an inline
+// XYZ hashes the same with its atom lines permuted and re-spaced.
+func FuzzSpecCanonicalHash(f *testing.F) {
+	water := xyzFrom(waterXYZLines, "water")
+	f.Add("water", "", "  ", "", "", 0, 0, 0.0, 0.0, int64(1))
+	f.Add("water", "", "STO-3G", "serial", "gwh", 0, 7, 1e-6, 0.0, int64(2))
+	f.Add("", water, "", "purified", "", 1, 0, 0.0, 1e-7, int64(3))
+	f.Add("", water, " 6-31G ", "", "core", -1, -3, math.NaN(), 0.0, int64(4))
+	f.Add("methane", "", "\t", "quantum", "psychic", 0, 100, 0.0, math.Inf(1), int64(5))
+	f.Fuzz(func(t *testing.T, molecule, xyz, basis, mode, guess string, charge, maxIter int, convDens, convEnergy float64, seed int64) {
+		s := Spec{
+			Molecule: molecule, XYZ: xyz, Charge: charge, Basis: basis, Mode: mode,
+			MaxIter: maxIter, ConvDens: convDens, ConvEnergy: convEnergy, Guess: guess,
+		}
+		n := s.Normalized()
+		if nn := n.Normalized(); fmt.Sprintf("%#v", nn) != fmt.Sprintf("%#v", n) {
+			t.Fatalf("Normalized is not idempotent:\n once  %#v\n twice %#v", n, nn)
+		}
+		h, err := s.CanonicalHash()
+		if hn, errn := n.CanonicalHash(); err == nil && errn == nil && h != hn {
+			t.Fatalf("CanonicalHash %s, of the normalized spec %s", h, hn)
+		}
+		if err != nil || xyz == "" {
+			return
+		}
+		p := s
+		p.XYZ = permuteXYZ(rand.New(rand.NewSource(seed)), xyz)
+		if hp, err := p.CanonicalHash(); err != nil || hp != h {
+			t.Fatalf("permuted, re-spaced XYZ hashes %s (%v), want %s\noriginal:\n%q\npermuted:\n%q", hp, err, h, xyz, p.XYZ)
+		}
+	})
+}
+
+// permuteXYZ shuffles the atom lines of an XYZ text that parses and widens
+// their blanks: every run of spaces and tabs grows, and some lines gain
+// leading or trailing ones. Token boundaries stay where they were.
+func permuteXYZ(rng *rand.Rand, xyz string) string {
+	body := strings.TrimLeftFunc(xyz, unicode.IsSpace)
+	lines := strings.Split(strings.TrimRightFunc(body, unicode.IsSpace), "\n")
+	var n int
+	fmt.Sscanf(strings.TrimSpace(lines[0]), "%d", &n)
+	atoms := lines[2 : 2+n]
+	rng.Shuffle(len(atoms), func(i, j int) { atoms[i], atoms[j] = atoms[j], atoms[i] })
+	for i, a := range atoms {
+		var b strings.Builder
+		if rng.Intn(2) == 0 {
+			b.WriteString(" \t")
+		}
+		for _, r := range a {
+			b.WriteRune(r)
+			if r == ' ' || r == '\t' {
+				b.WriteString([]string{" ", "\t", "  "}[rng.Intn(3)])
+			}
+		}
+		if rng.Intn(2) == 0 {
+			b.WriteString("\t ")
+		}
+		atoms[i] = b.String()
+	}
+	return strings.Join(lines, "\n")
 }

@@ -58,12 +58,13 @@ type Spec struct {
 }
 
 // Normalized returns the spec with defaults applied — the form that is
-// validated, hashed, and executed.
+// validated, hashed, and executed. It is idempotent: the basis is trimmed
+// and lowercased before its default applies, so a blank basis gets it.
 func (s Spec) Normalized() Spec {
+	s.Basis = strings.ToLower(strings.TrimSpace(s.Basis))
 	if s.Basis == "" {
 		s.Basis = "sto-3g"
 	}
-	s.Basis = strings.ToLower(strings.TrimSpace(s.Basis))
 	if s.Mode == "" {
 		s.Mode = ModeResilient
 	}

@@ -720,6 +720,15 @@ func (c *Comm) WinCreate(name string, size int) {
 	}
 }
 
+// WinShared returns the named float window's storage itself, for loads
+// in place — the MPI_Win_shared_query analogue, used on a rank's own
+// window. Nothing locks it: the caller orders its loads against every
+// writer with barriers and never writes through it.
+func (c *Comm) WinShared(name string) []float64 {
+	v, _ := c.world.windows.Load(name)
+	return v.(*window).data
+}
+
 // WinPut stores data at offset of the named window (one-sided put).
 func (c *Comm) WinPut(name string, offset int, data []float64) {
 	c.checkFenced()
