@@ -53,6 +53,11 @@
 # The density step squares symmetric X: internal/distmat's ops.go and
 # purify.go hold no GetTile( (every op reads through readTile, owned
 # tiles in place) and purify.go no MatMul( (SP2 squares with Square).
+# ABFT parity is one group table: non-test internal/distmat names none
+# of the row/column twins (rowGroupSum, colGroupSum, rowParityTile,
+# colParityTile, fromRowGroup, fromColGroup) nor rowOwner/colOwner, and
+# the two placement rules rowParityOwner( and colParityOwner( are called
+# from parityPlan only. Non-test internal/linalg declares no type Packed.
 # The pure-Go bodies of the ERI kernel and of MulAdd vet under
 # GOARCH=arm64 (no assembly there); the kernel's sweep and probe
 # benchmarks, the digest benchmark, BenchmarkMulAdd/{scalar,kernel},
@@ -341,6 +346,26 @@ tier_1() {
 	fi
 	if grep -n 'MatMul(' internal/distmat/purify.go; then
 		echo "structure gate: purify.go multiplies with MatMul; SP2 squares symmetric X with Square"
+		exit 1
+	fi
+
+	# ABFT parity is one group table: one sum, one parity read and one
+	# salvage peel over a group index, and one parityPlan that places the
+	# groups for both NewABFT and the memory model (ABFTBytesPerRank).
+	dm_src=$(ls internal/distmat/*.go | grep -v _test.go)
+	if grep -nw 'rowGroupSum\|colGroupSum\|rowParityTile\|colParityTile\|fromRowGroup\|fromColGroup\|rowOwner\|colOwner' $dm_src; then
+		echo "structure gate: a row/column twin of the ABFT parity code is back; work over the one group table"
+		exit 1
+	fi
+	for rule in rowParityOwner colParityOwner; do
+		all=$(sed 's://.*$::' $dm_src | grep -c "\b$rule(" || true)
+		planned=$(sed -n '/^func parityPlan(/,/^}/p' $dm_src | sed 's://.*$::' | grep -c "\b$rule(" || true)
+		# all counts the rule's own definition line too.
+		[ "$planned" -ge 1 ] && [ "$all" -eq $((planned + 1)) ] ||
+			{ echo "structure gate: $rule( is called outside parityPlan ($all sites, $planned in parityPlan); place parity groups through parityPlan only"; exit 1; }
+	done
+	if grep -n '^type Packed\b' $(ls internal/linalg/*.go | grep -v _test.go); then
+		echo "structure gate: linalg.Packed is back; PackedIndex is the one packed-order helper"
 		exit 1
 	fi
 

@@ -34,8 +34,8 @@ package distmat
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
@@ -58,21 +58,24 @@ const (
 // it reads as a (row) mismatch and forces the full phase that cycle.
 const abftRefreshEvery = 32
 
-// abftState carries the parity-group tables of one ABFT matrix.
-// Row group (bi, k) indexes rowOwner/rowOff at bi*kr + k; column group
-// (bj, k) indexes colOwner/colOff at bj*kc + k.
+// abftState carries the parity-group table of one ABFT matrix (see
+// parityPlan for its order).
 type abftState struct {
-	kr, kc   int
-	rowOwner []int
-	rowOff   []int
-	colOwner []int
-	colOff   []int
+	kr, kc int           // row groups per block row, column groups per block column
+	groups []parityGroup // row group (bi, k) at bi*kr+k, column group (bj, k) at NB*kr + bj*kc+k
 
 	ownedParity  int      // parity tiles stored on the calling rank
 	names        []string // per-rank parity window names, precomputed
 	sinceRefresh int      // audits since the last full parity refresh
-	parityBytes  atomic.Int64
 	parityCtr    *telemetry.Counter
+}
+
+// parityGroup is one checksum tile: the rank storing it, its float
+// offset in that rank's parity window, and the tile indices (bi*NB+bj)
+// it sums, in ascending order.
+type parityGroup struct {
+	owner, off int
+	members    []int
 }
 
 // rowParityOwner places the parity of row group (bi, k) on the grid row
@@ -93,44 +96,51 @@ func colParityOwner(g *Grid, bj, k int) int {
 	return ((bj+k)%g.Pr)*g.Pc + (bj%g.Pc+1)%g.Pc
 }
 
-// initABFT builds the parity owner/offset tables and creates the parity
+// parityPlan lays out every parity group of an nb x nb tile matrix with
+// tile edge bs over grid g: the row groups first, then the column
+// groups, each owner packing its parity tiles into its window in that
+// order. counts[r] is the number of parity tiles rank r stores. Every
+// rank derives the identical plan, and the memory model reads the same
+// one (ABFTBytesPerRank).
+func parityPlan(g *Grid, ranks, nb, bs int) (ab *abftState, counts []int) {
+	ab = &abftState{kr: (nb + g.Pc - 1) / g.Pc, kc: (nb + g.Pr - 1) / g.Pr}
+	ab.groups = make([]parityGroup, 0, nb*(ab.kr+ab.kc))
+	counts = make([]int, ranks)
+	tiles := make([]int, 0, 2*nb*nb) // every group's members, one backing array
+	add := func(owner, first, step, end int) {
+		start := len(tiles)
+		for t := first; t < end; t += step {
+			tiles = append(tiles, t)
+		}
+		ab.groups = append(ab.groups, parityGroup{owner, counts[owner] * bs * bs, tiles[start:len(tiles):len(tiles)]})
+		counts[owner]++
+	}
+	for bi := 0; bi < nb; bi++ {
+		for k := 0; k < ab.kr; k++ {
+			add(rowParityOwner(g, bi, k), bi*nb+k*g.Pc, 1, bi*nb+min((k+1)*g.Pc, nb))
+		}
+	}
+	for bj := 0; bj < nb; bj++ {
+		for k := 0; k < ab.kc; k++ {
+			add(colParityOwner(g, bj, k), k*g.Pr*nb+bj, nb, min((k+1)*g.Pr, nb)*nb)
+		}
+	}
+	return ab, counts
+}
+
+// initABFT builds the parity-group table and creates the parity
 // windows. Called inside the collective constructor, between its
-// barriers; every rank computes the identical tables.
+// barriers.
 func (m *BlockMat) initABFT() {
 	comm := m.Dx.Comm
-	g := m.G
-	ab := &abftState{
-		kr: (m.NB + g.Pc - 1) / g.Pc,
-		kc: (m.NB + g.Pr - 1) / g.Pr,
-	}
+	ab, counts := parityPlan(m.G, comm.Size(), m.NB, m.BS)
+	ab.ownedParity = counts[comm.Rank()]
 	ab.names = make([]string, comm.Size())
 	for r := range ab.names {
 		ab.names[r] = fmt.Sprintf("dm.ab.%d.%d", m.id, r)
 	}
 	ab.parityCtr = comm.Telemetry().Counter("distmat.abft.parity.bytes")
 	m.ab = ab // abWinName reads the name table from here on
-	counts := make([]int, comm.Size())
-	ab.rowOwner = make([]int, m.NB*ab.kr)
-	ab.rowOff = make([]int, m.NB*ab.kr)
-	for bi := 0; bi < m.NB; bi++ {
-		for k := 0; k < ab.kr; k++ {
-			o := rowParityOwner(g, bi, k)
-			ab.rowOwner[bi*ab.kr+k] = o
-			ab.rowOff[bi*ab.kr+k] = counts[o] * m.BS * m.BS
-			counts[o]++
-		}
-	}
-	ab.colOwner = make([]int, m.NB*ab.kc)
-	ab.colOff = make([]int, m.NB*ab.kc)
-	for bj := 0; bj < m.NB; bj++ {
-		for k := 0; k < ab.kc; k++ {
-			o := colParityOwner(g, bj, k)
-			ab.colOwner[bj*ab.kc+k] = o
-			ab.colOff[bj*ab.kc+k] = counts[o] * m.BS * m.BS
-			counts[o]++
-		}
-	}
-	ab.ownedParity = counts[comm.Rank()]
 	for r, c := range counts {
 		if c > 0 {
 			comm.WinCreate(m.abWinName(r), c*m.BS*m.BS)
@@ -142,15 +152,6 @@ func (m *BlockMat) initABFT() {
 func (m *BlockMat) ABFT() bool { return m.ab != nil }
 
 func (m *BlockMat) abWinName(rank int) string { return m.ab.names[rank] }
-
-// ParityBytes returns the off-rank one-sided bytes this rank moved
-// maintaining parity tiles since creation.
-func (m *BlockMat) ParityBytes() int64 {
-	if m.ab == nil {
-		return 0
-	}
-	return m.ab.parityBytes.Load()
-}
 
 // rawGetTile / rawPutTile move a data tile without parity maintenance
 // or traffic accounting — the audit/repair/salvage plumbing, which must
@@ -165,21 +166,20 @@ func (m *BlockMat) rawPutTile(bi, bj int, data []float64) {
 	m.Dx.Comm.WinPut(m.winName(m.owner[t]), m.offset[t], data)
 }
 
+// tileGroups returns the indices of tile (bi, bj)'s row and column
+// parity groups, in that order.
+func (m *BlockMat) tileGroups(bi, bj int) [2]int {
+	return [2]int{bi*m.ab.kr + bj/m.G.Pc, m.NB*m.ab.kr + bj*m.ab.kc + bi/m.G.Pr}
+}
+
 // accParity accumulates a tile delta into the row and column parity of
 // tile (bi, bj).
 func (m *BlockMat) accParity(bi, bj int, delta []float64) {
-	ab := m.ab
 	me := m.Dx.Comm.Rank()
-	rk := bj / m.G.Pc
-	ck := bi / m.G.Pr
-	for _, p := range [2]struct{ owner, off int }{
-		{ab.rowOwner[bi*ab.kr+rk], ab.rowOff[bi*ab.kr+rk]},
-		{ab.colOwner[bj*ab.kc+ck], ab.colOff[bj*ab.kc+ck]},
-	} {
+	for _, gi := range m.tileGroups(bi, bj) {
+		p := &m.ab.groups[gi]
 		if p.owner != me {
-			bytes := int64(len(delta)) * 8
-			ab.parityBytes.Add(bytes)
-			ab.parityCtr.Add(bytes)
+			m.ab.parityCtr.Add(int64(len(delta)) * 8)
 		}
 		m.Dx.Comm.WinAcc(m.abWinName(p.owner), p.off, delta)
 	}
@@ -196,41 +196,21 @@ func (m *BlockMat) zeroParity() {
 	m.Dx.Comm.WinPut(m.abWinName(m.Dx.Comm.Rank()), 0, zeros)
 }
 
-// rowParityTile / colParityTile read a stored parity tile.
-func (m *BlockMat) rowParityTile(bi, k int, out []float64) {
-	m.Dx.Comm.WinGet(m.abWinName(m.ab.rowOwner[bi*m.ab.kr+k]), m.ab.rowOff[bi*m.ab.kr+k], out)
+// parityTile reads the stored parity tile of group gi.
+func (m *BlockMat) parityTile(gi int, out []float64) {
+	p := &m.ab.groups[gi]
+	m.Dx.Comm.WinGet(m.abWinName(p.owner), p.off, out)
 }
 
-func (m *BlockMat) colParityTile(bj, k int, out []float64) {
-	m.Dx.Comm.WinGet(m.abWinName(m.ab.colOwner[bj*m.ab.kc+k]), m.ab.colOff[bj*m.ab.kc+k], out)
-}
-
-// rowGroupSum freshly sums the members of row group (bi, k) into sum,
-// skipping member column skipBj (-1 = none). buf is bs*bs scratch.
-func (m *BlockMat) rowGroupSum(bi, k, skipBj int, sum, buf []float64) {
-	for i := range sum {
-		sum[i] = 0
-	}
-	for bj := k * m.G.Pc; bj < (k+1)*m.G.Pc && bj < m.NB; bj++ {
-		if bj == skipBj {
+// groupSum freshly sums the members of group gi into sum, skipping tile
+// index skip (-1 = none). buf is bs*bs scratch.
+func (m *BlockMat) groupSum(gi, skip int, sum, buf []float64) {
+	clear(sum)
+	for _, t := range m.ab.groups[gi].members {
+		if t == skip {
 			continue
 		}
-		m.rawGetTile(bi, bj, buf)
-		for i, v := range buf {
-			sum[i] += v
-		}
-	}
-}
-
-func (m *BlockMat) colGroupSum(bj, k, skipBi int, sum, buf []float64) {
-	for i := range sum {
-		sum[i] = 0
-	}
-	for bi := k * m.G.Pr; bi < (k+1)*m.G.Pr && bi < m.NB; bi++ {
-		if bi == skipBi {
-			continue
-		}
-		m.rawGetTile(bi, bj, buf)
+		m.rawGetTile(t/m.NB, t%m.NB, buf)
 		for i, v := range buf {
 			sum[i] += v
 		}
@@ -273,14 +253,14 @@ type AuditStats struct {
 //	    mismatched group is localized by cross-checking each member's
 //	    COLUMN group — the member whose column parity also disagrees is
 //	    the corrupt one. Zero members flagged means the row parity
-//	    itself went stale (phase 2 refreshes it); more than one flagged
-//	    is ambiguous and unrepairable.
+//	    itself went stale (phase 2 refreshes and counts it); more than
+//	    one flagged is ambiguous and unrepairable.
 //	1b (write) apply the planned repairs: corrected = stored row parity
 //	    minus the sum of the other members, written raw (the parities
 //	    already reflect the true value; a maintaining PutTile would
 //	    corrupt them with the repair delta).
 //	2  every parity owner recomputes fresh sums and rewrites its
-//	    parities.
+//	    parities, counting those that were off as ParityRefreshes.
 //
 // Phases 1b and 2 only run when the allreduce after 1a shows a mismatch
 // somewhere in the world, or every abftRefreshEvery-th audit (the drift
@@ -294,6 +274,7 @@ func (m *BlockMat) AuditParity() (AuditStats, error) {
 	}
 	comm := m.Dx.Comm
 	me := comm.Rank()
+	ab := m.ab
 	bs2 := m.BS * m.BS
 	sum := make([]float64, bs2)
 	buf := make([]float64, bs2)
@@ -303,117 +284,89 @@ func (m *BlockMat) AuditParity() (AuditStats, error) {
 	// Phase 1a: detect + localize, read-only. Repairs are planned into
 	// a local list and applied only after the barrier.
 	type repair struct {
-		bi, bj int
-		data   []float64
+		tile int
+		data []float64
 	}
 	var st AuditStats
 	var repairs []repair
 	var unrepairable int64
-	for bi := 0; bi < m.NB; bi++ {
-		for k := 0; k < m.ab.kr; k++ {
-			if m.ab.rowOwner[bi*m.ab.kr+k] != me {
-				continue
+	for gi := range ab.groups[:m.NB*ab.kr] {
+		if ab.groups[gi].owner != me {
+			continue
+		}
+		st.Groups++
+		m.groupSum(gi, -1, sum, buf)
+		m.parityTile(gi, stored)
+		if !parityMismatch(sum, stored) {
+			continue
+		}
+		st.Mismatches++
+		// Localize: the member whose column group also mismatches.
+		corrupt := -1
+		flagged := 0
+		for _, t := range ab.groups[gi].members {
+			cg := m.tileGroups(t/m.NB, t%m.NB)[1]
+			m.groupSum(cg, -1, sum, buf)
+			m.parityTile(cg, stored)
+			if parityMismatch(sum, stored) {
+				flagged++
+				corrupt = t
 			}
-			st.Groups++
-			m.rowGroupSum(bi, k, -1, sum, buf)
-			m.rowParityTile(bi, k, stored)
-			if !parityMismatch(sum, stored) {
-				continue
+		}
+		switch flagged {
+		case 1:
+			// corrected = stored row parity - sum of other members.
+			fix := make([]float64, bs2)
+			m.parityTile(gi, fix)
+			m.groupSum(gi, corrupt, sum, buf)
+			for i := range fix {
+				fix[i] -= sum[i]
 			}
-			st.Mismatches++
-			// Localize: the member whose column group also mismatches.
-			corrupt := -1
-			flagged := 0
-			for bj := k * m.G.Pc; bj < (k+1)*m.G.Pc && bj < m.NB; bj++ {
-				ck := bi / m.G.Pr
-				m.colGroupSum(bj, ck, -1, sum, buf)
-				m.colParityTile(bj, ck, stored)
-				if parityMismatch(sum, stored) {
-					flagged++
-					corrupt = bj
-				}
-			}
-			switch {
-			case flagged == 1:
-				// corrected = stored row parity - sum of other members.
-				fix := make([]float64, bs2)
-				m.rowParityTile(bi, k, fix)
-				m.rowGroupSum(bi, k, corrupt, sum, buf)
-				for i := range fix {
-					fix[i] -= sum[i]
-				}
-				repairs = append(repairs, repair{bi, corrupt, fix})
-				st.RepairedTiles++
-			case flagged == 0:
-				// The row parity itself drifted or was corrupted; the
-				// refresh phase rewrites it from the (clean) members.
-				st.ParityRefreshes++
-			default:
-				unrepairable++
-			}
+			repairs = append(repairs, repair{corrupt, fix})
+			st.RepairedTiles++
+		case 0:
+			// The row parity itself drifted or was corrupted; phase 2
+			// rewrites it from the (clean) members.
+		default:
+			unrepairable++
 		}
 	}
 	// Aggregate detection results: every rank sees the world totals and
 	// agrees on whether the repair/refresh phases are needed at all.
-	agg := []float64{
-		float64(st.Groups), float64(st.Mismatches), float64(st.RepairedTiles),
-		float64(st.ParityRefreshes), float64(unrepairable),
-	}
+	agg := []float64{float64(st.Groups), float64(st.Mismatches), float64(st.RepairedTiles), float64(unrepairable)}
 	m.Dx.GSumF(agg)
-	m.ab.sinceRefresh++ // collective call: advances in lockstep on every rank
-	if int64(agg[1]) > 0 || int64(agg[4]) > 0 || m.ab.sinceRefresh >= abftRefreshEvery {
-		m.ab.sinceRefresh = 0
+	ab.sinceRefresh++ // collective call: advances in lockstep on every rank
+	if agg[1] > 0 || agg[3] > 0 || ab.sinceRefresh >= abftRefreshEvery {
+		ab.sinceRefresh = 0
 		comm.Barrier()
 
 		// Phase 1b: apply repairs (raw writes; parity already correct).
 		for _, r := range repairs {
-			m.rawPutTile(r.bi, r.bj, r.data)
+			m.rawPutTile(r.tile/m.NB, r.tile%m.NB, r.data)
 		}
 		comm.Barrier()
 
-		// Phase 2: refresh every parity from a fresh member sum.
-		var extraGroups, extraRefreshes int64
-		for bi := 0; bi < m.NB; bi++ {
-			for k := 0; k < m.ab.kr; k++ {
-				g := bi*m.ab.kr + k
-				if m.ab.rowOwner[g] != me {
-					continue
-				}
-				m.rowGroupSum(bi, k, -1, sum, buf)
-				m.rowParityTile(bi, k, stored)
-				if parityMismatch(sum, stored) {
-					extraRefreshes++
-				}
-				comm.WinPut(m.abWinName(me), m.ab.rowOff[g], sum)
+		// Phase 2: refresh every owned parity, row and column groups
+		// alike, from a fresh member sum.
+		refresh := make([]float64, 2) // groups, parities found off
+		for gi, p := range ab.groups {
+			if p.owner != me {
+				continue
 			}
-		}
-		for bj := 0; bj < m.NB; bj++ {
-			for k := 0; k < m.ab.kc; k++ {
-				g := bj*m.ab.kc + k
-				if m.ab.colOwner[g] != me {
-					continue
-				}
-				extraGroups++
-				m.colGroupSum(bj, k, -1, sum, buf)
-				m.colParityTile(bj, k, stored)
-				if parityMismatch(sum, stored) {
-					extraRefreshes++
-				}
-				comm.WinPut(m.abWinName(me), m.ab.colOff[g], sum)
+			refresh[0]++
+			m.groupSum(gi, -1, sum, buf)
+			m.parityTile(gi, stored)
+			if parityMismatch(sum, stored) {
+				refresh[1]++
 			}
+			comm.WinPut(m.abWinName(me), p.off, sum)
 		}
-		extra := []float64{float64(extraGroups), float64(extraRefreshes)}
-		m.Dx.GSumF(extra)
-		agg[0] += extra[0]
-		agg[3] += extra[1]
+		m.Dx.GSumF(refresh)
+		agg[0] = refresh[0]
+		st.ParityRefreshes = int64(refresh[1])
 	}
-	st = AuditStats{
-		Groups:          int64(agg[0]),
-		Mismatches:      int64(agg[1]),
-		RepairedTiles:   int64(agg[2]),
-		ParityRefreshes: int64(agg[3]),
-	}
-	unrepairable = int64(agg[4])
+	st.Groups, st.Mismatches, st.RepairedTiles = int64(agg[0]), int64(agg[1]), int64(agg[2])
+	unrepairable = int64(agg[3])
 	if me == 0 {
 		tel := comm.Telemetry()
 		tel.Counter("distmat.abft.audits").Add(1)
@@ -543,59 +496,36 @@ func (s *Salvage) resolve(bi, bj int) ([]float64, error) {
 	}
 	s.inProgress[t] = true
 	defer delete(s.inProgress, t)
-	v, err := s.fromRowGroup(bi, bj)
-	if err != nil {
-		var colErr error
-		v, colErr = s.fromColGroup(bi, bj)
-		if colErr != nil {
-			return nil, fmt.Errorf("distmat: salvage: tile (%d,%d) unrecoverable: %v; %v", bi, bj, err, colErr)
+	var errs [2]error
+	for i, gi := range s.src.tileGroups(bi, bj) {
+		v, err := s.fromGroup(gi, t)
+		if err == nil {
+			s.cache[t] = v
+			s.reconstructed++
+			return v, nil
 		}
+		errs[i] = err
 	}
-	s.cache[t] = v
-	s.reconstructed++
-	return v, nil
+	return nil, fmt.Errorf("distmat: salvage: tile (%d,%d) unrecoverable: %v; %v", bi, bj, errs[0], errs[1])
 }
 
-// fromRowGroup peels tile (bi, bj) out of its row parity group.
-func (s *Salvage) fromRowGroup(bi, bj int) ([]float64, error) {
+// fromGroup peels tile t out of parity group gi: the stored parity minus
+// the group's other (recursively resolved) members.
+func (s *Salvage) fromGroup(gi, t int) ([]float64, error) {
 	m := s.src
-	k := bj / m.G.Pc
-	if s.dead[m.ab.rowOwner[bi*m.ab.kr+k]] {
-		return nil, fmt.Errorf("row parity owner dead")
+	p := &m.ab.groups[gi]
+	if s.dead[p.owner] {
+		return nil, fmt.Errorf("parity group %d: owner rank %d dead", gi, p.owner)
 	}
 	v := make([]float64, m.BS*m.BS)
-	m.rowParityTile(bi, k, v)
-	for b := k * m.G.Pc; b < (k+1)*m.G.Pc && b < m.NB; b++ {
-		if b == bj {
+	m.parityTile(gi, v)
+	for _, b := range p.members {
+		if b == t {
 			continue
 		}
-		sib, err := s.resolve(bi, b)
+		sib, err := s.resolve(b/m.NB, b%m.NB)
 		if err != nil {
-			return nil, fmt.Errorf("row sibling (%d,%d): %w", bi, b, err)
-		}
-		for i := range v {
-			v[i] -= sib[i]
-		}
-	}
-	return v, nil
-}
-
-// fromColGroup peels tile (bi, bj) out of its column parity group.
-func (s *Salvage) fromColGroup(bi, bj int) ([]float64, error) {
-	m := s.src
-	k := bi / m.G.Pr
-	if s.dead[m.ab.colOwner[bj*m.ab.kc+k]] {
-		return nil, fmt.Errorf("col parity owner dead")
-	}
-	v := make([]float64, m.BS*m.BS)
-	m.colParityTile(bj, k, v)
-	for b := k * m.G.Pr; b < (k+1)*m.G.Pr && b < m.NB; b++ {
-		if b == bi {
-			continue
-		}
-		sib, err := s.resolve(b, bj)
-		if err != nil {
-			return nil, fmt.Errorf("col sibling (%d,%d): %w", b, bj, err)
+			return nil, fmt.Errorf("parity group %d sibling (%d,%d): %w", gi, b/m.NB, b%m.NB, err)
 		}
 		for i := range v {
 			v[i] -= sib[i]
@@ -607,33 +537,14 @@ func (s *Salvage) fromColGroup(bi, bj int) ([]float64, error) {
 // ABFTBytesPerRank models the worst rank's parity-tile storage for one
 // n x n ABFT matrix over the given world (bs = 0 picks the grid
 // default), next to the data-tile bytes the same rank holds — the
-// checksum overhead column of the memory-footprint reports.
+// checksum overhead column of the memory-footprint reports. It counts
+// the parityPlan that NewABFT allocates.
 func ABFTBytesPerRank(n, ranks, bs int) (parity, data int64) {
 	pr, pc := Factor2D(ranks)
 	if bs <= 0 {
 		bs = DefaultBlockSize(n, pr, pc)
 	}
-	nb := (n + bs - 1) / bs
-	g := &Grid{Pr: pr, Pc: pc}
-	kr := (nb + pc - 1) / pc
-	kc := (nb + pr - 1) / pr
-	counts := make([]int64, ranks)
-	for bi := 0; bi < nb; bi++ {
-		for k := 0; k < kr; k++ {
-			counts[rowParityOwner(g, bi, k)]++
-		}
-	}
-	for bj := 0; bj < nb; bj++ {
-		for k := 0; k < kc; k++ {
-			counts[colParityOwner(g, bj, k)]++
-		}
-	}
-	var worst int64
-	for _, c := range counts {
-		if c > worst {
-			worst = c
-		}
-	}
+	_, counts := parityPlan(&Grid{Pr: pr, Pc: pc}, ranks, (n+bs-1)/bs, bs)
 	tile := int64(bs) * int64(bs) * 8
-	return worst * tile, PerRankTileBytes(n, ranks, bs)
+	return int64(slices.Max(counts)) * tile, PerRankTileBytes(n, ranks, bs)
 }

@@ -30,15 +30,12 @@ func TestABFTParityOwnersOffRank(t *testing.T) {
 		pr, pc := Factor2D(p)
 		g := &Grid{Pr: pr, Pc: pc}
 		nb := 7
-		kr := (nb + pc - 1) / pc
-		for bi := 0; bi < nb; bi++ {
-			for k := 0; k < kr; k++ {
-				po := rowParityOwner(g, bi, k)
-				for bj := k * pc; bj < (k+1)*pc && bj < nb; bj++ {
-					if g.OwnerOf(bi, bj) == po {
-						t.Errorf("p=%d: row parity (%d,%d) on rank %d co-located with member (%d,%d)",
-							p, bi, k, po, bi, bj)
-					}
+		ab, _ := parityPlan(g, p, nb, 1)
+		for gi, grp := range ab.groups[:nb*ab.kr] {
+			for _, tile := range grp.members {
+				if g.OwnerOf(tile/nb, tile%nb) == grp.owner {
+					t.Errorf("p=%d: row parity group %d on rank %d co-located with member (%d,%d)",
+						p, gi, grp.owner, tile/nb, tile%nb)
 				}
 			}
 		}
@@ -159,6 +156,50 @@ func TestABFTAuditRepairsBitFlip(t *testing.T) {
 	})
 }
 
+// TestABFTStaleRowParityCountedOnce corrupts a row parity tile instead
+// of a data tile: the audit finds one mismatched row group, flags no
+// member (every column group is clean), repairs nothing, and the refresh
+// phase rewrites the stale parity — counted once, not once per phase.
+func TestABFTStaleRowParityCountedOnce(t *testing.T) {
+	n := 12
+	d0 := randSym(n, 7)
+	onWorld(t, 4, func(g *Grid, dx *ddi.Context) {
+		m := NewABFT(g, dx, n, 3)
+		if err := m.ScatterDense(d0); err != nil {
+			t.Errorf("scatter: %v", err)
+			return
+		}
+		if dx.Comm.Rank() == 0 {
+			gi := 1*m.ab.kr + 0 // row group (bi=1, k=0)
+			p := m.ab.groups[gi]
+			buf := make([]float64, m.BS*m.BS)
+			m.parityTile(gi, buf)
+			integrity.FlipFloatBit(buf, 4, 52)
+			dx.Comm.WinPut(m.abWinName(p.owner), p.off, buf)
+		}
+		dx.Comm.Barrier()
+		st, err := m.AuditParity()
+		if err != nil {
+			t.Errorf("audit: %v", err)
+			return
+		}
+		if st.Mismatches != 1 || st.RepairedTiles != 0 || st.ParityRefreshes != 1 {
+			t.Errorf("audit = %+v, want Mismatches 1, RepairedTiles 0, ParityRefreshes 1", st)
+		}
+		got, err := m.GatherVerified()
+		if err != nil {
+			t.Errorf("gather: %v", err)
+			return
+		}
+		if d := maxAbsDiff(got, d0); d != 0 {
+			t.Errorf("a stale parity changed the data by %g", d)
+		}
+		if st, err = m.AuditParity(); err != nil || st.Mismatches != 0 {
+			t.Errorf("post-refresh audit: %+v, %v", st, err)
+		}
+	})
+}
+
 // TestSalvageReconstruct treats one rank as dead and resolves every tile
 // through Salvage: surviving tiles read through, dead tiles peel out of
 // parity, and the reconstruction count is positive.
@@ -261,9 +302,10 @@ func TestSalvageConcurrentResolve(t *testing.T) {
 	})
 }
 
-// TestABFTBytesPerRank sanity-checks the overhead model: parity storage
-// is positive and a modest fraction of data storage for a realistic
-// shape.
+// TestABFTBytesPerRank checks the overhead model: parity storage is
+// positive and a modest fraction of data storage for a realistic shape,
+// and on live worlds it equals the worst rank's parity storage in
+// NewABFT, so the memory reports' ABFT columns count what is allocated.
 func TestABFTBytesPerRank(t *testing.T) {
 	parity, data := ABFTBytesPerRank(1000, 256, 0)
 	if parity <= 0 || data <= 0 {
@@ -271,6 +313,24 @@ func TestABFTBytesPerRank(t *testing.T) {
 	}
 	if parity > data {
 		t.Errorf("parity bytes %d exceed data bytes %d for 1000 bf / 256 ranks", parity, data)
+	}
+	for _, ranks := range []int{2, 4, 6, 12} {
+		const n, bs = 14, 3
+		var mu sync.Mutex
+		var worst int64
+		onWorld(t, ranks, func(g *Grid, dx *ddi.Context) {
+			m := NewABFT(g, dx, n, bs)
+			var live int64 // bytes of the parity window this rank allocated
+			if m.ab.ownedParity > 0 {
+				live = int64(len(dx.Comm.WinShared(m.abWinName(dx.Comm.Rank())))) * 8
+			}
+			mu.Lock()
+			worst = max(worst, live)
+			mu.Unlock()
+		})
+		if model, _ := ABFTBytesPerRank(n, ranks, bs); model != worst {
+			t.Errorf("ranks=%d: ABFTBytesPerRank = %d, live worst rank stores %d", ranks, model, worst)
+		}
 	}
 }
 

@@ -19,7 +19,7 @@ var (
 
 // Queue is a bounded, concurrency-safe priority queue of jobs. Higher
 // Spec.Priority runs first; within one priority, submission order (FIFO)
-// is preserved via a monotonic sequence number. Claim blocks until an
+// is preserved via a monotonic sequence number. ClaimUntil blocks until an
 // item is available or the queue is closed and empty — the worker-pool
 // idiom mirroring the paper's dynamic load balancer, where idle workers
 // pull the next task instead of being assigned a static share.
@@ -106,28 +106,13 @@ func (q *Queue) Age(now time.Time, after time.Duration, boost int) int {
 // past every conceivable explicit priority forever.
 const maxAgeSteps = 64
 
-// Claim blocks until a job is available and returns the
+// ClaimUntil blocks until a job is available and returns the
 // highest-priority, oldest one. It returns nil once the queue is closed
-// and drained — the worker's signal to exit.
-func (q *Queue) Claim() *Job {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		if q.items.Len() > 0 {
-			return heap.Pop(&q.items).(*pqItem).job
-		}
-		if q.closed {
-			return nil
-		}
-		q.cond.Wait()
-	}
-}
-
-// ClaimUntil is Claim with a retirement flag: it additionally returns
-// nil — without popping anything — once retired is set, so an elastic
-// worker being scaled down stops promptly even while jobs are queued
-// (the survivors claim them instead). Pair with Kick to wake blocked
-// claimants after flipping the flag.
+// and drained — the worker's signal to exit — and also, without popping
+// anything, once retired is set, so an elastic worker being scaled down
+// stops promptly even while jobs are queued (the survivors claim them
+// instead). Pair with Kick to wake blocked claimants after flipping the
+// flag.
 func (q *Queue) ClaimUntil(retired *atomic.Bool) *Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -145,7 +130,7 @@ func (q *Queue) ClaimUntil(retired *atomic.Bool) *Job {
 	}
 }
 
-// Kick wakes every blocked Claim/ClaimUntil without changing queue
+// Kick wakes every blocked ClaimUntil without changing queue
 // state, so callers that flipped an external condition (worker
 // retirement) get it re-checked.
 func (q *Queue) Kick() {
@@ -154,7 +139,7 @@ func (q *Queue) Kick() {
 	q.mu.Unlock()
 }
 
-// TryClaim is Claim without blocking: nil when nothing is queued.
+// TryClaim is ClaimUntil without blocking: nil when nothing is queued.
 func (q *Queue) TryClaim() *Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -196,7 +181,7 @@ func (q *Queue) Closed() bool {
 	return q.closed
 }
 
-// Close stops admissions and wakes every blocked Claim. Already-queued
+// Close stops admissions and wakes every blocked ClaimUntil. Already-queued
 // jobs remain claimable, so a drain finishes the backlog rather than
 // dropping it.
 func (q *Queue) Close() {

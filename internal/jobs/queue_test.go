@@ -53,18 +53,19 @@ func TestQueueBoundsAndClose(t *testing.T) {
 		t.Fatalf("over-capacity submit: got %v, want ErrQueueFull", err)
 	}
 	q.Close()
+	var never atomic.Bool // never set: claims run until closed and drained
 	if err := q.Submit(testJob("d", 0)); err != ErrQueueClosed {
 		t.Fatalf("post-close submit: got %v, want ErrQueueClosed", err)
 	}
 	// The backlog stays claimable after Close (drain semantics)...
-	if j := q.Claim(); j == nil || j.ID != "a" {
+	if j := q.ClaimUntil(&never); j == nil || j.ID != "a" {
 		t.Fatalf("drain claim = %v", j)
 	}
-	if j := q.Claim(); j == nil || j.ID != "b" {
+	if j := q.ClaimUntil(&never); j == nil || j.ID != "b" {
 		t.Fatalf("drain claim 2 = %v", j)
 	}
 	// ...and an empty closed queue returns nil without blocking.
-	if j := q.Claim(); j != nil {
+	if j := q.ClaimUntil(&never); j != nil {
 		t.Fatalf("empty closed queue returned %v", j)
 	}
 }
@@ -105,6 +106,7 @@ func TestQueueConcurrentSubmitCancelDrain(t *testing.T) {
 	)
 	q := NewQueue(submitters * perSubmitter) // roomy: this test is about races, not backpressure
 
+	var never atomic.Bool // never set: workers claim until closed and drained
 	var claimed sync.Map
 	var claimedN, removedN, submittedN atomic.Int64
 	var wg, workerWG sync.WaitGroup
@@ -114,7 +116,7 @@ func TestQueueConcurrentSubmitCancelDrain(t *testing.T) {
 		go func() {
 			defer workerWG.Done()
 			for {
-				j := q.Claim()
+				j := q.ClaimUntil(&never)
 				if j == nil {
 					return
 				}

@@ -327,30 +327,12 @@ func TestSolveLinearRandomResidual(t *testing.T) {
 	}
 }
 
-func TestPackedRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m := randSym(rng, 9)
-	p := Pack(m)
-	if p.Unpack().MaxAbsDiff(m) > 1e-15 {
-		t.Fatal("pack/unpack round trip failed")
-	}
-}
-
 func TestPackedIndexing(t *testing.T) {
-	p := NewPacked(4)
-	p.Set(2, 1, 3.5)
-	if p.At(1, 2) != 3.5 {
-		t.Fatal("packed symmetric access failed")
-	}
-	p.Add(1, 2, 0.5)
-	if p.At(2, 1) != 4.0 {
-		t.Fatal("packed Add failed")
+	if PackedIndex(2, 1) != PackedIndex(1, 2) || PackedIndex(2, 1) != 4 {
+		t.Fatal("PackedIndex not symmetric")
 	}
 	if PackedIndex(3, 3) != 9 || PackedIndex(0, 0) != 0 {
 		t.Fatal("PackedIndex formula wrong")
-	}
-	if p.Bytes() != int64(4*5/2*8) {
-		t.Fatalf("Bytes = %d", p.Bytes())
 	}
 }
 
@@ -425,7 +407,6 @@ func TestCopyFromAndPanics(t *testing.T) {
 	expectPanic("MulVec", func() { MulVec(a, []float64{1}) })
 	expectPanic("Trace", func() { New(2, 3).Trace() })
 	expectPanic("Symmetrize", func() { New(2, 3).Symmetrize() })
-	expectPanic("Pack", func() { Pack(New(2, 3)) })
 	expectPanic("EigenSym", func() { EigenSym(New(2, 3)) })
 	expectPanic("SolveLinear", func() { SolveLinear(a, []float64{1, 2, 3}) })
 }
@@ -448,16 +429,6 @@ func TestMatrixString(t *testing.T) {
 	big := New(30, 30)
 	if s := big.String(); len(s) > 40 {
 		t.Fatalf("large-matrix String should elide: %q", s)
-	}
-}
-
-func TestPackedZeroClone(t *testing.T) {
-	p := NewPacked(3)
-	p.Set(2, 1, 5)
-	c := p.Clone()
-	p.Zero()
-	if p.At(2, 1) != 0 || c.At(2, 1) != 5 {
-		t.Fatal("Zero/Clone interplay wrong")
 	}
 }
 

@@ -1,79 +1,12 @@
 package linalg
 
-// Packed is a symmetric matrix stored in lower-triangular packed form,
-// the layout GAMESS uses for the Fock and density matrices. Element (i, j)
-// with i >= j lives at index i*(i+1)/2 + j. Packed storage halves the
-// footprint of the two big SCF objects, which is exactly what the paper's
-// memory equations (3a)-(3c) count.
-type Packed struct {
-	N    int
-	Data []float64 // len == N*(N+1)/2
-}
-
-// NewPacked returns a zeroed n x n packed symmetric matrix.
-func NewPacked(n int) *Packed {
-	return &Packed{N: n, Data: make([]float64, n*(n+1)/2)}
-}
-
-// PackedIndex returns the storage index of element (i, j); i and j may be
-// given in either order.
+// PackedIndex returns the index of element (i, j) of a symmetric matrix
+// in lower-triangular packed order, the layout GAMESS uses for the Fock
+// and density matrices: element (i, j) with i >= j sits at i*(i+1)/2 + j.
+// i and j may be given in either order.
 func PackedIndex(i, j int) int {
 	if i < j {
 		i, j = j, i
 	}
 	return i*(i+1)/2 + j
 }
-
-// At returns element (i, j).
-func (p *Packed) At(i, j int) float64 { return p.Data[PackedIndex(i, j)] }
-
-// Set stores v at element (i, j).
-func (p *Packed) Set(i, j int, v float64) { p.Data[PackedIndex(i, j)] = v }
-
-// Add adds v to element (i, j).
-func (p *Packed) Add(i, j int, v float64) { p.Data[PackedIndex(i, j)] += v }
-
-// Zero clears the matrix.
-func (p *Packed) Zero() {
-	for i := range p.Data {
-		p.Data[i] = 0
-	}
-}
-
-// Clone returns a deep copy.
-func (p *Packed) Clone() *Packed {
-	c := NewPacked(p.N)
-	copy(c.Data, p.Data)
-	return c
-}
-
-// Unpack expands to a dense symmetric Matrix.
-func (p *Packed) Unpack() *Matrix {
-	m := NewSquare(p.N)
-	for i := 0; i < p.N; i++ {
-		for j := 0; j <= i; j++ {
-			v := p.At(i, j)
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
-	}
-	return m
-}
-
-// Pack compresses a dense symmetric matrix into packed storage, averaging
-// (i, j) and (j, i) to tolerate tiny asymmetries.
-func Pack(m *Matrix) *Packed {
-	if m.Rows != m.Cols {
-		panic("linalg: Pack requires a square matrix")
-	}
-	p := NewPacked(m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j <= i; j++ {
-			p.Set(i, j, 0.5*(m.At(i, j)+m.At(j, i)))
-		}
-	}
-	return p
-}
-
-// Bytes returns the storage size in bytes (float64 elements only).
-func (p *Packed) Bytes() int64 { return int64(len(p.Data)) * 8 }

@@ -1,67 +1,14 @@
 package linalg
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
-// Property tests for the packed lower-triangle representation, the
-// storage scheme every symmetric matrix in the code funnels through
-// (replicated Fock/density, checkpoint payloads, distmat gathers).
-
-// TestPackedPropertySymmetryAndRoundTrip: for random symmetric matrices
-// of random size, Packed access is symmetric at every element, the
-// Packed <-> Dense round trip is bit-exact in both directions, and
-// mutating one triangle is visible from the other.
-func TestPackedPropertySymmetryAndRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	f := func(seed int64, sz uint8) bool {
-		n := 1 + int(sz)%24
-		r := rand.New(rand.NewSource(seed))
-		m := NewSquare(n)
-		for i := 0; i < n; i++ {
-			for j := 0; j <= i; j++ {
-				v := r.NormFloat64()
-				m.Set(i, j, v)
-				m.Set(j, i, v)
-			}
-		}
-		p := Pack(m)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if p.At(i, j) != p.At(j, i) || p.At(i, j) != m.At(i, j) {
-					return false
-				}
-			}
-		}
-		u := p.Unpack()
-		if u.MaxAbsDiff(m) != 0 {
-			return false
-		}
-		// Back once more: Dense -> Packed over the unpacked copy must
-		// reproduce the original packed buffer element for element.
-		p2 := Pack(u)
-		for k, v := range p2.Data {
-			if v != p.Data[k] {
-				return false
-			}
-		}
-		// A write through either triangle is one store, seen from both.
-		i, j := r.Intn(n), r.Intn(n)
-		p.Set(i, j, 42)
-		return p.At(j, i) == 42
-	}
-	cfg := &quick.Config{MaxCount: 50, Rand: rng}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
+// Property tests for PackedIndex, the canonical shell-pair index of the
+// simulated workload (internal/simulate).
 
 // TestPackedPropertyIndexMonotonic: enumerating the lower triangle in
 // canonical row-major order (i outer, j <= i inner) must hit PackedIndex
 // values 0, 1, 2, ... with no gaps and no reordering — the contiguity
-// the checkpoint and gather codecs rely on when they walk Data linearly.
+// the workload model's closed-form pair sums rely on.
 func TestPackedPropertyIndexMonotonic(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 24, 61} {
 		next := 0
