@@ -57,7 +57,14 @@
 # of the row/column twins (rowGroupSum, colGroupSum, rowParityTile,
 # colParityTile, fromRowGroup, fromColGroup) nor rowOwner/colOwner, and
 # the two placement rules rowParityOwner( and colParityOwner( are called
-# from parityPlan only. Non-test internal/linalg declares no type Packed.
+# from parityPlan only. One-sided windows are handles (mpi.Comm.WinCreate
+# returns an *mpi.Win, matched across ranks by creation order): no
+# non-test file outside bench/ names a name-keyed window method
+# (WinCreateCounters, CounterLoad, CounterStore, CounterCAS, WinPut,
+# WinGet, WinAcc, WinShared, a three-argument FetchAdd, an exported Comm
+# method taking `name string`), getWindow, SetMembershipEpoch, NewShrunk,
+# matSeq or a Sprintf-built "ddi.|dm.|fock.|purify.|lease." window name.
+# Non-test internal/linalg declares no type Packed.
 # The pure-Go bodies of the ERI kernel and of MulAdd vet under
 # GOARCH=arm64 (no assembly there); the kernel's sweep and probe
 # benchmarks, the digest benchmark, BenchmarkMulAdd/{scalar,kernel},
@@ -108,11 +115,13 @@
 # on SIGTERM. Then `scaling -exp serve`: the in-process load test (>= 50
 # jobs, duplicate-stream cache-hit rate >= 40%, >= 1 absorbed 429, zero
 # lost, stuck or failed jobs). Last, 30 s of native fuzzing each for the
-# XYZ parser (a served job's inline geometry), the .gbs parser and the
+# XYZ parser (a served job's inline geometry), the .gbs parser, the
 # job hash (FuzzSpecCanonicalHash: Normalized is idempotent, a spec and
 # its normalized form hash alike, and an inline XYZ hashes the same under
-# atom reordering and re-spacing), from the seed corpora under each
-# package's testdata/fuzz/.
+# atom reordering and re-spacing) and the checkpoint decoder
+# (FuzzLoadCheckpoint: no panic, only finite NumBF²-element densities
+# accepted, a finite density round-trips bit for bit), from the seed
+# corpora under each package's testdata/fuzz/.
 #
 # Tier 7 (fleet gate): `scaling -exp fleet` — three WAL-backed hfserve
 # replicas with consistent-hash cache sharding serve a >= 1000-job
@@ -364,6 +373,14 @@ tier_1() {
 		[ "$planned" -ge 1 ] && [ "$all" -eq $((planned + 1)) ] ||
 			{ echo "structure gate: $rule( is called outside parityPlan ($all sites, $planned in parityPlan); place parity groups through parityPlan only"; exit 1; }
 	done
+	# One-sided windows are handles: mpi.Comm.WinCreate creates them
+	# collectively in call order and returns an *mpi.Win; nothing looks a
+	# window up by name, keys one by membership epoch or numbers matrices.
+	if grep -nwE 'WinCreateCounters|CounterLoad|CounterStore|CounterCAS|WinPut|WinGet|WinAcc|WinShared|getWindow|SetMembershipEpoch|NewShrunk|matSeq' $nontest ||
+		grep -nE '^func \(c \*Comm\) [A-Z][A-Za-z]*\(name string|\.FetchAdd\([^,()]*,[^,()]*,|Sprintf\("(ddi|dm|fock|purify|lease)\.' $nontest; then
+		echo "structure gate: a name-keyed window is back; create windows with Comm.WinCreate and keep the *mpi.Win it returns"
+		exit 1
+	fi
 	if grep -n '^type Packed\b' $(ls internal/linalg/*.go | grep -v _test.go); then
 		echo "structure gate: linalg.Packed is back; PackedIndex is the one packed-order helper"
 		exit 1
@@ -559,6 +576,7 @@ tier_5() {
 	go test -run '^$' -fuzz '^FuzzParseXYZ$' -fuzztime 30s ./internal/molecule/
 	go test -run '^$' -fuzz '^FuzzParseGBS$' -fuzztime 30s ./internal/basis/
 	go test -run '^$' -fuzz '^FuzzSpecCanonicalHash$' -fuzztime 30s ./internal/jobs/
+	go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 30s ./internal/scf/
 }
 
 tier_6() {

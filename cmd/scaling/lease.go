@@ -23,7 +23,6 @@ import (
 
 const (
 	leaseTaskCost = 5 * time.Millisecond
-	leasePushWin  = "lease.pushes"
 	leaseSlowRank = 1 // the straggler of the chaos and migrate workloads
 	leaseSlowBy   = 4 // its slowdown factor
 
@@ -43,10 +42,9 @@ const (
 	// Elastic migrate leg: detection needs one round of samples, so the
 	// expected migrated tail is (leaseSlowBy + rounds-1)/rounds ≈ 1.375×
 	// clean, gated ≤ 1.6×.
-	migrateRanks   = 4
-	migrateRounds  = 8
-	migrateTasks   = 12 // per round
-	migrateFlagWin = "lease.migrated"
+	migrateRanks  = 4
+	migrateRounds = 8
+	migrateTasks  = 12 // per round
 )
 
 // leaseRun is one timed run of a synthetic workload.
@@ -59,18 +57,18 @@ type leaseRun struct {
 func (r leaseRun) over(base leaseRun) float64 { return float64(r.wall) / float64(base.wall) }
 
 // leaseWorld runs body on a fresh world of the given size that shares
-// one push counter, and returns the timed run plus its telemetry.
-func leaseWorld(ranks int, fault *mpi.FaultPlan, body func(c *mpi.Comm, dx *ddi.Context)) (leaseRun, *telemetry.Session, error) {
+// one push counter window, and returns the timed run plus its telemetry.
+func leaseWorld(ranks int, fault *mpi.FaultPlan, body func(c *mpi.Comm, dx *ddi.Context, push *mpi.Win)) (leaseRun, *telemetry.Session, error) {
 	tel := telemetry.NewSession()
 	var run leaseRun
 	start := time.Now()
 	_, err := mpi.RunWithOptions(ranks, mpi.RunOptions{Deadline: 30 * time.Second, Fault: fault, Telemetry: tel},
 		func(c *mpi.Comm) {
-			c.WinCreateCounters(leasePushWin, 1)
-			body(c, ddi.New(c))
+			push := c.WinCreate(0, 1)
+			body(c, ddi.New(c), push)
 			c.Barrier()
 			if c.Rank() == 0 {
-				run.pushes = c.CounterLoad(leasePushWin, 0)
+				run.pushes = push.Load(0)
 			}
 		})
 	run.wall = time.Since(start)
@@ -82,7 +80,7 @@ func leaseWorld(ranks int, fault *mpi.FaultPlan, body func(c *mpi.Comm, dx *ddi.
 // tasks per draw and the exactly-once push inside Reserve→Finish. With
 // hedge set, fast ranks also recompute the outstanding leases of ranks
 // the straggler detector flags; first writer wins.
-func leaseRound(c *mpi.Comm, dx *ddi.Context, n int, hedge bool, task func()) {
+func leaseRound(c *mpi.Comm, dx *ddi.Context, push *mpi.Win, n int, hedge bool, task func()) {
 	l := dx.NewLeaseDLB(n)
 	l.Drain(max(n/c.Size(), 1), hedge, func(idx, owner int) {
 		t0 := time.Now()
@@ -91,7 +89,7 @@ func leaseRound(c *mpi.Comm, dx *ddi.Context, n int, hedge bool, task func()) {
 		elapsed += c.TaskStall(mpi.SiteFock, elapsed)
 		dx.ObserveTaskLatency(elapsed)
 		if l.Reserve(idx, owner) {
-			c.FetchAdd(leasePushWin, 0, 1)
+			push.FetchAdd(0, 1)
 			l.Finish(idx)
 		}
 	}, nil)
@@ -116,8 +114,8 @@ func runChaosWorkload() (*chaosResult, error) {
 		Rank: leaseSlowRank, Factor: leaseSlowBy, Sites: []mpi.FaultSite{mpi.SiteFock},
 	}}}
 	mode := func(fault *mpi.FaultPlan, hedge bool) (leaseRun, *telemetry.Session, error) {
-		return leaseWorld(chaosRanks, fault, func(c *mpi.Comm, dx *ddi.Context) {
-			leaseRound(c, dx, chaosTasks, hedge, leaseTask)
+		return leaseWorld(chaosRanks, fault, func(c *mpi.Comm, dx *ddi.Context, push *mpi.Win) {
+			leaseRound(c, dx, push, chaosTasks, hedge, leaseTask)
 		})
 	}
 	res := &chaosResult{}
@@ -170,9 +168,9 @@ type elasticResult struct {
 func runElasticWorkload() (*elasticResult, error) {
 	// epoch runs rounds [lo, hi) of the grow schedule on one world.
 	epoch := func(ranks, lo, hi int) (leaseRun, error) {
-		run, _, err := leaseWorld(ranks, nil, func(c *mpi.Comm, dx *ddi.Context) {
+		run, _, err := leaseWorld(ranks, nil, func(c *mpi.Comm, dx *ddi.Context, push *mpi.Win) {
 			for round := lo; round < hi; round++ {
-				leaseRound(c, dx, growTasks, false, leaseTask)
+				leaseRound(c, dx, push, growTasks, false, leaseTask)
 			}
 		})
 		return run, err
@@ -195,24 +193,24 @@ func runElasticWorkload() (*elasticResult, error) {
 	// migrate runs the migrate schedule; slow injects the in-workload
 	// slowdown, mitigate lets rank 0 re-host the flagged rank.
 	migrate := func(slow, mitigate bool) (leaseRun, error) {
-		run, _, err := leaseWorld(migrateRanks, nil, func(c *mpi.Comm, dx *ddi.Context) {
-			c.WinCreateCounters(migrateFlagWin, 1)
+		run, _, err := leaseWorld(migrateRanks, nil, func(c *mpi.Comm, dx *ddi.Context, push *mpi.Win) {
+			migrated := c.WinCreate(0, 1)
 			for round := 0; round < migrateRounds; round++ {
-				leaseRound(c, dx, migrateTasks, false, func() {
+				leaseRound(c, dx, push, migrateTasks, false, func() {
 					cost := leaseTaskCost
 					// The sick host: slow until the migration flag is raised
 					// (the rank's leases land on a healthy node afterwards).
-					if slow && c.Rank() == leaseSlowRank && c.CounterLoad(migrateFlagWin, 0) == 0 {
+					if slow && c.Rank() == leaseSlowRank && migrated.Load(0) == 0 {
 						cost *= leaseSlowBy
 					}
 					time.Sleep(cost)
 				})
 				// Round boundary = iteration boundary: the detector reads the
 				// shared latency window and rank 0 re-hosts the flagged rank.
-				if mitigate && c.Rank() == 0 && c.CounterLoad(migrateFlagWin, 0) == 0 {
+				if mitigate && c.Rank() == 0 && migrated.Load(0) == 0 {
 					if flagged := dx.Stragglers(2, 2); len(flagged) > 0 {
 						res.detected = true
-						c.CounterStore(migrateFlagWin, 0, 1)
+						migrated.Store(0, 1)
 					}
 				}
 				c.Barrier()

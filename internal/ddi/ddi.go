@@ -19,43 +19,32 @@ import (
 
 // Context is one rank's handle to the DDI services.
 type Context struct {
-	Comm       *mpi.Comm
-	epoch      int64
-	leaseCycle int64 // lease-based DLB cycle sequence (see lease.go)
-	ewma       EWMA  // this rank's task-latency average (see straggler.go)
-	// memberEpoch keys the shared straggler window by membership epoch
-	// (see straggler.go): after an elastic grow/shrink/migration the
-	// world size changes, and a resized world must never read the stale
-	// EWMA vector a differently-sized predecessor published.
-	memberEpoch int64
+	Comm      *mpi.Comm
+	epoch     int64
+	dlb       *mpi.Win // DLB counters, one slot per epoch mod dlbSlots
+	straggler *mpi.Win // published task latencies (see straggler.go)
+	ewma      EWMA     // this rank's task-latency average (see straggler.go)
 	// DLBNext's telemetry handles, resolved once: a hybrid team waits at a
 	// barrier behind every draw.
 	draws    *telemetry.Counter
 	drawHist *telemetry.Histogram
 }
 
-// New wraps an MPI communicator with DDI services.
+// dlbSlots is the DLB window's counter count; the epoch index separates
+// successive DLB cycles without requiring counter zeroing races.
+const dlbSlots = 32
+
+// New collectively wraps an MPI communicator with DDI services: it
+// creates the context's DLB and straggler windows, so every rank must
+// call it at the same point of its window creation order.
 func New(c *mpi.Comm) *Context {
 	tel := c.Telemetry()
-	return &Context{Comm: c, draws: tel.Counter("ddi.dlb.draws"),
-		drawHist: tel.Histogram(telemetry.TimedOpHistogram("dlb.draw", "dlbnext"))}
+	return &Context{Comm: c,
+		dlb:       c.WinCreate(0, dlbSlots),
+		straggler: c.WinCreate(0, 2*c.Size()),
+		draws:     tel.Counter("ddi.dlb.draws"),
+		drawHist:  tel.Histogram(telemetry.TimedOpHistogram("dlb.draw", "dlbnext"))}
 }
-
-// NewShrunk wraps a communicator of a world rebuilt after rank failure.
-// epoch keys the membership-scoped shared windows (the straggler EWMA
-// vector; see SetMembershipEpoch) so the reassigned world never reads
-// state a differently-sized predecessor published — the ddi half of
-// window reassignment when a distributed computation shrinks and its
-// tiles are reconstructed onto a new owner map (internal/distmat ABFT).
-func NewShrunk(c *mpi.Comm, epoch int64) *Context {
-	d := New(c)
-	d.SetMembershipEpoch(epoch)
-	return d
-}
-
-// dlbWindow is the shared window holding the DLB counter; the epoch index
-// separates successive DLB cycles without requiring counter zeroing races.
-const dlbWindow = "ddi.dlb"
 
 // DLBNext returns the next global task index (0, 1, 2, ...) across all
 // ranks — ddi_dlbnext. Every call hands out a unique index; work sharing
@@ -63,7 +52,7 @@ const dlbWindow = "ddi.dlb"
 func (d *Context) DLBNext() int64 {
 	d.draws.Add(1)
 	end := d.Comm.Telemetry().TimedOpInto(d.drawHist, "dlb.draw", "dlbnext", d.Comm.Rank(), 0)
-	v := d.Comm.FetchAdd(dlbWindow, int(d.epoch%32), 1)
+	v := d.dlb.FetchAdd(int(d.epoch%dlbSlots), 1)
 	end()
 	return v
 }
@@ -75,7 +64,7 @@ func (d *Context) DLBReset() {
 	d.Comm.Barrier()
 	d.epoch++
 	if d.Comm.Rank() == 0 {
-		d.Comm.CounterStore(dlbWindow, int(d.epoch%32), 0)
+		d.dlb.Store(int(d.epoch%dlbSlots), 0)
 	}
 	d.Comm.Barrier()
 }

@@ -44,6 +44,8 @@ package ddi
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/mpi"
 )
 
 const (
@@ -62,49 +64,37 @@ const (
 // LeaseDLB is one rank's handle to a lease-based DLB cycle.
 type LeaseDLB struct {
 	ctx     *Context
-	cycle   int64
 	total   int
-	stateW  string       // per-task lease state, total slots
-	tsW     string       // per-task claim timestamps (UnixNano), total slots
-	curW    string       // draw cursor, 1 slot
-	hedgeW  string       // per-task hedge-rights claims, total slots
+	state   *mpi.Win     // per-task lease state, total slots
+	ts      *mpi.Win     // per-task claim timestamps (UnixNano), total slots
+	cur     *mpi.Win     // draw cursor, 1 slot
+	hedge   *mpi.Win     // per-task hedge-rights claims, total slots
 	hedged  map[int]bool // task indices this rank already scanned past (local)
 	hedgeAt int          // rolling scan offset for Hedge
 }
 
 // NewLeaseDLB starts a new lease cycle over task indices [0, total).
 // Every rank of the communicator must call it once per cycle, in the same
-// order, but — unlike DLBReset — it does NOT barrier: survivors of a rank
-// failure can still open their handle and finish the cycle. Fresh windows
-// per cycle make zeroing (and its races) unnecessary.
+// order (it creates the cycle's windows), but — unlike DLBReset — it does
+// NOT barrier: survivors of a rank failure can still open their handle
+// and finish the cycle. Fresh windows per cycle make zeroing (and its
+// races) unnecessary.
 func (d *Context) NewLeaseDLB(total int) *LeaseDLB {
-	d.leaseCycle++
-	l := &LeaseDLB{ctx: d, cycle: d.leaseCycle, total: total}
-	l.stateW = leaseWindowName(d.leaseCycle, "state")
-	l.tsW = leaseWindowName(d.leaseCycle, "ts")
-	l.curW = leaseWindowName(d.leaseCycle, "cur")
-	l.hedgeW = leaseWindowName(d.leaseCycle, "hedge")
-	l.hedged = make(map[int]bool)
-	if size := d.Comm.Size(); size > 0 {
+	c := d.Comm
+	l := &LeaseDLB{ctx: d, total: total,
+		state:  c.WinCreate(0, total),
+		ts:     c.WinCreate(0, total),
+		cur:    c.WinCreate(0, 1),
+		hedge:  c.WinCreate(0, total),
+		hedged: make(map[int]bool),
+	}
+	if size := c.Size(); size > 0 {
 		// Desynchronize hedger scans so concurrent hedgers fan out over
 		// different slots instead of piling on the lowest leased index.
-		l.hedgeAt = d.Comm.Rank() * (total/size + 1)
-	}
-	if total > 0 {
-		d.Comm.WinCreateCounters(l.stateW, total)
-		d.Comm.WinCreateCounters(l.tsW, total)
-		d.Comm.WinCreateCounters(l.hedgeW, total)
+		l.hedgeAt = c.Rank() * (total/size + 1)
 	}
 	return l
 }
-
-func leaseWindowName(cycle int64, part string) string {
-	return fmt.Sprintf("ddi.lease.%s.%d", part, cycle)
-}
-
-// Cycle returns the cycle sequence number, usable to key per-cycle
-// companion windows (e.g. a shared Fock accumulation buffer).
-func (l *LeaseDLB) Cycle() int64 { return l.cycle }
 
 func (l *LeaseDLB) me() int64         { return int64(l.ctx.Comm.Rank()) + 1 }
 func (l *LeaseDLB) committing() int64 { return -(int64(l.ctx.Comm.Rank()) + 2) }
@@ -112,7 +102,7 @@ func (l *LeaseDLB) committing() int64 { return -(int64(l.ctx.Comm.Rank()) + 2) }
 // stamp records the claim time of a freshly (re-)leased slot, the clock
 // the TTL expiry path reads.
 func (l *LeaseDLB) stamp(idx int) {
-	l.ctx.Comm.CounterStore(l.tsW, idx, time.Now().UnixNano())
+	l.ts.Store(idx, time.Now().UnixNano())
 }
 
 // DrawChunk draws up to n (at least 1) consecutive fresh indices in ONE
@@ -126,14 +116,14 @@ func (l *LeaseDLB) DrawChunk(n int) (idxs []int, ok bool) {
 	tel.Counter("ddi.lease.draws").Add(1)
 	defer tel.TimedOp("dlb.draw", "lease-draw", l.ctx.Comm.Rank(), 0)()
 	n = max(n, 1)
-	v := l.ctx.Comm.FetchAdd(l.curW, 0, int64(n))
+	v := l.cur.FetchAdd(0, int64(n))
 	if v >= int64(l.total) {
 		return nil, false
 	}
 	hi := min(v+int64(n), int64(l.total))
 	idxs = make([]int, 0, hi-v)
 	for i := v; i < hi; i++ {
-		if l.ctx.Comm.CounterCAS(l.stateW, int(i), leaseFree, l.me()) {
+		if l.state.CAS(int(i), leaseFree, l.me()) {
 			l.stamp(int(i))
 			idxs = append(idxs, int(i))
 		}
@@ -149,7 +139,7 @@ func (l *LeaseDLB) DrawChunk(n int) (idxs []int, ok bool) {
 // A false return means someone else already committed (or is committing)
 // the task: the caller MUST drop its duplicate result.
 func (l *LeaseDLB) Reserve(idx, owner int) bool {
-	if l.ctx.Comm.CounterCAS(l.stateW, idx, int64(owner)+1, l.committing()) {
+	if l.state.CAS(idx, int64(owner)+1, l.committing()) {
 		return true
 	}
 	if tel := l.ctx.Comm.Telemetry(); tel != nil {
@@ -161,7 +151,7 @@ func (l *LeaseDLB) Reserve(idx, owner int) bool {
 // Finish closes the commit critical section opened by a successful
 // Reserve: the pushed contribution becomes visible as done.
 func (l *LeaseDLB) Finish(idx int) {
-	if !l.ctx.Comm.CounterCAS(l.stateW, idx, l.committing(), leaseDone) {
+	if !l.state.CAS(idx, l.committing(), leaseDone) {
 		panic(fmt.Sprintf("ddi: lease %d finish without reserve (rank %d)", idx, l.ctx.Comm.Rank()))
 	}
 }
@@ -171,7 +161,7 @@ func (l *LeaseDLB) Finish(idx int) {
 // chunk can skip work a hedger has already committed (or an expiry has
 // reclaimed) instead of computing a result that would only be dropped.
 func (l *LeaseDLB) mine(idx int) bool {
-	return l.ctx.Comm.CounterLoad(l.stateW, idx) == l.me()
+	return l.state.Load(idx) == l.me()
 }
 
 // Steal re-issues one task abandoned by a failed rank: either still
@@ -191,14 +181,14 @@ func (l *LeaseDLB) Steal() (idx int, ok bool) {
 	for _, r := range failed {
 		dead[int64(r)+1] = true
 	}
-	cur := l.ctx.Comm.CounterLoad(l.curW, 0)
+	cur := l.cur.Load(0)
 	if cur > int64(l.total) {
 		cur = int64(l.total)
 	}
 	for i := int64(0); i < cur; i++ {
-		s := l.ctx.Comm.CounterLoad(l.stateW, int(i))
+		s := l.state.Load(int(i))
 		if s == leaseFree || dead[s] {
-			if l.ctx.Comm.CounterCAS(l.stateW, int(i), s, l.me()) {
+			if l.state.CAS(int(i), s, l.me()) {
 				l.stamp(int(i))
 				if tel := l.ctx.Comm.Telemetry(); tel != nil {
 					tel.Counter("ddi.lease.steals").Add(1)
@@ -225,15 +215,15 @@ func (l *LeaseDLB) Expired(ttl time.Duration) (idx int, ok bool) {
 	}
 	now := time.Now().UnixNano()
 	for i := 0; i < l.total; i++ {
-		s := l.ctx.Comm.CounterLoad(l.stateW, i)
+		s := l.state.Load(i)
 		if s <= 0 || s == l.me() {
 			continue
 		}
-		ts := l.ctx.Comm.CounterLoad(l.tsW, i)
+		ts := l.ts.Load(i)
 		if ts == 0 || now-ts < ttl.Nanoseconds() {
 			continue
 		}
-		if l.ctx.Comm.CounterCAS(l.stateW, i, s, l.me()) {
+		if l.state.CAS(i, s, l.me()) {
 			l.stamp(i)
 			if tel := l.ctx.Comm.Telemetry(); tel != nil {
 				tel.Counter("ddi.lease.expired").Add(1)
@@ -276,11 +266,11 @@ func (l *LeaseDLB) Hedge(slow []int) (idx, owner int, ok bool) {
 		if l.hedged[i] {
 			continue
 		}
-		s := l.ctx.Comm.CounterLoad(l.stateW, i)
+		s := l.state.Load(i)
 		if !slowSet[s] {
 			continue
 		}
-		if !l.ctx.Comm.CounterCAS(l.hedgeW, i, 0, l.me()) {
+		if !l.hedge.CAS(i, 0, l.me()) {
 			// Another rank already holds this task's hedge rights.
 			l.hedged[i] = true
 			continue
@@ -303,11 +293,11 @@ func (l *LeaseDLB) Hedge(slow []int) (idx, owner int, ok bool) {
 // pushed inside the Reserve→Finish critical section, a rank observing
 // AllComplete may safely read the full shared result.
 func (l *LeaseDLB) AllComplete() bool {
-	if l.ctx.Comm.CounterLoad(l.curW, 0) < int64(l.total) {
+	if l.cur.Load(0) < int64(l.total) {
 		return false
 	}
 	for i := 0; i < l.total; i++ {
-		if l.ctx.Comm.CounterLoad(l.stateW, i) != leaseDone {
+		if l.state.Load(i) != leaseDone {
 			return false
 		}
 	}

@@ -137,7 +137,7 @@ func TestLeaseStealsUnclaimedDraw(t *testing.T) {
 		if c.Rank() == 1 {
 			// Simulate death in the gap: draw the cursor directly (as
 			// DrawChunk would), then die before the claim CAS.
-			c.FetchAdd(l.curW, 0, 1)
+			l.cur.FetchAdd(0, 1)
 			panic("died between draw and claim")
 		}
 		for len(c.FailedRanks()) == 0 {
@@ -163,7 +163,7 @@ func TestLeaseDrawPastLostChunk(t *testing.T) {
 		// The first chunk's slots were stolen and committed between this
 		// rank's fetch-and-add and its claims.
 		for i := 0; i < chunk; i++ {
-			c.CounterStore(l.stateW, i, leaseDone)
+			l.state.Store(i, leaseDone)
 		}
 		if got := drain(l, chunk, rec); got != (Drained{Drawn: total - chunk}) {
 			t.Errorf("Drain = %+v, want the cursor's last %d tasks drawn and nothing re-issued", got, total-chunk)

@@ -4,34 +4,16 @@ package ddi
 // into a shared counter window, and any rank can read the whole vector
 // back to run the detector below. This is what connects the imbalance
 // telemetry (PR 2) to the hedged DLB: a flagged rank's outstanding leases
-// become candidates for speculative re-issue.
+// become candidates for speculative re-issue. For a communicator of size
+// P the context's straggler window (created in New) holds slots [0, P) =
+// per-rank latency EWMA in nanoseconds and slots [P, 2P) = per-rank
+// sample counts. Every context starts from a fresh window, so a new
+// world (an elastic epoch, a salvage resume) starts from a clean slate.
 
 import (
-	"fmt"
 	"sort"
 	"time"
 )
-
-// stragglerWindowBase holds, for a communicator of size P, slots [0, P)
-// = per-rank latency EWMA in nanoseconds and slots [P, 2P) = per-rank
-// sample counts. Under an elastic membership the window name is keyed by
-// the membership epoch (see stragglerWindow), so a resized world starts
-// from a fresh vector instead of reading — or colliding with the
-// different-sized allocation of — a stale epoch's data.
-const stragglerWindowBase = "ddi.straggler"
-
-// SetMembershipEpoch keys this context's straggler window by the given
-// membership epoch. The elastic SCF driver calls it once per epoch;
-// fixed-membership runs (epoch 0) keep the unsuffixed window name.
-func (d *Context) SetMembershipEpoch(e int64) { d.memberEpoch = e }
-
-// stragglerWindow returns the epoch-keyed shared window name.
-func (d *Context) stragglerWindow() string {
-	if d.memberEpoch == 0 {
-		return stragglerWindowBase
-	}
-	return fmt.Sprintf("%s.e%d", stragglerWindowBase, d.memberEpoch)
-}
 
 // ObserveTaskLatency folds one completed task's wall time into this
 // rank's latency EWMA and publishes the updated (EWMA, count) pair to
@@ -39,13 +21,10 @@ func (d *Context) stragglerWindow() string {
 // real work (including any chaos stall — that is the point: a straggler
 // is whatever LOOKS slow from outside).
 func (d *Context) ObserveTaskLatency(dur time.Duration) {
-	size := d.Comm.Size()
-	win := d.stragglerWindow()
-	d.Comm.WinCreateCounters(win, 2*size)
 	v := d.ewma.Observe(float64(dur.Nanoseconds()))
 	r := d.Comm.Rank()
-	d.Comm.CounterStore(win, r, int64(v))
-	d.Comm.CounterStore(win, size+r, d.ewma.Count())
+	d.straggler.Store(r, int64(v))
+	d.straggler.Store(d.Comm.Size()+r, d.ewma.Count())
 }
 
 // Stragglers reads every rank's published latency EWMA and returns the
@@ -61,19 +40,17 @@ func (d *Context) Stragglers(k float64, minSamples int64) []int {
 	return flagged
 }
 
-// PublishedLatencies reads the shared straggler window for the current
-// membership epoch: per-rank latency EWMAs (ns) and sample counts. The
+// PublishedLatencies reads the context's shared straggler window:
+// per-rank latency EWMAs (ns) and sample counts. The
 // elastic driver and the autoscaler read these directly when deciding
 // migrations.
 func (d *Context) PublishedLatencies() ([]float64, []int64) {
 	size := d.Comm.Size()
-	win := d.stragglerWindow()
-	d.Comm.WinCreateCounters(win, 2*size)
 	ewma := make([]float64, size)
 	counts := make([]int64, size)
 	for r := 0; r < size; r++ {
-		ewma[r] = float64(d.Comm.CounterLoad(win, r))
-		counts[r] = d.Comm.CounterLoad(win, size+r)
+		ewma[r] = float64(d.straggler.Load(r))
+		counts[r] = d.straggler.Load(size + r)
 	}
 	return ewma, counts
 }

@@ -18,13 +18,12 @@ import (
 // its per-rank latency sequence, then reads the detector back on every
 // rank.
 func collectFlags(t *testing.T, ranks int, latency func(rank int) []time.Duration,
-	k float64, minSamples int64, epoch int64) map[int][]int {
+	k float64, minSamples int64) map[int][]int {
 	t.Helper()
 	var mu sync.Mutex
 	flagged := make(map[int][]int)
 	err := mpi.Run(ranks, func(c *mpi.Comm) {
 		dx := New(c)
-		dx.SetMembershipEpoch(epoch)
 		for _, lat := range latency(c.Rank()) {
 			dx.ObserveTaskLatency(lat)
 		}
@@ -49,7 +48,7 @@ func TestStragglerAllEqualFlagsNothing(t *testing.T) {
 		return []time.Duration{10 * time.Millisecond, 10 * time.Millisecond,
 			10 * time.Millisecond, 10 * time.Millisecond}
 	}
-	for rank, got := range collectFlags(t, ranks, uniform, 2, 3, 0) {
+	for rank, got := range collectFlags(t, ranks, uniform, 2, 3) {
 		if len(got) != 0 {
 			t.Fatalf("rank %d flagged %v in a uniform world", rank, got)
 		}
@@ -68,7 +67,7 @@ func TestStragglerBelowWarmupFlagsNothing(t *testing.T) {
 		}
 		return []time.Duration{lat, lat} // 2 samples < minSamples 3
 	}
-	for rank, got := range collectFlags(t, ranks, warmup, 2, 3, 0) {
+	for rank, got := range collectFlags(t, ranks, warmup, 2, 3) {
 		if len(got) != 0 {
 			t.Fatalf("rank %d flagged %v inside the warm-up window", rank, got)
 		}
@@ -83,24 +82,24 @@ func TestStragglerSingleRankFlagsNothing(t *testing.T) {
 		return []time.Duration{50 * time.Millisecond, 60 * time.Millisecond,
 			70 * time.Millisecond, 80 * time.Millisecond}
 	}
-	for rank, got := range collectFlags(t, 1, slowAlone, 2, 3, 0) {
+	for rank, got := range collectFlags(t, 1, slowAlone, 2, 3) {
 		if len(got) != 0 {
 			t.Fatalf("rank %d flagged %v with no peers", rank, got)
 		}
 	}
 }
 
-// TestStragglerEpochKeyedWindow: after a membership change the detector
-// must read the new epoch's window, not the old world's — a rank that
-// was slow before a migration starts the new epoch with a clean slate.
-func TestStragglerEpochKeyedWindow(t *testing.T) {
+// TestStragglerFreshContextReadsFreshWindow: every context owns its own
+// straggler window, so a fresh context — what each new world (an elastic
+// epoch, a salvage resume) starts with — reads no samples, and a rank
+// that was slow before a migration starts with a clean slate.
+func TestStragglerFreshContextReadsFreshWindow(t *testing.T) {
 	const ranks, slow = 4, 1
 	var mu sync.Mutex
 	before := make(map[int][]int)
 	after := make(map[int][]int)
 	err := mpi.Run(ranks, func(c *mpi.Comm) {
 		dx := New(c)
-		dx.SetMembershipEpoch(0)
 		lat := 5 * time.Millisecond
 		if c.Rank() == slow {
 			lat = 100 * time.Millisecond
@@ -115,10 +114,7 @@ func TestStragglerEpochKeyedWindow(t *testing.T) {
 		mu.Unlock()
 		c.Barrier()
 
-		// Membership epoch advances (the migration re-hosted the slow
-		// rank): a fresh detector keyed to the new epoch sees no samples.
 		fresh := New(c)
-		fresh.SetMembershipEpoch(1)
 		got = fresh.Stragglers(2, 3)
 		mu.Lock()
 		after[c.Rank()] = got
@@ -129,10 +125,10 @@ func TestStragglerEpochKeyedWindow(t *testing.T) {
 	}
 	for r := 0; r < ranks; r++ {
 		if len(before[r]) != 1 || before[r][0] != slow {
-			t.Fatalf("epoch 0: rank %d flagged %v, want [%d]", r, before[r], slow)
+			t.Fatalf("first context: rank %d flagged %v, want [%d]", r, before[r], slow)
 		}
 		if len(after[r]) != 0 {
-			t.Fatalf("epoch 1: rank %d still flags %v from the stale window", r, after[r])
+			t.Fatalf("fresh context: rank %d still flags %v from the first context's window", r, after[r])
 		}
 	}
 }

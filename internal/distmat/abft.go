@@ -64,18 +64,18 @@ type abftState struct {
 	kr, kc int           // row groups per block row, column groups per block column
 	groups []parityGroup // row group (bi, k) at bi*kr+k, column group (bj, k) at NB*kr + bj*kc+k
 
-	ownedParity  int      // parity tiles stored on the calling rank
-	names        []string // per-rank parity window names, precomputed
-	sinceRefresh int      // audits since the last full parity refresh
+	ownedParity  int        // parity tiles stored on the calling rank
+	wins         []*mpi.Win // per-rank parity windows
+	sinceRefresh int        // audits since the last full parity refresh
 	parityCtr    *telemetry.Counter
 }
 
 // parityGroup is one checksum tile: the rank storing it, its float
 // offset in that rank's parity window, and the tile indices (bi*NB+bj)
-// it sums, in ascending order.
+// it sums, as the run first, first+step, ... below end.
 type parityGroup struct {
-	owner, off int
-	members    []int
+	owner, off       int
+	first, step, end int
 }
 
 // rowParityOwner places the parity of row group (bi, k) on the grid row
@@ -106,13 +106,8 @@ func parityPlan(g *Grid, ranks, nb, bs int) (ab *abftState, counts []int) {
 	ab = &abftState{kr: (nb + g.Pc - 1) / g.Pc, kc: (nb + g.Pr - 1) / g.Pr}
 	ab.groups = make([]parityGroup, 0, nb*(ab.kr+ab.kc))
 	counts = make([]int, ranks)
-	tiles := make([]int, 0, 2*nb*nb) // every group's members, one backing array
 	add := func(owner, first, step, end int) {
-		start := len(tiles)
-		for t := first; t < end; t += step {
-			tiles = append(tiles, t)
-		}
-		ab.groups = append(ab.groups, parityGroup{owner, counts[owner] * bs * bs, tiles[start:len(tiles):len(tiles)]})
+		ab.groups = append(ab.groups, parityGroup{owner, counts[owner] * bs * bs, first, step, end})
 		counts[owner]++
 	}
 	for bi := 0; bi < nb; bi++ {
@@ -135,35 +130,25 @@ func (m *BlockMat) initABFT() {
 	comm := m.Dx.Comm
 	ab, counts := parityPlan(m.G, comm.Size(), m.NB, m.BS)
 	ab.ownedParity = counts[comm.Rank()]
-	ab.names = make([]string, comm.Size())
-	for r := range ab.names {
-		ab.names[r] = fmt.Sprintf("dm.ab.%d.%d", m.id, r)
-	}
 	ab.parityCtr = comm.Telemetry().Counter("distmat.abft.parity.bytes")
-	m.ab = ab // abWinName reads the name table from here on
-	for r, c := range counts {
-		if c > 0 {
-			comm.WinCreate(m.abWinName(r), c*m.BS*m.BS)
-		}
-	}
+	ab.wins = createWindows(comm, counts, m.BS)
+	m.ab = ab
 }
 
 // ABFT reports whether the matrix maintains checksum tiles.
 func (m *BlockMat) ABFT() bool { return m.ab != nil }
-
-func (m *BlockMat) abWinName(rank int) string { return m.ab.names[rank] }
 
 // rawGetTile / rawPutTile move a data tile without parity maintenance
 // or traffic accounting — the audit/repair/salvage plumbing, which must
 // read and write tiles whose parity already reflects the true value.
 func (m *BlockMat) rawGetTile(bi, bj int, out []float64) {
 	t := m.tileIndex(bi, bj)
-	m.Dx.Comm.WinGet(m.winName(m.owner[t]), m.offset[t], out)
+	m.wins[m.owner[t]].Get(m.offset[t], out)
 }
 
 func (m *BlockMat) rawPutTile(bi, bj int, data []float64) {
 	t := m.tileIndex(bi, bj)
-	m.Dx.Comm.WinPut(m.winName(m.owner[t]), m.offset[t], data)
+	m.wins[m.owner[t]].Put(m.offset[t], data)
 }
 
 // tileGroups returns the indices of tile (bi, bj)'s row and column
@@ -181,7 +166,7 @@ func (m *BlockMat) accParity(bi, bj int, delta []float64) {
 		if p.owner != me {
 			m.ab.parityCtr.Add(int64(len(delta)) * 8)
 		}
-		m.Dx.Comm.WinAcc(m.abWinName(p.owner), p.off, delta)
+		m.ab.wins[p.owner].Acc(p.off, delta)
 	}
 }
 
@@ -193,20 +178,21 @@ func (m *BlockMat) zeroParity() {
 		return
 	}
 	zeros := make([]float64, m.ab.ownedParity*m.BS*m.BS)
-	m.Dx.Comm.WinPut(m.abWinName(m.Dx.Comm.Rank()), 0, zeros)
+	m.ab.wins[m.Dx.Comm.Rank()].Put(0, zeros)
 }
 
 // parityTile reads the stored parity tile of group gi.
 func (m *BlockMat) parityTile(gi int, out []float64) {
 	p := &m.ab.groups[gi]
-	m.Dx.Comm.WinGet(m.abWinName(p.owner), p.off, out)
+	m.ab.wins[p.owner].Get(p.off, out)
 }
 
 // groupSum freshly sums the members of group gi into sum, skipping tile
 // index skip (-1 = none). buf is bs*bs scratch.
 func (m *BlockMat) groupSum(gi, skip int, sum, buf []float64) {
 	clear(sum)
-	for _, t := range m.ab.groups[gi].members {
+	p := &m.ab.groups[gi]
+	for t := p.first; t < p.end; t += p.step {
 		if t == skip {
 			continue
 		}
@@ -237,7 +223,7 @@ func parityMismatch(fresh, stored []float64) bool {
 // AuditStats summarizes one collective AuditParity pass, aggregated
 // across ranks (identical on every rank).
 type AuditStats struct {
-	Groups          int64 // parity groups audited (row + column)
+	Groups          int64 // row groups audited for corruption (phase 1a)
 	Mismatches      int64 // row groups whose stored parity disagreed with a fresh sum
 	RepairedTiles   int64 // corrupt data tiles localized and rewritten from parity
 	ParityRefreshes int64 // parities rewritten beyond tolerance in the refresh phase
@@ -265,7 +251,7 @@ type AuditStats struct {
 // Phases 1b and 2 only run when the allreduce after 1a shows a mismatch
 // somewhere in the world, or every abftRefreshEvery-th audit (the drift
 // reset) — the common clean audit is a single read-only pass plus one
-// allreduce. On the fast path Groups counts row groups only.
+// allreduce.
 //
 // Returns an error on every rank if any group was unrepairable.
 func (m *BlockMat) AuditParity() (AuditStats, error) {
@@ -290,8 +276,8 @@ func (m *BlockMat) AuditParity() (AuditStats, error) {
 	var st AuditStats
 	var repairs []repair
 	var unrepairable int64
-	for gi := range ab.groups[:m.NB*ab.kr] {
-		if ab.groups[gi].owner != me {
+	for gi, g := range ab.groups[:m.NB*ab.kr] {
+		if g.owner != me {
 			continue
 		}
 		st.Groups++
@@ -304,7 +290,7 @@ func (m *BlockMat) AuditParity() (AuditStats, error) {
 		// Localize: the member whose column group also mismatches.
 		corrupt := -1
 		flagged := 0
-		for _, t := range ab.groups[gi].members {
+		for t := g.first; t < g.end; t += g.step {
 			cg := m.tileGroups(t/m.NB, t%m.NB)[1]
 			m.groupSum(cg, -1, sum, buf)
 			m.parityTile(cg, stored)
@@ -348,22 +334,19 @@ func (m *BlockMat) AuditParity() (AuditStats, error) {
 
 		// Phase 2: refresh every owned parity, row and column groups
 		// alike, from a fresh member sum.
-		refresh := make([]float64, 2) // groups, parities found off
+		var off int64 // parities found off
 		for gi, p := range ab.groups {
 			if p.owner != me {
 				continue
 			}
-			refresh[0]++
 			m.groupSum(gi, -1, sum, buf)
 			m.parityTile(gi, stored)
 			if parityMismatch(sum, stored) {
-				refresh[1]++
+				off++
 			}
-			comm.WinPut(m.abWinName(me), p.off, sum)
+			ab.wins[me].Put(p.off, sum)
 		}
-		m.Dx.GSumF(refresh)
-		agg[0] = refresh[0]
-		st.ParityRefreshes = int64(refresh[1])
+		st.ParityRefreshes = m.Dx.GSumI(off)
 	}
 	st.Groups, st.Mismatches, st.RepairedTiles = int64(agg[0]), int64(agg[1]), int64(agg[2])
 	unrepairable = int64(agg[3])
@@ -519,7 +502,7 @@ func (s *Salvage) fromGroup(gi, t int) ([]float64, error) {
 	}
 	v := make([]float64, m.BS*m.BS)
 	m.parityTile(gi, v)
-	for _, b := range p.members {
+	for b := p.first; b < p.end; b += p.step {
 		if b == t {
 			continue
 		}

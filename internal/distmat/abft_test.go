@@ -2,6 +2,7 @@ package distmat
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestABFTParityOwnersOffRank(t *testing.T) {
 		nb := 7
 		ab, _ := parityPlan(g, p, nb, 1)
 		for gi, grp := range ab.groups[:nb*ab.kr] {
-			for _, tile := range grp.members {
+			for tile := grp.first; tile < grp.end; tile += grp.step {
 				if g.OwnerOf(tile/nb, tile%nb) == grp.owner {
 					t.Errorf("p=%d: row parity group %d on rank %d co-located with member (%d,%d)",
 						p, gi, grp.owner, tile/nb, tile%nb)
@@ -156,6 +157,42 @@ func TestABFTAuditRepairsBitFlip(t *testing.T) {
 	})
 }
 
+// TestABFTAuditGroupsOneUnit: AuditStats.Groups counts the row groups
+// the detection phase audited, whether or not the refresh phase ran — a
+// 2-rank, 4x4-tile matrix reads 16 on a clean audit and on the audit
+// that repairs a flip.
+func TestABFTAuditGroupsOneUnit(t *testing.T) {
+	const n, bs = 12, 3
+	d0 := randSym(n, 7)
+	onWorld(t, 2, func(g *Grid, dx *ddi.Context) {
+		m := NewABFT(g, dx, n, bs)
+		if err := m.ScatterDense(d0); err != nil {
+			t.Errorf("scatter: %v", err)
+			return
+		}
+		clean, err := m.AuditParity()
+		if err != nil || clean.Mismatches != 0 {
+			t.Errorf("clean audit: %+v, %v", clean, err)
+			return
+		}
+		if dx.Comm.Rank() == 1 {
+			buf := make([]float64, bs*bs)
+			m.rawGetTile(1, 2, buf)
+			integrity.FlipFloatBit(buf, 4, 52)
+			m.rawPutTile(1, 2, buf)
+		}
+		dx.Comm.Barrier()
+		fixed, err := m.AuditParity()
+		if err != nil || fixed.RepairedTiles != 1 {
+			t.Errorf("repairing audit: %+v, %v", fixed, err)
+			return
+		}
+		if clean.Groups != 16 || fixed.Groups != 16 {
+			t.Errorf("Groups = %d clean, %d repairing; want 16 both", clean.Groups, fixed.Groups)
+		}
+	})
+}
+
 // TestABFTStaleRowParityCountedOnce corrupts a row parity tile instead
 // of a data tile: the audit finds one mismatched row group, flags no
 // member (every column group is clean), repairs nothing, and the refresh
@@ -175,7 +212,7 @@ func TestABFTStaleRowParityCountedOnce(t *testing.T) {
 			buf := make([]float64, m.BS*m.BS)
 			m.parityTile(gi, buf)
 			integrity.FlipFloatBit(buf, 4, 52)
-			dx.Comm.WinPut(m.abWinName(p.owner), p.off, buf)
+			m.ab.wins[p.owner].Put(p.off, buf)
 		}
 		dx.Comm.Barrier()
 		st, err := m.AuditParity()
@@ -322,7 +359,7 @@ func TestABFTBytesPerRank(t *testing.T) {
 			m := NewABFT(g, dx, n, bs)
 			var live int64 // bytes of the parity window this rank allocated
 			if m.ab.ownedParity > 0 {
-				live = int64(len(dx.Comm.WinShared(m.abWinName(dx.Comm.Rank())))) * 8
+				live = int64(len(m.ab.wins[dx.Comm.Rank()].Local())) * 8
 			}
 			mu.Lock()
 			worst = max(worst, live)
@@ -339,6 +376,22 @@ func TestABFTBytesPerRank(t *testing.T) {
 // bitwise-identical branch sequence and produce the bitwise-identical
 // density as a clean run — the distmat extension of the allreduce
 // determinism invariant.
+// TestABFTBytesPerRankIsSmall: the memory model walks the parity plan,
+// whose groups are strided runs, not member lists — planning a
+// 100,000-function matrix over 256 ranks (306,348 groups) allocates
+// well under 16 MB.
+func TestABFTBytesPerRankIsSmall(t *testing.T) {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	ABFTBytesPerRank(100000, 256, 0)
+	runtime.ReadMemStats(&m1)
+	got := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("ABFTBytesPerRank(100000, 256, 0) allocated %d bytes", got)
+	if got >= 16<<20 {
+		t.Errorf("ABFTBytesPerRank(100000, 256, 0) allocated %d bytes, want < 16 MB", got)
+	}
+}
+
 func TestPurifyChaosDeterminism(t *testing.T) {
 	n := 16
 	nocc := 5

@@ -8,20 +8,18 @@ import (
 	"repro/internal/ddi"
 	"repro/internal/integrity"
 	"repro/internal/linalg"
+	"repro/internal/mpi"
 	"repro/internal/telemetry"
 )
-
-// matSeq provides process-wide unique distributed matrix ids: rank 0
-// draws and shares through a counter window, so every rank in a world
-// agrees on the id.
-var matSeq atomic.Int64
 
 // BlockMat is an n x n matrix distributed in bs x bs tiles over the
 // process grid (see the package comment for the layout). All collective
 // methods (New, Zero, Scatter/Gather, the ops in ops.go) must be called
 // by every rank of the world at the same point; Get/Put/AccTile and At
 // are one-sided and may be called by any rank at any time between
-// barriers.
+// barriers. The matrix holds one window per owning rank (nil for a rank
+// that owns no tile), created collectively in New in owner order, plus
+// one checksum counter window (verifySame).
 type BlockMat struct {
 	G  *Grid
 	Dx *ddi.Context
@@ -29,13 +27,13 @@ type BlockMat struct {
 	BS int // tile edge (trailing tiles zero-padded)
 	NB int // tiles per dimension: ceil(N/BS)
 
-	id     int64
 	owner  []int // tile (bi,bj) -> owning rank, row-major over blocks
 	offset []int // tile (bi,bj) -> float offset in the owner's window
 
 	ownedTiles int
-	names      []string  // per-rank data window names, precomputed
-	local      []float64 // the calling rank's own window, read in place by readTile
+	wins       []*mpi.Win // per-rank data windows
+	ck         *mpi.Win   // one checksum slot per rank (verifySame)
+	local      []float64  // the calling rank's own window, read in place by readTile
 
 	// One-sided traffic accounting (off-rank bytes only), mirrored into
 	// the distmat.* telemetry counters when a session is attached. The
@@ -78,17 +76,6 @@ func newMat(g *Grid, dx *ddi.Context, n, bs int, abft bool) *BlockMat {
 	}
 	nb := (n + bs - 1) / bs
 	m := &BlockMat{G: g, Dx: dx, N: n, BS: bs, NB: nb}
-
-	if comm.Rank() == 0 {
-		comm.CounterStore("dm.id", 0, matSeq.Add(1))
-	}
-	comm.Barrier()
-	m.id = comm.CounterLoad("dm.id", 0)
-
-	m.names = make([]string, comm.Size())
-	for r := range m.names {
-		m.names[r] = fmt.Sprintf("dm.%d.%d", m.id, r)
-	}
 	tel := comm.Telemetry()
 	m.getCtr = tel.Counter("distmat.get.bytes")
 	m.putCtr = tel.Counter("distmat.put.bytes")
@@ -108,13 +95,10 @@ func newMat(g *Grid, dx *ddi.Context, n, bs int, abft bool) *BlockMat {
 		}
 	}
 	m.ownedTiles = counts[comm.Rank()]
-	for r, c := range counts {
-		if c > 0 {
-			comm.WinCreate(m.winName(r), c*bs*bs)
-		}
-	}
+	m.wins = createWindows(comm, counts, bs)
+	m.ck = comm.WinCreate(0, comm.Size())
 	if m.ownedTiles > 0 {
-		m.local = comm.WinShared(m.winName(comm.Rank()))
+		m.local = m.wins[comm.Rank()].Local()
 	}
 	if abft {
 		m.initABFT()
@@ -123,7 +107,18 @@ func newMat(g *Grid, dx *ddi.Context, n, bs int, abft bool) *BlockMat {
 	return m
 }
 
-func (m *BlockMat) winName(rank int) string { return m.names[rank] }
+// createWindows collectively creates one float window per rank holding
+// counts[r] tiles of edge bs, in rank order; a rank storing nothing
+// gets none (nil).
+func createWindows(comm *mpi.Comm, counts []int, bs int) []*mpi.Win {
+	wins := make([]*mpi.Win, len(counts))
+	for r, c := range counts {
+		if c > 0 {
+			wins[r] = comm.WinCreate(c*bs*bs, 0)
+		}
+	}
+	return wins
+}
 
 // sameShape panics unless b shares m's dimension, tile edge and grid —
 // the precondition of every tile-aligned binary op.
@@ -171,7 +166,7 @@ func (m *BlockMat) countTraffic(kind *atomic.Int64, ctr *telemetry.Counter, owne
 func (m *BlockMat) GetTile(bi, bj int, out []float64) {
 	t := m.tileIndex(bi, bj)
 	m.countTraffic(&m.getBytes, m.getCtr, m.owner[t], len(out))
-	m.Dx.Comm.WinGet(m.winName(m.owner[t]), m.offset[t], out)
+	m.wins[m.owner[t]].Get(m.offset[t], out)
 }
 
 // readTile returns tile (bi, bj) for reading: the calling rank's window
@@ -198,16 +193,16 @@ func (m *BlockMat) PutTile(bi, bj int, data []float64) {
 	m.countTraffic(&m.putBytes, m.putCtr, m.owner[t], len(data))
 	if m.ab != nil {
 		old := m.putScratch.Get().([]float64)[:len(data)]
-		m.Dx.Comm.WinGet(m.winName(m.owner[t]), m.offset[t], old)
+		m.wins[m.owner[t]].Get(m.offset[t], old)
 		for i := range old {
 			old[i] = data[i] - old[i]
 		}
-		m.Dx.Comm.WinPut(m.winName(m.owner[t]), m.offset[t], data)
+		m.wins[m.owner[t]].Put(m.offset[t], data)
 		m.accParity(bi, bj, old)
 		m.putScratch.Put(old)
 		return
 	}
-	m.Dx.Comm.WinPut(m.winName(m.owner[t]), m.offset[t], data)
+	m.wins[m.owner[t]].Put(m.offset[t], data)
 }
 
 // AccTile element-wise adds data (BS*BS floats) into tile (bi, bj).
@@ -216,7 +211,7 @@ func (m *BlockMat) PutTile(bi, bj int, data []float64) {
 func (m *BlockMat) AccTile(bi, bj int, data []float64) {
 	t := m.tileIndex(bi, bj)
 	m.countTraffic(&m.accBytes, m.accCtr, m.owner[t], len(data))
-	m.Dx.Comm.WinAcc(m.winName(m.owner[t]), m.offset[t], data)
+	m.wins[m.owner[t]].Acc(m.offset[t], data)
 	if m.ab != nil {
 		m.accParity(bi, bj, data)
 	}
@@ -229,7 +224,7 @@ func (m *BlockMat) At(i, j int) float64 {
 	t := m.tileIndex(bi, bj)
 	var buf [1]float64
 	m.countTraffic(&m.getBytes, m.getCtr, m.owner[t], 1)
-	m.Dx.Comm.WinGet(m.winName(m.owner[t]), m.offset[t]+(i%m.BS)*m.BS+(j%m.BS), buf[:])
+	m.wins[m.owner[t]].Get(m.offset[t]+(i%m.BS)*m.BS+(j%m.BS), buf[:])
 	return buf[0]
 }
 
@@ -264,17 +259,17 @@ func (m *BlockMat) Zero() {
 	m.Dx.Comm.Barrier()
 }
 
-// checksum windows: one int64 slot per rank, keyed by matrix id. The
-// two-barrier protocol (store, barrier, read+verify, barrier) makes the
-// window safely reusable across successive collective calls.
+// verifySame checks that every rank holds checksum ck, through the
+// matrix's checksum window (one int64 slot per rank). The two-barrier
+// protocol (store, barrier, read+verify, barrier) makes the window safely
+// reusable across successive collective calls.
 func (m *BlockMat) verifySame(ck uint64, op string) error {
 	comm := m.Dx.Comm
-	name := fmt.Sprintf("dm.ck.%d", m.id)
-	comm.CounterStore(name, comm.Rank(), int64(ck))
+	m.ck.Store(comm.Rank(), int64(ck))
 	comm.Barrier()
 	var err error
 	for r := 0; r < comm.Size(); r++ {
-		if got := uint64(comm.CounterLoad(name, r)); got != ck {
+		if got := uint64(m.ck.Load(r)); got != ck {
 			err = fmt.Errorf("distmat: %s checksum mismatch: rank %d has %016x, rank %d has %016x",
 				op, comm.Rank(), ck, r, got)
 			break

@@ -448,3 +448,29 @@ func TestPerRankTileBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestScatterGatherBeyond64Ranks: a 66-rank world scatters and gathers
+// bit for bit — the checksum agreement of ScatterDense holds one slot
+// per rank, rank 65 included, and so do the data windows.
+func TestScatterGatherBeyond64Ranks(t *testing.T) {
+	const ranks, n = 66, 40
+	d0 := randSym(n, 11)
+	onWorld(t, ranks, func(g *Grid, dx *ddi.Context) {
+		for _, mk := range []func(*Grid, *ddi.Context, int, int) *BlockMat{New, NewABFT} {
+			m := mk(g, dx, n, 0)
+			if err := m.ScatterDense(d0); err != nil {
+				t.Errorf("rank %d: scatter: %v", dx.Comm.Rank(), err)
+				return
+			}
+			got, err := m.GatherVerified()
+			if err != nil {
+				t.Errorf("rank %d: gather: %v", dx.Comm.Rank(), err)
+				return
+			}
+			if diff := got.MaxAbsDiff(d0); diff != 0 {
+				t.Errorf("rank %d: gathered matrix differs by %g", dx.Comm.Rank(), diff)
+				return
+			}
+		}
+	})
+}

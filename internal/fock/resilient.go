@@ -1,7 +1,6 @@
 package fock
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/ddi"
@@ -22,7 +21,7 @@ import (
 //
 //   - Each combined (i, j) shell-pair task is claimed through a lease
 //     and committed two-phase: the committer Reserves the lease (a CAS
-//     only one contender can win), pushes its contribution (WinAcc),
+//     only one contender can win), pushes its contribution (Win.Acc),
 //     then marks it done. Losers of the Reserve race — the straggler
 //     whose task was hedged faster, or the hedger that lost — drop
 //     their duplicate results locally, so re-issued work never
@@ -41,8 +40,7 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 	stats := &w.st
 
 	lease := dx.NewLeaseDLB(NumPairs(len(w.shells)))
-	win := fmt.Sprintf("fock.resilient.%d", lease.Cycle())
-	dx.Comm.WinCreate(win, len(chans)*n*n)
+	win := dx.Comm.WinCreate(len(chans)*n*n, 0)
 
 	// Contributions are buffered PER TASK so the flush can commit each
 	// task independently: under speculation two ranks may hold results
@@ -71,7 +69,7 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 		// to the still-local values — outside the Reserve→push→Finish
 		// critical section, so the exactly-once guarantee is untouched.
 		// The poison reaches the shared window on the next flush and must
-		// be caught by the SCF-side validators after WinGet.
+		// be caught by the SCF-side validators after the window read.
 		w.injectSDC(task.val)
 		pending = append(pending, task)
 	}
@@ -102,7 +100,7 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 		}
 		pending = pending[:0]
 		if dirty {
-			dx.Comm.WinAcc(win, 0, batch)
+			win.Acc(0, batch)
 			clear(batch)
 		}
 		for _, ij := range reserved {
@@ -131,7 +129,7 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 	accs := make([]*linalg.Matrix, len(chans))
 	for c := range accs {
 		accs[c] = linalg.NewSquare(n)
-		dx.Comm.WinGet(win, c*n*n, accs[c].Data)
+		win.Get(c*n*n, accs[c].Data)
 		Finalize(accs[c])
 	}
 	return accs, *stats

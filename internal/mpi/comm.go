@@ -156,22 +156,17 @@ func (m *mailbox) take(c *Comm, source, tag int) message {
 	}
 }
 
-// window is a shared memory region with atomic access, modeling an MPI-3
-// one-sided window (the DDI layer builds its DLB counter on one).
-type window struct {
-	mu   sync.Mutex
-	data []float64
-	ctr  []atomic.Int64
-}
-
 // World owns the shared state of one run: mailboxes, barrier, windows,
 // the fault schedule and the failure bookkeeping, all keyed by rank.
 type World struct {
 	size    int
 	boxes   []*mailbox
-	windows sync.Map // name -> *window
 	barrier *cyclicBarrier
 	collSeq []atomic.Int64 // per-rank collective sequence numbers
+
+	winMu  sync.Mutex
+	wins   []*window // one-sided windows in creation order (see WinCreate)
+	winSeq []int     // per-rank count of windows created
 
 	deadline  time.Duration      // per-blocking-op bound; 0 = wait forever
 	grace     time.Duration      // unwind window past deadline before abandoning
@@ -204,6 +199,7 @@ func newWorld(size int) *World {
 		boxes:   make([]*mailbox, size),
 		barrier: newCyclicBarrier(size),
 		collSeq: make([]atomic.Int64, size),
+		winSeq:  make([]int, size),
 		fenced:  make([]atomic.Bool, size),
 	}
 	for i := range w.boxes {
@@ -631,129 +627,4 @@ func (c *Comm) Barrier() {
 	end := c.world.telemetry.TimedOp("mpi.op", "barrier", c.rank, 0)
 	c.world.barrier.await(c)
 	end()
-}
-
-// --- shared windows (MPI-3 one-sided emulation) ---
-
-// getWindow creates or fetches the named window sized for at least n
-// counters. The first creator fixes the capacity, so a generous minimum is
-// applied; DLB windows only ever use a handful of counters.
-func (c *Comm) getWindow(name string, n int) *window {
-	// Fast path first: LoadOrStore would construct (and zero) a full
-	// window-sized allocation on every call just to discard it when the
-	// window already exists — and window ops are the innermost loop of
-	// every distributed-matrix collective.
-	if v, ok := c.world.windows.Load(name); ok {
-		return v.(*window)
-	}
-	capacity := n
-	if capacity < 64 {
-		capacity = 64
-	}
-	v, _ := c.world.windows.LoadOrStore(name, &window{
-		data: make([]float64, capacity),
-		ctr:  make([]atomic.Int64, capacity),
-	})
-	return v.(*window)
-}
-
-// FetchAdd atomically adds delta to counter idx of the named window and
-// returns the previous value — the primitive under DDI's dlbnext. The
-// fault hook fires BEFORE the add, so a rank killed at a DLB draw never
-// consumes the drawn index.
-func (c *Comm) FetchAdd(name string, idx int, delta int64) int64 {
-	c.checkFenced()
-	c.faultHook(SiteDLB)
-	w := c.getWindow(name, idx+1)
-	if idx >= len(w.ctr) {
-		panic(fmt.Sprintf("mpi: window %q counter %d out of range", name, idx))
-	}
-	return w.ctr[idx].Add(delta) - delta
-}
-
-// CounterStore atomically sets counter idx of the named window.
-func (c *Comm) CounterStore(name string, idx int, v int64) {
-	c.checkFenced()
-	w := c.getWindow(name, idx+1)
-	w.ctr[idx].Store(v)
-}
-
-// CounterLoad atomically reads counter idx of the named window.
-func (c *Comm) CounterLoad(name string, idx int) int64 {
-	w := c.getWindow(name, idx+1)
-	return w.ctr[idx].Load()
-}
-
-// CounterCAS atomically compares-and-swaps counter idx of the named
-// window, reporting success — the primitive under the DDI lease table's
-// claim/steal/complete transitions.
-func (c *Comm) CounterCAS(name string, idx int, old, new int64) bool {
-	c.checkFenced()
-	w := c.getWindow(name, idx+1)
-	if idx >= len(w.ctr) {
-		panic(fmt.Sprintf("mpi: window %q counter %d out of range", name, idx))
-	}
-	return w.ctr[idx].CompareAndSwap(old, new)
-}
-
-// WinCreateCounters creates (or re-fetches) a named counter window with
-// at least n slots. The first creator of a window fixes its capacity (at
-// a minimum of 64), so windows that need more counters — like the DDI
-// lease table, one slot per task — must be created explicitly before
-// first use.
-func (c *Comm) WinCreateCounters(name string, n int) {
-	w := c.getWindow(name, n)
-	if len(w.ctr) < n {
-		panic(fmt.Sprintf("mpi: counter window %q exists with %d < %d slots", name, len(w.ctr), n))
-	}
-}
-
-// WinCreate collectively creates (or re-fetches) a named float window of
-// the given size; every rank must pass the same size.
-func (c *Comm) WinCreate(name string, size int) {
-	v, _ := c.world.windows.LoadOrStore(name, &window{
-		data: make([]float64, size),
-		ctr:  make([]atomic.Int64, 1),
-	})
-	if len(v.(*window).data) < size {
-		panic(fmt.Sprintf("mpi: window %q exists with smaller size", name))
-	}
-}
-
-// WinShared returns the named float window's storage itself, for loads
-// in place — the MPI_Win_shared_query analogue, used on a rank's own
-// window. Nothing locks it: the caller orders its loads against every
-// writer with barriers and never writes through it.
-func (c *Comm) WinShared(name string) []float64 {
-	v, _ := c.world.windows.Load(name)
-	return v.(*window).data
-}
-
-// WinPut stores data at offset of the named window (one-sided put).
-func (c *Comm) WinPut(name string, offset int, data []float64) {
-	c.checkFenced()
-	w := c.getWindow(name, offset+len(data))
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	copy(w.data[offset:offset+len(data)], data)
-}
-
-// WinGet copies window contents at offset into out (one-sided get).
-func (c *Comm) WinGet(name string, offset int, out []float64) {
-	w := c.getWindow(name, offset+len(out))
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	copy(out, w.data[offset:offset+len(out)])
-}
-
-// WinAcc atomically accumulates (sums) data into the window at offset —
-// the DDI acc operation used by distributed-data SCF variants.
-func (c *Comm) WinAcc(name string, offset int, data []float64) {
-	c.checkFenced()
-	w := c.getWindow(name, offset+len(data))
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for i, v := range data {
-		w.data[offset+i] += v
-	}
 }

@@ -147,6 +147,7 @@ func TestStuckRankIsAbandonedAndFenced(t *testing.T) {
 		Deadline: 50 * time.Millisecond,
 		Fault:    &FaultPlan{Delays: []Delay{{Rank: 1, Site: SiteSend, After: 1, Sleep: 900 * time.Millisecond}}},
 	}, func(c *Comm) {
+		w := c.WinCreate(0, 1)
 		if c.Rank() == 0 {
 			c.Recv(1, 1) // times out: rank 1 is asleep in its send hook
 			return
@@ -165,7 +166,7 @@ func TestStuckRankIsAbandonedAndFenced(t *testing.T) {
 			close(wedged)
 		}()
 		c.Send(0, 1, []float64{1})
-		c.FetchAdd("w", 0, 1)
+		w.FetchAdd(0, 1)
 	})
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
@@ -199,9 +200,10 @@ func TestKillAtDLBDrawFiresBeforeTheAdd(t *testing.T) {
 		Deadline: 2 * time.Second,
 		Fault:    &FaultPlan{Kills: []Kill{{Rank: 1, Site: SiteDLB, After: 3}}},
 	}, func(c *Comm) {
+		dlb := c.WinCreate(0, 1)
 		if c.Rank() == 1 {
 			for i := 0; i < 5; i++ { // third hit kills before the add
-				v := c.FetchAdd("dlb", 0, 1)
+				v := dlb.FetchAdd(0, 1)
 				mu.Lock()
 				draws[1] = append(draws[1], v)
 				mu.Unlock()
@@ -213,7 +215,7 @@ func TestKillAtDLBDrawFiresBeforeTheAdd(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		for i := 0; i < 10; i++ {
-			v := c.FetchAdd("dlb", 0, 1)
+			v := dlb.FetchAdd(0, 1)
 			mu.Lock()
 			draws[0] = append(draws[0], v)
 			mu.Unlock()
@@ -287,8 +289,9 @@ func TestFailedRanksQueryDuringRun(t *testing.T) {
 		Deadline: 2 * time.Second,
 		Fault:    &FaultPlan{Kills: []Kill{{Rank: 2, Site: SiteDLB, After: 1}}},
 	}, func(c *Comm) {
+		dlb := c.WinCreate(0, 1)
 		if c.Rank() == 2 {
-			c.FetchAdd("dlb", 0, 1) // dies here
+			dlb.FetchAdd(0, 1) // dies here
 			return
 		}
 		// Survivors poll until the failure is visible.

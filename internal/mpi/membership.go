@@ -23,9 +23,9 @@ package mpi
 // duplicate or reorder it.
 //
 // Shrink (rank death) and migration (straggler re-host, same size but
-// new placement) also advance the epoch: any layer that caches
-// per-world state — straggler windows, lease cycles, worker pools —
-// keys it by epoch and never reads a stale world's data.
+// new placement) also advance the epoch. Each epoch runs in a fresh
+// world, so per-world state — straggler windows, lease cycles — starts
+// fresh with it and no stale world's data is ever read.
 
 import (
 	"fmt"
@@ -310,8 +310,8 @@ func (m *Membership) Shrink(dead int) int {
 }
 
 // RecordMigration re-hosts straggler-flagged ranks: the pool size is
-// unchanged but the placement is new, so the epoch advances (stale
-// straggler windows keyed by the old epoch are never read again).
+// unchanged but the placement is new, so the epoch advances (and the
+// next epoch's fresh world starts with fresh straggler windows).
 func (m *Membership) RecordMigration(ranks []int) {
 	if len(ranks) == 0 {
 		return

@@ -227,8 +227,9 @@ func TestFetchAddSharedCounter(t *testing.T) {
 	const size, grabs = 8, 100
 	counts := make([]atomic.Int64, size*grabs)
 	err := Run(size, func(c *Comm) {
+		dlb := c.WinCreate(0, 1)
 		for i := 0; i < grabs; i++ {
-			v := c.FetchAdd("dlb", 0, 1)
+			v := dlb.FetchAdd(0, 1)
 			counts[v].Add(1)
 		}
 	})
@@ -244,12 +245,13 @@ func TestFetchAddSharedCounter(t *testing.T) {
 
 func TestCounterStoreLoad(t *testing.T) {
 	err := Run(2, func(c *Comm) {
+		w := c.WinCreate(0, 4)
 		if c.Rank() == 0 {
-			c.CounterStore("w", 3, 123)
+			w.Store(3, 123)
 		}
 		c.Barrier()
-		if got := c.CounterLoad("w", 3); got != 123 {
-			t.Errorf("CounterLoad = %d", got)
+		if got := w.Load(3); got != 123 {
+			t.Errorf("Load = %d", got)
 		}
 	})
 	if err != nil {

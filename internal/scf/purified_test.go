@@ -112,3 +112,28 @@ func TestRunRHFPurifiedRejectsOddElectrons(t *testing.T) {
 		t.Error("odd electron count must be rejected")
 	}
 }
+
+// TestRunRHFPurifiedBeyond64Ranks: a world of more than 64 ranks holds
+// every window at the size it was created with — the per-rank peak
+// reduction and the checksum agreement of every scatter reach rank 64 —
+// and lands on the 2-rank energy.
+func TestRunRHFPurifiedBeyond64Ranks(t *testing.T) {
+	eng, sch := purifiedSetup(t)
+	opt := Options{ConvDens: 1e-10, ConvEnergy: 1e-12}
+	for _, alg := range []Algorithm{AlgPurified, AlgPurifiedABFT} {
+		want, err := run(eng, sch, Plan{Algorithm: alg, Ranks: 2, SCF: opt})
+		if err != nil {
+			t.Fatalf("%s, 2 ranks: %v", alg, err)
+		}
+		got, err := run(eng, sch, Plan{Algorithm: alg, Ranks: 65, SCF: opt})
+		if err != nil {
+			t.Fatalf("%s, 65 ranks: %v", alg, err)
+		}
+		if !got.Converged {
+			t.Fatalf("%s, 65 ranks: did not converge in %d iterations", alg, got.Iterations)
+		}
+		if dE := math.Abs(got.Energy - want.Energy); dE > 1e-10 {
+			t.Errorf("%s: 65-rank energy %v vs 2-rank %v (|dE| = %g)", alg, got.Energy, want.Energy, dE)
+		}
+	}
+}

@@ -383,7 +383,7 @@ func supervise(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwar
 	var store atomic.Pointer[[]byte]
 	store.Store(&p.checkpoint)
 	molName, basisName := eng.Basis.Mol.Name, eng.Basis.Name
-	ranks, epoch := p.Ranks, int64(0) // epoch moves under ElasticEpoch only
+	ranks := p.Ranks // moves under ElasticEpoch only
 	var resume *tiledResume
 
 	for {
@@ -393,7 +393,7 @@ func supervise(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwar
 			return fail(&CanceledError{Cause: context.Cause(ctx)})
 		}
 		if m != nil {
-			ranks, epoch = m.Size(), m.Epoch()
+			ranks = m.Size()
 		}
 		rep.Attempts++
 		rep.RanksPerAttempt = append(rep.RanksPerAttempt, ranks)
@@ -441,7 +441,6 @@ func supervise(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwar
 					return
 				}
 				dx := ddi.New(c)
-				dx.SetMembershipEpoch(epoch)
 				if user := o.OnIteration; rank == 0 && policy.checkpoints() {
 					o.OnIteration = func(iter int, r *Result) {
 						// All ranks hold identical state, so one writer suffices.
@@ -548,7 +547,7 @@ func supervise(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwar
 		case rep.transitions() >= budget:
 			err = fmt.Errorf("scf: %s budget (%d) exhausted: %w", policy, budget, at.runErr)
 		case policy == ParitySalvage:
-			if resume, err = newTiledResume(snaps, dead, int64(rep.Attempts)); err != nil {
+			if resume, err = newTiledResume(snaps, dead); err != nil {
 				err = fmt.Errorf("scf: %v: %w", err, at.runErr)
 			} else {
 				rep.ResumedIter = resume.snap.iter
@@ -613,8 +612,8 @@ func restoreCheckpoint(buf []byte, rep *Report, tel *telemetry.Session) []*linal
 // rebalanceDue is rank 0's per-iteration elastic check: a grow when
 // announced candidates fit under the admission cap (this begins the
 // checkpoint handshake), else a migration when the straggler detector —
-// reading the epoch-keyed window the builders published this epoch's
-// latencies into — flags a rank.
+// reading the window the builders published this epoch's latencies
+// into — flags a rank.
 func rebalanceDue(m *mpi.Membership, dx *ddi.Context, p Plan, ranks, iter int) *RebalanceSignal {
 	if n := m.PendingRanks(); n > 0 && ranks+n <= p.MaxRanks && m.BeginRebalance() {
 		return &RebalanceSignal{Kind: "join", Iter: iter}

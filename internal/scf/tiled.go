@@ -117,21 +117,19 @@ func (s *salvageStore) best(dead []int) (tiledSnapshot, bool) {
 // the chosen snapshot, one salvager per matrix (reading the dead world's
 // windows through a surviving rank's handles; the tile edge stays pinned
 // to the old layout's, since the salvaged tiles are bs-shaped and a new
-// grid would pick a different default), and the membership epoch for
-// the ddi windows.
+// grid would pick a different default).
 type tiledResume struct {
-	snap  tiledSnapshot
-	salv  [3]*distmat.Salvage // X, H, D
-	epoch int64
+	snap tiledSnapshot
+	salv [3]*distmat.Salvage // X, H, D
 }
 
 // newTiledResume sets up the salvagers over the best surviving snapshot.
-func newTiledResume(store *salvageStore, dead []int, epoch int64) (*tiledResume, error) {
+func newTiledResume(store *salvageStore, dead []int) (*tiledResume, error) {
 	snap, ok := store.best(dead)
 	if !ok {
 		return nil, fmt.Errorf("no surviving snapshot to salvage from")
 	}
-	r := &tiledResume{snap: snap, epoch: epoch}
+	r := &tiledResume{snap: snap}
 	for i, m := range []*distmat.BlockMat{snap.dX, snap.dH, snap.dD} {
 		var err error
 		if r.salv[i], err = distmat.NewSalvage(m, dead); err != nil {
@@ -190,7 +188,6 @@ func runTiled(c *mpi.Comm, eng *integrals.Engine, sch *integrals.Schwarz, cfg fo
 	dx := ddi.New(c)
 	bs := p.BlockSize
 	if resume != nil {
-		dx = ddi.NewShrunk(c, resume.epoch)
 		_, bs = resume.salv[0].Dims()
 	}
 	g := distmat.NewGrid(c.Rank(), c.Size())
@@ -289,9 +286,8 @@ func runTiled(c *mpi.Comm, eng *integrals.Engine, sch *integrals.Schwarz, cfg fo
 	}
 
 	// Steady-state per-rank peak, recorded BEFORE the terminal gather
-	// (see PurifyInfo.PeakRankBytes), then maxed across ranks through a
-	// counter window so the gauge reports the worst rank.
-	rank := c.Rank()
+	// (see PurifyInfo.PeakRankBytes), then maxed across ranks so the gauge
+	// reports the worst rank.
 	local := st.reader.PeakBytes() + st.accum.PeakBytes()
 	var get, put, acc int64
 	for _, m := range mats {
@@ -299,14 +295,9 @@ func runTiled(c *mpi.Comm, eng *integrals.Engine, sch *integrals.Schwarz, cfg fo
 		mg, mp, ma := m.Traffic()
 		get, put, acc = get+mg, put+mp, acc+ma
 	}
-	c.CounterStore("purify.peak", rank, local)
-	c.Barrier()
-	for r := 0; r < c.Size(); r++ {
-		if v := c.CounterLoad("purify.peak", r); v > st.info.PeakRankBytes {
-			st.info.PeakRankBytes = v
-		}
-	}
-	c.Barrier()
+	peak := []float64{float64(local)}
+	c.Allreduce(mpi.Max, peak, peak)
+	st.info.PeakRankBytes = int64(peak[0])
 	st.info.GetBytes = dx.GSumI(get)
 	st.info.PutBytes = dx.GSumI(put)
 	st.info.AccBytes = dx.GSumI(acc)
