@@ -65,6 +65,10 @@
 # method taking `name string`), getWindow, SetMembershipEpoch, NewShrunk,
 # matSeq or a Sprintf-built "ddi.|dm.|fock.|purify.|lease." window name.
 # Non-test internal/linalg declares no type Packed.
+# One event ring per telemetry session: non-test internal/telemetry
+# declares no FlightRecorder or FlightEntry and calls no .Note(, and
+# Session holds exactly one event store (one *Recorder field, no
+# []Event or other recorder beside it); flight dumps are the ring's tail.
 # The pure-Go bodies of the ERI kernel and of MulAdd vet under
 # GOARCH=arm64 (no assembly there); the kernel's sweep and probe
 # benchmarks, the digest benchmark, BenchmarkMulAdd/{scalar,kernel},
@@ -118,9 +122,11 @@
 # XYZ parser (a served job's inline geometry), the .gbs parser, the
 # job hash (FuzzSpecCanonicalHash: Normalized is idempotent, a spec and
 # its normalized form hash alike, and an inline XYZ hashes the same under
-# atom reordering and re-spacing) and the checkpoint decoder
+# atom reordering and re-spacing), the checkpoint decoder
 # (FuzzLoadCheckpoint: no panic, only finite NumBF²-element densities
-# accepted, a finite density round-trips bit for bit), from the seed
+# accepted, a finite density round-trips bit for bit) and the WAL segment
+# decoder (FuzzReplaySegment: no panic, bytes discarded exactly when
+# corruption is reported, framed records replay clean), from the seed
 # corpora under each package's testdata/fuzz/.
 #
 # Tier 7 (fleet gate): `scaling -exp fleet` — three WAL-backed hfserve
@@ -385,6 +391,16 @@ tier_1() {
 		echo "structure gate: linalg.Packed is back; PackedIndex is the one packed-order helper"
 		exit 1
 	fi
+	tel_src=$(ls internal/telemetry/*.go | grep -v _test.go)
+	if grep -nw 'FlightRecorder\|FlightEntry' $tel_src || grep -n '\.Note(' $tel_src; then
+		echo "structure gate: a second event store is back in internal/telemetry; Logf and flight dumps use the one trace ring"
+		exit 1
+	fi
+	session=$(sed -n '/^type Session struct {/,/^}/p' $tel_src | sed 's://.*$::')
+	stores=$(echo "$session" | grep -ci 'recorder\|flight\|\bring\b\|event' || true)
+	recorders=$(echo "$session" | grep -c '^[[:space:]]*Recorder[[:space:]]*\*Recorder[[:space:]]*$' || true)
+	[ "$stores" -eq 1 ] && [ "$recorders" -eq 1 ] ||
+		{ echo "structure gate: telemetry.Session holds $stores event stores, want exactly one Recorder *Recorder:"; echo "$session"; exit 1; }
 
 	# The pure-Go bodies of the ERI kernel and of MulAdd are all a CPU
 	# without AVX/FMA, or another architecture, runs: they keep compiling
@@ -571,12 +587,14 @@ tier_5() {
 	go run ./cmd/scaling -exp serve
 
 	# The parsers behind a served job's inline geometry and a registered
-	# basis, and the content hash that dedups served jobs: 30 s of native
-	# fuzzing each, from the committed seed corpora.
+	# basis, the content hash that dedups served jobs, the checkpoint
+	# decoder and the WAL segment decoder: 30 s of native fuzzing each,
+	# from the committed seed corpora.
 	go test -run '^$' -fuzz '^FuzzParseXYZ$' -fuzztime 30s ./internal/molecule/
 	go test -run '^$' -fuzz '^FuzzParseGBS$' -fuzztime 30s ./internal/basis/
 	go test -run '^$' -fuzz '^FuzzSpecCanonicalHash$' -fuzztime 30s ./internal/jobs/
 	go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 30s ./internal/scf/
+	go test -run '^$' -fuzz '^FuzzReplaySegment$' -fuzztime 30s ./internal/jobs/
 }
 
 tier_6() {

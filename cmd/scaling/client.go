@@ -157,7 +157,7 @@ func (c *apiClient) waterfall(id string) (wf service.WaterfallResponse, err erro
 	return wf, err
 }
 
-// flight fetches the replica's last flight-recorder dump.
+// flight fetches the replica's last flight dump: the tail of its trace ring.
 func (c *apiClient) flight() (dump telemetry.FlightDump, err error) {
 	_, err = c.get("/v1/debug/flight", &dump)
 	return dump, err

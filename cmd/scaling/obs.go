@@ -104,6 +104,12 @@ func liveObs(e *env) {
 	check(err)
 	e.check("unconvergeable job fails", st.State == jobs.StateFailed, fmt.Sprintf("job %s state %s", sub3.ID, st.State))
 	dump, err := h.api[failOwner].flight()
+	if err == nil && len(dump.Entries) > 0 {
+		// A dump is the tail of the trace ring: its entries load as a trace.
+		var buf bytes.Buffer
+		check(telemetry.WriteTraceEvents(&buf, dump.Entries))
+		_, err = telemetry.ValidateTrace(buf.Bytes())
+	}
 	e.check("failure produced a flight dump", err == nil && len(dump.Entries) > 0,
 		fmt.Sprintf("%d entries, reason %q: %s", len(dump.Entries), dump.Reason, errDetail(err)))
 

@@ -159,19 +159,27 @@ func (w *WAL) rotateLocked() error {
 	return nil
 }
 
+// frame encodes one record as it lies in a segment:
+// "rec len=N crc32=XXXXXXXX\n<body>\n".
+func frame(rec walRecord) ([]byte, error) {
+	body, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("jobs: wal: encoding record: %w", err)
+	}
+	buf := fmt.Appendf(nil, "rec len=%d crc32=%08x\n", len(body), crc32.ChecksumIEEE(body))
+	buf = append(buf, body...)
+	return append(buf, '\n'), nil
+}
+
 // append frames, writes, and (unless NoSync) fsyncs one record.
 func (w *WAL) append(rec walRecord) error {
 	if w == nil {
 		return nil
 	}
-	body, err := json.Marshal(rec)
+	buf, err := frame(rec)
 	if err != nil {
-		return fmt.Errorf("jobs: wal: encoding record: %w", err)
+		return err
 	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "rec len=%d crc32=%08x\n", len(body), crc32.ChecksumIEEE(body))
-	buf.Write(body)
-	buf.WriteByte('\n')
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -186,7 +194,7 @@ func (w *WAL) append(rec walRecord) error {
 			return err
 		}
 	}
-	n, err := w.f.Write(buf.Bytes())
+	n, err := w.f.Write(buf)
 	w.size += int64(n)
 	if err != nil {
 		return fmt.Errorf("jobs: wal: append: %w", err)
@@ -198,7 +206,7 @@ func (w *WAL) append(rec walRecord) error {
 	}
 	if tel := w.opt.Tel; tel != nil {
 		tel.Counter("svc.wal.appends").Add(1)
-		tel.Counter("svc.wal.bytes").Add(int64(buf.Len()))
+		tel.Counter("svc.wal.bytes").Add(int64(len(buf)))
 	}
 	return nil
 }
@@ -336,15 +344,11 @@ func (w *WAL) Compact(table []*ReplayJob) error {
 // appendLocked is append without the lock or rotation — used by Compact,
 // which already holds mu and wants all records in one segment.
 func (w *WAL) appendLocked(rec walRecord) error {
-	body, err := json.Marshal(rec)
+	buf, err := frame(rec)
 	if err != nil {
-		return fmt.Errorf("jobs: wal: encoding record: %w", err)
+		return err
 	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "rec len=%d crc32=%08x\n", len(body), crc32.ChecksumIEEE(body))
-	buf.Write(body)
-	buf.WriteByte('\n')
-	n, err := w.f.Write(buf.Bytes())
+	n, err := w.f.Write(buf)
 	w.size += int64(n)
 	if err != nil {
 		return fmt.Errorf("jobs: wal: append: %w", err)
@@ -499,7 +503,7 @@ func replaySegment(rep *Replay, byID map[string]*ReplayJob, name string, raw []b
 			return corrupt(off, "malformed record header %q", header)
 		}
 		bodyStart := off + nl + 1
-		if bodyLen < 0 || bodyStart+bodyLen+1 > len(raw) {
+		if bodyLen < 0 || bodyLen > len(raw)-bodyStart-1 { // not bodyStart+bodyLen+1: a huge len= overflows
 			return corrupt(off, "torn record: header claims %d body bytes, %d present",
 				bodyLen, len(raw)-bodyStart)
 		}

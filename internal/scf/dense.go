@@ -304,10 +304,9 @@ func (st *denseStep) run(iter int, ePrev float64, res *Result) (IterInfo, error)
 		tel0.Counter("integrity.watchdog.escalations").Add(1)
 		tel0.Instant("integrity", "watchdog-"+degrade, opt.rank, 0,
 			map[string]any{"iter": iter, "dE": dE, "rmsD": rms})
-		// A watchdog escalation is a postmortem moment: snapshot the
-		// flight ring so the spans leading up to it survive the run.
-		tel0.Logf("integrity", "watchdog escalated to %s at iter %d (dE=%g rmsD=%g)",
-			degrade, iter, dE, rms)
+		// A watchdog escalation is a postmortem moment: snapshot the tail
+		// of the trace ring, which ends with the instant just recorded, so
+		// the spans leading up to it survive the run.
 		tel0.DumpFlight("watchdog-" + degrade)
 	}
 

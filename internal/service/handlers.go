@@ -547,10 +547,10 @@ func (s *Server) handleWaterfall(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleFlight serves the most recent flight-recorder dump (404 before
-// any dump has fired).
+// handleFlight serves the most recent flight dump — the tail of the
+// event ring as trace events (404 before any dump has fired).
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	d := s.tel.Flight.LastDump()
+	d := s.tel.Recorder.LastDump()
 	if d == nil {
 		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "no flight dump recorded"})
 		return

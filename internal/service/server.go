@@ -107,6 +107,11 @@ type Config struct {
 	Telemetry   *telemetry.Session
 }
 
+// serveTraceEvents is the capacity of the default session's event ring:
+// about 117 resilient 2x2 water jobs of waterfall history (~280 events
+// each) in ~13 MB, after which the oldest events are overwritten.
+const serveTraceEvents = 1 << 15
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 4
@@ -124,7 +129,10 @@ func (c Config) withDefaults() Config {
 		c.MaxRetries = 0
 	}
 	if c.Telemetry == nil {
-		c.Telemetry = telemetry.NewSession()
+		// No Loads: per-build load history would grow with every job, and
+		// only hfrun's end-of-run summary reads it.
+		c.Telemetry = &telemetry.Session{Registry: telemetry.NewRegistry(),
+			Recorder: telemetry.NewRecorderWithClock(time.Now, serveTraceEvents)}
 	}
 	return c
 }
@@ -234,7 +242,7 @@ func New(cfg Config) (*Server, error) {
 		s.wal = wal
 		// Persist flight dumps next to the WAL so a postmortem after a
 		// crash-and-replay has the pre-crash ring on disk.
-		s.tel.Flight.SetOnDump(flightPersister(cfg.WALDir))
+		s.tel.Recorder.SetOnDump(flightPersister(cfg.WALDir))
 		s.restoreFromReplay(rep)
 		if s.recoveredPending > 0 {
 			s.tel.Logf("svc", "wal replay re-enqueued %d jobs (restored %d terminal)",

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -249,6 +250,17 @@ func TestReadyzAndFlightEndpoints(t *testing.T) {
 	if dump.Reason != "job-failed" || len(dump.Entries) == 0 {
 		t.Errorf("dump reason %q with %d entries, want job-failed with context", dump.Reason, len(dump.Entries))
 	}
+	// The dump is the ring's tail: the failure's Logf line is in it, an
+	// instant stamped with the job's trace.
+	var logged bool
+	for _, e := range dump.Entries {
+		msg, _ := e.Args["msg"].(string)
+		logged = logged || (e.Ph == telemetry.PhaseInstant && e.Args[telemetry.TraceArgKey] == out.TraceID &&
+			strings.Contains(msg, out.ID+" failed"))
+	}
+	if !logged {
+		t.Errorf("dump has no log instant for the failed job %s", out.ID)
+	}
 	if got := s.Telemetry().Counter("obs.flight.dumps").Value(); got < 1 {
 		t.Errorf("obs.flight.dumps = %d, want >= 1", got)
 	}
@@ -265,5 +277,45 @@ func TestReadyzAndFlightEndpoints(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("hf_build_info{")) {
 		t.Errorf("metrics missing hf_build_info gauge:\n%s", buf.String())
+	}
+}
+
+// TestServerTraceRingIsBounded: the default session keeps one ring of
+// serveTraceEvents events and no per-build load history, however many
+// events came before, and a job run after the ring wrapped still has its
+// whole waterfall.
+func TestServerTraceRingIsBounded(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 1, QueueCap: 8}, true)
+	tel := s.Telemetry()
+	for i := 0; i < serveTraceEvents+100; i++ {
+		tel.Instant("test", "filler", telemetry.DriverPid, 0, nil)
+	}
+	out, resp := postJob(t, ts, jobs.Spec{Molecule: "water", Basis: "sto-3g"}) // resilient 2x2
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	if st := awaitTerminal(t, ts, out.ID); st.State != jobs.StateDone {
+		t.Fatalf("job ended %s: %s", st.State, st.Error)
+	}
+	if got := len(tel.Recorder.Events()); got != serveTraceEvents {
+		t.Errorf("ring holds %d events, want serveTraceEvents = %d", got, serveTraceEvents)
+	}
+	if loads := tel.Loads.Imbalance(); len(loads) != 0 {
+		t.Errorf("server session keeps per-build load history: %v", loads)
+	}
+
+	wresp, err := http.Get(ts.URL + "/v1/jobs/" + out.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wresp.Body.Close()
+	var wf WaterfallResponse
+	if err := json.NewDecoder(wresp.Body).Decode(&wf); err != nil {
+		t.Fatalf("decode waterfall: %v", err)
+	}
+	for _, cat := range []string{"svc.job", "job.run", "scf.iter", "fock.build", "mpi.op", "dlb.draw"} {
+		if wf.Categories[cat] == 0 {
+			t.Errorf("waterfall missing %s spans: %v", cat, wf.Categories)
+		}
 	}
 }

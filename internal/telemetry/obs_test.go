@@ -130,35 +130,89 @@ func TestTraceIDMintAndSanitize(t *testing.T) {
 	}
 }
 
-// --- Flight recorder ------------------------------------------------------
+// --- Event ring and flight dumps -----------------------------------------
+
+// instantMsgs returns the args.msg of each event.
+func instantMsgs(events []Event) []string {
+	var out []string
+	for _, e := range events {
+		msg, _ := e.Args["msg"].(string)
+		out = append(out, msg)
+	}
+	return out
+}
+
+func TestRecorderRingKeepsNewest(t *testing.T) {
+	rec := NewRecorderWithClock(fakeClock(), 3)
+	for i := 0; i < 5; i++ {
+		rec.Instant("c", "e", 0, 0, map[string]any{"msg": strings.Repeat("x", i+1)})
+	}
+	got := instantMsgs(rec.Events())
+	if want := []string{"xxx", "xxxx", "xxxxx"}; strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("ring holds %v, want the last three in order %v", got, want)
+	}
+	if rec.Dropped() != 2 {
+		t.Errorf("dropped = %d, want 2", rec.Dropped())
+	}
+}
 
 func TestFlightRecorderRing(t *testing.T) {
-	f := &FlightRecorder{buf: make([]FlightEntry, 4)} // a 4-entry ring wraps within the test
+	rec := NewRecorderWithClock(fakeClock(), 4) // a 4-event ring wraps within the test
 	var dumped *FlightDump
-	f.SetOnDump(func(d *FlightDump) { dumped = d })
+	rec.SetOnDump(func(d *FlightDump) { dumped = d })
 	for i := 0; i < 6; i++ {
-		f.Note(FlightEntry{Kind: FlightLog, Msg: strings.Repeat("x", i+1)})
+		rec.Instant("svc", "log", DriverPid, 0, map[string]any{"msg": strings.Repeat("x", i+1)})
 	}
-	d := f.Dump("test")
+	d := rec.Dump("test")
 	if d.Recorded != 6 || !d.Truncated || len(d.Entries) != 4 {
 		t.Fatalf("dump recorded=%d truncated=%v entries=%d, want 6/true/4",
 			d.Recorded, d.Truncated, len(d.Entries))
 	}
 	// Chronological: the oldest surviving entry is #3 (len 3).
-	if got := d.Entries[0].Msg; got != "xxx" {
-		t.Errorf("oldest surviving entry %q, want \"xxx\"", got)
+	msgs := instantMsgs(d.Entries)
+	if msgs[0] != "xxx" {
+		t.Errorf("oldest surviving entry %q, want \"xxx\"", msgs[0])
 	}
-	if got := d.Entries[3].Msg; got != "xxxxxx" {
-		t.Errorf("newest entry %q, want \"xxxxxx\"", got)
+	if msgs[3] != "xxxxxx" {
+		t.Errorf("newest entry %q, want \"xxxxxx\"", msgs[3])
 	}
-	if dumped != d || f.LastDump() != d {
+	if dumped != d || rec.LastDump() != d {
 		t.Error("OnDump callback / LastDump disagree with the returned dump")
 	}
 
-	var nilF *FlightRecorder
-	nilF.Note(FlightEntry{})
-	if nilF.Dump("x") != nil || nilF.LastDump() != nil || nilF.Recorded() != 0 {
-		t.Error("nil FlightRecorder not inert")
+	var nilR *Recorder
+	nilR.Instant("c", "e", 0, 0, nil)
+	if nilR.Dump("x") != nil || nilR.LastDump() != nil || nilR.Dropped() != 0 {
+		t.Error("nil Recorder not inert")
+	}
+}
+
+// TestDumpIsRingTail: a dump holds the newest min(flightEntries, n)
+// events of the ring in order, and its entries load as a trace file.
+func TestDumpIsRingTail(t *testing.T) {
+	for _, n := range []int{1, flightEntries - 1, flightEntries, 3*flightEntries + 7} {
+		rec := NewRecorderWithClock(fakeClock(), 2*flightEntries)
+		for i := 0; i < n; i++ {
+			rec.Instant("c", "e", 0, 0, map[string]any{"i": i})
+		}
+		d := rec.Dump("tail")
+		want := min(flightEntries, n)
+		if len(d.Entries) != want || d.Recorded != int64(n) || d.Truncated != (n > want) {
+			t.Fatalf("n=%d: dump entries=%d recorded=%d truncated=%v, want %d/%d/%v",
+				n, len(d.Entries), d.Recorded, d.Truncated, want, n, n > want)
+		}
+		for k, e := range d.Entries {
+			if e.Args["i"] != n-want+k {
+				t.Fatalf("n=%d: entry %d is event %v, want %d", n, k, e.Args["i"], n-want+k)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteTraceEvents(&buf, d.Entries); err != nil {
+			t.Fatal(err)
+		}
+		if stats, err := ValidateTrace(buf.Bytes()); err != nil || stats.Instants != want {
+			t.Fatalf("n=%d: dump as a trace: %v (stats %+v)", n, err, stats)
+		}
 	}
 }
 
@@ -271,13 +325,20 @@ func TestValidateContinuityInactive(t *testing.T) {
 
 func TestSessionLogfAndDumpFlight(t *testing.T) {
 	s := NewSession()
+	s.Span("scf.iter", "iter-1", 0, 0, nil)()
 	s.Logf("svc", "job %s failed", "j-1")
 	if got := s.Counter("obs.flight.records").Value(); got != 1 {
 		t.Errorf("obs.flight.records = %d, want 1", got)
 	}
 	d := s.DumpFlight("test")
-	if d == nil || len(d.Entries) != 1 || d.Entries[0].Msg != "job j-1 failed" {
-		t.Fatalf("dump %+v, want the log line", d)
+	if d == nil || len(d.Entries) != 2 {
+		t.Fatalf("dump %+v, want the span and the log line", d)
+	}
+	if e := d.Entries[1]; e.Ph != PhaseInstant || e.Cat != "svc" || e.Args["msg"] != "job j-1 failed" {
+		t.Errorf("log line recorded as %+v, want an svc instant with args.msg", e)
+	}
+	if events := s.Recorder.Events(); len(events) != 2 {
+		t.Errorf("ring holds %d events, want 2: each event is recorded once", len(events))
 	}
 	if got := s.Counter("obs.flight.dumps").Value(); got != 1 {
 		t.Errorf("obs.flight.dumps = %d, want 1", got)

@@ -5,6 +5,11 @@
 // and a load-imbalance collector reducing per-rank Fock-build shares to
 // max/mean factors.
 //
+// The recorder is one bounded ring per session: past its capacity each
+// new event overwrites the oldest (counted as dropped), so memory stays
+// fixed however long the session lives. Flight dumps are the ring's
+// tail, and Logf lines are instants in it — nothing is recorded twice.
+//
 // Span taxonomy (the `cat` field of trace events):
 //
 //	scf.iter          one SCF iteration (args: energy, dE, rmsD)
@@ -95,7 +100,8 @@
 //	svc.trace.propagated     trace IDs accepted from X-HF-Trace (fleet
 //	                         forwarding or client-supplied)
 //	svc.trace.waterfalls     GET /v1/jobs/{id}/trace requests served
-//	obs.flight.records       structured log lines recorded in the ring
+//	obs.flight.records       Logf lines recorded in the ring (instants,
+//	                         message in args.msg)
 //	obs.flight.dumps         flight-recorder dumps (job failure, watchdog
 //	                         escalation, WAL crash replay)
 //	svc.http.requests{route=,code=}  HTTP responses by route and status
@@ -130,9 +136,8 @@ const DriverPid = -1
 // stitched out of the shared Recorder after the fact.
 type Session struct {
 	Registry *Registry
-	Recorder *Recorder
-	Loads    *LoadCollector
-	Flight   *FlightRecorder
+	Recorder *Recorder      // the one event ring: trace, waterfalls, flight dumps
+	Loads    *LoadCollector // nil: no per-build load history (the server's default)
 
 	// TraceID, when non-empty, is stamped into the args of every event
 	// this session records (key TraceArgKey). Derived sessions from
@@ -142,8 +147,7 @@ type Session struct {
 
 // NewSession returns a session recording wall-clock events.
 func NewSession() *Session {
-	return &Session{Registry: NewRegistry(), Recorder: NewRecorder(),
-		Loads: NewLoadCollector(), Flight: NewFlightRecorder()}
+	return &Session{Registry: NewRegistry(), Recorder: NewRecorder(), Loads: NewLoadCollector()}
 }
 
 // WithTrace returns a session that records into the same collectors but
@@ -187,11 +191,7 @@ func (s *Session) Span(cat, name string, pid, tid int, args map[string]any) func
 	start := s.Recorder.Now()
 	return func() {
 		end := s.Recorder.Now()
-		args = s.traceArgs(args)
-		s.Recorder.Complete(cat, name, pid, tid, start, end, args)
-		s.Flight.Note(FlightEntry{At: end, Kind: FlightSpan, Cat: cat, Name: name,
-			Pid: pid, Tid: tid, DurUS: float64(end.Sub(start).Nanoseconds()) / 1e3,
-			Trace: s.TraceID, Args: args})
+		s.Recorder.Complete(cat, name, pid, tid, start, end, s.traceArgs(args))
 	}
 }
 
@@ -204,11 +204,7 @@ func (s *Session) SpanArgsAtEnd(cat, name string, pid, tid int) func(args map[st
 	start := s.Recorder.Now()
 	return func(args map[string]any) {
 		end := s.Recorder.Now()
-		args = s.traceArgs(args)
-		s.Recorder.Complete(cat, name, pid, tid, start, end, args)
-		s.Flight.Note(FlightEntry{At: end, Kind: FlightSpan, Cat: cat, Name: name,
-			Pid: pid, Tid: tid, DurUS: float64(end.Sub(start).Nanoseconds()) / 1e3,
-			Trace: s.TraceID, Args: args})
+		s.Recorder.Complete(cat, name, pid, tid, start, end, s.traceArgs(args))
 	}
 }
 
@@ -236,9 +232,6 @@ func (s *Session) TimedOpInto(hist *Histogram, cat, name string, pid, tid int) f
 		end := s.Recorder.Now()
 		s.Recorder.Complete(cat, name, pid, tid, start, end, s.traceArgs(nil))
 		hist.Observe(end.Sub(start).Nanoseconds())
-		s.Flight.Note(FlightEntry{At: end, Kind: FlightSpan, Cat: cat, Name: name,
-			Pid: pid, Tid: tid, DurUS: float64(end.Sub(start).Nanoseconds()) / 1e3,
-			Trace: s.TraceID})
 	}
 }
 
@@ -247,33 +240,29 @@ func (s *Session) Instant(cat, name string, pid, tid int, args map[string]any) {
 	if s == nil {
 		return
 	}
-	args = s.traceArgs(args)
-	s.Recorder.Instant(cat, name, pid, tid, args)
-	s.Flight.Note(FlightEntry{Kind: FlightInstant, Cat: cat, Name: name,
-		Pid: pid, Tid: tid, Trace: s.TraceID, Args: args})
+	s.Recorder.Instant(cat, name, pid, tid, s.traceArgs(args))
 }
 
-// Logf records a structured log line into the flight ring (and counts it
-// on the obs.flight.records counter). Log lines are postmortem context —
-// they never reach the Chrome trace, only flight dumps.
+// Logf records a structured log line as an instant ("log", args.msg) on
+// the DriverPid lane and counts it on obs.flight.records: postmortem
+// context that lands in the trace and in the next flight dump.
 func (s *Session) Logf(cat, format string, a ...any) {
-	if s == nil || s.Flight == nil {
+	if s == nil {
 		return
 	}
-	s.Flight.Note(FlightEntry{Kind: FlightLog, Cat: cat,
-		Trace: s.TraceID, Msg: fmt.Sprintf(format, a...)})
+	s.Instant(cat, "log", DriverPid, 0, map[string]any{"msg": fmt.Sprintf(format, a...)})
 	s.Counter("obs.flight.records").Add(1)
 }
 
-// DumpFlight snapshots the flight ring with the given reason, firing any
-// registered persistence callback. Nil-safe; returns the dump (nil when
-// the session has no flight recorder).
+// DumpFlight snapshots the tail of the event ring with the given reason,
+// firing any registered persistence callback. Nil-safe; returns the dump
+// (nil when the session has no recorder).
 func (s *Session) DumpFlight(reason string) *FlightDump {
-	if s == nil || s.Flight == nil {
+	if s == nil || s.Recorder == nil {
 		return nil
 	}
 	s.Counter("obs.flight.dumps").Add(1)
-	return s.Flight.Dump(reason)
+	return s.Recorder.Dump(reason)
 }
 
 // Counter returns the named counter (nil, a no-op handle, when the
@@ -358,7 +347,7 @@ func (s *Session) Summary() string {
 		}
 	}
 	if d := s.Recorder.Dropped(); d > 0 {
-		writePadded(&b, "trace events dropped at cap", d)
+		writePadded(&b, "trace events overwritten at cap", d)
 	}
 	return b.String()
 }

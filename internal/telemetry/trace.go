@@ -5,9 +5,10 @@ package telemetry
 // as the JSON object format that chrome://tracing and Perfetto load
 // directly. Timestamps are microseconds relative to the recorder start.
 //
-// The recorder is bounded: past MaxEvents it drops (and counts) new
-// events instead of growing without limit, so tracing a long run
-// degrades gracefully rather than exhausting memory.
+// The recorder is a bounded ring: past its capacity each new event
+// overwrites (and counts as dropped) the oldest one, so a long run or a
+// long-lived server keeps its most recent history in fixed memory. The
+// same ring is the flight recorder: a dump (flight.go) is its tail.
 
 import (
 	"encoding/json"
@@ -41,18 +42,23 @@ type Event struct {
 // End returns the event's end timestamp (ts for instants).
 func (e Event) End() float64 { return e.Ts + e.Dur }
 
-// DefaultMaxEvents bounds a recorder's buffered event count.
+// DefaultMaxEvents is a recorder's ring capacity unless told otherwise:
+// enough for a one-shot run's whole trace (a 24-carbon flake on 2x2
+// emits about 280,000 events).
 const DefaultMaxEvents = 1 << 20
 
-// Recorder buffers trace events, safe for concurrent use.
+// Recorder is the ring of trace events, safe for concurrent use.
 type Recorder struct {
 	now   func() time.Time
 	start time.Time
 
 	mu      sync.Mutex
-	events  []Event
+	events  []Event // grows to max, then wraps
+	next    int     // once full: the oldest event, overwritten next
 	max     int
-	dropped int64
+	dropped int64 // events overwritten
+	onDump  func(*FlightDump)
+	last    *FlightDump
 }
 
 // NewRecorder returns a wall-clock recorder with the default event cap.
@@ -97,11 +103,13 @@ func sanitizeArgs(args map[string]any) map[string]any {
 func (r *Recorder) append(e Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.events) >= r.max {
-		r.dropped++
+	if len(r.events) < r.max {
+		r.events = append(r.events, e)
 		return
 	}
-	r.events = append(r.events, e)
+	r.events[r.next] = e
+	r.next = (r.next + 1) % r.max
+	r.dropped++
 }
 
 // Complete records a finished span [start, end) on lane (pid, tid).
@@ -127,17 +135,26 @@ func (r *Recorder) Instant(cat, name string, pid, tid int, args map[string]any) 
 	})
 }
 
-// Events returns a copy of the buffered events.
+// Events returns a copy of the ring in chronological order.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
+	return r.tailLocked(len(r.events))
 }
 
-// Dropped returns how many events were discarded at the cap.
+// tailLocked copies the newest n buffered events, oldest first.
+func (r *Recorder) tailLocked(n int) []Event {
+	out := make([]Event, 0, n)
+	for i := len(r.events) - n; i < len(r.events); i++ {
+		out = append(out, r.events[(r.next+i)%len(r.events)])
+	}
+	return out
+}
+
+// Dropped returns how many events the ring overwrote.
 func (r *Recorder) Dropped() int64 {
 	if r == nil {
 		return 0
@@ -154,34 +171,35 @@ type traceFile struct {
 	OtherData       map[string]any `json:"otherData,omitempty"`
 }
 
-// WriteJSON writes the buffered events as a Chrome trace JSON object
-// ({"traceEvents": [...]}), loadable in chrome://tracing and Perfetto.
+// WriteJSON writes the ring as a Chrome trace JSON object
+// ({"traceEvents": [...]}), loadable in chrome://tracing and Perfetto,
+// with the overwritten-event count in otherData.droppedEvents.
 func (r *Recorder) WriteJSON(w io.Writer) error {
-	events := r.Events()
-	if events == nil {
-		events = []Event{}
-	}
-	tf := traceFile{TraceEvents: events, DisplayTimeUnit: "ms"}
+	var other map[string]any
 	if d := r.Dropped(); d > 0 {
-		tf.OtherData = map[string]any{"droppedEvents": d}
+		other = map[string]any{"droppedEvents": d}
 	}
-	data, err := json.MarshalIndent(tf, "", " ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
+	return writeTrace(w, r.Events(), other)
 }
 
 // WriteTraceEvents writes an arbitrary event slice as a Chrome trace
 // JSON object — used to merge several replicas' recorders (with their
-// pids offset per replica) into one fleet-wide trace file.
+// pids offset per replica) into one fleet-wide trace file, or to load a
+// flight dump's entries.
 func WriteTraceEvents(w io.Writer, events []Event) error {
+	return writeTrace(w, events, nil)
+}
+
+func writeTrace(w io.Writer, events []Event, other map[string]any) error {
 	if events == nil {
 		events = []Event{}
 	}
-	data, err := json.MarshalIndent(traceFile{TraceEvents: events, DisplayTimeUnit: "ms"}, "", " ")
+	return writeIndented(w, traceFile{TraceEvents: events, DisplayTimeUnit: "ms", OtherData: other})
+}
+
+// writeIndented writes v as indented JSON plus a newline.
+func writeIndented(w io.Writer, v any) error {
+	data, err := json.MarshalIndent(v, "", " ")
 	if err != nil {
 		return err
 	}
