@@ -69,6 +69,11 @@
 # declares no FlightRecorder or FlightEntry and calls no .Note(, and
 # Session holds exactly one event store (one *Recorder field, no
 # []Event or other recorder beside it); flight dumps are the ring's tail.
+# One record per Fock build: no non-test Go outside bench/ names
+# LoadCollector, RecordLoad or Loads, exactly one non-test site under
+# internal/ opens a "fock.build" span — scf's buildSpan — and both the
+# replicated/serial wrapper (instrument) and the tiled step open their
+# builds through it; the imbalance report is reduced from those spans.
 # The pure-Go bodies of the ERI kernel and of MulAdd vet under
 # GOARCH=arm64 (no assembly there); the kernel's sweep and probe
 # benchmarks, the digest benchmark, BenchmarkMulAdd/{scalar,kernel},
@@ -89,7 +94,8 @@
 # emitted Chrome trace is valid JSON with properly nested spans covering
 # the full span taxonomy (scf.iter, fock.build, fock.task, mpi.op,
 # dlb.draw); then the same for a parallel UHF run, which rides the same
-# loop.
+# loop; then a purified (tiled) run, whose trace must hold fock.build
+# spans and whose summary must print a purified load-imbalance row.
 #
 # Tier 4 (chaos gate): `scaling -exp sdc` — the silent-data-corruption
 # sweep plus the live detection gate: one corruption driven through each
@@ -401,6 +407,16 @@ tier_1() {
 	recorders=$(echo "$session" | grep -c '^[[:space:]]*Recorder[[:space:]]*\*Recorder[[:space:]]*$' || true)
 	[ "$stores" -eq 1 ] && [ "$recorders" -eq 1 ] ||
 		{ echo "structure gate: telemetry.Session holds $stores event stores, want exactly one Recorder *Recorder:"; echo "$session"; exit 1; }
+	if grep -nw 'LoadCollector\|RecordLoad\|Loads' $nontest; then
+		echo "structure gate: a second per-build load store is back; the fock.build span is the one record and Summary reduces the ring"
+		exit 1
+	fi
+	opens=$(grep -nE '\("fock\.build",' $(find internal -name '*.go' -not -name '*_test.go') || true)
+	[ "$(echo "$opens" | grep -c .)" -eq 1 ] &&
+		sed -n '/^func buildSpan(/,/^}/p' internal/scf/builders.go | grep -q '("fock\.build",' &&
+		sed -n '/^func instrument(/,/^}/p' internal/scf/builders.go | grep -q 'buildSpan(' &&
+		grep -q 'buildSpan(' internal/scf/tiled.go ||
+		{ echo "structure gate: fock.build spans must be opened at exactly one site, scf.buildSpan, reached by instrument and the tiled step; openers:"; echo "$opens"; exit 1; }
 
 	# The pure-Go bodies of the ERI kernel and of MulAdd are all a CPU
 	# without AVX/FMA, or another architecture, runs: they keep compiling
@@ -490,6 +506,14 @@ tier_3() {
 		-trace "$tracedir/ci_trace_uhf.json" >/dev/null
 	go run ./cmd/tracecheck -q \
 		-require scf.iter,fock.build,fock.task,mpi.op,dlb.draw "$tracedir/ci_trace_uhf.json"
+	# The tiled step records its builds like every other preset: one
+	# fock.build span per rank per build, reduced to a purified row of the
+	# load-imbalance table.
+	go run ./cmd/hfrun -mol water -basis sto-3g -alg purified -ranks 2 \
+		-trace "$tracedir/ci_trace_purified.json" >"$tracedir/ci_purified.out"
+	go run ./cmd/tracecheck -q -require fock.build "$tracedir/ci_trace_purified.json"
+	grep -q '^  purified  *[1-9]' "$tracedir/ci_purified.out" ||
+		{ echo "trace gate: hfrun -alg purified printed no purified load-imbalance row"; cat "$tracedir/ci_purified.out"; exit 1; }
 }
 
 tier_4() {

@@ -109,7 +109,7 @@ func TestConformance(t *testing.T) {
 		dB := orbitalDensity(eng, 1, nocc, 1)
 		dT := dA.Clone()
 		dT.AxpyFrom(1, dB)
-		ref := oracle.New(eng.Basis)
+		ref := oracle.New(eng.Basis) // one N^4 tensor per system, contracted by both JK calls and Fock2e
 		jT, kA := ref.JK(dT, dA)
 		_, kB := ref.JK(dT, dB)
 

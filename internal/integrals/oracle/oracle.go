@@ -20,8 +20,9 @@ import (
 // Direct evaluates ERI blocks straight from a basis, with no precomputed
 // pair data and no screening of any kind.
 type Direct struct {
-	b     *basis.Basis
-	comps [][]component
+	b      *basis.Basis
+	comps  [][]component
+	tensor []float64 // Tensor's result, computed on first use
 }
 
 // New returns the oracle over b.
@@ -171,8 +172,17 @@ func (e *Direct) ShellQuartet(si, sj, sk, sl int, out []float64) []float64 {
 }
 
 // Tensor evaluates the complete two-electron integral tensor (ab|cd),
-// dense, with no symmetry folding: tensor[((a*n+b)*n+c)*n+d].
+// dense, with no symmetry folding: tensor[((a*n+b)*n+c)*n+d]. It is
+// evaluated once per Direct and shared by every later call, JK and
+// Fock2e included; callers must not modify it.
 func (e *Direct) Tensor() []float64 {
+	if e.tensor == nil {
+		e.tensor = e.evaluate()
+	}
+	return e.tensor
+}
+
+func (e *Direct) evaluate() []float64 {
 	n := e.b.NumBF
 	shells := e.b.Shells
 	tensor := make([]float64, n*n*n*n)

@@ -11,17 +11,13 @@ import (
 // content hash. A converged SCF result is deterministic for a given
 // canonical spec, so cache entries never expire — only capacity evicts.
 type Cache struct {
-	mu     sync.Mutex
-	cap    int
-	ll     *list.List // front = most recently used
-	items  map[string]*list.Element
-	hits   int64
-	miss   int64
-	evicts int64
+	mu    sync.Mutex
+	cap   int
+	ll    *list.List // front = most recently used
+	items map[string]*list.Element
 
-	// Optional telemetry handles fed alongside the internal counts, so
-	// cache effectiveness is visible at runtime through /metrics rather
-	// than only post-mortem through Stats.
+	// The counters given to Instrument (nil: uncounted) are the cache's
+	// only hit/miss/eviction counts, read through /metrics.
 	hitC, missC, evictC *telemetry.Counter
 }
 
@@ -54,11 +50,9 @@ func (c *Cache) Get(hash string) (*Outcome, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.items[hash]
 	if !ok {
-		c.miss++
 		c.missC.Add(1)
 		return nil, false
 	}
-	c.hits++
 	c.hitC.Add(1)
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).out, true
@@ -96,7 +90,6 @@ func (c *Cache) Put(hash string, out *Outcome) {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*cacheEntry).hash)
-		c.evicts++
 		c.evictC.Add(1)
 	}
 }
@@ -106,18 +99,4 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// Stats returns lifetime hit/miss counts.
-func (c *Cache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.miss
-}
-
-// Evictions returns how many entries capacity pressure has pushed out.
-func (c *Cache) Evictions() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evicts
 }

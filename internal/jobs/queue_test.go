@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 func testJob(id string, prio int) *Job {
@@ -213,6 +215,9 @@ func TestJobFSM(t *testing.T) {
 
 func TestCacheLRU(t *testing.T) {
 	c := NewCache(2)
+	reg := telemetry.NewRegistry()
+	hitC, missC, evictC := reg.Counter("hit"), reg.Counter("miss"), reg.Counter("evict")
+	c.Instrument(hitC, missC, evictC)
 	c.Put("a", &Outcome{Energy: 1})
 	c.Put("b", &Outcome{Energy: 2})
 	if _, ok := c.Get("a"); !ok { // refresh a → b becomes LRU
@@ -228,9 +233,11 @@ func TestCacheLRU(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("len = %d", c.Len())
 	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 1 {
+	if hits, misses := hitC.Value(), missC.Value(); hits != 2 || misses != 1 {
 		t.Fatalf("stats = %d/%d", hits, misses)
+	}
+	if evicts := evictC.Value(); evicts != 1 {
+		t.Fatalf("evictions = %d, want 1", evicts)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -253,18 +252,8 @@ func (w *WAL) Segments() int {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	entries, err := os.ReadDir(w.opt.Dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range entries {
-		var seg int
-		if _, err := fmt.Sscanf(e.Name(), "wal-%06d.log", &seg); err == nil && strings.HasSuffix(e.Name(), ".log") {
-			n++
-		}
-	}
-	return n
+	segs, _ := listSegments(w.opt.Dir)
+	return len(segs)
 }
 
 // Close syncs and closes the current segment.
@@ -359,18 +348,29 @@ func (w *WAL) appendLocked(rec walRecord) error {
 // firstSegLocked returns the lowest segment number present on disk (or
 // the current one when the directory scan fails).
 func (w *WAL) firstSegLocked() int {
-	entries, err := os.ReadDir(w.opt.Dir)
-	if err != nil {
-		return w.seg
+	if segs, err := listSegments(w.opt.Dir); err == nil && len(segs) > 0 && segs[0] < w.seg {
+		return segs[0]
 	}
-	first := w.seg
+	return w.seg
+}
+
+// listSegments returns the numbers of the segment files in dir in replay
+// order: the one directory scan behind ReplayDir, Segments and Compact.
+// Only names segName writes count.
+func listSegments(dir string) ([]int, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var segs []int
 	for _, e := range entries {
 		var n int
-		if _, err := fmt.Sscanf(e.Name(), "wal-%06d.log", &n); err == nil && n < first {
-			first = n
+		if _, err := fmt.Sscanf(e.Name(), "wal-%06d.log", &n); err == nil && e.Name() == segName(n) {
+			segs = append(segs, n)
 		}
 	}
-	return first
+	sort.Ints(segs)
+	return segs, nil
 }
 
 // ReplayJob is one job reconstructed from the log.
@@ -399,7 +399,9 @@ type Replay struct {
 	// any; Jobs then holds the consistent prefix before it. A clean crash
 	// (torn final record) and bit rot both land here — replay never
 	// panics and never reads past damage.
-	Corrupt        error
+	Corrupt error
+	// DiscardedBytes counts what replay left unread: the damaged
+	// segment from the damage on, plus every later segment whole.
 	DiscardedBytes int
 }
 
@@ -434,36 +436,39 @@ func (r *Replay) DoneCount() int {
 // number seen, and an error only for I/O failures; corruption is
 // reported in Replay.Corrupt with the consistent prefix retained.
 func ReplayDir(dir string) (*Replay, int, error) {
-	entries, err := os.ReadDir(dir)
+	segs, err := listSegments(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return &Replay{}, 0, nil
 		}
 		return nil, 0, fmt.Errorf("jobs: wal: reading %s: %w", dir, err)
 	}
-	var segs []string
 	lastSeg := 0
-	for _, e := range entries {
-		var n int
-		if _, err := fmt.Sscanf(e.Name(), "wal-%06d.log", &n); err == nil && strings.HasSuffix(e.Name(), ".log") {
-			segs = append(segs, e.Name())
-			if n > lastSeg {
-				lastSeg = n
-			}
-		}
+	if len(segs) > 0 {
+		lastSeg = segs[len(segs)-1]
 	}
-	sort.Strings(segs)
 
 	rep := &Replay{Segments: len(segs)}
 	byID := make(map[string]*ReplayJob)
-	for _, name := range segs {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
+	stopped := false
+	for _, n := range segs {
+		name := segName(n)
+		path := filepath.Join(dir, name)
+		if stopped {
+			// Replay stopped at earlier damage: this segment is dropped
+			// whole, and its bytes count as discarded.
+			fi, err := os.Stat(path)
+			if err != nil {
+				return nil, 0, fmt.Errorf("jobs: wal: reading %s: %w", name, err)
+			}
+			rep.DiscardedBytes += int(fi.Size())
+			continue
+		}
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			return nil, 0, fmt.Errorf("jobs: wal: reading %s: %w", name, err)
 		}
-		if stop := replaySegment(rep, byID, name, raw); stop {
-			break
-		}
+		stopped = replaySegment(rep, byID, name, raw)
 	}
 	return rep, lastSeg, nil
 }

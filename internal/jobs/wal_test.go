@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // walFixture writes a small but representative log: three jobs covering
@@ -319,6 +321,67 @@ func countSegs(t *testing.T, dir string) int {
 		t.Fatal(err)
 	}
 	return len(entries)
+}
+
+// TestReplayDiscardsLaterSegmentsWhole: damage in a segment that is not
+// the last stops replay there, and every later segment's bytes count as
+// discarded — in Replay.DiscardedBytes and in svc.wal.corrupt_tail_bytes
+// — so nothing left on disk goes unaccounted.
+func TestReplayDiscardsLaterSegmentsWhole(t *testing.T) {
+	dir := t.TempDir()
+	total := 0
+	write := func(n int, data []byte) {
+		if err := os.WriteFile(filepath.Join(dir, segName(n)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		total += len(data)
+	}
+	write(1, []byte(fmt.Sprintf(walMagic+" v1 seg=%d\n", 1))) // header only
+	for n := 2; n <= 5; n++ {
+		rec, err := frame(walRecord{T: walAccept, ID: walIDForTest(n), Hash: "h", Spec: &Spec{Molecule: "h2"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(n, append([]byte(fmt.Sprintf(walMagic+" v1 seg=%d\n", n)), rec...))
+	}
+	// A stray file that only looks like a segment is not one.
+	if err := os.WriteFile(filepath.Join(dir, segName(0)+".bak"), []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	first := filepath.Join(dir, segName(1))
+	hdr, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr[2] ^= 1 // one bit of the magic
+	if err := os.WriteFile(first, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, last, err := ReplayDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Corrupt == nil || rep.Records != 0 || len(rep.Jobs) != 0 || rep.Segments != 5 || last != 5 {
+		t.Fatalf("replay: corrupt %v, %d records, %d jobs, %d segments, last %d; want corrupt, 0, 0, 5, 5",
+			rep.Corrupt, rep.Records, len(rep.Jobs), rep.Segments, last)
+	}
+	if rep.DiscardedBytes != total {
+		t.Fatalf("discarded %d bytes, want all %d on disk", rep.DiscardedBytes, total)
+	}
+
+	tel := telemetry.NewSession()
+	w, _, err := OpenWAL(WALOptions{Dir: dir, NoSync: true, Tel: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if got := tel.Counter("svc.wal.corrupt_tail_bytes").Value(); got != int64(total) {
+		t.Fatalf("svc.wal.corrupt_tail_bytes = %d, want %d", got, total)
+	}
+	if got := w.Segments(); got != 6 {
+		t.Fatalf("Segments() = %d, want the 5 replayed plus the fresh one", got)
+	}
 }
 
 // FuzzReplaySegment: replaying any bytes as a segment never panics, and

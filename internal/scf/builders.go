@@ -1,8 +1,6 @@
 package scf
 
 import (
-	"time"
-
 	"repro/internal/ddi"
 	"repro/internal/fock"
 	"repro/internal/integrals"
@@ -40,8 +38,8 @@ var Algorithms = []Algorithm{AlgMPIOnly, AlgPrivateFock, AlgSharedFock}
 // algorithm on the given DDI context. It must be invoked from inside
 // mpi.Run, and ALL ranks must call the resulting builder collectively
 // each iteration. When the run carries a telemetry session, every build
-// is wrapped in a fock.build span and contributes this rank's load share
-// to the imbalance report.
+// is wrapped in a fock.build span carrying this rank's load share (see
+// buildSpan).
 func ParallelBuilder(alg Algorithm, dx *ddi.Context, eng *integrals.Engine,
 	sch *integrals.Schwarz, cfg fock.Config) Builder {
 	build := parallelChannels(alg, dx, eng, sch, cfg)
@@ -75,25 +73,29 @@ func parallelChannels(alg Algorithm, dx *ddi.Context, eng *integrals.Engine,
 	}, dx.Comm.Telemetry(), string(alg), dx.Comm.Rank())
 }
 
-// instrument wraps a build so each one emits a fock.build span (named by
-// variant, on the rank's pid lane) and records the rank's load share —
-// tasks drawn, quartets computed, wall time — with the session's
-// imbalance collector. A nil session returns b unchanged.
+// instrument wraps a build so each one runs inside buildSpan.
 func instrument(b channelBuilder, tel *telemetry.Session, variant string, rank int) channelBuilder {
-	if tel == nil {
-		return b
-	}
 	return func(ds []*linalg.Matrix) ([]*linalg.Matrix, fock.Stats) {
-		end := tel.Span("fock.build", variant, rank, 0, nil)
-		t0 := time.Now()
+		done := buildSpan(tel, variant, rank)
 		g, stats := b(ds)
-		wall := time.Since(t0)
-		end()
-		tel.RecordLoad(variant, rank, telemetry.RankLoad{
-			Tasks:    stats.DLBGrabs,
-			Quartets: stats.QuartetsComputed,
-			Wall:     wall,
-		})
+		done(stats)
 		return g, stats
+	}
+}
+
+// buildSpan opens the one record of one rank's share of one Fock build,
+// for every preset: a fock.build span named by variant on the rank's pid
+// lane. The returned function closes it with the rank's load share as
+// args — tasks (DLB draws) and quartets (quartets computed) — so the
+// span's duration is the rank's wall time, and telemetry.Imbalance
+// reduces these spans to the load-imbalance report. A nil session
+// records nothing.
+func buildSpan(tel *telemetry.Session, variant string, rank int) func(fock.Stats) {
+	if tel == nil {
+		return func(fock.Stats) {}
+	}
+	end := tel.SpanArgsAtEnd("fock.build", variant, rank, 0)
+	return func(s fock.Stats) {
+		end(map[string]any{"tasks": s.DLBGrabs, "quartets": s.QuartetsComputed})
 	}
 }

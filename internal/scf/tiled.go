@@ -147,6 +147,7 @@ func (r *tiledResume) reconstructed() int64 {
 
 type tiledStep struct {
 	opt      Options
+	alg      Algorithm // the fock.build span's variant name
 	dx       *ddi.Context
 	eng      *integrals.Engine
 	sch      *integrals.Schwarz
@@ -198,7 +199,7 @@ func runTiled(c *mpi.Comm, eng *integrals.Engine, sch *integrals.Schwarz, cfg fo
 		return distmat.New(g, dx, n, bs)
 	}
 	st := &tiledStep{
-		opt: opt, dx: dx, eng: eng, sch: sch, cfg: cfg, nocc: nocc, store: store,
+		opt: opt, alg: p.Algorithm, dx: dx, eng: eng, sch: sch, cfg: cfg, nocc: nocc, store: store,
 		warm: opt.InitialDensity != nil,
 		dX:   mk(), dH: mk(), dF: mk(), dFp: mk(),
 		dD: mk(), dDn: mk(), dDp: mk(), dT: mk(),
@@ -329,7 +330,9 @@ func (st *tiledStep) run(iter int, ePrev float64, res *Result) (IterInfo, error)
 	var stats fock.Stats
 	if iter > 1 || st.warm {
 		st.reader.Reset()
+		done := buildSpan(st.opt.Telemetry, string(st.alg), st.opt.rank)
 		stats = fock.TiledBuild(st.dx, st.eng, st.sch, fock.RHF(fock.FromTiles(st.reader)), []*distmat.TileAccum{st.accum}, st.cfg)
+		done(stats)
 		distmat.UnfoldLower(dF)
 	}
 	distmat.Axpby(dF, st.dH, 1, 1)

@@ -174,7 +174,7 @@ func TestCacheProbeEndpoint(t *testing.T) {
 		t.Fatalf("warm probe: %d, want 200", got)
 	}
 	// Probes must not distort the cache effectiveness counters.
-	if hits, misses := s.cache.Stats(); hits != 0 || misses != 1 {
+	if hits, misses := s.tel.Counter("svc.cache.hit").Value(), s.tel.Counter("svc.cache.miss").Value(); hits != 0 || misses != 1 {
 		// one miss from the original submit's cache.Get
 		t.Fatalf("probe distorted counters: hits %d misses %d, want 0/1", hits, misses)
 	}

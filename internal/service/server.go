@@ -129,8 +129,6 @@ func (c Config) withDefaults() Config {
 		c.MaxRetries = 0
 	}
 	if c.Telemetry == nil {
-		// No Loads: per-build load history would grow with every job, and
-		// only hfrun's end-of-run summary reads it.
 		c.Telemetry = &telemetry.Session{Registry: telemetry.NewRegistry(),
 			Recorder: telemetry.NewRecorderWithClock(time.Now, serveTraceEvents)}
 	}

@@ -281,8 +281,7 @@ func TestReadyzAndFlightEndpoints(t *testing.T) {
 }
 
 // TestServerTraceRingIsBounded: the default session keeps one ring of
-// serveTraceEvents events and no per-build load history, however many
-// events came before, and a job run after the ring wrapped still has its
+// serveTraceEvents events, however many events came before, and a job run after the ring wrapped still has its
 // whole waterfall.
 func TestServerTraceRingIsBounded(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 1, QueueCap: 8}, true)
@@ -300,9 +299,6 @@ func TestServerTraceRingIsBounded(t *testing.T) {
 	if got := len(tel.Recorder.Events()); got != serveTraceEvents {
 		t.Errorf("ring holds %d events, want serveTraceEvents = %d", got, serveTraceEvents)
 	}
-	if loads := tel.Loads.Imbalance(); len(loads) != 0 {
-		t.Errorf("server session keeps per-build load history: %v", loads)
-	}
 
 	wresp, err := http.Get(ts.URL + "/v1/jobs/" + out.ID + "/trace")
 	if err != nil {
@@ -317,5 +313,50 @@ func TestServerTraceRingIsBounded(t *testing.T) {
 		if wf.Categories[cat] == 0 {
 			t.Errorf("waterfall missing %s spans: %v", cat, wf.Categories)
 		}
+	}
+}
+
+// TestServedTiledJobTraceIsContinuous: a served purified job reaches the
+// compute layers under its request trace like every other preset — one
+// fock.build span per rank per Fock build (the cold first iteration
+// builds nothing: D = 0 makes G = 0), each carrying the trace ID — so the
+// server's trace passes ValidateContinuity.
+func TestServedTiledJobTraceIsContinuous(t *testing.T) {
+	for _, mode := range []string{"purified", "purified-abft"} {
+		t.Run(mode, func(t *testing.T) {
+			s, ts := testServer(t, Config{Workers: 1, QueueCap: 8}, true)
+			out, resp := postJob(t, ts, jobs.Spec{Molecule: "water", Mode: mode})
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit: HTTP %d", resp.StatusCode)
+			}
+			st := awaitTerminal(t, ts, out.ID)
+			if st.State != jobs.StateDone {
+				t.Fatalf("job ended %s: %s", st.State, st.Error)
+			}
+			var buf bytes.Buffer
+			if err := s.Telemetry().WriteTrace(&buf); err != nil {
+				t.Fatal(err)
+			}
+			cs, err := telemetry.ValidateContinuity(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cs.Traces != 1 {
+				t.Fatalf("%d request traces, want 1", cs.Traces)
+			}
+			builds := map[int]int{}
+			for _, e := range s.Telemetry().Recorder.Events() {
+				if e.Cat == "fock.build" {
+					if e.Name != mode || e.Args[telemetry.TraceArgKey] != out.TraceID {
+						t.Fatalf("fock.build span %q args %v, want variant %q under trace %s", e.Name, e.Args, mode, out.TraceID)
+					}
+					builds[e.Pid]++
+				}
+			}
+			want := st.Result.Iterations - 1
+			if len(builds) != 2 || builds[0] != want || builds[1] != want {
+				t.Fatalf("fock.build spans per rank %v, want %d on each of 2 ranks", builds, want)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package simulate
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -70,13 +69,31 @@ type rankState struct {
 	id    int32
 }
 
+// rankHeap is a min-heap of ranks by ready time. Every rank starts ready
+// at 0, so a fresh one is already a heap.
 type rankHeap []rankState
 
-func (h rankHeap) Len() int           { return len(h) }
-func (h rankHeap) Less(a, b int) bool { return h[a].ready < h[b].ready }
-func (h rankHeap) Swap(a, b int)      { h[a], h[b] = h[b], h[a] }
-func (h *rankHeap) Push(x any)        { *h = append(*h, x.(rankState)) }
-func (h *rankHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+// fixTop restores the heap after h[0].ready grew: container/heap's down
+// from the root, comparison for comparison (the right child wins only
+// when strictly earlier, a child moves up only when strictly earlier),
+// so ties pick the same rank heap.Fix(h, 0) would.
+func (h rankHeap) fixTop() {
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if j2 := j + 1; j2 < len(h) && h[j2].ready < h[j].ready {
+			j = j2
+		}
+		if !(h[j].ready < h[i].ready) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
 
 // MemoryPerNode returns the per-node footprint of an algorithm at a job
 // shape: each rank's eq. (3a)-(3c) matrices plus its fixed runtime
@@ -260,7 +277,6 @@ func simulatePairTasks(p *Profile, res *Result, job knl.Job,
 	for i := range h {
 		h[i] = rankState{id: int32(i), lastI: -1}
 	}
-	heap.Init(&h)
 
 	nbf := float64(p.W.NBF)
 	shSz := float64(p.W.ShellSizeMax)
@@ -279,7 +295,7 @@ func simulatePairTasks(p *Profile, res *Result, job knl.Job,
 	cheap := dlbLat + tPairCheck
 	for ij := 0; ij < nPairs; ij++ {
 		r := &h[0] // the rank that frees up first
-		grab := math.Max(r.ready, counterFree)
+		grab := max(r.ready, counterFree)
 		counterFree = grab + dlbService
 		bd.DLBSec += (grab - r.ready) + dlbLat
 		var dt float64
@@ -308,7 +324,7 @@ func simulatePairTasks(p *Profile, res *Result, job knl.Job,
 			}
 		}
 		r.ready = grab + dt
-		heap.Fix(&h, 0)
+		h.fixTop()
 	}
 	finish := 0.0
 	for _, r := range h {
@@ -332,7 +348,6 @@ func simulatePrivate(p *Profile, res *Result, job knl.Job,
 	for i := range h {
 		h[i] = rankState{id: int32(i)}
 	}
-	heap.Init(&h)
 
 	counterFree := 0.0
 	var bd Breakdown
@@ -340,7 +355,7 @@ func simulatePrivate(p *Profile, res *Result, job knl.Job,
 
 	for i := 0; i < ns; i++ {
 		r := &h[0] // the rank that frees up first
-		grab := math.Max(r.ready, counterFree)
+		grab := max(r.ready, counterFree)
 		counterFree = grab + dlbService
 		bd.DLBSec += (grab - r.ready) + dlbLat
 
@@ -355,7 +370,7 @@ func simulatePrivate(p *Profile, res *Result, job knl.Job,
 		bd.SyncSec += sync + chunkOv
 
 		r.ready = grab + dt
-		heap.Fix(&h, 0)
+		h.fixTop()
 	}
 	finish := 0.0
 	for _, r := range h {

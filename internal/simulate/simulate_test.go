@@ -1,7 +1,9 @@
 package simulate
 
 import (
+	"container/heap"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/basis"
@@ -495,6 +497,44 @@ func TestRunBreakdown(t *testing.T) {
 		// Compute dominates every algorithm's aggregate time.
 		if r.ComputePct < 50 {
 			t.Fatalf("%s: compute share only %v%%", r.Algorithm, r.ComputePct)
+		}
+	}
+}
+
+// stdRankHeap runs rankHeap through container/heap, the reference the
+// typed sift-down must match swap for swap.
+type stdRankHeap []rankState
+
+func (h stdRankHeap) Len() int           { return len(h) }
+func (h stdRankHeap) Less(a, b int) bool { return h[a].ready < h[b].ready }
+func (h stdRankHeap) Swap(a, b int)      { h[a], h[b] = h[b], h[a] }
+func (h *stdRankHeap) Push(x any)        { *h = append(*h, x.(rankState)) }
+func (h *stdRankHeap) Pop() any          { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
+
+// TestFixTopMatchesContainerHeap: advancing the earliest rank and
+// restoring the heap with fixTop leaves every rank where heap.Fix(h, 0)
+// leaves it, ties included (ready times are drawn from a few values).
+func TestFixTopMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, ranks := range []int{1, 2, 3, 7, 64} {
+		got := make(rankHeap, ranks)
+		want := make(stdRankHeap, ranks)
+		for i := range got {
+			got[i] = rankState{id: int32(i)}
+			want[i] = got[i]
+		}
+		heap.Init(&want)
+		for step := 0; step < 2000; step++ {
+			dt := float64(rng.Intn(4))
+			got[0].ready += dt
+			want[0].ready += dt
+			got.fixTop()
+			heap.Fix(&want, 0)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%d ranks, step %d: slot %d holds %+v, container/heap %+v", ranks, step, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -1,28 +1,25 @@
 package telemetry
 
-// Load-imbalance profiling: each rank reports its share of every Fock
-// build (DLB tasks drawn, quartets computed, wall time); builds are
-// matched across ranks by per-rank sequence number (all ranks execute
-// the same build sequence collectively), and the collector reduces each
-// build to a max/mean imbalance factor — the quantity that justifies a
-// dynamic load balancer design: 1.0 is a perfectly balanced build, and
-// the paper's fine-grained ij task space exists precisely to keep this
-// factor near 1 at high rank counts.
+// Load-imbalance profiling, read off the trace: every Fock build leaves
+// one fock.build span per rank (named by variant, on the rank's pid
+// lane) whose end args carry the rank's share — DLB tasks drawn
+// ("tasks") and shell quartets evaluated ("quartets") — and whose
+// duration is the rank's wall time inside the build. Builds are matched
+// across ranks by per-rank sequence number (all ranks execute the same
+// build sequence collectively: the k-th fock.build span of each pid
+// within a variant is build k), and each build reduces to a max/mean
+// imbalance factor — the quantity that justifies a dynamic load
+// balancer design: 1.0 is a perfectly balanced build, and the paper's
+// fine-grained ij task space exists precisely to keep this factor near
+// 1 at high rank counts.
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
-
-// RankLoad is one rank's share of one build.
-type RankLoad struct {
-	Tasks    int64         // DLB task indices drawn by this rank
-	Quartets int64         // shell quartets this rank evaluated
-	Wall     time.Duration // the rank's wall time inside the build
-}
 
 // BuildImbalance is the reduction of one build across its ranks.
 type BuildImbalance struct {
@@ -47,43 +44,10 @@ type VariantImbalance struct {
 	MeanWallFactor    float64
 }
 
-// LoadCollector gathers per-rank, per-build load records, safe for
-// concurrent use by all ranks.
-type LoadCollector struct {
-	mu       sync.Mutex
-	variants map[string]*variantLoads
-}
-
-type variantLoads struct {
-	nextSeq map[int]int        // rank -> next build sequence number
-	builds  []map[int]RankLoad // build seq -> rank -> load
-}
-
-// NewLoadCollector returns an empty collector.
-func NewLoadCollector() *LoadCollector {
-	return &LoadCollector{variants: map[string]*variantLoads{}}
-}
-
-// Record reports one rank's share of its next build of the given
-// variant. Ranks must record builds in execution order (they do: one
-// record per collective build call).
-func (lc *LoadCollector) Record(variant string, rank int, l RankLoad) {
-	if lc == nil {
-		return
-	}
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	v := lc.variants[variant]
-	if v == nil {
-		v = &variantLoads{nextSeq: map[int]int{}}
-		lc.variants[variant] = v
-	}
-	seq := v.nextSeq[rank]
-	v.nextSeq[rank] = seq + 1
-	for len(v.builds) <= seq {
-		v.builds = append(v.builds, map[int]RankLoad{})
-	}
-	v.builds[seq][rank] = l
+// rankLoad is one rank's share of one build, read off its span.
+type rankLoad struct {
+	tasks, quartets int64
+	wall            time.Duration
 }
 
 // factor reduces per-rank values to max/mean (1 when the mean is 0).
@@ -105,38 +69,53 @@ func factor(vals []float64) float64 {
 	return max / mean
 }
 
-// Imbalance reduces every recorded build to its imbalance factors,
-// grouped by variant (sorted by variant name).
-func (lc *LoadCollector) Imbalance() []VariantImbalance {
-	if lc == nil {
-		return nil
+// Imbalance reduces the fock.build spans among events (in recording
+// order) to per-build imbalance factors, grouped by variant (sorted by
+// variant name).
+func Imbalance(events []Event) []VariantImbalance {
+	type rankBuilds struct {
+		nextSeq map[int]int        // pid -> next build sequence number
+		builds  []map[int]rankLoad // build seq -> pid -> load
 	}
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	names := make([]string, 0, len(lc.variants))
-	for n := range lc.variants {
+	variants := map[string]*rankBuilds{}
+	for _, e := range events {
+		if e.Cat != "fock.build" || e.Ph != PhaseComplete {
+			continue
+		}
+		v := variants[e.Name]
+		if v == nil {
+			v = &rankBuilds{nextSeq: map[int]int{}}
+			variants[e.Name] = v
+		}
+		seq := v.nextSeq[e.Pid]
+		v.nextSeq[e.Pid] = seq + 1
+		for len(v.builds) <= seq {
+			v.builds = append(v.builds, map[int]rankLoad{})
+		}
+		tasks, _ := e.Args["tasks"].(int64)
+		quartets, _ := e.Args["quartets"].(int64)
+		v.builds[seq][e.Pid] = rankLoad{tasks, quartets, time.Duration(math.Round(e.Dur * 1e3))}
+	}
+	names := make([]string, 0, len(variants))
+	for n := range variants {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	out := make([]VariantImbalance, 0, len(names))
 	for _, name := range names {
-		v := lc.variants[name]
 		vi := VariantImbalance{Variant: name}
 		var sumT, sumQ, sumW float64
-		for _, ranks := range v.builds {
-			if len(ranks) == 0 {
-				continue
-			}
+		for _, ranks := range variants[name].builds {
 			var tasks, quartets, walls []float64
 			b := BuildImbalance{Ranks: len(ranks)}
 			for _, l := range ranks {
-				tasks = append(tasks, float64(l.Tasks))
-				quartets = append(quartets, float64(l.Quartets))
-				walls = append(walls, float64(l.Wall))
-				b.TotalTasks += l.Tasks
-				b.TotalQuartets += l.Quartets
-				if l.Wall > b.MaxWall {
-					b.MaxWall = l.Wall
+				tasks = append(tasks, float64(l.tasks))
+				quartets = append(quartets, float64(l.quartets))
+				walls = append(walls, float64(l.wall))
+				b.TotalTasks += l.tasks
+				b.TotalQuartets += l.quartets
+				if l.wall > b.MaxWall {
+					b.MaxWall = l.wall
 				}
 			}
 			b.TaskFactor = factor(tasks)

@@ -7,12 +7,26 @@ import (
 	"time"
 )
 
+// recordBuild records one rank's share of one build the way the SCF
+// layer does: a fock.build span named by variant on the rank's lane,
+// tasks and quartets in its args, the wall time as its duration.
+func recordBuild(rec *Recorder, variant string, rank int, tasks, quartets int64, wall time.Duration) {
+	start := rec.Now()
+	rec.Complete("fock.build", variant, rank, 0, start, start.Add(wall),
+		map[string]any{"tasks": tasks, "quartets": quartets})
+}
+
+func newTestRecorder() *Recorder {
+	t0 := time.Unix(0, 0)
+	return NewRecorderWithClock(func() time.Time { return t0 }, 0)
+}
+
 func TestImbalancePerfectBalance(t *testing.T) {
-	lc := NewLoadCollector()
+	rec := newTestRecorder()
 	for rank := 0; rank < 4; rank++ {
-		lc.Record("shared-fock", rank, RankLoad{Tasks: 10, Quartets: 100, Wall: time.Millisecond})
+		recordBuild(rec, "shared-fock", rank, 10, 100, time.Millisecond)
 	}
-	rows := lc.Imbalance()
+	rows := Imbalance(rec.Events())
 	if len(rows) != 1 || len(rows[0].Builds) != 1 {
 		t.Fatalf("rows = %+v", rows)
 	}
@@ -23,17 +37,20 @@ func TestImbalancePerfectBalance(t *testing.T) {
 	if b.TotalTasks != 40 || b.TotalQuartets != 400 {
 		t.Fatalf("totals = %+v", b)
 	}
+	if b.MaxWall != time.Millisecond {
+		t.Fatalf("max wall = %v, want 1ms", b.MaxWall)
+	}
 }
 
 func TestImbalanceFactorAndSequencing(t *testing.T) {
-	lc := NewLoadCollector()
+	rec := newTestRecorder()
 	// Build 1: rank 0 does 30 tasks, rank 1 does 10 -> mean 20, max 30.
-	lc.Record("mpi-only", 0, RankLoad{Tasks: 30})
-	lc.Record("mpi-only", 1, RankLoad{Tasks: 10})
-	// Build 2 (each rank's second record): perfectly balanced.
-	lc.Record("mpi-only", 1, RankLoad{Tasks: 20})
-	lc.Record("mpi-only", 0, RankLoad{Tasks: 20})
-	rows := lc.Imbalance()
+	recordBuild(rec, "mpi-only", 0, 30, 0, 0)
+	recordBuild(rec, "mpi-only", 1, 10, 0, 0)
+	// Build 2 (each rank's second span): perfectly balanced.
+	recordBuild(rec, "mpi-only", 1, 20, 0, 0)
+	recordBuild(rec, "mpi-only", 0, 20, 0, 0)
+	rows := Imbalance(rec.Events())
 	if len(rows) != 1 || len(rows[0].Builds) != 2 {
 		t.Fatalf("rows = %+v", rows)
 	}
@@ -52,20 +69,35 @@ func TestImbalanceFactorAndSequencing(t *testing.T) {
 }
 
 func TestImbalanceMultipleVariantsSorted(t *testing.T) {
-	lc := NewLoadCollector()
-	lc.Record("shared-fock", 0, RankLoad{Tasks: 1})
-	lc.Record("mpi-only", 0, RankLoad{Tasks: 1})
-	rows := lc.Imbalance()
+	rec := newTestRecorder()
+	recordBuild(rec, "shared-fock", 0, 1, 0, 0)
+	recordBuild(rec, "mpi-only", 0, 1, 0, 0)
+	rows := Imbalance(rec.Events())
 	if len(rows) != 2 || rows[0].Variant != "mpi-only" || rows[1].Variant != "shared-fock" {
 		t.Fatalf("variants not sorted: %+v", rows)
 	}
 }
 
+// TestImbalanceReadsOnlyBuildSpans: other spans and instants in the ring,
+// and a fock.build instant, are not builds.
+func TestImbalanceReadsOnlyBuildSpans(t *testing.T) {
+	rec := newTestRecorder()
+	start := rec.Now()
+	rec.Complete("scf.iter", "mpi-only", 0, 0, start, start.Add(time.Second), nil)
+	rec.Complete("fock.task", "mpi-only", 0, 1, start, start.Add(time.Second), map[string]any{"tasks": int64(9)})
+	rec.Instant("fock.build", "mpi-only", 0, 0, nil)
+	recordBuild(rec, "mpi-only", 0, 3, 30, time.Millisecond)
+	rows := Imbalance(rec.Events())
+	if len(rows) != 1 || len(rows[0].Builds) != 1 || rows[0].Builds[0].TotalTasks != 3 {
+		t.Fatalf("rows = %+v", rows)
+	}
+}
+
 func TestFormatImbalance(t *testing.T) {
-	lc := NewLoadCollector()
-	lc.Record("shared-fock", 0, RankLoad{Tasks: 30, Quartets: 300, Wall: 3 * time.Millisecond})
-	lc.Record("shared-fock", 1, RankLoad{Tasks: 10, Quartets: 100, Wall: time.Millisecond})
-	out := FormatImbalance(lc.Imbalance())
+	rec := newTestRecorder()
+	recordBuild(rec, "shared-fock", 0, 30, 300, 3*time.Millisecond)
+	recordBuild(rec, "shared-fock", 1, 10, 100, time.Millisecond)
+	out := FormatImbalance(Imbalance(rec.Events()))
 	for _, want := range []string{"shared-fock", "task-imb", "1.50"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
@@ -81,8 +113,8 @@ func TestSessionSummaryIncludesEverything(t *testing.T) {
 	s.Counter("ddi.dlb.draws").Add(42)
 	s.Histogram("mpi.op.recv_ns").Observe(1500)
 	s.Histogram("mpi.send.bytes").Observe(4096)
-	s.RecordLoad("mpi-only", 0, RankLoad{Tasks: 5, Quartets: 50, Wall: time.Millisecond})
-	s.RecordLoad("mpi-only", 1, RankLoad{Tasks: 5, Quartets: 50, Wall: time.Millisecond})
+	recordBuild(s.Recorder, "mpi-only", 0, 5, 50, time.Millisecond)
+	recordBuild(s.Recorder, "mpi-only", 1, 5, 50, time.Millisecond)
 	sum := s.Summary()
 	for _, want := range []string{
 		"telemetry summary", "load imbalance", "mpi-only",

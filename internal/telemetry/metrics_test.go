@@ -36,7 +36,6 @@ func TestNilHandlesAreNoops(t *testing.T) {
 	s.SpanArgsAtEnd("cat", "n", 0, 0)(map[string]any{"k": 1})
 	s.TimedOp("cat", "n", 0, 0)()
 	s.Instant("cat", "n", 0, 0, nil)
-	s.RecordLoad("v", 0, RankLoad{})
 	if s.Summary() != "" {
 		t.Fatal("nil session summary should be empty")
 	}

@@ -2,8 +2,9 @@
 // runtime: a concurrency-safe metrics registry (counters, gauges,
 // log-scale histograms), a per-rank/per-thread event recorder emitting
 // Chrome trace-event JSON (loadable in chrome://tracing and Perfetto),
-// and a load-imbalance collector reducing per-rank Fock-build shares to
-// max/mean factors.
+// and the load-imbalance report, reduced from the fock.build spans in
+// that trace (each carries its rank's tasks and quartets; its duration
+// is the rank's wall time) to per-build max/mean factors.
 //
 // The recorder is one bounded ring per session: past its capacity each
 // new event overwrites the oldest (counted as dropped), so memory stays
@@ -13,7 +14,8 @@
 // Span taxonomy (the `cat` field of trace events):
 //
 //	scf.iter          one SCF iteration (args: energy, dE, rmsD)
-//	fock.build        one collective Fock build, named by variant
+//	fock.build        one rank's share of one collective Fock build,
+//	                  named by variant (args: tasks, quartets)
 //	fock.task         one DLB task's work on one rank/thread
 //	mpi.op            a blocking MPI operation (recv, barrier, bcast, ...)
 //	dlb.draw          one dynamic-load-balancer index draw
@@ -60,9 +62,12 @@
 //	svc.jobs.reenqueued      queued/running-at-crash jobs re-enqueued
 //	                         from the WAL at boot
 //	svc.wal.appends          records fsync'd to the write-ahead job log
-//	svc.wal.replayed         records recovered at boot replay
-//	svc.wal.discarded        bytes dropped at the first torn/corrupt
-//	                         record (consistent-prefix recovery)
+//	svc.wal.replayed_jobs/replayed_records  jobs and records recovered
+//	                         at boot replay
+//	svc.wal.corrupt_tail_bytes  bytes replay left unread from the first
+//	                         torn/corrupt record on: the rest of that
+//	                         segment and every later segment whole
+//	                         (consistent-prefix recovery)
 //	svc.wal.compactions      segment compaction passes on drain
 //	svc.fleet.forwarded      submissions proxied to the owning replica
 //	svc.fleet.peer_hit       cache misses satisfied from a peer's cache
@@ -136,8 +141,7 @@ const DriverPid = -1
 // stitched out of the shared Recorder after the fact.
 type Session struct {
 	Registry *Registry
-	Recorder *Recorder      // the one event ring: trace, waterfalls, flight dumps
-	Loads    *LoadCollector // nil: no per-build load history (the server's default)
+	Recorder *Recorder // the one event ring: trace, waterfalls, flight dumps, load imbalance
 
 	// TraceID, when non-empty, is stamped into the args of every event
 	// this session records (key TraceArgKey). Derived sessions from
@@ -147,7 +151,7 @@ type Session struct {
 
 // NewSession returns a session recording wall-clock events.
 func NewSession() *Session {
-	return &Session{Registry: NewRegistry(), Recorder: NewRecorder(), Loads: NewLoadCollector()}
+	return &Session{Registry: NewRegistry(), Recorder: NewRecorder()}
 }
 
 // WithTrace returns a session that records into the same collectors but
@@ -290,15 +294,6 @@ func (s *Session) Histogram(name string) *Histogram {
 	return s.Registry.Histogram(name)
 }
 
-// RecordLoad reports one rank's share of a Fock build for the imbalance
-// report.
-func (s *Session) RecordLoad(variant string, rank int, l RankLoad) {
-	if s == nil {
-		return
-	}
-	s.Loads.Record(variant, rank, l)
-}
-
 // WriteTrace writes the Chrome trace JSON.
 func (s *Session) WriteTrace(w io.Writer) error {
 	if s == nil {
@@ -316,14 +311,15 @@ func (s *Session) WriteMetrics(w io.Writer) error {
 }
 
 // Summary renders the human-readable end-of-run report: the per-variant
-// load-imbalance table plus headline counters and wait-time histograms.
+// load-imbalance table (reduced from the ring's fock.build spans) plus
+// headline counters and wait-time histograms.
 func (s *Session) Summary() string {
 	if s == nil {
 		return ""
 	}
 	var b strings.Builder
 	b.WriteString("== telemetry summary ==\n")
-	b.WriteString(FormatImbalance(s.Loads.Imbalance()))
+	b.WriteString(FormatImbalance(Imbalance(s.Recorder.Events())))
 	if names := s.Registry.CounterNames(); len(names) > 0 {
 		b.WriteString("counters:\n")
 		for _, n := range names {

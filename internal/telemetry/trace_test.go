@@ -162,7 +162,7 @@ func TestConcurrentRecording(t *testing.T) {
 				end := s.TimedOp("mpi.op", "barrier", g, 0)
 				end()
 				s.Instant("recovery.reissue", "steal", g, 0, nil)
-				s.RecordLoad("shared-fock", g, RankLoad{Tasks: 1, Quartets: 2, Wall: time.Microsecond})
+				s.SpanArgsAtEnd("fock.build", "shared-fock", g, 0)(map[string]any{"tasks": int64(1), "quartets": int64(2)})
 			}
 		}(g)
 	}
@@ -175,7 +175,7 @@ func TestConcurrentRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Spans != goroutines*200 || stats.Instants != goroutines*200 {
+	if stats.Spans != 2*goroutines*200 || stats.Instants != goroutines*200 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	if got := s.Histogram("mpi.op.barrier_ns").Count(); got != goroutines*200 {
