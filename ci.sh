@@ -18,9 +18,11 @@
 # loops with one lanes.quartet call (no other lanes. body function).
 # SCF layer: exactly one `for iter :=` loop in non-test internal/scf, exactly one
 # mpi.RunWithOptions( world-launch site in non-test internal/scf plus
-# the root package, basis.Build( in api.go/properties.go only in the one
-# engine constructor and DescribeBasis, and no exported root function
-# named Run*Ctx (one entry point, repro.Run, takes the context).
+# the root package, eng.Overlap() and eng.CoreHamiltonian() in non-test
+# internal/scf only inside newOneElectron (one S/H/X per run;
+# properties.go excepted), basis.Build( in api.go/properties.go only in
+# the one engine constructor and DescribeBasis, and no exported root
+# function named Run*Ctx (one entry point, repro.Run, takes the context).
 # Team runtime (internal/omp): exactly one sync.NewCond (the barrier's
 # park fallback; everything before it is atomics) and exactly one
 # tc.Barrier() inside walker.teamFetch; the barrier/loop-counter tests and
@@ -130,10 +132,13 @@
 # its normalized form hash alike, and an inline XYZ hashes the same under
 # atom reordering and re-spacing), the checkpoint decoder
 # (FuzzLoadCheckpoint: no panic, only finite NumBF²-element densities
-# accepted, a finite density round-trips bit for bit) and the WAL segment
+# accepted, a finite density round-trips bit for bit), the WAL segment
 # decoder (FuzzReplaySegment: no panic, bytes discarded exactly when
-# corruption is reported, framed records replay clean), from the seed
-# corpora under each package's testdata/fuzz/.
+# corruption is reported, framed records replay clean) and the submit
+# handler (FuzzSubmitSpec: arbitrary POST /v1/jobs bodies never panic,
+# bad JSON or a bad spec is a 400 only, and byte-different bodies
+# accepted with one canonical hash are one job), from the seed corpora
+# under each package's testdata/fuzz/.
 #
 # Tier 7 (fleet gate): `scaling -exp fleet` — three WAL-backed hfserve
 # replicas with consistent-hash cache sharding serve a >= 1000-job
@@ -281,6 +286,13 @@ tier_1() {
 	[ "$loops" -eq 1 ] || { echo "structure gate: $loops 'for iter :=' loops in internal/scf, want exactly 1 (iterate)"; exit 1; }
 	launches=$(cat $scf_src $root_src | grep -c 'mpi\.RunWithOptions(' || true)
 	[ "$launches" -eq 1 ] || { echo "structure gate: $launches mpi.RunWithOptions( sites in internal/scf + root, want exactly 1 (supervise)"; exit 1; }
+	# One S/H/X per run: the SCF evaluates the overlap and the core
+	# Hamiltonian in newOneElectron only, which Run calls once before any
+	# world launches (properties.go's Mulliken analysis is post-SCF).
+	onee_src=$(echo "$scf_src" | grep -v '/properties\.go$')
+	onee_calls=$(awk '/^func newOneElectron\(/{in_fn=1} /\.(Overlap|CoreHamiltonian)\(\)/{print (in_fn ? "in" : "out") ": " FILENAME ": " $0} in_fn&&/^}/{in_fn=0}' $onee_src)
+	[ "$(echo "$onee_calls" | grep -c '^in: ')" -eq 2 ] && ! echo "$onee_calls" | grep -q '^out: ' ||
+		{ echo "structure gate: non-test internal/scf must call eng.Overlap() and eng.CoreHamiltonian() once each, in newOneElectron only:"; echo "$onee_calls"; exit 1; }
 	builds=$(cat api.go properties.go | grep -c 'basis\.Build(' || true)
 	[ "$builds" -eq 2 ] || { echo "structure gate: $builds basis.Build( sites in api.go/properties.go, want exactly 2 (engineFor, DescribeBasis)"; exit 1; }
 	if grep -n '^func Run.*Ctx' $root_src; then
@@ -612,13 +624,15 @@ tier_5() {
 
 	# The parsers behind a served job's inline geometry and a registered
 	# basis, the content hash that dedups served jobs, the checkpoint
-	# decoder and the WAL segment decoder: 30 s of native fuzzing each,
-	# from the committed seed corpora.
+	# decoder, the WAL segment decoder and the submit handler's spec
+	# decoder: 30 s of native fuzzing each, from the committed seed
+	# corpora.
 	go test -run '^$' -fuzz '^FuzzParseXYZ$' -fuzztime 30s ./internal/molecule/
 	go test -run '^$' -fuzz '^FuzzParseGBS$' -fuzztime 30s ./internal/basis/
 	go test -run '^$' -fuzz '^FuzzSpecCanonicalHash$' -fuzztime 30s ./internal/jobs/
 	go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 30s ./internal/scf/
 	go test -run '^$' -fuzz '^FuzzReplaySegment$' -fuzztime 30s ./internal/jobs/
+	go test -run '^$' -fuzz '^FuzzSubmitSpec$' -fuzztime 30s ./internal/service/
 }
 
 tier_6() {

@@ -276,19 +276,14 @@ var digestSinks = []struct {
 		return accs
 	}},
 	{"pending", func(t *testing.T, shells []basis.Shell, n int, dens []*linalg.Matrix, quartets [][4]int, blocks [][]float64) []*linalg.Matrix {
-		var task pendingTask
-		sinks := make([]*pendingSink, len(dens))
-		for c := range sinks {
-			sinks[c] = &pendingSink{task: &task, base: c * n * n, n: n}
-		}
-		chans := bind(channelsOf(dens, Dense), func(c int) sink { return sinks[c] })
+		stage, chans := getStaging(channelsOf(dens, Dense), n)
 		var sc scratch
 		for qi, q := range quartets {
 			digest(blocks[qi], shells, q[0], q[1], q[2], q[3], chans, &sc)
 		}
 		window := make([]float64, len(dens)*n*n)
-		for x, p := range task.pos {
-			window[p] += task.val[x]
+		for x, p := range stage.pos {
+			window[p] += stage.val[x]
 		}
 		accs := make([]*linalg.Matrix, len(dens))
 		for c := range accs {

@@ -1,11 +1,13 @@
 package fock
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/ddi"
 	"repro/internal/integrals"
 	"repro/internal/linalg"
+	"repro/internal/mpi"
 )
 
 // ResilientBuild is the fault-aware Fock construction: Algorithm 1's
@@ -30,6 +32,13 @@ import (
 //     survivors never touch an operation a dead peer can poison. The
 //     only waits are bounded polls on the lease table.
 //
+// Until its flush a computed task is staged locally: every task of the
+// build appends its (window slot, value) contributions to one staging
+// area and keeps only its [lo, hi) range of it (see staging). The flush
+// empties the staging and keeps its capacity, and the staging outlives
+// the build, so a build's commit path allocates nothing once the pool
+// holds a staging of the size the basis needs.
+//
 // Call from inside mpi.Run on every rank, like the other builders. The
 // returned matrices (one per channel) are identical on all surviving
 // ranks.
@@ -42,81 +51,22 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 	lease := dx.NewLeaseDLB(NumPairs(len(w.shells)))
 	win := dx.Comm.WinCreate(len(chans)*n*n, 0)
 
-	// Contributions are buffered PER TASK so the flush can commit each
+	// Contributions are staged PER TASK so the flush can commit each
 	// task independently: under speculation two ranks may hold results
 	// for the same ij, and only the Reserve winner's copy may reach the
 	// shared window. Channel c owns window slots [c*n*n, (c+1)*n*n).
-	var pending []pendingTask
-	sinks := make([]*pendingSink, len(chans))
-	for c := range sinks {
-		sinks[c] = &pendingSink{base: c * n * n, n: n}
-	}
-	w.chans = bind(chans, func(c int) sink { return sinks[c] })
-
-	computePair := func(ij, owner int) {
-		i, j := PairDecode(ij)
-		defer w.span("pair", 0, i, j)()
-		task := pendingTask{ij: ij, owner: owner}
-		for _, s := range sinks {
-			s.task = &task
-		}
-		t0 := time.Now()
-		before := stats.QuartetsComputed
-		w.pair(i, j)
-		task.quartets = stats.QuartetsComputed - before
-		w.observe(t0)
-		// SDC hook: one corruption opportunity per completed task, applied
-		// to the still-local values — outside the Reserve→push→Finish
-		// critical section, so the exactly-once guarantee is untouched.
-		// The poison reaches the shared window on the next flush and must
-		// be caught by the SCF-side validators after the window read.
-		w.injectSDC(task.val)
-		pending = append(pending, task)
-	}
-
-	// flush is the commit critical section the exactly-once guarantee
-	// rests on: Reserve each pending task (losers drop their duplicate
-	// results), push the winners' contributions in one accumulate, then
-	// mark the reserved leases done. Nothing in between blocks or
-	// contains a fault-injection site.
-	batch := make([]float64, len(chans)*n*n)
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		var reserved []int
-		dirty := false
-		for _, task := range pending {
-			if !lease.Reserve(task.ij, task.owner) {
-				stats.TasksDeduped++
-				continue
-			}
-			reserved = append(reserved, task.ij)
-			stats.QuartetsCommitted += task.quartets
-			for i, p := range task.pos {
-				batch[p] += task.val[i]
-			}
-			dirty = true
-		}
-		pending = pending[:0]
-		if dirty {
-			win.Acc(0, batch)
-			clear(batch)
-		}
-		for _, ij := range reserved {
-			lease.Finish(ij)
-		}
-		stats.Flushes++
-	}
+	var stage *staging
+	stage, w.chans = getStaging(chans, n)
 
 	// flushEvery bounds how much computed work a death can force to be
 	// redone (a dying rank's unflushed tasks are recomputed elsewhere).
 	// The drain also flushes after its draw phase and after each
 	// re-issued task.
 	const flushEvery = 16
+	flush := func() { stage.flush(lease, win, stats) }
 	drained := lease.Drain(1, true, func(ij, owner int) {
-		computePair(ij, owner)
-		if len(pending) >= flushEvery {
+		stage.compute(&w, ij, owner)
+		if len(stage.tasks) >= flushEvery {
 			flush()
 		}
 	}, flush)
@@ -132,26 +82,127 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 		win.Get(c*n*n, accs[c].Data)
 		Finalize(accs[c])
 	}
+	// The last flush left the staging empty and its batch zeroed. A rank
+	// that dies mid-build never gets here, so the pool only ever holds
+	// clean staging.
+	stagingPool.Put(stage)
 	return accs, *stats
 }
 
 // pendingTask is one computed-but-uncommitted ij task of a resilient
-// build.
+// build. It owns no memory: its contributions are entries [lo, hi) of
+// the build's staging.
 type pendingTask struct {
 	ij, owner int // owner = world rank whose lease this result commits
 	quartets  int64
-	pos       []int // window slots: channel base + canonical lower-triangle position
-	val       []float64
+	lo, hi    int
+}
+
+// staging is one rank's commit staging of a resilient build: the
+// pending tasks, the window slot (channel base + canonical lower-triangle
+// position) and value of every contribution they staged, the Reserve
+// winners of the flush in progress, the accumulate batch and the
+// channels' sinks. A flush empties it and keeps its capacity; the build
+// returns it to stagingPool, so the next build on the rank (the next SCF
+// iteration, the next served job) stages into the same memory instead of
+// growing new slices for every task.
+type staging struct {
+	tasks    []pendingTask
+	pos      []int
+	val      []float64
+	reserved []int
+	batch    []float64
+	sinks    []pendingSink
+}
+
+var stagingPool = sync.Pool{New: func() any { return new(staging) }}
+
+// getStaging takes an empty staging from the pool, sized for the
+// channels of an n-function basis, and returns it with the channels bound
+// to its sinks.
+func getStaging(chans []Channel, n int) (*staging, []Channel) {
+	st := stagingPool.Get().(*staging)
+	// Every flush zeroes what it dirtied, so all of the batch's capacity
+	// is zeros.
+	if m := len(chans) * n * n; cap(st.batch) < m {
+		st.batch = make([]float64, m)
+	} else {
+		st.batch = st.batch[:m]
+	}
+	st.sinks = st.sinks[:0]
+	for c := range chans {
+		st.sinks = append(st.sinks, pendingSink{stage: st, base: c * n * n, n: n})
+	}
+	return st, bind(chans, func(c int) sink { return &st.sinks[c] })
+}
+
+// compute runs the ij task for the lease owner holds and stages its
+// contributions as the next pending task.
+func (st *staging) compute(w *walker, ij, owner int) {
+	i, j := PairDecode(ij)
+	defer w.span("pair", 0, i, j)()
+	task := pendingTask{ij: ij, owner: owner, lo: len(st.val)}
+	t0 := time.Now()
+	before := w.st.QuartetsComputed
+	w.pair(i, j)
+	task.quartets = w.st.QuartetsComputed - before
+	task.hi = len(st.val)
+	w.observe(t0)
+	// SDC hook: one corruption opportunity per completed task, applied
+	// to the task's own still-local values — before the next task
+	// appends, and outside the Reserve→push→Finish critical section, so
+	// the exactly-once guarantee is untouched. The poison reaches the
+	// shared window on the next flush and must be caught by the SCF-side
+	// validators after the window read.
+	w.injectSDC(st.val[task.lo:task.hi])
+	st.tasks = append(st.tasks, task)
+}
+
+// flush is the commit critical section the exactly-once guarantee rests
+// on: Reserve each pending task (losers drop their duplicate results),
+// push the winners' contributions in one accumulate, then mark the
+// reserved leases done. Nothing in between blocks or contains a
+// fault-injection site. The winners' contributions reach the batch in
+// task order, each task's in the order it staged them.
+func (st *staging) flush(lease *ddi.LeaseDLB, win *mpi.Win, stats *Stats) {
+	if len(st.tasks) == 0 {
+		return
+	}
+	dirty := false
+	for _, task := range st.tasks {
+		if !lease.Reserve(task.ij, task.owner) {
+			stats.TasksDeduped++
+			continue
+		}
+		st.reserved = append(st.reserved, task.ij)
+		stats.QuartetsCommitted += task.quartets
+		val := st.val[task.lo:task.hi]
+		for k, p := range st.pos[task.lo:task.hi] {
+			st.batch[p] += val[k]
+		}
+		dirty = true
+	}
+	st.tasks, st.pos, st.val = st.tasks[:0], st.pos[:0], st.val[:0]
+	if dirty {
+		win.Acc(0, st.batch)
+		clear(st.batch)
+	}
+	for _, ij := range st.reserved {
+		lease.Finish(ij)
+	}
+	st.reserved = st.reserved[:0]
+	stats.Flushes++
 }
 
 // pendingSink is the resilient sink of one channel: it appends to the
-// task being computed instead of touching any shared memory.
+// build's staging instead of touching any shared memory.
 type pendingSink struct {
-	task    *pendingTask
+	stage   *staging
 	base, n int
 }
 
 func (p *pendingSink) addBlock(_, x0, nx, y0, ny int, scale float64, blk []float64) {
+	st := p.stage
 	for r := 0; r < nx; r++ {
 		for c, v := range blk[r*ny : r*ny+ny] {
 			if v == 0 {
@@ -161,8 +212,8 @@ func (p *pendingSink) addBlock(_, x0, nx, y0, ny int, scale float64, blk []float
 			if x < y {
 				x, y = y, x
 			}
-			p.task.pos = append(p.task.pos, p.base+x*p.n+y)
-			p.task.val = append(p.task.val, scale*v)
+			st.pos = append(st.pos, p.base+x*p.n+y)
+			st.val = append(st.val, scale*v)
 		}
 	}
 }

@@ -2,10 +2,13 @@ package fock
 
 import (
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/ddi"
+	"repro/internal/integrals"
 	"repro/internal/integrals/oracle"
 	"repro/internal/linalg"
 	"repro/internal/molecule"
@@ -240,5 +243,200 @@ func TestResilientReclaimsExpiredLease(t *testing.T) {
 	}
 	if got := tel.Counter("ddi.lease.expired").Value(); got == 0 {
 		t.Fatal("ddi.lease.expired = 0: the lease was not reclaimed through the TTL path")
+	}
+}
+
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
+// resilientRig is one rank's resilient-build machinery without the drain,
+// so a test can stage tasks and flush them in an order it chooses: the
+// walker with its channels bound to a staging, the lease table with
+// every task leased to this rank, and the accumulation window.
+type resilientRig struct {
+	w     walker
+	stage *staging
+	lease *ddi.LeaseDLB
+	win   *mpi.Win
+	n     int
+}
+
+func newResilientRig(t *testing.T, c *mpi.Comm, eng *integrals.Engine, sch *integrals.Schwarz, d *linalg.Matrix) *resilientRig {
+	dx := ddi.New(c)
+	r := &resilientRig{w: newWalker(dx, eng, sch, Config{Quartets: oracle.New(eng.Basis)}), n: eng.Basis.NumBF}
+	r.stage, r.w.chans = getStaging(RHF(Dense(d)), r.n)
+	total := NumPairs(len(r.w.shells))
+	r.lease = dx.NewLeaseDLB(total)
+	if idxs, ok := r.lease.DrawChunk(total); !ok || len(idxs) != total {
+		t.Errorf("drew %d of %d leases", len(idxs), total)
+	}
+	r.win = c.WinCreate(r.n*r.n, 0)
+	return r
+}
+
+// fock reads the window back as the build does.
+func (r *resilientRig) fock() *linalg.Matrix {
+	m := linalg.NewSquare(r.n)
+	r.win.Get(0, m.Data)
+	Finalize(m)
+	return m
+}
+
+// TestResilientFlushDropsLoser: a flush whose pending tasks are winner,
+// Reserve-loser, winner commits both winners and drops the loser — the
+// straggler's late copy of a task a hedger already committed — without
+// disturbing the offsets of the task after it. Every quartet is
+// committed exactly once and the Fock matrix is the serial one.
+func TestResilientFlushDropsLoser(t *testing.T) {
+	eng, sch, d := setup(t, molecule.Water(), "6-31g")
+	want, wantStats := serialBuild(eng, sch, d, DefaultTau)
+	err := mpi.Run(1, func(c *mpi.Comm) {
+		r := newResilientRig(t, c, eng, sch, d)
+		st := &r.w.st
+		total := NumPairs(len(r.w.shells))
+		const a, dup, b = 5, 12, 20
+		// The first copy of dup commits on its own.
+		r.stage.compute(&r.w, dup, 0)
+		r.stage.flush(r.lease, r.win, st)
+		if st.TasksDeduped != 0 || st.QuartetsCommitted == 0 {
+			t.Errorf("first copy: %d deduped, %d quartets committed", st.TasksDeduped, st.QuartetsCommitted)
+		}
+		// One flush: winner, the duplicate, winner.
+		for _, ij := range []int{a, dup, b} {
+			r.stage.compute(&r.w, ij, 0)
+		}
+		if lo, hi := r.stage.tasks[1].lo, r.stage.tasks[1].hi; lo == hi {
+			t.Errorf("the duplicate staged no values")
+		}
+		committed := st.QuartetsCommitted
+		r.stage.flush(r.lease, r.win, st)
+		if st.TasksDeduped != 1 {
+			t.Errorf("TasksDeduped = %d, want 1 (the duplicate)", st.TasksDeduped)
+		}
+		if len(r.stage.tasks)+len(r.stage.pos)+len(r.stage.val) != 0 {
+			t.Errorf("flush left %d tasks, %d values staged", len(r.stage.tasks), len(r.stage.val))
+		}
+		if st.QuartetsCommitted == committed {
+			t.Errorf("the winners around the duplicate committed nothing")
+		}
+		for ij := 0; ij < total; ij++ {
+			if ij != a && ij != dup && ij != b {
+				r.stage.compute(&r.w, ij, 0)
+			}
+		}
+		r.stage.flush(r.lease, r.win, st)
+		if st.QuartetsCommitted != wantStats.QuartetsComputed {
+			t.Errorf("committed %d quartets, serial computed %d", st.QuartetsCommitted, wantStats.QuartetsComputed)
+		}
+		if diff := r.fock().MaxAbsDiff(want); diff > 1e-12 {
+			t.Errorf("Fock vs serial: %.3g", diff)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResilientSDCStaysInItsTask: a corruption scheduled for the second
+// of three staged tasks lands in that task's own values — at its first
+// element for index 0, at its last for an index past its end — and every
+// other staged value is bit-identical to a clean staging of the same
+// tasks.
+func TestResilientSDCStaysInItsTask(t *testing.T) {
+	eng, sch, d := setup(t, molecule.Water(), "6-31g")
+	tasks := []int{5, 12, 20}
+	stageTasks := func(fault *mpi.FaultPlan) (val []float64, spans [][2]int) {
+		_, err := mpi.RunWithOptions(1, mpi.RunOptions{Fault: fault}, func(c *mpi.Comm) {
+			r := newResilientRig(t, c, eng, sch, d)
+			for _, ij := range tasks {
+				r.stage.compute(&r.w, ij, 0)
+			}
+			val = append(val, r.stage.val...)
+			for _, task := range r.stage.tasks {
+				spans = append(spans, [2]int{task.lo, task.hi})
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return val, spans
+	}
+	clean, spans := stageTasks(nil)
+	hit := spans[1]
+	if hit[0] == hit[1] || spans[0][0] == spans[0][1] || spans[2][0] == spans[2][1] {
+		t.Fatalf("a task staged no values: %v", spans)
+	}
+	for _, tc := range []struct {
+		name  string
+		index int
+		at    int
+	}{{"first", 0, hit[0]}, {"past the end", 1 << 30, hit[1] - 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, _ := stageTasks(&mpi.FaultPlan{Corrupts: []mpi.Corrupt{
+				{Rank: 0, Site: mpi.SiteFock, After: 2, Kind: mpi.CorruptNaN, Index: tc.index}}})
+			for k := range clean {
+				switch {
+				case k == tc.at:
+					if !math.IsNaN(got[k]) {
+						t.Errorf("value %d (task 2 is [%d, %d)) = %v, want the NaN", k, hit[0], hit[1], got[k])
+					}
+				case math.Float64bits(got[k]) != math.Float64bits(clean[k]):
+					t.Errorf("value %d (task 2 is [%d, %d)) = %v, clean %v", k, hit[0], hit[1], got[k], clean[k])
+				}
+			}
+		})
+	}
+}
+
+// TestResilientStagingReuse pins what a resilient build allocates once
+// the staging pool is warm: the bytes of a second and later build on the
+// same world, water/6-31G on one rank. The commit staging itself grows
+// nothing (it holds ≈ 80 KB); what is left is the accumulation window,
+// the lease table, the result matrix and the walker's per-build scratch,
+// 11,630 bytes. It was 365,839 bytes per build while every task staged
+// into slices of its own.
+func TestResilientStagingReuse(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	eng, sch, d := setup(t, molecule.Water(), "6-31g")
+	src := integrals.NewPairCache(eng, 0)
+	// sync.Pool keeps a returned item in the current P's private slot,
+	// which a Get on another P does not see. Rank goroutines find it anyway
+	// almost always (5 fresh stagings in 3,200 builds of 2x2 water runs at
+	// GOMAXPROCS 2), but a test that measures every build needs one P.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var perBuild uint64
+	var staged int
+	err := mpi.Run(1, func(c *mpi.Comm) {
+		dx := ddi.New(c)
+		build := func() { ResilientBuild(dx, eng, sch, RHF(Dense(d)), Config{Quartets: src}) }
+		build() // warms the pool and the kernel's scratch
+		// A garbage collection empties the pools a build draws from, so
+		// each round starts from a fresh heap goal, and the fewest bytes
+		// of three rounds count.
+		const rounds, builds = 3, 4
+		perBuild = math.MaxUint64
+		for range rounds {
+			var a, b runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&a)
+			for range builds {
+				build()
+			}
+			runtime.ReadMemStats(&b)
+			perBuild = min(perBuild, (b.TotalAlloc-a.TotalAlloc)/builds)
+		}
+		st := stagingPool.Get().(*staging)
+		staged = 8 * (cap(st.pos) + cap(st.val))
+		stagingPool.Put(st)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d bytes per build; the staging holds %d bytes", perBuild, staged)
+	const ceiling = 16 << 10
+	if perBuild > ceiling {
+		t.Errorf("%d bytes per resilient build, want <= %d", perBuild, ceiling)
 	}
 }

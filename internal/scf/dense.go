@@ -98,20 +98,33 @@ type denseStep struct {
 	wd      *watchdogState
 }
 
-// runDense runs the loop on replicated matrices for the given spin case.
-func runDense(eng *integrals.Engine, multiplicity int, build channelBuilder, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	noccs, err := occupations(eng, multiplicity)
-	if err != nil {
-		return nil, err
-	}
-	n := eng.Basis.NumBF
+// oneElectron is a run's one-electron set: the overlap S, the core
+// Hamiltonian H = T + V and the Löwdin orthogonalizer X. Run builds it
+// once, before any world launches, and every rank of every attempt reads
+// the same matrices: nothing writes into them and no SDC site reaches
+// them.
+type oneElectron struct{ s, h, x *linalg.Matrix }
+
+// newOneElectron is the one place the SCF evaluates S and H.
+func newOneElectron(eng *integrals.Engine) (*oneElectron, error) {
 	s := eng.Overlap()
 	h := eng.CoreHamiltonian()
 	x, err := linalg.LowdinOrthogonalizer(s, linDepTol)
 	if err != nil {
 		return nil, fmt.Errorf("scf: %w", err)
 	}
+	return &oneElectron{s: s, h: h, x: x}, nil
+}
+
+// runDense runs the loop on replicated matrices for the given spin case.
+func runDense(eng *integrals.Engine, one *oneElectron, multiplicity int, build channelBuilder, opt Options) (*Result, error) {
+	opt = opt.withDefaults()
+	noccs, err := occupations(eng, multiplicity)
+	if err != nil {
+		return nil, err
+	}
+	n := eng.Basis.NumBF
+	h, s, x := one.h, one.s, one.x
 	st := &denseStep{opt: opt, build: build, h: h, s: s, x: x, occ: 2, spins: make([]spinChannel, len(noccs))}
 	if multiplicity != 0 {
 		st.occ = 1

@@ -141,7 +141,11 @@ func TestElasticRebalanceBudget(t *testing.T) {
 	sch := integrals.ComputeSchwarz(eng)
 	m := mpi.NewMembership(2, nil)
 	var announced atomic.Bool
-	res, err := supervise(context.Background(), eng, sch, integrals.NewPairCache(eng, 0), Plan{
+	one, err := newOneElectron(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := supervise(context.Background(), eng, sch, integrals.NewPairCache(eng, 0), one, Plan{
 		Algorithm: AlgResilientFock, Recovery: ElasticEpoch,
 		Ranks: 2, MaxRanks: 4, Membership: m, Deadline: 20 * time.Second,
 		SCF: Options{OnIteration: func(int, *Result) {

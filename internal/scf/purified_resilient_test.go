@@ -120,7 +120,11 @@ func TestPurifiedResilientExhaustsBudget(t *testing.T) {
 	eng, sch := purifiedSetup(t)
 	p := abftPlan(2)
 	p.Fault = &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 1, Site: mpi.SitePurify, After: 3}}}
-	res, err := supervise(context.Background(), eng, sch, integrals.NewPairCache(eng, 0), p, 0) // no budget at all
+	one, err := newOneElectron(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := supervise(context.Background(), eng, sch, integrals.NewPairCache(eng, 0), one, p, 0) // no budget at all
 	if err == nil {
 		t.Fatal("expected a budget-exhausted error")
 	}

@@ -252,7 +252,11 @@ func iterate(opt Options, st step, res *Result, start int, ePrev float64) error 
 // basis on replicated matrices, using builder for the two-electron Fock
 // matrices. Inside an MPI world every rank calls it collectively.
 func RunRHF(eng *integrals.Engine, builder Builder, opt Options) (*Result, error) {
-	return runDense(eng, 0, func(ds []*linalg.Matrix) ([]*linalg.Matrix, fock.Stats) {
+	one, err := newOneElectron(eng)
+	if err != nil {
+		return nil, err
+	}
+	return runDense(eng, one, 0, func(ds []*linalg.Matrix) ([]*linalg.Matrix, fock.Stats) {
 		g, stats := builder(ds[0])
 		return []*linalg.Matrix{g}, stats
 	}, opt)

@@ -2,6 +2,7 @@ package scf
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -77,6 +78,40 @@ func TestWaterSTO3GEnergy(t *testing.T) {
 	// Literature RHF/STO-3G for water near equilibrium: about -74.96.
 	if res.Energy < -75.15 || res.Energy > -74.75 {
 		t.Fatalf("H2O/STO-3G energy = %v outside window", res.Energy)
+	}
+}
+
+// TestWaterSTO3GExternalReference pins RHF water/STO-3G to a value this
+// code did not produce: T. D. Crawford's programming projects (project
+// #3, the Hartree-Fock SCF) give E = -74.942079928192 Ha at their
+// geometry, whose bohr coordinates are used here as printed. The serial
+// and the resilient presets (the served default, 2 ranks x 2 threads)
+// must both land on it to 1e-6 Ha.
+func TestWaterSTO3GExternalReference(t *testing.T) {
+	const crawford = -74.942079928
+	mol := &molecule.Molecule{Name: "H2O (Crawford)", Atoms: []molecule.Atom{
+		{Z: 8, Symbol: "O", Pos: [3]float64{0, -0.143225816552, 0}},
+		{Z: 1, Symbol: "H", Pos: [3]float64{1.638036840407, 1.136548822547, 0}},
+		{Z: 1, Symbol: "H", Pos: [3]float64{-1.638036840407, 1.136548822547, 0}},
+	}}
+	b, err := basis.Build(mol, "sto-3g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := integrals.NewEngine(b)
+	sch := integrals.ComputeSchwarz(eng)
+	opt := Options{ConvDens: 1e-10, ConvEnergy: 1e-12}
+	for _, p := range []Plan{
+		{SCF: opt},
+		{Algorithm: AlgResilientFock, Recovery: CheckpointShrink, Ranks: 2, Threads: 2, SCF: opt},
+	} {
+		res, err := Run(context.Background(), eng, sch, integrals.NewPairCache(eng, 0), p)
+		if err != nil || !res.Converged {
+			t.Fatalf("%q: %v (converged %v)", p.Algorithm, err, res != nil && res.Converged)
+		}
+		if d := math.Abs(res.Energy - crawford); d > 1e-6 {
+			t.Errorf("%q: E = %.10f, Crawford %.9f (|diff| %.2g)", p.Algorithm, res.Energy, crawford, d)
+		}
 	}
 }
 

@@ -285,6 +285,10 @@ func Run(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwarz,
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	one, err := newOneElectron(eng)
+	if err != nil {
+		return &Result{Recovery: &Report{}}, err
+	}
 	if p.Algorithm == AlgSerial {
 		opt := p.SCF
 		if ctx.Done() != nil {
@@ -293,13 +297,13 @@ func Run(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwarz,
 		build := func(ds []*linalg.Matrix) ([]*linalg.Matrix, fock.Stats) {
 			return fock.SerialBuildN(eng, src, sch, channels(ds), fock.DefaultTau)
 		}
-		res, err := runDense(eng, p.Multiplicity, instrument(build, opt.Telemetry, "serial", 0), opt)
+		res, err := runDense(eng, one, p.Multiplicity, instrument(build, opt.Telemetry, "serial", 0), opt)
 		if res != nil {
 			res.Recovery = &Report{}
 		}
 		return res, err
 	}
-	return supervise(ctx, eng, sch, src, p, p.Recovery.budget())
+	return supervise(ctx, eng, sch, src, one, p, p.Recovery.budget())
 }
 
 // attempt is one world launch's outputs.
@@ -337,9 +341,10 @@ func (a *attempt) firstErr() error {
 
 // supervise is the attempt loop: restore → launch → classify → shrink,
 // until a world converges, the error is one no restart can help, or
-// budget transitions have been spent.
+// budget transitions have been spent. Every rank of every attempt reads
+// the run's one-electron set one.
 func supervise(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwarz,
-	src integrals.QuartetSource, p Plan, budget int) (*Result, error) {
+	src integrals.QuartetSource, one *oneElectron, p Plan, budget int) (*Result, error) {
 	policy, tel := p.Recovery, p.SCF.Telemetry
 	if p.Ranks <= 0 {
 		p.Ranks = 2
@@ -437,7 +442,7 @@ func supervise(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwar
 				}
 				if p.Algorithm.tiled() {
 					at.results[rank], at.errs[rank] = runTiled(c, eng, sch, fock.Config{Quartets: src},
-						nocc, p, o, snaps, resume)
+						one, nocc, p, o, snaps, resume)
 					return
 				}
 				dx := ddi.New(c)
@@ -467,7 +472,7 @@ func supervise(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwar
 					}
 				}
 				build := parallelChannels(p.Algorithm, dx, eng, sch, fock.Config{Threads: p.Threads, Quartets: src})
-				at.results[rank], at.errs[rank] = runDense(eng, p.Multiplicity, build, o)
+				at.results[rank], at.errs[rank] = runDense(eng, one, p.Multiplicity, build, o)
 			})
 		stopEpoch(nil)
 		rep.Reports = append(rep.Reports, at.report)

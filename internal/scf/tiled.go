@@ -9,7 +9,6 @@ import (
 	"repro/internal/distmat"
 	"repro/internal/fock"
 	"repro/internal/integrals"
-	"repro/internal/linalg"
 	"repro/internal/mpi"
 )
 
@@ -177,13 +176,12 @@ type tiledStep struct {
 // rank's trace lane and, under a cancelable context, the collective
 // cancelAgree (ranks are goroutines over one context: a local poll could
 // split the world at an iteration boundary). The one-time setup
-// (overlap, core Hamiltonian, Löwdin orthogonalizer) is computed densely
-// on every rank and scattered, then released — or, with a resume,
-// re-sharded out of the dead world's parities. The Result carries the
+// scatters X and H from the run's one-electron set one — or, with a
+// resume, re-shards them out of the dead world's parities. The Result carries the
 // gathered density, energies and per-iteration history; C and
 // OrbitalEnergies stay nil.
-func runTiled(c *mpi.Comm, eng *integrals.Engine, sch *integrals.Schwarz, cfg fock.Config, nocc int,
-	p Plan, opt Options, store *salvageStore, resume *tiledResume) (*Result, error) {
+func runTiled(c *mpi.Comm, eng *integrals.Engine, sch *integrals.Schwarz, cfg fock.Config,
+	one *oneElectron, nocc int, p Plan, opt Options, store *salvageStore, resume *tiledResume) (*Result, error) {
 	opt = opt.withDefaults()
 	n := eng.Basis.NumBF
 	dx := ddi.New(c)
@@ -252,16 +250,12 @@ func runTiled(c *mpi.Comm, eng *integrals.Engine, sch *integrals.Schwarz, cfg fo
 		}
 		start, ePrev = resume.snap.iter, resume.snap.ePrev
 	} else {
-		// One-time dense setup, identical on every rank (deterministic
-		// integrals), then scattered and released.
-		x, err := linalg.LowdinOrthogonalizer(eng.Overlap(), linDepTol)
-		if err != nil {
-			return nil, fmt.Errorf("scf: %w", err)
-		}
-		if err := st.dX.ScatterDense(x); err != nil {
+		// One-time setup: every rank scatters its owned tiles of the
+		// run's one-electron set.
+		if err := st.dX.ScatterDense(one.x); err != nil {
 			return nil, err
 		}
-		if err := st.dH.ScatterDense(eng.CoreHamiltonian()); err != nil {
+		if err := st.dH.ScatterDense(one.h); err != nil {
 			return nil, err
 		}
 		if d0 := opt.InitialDensity; d0 != nil {
