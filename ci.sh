@@ -71,6 +71,13 @@
 # declares no FlightRecorder or FlightEntry and calls no .Note(, and
 # Session holds exactly one event store (one *Recorder field, no
 # []Event or other recorder beside it); flight dumps are the ring's tail.
+# One span primitive: no non-test Go outside bench/ names SpanArgsAtEnd,
+# TimedOp, TimedOpInto, traceArgs or TraceArgKey (Session.Start opens a
+# span, Span.End records it, and the trace ID is the event's own field),
+# and no non-test file of internal/mpi or internal/ddi passes a name
+# assembled with + to Counter(, Gauge( or Histogram( (handles are resolved
+# once per world or context, not per op); checked on a scratch copy, the
+# parent tree and a re-added TimedOp both fail it.
 # One record per Fock build: no non-test Go outside bench/ names
 # LoadCollector, RecordLoad or Loads, exactly one non-test site under
 # internal/ opens a "fock.build" span — scf's buildSpan — and both the
@@ -419,6 +426,14 @@ tier_1() {
 	recorders=$(echo "$session" | grep -c '^[[:space:]]*Recorder[[:space:]]*\*Recorder[[:space:]]*$' || true)
 	[ "$stores" -eq 1 ] && [ "$recorders" -eq 1 ] ||
 		{ echo "structure gate: telemetry.Session holds $stores event stores, want exactly one Recorder *Recorder:"; echo "$session"; exit 1; }
+	if grep -nw 'SpanArgsAtEnd\|TimedOp\|TimedOpInto\|traceArgs\|TraceArgKey' $nontest; then
+		echo "structure gate: a second span entry point or the trace-ID arg is back; open spans with Session.Start, close them with Span.End"
+		exit 1
+	fi
+	if grep -nE '\.(Counter|Gauge|Histogram)\([^)]*\+' $(ls internal/mpi/*.go internal/ddi/*.go | grep -v _test.go); then
+		echo "structure gate: internal/mpi or internal/ddi assembles a metric name per op; resolve the handle once per world or context"
+		exit 1
+	fi
 	if grep -nw 'LoadCollector\|RecordLoad\|Loads' $nontest; then
 		echo "structure gate: a second per-build load store is back; the fock.build span is the one record and Summary reduces the ring"
 		exit 1

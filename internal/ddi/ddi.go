@@ -24,10 +24,11 @@ type Context struct {
 	dlb       *mpi.Win // DLB counters, one slot per epoch mod dlbSlots
 	straggler *mpi.Win // published task latencies (see straggler.go)
 	ewma      EWMA     // this rank's task-latency average (see straggler.go)
-	// DLBNext's telemetry handles, resolved once: a hybrid team waits at a
-	// barrier behind every draw.
+	// Telemetry handles, resolved once: a hybrid team waits at a barrier
+	// behind every DLBNext draw, and a lease drain polls Stragglers.
 	draws    *telemetry.Counter
 	drawHist *telemetry.Histogram
+	flagged  *telemetry.Gauge
 }
 
 // dlbSlots is the DLB window's counter count; the epoch index separates
@@ -43,7 +44,8 @@ func New(c *mpi.Comm) *Context {
 		dlb:       c.WinCreate(0, dlbSlots),
 		straggler: c.WinCreate(0, 2*c.Size()),
 		draws:     tel.Counter("ddi.dlb.draws"),
-		drawHist:  tel.Histogram(telemetry.TimedOpHistogram("dlb.draw", "dlbnext"))}
+		drawHist:  tel.Histogram("dlb.draw.dlbnext_ns"),
+		flagged:   tel.Gauge("straggler.flagged")}
 }
 
 // DLBNext returns the next global task index (0, 1, 2, ...) across all
@@ -51,9 +53,9 @@ func New(c *mpi.Comm) *Context {
 // follows from ranks skipping indices they did not draw.
 func (d *Context) DLBNext() int64 {
 	d.draws.Add(1)
-	end := d.Comm.Telemetry().TimedOpInto(d.drawHist, "dlb.draw", "dlbnext", d.Comm.Rank(), 0)
+	sp := d.Comm.Telemetry().Start("dlb.draw", "dlbnext", d.Comm.Rank(), 0, d.drawHist)
 	v := d.dlb.FetchAdd(int(d.epoch%dlbSlots), 1)
-	end()
+	sp.End(nil)
 	return v
 }
 

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/telemetry"
 )
 
 const (
@@ -71,6 +72,10 @@ type LeaseDLB struct {
 	hedge   *mpi.Win     // per-task hedge-rights claims, total slots
 	hedged  map[int]bool // task indices this rank already scanned past (local)
 	hedgeAt int          // rolling scan offset for Hedge
+
+	// DrawChunk's telemetry handles, resolved once per cycle.
+	draws    *telemetry.Counter
+	drawHist *telemetry.Histogram
 }
 
 // NewLeaseDLB starts a new lease cycle over task indices [0, total).
@@ -82,11 +87,13 @@ type LeaseDLB struct {
 func (d *Context) NewLeaseDLB(total int) *LeaseDLB {
 	c := d.Comm
 	l := &LeaseDLB{ctx: d, total: total,
-		state:  c.WinCreate(0, total),
-		ts:     c.WinCreate(0, total),
-		cur:    c.WinCreate(0, 1),
-		hedge:  c.WinCreate(0, total),
-		hedged: make(map[int]bool),
+		state:    c.WinCreate(0, total),
+		ts:       c.WinCreate(0, total),
+		cur:      c.WinCreate(0, 1),
+		hedge:    c.WinCreate(0, total),
+		hedged:   make(map[int]bool),
+		draws:    c.Telemetry().Counter("ddi.lease.draws"),
+		drawHist: c.Telemetry().Histogram("dlb.draw.lease-draw_ns"),
 	}
 	if size := c.Size(); size > 0 {
 		// Desynchronize hedger scans so concurrent hedgers fan out over
@@ -112,9 +119,8 @@ func (l *LeaseDLB) stamp(idx int) {
 // free behind the cursor until its claim lands); the cursor may still
 // hold tasks, so the caller draws again.
 func (l *LeaseDLB) DrawChunk(n int) (idxs []int, ok bool) {
-	tel := l.ctx.Comm.Telemetry()
-	tel.Counter("ddi.lease.draws").Add(1)
-	defer tel.TimedOp("dlb.draw", "lease-draw", l.ctx.Comm.Rank(), 0)()
+	l.draws.Add(1)
+	defer l.ctx.Comm.Telemetry().Start("dlb.draw", "lease-draw", l.ctx.Comm.Rank(), 0, l.drawHist).End(nil)
 	n = max(n, 1)
 	v := l.cur.FetchAdd(0, int64(n))
 	if v >= int64(l.total) {
@@ -142,9 +148,7 @@ func (l *LeaseDLB) Reserve(idx, owner int) bool {
 	if l.state.CAS(idx, int64(owner)+1, l.committing()) {
 		return true
 	}
-	if tel := l.ctx.Comm.Telemetry(); tel != nil {
-		tel.Counter("dlb.dedup_dropped").Add(1)
-	}
+	l.ctx.Comm.Telemetry().Counter("dlb.dedup_dropped").Add(1)
 	return false
 }
 
@@ -190,12 +194,7 @@ func (l *LeaseDLB) Steal() (idx int, ok bool) {
 		if s == leaseFree || dead[s] {
 			if l.state.CAS(int(i), s, l.me()) {
 				l.stamp(int(i))
-				if tel := l.ctx.Comm.Telemetry(); tel != nil {
-					tel.Counter("ddi.lease.steals").Add(1)
-					tel.Counter("dlb.reissued").Add(1)
-					tel.Instant("recovery.reissue", "lease-steal", l.ctx.Comm.Rank(), 0,
-						map[string]any{"task": int(i), "from": s - 1})
-				}
+				l.reissued("ddi.lease.steals", "lease-steal", map[string]any{"task": int(i), "from": s - 1})
 				return int(i), true
 			}
 		}
@@ -225,16 +224,20 @@ func (l *LeaseDLB) Expired(ttl time.Duration) (idx int, ok bool) {
 		}
 		if l.state.CAS(i, s, l.me()) {
 			l.stamp(i)
-			if tel := l.ctx.Comm.Telemetry(); tel != nil {
-				tel.Counter("ddi.lease.expired").Add(1)
-				tel.Counter("dlb.reissued").Add(1)
-				tel.Instant("recovery.reissue", "lease-expired", l.ctx.Comm.Rank(), 0,
-					map[string]any{"task": i, "from": s - 1})
-			}
+			l.reissued("ddi.lease.expired", "lease-expired", map[string]any{"task": i, "from": s - 1})
 			return i, true
 		}
 	}
 	return -1, false
+}
+
+// reissued records one re-issued lease: the path's own counter,
+// dlb.reissued and a recovery.reissue instant named by the path.
+func (l *LeaseDLB) reissued(counter, name string, args map[string]any) {
+	tel := l.ctx.Comm.Telemetry()
+	tel.Counter(counter).Add(1)
+	tel.Counter("dlb.reissued").Add(1)
+	tel.Instant("recovery.reissue", name, l.ctx.Comm.Rank(), 0, args)
 }
 
 // Hedge picks one task still leased by a rank in slow (world ranks, from
@@ -277,12 +280,7 @@ func (l *LeaseDLB) Hedge(slow []int) (idx, owner int, ok bool) {
 		}
 		l.hedged[i] = true
 		l.hedgeAt = (i + 1) % l.total
-		if tel := l.ctx.Comm.Telemetry(); tel != nil {
-			tel.Counter("dlb.hedged").Add(1)
-			tel.Counter("dlb.reissued").Add(1)
-			tel.Instant("recovery.reissue", "lease-hedge", l.ctx.Comm.Rank(), 0,
-				map[string]any{"task": i, "owner": s - 1})
-		}
+		l.reissued("dlb.hedged", "lease-hedge", map[string]any{"task": i, "owner": s - 1})
 		return i, int(s - 1), true
 	}
 	return -1, -1, false

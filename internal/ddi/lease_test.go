@@ -2,6 +2,7 @@ package ddi
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -213,5 +214,43 @@ func TestDLBResetWraparoundExactlyOnce(t *testing.T) {
 				t.Fatalf("cycle %d: index %d handed out %d times after slot reuse", e, v, n)
 			}
 		}
+	}
+}
+
+// heapKept is the heap in use after a full collection.
+func heapKept() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapInuse
+}
+
+// TestLeaseCyclesAreCollected: once both ranks have created a cycle's
+// windows the world lets go of them, so 1000 NewLeaseDLB(1000) cycles
+// on one 2-rank world (24 MB of lease tables in all) keep no more heap
+// than 10 cycles do.
+func TestLeaseCyclesAreCollected(t *testing.T) {
+	kept := func(cycles int) uint64 {
+		var inUse uint64
+		err := mpi.Run(2, func(c *mpi.Comm) {
+			d := New(c)
+			for range cycles {
+				d.NewLeaseDLB(1000)
+			}
+			c.Barrier()
+			if c.Rank() == 0 {
+				inUse = heapKept()
+			}
+			c.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inUse
+	}
+	few, many := kept(10), kept(1000)
+	if many > few+1<<20 {
+		t.Errorf("1000 lease cycles keep %d bytes of heap, 10 cycles %d: %d more, want at most 1 MiB",
+			many, few, many-few)
 	}
 }

@@ -34,9 +34,7 @@ func (d *Context) ObserveTaskLatency(dur time.Duration) {
 func (d *Context) Stragglers(k float64, minSamples int64) []int {
 	ewma, counts := d.PublishedLatencies()
 	flagged := FlagStragglers(ewma, counts, k, minSamples)
-	if tel := d.Comm.Telemetry(); tel != nil {
-		tel.Gauge("straggler.flagged").Set(float64(len(flagged)))
-	}
+	d.flagged.Set(float64(len(flagged)))
 	return flagged
 }
 

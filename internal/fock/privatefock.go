@@ -44,9 +44,9 @@ func PrivateFockBuild(dx *ddi.Context, eng *integrals.Engine,
 			// OpenMP over collapsed (j, k), j <= i, k <= i (line 7). Each
 			// thread's span covers its share of the collapsed loops, so the
 			// trace shows intra-team imbalance per i-task.
-			end := w.span("i-task", me+1, i, -1)
+			sp := w.span("i-task", me+1)
 			tc.Collapse2(i+1, i+1, dynamic1, func(j, k int) { w.row(i, j, k) })
-			end()
+			w.endSpan(sp, i, -1)
 		}
 		// reduction(+:Fock) over threads: chunked reduction of the private
 		// replicas into thread 0's copy (paper Figure 1(B) access pattern).

@@ -140,7 +140,7 @@ func getStaging(chans []Channel, n int) (*staging, []Channel) {
 // contributions as the next pending task.
 func (st *staging) compute(w *walker, ij, owner int) {
 	i, j := PairDecode(ij)
-	defer w.span("pair", 0, i, j)()
+	defer w.endSpan(w.span("pair", 0), i, j)
 	task := pendingTask{ij: ij, owner: owner, lo: len(st.val)}
 	t0 := time.Now()
 	before := w.st.QuartetsComputed

@@ -440,3 +440,48 @@ func TestResilientStagingReuse(t *testing.T) {
 		t.Errorf("%d bytes per resilient build, want <= %d", perBuild, ceiling)
 	}
 }
+
+// TestResilientBuildsAreCollected: a resilient build's accumulation
+// window and lease tables go with its handles once both ranks have
+// created them, so 100 builds on one 2-rank world keep no more heap than
+// 10 do. The system is 64 hydrogen atoms 30 bohr apart: Schwarz screening
+// leaves a build only the (ii|jj) quartets, while each build creates
+// ≈ 150 KB of windows (a UHF accumulation window of 3·64² floats and
+// lease tables over 2,080 pairs).
+func TestResilientBuildsAreCollected(t *testing.T) {
+	if raceEnabled {
+		t.Skip("110 builds take half a minute under the race detector; the heap bound does not need it")
+	}
+	mol := &molecule.Molecule{Name: "H64 chain"}
+	for i := range 64 {
+		mol.Atoms = append(mol.Atoms, molecule.Atom{Z: 1, Symbol: "H", Pos: [3]float64{30 * float64(i), 0, 0}})
+	}
+	eng, sch, d := setup(t, mol, "sto-3g")
+	src := integrals.NewPairCache(eng, 0)
+	kept := func(builds int) uint64 {
+		var inUse uint64
+		err := mpi.Run(2, func(c *mpi.Comm) {
+			dx := ddi.New(c)
+			for range builds {
+				ResilientBuild(dx, eng, sch, UHF(Dense(d), Dense(d), Dense(d)), Config{Quartets: src})
+			}
+			c.Barrier()
+			if c.Rank() == 0 {
+				var ms runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				inUse = ms.HeapInuse
+			}
+			c.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inUse
+	}
+	few, many := kept(10), kept(100)
+	if many > few+1<<20 {
+		t.Errorf("100 resilient builds keep %d bytes of heap, 10 builds %d: %d more, want at most 1 MiB",
+			many, few, many-few)
+	}
+}

@@ -125,12 +125,12 @@ func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 			// Inner kl loop, kl = 0..ij (Algorithm 3 lines 19-30).
 			// tc.For carries the `omp end do` implicit barrier. Per-thread
 			// spans expose intra-team imbalance per ij-task in the trace.
-			end := w.span("ij-task", me+1, i, j)
+			sp := w.span("ij-task", me+1)
 			tc.For(ij+1, dynamic1, func(kl int) {
 				k, l := PairDecode(kl)
 				w.quartet(i, j, k, l)
 			})
-			end()
+			w.endSpan(sp, i, j)
 			// Flush FJ after every kl loop (Algorithm 3 line 31).
 			flush(tc, fj, j)
 			w.st.Flushes++

@@ -8,6 +8,7 @@ import (
 	"repro/internal/integrals"
 	"repro/internal/mpi"
 	"repro/internal/omp"
+	"repro/internal/telemetry"
 )
 
 // walker is the one place a shell quartet is screened, counted, evaluated
@@ -99,9 +100,9 @@ func (w *walker) dlbPairs(sdcTarget *[]float64) {
 			ij++
 			next = w.dx.DLBNext()
 			w.st.DLBGrabs++
-			end := w.span("pair", 0, i, j)
+			sp := w.span("pair", 0)
 			w.pair(i, j)
-			end()
+			w.endSpan(sp, i, j)
 		}
 	}
 }
@@ -131,17 +132,22 @@ func (w *walker) teamFetch(tc *omp.Context, shared *int64, sdcTarget []float64, 
 }
 
 // span opens the fock.task span of one task on thread lane tid (0 = the
-// rank's own lane); j < 0 marks an i-task. The returned func closes it.
-func (w *walker) span(name string, tid, i, j int) func() {
-	tel := w.dx.Comm.Telemetry()
-	if tel == nil {
-		return func() {}
+// rank's own lane); endSpan closes it.
+func (w *walker) span(name string, tid int) telemetry.Span {
+	return w.dx.Comm.Telemetry().Start("fock.task", name, w.dx.Comm.Rank(), tid, nil)
+}
+
+// endSpan closes the span of task (i, j) with its indices as args; j < 0
+// marks an i-task. Without telemetry it builds nothing.
+func (w *walker) endSpan(sp telemetry.Span, i, j int) {
+	if !sp.Recording() {
+		return
 	}
 	args := map[string]any{"i": i}
 	if j >= 0 {
 		args["j"] = j
 	}
-	return tel.Span("fock.task", name, w.dx.Comm.Rank(), tid, args)
+	sp.End(args)
 }
 
 // injectSDC gives a scheduled silent-data-corruption fault its shot at

@@ -49,9 +49,9 @@ func (r Runner) RunOnce(ctx context.Context, spec Spec) (*Outcome, error) {
 	tel := r.Telemetry.WithTrace(tc.TraceID)
 	plan.SCF.Telemetry = tel
 	start := time.Now()
-	endRun := tel.SpanArgsAtEnd("job.run", n.Mode, telemetry.DriverPid, tc.Tid)
+	sp := tel.Start("job.run", n.Mode, telemetry.DriverPid, tc.Tid, nil)
 	res, err := repro.Run(ctx, mol, n.Basis, plan)
-	endRun(map[string]any{"molecule": n.Molecule, "basis": n.Basis, "ok": err == nil})
+	sp.End(map[string]any{"molecule": n.Molecule, "basis": n.Basis, "ok": err == nil})
 	if err != nil {
 		return nil, err
 	}

@@ -122,12 +122,10 @@ func OpenWAL(opt WALOptions) (*WAL, *Replay, error) {
 	if err := w.rotateLocked(); err != nil {
 		return nil, nil, err
 	}
-	if tel := opt.Tel; tel != nil {
-		tel.Counter("svc.wal.replayed_jobs").Add(int64(len(rep.Jobs)))
-		tel.Counter("svc.wal.replayed_records").Add(int64(rep.Records))
-		if rep.DiscardedBytes > 0 {
-			tel.Counter("svc.wal.corrupt_tail_bytes").Add(int64(rep.DiscardedBytes))
-		}
+	opt.Tel.Counter("svc.wal.replayed_jobs").Add(int64(len(rep.Jobs)))
+	opt.Tel.Counter("svc.wal.replayed_records").Add(int64(rep.Records))
+	if rep.DiscardedBytes > 0 {
+		opt.Tel.Counter("svc.wal.corrupt_tail_bytes").Add(int64(rep.DiscardedBytes))
 	}
 	return w, rep, nil
 }
@@ -203,10 +201,8 @@ func (w *WAL) append(rec walRecord) error {
 			return fmt.Errorf("jobs: wal: fsync: %w", err)
 		}
 	}
-	if tel := w.opt.Tel; tel != nil {
-		tel.Counter("svc.wal.appends").Add(1)
-		tel.Counter("svc.wal.bytes").Add(int64(len(buf)))
-	}
+	w.opt.Tel.Counter("svc.wal.appends").Add(1)
+	w.opt.Tel.Counter("svc.wal.bytes").Add(int64(len(buf)))
 	return nil
 }
 

@@ -7,6 +7,8 @@ package mpi
 // back-to-back collectives cannot cross-match; all ranks must call
 // collectives in the same order (standard MPI semantics).
 
+import "repro/internal/telemetry"
+
 // Op is a reduction operator.
 type Op int
 
@@ -37,15 +39,12 @@ func (c *Comm) nextCollTag() int {
 	return internalTagBase + int(seq%(1<<20))
 }
 
-// collOp opens a telemetry span for one collective call and records its
-// payload size; the returned func closes the span. Point-to-point spans
-// emitted by the collective's internal sends/recvs nest inside it.
-func (c *Comm) collOp(name string, floats int) func() {
-	tel := c.world.telemetry
-	if tel != nil {
-		tel.Histogram("mpi." + name + ".bytes").Observe(int64(8 * floats))
-	}
-	return tel.TimedOp("mpi.op", name, c.rank, 0)
+// collOp opens the telemetry span of one call of collective op and
+// records its payload size; End closes it. Point-to-point spans emitted
+// by the collective's internal sends/recvs nest inside it.
+func (c *Comm) collOp(op *collective, floats int) telemetry.Span {
+	op.bytes.Observe(int64(8 * floats))
+	return c.world.telemetry.Start("mpi.op", op.name, c.rank, 0, op.ns)
 }
 
 // relRank maps a rank into the tree rooted at root.
@@ -57,7 +56,7 @@ func absRank(rel, root, size int) int { return (rel + root) % size }
 // tree.
 func (c *Comm) Bcast(root int, buf []float64) {
 	c.checkPeer(root)
-	defer c.collOp("bcast", len(buf))()
+	defer c.collOp(&c.world.met.bcast, len(buf)).End(nil)
 	tag := c.nextCollTag()
 	rel := relRank(c.rank, root, c.size)
 	// Receive from parent (clear lowest set bit).
@@ -83,7 +82,7 @@ func (c *Comm) Bcast(root int, buf []float64) {
 // written on root (it may be nil elsewhere). buf is not modified.
 func (c *Comm) Reduce(root int, op Op, buf []float64, out []float64) {
 	c.checkPeer(root)
-	defer c.collOp("reduce", len(buf))()
+	defer c.collOp(&c.world.met.reduce, len(buf)).End(nil)
 	tag := c.nextCollTag()
 	rel := relRank(c.rank, root, c.size)
 	acc := append([]float64(nil), buf...)
@@ -108,7 +107,7 @@ func (c *Comm) Reduce(root int, op Op, buf []float64, out []float64) {
 // Allreduce combines buf across all ranks with op; every rank receives the
 // result in out (which may alias buf).
 func (c *Comm) Allreduce(op Op, buf []float64, out []float64) {
-	defer c.collOp("allreduce", len(buf))()
+	defer c.collOp(&c.world.met.allreduce, len(buf)).End(nil)
 	tmp := make([]float64, len(buf))
 	c.Reduce(0, op, buf, tmp)
 	c.Bcast(0, tmp)

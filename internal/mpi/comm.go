@@ -116,9 +116,7 @@ func (m *mailbox) take(c *Comm, source, tag int) message {
 				if msg.seq <= m.delivered[ch] {
 					m.queue = append(m.queue[:i], m.queue[i+1:]...)
 					i--
-					if tel := c.world.telemetry; tel != nil {
-						tel.Counter("chaos.dups_dropped").Add(1)
-					}
+					c.world.met.dupsDropped.Add(1)
 					continue
 				}
 			}
@@ -165,14 +163,15 @@ type World struct {
 	collSeq []atomic.Int64 // per-rank collective sequence numbers
 
 	winMu  sync.Mutex
-	wins   []*window // one-sided windows in creation order (see WinCreate)
-	winSeq []int     // per-rank count of windows created
+	wins   map[int]*window // windows a live rank has yet to create, by ordinal (see WinCreate)
+	winSeq []int           // per-rank count of windows created
 
 	deadline  time.Duration      // per-blocking-op bound; 0 = wait forever
 	grace     time.Duration      // unwind window past deadline before abandoning
 	noVerify  bool               // disables payload checksum verification
 	fault     *faultState        // injection schedule; nil = none
 	telemetry *telemetry.Session // nil = telemetry disabled
+	met       metrics            // handles into telemetry, resolved at start
 
 	// Chaos-mode transport state (see FaultPlan.messageChaos):
 	// per-channel send sequence counters and reorder-held messages.
@@ -192,6 +191,64 @@ type World struct {
 	watchStop chan struct{}   // stops the deadline watchdog
 }
 
+// metrics are a world's telemetry handles, resolved once when it starts
+// so no send, receive, barrier or collective looks a name up. Without
+// telemetry every handle is nil and every update a no-op; the fault-plan
+// counters are resolved only for a world with a fault plan, the only
+// kind that can fire them.
+type metrics struct {
+	sendMsgs                      *telemetry.Counter
+	sendBytes, recvNs             *telemetry.Histogram
+	barrierNs, barrierSkew        *telemetry.Histogram
+	bcast, reduce, allreduce      collective
+	injected                      *telemetry.Counter
+	injectedAt                    [numSites]*telemetry.Counter // by siteIndex: the plan's corruption sites
+	detected, detectedTransport   *telemetry.Counter
+	retries, recovered, escalated *telemetry.Counter
+	dups, dupsDropped, reorders   *telemetry.Counter
+	partitionHeld                 *telemetry.Counter
+	slowEvents, slowNs            *telemetry.Counter
+}
+
+// collective is one collective's span name and its payload-size and
+// duration histograms.
+type collective struct {
+	name      string
+	bytes, ns *telemetry.Histogram
+}
+
+// resolveMetrics fills w.met from w.telemetry and w.fault.
+func (w *World) resolveMetrics() {
+	tel := w.telemetry
+	w.met = metrics{
+		sendMsgs: tel.Counter("mpi.send.msgs"), sendBytes: tel.Histogram("mpi.send.bytes"),
+		recvNs: tel.Histogram("mpi.op.recv_ns"), barrierNs: tel.Histogram("mpi.op.barrier_ns"),
+		barrierSkew: tel.Histogram("mpi.barrier.skew_ns"),
+		bcast:       collective{"bcast", tel.Histogram("mpi.bcast.bytes"), tel.Histogram("mpi.op.bcast_ns")},
+		reduce:      collective{"reduce", tel.Histogram("mpi.reduce.bytes"), tel.Histogram("mpi.op.reduce_ns")},
+		allreduce:   collective{"allreduce", tel.Histogram("mpi.allreduce.bytes"), tel.Histogram("mpi.op.allreduce_ns")},
+	}
+	if w.fault == nil {
+		return
+	}
+	m := &w.met
+	m.injected, m.detected, m.detectedTransport = tel.Counter("sdc.injected"), tel.Counter("sdc.detected"), tel.Counter("sdc.detected.transport")
+	m.retries, m.recovered, m.escalated = tel.Counter("sdc.retries"), tel.Counter("sdc.recovered"), tel.Counter("sdc.escalated")
+	m.dups, m.dupsDropped, m.reorders = tel.Counter("chaos.dups"), tel.Counter("chaos.dups_dropped"), tel.Counter("chaos.reorders")
+	m.partitionHeld = tel.Counter("chaos.partition_held")
+	m.slowEvents, m.slowNs = tel.Counter("chaos.slowdown.events"), tel.Counter("chaos.slowdown_ns")
+	w.fault.slowEvents = m.slowEvents
+	for _, cr := range w.fault.plan.Corrupts {
+		m.injectedAt[siteIndex(cr.Site)] = tel.Counter(injectedNames[siteIndex(cr.Site)])
+	}
+}
+
+// countInjected counts one corruption landed at site.
+func (w *World) countInjected(site FaultSite) {
+	w.met.injected.Add(1)
+	w.met.injectedAt[siteIndex(site)].Add(1)
+}
+
 // newWorld builds the shared state of a run of size ranks.
 func newWorld(size int) *World {
 	w := &World{
@@ -199,6 +256,7 @@ func newWorld(size int) *World {
 		boxes:   make([]*mailbox, size),
 		barrier: newCyclicBarrier(size),
 		collSeq: make([]atomic.Int64, size),
+		wins:    make(map[int]*window),
 		winSeq:  make([]int, size),
 		fenced:  make([]atomic.Bool, size),
 	}
@@ -235,10 +293,8 @@ func (c *Comm) Send(dest, tag int, data []float64) {
 
 func (c *Comm) send(dest, tag int, data []float64) {
 	n, cr := c.faultHookSend()
-	if tel := c.world.telemetry; tel != nil {
-		tel.Counter("mpi.send.msgs").Add(1)
-		tel.Histogram("mpi.send.bytes").Observe(int64(8 * len(data)))
-	}
+	c.world.met.sendMsgs.Add(1)
+	c.world.met.sendBytes.Observe(int64(8 * len(data)))
 	msg := message{source: c.rank, tag: tag}
 	if data != nil {
 		msg.data = append([]float64(nil), data...)
@@ -273,10 +329,7 @@ func (c *Comm) frameAndDeliver(dest int, msg message, cr *Corrupt, n int64) {
 		msg.corrupt = cr
 		msg.corruptLeft = cr.Repeat
 		applyCorruptPayload(cr, msg.data)
-		if tel := w.telemetry; tel != nil {
-			tel.Counter("sdc.injected").Add(1)
-			tel.Counter("sdc.injected." + string(cr.Site)).Add(1)
-		}
+		w.countInjected(cr.Site)
 	}
 	if w.chaosOn {
 		w.chaosRoute(c.rank, dest, msg, n)
@@ -322,9 +375,7 @@ func (w *World) chaosRoute(src, dest int, msg message, n int64) {
 		if copies <= 0 {
 			copies = 1
 		}
-		if tel := w.telemetry; tel != nil {
-			tel.Counter("chaos.dups").Add(int64(copies))
-		}
+		w.met.dups.Add(int64(copies))
 	}
 
 	if ro != nil {
@@ -336,9 +387,7 @@ func (w *World) chaosRoute(src, dest int, msg message, n int64) {
 		w.heldMu.Lock()
 		w.held = append(w.held, h)
 		w.heldMu.Unlock()
-		if tel := w.telemetry; tel != nil {
-			tel.Counter("chaos.reorders").Add(1)
-		}
+		w.met.reorders.Add(1)
 		time.AfterFunc(reorderMaxHold, func() { w.releaseHeld(src, 1<<62) })
 	} else {
 		w.chaosDeliver(src, dest, msg)
@@ -357,9 +406,7 @@ func (w *World) chaosRoute(src, dest int, msg message, n int64) {
 // message crosses an active partition cut.
 func (w *World) chaosDeliver(src, dest int, msg message) {
 	if hold := w.fault.partitionDelay(src, dest, time.Since(w.runStart)); hold > 0 {
-		if tel := w.telemetry; tel != nil {
-			tel.Counter("chaos.partition_held").Add(1)
-		}
+		w.met.partitionHeld.Add(1)
 		box := w.boxes[dest]
 		time.AfterFunc(hold+time.Millisecond, func() { box.deliver(msg) })
 		return
@@ -435,30 +482,26 @@ func (c *Comm) verifyMsg(msg message) message {
 	if w.noVerify {
 		return msg
 	}
-	tel := w.telemetry
+	m := &w.met
 	for attempt := 0; ; attempt++ {
 		if integrity.ChecksumPayload(msg.data, nil) == msg.sum {
-			if attempt > 0 && tel != nil {
-				tel.Counter("sdc.recovered").Add(1)
+			if attempt > 0 {
+				m.recovered.Add(1)
 			}
 			return msg
 		}
-		if attempt == 0 && tel != nil {
+		if attempt == 0 {
 			// Count detection once per corrupted message, not per retry.
-			tel.Counter("sdc.detected").Add(1)
-			tel.Counter("sdc.detected.transport").Add(1)
+			m.detected.Add(1)
+			m.detectedTransport.Add(1)
 		}
 		if attempt >= maxRetransmits {
-			if tel != nil {
-				tel.Counter("sdc.escalated").Add(1)
-			}
+			m.escalated.Add(1)
 			panic(corruptionPanic{rank: c.rank, site: "recv",
 				err: fmt.Errorf("payload from rank %d (tag %d, %d floats) failed checksum verification %d times",
 					msg.source, msg.tag, len(msg.data), attempt+1)})
 		}
-		if tel != nil {
-			tel.Counter("sdc.retries").Add(1)
-		}
+		m.retries.Add(1)
 		time.Sleep(retryBackoff(c.rank, msg.source, msg.tag, attempt))
 		msg.retransmit()
 	}
@@ -488,9 +531,9 @@ func (c *Comm) Recv(source, tag int) (data []float64, actualSource, actualTag in
 		c.checkPeer(source)
 	}
 	c.faultHook(SiteRecv)
-	end := c.world.telemetry.TimedOp("mpi.op", "recv", c.rank, 0)
+	sp := c.world.telemetry.Start("mpi.op", "recv", c.rank, 0, c.world.met.recvNs)
 	msg := c.world.boxes[c.rank].take(c, source, tag)
-	end()
+	sp.End(nil)
 	msg = c.verifyMsg(msg)
 	return msg.data, msg.source, msg.tag
 }
@@ -506,10 +549,7 @@ func (c *Comm) InjectSDC(site FaultSite, floats []float64) bool {
 		return false
 	}
 	applyCorruptPayload(cr, floats)
-	if tel := c.world.telemetry; tel != nil {
-		tel.Counter("sdc.injected").Add(1)
-		tel.Counter("sdc.injected." + string(site)).Add(1)
-	}
+	c.world.countInjected(site)
 	return true
 }
 
@@ -521,10 +561,7 @@ func (c *Comm) InjectSDCBytes(site FaultSite, data []byte) bool {
 		return false
 	}
 	integrity.FlipByteBit(data, cr.Index, cr.Bit)
-	if tel := c.world.telemetry; tel != nil {
-		tel.Counter("sdc.injected").Add(1)
-		tel.Counter("sdc.injected." + string(site)).Add(1)
-	}
+	c.world.countInjected(site)
 	return true
 }
 
@@ -568,7 +605,7 @@ func (b *cyclicBarrier) await(c *Comm) {
 	if deadline > 0 {
 		start = time.Now()
 	}
-	tel := c.world.telemetry
+	skew := c.world.met.barrierSkew
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.poisoned {
@@ -576,12 +613,12 @@ func (b *cyclicBarrier) await(c *Comm) {
 	}
 	gen := b.gen
 	b.count++
-	if tel != nil && b.count == 1 {
+	if skew != nil && b.count == 1 {
 		b.firstArrival = time.Now()
 	}
 	if b.count == b.size {
-		if tel != nil && b.size > 1 {
-			tel.Histogram("mpi.barrier.skew_ns").Observe(time.Since(b.firstArrival).Nanoseconds())
+		if skew != nil && b.size > 1 {
+			skew.Observe(time.Since(b.firstArrival).Nanoseconds())
 		}
 		b.count = 0
 		b.gen++
@@ -624,7 +661,7 @@ func (b *cyclicBarrier) poison() {
 // Barrier blocks until every rank has entered it.
 func (c *Comm) Barrier() {
 	c.faultHook(SiteBarrier)
-	end := c.world.telemetry.TimedOp("mpi.op", "barrier", c.rank, 0)
+	sp := c.world.telemetry.Start("mpi.op", "barrier", c.rank, 0, c.world.met.barrierNs)
 	c.world.barrier.await(c)
-	end()
+	sp.End(nil)
 }

@@ -309,13 +309,20 @@ func (p *FaultPlan) messageChaos() bool {
 	return len(p.Duplicates)+len(p.Reorders)+len(p.Partitions) > 0
 }
 
-type siteCounters [7]atomic.Int64
+// numSites is the number of FaultSites (siteIndex's range).
+const numSites = 7
+
+type siteCounters [numSites]atomic.Int64
+
+// injectedNames are the per-site sdc.injected counters, by siteIndex.
+var injectedNames = [numSites]string{"sdc.injected.barrier", "sdc.injected.send",
+	"sdc.injected.recv", "sdc.injected.dlb", "sdc.injected.fock", "sdc.injected.checkpoint", "sdc.injected.purify"}
 
 // faultState tracks per-rank, per-site event counts against the plan.
 type faultState struct {
-	plan   FaultPlan
-	counts []siteCounters
-	tel    *telemetry.Session // run telemetry for chaos counters (may be nil)
+	plan       FaultPlan
+	counts     []siteCounters
+	slowEvents *telemetry.Counter // chaos.slowdown.events (nil without telemetry)
 }
 
 // hit records one event, fires any matching delay/kill/slowdown, and
@@ -338,9 +345,7 @@ func (fs *faultState) hitN(rank int, site FaultSite) (int64, *Corrupt) {
 	for i := range fs.plan.Slowdowns {
 		s := &fs.plan.Slowdowns[i]
 		if s.Rank == rank && s.OpDelay > 0 && s.appliesTo(site) {
-			if fs.tel != nil {
-				fs.tel.Counter("chaos.slowdown.events").Add(1)
-			}
+			fs.slowEvents.Add(1)
 			time.Sleep(s.OpDelay)
 		}
 	}
@@ -574,12 +579,13 @@ func RunWithOptions(size int, opt RunOptions, f func(c *Comm)) (*RunReport, erro
 	w.noVerify = opt.Unverified
 	w.telemetry = opt.Telemetry
 	if opt.Fault != nil {
-		w.fault = &faultState{plan: *opt.Fault, counts: make([]siteCounters, size), tel: opt.Telemetry}
+		w.fault = &faultState{plan: *opt.Fault, counts: make([]siteCounters, size)}
 		if opt.Fault.messageChaos() {
 			w.chaosOn = true
 			w.sendSeqs = make(map[chanKey]int64)
 		}
 	}
+	w.resolveMetrics()
 	w.outcomes = make([]int8, size)
 	w.rankWall = make([]time.Duration, size)
 	w.runStart = time.Now()
@@ -797,10 +803,8 @@ func (c *Comm) TaskStall(site FaultSite, elapsed time.Duration) time.Duration {
 		return 0
 	}
 	stall := time.Duration(float64(elapsed) * (f - 1))
-	if tel := w.telemetry; tel != nil {
-		tel.Counter("chaos.slowdown.events").Add(1)
-		tel.Counter("chaos.slowdown_ns").Add(stall.Nanoseconds())
-	}
+	w.met.slowEvents.Add(1)
+	w.met.slowNs.Add(stall.Nanoseconds())
 	time.Sleep(stall)
 	return stall
 }
@@ -840,23 +844,27 @@ func (c *Comm) CheckDeadline(site string, start time.Time) {
 // included — they are healthy ranks that gave up on a stuck peer.
 func (c *Comm) FailedRanks() []int {
 	w := c.world
-	set := map[int]bool{}
 	w.failMu.Lock()
-	for _, f := range w.failures {
-		if f.Kind != KindTimeout {
-			set[f.Rank] = true
+	defer w.failMu.Unlock()
+	out := []int{}
+	for r := range w.size {
+		if w.failedLocked(r) {
+			out = append(out, r)
 		}
 	}
-	w.failMu.Unlock()
-	for r := range w.fenced {
-		if w.fenced[r].Load() {
-			set[r] = true
-		}
-	}
-	out := make([]int, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Ints(out)
 	return out
+}
+
+// failedLocked reports whether rank r is known dead or fenced; the
+// caller holds failMu.
+func (w *World) failedLocked(r int) bool {
+	if w.fenced[r].Load() {
+		return true
+	}
+	for _, f := range w.failures {
+		if f.Rank == r && f.Kind != KindTimeout {
+			return true
+		}
+	}
+	return false
 }

@@ -312,3 +312,14 @@ func TestFailedRanksQueryDuringRun(t *testing.T) {
 		t.Fatalf("FailedRanks observed = %v, want [2 2] (both survivors saw rank 2)", observed)
 	}
 }
+
+// TestInjectedNamesFollowSites: each FaultSite's sdc.injected counter,
+// resolved from the name table when a world starts, is named after the
+// site.
+func TestInjectedNamesFollowSites(t *testing.T) {
+	for _, s := range []FaultSite{SiteBarrier, SiteSend, SiteRecv, SiteDLB, SiteFock, SiteCheckpoint, SitePurify} {
+		if got, want := injectedNames[siteIndex(s)], "sdc.injected."+string(s); got != want {
+			t.Errorf("site %s counts into %q, want %q", s, got, want)
+		}
+	}
+}

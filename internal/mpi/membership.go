@@ -130,17 +130,9 @@ func NewMembership(size int, tel *telemetry.Session) *Membership {
 	return m
 }
 
-func (m *Membership) count(name string, n int64) {
-	if m.tel != nil {
-		m.tel.Counter(name).Add(n)
-	}
-}
+func (m *Membership) count(name string, n int64) { m.tel.Counter(name).Add(n) }
 
-func (m *Membership) gauge(name string, v float64) {
-	if m.tel != nil {
-		m.tel.Gauge(name).Set(v)
-	}
-}
+func (m *Membership) gauge(name string, v float64) { m.tel.Gauge(name).Set(v) }
 
 // Size returns the current rank-pool size.
 func (m *Membership) Size() int {

@@ -30,23 +30,44 @@ type Win struct {
 // involved, so survivors of a rank failure can go on creating windows.
 // The first creator fixes the shape; a rank asking for another shape at
 // the same ordinal panics (a loud RankFailure) and leaves the window as
-// it was.
+// it was. The world keeps window k only until every live rank (every
+// rank FailedRanks does not name) has created it; from then on the
+// ranks' handles alone hold it, so it is collected with them. A window
+// that a rank died before creating, after every other rank had, stays
+// until the world ends.
 func (c *Comm) WinCreate(floats, counters int) *Win {
 	c.checkFenced()
 	w := c.world
 	w.winMu.Lock()
 	defer w.winMu.Unlock()
 	k := w.winSeq[c.rank]
-	w.winSeq[c.rank]++
-	if k == len(w.wins) {
-		w.wins = append(w.wins, &window{data: make([]float64, floats), ctr: make([]atomic.Int64, counters)})
-	}
 	win := w.wins[k]
+	if win == nil {
+		win = &window{data: make([]float64, floats), ctr: make([]atomic.Int64, counters)}
+		w.wins[k] = win
+	}
 	if len(win.data) != floats || len(win.ctr) != counters {
 		panic(fmt.Sprintf("mpi: rank %d creates window %d with %d floats and %d counters; it was created with %d and %d",
 			c.rank, k, floats, counters, len(win.data), len(win.ctr)))
 	}
+	w.winSeq[c.rank]++
+	if w.heldByLive(k) {
+		delete(w.wins, k)
+	}
 	return &Win{c: c, w: win}
+}
+
+// heldByLive reports whether every rank FailedRanks does not name has
+// created window k; the caller holds winMu.
+func (w *World) heldByLive(k int) bool {
+	w.failMu.Lock()
+	defer w.failMu.Unlock()
+	for r := range w.size {
+		if w.winSeq[r] <= k && !w.failedLocked(r) {
+			return false
+		}
+	}
+	return true
 }
 
 // Put stores data at offset of the float region (one-sided put).

@@ -76,26 +76,26 @@ func parallelChannels(alg Algorithm, dx *ddi.Context, eng *integrals.Engine,
 // instrument wraps a build so each one runs inside buildSpan.
 func instrument(b channelBuilder, tel *telemetry.Session, variant string, rank int) channelBuilder {
 	return func(ds []*linalg.Matrix) ([]*linalg.Matrix, fock.Stats) {
-		done := buildSpan(tel, variant, rank)
+		sp := buildSpan(tel, variant, rank)
 		g, stats := b(ds)
-		done(stats)
+		endBuild(sp, stats)
 		return g, stats
 	}
 }
 
 // buildSpan opens the one record of one rank's share of one Fock build,
 // for every preset: a fock.build span named by variant on the rank's pid
-// lane. The returned function closes it with the rank's load share as
-// args — tasks (DLB draws) and quartets (quartets computed) — so the
-// span's duration is the rank's wall time, and telemetry.Imbalance
-// reduces these spans to the load-imbalance report. A nil session
-// records nothing.
-func buildSpan(tel *telemetry.Session, variant string, rank int) func(fock.Stats) {
-	if tel == nil {
-		return func(fock.Stats) {}
-	}
-	end := tel.SpanArgsAtEnd("fock.build", variant, rank, 0)
-	return func(s fock.Stats) {
-		end(map[string]any{"tasks": s.DLBGrabs, "quartets": s.QuartetsComputed})
+// lane. endBuild closes it with the rank's load share as args — tasks
+// (DLB draws) and quartets (quartets computed) — so the span's duration
+// is the rank's wall time, and telemetry.Imbalance reduces these spans
+// to the load-imbalance report. A nil session records nothing.
+func buildSpan(tel *telemetry.Session, variant string, rank int) telemetry.Span {
+	return tel.Start("fock.build", variant, rank, 0, nil)
+}
+
+// endBuild closes a buildSpan with the build's load share.
+func endBuild(sp telemetry.Span, s fock.Stats) {
+	if sp.Recording() {
+		sp.End(map[string]any{"tasks": s.DLBGrabs, "quartets": s.QuartetsComputed})
 	}
 }

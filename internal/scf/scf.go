@@ -217,7 +217,7 @@ func iterate(opt Options, st step, res *Result, start int, ePrev float64) error 
 				return &CanceledError{Iter: iter, Cause: cause}
 			}
 		}
-		endIter := tel.SpanArgsAtEnd("scf.iter", "iteration", rank, 0)
+		sp := tel.Start("scf.iter", "iteration", rank, 0, nil)
 		info, err := st.run(iter, ePrev, res)
 		if err != nil {
 			return err
@@ -233,7 +233,7 @@ func iterate(opt Options, st step, res *Result, start int, ePrev float64) error 
 		if info.Sweeps > 0 {
 			args["sweeps"] = info.Sweeps
 		}
-		endIter(args)
+		sp.End(args)
 		tel0.Counter("scf.iterations").Add(1)
 		tel0.Gauge("scf.energy").Set(info.Energy)
 		tel0.Gauge("scf.delta_e").Set(info.DeltaE)

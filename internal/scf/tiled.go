@@ -324,9 +324,9 @@ func (st *tiledStep) run(iter int, ePrev float64, res *Result) (IterInfo, error)
 	var stats fock.Stats
 	if iter > 1 || st.warm {
 		st.reader.Reset()
-		done := buildSpan(st.opt.Telemetry, string(st.alg), st.opt.rank)
+		sp := buildSpan(st.opt.Telemetry, string(st.alg), st.opt.rank)
 		stats = fock.TiledBuild(st.dx, st.eng, st.sch, fock.RHF(fock.FromTiles(st.reader)), []*distmat.TileAccum{st.accum}, st.cfg)
-		done(stats)
+		endBuild(sp, stats)
 		distmat.UnfoldLower(dF)
 	}
 	distmat.Axpby(dF, st.dH, 1, 1)

@@ -111,9 +111,7 @@ func (f *fleet) fetchPeerCache(peer, hash string) peerCacheResult {
 	}
 	res := f.fetchPeerCacheOnce(peer, hash)
 	for attempt := 0; res.status == 0 && attempt < fetchRetries; attempt++ {
-		if f.tel != nil {
-			f.tel.Counter("svc.fleet.fetch_retries").Add(1)
-		}
+		f.tel.Counter("svc.fleet.fetch_retries").Add(1)
 		time.Sleep(fetchBackoff(peer, hash, attempt))
 		res = f.fetchPeerCacheOnce(peer, hash)
 	}

@@ -523,7 +523,7 @@ func (s *Server) handleWaterfall(w http.ResponseWriter, r *http.Request) {
 	}
 	if j.Trace != "" {
 		for _, e := range s.tel.Recorder.Events() {
-			if id, _ := e.Args[telemetry.TraceArgKey].(string); id != j.Trace {
+			if e.Trace != j.Trace {
 				continue
 			}
 			phase := "span"

@@ -749,33 +749,33 @@ func (s *Server) runJob(worker int, j *jobs.Job) {
 	// Last-chance dedup, layer 1: the local cache may have warmed while
 	// this job sat queued (peek — the admission path already counted the
 	// authoritative hit/miss for this submission).
-	endLookup := ttel.SpanArgsAtEnd("svc.lookup", "local-cache", telemetry.DriverPid, worker)
+	sp := ttel.Start("svc.lookup", "local-cache", telemetry.DriverPid, worker, nil)
 	out, ok := s.cache.Peek(j.Hash)
-	endLookup(map[string]any{"job": j.ID, "hit": ok})
+	sp.End(map[string]any{"job": j.ID, "hit": ok})
 	if ok {
 		s.recordDone(j, out, false)
 		return
 	}
 	// Layer 2: a fleet peer may hold (or be computing) the result.
 	if s.currentFleet() != nil {
-		endSweep := ttel.SpanArgsAtEnd("svc.lookup", "peer-sweep", telemetry.DriverPid, worker)
+		sp := ttel.Start("svc.lookup", "peer-sweep", telemetry.DriverPid, worker, nil)
 		out, inflight := s.sweepPeerCaches(j.Hash)
 		if out == nil && inflight {
 			out = s.awaitPeerResult(j.Hash, s.peerWaitBudget(j.Spec))
 		}
-		endSweep(map[string]any{"job": j.ID, "hit": out != nil})
+		sp.End(map[string]any{"job": j.ID, "hit": out != nil})
 		if out != nil {
 			s.recordDone(j, out, false)
 			return
 		}
 	}
 
-	endSpan := ttel.Span("svc.job", j.ID, telemetry.DriverPid, worker,
-		map[string]any{"hash": j.Hash, "attempt": j.Attempts(), "mode": j.Spec.Mode})
+	args := map[string]any{"hash": j.Hash, "attempt": j.Attempts(), "mode": j.Spec.Mode}
+	sp = ttel.Start("svc.job", j.ID, telemetry.DriverPid, worker, nil)
 	runStart := time.Now()
 	out, err := s.runner.RunOnce(ctx, j.Spec)
 	runDur := time.Since(runStart)
-	endSpan()
+	sp.End(args)
 	if s.killed.Load() {
 		return // SIGKILL'd mid-run: a dead process records nothing
 	}

@@ -93,7 +93,7 @@ func TestTraceMintAndPropagate(t *testing.T) {
 }
 
 func TestWaterfallEndpoint(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, QueueCap: 8}, true)
+	s, ts := testServer(t, Config{Workers: 1, QueueCap: 8}, true)
 
 	out, resp := postJob(t, ts, jobs.Spec{Molecule: "h2", Mode: jobs.ModeSerial})
 	if resp.StatusCode != http.StatusAccepted {
@@ -127,10 +127,20 @@ func TestWaterfallEndpoint(t *testing.T) {
 			t.Fatalf("spans not start-ordered at %d", i)
 		}
 	}
-	// Every span in the waterfall carries the job's trace ID.
+	// The waterfall is every event recorded under the job's trace ID, which
+	// is the event's own field, not one of its args.
+	traced := 0
+	for _, e := range s.Telemetry().Recorder.Events() {
+		if e.Trace == wf.TraceID {
+			traced++
+		}
+	}
+	if len(wf.Spans) != traced {
+		t.Errorf("waterfall has %d spans, the ring %d events under trace %s", len(wf.Spans), traced, wf.TraceID)
+	}
 	for _, sp := range wf.Spans {
-		if sp.Args[telemetry.TraceArgKey] != wf.TraceID {
-			t.Errorf("span %s/%s args %v missing the trace", sp.Cat, sp.Name, sp.Args)
+		if _, ok := sp.Args["trace"]; ok {
+			t.Errorf("span %s/%s args %v carry the trace ID", sp.Cat, sp.Name, sp.Args)
 		}
 	}
 
@@ -255,7 +265,7 @@ func TestReadyzAndFlightEndpoints(t *testing.T) {
 	var logged bool
 	for _, e := range dump.Entries {
 		msg, _ := e.Args["msg"].(string)
-		logged = logged || (e.Ph == telemetry.PhaseInstant && e.Args[telemetry.TraceArgKey] == out.TraceID &&
+		logged = logged || (e.Ph == telemetry.PhaseInstant && e.Trace == out.TraceID &&
 			strings.Contains(msg, out.ID+" failed"))
 	}
 	if !logged {
@@ -347,8 +357,8 @@ func TestServedTiledJobTraceIsContinuous(t *testing.T) {
 			builds := map[int]int{}
 			for _, e := range s.Telemetry().Recorder.Events() {
 				if e.Cat == "fock.build" {
-					if e.Name != mode || e.Args[telemetry.TraceArgKey] != out.TraceID {
-						t.Fatalf("fock.build span %q args %v, want variant %q under trace %s", e.Name, e.Args, mode, out.TraceID)
+					if e.Name != mode || e.Trace != out.TraceID {
+						t.Fatalf("fock.build span %q trace %q, want variant %q under trace %s", e.Name, e.Trace, mode, out.TraceID)
 					}
 					builds[e.Pid]++
 				}

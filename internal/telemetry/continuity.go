@@ -37,15 +37,6 @@ type ContinuityStats struct {
 	PerTrace map[string]map[string]int
 }
 
-// eventTraceID extracts the stamped trace ID from a span's args.
-func eventTraceID(e Event) string {
-	if e.Args == nil {
-		return ""
-	}
-	id, _ := e.Args[TraceArgKey].(string)
-	return id
-}
-
 // ValidateContinuity parses Chrome trace JSON and checks request-scoped
 // trace-ID continuity:
 //
@@ -82,17 +73,16 @@ func ValidateContinuity(data []byte) (*ContinuityStats, error) {
 			continue
 		}
 		stats.Spans++
-		id := eventTraceID(e)
-		if id == "" {
+		if e.Trace == "" {
 			return nil, fmt.Errorf(
-				"telemetry: orphan span %d: %s %q on pid=%d tid=%d has no %q arg",
-				i, e.Cat, e.Name, e.Pid, e.Tid, TraceArgKey)
+				"telemetry: orphan span %d: %s %q on pid=%d tid=%d has no trace ID",
+				i, e.Cat, e.Name, e.Pid, e.Tid)
 		}
 		stats.Categories[e.Cat]++
-		m := stats.PerTrace[id]
+		m := stats.PerTrace[e.Trace]
 		if m == nil {
 			m = map[string]int{}
-			stats.PerTrace[id] = m
+			stats.PerTrace[e.Trace] = m
 		}
 		m[e.Cat]++
 	}

@@ -11,7 +11,7 @@ import (
 // layer does: a fock.build span named by variant on the rank's lane,
 // tasks and quartets in its args, the wall time as its duration.
 func recordBuild(rec *Recorder, variant string, rank int, tasks, quartets int64, wall time.Duration) {
-	start := rec.Now()
+	start := rec.now()
 	rec.Complete("fock.build", variant, rank, 0, start, start.Add(wall),
 		map[string]any{"tasks": tasks, "quartets": quartets})
 }
@@ -82,7 +82,7 @@ func TestImbalanceMultipleVariantsSorted(t *testing.T) {
 // and a fock.build instant, are not builds.
 func TestImbalanceReadsOnlyBuildSpans(t *testing.T) {
 	rec := newTestRecorder()
-	start := rec.Now()
+	start := rec.now()
 	rec.Complete("scf.iter", "mpi-only", 0, 0, start, start.Add(time.Second), nil)
 	rec.Complete("fock.task", "mpi-only", 0, 1, start, start.Add(time.Second), map[string]any{"tasks": int64(9)})
 	rec.Instant("fock.build", "mpi-only", 0, 0, nil)

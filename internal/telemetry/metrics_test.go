@@ -32,9 +32,8 @@ func TestNilHandlesAreNoops(t *testing.T) {
 		t.Fatal("nil registry handles must read as zero")
 	}
 	var s *Session
-	s.Span("cat", "n", 0, 0, nil)()
-	s.SpanArgsAtEnd("cat", "n", 0, 0)(map[string]any{"k": 1})
-	s.TimedOp("cat", "n", 0, 0)()
+	s.Start("cat", "n", 0, 0, nil).End(map[string]any{"k": 1})
+	s.Start("cat", "n", 0, 0, s.Histogram("cat.n_ns")).End(nil)
 	s.Instant("cat", "n", 0, 0, nil)
 	if s.Summary() != "" {
 		t.Fatal("nil session summary should be empty")

@@ -232,12 +232,12 @@ func recordChain(t *testing.T, traceID string, orphan bool) []byte {
 		{"fock.build", "shared"},
 		{"mpi.op", "allreduce"},
 	} {
-		ts.Span(c.cat, c.name, DriverPid, 0, nil)()
+		ts.Start(c.cat, c.name, DriverPid, 0, nil).End(nil)
 	}
 	if orphan {
-		s.Span("fock.task", "pair", 0, 1, nil)() // untraced span in a traced category
+		s.Start("fock.task", "pair", 0, 1, nil).End(nil) // untraced span in a traced category
 	}
-	s.Span("recovery.restore", "ckpt", 0, 0, nil)() // non-traced category: always fine
+	s.Start("recovery.restore", "ckpt", 0, 0, nil).End(nil) // non-traced category: always fine
 	var buf bytes.Buffer
 	if err := s.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -245,7 +245,10 @@ func recordChain(t *testing.T, traceID string, orphan bool) []byte {
 	return buf.Bytes()
 }
 
-func TestWithTraceStampsSpanArgs(t *testing.T) {
+// TestWithTraceStampsEventsNotArgs: a traced session stamps its trace ID
+// on each event's own Trace field and leaves the caller's args maps as
+// they were: each holds exactly its own keys afterwards.
+func TestWithTraceStampsEventsNotArgs(t *testing.T) {
 	s := NewSession()
 	ts := s.WithTrace("feedface00000001")
 	if ts == s {
@@ -254,19 +257,23 @@ func TestWithTraceStampsSpanArgs(t *testing.T) {
 	if s.WithTrace("") != s {
 		t.Error("WithTrace(\"\") should return the receiver unchanged")
 	}
-	ts.Span("svc.job", "j", DriverPid, 0, map[string]any{"k": "v"})()
-	ts.Instant("svc.submit", "accepted", DriverPid, 0, nil)
+	spanArgs, instantArgs := map[string]any{"k": "v"}, map[string]any{"n": 1}
+	ts.Start("svc.job", "j", DriverPid, 0, nil).End(spanArgs)
+	ts.Instant("svc.submit", "accepted", DriverPid, 0, instantArgs)
+	if len(spanArgs) != 1 || spanArgs["k"] != "v" || len(instantArgs) != 1 || instantArgs["n"] != 1 {
+		t.Errorf("caller args changed: span %v, instant %v", spanArgs, instantArgs)
+	}
 	events := s.Recorder.Events()
 	if len(events) != 2 {
 		t.Fatalf("recorded %d events, want 2", len(events))
 	}
 	for _, e := range events {
-		if e.Args[TraceArgKey] != "feedface00000001" {
-			t.Errorf("%s %q args = %v, want trace stamped", e.Cat, e.Name, e.Args)
+		if e.Trace != "feedface00000001" {
+			t.Errorf("%s %q trace = %q, want the session's", e.Cat, e.Name, e.Trace)
 		}
 	}
-	if events[0].Args["k"] != "v" {
-		t.Error("caller args lost when stamping the trace ID")
+	if events[0].Args["k"] != "v" || events[1].Args["n"] != 1 {
+		t.Error("caller args lost from the recorded events")
 	}
 }
 
@@ -294,7 +301,7 @@ func TestValidateContinuityOrphan(t *testing.T) {
 func TestValidateContinuityBrokenChain(t *testing.T) {
 	s := NewSession()
 	ts := s.WithTrace("cafe000000000003")
-	ts.Span("svc.job", "j", DriverPid, 0, nil)() // never reaches scf/fock
+	ts.Start("svc.job", "j", DriverPid, 0, nil).End(nil) // never reaches scf/fock
 	var buf bytes.Buffer
 	if err := s.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -308,8 +315,8 @@ func TestValidateContinuityInactive(t *testing.T) {
 	// No svc.job spans at all (a standalone hfrun trace): untraced
 	// scf/fock spans are fine and the file passes trivially.
 	s := NewSession()
-	s.Span("scf.iter", "iter-1", 0, 0, nil)()
-	s.Span("fock.build", "shared", 0, 0, nil)()
+	s.Start("scf.iter", "iter-1", 0, 0, nil).End(nil)
+	s.Start("fock.build", "shared", 0, 0, nil).End(nil)
 	var buf bytes.Buffer
 	if err := s.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -325,7 +332,7 @@ func TestValidateContinuityInactive(t *testing.T) {
 
 func TestSessionLogfAndDumpFlight(t *testing.T) {
 	s := NewSession()
-	s.Span("scf.iter", "iter-1", 0, 0, nil)()
+	s.Start("scf.iter", "iter-1", 0, 0, nil).End(nil)
 	s.Logf("svc", "job %s failed", "j-1")
 	if got := s.Counter("obs.flight.records").Value(); got != 1 {
 		t.Errorf("obs.flight.records = %d, want 1", got)

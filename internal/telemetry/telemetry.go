@@ -112,9 +112,15 @@
 //	svc.http.requests{route=,code=}  HTTP responses by route and status
 //
 // Spans recorded through a Session derived with WithTrace carry the
-// originating request's trace ID in their args (key "trace"), so one
-// request stitches into a single waterfall across service → jobs → scf →
-// fock → ddi/mpi, validated by ValidateContinuity / tracecheck -continuity.
+// originating request's trace ID in their Trace field (the event's own
+// "trace" key, never an arg), so one request stitches into a single
+// waterfall across service → jobs → scf → fock → ddi/mpi, validated by
+// ValidateContinuity / tracecheck -continuity.
+//
+// A span is one value: Session.Start opens it and Span.End records it
+// with its args, feeding a histogram the caller resolved once when the
+// span times an op. Neither allocates beyond the ring's own storage, and
+// on a nil session both do nothing.
 //
 // Lanes: pid = MPI rank (DriverPid for events outside any rank), tid = 0
 // for the rank's main goroutine, 1..T for OpenMP team threads.
@@ -137,15 +143,15 @@ const DriverPid = -1
 
 // Session bundles the collectors for one run. A Session may carry a
 // trace ID (see WithTrace): every span and instant it records then
-// stamps the ID into its args, so request-scoped waterfalls can be
+// carries the ID in its Trace field, so request-scoped waterfalls can be
 // stitched out of the shared Recorder after the fact.
 type Session struct {
 	Registry *Registry
 	Recorder *Recorder // the one event ring: trace, waterfalls, flight dumps, load imbalance
 
-	// TraceID, when non-empty, is stamped into the args of every event
-	// this session records (key TraceArgKey). Derived sessions from
-	// WithTrace share every collector with their parent.
+	// TraceID, when non-empty, is the Trace of every event this session
+	// records. Derived sessions from WithTrace share every collector with
+	// their parent.
 	TraceID string
 }
 
@@ -155,7 +161,7 @@ func NewSession() *Session {
 }
 
 // WithTrace returns a session that records into the same collectors but
-// stamps traceID into every span and instant. An empty traceID (or a nil
+// stamps traceID on every span and instant. An empty traceID (or a nil
 // receiver) returns the receiver unchanged, so untraced call paths pay
 // nothing.
 func (s *Session) WithTrace(traceID string) *Session {
@@ -167,84 +173,53 @@ func (s *Session) WithTrace(traceID string) *Session {
 	return &d
 }
 
-// traceArgs stamps the session's trace ID into args (allocating the map
-// when needed). Untraced sessions pass args through untouched.
-func (s *Session) traceArgs(args map[string]any) map[string]any {
-	if s.TraceID == "" {
-		return args
-	}
-	if args == nil {
-		return map[string]any{TraceArgKey: s.TraceID}
-	}
-	args[TraceArgKey] = s.TraceID
-	return args
+// Span is one open span, a value: Session.Start opens it and End records
+// it, so timing a span allocates no closure. The zero Span, which a nil
+// session starts, records nothing.
+type Span struct {
+	s         *Session
+	cat, name string
+	pid, tid  int
+	start     time.Time
+	hist      *Histogram
 }
 
-// noop is the shared end function returned by spans on a nil session.
-var noop = func() {}
-
-// noopArgs is the shared args-accepting end function for a nil session.
-var noopArgs = func(map[string]any) {}
-
-// Span starts a span on lane (pid, tid) and returns its end function.
-// args (may be nil) are attached to the recorded event.
-func (s *Session) Span(cat, name string, pid, tid int, args map[string]any) func() {
+// Start opens a span on lane (pid, tid). A non-nil hist is also fed the
+// span's duration in nanoseconds when it ends: the per-op wait-time
+// metrics (recv wait, barrier wait, DLB draw latency), whose histograms
+// callers resolve once, not per op.
+func (s *Session) Start(cat, name string, pid, tid int, hist *Histogram) Span {
 	if s == nil || s.Recorder == nil {
-		return noop
+		return Span{}
 	}
-	start := s.Recorder.Now()
-	return func() {
-		end := s.Recorder.Now()
-		s.Recorder.Complete(cat, name, pid, tid, start, end, s.traceArgs(args))
-	}
+	return Span{s: s, cat: cat, name: name, pid: pid, tid: tid, start: s.Recorder.now(), hist: hist}
 }
 
-// SpanArgsAtEnd is Span for call sites whose args are only known when
-// the span closes (e.g. the energy of an SCF iteration).
-func (s *Session) SpanArgsAtEnd(cat, name string, pid, tid int) func(args map[string]any) {
-	if s == nil || s.Recorder == nil {
-		return noopArgs
-	}
-	start := s.Recorder.Now()
-	return func(args map[string]any) {
-		end := s.Recorder.Now()
-		s.Recorder.Complete(cat, name, pid, tid, start, end, s.traceArgs(args))
-	}
-}
+// Recording reports whether End will record the span: hot call sites
+// build their args only when it does.
+func (sp Span) Recording() bool { return sp.s != nil }
 
-// TimedOp starts a span that also feeds the histogram "<cat>.<name>_ns"
-// with the operation's duration — the shape used for per-op wait-time
-// metrics (recv wait, barrier wait, DLB draw latency).
-func (s *Session) TimedOp(cat, name string, pid, tid int) func() {
-	if s == nil || s.Recorder == nil {
-		return noop
+// End records the span with args (may be nil) attached; args are known
+// when the span closes (the energy of an SCF iteration, a build's load).
+func (sp Span) End(args map[string]any) {
+	if sp.s == nil {
+		return
 	}
-	return s.TimedOpInto(s.Histogram(TimedOpHistogram(cat, name)), cat, name, pid, tid)
-}
-
-// TimedOpHistogram names the histogram TimedOp(cat, name) feeds.
-func TimedOpHistogram(cat, name string) string { return cat + "." + name + "_ns" }
-
-// TimedOpInto is TimedOp for hot call sites that resolved their histogram
-// (s.Histogram(TimedOpHistogram(cat, name))) once, at construction.
-func (s *Session) TimedOpInto(hist *Histogram, cat, name string, pid, tid int) func() {
-	if s == nil || s.Recorder == nil {
-		return noop
-	}
-	start := s.Recorder.Now()
-	return func() {
-		end := s.Recorder.Now()
-		s.Recorder.Complete(cat, name, pid, tid, start, end, s.traceArgs(nil))
-		hist.Observe(end.Sub(start).Nanoseconds())
-	}
+	r := sp.s.Recorder
+	end := r.now()
+	r.record(Event{Name: sp.name, Cat: sp.cat, Ph: PhaseComplete, Pid: sp.pid, Tid: sp.tid,
+		Trace: sp.s.TraceID, Args: args}, sp.start, end)
+	sp.hist.Observe(end.Sub(sp.start).Nanoseconds())
 }
 
 // Instant records a point event.
 func (s *Session) Instant(cat, name string, pid, tid int, args map[string]any) {
-	if s == nil {
+	if s == nil || s.Recorder == nil {
 		return
 	}
-	s.Recorder.Instant(cat, name, pid, tid, s.traceArgs(args))
+	now := s.Recorder.now()
+	s.Recorder.record(Event{Name: name, Cat: cat, Ph: PhaseInstant, S: "t", Pid: pid, Tid: tid,
+		Trace: s.TraceID, Args: args}, now, now)
 }
 
 // Logf records a structured log line as an instant ("log", args.msg) on

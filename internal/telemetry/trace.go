@@ -37,6 +37,9 @@ type Event struct {
 	Tid  int            `json:"tid"`
 	S    string         `json:"s,omitempty"` // instant scope ("t" = thread)
 	Args map[string]any `json:"args,omitempty"`
+	// Trace is the request trace ID of the session that recorded the
+	// event ("" = untraced).
+	Trace string `json:"trace,omitempty"`
 }
 
 // End returns the event's end timestamp (ts for instants).
@@ -76,14 +79,6 @@ func NewRecorderWithClock(now func() time.Time, maxEvents int) *Recorder {
 	return &Recorder{now: now, start: now(), max: maxEvents}
 }
 
-// Now returns the recorder's current clock reading.
-func (r *Recorder) Now() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.now()
-}
-
 func (r *Recorder) ts(t time.Time) float64 {
 	return float64(t.Sub(r.start).Nanoseconds()) / 1e3
 }
@@ -100,7 +95,12 @@ func sanitizeArgs(args map[string]any) map[string]any {
 	return args
 }
 
-func (r *Recorder) append(e Event) {
+// record stamps e with its [start, end) times, sanitizes its args and
+// appends it to the ring, overwriting the oldest event once full.
+func (r *Recorder) record(e Event, start, end time.Time) {
+	e.Ts = r.ts(start)
+	e.Dur = float64(end.Sub(start).Nanoseconds()) / 1e3
+	e.Args = sanitizeArgs(e.Args)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.events) < r.max {
@@ -110,29 +110,6 @@ func (r *Recorder) append(e Event) {
 	r.events[r.next] = e
 	r.next = (r.next + 1) % r.max
 	r.dropped++
-}
-
-// Complete records a finished span [start, end) on lane (pid, tid).
-func (r *Recorder) Complete(cat, name string, pid, tid int, start, end time.Time, args map[string]any) {
-	if r == nil {
-		return
-	}
-	r.append(Event{
-		Name: name, Cat: cat, Ph: PhaseComplete,
-		Ts: r.ts(start), Dur: float64(end.Sub(start).Nanoseconds()) / 1e3,
-		Pid: pid, Tid: tid, Args: sanitizeArgs(args),
-	})
-}
-
-// Instant records a point event on lane (pid, tid).
-func (r *Recorder) Instant(cat, name string, pid, tid int, args map[string]any) {
-	if r == nil {
-		return
-	}
-	r.append(Event{
-		Name: name, Cat: cat, Ph: PhaseInstant, S: "t",
-		Ts: r.ts(r.now()), Pid: pid, Tid: tid, Args: sanitizeArgs(args),
-	})
 }
 
 // Events returns a copy of the ring in chronological order.

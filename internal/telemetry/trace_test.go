@@ -28,6 +28,21 @@ func fakeClock() func() time.Time {
 
 func at(ms int) time.Time { return time.Unix(0, 0).Add(time.Duration(ms) * time.Millisecond) }
 
+// Complete records an untraced span [start, end) on lane (pid, tid) at
+// times the test chooses.
+func (r *Recorder) Complete(cat, name string, pid, tid int, start, end time.Time, args map[string]any) {
+	r.record(Event{Name: name, Cat: cat, Ph: PhaseComplete, Pid: pid, Tid: tid, Args: args}, start, end)
+}
+
+// Instant records an untraced point event on lane (pid, tid) now.
+func (r *Recorder) Instant(cat, name string, pid, tid int, args map[string]any) {
+	if r == nil {
+		return
+	}
+	now := r.now()
+	r.record(Event{Name: name, Cat: cat, Ph: PhaseInstant, S: "t", Pid: pid, Tid: tid, Args: args}, now, now)
+}
+
 // buildSampleTrace records a deterministic two-rank trace with nested
 // spans (scf.iter > fock.build > fock.task/mpi.op) and an instant.
 func buildSampleTrace() *Recorder {
@@ -152,6 +167,7 @@ func TestRecorderCapAndDropCount(t *testing.T) {
 
 func TestConcurrentRecording(t *testing.T) {
 	s := NewSession()
+	barrier := s.Histogram("mpi.op.barrier_ns")
 	const goroutines = 10
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -159,10 +175,9 @@ func TestConcurrentRecording(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				end := s.TimedOp("mpi.op", "barrier", g, 0)
-				end()
+				s.Start("mpi.op", "barrier", g, 0, barrier).End(nil)
 				s.Instant("recovery.reissue", "steal", g, 0, nil)
-				s.SpanArgsAtEnd("fock.build", "shared-fock", g, 0)(map[string]any{"tasks": int64(1), "quartets": int64(2)})
+				s.Start("fock.build", "shared-fock", g, 0, nil).End(map[string]any{"tasks": int64(1), "quartets": int64(2)})
 			}
 		}(g)
 	}
@@ -199,5 +214,35 @@ func TestSanitizeNonFiniteArgs(t *testing.T) {
 		if _, isString := ev.Args[k].(string); !isString {
 			t.Fatalf("arg %q not stringified: %v", k, ev.Args[k])
 		}
+	}
+}
+
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
+// TestSpanAllocatesNothing: a span on a nil session, and a timed span
+// with nil args on a traced session whose ring is full, allocate nothing
+// — no closure, no args map for the trace ID, no ring growth.
+func TestSpanAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not held under the race detector")
+	}
+	var off *Session
+	if n := testing.AllocsPerRun(100, func() { off.Start("mpi.op", "recv", 0, 0, nil).End(nil) }); n != 0 {
+		t.Errorf("a span on a nil session allocates %v times", n)
+	}
+	s := &Session{Registry: NewRegistry(), Recorder: NewRecorderWithClock(time.Now, 4)}
+	traced := s.WithTrace("feedface00000001")
+	hist := s.Histogram("mpi.op.recv_ns")
+	for range 4 {
+		traced.Instant("c", "fill", 0, 0, nil)
+	}
+	if n := testing.AllocsPerRun(100, func() { traced.Start("mpi.op", "recv", 0, 0, hist).End(nil) }); n != 0 {
+		t.Errorf("a timed span on a traced session with a full ring allocates %v times", n)
+	}
+	events := s.Recorder.Events()
+	if hist.Count() != 101 || s.Recorder.Dropped() != 101 || events[3].Trace != "feedface00000001" {
+		t.Errorf("histogram count %d, dropped %d, last event %+v: want 101, 101 and a traced span",
+			hist.Count(), s.Recorder.Dropped(), events[3])
 	}
 }

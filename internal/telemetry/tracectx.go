@@ -20,10 +20,6 @@ import (
 // want to supply their own correlation ID.
 const TraceHeader = "X-HF-Trace"
 
-// TraceArgKey is the span-args key a traced Session stamps the trace ID
-// under; waterfall stitching and continuity validation key off it.
-const TraceArgKey = "trace"
-
 // maxTraceIDLen bounds an externally supplied trace ID.
 const maxTraceIDLen = 64
 
