@@ -59,7 +59,12 @@
 # of the row/column twins (rowGroupSum, colGroupSum, rowParityTile,
 # colParityTile, fromRowGroup, fromColGroup) nor rowOwner/colOwner, and
 # the two placement rules rowParityOwner( and colParityOwner( are called
-# from parityPlan only. One-sided windows are handles (mpi.Comm.WinCreate
+# from parityPlan only. Checksums are linear: Copy, Scale, Axpby,
+# LinearCombine and AddScaledIdentity in internal/distmat/ops.go do not
+# call PutTile( (they carry parity through linearOp, not read-old
+# deltas); checked on scratch copies, the parent tree and a PutTile
+# re-added to AddScaledIdentity both fail it. One-sided windows are
+# handles (mpi.Comm.WinCreate
 # returns an *mpi.Win, matched across ranks by creation order): no
 # non-test file outside bench/ names a name-keyed window method
 # (WinCreateCounters, CounterLoad, CounterStore, CounterCAS, WinPut,
@@ -86,7 +91,8 @@
 # The pure-Go bodies of the ERI kernel and of MulAdd vet under
 # GOARCH=arm64 (no assembly there); the kernel's sweep and probe
 # benchmarks, the digest benchmark, BenchmarkMulAdd/{scalar,kernel},
-# BenchmarkSquare and BenchmarkPurify run once (-benchtime 1x); hfrun -xyz refuses a NaN
+# BenchmarkSquare and BenchmarkPurify (its plain and abft sub-benchmarks)
+# run once (-benchtime 1x); hfrun -xyz refuses a NaN
 # coordinate with an error (non-zero exit, no panic); and the layout gate
 # builds hfrun, hfserve and the benchmark and fails unless the k loop of
 # linalg.gemm4x8AVX starts at 0 mod 64 in each (go tool objdump),
@@ -388,6 +394,17 @@ tier_1() {
 		echo "structure gate: purify.go multiplies with MatMul; SP2 squares symmetric X with Square"
 		exit 1
 	fi
+
+	# Checksums are linear: the linear ops carry ABFT parity by applying
+	# their own combination to the parity tiles (linearOp/linearParity,
+	# addParityDiagonal), so none of them writes through PutTile's
+	# read-old/put/accumulate-delta path.
+	for op in Copy Scale Axpby LinearCombine AddScaledIdentity; do
+		if sed -n "/^func $op(/,/^}/p" internal/distmat/ops.go | sed 's://.*$::' | grep -n 'PutTile('; then
+			echo "structure gate: distmat.$op writes through PutTile; a linear op carries parity linearly (linearOp)"
+			exit 1
+		fi
+	done
 
 	# ABFT parity is one group table: one sum, one parity read and one
 	# salvage peel over a group index, and one parityPlan that places the

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -141,6 +143,14 @@ func loadgenWorkload(n int, rng *rand.Rand) (distinct, dups []jobs.Spec) {
 // failures (bind, HTTP transport, a request that never got an answer);
 // the gates belong to the caller.
 func runLoadgen(load serveLoad) (*serveReport, error) {
+	distinct, dups := loadgenWorkload(load.jobs, rand.New(rand.NewSource(load.seed)))
+	// The burst must overflow by construction: every client in flight at
+	// once, with no job able to finish, is more than the workers and the
+	// queue together can hold.
+	if need := load.workers + load.queueCap + 1; load.clients < need || len(distinct)+2 < need {
+		return nil, fmt.Errorf("loadgen: %d clients and a %d-job burst cannot overflow %d workers + queue cap %d",
+			load.clients, len(distinct)+2, load.workers, load.queueCap)
+	}
 	srv, err := service.New(service.Config{
 		Workers:        load.workers,
 		QueueCap:       load.queueCap,
@@ -149,14 +159,19 @@ func runLoadgen(load serveLoad) (*serveReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	addr, err := srv.Start("127.0.0.1:0")
+	// HTTP is served here rather than by srv.Start, which would also start
+	// the workers: phase 1 starts them only once the burst has overflowed.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
+	hs := &http.Server{Handler: srv.Handler()}
+	defer hs.Close()
+	go hs.Serve(ln) // returns http.ErrServerClosed once the deferred Close runs
+	addr := ln.Addr().String()
 	fmt.Printf("loadgen: serving on %s (%d workers, queue cap %d)\n", addr, load.workers, load.queueCap)
 	api := newAPIClient(addr)
 
-	distinct, dups := loadgenWorkload(load.jobs, rand.New(rand.NewSource(load.seed)))
 	rep := &serveReport{jobs: len(distinct) + len(dups), distinct: len(distinct), dupStream: len(dups)}
 	start := time.Now()
 
@@ -209,11 +224,22 @@ func runLoadgen(load serveLoad) (*serveReport, error) {
 
 	// Phase 1 — burst: the whole distinct stream plus one instance of each
 	// duplicate base, from load.clients concurrent clients against a queue
-	// of load.queueCap. The burst exceeds capacity by construction, so some
-	// submissions bounce with 429 and are retried — that is the
-	// backpressure gate.
+	// of load.queueCap. The workers start only after the server has
+	// bounced a submission, so the burst exceeds capacity by construction:
+	// at least one 429, retried to completion — the backpressure gate
+	// (which reports the miss if none came within serveTimeout).
 	fmt.Printf("loadgen: phase 1 — bursting %d distinct jobs (+2 warmers) to force 429s\n", len(distinct))
-	runStream(append(append([]jobs.Spec{}, distinct...), dups[0], dups[len(dups)-1]), false)
+	burst := make(chan struct{})
+	go func() {
+		runStream(append(append([]jobs.Spec{}, distinct...), dups[0], dups[len(dups)-1]), false)
+		close(burst)
+	}()
+	deadline := time.Now().Add(serveTimeout)
+	for srv.Telemetry().CounterValue("svc.jobs.rejected") == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	srv.StartWorkers()
+	<-burst
 	fmt.Printf("loadgen: phase 1 done — %d rejections absorbed so far\n", rep.rejected)
 
 	// Phase 2 — the duplicate stream: byte-different spellings of already

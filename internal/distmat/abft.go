@@ -26,10 +26,20 @@ package distmat
 // parity (extending the integrity ladder of the SDC work to resident
 // tile memory, not just messages in flight).
 //
-// Parity maintenance is transparent: PutTile turns into
-// read-old/put-new/accumulate-delta and AccTile accumulates its addend
-// into both parities. Both are safe under the single-writer-per-tile
-// discipline every mutating collective in ops.go already follows.
+// Parity maintenance follows the op. Checksums are linear, so a linear
+// op (Copy, Scale, Axpby, LinearCombine, Zero: linearOp) over ABFT
+// inputs writes its data tiles raw and applies the same combination to
+// the parity tiles each rank owns (linearParity); AddScaledIdentity adds
+// s·I to the parity of the groups holding a diagonal tile. The
+// non-linear writers (products, transposes, scatters) and an ABFT output
+// fed a plain input go through PutTile, which turns into
+// read-old/put-new/accumulate-delta, and AccTile accumulates its addend
+// into both parities; both are safe under the single-writer-per-tile
+// discipline every mutating collective in ops.go already follows. A
+// linear op thus carries its inputs' checksums, not its output's bits:
+// a tile corrupted in a source after that source's last audit reaches
+// the output's data but not its parity, so the output's audit catches
+// it.
 
 import (
 	"fmt"
@@ -44,7 +54,9 @@ import (
 // Parity comparison tolerances. Delta-accumulation rounds differently
 // than a fresh member sum, so exact equality is wrong; drift far below
 // these bounds is floating-point noise, anything above is corruption.
-// NaN never compares greater, so parityMismatch checks it explicitly.
+// A non-finite difference (NaN, or an infinity against a finite value)
+// is always a mismatch: parityMismatch accepts only d <= limit with d
+// finite.
 const (
 	abftRelTol = 1e-8
 	abftAbsTol = 1e-10
@@ -68,6 +80,10 @@ type abftState struct {
 	wins         []*mpi.Win // per-rank parity windows
 	sinceRefresh int        // audits since the last full parity refresh
 	parityCtr    *telemetry.Counter
+
+	// scratch holds AuditParity's three bs*bs buffers (fresh sum, remote
+	// member tile, remote parity tile), allocated by the first audit.
+	scratch []float64
 }
 
 // parityGroup is one checksum tile: the rank storing it, its float
@@ -170,15 +186,42 @@ func (m *BlockMat) accParity(bi, bj int, delta []float64) {
 	}
 }
 
-// zeroParity clears this rank's parity region (the ABFT leg of Zero:
-// resetting parities alongside the data kills accumulated float drift
-// instead of accumulating a -old delta on top of it).
-func (m *BlockMat) zeroParity() {
+// linearParity is the ABFT leg of linearOp: with m and every input ABFT
+// over the same parity plan, it applies the op's element-wise linear map
+// f to the parity tiles this rank owns, which the same plan places at the
+// same offsets of every matrix's parity window. Called between the op's
+// barriers, after the data tiles; it reads and writes only the calling
+// rank's own parity windows.
+func (m *BlockMat) linearParity(ins []*BlockMat, f func(out []float64, in [][]float64)) {
 	if m.ab.ownedParity == 0 {
 		return
 	}
-	zeros := make([]float64, m.ab.ownedParity*m.BS*m.BS)
-	m.ab.wins[m.Dx.Comm.Rank()].Put(0, zeros)
+	me := m.Dx.Comm.Rank()
+	in := make([][]float64, len(ins))
+	for k, x := range ins {
+		in[k] = x.ab.wins[me].Local()
+	}
+	f(m.ab.wins[me].Local(), in)
+}
+
+// addParityDiagonal is the ABFT leg of AddScaledIdentity: each diagonal
+// tile's row and column parity gain s on their live diagonal, on the rank
+// that owns them.
+func (m *BlockMat) addParityDiagonal(s float64) {
+	me := m.Dx.Comm.Rank()
+	bs := m.BS
+	for b := 0; b < m.NB; b++ {
+		for _, gi := range m.tileGroups(b, b) {
+			p := &m.ab.groups[gi]
+			if p.owner != me {
+				continue
+			}
+			pt := m.ab.wins[me].Local()[p.off : p.off+bs*bs]
+			for r := 0; r < m.live(b); r++ {
+				pt[r*bs+r] += s
+			}
+		}
+	}
 }
 
 // parityTile reads the stored parity tile of group gi.
@@ -187,33 +230,63 @@ func (m *BlockMat) parityTile(gi int, out []float64) {
 	m.ab.wins[p.owner].Get(p.off, out)
 }
 
-// groupSum freshly sums the members of group gi into sum, skipping tile
-// index skip (-1 = none). buf is bs*bs scratch.
-func (m *BlockMat) groupSum(gi, skip int, sum, buf []float64) {
-	clear(sum)
+// parityView returns the stored parity tile of group gi: in place when
+// the calling rank owns it (read-only), else copied into buf.
+func (m *BlockMat) parityView(gi int, buf []float64) []float64 {
 	p := &m.ab.groups[gi]
+	if p.owner == m.Dx.Comm.Rank() {
+		end := p.off + m.BS*m.BS
+		return m.ab.wins[p.owner].Local()[p.off:end:end]
+	}
+	m.ab.wins[p.owner].Get(p.off, buf)
+	return buf
+}
+
+// memberView returns data tile t (bi*NB+bj) for the audit: in place
+// when the calling rank owns it (read-only), else a raw copy in buf (no
+// traffic accounting).
+func (m *BlockMat) memberView(t int, buf []float64) []float64 {
+	if m.owner[t] == m.Dx.Comm.Rank() {
+		return m.ownedTile(t/m.NB, t%m.NB)
+	}
+	m.wins[m.owner[t]].Get(m.offset[t], buf)
+	return buf
+}
+
+// groupSum returns the fresh sum of the members of group gi, skipping
+// tile index skip (-1 = none): summed into sum, or for a one-member group
+// the member itself (memberView; buf is bs*bs scratch for remote members).
+// Read-only.
+func (m *BlockMat) groupSum(gi, skip int, sum, buf []float64) []float64 {
+	p := &m.ab.groups[gi]
+	if p.first+p.step >= p.end && p.first != skip {
+		return m.memberView(p.first, buf)
+	}
+	clear(sum)
 	for t := p.first; t < p.end; t += p.step {
 		if t == skip {
 			continue
 		}
-		m.rawGetTile(t/m.NB, t%m.NB, buf)
-		for i, v := range buf {
+		for i, v := range m.memberView(t, buf)[:len(sum)] {
 			sum[i] += v
 		}
 	}
+	return sum
 }
 
 // parityMismatch reports whether a freshly computed group sum disagrees
-// with the stored parity beyond floating-point drift. NaN anywhere is a
-// mismatch (NaN defeats ordered comparisons, so it is tested as d != d).
+// with the stored parity beyond floating-point drift: an element
+// mismatches unless |fresh - stored| is finite and at most abftAbsTol +
+// abftRelTol*max(|fresh|, |stored|). The limit is tested against each
+// operand's own bound (d is within the larger bound exactly when it is
+// within either), which keeps the one pass free of math.Max; NaN and an
+// infinite difference fail both comparisons.
 func parityMismatch(fresh, stored []float64) bool {
-	for i := range fresh {
-		d := math.Abs(fresh[i] - stored[i])
-		if d != d { // NaN
-			return true
-		}
-		lim := abftAbsTol + abftRelTol*math.Max(math.Abs(fresh[i]), math.Abs(stored[i]))
-		if d > lim {
+	stored = stored[:len(fresh)]
+	for i, f := range fresh {
+		s := stored[i]
+		d := math.Abs(f - s)
+		if !(d <= math.MaxFloat64 && (d <= abftAbsTol+abftRelTol*math.Abs(f) || d <= abftAbsTol+abftRelTol*math.Abs(s))) {
 			return true
 		}
 	}
@@ -262,9 +335,10 @@ func (m *BlockMat) AuditParity() (AuditStats, error) {
 	me := comm.Rank()
 	ab := m.ab
 	bs2 := m.BS * m.BS
-	sum := make([]float64, bs2)
-	buf := make([]float64, bs2)
-	stored := make([]float64, bs2)
+	if ab.scratch == nil {
+		ab.scratch = make([]float64, 3*bs2)
+	}
+	sum, buf, pbuf := ab.scratch[:bs2], ab.scratch[bs2:2*bs2], ab.scratch[2*bs2:]
 	comm.Barrier() // fence in-flight one-sided traffic before auditing
 
 	// Phase 1a: detect + localize, read-only. Repairs are planned into
@@ -281,9 +355,7 @@ func (m *BlockMat) AuditParity() (AuditStats, error) {
 			continue
 		}
 		st.Groups++
-		m.groupSum(gi, -1, sum, buf)
-		m.parityTile(gi, stored)
-		if !parityMismatch(sum, stored) {
+		if !parityMismatch(m.groupSum(gi, -1, sum, buf), m.parityView(gi, pbuf)) {
 			continue
 		}
 		st.Mismatches++
@@ -292,9 +364,7 @@ func (m *BlockMat) AuditParity() (AuditStats, error) {
 		flagged := 0
 		for t := g.first; t < g.end; t += g.step {
 			cg := m.tileGroups(t/m.NB, t%m.NB)[1]
-			m.groupSum(cg, -1, sum, buf)
-			m.parityTile(cg, stored)
-			if parityMismatch(sum, stored) {
+			if parityMismatch(m.groupSum(cg, -1, sum, buf), m.parityView(cg, pbuf)) {
 				flagged++
 				corrupt = t
 			}
@@ -302,11 +372,10 @@ func (m *BlockMat) AuditParity() (AuditStats, error) {
 		switch flagged {
 		case 1:
 			// corrected = stored row parity - sum of other members.
-			fix := make([]float64, bs2)
-			m.parityTile(gi, fix)
-			m.groupSum(gi, corrupt, sum, buf)
+			fix := slices.Clone(m.parityView(gi, pbuf))
+			rest := m.groupSum(gi, corrupt, sum, buf)
 			for i := range fix {
-				fix[i] -= sum[i]
+				fix[i] -= rest[i]
 			}
 			repairs = append(repairs, repair{corrupt, fix})
 			st.RepairedTiles++
@@ -339,12 +408,11 @@ func (m *BlockMat) AuditParity() (AuditStats, error) {
 			if p.owner != me {
 				continue
 			}
-			m.groupSum(gi, -1, sum, buf)
-			m.parityTile(gi, stored)
-			if parityMismatch(sum, stored) {
+			fresh := m.groupSum(gi, -1, sum, buf)
+			if parityMismatch(fresh, m.parityView(gi, pbuf)) {
 				off++
 			}
-			ab.wins[me].Put(p.off, sum)
+			ab.wins[me].Put(p.off, fresh)
 		}
 		st.ParityRefreshes = m.Dx.GSumI(off)
 	}
@@ -373,26 +441,16 @@ func (m *BlockMat) AuditParity() (AuditStats, error) {
 }
 
 // injectResidentSDC gives the fault plan a shot at this rank's resident
-// tile memory: the first owned data tile is read raw, offered to the
+// tile memory: the first owned data tile is offered in place to the
 // injector at SitePurify (where a scheduled Kill also fires — a death
-// mid-purification), and written back raw if corrupted. Raw on purpose:
-// a real memory error does not update parity, which is exactly the
-// discrepancy AuditParity exists to catch. Returns whether a corruption
-// landed.
+// mid-purification). In place on purpose: a real memory error does not
+// update parity, which is exactly the discrepancy AuditParity exists to
+// catch. Returns whether a corruption landed.
 func (m *BlockMat) injectResidentSDC() bool {
 	me := m.Dx.Comm.Rank()
-	for bi := 0; bi < m.NB; bi++ {
-		for bj := 0; bj < m.NB; bj++ {
-			if m.owner[bi*m.NB+bj] != me {
-				continue
-			}
-			buf := make([]float64, m.BS*m.BS)
-			m.rawGetTile(bi, bj, buf)
-			if m.Dx.Comm.InjectSDC(mpi.SitePurify, buf) {
-				m.rawPutTile(bi, bj, buf)
-				return true
-			}
-			return false
+	for t, o := range m.owner {
+		if o == me {
+			return m.Dx.Comm.InjectSDC(mpi.SitePurify, m.ownedTile(t/m.NB, t%m.NB))
 		}
 	}
 	return false

@@ -452,3 +452,152 @@ func TestPurifyChaosDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
+// TestABFTAuditCatchesInf writes +Inf raw into a resident tile: the
+// fresh sums of its row and column groups are infinite against finite
+// parities, which the audit must flag (an infinite difference is never
+// within tolerance), localize and repair exactly from the row parity.
+func TestABFTAuditCatchesInf(t *testing.T) {
+	const n, bs = 12, 3
+	d0 := randSym(n, 7)
+	onWorld(t, 2, func(g *Grid, dx *ddi.Context) {
+		m := NewABFT(g, dx, n, bs)
+		if err := m.ScatterDense(d0); err != nil {
+			t.Errorf("scatter: %v", err)
+			return
+		}
+		if dx.Comm.Rank() == m.OwnerOf(2, 1) {
+			buf := make([]float64, bs*bs)
+			m.rawGetTile(2, 1, buf)
+			buf[4] = math.Inf(1)
+			m.rawPutTile(2, 1, buf)
+		}
+		dx.Comm.Barrier()
+		st, err := m.AuditParity()
+		if err != nil {
+			t.Errorf("audit: %v", err)
+			return
+		}
+		if st.Mismatches != 1 || st.RepairedTiles != 1 {
+			t.Errorf("audit of an Inf tile = %+v, want Mismatches 1, RepairedTiles 1", st)
+		}
+		got, err := m.GatherVerified()
+		if err != nil {
+			t.Errorf("gather: %v", err)
+			return
+		}
+		if d := maxAbsDiff(got, d0); d != 0 {
+			t.Errorf("repaired matrix off by %g, want exact", d)
+		}
+		if st, err = m.AuditParity(); err != nil || st.Mismatches != 0 {
+			t.Errorf("post-repair audit: %+v, %v", st, err)
+		}
+	})
+}
+
+// TestABFTLinearOpCarriesSourceParity flips a bit in a source tile after
+// its parity was set, then runs a linear op into another ABFT matrix. The
+// op carries the source's (clean) parity into the destination, not the
+// corrupted tile's, so the destination's audit localizes the flipped
+// tile and repairs it back to the clean result.
+func TestABFTLinearOpCarriesSourceParity(t *testing.T) {
+	const n, bs = 12, 3
+	x0, y0 := randSym(n, 7), randDense(n, 8)
+	for _, tc := range []struct {
+		name string
+		op   func(dst, src *BlockMat)
+	}{
+		{"Copy", func(dst, src *BlockMat) { Copy(dst, src) }},
+		{"Axpby", func(dst, src *BlockMat) { Axpby(dst, src, 0.5, -1.25) }},
+	} {
+		onWorld(t, 4, func(g *Grid, dx *ddi.Context) {
+			src, dst := NewABFT(g, dx, n, bs), NewABFT(g, dx, n, bs)
+			rsrc, rdst := New(g, dx, n, bs), New(g, dx, n, bs)
+			for _, s := range []struct {
+				m *BlockMat
+				d *linalg.Matrix
+			}{{src, x0}, {dst, y0}, {rsrc, x0}, {rdst, y0}} {
+				if err := s.m.ScatterDense(s.d); err != nil {
+					t.Errorf("scatter: %v", err)
+					return
+				}
+			}
+			if dx.Comm.Rank() == src.OwnerOf(1, 2) {
+				buf := make([]float64, bs*bs)
+				src.rawGetTile(1, 2, buf)
+				integrity.FlipFloatBit(buf, 4, 52)
+				src.rawPutTile(1, 2, buf)
+			}
+			dx.Comm.Barrier()
+			tc.op(dst, src)
+			tc.op(rdst, rsrc)
+			st, err := dst.AuditParity()
+			if err != nil {
+				t.Errorf("%s: audit: %v", tc.name, err)
+				return
+			}
+			if st.Mismatches != 1 || st.RepairedTiles != 1 {
+				t.Errorf("%s: destination audit = %+v, want Mismatches 1, RepairedTiles 1", tc.name, st)
+			}
+			got, err := dst.GatherVerified()
+			if err != nil {
+				t.Errorf("%s: gather: %v", tc.name, err)
+				return
+			}
+			want, _ := rdst.GatherVerified()
+			if d := maxAbsDiff(got, want); d > 1e-12 {
+				t.Errorf("%s: repaired destination off the clean result by %g", tc.name, d)
+			}
+		})
+	}
+}
+
+// TestABFTAuditAllocations: a clean audit reads member and parity tiles
+// in place or into the matrix's own scratch, so after its first call it
+// allocates less than one tile per audit (the density workload's shape:
+// n = 256 on 2 ranks, 64-row tiles). Both ranks' allocations count.
+func TestABFTAuditAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings are not held under -race")
+	}
+	const n, audits = 256, 50
+	fp := gappedSym(n, 128, 1)
+	var before, after runtime.MemStats
+	var tile uint64
+	onWorld(t, 2, func(g *Grid, dx *ddi.Context) {
+		m := NewABFT(g, dx, n, 0)
+		if err := m.ScatterDense(fp); err != nil {
+			t.Errorf("scatter: %v", err)
+			return
+		}
+		if _, err := m.AuditParity(); err != nil {
+			t.Errorf("audit: %v", err)
+			return
+		}
+		dx.Comm.Barrier()
+		if dx.Comm.Rank() == 0 {
+			tile = uint64(m.BS) * uint64(m.BS) * 8
+			runtime.ReadMemStats(&before)
+		}
+		dx.Comm.Barrier()
+		for range audits {
+			if st, err := m.AuditParity(); err != nil || st.Mismatches != 0 {
+				t.Errorf("audit: %+v, %v", st, err)
+				return
+			}
+		}
+		dx.Comm.Barrier()
+		if dx.Comm.Rank() == 0 {
+			runtime.ReadMemStats(&after)
+		}
+		dx.Comm.Barrier()
+	})
+	per := (after.TotalAlloc - before.TotalAlloc) / audits
+	t.Logf("%d bytes per clean audit (one tile is %d)", per, tile)
+	if per >= tile {
+		t.Errorf("a clean audit allocates %d bytes, want < one tile (%d)", per, tile)
+	}
+}

@@ -172,34 +172,52 @@ func (m *BlockMat) GetTile(bi, bj int, out []float64) {
 // readTile returns tile (bi, bj) for reading: the calling rank's window
 // storage itself when it owns the tile (buf may then be nil), else a
 // GetTile copy in buf. The in-place slice is read-only (writes go through
-// PutTile, which keeps parity); the ops' barriers keep writers off it.
+// PutTile or a linear op, which keep parity); the ops' barriers keep
+// writers off it.
 func (m *BlockMat) readTile(bi, bj int, buf []float64) []float64 {
-	t := m.tileIndex(bi, bj)
-	if m.owner[t] == m.Dx.Comm.Rank() {
-		end := m.offset[t] + m.BS*m.BS
-		return m.local[m.offset[t]:end:end]
+	if m.OwnsTile(bi, bj) {
+		return m.ownedTile(bi, bj)
 	}
 	m.GetTile(bi, bj, buf)
 	return buf
+}
+
+// ownedTile returns the storage of tile (bi, bj), which the calling rank
+// owns, in place. Only the linear ops (linearOp, AddScaledIdentity)
+// write through it, between the barriers that fence every other reader
+// and writer of the matrix, and on an ABFT matrix they carry its parity
+// themselves; the resident-SDC injector corrupts through it on purpose.
+func (m *BlockMat) ownedTile(bi, bj int) []float64 {
+	off := m.offset[m.tileIndex(bi, bj)]
+	end := off + m.BS*m.BS
+	return m.local[off:end:end]
 }
 
 // PutTile stores tile (bi, bj) from data (BS*BS floats). One-sided; the
 // caller is responsible for write ownership (concurrent Put and Acc to
 // the same tile race). On an ABFT matrix the overwrite becomes
 // read-old/put-new/accumulate-delta so the parity tiles stay coherent —
-// safe under the same single-writer-per-tile discipline.
+// safe under the same single-writer-per-tile discipline. The old tile is
+// read in place when the calling rank owns it. This is the parity path of
+// the non-linear writers (products, transposes, scatters); the linear
+// ops carry parity without it (linearOp).
 func (m *BlockMat) PutTile(bi, bj int, data []float64) {
 	t := m.tileIndex(bi, bj)
 	m.countTraffic(&m.putBytes, m.putCtr, m.owner[t], len(data))
 	if m.ab != nil {
-		old := m.putScratch.Get().([]float64)[:len(data)]
-		m.wins[m.owner[t]].Get(m.offset[t], old)
-		for i := range old {
-			old[i] = data[i] - old[i]
+		delta := m.putScratch.Get().([]float64)[:len(data)]
+		old := delta
+		if m.owner[t] == m.Dx.Comm.Rank() {
+			old = m.ownedTile(bi, bj)[:len(data)]
+		} else {
+			m.wins[m.owner[t]].Get(m.offset[t], old)
+		}
+		for i, v := range data {
+			delta[i] = v - old[i]
 		}
 		m.wins[m.owner[t]].Put(m.offset[t], data)
-		m.accParity(bi, bj, old)
-		m.putScratch.Put(old)
+		m.accParity(bi, bj, delta)
+		m.putScratch.Put(delta)
 		return
 	}
 	m.wins[m.owner[t]].Put(m.offset[t], data)
@@ -234,29 +252,11 @@ func (m *BlockMat) Traffic() (get, put, acc int64) {
 	return m.getBytes.Load(), m.putBytes.Load(), m.accBytes.Load()
 }
 
-// Zero collectively clears the matrix. On an ABFT matrix the parity
-// region is rewritten with zeros directly (not via PutTile deltas),
-// which also resets any accumulated floating-point drift in the
-// checksums.
+// Zero collectively clears the matrix: a linear op, so on an ABFT
+// matrix the parity tiles are cleared with the data, which also resets
+// any accumulated floating-point drift in the checksums.
 func (m *BlockMat) Zero() {
-	m.Dx.Comm.Barrier() // fence in-flight one-sided reads before mutating
-	buf := make([]float64, m.BS*m.BS)
-	me := m.Dx.Comm.Rank()
-	for bi := 0; bi < m.NB; bi++ {
-		for bj := 0; bj < m.NB; bj++ {
-			if m.owner[bi*m.NB+bj] == me {
-				if m.ab != nil {
-					m.rawPutTile(bi, bj, buf)
-				} else {
-					m.PutTile(bi, bj, buf)
-				}
-			}
-		}
-	}
-	if m.ab != nil {
-		m.zeroParity()
-	}
-	m.Dx.Comm.Barrier()
+	m.linearOp(nil, func(out []float64, _ [][]float64) { clear(out) })
 }
 
 // verifySame checks that every rank holds checksum ck, through the

@@ -150,83 +150,105 @@ func transpose(dst, src []float64, bs int) {
 
 // Copy sets dst = src (same shape).
 func Copy(dst, src *BlockMat) {
-	dst.sameShape(src)
-	dst.Dx.Comm.Barrier()
-	dst.forOwned(func(bi, bj int) {
-		dst.PutTile(bi, bj, src.readTile(bi, bj, nil))
+	dst.linearOp([]*BlockMat{src}, func(out []float64, in [][]float64) {
+		copy(out, in[0])
 	})
-	dst.Dx.Comm.Barrier()
 }
 
 // Scale multiplies every element of m by s.
 func Scale(m *BlockMat, s float64) {
-	m.Dx.Comm.Barrier()
-	buf := make([]float64, m.BS*m.BS)
-	m.forOwned(func(bi, bj int) {
-		for i, v := range m.readTile(bi, bj, nil) {
-			buf[i] = v * s
+	m.linearOp([]*BlockMat{m}, func(out []float64, in [][]float64) {
+		for i, v := range in[0][:len(out)] {
+			out[i] = v * s
 		}
-		m.PutTile(bi, bj, buf)
 	})
-	m.Dx.Comm.Barrier()
 }
 
 // Axpby sets y = a*x + b*y element-wise (same shape).
 func Axpby(y, x *BlockMat, a, b float64) {
-	y.sameShape(x)
-	y.Dx.Comm.Barrier()
-	out := make([]float64, y.BS*y.BS)
-	y.forOwned(func(bi, bj int) {
-		xt, yt := x.readTile(bi, bj, nil), y.readTile(bi, bj, nil)
+	y.linearOp([]*BlockMat{x, y}, func(out []float64, in [][]float64) {
+		xt, yt := in[0][:len(out)], in[1][:len(out)]
 		for i := range out {
 			out[i] = a*xt[i] + b*yt[i]
 		}
-		y.PutTile(bi, bj, out)
 	})
-	y.Dx.Comm.Barrier()
 }
 
-// AddScaledIdentity adds s to every diagonal element of m.
+// AddScaledIdentity adds s to every diagonal element of m. Only the
+// diagonal tiles change; an ABFT matrix adds s·I to the parity of the
+// groups holding them (addParityDiagonal).
 func AddScaledIdentity(m *BlockMat, s float64) {
 	m.Dx.Comm.Barrier()
 	bs := m.BS
-	buf := make([]float64, bs*bs)
 	m.forOwned(func(bi, bj int) {
 		if bi != bj {
 			return
 		}
-		copy(buf, m.readTile(bi, bj, nil))
-		for r := 0; r < bs && bi*bs+r < m.N; r++ {
-			buf[r*bs+r] += s
+		t := m.ownedTile(bi, bj)
+		for r := 0; r < m.live(bi); r++ {
+			t[r*bs+r] += s
 		}
-		m.PutTile(bi, bj, buf)
 	})
+	if m.ab != nil {
+		m.addParityDiagonal(s)
+	}
 	m.Dx.Comm.Barrier()
 }
 
 // LinearCombine sets dst = sum_i coefs[i]*mats[i] (all same shape).
-// dst may appear among mats: each tile's inputs are read before the tile
+// dst may appear among mats: each element's inputs are read before it
 // is written, and tiles are co-located, so no rank observes a partial
 // update.
 func LinearCombine(dst *BlockMat, coefs []float64, mats []*BlockMat) {
 	if len(coefs) != len(mats) {
 		panic(fmt.Sprintf("distmat: %d coefficients for %d matrices", len(coefs), len(mats)))
 	}
-	for _, m := range mats {
-		dst.sameShape(m)
-	}
-	dst.Dx.Comm.Barrier()
-	acc := make([]float64, dst.BS*dst.BS)
-	dst.forOwned(func(bi, bj int) {
-		clear(acc)
-		for t, m := range mats {
-			for i, v := range m.readTile(bi, bj, nil) {
-				acc[i] += coefs[t] * v
+	dst.linearOp(mats, func(out []float64, in [][]float64) {
+		for i := range out {
+			acc := 0.0
+			for t, c := range coefs {
+				acc += c * in[t][i]
 			}
+			out[i] = acc
 		}
-		dst.PutTile(bi, bj, acc)
 	})
-	dst.Dx.Comm.Barrier()
+}
+
+// linearOp collectively sets every tile of m to f of the matching tiles
+// of ins (all of m's shape; m may be among them). f is a linear map
+// applied element by element, so it may write out while reading an
+// input that aliases it. Owned tiles are written in place. When m and
+// every input are ABFT over the same parity plan (same shape, same
+// grid), f applied to the inputs' parity tiles is the parity of f's
+// result (linearParity), so no tile needs a PutTile delta; only an ABFT
+// m fed a plain input keeps parity through PutTile.
+func (m *BlockMat) linearOp(ins []*BlockMat, f func(out []float64, in [][]float64)) {
+	carry := m.ab != nil
+	for _, x := range ins {
+		m.sameShape(x)
+		carry = carry && x.ab != nil
+	}
+	var buf []float64
+	if m.ab != nil && !carry {
+		buf = make([]float64, m.BS*m.BS)
+	}
+	in := make([][]float64, len(ins))
+	m.Dx.Comm.Barrier()
+	m.forOwned(func(bi, bj int) {
+		for k, x := range ins {
+			in[k] = x.readTile(bi, bj, nil)
+		}
+		if buf == nil {
+			f(m.ownedTile(bi, bj), in)
+			return
+		}
+		f(buf, in)
+		m.PutTile(bi, bj, buf)
+	})
+	if carry {
+		m.linearParity(ins, f)
+	}
+	m.Dx.Comm.Barrier()
 }
 
 // AntiSymmetrize sets e = a - a^T (same shape). The commutator-residual

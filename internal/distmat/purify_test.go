@@ -185,28 +185,36 @@ func TestPurifyNaNAgainstZero(t *testing.T) {
 }
 
 // BenchmarkPurify times one SP2 density step of the density workload's
-// shape: n = 256, nocc = 128, 64-row tiles on 2 ranks.
+// shape: n = 256, nocc = 128, 64-row tiles on 2 ranks, over plain and
+// over ABFT tiles; the ratio of the two is the checksum overhead.
 func BenchmarkPurify(b *testing.B) {
 	const n, nocc = 256, 128
 	fp := gappedSym(n, nocc, 1)
-	if err := mpi.Run(2, func(c *mpi.Comm) {
-		g, dx := NewGrid(c.Rank(), c.Size()), ddi.New(c)
-		dfp, dst, xsq := New(g, dx, n, 0), New(g, dx, n, 0), New(g, dx, n, 0)
-		if err := dfp.ScatterDense(fp); err != nil {
-			b.Error(err)
-			return
-		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			b.ResetTimer()
-		}
-		for i := 0; i < b.N; i++ {
-			if _, err := Purify(dst, dfp, xsq, nocc, 1e-12, 200); err != nil {
-				b.Error(err)
-				return
+	for _, k := range []struct {
+		name string
+		mk   func(*Grid, *ddi.Context, int, int) *BlockMat
+	}{{"plain", New}, {"abft", NewABFT}} {
+		b.Run(k.name, func(b *testing.B) {
+			if err := mpi.Run(2, func(c *mpi.Comm) {
+				g, dx := NewGrid(c.Rank(), c.Size()), ddi.New(c)
+				dfp, dst, xsq := k.mk(g, dx, n, 0), k.mk(g, dx, n, 0), k.mk(g, dx, n, 0)
+				if err := dfp.ScatterDense(fp); err != nil {
+					b.Error(err)
+					return
+				}
+				c.Barrier()
+				if c.Rank() == 0 {
+					b.ResetTimer()
+				}
+				for i := 0; i < b.N; i++ {
+					if _, err := Purify(dst, dfp, xsq, nocc, 1e-12, 200); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}); err != nil {
+				b.Fatal(err)
 			}
-		}
-	}); err != nil {
-		b.Fatal(err)
+		})
 	}
 }

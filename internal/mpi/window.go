@@ -91,15 +91,16 @@ func (h *Win) Acc(offset int, data []float64) {
 	h.c.checkFenced()
 	h.w.mu.Lock()
 	defer h.w.mu.Unlock()
+	dst := h.w.data[offset:][:len(data)]
 	for i, v := range data {
-		h.w.data[offset+i] += v
+		dst[i] += v
 	}
 }
 
-// Local returns the float region itself, for loads in place — the
-// MPI_Win_shared_query analogue, used on a rank's own window. Nothing
-// locks it: the caller orders its loads against every writer with
-// barriers and never writes through it.
+// Local returns the float region itself, for loads and stores in place —
+// the MPI_Win_shared_query analogue, used on a rank's own window. Nothing
+// locks it: the caller orders its accesses against every other reader and
+// writer with barriers.
 func (h *Win) Local() []float64 { return h.w.data }
 
 // FetchAdd atomically adds delta to counter idx and returns the previous

@@ -13,6 +13,7 @@ import (
 	"repro/internal/integrals"
 	"repro/internal/molecule"
 	"repro/internal/mpi"
+	"repro/internal/telemetry"
 )
 
 // run is Run on the production ERI source under a background context.
@@ -66,6 +67,52 @@ func TestInBuildRecoveryMidFockBuild(t *testing.T) {
 	}
 	if rec.Reports[0].Failures[0].Kind != mpi.KindKilled {
 		t.Fatalf("failure kind = %v, want killed", rec.Reports[0].Failures[0].Kind)
+	}
+}
+
+// TestReportTalliesDoNotRegister: the supervisor reads its recovery
+// tallies without creating the counters, so a shared-fock run, which
+// counts none of them, leaves all five out of its metrics, while a
+// resilient run that loses a rank still reports the leases it reissued.
+func TestReportTalliesDoNotRegister(t *testing.T) {
+	eng, sch, _ := resilientSetup(t)
+	tel := telemetry.NewSession()
+	p := Plan{Algorithm: AlgSharedFock, Ranks: 2, Threads: 2}
+	p.SCF.Telemetry = tel
+	if _, err := run(eng, sch, p); err != nil {
+		t.Fatal(err)
+	}
+	snap := tel.Registry.Snapshot()
+	for name := range (&Report{}).tallies() {
+		if v, ok := snap.Counters[name]; ok {
+			t.Errorf("shared-fock run registered %s (= %d)", name, v)
+		}
+	}
+
+	// Rank 0 dies inside its first Fock task, holding that task's lease,
+	// which rank 1 then reissues. A rank that draws no task in the whole
+	// run never reaches the kill, so the run is repeated until it does.
+	for try := 0; ; try++ {
+		tel = telemetry.NewSession()
+		p = resilient(2)
+		p.Fault = &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: 0, Site: mpi.SiteFock, After: 1}}}
+		p.SCF.Telemetry = tel
+		res, err := run(eng, sch, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Recovery.FailedRanks) == 0 {
+			if try == 20 {
+				t.Fatal("rank 0 ran no Fock task in 20 runs")
+			}
+			continue
+		}
+		got := tel.Registry.Snapshot().Counters["dlb.reissued"]
+		if res.Recovery.ReissuedTasks == 0 || res.Recovery.ReissuedTasks != got {
+			t.Errorf("Report.ReissuedTasks = %d, dlb.reissued = %d; want the same positive count",
+				res.Recovery.ReissuedTasks, got)
+		}
+		return
 	}
 }
 

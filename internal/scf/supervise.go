@@ -375,12 +375,14 @@ func supervise(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwar
 	record := func(outcome string) { rep.Outcomes = append(rep.Outcomes, outcome) }
 	// The registry outlives the run (hfserve shares one across jobs), so
 	// the tallies are deltas over this run, not absolute counter values.
+	// They are read without registering: a run that never counts a tally
+	// leaves it out of its metrics.
 	for name, field := range rep.tallies() {
-		*field = -tel.Counter(name).Value()
+		*field = -tel.CounterValue(name)
 	}
 	defer func() {
 		for name, field := range rep.tallies() {
-			*field += tel.Counter(name).Value()
+			*field += tel.CounterValue(name)
 		}
 	}()
 	// The latest checkpoint bytes: rank 0's OnIteration hook stores them

@@ -268,6 +268,18 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// CounterValue reads the named counter without creating it: an absent
+// counter reads 0, and the registry is left as it was.
+func (r *Registry) CounterValue(name string) int64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.RLock()
+	c := r.counters[name]
+	r.mu.RUnlock()
+	return c.Value()
+}
+
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {

@@ -253,6 +253,15 @@ func (s *Session) Counter(name string) *Counter {
 	return s.Registry.Counter(name)
 }
 
+// CounterValue reads the named counter without creating it (0 when it
+// is absent or the session is nil).
+func (s *Session) CounterValue(name string) int64 {
+	if s == nil {
+		return 0
+	}
+	return s.Registry.CounterValue(name)
+}
+
 // Gauge returns the named gauge.
 func (s *Session) Gauge(name string) *Gauge {
 	if s == nil {
