@@ -7,9 +7,12 @@
 # internal/fock, internal/scf and internal/ddi but is invisible to the
 # root ./... patterns), and the structure gate. Fock layer: non-test
 # internal/fock has exactly one .ShellQuartet( call site, exactly one
-# func digest and no per-element sink add (sinks take one addBlock call
-# per block), Schwarz screening (sch.Screened/sch.Bound) in one function
-# only, and no hand-synced copies (no "KEEP IN SYNC"). Integrals layer: exactly one
+# func digest, a sink interface of exactly block and done (a sink hands
+# the digest whole blocks to add into; no per-element method), no
+# canonicalising scatter (no func addLower or addLocal) and no diagonal
+# doubling in digest.go (F = G + Gᵀ does it once per build), Schwarz
+# screening (sch.Screened/sch.Bound) in one function only, and no
+# hand-synced copies (no "KEEP IN SYNC"). Integrals layer: exactly one
 # ShellQuartet method in non-test internal/integrals (the production
 # *PairCache; the direct McMurchie-Davidson oracle is the test-only
 # package internal/integrals/oracle), and the production kernel
@@ -262,8 +265,20 @@ tier_1() {
 	[ "$calls" -eq 1 ] || { echo "structure gate: $calls .ShellQuartet( call sites in internal/fock, want exactly 1 (the walker)"; exit 1; }
 	digests=$(cat $fock_src | grep -c '^func digest(' || true)
 	[ "$digests" -eq 1 ] || { echo "structure gate: $digests func digest in internal/fock, want exactly 1 (the block-wise digest)"; exit 1; }
+	sink_methods=$(awk '/^type sink interface \{/{in_t=1; next} in_t&&/^}/{in_t=0} in_t' $fock_src |
+		sed 's://.*$::' | grep -o '^[[:space:]]*[A-Za-z_][A-Za-z_0-9]*(' | tr -d ' \t(' | sort | tr '\n' ' ')
+	[ "$sink_methods" = "block done " ] ||
+		{ echo "structure gate: the fock sink interface has methods [$sink_methods], want [block done ]: a sink hands the digest whole blocks, no per-element method"; exit 1; }
 	if grep -nE '^[[:space:]]*add\(role, x, y int, v float64\)|^func \([^)]*\) add\(' $fock_src; then
-		echo "structure gate: a per-element sink add is back in internal/fock; sinks take one addBlock call per block"
+		echo "structure gate: a per-element sink add is back in internal/fock; the digest adds into the blocks its sink hands out"
+		exit 1
+	fi
+	if grep -nE '^func (\([^)]*\) )?add(Lower|Local)\(' $fock_src; then
+		echo "structure gate: a canonicalising scatter (addLower/addLocal) is back in internal/fock; accumulators are shell-blocked and close with F = G + Gᵀ"
+		exit 1
+	fi
+	if sed 's://.*$::' internal/fock/digest.go | grep -n '\*=[[:space:]]*2\b'; then
+		echo "structure gate: digest.go doubles a diagonal again; finalize's F = G + Gᵀ doubles it once per build"
 		exit 1
 	fi
 	screens=$(awk '/^func /{fn=FILENAME": "$0} /sch\.(Screened|Bound)\(/{print fn}' $fock_src | sort -u)

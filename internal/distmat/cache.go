@@ -132,7 +132,7 @@ func NewTileAccum(m *BlockMat, capTiles int) *TileAccum {
 }
 
 // AddLower accumulates v at the canonical lower-triangle location of
-// {x, y} — the distmat counterpart of fock.addLower.
+// {x, y}.
 func (a *TileAccum) AddLower(x, y int, v float64) {
 	if x < y {
 		x, y = y, x

@@ -275,10 +275,10 @@ func AntiSymmetrize(e, a *BlockMat) {
 	e.Dx.Comm.Barrier()
 }
 
-// UnfoldLower mirrors the lower triangle into the upper one — the
-// distributed Finalize for tile-accumulated Fock builds, which write
+// UnfoldLower mirrors the lower triangle into the upper one — how a
+// tile-accumulated Fock build closes: its sink writes
 // every symmetry-unique contribution at its canonical (max, min)
-// location and leave the strict upper triangle zero.
+// location and leaves the strict upper triangle zero.
 func UnfoldLower(m *BlockMat) {
 	bs := m.BS
 	out := make([]float64, bs*bs)

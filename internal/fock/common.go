@@ -12,17 +12,17 @@
 //   - Resilient (lease DLB, one-sided commits) and Tiled (distributed D
 //     and F)
 //
-// All presets accumulate contributions into the LOWER triangle only
-// (each symmetry-unique contribution is written exactly once at its
-// canonical (max, min) location, mirroring GAMESS's triangular storage);
-// Finalize unfolds the triangle into the symmetric dense matrix.
+// Every density and Fock accumulator of a replicated build is stored
+// shell-blocked (blocking, digest.go): the digest reads its density
+// blocks as slices and adds each symmetry-unique contribution once, in
+// place, into the accumulator G at the block it names, on whichever side
+// of the diagonal that lies. A build closes with F = G + Gᵀ (finalize).
 package fock
 
 import (
 	"math"
 
 	"repro/internal/integrals"
-	"repro/internal/linalg"
 	"repro/internal/omp"
 )
 
@@ -107,16 +107,6 @@ func PairDecode(ij int) (i, j int) {
 
 // NumPairs returns the number of canonical shell pairs for n shells.
 func NumPairs(n int) int { return n * (n + 1) / 2 }
-
-// Finalize unfolds a lower-triangle accumulator into a full symmetric
-// matrix, in place.
-func Finalize(acc *linalg.Matrix) {
-	for r := 0; r < acc.Rows; r++ {
-		for c := 0; c < r; c++ {
-			acc.Set(c, r, acc.At(r, c))
-		}
-	}
-}
 
 // quartetLoopBounds reports lmax for the canonical quartet enumeration at
 // (i, j, k): l runs over [0, lmax]. (Algorithm 1 line 5; the Algorithm 2

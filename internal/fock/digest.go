@@ -5,26 +5,98 @@ import (
 	"repro/internal/linalg"
 )
 
-// Density is the read side of a digest channel: it copies the nx x ny
-// block of a symmetric density matrix at rows x0.., columns y0.. into dst
-// (row-major, row stride ny). digest reads six such blocks per shell
-// quartet and channel, one call each. Dense serves the replicated builds
-// and FromTiles the distributed-data build. It is a func and the sinks
-// below hold raw slices because a *linalg.Matrix stored in an interface
-// changes what the linker keeps and moves the hot loops of unrelated
-// layers off their alignment (DESIGN.md §3.1).
-type Density func(x0, nx, y0, ny int, dst []float64)
+// blocking is the shell-blocked layout of every density and Fock
+// accumulator a build keeps: block (a, b) holds shell a's basis functions
+// against shell b's, num[a] x num[b] row-major, and starts at
+// n·off[a] + num[a]·off[b]. Shell a's block row is therefore the one
+// contiguous num[a] x n span at n·off[a], and any block is a slice.
+type blocking struct {
+	n        int   // basis functions
+	off, num []int // per shell: first basis function, basis functions
+	maxNum   int   // the largest shell
+}
 
-// Dense is the Density of a replicated matrix: one row copy per block
-// row.
-func Dense(m *linalg.Matrix) Density {
-	n, data := m.Cols, m.Data
-	return func(x0, nx, y0, ny int, dst []float64) {
-		for r := 0; r < nx; r++ {
-			copy(dst[r*ny:r*ny+ny], data[(x0+r)*n+y0:])
+func newBlocking(shells []basis.Shell) *blocking {
+	lay := &blocking{off: make([]int, len(shells)), num: make([]int, len(shells))}
+	for s := range shells {
+		lay.off[s], lay.num[s] = shells[s].BFOffset, shells[s].NumFuncs()
+		lay.n += lay.num[s]
+		lay.maxNum = max(lay.maxNum, lay.num[s])
+	}
+	return lay
+}
+
+// start is where block (a, b) begins.
+func (lay *blocking) start(a, b int) int { return lay.n*lay.off[a] + lay.num[a]*lay.off[b] }
+
+// block is block (a, b) of the blocked matrix m.
+func (lay *blocking) block(m []float64, a, b int) []float64 {
+	s := lay.start(a, b)
+	return m[s : s+lay.num[a]*lay.num[b]]
+}
+
+// rowBlock is block (a, b) of row, a copy of shell a's block row.
+func (lay *blocking) rowBlock(row []float64, a, b int) []float64 {
+	s := lay.num[a] * lay.off[b]
+	return row[s : s+lay.num[a]*lay.num[b]]
+}
+
+// fromDense stores the row-major n x n matrix src shell-blocked into dst.
+func (lay *blocking) fromDense(dst, src []float64) {
+	for a, oa := range lay.off {
+		na := lay.num[a]
+		for b, ob := range lay.off {
+			nb := lay.num[b]
+			blk := lay.block(dst, a, b)
+			for r := 0; r < na; r++ {
+				copy(blk[r*nb:r*nb+nb], src[(oa+r)*lay.n+ob:])
+			}
 		}
 	}
 }
+
+// finalize closes a build: the symmetric matrix F = G + Gᵀ of the
+// blocked accumulator g, row-major. The digest lands each update on
+// whichever side of the diagonal its block lies, so an off-diagonal slot
+// sums both sides and a diagonal slot becomes 2·G_xx — the doubling by
+// which it absorbs both mirror images of an update.
+func (lay *blocking) finalize(g []float64) *linalg.Matrix {
+	f := linalg.NewSquare(lay.n)
+	for a, oa := range lay.off {
+		na := lay.num[a]
+		for b, ob := range lay.off[:a+1] {
+			nb := lay.num[b]
+			ab, ba := lay.block(g, a, b), lay.block(g, b, a)
+			for r := 0; r < na; r++ {
+				row := f.Data[(oa+r)*lay.n+ob:]
+				for c := 0; c < nb; c++ {
+					v := ab[r*nb+c] + ba[c*na+r]
+					row[c] = v
+					f.Data[(ob+c)*lay.n+oa+r] = v
+				}
+			}
+		}
+	}
+	return f
+}
+
+// Density is the read side of a digest channel: a symmetric density
+// matrix, six blocks of which the digest reads per shell quartet. Dense
+// is a replicated matrix, which the build stores shell-blocked once
+// before its walk (blockDensities) so the digest reads its blocks as
+// slices; FromTiles is a distributed one, whose blocks are copied out
+// through a tile reader. It holds raw slices and a func, not a
+// *linalg.Matrix: a *linalg.Matrix stored in an interface changes what
+// the linker keeps and moves the hot loops of unrelated layers off their
+// alignment (DESIGN.md §3.1).
+type Density struct {
+	dense   []float64                               // row-major N x N (Dense)
+	blocked []float64                               // dense, shell-blocked
+	read    func(x0, nx, y0, ny int, dst []float64) // FromTiles
+}
+
+// Dense is the Density of a replicated matrix.
+func Dense(m *linalg.Matrix) Density { return Density{dense: m.Data} }
 
 // Channel is one Fock-like matrix riding the quartet sweep:
 //
@@ -63,6 +135,34 @@ func UHF(dTotal, dAlpha, dBeta Density) []Channel {
 	}
 }
 
+// blockDensities returns a copy of chans whose replicated densities are
+// stored shell-blocked, each distinct matrix once (RHF's DJ and DK are
+// one copy). A build calls it before its walk; a hybrid team shares the
+// copies read-only.
+func blockDensities(lay *blocking, chans []Channel) []Channel {
+	out := append([]Channel(nil), chans...)
+	var done []Density
+	blockOne := func(d *Density) {
+		if d.dense == nil {
+			return
+		}
+		for _, o := range done {
+			if &o.dense[0] == &d.dense[0] {
+				d.blocked = o.blocked
+				return
+			}
+		}
+		d.blocked = make([]float64, len(d.dense))
+		lay.fromDense(d.blocked, d.dense)
+		done = append(done, *d)
+	}
+	for c := range out {
+		blockOne(&out[c].DJ)
+		blockOne(&out[c].DK)
+	}
+	return out
+}
+
 // bind returns a copy of chans with channel c writing to out(c).
 func bind(chans []Channel, out func(c int) sink) []Channel {
 	bound := make([]Channel, len(chans))
@@ -74,9 +174,7 @@ func bind(chans []Channel, out func(c int) sink) []Channel {
 }
 
 // Update roles: which of the paper's six Fock updates (eqs. 2a-2f) a
-// block implements. The shared-Fock algorithm routes by role. A role's
-// complement (role^1) names the density block its update contracts
-// against.
+// block implements. The shared-Fock algorithm routes by role.
 const (
 	roleAB = iota // F_ij += (ij|kl) D_kl
 	roleCD        // F_kl += (ij|kl) D_ij
@@ -87,203 +185,98 @@ const (
 	numRoles
 )
 
-// roleShells is the (row, column) pair of a role's block among the
-// quartet's shells (0..3 = i, j, k, l).
-var roleShells = [numRoles][2]int{{0, 1}, {2, 3}, {0, 2}, {1, 3}, {0, 3}, {1, 2}}
-
-// sink receives one channel's updates from digest, one call per block:
-// add scale*blk[r*ny+c] at the unordered index pair {x0+r, y0+c}. The
-// block's rows are the basis functions of one shell and its columns those
-// of another: for roles AB/AC/AD the rows are shell i's, for BD/BC shell
-// j's and for CD shell k's (whose columns, shell l's, never lie above
-// them). For the other roles the columns may lie above the rows; when
-// both shells are the same the block straddles the diagonal. Sinks must
-// canonicalize. Diagonal doubling is already in blk.
+// sink is where one channel's updates land. block hands the digest the
+// Fock block of a role — shell a's functions against shell b's, row-major
+// — to add into: the rows are shell i's for roles AB/AC/AD, shell j's for
+// BD/BC and shell k's for CD. The digest only ever adds (+=) into a
+// handed block, so two roles may be handed the same one (k == l, i == j,
+// ij == kl). done closes the channel's share of the quartet.
 type sink interface {
-	addBlock(role, x0, nx, y0, ny int, scale float64, blk []float64)
+	block(role, a, b int) []float64
+	done()
 }
 
-// lowerSink is the replicated sink: the canonical lower-triangle element
-// of a row-major N x N accumulator, whatever the role.
-type lowerSink struct {
-	acc []float64
-	n   int
+// blockSink is the replicated sink: a blocked N x N accumulator, handed
+// out in place whatever the role.
+type blockSink struct {
+	lay *blocking
+	g   []float64
 }
 
-func (s lowerSink) addBlock(_, x0, nx, y0, ny int, scale float64, blk []float64) {
-	addLower(s.acc, s.n, x0, nx, y0, ny, scale, blk)
-}
+func (s *blockSink) block(_, a, b int) []float64 { return s.lay.block(s.g, a, b) }
+func (s *blockSink) done()                       {}
 
-// addLower adds scale*blk at the canonical lower-triangle slots of a
-// row-major n-wide accumulator. The block's row and column shells are
-// either disjoint or the same.
-func addLower(acc []float64, n, x0, nx, y0, ny int, scale float64, blk []float64) {
-	switch {
-	case x0 >= y0+ny: // below the diagonal: one row of acc per block row
-		for r := 0; r < nx; r++ {
-			src := blk[r*ny : r*ny+ny]
-			dst := acc[(x0+r)*n+y0:]
-			dst = dst[:len(src)]
-			for c, v := range src {
-				dst[c] += scale * v
-			}
-		}
-	case y0 >= x0+nx: // above it: one row of acc per block column
-		for c := 0; c < ny; c++ {
-			dst := acc[(y0+c)*n+x0:]
-			dst = dst[:nx]
-			for r := range dst {
-				dst[r] += scale * blk[r*ny+c]
-			}
-		}
-	default: // one shell's diagonal block
-		for r := 0; r < nx; r++ {
-			for c := 0; c < ny; c++ {
-				x, y := x0+r, y0+c
-				if x < y {
-					x, y = y, x
-				}
-				acc[x*n+y] += scale * blk[r*ny+c]
-			}
-		}
+// replicated allocates one blocked N x N accumulator per channel and
+// binds the channels to them.
+func replicated(lay *blocking, chans []Channel) ([][]float64, []Channel) {
+	gs := make([][]float64, len(chans))
+	for c := range gs {
+		gs[c] = make([]float64, lay.n*lay.n)
 	}
+	return gs, bind(chans, func(c int) sink { return &blockSink{lay, gs[c]} })
 }
 
-// replicated allocates one N x N lower-triangle accumulator per channel
-// and binds the channels to them.
-func replicated(n int, chans []Channel) ([]*linalg.Matrix, []Channel) {
-	accs := make([]*linalg.Matrix, len(chans))
-	for c := range accs {
-		accs[c] = linalg.NewSquare(n)
-	}
-	return accs, bind(chans, func(c int) sink { return lowerSink{accs[c].Data, n} })
-}
-
-// scratch is a walker's digest working set for one build (the channels'
-// densities are fixed while it lives): the weighted copy of a block whose
-// shells coincide, the six Fock blocks of the channel being contracted,
-// and per channel the six density blocks last gathered, each tagged with
-// its shell pair. A row of the walker keeps i, j and k fixed, so the
-// blocks of pairs ij, ik and jk are gathered once per row, not per
-// quartet.
+// scratch is a walker's digest working set: the weighted copy of a block
+// whose shells coincide, and per role the density block a tile-backed
+// channel last copied out.
 type scratch struct {
-	nf   []int // basis functions per shell
-	w    []float64
-	f    [numRoles][]float64
-	held []heldBlocks // per channel
+	w []float64
+	d [numRoles][]float64
 }
 
-type heldBlocks struct {
-	key [numRoles]int // 1 + the block's shell pair in row-major order; 0 = none
-	d   [numRoles][]float64
-}
-
-// init sizes s for blocks of shells and n channels: one backing array
-// holds the weighted block, the Fock blocks and every channel's density
-// blocks.
-func (s *scratch) init(shells []basis.Shell, n int) {
-	s.nf = make([]int, len(shells))
-	m := 0
-	for sh := range shells {
-		s.nf[sh] = shells[sh].NumFuncs()
-		m = max(m, s.nf[sh])
+// density returns block (a, b) of d: a slice of its blocked copy, or for
+// a tile-backed density role r's scratch, filled through its reader.
+func (sc *scratch) density(d *Density, lay *blocking, r, a, b int) []float64 {
+	if d.blocked != nil {
+		return lay.block(d.blocked, a, b)
 	}
-	buf := make([]float64, m*m*m*m+(1+n)*numRoles*m*m)
-	next := func(size int) []float64 {
-		b := buf[:size:size]
-		buf = buf[size:]
-		return b
+	if sc.d[r] == nil {
+		sc.d[r] = make([]float64, lay.maxNum*lay.maxNum)
 	}
-	s.w = next(m * m * m * m)
-	for r := range s.f {
-		s.f[r] = next(m * m)
-	}
-	s.held = make([]heldBlocks, n)
-	for c := range s.held {
-		for r := range s.held[c].d {
-			s.held[c].d[r] = next(m * m)
-		}
-	}
+	dst := sc.d[r][:lay.num[a]*lay.num[b]]
+	d.read(lay.off[a], lay.num[a], lay.off[b], lay.num[b], dst)
+	return dst
 }
 
 // digest distributes one symmetry-unique shell quartet's ERI block into
 // Fock contributions for every channel. blk is the (i j | k l) block from
-// a QuartetSource. Per channel it gathers the six density blocks the
-// paper's six updates (eqs. 2a-2f) read, contracts the block against them
-// into six Fock blocks and hands each to the channel's sink with the
-// channel's CJ/CK, one call per block. It and its helper weigh are the
-// only code that knows the in-block symmetry dedup, the 1/|stabilizer|
-// weights and the diagonal doubling.
-func digest(blk []float64, shells []basis.Shell, i, j, k, l int, chans []Channel, sc *scratch) {
-	if len(chans) == 0 {
-		return
-	}
-	if len(sc.held) != len(chans) {
-		sc.init(shells, len(chans))
-	}
-	q := [4]int{i, j, k, l}
-	var off, num [4]int
-	for s, sh := range q {
-		off[s], num[s] = shells[sh].BFOffset, sc.nf[sh]
-	}
+// a QuartetSource. Per channel it reads the six density blocks the
+// paper's six updates (eqs. 2a-2f) contract against and adds the six
+// contributions, CJ/CK applied, into the blocks the channel's sink hands
+// it, then closes the channel's quartet. It and its helper weigh are the
+// only code that knows the in-block symmetry dedup and the
+// 1/|stabilizer| weights; the diagonal doubling is finalize's, once per
+// build.
+func digest(blk []float64, lay *blocking, i, j, k, l int, chans []Channel, sc *scratch) {
+	num := [4]int{lay.num[i], lay.num[j], lay.num[k], lay.num[l]}
 	ni, nj, nk, nl := num[0], num[1], num[2], num[3]
 	w := blk[:ni*nj*nk*nl]
 	if i == j || k == l || (i == k && j == l) {
+		if len(sc.w) < len(w) {
+			sc.w = make([]float64, lay.maxNum*lay.maxNum*lay.maxNum*lay.maxNum)
+		}
 		w = weigh(sc.w[:len(w)], w, num, i == j, k == l, i == k && j == l)
 	}
-	var f [numRoles][]float64
-	for r, p := range roleShells {
-		f[r] = sc.f[r][:num[p[0]]*num[p[1]]]
-	}
-
-	// scatter hands role r's Fock block to the sink, doubling the
-	// diagonal of a block whose two shells are the same: that slot
-	// absorbs both mirror images of the update.
-	scatter := func(out sink, r int, scale float64) {
-		a, b := roleShells[r][0], roleShells[r][1]
-		if q[a] == q[b] {
-			for x := 0; x < num[a]; x++ {
-				f[r][x*num[a]+x] *= 2
-			}
-		}
-		out.addBlock(r, off[a], num[a], off[b], num[b], scale, f[r])
-	}
-	// gather returns the density block of role r, reading it only if the
-	// channel does not hold it already.
-	gather := func(h *heldBlocks, dens Density, r int) []float64 {
-		a, b := roleShells[r][0], roleShells[r][1]
-		d := h.d[r][:num[a]*num[b]]
-		if key := 1 + q[a]*len(shells) + q[b]; h.key[r] != key {
-			dens(off[a], num[a], off[b], num[b], d)
-			h.key[r] = key
-		}
-		return d
-	}
-
 	for n := range chans {
-		ch, h := &chans[n], &sc.held[n]
+		ch := &chans[n]
+		out := ch.out
 		// Coulomb (eqs. 2a, 2b). With s = 1/|stabilizer| folded into w,
 		// the eight symmetry images of a quartet give an off-diagonal
 		// slot 2 s I D (Coulomb) and s I D (exchange).
 		if ch.CJ != 0 {
-			dab, dcd := gather(h, ch.DJ, roleAB), gather(h, ch.DJ, roleCD)
-			clear(f[roleCD])
-			coulomb(w, dab, dcd, f[roleAB], f[roleCD])
-			scatter(ch.out, roleAB, 2*ch.CJ)
-			scatter(ch.out, roleCD, 2*ch.CJ)
+			coulomb(w, sc.density(&ch.DJ, lay, roleAB, i, j), sc.density(&ch.DJ, lay, roleCD, k, l),
+				out.block(roleAB, i, j), out.block(roleCD, k, l), 2*ch.CJ)
 		}
 		// Exchange (eqs. 2c-2f)
 		if ch.CK != 0 {
-			var d [numRoles][]float64
-			for r := roleAC; r < numRoles; r++ {
-				d[r] = gather(h, ch.DK, r)
-				clear(f[r])
-			}
-			exchange(w, ni, nj, nk, nl, &d, &f)
-			for r := roleAC; r < numRoles; r++ {
-				scatter(ch.out, r, ch.CK)
-			}
+			var d, f [numRoles][]float64
+			d[roleAC], f[roleAC] = sc.density(&ch.DK, lay, roleAC, i, k), out.block(roleAC, i, k)
+			d[roleBD], f[roleBD] = sc.density(&ch.DK, lay, roleBD, j, l), out.block(roleBD, j, l)
+			d[roleAD], f[roleAD] = sc.density(&ch.DK, lay, roleAD, i, l), out.block(roleAD, i, l)
+			d[roleBC], f[roleBC] = sc.density(&ch.DK, lay, roleBC, j, k), out.block(roleBC, j, k)
+			exchange(w, ni, nj, nk, nl, &d, &f, ch.CK)
 		}
+		out.done()
 	}
 }
 
@@ -327,26 +320,30 @@ func weigh(dst, w []float64, num [4]int, iEqJ, kEqL, ijEqKL bool) []float64 {
 }
 
 // coulomb contracts the weighted block w, row ab over columns cd, into
-// fab[ab] = sum_cd w dcd[cd] and fcd[cd] += sum_ab w dab[ab].
-func coulomb(w, dab, dcd, fab, fcd []float64) {
+// fab[ab] += cj sum_cd w dcd[cd] and fcd[cd] += cj sum_ab w dab[ab]. fab
+// and fcd may be one block.
+func coulomb(w, dab, dcd, fab, fcd []float64, cj float64) {
 	nkl := len(dcd)
 	for ab := range fab {
 		row := w[ab*nkl : ab*nkl+nkl]
 		dcd, fcd := dcd[:len(row)], fcd[:len(row)]
-		dv, s := dab[ab], 0.0
+		dv, s := cj*dab[ab], 0.0
 		for cd, v := range row {
 			s += v * dcd[cd]
 			fcd[cd] += v * dv
 		}
-		fab[ab] = s
+		fab[ab] += cj * s
 	}
 }
 
 // exchange contracts the weighted block w[a,b,c,d] into the four
-// exchange Fock blocks, one row over d at a time:
+// exchange Fock blocks, one row over d at a time, each scaled by ck:
 //
 //	F_ac += w D_bd    F_bd += w D_ac    F_ad += w D_bc    F_bc += w D_ad
-func exchange(w []float64, ni, nj, nk, nl int, d, f *[numRoles][]float64) {
+//
+// Fock blocks may coincide (i == j, k == l); every update is a separate
+// read-modify-write of its element.
+func exchange(w []float64, ni, nj, nk, nl int, d, f *[numRoles][]float64, ck float64) {
 	dAC, dBD, dAD, dBC := d[roleAC], d[roleBD], d[roleAD], d[roleBC]
 	fAC, fBD, fAD, fBC := f[roleAC], f[roleBD], f[roleAD], f[roleBC]
 	for a := 0; a < ni; a++ {
@@ -357,7 +354,7 @@ func exchange(w []float64, ni, nj, nk, nl int, d, f *[numRoles][]float64) {
 				base := ((a*nj+b)*nk + c) * nl
 				row := w[base : base+nl]
 				dad, fad, dbd, fbd := dad[:len(row)], fad[:len(row)], dbd[:len(row)], fbd[:len(row)]
-				dac, dbc := dAC[a*nk+c], dBC[b*nk+c]
+				dac, dbc := ck*dAC[a*nk+c], ck*dBC[b*nk+c]
 				var sac, sbc float64
 				for x, v := range row {
 					sac += v * dbd[x]
@@ -365,8 +362,8 @@ func exchange(w []float64, ni, nj, nk, nl int, d, f *[numRoles][]float64) {
 					fbd[x] += v * dac
 					fad[x] += v * dbc
 				}
-				fAC[a*nk+c] += sac
-				fBC[b*nk+c] += sbc
+				fAC[a*nk+c] += ck * sac
+				fBC[b*nk+c] += ck * sbc
 			}
 		}
 	}

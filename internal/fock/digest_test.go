@@ -130,11 +130,30 @@ func canonicalQuartets(ns int) [][4]int {
 	return qs
 }
 
+// sharedBlocks names every pair of roles ("AC=AD") that some quartet of
+// the list hands one and the same Fock block.
+func sharedBlocks(quartets [][4]int) map[string]bool {
+	names := [numRoles]string{"AB", "CD", "AC", "BD", "AD", "BC"}
+	shells := [numRoles][2]int{{0, 1}, {2, 3}, {0, 2}, {1, 3}, {0, 3}, {1, 2}}
+	seen := map[string]bool{}
+	for _, q := range quartets {
+		for r1 := range shells {
+			for r2 := r1 + 1; r2 < numRoles; r2++ {
+				if q[shells[r1][0]] == q[shells[r2][0]] && q[shells[r1][1]] == q[shells[r2][1]] {
+					seen[names[r1]+"="+names[r2]] = true
+				}
+			}
+		}
+	}
+	return seen
+}
+
 // TestDigestMatchesElementwise holds the block-wise digest to the
 // element-wise reference: random ERI blocks on every canonical quartet of
-// water/6-31G(d) (s, L and d shells, every shell-coincidence pattern),
-// the RHF and UHF channel lists, through each of the four sinks, to 1e-14
-// of the largest reference element.
+// water/6-31G(d) (s, L and d shells, every shell-coincidence pattern and
+// every way two roles name one block), the RHF and UHF channel lists,
+// through each of the four block-handing sinks, to 1e-14 of the largest
+// reference element.
 func TestDigestMatchesElementwise(t *testing.T) {
 	b, err := basis.Build(molecule.Water(), "6-31g(d)")
 	if err != nil {
@@ -169,6 +188,20 @@ func TestDigestMatchesElementwise(t *testing.T) {
 	for name, hit := range patterns {
 		if !hit {
 			t.Fatalf("no quartet with %s", name)
+		}
+	}
+	// A sink may hand two roles the same block; the quartet list must hold
+	// every way that happens.
+	shared := sharedBlocks(quartets)
+	for _, want := range []string{
+		"AC=BC", "BD=AD", // i == j
+		"AC=AD", "BD=BC", // k == l
+		"AB=CD", // ij == kl
+		"AB=AD", // j == l
+		"CD=AD", // i == k
+	} {
+		if !shared[want] {
+			t.Fatalf("no quartet hands roles %s one block (seen %v)", want, shared)
 		}
 	}
 	dens := []*linalg.Matrix{randomSymmetric(rng, n), randomSymmetric(rng, n), randomSymmetric(rng, n)}
@@ -223,76 +256,77 @@ func TestDigestMatchesElementwise(t *testing.T) {
 }
 
 // digestSinks runs the production digest over a quartet list through
-// each sink and returns each channel's canonical lower triangle.
+// each sink and returns each channel's F = G + Gᵀ (the tile sink: its
+// lower triangle).
 var digestSinks = []struct {
 	name string
 	run  func(t *testing.T, shells []basis.Shell, n int, dens []*linalg.Matrix, quartets [][4]int, blocks [][]float64) []*linalg.Matrix
 }{
-	{"lower", func(t *testing.T, shells []basis.Shell, n int, dens []*linalg.Matrix, quartets [][4]int, blocks [][]float64) []*linalg.Matrix {
-		accs, chans := replicated(n, channelsOf(dens, Dense))
+	{"blocked", func(t *testing.T, shells []basis.Shell, n int, dens []*linalg.Matrix, quartets [][4]int, blocks [][]float64) []*linalg.Matrix {
+		lay := newBlocking(shells)
+		gs, chans := replicated(lay, blockDensities(lay, channelsOf(dens, Dense)))
 		var sc scratch
 		for qi, q := range quartets {
-			digest(blocks[qi], shells, q[0], q[1], q[2], q[3], chans, &sc)
+			digest(blocks[qi], lay, q[0], q[1], q[2], q[3], chans, &sc)
 		}
-		return accs
+		return closeBuild(lay, gs)
 	}},
 	{"routed", func(t *testing.T, shells []basis.Shell, n int, dens []*linalg.Matrix, quartets [][4]int, blocks [][]float64) []*linalg.Matrix {
-		m := 0
-		for s := range shells {
-			m = max(m, shells[s].NumFuncs())
-		}
-		accs := make([]*linalg.Matrix, len(dens))
+		lay := newBlocking(shells)
+		gs := make([][]float64, len(dens))
 		routes := make([]*routedSink, len(dens))
-		for c := range accs {
-			accs[c] = linalg.NewSquare(n)
-			routes[c] = &routedSink{n: n, acc: accs[c].Data, fi: make([]float64, m*n), fj: make([]float64, m*n)}
+		for c := range gs {
+			gs[c] = make([]float64, n*n)
+			routes[c] = &routedSink{lay: lay, g: gs[c],
+				fi: make([]float64, lay.maxNum*n), fj: make([]float64, lay.maxNum*n)}
 		}
-		chans := bind(channelsOf(dens, Dense), func(c int) sink { return routes[c] })
-		// The FI/FJ buffers are folded into the accumulator after every
+		chans := bind(blockDensities(lay, channelsOf(dens, Dense)), func(c int) sink { return routes[c] })
+		// The FI/FJ block-row copies are folded into G after every
 		// quartet, as the shared-Fock flushes fold them after a task.
-		fold := func(acc []float64, buf []float64, sh *basis.Shell) {
-			for local := 0; local < sh.NumFuncs(); local++ {
-				for y := 0; y < n; y++ {
-					x, yy := sh.BFOffset+local, y
-					if x < yy {
-						x, yy = yy, x
-					}
-					acc[x*n+yy] += buf[local*n+y]
-					buf[local*n+y] = 0
-				}
+		fold := func(g, buf []float64, sh int) {
+			row := g[n*lay.off[sh] : n*lay.off[sh]+lay.num[sh]*n]
+			for x := range row {
+				row[x] += buf[x]
+				buf[x] = 0
 			}
 		}
 		var sc scratch
 		for qi, q := range quartets {
-			for _, r := range routes {
-				r.aim(&shells[q[0]], &shells[q[1]])
-			}
-			digest(blocks[qi], shells, q[0], q[1], q[2], q[3], chans, &sc)
+			digest(blocks[qi], lay, q[0], q[1], q[2], q[3], chans, &sc)
 			for c, r := range routes {
-				fold(accs[c].Data, r.fi, &shells[q[0]])
-				fold(accs[c].Data, r.fj, &shells[q[1]])
+				fold(gs[c], r.fi, q[0])
+				fold(gs[c], r.fj, q[1])
 			}
 		}
-		return accs
+		return closeBuild(lay, gs)
 	}},
 	{"pending", func(t *testing.T, shells []basis.Shell, n int, dens []*linalg.Matrix, quartets [][4]int, blocks [][]float64) []*linalg.Matrix {
-		stage, chans := getStaging(channelsOf(dens, Dense), n)
+		lay := newBlocking(shells)
+		stage, chans := getStaging(blockDensities(lay, channelsOf(dens, Dense)), lay)
 		var sc scratch
 		for qi, q := range quartets {
-			digest(blocks[qi], shells, q[0], q[1], q[2], q[3], chans, &sc)
+			digest(blocks[qi], lay, q[0], q[1], q[2], q[3], chans, &sc)
 		}
+		// The window the staged block records would accumulate into.
 		window := make([]float64, len(dens)*n*n)
-		for x, p := range stage.pos {
-			window[p] += stage.val[x]
+		val := stage.val
+		for _, b := range stage.blocks {
+			for x, v := range val[:b.n] {
+				window[b.pos+x] += v
+			}
+			val = val[b.n:]
 		}
-		accs := make([]*linalg.Matrix, len(dens))
-		for c := range accs {
-			accs[c] = linalg.NewSquare(n)
-			copy(accs[c].Data, window[c*n*n:])
+		if len(val) != 0 {
+			t.Fatalf("%d staged values past the last block record", len(val))
 		}
-		return accs
+		gs := make([][]float64, len(dens))
+		for c := range gs {
+			gs[c] = window[c*n*n : (c+1)*n*n]
+		}
+		return closeBuild(lay, gs)
 	}},
 	{"tile", func(t *testing.T, shells []basis.Shell, n int, dens []*linalg.Matrix, quartets [][4]int, blocks [][]float64) []*linalg.Matrix {
+		lay := newBlocking(shells)
 		accs := make([]*linalg.Matrix, len(dens))
 		err := mpi.Run(1, func(comm *mpi.Comm) {
 			dx := ddi.New(comm)
@@ -311,10 +345,10 @@ var digestSinks = []struct {
 				fs[c].Zero()
 				out[c] = distmat.NewTileAccum(fs[c], 4)
 			}
-			chans := bind(channelsOf(readers, FromTiles), func(c int) sink { return tileSink{out[c]} })
+			chans := bind(channelsOf(readers, FromTiles), func(c int) sink { return newTileSink(lay, out[c]) })
 			var sc scratch
 			for qi, q := range quartets {
-				digest(blocks[qi], shells, q[0], q[1], q[2], q[3], chans, &sc)
+				digest(blocks[qi], lay, q[0], q[1], q[2], q[3], chans, &sc)
 			}
 			for c, f := range fs {
 				out[c].Flush()
@@ -386,12 +420,13 @@ func BenchmarkDigest(b *testing.B) {
 				b.Fatalf("%d surviving quartets, %d basis-function quartets; want %d, %d",
 					len(survivors), bfQuart, wl.quartets, wl.bfQuart)
 			}
-			_, chans := replicated(eng.Basis.NumBF, RHF(Dense(d)))
+			lay := newBlocking(shells)
+			_, chans := replicated(lay, blockDensities(lay, RHF(Dense(d))))
 			var sc scratch
 			b.ResetTimer()
 			for range b.N {
 				for _, s := range survivors {
-					digest(s.blk, shells, s.q[0], s.q[1], s.q[2], s.q[3], chans, &sc)
+					digest(s.blk, lay, s.q[0], s.q[1], s.q[2], s.q[3], chans, &sc)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*bfQuart), "ns/bfquartet")

@@ -172,17 +172,46 @@ func TestSharedFockFlushCounting(t *testing.T) {
 	}
 }
 
+// TestFinalizeSymmetry: F = G + Gᵀ of a blocked accumulator is symmetric
+// and exactly what the element-wise lower-triangle accumulation made of
+// the same contributions: element (x, y) of G lands at the canonical slot
+// (max, min), doubled where x == y. G is random over water/6-31G(d)'s
+// shells (s, L and d: blocks with a == b and a != b of every shape).
 func TestFinalizeSymmetry(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := linalg.NewSquare(6)
-	for i := 0; i < 6; i++ {
-		for j := 0; j <= i; j++ {
-			m.Set(i, j, rng.NormFloat64())
+	b, err := basis.Build(molecule.Water(), "6-31g(d)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := newBlocking(b.Shells)
+	n := lay.n
+	rng := rand.New(rand.NewSource(11))
+	g := make([]float64, n*n)
+	for x := range g {
+		g[x] = rng.NormFloat64()
+	}
+	want := linalg.NewSquare(n)
+	for a := range lay.off {
+		for b := range lay.off {
+			blk := lay.block(g, a, b)
+			for r := 0; r < lay.num[a]; r++ {
+				for c := 0; c < lay.num[b]; c++ {
+					x, y := lay.off[a]+r, lay.off[b]+c
+					v := blk[r*lay.num[b]+c]
+					if x < y {
+						x, y = y, x
+					}
+					want.Data[x*n+y] += dbl(x, y) * v
+				}
+			}
 		}
 	}
-	Finalize(m)
-	if !m.IsSymmetric(0) {
-		t.Fatal("Finalize did not produce a symmetric matrix")
+	f := lay.finalize(g)
+	for x := 0; x < n; x++ {
+		for y := 0; y <= x; y++ {
+			if got := f.At(x, y); got != want.At(x, y) || f.At(y, x) != got {
+				t.Fatalf("F(%d,%d) = %v, F(%d,%d) = %v; the lower reference is %v", x, y, got, y, x, f.At(y, x), want.At(x, y))
+			}
+		}
 	}
 }
 

@@ -18,21 +18,30 @@ import (
 func MPIOnlyBuild(dx *ddi.Context, eng *integrals.Engine,
 	sch *integrals.Schwarz, chans []Channel, cfg Config) ([]*linalg.Matrix, Stats) {
 	w := newWalker(dx, eng, sch, cfg)
-	var accs []*linalg.Matrix
-	accs, w.chans = replicated(w.n, chans)
+	var gs [][]float64
+	gs, w.chans = replicated(w.lay, blockDensities(w.lay, chans))
 	// The private accumulator always rides the closing gsumf, so a
 	// NaN-poison or bit-flip landed there reaches every rank's Fock.
-	w.dlbPairs(&accs[0].Data)
-	reduce(dx, accs)
-	return accs, w.st
+	w.dlbPairs(&gs[0])
+	return reduce(dx, w.lay, gs), w.st
 }
 
 // reduce closes a replicated build: the 2e-Fock matrix reduction over MPI
 // ranks (Algorithm 1 line 16, Algorithm 2 line 23, Algorithm 3 line 38)
-// and the unfold of the lower triangle.
-func reduce(dx *ddi.Context, accs []*linalg.Matrix) {
-	for _, acc := range accs {
-		dx.GSumF(acc.Data)
-		Finalize(acc)
+// of each blocked accumulator, then closeBuild.
+func reduce(dx *ddi.Context, lay *blocking, gs [][]float64) []*linalg.Matrix {
+	for _, g := range gs {
+		dx.GSumF(g)
 	}
+	return closeBuild(lay, gs)
+}
+
+// closeBuild forms each channel's F = G + Gᵀ from its blocked
+// accumulator.
+func closeBuild(lay *blocking, gs [][]float64) []*linalg.Matrix {
+	fs := make([]*linalg.Matrix, len(gs))
+	for c, g := range gs {
+		fs[c] = lay.finalize(g)
+	}
+	return fs
 }

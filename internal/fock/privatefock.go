@@ -18,17 +18,19 @@ import (
 // per channel) are complete and identical on all ranks.
 func PrivateFockBuild(dx *ddi.Context, eng *integrals.Engine,
 	sch *integrals.Schwarz, chans []Channel, cfg Config) ([]*linalg.Matrix, Stats) {
-	n := eng.Basis.NumBF
 	ns := len(eng.Basis.Shells)
 	nthreads := cfg.threads()
 
 	// Thread-private Fock replicas (the algorithm's defining memory cost:
-	// (2 + Nthreads) N^2 per rank, eq. 3b).
-	priv := make([][]*linalg.Matrix, nthreads) // [thread][channel]
+	// (2 + Nthreads) N^2 per rank, eq. 3b), blocked like the shared
+	// densities the team reads.
+	lay := newBlocking(eng.Basis.Shells)
+	chans = blockDensities(lay, chans)
+	priv := make([][][]float64, nthreads) // [thread][channel]
 	lanes := make([]walker, nthreads)
 	for t := range lanes {
 		lanes[t] = newWalker(dx, eng, sch, cfg)
-		priv[t], lanes[t].chans = replicated(n, chans)
+		priv[t], lanes[t].chans = replicated(lay, chans)
 	}
 
 	dx.DLBReset()
@@ -37,7 +39,7 @@ func PrivateFockBuild(dx *ddi.Context, eng *integrals.Engine,
 		for {
 			// Master fetches the next i index (Algorithm 2 lines 3-6); a
 			// scheduled corruption lands in its private replica.
-			i := w.teamFetch(tc, &iShared, priv[me][0].Data, nil)
+			i := w.teamFetch(tc, &iShared, priv[me][0], nil)
 			if i >= ns {
 				break
 			}
@@ -53,14 +55,13 @@ func PrivateFockBuild(dx *ddi.Context, eng *integrals.Engine,
 		for c := range chans {
 			others := make([][]float64, 0, nthreads-1)
 			for t := 1; t < nthreads; t++ {
-				others = append(others, priv[t][c].Data)
+				others = append(others, priv[t][c])
 			}
-			tc.ReduceChunked(priv[0][c].Data, others)
+			tc.ReduceChunked(priv[0][c], others)
 			tc.Barrier()
 		}
 	})
-	reduce(dx, priv[0])
-	return priv[0], stats
+	return reduce(dx, lay, priv[0]), stats
 }
 
 // runTeam runs body on an OpenMP team of one walker per thread and returns

@@ -1,6 +1,7 @@
 package fock
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -33,11 +34,11 @@ import (
 //     only waits are bounded polls on the lease table.
 //
 // Until its flush a computed task is staged locally: every task of the
-// build appends its (window slot, value) contributions to one staging
-// area and keeps only its [lo, hi) range of it (see staging). The flush
-// empties the staging and keeps its capacity, and the staging outlives
-// the build, so a build's commit path allocates nothing once the pool
-// holds a staging of the size the basis needs.
+// build appends its contributions, whole Fock blocks with their window
+// offsets, to one staging area and keeps only its ranges of it (see
+// staging). The flush empties the staging and keeps its capacity, and
+// the staging outlives the build, so a build's commit path allocates
+// nothing once the pool holds a staging of the size the basis needs.
 //
 // Call from inside mpi.Run on every rank, like the other builders. The
 // returned matrices (one per channel) are identical on all surviving
@@ -47,6 +48,7 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 	n := eng.Basis.NumBF
 	w := newWalker(dx, eng, sch, cfg)
 	stats := &w.st
+	chans = blockDensities(w.lay, chans)
 
 	lease := dx.NewLeaseDLB(NumPairs(len(w.shells)))
 	win := dx.Comm.WinCreate(len(chans)*n*n, 0)
@@ -54,9 +56,10 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 	// Contributions are staged PER TASK so the flush can commit each
 	// task independently: under speculation two ranks may hold results
 	// for the same ij, and only the Reserve winner's copy may reach the
-	// shared window. Channel c owns window slots [c*n*n, (c+1)*n*n).
+	// shared window. Channel c owns window slots [c*n*n, (c+1)*n*n), a
+	// blocked accumulator.
 	var stage *staging
-	stage, w.chans = getStaging(chans, n)
+	stage, w.chans = getStaging(chans, w.lay)
 
 	// flushEvery bounds how much computed work a death can force to be
 	// redone (a dying rank's unflushed tasks are recomputed elsewhere).
@@ -74,54 +77,61 @@ func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
 	stats.TasksReissued += drained.Stolen + drained.Expired
 	stats.TasksHedged += drained.Hedged
 
-	// All tasks pushed; the window now holds the complete lower-triangle
-	// accumulation of every channel and is safe to read one-sidedly.
+	// All tasks pushed; the window now holds the complete blocked
+	// accumulation of every channel and is safe to read one-sidedly. The
+	// last flush left the batch zeroed, so it can take the read.
+	win.Get(0, stage.batch)
 	accs := make([]*linalg.Matrix, len(chans))
 	for c := range accs {
-		accs[c] = linalg.NewSquare(n)
-		win.Get(c*n*n, accs[c].Data)
-		Finalize(accs[c])
+		accs[c] = w.lay.finalize(stage.batch[c*n*n : (c+1)*n*n])
 	}
-	// The last flush left the staging empty and its batch zeroed. A rank
-	// that dies mid-build never gets here, so the pool only ever holds
-	// clean staging.
+	clear(stage.batch)
+	// The staging is empty and its batch zeroed again. A rank that dies
+	// mid-build never gets here, so the pool only ever holds clean
+	// staging.
 	stagingPool.Put(stage)
 	return accs, *stats
 }
 
 // pendingTask is one computed-but-uncommitted ij task of a resilient
-// build. It owns no memory: its contributions are entries [lo, hi) of
-// the build's staging.
+// build. It owns no memory: its contributions are the block records
+// [blo, bhi) of the build's staging, whose values are entries [lo, hi).
 type pendingTask struct {
 	ij, owner int // owner = world rank whose lease this result commits
 	quartets  int64
 	lo, hi    int
+	blo, bhi  int
 }
 
+// stagedBlock is one staged Fock block: n values, added at window offset
+// pos (channel base + the block's start in the blocked accumulator).
+type stagedBlock struct{ pos, n int }
+
 // staging is one rank's commit staging of a resilient build: the
-// pending tasks, the window slot (channel base + canonical lower-triangle
-// position) and value of every contribution they staged, the Reserve
-// winners of the flush in progress, the accumulate batch and the
+// pending tasks, the record and values of every block they staged, the
+// Reserve winners of the flush in progress, the accumulate batch and the
 // channels' sinks. A flush empties it and keeps its capacity; the build
 // returns it to stagingPool, so the next build on the rank (the next SCF
 // iteration, the next served job) stages into the same memory instead of
 // growing new slices for every task.
 type staging struct {
 	tasks    []pendingTask
-	pos      []int
+	blocks   []stagedBlock
 	val      []float64
 	reserved []int
 	batch    []float64
 	sinks    []pendingSink
+	room     int // values one channel's quartet can stage
 }
 
 var stagingPool = sync.Pool{New: func() any { return new(staging) }}
 
 // getStaging takes an empty staging from the pool, sized for the
-// channels of an n-function basis, and returns it with the channels bound
-// to its sinks.
-func getStaging(chans []Channel, n int) (*staging, []Channel) {
+// channels of a basis laid out as lay, and returns it with the channels
+// bound to its sinks.
+func getStaging(chans []Channel, lay *blocking) (*staging, []Channel) {
 	st := stagingPool.Get().(*staging)
+	n := lay.n
 	// Every flush zeroes what it dirtied, so all of the batch's capacity
 	// is zeros.
 	if m := len(chans) * n * n; cap(st.batch) < m {
@@ -129,11 +139,19 @@ func getStaging(chans []Channel, n int) (*staging, []Channel) {
 	} else {
 		st.batch = st.batch[:m]
 	}
+	st.room = numRoles * lay.maxNum * lay.maxNum
+	st.reserve()
 	st.sinks = st.sinks[:0]
 	for c := range chans {
-		st.sinks = append(st.sinks, pendingSink{stage: st, base: c * n * n, n: n})
+		st.sinks = append(st.sinks, pendingSink{stage: st, base: c * n * n, lay: lay})
 	}
 	return st, bind(chans, func(c int) sink { return &st.sinks[c] })
+}
+
+// reserve makes room for the blocks of one channel's quartet, so no
+// block a sink hands out moves before the digest is done with it.
+func (st *staging) reserve() {
+	st.val = slices.Grow(st.val, st.room)
 }
 
 // compute runs the ij task for the lease owner holds and stages its
@@ -141,12 +159,12 @@ func getStaging(chans []Channel, n int) (*staging, []Channel) {
 func (st *staging) compute(w *walker, ij, owner int) {
 	i, j := PairDecode(ij)
 	defer w.endSpan(w.span("pair", 0), i, j)
-	task := pendingTask{ij: ij, owner: owner, lo: len(st.val)}
+	task := pendingTask{ij: ij, owner: owner, lo: len(st.val), blo: len(st.blocks)}
 	t0 := time.Now()
 	before := w.st.QuartetsComputed
 	w.pair(i, j)
 	task.quartets = w.st.QuartetsComputed - before
-	task.hi = len(st.val)
+	task.hi, task.bhi = len(st.val), len(st.blocks)
 	w.observe(t0)
 	// SDC hook: one corruption opportunity per completed task, applied
 	// to the task's own still-local values — before the next task
@@ -162,8 +180,8 @@ func (st *staging) compute(w *walker, ij, owner int) {
 // on: Reserve each pending task (losers drop their duplicate results),
 // push the winners' contributions in one accumulate, then mark the
 // reserved leases done. Nothing in between blocks or contains a
-// fault-injection site. The winners' contributions reach the batch in
-// task order, each task's in the order it staged them.
+// fault-injection site. The winners' blocks reach the batch in task
+// order, each task's in the order it staged them.
 func (st *staging) flush(lease *ddi.LeaseDLB, win *mpi.Win, stats *Stats) {
 	if len(st.tasks) == 0 {
 		return
@@ -177,12 +195,16 @@ func (st *staging) flush(lease *ddi.LeaseDLB, win *mpi.Win, stats *Stats) {
 		st.reserved = append(st.reserved, task.ij)
 		stats.QuartetsCommitted += task.quartets
 		val := st.val[task.lo:task.hi]
-		for k, p := range st.pos[task.lo:task.hi] {
-			st.batch[p] += val[k]
+		for _, b := range st.blocks[task.blo:task.bhi] {
+			dst := st.batch[b.pos : b.pos+b.n]
+			for x, v := range val[:b.n] {
+				dst[x] += v
+			}
+			val = val[b.n:]
 		}
 		dirty = true
 	}
-	st.tasks, st.pos, st.val = st.tasks[:0], st.pos[:0], st.val[:0]
+	st.tasks, st.blocks, st.val = st.tasks[:0], st.blocks[:0], st.val[:0]
 	if dirty {
 		win.Acc(0, st.batch)
 		clear(st.batch)
@@ -194,26 +216,23 @@ func (st *staging) flush(lease *ddi.LeaseDLB, win *mpi.Win, stats *Stats) {
 	stats.Flushes++
 }
 
-// pendingSink is the resilient sink of one channel: it appends to the
-// build's staging instead of touching any shared memory.
+// pendingSink is the resilient sink of one channel: it hands out zeroed
+// blocks of the build's staging instead of touching any shared memory.
 type pendingSink struct {
-	stage   *staging
-	base, n int
+	stage *staging
+	base  int
+	lay   *blocking
 }
 
-func (p *pendingSink) addBlock(_, x0, nx, y0, ny int, scale float64, blk []float64) {
+func (p *pendingSink) block(_, a, b int) []float64 {
 	st := p.stage
-	for r := 0; r < nx; r++ {
-		for c, v := range blk[r*ny : r*ny+ny] {
-			if v == 0 {
-				continue
-			}
-			x, y := x0+r, y0+c
-			if x < y {
-				x, y = y, x
-			}
-			st.pos = append(st.pos, p.base+x*p.n+y)
-			st.val = append(st.val, scale*v)
-		}
-	}
+	n := p.lay.num[a] * p.lay.num[b]
+	lo := len(st.val)
+	st.val = st.val[:lo+n] // within the room reserve made
+	st.blocks = append(st.blocks, stagedBlock{pos: p.base + p.lay.start(a, b), n: n})
+	blk := st.val[lo : lo+n]
+	clear(blk)
+	return blk
 }
+
+func (p *pendingSink) done() { p.stage.reserve() }

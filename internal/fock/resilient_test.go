@@ -264,7 +264,7 @@ type resilientRig struct {
 func newResilientRig(t *testing.T, c *mpi.Comm, eng *integrals.Engine, sch *integrals.Schwarz, d *linalg.Matrix) *resilientRig {
 	dx := ddi.New(c)
 	r := &resilientRig{w: newWalker(dx, eng, sch, Config{Quartets: oracle.New(eng.Basis)}), n: eng.Basis.NumBF}
-	r.stage, r.w.chans = getStaging(RHF(Dense(d)), r.n)
+	r.stage, r.w.chans = getStaging(blockDensities(r.w.lay, RHF(Dense(d))), r.w.lay)
 	total := NumPairs(len(r.w.shells))
 	r.lease = dx.NewLeaseDLB(total)
 	if idxs, ok := r.lease.DrawChunk(total); !ok || len(idxs) != total {
@@ -276,10 +276,9 @@ func newResilientRig(t *testing.T, c *mpi.Comm, eng *integrals.Engine, sch *inte
 
 // fock reads the window back as the build does.
 func (r *resilientRig) fock() *linalg.Matrix {
-	m := linalg.NewSquare(r.n)
-	r.win.Get(0, m.Data)
-	Finalize(m)
-	return m
+	g := make([]float64, r.n*r.n)
+	r.win.Get(0, g)
+	return r.w.lay.finalize(g)
 }
 
 // TestResilientFlushDropsLoser: a flush whose pending tasks are winner,
@@ -305,16 +304,16 @@ func TestResilientFlushDropsLoser(t *testing.T) {
 		for _, ij := range []int{a, dup, b} {
 			r.stage.compute(&r.w, ij, 0)
 		}
-		if lo, hi := r.stage.tasks[1].lo, r.stage.tasks[1].hi; lo == hi {
-			t.Errorf("the duplicate staged no values")
+		if blo, bhi := r.stage.tasks[1].blo, r.stage.tasks[1].bhi; blo == bhi {
+			t.Errorf("the duplicate staged no blocks")
 		}
 		committed := st.QuartetsCommitted
 		r.stage.flush(r.lease, r.win, st)
 		if st.TasksDeduped != 1 {
 			t.Errorf("TasksDeduped = %d, want 1 (the duplicate)", st.TasksDeduped)
 		}
-		if len(r.stage.tasks)+len(r.stage.pos)+len(r.stage.val) != 0 {
-			t.Errorf("flush left %d tasks, %d values staged", len(r.stage.tasks), len(r.stage.val))
+		if len(r.stage.tasks)+len(r.stage.blocks)+len(r.stage.val) != 0 {
+			t.Errorf("flush left %d tasks, %d blocks, %d values staged", len(r.stage.tasks), len(r.stage.blocks), len(r.stage.val))
 		}
 		if st.QuartetsCommitted == committed {
 			t.Errorf("the winners around the duplicate committed nothing")
@@ -338,10 +337,10 @@ func TestResilientFlushDropsLoser(t *testing.T) {
 }
 
 // TestResilientSDCStaysInItsTask: a corruption scheduled for the second
-// of three staged tasks lands in that task's own values — at its first
-// element for index 0, at its last for an index past its end — and every
-// other staged value is bit-identical to a clean staging of the same
-// tasks.
+// of three staged tasks lands in that task's own block records — at the
+// first value of its first block for index 0, at the last value of its
+// last block for an index past its end — and every other staged value is
+// bit-identical to a clean staging of the same tasks.
 func TestResilientSDCStaysInItsTask(t *testing.T) {
 	eng, sch, d := setup(t, molecule.Water(), "6-31g")
 	tasks := []int{5, 12, 20}
@@ -351,8 +350,16 @@ func TestResilientSDCStaysInItsTask(t *testing.T) {
 			for _, ij := range tasks {
 				r.stage.compute(&r.w, ij, 0)
 			}
-			val = append(val, r.stage.val...)
+			// A task's values are those of its block records, in order.
 			for _, task := range r.stage.tasks {
+				lo := task.lo
+				for _, b := range r.stage.blocks[task.blo:task.bhi] {
+					val = append(val, r.stage.val[lo:lo+b.n]...)
+					lo += b.n
+				}
+				if lo != task.hi {
+					t.Errorf("task %d: its block records end at %d, its values at %d", task.ij, lo, task.hi)
+				}
 				spans = append(spans, [2]int{task.lo, task.hi})
 			}
 		})
@@ -391,10 +398,11 @@ func TestResilientSDCStaysInItsTask(t *testing.T) {
 // TestResilientStagingReuse pins what a resilient build allocates once
 // the staging pool is warm: the bytes of a second and later build on the
 // same world, water/6-31G on one rank. The commit staging itself grows
-// nothing (it holds ≈ 80 KB); what is left is the accumulation window,
-// the lease table, the result matrix and the walker's per-build scratch,
-// 11,630 bytes. It was 365,839 bytes per build while every task staged
-// into slices of its own.
+// nothing (it holds ≈ 70 KB of block records and values); what is left
+// is the accumulation window, the lease table, the blocked density, the
+// result matrix and the walker's per-build scratch, 11,102 bytes. It was
+// 365,839 bytes per build while every task staged into slices of its
+// own, and 11,630 while tasks staged (slot, value) pairs.
 func TestResilientStagingReuse(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items")
@@ -428,7 +436,7 @@ func TestResilientStagingReuse(t *testing.T) {
 			perBuild = min(perBuild, (b.TotalAlloc-a.TotalAlloc)/builds)
 		}
 		st := stagingPool.Get().(*staging)
-		staged = 8 * (cap(st.pos) + cap(st.val))
+		staged = 16*cap(st.blocks) + 8*cap(st.val)
 		stagingPool.Put(st)
 	})
 	if err != nil {

@@ -19,16 +19,13 @@ func SerialBuildN(eng *integrals.Engine, src integrals.QuartetSource, sch *integ
 // the calling thread, ERI blocks from src.
 func serialWalker(eng *integrals.Engine, src integrals.QuartetSource,
 	sch *integrals.Schwarz, tau float64) *walker {
-	return &walker{shells: eng.Basis.Shells, n: eng.Basis.NumBF, src: src, sch: sch, tau: tau}
+	return &walker{shells: eng.Basis.Shells, lay: newBlocking(eng.Basis.Shells), src: src, sch: sch, tau: tau}
 }
 
 // serial runs w's static sweep into fresh replicated accumulators.
 func serial(w *walker, chans []Channel) ([]*linalg.Matrix, Stats) {
-	var accs []*linalg.Matrix
-	accs, w.chans = replicated(w.n, chans)
+	var gs [][]float64
+	gs, w.chans = replicated(w.lay, blockDensities(w.lay, chans))
 	w.sweep()
-	for _, acc := range accs {
-		Finalize(acc)
-	}
-	return accs, w.st
+	return closeBuild(w.lay, gs), w.st
 }

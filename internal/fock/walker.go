@@ -19,7 +19,7 @@ import (
 // (private stats, ERI scratch and sinks).
 type walker struct {
 	shells []basis.Shell
-	n      int // basis functions
+	lay    *blocking
 	src    integrals.QuartetSource
 	sch    *integrals.Schwarz
 	tau    float64
@@ -34,7 +34,7 @@ type walker struct {
 
 // newWalker is the walker of a parallel preset on dx.
 func newWalker(dx *ddi.Context, eng *integrals.Engine, sch *integrals.Schwarz, cfg Config) walker {
-	return walker{shells: eng.Basis.Shells, n: eng.Basis.NumBF,
+	return walker{shells: eng.Basis.Shells, lay: newBlocking(eng.Basis.Shells),
 		src: cfg.Quartets, sch: sch, tau: DefaultTau, dx: dx}
 }
 
@@ -47,7 +47,7 @@ func (w *walker) quartet(i, j, k, l int) {
 	}
 	w.st.QuartetsComputed++
 	w.buf = w.src.ShellQuartet(i, j, k, l, w.buf)
-	digest(w.buf, w.shells, i, j, k, l, w.chans, &w.sc)
+	digest(w.buf, w.lay, i, j, k, l, w.chans, &w.sc)
 }
 
 // row runs the l loop of the canonical enumeration at (i, j, k)

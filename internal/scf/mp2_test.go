@@ -93,21 +93,29 @@ func TestMP2MatchesDenseOracle(t *testing.T) {
 // than half of one dense N^4 ERI tensor (the dense path allocates five).
 // The kernel's scratch is not MP2's: the pool that holds it may drop it
 // (under -race at random), and each refill is subtracted at what one
-// scratch for this basis costs.
+// scratch for this basis costs. TotalAlloc is process-wide, so other
+// goroutines' bytes (the test runtime's, the race detector's) can only
+// add to a reading: the fewest bytes of three runs count.
 func TestMP2NeverHoldsTheTensor(t *testing.T) {
 	res, eng := serialSCF(t, molecule.Benzene(), "sto-3g", Options{})
 	perScratch := scratchCost(t, eng)
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	made := integrals.ScratchMade()
-	if _, err := RunMP2(eng, res); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&m1)
-	refills := uint64(integrals.ScratchMade() - made)
 	n := uint64(eng.Basis.NumBF)
-	got, tensor := m1.TotalAlloc-m0.TotalAlloc-refills*perScratch, n*n*n*n*8
+	tensor := n * n * n * n * 8
+	got, refills := uint64(math.MaxUint64), uint64(0)
+	for range 3 {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		made := integrals.ScratchMade()
+		if _, err := RunMP2(eng, res); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		r := uint64(integrals.ScratchMade() - made)
+		if b := m1.TotalAlloc - m0.TotalAlloc - r*perScratch; b < got {
+			got, refills = b, r
+		}
+	}
 	if got >= tensor/2 {
 		t.Fatalf("MP2 allocated %d bytes besides %d kernel scratch refills of %d; the dense N = %d tensor is %d", got, refills, perScratch, n, tensor)
 	}

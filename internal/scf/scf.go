@@ -118,10 +118,12 @@ func (o Options) rank0() *telemetry.Session {
 
 // IterInfo records one SCF iteration for convergence reporting.
 type IterInfo struct {
-	Energy   float64 // total energy at this iteration
-	DeltaE   float64
-	RMSDens  float64
-	DIISErr  float64
+	Energy  float64 // total energy at this iteration
+	DeltaE  float64
+	RMSDens float64
+	DIISErr float64
+	// FockStat counts this iteration's Fock build, summed over the ranks
+	// that completed the run.
 	FockStat fock.Stats
 	// Sweeps is the number of SP2 purification sweeps the tiled density
 	// step took; 0 under the eigensolve.
@@ -149,7 +151,7 @@ type Result struct {
 	C               *linalg.Matrix // MO coefficients (columns)
 	D               *linalg.Matrix // final total density
 	History         []IterInfo
-	TotalFockStats  fock.Stats
+	TotalFockStats  fock.Stats // every build's counters, summed over the ranks that completed the run
 
 	Spin     *Spin       // unrestricted runs only
 	Tiles    *PurifyInfo // tiled storage only

@@ -276,6 +276,32 @@ func TestBuilderStatsAccumulate(t *testing.T) {
 	}
 }
 
+// TestFockStatsSumOverRanks: a multi-rank Result counts the whole run's
+// Fock work, so the same SCF reports the same quartets at 2x1 as at 1x2
+// (one rank's Result alone holds its share).
+func TestFockStatsSumOverRanks(t *testing.T) {
+	eng, sch, _ := resilientSetup(t)
+	var got [2]fock.Stats
+	for s, shape := range [][2]int{{2, 1}, {1, 2}} {
+		res, err := run(eng, sch, Plan{Algorithm: AlgPrivateFock, Ranks: shape[0], Threads: shape[1]})
+		if err != nil || !res.Converged {
+			t.Fatalf("%dx%d: %v", shape[0], shape[1], err)
+		}
+		got[s] = res.TotalFockStats
+		var perIter int64
+		for _, it := range res.History {
+			perIter += it.FockStat.QuartetsComputed
+		}
+		if perIter != got[s].QuartetsComputed {
+			t.Errorf("%dx%d: iterations sum to %d quartets, the total is %d", shape[0], shape[1], perIter, got[s].QuartetsComputed)
+		}
+	}
+	if got[0].QuartetsComputed != got[1].QuartetsComputed || got[0].QuartetsScreened != got[1].QuartetsScreened {
+		t.Fatalf("2x1 reports %d computed, %d screened; 1x2 %d, %d",
+			got[0].QuartetsComputed, got[0].QuartetsScreened, got[1].QuartetsComputed, got[1].QuartetsScreened)
+	}
+}
+
 func TestLithiumHydride(t *testing.T) {
 	m := &molecule.Molecule{Name: "LiH"}
 	m.AddAtomAngstrom("Li", 0, 0, 0)

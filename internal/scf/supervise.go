@@ -314,16 +314,28 @@ type attempt struct {
 	runErr  error
 }
 
-// result returns the result of any rank that ran to completion: all
-// ranks compute identical state, so one speaks for the world. With the
-// resilient builder this can hold even when runErr records a dead peer.
+// result returns the result of a rank that ran to completion: all ranks
+// compute identical state, so one speaks for the world — except for the
+// Fock counters, each rank's share of the work, which are summed over
+// every rank that completed the attempt. With the resilient builder this
+// can hold even when runErr records a dead peer.
 func (a *attempt) result() *Result {
+	var res *Result
 	for _, r := range a.report.Completed {
-		if a.results[r] != nil && a.errs[r] == nil {
-			return a.results[r]
+		rr := a.results[r]
+		if rr == nil || a.errs[r] != nil {
+			continue
+		}
+		if res == nil {
+			res = rr
+			continue
+		}
+		res.TotalFockStats.Add(rr.TotalFockStats)
+		for k := range min(len(res.History), len(rr.History)) {
+			res.History[k].FockStat.Add(rr.History[k].FockStat)
 		}
 	}
-	return nil
+	return res
 }
 
 // firstErr returns the first rank error. With no rank failure the ranks
