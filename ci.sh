@@ -17,8 +17,11 @@
 # *PairCache; the direct McMurchie-Davidson oracle is the test-only
 # package internal/integrals/oracle), and the production kernel
 # file paircache.go stays flat and allocation-free by construction: no
-# math.Pow( and no [][][]float64 in it, and it runs a quartet's primitive
-# loops with one lanes.quartet call (no other lanes. body function).
+# math.Pow( and no [][][]float64 in it, nor in hermite.go (the E tables)
+# or schwarz.go, and it runs a quartet's primitive loops with one
+# lanes.quartet call (no other lanes. body function). No func hermiteR in
+# non-test internal/integrals: V takes its R tables from the kernel's
+# recursion.
 # SCF layer: exactly one `for iter :=` loop in non-test internal/scf, exactly one
 # mpi.RunWithOptions( world-launch site in non-test internal/scf plus
 # the root package, eng.Overlap() and eng.CoreHamiltonian() in non-test
@@ -292,8 +295,12 @@ tier_1() {
 	kernels=$(cat $int_src | grep -c '^func (.*) ShellQuartet(' || true)
 	[ "$kernels" -eq 1 ] && grep -q '^func ([a-z]* \*PairCache) ShellQuartet(' $int_src ||
 		{ echo "structure gate: $kernels ShellQuartet methods in internal/integrals, want exactly 1 (*PairCache; the oracle lives in internal/integrals/oracle)"; exit 1; }
-	if grep -n 'math\.Pow(\|\[\]\[\]\[\]float64' internal/integrals/paircache.go; then
-		echo "structure gate: the production kernel file uses math.Pow or nested [][][]float64 tables again"
+	if grep -n 'math\.Pow(\|\[\]\[\]\[\]float64' internal/integrals/paircache.go internal/integrals/hermite.go internal/integrals/schwarz.go; then
+		echo "structure gate: the production kernel, its E tables or the Schwarz pass use math.Pow or nested [][][]float64 tables again"
+		exit 1
+	fi
+	if grep -n '^func hermiteR\b' $int_src; then
+		echo "structure gate: a scalar hermiteR is back in internal/integrals; V runs the kernel's R recursion (the oracle keeps its own)"
 		exit 1
 	fi
 	if sed 's://.*$::' internal/integrals/paircache.go | grep -n '\blanes\.[A-Za-z_]' | grep -v '\blanes\.quartet('; then

@@ -138,16 +138,13 @@ func (w *walker) span(name string, tid int) telemetry.Span {
 }
 
 // endSpan closes the span of task (i, j) with its indices as args; j < 0
-// marks an i-task. Without telemetry it builds nothing.
+// marks an i-task. The args are unboxed: a traced task allocates nothing.
 func (w *walker) endSpan(sp telemetry.Span, i, j int) {
-	if !sp.Recording() {
+	if j < 0 {
+		sp.EndInts(telemetry.IntArg{Key: "i", Val: int64(i)})
 		return
 	}
-	args := map[string]any{"i": i}
-	if j >= 0 {
-		args["j"] = j
-	}
-	sp.End(args)
+	sp.EndInts(telemetry.IntArg{Key: "i", Val: int64(i)}, telemetry.IntArg{Key: "j", Val: int64(j)})
 }
 
 // injectSDC gives a scheduled silent-data-corruption fault its shot at

@@ -269,7 +269,8 @@ func TestBatchTermsAreTheLaneUnion(t *testing.T) {
 			if b.Shells[i].Atom == b.Shells[j].Atom {
 				continue
 			}
-			pd := pb.build(i, j, 0)
+			var pd pairData
+			pb.build(i, j, 0, &pd)
 			for _, bt := range pd.batches {
 				for _, lt := range bt.terms {
 					zero := 0
@@ -297,7 +298,8 @@ func TestBatchTermsAreTheLaneUnion(t *testing.T) {
 					for x := range ab {
 						ab[x] = b.Shells[i].Center[x] - b.Shells[j].Center[x]
 					}
-					pe := primE{p: p, q: q, e: newPairE(b.Shells[i].MaxL(), b.Shells[j].MaxL(), ap, bq, ab)}
+					la, lb := b.Shells[i].MaxL(), b.Shells[j].MaxL()
+					pe := primE{p: p, q: q, e: newPairE(la, lb, 0, ap, bq, ab, make([]float64, 3*hermESize(la, lb)))}
 					if len(pb.collect(i, j, []primE{pe}, true)) > 0 {
 						live = append(live, pe)
 					}

@@ -2,7 +2,8 @@
 // production integrals and Fock builds to: the textbook McMurchie-Davidson
 // ERI loop nest, evaluated primitive quartet by primitive quartet with its
 // own Hermite tables and Boys function, the dense ERI tensor built from it,
-// and the symmetry-free Coulomb and exchange contractions over that tensor.
+// the symmetry-free Coulomb and exchange contractions over that tensor, and
+// the one-electron matrices shell block by shell block, nucleus by nucleus.
 //
 // It shares no code with internal/integrals, so a fault in the production
 // kernel cannot cancel out of a comparison against it. Only tests import
@@ -245,6 +246,166 @@ func (e *Direct) Fock2e(d *linalg.Matrix) *linalg.Matrix {
 	g, k := e.JK(d, d)
 	g.AxpyFrom(-0.5, k)
 	return g
+}
+
+// OneElectron returns the overlap, kinetic and nuclear attraction
+// matrices the textbook way: shell block by shell block, each element its
+// own sum over primitive pairs, and V contracted nucleus by nucleus.
+func (e *Direct) OneElectron() (s, t, v *linalg.Matrix) {
+	return e.oneElectron(e.overlapBlock), e.oneElectron(e.kineticBlock), e.oneElectron(e.nuclearBlock)
+}
+
+// oneElectron assembles a symmetric one-electron matrix from shell blocks.
+func (e *Direct) oneElectron(block func(i, j int) []float64) *linalg.Matrix {
+	m := linalg.NewSquare(e.b.NumBF)
+	shells := e.b.Shells
+	for i := range shells {
+		for j := 0; j <= i; j++ {
+			sa, sb := &shells[i], &shells[j]
+			blk := block(i, j)
+			na, nb := sa.NumFuncs(), sb.NumFuncs()
+			for fa := 0; fa < na; fa++ {
+				for fb := 0; fb < nb; fb++ {
+					v := blk[fa*nb+fb]
+					m.Set(sa.BFOffset+fa, sb.BFOffset+fb, v)
+					m.Set(sb.BFOffset+fb, sa.BFOffset+fa, v)
+				}
+			}
+		}
+	}
+	return m
+}
+
+// overlapBlock computes the na x nb overlap block between two shells.
+func (e *Direct) overlapBlock(i, j int) []float64 {
+	sa, sb := &e.b.Shells[i], &e.b.Shells[j]
+	ca, cb := e.comps[i], e.comps[j]
+	out := make([]float64, len(ca)*len(cb))
+	la, lb := sa.MaxL(), sb.MaxL()
+	ab := [3]float64{
+		sa.Center[0] - sb.Center[0],
+		sa.Center[1] - sb.Center[1],
+		sa.Center[2] - sb.Center[2],
+	}
+	for p, ap := range sa.Exps {
+		for q, bq := range sb.Exps {
+			pp := ap + bq
+			pref := math.Pow(math.Pi/pp, 1.5)
+			ex := hermiteE(la, lb, ap, bq, ab[0])
+			ey := hermiteE(la, lb, ap, bq, ab[1])
+			ez := hermiteE(la, lb, ap, bq, ab[2])
+			for ia, a := range ca {
+				caw := sa.Coefs[a.mi][p] * a.norm
+				for ib, b := range cb {
+					w := caw * sb.Coefs[b.mi][q] * b.norm
+					out[ia*len(cb)+ib] += w * pref *
+						ex[a.lx][b.lx][0] * ey[a.ly][b.ly][0] * ez[a.lz][b.lz][0]
+				}
+			}
+		}
+	}
+	return out
+}
+
+// kineticBlock computes the kinetic energy block using the standard
+// decomposition T = Tx Sy Sz + Sx Ty Sz + Sx Sy Tz with the 1D kinetic
+// integrals expressed through overlaps of shifted angular momenta:
+//
+//	T_ij = -2 b^2 S_{i,j+2} + b(2j+1) S_{ij} - j(j-1)/2 S_{i,j-2}
+func (e *Direct) kineticBlock(i, j int) []float64 {
+	sa, sb := &e.b.Shells[i], &e.b.Shells[j]
+	ca, cb := e.comps[i], e.comps[j]
+	out := make([]float64, len(ca)*len(cb))
+	la, lb := sa.MaxL(), sb.MaxL()
+	ab := [3]float64{
+		sa.Center[0] - sb.Center[0],
+		sa.Center[1] - sb.Center[1],
+		sa.Center[2] - sb.Center[2],
+	}
+	for p, ap := range sa.Exps {
+		for q, bq := range sb.Exps {
+			pp := ap + bq
+			sqp := math.Sqrt(math.Pi / pp)
+			// E tables with +2 headroom on the b side for the j+2 shifts.
+			var et [3][][][]float64
+			for ax := 0; ax < 3; ax++ {
+				et[ax] = hermiteE(la, lb+2, ap, bq, ab[ax])
+			}
+			s1 := func(ax, i, j int) float64 {
+				if j < 0 {
+					return 0
+				}
+				return et[ax][i][j][0] * sqp
+			}
+			t1 := func(ax, i, j int) float64 {
+				v := -2 * bq * bq * s1(ax, i, j+2)
+				v += bq * float64(2*j+1) * s1(ax, i, j)
+				if j >= 2 {
+					v -= 0.5 * float64(j) * float64(j-1) * s1(ax, i, j-2)
+				}
+				return v
+			}
+			for ia, a := range ca {
+				caw := sa.Coefs[a.mi][p] * a.norm
+				for ib, b := range cb {
+					w := caw * sb.Coefs[b.mi][q] * b.norm
+					tx := t1(0, a.lx, b.lx) * s1(1, a.ly, b.ly) * s1(2, a.lz, b.lz)
+					ty := s1(0, a.lx, b.lx) * t1(1, a.ly, b.ly) * s1(2, a.lz, b.lz)
+					tz := s1(0, a.lx, b.lx) * s1(1, a.ly, b.ly) * t1(2, a.lz, b.lz)
+					out[ia*len(cb)+ib] += w * (tx + ty + tz)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// nuclearBlock computes the nuclear attraction block summed over all
+// nuclei: V_ab = -sum_C Z_C (2 pi / p) sum_tuv E_tuv R_tuv(p, P - C).
+func (e *Direct) nuclearBlock(i, j int) []float64 {
+	sa, sb := &e.b.Shells[i], &e.b.Shells[j]
+	ca, cb := e.comps[i], e.comps[j]
+	out := make([]float64, len(ca)*len(cb))
+	la, lb := sa.MaxL(), sb.MaxL()
+	ltot := la + lb
+	ab := [3]float64{
+		sa.Center[0] - sb.Center[0],
+		sa.Center[1] - sb.Center[1],
+		sa.Center[2] - sb.Center[2],
+	}
+	for p, ap := range sa.Exps {
+		for q, bq := range sb.Exps {
+			pp := ap + bq
+			px := (ap*sa.Center[0] + bq*sb.Center[0]) / pp
+			py := (ap*sa.Center[1] + bq*sb.Center[1]) / pp
+			pz := (ap*sa.Center[2] + bq*sb.Center[2]) / pp
+			ex := hermiteE(la, lb, ap, bq, ab[0])
+			ey := hermiteE(la, lb, ap, bq, ab[1])
+			ez := hermiteE(la, lb, ap, bq, ab[2])
+			pref := 2 * math.Pi / pp
+			for _, at := range e.b.Mol.Atoms {
+				r := hermiteR(ltot, pp, px-at.Pos[0], py-at.Pos[1], pz-at.Pos[2])
+				zc := -float64(at.Z) * pref
+				for ia, a := range ca {
+					caw := sa.Coefs[a.mi][p] * a.norm
+					for ib, b := range cb {
+						w := caw * sb.Coefs[b.mi][q] * b.norm
+						sum := 0.0
+						for t := 0; t <= a.lx+b.lx; t++ {
+							for u := 0; u <= a.ly+b.ly; u++ {
+								for v := 0; v <= a.lz+b.lz; v++ {
+									sum += ex[a.lx][b.lx][t] * ey[a.ly][b.ly][u] * ez[a.lz][b.lz][v] *
+										r[rIndex(t, u, v, ltot)]
+								}
+							}
+						}
+						out[ia*len(cb)+ib] += zc * w * sum
+					}
+				}
+			}
+		}
+	}
+	return out
 }
 
 // hermiteE computes the 1D Hermite expansion coefficients E_t^{ij} for a

@@ -92,7 +92,9 @@ type rStep struct {
 }
 
 func newHermIndex(lmax int) *hermIndex {
-	x := &hermIndex{lmax: lmax, count: make([]int, lmax+1), boys: boysTableReady()}
+	n := (lmax + 1) * (lmax + 2) * (lmax + 3) / 6
+	x := &hermIndex{lmax: lmax, count: make([]int, lmax+1), off: make([]uint16, 0, n),
+		sign: make([]float64, 0, n), steps: make([]rStep, 0, n-1), boys: boysTableReady()}
 	s := lmax + 1
 	at := func(t, u, v int) uint16 { return uint16((t*s+u)*s + v) }
 	for total := 0; total <= lmax; total++ {
@@ -230,10 +232,10 @@ func NewPairCache(eng *Engine, primTol float64) *PairCache {
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
-			pd := pb.build(i, j, primTol)
+			pd := &pc.pairs[i*(i+1)/2+j]
+			pb.build(i, j, primTol, pd)
 			pc.PrimPairsKept += pd.prims
 			pc.PrimPairsDropped += len(shells[i].Exps)*len(shells[j].Exps) - pd.prims
-			pc.pairs[i*(i+1)/2+j] = pd
 		}
 	}
 	return pc
@@ -251,13 +253,16 @@ func ScratchMade() int64 { return scratchMade.Load() }
 
 // pairBuilder makes pair data over one basis; the index tables and the
 // scratch it hands out are sized from the basis' own highest angular
-// momentum, whatever a registered .gbs brought.
+// momentum, whatever a registered .gbs brought. Between calls it keeps
+// what a build works in, so a build allocates only what it returns.
 type pairBuilder struct {
 	shells []basis.Shell
 	comps  [][]component
 	index  *hermIndex // to 4 * basis MaxL: the widest quartet
 	funcs  int        // widest shell
-	terms  []laneTerm // what collect lists, reused from call to call
+	terms  []laneTerm // what collect lists
+	live   []primE    // the surviving primitive pairs of the shell pair
+	ebuf   []float64  // their E tables, 3*hermESize(la, lb) each
 }
 
 func newPairBuilder(b *basis.Basis) *pairBuilder {
@@ -280,9 +285,10 @@ type primE struct {
 	e    pairE
 }
 
-// build computes the Hermite pair density of shells (i, j), keeping the
-// primitive pairs whose overlap prefactor reaches primTol.
-func (pb *pairBuilder) build(i, j int, primTol float64) pairData {
+// build computes into pd the Hermite pair density of shells (i, j),
+// keeping the primitive pairs whose overlap prefactor reaches primTol. It
+// reuses the batches and term lists pd already holds.
+func (pb *pairBuilder) build(i, j int, primTol float64, pd *pairData) {
 	sa, sb := &pb.shells[i], &pb.shells[j]
 	la, lb := sa.MaxL(), sb.MaxL()
 	var ab [3]float64
@@ -290,24 +296,30 @@ func (pb *pairBuilder) build(i, j int, primTol float64) pairData {
 		ab[x] = sa.Center[x] - sb.Center[x]
 	}
 	r2 := ab[0]*ab[0] + ab[1]*ab[1] + ab[2]*ab[2]
-	pd := pairData{nab: len(pb.comps[i]) * len(pb.comps[j]), lab: la + lb}
-	var live []primE
+	size := 3 * hermESize(la, lb)
+	if need := len(sa.Exps) * len(sb.Exps) * size; len(pb.ebuf) < need {
+		pb.ebuf = make([]float64, need)
+	}
+	live := pb.live[:0]
 	for p, ap := range sa.Exps {
 		for q, bq := range sb.Exps {
-			if math.Exp(-ap*bq/(ap+bq)*r2) < primTol {
+			if primTol > 0 && math.Exp(-ap*bq/(ap+bq)*r2) < primTol { // ComputeSchwarz keeps all
 				continue
 			}
-			pe := primE{p: p, q: q, e: newPairE(la, lb, ap, bq, ab)}
-			if len(pb.collect(i, j, []primE{pe}, true)) == 0 {
-				continue // every term underflowed: nothing to contribute
+			live = append(live, primE{p: p, q: q, e: newPairE(la, lb, 0, ap, bq, ab, pb.ebuf[len(live)*size:])})
+			if len(pb.collect(i, j, live[len(live)-1:], true)) == 0 {
+				live = live[:len(live)-1] // every term underflowed: nothing to contribute
 			}
-			live = append(live, pe)
 		}
 	}
-	pd.prims = len(live)
-	for lo := 0; lo < len(live); lo += 4 {
-		lane := live[lo:min(lo+4, len(live))]
-		b := primBatch{n: len(lane), terms: slices.Clone(pb.collect(i, j, lane, false))}
+	pb.live = live
+	nb := (len(live) + 3) / 4
+	*pd = pairData{nab: len(pb.comps[i]) * len(pb.comps[j]), lab: la + lb, prims: len(live),
+		batches: slices.Grow(pd.batches[:0], nb)[:nb], tail: pd.tail}
+	for k := range pd.batches {
+		lane := live[4*k : min(4*k+4, len(live))]
+		b := &pd.batches[k]
+		*b = primBatch{n: len(lane), terms: append(b.terms[:0], pb.collect(i, j, lane, false)...)}
 		for n, pe := range lane {
 			ap, bq := sa.Exps[pe.p], sb.Exps[pe.q]
 			pp := ap + bq
@@ -316,21 +328,24 @@ func (pb *pairBuilder) build(i, j int, primTol float64) pairData {
 			b.y[n] = (ap*sa.Center[1] + bq*sb.Center[1]) / pp
 			b.z[n] = (ap*sa.Center[2] + bq*sb.Center[2]) / pp
 		}
-		pd.batches = append(pd.batches, b)
 	}
-	if nb := len(pd.batches); nb > 1 && pd.batches[nb-1].n == 1 {
-		last := &pd.batches[nb-1]
-		t := primBatch{n: 4, terms: slices.Clone(last.terms)}
-		for lane := range t.p {
-			t.p[lane], t.x[lane], t.y[lane], t.z[lane] = last.p[0], last.x[0], last.y[0], last.z[0]
-		}
-		for i := range t.terms {
-			g := t.terms[i].g[0]
-			t.terms[i].g = [4]float64{g, g, g, g}
-		}
-		pd.tail = &t
+	if nb < 2 || pd.batches[nb-1].n != 1 {
+		pd.tail = nil
+		return
 	}
-	return pd
+	last := &pd.batches[nb-1]
+	if pd.tail == nil {
+		pd.tail = new(primBatch)
+	}
+	t := pd.tail
+	*t = primBatch{n: 4, terms: append(t.terms[:0], last.terms...)}
+	for lane := range t.p {
+		t.p[lane], t.x[lane], t.y[lane], t.z[lane] = last.p[0], last.x[0], last.y[0], last.z[0]
+	}
+	for i := range t.terms {
+		g := t.terms[i].g[0]
+		t.terms[i].g = [4]float64{g, g, g, g}
+	}
 }
 
 // collect lists the Hermite terms of shells (i, j) over up to four
@@ -341,17 +356,26 @@ func (pb *pairBuilder) collect(i, j int, lanes []primE, first bool) []laneTerm {
 	sa, sb := &pb.shells[i], &pb.shells[j]
 	cb := pb.comps[j]
 	out := pb.terms[:0]
-	for ia, a := range pb.comps[i] {
-		for ib, b := range cb {
+	ca := pb.comps[i]
+	for ia := range ca {
+		a := &ca[ia]
+		for ib := range cb {
+			b := &cb[ib]
+			var w [4]float64 // c_a N_a c_b N_b pairScale/(a+b) of each lane
+			var ex, ey, ez [4][]float64
+			for n := range lanes {
+				pe := &lanes[n]
+				w[n] = sa.Coefs[a.mi][pe.p] * a.norm * sb.Coefs[b.mi][pe.q] * b.norm * (pairScale / (sa.Exps[pe.p] + sb.Exps[pe.q]))
+				ex[n], ey[n], ez[n] = pe.e.rows(a, b)
+			}
 			for t := 0; t <= a.lx+b.lx; t++ {
 				for u := 0; u <= a.ly+b.ly; u++ {
 					for v := 0; v <= a.lz+b.lz; v++ {
 						lt := laneTerm{ab: uint16(ia*len(cb) + ib)}
 						nonzero := false
-						for n, pe := range lanes {
-							e := pe.e.product(a, b, t, u, v)
-							scale := pairScale / (sa.Exps[pe.p] + sb.Exps[pe.q])
-							lt.g[n] = sa.Coefs[a.mi][pe.p] * a.norm * sb.Coefs[b.mi][pe.q] * b.norm * scale * e
+						for n := range lanes {
+							e := ex[n][t] * ey[n][u] * ez[n][v]
+							lt.g[n] = w[n] * e
 							nonzero = nonzero || e != 0
 						}
 						if nonzero {

@@ -1,6 +1,8 @@
 package integrals
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -85,5 +87,44 @@ func TestPairCacheBytes(t *testing.T) {
 	pc := NewPairCache(NewEngine(b), 0)
 	if pc.Bytes() <= 0 {
 		t.Fatal("cache reports no storage")
+	}
+}
+
+// TestKernelDigests pins the bits of the production ERIs and Q: the FNV-64a
+// digest of the little-endian bytes of every float64 of every
+// Schwarz-surviving ERI block of the two SCF workloads of bench/, in
+// survivors() order, then of Q in packed order. A rewrite of the pair
+// builder or the one-electron code that leaves the kernel alone keeps them;
+// a kernel change that moves one last bit does not.
+func TestKernelDigests(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mol  func(testing.TB) *molecule.Molecule
+		set  string
+		want uint64
+	}{
+		{"benzene", func(testing.TB) *molecule.Molecule { return molecule.Benzene() }, "sto-3g", 0xe1b4b538929efe33},
+		{"dimer", benchDimer, "6-31g(d)", 0xcd47f636b4e256cf},
+	} {
+		b := buildBasis(t, c.mol(t), c.set)
+		eng := NewEngine(b)
+		pc := NewPairCache(eng, 0)
+		h := fnv.New64a()
+		var buf []float64
+		var word [8]byte
+		put := func(vs []float64) {
+			for _, v := range vs {
+				binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+				h.Write(word[:])
+			}
+		}
+		for _, q := range survivors(b) {
+			buf = pc.ShellQuartet(q[0], q[1], q[2], q[3], buf)
+			put(buf)
+		}
+		put(ComputeSchwarz(eng).Q)
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: ERI and Q digest %016x, want %016x", c.name, got, c.want)
+		}
 	}
 }

@@ -23,9 +23,10 @@ func ComputeSchwarz(e *Engine) *Schwarz {
 	pb := newPairBuilder(e.Basis)
 	scratch := pb.index.newScratch(pb.funcs)
 	buf := make([]float64, pb.funcs*pb.funcs*pb.funcs*pb.funcs)
+	var pd pairData // one pair at a time, its storage reused
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
-			pd := pb.build(i, j, 0)
+			pb.build(i, j, 0, &pd)
 			blk := buf[:pd.nab*pd.nab]
 			pb.index.quartet(&pd, &pd, scratch, blk)
 			maxv := 0.0

@@ -48,14 +48,42 @@ func serialSCF(t testing.TB, mol *molecule.Molecule, set string, opt Options) (*
 	return res, eng
 }
 
+// TestH2STO3GEnergy pins H2/STO-3G at R = 1.4 bohr to the values Szabo &
+// Ostlund print in section 3.5.2 (Modern Quantum Chemistry, 1989), each to
+// its four printed decimals: the integrals in their basis-function labels
+// 1 and 2, and the converged energies.
 func TestH2STO3GEnergy(t *testing.T) {
-	res, _ := serialSCF(t, molecule.H2(), "sto-3g", Options{})
+	mol := &molecule.Molecule{Name: "H2 at 1.4 bohr", Atoms: []molecule.Atom{
+		{Z: 1, Symbol: "H", Pos: [3]float64{0, 0, 0}},
+		{Z: 1, Symbol: "H", Pos: [3]float64{0, 0, 1.4}},
+	}}
+	res, eng := serialSCF(t, mol, "sto-3g", Options{})
 	if !res.Converged {
 		t.Fatal("H2 did not converge")
 	}
-	// Literature RHF/STO-3G at 0.74 A is about -1.117 hartree.
-	if res.Energy < -1.15 || res.Energy > -1.05 {
-		t.Fatalf("H2 energy = %v outside window", res.Energy)
+	s, tk, h := eng.Overlap(), eng.Kinetic(), eng.CoreHamiltonian()
+	eri := func(i, j, k, l int) float64 {
+		return integrals.NewPairCache(eng, 0).ShellQuartet(i, j, k, l, nil)[0]
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"S12", s.At(0, 1), 0.6593},
+		{"T11", tk.At(0, 0), 0.7600},
+		{"T12", tk.At(0, 1), 0.2365},
+		{"H11", h.At(0, 0), -1.1204},
+		{"H12", h.At(0, 1), -0.9584},
+		{"(11|11)", eri(0, 0, 0, 0), 0.7746},
+		{"(11|22)", eri(0, 0, 1, 1), 0.5697},
+		{"(21|21)", eri(1, 0, 1, 0), 0.2970},
+		{"(21|11)", eri(1, 0, 0, 0), 0.4441},
+		{"E_elec", res.Electronic, -1.8310},
+		{"E_total", res.Energy, -1.1167},
+	} {
+		if math.Abs(c.got-c.want) > 5e-5 {
+			t.Errorf("%s = %.6f, Szabo & Ostlund print %.4f", c.name, c.got, c.want)
+		}
 	}
 }
 

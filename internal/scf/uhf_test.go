@@ -210,6 +210,17 @@ func TestParallelUHFHooks(t *testing.T) {
 			t.Errorf("no %s spans in the UHF trace", cat)
 		}
 	}
+	for _, e := range tel.Recorder.Events() {
+		if e.Cat != "fock.task" {
+			continue
+		}
+		if _, ok := e.Args["i"].(int); !ok {
+			t.Fatalf("fock.task %s has no int args.i: %v", e.Name, e.Args)
+		}
+		if _, ok := e.Args["j"].(int); !ok && e.Name == "ij-task" {
+			t.Fatalf("fock.task ij-task has no int args.j: %v", e.Args)
+		}
+	}
 	if got := tel.Counter("scf.iterations").Value(); got != int64(res.Iterations) {
 		t.Errorf("scf.iterations counter = %d, result says %d", got, res.Iterations)
 	}

@@ -522,10 +522,7 @@ func (s *Server) handleWaterfall(w http.ResponseWriter, r *http.Request) {
 		Spans: []WaterfallSpan{}, Categories: map[string]int{},
 	}
 	if j.Trace != "" {
-		for _, e := range s.tel.Recorder.Events() {
-			if e.Trace != j.Trace {
-				continue
-			}
+		for _, e := range s.tel.Recorder.Traced(j.Trace) {
 			phase := "span"
 			if e.Ph == telemetry.PhaseInstant {
 				phase = "instant"

@@ -43,9 +43,9 @@ func (r *Recorder) Dump(reason string) *FlightDump {
 		return nil
 	}
 	r.mu.Lock()
-	recorded := int64(len(r.events)) + r.dropped
+	recorded := int64(r.n) + r.dropped
 	d := &FlightDump{Reason: reason, DumpedAt: time.Now(), Recorded: recorded,
-		Entries: r.tailLocked(min(flightEntries, len(r.events)))}
+		Entries: r.tailLocked(min(flightEntries, r.n))}
 	d.Truncated = int64(len(d.Entries)) < recorded
 	r.last = d
 	cb := r.onDump

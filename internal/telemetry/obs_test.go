@@ -187,6 +187,26 @@ func TestFlightRecorderRing(t *testing.T) {
 	}
 }
 
+// TestRingWrapsAcrossChunks: a ring larger than one storage chunk fills
+// chunk by chunk, then overwrites its oldest events in order.
+func TestRingWrapsAcrossChunks(t *testing.T) {
+	max := ringChunk + 5
+	rec := NewRecorderWithClock(fakeClock(), max)
+	n := 2*ringChunk + 3
+	for i := 0; i < n; i++ {
+		rec.Instant("c", "e", 0, 0, map[string]any{"i": i})
+	}
+	events := rec.Events()
+	if len(events) != max || rec.Dropped() != int64(n-max) {
+		t.Fatalf("%d events held, %d dropped; want %d and %d", len(events), rec.Dropped(), max, n-max)
+	}
+	for k, e := range events {
+		if e.Args["i"] != n-max+k {
+			t.Fatalf("event %d is %v, want %d", k, e.Args["i"], n-max+k)
+		}
+	}
+}
+
 // TestDumpIsRingTail: a dump holds the newest min(flightEntries, n)
 // events of the ring in order, and its entries load as a trace file.
 func TestDumpIsRingTail(t *testing.T) {

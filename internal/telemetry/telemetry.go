@@ -205,10 +205,27 @@ func (sp Span) End(args map[string]any) {
 	if sp.s == nil {
 		return
 	}
+	sp.end(Event{Args: args})
+}
+
+// EndInts records the span with up to two integer args, which the ring
+// holds unboxed: a hot span (one per Fock task) allocates nothing for them.
+// Readers of the ring see them in Args, as End with a map of ints gives.
+func (sp Span) EndInts(args ...IntArg) {
+	if sp.s == nil {
+		return
+	}
+	var e Event
+	copy(e.ints[:], args)
+	sp.end(e)
+}
+
+// end records e as the span.
+func (sp Span) end(e Event) {
 	r := sp.s.Recorder
 	end := r.now()
-	r.record(Event{Name: sp.name, Cat: sp.cat, Ph: PhaseComplete, Pid: sp.pid, Tid: sp.tid,
-		Trace: sp.s.TraceID, Args: args}, sp.start, end)
+	e.Name, e.Cat, e.Ph, e.Pid, e.Tid, e.Trace = sp.name, sp.cat, PhaseComplete, sp.pid, sp.tid, sp.s.TraceID
+	r.record(e, sp.start, end)
 	sp.hist.Observe(end.Sub(sp.start).Nanoseconds())
 }
 

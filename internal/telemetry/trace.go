@@ -40,10 +40,42 @@ type Event struct {
 	// Trace is the request trace ID of the session that recorded the
 	// event ("" = untraced).
 	Trace string `json:"trace,omitempty"`
+	// ints are integer args the ring holds unboxed (Span.EndInts; key ""
+	// unused); reading the ring moves them into Args.
+	ints [2]IntArg
+}
+
+// IntArg is one integer arg of an event.
+type IntArg struct {
+	Key string
+	Val int64
+}
+
+// withInts returns e with its integer args in Args, as the ints a map
+// literal holds: how a reader of the ring sees them.
+func (e Event) withInts() Event {
+	if e.ints[0].Key == "" {
+		return e
+	}
+	args := make(map[string]any, len(e.Args)+len(e.ints))
+	for k, v := range e.Args {
+		args[k] = v
+	}
+	for _, a := range e.ints {
+		if a.Key != "" {
+			args[a.Key] = int(a.Val)
+		}
+	}
+	e.Args, e.ints = args, [2]IntArg{}
+	return e
 }
 
 // End returns the event's end timestamp (ts for instants).
 func (e Event) End() float64 { return e.Ts + e.Dur }
+
+// ringChunk is how many events the ring allocates at a time while it
+// fills: it never copies itself to grow, so its footprint is what it holds.
+const ringChunk = 1 << 12
 
 // DefaultMaxEvents is a recorder's ring capacity unless told otherwise:
 // enough for a one-shot run's whole trace (a 24-carbon flake on 2x2
@@ -56,8 +88,9 @@ type Recorder struct {
 	start time.Time
 
 	mu      sync.Mutex
-	events  []Event // grows to max, then wraps
-	next    int     // once full: the oldest event, overwritten next
+	events  [][]Event // chunks of ringChunk: filled up to max, then wrapped
+	n       int       // events held
+	next    int       // once full: the oldest event, overwritten next
 	max     int
 	dropped int64 // events overwritten
 	onDump  func(*FlightDump)
@@ -103,14 +136,21 @@ func (r *Recorder) record(e Event, start, end time.Time) {
 	e.Args = sanitizeArgs(e.Args)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.events) < r.max {
-		r.events = append(r.events, e)
+	if r.n < r.max {
+		if r.n%ringChunk == 0 {
+			r.events = append(r.events, make([]Event, min(ringChunk, r.max-r.n)))
+		}
+		*r.slot(r.n) = e
+		r.n++
 		return
 	}
-	r.events[r.next] = e
+	*r.slot(r.next) = e
 	r.next = (r.next + 1) % r.max
 	r.dropped++
 }
+
+// slot returns the i-th event of the ring's storage.
+func (r *Recorder) slot(i int) *Event { return &r.events[i/ringChunk][i%ringChunk] }
 
 // Events returns a copy of the ring in chronological order.
 func (r *Recorder) Events() []Event {
@@ -119,14 +159,31 @@ func (r *Recorder) Events() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.tailLocked(len(r.events))
+	return r.tailLocked(r.n)
+}
+
+// Traced returns the ring's events that carry trace ID id, oldest first:
+// one request's waterfall, without copying the rest of the ring.
+func (r *Recorder) Traced(id string) []Event {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []Event
+	for i := 0; i < r.n; i++ {
+		if e := r.slot((r.next + i) % r.n); e.Trace == id {
+			out = append(out, e.withInts())
+		}
+	}
+	return out
 }
 
 // tailLocked copies the newest n buffered events, oldest first.
 func (r *Recorder) tailLocked(n int) []Event {
 	out := make([]Event, 0, n)
-	for i := len(r.events) - n; i < len(r.events); i++ {
-		out = append(out, r.events[(r.next+i)%len(r.events)])
+	for i := r.n - n; i < r.n; i++ {
+		out = append(out, r.slot((r.next+i)%r.n).withInts())
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -244,5 +245,27 @@ func TestSpanAllocatesNothing(t *testing.T) {
 	if hist.Count() != 101 || s.Recorder.Dropped() != 101 || events[3].Trace != "feedface00000001" {
 		t.Errorf("histogram count %d, dropped %d, last event %+v: want 101, 101 and a traced span",
 			hist.Count(), s.Recorder.Dropped(), events[3])
+	}
+	// A Fock task's span: two integer args, held unboxed in the ring and
+	// read back in Args as a map of ints gives them.
+	task := func() {
+		traced.Start("fock.task", "ij-task", 0, 1, nil).EndInts(IntArg{"i", 7}, IntArg{"j", 3})
+	}
+	if n := testing.AllocsPerRun(100, task); n != 0 {
+		t.Errorf("a traced span ended with two int args allocates %v times", n)
+	}
+	last := s.Recorder.Events()[3]
+	if last.Args["i"] != 7 || last.Args["j"] != 3 || len(last.Args) != 2 || last.Trace != "feedface00000001" {
+		t.Errorf("the task span reads back as %+v, want args i = 7, j = 3 and the trace ID", last)
+	}
+	var buf bytes.Buffer
+	if err := s.Recorder.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"args": {
+    "i": 7,
+    "j": 3
+   }`) {
+		t.Errorf("the trace export renders the task span's args otherwise:\n%s", buf.String())
 	}
 }
