@@ -83,7 +83,7 @@ func BenchmarkVerifiedFockBuild(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				_, err := mpi.RunWithOptions(2, mpi.RunOptions{Unverified: mode.unverified}, func(c *mpi.Comm) {
-					fock.MPIOnlyBuild(ddi.New(c), f.eng, f.sch, fock.RHF(fock.Dense(f.d)), cfg)
+					fock.MPIOnlyBuild(ddi.New(c), f.eng, f.sch, cfg).Build(fock.RHF(fock.Dense(f.d)))
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -11,8 +11,11 @@
 # the digest whole blocks to add into; no per-element method), no
 # canonicalising scatter (no func addLower or addLocal) and no diagonal
 # doubling in digest.go (F = G + Gᵀ does it once per build), Schwarz
-# screening (sch.Screened/sch.Bound) in one function only, and no
-# hand-synced copies (no "KEEP IN SYNC"). Integrals layer: exactly one
+# screening (sch.Screened/sch.Bound) in one function only, no
+# hand-synced copies (no "KEEP IN SYNC"), no sync.Pool (a builder owns
+# its state for its world attempt), and exactly six exported *Build /
+# *BuildN functions, each a constructor returning *Builder (no per-build
+# preset function beside them). Integrals layer: exactly one
 # ShellQuartet method in non-test internal/integrals (the production
 # *PairCache; the direct McMurchie-Davidson oracle is the test-only
 # package internal/integrals/oracle), and the production kernel
@@ -290,6 +293,13 @@ tier_1() {
 		echo "structure gate: a hand-synced copy is back in internal/fock"
 		exit 1
 	fi
+	if grep -n 'sync\.Pool' $fock_src; then
+		echo "structure gate: a sync.Pool is back in internal/fock; a builder owns its walkers, accumulators and staging for its world attempt"
+		exit 1
+	fi
+	presets=$(awk '/^func [A-Z][A-Za-z]*BuildN?\(/{sig=$0; while (sig !~ /\{[[:space:]]*$/ && (getline line) > 0) sig = sig " " line; print FILENAME ": " sig}' $fock_src)
+	[ "$(echo "$presets" | grep -c ') \*Builder {$')" -eq 6 ] && ! echo "$presets" | grep -v ') \*Builder {$' ||
+		{ echo "structure gate: the six Fock presets must be constructors returning *Builder, with no per-build preset function beside them; found:"; echo "$presets"; exit 1; }
 
 	int_src=$(ls internal/integrals/*.go | grep -v _test.go)
 	kernels=$(cat $int_src | grep -c '^func (.*) ShellQuartet(' || true)

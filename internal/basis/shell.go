@@ -105,9 +105,6 @@ func (s *Shell) MaxL() int {
 	return m
 }
 
-// NumPrims returns the contraction length.
-func (s *Shell) NumPrims() int { return len(s.Exps) }
-
 // normalize folds the primitive norms into the contraction coefficients and
 // rescales so each moment's axial component has unit self-overlap.
 func (s *Shell) normalize() {

@@ -22,7 +22,9 @@ package fock
 import (
 	"math"
 
+	"repro/internal/ddi"
 	"repro/internal/integrals"
+	"repro/internal/linalg"
 	"repro/internal/omp"
 )
 
@@ -42,11 +44,103 @@ type Config struct {
 	Quartets integrals.QuartetSource
 }
 
-func (c Config) threads() int {
-	if c.Threads <= 0 {
-		return 1
+// Builder is one rank's Fock build for one world attempt. A preset's
+// constructor makes it once; every SCF iteration calls Build, which only
+// refills and clears what the builder owns: the shell blocking, one
+// walker per thread (each with its ERI buffer and digest scratch), the
+// shell-blocked copies of the replicated densities, and the preset's
+// accumulators — replicas, FI/FJ, commit staging or tile sinks — sized on
+// the first build for its channel count (DESIGN.md §3.1).
+type Builder struct {
+	lay   *blocking
+	dx    *ddi.Context // nil for the serial build
+	lanes []walker     // one per thread
+	dens  [][]float64  // shell-blocked densities (blockDensities)
+	acc   [][]float64  // what every build clears before its walk
+	gs    [][][]float64
+	// bind sizes the accumulators for nchan channels, adds them to acc
+	// and binds every lane's channel sinks to them: by default one
+	// replica per lane (gs[lane][channel]). walk runs the build's tasks;
+	// close ends the build and returns its matrices: by default lane 0's
+	// replicas reduced over the ranks.
+	bind  func(nchan int)
+	walk  func()
+	close func() []*linalg.Matrix
+}
+
+// newBuilder is the state every preset shares: threads walkers (at
+// least one) over one blocking, on dx, ERI blocks from src.
+func newBuilder(dx *ddi.Context, eng *integrals.Engine, src integrals.QuartetSource,
+	sch *integrals.Schwarz, tau float64, threads int) *Builder {
+	b := &Builder{lay: newBlocking(eng.Basis.Shells), dx: dx, lanes: make([]walker, max(threads, 1))}
+	for t := range b.lanes {
+		b.lanes[t] = walker{shells: eng.Basis.Shells, lay: b.lay, src: src, sch: sch, tau: tau, dx: dx}
 	}
-	return c.Threads
+	b.bind, b.close = b.replicated, b.reduce
+	return b
+}
+
+// Build runs one Fock build of chans: the two-electron matrices, one per
+// channel (none for the tiled preset, whose result lands in its
+// distributed accumulators), and this rank's counters. Inside a world
+// every rank calls it collectively.
+func (b *Builder) Build(chans []Channel) ([]*linalg.Matrix, Stats) {
+	b.prepare(chans)
+	b.walk()
+	var st Stats
+	for t := range b.lanes {
+		st.Add(b.lanes[t].st)
+	}
+	return b.close(), st
+}
+
+// prepare is every build's prologue: the first build sizes and binds the
+// accumulators for its channel count, which every later build keeps;
+// each build blocks its densities and clears the accumulators and the
+// counters.
+func (b *Builder) prepare(chans []Channel) {
+	if b.dens == nil {
+		b.dens = make([][]float64, 2*len(chans))
+		for t := range b.lanes {
+			b.lanes[t].chans = make([]Channel, len(chans))
+		}
+		b.bind(len(chans))
+	} else if len(chans) != len(b.lanes[0].chans) {
+		panic("fock: a builder's channel count is set by its first build")
+	}
+	b.blockDensities(chans)
+	for _, g := range b.acc {
+		clear(g)
+	}
+	for t := range b.lanes {
+		b.lanes[t].st = Stats{}
+	}
+}
+
+// blockDensities gives every lane chans' densities and coefficients,
+// keeping its sinks. Channel c's replicated densities are stored
+// shell-blocked into dens[2c] (DJ) and dens[2c+1] (DK), where RHF's DK
+// shares DJ's copy; a hybrid team shares the copies read-only.
+func (b *Builder) blockDensities(chans []Channel) {
+	for c, ch := range chans {
+		for k, d := range [2]*Density{&ch.DJ, &ch.DK} {
+			switch {
+			case d.dense == nil:
+			case k == 1 && ch.DJ.dense != nil && &d.dense[0] == &ch.DJ.dense[0]:
+				d.blocked = ch.DJ.blocked
+			default:
+				if b.dens[2*c+k] == nil {
+					b.dens[2*c+k] = make([]float64, len(d.dense))
+				}
+				d.blocked = b.dens[2*c+k]
+				b.lay.fromDense(d.blocked, d.dense)
+			}
+		}
+		for t := range b.lanes {
+			ch.out = b.lanes[t].chans[c].out
+			b.lanes[t].chans[c] = ch
+		}
+	}
 }
 
 // dynamic1 is the paper's schedule(dynamic,1), the schedule of every

@@ -82,9 +82,9 @@ func (lay *blocking) finalize(g []float64) *linalg.Matrix {
 
 // Density is the read side of a digest channel: a symmetric density
 // matrix, six blocks of which the digest reads per shell quartet. Dense
-// is a replicated matrix, which the build stores shell-blocked once
-// before its walk (blockDensities) so the digest reads its blocks as
-// slices; FromTiles is a distributed one, whose blocks are copied out
+// is a replicated matrix, which every build stores shell-blocked into
+// its builder's buffers before its walk (blockDensities) so the digest
+// reads its blocks as slices; FromTiles is a distributed one, whose blocks are copied out
 // through a tile reader. It holds raw slices and a func, not a
 // *linalg.Matrix: a *linalg.Matrix stored in an interface changes what
 // the linker keeps and moves the hot loops of unrelated layers off their
@@ -135,44 +135,6 @@ func UHF(dTotal, dAlpha, dBeta Density) []Channel {
 	}
 }
 
-// blockDensities returns a copy of chans whose replicated densities are
-// stored shell-blocked, each distinct matrix once (RHF's DJ and DK are
-// one copy). A build calls it before its walk; a hybrid team shares the
-// copies read-only.
-func blockDensities(lay *blocking, chans []Channel) []Channel {
-	out := append([]Channel(nil), chans...)
-	var done []Density
-	blockOne := func(d *Density) {
-		if d.dense == nil {
-			return
-		}
-		for _, o := range done {
-			if &o.dense[0] == &d.dense[0] {
-				d.blocked = o.blocked
-				return
-			}
-		}
-		d.blocked = make([]float64, len(d.dense))
-		lay.fromDense(d.blocked, d.dense)
-		done = append(done, *d)
-	}
-	for c := range out {
-		blockOne(&out[c].DJ)
-		blockOne(&out[c].DK)
-	}
-	return out
-}
-
-// bind returns a copy of chans with channel c writing to out(c).
-func bind(chans []Channel, out func(c int) sink) []Channel {
-	bound := make([]Channel, len(chans))
-	for c := range chans {
-		bound[c] = chans[c]
-		bound[c].out = out(c)
-	}
-	return bound
-}
-
 // Update roles: which of the paper's six Fock updates (eqs. 2a-2f) a
 // block implements. The shared-Fock algorithm routes by role.
 const (
@@ -206,14 +168,18 @@ type blockSink struct {
 func (s *blockSink) block(_, a, b int) []float64 { return s.lay.block(s.g, a, b) }
 func (s *blockSink) done()                       {}
 
-// replicated allocates one blocked N x N accumulator per channel and
-// binds the channels to them.
-func replicated(lay *blocking, chans []Channel) ([][]float64, []Channel) {
-	gs := make([][]float64, len(chans))
-	for c := range gs {
-		gs[c] = make([]float64, lay.n*lay.n)
+// replicated gives every lane one blocked N x N accumulator per channel:
+// gs[lane][channel].
+func (b *Builder) replicated(nchan int) {
+	b.gs = make([][][]float64, len(b.lanes))
+	for t := range b.gs {
+		b.gs[t] = make([][]float64, nchan)
+		for c := range b.gs[t] {
+			b.gs[t][c] = make([]float64, b.lay.n*b.lay.n)
+			b.lanes[t].chans[c].out = &blockSink{b.lay, b.gs[t][c]}
+		}
+		b.acc = append(b.acc, b.gs[t]...)
 	}
-	return gs, bind(chans, func(c int) sink { return &blockSink{lay, gs[c]} })
 }
 
 // scratch is a walker's digest working set: the weighted copy of a block

@@ -159,6 +159,7 @@ func TestDigestMatchesElementwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := integrals.NewEngine(b)
 	shells, n := b.Shells, b.NumBF
 	rng := rand.New(rand.NewSource(7))
 	quartets := canonicalQuartets(len(shells))
@@ -235,7 +236,7 @@ func TestDigestMatchesElementwise(t *testing.T) {
 
 		for _, s := range digestSinks {
 			t.Run(list.name+"/"+s.name, func(t *testing.T) {
-				got := s.run(t, shells, n, list.dens, quartets, blocks)
+				got := s.run(t, eng, list.dens, quartets, blocks)
 				for c := range want {
 					scale := 0.0
 					for _, v := range want[c].Data {
@@ -256,31 +257,30 @@ func TestDigestMatchesElementwise(t *testing.T) {
 }
 
 // digestSinks runs the production digest over a quartet list through
-// each sink and returns each channel's F = G + Gᵀ (the tile sink: its
-// lower triangle).
+// each sink, bound and fed blocked densities by a builder's prologue, and
+// returns each channel's F = G + Gᵀ (the tile sink: its lower triangle).
 var digestSinks = []struct {
 	name string
-	run  func(t *testing.T, shells []basis.Shell, n int, dens []*linalg.Matrix, quartets [][4]int, blocks [][]float64) []*linalg.Matrix
+	run  func(t *testing.T, eng *integrals.Engine, dens []*linalg.Matrix, quartets [][4]int, blocks [][]float64) []*linalg.Matrix
 }{
-	{"blocked", func(t *testing.T, shells []basis.Shell, n int, dens []*linalg.Matrix, quartets [][4]int, blocks [][]float64) []*linalg.Matrix {
-		lay := newBlocking(shells)
-		gs, chans := replicated(lay, blockDensities(lay, channelsOf(dens, Dense)))
-		var sc scratch
-		for qi, q := range quartets {
-			digest(blocks[qi], lay, q[0], q[1], q[2], q[3], chans, &sc)
-		}
-		return closeBuild(lay, gs)
+	{"blocked", func(t *testing.T, eng *integrals.Engine, dens []*linalg.Matrix, quartets [][4]int, blocks [][]float64) []*linalg.Matrix {
+		b := SerialBuildN(eng, nil, nil, DefaultTau)
+		b.prepare(channelsOf(dens, Dense))
+		digestAll(b, quartets, blocks, nil)
+		return b.close()
 	}},
-	{"routed", func(t *testing.T, shells []basis.Shell, n int, dens []*linalg.Matrix, quartets [][4]int, blocks [][]float64) []*linalg.Matrix {
-		lay := newBlocking(shells)
+	{"routed", func(t *testing.T, eng *integrals.Engine, dens []*linalg.Matrix, quartets [][4]int, blocks [][]float64) []*linalg.Matrix {
+		b := SerialBuildN(eng, nil, nil, DefaultTau)
+		b.prepare(channelsOf(dens, Dense))
+		lay, n := b.lay, eng.Basis.NumBF
 		gs := make([][]float64, len(dens))
 		routes := make([]*routedSink, len(dens))
 		for c := range gs {
 			gs[c] = make([]float64, n*n)
 			routes[c] = &routedSink{lay: lay, g: gs[c],
 				fi: make([]float64, lay.maxNum*n), fj: make([]float64, lay.maxNum*n)}
+			b.lanes[0].chans[c].out = routes[c]
 		}
-		chans := bind(blockDensities(lay, channelsOf(dens, Dense)), func(c int) sink { return routes[c] })
 		// The FI/FJ block-row copies are folded into G after every
 		// quartet, as the shared-Fock flushes fold them after a task.
 		fold := func(g, buf []float64, sh int) {
@@ -290,31 +290,28 @@ var digestSinks = []struct {
 				buf[x] = 0
 			}
 		}
-		var sc scratch
-		for qi, q := range quartets {
-			digest(blocks[qi], lay, q[0], q[1], q[2], q[3], chans, &sc)
+		digestAll(b, quartets, blocks, func(q [4]int) {
 			for c, r := range routes {
 				fold(gs[c], r.fi, q[0])
 				fold(gs[c], r.fj, q[1])
 			}
-		}
+		})
 		return closeBuild(lay, gs)
 	}},
-	{"pending", func(t *testing.T, shells []basis.Shell, n int, dens []*linalg.Matrix, quartets [][4]int, blocks [][]float64) []*linalg.Matrix {
-		lay := newBlocking(shells)
-		stage, chans := getStaging(blockDensities(lay, channelsOf(dens, Dense)), lay)
-		var sc scratch
-		for qi, q := range quartets {
-			digest(blocks[qi], lay, q[0], q[1], q[2], q[3], chans, &sc)
-		}
+	{"pending", func(t *testing.T, eng *integrals.Engine, dens []*linalg.Matrix, quartets [][4]int, blocks [][]float64) []*linalg.Matrix {
+		b := ResilientBuild(nil, eng, integrals.ComputeSchwarz(eng), Config{})
+		b.prepare(channelsOf(dens, Dense))
+		digestAll(b, quartets, blocks, nil)
 		// The window the staged block records would accumulate into.
+		n := eng.Basis.NumBF
+		stage := b.lanes[0].chans[0].out.(*pendingSink).stage
 		window := make([]float64, len(dens)*n*n)
 		val := stage.val
-		for _, b := range stage.blocks {
-			for x, v := range val[:b.n] {
-				window[b.pos+x] += v
+		for _, blk := range stage.blocks {
+			for x, v := range val[:blk.n] {
+				window[blk.pos+x] += v
 			}
-			val = val[b.n:]
+			val = val[blk.n:]
 		}
 		if len(val) != 0 {
 			t.Fatalf("%d staged values past the last block record", len(val))
@@ -323,10 +320,10 @@ var digestSinks = []struct {
 		for c := range gs {
 			gs[c] = window[c*n*n : (c+1)*n*n]
 		}
-		return closeBuild(lay, gs)
+		return closeBuild(b.lay, gs)
 	}},
-	{"tile", func(t *testing.T, shells []basis.Shell, n int, dens []*linalg.Matrix, quartets [][4]int, blocks [][]float64) []*linalg.Matrix {
-		lay := newBlocking(shells)
+	{"tile", func(t *testing.T, eng *integrals.Engine, dens []*linalg.Matrix, quartets [][4]int, blocks [][]float64) []*linalg.Matrix {
+		n := eng.Basis.NumBF
 		accs := make([]*linalg.Matrix, len(dens))
 		err := mpi.Run(1, func(comm *mpi.Comm) {
 			dx := ddi.New(comm)
@@ -345,11 +342,9 @@ var digestSinks = []struct {
 				fs[c].Zero()
 				out[c] = distmat.NewTileAccum(fs[c], 4)
 			}
-			chans := bind(channelsOf(readers, FromTiles), func(c int) sink { return newTileSink(lay, out[c]) })
-			var sc scratch
-			for qi, q := range quartets {
-				digest(blocks[qi], lay, q[0], q[1], q[2], q[3], chans, &sc)
-			}
+			b := TiledBuild(dx, eng, nil, out, Config{})
+			b.prepare(channelsOf(readers, FromTiles))
+			digestAll(b, quartets, blocks, nil)
 			for c, f := range fs {
 				out[c].Flush()
 				m, err := f.GatherVerified()
@@ -365,6 +360,18 @@ var digestSinks = []struct {
 		}
 		return accs
 	}},
+}
+
+// digestAll runs the production digest of every quartet into the
+// channels of b's walker, calling after (if not nil) after each.
+func digestAll(b *Builder, quartets [][4]int, blocks [][]float64, after func(q [4]int)) {
+	w := &b.lanes[0]
+	for qi, q := range quartets {
+		digest(blocks[qi], b.lay, q[0], q[1], q[2], q[3], w.chans, &w.sc)
+		if after != nil {
+			after(q)
+		}
+	}
 }
 
 // waterDimerXYZ is the geometry of the dimer_d_private benchmark workload.
@@ -420,13 +427,13 @@ func BenchmarkDigest(b *testing.B) {
 				b.Fatalf("%d surviving quartets, %d basis-function quartets; want %d, %d",
 					len(survivors), bfQuart, wl.quartets, wl.bfQuart)
 			}
-			lay := newBlocking(shells)
-			_, chans := replicated(lay, blockDensities(lay, RHF(Dense(d))))
-			var sc scratch
+			fb := SerialBuildN(eng, pc, sch, DefaultTau)
+			fb.prepare(RHF(Dense(d)))
+			w := &fb.lanes[0]
 			b.ResetTimer()
 			for range b.N {
 				for _, s := range survivors {
-					digest(s.blk, lay, s.q[0], s.q[1], s.q[2], s.q[3], chans, &sc)
+					digest(s.blk, fb.lay, s.q[0], s.q[1], s.q[2], s.q[3], w.chans, &w.sc)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*bfQuart), "ns/bfquartet")

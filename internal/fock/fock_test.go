@@ -16,8 +16,26 @@ import (
 // serialBuild is the restricted serial build on the direct oracle: the
 // reference every preset is held to.
 func serialBuild(eng *integrals.Engine, sch *integrals.Schwarz, d *linalg.Matrix, tau float64) (*linalg.Matrix, Stats) {
-	g, st := SerialBuildN(eng, oracle.New(eng.Basis), sch, RHF(Dense(d)), tau)
+	g, st := SerialBuildN(eng, oracle.New(eng.Basis), sch, tau).Build(RHF(Dense(d)))
 	return g[0], st
+}
+
+// flatSource is an ERI source with no scratch of its own: every block is
+// the walker's buffer, grown once, with every element 1e-3. A build over
+// it allocates only what the build itself does, whatever the kernel's
+// scratch pool would add.
+type flatSource []basis.Shell
+
+func (s flatSource) ShellQuartet(i, j, k, l int, out []float64) []float64 {
+	n := s[i].NumFuncs() * s[j].NumFuncs() * s[k].NumFuncs() * s[l].NumFuncs()
+	if cap(out) < n {
+		out = make([]float64, n)
+	}
+	out = out[:n]
+	for x := range out {
+		out[x] = 1e-3
+	}
+	return out
 }
 
 // testDensity builds a plausible symmetric positive density-like matrix
@@ -159,7 +177,7 @@ func TestQuartetEnumerationCanonical(t *testing.T) {
 func TestSharedFockFlushCounting(t *testing.T) {
 	eng, sch, d := setup(t, molecule.Water(), "sto-3g")
 	err := mpi.Run(1, func(c *mpi.Comm) {
-		_, stats := SharedFockBuild(ddi.New(c), eng, sch, RHF(Dense(d)), Config{Threads: 2, Quartets: oracle.New(eng.Basis)})
+		_, stats := SharedFockBuild(ddi.New(c), eng, sch, Config{Threads: 2, Quartets: oracle.New(eng.Basis)}).Build(RHF(Dense(d)))
 		if stats.Flushes == 0 {
 			t.Error("shared-Fock build reported no flushes")
 		}
@@ -230,9 +248,9 @@ func TestPairCacheBuilders(t *testing.T) {
 			name string
 			f    func() *linalg.Matrix
 		}{
-			{"mpi-only", func() *linalg.Matrix { m, _ := MPIOnlyBuild(dx, eng, sch, RHF(Dense(d)), cfg); return m[0] }},
-			{"private", func() *linalg.Matrix { m, _ := PrivateFockBuild(dx, eng, sch, RHF(Dense(d)), cfg); return m[0] }},
-			{"shared", func() *linalg.Matrix { m, _ := SharedFockBuild(dx, eng, sch, RHF(Dense(d)), cfg); return m[0] }},
+			{"mpi-only", func() *linalg.Matrix { m, _ := MPIOnlyBuild(dx, eng, sch, cfg).Build(RHF(Dense(d))); return m[0] }},
+			{"private", func() *linalg.Matrix { m, _ := PrivateFockBuild(dx, eng, sch, cfg).Build(RHF(Dense(d))); return m[0] }},
+			{"shared", func() *linalg.Matrix { m, _ := SharedFockBuild(dx, eng, sch, cfg).Build(RHF(Dense(d))); return m[0] }},
 		}
 		for _, b := range builders {
 			if diff := b.f().MaxAbsDiff(want); diff > 1e-10 {

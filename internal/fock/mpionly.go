@@ -12,28 +12,29 @@ import (
 // shell-pair indices; each rank runs the full (k, l) loops for its pairs;
 // a global sum reduces the Fock matrix at the end.
 //
-// Call from inside mpi.Run on every rank. The channel densities are
-// replicated; the returned matrices (one per channel) are the complete
-// two-electron Fock, identical on all ranks.
+// Construct it inside mpi.Run on every rank. The channel densities are
+// replicated; Build returns the complete two-electron Fock matrices (one
+// per channel), identical on all ranks.
 func MPIOnlyBuild(dx *ddi.Context, eng *integrals.Engine,
-	sch *integrals.Schwarz, chans []Channel, cfg Config) ([]*linalg.Matrix, Stats) {
-	w := newWalker(dx, eng, sch, cfg)
-	var gs [][]float64
-	gs, w.chans = replicated(w.lay, blockDensities(w.lay, chans))
+	sch *integrals.Schwarz, cfg Config) *Builder {
+	b := newBuilder(dx, eng, cfg.Quartets, sch, DefaultTau, 1)
 	// The private accumulator always rides the closing gsumf, so a
 	// NaN-poison or bit-flip landed there reaches every rank's Fock.
-	w.dlbPairs(&gs[0])
-	return reduce(dx, w.lay, gs), w.st
+	b.walk = func() { b.lanes[0].dlbPairs(&b.gs[0][0]) }
+	return b
 }
 
 // reduce closes a replicated build: the 2e-Fock matrix reduction over MPI
 // ranks (Algorithm 1 line 16, Algorithm 2 line 23, Algorithm 3 line 38)
-// of each blocked accumulator, then closeBuild.
-func reduce(dx *ddi.Context, lay *blocking, gs [][]float64) []*linalg.Matrix {
-	for _, g := range gs {
-		dx.GSumF(g)
+// of lane 0's blocked accumulators — none in the serial build — then
+// closeBuild.
+func (b *Builder) reduce() []*linalg.Matrix {
+	for _, g := range b.gs[0] {
+		if b.dx != nil {
+			b.dx.GSumF(g)
+		}
 	}
-	return closeBuild(lay, gs)
+	return closeBuild(b.lay, b.gs[0])
 }
 
 // closeBuild forms each channel's F = G + Gᵀ from its blocked

@@ -2,6 +2,5 @@
 
 package fock
 
-// The race detector makes sync.Pool drop items at random, so allocation
-// ceilings that rest on a pool are not held under -race.
+// Tests too slow to run under the race detector skip themselves.
 func init() { raceEnabled = true }

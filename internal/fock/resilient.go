@@ -2,7 +2,6 @@ package fock
 
 import (
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/ddi"
@@ -35,63 +34,68 @@ import (
 //
 // Until its flush a computed task is staged locally: every task of the
 // build appends its contributions, whole Fock blocks with their window
-// offsets, to one staging area and keeps only its ranges of it (see
-// staging). The flush empties the staging and keeps its capacity, and
-// the staging outlives the build, so a build's commit path allocates
-// nothing once the pool holds a staging of the size the basis needs.
+// offsets, to the builder's staging and keeps only its ranges of it (see
+// staging). The accumulation window and the lease table are each
+// build's own: a build has no barrier at which every rank could agree to
+// reset them, and that absence is what lets it survive a rank death.
 //
-// Call from inside mpi.Run on every rank, like the other builders. The
-// returned matrices (one per channel) are identical on all surviving
+// Construct it inside mpi.Run on every rank, like the other presets.
+// Build returns matrices (one per channel) identical on all surviving
 // ranks.
 func ResilientBuild(dx *ddi.Context, eng *integrals.Engine,
-	sch *integrals.Schwarz, chans []Channel, cfg Config) ([]*linalg.Matrix, Stats) {
+	sch *integrals.Schwarz, cfg Config) *Builder {
 	n := eng.Basis.NumBF
-	w := newWalker(dx, eng, sch, cfg)
-	stats := &w.st
-	chans = blockDensities(w.lay, chans)
-
-	lease := dx.NewLeaseDLB(NumPairs(len(w.shells)))
-	win := dx.Comm.WinCreate(len(chans)*n*n, 0)
+	b := newBuilder(dx, eng, cfg.Quartets, sch, DefaultTau, 1)
+	w := &b.lanes[0]
 
 	// Contributions are staged PER TASK so the flush can commit each
 	// task independently: under speculation two ranks may hold results
 	// for the same ij, and only the Reserve winner's copy may reach the
 	// shared window. Channel c owns window slots [c*n*n, (c+1)*n*n), a
 	// blocked accumulator.
-	var stage *staging
-	stage, w.chans = getStaging(chans, w.lay)
-
-	// flushEvery bounds how much computed work a death can force to be
-	// redone (a dying rank's unflushed tasks are recomputed elsewhere).
-	// The drain also flushes after its draw phase and after each
-	// re-issued task.
-	const flushEvery = 16
-	flush := func() { stage.flush(lease, win, stats) }
-	drained := lease.Drain(1, true, func(ij, owner int) {
-		stage.compute(&w, ij, owner)
-		if len(stage.tasks) >= flushEvery {
-			flush()
+	stage := &staging{room: numRoles * b.lay.maxNum * b.lay.maxNum}
+	var gs [][]float64 // the batch's channels
+	b.bind = func(nchan int) {
+		stage.batch, gs = make([]float64, nchan*n*n), make([][]float64, nchan)
+		b.acc = append(b.acc, stage.batch)
+		for c := range gs {
+			gs[c] = stage.batch[c*n*n : (c+1)*n*n]
+			w.chans[c].out = &pendingSink{stage: stage, base: c * n * n, lay: b.lay}
 		}
-	}, flush)
-	stats.DLBGrabs += drained.Drawn + drained.Stolen
-	stats.TasksReissued += drained.Stolen + drained.Expired
-	stats.TasksHedged += drained.Hedged
+		stage.size(w, nchan)
+	}
+
+	var win *mpi.Win
+	b.walk = func() {
+		lease := dx.NewLeaseDLB(NumPairs(len(w.shells)))
+		win = dx.Comm.WinCreate(len(stage.batch), 0)
+		flush := func() { stage.flush(lease, win, &w.st) }
+		drained := lease.Drain(1, true, func(ij, owner int) {
+			stage.compute(w, ij, owner)
+			if len(stage.tasks) >= flushEvery {
+				flush()
+			}
+		}, flush)
+		w.st.DLBGrabs += drained.Drawn + drained.Stolen
+		w.st.TasksReissued += drained.Stolen + drained.Expired
+		w.st.TasksHedged += drained.Hedged
+	}
 
 	// All tasks pushed; the window now holds the complete blocked
-	// accumulation of every channel and is safe to read one-sidedly. The
-	// last flush left the batch zeroed, so it can take the read.
-	win.Get(0, stage.batch)
-	accs := make([]*linalg.Matrix, len(chans))
-	for c := range accs {
-		accs[c] = w.lay.finalize(stage.batch[c*n*n : (c+1)*n*n])
+	// accumulation of every channel and is safe to read one-sidedly, into
+	// the batch the next build clears.
+	b.close = func() []*linalg.Matrix {
+		win.Get(0, stage.batch)
+		return closeBuild(b.lay, gs)
 	}
-	clear(stage.batch)
-	// The staging is empty and its batch zeroed again. A rank that dies
-	// mid-build never gets here, so the pool only ever holds clean
-	// staging.
-	stagingPool.Put(stage)
-	return accs, *stats
+	return b
 }
+
+// flushEvery bounds how much computed work a death can force to be
+// redone (a dying rank's unflushed tasks are recomputed elsewhere), and
+// with it how many tasks a rank holds staged. The drain also flushes
+// after its draw phase and after each re-issued task.
+const flushEvery = 16
 
 // pendingTask is one computed-but-uncommitted ij task of a resilient
 // build. It owns no memory: its contributions are the block records
@@ -109,49 +113,40 @@ type stagedBlock struct{ pos, n int }
 
 // staging is one rank's commit staging of a resilient build: the
 // pending tasks, the record and values of every block they staged, the
-// Reserve winners of the flush in progress, the accumulate batch and the
-// channels' sinks. A flush empties it and keeps its capacity; the build
-// returns it to stagingPool, so the next build on the rank (the next SCF
-// iteration, the next served job) stages into the same memory instead of
-// growing new slices for every task.
+// Reserve winners of the flush in progress and the accumulate batch. A
+// flush empties it and keeps its capacity; the builder owns it, so every
+// build on the rank stages into the same memory.
 type staging struct {
 	tasks    []pendingTask
 	blocks   []stagedBlock
 	val      []float64
 	reserved []int
 	batch    []float64
-	sinks    []pendingSink
 	room     int // values one channel's quartet can stage
 }
 
-var stagingPool = sync.Pool{New: func() any { return new(staging) }}
-
-// getStaging takes an empty staging from the pool, sized for the
-// channels of a basis laid out as lay, and returns it with the channels
-// bound to its sinks.
-func getStaging(chans []Channel, lay *blocking) (*staging, []Channel) {
-	st := stagingPool.Get().(*staging)
-	n := lay.n
-	// Every flush zeroes what it dirtied, so all of the batch's capacity
-	// is zeros.
-	if m := len(chans) * n * n; cap(st.batch) < m {
-		st.batch = make([]float64, m)
-	} else {
-		st.batch = st.batch[:m]
+// size makes the staging, once, as large as a rank's pending tasks
+// need: the last flushEvery tasks, the largest of the canonical order,
+// each staging six blocks per channel for every quartet that survives
+// the screen (a Coulomb-only or exchange-only channel stages fewer),
+// plus the room one quartet reserves. No build of the attempt then grows
+// it, bar a rank whose pending tasks outgrow those.
+func (st *staging) size(w *walker, nchan int) {
+	num, vals, quartets := w.lay.num, 0, 0
+	npairs := NumPairs(len(num))
+	for ij := max(npairs-flushEvery, 0); ij < npairs; ij++ {
+		i, j := PairDecode(ij)
+		for k := 0; k <= i; k++ {
+			for l := 0; l <= quartetLoopBounds(i, j, k); l++ {
+				if w.survives(i, j, k, l) {
+					ni, nj, nk, nl := num[i], num[j], num[k], num[l]
+					vals, quartets = vals+ni*nj+nk*nl+ni*nk+nj*nl+ni*nl+nj*nk, quartets+1
+				}
+			}
+		}
 	}
-	st.room = numRoles * lay.maxNum * lay.maxNum
-	st.reserve()
-	st.sinks = st.sinks[:0]
-	for c := range chans {
-		st.sinks = append(st.sinks, pendingSink{stage: st, base: c * n * n, lay: lay})
-	}
-	return st, bind(chans, func(c int) sink { return &st.sinks[c] })
-}
-
-// reserve makes room for the blocks of one channel's quartet, so no
-// block a sink hands out moves before the digest is done with it.
-func (st *staging) reserve() {
-	st.val = slices.Grow(st.val, st.room)
+	st.val = make([]float64, 0, nchan*vals+st.room)
+	st.blocks = make([]stagedBlock, 0, nchan*numRoles*quartets)
 }
 
 // compute runs the ij task for the lease owner holds and stages its
@@ -228,11 +223,13 @@ func (p *pendingSink) block(_, a, b int) []float64 {
 	st := p.stage
 	n := p.lay.num[a] * p.lay.num[b]
 	lo := len(st.val)
-	st.val = st.val[:lo+n] // within the room reserve made
+	st.val = st.val[:lo+n] // within the room size or done made
 	st.blocks = append(st.blocks, stagedBlock{pos: p.base + p.lay.start(a, b), n: n})
 	blk := st.val[lo : lo+n]
 	clear(blk)
 	return blk
 }
 
-func (p *pendingSink) done() { p.stage.reserve() }
+// done makes room for the blocks of the next channel's quartet, so no
+// block a sink hands out moves before the digest is done with it.
+func (p *pendingSink) done() { p.stage.val = slices.Grow(p.stage.val, p.stage.room) }

@@ -30,7 +30,7 @@ func TestResilientMatchesSerial(t *testing.T) {
 	err := mpi.Run(ranks, func(c *mpi.Comm) {
 		dx := ddi.New(c)
 		var g []*linalg.Matrix
-		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(Dense(d)), Config{Quartets: oracle.New(eng.Basis)})
+		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, Config{Quartets: oracle.New(eng.Basis)}).Build(RHF(Dense(d)))
 		got[c.Rank()] = g[0]
 	})
 	if err != nil {
@@ -78,7 +78,7 @@ func TestResilientSurvivesRankDeath(t *testing.T) {
 		}
 		dx := ddi.New(c)
 		var g []*linalg.Matrix
-		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(Dense(d)), Config{Quartets: oracle.New(eng.Basis)})
+		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, Config{Quartets: oracle.New(eng.Basis)}).Build(RHF(Dense(d)))
 		got[c.Rank()] = g[0]
 	})
 	if !errors.Is(err, mpi.ErrRankFailed) {
@@ -158,7 +158,7 @@ func TestResilientHedgesStraggler(t *testing.T) {
 		}, func(c *mpi.Comm) {
 			dx := ddi.New(c)
 			var g []*linalg.Matrix
-			g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(Dense(d)), Config{Quartets: oracle.New(eng.Basis)})
+			g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, Config{Quartets: oracle.New(eng.Basis)}).Build(RHF(Dense(d)))
 			got[c.Rank()] = g[0]
 		})
 		if err != nil {
@@ -218,7 +218,7 @@ func TestResilientReclaimsExpiredLease(t *testing.T) {
 	}, func(c *mpi.Comm) {
 		dx := ddi.New(c)
 		var g []*linalg.Matrix
-		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, RHF(Dense(d)), Config{Quartets: oracle.New(eng.Basis)})
+		g, stats[c.Rank()] = ResilientBuild(dx, eng, sch, Config{Quartets: oracle.New(eng.Basis)}).Build(RHF(Dense(d)))
 		got[c.Rank()] = g[0]
 	})
 	if err != nil {
@@ -250,11 +250,12 @@ func TestResilientReclaimsExpiredLease(t *testing.T) {
 var raceEnabled bool
 
 // resilientRig is one rank's resilient-build machinery without the drain,
-// so a test can stage tasks and flush them in an order it chooses: the
-// walker with its channels bound to a staging, the lease table with
-// every task leased to this rank, and the accumulation window.
+// so a test can stage tasks and flush them in an order it chooses: a
+// resilient builder's walker with its channels bound to the builder's
+// staging, the lease table with every task leased to this rank, and the
+// accumulation window.
 type resilientRig struct {
-	w     walker
+	w     *walker
 	stage *staging
 	lease *ddi.LeaseDLB
 	win   *mpi.Win
@@ -263,8 +264,9 @@ type resilientRig struct {
 
 func newResilientRig(t *testing.T, c *mpi.Comm, eng *integrals.Engine, sch *integrals.Schwarz, d *linalg.Matrix) *resilientRig {
 	dx := ddi.New(c)
-	r := &resilientRig{w: newWalker(dx, eng, sch, Config{Quartets: oracle.New(eng.Basis)}), n: eng.Basis.NumBF}
-	r.stage, r.w.chans = getStaging(blockDensities(r.w.lay, RHF(Dense(d))), r.w.lay)
+	b := ResilientBuild(dx, eng, sch, Config{Quartets: oracle.New(eng.Basis)})
+	b.prepare(RHF(Dense(d)))
+	r := &resilientRig{w: &b.lanes[0], stage: b.lanes[0].chans[0].out.(*pendingSink).stage, n: eng.Basis.NumBF}
 	total := NumPairs(len(r.w.shells))
 	r.lease = dx.NewLeaseDLB(total)
 	if idxs, ok := r.lease.DrawChunk(total); !ok || len(idxs) != total {
@@ -295,14 +297,14 @@ func TestResilientFlushDropsLoser(t *testing.T) {
 		total := NumPairs(len(r.w.shells))
 		const a, dup, b = 5, 12, 20
 		// The first copy of dup commits on its own.
-		r.stage.compute(&r.w, dup, 0)
+		r.stage.compute(r.w, dup, 0)
 		r.stage.flush(r.lease, r.win, st)
 		if st.TasksDeduped != 0 || st.QuartetsCommitted == 0 {
 			t.Errorf("first copy: %d deduped, %d quartets committed", st.TasksDeduped, st.QuartetsCommitted)
 		}
 		// One flush: winner, the duplicate, winner.
 		for _, ij := range []int{a, dup, b} {
-			r.stage.compute(&r.w, ij, 0)
+			r.stage.compute(r.w, ij, 0)
 		}
 		if blo, bhi := r.stage.tasks[1].blo, r.stage.tasks[1].bhi; blo == bhi {
 			t.Errorf("the duplicate staged no blocks")
@@ -320,7 +322,7 @@ func TestResilientFlushDropsLoser(t *testing.T) {
 		}
 		for ij := 0; ij < total; ij++ {
 			if ij != a && ij != dup && ij != b {
-				r.stage.compute(&r.w, ij, 0)
+				r.stage.compute(r.w, ij, 0)
 			}
 		}
 		r.stage.flush(r.lease, r.win, st)
@@ -348,7 +350,7 @@ func TestResilientSDCStaysInItsTask(t *testing.T) {
 		_, err := mpi.RunWithOptions(1, mpi.RunOptions{Fault: fault}, func(c *mpi.Comm) {
 			r := newResilientRig(t, c, eng, sch, d)
 			for _, ij := range tasks {
-				r.stage.compute(&r.w, ij, 0)
+				r.stage.compute(r.w, ij, 0)
 			}
 			// A task's values are those of its block records, in order.
 			for _, task := range r.stage.tasks {
@@ -396,54 +398,48 @@ func TestResilientSDCStaysInItsTask(t *testing.T) {
 }
 
 // TestResilientStagingReuse pins what a resilient build allocates once
-// the staging pool is warm: the bytes of a second and later build on the
-// same world, water/6-31G on one rank. The commit staging itself grows
-// nothing (it holds ≈ 70 KB of block records and values); what is left
-// is the accumulation window, the lease table, the blocked density, the
-// result matrix and the walker's per-build scratch, 11,102 bytes. It was
+// its builder has run a build: the bytes of a second and later build,
+// water/6-31G on one rank, over an ERI source with no scratch of its
+// own. The commit staging the builder owns is sized once, when it binds
+// its channels, and no build grows it; what is left is the accumulation
+// window, the lease table and the result matrix, 4,304 bytes. It was
 // 365,839 bytes per build while every task staged into slices of its
-// own, and 11,630 while tasks staged (slot, value) pairs.
+// own, 11,630 while tasks staged (slot, value) pairs, and 11,102 while
+// the staging came from a package pool and the walker, blocking,
+// blocked density and digest scratch were made per build.
 func TestResilientStagingReuse(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items")
-	}
 	eng, sch, d := setup(t, molecule.Water(), "6-31g")
-	src := integrals.NewPairCache(eng, 0)
-	// sync.Pool keeps a returned item in the current P's private slot,
-	// which a Get on another P does not see. Rank goroutines find it anyway
-	// almost always (5 fresh stagings in 3,200 builds of 2x2 water runs at
-	// GOMAXPROCS 2), but a test that measures every build needs one P.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var perBuild uint64
 	var staged int
 	err := mpi.Run(1, func(c *mpi.Comm) {
-		dx := ddi.New(c)
-		build := func() { ResilientBuild(dx, eng, sch, RHF(Dense(d)), Config{Quartets: src}) }
-		build() // warms the pool and the kernel's scratch
-		// A garbage collection empties the pools a build draws from, so
-		// each round starts from a fresh heap goal, and the fewest bytes
-		// of three rounds count.
+		b := ResilientBuild(ddi.New(c), eng, sch, Config{Quartets: flatSource(eng.Basis.Shells)})
+		chans := RHF(Dense(d))
+		b.prepare(chans) // sizes the staging
+		st := b.lanes[0].chans[0].out.(*pendingSink).stage
+		sized := [2]int{cap(st.val), cap(st.blocks)}
+		b.Build(chans) // grows the walker's buffers
 		const rounds, builds = 3, 4
 		perBuild = math.MaxUint64
 		for range rounds {
-			var a, b runtime.MemStats
+			var m0, m1 runtime.MemStats
 			runtime.GC()
-			runtime.ReadMemStats(&a)
+			runtime.ReadMemStats(&m0)
 			for range builds {
-				build()
+				b.Build(chans)
 			}
-			runtime.ReadMemStats(&b)
-			perBuild = min(perBuild, (b.TotalAlloc-a.TotalAlloc)/builds)
+			runtime.ReadMemStats(&m1)
+			perBuild = min(perBuild, (m1.TotalAlloc-m0.TotalAlloc)/builds)
 		}
-		st := stagingPool.Get().(*staging)
+		if got := [2]int{cap(st.val), cap(st.blocks)}; got != sized {
+			t.Errorf("the builds grew the staging's values and block records from %v to %v", sized, got)
+		}
 		staged = 16*cap(st.blocks) + 8*cap(st.val)
-		stagingPool.Put(st)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("%d bytes per build; the staging holds %d bytes", perBuild, staged)
-	const ceiling = 16 << 10
+	const ceiling = 6 << 10
 	if perBuild > ceiling {
 		t.Errorf("%d bytes per resilient build, want <= %d", perBuild, ceiling)
 	}
@@ -469,9 +465,9 @@ func TestResilientBuildsAreCollected(t *testing.T) {
 	kept := func(builds int) uint64 {
 		var inUse uint64
 		err := mpi.Run(2, func(c *mpi.Comm) {
-			dx := ddi.New(c)
+			b := ResilientBuild(ddi.New(c), eng, sch, Config{Quartets: src})
 			for range builds {
-				ResilientBuild(dx, eng, sch, UHF(Dense(d), Dense(d), Dense(d)), Config{Quartets: src})
+				b.Build(UHF(Dense(d), Dense(d), Dense(d)))
 			}
 			c.Barrier()
 			if c.Rank() == 0 {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ddi"
 	"repro/internal/integrals"
-	"repro/internal/linalg"
 	"repro/internal/omp"
 )
 
@@ -21,42 +20,37 @@ import (
 // chunked reductions of one contiguous block row, partitioned over the
 // team and barrier-isolated from quartet work (paper Figure 1).
 //
-// Call from inside mpi.Run on every rank; the returned Fock matrices (one
-// per channel, each with its own FI/FJ buffer set) are complete and
+// Construct it inside mpi.Run on every rank; Build returns the complete
+// Fock matrices (one per channel, each with its own FI/FJ buffer set),
 // identical on all ranks.
 func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
-	sch *integrals.Schwarz, chans []Channel, cfg Config) ([]*linalg.Matrix, Stats) {
+	sch *integrals.Schwarz, cfg Config) *Builder {
 	n := eng.Basis.NumBF
-	shells := eng.Basis.Shells
-	npairs := NumPairs(len(shells))
-	nthreads := cfg.threads()
+	npairs := NumPairs(len(eng.Basis.Shells))
 	maxQ := sch.MaxQ()
-	maxSz := eng.Basis.ShellSizeMax()
-	lay := newBlocking(shells)
-	chans = blockDensities(lay, chans)
+	b := newBuilder(dx, eng, cfg.Quartets, sch, DefaultTau, cfg.Threads)
+	lay := b.lay
 
-	// Shared blocked accumulators, and FI/FJ: per thread a private copy of
-	// one shell's block row of G, [shell function x NBF] (Algorithm 3
-	// line 3). Separate slices per thread keep them on distinct cache
-	// lines (the role of the paper's padding bytes).
-	gs := make([][]float64, len(chans))
-	fi := make([][][]float64, len(chans)) // [channel][thread]
-	fj := make([][][]float64, len(chans))
-	for c := range gs {
-		gs[c] = make([]float64, n*n)
-		fi[c] = make([][]float64, nthreads)
-		fj[c] = make([][]float64, nthreads)
-		for t := 0; t < nthreads; t++ {
-			fi[c][t] = make([]float64, maxSz*n)
-			fj[c][t] = make([]float64, maxSz*n)
+	// Shared blocked accumulators (gs[0], which closes the build), and
+	// FI/FJ: per thread a private copy of one shell's block row of G,
+	// [shell function x NBF] (Algorithm 3 line 3). Separate slices per
+	// thread keep them on distinct cache lines (the role of the paper's
+	// padding bytes).
+	var gs [][]float64
+	var fi, fj [][][]float64 // [channel][thread]
+	b.bind = func(nchan int) {
+		gs, fi, fj = make([][]float64, nchan), make([][][]float64, nchan), make([][][]float64, nchan)
+		for c := range gs {
+			gs[c] = make([]float64, n*n)
+			fi[c], fj[c] = make([][]float64, len(b.lanes)), make([][]float64, len(b.lanes))
+			b.acc = append(b.acc, gs[c])
+			for t := range b.lanes {
+				fi[c][t], fj[c][t] = make([]float64, lay.maxNum*n), make([]float64, lay.maxNum*n)
+				b.acc = append(b.acc, fi[c][t], fj[c][t])
+				b.lanes[t].chans[c].out = &routedSink{lay: lay, g: gs[c], fi: fi[c][t], fj: fj[c][t]}
+			}
 		}
-	}
-	lanes := make([]walker, nthreads)
-	for t := range lanes {
-		lanes[t] = newWalker(dx, eng, sch, cfg)
-		lanes[t].chans = bind(chans, func(c int) sink {
-			return &routedSink{lay: lay, g: gs[c], fi: fi[c][t], fj: fj[c][t]}
-		})
+		b.gs = [][][]float64{gs}
 	}
 
 	// flush adds the per-thread copies of shell sh's block row into the
@@ -75,9 +69,8 @@ func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 		i, j := PairDecode(ij)
 		return ij < npairs && sch.PairQ(i, j)*maxQ < DefaultTau
 	}
-	dx.DLBReset()
 	var ijShared int64
-	stats := runTeam(lanes, func(tc *omp.Context, me int, w *walker) {
+	b.walk = b.team(func(tc *omp.Context, me int, w *walker) {
 		iold := -1
 		for {
 			// Master draws the next surviving ij (a scheduled SDC hits gs[0]).
@@ -122,7 +115,7 @@ func SharedFockBuild(dx *ddi.Context, eng *integrals.Engine,
 			tc.Barrier()
 		}
 	})
-	return reduce(dx, lay, gs), stats
+	return b
 }
 
 // routedSink is the shared-Fock sink of one thread and channel: updates

@@ -4,6 +4,7 @@ import (
 	"repro/internal/ddi"
 	"repro/internal/distmat"
 	"repro/internal/integrals"
+	"repro/internal/linalg"
 )
 
 // TiledBuild is the distributed-data Fock build: Algorithm 1's dynamic
@@ -22,20 +23,29 @@ import (
 //
 // The build distributes over MPI ranks only (no OpenMP team): the
 // hybrid threading of Algorithms 2-3 assumes a node-shared density and
-// Fock, which is exactly the replication this path removes.
+// Fock, which is exactly the replication this path removes. Build
+// returns no matrices: channel c's result is in out[c]'s matrix.
 func TiledBuild(dx *ddi.Context, eng *integrals.Engine, sch *integrals.Schwarz,
-	chans []Channel, out []*distmat.TileAccum, cfg Config) Stats {
-	w := newWalker(dx, eng, sch, cfg)
-	w.chans = bind(chans, func(c int) sink { return newTileSink(w.lay, out[c]) })
+	out []*distmat.TileAccum, cfg Config) *Builder {
+	b := newBuilder(dx, eng, cfg.Quartets, sch, DefaultTau, 1)
+	w := &b.lanes[0]
+	b.bind = func(int) {
+		for c := range w.chans {
+			w.chans[c].out = newTileSink(b.lay, out[c])
+		}
+	}
 	// No replicated accumulator exists here, so a scheduled corruption
 	// lands in the ERI scratch: the hook covers the staged tile path
 	// through its inputs.
-	w.dlbPairs(&w.buf)
-	for _, f := range out {
-		f.Flush()
+	b.walk = func() { w.dlbPairs(&w.buf) }
+	b.close = func() []*linalg.Matrix {
+		for _, f := range out {
+			f.Flush()
+		}
+		dx.Comm.Barrier()
+		return nil
 	}
-	dx.Comm.Barrier()
-	return w.st
+	return b
 }
 
 // FromTiles is the Density of a distributed matrix read through a

@@ -15,8 +15,8 @@ import (
 // and digested, and the carrier of the per-task hooks (fock.task span,
 // SDC injection, chaos stall, straggler latency). The presets decide
 // WHICH quartets a walker sees — task space and scheduler — and where the
-// channels' sinks land; a hybrid preset gives every thread its own copy
-// (private stats, ERI scratch and sinks).
+// channels' sinks land; a builder holds one walker per thread (private
+// stats, ERI buffer, digest scratch and sinks) for all its builds.
 type walker struct {
 	shells []basis.Shell
 	lay    *blocking
@@ -32,16 +32,10 @@ type walker struct {
 	sc    scratch
 }
 
-// newWalker is the walker of a parallel preset on dx.
-func newWalker(dx *ddi.Context, eng *integrals.Engine, sch *integrals.Schwarz, cfg Config) walker {
-	return walker{shells: eng.Basis.Shells, lay: newBlocking(eng.Basis.Shells),
-		src: cfg.Quartets, sch: sch, tau: DefaultTau, dx: dx}
-}
-
 // quartet is the screen -> count -> evaluate -> digest step every build
 // performs per symmetry-unique shell quartet.
 func (w *walker) quartet(i, j, k, l int) {
-	if w.sch.Bound(i, j, k, l) < w.tau {
+	if !w.survives(i, j, k, l) {
 		w.st.QuartetsScreened++
 		return
 	}
@@ -49,6 +43,10 @@ func (w *walker) quartet(i, j, k, l int) {
 	w.buf = w.src.ShellQuartet(i, j, k, l, w.buf)
 	digest(w.buf, w.lay, i, j, k, l, w.chans, &w.sc)
 }
+
+// survives is the Schwarz screen, the one test of whether a quartet's
+// ERIs are evaluated.
+func (w *walker) survives(i, j, k, l int) bool { return w.sch.Bound(i, j, k, l) >= w.tau }
 
 // row runs the l loop of the canonical enumeration at (i, j, k)
 // (Algorithm 1 line 5 sets its bound) — the unit Algorithm 2 work-shares.

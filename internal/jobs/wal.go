@@ -415,18 +415,6 @@ func (r *Replay) Pending() []*ReplayJob {
 	return out
 }
 
-// DoneCount returns how many replayed jobs carry a recorded terminal
-// done state.
-func (r *Replay) DoneCount() int {
-	n := 0
-	for _, j := range r.Jobs {
-		if j.State == StateDone {
-			n++
-		}
-	}
-	return n
-}
-
 // ReplayDir folds every segment in dir (no WAL handle needed — usable
 // for offline inspection). It returns the replay, the highest segment
 // number seen, and an error only for I/O failures; corruption is

@@ -49,35 +49,33 @@ func ParallelBuilder(alg Algorithm, dx *ddi.Context, eng *integrals.Engine,
 	}
 }
 
-// parallelChannels resolves an algorithm name to its fock preset and
-// returns the instrumented build over any density list: the same preset,
-// the same sweep, one or three matrices riding it.
-func parallelChannels(alg Algorithm, dx *ddi.Context, eng *integrals.Engine,
-	sch *integrals.Schwarz, cfg fock.Config) channelBuilder {
-	var preset func(*ddi.Context, *integrals.Engine, *integrals.Schwarz,
-		[]fock.Channel, fock.Config) ([]*linalg.Matrix, fock.Stats)
-	switch alg {
-	case AlgMPIOnly:
-		preset = fock.MPIOnlyBuild
-	case AlgPrivateFock:
-		preset = fock.PrivateFockBuild
-	case AlgSharedFock:
-		preset = fock.SharedFockBuild
-	case AlgResilientFock:
-		preset = fock.ResilientBuild
-	default:
-		panic("scf: no replicated-storage Fock preset named " + string(alg))
-	}
-	return instrument(func(ds []*linalg.Matrix) ([]*linalg.Matrix, fock.Stats) {
-		return preset(dx, eng, sch, channels(ds), cfg)
-	}, dx.Comm.Telemetry(), string(alg), dx.Comm.Rank())
+// presets are the constructors of the replicated-storage algorithms.
+var presets = map[Algorithm]func(*ddi.Context, *integrals.Engine, *integrals.Schwarz, fock.Config) *fock.Builder{
+	AlgMPIOnly:       fock.MPIOnlyBuild,
+	AlgPrivateFock:   fock.PrivateFockBuild,
+	AlgSharedFock:    fock.SharedFockBuild,
+	AlgResilientFock: fock.ResilientBuild,
 }
 
-// instrument wraps a build so each one runs inside buildSpan.
-func instrument(b channelBuilder, tel *telemetry.Session, variant string, rank int) channelBuilder {
+// parallelChannels constructs the algorithm's fock preset once, for the
+// world attempt dx belongs to, and returns the instrumented build over
+// any density list: the same builder, the same sweep, one or three
+// matrices riding it.
+func parallelChannels(alg Algorithm, dx *ddi.Context, eng *integrals.Engine,
+	sch *integrals.Schwarz, cfg fock.Config) channelBuilder {
+	construct, ok := presets[alg]
+	if !ok {
+		panic("scf: no replicated-storage Fock preset named " + string(alg))
+	}
+	return instrument(construct(dx, eng, sch, cfg), dx.Comm.Telemetry(), string(alg), dx.Comm.Rank())
+}
+
+// instrument is the build of b over a density list, each build run
+// inside buildSpan.
+func instrument(b *fock.Builder, tel *telemetry.Session, variant string, rank int) channelBuilder {
 	return func(ds []*linalg.Matrix) ([]*linalg.Matrix, fock.Stats) {
 		sp := buildSpan(tel, variant, rank)
-		g, stats := b(ds)
+		g, stats := b.Build(channels(ds))
 		endBuild(sp, stats)
 		return g, stats
 	}
@@ -93,9 +91,8 @@ func buildSpan(tel *telemetry.Session, variant string, rank int) telemetry.Span 
 	return tel.Start("fock.build", variant, rank, 0, nil)
 }
 
-// endBuild closes a buildSpan with the build's load share.
+// endBuild closes a buildSpan with the build's load share, unboxed: a
+// traced build allocates nothing for it.
 func endBuild(sp telemetry.Span, s fock.Stats) {
-	if sp.Recording() {
-		sp.End(map[string]any{"tasks": s.DLBGrabs, "quartets": s.QuartetsComputed})
-	}
+	sp.EndInts(telemetry.IntArg{Key: "tasks", Val: s.DLBGrabs}, telemetry.IntArg{Key: "quartets", Val: s.QuartetsComputed})
 }

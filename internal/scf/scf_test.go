@@ -20,9 +20,9 @@ func SerialBuilder(eng *integrals.Engine, sch *integrals.Schwarz, tau float64) B
 	if tau == 0 {
 		tau = fock.DefaultTau
 	}
-	ref := oracle.New(eng.Basis)
+	b := fock.SerialBuildN(eng, oracle.New(eng.Basis), sch, tau)
 	return func(d *linalg.Matrix) (*linalg.Matrix, fock.Stats) {
-		g, st := fock.SerialBuildN(eng, ref, sch, fock.RHF(fock.Dense(d)), tau)
+		g, st := b.Build(fock.RHF(fock.Dense(d)))
 		return g[0], st
 	}
 }
@@ -37,9 +37,9 @@ func serialSCF(t testing.TB, mol *molecule.Molecule, set string, opt Options) (*
 	sch := integrals.ComputeSchwarz(eng)
 	// The production ERI source, as repro.Run hands it to every plan; the
 	// direct oracle stays the reference of the conformance tables.
-	pc := integrals.NewPairCache(eng, 0)
+	fb := fock.SerialBuildN(eng, integrals.NewPairCache(eng, 0), sch, fock.DefaultTau)
 	res, err := RunRHF(eng, func(d *linalg.Matrix) (*linalg.Matrix, fock.Stats) {
-		g, st := fock.SerialBuildN(eng, pc, sch, fock.RHF(fock.Dense(d)), fock.DefaultTau)
+		g, st := fb.Build(fock.RHF(fock.Dense(d)))
 		return g[0], st
 	}, opt)
 	if err != nil {

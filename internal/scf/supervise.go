@@ -294,10 +294,8 @@ func Run(ctx context.Context, eng *integrals.Engine, sch *integrals.Schwarz,
 		if ctx.Done() != nil {
 			opt.ctx = ctx
 		}
-		build := func(ds []*linalg.Matrix) ([]*linalg.Matrix, fock.Stats) {
-			return fock.SerialBuildN(eng, src, sch, channels(ds), fock.DefaultTau)
-		}
-		res, err := runDense(eng, one, p.Multiplicity, instrument(build, opt.Telemetry, "serial", 0), opt)
+		build := instrument(fock.SerialBuildN(eng, src, sch, fock.DefaultTau), opt.Telemetry, "serial", 0)
+		res, err := runDense(eng, one, p.Multiplicity, build, opt)
 		if res != nil {
 			res.Recovery = &Report{}
 		}

@@ -147,10 +147,7 @@ func (r *tiledResume) reconstructed() int64 {
 type tiledStep struct {
 	opt      Options
 	alg      Algorithm // the fock.build span's variant name
-	dx       *ddi.Context
-	eng      *integrals.Engine
-	sch      *integrals.Schwarz
-	cfg      fock.Config
+	builder  *fock.Builder
 	nocc     int
 	info     *PurifyInfo
 	store    *salvageStore // nil: no resume snapshots
@@ -197,7 +194,7 @@ func runTiled(c *mpi.Comm, eng *integrals.Engine, sch *integrals.Schwarz, cfg fo
 		return distmat.New(g, dx, n, bs)
 	}
 	st := &tiledStep{
-		opt: opt, alg: p.Algorithm, dx: dx, eng: eng, sch: sch, cfg: cfg, nocc: nocc, store: store,
+		opt: opt, alg: p.Algorithm, nocc: nocc, store: store,
 		warm: opt.InitialDensity != nil,
 		dX:   mk(), dH: mk(), dF: mk(), dFp: mk(),
 		dD: mk(), dDn: mk(), dDp: mk(), dT: mk(),
@@ -275,6 +272,7 @@ func runTiled(c *mpi.Comm, eng *integrals.Engine, sch *integrals.Schwarz, cfg fo
 	st.diisStart = start + 1
 	st.reader = distmat.NewTileReader(st.dD, p.CacheTiles)
 	st.accum = distmat.NewTileAccum(st.dF, p.AccTiles)
+	st.builder = fock.TiledBuild(dx, eng, sch, []*distmat.TileAccum{st.accum}, cfg)
 
 	if err := iterate(opt, st, res, start, ePrev); err != nil {
 		return res, err
@@ -325,7 +323,7 @@ func (st *tiledStep) run(iter int, ePrev float64, res *Result) (IterInfo, error)
 	if iter > 1 || st.warm {
 		st.reader.Reset()
 		sp := buildSpan(st.opt.Telemetry, string(st.alg), st.opt.rank)
-		stats = fock.TiledBuild(st.dx, st.eng, st.sch, fock.RHF(fock.FromTiles(st.reader)), []*distmat.TileAccum{st.accum}, st.cfg)
+		_, stats = st.builder.Build(fock.RHF(fock.FromTiles(st.reader)))
 		endBuild(sp, stats)
 		distmat.UnfoldLower(dF)
 	}

@@ -146,7 +146,7 @@ func TestSerialUHFOneSweepPerIteration(t *testing.T) {
 	if math.Abs(res.Energy-o2TripletEnergy) > 1e-10 {
 		t.Fatalf("O2 triplet E = %.12f, want %.12f", res.Energy, o2TripletEnergy)
 	}
-	_, rhf := fock.SerialBuildN(eng, oracle.New(eng.Basis), sch, fock.RHF(fock.Dense(res.Spin.DAlpha)), fock.DefaultTau)
+	_, rhf := fock.SerialBuildN(eng, oracle.New(eng.Basis), sch, fock.DefaultTau).Build(fock.RHF(fock.Dense(res.Spin.DAlpha)))
 	if want := int64(res.Iterations) * rhf.QuartetsComputed; res.TotalFockStats.QuartetsComputed != want {
 		t.Fatalf("UHF evaluated %d quartets in %d iterations, want %d (one %d-quartet sweep each)",
 			res.TotalFockStats.QuartetsComputed, res.Iterations, want, rhf.QuartetsComputed)
@@ -223,6 +223,18 @@ func TestParallelUHFHooks(t *testing.T) {
 	}
 	if got := tel.Counter("scf.iterations").Value(); got != int64(res.Iterations) {
 		t.Errorf("scf.iterations counter = %d, result says %d", got, res.Iterations)
+	}
+	// Every build's row in the imbalance table carries both ranks' load:
+	// the quartets the iteration's counters sum, and the DLB draws.
+	rows := telemetry.Imbalance(tel.Recorder.Events())
+	if len(rows) != 1 || len(rows[0].Builds) != res.Iterations {
+		t.Fatalf("imbalance rows %+v, want one variant with %d builds", rows, res.Iterations)
+	}
+	for k, b := range rows[0].Builds {
+		if b.Ranks != 2 || b.TotalTasks == 0 || b.TotalQuartets != res.History[k].FockStat.QuartetsComputed {
+			t.Errorf("build %d: %d ranks, %d tasks, %d quartets; want 2 ranks, tasks, and the iteration's %d quartets",
+				k, b.Ranks, b.TotalTasks, b.TotalQuartets, res.History[k].FockStat.QuartetsComputed)
+		}
 	}
 
 	// A NaN scheduled into rank 1's second Fock task rides the closing

@@ -69,6 +69,19 @@ func factor(vals []float64) float64 {
 	return max / mean
 }
 
+// intArg is e's integer arg key as Recorder.Events yields it: an int
+// from Span.EndInts (how scf records a build), or the int64 of an args
+// map. Any other value reads 0.
+func intArg(e Event, key string) int64 {
+	switch v := e.Args[key].(type) {
+	case int:
+		return int64(v)
+	case int64:
+		return v
+	}
+	return 0
+}
+
 // Imbalance reduces the fock.build spans among events (in recording
 // order) to per-build imbalance factors, grouped by variant (sorted by
 // variant name).
@@ -92,9 +105,7 @@ func Imbalance(events []Event) []VariantImbalance {
 		for len(v.builds) <= seq {
 			v.builds = append(v.builds, map[int]rankLoad{})
 		}
-		tasks, _ := e.Args["tasks"].(int64)
-		quartets, _ := e.Args["quartets"].(int64)
-		v.builds[seq][e.Pid] = rankLoad{tasks, quartets, time.Duration(math.Round(e.Dur * 1e3))}
+		v.builds[seq][e.Pid] = rankLoad{intArg(e, "tasks"), intArg(e, "quartets"), time.Duration(math.Round(e.Dur * 1e3))}
 	}
 	names := make([]string, 0, len(variants))
 	for n := range variants {

@@ -42,6 +42,24 @@ func TestImbalancePerfectBalance(t *testing.T) {
 	}
 }
 
+// TestImbalanceReadsEndInts: a 2-rank build recorded as scf records it —
+// spans ended with unboxed int args — gives its row the ranks' tasks and
+// quartets.
+func TestImbalanceReadsEndInts(t *testing.T) {
+	s := &Session{Recorder: newTestRecorder()}
+	for rank, load := range [][2]int64{{6, 300}, {2, 100}} {
+		s.Start("fock.build", "mpi-only", rank, 0, nil).EndInts(IntArg{"tasks", load[0]}, IntArg{"quartets", load[1]})
+	}
+	rows := Imbalance(s.Recorder.Events())
+	if len(rows) != 1 || len(rows[0].Builds) != 1 {
+		t.Fatalf("rows = %+v", rows)
+	}
+	if b := rows[0].Builds[0]; b.Ranks != 2 || b.TotalTasks != 8 || b.TotalQuartets != 400 ||
+		b.TaskFactor != 1.5 || b.QuartetFactor != 1.5 {
+		t.Fatalf("build = %+v, want 2 ranks, 8 tasks, 400 quartets, factors 1.5", b)
+	}
+}
+
 func TestImbalanceFactorAndSequencing(t *testing.T) {
 	rec := newTestRecorder()
 	// Build 1: rank 0 does 30 tasks, rank 1 does 10 -> mean 20, max 30.

@@ -268,4 +268,16 @@ func TestSpanAllocatesNothing(t *testing.T) {
    }`) {
 		t.Errorf("the trace export renders the task span's args otherwise:\n%s", buf.String())
 	}
+	// A Fock build's span: its load share ends it the same way, and the
+	// imbalance table reads it back.
+	build := func() {
+		traced.Start("fock.build", "mpi-only", 0, 0, nil).EndInts(IntArg{"tasks", 9}, IntArg{"quartets", 120})
+	}
+	if n := testing.AllocsPerRun(100, build); n != 0 {
+		t.Errorf("an ended build span allocates %v times", n)
+	}
+	if rows := Imbalance(s.Recorder.Events()[3:]); len(rows) != 1 || rows[0].Builds[0].TotalTasks != 9 ||
+		rows[0].Builds[0].TotalQuartets != 120 {
+		t.Errorf("the build span reads back as %+v, want 9 tasks and 120 quartets", rows)
+	}
 }
