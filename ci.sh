@@ -97,15 +97,17 @@
 # internal/ opens a "fock.build" span — scf's buildSpan — and both the
 # replicated/serial wrapper (instrument) and the tiled step open their
 # builds through it; the imbalance report is reduced from those spans.
-# The pure-Go bodies of the ERI kernel and of MulAdd vet under
-# GOARCH=arm64 (no assembly there); the kernel's sweep and probe
-# benchmarks, the digest benchmark, BenchmarkMulAdd/{scalar,kernel},
-# BenchmarkSquare and BenchmarkPurify (its plain and abft sub-benchmarks)
-# run once (-benchtime 1x); hfrun -xyz refuses a NaN
+# The pure-Go bodies of the ERI kernel, of MulAdd and of distmat's
+# parity check vet under GOARCH=arm64 (no assembly there); the kernel's
+# sweep and probe benchmarks, the digest benchmark, BenchmarkMulAdd (the
+# scalar loop and every body the host runs), BenchmarkSquare and
+# BenchmarkPurify (its plain and abft sub-benchmarks) run once
+# (-benchtime 1x); hfrun -xyz refuses a NaN
 # coordinate with an error (non-zero exit, no panic); and the layout gate
-# builds hfrun, hfserve and the benchmark and fails unless the k loop of
-# linalg.gemm4x8AVX starts at 0 mod 64 in each (go tool objdump),
-# printing where it and the ERI kernel's functions start.
+# builds hfrun, hfserve and the benchmark and fails unless the k loops of
+# both matrix-product kernels, linalg.gemm4x8AVX (ymm) and
+# linalg.gemm8x16AVX512 (zmm), start at 0 mod 64 in each (go tool
+# objdump), printing where they and the ERI kernel's functions start.
 #
 # Tier 2 (concurrency soundness): the race detector over the packages
 # with real parallelism and fault injection (internal/mpi includes the
@@ -499,10 +501,10 @@ tier_1() {
 	# there. The kernel's sweep and probe benchmarks, the digest benchmark,
 	# the product's scalar-vs-kernel benchmark and one SP2 density step run
 	# once, so they keep compiling and their counts keep holding.
-	GOARCH=arm64 go vet ./internal/integrals/ ./internal/linalg/
+	GOARCH=arm64 go vet ./internal/integrals/ ./internal/linalg/ ./internal/distmat/
 	go test -run '^$' -bench 'KernelSweep|KernelProbe' -benchtime 1x ./internal/integrals/ >/dev/null
 	go test -run '^$' -bench 'Digest' -benchtime 1x ./internal/fock/ >/dev/null
-	go test -run '^$' -bench '^BenchmarkMulAdd$/^(scalar|kernel)$' -benchtime 1x ./internal/linalg/ >/dev/null
+	go test -run '^$' -bench '^BenchmarkMulAdd$' -benchtime 1x ./internal/linalg/ >/dev/null
 	go test -run '^$' -bench '^Benchmark(Square|Purify)$' -benchtime 1x ./internal/distmat/ >/dev/null
 	layout_gate
 	for bin in hfrun hfserve bench; do
@@ -525,13 +527,13 @@ tier_1() {
 }
 
 # layout_gate builds the shipped binaries and the benchmark and fails
-# unless the k loop of the matrix-product kernel (linalg.gemm4x8AVX, the
-# density step's hot loop) starts at 0 mod 64 in each: its PCALIGN $64
-# puts it there whatever text precedes it, and this checks that it still
-# does. It prints where that loop and the ERI kernel's functions start, the
-# assembly ones included, since new text upstream is what moves them.
+# unless the k loop of each matrix-product kernel (linalg.gemm4x8AVX and
+# linalg.gemm8x16AVX512, the density step's hot loops) starts at 0 mod 64
+# in each: their PCALIGN $64 puts them there whatever text precedes them,
+# and this checks that it still does. It prints where those loops and the
+# ERI kernel's functions start, the assembly ones included, since new text
+# upstream is what moves them.
 layout_gate() {
-	loop=$(awk '/^kloop:/ { print NR + 1; exit }' internal/linalg/gemm_amd64.s)
 	for bin in hfrun hfserve bench; do
 		if [ "$bin" = bench ]; then
 			go build -C bench -o "$tracedir/$bin" .
@@ -543,11 +545,17 @@ layout_gate() {
 			while read -r addr _ sym; do
 				echo "layout: $bin $sym at $((0x$addr % 64)) mod 64"
 			done
-		addr=$(go tool objdump -s '^repro/internal/linalg\.gemm4x8AVX' "$tracedir/$bin" |
-			awk -v at="gemm_amd64.s:$loop" '$1 == at && !n++ { print $2 }')
-		echo "layout: $bin linalg.gemm4x8AVX k loop at $((${addr:-0} % 64)) mod 64"
-		[ -n "$addr" ] && [ $((addr % 64)) -eq 0 ] ||
-			{ echo "layout gate: the k loop of linalg.gemm4x8AVX in $bin is not at 0 mod 64 (${addr:-missing}); it needs its PCALIGN \$64"; exit 1; }
+		for kernel in gemm4x8AVX gemm8x16AVX512; do
+			# the line after the kloop: label inside the kernel's TEXT block
+			loop=$(awk -v text="TEXT ·$kernel(SB)" 'index($0, text) == 1 { in_kernel = 1; next }
+				/^TEXT / { in_kernel = 0 }
+				in_kernel && /^kloop:/ { print NR + 1; exit }' internal/linalg/gemm_amd64.s)
+			addr=$(go tool objdump -s "^repro/internal/linalg\.$kernel" "$tracedir/$bin" |
+				awk -v at="gemm_amd64.s:$loop" '$1 == at && !n++ { print $2 }')
+			echo "layout: $bin linalg.$kernel k loop at $((${addr:-0} % 64)) mod 64"
+			[ -n "$loop" ] && [ -n "$addr" ] && [ $((addr % 64)) -eq 0 ] ||
+				{ echo "layout gate: the k loop of linalg.$kernel in $bin is not at 0 mod 64 (${addr:-missing}); it needs its PCALIGN \$64"; exit 1; }
+		done
 	done
 }
 

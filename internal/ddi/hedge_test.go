@@ -37,7 +37,7 @@ func TestLeaseHedgeNeverDoubleFires(t *testing.T) {
 		l := New(c).NewLeaseDLB(total)
 		var mine []int
 		if c.Rank() == 0 {
-			mine, _ = l.DrawChunk(total)
+			mine, _ = l.DrawChunk(nil, total)
 			if len(mine) != total {
 				t.Errorf("DrawChunk claimed %d of %d", len(mine), total)
 			}
@@ -113,7 +113,7 @@ func TestLeaseExpiredReclaim(t *testing.T) {
 	}, func(c *mpi.Comm) {
 		l := New(c).NewLeaseDLB(total)
 		if c.Rank() == 1 {
-			idxs, _ := l.DrawChunk(1)
+			idxs, _ := l.DrawChunk(nil, 1)
 			if len(idxs) != 1 {
 				t.Error("rank 1 drew nothing")
 				return
@@ -152,7 +152,7 @@ func TestLeaseExpiredDisabled(t *testing.T) {
 	_, err := mpi.RunWithOptions(2, mpi.RunOptions{Deadline: 5 * time.Second}, func(c *mpi.Comm) {
 		l := New(c).NewLeaseDLB(2)
 		if c.Rank() == 1 {
-			idxs, _ := l.DrawChunk(1)
+			idxs, _ := l.DrawChunk(nil, 1)
 			c.Barrier()
 			c.Barrier()
 			if !commitOwn(l, idxs[0]) {

@@ -113,21 +113,22 @@ func (l *LeaseDLB) stamp(idx int) {
 }
 
 // DrawChunk draws up to n (at least 1) consecutive fresh indices in ONE
-// cursor fetch-and-add and claims each with a CAS. ok is false once the
-// cursor is exhausted. ok with fewer indices than drawn — none, even —
-// means a concurrent Steal claimed the rest first (a drawn index sits
-// free behind the cursor until its claim lands); the cursor may still
-// hold tasks, so the caller draws again.
-func (l *LeaseDLB) DrawChunk(n int) (idxs []int, ok bool) {
+// cursor fetch-and-add, claims each with a CAS and appends the claimed
+// ones to buf, which the caller owns and may reuse from draw to draw. ok
+// is false once the cursor is exhausted. ok with fewer indices than
+// drawn — none, even — means a concurrent Steal claimed the rest first
+// (a drawn index sits free behind the cursor until its claim lands); the
+// cursor may still hold tasks, so the caller draws again.
+func (l *LeaseDLB) DrawChunk(buf []int, n int) (idxs []int, ok bool) {
 	l.draws.Add(1)
 	defer l.ctx.Comm.Telemetry().Start("dlb.draw", "lease-draw", l.ctx.Comm.Rank(), 0, l.drawHist).End(nil)
 	n = max(n, 1)
 	v := l.cur.FetchAdd(0, int64(n))
 	if v >= int64(l.total) {
-		return nil, false
+		return buf, false
 	}
 	hi := min(v+int64(n), int64(l.total))
-	idxs = make([]int, 0, hi-v)
+	idxs = buf
 	for i := v; i < hi; i++ {
 		if l.state.CAS(int(i), leaseFree, l.me()) {
 			l.stamp(int(i))
@@ -334,9 +335,10 @@ func (l *LeaseDLB) Drain(chunk int, hedge bool, run func(idx, owner int), commit
 		}
 	}
 	me := l.ctx.Comm.Rank()
+	var idxs []int // one buffer for every draw of the cycle
 	for {
-		idxs, ok := l.DrawChunk(chunk)
-		if !ok {
+		var ok bool
+		if idxs, ok = l.DrawChunk(idxs[:0], chunk); !ok {
 			break
 		}
 		n.Drawn += int64(len(idxs))

@@ -94,9 +94,9 @@ func TestLeaseExactlyOnceUnderRankDeath(t *testing.T) {
 	}, func(c *mpi.Comm) {
 		l := New(c).NewLeaseDLB(total)
 		if c.Rank() == 1 {
-			l.DrawChunk(1)
-			l.DrawChunk(1)
-			l.DrawChunk(1) // killed here, before the draw lands
+			l.DrawChunk(nil, 1)
+			l.DrawChunk(nil, 1)
+			l.DrawChunk(nil, 1) // killed here, before the draw lands
 			t.Error("victim survived its own kill")
 			return
 		}

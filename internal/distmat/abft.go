@@ -277,11 +277,28 @@ func (m *BlockMat) groupSum(gi, skip int, sum, buf []float64) []float64 {
 // parityMismatch reports whether a freshly computed group sum disagrees
 // with the stored parity beyond floating-point drift: an element
 // mismatches unless |fresh - stored| is finite and at most abftAbsTol +
-// abftRelTol*max(|fresh|, |stored|). The limit is tested against each
+// abftRelTol*max(|fresh|, |stored|). It is set once at package init to
+// the widest of mismatchBodies; every body evaluates the predicate of
+// mismatchGo, element for element, so the answer does not depend on it.
+var parityMismatch = mismatchGo
+
+// mismatchBody is one parityMismatch body under the name the tests
+// select it by.
+type mismatchBody struct {
+	name string
+	f    func(fresh, stored []float64) bool
+}
+
+// mismatchBodies lists the parityMismatch bodies this host can run,
+// narrowest first: mismatchGo everywhere, then on amd64 the vector
+// bodies linalg's CPUID probe reports (abft_amd64.go).
+var mismatchBodies = []mismatchBody{{"go", mismatchGo}}
+
+// mismatchGo is the scalar body. The limit is tested against each
 // operand's own bound (d is within the larger bound exactly when it is
 // within either), which keeps the one pass free of math.Max; NaN and an
 // infinite difference fail both comparisons.
-func parityMismatch(fresh, stored []float64) bool {
+func mismatchGo(fresh, stored []float64) bool {
 	stored = stored[:len(fresh)]
 	for i, f := range fresh {
 		s := stored[i]

@@ -2,6 +2,7 @@ package distmat
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -599,5 +600,98 @@ func TestABFTAuditAllocations(t *testing.T) {
 	t.Logf("%d bytes per clean audit (one tile is %d)", per, tile)
 	if per >= tile {
 		t.Errorf("a clean audit allocates %d bytes, want < one tile (%d)", per, tile)
+	}
+}
+
+// TestParityMismatchBodiesAgree: every parityMismatch body the host's
+// CPUID probe reports answers as the Go loop does — on clean random
+// tiles, on drift spread across the tolerance, with one mismatch planted
+// at each position, and with a NaN or an infinity at each position of
+// either operand. Lengths off the vector widths exercise the Go tail.
+func TestParityMismatchBodiesAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	type pair struct {
+		name          string
+		fresh, stored []float64
+	}
+	var cases []pair
+	for _, n := range []int{1, 7, 8, 15, 16, 17, 40, 64 * 64} {
+		fresh := make([]float64, n)
+		for i := range fresh {
+			fresh[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+		}
+		clean := make([]float64, n)
+		edge := make([]float64, n)
+		for i, f := range fresh {
+			bound := abftAbsTol + abftRelTol*math.Abs(f)
+			clean[i] = f + 0.5*bound*(2*rng.Float64()-1)
+			edge[i] = f + bound*(1+1e-3*(2*rng.Float64()-1)) // either side of the bound
+		}
+		cases = append(cases, pair{"clean", fresh, clean})
+		for i := range edge { // one element near its bound, the rest clean
+			one := append([]float64(nil), clean...)
+			one[i] = edge[i]
+			cases = append(cases, pair{"edge", fresh, one})
+		}
+		if n > 64 {
+			continue // every position of the short tiles is enough
+		}
+		for i := range fresh {
+			for _, v := range []float64{fresh[i] + 1e-6*(1+math.Abs(fresh[i])), math.NaN(), math.Inf(1), math.Inf(-1)} {
+				bad := append([]float64(nil), clean...)
+				bad[i] = v
+				cases = append(cases, pair{"stored", fresh, bad}, pair{"fresh", bad, clean})
+			}
+			both := append([]float64(nil), clean...)
+			both[i] = math.Inf(1)
+			cases = append(cases, pair{"both inf", both, both})
+		}
+	}
+	for _, name := range []string{"go", "avx", "avx512"} {
+		var f func(fresh, stored []float64) bool
+		for _, b := range mismatchBodies {
+			if b.name == name {
+				f = b.f
+			}
+		}
+		t.Run(name, func(t *testing.T) {
+			if f == nil {
+				t.Skipf("the CPUID probe reports no %s body on this host", name)
+			}
+			mismatches := 0
+			for _, c := range cases {
+				want := mismatchGo(c.fresh, c.stored)
+				if got := f(c.fresh, c.stored); got != want {
+					t.Fatalf("%s, n = %d: %s body says %v, Go loop %v", c.name, len(c.fresh), name, got, want)
+				}
+				if want {
+					mismatches++
+				}
+			}
+			if mismatches == 0 || mismatches == len(cases) {
+				t.Fatalf("%d of %d cases mismatch: the cases do not test both answers", mismatches, len(cases))
+			}
+		})
+	}
+}
+
+// BenchmarkParityMismatch times each parityMismatch body on a clean
+// 64x64 tile, the audit's common case (every element is read).
+func BenchmarkParityMismatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	fresh, stored := make([]float64, 64*64), make([]float64, 64*64)
+	for i := range fresh {
+		fresh[i] = rng.NormFloat64()
+		stored[i] = fresh[i] * (1 + 1e-12)
+	}
+	for _, body := range mismatchBodies {
+		b.Run(body.name, func(b *testing.B) {
+			b.SetBytes(int64(16 * len(fresh)))
+			for b.Loop() {
+				if body.f(fresh, stored) {
+					b.Fatal("a clean tile mismatched")
+				}
+			}
+		})
 	}
 }

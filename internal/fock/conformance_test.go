@@ -312,6 +312,7 @@ func TestWarmBuildAllocations(t *testing.T) {
 		{"mpi-only", 1, MPIOnlyBuild},
 		{"private-fock", 2, PrivateFockBuild},
 		{"shared-fock", 2, SharedFockBuild},
+		{"resilient", 1, ResilientBuild},
 	}
 	allocs := map[string][]float64{}
 	for _, sys := range []struct {

@@ -269,7 +269,7 @@ func newResilientRig(t *testing.T, c *mpi.Comm, eng *integrals.Engine, sch *inte
 	r := &resilientRig{w: &b.lanes[0], stage: b.lanes[0].chans[0].out.(*pendingSink).stage, n: eng.Basis.NumBF}
 	total := NumPairs(len(r.w.shells))
 	r.lease = dx.NewLeaseDLB(total)
-	if idxs, ok := r.lease.DrawChunk(total); !ok || len(idxs) != total {
+	if idxs, ok := r.lease.DrawChunk(nil, total); !ok || len(idxs) != total {
 		t.Errorf("drew %d of %d leases", len(idxs), total)
 	}
 	r.win = c.WinCreate(r.n*r.n, 0)

@@ -65,25 +65,40 @@ func purify2(t *testing.T, fp *linalg.Matrix, nocc int) (*linalg.Matrix, distmat
 }
 
 // TestPurifyBodiesBitIdentical: the density step on the density
-// workload's generator gives the same D' bits and branch string on the
-// assembly body as on the Go body (the old scalar loop's order).
+// workload's generator gives the same D' bits, branch string and sweeps
+// on every MulAdd body as on the Go body (the old scalar loop's order).
+// Each subtest names the body it ran; a body the host's CPUID probe
+// reports runs, one it does not skips.
 func TestPurifyBodiesBitIdentical(t *testing.T) {
-	if !linalg.HasAVXFMA() {
-		t.Skip("no AVX: the Go body is the only body")
+	type step struct {
+		d  *linalg.Matrix
+		st distmat.PurifyStats
 	}
-	for _, seed := range []int64{1, 2} {
-		fp := gappedFock(256, 128, seed)
-		kd, kst := purify2(t, fp, 128)
-		restore := linalg.UseGoBody()
-		gd, gst := purify2(t, fp, 128)
-		restore()
-		if kst.Branches != gst.Branches || kst.Sweeps != gst.Sweeps {
-			t.Errorf("seed %d: kernel took %q in %d sweeps, Go body %q in %d", seed, kst.Branches, kst.Sweeps, gst.Branches, gst.Sweeps)
-		}
-		for i := range kd.Data {
-			if math.Float64bits(kd.Data[i]) != math.Float64bits(gd.Data[i]) {
-				t.Fatalf("seed %d: D'[%d] = %v on the kernel, %v on the Go body", seed, i, kd.Data[i], gd.Data[i])
+	want := map[int64]step{}
+	for _, name := range linalg.BodyNames {
+		restore, ok := linalg.UseBody(name)
+		t.Run(name, func(t *testing.T) {
+			if !ok {
+				t.Skipf("the CPUID probe reports no %s body on this host", name)
 			}
-		}
+			for _, seed := range []int64{1, 2} {
+				var got step
+				got.d, got.st = purify2(t, gappedFock(256, 128, seed), 128)
+				ref, seen := want[seed]
+				if !seen { // the Go body runs first and is the reference
+					want[seed] = got
+					continue
+				}
+				if got.st.Branches != ref.st.Branches || got.st.Sweeps != ref.st.Sweeps {
+					t.Errorf("seed %d: %s took %q in %d sweeps, Go body %q in %d", seed, name, got.st.Branches, got.st.Sweeps, ref.st.Branches, ref.st.Sweeps)
+				}
+				for i := range got.d.Data {
+					if math.Float64bits(got.d.Data[i]) != math.Float64bits(ref.d.Data[i]) {
+						t.Fatalf("seed %d: D'[%d] = %v on %s, %v on the Go body", seed, i, got.d.Data[i], name, ref.d.Data[i])
+					}
+				}
+			}
+		})
+		restore()
 	}
 }

@@ -1,9 +1,19 @@
 package linalg
 
-// UseGoBody selects MulAdd's pure-Go body until the returned restore is
-// called, for tests outside the package that compare the two bodies.
-func UseGoBody() (restore func()) {
+// BodyNames names every MulAdd body, narrowest first, whether or not
+// this host can run it.
+var BodyNames = []string{"go", "avx", "avx512"}
+
+// UseBody selects the MulAdd body called name until the returned restore
+// is called, for the tests that compare the bodies. ok is false, and
+// nothing changes, when the host's CPUID probe did not report that body.
+func UseBody(name string) (restore func(), ok bool) {
 	selected := mulAdd
-	mulAdd = mulAddGo
-	return func() { mulAdd = selected }
+	for _, b := range bodies {
+		if b.name == name {
+			mulAdd = b.f
+			return func() { mulAdd = selected }, true
+		}
+	}
+	return func() {}, false
 }

@@ -23,18 +23,36 @@ func holds(x []float64, ld, rows, cols int) bool {
 	return rows == 0 || cols == 0 || len(x) >= (rows-1)*ld+cols
 }
 
-// mulAdd is the body MulAdd runs, set once at package init: mulAddGo, or
-// on amd64 with AVX the 4x8 assembly kernel with mulAddGo on the edge
-// rows and columns (gemm_amd64.go). The tests flip it.
-var mulAdd = mulAddGo
+// mulAddFunc is the signature every MulAdd body shares.
+type mulAddFunc func(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, n, k int)
 
-// avxFMA records the CPUID probe: the CPU and the OS support AVX and
-// FMA3 (set at package init on amd64).
-var avxFMA bool
+// body is one MulAdd body under the name the tests select it by.
+type body struct {
+	name string
+	f    mulAddFunc
+}
+
+// bodies lists the MulAdd bodies this host can run, narrowest first:
+// mulAddGo everywhere, then on amd64 what the CPUID probe reports
+// (gemm_amd64.go). Package init selects the last.
+var bodies = []body{{"go", mulAddGo}}
+
+// mulAdd is the body MulAdd runs, set once at package init to the
+// widest of bodies. The tests flip it.
+var mulAdd mulAddFunc = mulAddGo
+
+// avxFMA and avx512 record the CPUID probe (set at package init on
+// amd64): the CPU and the OS support AVX and FMA3, and AVX-512F with the
+// opmask and ZMM state.
+var avxFMA, avx512 bool
 
 // HasAVXFMA reports whether the CPU and the OS support AVX and FMA3 — the
-// one probe the vector kernels of this repository dispatch on.
+// probe the ymm kernels of this repository dispatch on.
 func HasAVXFMA() bool { return avxFMA }
+
+// HasAVX512 reports whether the CPU and the OS support AVX-512F — the
+// probe the zmm kernels dispatch on. It implies HasAVXFMA.
+func HasAVX512() bool { return avx512 }
 
 // mulAddGo is the pure-Go body: the scalar i-k-j loop.
 func mulAddGo(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, n, k int) {

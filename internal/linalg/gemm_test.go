@@ -25,14 +25,19 @@ func scalarMulAdd(c []float64, ldc int, a []float64, lda int, b []float64, ldb i
 	}
 }
 
-// eachBody runs f once per MulAdd body this CPU can run, with that body
-// selected.
+// eachBody runs f once per MulAdd body, in a subtest named after it with
+// that body selected. A body the host's CPUID probe does not report
+// skips; every body it reports runs.
 func eachBody(t *testing.T, f func(t *testing.T)) {
-	restore := UseGoBody()
-	t.Run("go", f)
-	restore()
-	if HasAVXFMA() { // package init selected the assembly body
-		t.Run("avx", f)
+	for _, name := range BodyNames {
+		restore, ok := UseBody(name)
+		t.Run(name, func(t *testing.T) {
+			if !ok {
+				t.Skipf("the CPUID probe reports no %s body on this host", name)
+			}
+			f(t)
+		})
+		restore()
 	}
 }
 
@@ -50,9 +55,11 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 func TestMulAddMatchesScalar(t *testing.T) {
 	type shape struct{ m, n, k, pad int }
 	shapes := []shape{{1, 1, 1, 0}, {3, 5, 7, 0}, {13, 29, 17, 0}, {36, 36, 36, 0},
-		{38, 38, 38, 0}, {64, 64, 64, 0}, {256, 256, 256, 0}, {8, 16, 0, 0},
+		{64, 64, 64, 0}, {256, 256, 256, 0}, {8, 16, 0, 0},
+		// an 8x16 corner beside 4x8 strips and Go edges
+		{38, 38, 38, 0}, {44, 52, 20, 0}, {12, 40, 9, 0}, {20, 20, 5, 0},
 		// a tile inside a wider matrix: leading dimensions past the block
-		{12, 24, 20, 9}, {13, 29, 17, 11}, {64, 64, 64, 64}}
+		{12, 24, 20, 9}, {13, 29, 17, 11}, {64, 64, 64, 64}, {44, 52, 20, 7}, {38, 38, 38, 3}}
 	eachBody(t, func(t *testing.T) {
 		for _, s := range shapes {
 			rng := rand.New(rand.NewSource(int64(s.m*1000 + s.n*10 + s.k)))
@@ -137,23 +144,25 @@ func TestMulIntoRejectsAliasing(t *testing.T) {
 	}
 }
 
-// BenchmarkMulAdd times the scalar loop against the selected kernel on a
-// distmat tile (64) and the dense SCF's largest product (256).
+// BenchmarkMulAdd times the scalar loop and each MulAdd body the host
+// can run on a distmat tile (64) and the dense SCF's largest product
+// (256).
 func BenchmarkMulAdd(b *testing.B) {
-	for _, body := range []struct {
-		name string
-		f    func(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, n, k int)
-	}{{"scalar", scalarMulAdd}, {"kernel", MulAdd}} {
+	run := func(name string, f mulAddFunc) {
 		for _, n := range []int{64, 256} {
-			b.Run(fmt.Sprintf("%s/n=%d", body.name, n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(1))
 				x, y := randSlice(rng, n*n), randSlice(rng, n*n)
 				c := make([]float64, n*n)
 				b.SetBytes(int64(2 * n * n * n)) // flops, read as MB/s = MF/s
 				for b.Loop() {
-					body.f(c, n, x, n, y, n, n, n, n)
+					f(c, n, x, n, y, n, n, n, n)
 				}
 			})
 		}
+	}
+	run("scalar", scalarMulAdd)
+	for _, body := range bodies {
+		run(body.name, body.f)
 	}
 }

@@ -79,13 +79,20 @@ func (c *Comm) Bcast(root int, buf []float64) {
 }
 
 // Reduce combines buf across ranks with op into out on root; out is only
-// written on root (it may be nil elsewhere). buf is not modified.
+// written on root (it may be nil elsewhere, and may alias buf). buf is
+// not modified unless out aliases it. The root accumulates into out, an
+// inner node of the tree into a copy of buf, and a leaf sends buf as it
+// is (send copies the payload).
 func (c *Comm) Reduce(root int, op Op, buf []float64, out []float64) {
 	c.checkPeer(root)
 	defer c.collOp(&c.world.met.reduce, len(buf)).End(nil)
 	tag := c.nextCollTag()
 	rel := relRank(c.rank, root, c.size)
-	acc := append([]float64(nil), buf...)
+	acc, owned := buf, rel == 0
+	if owned {
+		acc = out[:len(buf)]
+		copy(acc, buf)
+	}
 	// Gather partial sums from children (binomial tree, deepest first).
 	for bit := 1; bit < c.size; bit <<= 1 {
 		if rel&bit != 0 {
@@ -97,21 +104,20 @@ func (c *Comm) Reduce(root int, op Op, buf []float64, out []float64) {
 		child := rel | bit
 		if child < c.size {
 			data, _, _ := c.Recv(absRank(child, root, c.size), tag)
+			if !owned {
+				acc, owned = append([]float64(nil), buf...), true
+			}
 			op.apply(acc, data)
 		}
 	}
-	// Only the root reaches here.
-	copy(out, acc)
 }
 
 // Allreduce combines buf across all ranks with op; every rank receives the
 // result in out (which may alias buf).
 func (c *Comm) Allreduce(op Op, buf []float64, out []float64) {
 	defer c.collOp(&c.world.met.allreduce, len(buf)).End(nil)
-	tmp := make([]float64, len(buf))
-	c.Reduce(0, op, buf, tmp)
-	c.Bcast(0, tmp)
-	copy(out, tmp)
+	c.Reduce(0, op, buf, out)
+	c.Bcast(0, out[:len(buf)])
 }
 
 // AllreduceSumInPlace is the gsumf shape: sums buf across ranks in place.

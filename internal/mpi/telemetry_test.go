@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -138,5 +139,31 @@ func TestTelemetryDisabledIsInert(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllreduceAllocatesNoCopy: a one-rank gsumf reduces into its buffer
+// in place, so the bytes it allocates do not grow with the buffer.
+func TestAllreduceAllocatesNoCopy(t *testing.T) {
+	perCall := func(n int) uint64 {
+		var bytes uint64
+		if err := Run(1, func(c *Comm) {
+			buf := make([]float64, n)
+			c.AllreduceSumInPlace(buf) // warm
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range 20 {
+				c.AllreduceSumInPlace(buf)
+			}
+			runtime.ReadMemStats(&after)
+			bytes = (after.TotalAlloc - before.TotalAlloc) / 20
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return bytes
+	}
+	small, large := perCall(16), perCall(1<<15)
+	if large > small+1024 {
+		t.Errorf("AllreduceSumInPlace allocates %d B per call on 16 floats, %d B on %d floats", small, large, 1<<15)
 	}
 }
