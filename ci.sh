@@ -5,109 +5,33 @@
 #   go vet ./... && go build ./... && go test ./...
 # plus the nested bench/ module (the repository benchmark compiles against
 # internal/fock, internal/scf and internal/ddi but is invisible to the
-# root ./... patterns), and the structure gate. Fock layer: non-test
-# internal/fock has exactly one .ShellQuartet( call site, exactly one
-# func digest, a sink interface of exactly block and done (a sink hands
-# the digest whole blocks to add into; no per-element method), no
-# canonicalising scatter (no func addLower or addLocal) and no diagonal
-# doubling in digest.go (F = G + Gᵀ does it once per build), Schwarz
-# screening (sch.Screened/sch.Bound) in one function only, no
-# hand-synced copies (no "KEEP IN SYNC"), no sync.Pool (a builder owns
-# its state for its world attempt), and exactly six exported *Build /
-# *BuildN functions, each a constructor returning *Builder (no per-build
-# preset function beside them). Integrals layer: exactly one
-# ShellQuartet method in non-test internal/integrals (the production
-# *PairCache; the direct McMurchie-Davidson oracle is the test-only
-# package internal/integrals/oracle), and the production kernel
-# file paircache.go stays flat and allocation-free by construction: no
-# math.Pow( and no [][][]float64 in it, nor in hermite.go (the E tables)
-# or schwarz.go, and it runs a quartet's primitive loops with one
-# lanes.quartet call (no other lanes. body function). No func hermiteR in
-# non-test internal/integrals: V takes its R tables from the kernel's
-# recursion.
-# SCF layer: exactly one `for iter :=` loop in non-test internal/scf, exactly one
-# mpi.RunWithOptions( world-launch site in non-test internal/scf plus
-# the root package, eng.Overlap() and eng.CoreHamiltonian() in non-test
-# internal/scf only inside newOneElectron (one S/H/X per run;
-# properties.go excepted), basis.Build( in api.go/properties.go only in
-# the one engine constructor and DescribeBasis, and no exported root
-# function named Run*Ctx (one entry point, repro.Run, takes the context).
-# Team runtime (internal/omp): exactly one sync.NewCond (the barrier's
-# park fallback; everything before it is atomics) and exactly one
-# tc.Barrier() inside walker.teamFetch; the barrier/loop-counter tests and
-# the per-build barrier counts of Algorithms 2-3 rerun under -race -count=3.
-# Nothing unreached stays: every internal/ package is a dependency of a
-# cmd/ main, the root facade or bench/; internal/linalg does not import
-# internal/omp (one eigensolver); non-test internal/mpi has no .root hop
-# and no subWorlds (one world); walker.go has no dmax/keep branch.
-# Production links one ERI implementation: no cmd/ main, the facade or
-# bench/ depends on internal/integrals/oracle, no symbol of it is in the
-# hfrun, hfserve or benchmark binary, and hfrun refuses -mp2 where there is
-# no RHF reference (-uhf, -opt) with exit 2 instead of dropping it.
-# Experiment code stays out of production packages: no non-test file of
-# internal/service imports math/rand or defines a func Run*, and hfserve
-# has no loadgen flag. The serving pool is not a rank pool: internal/service
-# does not import internal/mpi, and the in-process join bus stays deleted
-# (no non-test file outside bench/ names JoinBus, JoinFrame, JoinBackoff,
-# corruptNext or AttachMembership). The model is a leaf: `go list -deps
-# ./internal/simulate` names no repo package outside basis, molecule,
-# integrals, linalg and knl (it is a model, not a runtime client).
-# Every option earns its place: TestOptionBudget pins the exported-field
-# count of the eight configuration structs; the knobs made constant or
-# derived (LeaseTTL, HedgeMinSamples, WatchTick, MaxRetryAfter,
-# WALSegment, WALKeepDone, HighDepthPerWorker, SharedThreadContentionLog,
-# SCFModel, MigrateMinSamples, CostModel, NodeMTBFHours, the autoscaler's
-# Interval and DownAfterTicks) are named by no non-test file outside
-# bench/; and internal/simulate returns rows only — no func Format*, no func CSV* (cmd/scaling builds the one table of each
-# artifact). One matrix product: the scalar update `crow[j] += ...
-# brow[j]` appears in non-test Go only in linalg's pure-Go MulAdd body.
-# The density step squares symmetric X: internal/distmat's ops.go and
-# purify.go hold no GetTile( (every op reads through readTile, owned
-# tiles in place) and purify.go no MatMul( (SP2 squares with Square).
-# ABFT parity is one group table: non-test internal/distmat names none
-# of the row/column twins (rowGroupSum, colGroupSum, rowParityTile,
-# colParityTile, fromRowGroup, fromColGroup) nor rowOwner/colOwner, and
-# the two placement rules rowParityOwner( and colParityOwner( are called
-# from parityPlan only. Checksums are linear: Copy, Scale, Axpby,
-# LinearCombine and AddScaledIdentity in internal/distmat/ops.go do not
-# call PutTile( (they carry parity through linearOp, not read-old
-# deltas); checked on scratch copies, the parent tree and a PutTile
-# re-added to AddScaledIdentity both fail it. One-sided windows are
-# handles (mpi.Comm.WinCreate
-# returns an *mpi.Win, matched across ranks by creation order): no
-# non-test file outside bench/ names a name-keyed window method
-# (WinCreateCounters, CounterLoad, CounterStore, CounterCAS, WinPut,
-# WinGet, WinAcc, WinShared, a three-argument FetchAdd, an exported Comm
-# method taking `name string`), getWindow, SetMembershipEpoch, NewShrunk,
-# matSeq or a Sprintf-built "ddi.|dm.|fock.|purify.|lease." window name.
-# Non-test internal/linalg declares no type Packed.
-# One event ring per telemetry session: non-test internal/telemetry
-# declares no FlightRecorder or FlightEntry and calls no .Note(, and
-# Session holds exactly one event store (one *Recorder field, no
-# []Event or other recorder beside it); flight dumps are the ring's tail.
-# One span primitive: no non-test Go outside bench/ names SpanArgsAtEnd,
-# TimedOp, TimedOpInto, traceArgs or TraceArgKey (Session.Start opens a
-# span, Span.End records it, and the trace ID is the event's own field),
-# and no non-test file of internal/mpi or internal/ddi passes a name
-# assembled with + to Counter(, Gauge( or Histogram( (handles are resolved
-# once per world or context, not per op); checked on a scratch copy, the
-# parent tree and a re-added TimedOp both fail it.
-# One record per Fock build: no non-test Go outside bench/ names
-# LoadCollector, RecordLoad or Loads, exactly one non-test site under
-# internal/ opens a "fock.build" span — scf's buildSpan — and both the
-# replicated/serial wrapper (instrument) and the tiled step open their
-# builds through it; the imbalance report is reduced from those spans.
-# The pure-Go bodies of the ERI kernel, of MulAdd and of distmat's
-# parity check vet under GOARCH=arm64 (no assembly there); the kernel's
-# sweep and probe benchmarks, the digest benchmark, BenchmarkMulAdd (the
-# scalar loop and every body the host runs), BenchmarkSquare and
-# BenchmarkPurify (its plain and abft sub-benchmarks) run once
-# (-benchtime 1x); hfrun -xyz refuses a NaN
-# coordinate with an error (non-zero exit, no panic); and the layout gate
-# builds hfrun, hfserve and the benchmark and fails unless the k loops of
-# both matrix-product kernels, linalg.gemm4x8AVX (ymm) and
-# linalg.gemm8x16AVX512 (zmm), start at 0 mod 64 in each (go tool
-# objdump), printing where they and the ERI kernel's functions start.
+# root ./... patterns). The source-shape gates are the rows of
+# TestStructure (structure_test.go), which go test ./... runs: each row is
+# a go/ast question with the mutants it must fail on. Tier 1 also fails
+# unless TestStructure ran all structure_rows rows and passed, beside
+# TestOptionBudget. What stays here is what the source alone cannot answer:
+# - the link graph: every internal/ package is reached by a cmd/ main,
+#   the root facade or bench/ (go list -deps); none of them reaches
+#   internal/integrals/oracle, and no symbol of it is in the hfrun,
+#   hfserve or benchmark binary (go tool nm); internal/simulate is a
+#   leaf, its deps naming no repo package outside basis, molecule,
+#   integrals, linalg and knl;
+# - built programs: hfserve -h offers no loadgen flag, hfrun refuses -mp2
+#   where there is no RHF reference (-uhf) with exit 2, and hfrun -xyz
+#   refuses a NaN coordinate with an error (non-zero exit, no panic);
+# - the barrier/loop-counter tests and the per-build barrier counts of
+#   Algorithms 2-3 rerun under -race -count=3;
+# - the pure-Go bodies of the ERI kernel, of MulAdd and of distmat's
+#   parity check vet under GOARCH=arm64 (no assembly there); the kernel's
+#   sweep and probe benchmarks, the digest benchmark, BenchmarkMulAdd (the
+#   scalar loop and every body the host runs), BenchmarkSquare and
+#   BenchmarkPurify (its plain and abft sub-benchmarks) run once
+#   (-benchtime 1x);
+# - the layout gate builds hfrun, hfserve and the benchmark and fails
+#   unless the k loops of both matrix-product kernels,
+#   linalg.gemm4x8AVX (ymm) and linalg.gemm8x16AVX512 (zmm), start at
+#   0 mod 64 in each (go tool objdump), printing where they and the ERI
+#   kernel's functions start.
 #
 # Tier 2 (concurrency soundness): the race detector over the packages
 # with real parallelism and fault injection (internal/mpi includes the
@@ -268,84 +192,15 @@ tier_1() {
 	go vet -C bench ./...
 	go test -C bench ./...
 
-	fock_src=$(ls internal/fock/*.go | grep -v _test.go)
-	calls=$(cat $fock_src | grep -c '\.ShellQuartet(' || true)
-	[ "$calls" -eq 1 ] || { echo "structure gate: $calls .ShellQuartet( call sites in internal/fock, want exactly 1 (the walker)"; exit 1; }
-	digests=$(cat $fock_src | grep -c '^func digest(' || true)
-	[ "$digests" -eq 1 ] || { echo "structure gate: $digests func digest in internal/fock, want exactly 1 (the block-wise digest)"; exit 1; }
-	sink_methods=$(awk '/^type sink interface \{/{in_t=1; next} in_t&&/^}/{in_t=0} in_t' $fock_src |
-		sed 's://.*$::' | grep -o '^[[:space:]]*[A-Za-z_][A-Za-z_0-9]*(' | tr -d ' \t(' | sort | tr '\n' ' ')
-	[ "$sink_methods" = "block done " ] ||
-		{ echo "structure gate: the fock sink interface has methods [$sink_methods], want [block done ]: a sink hands the digest whole blocks, no per-element method"; exit 1; }
-	if grep -nE '^[[:space:]]*add\(role, x, y int, v float64\)|^func \([^)]*\) add\(' $fock_src; then
-		echo "structure gate: a per-element sink add is back in internal/fock; the digest adds into the blocks its sink hands out"
-		exit 1
-	fi
-	if grep -nE '^func (\([^)]*\) )?add(Lower|Local)\(' $fock_src; then
-		echo "structure gate: a canonicalising scatter (addLower/addLocal) is back in internal/fock; accumulators are shell-blocked and close with F = G + Gᵀ"
-		exit 1
-	fi
-	if sed 's://.*$::' internal/fock/digest.go | grep -n '\*=[[:space:]]*2\b'; then
-		echo "structure gate: digest.go doubles a diagonal again; finalize's F = G + Gᵀ doubles it once per build"
-		exit 1
-	fi
-	screens=$(awk '/^func /{fn=FILENAME": "$0} /sch\.(Screened|Bound)\(/{print fn}' $fock_src | sort -u)
-	[ "$(echo "$screens" | grep -c .)" -eq 1 ] || { echo "structure gate: Schwarz screening must live in exactly one function, found:"; echo "$screens"; exit 1; }
-	if grep -l 'KEEP IN SYNC' $fock_src; then
-		echo "structure gate: a hand-synced copy is back in internal/fock"
-		exit 1
-	fi
-	if grep -n 'sync\.Pool' $fock_src; then
-		echo "structure gate: a sync.Pool is back in internal/fock; a builder owns its walkers, accumulators and staging for its world attempt"
-		exit 1
-	fi
-	presets=$(awk '/^func [A-Z][A-Za-z]*BuildN?\(/{sig=$0; while (sig !~ /\{[[:space:]]*$/ && (getline line) > 0) sig = sig " " line; print FILENAME ": " sig}' $fock_src)
-	[ "$(echo "$presets" | grep -c ') \*Builder {$')" -eq 6 ] && ! echo "$presets" | grep -v ') \*Builder {$' ||
-		{ echo "structure gate: the six Fock presets must be constructors returning *Builder, with no per-build preset function beside them; found:"; echo "$presets"; exit 1; }
-
-	int_src=$(ls internal/integrals/*.go | grep -v _test.go)
-	kernels=$(cat $int_src | grep -c '^func (.*) ShellQuartet(' || true)
-	[ "$kernels" -eq 1 ] && grep -q '^func ([a-z]* \*PairCache) ShellQuartet(' $int_src ||
-		{ echo "structure gate: $kernels ShellQuartet methods in internal/integrals, want exactly 1 (*PairCache; the oracle lives in internal/integrals/oracle)"; exit 1; }
-	if grep -n 'math\.Pow(\|\[\]\[\]\[\]float64' internal/integrals/paircache.go internal/integrals/hermite.go internal/integrals/schwarz.go; then
-		echo "structure gate: the production kernel, its E tables or the Schwarz pass use math.Pow or nested [][][]float64 tables again"
-		exit 1
-	fi
-	if grep -n '^func hermiteR\b' $int_src; then
-		echo "structure gate: a scalar hermiteR is back in internal/integrals; V runs the kernel's R recursion (the oracle keeps its own)"
-		exit 1
-	fi
-	if sed 's://.*$::' internal/integrals/paircache.go | grep -n '\blanes\.[A-Za-z_]' | grep -v '\blanes\.quartet('; then
-		echo "structure gate: paircache.go reaches into a 4-lane body other than through lanes.quartet (one call per quartet)"
-		exit 1
-	fi
-
-	conds=$(cat $(ls internal/omp/*.go | grep -v _test.go) | grep -c 'sync\.NewCond(' || true)
-	[ "$conds" -eq 1 ] || { echo "structure gate: $conds sync.NewCond( in internal/omp, want exactly 1 (the barrier's park fallback)"; exit 1; }
-	fetch_barriers=$(awk '/^func \(w \*walker\) teamFetch\(/{in_fn=1} in_fn&&/tc\.Barrier\(\)/{n++} in_fn&&/^}/{in_fn=0} END{print n+0}' internal/fock/walker.go)
-	[ "$fetch_barriers" -eq 1 ] || { echo "structure gate: $fetch_barriers tc.Barrier() calls in walker.teamFetch, want exactly 1"; exit 1; }
+	# The structure gates: every row of TestStructure must run and pass.
+	structure_rows=44
+	out=$(go test -count=1 -run '^(TestOptionBudget|TestStructure)$' -v . 2>&1) || true
+	rows=$(echo "$out" | grep -c '^    --- PASS: TestStructure/' || true)
+	echo "$out" | grep -q '^--- PASS: TestOptionBudget' && echo "$out" | grep -q '^--- PASS: TestStructure ' &&
+		[ "$rows" -eq "$structure_rows" ] ||
+		{ echo "structure gate: TestOptionBudget and TestStructure must run and pass, TestStructure with $structure_rows rows (ran $rows)"; echo "$out"; exit 1; }
 	race_rerun 'TestBarrier|TestFor' -count=3 ./internal/omp/
 	race_rerun 'TestTeamBarrierCounts' -count=3 ./internal/fock/
-
-	scf_src=$(ls internal/scf/*.go | grep -v _test.go)
-	root_src=$(ls *.go | grep -v _test.go)
-	loops=$(cat $scf_src | grep -c 'for iter :=' || true)
-	[ "$loops" -eq 1 ] || { echo "structure gate: $loops 'for iter :=' loops in internal/scf, want exactly 1 (iterate)"; exit 1; }
-	launches=$(cat $scf_src $root_src | grep -c 'mpi\.RunWithOptions(' || true)
-	[ "$launches" -eq 1 ] || { echo "structure gate: $launches mpi.RunWithOptions( sites in internal/scf + root, want exactly 1 (supervise)"; exit 1; }
-	# One S/H/X per run: the SCF evaluates the overlap and the core
-	# Hamiltonian in newOneElectron only, which Run calls once before any
-	# world launches (properties.go's Mulliken analysis is post-SCF).
-	onee_src=$(echo "$scf_src" | grep -v '/properties\.go$')
-	onee_calls=$(awk '/^func newOneElectron\(/{in_fn=1} /\.(Overlap|CoreHamiltonian)\(\)/{print (in_fn ? "in" : "out") ": " FILENAME ": " $0} in_fn&&/^}/{in_fn=0}' $onee_src)
-	[ "$(echo "$onee_calls" | grep -c '^in: ')" -eq 2 ] && ! echo "$onee_calls" | grep -q '^out: ' ||
-		{ echo "structure gate: non-test internal/scf must call eng.Overlap() and eng.CoreHamiltonian() once each, in newOneElectron only:"; echo "$onee_calls"; exit 1; }
-	builds=$(cat api.go properties.go | grep -c 'basis\.Build(' || true)
-	[ "$builds" -eq 2 ] || { echo "structure gate: $builds basis.Build( sites in api.go/properties.go, want exactly 2 (engineFor, DescribeBasis)"; exit 1; }
-	if grep -n '^func Run.*Ctx' $root_src; then
-		echo "structure gate: a Run*Ctx twin is back in the facade; repro.Run takes the context"
-		exit 1
-	fi
 
 	# Every extension earns its place: what no command, the facade or the
 	# benchmark reaches is not kept.
@@ -358,143 +213,15 @@ tier_1() {
 		echo "structure gate: a cmd/ main, the root facade or bench/ links the test oracle; production evaluates ERIs through the PairCache only"
 		exit 1
 	fi
-	if go list -f '{{join .Imports "\n"}}' ./internal/linalg | grep -x 'repro/internal/omp'; then
-		echo "structure gate: internal/linalg imports internal/omp again (one eigensolver: tred2/tqli)"
-		exit 1
-	fi
-	if grep -n '\.root\b\|subWorlds' $(ls internal/mpi/*.go | grep -v _test.go); then
-		echo "structure gate: internal/mpi has one world; sub-communicators are gone"
-		exit 1
-	fi
-	if grep -n 'dmax\|keep' internal/fock/walker.go; then
-		echo "structure gate: walker.quartet is bound -> count -> ShellQuartet -> digest, with no extension branch"
-		exit 1
-	fi
-
-	svc_src=$(ls internal/service/*.go | grep -v _test.go)
-	if grep -n '"math/rand"\|^func Run[A-Z]' $svc_src; then
-		echo "structure gate: an experiment harness is back in internal/service (it belongs in cmd/scaling)"
-		exit 1
-	fi
 	if go list -deps ./internal/simulate | grep '^repro/' |
 		grep -vx 'repro/internal/\(basis\|molecule\|integrals\|linalg\|knl\|simulate\)'; then
 		echo "structure gate: internal/simulate is a model and links no runtime; live workloads belong in cmd/scaling"
-		exit 1
-	fi
-	if go list -f '{{join .Imports "\n"}}' ./internal/service | grep -x 'repro/internal/mpi'; then
-		echo "structure gate: internal/service imports internal/mpi again (the worker pool does not ride the rank join protocol)"
 		exit 1
 	fi
 	if go run ./cmd/hfserve -h 2>&1 | grep -i loadgen; then
 		echo "structure gate: hfserve serves; the load test is scaling -exp serve"
 		exit 1
 	fi
-
-	# Every option earns its place (DESIGN.md §6).
-	go test -count=1 -run '^TestOptionBudget$' -v . | grep -q '^--- PASS: TestOptionBudget' ||
-		{ echo "structure gate: TestOptionBudget did not run and pass"; exit 1; }
-	nontest=$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*')
-	if grep -n 'LeaseTTL\|HedgeMinSamples\|WatchTick\|MaxRetryAfter\|WALSegment\b\|WALKeepDone\|HighDepthPerWorker\|SharedThreadContentionLog\|SCFModel\|MigrateMinSamples\|CostModel\|NodeMTBFHours\|\bInterval\b\|DownAfterTicks' $nontest; then
-		echo "structure gate: an option made a constant (or derived) is back; see TestOptionBudget for the rule"
-		exit 1
-	fi
-	if grep -n 'JoinBus\|JoinFrame\|JoinBackoff\|corruptNext\|AttachMembership' $nontest; then
-		echo "structure gate: the in-process join bus is back; Membership.Announce appends under its lock"
-		exit 1
-	fi
-	if grep -n '\.Steal()\|\.Hedge(\|\.Expired(\|\.DrawChunk(' $(echo "$nontest" | grep -v '^\./internal/ddi/'); then
-		echo "structure gate: a lease consumer draws or re-issues tasks itself; ddi.LeaseDLB.Drain is the one drain loop"
-		exit 1
-	fi
-	if grep -n '^func Format\|^func CSV' $(ls internal/simulate/*.go | grep -v _test.go); then
-		echo "structure gate: internal/simulate returns rows; cmd/scaling renders each artifact's one table"
-		exit 1
-	fi
-
-	# One matrix product: the scalar update of the i-k-j loop lives only in
-	# linalg's pure-Go body of MulAdd; every other product calls MulAdd.
-	updates=$(grep -n 'crow\[j\] +=.*brow\[j\]' $nontest || true)
-	[ "$(echo "$updates" | grep -c .)" -eq 1 ] && echo "$updates" | grep -q '^\./internal/linalg/gemm\.go:' ||
-		{ echo "structure gate: a scalar product loop outside linalg.mulAddGo; call linalg.MulAdd:"; echo "$updates"; exit 1; }
-
-	# The density step: the distmat ops read tiles through readTile (owned
-	# tiles in place, no copy), and SP2 squares X with Square (one product
-	# per mirrored tile pair), not a general MatMul.
-	if grep -n 'GetTile(' internal/distmat/ops.go internal/distmat/purify.go; then
-		echo "structure gate: a distmat op copies tiles with GetTile; read through readTile"
-		exit 1
-	fi
-	if grep -n 'MatMul(' internal/distmat/purify.go; then
-		echo "structure gate: purify.go multiplies with MatMul; SP2 squares symmetric X with Square"
-		exit 1
-	fi
-
-	# Checksums are linear: the linear ops carry ABFT parity by applying
-	# their own combination to the parity tiles (linearOp/linearParity,
-	# addParityDiagonal), so none of them writes through PutTile's
-	# read-old/put/accumulate-delta path.
-	for op in Copy Scale Axpby LinearCombine AddScaledIdentity; do
-		if sed -n "/^func $op(/,/^}/p" internal/distmat/ops.go | sed 's://.*$::' | grep -n 'PutTile('; then
-			echo "structure gate: distmat.$op writes through PutTile; a linear op carries parity linearly (linearOp)"
-			exit 1
-		fi
-	done
-
-	# ABFT parity is one group table: one sum, one parity read and one
-	# salvage peel over a group index, and one parityPlan that places the
-	# groups for both NewABFT and the memory model (ABFTBytesPerRank).
-	dm_src=$(ls internal/distmat/*.go | grep -v _test.go)
-	if grep -nw 'rowGroupSum\|colGroupSum\|rowParityTile\|colParityTile\|fromRowGroup\|fromColGroup\|rowOwner\|colOwner' $dm_src; then
-		echo "structure gate: a row/column twin of the ABFT parity code is back; work over the one group table"
-		exit 1
-	fi
-	for rule in rowParityOwner colParityOwner; do
-		all=$(sed 's://.*$::' $dm_src | grep -c "\b$rule(" || true)
-		planned=$(sed -n '/^func parityPlan(/,/^}/p' $dm_src | sed 's://.*$::' | grep -c "\b$rule(" || true)
-		# all counts the rule's own definition line too.
-		[ "$planned" -ge 1 ] && [ "$all" -eq $((planned + 1)) ] ||
-			{ echo "structure gate: $rule( is called outside parityPlan ($all sites, $planned in parityPlan); place parity groups through parityPlan only"; exit 1; }
-	done
-	# One-sided windows are handles: mpi.Comm.WinCreate creates them
-	# collectively in call order and returns an *mpi.Win; nothing looks a
-	# window up by name, keys one by membership epoch or numbers matrices.
-	if grep -nwE 'WinCreateCounters|CounterLoad|CounterStore|CounterCAS|WinPut|WinGet|WinAcc|WinShared|getWindow|SetMembershipEpoch|NewShrunk|matSeq' $nontest ||
-		grep -nE '^func \(c \*Comm\) [A-Z][A-Za-z]*\(name string|\.FetchAdd\([^,()]*,[^,()]*,|Sprintf\("(ddi|dm|fock|purify|lease)\.' $nontest; then
-		echo "structure gate: a name-keyed window is back; create windows with Comm.WinCreate and keep the *mpi.Win it returns"
-		exit 1
-	fi
-	if grep -n '^type Packed\b' $(ls internal/linalg/*.go | grep -v _test.go); then
-		echo "structure gate: linalg.Packed is back; PackedIndex is the one packed-order helper"
-		exit 1
-	fi
-	tel_src=$(ls internal/telemetry/*.go | grep -v _test.go)
-	if grep -nw 'FlightRecorder\|FlightEntry' $tel_src || grep -n '\.Note(' $tel_src; then
-		echo "structure gate: a second event store is back in internal/telemetry; Logf and flight dumps use the one trace ring"
-		exit 1
-	fi
-	session=$(sed -n '/^type Session struct {/,/^}/p' $tel_src | sed 's://.*$::')
-	stores=$(echo "$session" | grep -ci 'recorder\|flight\|\bring\b\|event' || true)
-	recorders=$(echo "$session" | grep -c '^[[:space:]]*Recorder[[:space:]]*\*Recorder[[:space:]]*$' || true)
-	[ "$stores" -eq 1 ] && [ "$recorders" -eq 1 ] ||
-		{ echo "structure gate: telemetry.Session holds $stores event stores, want exactly one Recorder *Recorder:"; echo "$session"; exit 1; }
-	if grep -nw 'SpanArgsAtEnd\|TimedOp\|TimedOpInto\|traceArgs\|TraceArgKey' $nontest; then
-		echo "structure gate: a second span entry point or the trace-ID arg is back; open spans with Session.Start, close them with Span.End"
-		exit 1
-	fi
-	if grep -nE '\.(Counter|Gauge|Histogram)\([^)]*\+' $(ls internal/mpi/*.go internal/ddi/*.go | grep -v _test.go); then
-		echo "structure gate: internal/mpi or internal/ddi assembles a metric name per op; resolve the handle once per world or context"
-		exit 1
-	fi
-	if grep -nw 'LoadCollector\|RecordLoad\|Loads' $nontest; then
-		echo "structure gate: a second per-build load store is back; the fock.build span is the one record and Summary reduces the ring"
-		exit 1
-	fi
-	opens=$(grep -nE '\("fock\.build",' $(find internal -name '*.go' -not -name '*_test.go') || true)
-	[ "$(echo "$opens" | grep -c .)" -eq 1 ] &&
-		sed -n '/^func buildSpan(/,/^}/p' internal/scf/builders.go | grep -q '("fock\.build",' &&
-		sed -n '/^func instrument(/,/^}/p' internal/scf/builders.go | grep -q 'buildSpan(' &&
-		grep -q 'buildSpan(' internal/scf/tiled.go ||
-		{ echo "structure gate: fock.build spans must be opened at exactly one site, scf.buildSpan, reached by instrument and the tiled step; openers:"; echo "$opens"; exit 1; }
 
 	# The pure-Go bodies of the ERI kernel and of MulAdd are all a CPU
 	# without AVX/FMA, or another architecture, runs: they keep compiling

@@ -298,8 +298,8 @@ func bitIdentical(a, b *linalg.Matrix) bool {
 // as many allocations on benzene/STO-3G (36 functions, 13,146 quartets)
 // as on water/6-31G (13 functions): the result matrices — all the serial
 // build allocates — plus a fixed few for the closing gsumf and, at two
-// threads, the OpenMP region. The ERI source has no scratch of its own,
-// so the count is the build's alone.
+// threads, one goroutine start per thread of the OpenMP region. The ERI
+// source has no scratch of its own, so the count is the build's alone.
 func TestWarmBuildAllocations(t *testing.T) {
 	presets := []struct {
 		name      string
@@ -346,6 +346,13 @@ func TestWarmBuildAllocations(t *testing.T) {
 	// The result: one slice, and a matrix header and its data per channel.
 	if got := allocs["serial"][0]; got != 3 {
 		t.Errorf("a warm serial build allocates %v times, want 3 (its result)", got)
+	}
+	// A 1x2 hybrid build adds one goroutine start per thread: its team
+	// keeps the region, barrier and per-thread contexts across builds.
+	for _, name := range []string{"private-fock", "shared-fock"} {
+		if got := allocs[name][0]; got != 5 {
+			t.Errorf("a warm 1x2 %s build allocates %v times, want 5 (its result and two thread starts)", name, got)
+		}
 	}
 }
 

@@ -644,14 +644,17 @@ func (w *World) waitWithGrace(done chan struct{}) {
 // from the shared windows, so a wedged goroutine that later wakes cannot
 // corrupt state the survivors (or a restarted attempt) rely on.
 func (w *World) abandonStragglers() {
+	w.winMu.Lock()
 	w.failMu.Lock()
-	defer w.failMu.Unlock()
 	for r := range w.outcomes {
 		if w.outcomes[r] == outcomeRunning {
 			w.outcomes[r] = outcomeAbandoned
 			w.fenced[r].Store(true)
 		}
 	}
+	w.freeHeld()
+	w.failMu.Unlock()
+	w.winMu.Unlock()
 }
 
 // finishRank classifies how a rank's goroutine ended and records it,
@@ -687,12 +690,15 @@ func (w *World) setOutcome(rank int, o int8) {
 // recordFailure registers a primary failure and poisons the world so
 // every blocked peer unwinds.
 func (w *World) recordFailure(f RankFailure) {
+	w.winMu.Lock()
 	w.failMu.Lock()
 	w.failures = append(w.failures, f)
 	if w.outcomes[f.Rank] == outcomeRunning {
 		w.outcomes[f.Rank] = outcomeFailed
 	}
+	w.freeHeld()
 	w.failMu.Unlock()
+	w.winMu.Unlock()
 	fc := f
 	w.poisonWorld(&fc)
 }

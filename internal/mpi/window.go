@@ -32,9 +32,9 @@ type Win struct {
 // the same ordinal panics (a loud RankFailure) and leaves the window as
 // it was. The world keeps window k only until every live rank (every
 // rank FailedRanks does not name) has created it; from then on the
-// ranks' handles alone hold it, so it is collected with them. A window
-// that a rank died before creating, after every other rank had, stays
-// until the world ends.
+// ranks' handles alone hold it, so it is collected with them. A rank
+// that dies or is fenced before creating k no longer counts: the world
+// lets k go then if every other rank has created it.
 func (c *Comm) WinCreate(floats, counters int) *Win {
 	c.checkFenced()
 	w := c.world
@@ -51,17 +51,26 @@ func (c *Comm) WinCreate(floats, counters int) *Win {
 			c.rank, k, floats, counters, len(win.data), len(win.ctr)))
 	}
 	w.winSeq[c.rank]++
-	if w.heldByLive(k) {
-		delete(w.wins, k)
-	}
+	w.failMu.Lock()
+	w.freeHeld()
+	w.failMu.Unlock()
 	return &Win{c: c, w: win}
 }
 
+// freeHeld drops every window that every live rank has created. It runs
+// after each creation and whenever a rank fails or is fenced; the caller
+// holds winMu and then failMu, in that order.
+func (w *World) freeHeld() {
+	for k := range w.wins {
+		if w.heldByLive(k) {
+			delete(w.wins, k)
+		}
+	}
+}
+
 // heldByLive reports whether every rank FailedRanks does not name has
-// created window k; the caller holds winMu.
+// created window k; the caller holds winMu and failMu.
 func (w *World) heldByLive(k int) bool {
-	w.failMu.Lock()
-	defer w.failMu.Unlock()
 	for r := range w.size {
 		if w.winSeq[r] <= k && !w.failedLocked(r) {
 			return false

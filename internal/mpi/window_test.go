@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -66,5 +67,35 @@ func TestWinCreateSizeMismatchFailsLoudly(t *testing.T) {
 	got := first.Local()
 	if len(got) != 4 || got[0] != 1 || got[3] != 4 {
 		t.Fatalf("window after the mismatch = %v, want [1 2 3 4]", got)
+	}
+}
+
+// TestWinFreedWhenTheLastRankLackingItDies: a window that every rank but
+// one has created is let go when that one rank dies before creating it;
+// the world does not keep it until it ends.
+func TestWinFreedWhenTheLastRankLackingItDies(t *testing.T) {
+	var world *World
+	var created sync.WaitGroup
+	created.Add(2)
+	plan := &FaultPlan{Kills: []Kill{{Rank: 2, Site: SiteSend, After: 1}}}
+	rep, err := RunWithOptions(3, RunOptions{Deadline: 2 * time.Second, Fault: plan}, func(c *Comm) {
+		if c.Rank() != 2 {
+			c.WinCreate(4, 1)
+			created.Done()
+			return
+		}
+		world = c.world
+		created.Wait()
+		c.Send(0, 0, []float64{1}) // killed here, before its creation
+		c.WinCreate(4, 1)
+		t.Error("rank 2 outlived its kill")
+	})
+	if !errors.Is(err, ErrRankFailed) || len(rep.Failures) != 1 || rep.Failures[0].Kind != KindKilled {
+		t.Fatalf("want rank 2 killed, got %v (failures %+v)", err, rep.Failures)
+	}
+	world.winMu.Lock()
+	defer world.winMu.Unlock()
+	if len(world.wins) != 0 {
+		t.Fatalf("the world still holds windows %v after the last rank lacking them died", world.wins)
 	}
 }

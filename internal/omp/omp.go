@@ -30,9 +30,13 @@ type Schedule struct {
 	Chunk int
 }
 
-// Team executes parallel regions with a fixed number of threads.
+// Team executes parallel regions with a fixed number of threads, one
+// region at a time: like an OpenMP runtime's thread pool, it keeps its
+// region state (barrier, loop counters, per-thread Contexts) from one
+// Parallel call to the next.
 type Team struct {
 	n int
+	r *region // nil before the first region and after one that panicked
 }
 
 // NewTeam returns a team of n threads (n >= 1).
@@ -46,10 +50,13 @@ func NewTeam(n int) *Team {
 // NumThreads returns the team width.
 func (t *Team) NumThreads() int { return t.n }
 
-// region is the shared state of one parallel region.
+// region is the shared state of a team's parallel regions.
 type region struct {
 	n       int
 	barrier *barrier
+	ctxs    []Context
+	wg      sync.WaitGroup
+	panics  chan any
 	// loops are the shared next-iteration counters of the work-shared
 	// loops, alternating by construct parity. Two are enough: the thread
 	// that takes the last chunk of one construct zeroes the OTHER counter,
@@ -161,29 +168,45 @@ func (c *Context) NumThreads() int { return c.region.n }
 // Parallel runs body on every team thread and returns when all finish.
 // A panic in any thread is re-raised on the caller after the region
 // drains (other threads may deadlock on barriers if the panicking thread
-// held them; regions are expected to be panic-free in production paths).
+// held them; regions are expected to be panic-free in production paths),
+// and the team builds its next region afresh. Calls must not overlap.
 func (t *Team) Parallel(body func(tc *Context)) {
-	r := &region{n: t.n, barrier: newBarrier(t.n)}
-	var wg sync.WaitGroup
-	wg.Add(t.n)
-	panics := make(chan any, t.n)
-	for i := 0; i < t.n; i++ {
-		go func(id int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panics <- p
-				}
-			}()
-			body(&Context{id: id, region: r})
-		}(i)
+	r := t.r
+	if r == nil {
+		r = &region{n: t.n, barrier: newBarrier(t.n), ctxs: make([]Context, t.n), panics: make(chan any, t.n)}
+		for i := range r.ctxs {
+			r.ctxs[i] = Context{id: i, region: r}
+		}
+		t.r = r
 	}
-	wg.Wait()
+	// Every thread left the last region's loops and barriers behind its
+	// closing wg.Wait, so its counters can be reset here.
+	r.loops[0].Store(0)
+	r.loops[1].Store(0)
+	r.wg.Add(t.n)
+	for i := range r.ctxs {
+		tc := &r.ctxs[i]
+		tc.seq, tc.barriers = 0, 0
+		go r.run(tc, body)
+	}
+	r.wg.Wait()
 	select {
-	case p := <-panics:
+	case p := <-r.panics:
+		t.r = nil
 		panic(p)
 	default:
 	}
+}
+
+// run is one thread of a region.
+func (r *region) run(tc *Context, body func(tc *Context)) {
+	defer r.wg.Done()
+	defer func() {
+		if p := recover(); p != nil {
+			r.panics <- p
+		}
+	}()
+	body(tc)
 }
 
 // Barrier blocks until every thread of the region reaches it.

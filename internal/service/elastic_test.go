@@ -99,13 +99,16 @@ func TestAutoscalerGrowAndShrink(t *testing.T) {
 
 	// Submit the burst concurrently: a serial submit loop drains as fast
 	// as one worker runs, so the queue would never back up enough to
-	// trip the scale-up threshold.
+	// trip the scale-up threshold. Each job is a water/6-31G(d) SCF, long
+	// enough that the queue stays above the threshold across several of
+	// the autoscaler's 10 ms ticks; a burst of water/STO-3G jobs could
+	// drain between two ticks and leave the pool correctly unscaled.
 	const burst = 12
 	idCh := make(chan string, burst)
 	for i := 0; i < 12; i++ {
 		go func(i int) {
 			out, resp := postJob(t, ts, jobs.Spec{
-				Molecule: "water", Basis: "sto-3g", Mode: jobs.ModeSerial, MaxIter: 40 + i,
+				Molecule: "water", Basis: "6-31g(d)", Mode: jobs.ModeSerial, MaxIter: 40 + i,
 			})
 			if resp.StatusCode != http.StatusAccepted {
 				t.Errorf("submit %d: HTTP %d", i, resp.StatusCode)
